@@ -15,6 +15,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -108,7 +109,7 @@ func BenchmarkTensorMatMulParallel(b *testing.B) {
 	x := tensor.Randn(rng, 1, 256, 256)
 	y := tensor.Randn(rng, 1, 256, 256)
 	out := tensor.New(256, 256)
-	for _, p := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, p := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) { // p1 once on one core
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
 			defer tensor.SetParallelism(tensor.SetParallelism(p))
 			b.ReportAllocs()
@@ -124,7 +125,7 @@ func BenchmarkTensorMatMulParallel(b *testing.B) {
 // forward pass (the CNN hot path) at parallelism 1 vs all cores.
 func BenchmarkConvForwardParallel(b *testing.B) {
 	g := tensor.ConvGeom{InC: 8, InH: 32, InW: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	for _, p := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, p := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) { // p1 once on one core
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
 			defer tensor.SetParallelism(tensor.SetParallelism(p))
 			rng := rand.New(rand.NewSource(2))
@@ -251,12 +252,8 @@ func BenchmarkPipelineRuntimeEpoch(b *testing.B) {
 // overhead (message hops, worker scheduling, demux bookkeeping)
 // dominates — exactly the regime batching exists for. Kernel
 // parallelism is pinned to 1 so tiny matmuls don't pay fan-out costs.
-//
-// unfused selects the pre-fusion forward path (training kernels, no
-// arenas); BenchmarkServeDynamicUnfused against BenchmarkServeDynamic is
-// the before/after of the fused inference hot path. Each run also
-// reports the median end-to-end request latency as p50_us.
-func benchServe(b *testing.B, maxBatch int, unfused bool) {
+// Each run also reports the median end-to-end request latency as p50_us.
+func benchServe(b *testing.B, maxBatch int) {
 	rng := rand.New(rand.NewSource(9))
 	layers := make([]nn.Layer, 8)
 	for i := range layers {
@@ -271,7 +268,6 @@ func benchServe(b *testing.B, maxBatch int, unfused bool) {
 		QueueCap:          4096,
 		MaxInFlight:       16,
 		KernelParallelism: 1,
-		UnfusedForward:    unfused,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -312,9 +308,8 @@ func benchServe(b *testing.B, maxBatch int, unfused bool) {
 	}
 }
 
-func BenchmarkServeBatch1(b *testing.B)         { benchServe(b, 1, false) }
-func BenchmarkServeDynamic(b *testing.B)        { benchServe(b, 16, false) }
-func BenchmarkServeDynamicUnfused(b *testing.B) { benchServe(b, 16, true) }
+func BenchmarkServeBatch1(b *testing.B)  { benchServe(b, 1) }
+func BenchmarkServeDynamic(b *testing.B) { benchServe(b, 16) }
 
 // deviceLayer is an identity layer that sleeps: a stand-in for a
 // device-bound stage (an accelerator kernel the CPU only launches), so

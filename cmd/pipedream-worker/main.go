@@ -24,6 +24,7 @@ import (
 	"pipedream/internal/cliconf"
 	"pipedream/internal/nn"
 	"pipedream/internal/pipeline"
+	"pipedream/internal/schedule"
 	"pipedream/internal/transport"
 )
 
@@ -77,7 +78,7 @@ func main() {
 		mbs = task.Train.NumBatches()
 	}
 
-	tr, err := transport.NewTCPPeer(*id, addrs, cliconf.Buffer(plan, model, syncCfg))
+	tr, err := transport.ListenTCP(addrs, []int{*id}, cliconf.Buffer(plan, model, syncCfg))
 	if err != nil {
 		fatal(err)
 	}
@@ -101,11 +102,14 @@ func main() {
 		opts.Transport = chaos
 		fmt.Fprintf(os.Stderr, "worker %d chaos: %s\n", *id, chaosFlags)
 	}
-	w, err := pipeline.NewSoloWorker(opts, *id)
+	// The pipeline runs the workers the transport hosts: this one.
+	w, err := pipeline.New(opts)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "worker %d: stage %d of %d, listening on %s\n", *id, w.Stage(), nStages, tr.Addr())
+	stage := schedule.Assign(plan).Workers[*id].Stage
+	isSink := len(plan.StageGraph().Succs(stage)) == 0
+	fmt.Fprintf(os.Stderr, "worker %d: stage %d of %d, listening on %s\n", *id, stage, nStages, tr.Addr(*id))
 
 	if *join {
 		// A late-arriving replacement worker: the rest of the pipeline is
@@ -142,11 +146,11 @@ func main() {
 	total := *epochs * mbs
 	for w.Cursor() < total {
 		e := w.Cursor()/mbs + 1
-		rep, err := w.Run(task.Train, mbs-w.Cursor()%mbs)
+		rep, err := w.Train(task.Train, mbs-w.Cursor()%mbs)
 		if err != nil {
 			fatal(err)
 		}
-		if w.IsOutputStage() {
+		if isSink {
 			fmt.Printf("epoch %d loss %.6f\n", e, rep.MeanLoss())
 		}
 		if obsFlags.MetricsEnabled() {

@@ -1,6 +1,8 @@
 // Distributed: the multi-process deployment API demonstrated in one
-// program — three SoloWorkers (here goroutines; one per OS process in
-// production, see cmd/pipedream-worker) connected by real TCP sockets,
+// program — three one-worker pipelines (here goroutines; one per OS
+// process in production, see cmd/pipedream-worker), each built on its own
+// ListenTCP endpoint of a shared address list and connected by real TCP
+// sockets,
 // training a 2-1 replicated configuration with the message-based gradient
 // all_reduce between the stage-0 replicas.
 package main
@@ -55,20 +57,20 @@ func main() {
 	}
 	fmt.Printf("config %s (NOAM %d), workers at %v\n\n", plan.ConfigString(), plan.NOAM, addrs)
 
-	workers := make([]*pipedream.SoloWorker, 3)
+	workers := make([]*pipedream.Pipeline, 3)
 	for i := range workers {
-		tr, err := pipedream.NewTCPPeer(i, addrs, 32)
+		tr, err := pipedream.ListenTCP(addrs, []int{i}, 32)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer tr.Close()
-		w, err := pipedream.NewSoloWorker(pipedream.PipelineOptions{
+		w, err := pipedream.NewPipeline(pipedream.PipelineOptions{
 			ModelFactory: factory,
 			Plan:         plan,
 			Loss:         pipedream.SoftmaxCrossEntropy,
 			NewOptimizer: func() pipedream.Optimizer { return pipedream.NewSGD(0.1, 0.9, 0) },
 			Transport:    tr,
-		}, i)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -80,13 +82,13 @@ func main() {
 		var loss float64
 		for i, w := range workers {
 			wg.Add(1)
-			go func(i int, w *pipedream.SoloWorker) {
+			go func(i int, w *pipedream.Pipeline) {
 				defer wg.Done()
-				rep, err := w.Run(train, train.NumBatches())
+				rep, err := w.Train(train, train.NumBatches())
 				if err != nil {
 					log.Fatalf("worker %d: %v", i, err)
 				}
-				if w.IsOutputStage() {
+				if i == 2 { // worker 2 hosts the output stage; the others report zeros
 					loss = rep.MeanLoss()
 				}
 			}(i, w)
@@ -96,8 +98,8 @@ func main() {
 	}
 
 	// The replicated stage's all_reduce kept both replicas identical.
-	a := workers[0].StageModel().Params()[0]
-	b := workers[1].StageModel().Params()[0]
+	a := workers[0].StageModel(0, 0).Params()[0]
+	b := workers[1].StageModel(0, 1).Params()[0]
 	if a.AllClose(b, 1e-5) {
 		fmt.Println("\nstage-0 replicas hold identical weights after TCP gradient all_reduce ✓")
 	}

@@ -46,24 +46,6 @@ func CheckMemory(plan *Plan, prof *profile.ModelProfile, topo *topology.Topology
 	return nil
 }
 
-// OptimizeWithMemory runs the optimizer under the device-memory
-// constraint and returns the plan together with the depth to run it at
-// (plan.NOAM unless reduced).
-//
-// Deprecated: use NewPlan(prof, topo, PlanOptions{Memory: true}); the
-// chosen depth is recorded in Plan.Depth (0 meaning NOAM).
-func OptimizeWithMemory(prof *profile.ModelProfile, topo *topology.Topology) (*Plan, int, error) {
-	plan, err := NewPlan(prof, topo, PlanOptions{Memory: true})
-	if err != nil {
-		return nil, 0, err
-	}
-	depth := plan.Depth
-	if depth == 0 {
-		depth = plan.NOAM
-	}
-	return plan, depth, nil
-}
-
 // constrainMemory enforces the device-memory constraint the paper's
 // partitioning algorithm takes as input (§3.1): if the unconstrained
 // optimum does not fit, it lowers the pipeline depth toward the memory

@@ -11,10 +11,10 @@ func TestStageMemoryAccounting(t *testing.T) {
 	prof := syntheticProfile([]float64{1, 1}, []int64{100, 100}, []int64{1000, 2000})
 	prof.InputBytes = 50
 	topo := topology.Flat(2, 1e9, topology.V100)
-	plan, err := Evaluate(prof, topo, []StageSpec{
+	plan, err := NewPlan(prof, topo, PlanOptions{Stages: []StageSpec{
 		{FirstLayer: 0, LastLayer: 0, Replicas: 1},
 		{FirstLayer: 1, LastLayer: 1, Replicas: 1},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestCheckMemoryBounds(t *testing.T) {
 	prof := syntheticProfile([]float64{1}, []int64{100}, []int64{1 << 20})
 	small := topology.Flat(1, 1e9, topology.Device{Name: "tiny", EffectiveFLOPS: 1e12, MemBytes: 1 << 10})
 	big := topology.Flat(1, 1e9, topology.V100)
-	plan, err := Evaluate(prof, small, []StageSpec{{FirstLayer: 0, LastLayer: 0, Replicas: 1}})
+	plan, err := NewPlan(prof, small, PlanOptions{Stages: []StageSpec{{FirstLayer: 0, LastLayer: 0, Replicas: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +54,11 @@ func TestOptimizeWithMemoryFitsOnRealDevices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, depth, err := OptimizeWithMemory(prof, topo)
+		plan, err := NewPlan(prof, topo, PlanOptions{Memory: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		depth := plan.Depth
 		if depth < 1 || depth > plan.NOAM {
 			t.Fatalf("%s: depth %d outside [1, NOAM=%d]", name, depth, plan.NOAM)
 		}
@@ -75,10 +76,11 @@ func TestOptimizeWithMemoryReducesDepthOnTinyDevice(t *testing.T) {
 	prof.InputBytes = 64 << 20
 	dev := topology.Device{Name: "small", EffectiveFLOPS: 1e12, MemBytes: 512 << 20}
 	topo := topology.Flat(4, 1e12, dev)
-	plan, depth, err := OptimizeWithMemory(prof, topo)
+	plan, err := NewPlan(prof, topo, PlanOptions{Memory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	depth := plan.Depth
 	if depth >= plan.NOAM && plan.NOAM > 1 {
 		t.Fatalf("expected reduced depth, got %d of NOAM %d", depth, plan.NOAM)
 	}
@@ -104,7 +106,7 @@ func TestOptimizeWithMemoryImpossible(t *testing.T) {
 	prof := syntheticProfile([]float64{1}, []int64{8}, []int64{1 << 30})
 	dev := topology.Device{Name: "nano", EffectiveFLOPS: 1e12, MemBytes: 1 << 20}
 	topo := topology.Flat(2, 1e9, dev)
-	if _, _, err := OptimizeWithMemory(prof, topo); err == nil {
+	if _, err := NewPlan(prof, topo, PlanOptions{Memory: true}); err == nil {
 		t.Fatal("1 GB single layer cannot fit 1 MB devices at any depth")
 	}
 }

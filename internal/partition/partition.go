@@ -217,21 +217,6 @@ func stageSyncTime(sync SyncModel, compute float64, w int64, m int, bw float64, 
 	return math.Max(compute, ringSyncTime(w, m, bw, shared)) / float64(m)
 }
 
-// Optimize runs the hierarchical DP and returns the best plan under the
-// default SyncRing cost model.
-//
-// Deprecated: use NewPlan(prof, topo, PlanOptions{}).
-func Optimize(prof *profile.ModelProfile, topo *topology.Topology) (*Plan, error) {
-	return NewPlan(prof, topo, PlanOptions{})
-}
-
-// OptimizeSync is Optimize with an explicit collective cost model.
-//
-// Deprecated: use NewPlan(prof, topo, PlanOptions{Sync: sync}).
-func OptimizeSync(prof *profile.ModelProfile, topo *topology.Topology, sync SyncModel) (*Plan, error) {
-	return NewPlan(prof, topo, PlanOptions{Sync: sync})
-}
-
 // optimize is the hierarchical DP (§3.1): it considers every stage
 // boundary and replication factor at every level of the topology, then
 // flattens nested replication into the paper's "r1-r2-..." configuration
@@ -389,21 +374,6 @@ func balanceStages(prof *profile.ModelProfile, stages int) []StageSpec {
 	}
 	specs = append(specs, StageSpec{FirstLayer: first, LastLayer: n - 1, Replicas: 1})
 	return specs
-}
-
-// Evaluate computes the optimizer's throughput prediction for an arbitrary
-// stage assignment on a topology under the default SyncRing model.
-//
-// Deprecated: use NewPlan(prof, topo, PlanOptions{Stages: stages}).
-func Evaluate(prof *profile.ModelProfile, topo *topology.Topology, stages []StageSpec) (*Plan, error) {
-	return NewPlan(prof, topo, PlanOptions{Stages: stages})
-}
-
-// EvaluateSync is Evaluate with an explicit collective cost model.
-//
-// Deprecated: use NewPlan(prof, topo, PlanOptions{Stages: stages, Sync: sync}).
-func EvaluateSync(prof *profile.ModelProfile, topo *topology.Topology, stages []StageSpec, sync SyncModel) (*Plan, error) {
-	return NewPlan(prof, topo, PlanOptions{Stages: stages, Sync: sync})
 }
 
 // evaluate prices an explicit stage assignment (see SyncRing/SyncCentral

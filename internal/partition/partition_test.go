@@ -31,7 +31,7 @@ func syntheticProfile(times []float64, acts, weights []int64) *profile.ModelProf
 func TestOptimizeSingleWorkerIsOneStage(t *testing.T) {
 	prof := syntheticProfile([]float64{1, 1, 1}, []int64{8, 8, 8}, []int64{8, 8, 8})
 	topo := topology.Flat(1, 1e9, topology.V100)
-	plan, err := Optimize(prof, topo)
+	plan, err := NewPlan(prof, topo, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestOptimizePrefersPipelineForHeavyWeights(t *testing.T) {
 		[]int64{4 << 30, 4 << 30},
 	)
 	topo := topology.Flat(2, 1e9, topology.V100) // 1 GB/s links
-	plan, err := Optimize(prof, topo)
+	plan, err := NewPlan(prof, topo, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestOptimizePrefersDPForCompactWeights(t *testing.T) {
 		[]int64{1024, 1024},
 	)
 	topo := topology.Flat(2, 1e9, topology.V100)
-	plan, err := Optimize(prof, topo)
+	plan, err := NewPlan(prof, topo, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestOptimizeMatchesBruteForceOnRandomProfiles(t *testing.T) {
 		prof := syntheticProfile(times, acts, weights)
 		workers := 2 + rng.Intn(3)
 		topo := topology.Flat(workers, 1e8+rng.Float64()*1e9, topology.V100)
-		opt, err := Optimize(prof, topo)
+		opt, err := NewPlan(prof, topo, PlanOptions{})
 		if err != nil {
 			t.Fatalf("optimize: %v", err)
 		}
@@ -131,7 +131,7 @@ func TestEvaluateRejectsBadStages(t *testing.T) {
 		{{FirstLayer: 0, LastLayer: 1, Replicas: 1}, {FirstLayer: 1, LastLayer: 1, Replicas: 1}}, // overlap
 	}
 	for i, st := range cases {
-		if _, err := Evaluate(prof, topo, st); err == nil {
+		if _, err := NewPlan(prof, topo, PlanOptions{Stages: st}); err == nil {
 			t.Fatalf("case %d: expected error for %+v", i, st)
 		}
 	}
@@ -140,10 +140,10 @@ func TestEvaluateRejectsBadStages(t *testing.T) {
 func TestEvaluateNOAM(t *testing.T) {
 	prof := syntheticProfile([]float64{1, 1, 1}, []int64{4, 4, 4}, []int64{4, 4, 4})
 	topo := topology.Flat(3, 1e9, topology.V100)
-	plan, err := Evaluate(prof, topo, []StageSpec{
+	plan, err := NewPlan(prof, topo, PlanOptions{Stages: []StageSpec{
 		{FirstLayer: 0, LastLayer: 1, Replicas: 2},
 		{FirstLayer: 2, LastLayer: 2, Replicas: 1},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestDataParallelPlanShape(t *testing.T) {
 func TestVGG16OnClusterAAvoidsDataParallelism(t *testing.T) {
 	prof := modelzoo.VGG16(topology.V100, 64)
 	topo := topology.ClusterA(4)
-	plan, err := Optimize(prof, topo)
+	plan, err := NewPlan(prof, topo, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestVGG16OnClusterAAvoidsDataParallelism(t *testing.T) {
 func TestResNet50OnClusterAPicksDataParallelism(t *testing.T) {
 	prof := modelzoo.ResNet50(topology.V100, 128)
 	topo := topology.ClusterA(4)
-	plan, err := Optimize(prof, topo)
+	plan, err := NewPlan(prof, topo, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestResNet50OnClusterAPicksDataParallelism(t *testing.T) {
 func TestGNMT16OnClusterAPrefersPipeline(t *testing.T) {
 	prof := modelzoo.GNMT16(topology.V100, 64)
 	topo := topology.ClusterA(4)
-	plan, err := Optimize(prof, topo)
+	plan, err := NewPlan(prof, topo, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestOptimizerIsFast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Optimize(prof, topology.ClusterB(4)); err != nil {
+		if _, err := NewPlan(prof, topology.ClusterB(4), PlanOptions{}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -273,11 +273,11 @@ func TestOptimizerIsFast(t *testing.T) {
 func TestConfigString(t *testing.T) {
 	prof := syntheticProfile([]float64{1, 1, 1}, []int64{4, 4, 4}, []int64{4, 4, 4})
 	topo := topology.Flat(4, 1e9, topology.V100)
-	plan, err := Evaluate(prof, topo, []StageSpec{
+	plan, err := NewPlan(prof, topo, PlanOptions{Stages: []StageSpec{
 		{FirstLayer: 0, LastLayer: 0, Replicas: 2},
 		{FirstLayer: 1, LastLayer: 1, Replicas: 1},
 		{FirstLayer: 2, LastLayer: 2, Replicas: 1},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +322,11 @@ func TestOptimizeHierarchicalStructuralProperty(t *testing.T) {
 				{Width: outer, Bandwidth: 1e7 + rng.Float64()*1e9},
 			},
 		}
-		p1, err := Optimize(prof, topo)
+		p1, err := NewPlan(prof, topo, PlanOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		p2, err := Optimize(prof, topo)
+		p2, err := NewPlan(prof, topo, PlanOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -376,7 +376,7 @@ func TestOptimizeDominatesBaselines(t *testing.T) {
 		prof := syntheticProfile(times, acts, weights)
 		workers := 2 + rng.Intn(4)
 		topo := topology.Flat(workers, 1e8+rng.Float64()*1e9, topology.V100)
-		opt, err := Optimize(prof, topo)
+		opt, err := NewPlan(prof, topo, PlanOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +414,7 @@ func TestReconstructFlattensNestedReplication(t *testing.T) {
 			{Width: 2, Bandwidth: 1e12},
 		},
 	}
-	plan, err := Optimize(prof, topo)
+	plan, err := NewPlan(prof, topo, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestReconstructMultipliesReplication(t *testing.T) {
 			{Width: 2, Bandwidth: 1e8},
 		},
 	}
-	plan, err := Optimize(prof, topo)
+	plan, err := NewPlan(prof, topo, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,10 +467,10 @@ func TestReconstructMultipliesReplication(t *testing.T) {
 func TestPlanJSONRoundTrip(t *testing.T) {
 	prof := syntheticProfile([]float64{1, 1, 1}, []int64{4, 4, 4}, []int64{4, 4, 4})
 	topo := topology.Flat(3, 1e9, topology.V100)
-	plan, err := Evaluate(prof, topo, []StageSpec{
+	plan, err := NewPlan(prof, topo, PlanOptions{Stages: []StageSpec{
 		{FirstLayer: 0, LastLayer: 1, Replicas: 2},
 		{FirstLayer: 2, LastLayer: 2, Replicas: 1},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +491,7 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 func TestPlanJSONRejectsWrongModel(t *testing.T) {
 	prof := syntheticProfile([]float64{1}, []int64{4}, []int64{4})
 	topo := topology.Flat(1, 1e9, topology.V100)
-	plan, err := Evaluate(prof, topo, []StageSpec{{FirstLayer: 0, LastLayer: 0, Replicas: 1}})
+	plan, err := NewPlan(prof, topo, PlanOptions{Stages: []StageSpec{{FirstLayer: 0, LastLayer: 0, Replicas: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,11 +527,11 @@ func TestSyncModelFlipsReplicationDecision(t *testing.T) {
 	prof := syntheticProfile([]float64{5, 5}, []int64{8, 8}, []int64{4 << 30, 4 << 30})
 	topo := topology.Flat(2, 2e9, topology.V100)
 
-	ring, err := OptimizeSync(prof, topo, SyncRing)
+	ring, err := NewPlan(prof, topo, PlanOptions{Sync: SyncRing})
 	if err != nil {
 		t.Fatal(err)
 	}
-	central, err := OptimizeSync(prof, topo, SyncCentral)
+	central, err := NewPlan(prof, topo, PlanOptions{Sync: SyncCentral})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +557,7 @@ func TestEvaluateSyncFormulas(t *testing.T) {
 	stages := []StageSpec{{FirstLayer: 0, LastLayer: 1, Replicas: 4}}
 	w := prof.WeightRange(0, 1)
 
-	ring, err := EvaluateSync(prof, topo, stages, SyncRing)
+	ring, err := NewPlan(prof, topo, PlanOptions{Stages: stages, Sync: SyncRing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +566,7 @@ func TestEvaluateSyncFormulas(t *testing.T) {
 		t.Fatalf("ring stage time %v, want %v", ring.StageTimes[0], wantRing)
 	}
 
-	central, err := EvaluateSync(prof, topo, stages, SyncCentral)
+	central, err := NewPlan(prof, topo, PlanOptions{Stages: stages, Sync: SyncCentral})
 	if err != nil {
 		t.Fatal(err)
 	}

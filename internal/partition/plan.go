@@ -31,9 +31,7 @@ type PlanOptions struct {
 	Graph *StageGraph
 }
 
-// NewPlan is the single entry point for building a Plan: it subsumes
-// the former Optimize/OptimizeSync/Evaluate/EvaluateSync/
-// OptimizeWithMemory quintet. With no options it runs the hierarchical
+// NewPlan is the single entry point for building a Plan. With no options it runs the hierarchical
 // DP; with Stages it prices an explicit assignment; with Graph it
 // prices a DAG-shaped assignment; with Memory it enforces the device
 // memory bound and records the resulting depth in Plan.Depth.

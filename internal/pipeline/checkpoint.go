@@ -20,9 +20,12 @@ import (
 // workers at a drain barrier, and restoring workers (weights, optimizer
 // state, cursor) from the newest complete one.
 
-// Checkpoint writes each worker's current parameters to a new generation
-// under dir, one file per stage replica plus a validating manifest — the
-// paper's coordination-free per-stage checkpointing (§4). Call between
+// Checkpoint writes each local worker's current parameters to a new
+// generation under dir, one file per stage replica plus a validating
+// manifest — the paper's coordination-free per-stage checkpointing (§4):
+// each process of a multi-process deployment writes only its own stage
+// files, and the manifest's content is plan-derived, so every process
+// writes it identically. Call between
 // Train invocations (the pipeline must be idle). The generation is named
 // after the pipeline's minibatch cursor; Restore resumes from it.
 func (p *Pipeline) Checkpoint(dir string) error {
@@ -39,9 +42,6 @@ func (p *Pipeline) checkpointAt(dir string, cursor int) error {
 		return fmt.Errorf("pipeline: checkpoint dir: %w", err)
 	}
 	for _, sw := range p.workers {
-		if sw == nil { // solo deployments hold only this process's worker
-			continue
-		}
 		shard := checkpoint.StageShard{
 			Generation: cursor,
 			Stage:      sw.stage,
@@ -172,8 +172,9 @@ func (p *Pipeline) restoreOnce(dir string) (cursor int, retry bool, _ error) {
 		return 0, false, fmt.Errorf("pipeline: restore %s: %w", dir, err)
 	}
 	if len(gens) == 0 {
-		// Pre-generation layout: stage files at the directory root.
-		if err := p.restoreFlat(dir); err != nil {
+		// Pre-generation layout: stage files at the directory root, no
+		// manifest, no cursor.
+		if err := p.restoreGeneration(dir, nil); err != nil {
 			return 0, false, err
 		}
 		return p.cursor, false, nil
@@ -233,19 +234,17 @@ func (p *Pipeline) validateManifest(man *checkpoint.Manifest) error {
 	return nil
 }
 
-// restoreGeneration loads this process's workers from one complete,
-// validated generation.
+// restoreGeneration loads this process's workers from the stage files in
+// gdir: one complete generation validated against man, or (man nil) the
+// pre-generation flat layout.
 func (p *Pipeline) restoreGeneration(gdir string, man *checkpoint.Manifest) error {
 	for _, sw := range p.workers {
-		if sw == nil {
-			continue
-		}
 		path := filepath.Join(gdir, checkpoint.StageFileName(sw.stage, sw.replica))
 		shard, err := checkpoint.ReadShard(path)
 		if err != nil {
 			return err
 		}
-		if shard.Generation != man.Generation {
+		if man != nil && shard.Generation != man.Generation {
 			return fmt.Errorf("pipeline: restore %s: file generation %d in generation-%d directory (mixed checkpoint)",
 				path, shard.Generation, man.Generation)
 		}
@@ -281,34 +280,7 @@ func (sw *stageWorker) restoreFrom(path string, shard *checkpoint.StageShard) er
 	}
 	sw.updates = shard.Updates
 	if sw.mode == VerticalSync {
-		sw.versions = map[int][]*tensor.Tensor{sw.reflected(): snapshot(params)}
+		sw.versions = map[int][]*tensor.Tensor{sw.reflected(): nn.SnapshotParams(params)}
 	}
 	return nil
-}
-
-// restoreFlat loads the pre-generation layout (stage files at the
-// directory root, no manifest, no cursor).
-func (p *Pipeline) restoreFlat(dir string) error {
-	for _, sw := range p.workers {
-		if sw == nil {
-			continue
-		}
-		path := filepath.Join(dir, checkpoint.StageFileName(sw.stage, sw.replica))
-		shard, err := checkpoint.ReadShard(path)
-		if err != nil {
-			return err
-		}
-		if err := sw.restoreFrom(path, shard); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func snapshot(params []*tensor.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(params))
-	for i, p := range params {
-		out[i] = p.Clone()
-	}
-	return out
 }

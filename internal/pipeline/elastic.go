@@ -269,12 +269,7 @@ func (e *Elastic) ensure(rep *Report, drained time.Duration) error {
 	} else {
 		p.cursor = e.cursor
 	}
-	p.registerFaultCounters()
-	if opts.instrumented() {
-		for _, sw := range p.workers {
-			sw.met.beginRun()
-		}
-	}
+	p.beginRun()
 	restartDur := time.Since(t1)
 
 	if e.built {
@@ -409,16 +404,7 @@ func (e *Elastic) Train(ds data.Dataset, minibatches int) (*Report, error) {
 	rep.Samples = minibatches * ds.Batch(start).X.Dim(0)
 	rep.MembershipEpoch = e.epoch
 	if e.p != nil {
-		if e.opts.instrumented() {
-			for _, sw := range e.p.workers {
-				rep.Stages = append(rep.Stages, sw.met.stats(sw))
-			}
-			publishPoolCounters(e.opts.Metrics)
-		}
-		for _, sw := range e.p.workers {
-			rep.PeakStashBytes = append(rep.PeakStashBytes, sw.peakStashBytes)
-		}
-		e.p.publishFaultStats(rep, recoveries, ckptWrites)
+		e.p.finishReport(rep, recoveries, ckptWrites)
 	} else {
 		rep.Faults.Recoveries = recoveries
 		rep.Faults.CheckpointWrites = ckptWrites
@@ -436,9 +422,6 @@ func (p *Pipeline) adoptFullState(st *checkpoint.FullState) error {
 	offs := paramOffsetsOf(st.Model)
 	fullParams := st.Model.Params()
 	for _, sw := range p.workers {
-		if sw == nil {
-			continue
-		}
 		spec := p.opts.Plan.Stages[sw.stage]
 		lo, hi := offs[spec.FirstLayer], offs[spec.LastLayer+1]
 		src := fullParams[lo:hi]
@@ -461,7 +444,7 @@ func (p *Pipeline) adoptFullState(st *checkpoint.FullState) error {
 		}
 		sw.updates = ownedCount(st.Cursor, sw.replica, spec.Replicas)
 		if sw.mode == VerticalSync {
-			sw.versions = map[int][]*tensor.Tensor{sw.reflected(): snapshot(params)}
+			sw.versions = map[int][]*tensor.Tensor{sw.reflected(): nn.SnapshotParams(params)}
 		}
 	}
 	p.cursor = st.Cursor

@@ -2,13 +2,10 @@ package pipeline
 
 import (
 	"math"
-	"net"
-	"sync"
 	"testing"
 
 	"pipedream/internal/data"
 	"pipedream/internal/nn"
-	"pipedream/internal/transport"
 )
 
 // Recomputation must be numerically identical to stashing contexts: the
@@ -191,216 +188,6 @@ func TestRecomputeWithStashingKeepsVersions(t *testing.T) {
 			t.Fatalf("loss[%d] is NaN", i)
 		}
 	}
-}
-
-// Three SoloWorkers in one process connected by TCPPeer endpoints must
-// reproduce the in-process pipeline's training exactly at depth 1 (no
-// staleness) — validating the distributed code path numerically.
-func TestSoloWorkersMatchInProcessPipeline(t *testing.T) {
-	factory := mlpFactory(7, 4, 8, 3)
-	ds := data.NewBlobs(11, 3, 4, 8, 12)
-	plan := evenPlan(t, factory, 3, 1)
-
-	// Reference: in-process pipeline, depth 1.
-	ref, err := New(Options{
-		ModelFactory:  factory,
-		Plan:          plan,
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
-		RuntimeConfig: RuntimeConfig{Depth: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	refRep, err := ref.Train(ds, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Distributed: three TCPPeer-connected solo workers (one goroutine
-	// each here; separate processes in cmd/pipedream-worker).
-	addrs := make([]string, 3)
-	peers := make([]*transport.TCPPeer, 3)
-	// Reserve concrete ports first (":0" per-endpoint would leave peers
-	// unable to know each other's ports).
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	for i := range peers {
-		p, err := transport.NewTCPPeer(i, addrs, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[i] = p
-		defer p.Close()
-	}
-	workers := make([]*SoloWorker, 3)
-	for i := range workers {
-		w, err := NewSoloWorker(Options{
-			ModelFactory:  factory,
-			Plan:          plan,
-			Loss:          nn.SoftmaxCrossEntropy,
-			NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
-			Transport:     peers[i],
-			RuntimeConfig: RuntimeConfig{Depth: 1},
-		}, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers[i] = w
-	}
-	reports := make([]*Report, 3)
-	var wg sync.WaitGroup
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *SoloWorker) {
-			defer wg.Done()
-			rep, err := w.Run(ds, 12)
-			if err != nil {
-				t.Errorf("worker %d: %v", i, err)
-				return
-			}
-			reports[i] = rep
-		}(i, w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	// Output-stage losses must match the in-process reference exactly.
-	for mb := range refRep.Losses {
-		if math.Abs(reports[2].Losses[mb]-refRep.Losses[mb]) > 1e-6 {
-			t.Fatalf("loss[%d]: distributed %v vs in-process %v", mb, reports[2].Losses[mb], refRep.Losses[mb])
-		}
-	}
-	// And the trained stage weights must match too.
-	for s := 0; s < 3; s++ {
-		want := ref.StageModel(s, 0).Params()
-		got := workers[s].StageModel().Params()
-		for i := range want {
-			if !got[i].AllClose(want[i], 1e-6) {
-				t.Fatalf("stage %d param %d differs between deployments", s, i)
-			}
-		}
-	}
-}
-
-// A replicated stage across TCPPeer-connected solo workers must keep its
-// replicas consistent via the message-based gradient all_reduce — the
-// distributed 1F1B-RR configuration end to end.
-func TestSoloWorkersReplicatedStageConsistency(t *testing.T) {
-	factory := mlpFactory(13, 4, 8, 3)
-	// Even minibatch count: every all-reduce round is full, so replicas
-	// apply identical update sequences. (A partial final round steps the
-	// lone participant alone — same semantics as the in-process reducer —
-	// which TestSoloWorkersPartialRoundCompletes covers.)
-	ds := data.NewBlobs(17, 3, 4, 8, 20)
-	plan := evenPlan(t, factory, 2, 2) // 2-1: stage 0 replicated twice
-
-	addrs := make([]string, 3)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	workers := make([]*SoloWorker, 3)
-	for i := range workers {
-		tr, err := transport.NewTCPPeer(i, addrs, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		w, err := NewSoloWorker(Options{
-			ModelFactory: factory,
-			Plan:         plan,
-			Loss:         nn.SoftmaxCrossEntropy,
-			NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
-			Transport:    tr,
-		}, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers[i] = w
-	}
-	var wg sync.WaitGroup
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *SoloWorker) {
-			defer wg.Done()
-			for epoch := 0; epoch < 2; epoch++ {
-				if _, err := w.Run(ds, 20); err != nil {
-					t.Errorf("worker %d: %v", i, err)
-					return
-				}
-			}
-		}(i, w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	// Replicas 0 and 1 of stage 0 must hold identical weights: they
-	// averaged the same gradients every full round.
-	a := workers[0].StageModel().Params()
-	b := workers[1].StageModel().Params()
-	for i := range a {
-		if !a[i].AllClose(b[i], 1e-5) {
-			t.Fatalf("distributed replicas diverged at param %d", i)
-		}
-	}
-}
-
-// Odd minibatch counts leave a partial final all-reduce round; the
-// distributed exchange must complete without deadlock (the lone
-// participant steps alone).
-func TestSoloWorkersPartialRoundCompletes(t *testing.T) {
-	factory := mlpFactory(13, 4, 8, 3)
-	ds := data.NewBlobs(19, 3, 4, 8, 21)
-	plan := evenPlan(t, factory, 2, 2)
-	addrs := make([]string, 3)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		tr, err := transport.NewTCPPeer(i, addrs, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		w, err := NewSoloWorker(Options{
-			ModelFactory: factory,
-			Plan:         plan,
-			Loss:         nn.SoftmaxCrossEntropy,
-			NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
-			Transport:    tr,
-		}, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(i int, w *SoloWorker) {
-			defer wg.Done()
-			if _, err := w.Run(ds, 21); err != nil {
-				t.Errorf("worker %d: %v", i, err)
-			}
-		}(i, w)
-	}
-	wg.Wait()
 }
 
 // Checkpoint/restore must preserve the optimizer's momentum so a resumed

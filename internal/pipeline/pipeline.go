@@ -1,6 +1,8 @@
 // Package pipeline is PipeDream's execution runtime: it takes a partition
 // plan for a real nn model, spins up one goroutine per worker (stage
-// replica), and trains with the 1F1B-RR schedule — the startup phase
+// replica) hosted by this process — all of them, or in a multi-process
+// deployment the ones whose inboxes the transport owns — and trains with
+// the 1F1B-RR schedule — the startup phase
 // admits NOAM minibatches, every worker then alternates forward and
 // backward work with backward priority, minibatches are routed
 // round-robin across stage replicas, and weight stashing (optionally
@@ -15,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -173,7 +176,10 @@ type Options struct {
 	// Mode selects the staleness handling; default WeightStashing.
 	Mode StalenessMode
 	// Transport carries inter-stage messages; default in-process
-	// channels.
+	// channels. It also decides which of the plan's workers this process
+	// runs: those whose inboxes it hosts (transport.Local) — every worker
+	// for Channels and NewTCP, the listed IDs for a ListenTCP endpoint of
+	// a multi-process deployment.
 	Transport transport.Transport
 	// Metrics, when non-nil, receives live instrumentation: per-stage
 	// forward/backward/sync-wait duration histograms, queue-depth and
@@ -207,10 +213,12 @@ type Report struct {
 	WallTime time.Duration
 	// Samples is the total number of training samples processed.
 	Samples int
-	// PeakStashBytes is, per worker, the peak bytes held in weight
-	// stashes and activation inputs (tensor payloads only).
+	// PeakStashBytes is, per local worker in worker-ID order, the peak
+	// bytes held in weight stashes and activation inputs (tensor payloads
+	// only).
 	PeakStashBytes []int64
-	// Stages carries per-worker runtime statistics — op counts and
+	// Stages carries per-local-worker runtime statistics, in worker-ID
+	// order — op counts and
 	// durations, sync waits, idle time, bubble fraction, queue depth,
 	// and weight staleness. Nil unless Options.Metrics or Options.OpLog
 	// enabled instrumentation. Render with StageSummary.
@@ -247,18 +255,26 @@ func (r *Report) MeanLoss() float64 {
 	return s / float64(len(r.Losses))
 }
 
-// Pipeline is a ready-to-train pipeline-parallel model instance. Workers
-// persist across Train calls, so epoch loops keep optimizer and weight
-// state.
+// Pipeline is a ready-to-train pipeline-parallel model instance: the
+// stage workers of one process. Workers persist across Train calls, so
+// epoch loops keep optimizer and weight state.
 type Pipeline struct {
-	opts    Options
-	assign  *schedule.Assignment
-	graph   *partition.StageGraph
-	depth   int
+	opts   Options
+	assign *schedule.Assignment
+	graph  *partition.StageGraph
+	depth  int
+	// workers are the stage workers this process hosts, in worker-ID
+	// order: all of the plan's when the transport is in-process, the
+	// transport's local IDs otherwise.
 	workers []*stageWorker
-	tr      transport.Transport
-	ownTr   bool
-	cursor  int
+	// reducers are the in-process gradient reducers: one per replicated
+	// stage whose replicas all live in this process, none in ring mode.
+	// Replicas spread over processes exchange gradients over the
+	// transport instead.
+	reducers []*collective.CentralReducer
+	tr       transport.Transport
+	ownTr    bool
+	cursor   int
 	// lastStats is the transport's counter snapshot at the last fault
 	// publication, so per-call deltas can be reported.
 	lastStats transport.Stats
@@ -269,7 +285,10 @@ type lossEvent struct {
 	loss float64
 }
 
-// New validates options and builds the pipeline workers.
+// New validates options and builds the stage workers this process hosts.
+// In a multi-process deployment every process calls New with the same
+// plan and its own transport endpoint, and then Train with the same
+// minibatch counts.
 func New(opts Options) (*Pipeline, error) {
 	if opts.ModelFactory == nil || opts.Plan == nil || opts.Loss == nil || opts.NewOptimizer == nil {
 		return nil, fmt.Errorf("pipeline: ModelFactory, Plan, Loss, and NewOptimizer are required")
@@ -302,13 +321,19 @@ func New(opts Options) (*Pipeline, error) {
 		p.tr = transport.NewChannels(p.assign.NumWorkers(), channelBuffer(ref, opts, p.depth)*graph.MaxDegree())
 		p.ownTr = true
 	}
-	reducers := make([]*collective.CentralReducer, len(opts.Plan.Stages))
+	// Only the workers whose inboxes the transport hosts are built here.
+	remote := func(w int) bool { return !transport.Local(p.tr, w) }
+	stageReducer := make([]*collective.CentralReducer, len(opts.Plan.Stages))
 	for s, spec := range opts.Plan.Stages {
-		if spec.Replicas > 1 && !useRing {
-			reducers[s] = collective.NewCentralReducer(spec.Replicas)
+		if spec.Replicas > 1 && !useRing && !slices.ContainsFunc(p.assign.StageWorkers[s], remote) {
+			stageReducer[s] = collective.NewCentralReducer(spec.Replicas)
+			p.reducers = append(p.reducers, stageReducer[s])
 		}
 	}
 	for w, ref := range p.assign.Workers {
+		if remote(w) {
+			continue
+		}
 		model := opts.ModelFactory()
 		spec := opts.Plan.Stages[ref.Stage]
 		sw := &stageWorker{
@@ -319,7 +344,7 @@ func New(opts Options) (*Pipeline, error) {
 			model:   model.Slice(spec.FirstLayer, spec.LastLayer+1),
 			opt:     opts.NewOptimizer(),
 			mode:    opts.Mode,
-			reducer: reducers[ref.Stage],
+			reducer: stageReducer[ref.Stage],
 			stash:   make(map[int]stashEntry),
 			preds:   graph.Preds(ref.Stage),
 			succs:   graph.Succs(ref.Stage),
@@ -340,6 +365,9 @@ func New(opts Options) (*Pipeline, error) {
 			sw.met = newWorkerMetrics(opts.Metrics, opts.OpLog, ref.Stage, ref.Replica)
 		}
 		p.workers = append(p.workers, sw)
+	}
+	if len(p.workers) == 0 {
+		return nil, fmt.Errorf("pipeline: the transport hosts none of the plan's %d workers", p.assign.NumWorkers())
 	}
 	return p, nil
 }
@@ -419,7 +447,15 @@ func (p *Pipeline) Cursor() int { return p.cursor }
 func (p *Pipeline) Plan() *partition.Plan { return p.opts.Plan }
 
 // Train processes the next `minibatches` minibatches from ds through the
-// pipeline and blocks until every backward pass has been applied.
+// pipeline and blocks until every local worker has applied its share of
+// backward passes. Losses are reported by the process hosting a sink
+// stage; a process hosting none reports zeros.
+//
+// With CheckpointDir and CheckpointEvery set, every local worker's stage
+// file (and the plan-derived manifest) is written every K minibatches;
+// with MaxRecoveries additionally set, a detected failure — a dead peer,
+// a stalled pipeline (WatchdogTimeout) — drains in-flight state, restores
+// from the last complete generation, and resumes.
 func (p *Pipeline) Train(ds data.Dataset, minibatches int) (*Report, error) {
 	if minibatches <= 0 {
 		return nil, fmt.Errorf("pipeline: minibatches = %d", minibatches)
@@ -432,7 +468,7 @@ func (p *Pipeline) Train(ds data.Dataset, minibatches int) (*Report, error) {
 	// stages from contending on the pool's dispatch queue. Explicit
 	// overrides (KernelParallelism or the environment) are respected.
 	if p.opts.KernelParallelism == 0 && os.Getenv(tensor.ParallelismEnv) == "" {
-		per := runtime.NumCPU() / p.assign.NumWorkers()
+		per := runtime.NumCPU() / len(p.workers)
 		if per < 1 {
 			per = 1
 		}
@@ -443,20 +479,16 @@ func (p *Pipeline) Train(ds data.Dataset, minibatches int) (*Report, error) {
 	}
 	start := p.cursor
 	end := start + minibatches
+	periodic := p.opts.CheckpointDir != "" && p.opts.CheckpointEvery > 0
 	every := minibatches
-	if p.opts.CheckpointDir != "" && p.opts.CheckpointEvery > 0 {
+	if periodic {
 		every = p.opts.CheckpointEvery
 	}
 	t0 := time.Now()
 	if p.opts.OpLog != nil {
 		p.opts.OpLog.SetOrigin(t0)
 	}
-	p.registerFaultCounters()
-	if p.opts.instrumented() {
-		for _, sw := range p.workers {
-			sw.met.beginRun()
-		}
-	}
+	p.beginRun()
 	losses := make([]float64, minibatches)
 	recoveries, ckptWrites := 0, 0
 	// consecFailures counts failed chunks since the last clean one.
@@ -492,17 +524,16 @@ func (p *Pipeline) Train(ds data.Dataset, minibatches int) (*Report, error) {
 			if rerr != nil {
 				return nil, fmt.Errorf("pipeline: recovery after %v: %w", err, rerr)
 			}
-			if restored < start {
-				return nil, fmt.Errorf("pipeline: checkpoint generation %d predates this Train call (start %d) after %w",
-					restored, start, err)
-			}
+			// A generation older than this call's start (a peer process died
+			// before writing its shard of the newest one) replays the gap;
+			// runChunk drops those minibatches' losses.
 			cs = restored
 			continue
 		}
 		consecFailures = 0
 		cs = ce
 		p.cursor = ce
-		if p.opts.CheckpointDir != "" && p.opts.CheckpointEvery > 0 {
+		if periodic {
 			if err := p.checkpointAt(p.opts.CheckpointDir, ce); err != nil {
 				return nil, err
 			}
@@ -511,22 +542,39 @@ func (p *Pipeline) Train(ds data.Dataset, minibatches int) (*Report, error) {
 	}
 	p.cursor = end
 	rep := &Report{
-		Losses:         losses,
-		WallTime:       time.Since(t0),
-		Samples:        minibatches * ds.Batch(start).X.Dim(0),
-		PeakStashBytes: make([]int64, len(p.workers)),
+		Losses:   losses,
+		WallTime: time.Since(t0),
+		Samples:  minibatches * ds.Batch(start).X.Dim(0),
 	}
-	for w, sw := range p.workers {
-		rep.PeakStashBytes[w] = sw.peakStashBytes
-	}
+	p.finishReport(rep, recoveries, ckptWrites)
+	return rep, nil
+}
+
+// beginRun opens one Train call's measurement window on every local
+// worker and pre-registers the failure counters.
+func (p *Pipeline) beginRun() {
+	p.registerFaultCounters()
 	if p.opts.instrumented() {
 		for _, sw := range p.workers {
+			sw.met.beginRun()
+		}
+	}
+}
+
+// finishReport fills in what the local workers measured — peak stash
+// bytes, per-stage statistics when instrumented — and the call's
+// failure-path activity.
+func (p *Pipeline) finishReport(rep *Report, recoveries, ckptWrites int) {
+	for _, sw := range p.workers {
+		rep.PeakStashBytes = append(rep.PeakStashBytes, sw.peakStashBytes)
+		if sw.met != nil {
 			rep.Stages = append(rep.Stages, sw.met.stats(sw))
 		}
+	}
+	if p.opts.instrumented() {
 		publishPoolCounters(p.opts.Metrics)
 	}
 	p.publishFaultStats(rep, recoveries, ckptWrites)
-	return rep, nil
 }
 
 // runChunk drives all workers through minibatches [cs, ce) and blocks
@@ -541,10 +589,8 @@ func (p *Pipeline) runChunk(ds data.Dataset, cs, ce, base int, losses []float64)
 			losses[i] = 0
 		}
 	}
-	for s, spec := range p.opts.Plan.Stages {
-		if spec.Replicas > 1 && p.workers[p.assign.StageWorkers[s][0]].reducer != nil {
-			p.workers[p.assign.StageWorkers[s][0]].reducer.Reset(cs, ce-cs)
-		}
+	for _, r := range p.reducers {
+		r.Reset(cs, ce-cs)
 	}
 	for _, sw := range p.workers {
 		if sw.ring != nil {
@@ -552,10 +598,8 @@ func (p *Pipeline) runChunk(ds data.Dataset, cs, ce, base int, losses []float64)
 		}
 	}
 	ab := newRunAbort(func() {
-		for s, spec := range p.opts.Plan.Stages {
-			if spec.Replicas > 1 && p.workers[p.assign.StageWorkers[s][0]].reducer != nil {
-				p.workers[p.assign.StageWorkers[s][0]].reducer.AbortAll()
-			}
+		for _, r := range p.reducers {
+			r.AbortAll()
 		}
 	})
 	// Every sink stage reports one loss event per minibatch, and the
@@ -588,21 +632,28 @@ func (p *Pipeline) runChunk(ds data.Dataset, cs, ce, base int, losses []float64)
 }
 
 // StageModel returns the live model slice executed by the given stage
-// replica — useful for inspection and tests. The returned Sequential
-// shares parameter tensors with the worker; do not mutate while training.
+// replica — useful for inspection and tests — or nil when that worker
+// lives in another process. The returned Sequential shares parameter
+// tensors with the worker; do not mutate while training.
 func (p *Pipeline) StageModel(stage, replica int) *nn.Sequential {
-	return p.workers[p.assign.StageWorkers[stage][replica]].model
+	for _, sw := range p.workers {
+		if sw.stage == stage && sw.replica == replica {
+			return sw.model
+		}
+	}
+	return nil
 }
 
 // CollectModel assembles the current weights into a fresh single-worker
-// model (taking replica 0 of each stage) for evaluation or export.
+// model (taking replica 0 of each stage) for evaluation or export. Stages
+// hosted by another process keep the factory's initial weights.
 func (p *Pipeline) CollectModel() *nn.Sequential {
 	model := p.opts.ModelFactory()
-	for s, spec := range p.opts.Plan.Stages {
-		w := p.assign.StageWorkers[s][0]
-		src := p.workers[w].model.Params()
-		dst := model.Slice(spec.FirstLayer, spec.LastLayer+1).Params()
-		nn.RestoreParams(dst, src)
+	for _, sw := range p.workers {
+		if sw.replica == 0 {
+			spec := p.opts.Plan.Stages[sw.stage]
+			nn.RestoreParams(model.Slice(spec.FirstLayer, spec.LastLayer+1).Params(), sw.model.Params())
+		}
 	}
 	return model
 }
@@ -1160,9 +1211,9 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) (ran bool, er
 
 	// Replicated stages average gradients before updating, so replicas
 	// stay consistent (the runtime analogue of DDP within a stage). Ring
-	// mode drains the overlapped collective; otherwise the in-process
-	// runtime uses a shared reducer and solo (multi-process) workers
-	// exchange full gradients over the transport.
+	// mode drains the overlapped collective; otherwise replicas that all
+	// live in this process share a reducer and replicas spread over
+	// processes exchange full gradients over the transport.
 	if sw.replicas() > 1 {
 		var s0 time.Time
 		if sw.met != nil {
@@ -1376,11 +1427,7 @@ func (sw *stageWorker) takeForward(end int) transport.Message {
 func (sw *stageWorker) exchangeGradients(mb int, grads []*tensor.Tensor, ab *runAbort) error {
 	replicas := sw.replicas()
 	round := (mb - sw.trainStart) / replicas
-	// Participants of the final partial round.
-	participants := sw.trainEnd - sw.trainStart - round*replicas
-	if participants > replicas {
-		participants = replicas
-	}
+	participants, _ := sw.roundOf(mb) // fewer than replicas in a final partial round
 	if participants <= 1 {
 		return nil
 	}
@@ -1411,8 +1458,16 @@ func (sw *stageWorker) exchangeGradients(mb int, grads []*tensor.Tensor, ab *run
 			return err
 		}
 	}
-	for _, contrib := range sw.gradExch[round] {
-		transport.UnflattenAdd(grads, contrib)
+	// Sum in ascending replica index, this replica's own contribution in
+	// its place: float addition is not associative, so a fixed order is
+	// what makes every replica compute the same bits, run after run.
+	contribs := sw.gradExch[round]
+	contribs[sw.replica] = flat
+	nn.ZeroGrads(grads)
+	for r := 0; r < replicas; r++ {
+		if c := contribs[r]; c != nil {
+			transport.UnflattenAdd(grads, c)
+		}
 	}
 	delete(sw.gradExch, round)
 	inv := float32(1) / float32(participants)

@@ -16,8 +16,7 @@ import (
 // and it only escapes after MaxRecoveries attempts.
 var ErrWorkerStalled = errors.New("pipeline: worker stalled")
 
-// FaultStats summarizes the failure-path activity of one Train (or
-// SoloWorker.Run) call: how often the runtime recovered from a detected
+// FaultStats summarizes the failure-path activity of one Train call: how often the runtime recovered from a detected
 // failure, how many mid-training checkpoints it wrote, and the transport's
 // reconnect/send-error counts (zero unless the transport reports stats).
 type FaultStats struct {
@@ -229,15 +228,10 @@ func (p *Pipeline) autoRecover() bool {
 // the minibatch cursor to resume from.
 func (p *Pipeline) recoverFromCheckpoint() (int, error) {
 	for _, sw := range p.workers {
-		if sw == nil {
-			continue
-		}
 		sw.resetTransient()
 	}
-	for _, sw := range p.workers {
-		if sw != nil && sw.reducer != nil {
-			sw.reducer.Clear()
-		}
+	for _, r := range p.reducers {
+		r.Clear()
 	}
 	cursor, err := p.restoreLatest(p.opts.CheckpointDir)
 	if err != nil {

@@ -237,29 +237,6 @@ func TestChaosHeartbeatDetectsSeveredPeer(t *testing.T) {
 	}
 }
 
-// A solo worker's watchdog trips with the typed stall error when its
-// upstream never produces (e.g. the peer process died before connecting).
-func TestChaosSoloWorkerWatchdogTrips(t *testing.T) {
-	factory := mlpFactory(61, 4, 8, 3)
-	ds := data.NewBlobs(67, 3, 4, 8, 30)
-	tr := transport.NewChannels(2, 4)
-	defer tr.Close()
-	w, err := NewSoloWorker(Options{
-		ModelFactory: factory,
-		Plan:         evenPlan(t, factory, 2, 1),
-		Loss:         nn.SoftmaxCrossEntropy,
-		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
-		Transport:    tr,
-		FaultConfig:  FaultConfig{WatchdogTimeout: 150 * time.Millisecond},
-	}, 1) // stage 1 receives from a stage-0 process that never starts
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Run(ds, 5); !errors.Is(err, ErrWorkerStalled) {
-		t.Fatalf("solo run with dead upstream: %v, want ErrWorkerStalled", err)
-	}
-}
-
 // Race-detector soak: a lossy, laggy, duplicating transport with recovery
 // enabled must either complete training or surface a typed error — never
 // deadlock, never panic, never race.

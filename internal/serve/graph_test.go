@@ -23,50 +23,45 @@ func branchServeConfig(b *branching.Model) Config {
 }
 
 // TestInferHeadMatchesGraphForward checks per-head serving against the
-// solo graph executor: every head's answer must be bit-identical to
-// ForwardGraphHead on the same weights, on both the fused and unfused
-// paths, and Infer must mean "the default head".
+// solo graph executor — the unfused reference forward: every head's
+// answer must be bit-identical to ForwardGraphHead on the same weights,
+// and Infer must mean "the default head".
 func TestInferHeadMatchesGraphForward(t *testing.T) {
-	for _, unfused := range []bool{false, true} {
-		t.Run(fmt.Sprintf("unfused=%v", unfused), func(t *testing.T) {
-			b := branching.StandIn(11)
-			cfg := branchServeConfig(b)
-			cfg.UnfusedForward = unfused
-			model := cfg.Model
-			plan := cfg.Plan
-			s := mustServer(t, cfg)
+	b := branching.StandIn(11)
+	cfg := branchServeConfig(b)
+	model := cfg.Model
+	plan := cfg.Plan
+	s := mustServer(t, cfg)
 
-			heads := s.Heads()
-			if len(heads) != 2 || heads[0] != b.ClassHead || heads[1] != b.ParityHead {
-				t.Fatalf("Heads() = %v, want [%d %d]", heads, b.ClassHead, b.ParityHead)
-			}
-			if s.DefaultHead() != b.ParityHead {
-				t.Fatalf("DefaultHead() = %d, want %d (last stage)", s.DefaultHead(), b.ParityHead)
-			}
-			x := testInput(3, 5)
-			for _, h := range heads {
-				want, err := pipeline.ForwardGraphHead(model, plan, x, h)
-				if err != nil {
-					t.Fatalf("head %d: reference: %v", h, err)
-				}
-				got, err := s.InferHead(x, h)
-				if err != nil {
-					t.Fatalf("head %d: InferHead: %v", h, err)
-				}
-				wantEqual(t, got, want)
-			}
-			// Infer targets the default head.
-			wantDefault, err := pipeline.ForwardGraphHead(model, plan, x, s.DefaultHead())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := s.Infer(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantEqual(t, got, wantDefault)
-		})
+	heads := s.Heads()
+	if len(heads) != 2 || heads[0] != b.ClassHead || heads[1] != b.ParityHead {
+		t.Fatalf("Heads() = %v, want [%d %d]", heads, b.ClassHead, b.ParityHead)
 	}
+	if s.DefaultHead() != b.ParityHead {
+		t.Fatalf("DefaultHead() = %d, want %d (last stage)", s.DefaultHead(), b.ParityHead)
+	}
+	x := testInput(3, 5)
+	for _, h := range heads {
+		want, err := pipeline.ForwardGraphHead(model, plan, x, h)
+		if err != nil {
+			t.Fatalf("head %d: reference: %v", h, err)
+		}
+		got, err := s.InferHead(x, h)
+		if err != nil {
+			t.Fatalf("head %d: InferHead: %v", h, err)
+		}
+		wantEqual(t, got, want)
+	}
+	// Infer targets the default head.
+	wantDefault, err := pipeline.ForwardGraphHead(model, plan, x, s.DefaultHead())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Infer(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEqual(t, got, wantDefault)
 }
 
 // TestInferHeadRejectsNonSink requires ErrBadRequest for heads that are

@@ -102,13 +102,6 @@ type Config struct {
 	// pipeline (2×stages when 0, enough to keep every stage busy with
 	// one batch ahead).
 	MaxInFlight int
-	// UnfusedForward disables the fused inference path: stage workers run
-	// the layers' training Forward (with contexts discarded) instead of
-	// the arena-backed ForwardInfer kernels, and no buffer recycling
-	// happens between stages. Results are bit-identical either way; the
-	// knob exists so benchmarks can measure the fused path against the
-	// baseline it replaced.
-	UnfusedForward bool
 	// WeightGeneration tags the initial weights with the checkpoint
 	// generation (training minibatch cursor) they came from; SwapModel
 	// and the checkpoint Follower only ever advance it. 0 fits freshly

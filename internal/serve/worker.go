@@ -39,14 +39,11 @@ func (s *Server) stageWorker(st int) {
 	hist := s.met.stageForward[st]
 	preds := s.graph.Preds(st)
 	sort.Ints(preds) // deterministic join order: ascending source stage
-	// The worker's scratch arena: every fused forward draws its buffers
-	// from here and a single O(1) Reset between batches reclaims them, so
-	// the steady-state loop allocates nothing per batch beyond the
-	// outgoing copies.
-	var ar *tensor.Arena
-	if !s.cfg.UnfusedForward {
-		ar = tensor.NewArena()
-	}
+	// The worker's scratch arena: every forward draws its buffers from
+	// here and a single O(1) Reset between batches reclaims them, so the
+	// steady-state loop allocates nothing per batch beyond the outgoing
+	// copies.
+	ar := tensor.NewArena()
 	// pend holds the arrived fan-in parts of each batch, keyed batch id →
 	// source stage. Entries always drain: a failed upstream branch sends a
 	// tensor-less poison part instead of dropping the batch. (The one
@@ -78,7 +75,7 @@ func (s *Server) stageWorker(st int) {
 				}
 				if _, dup := parts[m.Src]; dup {
 					// Defensive: an in-edge never delivers twice; drop.
-					if m.Tensor != nil && ar != nil {
+					if m.Tensor != nil {
 						tensor.Put(m.Tensor)
 					}
 					continue
@@ -88,7 +85,7 @@ func (s *Server) stageWorker(st int) {
 					continue // hold until every in-edge has delivered
 				}
 				delete(pend, m.Minibatch)
-				in = joinActivations(s.graph.Join(st), preds, parts, ar != nil)
+				in = joinActivations(s.graph.Join(st), preds, parts)
 				joined = true
 			}
 			// Resolve the layer slice of the generation this batch was
@@ -104,12 +101,8 @@ func (s *Server) stageWorker(st int) {
 				if stages := s.stagesFor(m.Version); stages != nil {
 					slice = stages[st]
 				}
-				if slice == nil {
-					y = nil
-				} else if ar != nil {
+				if slice != nil {
 					y = forwardInfer(slice, in, ar)
-				} else {
-					y = forward(slice, in)
 				}
 			}
 			dur := time.Since(start)
@@ -148,34 +141,26 @@ func (s *Server) stageWorker(st int) {
 			if !terminal {
 				outs = make([]*tensor.Tensor, len(succs))
 			}
-			if ar != nil {
-				if y != nil {
-					if terminal {
-						out := tensor.New(y.Shape...)
-						copy(out.Data, y.Data)
-						y = out
-					} else {
-						for i := range succs {
-							c := tensor.GetRaw(y.Shape...)
-							copy(c.Data, y.Data)
-							outs[i] = c
-						}
+			if y != nil {
+				if terminal {
+					out := tensor.New(y.Shape...)
+					copy(out.Data, y.Data)
+					y = out
+				} else {
+					for i := range succs {
+						c := tensor.GetRaw(y.Shape...)
+						copy(c.Data, y.Data)
+						outs[i] = c
 					}
 				}
-				// Recycle this worker's input: joined tensors are always
-				// ours; single-edge inputs are the upstream worker's pooled
-				// copy except at stage 0, where they alias request tensors.
-				if in != nil && (joined || st > 0) {
-					tensor.Put(in)
-				}
-				ar.Reset()
-			} else if !terminal && y != nil {
-				// Unfused forwards allocate GC tensors and receivers never
-				// recycle them, so fan-out may share one result.
-				for i := range succs {
-					outs[i] = y
-				}
 			}
+			// Recycle this worker's input: joined tensors are always ours;
+			// single-edge inputs are the upstream worker's pooled copy
+			// except at stage 0, where they alias request tensors.
+			if in != nil && (joined || st > 0) {
+				tensor.Put(in)
+			}
+			ar.Reset()
 			// Forward the generation stamp and head with the batch so every
 			// downstream stage resolves the same weights and route.
 			if terminal {
@@ -201,11 +186,10 @@ func (s *Server) stageWorker(st int) {
 // joinActivations combines one batch's fan-in parts in ascending source
 // order. Any missing (poisoned) part, shape disagreement, or unexpected
 // join op yields nil, which the caller propagates downstream as poison.
-// In fused mode the parts are upstream workers' pooled copies: they are
-// recycled here and the joined result comes from the pool (the caller
-// recycles it after the forward pass); unfused mode leaves everything to
-// the garbage collector.
-func joinActivations(op partition.JoinOp, preds []int, parts map[int]*tensor.Tensor, fused bool) *tensor.Tensor {
+// The parts are upstream workers' pooled copies: they are recycled here
+// and the joined result comes from the pool (the caller recycles it after
+// the forward pass).
+func joinActivations(op partition.JoinOp, preds []int, parts map[int]*tensor.Tensor) *tensor.Tensor {
 	ordered := make([]*tensor.Tensor, len(preds))
 	ok := true
 	for i, p := range preds {
@@ -223,11 +207,7 @@ func joinActivations(op partition.JoinOp, preds []int, parts map[int]*tensor.Ten
 				}
 			}
 			if ok {
-				if fused {
-					out = tensor.GetRaw(ordered[0].Shape...)
-				} else {
-					out = tensor.New(ordered[0].Shape...)
-				}
+				out = tensor.GetRaw(ordered[0].Shape...)
 				copy(out.Data, ordered[0].Data)
 				for _, p := range ordered[1:] {
 					for j, v := range p.Data {
@@ -251,11 +231,7 @@ func joinActivations(op partition.JoinOp, preds []int, parts map[int]*tensor.Ten
 				total += p.Dim(1)
 			}
 			if ok {
-				if fused {
-					out = tensor.GetRaw(rows, total)
-				} else {
-					out = tensor.New(rows, total)
-				}
+				out = tensor.GetRaw(rows, total)
 				off := 0
 				for _, p := range ordered {
 					w := p.Dim(1)
@@ -269,11 +245,9 @@ func joinActivations(op partition.JoinOp, preds []int, parts map[int]*tensor.Ten
 			out = nil // fan-in without a join op never validates
 		}
 	}
-	if fused {
-		for _, p := range ordered {
-			if p != nil {
-				tensor.Put(p)
-			}
+	for _, p := range ordered {
+		if p != nil {
+			tensor.Put(p)
 		}
 	}
 	return out
@@ -292,21 +266,6 @@ func forwardInfer(slice *nn.Sequential, x *tensor.Tensor, ar *tensor.Arena) (y *
 		return nil
 	}
 	return slice.ForwardInfer(x, ar)
-}
-
-// forward runs one stage slice in inference mode, converting a panic
-// into a nil result so a bad batch cannot take the worker down.
-func forward(slice *nn.Sequential, x *tensor.Tensor) (y *tensor.Tensor) {
-	defer func() {
-		if recover() != nil {
-			y = nil
-		}
-	}()
-	if x == nil {
-		return nil
-	}
-	y, _ = slice.Forward(x, false)
-	return y
 }
 
 // reclaimBatch is the failure path for a batch whose result can no

@@ -213,6 +213,9 @@ func (c *Chaos) Inbox(w int) <-chan Message {
 	return ch
 }
 
+// Local reports whether the inner transport hosts worker w's inbox.
+func (c *Chaos) Local(w int) bool { return Local(c.inner, w) }
+
 // Stats implements StatsReporter, merging this wrapper's injected-fault
 // counters with the inner transport's (when it reports any).
 func (c *Chaos) Stats() Stats {

@@ -190,13 +190,13 @@ func TestChaosCloseUnblocksAndRejects(t *testing.T) {
 	}
 }
 
-func TestChaosOverTCPPeerRoundTrip(t *testing.T) {
-	addrs := peerAddrs(t, 2)
-	a, err := NewTCPPeer(0, addrs, 4)
+func TestChaosOverPartialTCPRoundTrip(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	a, err := ListenTCP(addrs, []int{0}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewTCPPeer(1, addrs, 4)
+	b, err := ListenTCP(addrs, []int{1}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

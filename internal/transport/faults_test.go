@@ -42,14 +42,14 @@ func TestTCPReconnectsAfterBrokenConnection(t *testing.T) {
 	}
 }
 
-func TestTCPPeerSendToDeadPeerReturnsErrPeerDown(t *testing.T) {
-	addrs := peerAddrs(t, 2) // addrs[1] reserved but nobody listens
-	a, err := NewTCPPeer(0, addrs, 1)
+func TestTCPSendToDeadPeerReturnsErrPeerDown(t *testing.T) {
+	addrs := freeAddrs(t, 2) // addrs[1] reserved but nobody listens
+	a, err := ListenTCP(addrs, []int{0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.DialTimeout = 200 * time.Millisecond
+	a.RedialTimeout = 200 * time.Millisecond
 	err = a.Send(1, sampleMessage(0))
 	if !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("send to dead peer: %v, want ErrPeerDown", err)
@@ -59,15 +59,15 @@ func TestTCPPeerSendToDeadPeerReturnsErrPeerDown(t *testing.T) {
 	}
 }
 
-func TestTCPPeerReconnectsAfterPeerRestart(t *testing.T) {
-	addrs := peerAddrs(t, 2)
-	a, err := NewTCPPeer(0, addrs, 4)
+func TestTCPReconnectsAfterPeerRestart(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	a, err := ListenTCP(addrs, []int{0}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.DialTimeout = 5 * time.Second
-	b1, err := NewTCPPeer(1, addrs, 4)
+	a.RedialTimeout = 5 * time.Second
+	b1, err := ListenTCP(addrs, []int{1}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestTCPPeerReconnectsAfterPeerRestart(t *testing.T) {
 	// a's cached connection to the dead process must be invalidated and
 	// re-dialed, not reused.
 	b1.Close()
-	b2, err := NewTCPPeer(1, addrs, 4)
+	b2, err := ListenTCP(addrs, []int{1}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,5 +130,49 @@ func TestStatsSubAndAdd(t *testing.T) {
 	s := a.Add(b)
 	if s.Reconnects != 7 || s.SendErrors != 10 {
 		t.Fatalf("Add: %+v", s)
+	}
+}
+
+// One unreachable peer must not delay traffic to healthy ones: a Send
+// retrying a dead address sleeps and dials without the connection-map
+// lock, so a concurrent Send to a live peer — first contact and cached —
+// completes at once instead of queueing behind the redial budget.
+func TestTCPDeadPeerDoesNotBlockSendsToLivePeers(t *testing.T) {
+	addrs := freeAddrs(t, 3) // addrs[2] reserved but nobody listens
+	a, err := ListenTCP(addrs, []int{0}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.RedialTimeout = 2 * time.Second
+	b, err := ListenTCP(addrs, []int{1}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	stuck := make(chan error, 1)
+	go func() { stuck <- a.Send(2, sampleMessage(0)) }()
+	for a.Stats().SendErrors == 0 { // the dead dial is now in its backoff loop
+		time.Sleep(time.Millisecond)
+	}
+
+	start := time.Now()
+	for i := 0; i < 3; i++ { // first contact, then the cached connection
+		if err := a.Send(1, sampleMessage(i)); err != nil {
+			t.Fatal(err)
+		}
+		<-b.Inbox(1)
+	}
+	if d := time.Since(start); d > a.RedialTimeout/4 {
+		t.Fatalf("sends to a live peer took %v while another Send was redialing a dead one (budget %v)", d, a.RedialTimeout)
+	}
+	select {
+	case err := <-stuck:
+		t.Fatalf("send to the dead peer returned early (%v): the test exercised nothing", err)
+	default:
+	}
+	if err := <-stuck; !errors.Is(err, ErrPeerDown) {
+		t.Fatalf("send to dead peer: %v, want ErrPeerDown", err)
 	}
 }

@@ -1,11 +1,12 @@
 // Package transport moves activations and gradients between pipeline-stage
-// workers. Three implementations share one interface: an in-process channel
-// transport (the common case: workers are goroutines), a TCP transport
+// workers. Two implementations share one interface: an in-process channel
+// transport (the common case: workers are goroutines) and a TCP transport
 // that serializes messages as binary frames over real sockets (see
 // frame.go: payloads are written straight from tensor storage and
-// received into pooled tensors), and a per-process TCPPeer endpoint for
-// multi-process deployments. A fourth, Chaos, wraps any of them with
-// deterministic fault injection for testing the pipeline's failure paths.
+// received into pooled tensors), hosting either every worker of the plan
+// in one process or, in multi-process deployments, only this process's.
+// A third, Chaos, wraps either with deterministic fault injection for
+// testing the pipeline's failure paths.
 //
 // Send never panics: delivery failures surface as typed errors
 // (ErrPeerDown, ErrClosed) after automatic reconnect-with-backoff, so a
@@ -194,42 +195,64 @@ func (c *Channels) Close() error {
 	return nil
 }
 
-// Default deadlines for the TCP transports. Each instance copies them at
+// Local reports whether worker w's inbox lives in this process. Transports
+// that host only some workers (a TCP endpoint of a multi-process
+// deployment, or a wrapper around one) say so through a Local method;
+// every other transport hosts them all.
+func Local(tr Transport, w int) bool {
+	if p, ok := tr.(interface{ Local(w int) bool }); ok {
+		return p.Local(w)
+	}
+	return true
+}
+
+// Default deadlines of the TCP transport. Each instance copies them at
 // construction so tests can shorten its own copies without races.
 const (
 	// DefaultSendTimeout bounds one message write; a peer that stops
 	// draining its socket surfaces as a send error instead of a hang.
 	DefaultSendTimeout = 10 * time.Second
-	// DefaultRedialTimeout bounds how long a failed Send keeps retrying
-	// reconnect-with-backoff before giving up with ErrPeerDown.
-	DefaultRedialTimeout = 5 * time.Second
+	// DefaultRedialTimeout bounds how long one Send keeps dialing with
+	// backoff — a peer process that has not started yet, or one that died
+	// and is being restarted — before giving up with ErrPeerDown.
+	DefaultRedialTimeout = 30 * time.Second
 )
 
-// TCP is a loopback-or-network transport: every worker listens on its own
-// TCP port and peers hold persistent gob-encoded connections. It carries
-// exactly the same Message type as Channels, so a Pipeline can run over
-// real sockets without code changes. Broken connections are detected at
-// send time and re-dialed with backoff; a destination that stays down
-// surfaces as ErrPeerDown.
+// TCP is the socket transport: every worker has a listen address, and the
+// workers whose IDs are local to this process listen on theirs and own an
+// inbox. Sends go to any worker, local or not, over one cached connection
+// per destination carrying binary "PDF2" frames (see frame.go), so it
+// carries exactly the same Message type as Channels. NewTCP hosts all
+// workers in one process on loopback ports; ListenTCP hosts a subset, with
+// every process of the deployment given the same address list. Broken
+// connections are detected at send time and re-dialed with backoff; a
+// destination that stays down surfaces as ErrPeerDown.
 type TCP struct {
-	n         int
+	addrs     []string       // listen address of every worker, by ID
+	inboxes   []chan Message // nil for workers hosted by another process
 	listeners []net.Listener
-	inboxes   []chan Message
 
 	// SendTimeout bounds one message write; RedialTimeout bounds the
-	// total reconnect-with-backoff budget of one Send. Set before first
-	// use (they default to DefaultSendTimeout / DefaultRedialTimeout).
+	// total dial-and-retry budget of one Send. Set before first use (they
+	// default to DefaultSendTimeout / DefaultRedialTimeout).
 	SendTimeout   time.Duration
 	RedialTimeout time.Duration
 
-	mu    sync.Mutex
-	conns map[int]*frameConn // destination worker -> connection
+	// mu guards conns and accepted. It is never held across a dial, a
+	// write or a sleep, so one unreachable peer cannot delay sends to the
+	// others.
+	mu       sync.Mutex
+	conns    map[int]*frameConn // destination worker -> connection
+	accepted map[net.Conn]struct{}
 
 	stats statsCounters
 
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 	closed    chan struct{}
+
+	// noInbox is a pre-closed channel returned for non-local worker IDs.
+	noInbox chan Message
 }
 
 // frameConn is one outbound socket plus its reusable frame buffer: each
@@ -260,56 +283,102 @@ func (fc *frameConn) send(m Message, timeout time.Duration) error {
 	return err
 }
 
-// NewTCP creates a TCP transport for n workers listening on ephemeral
-// loopback ports.
+// NewTCP creates a TCP transport hosting all n workers in this process,
+// each listening on an ephemeral loopback port.
 func NewTCP(n, buffer int) (*TCP, error) {
+	addrs := make([]string, n)
+	local := make([]int, n)
+	for i := range addrs {
+		addrs[i] = "127.0.0.1:0"
+		local[i] = i
+	}
+	return ListenTCP(addrs, local, buffer)
+}
+
+// ListenTCP creates the TCP endpoint of the workers in local: it listens
+// on addrs[w] and owns an inbox of the given buffer size for each of
+// them, and dials addrs[v] on demand to send to any worker v. Every
+// process of a deployment passes the same address list; peers need not be
+// up yet, since dialing retries with backoff until RedialTimeout elapses.
+func ListenTCP(addrs []string, local []int, buffer int) (*TCP, error) {
 	t := &TCP{
-		n:             n,
-		inboxes:       make([]chan Message, n),
+		addrs:         append([]string(nil), addrs...),
+		inboxes:       make([]chan Message, len(addrs)),
 		conns:         make(map[int]*frameConn),
+		accepted:      make(map[net.Conn]struct{}),
 		closed:        make(chan struct{}),
+		noInbox:       make(chan Message),
 		SendTimeout:   DefaultSendTimeout,
 		RedialTimeout: DefaultRedialTimeout,
 	}
-	for i := 0; i < n; i++ {
-		t.inboxes[i] = make(chan Message, buffer)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("transport: listen for worker %d: %w", i, err)
+	close(t.noInbox)
+	for _, w := range local {
+		if w < 0 || w >= len(addrs) || t.inboxes[w] != nil {
+			t.Close()
+			return nil, fmt.Errorf("transport: local worker id %d invalid or repeated for %d addresses", w, len(addrs))
 		}
+		ln, err := net.Listen("tcp", addrs[w])
+		if err != nil {
+			t.Close()
+			return nil, fmt.Errorf("transport: listen for worker %d: %w", w, err)
+		}
+		t.addrs[w] = ln.Addr().String() // resolves a ":0" port request
+		t.inboxes[w] = make(chan Message, buffer)
 		t.listeners = append(t.listeners, ln)
 		t.wg.Add(1)
-		go t.acceptLoop(i, ln)
+		go t.acceptLoop(ln, t.inboxes[w])
 	}
 	return t, nil
 }
 
 // Addr returns the listen address of worker w.
-func (t *TCP) Addr(w int) string { return t.listeners[w].Addr().String() }
+func (t *TCP) Addr(w int) string { return t.addrs[w] }
 
-func (t *TCP) acceptLoop(w int, ln net.Listener) {
+// Local reports whether worker w listens, and has its inbox, in this
+// process.
+func (t *TCP) Local(w int) bool { return w >= 0 && w < len(t.inboxes) && t.inboxes[w] != nil }
+
+func (t *TCP) acceptLoop(ln net.Listener, inbox chan<- Message) {
 	defer t.wg.Done()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
+		t.mu.Lock()
+		select {
+		case <-t.closed:
+			// Close already swept the accepted set; nobody else would
+			// close this one.
+			t.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
+		t.accepted[conn] = struct{}{}
+		t.mu.Unlock()
 		t.wg.Add(1)
-		go t.readLoop(w, conn)
+		go func() {
+			defer t.wg.Done()
+			frameReadLoop(conn, inbox, t.closed)
+			t.mu.Lock()
+			delete(t.accepted, conn)
+			t.mu.Unlock()
+			conn.Close()
+		}()
 	}
-}
-
-func (t *TCP) readLoop(w int, conn net.Conn) {
-	defer t.wg.Done()
-	frameReadLoop(conn, t.inboxes[w], t.closed)
 }
 
 // Send implements Transport. Connections are established lazily and
 // reused; concurrent sends to the same destination serialize on the
-// connection's encoder. A write failure invalidates the cached connection
-// and retries with backoff (re-dialing) until RedialTimeout elapses, then
-// returns an error wrapping ErrPeerDown.
+// connection's frame buffer. A failed dial or write drops the cached
+// connection and retries with jittered backoff until RedialTimeout
+// elapses, then returns an error wrapping ErrPeerDown — the same loop
+// whether the peer is not up yet, restarted, or gone.
 func (t *TCP) Send(to int, m Message) error {
+	if to < 0 || to >= len(t.addrs) {
+		return fmt.Errorf("send to unknown worker %d: %w", to, ErrPeerDown)
+	}
 	deadline := time.Now().Add(t.RedialTimeout)
 	backoff := 10 * time.Millisecond
 	var lastErr error
@@ -319,15 +388,15 @@ func (t *TCP) Send(to int, m Message) error {
 			return fmt.Errorf("send to worker %d: %w", to, ErrClosed)
 		default:
 		}
-		gc, fresh, err := t.dial(to)
+		fc, fresh, err := t.conn(to)
 		if err == nil {
 			if fresh && lastErr != nil {
 				t.stats.reconnects.Add(1)
 			}
-			if err = gc.send(m, t.SendTimeout); err == nil {
+			if err = fc.send(m, t.SendTimeout); err == nil {
 				return nil
 			}
-			t.invalidate(to, gc)
+			t.invalidate(to, fc)
 		}
 		t.stats.sendErrors.Add(1)
 		lastErr = err
@@ -345,62 +414,78 @@ func (t *TCP) Send(to int, m Message) error {
 	}
 }
 
-// dial returns the cached connection to worker `to`, establishing a new
-// one if none is cached. fresh reports whether this call created the
-// connection.
-func (t *TCP) dial(to int) (gc *frameConn, fresh bool, err error) {
+// conn returns the cached connection to worker `to`, dialing one if none
+// is cached. fresh reports whether this call created the connection.
+func (t *TCP) conn(to int) (fc *frameConn, fresh bool, err error) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if to < 0 || to >= t.n {
-		return nil, false, fmt.Errorf("unknown worker %d", to)
+	fc = t.conns[to]
+	t.mu.Unlock()
+	if fc != nil {
+		return fc, false, nil
 	}
-	if gc, ok := t.conns[to]; ok {
-		return gc, false, nil
-	}
-	conn, err := net.Dial("tcp", t.Addr(to))
+	c, err := net.DialTimeout("tcp", t.addrs[to], t.RedialTimeout)
 	if err != nil {
 		return nil, false, err
 	}
-	if tc, ok := conn.(*net.TCPConn); ok {
+	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetKeepAlive(true)
 		tc.SetKeepAlivePeriod(15 * time.Second)
 	}
-	gc = &frameConn{conn: conn}
-	t.conns[to] = gc
-	return gc, true, nil
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	select {
+	case <-t.closed:
+		c.Close()
+		return nil, false, ErrClosed
+	default:
+	}
+	if cur := t.conns[to]; cur != nil {
+		// A concurrent Send connected first; one connection per
+		// destination keeps each sender's messages in order.
+		c.Close()
+		return cur, false, nil
+	}
+	fc = &frameConn{conn: c}
+	t.conns[to] = fc
+	return fc, true, nil
 }
 
 // invalidate drops a broken cached connection so the next Send re-dials.
 // It only evicts if the cache still holds the same connection (a
 // concurrent Send may already have replaced it).
-func (t *TCP) invalidate(to int, gc *frameConn) {
+func (t *TCP) invalidate(to int, fc *frameConn) {
 	t.mu.Lock()
-	if cur, ok := t.conns[to]; ok && cur == gc {
+	if t.conns[to] == fc {
 		delete(t.conns, to)
 	}
 	t.mu.Unlock()
-	gc.conn.Close()
+	fc.conn.Close()
 }
 
 // BreakConn severs the cached outbound connection to worker `to` (test
 // and chaos hook): the next Send detects the broken pipe and re-dials.
 func (t *TCP) BreakConn(to int) {
 	t.mu.Lock()
-	gc, ok := t.conns[to]
-	if ok {
-		delete(t.conns, to)
-	}
+	fc := t.conns[to]
 	t.mu.Unlock()
-	if ok {
-		gc.conn.Close()
+	if fc != nil {
+		t.invalidate(to, fc)
 	}
 }
 
 // Stats implements StatsReporter.
 func (t *TCP) Stats() Stats { return t.stats.snapshot() }
 
-// Inbox implements Transport.
-func (t *TCP) Inbox(w int) <-chan Message { return t.inboxes[w] }
+// Inbox implements Transport. Only local workers' inboxes exist in this
+// process; asking for any other ID returns a permanently closed channel
+// (a receive from it reports the worker as unavailable instead of
+// crashing the process).
+func (t *TCP) Inbox(w int) <-chan Message {
+	if !t.Local(w) {
+		return t.noInbox
+	}
+	return t.inboxes[w]
+}
 
 // Close implements Transport.
 func (t *TCP) Close() error {
@@ -410,13 +495,18 @@ func (t *TCP) Close() error {
 			ln.Close()
 		}
 		t.mu.Lock()
-		for _, gc := range t.conns {
-			gc.conn.Close()
+		for _, fc := range t.conns {
+			fc.conn.Close()
+		}
+		for c := range t.accepted {
+			c.Close()
 		}
 		t.mu.Unlock()
 		t.wg.Wait()
 		for _, ch := range t.inboxes {
-			close(ch)
+			if ch != nil {
+				close(ch)
+			}
 		}
 	})
 	return nil

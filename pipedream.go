@@ -139,9 +139,6 @@ type (
 	// Policy selects the inter-batch schedule (1F1B, GPipe, model
 	// parallel).
 	Policy = schedule.Policy
-	// SoloWorker is one stage worker of a multi-process deployment
-	// (returned by NewSoloWorker).
-	SoloWorker = pipeline.SoloWorker
 )
 
 // Grouped pipeline configuration (embedded in PipelineOptions; read
@@ -350,7 +347,7 @@ const (
 )
 
 // Replication sync-cost models for the partitioner
-// (OptimizeSync/EvaluateSync; Plan.Sync records the choice).
+// (PlanOptions.Sync; Plan.Sync records the choice).
 const (
 	SyncRing    = partition.SyncRing
 	SyncCentral = partition.SyncCentral
@@ -386,12 +383,14 @@ var (
 	// Models lists the model zoo.
 	Models = modelzoo.Names
 
-	// NewTCPPeer creates one process's transport endpoint for distributed
-	// deployments.
-	NewTCPPeer = transport.NewTCPPeer
-	// NewTCP creates an in-process loopback TCP transport (all workers in
-	// one process, messages over real sockets).
+	// NewTCP creates a loopback TCP transport hosting all workers in this
+	// process (messages over real sockets).
 	NewTCP = transport.NewTCP
+	// ListenTCP creates one process's endpoint of the same transport for
+	// distributed deployments: every process passes the shared address
+	// list and the worker IDs it hosts. A pipeline built on it runs
+	// exactly those workers.
+	ListenTCP = transport.ListenTCP
 	// NewChannelTransport creates the default in-process channel
 	// transport explicitly (useful as the inner transport of NewChaos).
 	NewChannelTransport = transport.NewChannels
@@ -476,16 +475,12 @@ func DataParallelPlan(prof *ModelProfile, topo *Topology) (*PartitionPlan, error
 	return partition.DataParallel(prof, topo)
 }
 
-// NewPipeline builds the 1F1B-RR training runtime for a plan.
+// NewPipeline builds the 1F1B-RR training runtime for a plan: the stage
+// workers whose inboxes opts.Transport hosts — all of the plan's by
+// default, or in a multi-process deployment the ones listed to
+// ListenTCP, with every process calling Train with the same counts.
 func NewPipeline(opts PipelineOptions) (*Pipeline, error) {
 	return pipeline.New(opts)
-}
-
-// NewSoloWorker builds ONE stage worker of a multi-process distributed
-// deployment; connect processes with NewTCPPeer using a shared address
-// list.
-func NewSoloWorker(opts PipelineOptions, workerID int) (*pipeline.SoloWorker, error) {
-	return pipeline.NewSoloWorker(opts, workerID)
 }
 
 // Simulate executes a plan on the modelled GPU cluster and reports

@@ -22,17 +22,15 @@ JSON="$OUT_DIR/BENCH_kernels.json"
 go test -run '^$' -bench "$PATTERN" -benchmem \
   -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$TXT"
 
-# Serving benchmarks: batch-size-1 baseline vs dynamic batching, plus
-# the unfused forward path (training kernels, no arenas) against the
-# fused default. dynamic/batch1 ns-per-op is the batching speedup at
-# saturation; unfused/dynamic is the fused-hot-path speedup. The fleet
-# benchmarks replicate a device-bound pipeline 1/2/4 ways;
+# Serving benchmarks: batch-size-1 baseline vs dynamic batching;
+# batch1/dynamic ns-per-op is the batching speedup at saturation. The
+# fleet benchmarks replicate a device-bound pipeline 1/2/4 ways;
 # replicas1/replicas2 ns-per-op is the data-parallel serving speedup
 # (fleet_speedup in the JSON).
 SERVE_TXT="$OUT_DIR/BENCH_serve.txt"
 SERVE_JSON="$OUT_DIR/BENCH_serve.json"
 
-go test -run '^$' -bench '^BenchmarkServe(Batch1|Dynamic|DynamicUnfused)$|^BenchmarkFleetReplicas[124]$' -benchmem \
+go test -run '^$' -bench '^BenchmarkServe(Batch1|Dynamic)$|^BenchmarkFleetReplicas[124]$' -benchmem \
   -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$SERVE_TXT"
 
 # Distill "BenchmarkName-P  N  ns/op  B/op  allocs/op" lines to JSON.
@@ -54,10 +52,9 @@ BEGIN { print "{"; printf "  \"ncpu\": %d,\n  \"benchmarks\": [", parallelism; f
 END { print "\n  ]\n}" }
 ' "$TXT" > "$JSON"
 
-# Serve JSON adds the headline numbers: dynamic-batching speedup over
-# the batch-size-1 baseline and fused-forward speedup over the unfused
-# path (ratios of mean ns/op), plus per-benchmark allocs/op and the
-# median request latency (p50_us).
+# Serve JSON adds the headline number: dynamic-batching speedup over
+# the batch-size-1 baseline (ratio of mean ns/op), plus per-benchmark
+# allocs/op and the median request latency (p50_us).
 awk -v parallelism="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)" '
 /^Benchmark/ && / ns\/op/ {
     name = $1; sub(/-[0-9]+$/, "", name)
@@ -87,14 +84,7 @@ END {
     print "\n  ],"
     b1 = sum["BenchmarkServeBatch1"] / cnt["BenchmarkServeBatch1"]
     dyn = sum["BenchmarkServeDynamic"] / cnt["BenchmarkServeDynamic"]
-    printf "  \"dynamic_batching_speedup\": %.2f,\n", b1 / dyn
-    unf = sum["BenchmarkServeDynamicUnfused"] / cnt["BenchmarkServeDynamicUnfused"]
-    printf "  \"fused_forward_speedup\": %.2f", unf / dyn
-    if (pcnt["BenchmarkServeDynamic"] && pcnt["BenchmarkServeDynamicUnfused"]) {
-        printf ",\n  \"p50_us_fused\": %.1f,\n  \"p50_us_unfused\": %.1f", \
-            psum["BenchmarkServeDynamic"] / pcnt["BenchmarkServeDynamic"], \
-            psum["BenchmarkServeDynamicUnfused"] / pcnt["BenchmarkServeDynamicUnfused"]
-    }
+    printf "  \"dynamic_batching_speedup\": %.2f", b1 / dyn
     # Fleet scaling: req/s and p99 at each replica count, plus the
     # 2-replica speedup over 1 (the data-parallel serving headline).
     if (cnt["BenchmarkFleetReplicas1"] && cnt["BenchmarkFleetReplicas2"]) {

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# CI-style gate: vet, formatting, build, full test suite, and the race
-# detector over the packages with real concurrency (the parallel tensor
-# kernels and the 1F1B runtime).
+# CI-style gate: vet, formatting, build, the full test suite plain and
+# under the race detector, fuzz smoke, alloc budgets, and doc checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,39 +21,9 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== go test -race (tensor, pipeline, metrics, trace)"
-go test -race ./internal/tensor/ ./internal/pipeline/ ./internal/metrics/ ./internal/trace/
-
-echo "== ring all-reduce soak (collective + replicated pipeline under the race detector)"
-go test -race -run 'Ring|Overlap' ./internal/collective/ ./internal/pipeline/
-
-echo "== chaos gate (fault injection under the race detector)"
-go test -race -run 'Chaos' ./internal/transport/ ./internal/pipeline/
-
-echo "== elastic gate (membership, rescale, checkpoint races under the race detector)"
-go test -race -run 'Elastic|Membership|Rescale|RacesPrune|MidPrune|UpdatePeers' \
-    ./internal/membership/ ./internal/pipeline/ ./internal/checkpoint/ ./internal/transport/ ./internal/serve/
-
-echo "== serving gate (dynamic batcher + stage workers + weight hot-swap under the race detector)"
-go test -race -count=2 ./internal/serve/
-go test -race -run 'Serve|HotSwap' ./
-
-echo "== fleet gate (replication, routing, tenancy, admission quotas under the race detector)"
-go test -race -count=2 -run 'Fleet|Router|Tenant|Quota|RoundRobin|LeastInFlight|ShapeAffinity|Health' \
-    ./internal/serve/ ./internal/serve/fleet/
-
-echo "== graph gate (DAG plan validation, scheduling, training, and serving under the race detector)"
-go test -race -run 'Graph|DAG|Branch' \
-    ./internal/partition/ ./internal/schedule/ ./internal/pipeline/ ./internal/serve/
-
-echo "== no new callers of the deprecated partition quintet (use partition.NewPlan)"
-DEPRECATED=$(grep -rnE 'partition\.(Optimize|OptimizeSync|Evaluate|EvaluateSync|OptimizeWithMemory)\(' \
-    --include='*.go' . | grep -v 'internal/partition/' || true)
-if [ -n "$DEPRECATED" ]; then
-    echo "deprecated planner entry points (migrate to partition.NewPlan + PlanOptions):" >&2
-    echo "$DEPRECATED" >&2
-    exit 1
-fi
+echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent)"
+go test -race ./...
+go test -race -count=2 ./internal/serve/...
 
 echo "== fuzz smoke (flatten + frame round-trips + checkpoint manifest + /infer body parser, 10s each)"
 go test -run '^$' -fuzz '^FuzzFlattenRoundTrip$' -fuzztime=10s ./internal/transport/
@@ -86,8 +55,8 @@ if [ -n "$OVER" ]; then
 fi
 
 echo "== no panics on transport send/receive paths"
-PANICS=$(grep -n 'panic(' internal/transport/transport.go internal/transport/peer.go \
-    internal/transport/frame.go internal/transport/chaos.go internal/transport/errors.go || true)
+PANICS=$(grep -n 'panic(' internal/transport/transport.go internal/transport/frame.go \
+    internal/transport/chaos.go internal/transport/errors.go || true)
 if [ -n "$PANICS" ]; then
     echo "transport data path must return errors, not panic:" >&2
     echo "$PANICS" >&2
@@ -158,5 +127,8 @@ for sym in NewPlan PlanOptions StageGraph StageEdge JoinOp JoinSum JoinConcat Ne
     NewElastic ElasticConfig RescaleStats ReplanFunc MembershipView MembershipConfig NewMembershipView; do
     grep -q "\b$sym\b" pipedream.go || { echo "pipedream.go does not re-export $sym" >&2; exit 1; }
 done
+
+echo "== non-test Go lines outside bench/ (baseline for the next PR)"
+find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 echo "all checks passed"
