@@ -273,6 +273,37 @@ func TestLocalWorkerWatchdogTripsOnDeadUpstream(t *testing.T) {
 	}
 }
 
+// bareWrapper wraps a transport without forwarding its Local method.
+type bareWrapper struct{ transport.Transport }
+
+// New learns the local worker set from the transport's Local method, so a
+// wrapper that does not forward it reads as hosting every worker. Nothing
+// at construction can tell (probing an inbox could swallow a peer's first
+// message); the workers built on inboxes the endpoint does not host fail
+// Train with the typed closed-inbox error instead of hanging.
+func TestWrapperNotForwardingLocalFailsTrainWithErrClosed(t *testing.T) {
+	factory := mlpFactory(71, 4, 8, 3)
+	ds := data.NewBlobs(73, 3, 4, 8, 12)
+	opts := baseOptions(factory, evenPlan(t, factory, 3, 1))
+	p := endpoint(t, opts, freeAddrs(t, 3), []int{0}, func(tcp *transport.TCP) transport.Transport {
+		tcp.RedialTimeout = 200 * time.Millisecond
+		return bareWrapper{tcp}
+	})
+	if len(p.workers) != 3 {
+		t.Fatalf("built %d workers, want all 3 (the wrapper hides the local set)", len(p.workers))
+	}
+	done := make(chan error, 1)
+	go func() { _, err := p.Train(ds, 4); done <- err }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, transport.ErrClosed) {
+			t.Fatalf("train: %v, want transport.ErrClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Train hung on workers built over inboxes the endpoint does not host")
+	}
+}
+
 // A peer process that dies at a checkpoint barrier and is restarted on
 // the same address resumes from its own shard. The survivor's first
 // activation goes into the half-open connection to the dead process and

@@ -9,7 +9,8 @@ import (
 	"pipedream/internal/tensor"
 )
 
-// StageStats is one worker's runtime statistics for a single Train call — the measured counterpart of the quantities the
+// StageStats is one worker's runtime statistics for a single Train
+// call — the measured counterpart of the quantities the
 // paper's Figure 5 argues from. Populated only when instrumentation is
 // enabled (Options.Metrics or Options.OpLog non-nil).
 type StageStats struct {

@@ -1,8 +1,6 @@
 // Package pipeline is PipeDream's execution runtime: it takes a partition
 // plan for a real nn model, spins up one goroutine per worker (stage
-// replica) hosted by this process — all of them, or in a multi-process
-// deployment the ones whose inboxes the transport owns — and trains with
-// the 1F1B-RR schedule — the startup phase
+// replica), and trains with the 1F1B-RR schedule — the startup phase
 // admits NOAM minibatches, every worker then alternates forward and
 // backward work with backward priority, minibatches are routed
 // round-robin across stage replicas, and weight stashing (optionally
@@ -10,7 +8,9 @@
 // staleness (§3.2-3.3 of the paper). Replicated stages synchronize
 // gradients before applying updates — by default through a barrier-style
 // central reducer, or (Options.AllReduce = collective.Ring) through a
-// chunked ring all-reduce that overlaps with backward compute.
+// chunked ring all-reduce that overlaps with backward compute. A process
+// runs the workers whose inboxes its transport hosts: all of them by
+// default, its endpoint's local IDs in a multi-process deployment.
 package pipeline
 
 import (
@@ -217,11 +217,11 @@ type Report struct {
 	// bytes held in weight stashes and activation inputs (tensor payloads
 	// only).
 	PeakStashBytes []int64
-	// Stages carries per-local-worker runtime statistics, in worker-ID
-	// order — op counts and
+	// Stages carries per-worker runtime statistics — op counts and
 	// durations, sync waits, idle time, bubble fraction, queue depth,
-	// and weight staleness. Nil unless Options.Metrics or Options.OpLog
-	// enabled instrumentation. Render with StageSummary.
+	// and weight staleness — for the local workers in worker-ID order.
+	// Nil unless Options.Metrics or Options.OpLog enabled
+	// instrumentation. Render with StageSummary.
 	Stages []StageStats
 	// Faults summarizes this call's failure-path activity: recoveries,
 	// checkpoint writes, and transport reconnect/send-error counts.

@@ -16,7 +16,8 @@ import (
 // and it only escapes after MaxRecoveries attempts.
 var ErrWorkerStalled = errors.New("pipeline: worker stalled")
 
-// FaultStats summarizes the failure-path activity of one Train call: how often the runtime recovered from a detected
+// FaultStats summarizes the failure-path activity of one Train
+// call: how often the runtime recovered from a detected
 // failure, how many mid-training checkpoints it wrote, and the transport's
 // reconnect/send-error counts (zero unless the transport reports stats).
 type FaultStats struct {

@@ -14,6 +14,7 @@
 package transport
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net"
@@ -198,7 +199,10 @@ func (c *Channels) Close() error {
 // Local reports whether worker w's inbox lives in this process. Transports
 // that host only some workers (a TCP endpoint of a multi-process
 // deployment, or a wrapper around one) say so through a Local method;
-// every other transport hosts them all.
+// every other transport hosts them all. A wrapper around an endpoint must
+// therefore forward Local, as Chaos does: one that does not reads as
+// hosting every worker, and receives from the inboxes it lacks report
+// ErrClosed at run time.
 func Local(tr Transport, w int) bool {
 	if p, ok := tr.(interface{ Local(w int) bool }); ok {
 		return p.Local(w)
@@ -249,7 +253,9 @@ type TCP struct {
 
 	wg        sync.WaitGroup
 	closeOnce sync.Once
-	closed    chan struct{}
+	// ctx is done once Close is called; it also cancels in-flight dials.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// noInbox is a pre-closed channel returned for non-local worker IDs.
 	noInbox chan Message
@@ -306,11 +312,11 @@ func ListenTCP(addrs []string, local []int, buffer int) (*TCP, error) {
 		inboxes:       make([]chan Message, len(addrs)),
 		conns:         make(map[int]*frameConn),
 		accepted:      make(map[net.Conn]struct{}),
-		closed:        make(chan struct{}),
 		noInbox:       make(chan Message),
 		SendTimeout:   DefaultSendTimeout,
 		RedialTimeout: DefaultRedialTimeout,
 	}
+	t.ctx, t.cancel = context.WithCancel(context.Background())
 	close(t.noInbox)
 	for _, w := range local {
 		if w < 0 || w >= len(addrs) || t.inboxes[w] != nil {
@@ -347,7 +353,7 @@ func (t *TCP) acceptLoop(ln net.Listener, inbox chan<- Message) {
 		}
 		t.mu.Lock()
 		select {
-		case <-t.closed:
+		case <-t.ctx.Done():
 			// Close already swept the accepted set; nobody else would
 			// close this one.
 			t.mu.Unlock()
@@ -360,7 +366,7 @@ func (t *TCP) acceptLoop(ln net.Listener, inbox chan<- Message) {
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
-			frameReadLoop(conn, inbox, t.closed)
+			frameReadLoop(conn, inbox, t.ctx.Done())
 			t.mu.Lock()
 			delete(t.accepted, conn)
 			t.mu.Unlock()
@@ -384,11 +390,11 @@ func (t *TCP) Send(to int, m Message) error {
 	var lastErr error
 	for {
 		select {
-		case <-t.closed:
+		case <-t.ctx.Done():
 			return fmt.Errorf("send to worker %d: %w", to, ErrClosed)
 		default:
 		}
-		fc, fresh, err := t.conn(to)
+		fc, fresh, err := t.conn(to, deadline)
 		if err == nil {
 			if fresh && lastErr != nil {
 				t.stats.reconnects.Add(1)
@@ -404,7 +410,7 @@ func (t *TCP) Send(to int, m Message) error {
 			return fmt.Errorf("send to worker %d: %v: %w", to, lastErr, ErrPeerDown)
 		}
 		select {
-		case <-t.closed:
+		case <-t.ctx.Done():
 			return fmt.Errorf("send to worker %d: %w", to, ErrClosed)
 		case <-time.After(jitterBackoff(backoff)):
 		}
@@ -415,15 +421,20 @@ func (t *TCP) Send(to int, m Message) error {
 }
 
 // conn returns the cached connection to worker `to`, dialing one if none
-// is cached. fresh reports whether this call created the connection.
-func (t *TCP) conn(to int) (fc *frameConn, fresh bool, err error) {
+// is cached. The dial gives up at deadline (the calling Send's budget) or
+// when the transport is closed, whichever comes first. fresh reports
+// whether this call created the connection.
+func (t *TCP) conn(to int, deadline time.Time) (fc *frameConn, fresh bool, err error) {
 	t.mu.Lock()
 	fc = t.conns[to]
 	t.mu.Unlock()
 	if fc != nil {
 		return fc, false, nil
 	}
-	c, err := net.DialTimeout("tcp", t.addrs[to], t.RedialTimeout)
+	ctx, cancel := context.WithDeadline(t.ctx, deadline)
+	defer cancel()
+	var d net.Dialer
+	c, err := d.DialContext(ctx, "tcp", t.addrs[to])
 	if err != nil {
 		return nil, false, err
 	}
@@ -434,7 +445,7 @@ func (t *TCP) conn(to int) (fc *frameConn, fresh bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	select {
-	case <-t.closed:
+	case <-t.ctx.Done():
 		c.Close()
 		return nil, false, ErrClosed
 	default:
@@ -490,7 +501,7 @@ func (t *TCP) Inbox(w int) <-chan Message {
 // Close implements Transport.
 func (t *TCP) Close() error {
 	t.closeOnce.Do(func() {
-		close(t.closed)
+		t.cancel()
 		for _, ln := range t.listeners {
 			ln.Close()
 		}
