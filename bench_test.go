@@ -467,7 +467,7 @@ func BenchmarkAllReduceModel(b *testing.B) {
 	}
 }
 
-// ---- Gradient collective benchmarks (ring vs central). ----
+// ---- Gradient collective benchmark. ----
 
 // gradSyncState holds one replica's gradient tensors for the collective
 // benchmarks.
@@ -496,47 +496,19 @@ func newGradSyncStates(replicas, layers, elems int) []*gradSyncState {
 // exactly that window.
 const gradSyncLayerTime = 1500 * time.Microsecond
 
-// BenchmarkGradSync compares one backward pass + gradient synchronization
+// BenchmarkGradSync measures one backward pass + gradient synchronization
 // across 4 replicas of an 8 MB-weight stage (8 layers × 256Ki floats)
-// under the two collectives. The central reducer waits out the full
-// backward, then blocks every replica on a barrier while the gradient
-// averaging runs serially under one lock — its cost is fully exposed on
-// the critical path. The chunked ring starts reducing a layer's bucket
-// the moment that layer's backward finishes, so its transfers and
+// under the chunked ring collective. The ring starts reducing a layer's
+// bucket the moment that layer's backward finishes, so its transfers and
 // arithmetic hide inside the remaining backward window and only the
-// first (= last finished) bucket's ring is exposed. The ring/central
-// ratio is the overlap win recorded in BENCH_kernels.json (acceptance:
-// ≥1.5× on 4 replicas with ≥1 MB of weights).
+// first (= last finished) bucket's ring is exposed: the op should cost
+// little more than the 8 × gradSyncLayerTime backward itself.
 func BenchmarkGradSync(b *testing.B) {
 	const (
 		replicas = 4
 		layers   = 8
 		elems    = 256 << 10 // 256Ki floats per layer = 8 MB total
 	)
-
-	b.Run("central", func(b *testing.B) {
-		states := newGradSyncStates(replicas, layers, elems)
-		red := collective.NewCentralReducer(replicas)
-		red.Reset(0, b.N*replicas)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			for r := 0; r < replicas; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					t0 := time.Now()
-					for l := layers - 1; l >= 0; l-- {
-						done := time.Duration(layers-l) * gradSyncLayerTime
-						time.Sleep(time.Until(t0.Add(done)))
-					}
-					red.Reduce(i*replicas+r, states[r].grads)
-				}(r)
-			}
-			wg.Wait()
-		}
-	})
 
 	b.Run("ring", func(b *testing.B) {
 		states := newGradSyncStates(replicas, layers, elems)

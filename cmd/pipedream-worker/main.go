@@ -108,7 +108,7 @@ func main() {
 		fatal(err)
 	}
 	stage := schedule.Assign(plan).Workers[*id].Stage
-	isSink := len(plan.StageGraph().Succs(stage)) == 0
+	isSink := len(plan.Graph.Succs(stage)) == 0
 	fmt.Fprintf(os.Stderr, "worker %d: stage %d of %d, listening on %s\n", *id, stage, nStages, tr.Addr(*id))
 
 	if *join {

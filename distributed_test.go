@@ -2,6 +2,7 @@ package pipedream
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/exec"
@@ -10,6 +11,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"pipedream/internal/cliconf"
+	"pipedream/internal/nn"
+	"pipedream/internal/partition"
+	"pipedream/internal/pipeline"
 )
 
 // freeAddrs reserves n distinct loopback ports and returns their
@@ -35,8 +41,10 @@ func freeAddrs(t *testing.T, n int) []string {
 
 // TestDistributedMultiProcessTraining launches one OS process per pipeline
 // stage (the paper's deployment model) and verifies they train together
-// over TCP: the output stage's loss decreases across epochs, every process
-// exits cleanly, and each stage writes its own checkpoint file.
+// over TCP exactly as one process does over channels — the same printed
+// epoch losses and, from the checkpoint each stage writes, bit-identical
+// final weights: the static schedule makes both a pure function of (seed,
+// plan, depth). Every process must exit cleanly.
 func TestDistributedMultiProcessTraining(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
@@ -82,8 +90,46 @@ func TestDistributedMultiProcessTraining(t *testing.T) {
 	if len(losses) != 3 {
 		t.Fatalf("got %d epoch losses, want 3; output:\n%s", len(losses), outputs[stages-1])
 	}
-	if losses[2] >= losses[0] {
-		t.Fatalf("distributed training did not learn: losses %v", losses)
+	// The same plan in one process over channels.
+	task, err := (&cliconf.Model{Task: "spiral", Seed: 42}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := cliconf.BuildPlan(task.Factory(), stages, 1, partition.SyncRing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pipeline.New(pipeline.Options{
+		ModelFactory: task.Factory,
+		Plan:         plan,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: task.NewOptimizer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for e, got := range losses {
+		rep, err := p.Train(task.Train, task.Train.NumBatches())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The worker prints six decimals; compare at that precision.
+		if want := fmt.Sprintf("%.6f", rep.MeanLoss()); fmt.Sprintf("%.6f", got) != want {
+			t.Fatalf("epoch %d: three processes printed loss %.6f, one process computes %s", e+1, got, want)
+		}
+	}
+	trained, _, err := pipeline.LoadModel(ckptDir, task.Factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p.CollectModel().Params()
+	for i, got := range trained.Params() {
+		for j := range got.Data {
+			if math.Float32bits(got.Data[j]) != math.Float32bits(want[i].Data[j]) {
+				t.Fatalf("param %d[%d]: three processes ended at %v, one process at %v", i, j, got.Data[j], want[i].Data[j])
+			}
+		}
 	}
 
 	// Coordination-free checkpointing: one generation directory holding

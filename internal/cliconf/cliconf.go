@@ -220,7 +220,7 @@ type Sync struct {
 // Register declares the gradient-sync flags, defaulting to the current
 // field values.
 func (c *Sync) Register(fs *flag.FlagSet) {
-	fs.StringVar(&c.Method, "allreduce", c.Method, "gradient collective for replicated stages: ring (chunked, overlapped with backward) or central (barrier-style)")
+	fs.StringVar(&c.Method, "allreduce", c.Method, "gradient collective for replicated stages: ring (chunked, overlapped with backward) or central (full-gradient exchange after backward)")
 	fs.IntVar(&c.BucketBytes, "bucket-bytes", c.BucketBytes, "ring all-reduce gradient bucket size in bytes (0 = 256KiB default; must match across workers)")
 }
 

@@ -13,6 +13,7 @@ package cluster
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 
 	"pipedream/internal/partition"
 	"pipedream/internal/profile"
@@ -143,16 +144,17 @@ type stageInfo struct {
 }
 
 type workerState struct {
-	ref      schedule.WorkerRef
-	busy     bool
-	lastKind schedule.OpKind
-	fwdQ     []int
-	bwdQ     []int
-	// fwdArr/bwdArr count per-minibatch arrivals at fan-in/fan-out
-	// stages: a forward is runnable once activations from every
-	// predecessor landed, a backward once gradients from every
-	// successor did. Stages with a single dataflow neighbor bypass the
-	// counters and enqueue directly.
+	ref  schedule.WorkerRef
+	busy bool
+	// table is the worker's static schedule (schedule.Table) and next
+	// the index of the op it runs next: the simulator prices the ops, it
+	// does not order them.
+	table []schedule.TableOp
+	next  int
+	// fwdArr/bwdArr count per-minibatch arrivals: a forward is runnable
+	// once activations from every predecessor landed, a backward once
+	// gradients from every successor did (a sink's own loss gradient
+	// counts as its one arrival).
 	fwdArr map[int]int
 	bwdArr map[int]int
 	// stash is the number of in-flight minibatches with stashed state.
@@ -161,9 +163,6 @@ type workerState struct {
 	// nicFree is when the worker's outstanding weight sync completes
 	// (wait-free backprop: the next backward waits on it, nothing else).
 	nicFree float64
-	// nextOwn is the next minibatch this input-stage replica would admit.
-	nextOwn  int
-	inFlight int
 }
 
 type sim struct {
@@ -207,7 +206,7 @@ func Simulate(cfg Config) (*Result, error) {
 func (s *sim) init() error {
 	cfg := s.cfg
 	prof := cfg.Profile
-	graph := cfg.Plan.StageGraph()
+	graph := cfg.Plan.Graph
 	if err := graph.Validate(len(cfg.Plan.Stages)); err != nil {
 		return err
 	}
@@ -241,11 +240,6 @@ func (s *sim) init() error {
 		}
 		s.stages = append(s.stages, info)
 	}
-	s.ws = make([]workerState, s.assign.NumWorkers())
-	for w := range s.ws {
-		ref := s.assign.Workers[w]
-		s.ws[w] = workerState{ref: ref, lastKind: -1, nextOwn: ref.Replica}
-	}
 	s.depth = cfg.PipelineDepth
 	if s.depth <= 0 {
 		s.depth = cfg.Plan.NOAM
@@ -257,6 +251,15 @@ func (s *sim) init() error {
 		if cfg.Microbatches > 0 {
 			s.depth = cfg.Microbatches
 		}
+	}
+	if s.depth < 1 {
+		return fmt.Errorf("cluster: pipeline depth %d (plan has NOAM %d; build it with partition.NewPlan)", s.depth, cfg.Plan.NOAM)
+	}
+	table := schedule.Table(s.assign, cfg.Policy, s.depth, 0, cfg.Minibatches)
+	s.ws = make([]workerState, s.assign.NumWorkers())
+	for w := range s.ws {
+		s.ws[w] = workerState{ref: s.assign.Workers[w], table: table[w],
+			fwdArr: make(map[int]int), bwdArr: make(map[int]int)}
 	}
 	if cfg.RecordTimeline {
 		s.timeline = &schedule.Timeline{Workers: s.assign.NumWorkers()}
@@ -280,96 +283,46 @@ func (s *sim) run() {
 		s.now = e.time
 		switch e.kind {
 		case evActArrive:
-			st := &s.ws[e.w]
-			// Fan-in stages enqueue only once every predecessor's
-			// activation arrived; single-pred stages enqueue directly.
-			if need := len(s.stages[st.ref.Stage].preds); need > 1 {
-				if st.fwdArr == nil {
-					st.fwdArr = make(map[int]int)
-				}
-				st.fwdArr[e.mb]++
-				if st.fwdArr[e.mb] < need {
-					break
-				}
-				delete(st.fwdArr, e.mb)
-			}
-			st.fwdQ = append(st.fwdQ, e.mb)
-			if !st.busy {
-				s.dispatch(e.w)
-			}
+			s.ws[e.w].fwdArr[e.mb]++
 		case evGradArrive:
-			st := &s.ws[e.w]
-			// Fan-out stages run backward only once every successor's
-			// gradient arrived (the gradients sum at the broadcast point).
-			if need := len(s.stages[st.ref.Stage].succs); need > 1 {
-				if st.bwdArr == nil {
-					st.bwdArr = make(map[int]int)
-				}
-				st.bwdArr[e.mb]++
-				if st.bwdArr[e.mb] < need {
-					break
-				}
-				delete(st.bwdArr, e.mb)
-			}
-			st.bwdQ = append(st.bwdQ, e.mb)
-			if !st.busy {
-				s.dispatch(e.w)
-			}
+			s.ws[e.w].bwdArr[e.mb]++
 		case evWorkerFree:
 			s.ws[e.w].busy = false
-			s.dispatch(e.w)
 		}
+		s.dispatch(e.w)
 	}
 }
 
-// admissible reports whether input-stage worker w may start a new
-// minibatch now.
-func (s *sim) admissible(st *workerState) (int, bool) {
-	if st.ref.Stage != 0 {
-		return 0, false
-	}
-	replicas := len(s.assign.StageWorkers[0])
-	mb := st.nextOwn
-	if mb >= s.cfg.Minibatches {
-		return 0, false
-	}
-	if st.inFlight >= s.depth {
-		return 0, false
-	}
-	if s.cfg.Policy == schedule.GPipe {
-		// A GPipe round admits only microbatches of the current round.
-		if mb >= (s.round+1)*s.depth {
-			return 0, false
-		}
-	}
-	_ = replicas
-	return mb, true
-}
-
-// dispatch picks the next op for worker w according to the policy.
+// dispatch starts worker w's next table op if the worker is free and the
+// op's inputs have arrived.
 func (s *sim) dispatch(w int) {
 	st := &s.ws[w]
-	if st.busy {
+	if st.busy || st.next == len(st.table) {
 		return
 	}
-	bwdFirst := s.cfg.Policy != schedule.GPipe
-	if bwdFirst {
-		if len(st.bwdQ) > 0 {
-			s.startBackward(w)
+	op := st.table[st.next]
+	info := &s.stages[st.ref.Stage]
+	if op.Kind == schedule.Forward {
+		if st.ref.Stage == 0 {
+			// The input stage reads its own data; a GPipe round opens only
+			// after the previous round's flush.
+			if s.cfg.Policy == schedule.GPipe && op.Minibatch >= (s.round+1)*s.depth {
+				return
+			}
+		} else if st.fwdArr[op.Minibatch] < len(info.preds) {
 			return
 		}
-		if s.startForwardIfAny(w) {
-			return
-		}
-	} else {
-		if s.startForwardIfAny(w) {
-			return
-		}
-		if len(st.bwdQ) > 0 {
-			s.startBackward(w)
-			return
-		}
+		delete(st.fwdArr, op.Minibatch)
+		st.next++
+		s.startForward(w, op.Minibatch)
+		return
 	}
+	if st.bwdArr[op.Minibatch] < max(1, len(info.succs)) {
+		return
+	}
+	delete(st.bwdArr, op.Minibatch)
+	st.next++
+	s.startBackward(w, op.Minibatch)
 }
 
 // speedOf returns worker w's compute-time multiplier.
@@ -380,36 +333,18 @@ func (s *sim) speedOf(w int) float64 {
 	return 1
 }
 
-func (s *sim) startForwardIfAny(w int) bool {
+func (s *sim) startForward(w, mb int) {
 	st := &s.ws[w]
-	var mb int
-	if st.ref.Stage == 0 {
-		m, ok := s.admissible(st)
-		if !ok {
-			return false
-		}
-		mb = m
-		st.nextOwn += len(s.assign.StageWorkers[0])
-		st.inFlight++
-	} else {
-		if len(st.fwdQ) == 0 {
-			return false
-		}
-		mb = st.fwdQ[0]
-		st.fwdQ = st.fwdQ[1:]
-	}
 	info := &s.stages[st.ref.Stage]
 	st.busy = true
 	end := s.now + info.fwdTime*s.speedOf(w)
 	s.record(w, st.ref.Stage, mb, schedule.Forward, s.now, end)
-	st.lastKind = schedule.Forward
 	st.stash++
 	if st.stash > st.peakStash {
 		st.peakStash = st.stash
 	}
 	s.onForwardDone(w, mb, end)
 	s.post(end, evWorkerFree, w, -1)
-	return true
 }
 
 func (s *sim) onForwardDone(w, mb int, end float64) {
@@ -417,9 +352,9 @@ func (s *sim) onForwardDone(w, mb int, end float64) {
 	stage := st.ref.Stage
 	succs := s.stages[stage].succs
 	if len(succs) == 0 {
-		// Sink stage: backward begins locally right after forward (the
-		// loss gradient needs no transfer).
-		s.postDeferredGrad(w, mb, end)
+		// Sink stage: the loss gradient is available locally as soon as
+		// the forward ends (no transfer).
+		s.post(end, evGradArrive, w, mb)
 		return
 	}
 	// Route to every successor's round-robin replica; transfers overlap
@@ -436,21 +371,8 @@ func (s *sim) onForwardDone(w, mb int, end float64) {
 	}
 }
 
-// postDeferredGrad enqueues the local backward for the output stage.
-func (s *sim) postDeferredGrad(w, mb int, t float64) {
-	s.post(t, evGradArrive, w, mb)
-}
-
-func (s *sim) startBackward(w int) {
+func (s *sim) startBackward(w, mb int) {
 	st := &s.ws[w]
-	mb := st.bwdQ[0]
-	if s.cfg.Policy == schedule.GPipe {
-		// GPipe runs backward in reverse microbatch order (LIFO).
-		mb = st.bwdQ[len(st.bwdQ)-1]
-		st.bwdQ = st.bwdQ[:len(st.bwdQ)-1]
-	} else {
-		st.bwdQ = st.bwdQ[1:]
-	}
 	info := &s.stages[st.ref.Stage]
 	st.busy = true
 	start := s.now
@@ -467,7 +389,6 @@ func (s *sim) startBackward(w int) {
 	}
 	end := start + bwd*s.speedOf(w)
 	s.record(w, st.ref.Stage, mb, schedule.Backward, start, end)
-	st.lastKind = schedule.Backward
 	if st.stash > 0 {
 		st.stash--
 	}
@@ -508,7 +429,6 @@ func (s *sim) onBackwardDone(w, mb int, end float64) {
 		return
 	}
 	// Input stage: minibatch complete.
-	st.inFlight--
 	if mb < len(s.complTimes) {
 		s.complTimes[mb] = end
 	}
@@ -518,10 +438,7 @@ func (s *sim) onBackwardDone(w, mb int, end float64) {
 		if s.roundPending == s.roundSize() {
 			s.flushRound(end)
 		}
-		return
 	}
-	// 1F1B: a completed backward frees an admission slot; the dispatch
-	// loop picks it up when the worker frees.
 }
 
 func (s *sim) roundSize() int {
@@ -628,9 +545,12 @@ func (s *sim) result() *Result {
 		s.timeline.Horizon = s.now
 		r.Timeline = s.timeline
 		r.Transfers = s.transfers
+		// Utilization counts from the moment `warm` minibatches are done —
+		// by count, not by index: a GPipe round completes its microbatches
+		// in reverse.
 		warmT := 0.0
 		if s.cfg.Minibatches > warm {
-			warmT = s.complTimes[warm]
+			warmT = slices.Sorted(slices.Values(s.complTimes))[warm]
 		}
 		r.MeanUtilization = s.timeline.MeanUtilization(warmT)
 	}

@@ -422,7 +422,7 @@ func TestStaticScheduleStraightPipeline(t *testing.T) {
 	prof := uniformProfile(4, 1, 2, 4, 4)
 	topo := fastTopo(4)
 	plan := straightPlan(t, prof, topo, 4)
-	cycles, err := StaticSchedule(prof, topo, plan)
+	cycles, err := StaticSchedule(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestStaticScheduleReplicatedStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cycles, err := StaticSchedule(prof, topo, plan)
+	cycles, err := StaticSchedule(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,6 +467,23 @@ func TestStaticScheduleReplicatedStage(t *testing.T) {
 	}
 	if len(cycles[2]) != 2 {
 		t.Fatalf("stage-1 cycle %+v, want 1F1B", cycles[2])
+	}
+}
+
+func TestStaticSchedulePlanWithoutNOAM(t *testing.T) {
+	// A Plan literal that never went through NewPlan has NOAM 0: an error
+	// from both entry points that read the schedule table, not a panic.
+	prof := uniformProfile(2, 1, 2, 4, 4)
+	plan := &partition.Plan{Workers: 2, Graph: partition.NewLinear(2), Stages: []partition.StageSpec{
+		{FirstLayer: 0, LastLayer: 0, Replicas: 1},
+		{FirstLayer: 1, LastLayer: 1, Replicas: 1},
+	}}
+	if _, err := StaticSchedule(plan); err == nil {
+		t.Fatal("StaticSchedule accepted a plan with NOAM 0")
+	}
+	if _, err := Simulate(Config{Profile: prof, Topo: fastTopo(2), Plan: plan,
+		Policy: schedule.PipeDream1F1B, Minibatches: 8}); err == nil {
+		t.Fatal("Simulate accepted a plan with NOAM 0")
 	}
 }
 

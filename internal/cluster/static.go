@@ -4,105 +4,40 @@ import (
 	"fmt"
 
 	"pipedream/internal/partition"
-	"pipedream/internal/profile"
 	"pipedream/internal/schedule"
-	"pipedream/internal/topology"
 )
 
 // CycleOp is one element of a worker's repeating 1F1B-RR pattern: the op
-// kind and the minibatch offset relative to the cycle's base minibatch
-// (offsets are multiples of the stage's replica count for replicated
-// stages, since each replica handles every R-th minibatch).
+// kind and the minibatch offset relative to the cycle's forward (offsets
+// are multiples of the stage's replica count for replicated stages,
+// since each replica handles every R-th minibatch).
 type CycleOp struct {
 	Kind            schedule.OpKind
 	MinibatchOffset int
 }
 
-// StaticSchedule derives the static per-worker schedule §3.2 describes:
+// StaticSchedule returns the static per-worker schedule §3.2 describes:
 // the cyclic pattern of forward and backward passes each worker runs
-// repeatedly in steady state. It simulates the plan, takes each worker's
-// steady-state op stream, and extracts the shortest repeating pattern of
-// (kind, minibatch-delta) pairs; an error means the pipeline never
-// reached a periodic steady state (e.g. too few minibatches simulated).
-func StaticSchedule(prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan) ([][]CycleOp, error) {
-	minibatches := 16 * plan.NOAM * plan.Stages[0].Replicas
-	if minibatches < 48 {
-		minibatches = 48
+// repeatedly in steady state, read off schedule.Table at the plan's NOAM
+// depth — the last warm-up forward and the backward that follows it, the
+// pair every later pair of table entries repeats one round further on.
+func StaticSchedule(plan *partition.Plan) ([][]CycleOp, error) {
+	if plan.NOAM < 1 {
+		return nil, fmt.Errorf("cluster: plan has NOAM %d (build it with partition.NewPlan)", plan.NOAM)
 	}
-	res, err := Simulate(Config{
-		Profile: prof, Topo: topo, Plan: plan,
-		Policy: schedule.PipeDream1F1B, Minibatches: minibatches,
-		RecordTimeline: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	assign := schedule.Assign(plan)
-	out := make([][]CycleOp, assign.NumWorkers())
-	// Steady-state window: skip fill and drain thirds.
-	lo := res.CompletionTimes[minibatches/3]
-	hi := res.CompletionTimes[2*minibatches/3]
-	for w := 0; w < assign.NumWorkers(); w++ {
-		var ops []schedule.Op
-		for _, op := range res.Timeline.WorkerOps(w) {
-			if op.Kind == schedule.SyncOp || op.Start < lo || op.End > hi {
-				continue
-			}
-			ops = append(ops, op)
+	a := schedule.Assign(plan)
+	// Long enough for every worker to leave its warm-up: no warm-up
+	// exceeds the worker count, no replica count does either.
+	n := (plan.Workers + 1) * plan.Workers
+	table := schedule.Table(a, schedule.PipeDream1F1B, plan.NOAM, 0, n)
+	out := make([][]CycleOp, len(table))
+	for w, ops := range table {
+		b := 0
+		for ops[b].Kind != schedule.Backward {
+			b++
 		}
-		cycle, err := extractCycle(ops)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: worker %d: %w", w, err)
-		}
-		out[w] = cycle
+		f := ops[b-1]
+		out[w] = []CycleOp{{f.Kind, 0}, {ops[b].Kind, ops[b].Minibatch - f.Minibatch}}
 	}
 	return out, nil
-}
-
-// extractCycle finds the shortest pattern of (kind, minibatch-delta)
-// pairs that the op stream repeats.
-func extractCycle(ops []schedule.Op) ([]CycleOp, error) {
-	if len(ops) < 4 {
-		return nil, fmt.Errorf("only %d steady-state ops; simulate more minibatches", len(ops))
-	}
-	type sig struct {
-		kind  schedule.OpKind
-		delta int
-	}
-	// Signature stream: op kind plus minibatch delta from the previous
-	// op of the same kind (captures the 1F1B interleave without absolute
-	// minibatch numbers).
-	lastMB := map[schedule.OpKind]int{}
-	sigs := make([]sig, 0, len(ops))
-	base := make([]int, 0, len(ops)) // minibatch offsets from cycle start
-	for _, op := range ops {
-		d := 0
-		if prev, ok := lastMB[op.Kind]; ok {
-			d = op.Minibatch - prev
-		}
-		lastMB[op.Kind] = op.Minibatch
-		sigs = append(sigs, sig{op.Kind, d})
-		base = append(base, op.Minibatch)
-	}
-	// Drop the first two entries (delta bootstrap).
-	sigs, base = sigs[2:], base[2:]
-	n := len(sigs)
-	for p := 1; p <= n/2; p++ {
-		ok := true
-		for i := p; i < n; i++ {
-			if sigs[i] != sigs[i-p] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		cycle := make([]CycleOp, p)
-		for i := 0; i < p; i++ {
-			cycle[i] = CycleOp{Kind: sigs[i].kind, MinibatchOffset: base[i] - base[0]}
-		}
-		return cycle, nil
-	}
-	return nil, fmt.Errorf("no periodic pattern in %d steady-state ops", n)
 }

@@ -1,22 +1,22 @@
 // Package collective implements gradient synchronization for replicated
 // pipeline stages. PipeDream's hybrid parallelism (§3.1 of the paper)
-// replicates fast stages and averages their weight gradients every round;
-// this package provides the two collectives the runtime can use for that
-// average:
+// replicates fast stages and averages their weight gradients every round.
+// The runtime has two collectives for that average, selected by Method:
 //
-//   - RingReducer — a chunked ring all-reduce (reduce-scatter followed by
-//     all-gather) over transport messages. Gradients are split into
-//     buckets that start reducing as soon as their layers' backward
+//   - Ring — RingReducer, a chunked ring all-reduce (reduce-scatter
+//     followed by all-gather) over transport messages. Gradients are split
+//     into buckets that start reducing as soon as their layers' backward
 //     completes, overlapping synchronization with the remaining backward
 //     compute. Each replica moves 2(R-1)/R of the weight bytes, matching
 //     the cost the partitioning DP charges for replication.
-//   - CentralReducer — the original barrier-style shared-memory reducer
-//     (every replica blocks until all have contributed, one replica's
-//     clone accumulates the sum). Kept as the in-process fallback.
+//   - Central — the full-gradient exchange the pipeline runtime implements
+//     itself (every replica sends its gradients to each sibling after
+//     backward, no overlap); this package only names it.
 //
-// Chunk ordering is deterministic: chunk c's sum always accumulates in
-// ring order g_c + g_{c+1} + ... regardless of message timing, so results
-// are bit-identical run to run.
+// Both sum in a fixed order — the ring accumulates chunk c as g_c +
+// g_{c+1} + ... regardless of message timing, the exchange adds
+// contributions in ascending replica index — so results are bit-identical
+// run to run.
 package collective
 
 import (
@@ -29,12 +29,11 @@ import (
 // stages.
 type Method int
 
-// Supported collectives. The zero value is Central so that a zero
-// pipeline.Options keeps the pre-existing reducer behavior.
+// Supported collectives. The zero value is Central.
 const (
-	// Central is the barrier-style shared reducer (CentralReducer) for
-	// in-process replicas, or the full-gradient broadcast exchange for
-	// distributed ones.
+	// Central is the full-gradient exchange: every replica sends its
+	// gradients to each sibling over the transport and all sum the
+	// contributions in ascending replica order.
 	Central Method = iota
 	// Ring is the chunked ring all-reduce with backward/sync overlap
 	// (RingReducer), working over both in-process channels and TCP.

@@ -25,7 +25,7 @@ import (
 // chunk, Ready after a layer's backward). Chunk c's sum accumulates in
 // fixed ring order g_c, g_{c+1}, ... regardless of message timing, and
 // two-operand float addition is commutative, so results are bit-identical
-// run to run — unlike the arrival-ordered CentralReducer sum.
+// run to run.
 type RingReducer struct {
 	rank        int
 	peers       []int

@@ -324,23 +324,6 @@ func TestRingChaosDelayDupMatchesClean(t *testing.T) {
 	}
 }
 
-func TestCentralReducerAveragesBlock(t *testing.T) {
-	red := NewCentralReducer(2)
-	red.Reset(0, 4)
-	g0 := []*tensor.Tensor{tensor.FromSlice([]float32{1, 3}, 2)}
-	g1 := []*tensor.Tensor{tensor.FromSlice([]float32{3, 5}, 2)}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); red.Reduce(0, g0) }()
-	go func() { defer wg.Done(); red.Reduce(1, g1) }()
-	wg.Wait()
-	for _, g := range [][]*tensor.Tensor{g0, g1} {
-		if g[0].Data[0] != 2 || g[0].Data[1] != 4 {
-			t.Fatalf("central average = %v, want [2 4]", g[0].Data)
-		}
-	}
-}
-
 func TestParseMethod(t *testing.T) {
 	if m, err := ParseMethod("ring"); err != nil || m != Ring {
 		t.Fatalf("ParseMethod(ring) = %v, %v", m, err)

@@ -13,11 +13,11 @@ func init() {
 	register("static", "The static 1F1B-RR schedule each worker runs repeatedly (§3.2)", expStatic)
 }
 
-// expStatic extracts and prints the static per-worker schedule §3.2
-// describes: "a static schedule of operators that each worker runs
-// repeatedly, keeping utilization high across all workers" — derived by
-// simulating a configuration to steady state and extracting each worker's
-// shortest repeating (op, minibatch-offset) pattern.
+// expStatic prints the static per-worker schedule §3.2 describes: "a
+// static schedule of operators that each worker runs repeatedly, keeping
+// utilization high across all workers" — each worker's steady-state
+// (op, minibatch-offset) pair from schedule.Table, the same table the
+// runtime executes and the simulator prices.
 func expStatic(quick bool) ([]*Table, error) {
 	var tables []*Table
 	for _, c := range []struct {
@@ -46,7 +46,7 @@ func expStatic(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cycles, err := cluster.StaticSchedule(prof, topo, plan)
+		cycles, err := cluster.StaticSchedule(plan)
 		if err != nil {
 			return nil, err
 		}
@@ -55,12 +55,13 @@ func expStatic(quick bool) ([]*Table, error) {
 		for w, cyc := range cycles {
 			parts := make([]string, len(cyc))
 			for i, op := range cyc {
-				parts[i] = fmt.Sprintf("%v@+%d", op.Kind, op.MinibatchOffset)
+				parts[i] = fmt.Sprintf("%v@%+d", op.Kind, op.MinibatchOffset)
 			}
 			t.AddRow(fmt.Sprintf("%d", w), strings.Join(parts, "  "))
 		}
 		t.AddNote("each worker executes this fixed cycle without any distributed coordination;")
-		t.AddNote("replicated-stage workers advance by their replica count per cycle (round-robin)")
+		t.AddNote("replicated-stage workers advance by their replica count per cycle (round-robin);")
+		t.AddNote("a backward at offset -k·R runs k local updates after its forward (staleness = warm-up - 1)")
 		tables = append(tables, t)
 	}
 	return tables, nil

@@ -27,7 +27,12 @@ func init() {
 }
 
 // standInConfig is the small trainable stand-in used for convergence
-// curves (a real model trained by the real runtime).
+// curves (a real model trained by the real runtime). The learning rate
+// suits 1F1B's fixed delay: stage s of an n-stage pipeline applies every
+// gradient n−s−1 updates late, and a delayed gradient tolerates a step
+// size that shrinks with the delay. Over 20 initialisations × {6, 12}
+// epochs the 3-stage pipeline ends within 0.15 of BSP's accuracy in 39 of
+// 40 runs at 0.05 (mean gap +0.02) but in 24 of 40 at 0.1 (mean −0.12).
 func standInConfig(epochs int) statseff.Config {
 	return statseff.Config{
 		Factory: func() *nn.Sequential {
@@ -42,7 +47,7 @@ func standInConfig(epochs int) statseff.Config {
 		},
 		Train:        data.NewSpiral(103, 3, 16, 40),
 		Eval:         data.NewSpiral(107, 3, 32, 8),
-		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.05, 0.9, 0) },
 		Loss:         nn.SoftmaxCrossEntropy,
 		Epochs:       epochs,
 	}
@@ -233,10 +238,13 @@ func ablStash(quick bool) ([]*Table, error) {
 	if quick {
 		epochs = 6
 	}
-	// A deep pipeline and an aggressive learning rate amplify the weight
-	// discrepancy between forward and backward passes.
+	// A deep pipeline widens the weight discrepancy between forward and
+	// backward passes: stage s sees 4−s updates in between. The stand-in is
+	// too shallow for that to show in the loss — only fc2's input gradient
+	// reads a stale weight — so the gap below is within seed noise: over 60
+	// initialisations at lr 0.4 (where both runs diverge) naive
+	// ended with the higher loss in 31–34, at 0.05–0.2 in 8–12 of 20.
 	cfg := standInConfig(epochs)
-	cfg.NewOptimizer = func() nn.Optimizer { return nn.NewSGD(0.4, 0.9, 0) }
 	plan, err := straightPlanLayers(5, 5)
 	if err != nil {
 		return nil, err
@@ -249,14 +257,15 @@ func ablStash(quick bool) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{ID: "abl-stash", Title: "Ablation: weight stashing vs naive pipelining (5-stage pipeline, lr 0.4)",
+	t := &Table{ID: "abl-stash", Title: "Ablation: weight stashing vs naive pipelining (5-stage pipeline)",
 		Header: []string{"epoch", "stashing acc", "naive acc", "stashing loss", "naive loss"}}
 	for e := 0; e < epochs; e++ {
 		t.AddRow(fmt.Sprintf("%d", e+1), pct(stash.Score[e]), pct(naive.Score[e]),
 			fmt.Sprintf("%.4f", stash.TrainLoss[e]), fmt.Sprintf("%.4f", naive.TrainLoss[e]))
 	}
 	t.AddNote("without stashing, backward passes use weights from different versions than the")
-	t.AddNote("forward pass — gradients are invalid and convergence degrades (paper §3.3)")
+	t.AddNote("forward pass — gradients are invalid and convergence degrades (paper §3.3); on this")
+	t.AddNote("5-layer stand-in the loss gap is within seed noise (see EXPERIMENTS.md)")
 	return []*Table{t}, nil
 }
 
@@ -285,7 +294,8 @@ func ablVSync(quick bool) ([]*Table, error) {
 		t.AddRow(fmt.Sprintf("%d", e+1), pct(stash.Score[e]), pct(vsync.Score[e]))
 	}
 	t.AddNote("vertical sync eliminates cross-stage version inconsistency at the cost of extra")
-	t.AddNote("metadata; the paper's default excludes it because stashing alone converges equivalently")
+	t.AddNote("metadata — and of running every stage at the input stage's full delay, which on this")
+	t.AddNote("stand-in converges slower than stashing alone; the paper's default excludes it")
 	return []*Table{t}, nil
 }
 

@@ -44,10 +44,9 @@ type StageEdge struct {
 // StageGraph describes the dataflow between the stages of a Plan as a
 // DAG: nodes are stage indices (owning the plan's contiguous layer
 // ranges, numbered in topological order), edges are activation
-// transfers. A nil graph on a Plan means the linear chain
-// 0→1→…→n-1; a StageGraph generalizes that to residual skips
-// (fan-out + sum join), multi-task heads (several sinks), and
-// arbitrary staged dataflow.
+// transfers. NewLinear is the classic chain 0→1→…→n-1; a general
+// StageGraph adds residual skips (fan-out + sum join), multi-task
+// heads (several sinks), and arbitrary staged dataflow.
 //
 // Invariants (checked by Validate): every edge points forward
 // (From < To), stage 0 is the only source (the input stage), every
@@ -66,7 +65,7 @@ type StageGraph struct {
 }
 
 // NewLinear returns the straight-line graph 0→1→…→n-1 — the shape
-// every pre-graph Plan implicitly had.
+// NewPlan gives a plan when no graph is asked for.
 func NewLinear(n int) *StageGraph {
 	g := &StageGraph{Nodes: n}
 	for i := 0; i+1 < n; i++ {
@@ -78,6 +77,9 @@ func NewLinear(n int) *StageGraph {
 // Validate checks the graph invariants against a plan with nStages
 // stages.
 func (g *StageGraph) Validate(nStages int) error {
+	if g == nil {
+		return fmt.Errorf("partition: plan has no stage graph (NewPlan sets one; a Plan literal needs Graph: NewLinear(n))")
+	}
 	if g.Nodes != nStages {
 		return fmt.Errorf("partition: graph has %d nodes, plan has %d stages", g.Nodes, nStages)
 	}

@@ -30,19 +30,18 @@ type Plan struct {
 	Stages  []StageSpec
 	Workers int
 
-	// Graph is the stage dataflow. nil means the linear chain
-	// 0→1→…→n-1 (the classic PipeDream shape); a non-nil graph
-	// routes activations along arbitrary DAG edges. Use StageGraph()
-	// to get the effective graph either way.
+	// Graph is the stage dataflow: NewLinear(len(Stages)) for the
+	// classic PipeDream chain 0→1→…→n-1, arbitrary DAG edges otherwise.
+	// NewPlan and ReadJSON always set it, and a Plan literal must too.
+	// It is shared; readers must not mutate it.
 	Graph *StageGraph
 
 	// StageTimes[i] is the effective per-minibatch time of stage i
 	// (compute and weight-sync, amortized over replicas).
 	StageTimes []float64
 	// CommTimes[i] is the activation+gradient transfer time of the
-	// i-th dataflow edge: between stage i and stage i+1 for linear
-	// plans (len = len(Stages)-1), and of Graph.Edges[i] for graph
-	// plans (len = len(Graph.Edges)).
+	// dataflow edge Graph.Edges[i] (for a linear plan: between stage i
+	// and stage i+1).
 	CommTimes []float64
 	// Sync is the collective cost model the plan was priced under.
 	Sync SyncModel
@@ -57,16 +56,6 @@ type Plan struct {
 	// built under a memory constraint (PlanOptions.Memory); 0 means
 	// "no constraint — run at NOAM".
 	Depth int
-}
-
-// StageGraph returns the plan's dataflow graph, materializing the
-// linear chain when Graph is nil. The result is shared for non-nil
-// graphs; callers must not mutate it.
-func (p *Plan) StageGraph() *StageGraph {
-	if p.Graph != nil {
-		return p.Graph
-	}
-	return NewLinear(len(p.Stages))
 }
 
 // IsDataParallel reports whether the plan is a single stage replicated
@@ -89,7 +78,7 @@ func (p *Plan) IsStraight() bool {
 // "Straight". Graph-shaped plans append the edge list so the topology
 // round-trips through the string, e.g. "1-1-1-1 dag(0>1,0>2,1>2:sum)".
 func (p *Plan) ConfigString() string {
-	if g := p.Graph; g != nil && !g.IsLinear() {
+	if g := p.Graph; !g.IsLinear() {
 		s := ""
 		for i, st := range p.Stages {
 			if i > 0 {
@@ -379,16 +368,17 @@ func balanceStages(prof *profile.ModelProfile, stages int) []StageSpec {
 // evaluate prices an explicit stage assignment (see SyncRing/SyncCentral
 // for the per-stage formulas): stage time = max(compute, ring
 // sync)/replicas (or the blocking central form), per-edge transfer time
-// = 2·a_s/bandwidth, bottleneck = slowest element. A nil graph means
-// the linear chain; a non-nil graph prices every DAG edge.
+// = 2·a_s/bandwidth, bottleneck = slowest element. A nil graph asks
+// for the linear chain, which the returned plan then carries.
 func evaluate(prof *profile.ModelProfile, topo *topology.Topology, stages []StageSpec, sync SyncModel, graph *StageGraph) (*Plan, error) {
 	if err := validateStages(prof, topo, stages); err != nil {
 		return nil, err
 	}
-	if graph != nil {
-		if err := graph.Validate(len(stages)); err != nil {
-			return nil, err
-		}
+	if graph == nil {
+		graph = NewLinear(len(stages))
+	}
+	if err := graph.Validate(len(stages)); err != nil {
+		return nil, err
 	}
 	workers := 0
 	for _, st := range stages {
@@ -421,17 +411,8 @@ func evaluate(prof *profile.ModelProfile, topo *topology.Topology, stages []Stag
 	}
 	// Each dataflow edge prices the sender's output activation (and the
 	// matching gradient on the way back) over the link joining the two
-	// stages' worker groups. For linear plans the edges are exactly the
-	// consecutive pairs, preserving the historical CommTimes layout.
-	edges := make([]StageEdge, 0, len(stages)-1)
-	if graph != nil {
-		edges = append(edges, graph.Edges...)
-	} else {
-		for i := 0; i+1 < len(stages); i++ {
-			edges = append(edges, StageEdge{From: i, To: i + 1})
-		}
-	}
-	for _, e := range edges {
+	// stages' worker groups.
+	for _, e := range graph.Edges {
 		bw := bandwidthForSpan(topo, stages[e.From].Replicas+stages[e.To].Replicas)
 		ct := 2 * float64(prof.ActivationBytes(stages[e.From].LastLayer)) / bw
 		p.CommTimes = append(p.CommTimes, ct)

@@ -25,9 +25,9 @@ type planJSON struct {
 // ReadJSON reconstructs the same dataflow.
 func (p *Plan) WriteJSON(w io.Writer) error {
 	pj := planJSON{Model: p.Model, Stages: p.Stages}
-	if p.Graph != nil && !p.Graph.IsLinear() {
-		pj.Edges = p.Graph.Edges
-		pj.Joins = p.Graph.Joins
+	if g := p.Graph; !g.IsLinear() {
+		pj.Edges = g.Edges
+		pj.Joins = g.Joins
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

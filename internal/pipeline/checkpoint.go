@@ -80,7 +80,7 @@ func (p *Pipeline) manifest(cursor int) *checkpoint.Manifest {
 	// different plan can verify the graph, not just the stage count. The
 	// graph comes from the plan alone, so manifests stay byte-identical
 	// across processes.
-	if g := p.opts.Plan.StageGraph(); !g.IsLinear() {
+	if g := p.opts.Plan.Graph; !g.IsLinear() {
 		for _, e := range g.Edges {
 			man.Edges = append(man.Edges, [2]int{e.From, e.To})
 		}

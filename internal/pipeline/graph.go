@@ -37,14 +37,11 @@ func (sw *stageWorker) joinPending(mb int) (*tensor.Tensor, []int, error) {
 }
 
 // sumPendingGrads combines the per-successor gradients held for one
-// minibatch at a fan-out stage, summing in ascending successor order for
-// determinism. It returns nil when the pending set is gone (duplicate
-// ready marker).
+// minibatch at a fan-out stage (all of them have arrived: that is what
+// made the backward ready), summing in ascending successor order for
+// determinism.
 func (sw *stageWorker) sumPendingGrads(mb int) *tensor.Tensor {
 	pend := sw.gradPend[mb]
-	if len(pend) == 0 {
-		return nil
-	}
 	delete(sw.gradPend, mb)
 	srcs := make([]int, 0, len(pend))
 	for s := range pend {
@@ -150,7 +147,7 @@ func stageSlice(model *nn.Sequential, plan *partition.Plan, s int) *nn.Sequentia
 // output keyed by stage index. For a linear plan this equals
 // model.Forward.
 func ForwardGraph(model *nn.Sequential, plan *partition.Plan, x *tensor.Tensor) (map[int]*tensor.Tensor, error) {
-	g := plan.StageGraph()
+	g := plan.Graph
 	sinks := g.Sinks()
 	act := make(map[int]bool, g.Nodes)
 	for i := 0; i < g.Nodes; i++ {
@@ -171,7 +168,7 @@ func ForwardGraph(model *nn.Sequential, plan *partition.Plan, x *tensor.Tensor) 
 // one sink stage — the per-head inference path that skips branches the
 // requested head does not depend on — and returns that sink's output.
 func ForwardGraphHead(model *nn.Sequential, plan *partition.Plan, x *tensor.Tensor, sink int) (*tensor.Tensor, error) {
-	g := plan.StageGraph()
+	g := plan.Graph
 	if sink < 0 || sink >= g.Nodes || len(g.Succs(sink)) != 0 {
 		return nil, fmt.Errorf("pipeline: stage %d is not a sink of the plan graph", sink)
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"pipedream/internal/data"
 	"pipedream/internal/modelzoo/branching"
 	"pipedream/internal/nn"
 	"pipedream/internal/partition"
@@ -26,54 +25,6 @@ func branchPlan(t *testing.T, b *branching.Model) *partition.Plan {
 	return plan
 }
 
-// TestLinearStageGraphBitIdenticalToChain trains randomized linear plans
-// twice — once with Graph nil (the pre-graph chain path) and once with an
-// explicit straight-line StageGraph — and requires bit-identical losses
-// and final weights. A straight-line graph must cost nothing and change
-// nothing.
-func TestLinearStageGraphBitIdenticalToChain(t *testing.T) {
-	rng := rand.New(rand.NewSource(2026))
-	for trial := 0; trial < 4; trial++ {
-		stages := 2 + rng.Intn(3)
-		depth := rng.Intn(3) // 0 = NOAM
-		seed := rng.Int63n(1000)
-		factory := mlpFactory(seed, 4, 8+stages, 3)
-		ds := data.NewBlobs(seed, 3, 4, 8, 18)
-
-		run := func(withGraph bool) *Report {
-			plan := evenPlan(t, factory, stages, 1)
-			if withGraph {
-				plan.Graph = partition.NewLinear(stages)
-			} else {
-				plan.Graph = nil
-			}
-			p, err := New(Options{
-				ModelFactory:  factory,
-				Plan:          plan,
-				Loss:          nn.SoftmaxCrossEntropy,
-				NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
-				RuntimeConfig: RuntimeConfig{Depth: depth},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer p.Close()
-			rep, err := p.Train(ds, 18)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rep
-		}
-		chain, graph := run(false), run(true)
-		for i := range chain.Losses {
-			if chain.Losses[i] != graph.Losses[i] {
-				t.Fatalf("trial %d (stages=%d depth=%d): loss[%d] chain=%v graph=%v",
-					trial, stages, depth, i, chain.Losses[i], graph.Losses[i])
-			}
-		}
-	}
-}
-
 // TestBranchGraphPipelineMatchesReference trains the branching stand-in
 // at depth 1 (no staleness) and checks losses and final weights exactly
 // against a hand-rolled single-process DAG trainer.
@@ -81,7 +32,7 @@ func TestBranchGraphPipelineMatchesReference(t *testing.T) {
 	const minibatches = 20
 	b := branching.StandIn(5)
 	plan := branchPlan(t, b)
-	g := plan.StageGraph()
+	g := plan.Graph
 
 	// Reference: explicit topological forward, per-sink losses, reverse
 	// topological backward with ascending-source gradient summation —

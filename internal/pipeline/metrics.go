@@ -29,7 +29,7 @@ type StageStats struct {
 	// first gradient bucket finished reducing, and SyncTailWait the
 	// remainder (they sum to SyncWait). With the overlapped ring
 	// collective a small first wait means buckets were already reducing
-	// during backward compute; the central reducer has no buckets, so its
+	// during backward compute; the central exchange has no buckets, so its
 	// whole wait counts as first wait.
 	SyncFirstWait time.Duration
 	SyncTailWait  time.Duration
@@ -47,10 +47,10 @@ type StageStats struct {
 	// scheduling overhead). The steady-state ideal is ~0 for the
 	// bottleneck stage and grows with pipeline imbalance.
 	BubbleFraction float64
-	// MeanQueueDepth and PeakQueueDepth summarize the worker's combined
-	// forward+backward inbox queue length, sampled once per scheduling
-	// decision — sustained depth means upstream stages outpace this one
-	// (backpressure).
+	// MeanQueueDepth and PeakQueueDepth summarize how many arrived
+	// activations and gradients wait for their turn in the worker's
+	// schedule, sampled once per op — sustained depth means upstream
+	// stages outpace this one (backpressure).
 	MeanQueueDepth float64
 	PeakQueueDepth int
 	// MeanStaleness and MaxStaleness summarize, per backward pass, how
@@ -139,8 +139,8 @@ func (wm *workerMetrics) beginSpan() { wm.runStart = time.Now() }
 // endSpan folds the chunk's wall-clock time into the run total.
 func (wm *workerMetrics) endSpan() { wm.wall += time.Since(wm.runStart) }
 
-// sampleQueues records the worker's combined queue depth at one
-// scheduling decision.
+// sampleQueues records how many arrived inputs wait at the start of one
+// op.
 func (wm *workerMetrics) sampleQueues(depth int) {
 	wm.queueSum += int64(depth)
 	wm.queueSamples++

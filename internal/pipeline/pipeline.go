@@ -1,14 +1,17 @@
 // Package pipeline is PipeDream's execution runtime: it takes a partition
 // plan for a real nn model, spins up one goroutine per worker (stage
-// replica), and trains with the 1F1B-RR schedule — the startup phase
-// admits NOAM minibatches, every worker then alternates forward and
-// backward work with backward priority, minibatches are routed
-// round-robin across stage replicas, and weight stashing (optionally
-// vertical sync) keeps gradients numerically correct despite pipelined
-// staleness (§3.2-3.3 of the paper). Replicated stages synchronize
-// gradients before applying updates — by default through a barrier-style
-// central reducer, or (Options.AllReduce = collective.Ring) through a
-// chunked ring all-reduce that overlaps with backward compute. A process
+// replica), and trains with the static 1F1B-RR schedule — every worker
+// executes its op list from schedule.Table (warm-up forwards, then one
+// backward, one forward), blocking for the message each op needs, so
+// which weight version a forward reads never depends on timing;
+// minibatches are routed round-robin across stage replicas, and weight
+// stashing (optionally vertical sync) keeps gradients numerically correct
+// despite pipelined staleness (§3.2-3.3 of the paper). Replicated stages
+// synchronize gradients before applying updates — by default through a
+// full-gradient exchange summed in replica order, or (Options.AllReduce =
+// collective.Ring) through a chunked ring all-reduce that overlaps with
+// backward compute. Losses and weights are therefore a pure function of
+// (seed, plan, depth), whatever the transport or core count. A process
 // runs the workers whose inboxes its transport hosts: all of them by
 // default, its endpoint's local IDs in a multi-process deployment.
 package pipeline
@@ -73,7 +76,9 @@ type LossFunc func(pred *tensor.Tensor, labels []int) (float64, *tensor.Tensor)
 // much kernel-level parallelism each worker may use. Its fields are
 // promoted into Options, so opts.Depth and friends keep working.
 type RuntimeConfig struct {
-	// Depth overrides NOAM as the per-input-replica in-flight bound.
+	// Depth overrides NOAM as the per-input-replica in-flight bound: the
+	// input stage's warm-up in the static schedule, and a cap on every
+	// later stage's.
 	Depth int
 	// Recompute discards forward activations and recomputes them during
 	// the backward pass (GPipe's memory-for-compute trade, §3.3) instead
@@ -99,11 +104,12 @@ type RuntimeConfig struct {
 // stages. Its fields are promoted into Options.
 type SyncConfig struct {
 	// AllReduce selects the gradient collective for replicated stages:
-	// collective.Central (the default: barrier-style shared reducer
-	// in-process, full-gradient broadcast exchange across processes) or
-	// collective.Ring (chunked ring all-reduce over the transport,
-	// overlapped with backward compute; deterministic chunk ordering
-	// makes results bit-identical run to run).
+	// collective.Central (the default: every replica sends its full
+	// gradient to each sibling over the transport and all sum the
+	// contributions in ascending replica order) or collective.Ring
+	// (chunked ring all-reduce over the transport, overlapped with
+	// backward compute). Both fix the summation order, so results are
+	// bit-identical run to run and replica to replica.
 	AllReduce collective.Method
 	// BucketBytes caps the gradient bucket size of the ring collective;
 	// 0 selects collective.DefaultBucketBytes. Smaller buckets start
@@ -158,10 +164,10 @@ type Options struct {
 	// worker owns a private instance and slices out its stage.
 	ModelFactory func() *nn.Sequential
 	// Plan assigns model layers to stages/replicas (from the optimizer).
-	// A plan with a non-nil Graph routes activations along its DAG
-	// edges: stages with several in-edges join them (sum or concat),
-	// stages with several out-edges broadcast forward and sum the
-	// returning gradients, and every sink stage computes a loss.
+	// Activations are routed along the edges of the plan's stage graph:
+	// stages with several in-edges join them (sum or concat), stages
+	// with several out-edges broadcast forward and sum the returning
+	// gradients, and every sink stage computes a loss.
 	Plan *partition.Plan
 	// Loss runs at the output stage (every sink stage of a DAG plan
 	// without a SinkLoss override). A minibatch's reported loss is the
@@ -267,14 +273,9 @@ type Pipeline struct {
 	// order: all of the plan's when the transport is in-process, the
 	// transport's local IDs otherwise.
 	workers []*stageWorker
-	// reducers are the in-process gradient reducers: one per replicated
-	// stage whose replicas all live in this process, none in ring mode.
-	// Replicas spread over processes exchange gradients over the
-	// transport instead.
-	reducers []*collective.CentralReducer
-	tr       transport.Transport
-	ownTr    bool
-	cursor   int
+	tr      transport.Transport
+	ownTr   bool
+	cursor  int
 	// lastStats is the transport's counter snapshot at the last fault
 	// publication, so per-call deltas can be reported.
 	lastStats transport.Stats
@@ -298,7 +299,7 @@ func New(opts Options) (*Pipeline, error) {
 	if last != len(ref.Layers)-1 {
 		return nil, fmt.Errorf("pipeline: plan covers %d layers, model has %d", last+1, len(ref.Layers))
 	}
-	graph := opts.Plan.StageGraph()
+	graph := opts.Plan.Graph
 	if err := graph.Validate(len(opts.Plan.Stages)); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
@@ -312,6 +313,9 @@ func New(opts Options) (*Pipeline, error) {
 	if p.depth <= 0 {
 		p.depth = opts.Plan.NOAM
 	}
+	if p.depth < 1 {
+		return nil, fmt.Errorf("pipeline: depth %d (plan has NOAM %d; build it with partition.NewPlan)", p.depth, opts.Plan.NOAM)
+	}
 	if opts.KernelParallelism > 0 {
 		tensor.SetParallelism(opts.KernelParallelism)
 	}
@@ -322,16 +326,8 @@ func New(opts Options) (*Pipeline, error) {
 		p.ownTr = true
 	}
 	// Only the workers whose inboxes the transport hosts are built here.
-	remote := func(w int) bool { return !transport.Local(p.tr, w) }
-	stageReducer := make([]*collective.CentralReducer, len(opts.Plan.Stages))
-	for s, spec := range opts.Plan.Stages {
-		if spec.Replicas > 1 && !useRing && !slices.ContainsFunc(p.assign.StageWorkers[s], remote) {
-			stageReducer[s] = collective.NewCentralReducer(spec.Replicas)
-			p.reducers = append(p.reducers, stageReducer[s])
-		}
-	}
 	for w, ref := range p.assign.Workers {
-		if remote(w) {
+		if !transport.Local(p.tr, w) {
 			continue
 		}
 		model := opts.ModelFactory()
@@ -344,12 +340,14 @@ func New(opts Options) (*Pipeline, error) {
 			model:   model.Slice(spec.FirstLayer, spec.LastLayer+1),
 			opt:     opts.NewOptimizer(),
 			mode:    opts.Mode,
-			reducer: stageReducer[ref.Stage],
 			stash:   make(map[int]stashEntry),
 			preds:   graph.Preds(ref.Stage),
 			succs:   graph.Succs(ref.Stage),
 			join:    graph.Join(ref.Stage),
 			loss:    opts.Loss,
+
+			fwdReady: make(map[int]transport.Message),
+			bwdReady: make(map[int]transport.Message),
 		}
 		if l, ok := opts.SinkLoss[ref.Stage]; ok {
 			sw.loss = l
@@ -377,13 +375,19 @@ func New(opts Options) (*Pipeline, error) {
 // all_reduce — depth minibatches per input replica, two messages each,
 // plus slack. Ring mode adds room for the lock-step chunk traffic: at
 // most one in-flight chunk per bucket from the left neighbor's current
-// round plus one from its next round.
+// round plus one from its next round. The central exchange adds one
+// full-gradient message per sibling for the current round and, from
+// siblings already a round ahead, one for the next.
 func channelBuffer(ref *nn.Sequential, opts Options, depth int) int {
 	buffer := 2*depth*opts.Plan.Stages[0].Replicas + 8
 	if opts.AllReduce == collective.Ring {
-		buffer += 2*maxRingBuckets(ref, opts) + 8
+		return buffer + 2*maxRingBuckets(ref, opts) + 8
 	}
-	return buffer
+	siblings := 0
+	for _, spec := range opts.Plan.Stages {
+		siblings = max(siblings, spec.Replicas-1)
+	}
+	return buffer + 2*siblings
 }
 
 // maxRingBuckets bounds how many gradient buckets the ring collective of
@@ -589,19 +593,13 @@ func (p *Pipeline) runChunk(ds data.Dataset, cs, ce, base int, losses []float64)
 			losses[i] = 0
 		}
 	}
-	for _, r := range p.reducers {
-		r.Reset(cs, ce-cs)
-	}
 	for _, sw := range p.workers {
 		if sw.ring != nil {
 			sw.ring.Reset()
 		}
 	}
-	ab := newRunAbort(func() {
-		for _, r := range p.reducers {
-			r.AbortAll()
-		}
-	})
+	table := schedule.Table(p.assign, schedule.PipeDream1F1B, p.depth, cs, ce)
+	ab := newRunAbort()
 	// Every sink stage reports one loss event per minibatch, and the
 	// channel is only drained after the workers join — size it for all of
 	// them or sink workers block on send.
@@ -617,7 +615,7 @@ func (p *Pipeline) runChunk(ds data.Dataset, cs, ce, base int, losses []float64)
 		wg.Add(1)
 		go func(sw *stageWorker) {
 			defer wg.Done()
-			sw.run(ds, cs, ce, results, ab)
+			sw.run(ds, table[sw.id], cs, ce, results, ab)
 		}(sw)
 	}
 	wg.Wait()
@@ -681,7 +679,6 @@ type stageWorker struct {
 	model   *nn.Sequential
 	opt     nn.Optimizer
 	mode    StalenessMode
-	reducer *collective.CentralReducer
 
 	// Dataflow position in the plan's stage graph: the stages feeding
 	// this one, the stages it feeds, how fan-in activations combine,
@@ -691,7 +688,7 @@ type stageWorker struct {
 	loss         LossFunc
 
 	// ring is the chunked overlapped collective (Options.AllReduce =
-	// collective.Ring) — mutually exclusive with reducer. gradOffsets
+	// collective.Ring); nil means the full-gradient exchange. gradOffsets
 	// maps "layer i finished backward" to the first final gradient
 	// tensor; curAb and ringErr let the message-routing path (enqueue)
 	// surface collective failures into the running chunk's abort.
@@ -728,11 +725,14 @@ type stageWorker struct {
 	syncDur   time.Duration
 	syncFirst time.Duration
 
-	// Message queues (fields so the distributed gradient exchange can
-	// keep routing pipeline traffic while it waits for sibling replicas).
-	fwdQ, bwdQ []transport.Message
+	// fwdReady/bwdReady hold, by minibatch, the inputs that have fully
+	// arrived and wait for their op's turn in the schedule: the stage's
+	// input activation, and the gradient of its output (a sink's own loss
+	// gradient lands in bwdReady when its forward ends). Entries for a
+	// later Train window stay until that window runs.
+	fwdReady, bwdReady map[int]transport.Message
 	// fwdPend/gradPend hold per-edge arrivals at fan-in/fan-out stages
-	// (minibatch → source stage → payload). A forward becomes runnable
+	// (minibatch → source stage → payload). A forward becomes ready
 	// once every predecessor's activation landed; a backward once every
 	// successor's gradient did. Single-edge stages bypass both.
 	fwdPend  map[int]map[int]transport.Message
@@ -761,7 +761,7 @@ func (sw *stageWorker) replicas() int { return len(sw.p.assign.StageWorkers[sw.s
 // graph — it computes a loss instead of forwarding activations.
 func (sw *stageWorker) isSink() bool { return len(sw.succs) == 0 }
 
-// enqueue routes an incoming message to the right queue, dropping
+// enqueue routes an incoming message to the right arrived-set, dropping
 // duplicates (a transport retransmit after reconnect, or an injected
 // chaos duplicate, must not run a minibatch twice).
 func (sw *stageWorker) enqueue(m transport.Message) {
@@ -799,7 +799,7 @@ func (sw *stageWorker) enqueue(m transport.Message) {
 			sw.seenFwd = make(map[int]bool)
 		}
 		sw.seenFwd[m.Minibatch] = true
-		sw.fwdQ = append(sw.fwdQ, m)
+		sw.fwdReady[m.Minibatch] = m
 	case transport.Gradient:
 		// A gradient is valid only while its forward's stash entry exists;
 		// a second delivery after the backward ran has no stash and drops.
@@ -829,13 +829,11 @@ func (sw *stageWorker) enqueue(m transport.Message) {
 			}
 			m = transport.Message{Kind: transport.Gradient, Minibatch: m.Minibatch, Version: m.Version}
 		}
-		for _, q := range sw.bwdQ {
-			if q.Minibatch == m.Minibatch {
-				sw.dupDrops++
-				return
-			}
+		if _, dup := sw.bwdReady[m.Minibatch]; dup {
+			sw.dupDrops++
+			return
 		}
-		sw.bwdQ = append(sw.bwdQ, m)
+		sw.bwdReady[m.Minibatch] = m
 	case transport.GradExchange:
 		if sw.gradExch == nil {
 			sw.gradExch = make(map[int]map[int]*tensor.Tensor)
@@ -883,10 +881,14 @@ func (sw *stageWorker) drainInbox() {
 	}
 }
 
-// run is the 1F1B worker loop for one chunk of a Train call. It returns
-// a non-nil error (after flagging the shared abort) when the transport
+// run executes the worker's static schedule for one chunk of a Train
+// call: the ops of its schedule.Table list, in order. Each op blocks —
+// under the watchdog and the shared abort, still routing ring, exchange
+// and heartbeat traffic — until the activation or gradient it needs has
+// arrived; messages for later ops wait in the arrived-sets. run returns a
+// non-nil error (after flagging the shared abort) when the transport
 // fails, the watchdog trips, or another worker aborted the chunk.
-func (sw *stageWorker) run(ds data.Dataset, start, end int, results chan<- lossEvent, ab *runAbort) error {
+func (sw *stageWorker) run(ds data.Dataset, ops []schedule.TableOp, start, end int, results chan<- lossEvent, ab *runAbort) error {
 	sw.results = results
 	sw.trainStart = start
 	sw.trainEnd = end
@@ -898,85 +900,54 @@ func (sw *stageWorker) run(ds data.Dataset, start, end int, results chan<- lossE
 			delete(sw.seenFwd, mb)
 		}
 	}
-	expected := 0
-	for mb := start; mb < end; mb++ {
-		if schedule.ReplicaFor(mb, sw.replicas()) == sw.replica {
-			expected++
-		}
-	}
-	done := 0
-	inFlight := 0
-	nextOwn := start
-	for nextOwn < end && schedule.ReplicaFor(nextOwn, sw.replicas()) != sw.replica {
-		nextOwn++
-	}
 	sw.lastProgress = time.Now()
 	if sw.met != nil {
 		sw.met.beginSpan()
 		defer sw.met.endSpan()
 	}
 
-	for done < expected {
+	for _, op := range ops {
 		if ab.failed() {
 			return ab.error()
 		}
 		sw.drainInbox()
 		if sw.met != nil {
-			sw.met.sampleQueues(len(sw.fwdQ) + len(sw.bwdQ))
+			sw.met.sampleQueues(len(sw.fwdReady) + len(sw.bwdReady))
 		}
-		switch {
-		case len(sw.bwdQ) > 0:
-			// Backward priority: the "1B" half of 1F1B.
-			m := sw.bwdQ[0]
-			sw.bwdQ = sw.bwdQ[1:]
-			ran, err := sw.backward(m, ab)
-			if err != nil {
-				return err
-			}
-			if !ran {
-				continue // duplicate delivery, dropped
-			}
-			done++
-			sw.lastProgress = time.Now()
-			if sw.stage == 0 {
-				inFlight--
-			}
-		case sw.stage == 0 && inFlight < sw.p.depth && nextOwn < end:
-			// Input stage admits its own round-robin minibatches, gated
-			// by the pipeline depth (NOAM). The version tag counts the
-			// minibatches reflected in this replica's current weights.
-			mb := nextOwn
-			nextOwn += sw.replicas()
-			inFlight++
-			batch := ds.Batch(mb)
-			b, ok, err := sw.forward(transport.Message{
-				Kind: transport.Activation, Minibatch: mb,
+		var m transport.Message
+		if op.Kind == schedule.Forward && sw.stage == 0 {
+			// The input stage reads its own minibatch. The version tag
+			// counts the minibatches reflected in this replica's weights.
+			batch := ds.Batch(op.Minibatch)
+			m = transport.Message{
+				Kind: transport.Activation, Minibatch: op.Minibatch,
 				Version: sw.reflected(), Tensor: batch.X, Labels: batch.Labels,
-			}, ab)
-			if err != nil {
-				return err
 			}
-			if ok {
-				sw.bwdQ = append(sw.bwdQ, b)
+		} else {
+			ready := sw.fwdReady
+			if op.Kind == schedule.Backward {
+				ready = sw.bwdReady
 			}
-			sw.lastProgress = time.Now()
-		case sw.runnableForward(end):
-			m := sw.takeForward(end)
-			b, ok, err := sw.forward(m, ab)
-			if err != nil {
-				return err
+			ok := false
+			for m, ok = ready[op.Minibatch]; !ok; m, ok = ready[op.Minibatch] {
+				// Block for the next message (the worker's directly observed
+				// pipeline bubble), under the watchdog.
+				if err := sw.waitMsg(ab, true); err != nil {
+					return err
+				}
 			}
-			if ok {
-				sw.bwdQ = append(sw.bwdQ, b)
-			}
-			sw.lastProgress = time.Now()
-		default:
-			// Nothing runnable: block for the next message (the worker's
-			// directly observed pipeline bubble), under the watchdog.
-			if err := sw.waitMsg(ab, true); err != nil {
-				return err
-			}
+			delete(ready, op.Minibatch)
 		}
+		var err error
+		if op.Kind == schedule.Backward {
+			err = sw.backward(m, ab)
+		} else {
+			err = sw.forward(m, ab)
+		}
+		if err != nil {
+			return err
+		}
+		sw.lastProgress = time.Now()
 	}
 	return nil
 }
@@ -999,10 +970,10 @@ func (sw *stageWorker) gradsCached() []*tensor.Tensor {
 	return sw.cachedGrads
 }
 
-// forward runs the stage's forward pass for one minibatch. At the output
-// stage it computes the loss and returns the local backward message. A
-// transport failure on the downstream send aborts the run.
-func (sw *stageWorker) forward(m transport.Message, ab *runAbort) (transport.Message, bool, error) {
+// forward runs the stage's forward pass for one minibatch. A sink stage
+// computes the loss and leaves its gradient in bwdReady for the matching
+// backward op. A transport failure on the downstream send aborts the run.
+func (sw *stageWorker) forward(m transport.Message, ab *runAbort) error {
 	var op0 time.Time
 	if sw.met != nil {
 		op0 = time.Now()
@@ -1016,7 +987,7 @@ func (sw *stageWorker) forward(m transport.Message, ab *runAbort) (transport.Mes
 		m.Tensor, joinWidths, err = sw.joinPending(m.Minibatch)
 		if err != nil {
 			ab.fail(err)
-			return transport.Message{}, false, err
+			return err
 		}
 	}
 	params := sw.paramsCached()
@@ -1031,7 +1002,11 @@ func (sw *stageWorker) forward(m transport.Message, ab *runAbort) (transport.Mes
 		// with different replication factors can translate them: this
 		// stage's version after u local updates reflects u·replicas
 		// minibatches. Use the newest version not exceeding the tag.
-		key, v := sw.lookupVersion(m.Version)
+		key, v, err := sw.lookupVersion(m.Version)
+		if err != nil {
+			ab.fail(err)
+			return err
+		}
 		stashed = v
 		if key != sw.reflected() {
 			// Compute with the stashed (older) version, then put the
@@ -1063,10 +1038,11 @@ func (sw *stageWorker) forward(m transport.Message, ab *runAbort) (transport.Mes
 	if sw.isSink() {
 		loss, grad := sw.loss(y, m.Labels)
 		sw.results <- lossEvent{mb: m.Minibatch, loss: loss}
-		return transport.Message{
+		sw.bwdReady[m.Minibatch] = transport.Message{
 			Kind: transport.Gradient, Minibatch: m.Minibatch,
 			Version: m.Version, Tensor: grad,
-		}, true, nil
+		}
+		return nil
 	}
 	// Broadcast the output activation along every out-edge (one send for
 	// a linear plan). Receivers treat activations as read-only, so the
@@ -1079,25 +1055,20 @@ func (sw *stageWorker) forward(m transport.Message, ab *runAbort) (transport.Mes
 		}); err != nil {
 			err = fmt.Errorf("pipeline: worker %d forward mb %d: %w", sw.id, m.Minibatch, err)
 			ab.fail(err)
-			return transport.Message{}, false, err
+			return err
 		}
 	}
-	return transport.Message{}, false, nil
+	return nil
 }
 
 // backward runs the stage's backward pass for one minibatch, synchronizes
 // gradients across replicas, and applies the update to the latest weights
 // (PipeDream's semantics: gradients are computed with stashed weights but
-// applied to the most recent version). ran=false means the message was a
-// duplicate delivery (no stash entry) and was dropped.
-func (sw *stageWorker) backward(m transport.Message, ab *runAbort) (ran bool, err error) {
-	entry, ok := sw.stash[m.Minibatch]
-	if !ok {
-		// The forward's stash is deleted when its backward runs; a second
-		// gradient for the same minibatch is a retransmit or chaos dup.
-		sw.dupDrops++
-		return false, nil
-	}
+// applied to the most recent version). The schedule runs it exactly once
+// per minibatch, after that minibatch's forward, so the stash entry is
+// there.
+func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
+	entry := sw.stash[m.Minibatch]
 	if sw.met != nil {
 		op0 := time.Now()
 		staleness := sw.updates - entry.fwdUpdates
@@ -1111,10 +1082,6 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) (ran bool, er
 	// successor's gradient arrived; the broadcast point sums them.
 	if m.Tensor == nil && len(sw.succs) > 1 {
 		m.Tensor = sw.sumPendingGrads(m.Minibatch)
-		if m.Tensor == nil {
-			sw.dupDrops++
-			return false, nil
-		}
 	}
 	delete(sw.stash, m.Minibatch)
 	params := sw.paramsCached()
@@ -1132,7 +1099,7 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) (ran bool, er
 			if err := sw.ring.BeginRound(roundKey, participants, grads); err != nil {
 				err = fmt.Errorf("pipeline: worker %d ring round for mb %d: %w", sw.id, m.Minibatch, err)
 				ab.fail(err)
-				return false, err
+				return err
 			}
 		}
 	}
@@ -1169,7 +1136,7 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) (ran bool, er
 	if sw.ringErr != nil {
 		err := sw.ringErr
 		sw.ringErr = nil
-		return false, err
+		return err
 	}
 
 	// In ring mode the upstream gradient leaves before the sync drain:
@@ -1205,15 +1172,14 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) (ran bool, er
 	}
 	if useRing {
 		if err := sendUp(); err != nil {
-			return false, err
+			return err
 		}
 	}
 
 	// Replicated stages average gradients before updating, so replicas
 	// stay consistent (the runtime analogue of DDP within a stage). Ring
-	// mode drains the overlapped collective; otherwise replicas that all
-	// live in this process share a reducer and replicas spread over
-	// processes exchange full gradients over the transport.
+	// mode drains the overlapped collective; otherwise the replicas
+	// exchange full gradients over the transport.
 	if sw.replicas() > 1 {
 		var s0 time.Time
 		if sw.met != nil {
@@ -1222,18 +1188,14 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) (ran bool, er
 		switch {
 		case useRing:
 			if err := sw.drainRing(ab); err != nil {
-				return false, err
+				return err
 			}
 		case sw.ring != nil:
 			// Ring mode, but the final partial round has one participant:
 			// nothing to synchronize.
-		case sw.reducer != nil:
-			if !sw.reducer.Reduce(m.Minibatch, grads) {
-				return false, ab.error() // chunk aborted mid-reduce
-			}
 		default:
 			if err := sw.exchangeGradients(m.Minibatch, grads, ab); err != nil {
-				return false, err
+				return err
 			}
 		}
 		if sw.met != nil {
@@ -1250,10 +1212,7 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) (ran bool, er
 		sw.pruneVersions()
 	}
 
-	if err := sendUp(); err != nil {
-		return false, err
-	}
-	return true, nil
+	return sendUp()
 }
 
 // roundOf returns the participant count and globally unique key of the
@@ -1379,9 +1338,9 @@ func (sw *stageWorker) applyUpdate(params, grads []*tensor.Tensor) {
 func (sw *stageWorker) reflected() int { return sw.updates * sw.replicas() }
 
 // lookupVersion returns the newest stored weight version whose reflected
-// count does not exceed the tag. It panics if no such version survives —
-// that would mean pruning outran an in-transit minibatch.
-func (sw *stageWorker) lookupVersion(tag int) (int, []*tensor.Tensor) {
+// count does not exceed the tag. No such version surviving means pruning
+// outran an in-transit minibatch; the error names what is left.
+func (sw *stageWorker) lookupVersion(tag int) (int, []*tensor.Tensor, error) {
 	bestKey := -1
 	var best []*tensor.Tensor
 	for k, v := range sw.versions {
@@ -1390,56 +1349,38 @@ func (sw *stageWorker) lookupVersion(tag int) (int, []*tensor.Tensor) {
 		}
 	}
 	if best == nil {
-		panic(fmt.Sprintf("pipeline: worker %d has no weight version ≤ tag %d (have %d updates over %d replicas)",
-			sw.id, tag, sw.updates, sw.replicas()))
-	}
-	return bestKey, best
-}
-
-// runnableForward reports whether a forward for the CURRENT Run window is
-// queued. In multi-process deployments a fast upstream replica may already
-// be sending next-epoch activations; those stay queued until the next Run.
-func (sw *stageWorker) runnableForward(end int) bool {
-	for _, m := range sw.fwdQ {
-		if m.Minibatch < end {
-			return true
+		have := make([]int, 0, len(sw.versions))
+		for k := range sw.versions {
+			have = append(have, k)
 		}
+		slices.Sort(have)
+		return 0, nil, fmt.Errorf("pipeline: worker %d has no weight version ≤ tag %d (surviving versions %v)",
+			sw.id, tag, have)
 	}
-	return false
+	return bestKey, best, nil
 }
 
-// takeForward dequeues the first forward within the current window.
-func (sw *stageWorker) takeForward(end int) transport.Message {
-	for i, m := range sw.fwdQ {
-		if m.Minibatch < end {
-			sw.fwdQ = append(sw.fwdQ[:i], sw.fwdQ[i+1:]...)
-			return m
-		}
-	}
-	panic("pipeline: takeForward without runnableForward")
-}
-
-// exchangeGradients is the distributed all_reduce for replicated stages:
-// every replica sends its flattened gradients for the round to each
-// sibling and waits (while continuing to route pipeline traffic) until
-// all participants' contributions arrive, then averages in place. A dead
-// sibling surfaces as a send error or a watchdog trip, not a hang.
+// exchangeGradients is the central all_reduce for replicated stages,
+// between local and remote siblings alike: every replica sends its
+// flattened gradients for the round to each sibling and waits (while
+// continuing to route pipeline traffic) until all participants'
+// contributions arrive, then averages in place. A dead sibling surfaces
+// as a send error or a watchdog trip, not a hang.
 func (sw *stageWorker) exchangeGradients(mb int, grads []*tensor.Tensor, ab *runAbort) error {
 	replicas := sw.replicas()
-	round := (mb - sw.trainStart) / replicas
-	participants, _ := sw.roundOf(mb) // fewer than replicas in a final partial round
+	participants, first := sw.roundOf(mb) // fewer than replicas in a final partial round
 	if participants <= 1 {
 		return nil
 	}
+	round := (mb - sw.trainStart) / replicas
 	flat := transport.FlattenTensors(grads)
-	siblings := sw.p.assign.StageWorkers[sw.stage]
-	for _, peer := range siblings {
+	for _, peer := range sw.p.assign.StageWorkers[sw.stage] {
 		if peer == sw.id {
 			continue
 		}
-		// Skip siblings with no minibatch in this round.
-		peerReplica := sw.p.assign.Workers[peer].Replica
-		if sw.trainStart+round*replicas+peerReplica >= sw.trainEnd {
+		// Skip siblings whose minibatch of this round lies past the window.
+		offset := (sw.p.assign.Workers[peer].Replica - first%replicas + replicas) % replicas
+		if first+offset >= sw.trainEnd {
 			continue
 		}
 		if err := sw.p.tr.Send(peer, transport.Message{

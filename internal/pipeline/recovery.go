@@ -35,27 +35,23 @@ type FaultStats struct {
 // chunk: the first failure wins, every blocked worker is woken, and the
 // error is collected after the WaitGroup drains.
 type runAbort struct {
-	ch     chan struct{}
-	once   sync.Once
-	mu     sync.Mutex
-	err    error
-	onFail func()
+	ch   chan struct{}
+	once sync.Once
+	mu   sync.Mutex
+	err  error
 }
 
-func newRunAbort(onFail func()) *runAbort {
-	return &runAbort{ch: make(chan struct{}), onFail: onFail}
+func newRunAbort() *runAbort {
+	return &runAbort{ch: make(chan struct{})}
 }
 
-// fail records the first error, wakes workers blocked in reducers, and
-// closes the abort channel so workers blocked on inboxes see it.
+// fail records the first error and closes the abort channel so workers
+// blocked on inboxes see it.
 func (a *runAbort) fail(err error) {
 	a.once.Do(func() {
 		a.mu.Lock()
 		a.err = err
 		a.mu.Unlock()
-		if a.onFail != nil {
-			a.onFail()
-		}
 		close(a.ch)
 	})
 }
@@ -183,7 +179,7 @@ func (sw *stageWorker) neighbours() []int {
 	return out
 }
 
-// resetTransient clears one worker's in-flight state — queues, stashes,
+// resetTransient clears one worker's in-flight state — arrived-sets, stashes,
 // dedup sets, accumulated gradients — so a restore starts from a clean
 // slate. Inbox contents are drained and discarded (they reference
 // pre-failure weight versions).
@@ -200,8 +196,8 @@ drain:
 			break drain
 		}
 	}
-	sw.fwdQ = nil
-	sw.bwdQ = nil
+	sw.fwdReady = make(map[int]transport.Message)
+	sw.bwdReady = make(map[int]transport.Message)
 	sw.stash = make(map[int]stashEntry)
 	sw.seenFwd = nil
 	sw.fwdPend = nil
@@ -230,9 +226,6 @@ func (p *Pipeline) autoRecover() bool {
 func (p *Pipeline) recoverFromCheckpoint() (int, error) {
 	for _, sw := range p.workers {
 		sw.resetTransient()
-	}
-	for _, r := range p.reducers {
-		r.Clear()
 	}
 	cursor, err := p.restoreLatest(p.opts.CheckpointDir)
 	if err != nil {

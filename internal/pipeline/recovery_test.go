@@ -223,7 +223,7 @@ func TestChaosHeartbeatDetectsSeveredPeer(t *testing.T) {
 	}
 	defer p.Close()
 	chaos.Sever(1)
-	ab := newRunAbort(nil)
+	ab := newRunAbort()
 	stop := make(chan struct{})
 	defer close(stop)
 	go p.workers[0].heartbeatLoop(5*time.Millisecond, stop, ab)

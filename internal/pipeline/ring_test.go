@@ -39,10 +39,6 @@ func trainWith(t *testing.T, opts Options, ds data.Dataset, mbs int) ([]float64,
 //
 // The plan is a single replicated stage: every message on the wire is a
 // gradient chunk whose processing order is fixed by the ring schedule.
-// (Once a replicated stage feeds an unreplicated one, the downstream
-// worker applies updates in gradient-arrival order, so cross-run loss
-// trajectories are timing-dependent regardless of collective — those
-// configurations are covered by within-run consistency tests instead.)
 func TestRingMatchesCentralExactly(t *testing.T) {
 	factory := mlpFactory(21, 4, 8, 3)
 	ds := data.NewBlobs(23, 3, 4, 8, 24)

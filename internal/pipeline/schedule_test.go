@@ -1,0 +1,307 @@
+package pipeline
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"strings"
+	"testing"
+
+	"pipedream/internal/collective"
+	"pipedream/internal/data"
+	"pipedream/internal/metrics"
+	"pipedream/internal/nn"
+	"pipedream/internal/partition"
+	"pipedream/internal/schedule"
+	"pipedream/internal/tensor"
+	"pipedream/internal/topology"
+	"pipedream/internal/trace"
+	"pipedream/internal/transport"
+)
+
+// The stage graphs of the schedule package's golden timelines that are
+// not chains.
+var (
+	diamondGraph = &partition.StageGraph{
+		Nodes: 4,
+		Edges: []partition.StageEdge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3}},
+		Joins: []partition.JoinOp{partition.JoinNone, partition.JoinNone, partition.JoinNone, partition.JoinSum},
+	}
+	twoHeadGraph = &partition.StageGraph{
+		Nodes: 4,
+		Edges: []partition.StageEdge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 1, To: 3}},
+	}
+)
+
+// shapePlan builds a trainable model and plan of a given shape: one
+// Dense(+Tanh) stage per entry of replicas, wired as graph (nil = chain).
+// Every stage maps 8 features to 8, except that stage 0 reads 4 and each
+// sink emits 3 class scores, so any edge and any sum join type-checks.
+func shapePlan(t *testing.T, replicas []int, graph *partition.StageGraph) (func() *nn.Sequential, *partition.Plan) {
+	t.Helper()
+	g := graph
+	if g == nil {
+		g = partition.NewLinear(len(replicas))
+	}
+	factory := func() *nn.Sequential {
+		rng := rand.New(rand.NewSource(17))
+		var layers []nn.Layer
+		for s := range replicas {
+			in, out := 8, 8
+			if s == 0 {
+				in = 4
+			}
+			if len(g.Succs(s)) == 0 {
+				out = 3
+			}
+			layers = append(layers, nn.NewDense(rng, fmt.Sprintf("fc%d", s), in, out), nn.NewTanh(fmt.Sprintf("t%d", s)))
+		}
+		return nn.NewSequential(layers...)
+	}
+	var specs []partition.StageSpec
+	workers := 0
+	for s, r := range replicas {
+		specs = append(specs, partition.StageSpec{FirstLayer: 2 * s, LastLayer: 2*s + 1, Replicas: r})
+		workers += r
+	}
+	plan, err := partition.NewPlan(syntheticProfileFor(factory()), topology.Flat(workers, 1e9, topology.V100),
+		partition.PlanOptions{Stages: specs, Graph: graph})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return factory, plan
+}
+
+// The invariants checked on simulated timelines hold on what the runtime
+// actually did: for the five golden shapes, the op log of a real training
+// run passes Validate1F1B, and every worker's (kind, minibatch) sequence
+// is its schedule.Table list, element for element.
+func TestRuntimeExecutesScheduleTable(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		replicas []int
+		graph    *partition.StageGraph
+	}{
+		{"w4r1", []int{1, 1, 1, 1}, nil},
+		{"w4r2", []int{2, 1, 1}, nil},
+		{"w6r3", []int{3, 1, 1, 1}, nil},
+		{"diamond", []int{1, 1, 1, 1}, diamondGraph},
+		{"twohead", []int{1, 1, 1, 1}, twoHeadGraph},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const mbs = 30
+			factory, plan := shapePlan(t, c.replicas, c.graph)
+			log := metrics.NewOpLog(0)
+			opts := baseOptions(factory, plan)
+			opts.Depth = 0 // NOAM
+			opts.OpLog = log
+			p, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			if _, err := p.Train(data.NewBlobs(19, 3, 4, 8, mbs), mbs); err != nil {
+				t.Fatal(err)
+			}
+			tl := trace.RuntimeTimeline(log)
+			a := schedule.Assign(plan)
+			table := schedule.Table(a, schedule.PipeDream1F1B, p.Depth(), 0, mbs)
+			done := make([]float64, mbs) // when each minibatch's backward ended at the input stage
+			for w := range table {
+				var ran []schedule.TableOp
+				for _, op := range tl.WorkerOps(w) {
+					if op.Kind == schedule.SyncOp {
+						continue
+					}
+					ran = append(ran, schedule.TableOp{Kind: op.Kind, Minibatch: op.Minibatch})
+					if op.Stage == 0 && op.Kind == schedule.Backward {
+						done[op.Minibatch] = op.End
+					}
+				}
+				if len(ran) != len(table[w]) {
+					t.Fatalf("worker %d ran %d ops, its table has %d", w, len(ran), len(table[w]))
+				}
+				for i := range ran {
+					if ran[i] != table[w][i] {
+						t.Fatalf("worker %d op %d: ran %v%d, table says %v%d", w, i,
+							ran[i].Kind, ran[i].Minibatch, table[w][i].Kind, table[w][i].Minibatch)
+					}
+				}
+			}
+			// The same steady-state window the simulated goldens use.
+			edge := 2 * p.Depth() * c.replicas[0]
+			if err := schedule.Validate1F1B(tl, a, p.Depth(), done[edge], done[mbs-edge]); err != nil {
+				t.Fatalf("1F1B invariant violated by the runtime: %v", err)
+			}
+		})
+	}
+}
+
+// paramBits returns every local worker's parameters, bit for bit, keyed
+// by worker ID.
+func paramBits(ps []*Pipeline) map[int][]uint32 {
+	out := map[int][]uint32{}
+	for _, p := range ps {
+		for _, sw := range p.workers {
+			for _, param := range sw.model.Params() {
+				for _, v := range param.Data {
+					out[sw.id] = append(out[sw.id], math.Float32bits(v))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// Training is a pure function of (seed, plan, depth): whichever transport
+// carries the messages — in-process channels, loopback TCP in one
+// process, one TCP endpoint per worker — and however many cores schedule
+// the worker goroutines, every loss and every final weight comes out bit
+// for bit the same. Each case trains two windows, the second starting off
+// a replica-count boundary and ending in a partial all-reduce round.
+func TestLossesArePureFunctionOfSeedPlanDepth(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		name      string
+		replicas  []int
+		graph     *partition.StageGraph
+		allReduce collective.Method
+		windows   []int
+	}{
+		{"chain3", []int{1, 1, 1}, nil, collective.Central, []int{7, 4}},
+		{"chain4", []int{1, 1, 1, 1}, nil, collective.Central, []int{7, 4}},
+		{"2-1", []int{2, 1}, nil, collective.Central, []int{7, 4}},
+		{"3-1-central", []int{3, 1}, nil, collective.Central, []int{7, 4}},
+		// The ring collective ranks a partial round's participants from
+		// replica 0, so its windows start on a replica-count boundary.
+		{"2-1-ring", []int{2, 1}, nil, collective.Ring, []int{8, 3}},
+		{"diamond", []int{1, 1, 1, 1}, diamondGraph, collective.Central, []int{7, 4}},
+	} {
+		factory, plan := shapePlan(t, c.replicas, c.graph)
+		ds := data.NewBlobs(23, 3, 4, 8, 11)
+		for _, depth := range []int{1, 0} { // 0 = NOAM
+			for _, recompute := range []bool{false, true} {
+				opts := baseOptions(factory, plan)
+				opts.Depth = depth
+				opts.Recompute = recompute
+				opts.AllReduce = c.allReduce
+				var wantLosses []float64
+				var wantParams map[int][]uint32
+				for _, tr := range []string{"channels", "tcp", "tcp-per-worker"} {
+					for _, procs := range []int{1, 2, 8} {
+						name := fmt.Sprintf("%s/depth%d/recompute=%v/%s/procs%d", c.name, depth, recompute, tr, procs)
+						// A subtest per run, so its sockets close when it ends.
+						t.Run(name, func(t *testing.T) {
+							runtime.GOMAXPROCS(procs)
+							var ps []*Pipeline
+							switch tr {
+							case "channels", "tcp":
+								o := opts
+								if tr == "tcp" {
+									tcp, err := transport.NewTCP(plan.Workers, 32)
+									if err != nil {
+										t.Fatal(err)
+									}
+									defer tcp.Close()
+									o.Transport = tcp
+								}
+								p, err := New(o)
+								if err != nil {
+									t.Fatal(err)
+								}
+								defer p.Close()
+								ps = []*Pipeline{p}
+							default:
+								addrs := freeAddrs(t, plan.Workers)
+								for w := 0; w < plan.Workers; w++ {
+									ps = append(ps, endpoint(t, opts, addrs, []int{w}, nil))
+								}
+							}
+							var losses []float64
+							for _, n := range c.windows {
+								losses = append(losses, trainAll(t, ps, ds, n)...)
+							}
+							params := paramBits(ps)
+							if wantLosses == nil {
+								wantLosses, wantParams = losses, params
+								return
+							}
+							for mb := range wantLosses {
+								if math.Float64bits(losses[mb]) != math.Float64bits(wantLosses[mb]) {
+									t.Fatalf("loss[%d] = %v, first run had %v", mb, losses[mb], wantLosses[mb])
+								}
+							}
+							for w, want := range wantParams {
+								if len(params[w]) != len(want) {
+									t.Fatalf("worker %d has %d weights, first run had %d", w, len(params[w]), len(want))
+								}
+								for i := range want {
+									if params[w][i] != want[i] {
+										t.Fatalf("worker %d weight %d differs from the first run", w, i)
+									}
+								}
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// The full-gradient exchange leaves every replica with the block average
+// (the assertion the deleted in-process reducer's unit test made).
+func TestGradientExchangeAveragesBlock(t *testing.T) {
+	factory := mlpFactory(3, 4, 8, 3)
+	p, err := New(baseOptions(factory, evenPlan(t, factory, 1, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	grads := [][]*tensor.Tensor{
+		{tensor.FromSlice([]float32{1, 3}, 2)},
+		{tensor.FromSlice([]float32{3, 5}, 2)},
+	}
+	ab := newRunAbort()
+	errs := make(chan error, len(p.workers))
+	for r, sw := range p.workers {
+		sw.trainStart, sw.trainEnd = 0, 4
+		go func() { errs <- sw.exchangeGradients(r, grads[r], ab) }()
+	}
+	for range p.workers {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r, g := range grads {
+		if g[0].Data[0] != 2 || g[0].Data[1] != 4 {
+			t.Fatalf("replica %d: exchanged average = %v, want [2 4]", r, g[0].Data)
+		}
+	}
+}
+
+// A vertical-sync forward whose tagged weight version was pruned fails the
+// run with an error naming the worker, the tag and the versions that are
+// left — it used to panic.
+func TestMissingWeightVersionFailsRunWithError(t *testing.T) {
+	factory := mlpFactory(5, 4, 8, 3)
+	opts := baseOptions(factory, evenPlan(t, factory, 2, 1))
+	opts.Mode = VerticalSync
+	p, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	sw := p.workers[1]
+	sw.versions = map[int][]*tensor.Tensor{5: sw.versions[0], 9: sw.versions[0]}
+	_, err = p.Train(data.NewBlobs(7, 3, 4, 8, 4), 4)
+	if err == nil {
+		t.Fatal("training with no usable weight version succeeded")
+	}
+	for _, want := range []string{"worker 1", "tag 0", "[5 9]"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
+	}
+}

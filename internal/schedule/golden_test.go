@@ -79,7 +79,10 @@ func goldenPlan(t *testing.T, cfg goldenConfig) (*profile.ModelProfile, *topolog
 //     minibatches per input replica before the first backward runs;
 //  3. the steady state must satisfy the full 1F1B invariant set
 //     (ordering, same-worker RR routing, strict alternation, NOAM
-//     in-flight bound).
+//     in-flight bound);
+//  4. every worker's simulated (kind, minibatch) sequence must be its
+//     schedule.Table list — the simulator prices the table, it does
+//     not reorder it.
 func TestGolden1F1BTimelines(t *testing.T) {
 	for _, cfg := range goldenConfigs() {
 		cfg := cfg
@@ -118,6 +121,25 @@ func TestGolden1F1BTimelines(t *testing.T) {
 				if admitted != noam {
 					t.Errorf("input worker %d admitted %d minibatches at startup, NOAM = %d",
 						w, admitted, noam)
+				}
+			}
+
+			table := schedule.Table(a, schedule.PipeDream1F1B, noam, 0, mbs)
+			for w, want := range table {
+				var got []schedule.Op
+				for _, op := range res.Timeline.WorkerOps(w) {
+					if op.Kind != schedule.SyncOp {
+						got = append(got, op)
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("worker %d simulated %d ops, its table has %d", w, len(got), len(want))
+				}
+				for i, op := range got {
+					if op.Kind != want[i].Kind || op.Minibatch != want[i].Minibatch {
+						t.Fatalf("worker %d op %d: simulated %v%d, table says %v%d", w, i,
+							op.Kind, op.Minibatch, want[i].Kind, want[i].Minibatch)
+					}
 				}
 			}
 

@@ -17,6 +17,7 @@ func planWith(stages ...int) *partition.Plan {
 		p.Workers += r
 	}
 	p.NOAM = Noam(p.Workers, stages[0])
+	p.Graph = partition.NewLinear(len(stages))
 	return p
 }
 

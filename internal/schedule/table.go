@@ -1,0 +1,118 @@
+package schedule
+
+import "fmt"
+
+// TableOp is one entry of a worker's static schedule: run the forward or
+// the backward pass of one minibatch.
+type TableOp struct {
+	Kind      OpKind
+	Minibatch int
+}
+
+// Table is the static schedule of §3.2: for every worker of the
+// assignment, the ordered forward and backward passes it executes for
+// minibatches [start, end). It is the one place that decides op order —
+// the runtime executes a worker's list op by op, blocking for the message
+// each op needs; the simulator prices the same lists — so the order, and
+// with it the weight version every forward reads, is a pure function of
+// the arguments.
+//
+// PipeDream1F1B: a worker owns the minibatches ReplicaFor routes to it.
+// It runs `warm-up` forwards, then alternates one backward with one
+// forward over its own minibatches in ascending order, then drains the
+// remaining backwards. The warm-up is the worker's share of the stage's
+// in-flight window (see inFlight): `depth` at the input stage, 1 at a
+// sink, n−s at stage s of a straight n-stage pipeline (Figure 4). In
+// steady state every backward therefore runs exactly warm-up − 1 local
+// updates after its forward.
+//
+// GPipe: per round of `depth` consecutive microbatches, all of the
+// worker's forwards in ascending order, then its backwards in reverse.
+// ModelParallelSingle is the 1F1B table at depth 1.
+func Table(a *Assignment, policy Policy, depth, start, end int) [][]TableOp {
+	if policy == ModelParallelSingle {
+		depth = 1
+	}
+	if depth < 1 {
+		panic(fmt.Sprintf("schedule: depth = %d", depth))
+	}
+	var window []int
+	if policy != GPipe {
+		window = inFlight(a, depth)
+	}
+	table := make([][]TableOp, a.NumWorkers())
+	for w, ref := range a.Workers {
+		replicas := len(a.StageWorkers[ref.Stage])
+		var own []int
+		for mb := start; mb < end; mb++ {
+			if ReplicaFor(mb, replicas) == ref.Replica {
+				own = append(own, mb)
+			}
+		}
+		ops := make([]TableOp, 0, 2*len(own))
+		if policy == GPipe {
+			for lo := 0; lo < len(own); {
+				hi := lo
+				for hi < len(own) && (own[hi]-start)/depth == (own[lo]-start)/depth {
+					ops = append(ops, TableOp{Forward, own[hi]})
+					hi++
+				}
+				for i := hi - 1; i >= lo; i-- {
+					ops = append(ops, TableOp{Backward, own[i]})
+				}
+				lo = hi
+			}
+		} else {
+			// The worker's first forwards are its minibatches inside the
+			// stage's window (at least one: a replica whose first minibatch
+			// lies beyond a window narrower than the replica count still
+			// has to start with it).
+			warm := 0
+			for warm < len(own) && (warm == 0 || own[warm] < start+window[ref.Stage]) {
+				ops = append(ops, TableOp{Forward, own[warm]})
+				warm++
+			}
+			for k, mb := range own {
+				ops = append(ops, TableOp{Backward, mb})
+				if k+warm < len(own) {
+					ops = append(ops, TableOp{Forward, own[k+warm]})
+				}
+			}
+		}
+		table[w] = ops
+	}
+	return table
+}
+
+// inFlight returns, per stage, how many consecutive minibatches the
+// stage's replicas together keep between forward and backward under
+// 1F1B. The input stage admits `depth` per replica (NOAM by default).
+// Any other stage needs Noam(workers on the longest path from it to a
+// sink, its replicas) per replica to keep that path busy — but never more
+// than a predecessor forwards before it needs a gradient back, or the
+// warm-up would wait for a minibatch that cannot arrive until one of the
+// stage's own backwards has run. A replicated predecessor needs the
+// gradients of a whole round before its all_reduce lets any replica move
+// on, which can be replicas−1 minibatches past the one it waits for.
+func inFlight(a *Assignment, depth int) []int {
+	g := a.Plan.Graph
+	n := len(a.StageWorkers)
+	path := make([]int, n)
+	for s := n - 1; s >= 0; s-- {
+		for _, q := range g.Succs(s) {
+			path[s] = max(path[s], path[q])
+		}
+		path[s] += len(a.StageWorkers[s])
+	}
+	window := make([]int, n)
+	window[0] = depth * len(a.StageWorkers[0])
+	for s := 1; s < n; s++ {
+		replicas := len(a.StageWorkers[s])
+		window[s] = Noam(path[s], replicas) * replicas
+		for _, p := range g.Preds(s) {
+			window[s] = min(window[s], window[p]-len(a.StageWorkers[p])+1)
+		}
+		window[s] = max(window[s], 1)
+	}
+	return window
+}

@@ -181,7 +181,10 @@ func New(cfg Config, tenants ...TenantConfig) (*Fleet, error) {
 		// owned transport.
 		deg := 1
 		if tc.Server.Plan != nil {
-			deg = tc.Server.Plan.StageGraph().MaxDegree()
+			if err := tc.Server.Plan.Graph.Validate(stages); err != nil {
+				return nil, fmt.Errorf("fleet: tenant %q: %w", tc.Name, err)
+			}
+			deg = tc.Server.Plan.Graph.MaxDegree()
 		}
 		if b := deg * (effMaxInFlight(tc.Server, stages) + 4); b > buffer {
 			buffer = b

@@ -48,7 +48,7 @@ func plan2() *partition.Plan {
 	return &partition.Plan{Stages: []partition.StageSpec{
 		{FirstLayer: 0, LastLayer: 2, Replicas: 1},
 		{FirstLayer: 3, LastLayer: 4, Replicas: 1},
-	}}
+	}, Graph: partition.NewLinear(2)}
 }
 
 // slowLayer is an identity layer that sleeps — it stands in for a

@@ -241,7 +241,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	graph := partition.NewLinear(len(stages))
 	if cfg.Plan != nil {
-		graph = cfg.Plan.StageGraph()
+		graph = cfg.Plan.Graph
 	}
 	if err := graph.Validate(len(stages)); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)

@@ -37,7 +37,7 @@ func plan2() *partition.Plan {
 	return &partition.Plan{Stages: []partition.StageSpec{
 		{FirstLayer: 0, LastLayer: 2, Replicas: 1},
 		{FirstLayer: 3, LastLayer: 4, Replicas: 1},
-	}}
+	}, Graph: partition.NewLinear(2)}
 }
 
 func mustServer(t *testing.T, cfg Config) *Server {
@@ -529,9 +529,19 @@ func TestSendFailureReclaimsSlot(t *testing.T) {
 	}
 }
 
+// TestPlanWithoutGraph: a Plan literal that left Graph out is rejected
+// with an error, not a nil dereference.
+func TestPlanWithoutGraph(t *testing.T) {
+	plan := plan2()
+	plan.Graph = nil
+	if _, err := NewServer(Config{Model: testModel(9), Plan: plan}); err == nil {
+		t.Fatal("plan without a stage graph was accepted")
+	}
+}
+
 // TestPlanMismatch: a plan that does not cover the model is rejected.
 func TestPlanMismatch(t *testing.T) {
-	bad := &partition.Plan{Stages: []partition.StageSpec{{FirstLayer: 0, LastLayer: 1, Replicas: 1}}}
+	bad := &partition.Plan{Stages: []partition.StageSpec{{FirstLayer: 0, LastLayer: 1, Replicas: 1}}, Graph: partition.NewLinear(1)}
 	if _, err := NewServer(Config{Model: testModel(9), Plan: bad}); err == nil {
 		t.Fatal("plan covering 2 of 5 layers was accepted")
 	}

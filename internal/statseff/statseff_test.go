@@ -90,8 +90,13 @@ func TestBSPLearnsSpiral(t *testing.T) {
 func TestWeightStashingMatchesBSPStatisticalEfficiency(t *testing.T) {
 	// The paper's key statistical claim (Figure 11): pipelined training
 	// with weight stashing needs about the same number of epochs as BSP
-	// data parallelism.
+	// data parallelism. Under the static schedule the input stage applies
+	// every gradient two updates late, and a delayed gradient needs a
+	// smaller step: over 30 initialisations the pipeline ends within 0.1
+	// of BSP in 28 at lr 0.05 (mean gap +0.03) but in 22 at testConfig's
+	// 0.1 (mean −0.05), so the comparison runs at 0.05.
 	cfg := testConfig(12)
+	cfg.NewOptimizer = func() nn.Optimizer { return nn.NewSGD(0.05, 0.9, 0) }
 	bsp, err := TrainBSP(cfg, 3)
 	if err != nil {
 		t.Fatal(err)

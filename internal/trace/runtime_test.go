@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pipedream/internal/metrics"
+	"pipedream/internal/schedule"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -97,5 +98,30 @@ func TestWriteRuntimeRejectsBadInput(t *testing.T) {
 	}
 	if err := WriteRuntime(&buf, metrics.NewOpLog(4)); err == nil {
 		t.Fatal("empty op log must fail")
+	}
+}
+
+func TestRuntimeTimelineCarriesOpsInSeconds(t *testing.T) {
+	tl := RuntimeTimeline(sampleOpLog())
+	if tl.Workers != 2 || len(tl.Ops) != 6 {
+		t.Fatalf("timeline has %d workers and %d ops, want 2 and 6", tl.Workers, len(tl.Ops))
+	}
+	if tl.Horizon != 0.009 {
+		t.Fatalf("horizon = %v s, want 0.009 (the backward that ends last)", tl.Horizon)
+	}
+	got := tl.WorkerOps(0)
+	want := []schedule.Op{
+		{Worker: 0, Minibatch: 0, Kind: schedule.Forward, Start: 0, End: 0.002},
+		{Worker: 0, Minibatch: 1, Kind: schedule.Forward, Start: 0.002, End: 0.004},
+		{Worker: 0, Minibatch: 0, Kind: schedule.Backward, Start: 0.005, End: 0.009},
+		{Worker: 0, Minibatch: 0, Kind: schedule.SyncOp, Start: 0.006, End: 0.007},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("worker 0 has %d ops, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("worker 0 op %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }

@@ -118,3 +118,32 @@ func WriteRuntime(w io.Writer, log *metrics.OpLog) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(events)
 }
+
+// RuntimeTimeline converts a live run's op log into the schedule.Timeline
+// the simulator emits (times in seconds from the log's origin), so the
+// invariants checked on simulated timelines — schedule.Validate1F1B, a
+// worker's op order against schedule.Table — can be checked on what the
+// runtime actually did. Forward, backward and sync ops carry over; other
+// spans (serving requests) have no timeline counterpart and are skipped.
+func RuntimeTimeline(log *metrics.OpLog) *schedule.Timeline {
+	kinds := map[metrics.OpKind]schedule.OpKind{
+		metrics.OpForward:  schedule.Forward,
+		metrics.OpBackward: schedule.Backward,
+		metrics.OpSync:     schedule.SyncOp,
+	}
+	t := &schedule.Timeline{}
+	for _, ev := range log.Events() {
+		kind, ok := kinds[ev.Kind]
+		if !ok {
+			continue
+		}
+		op := schedule.Op{
+			Worker: ev.Worker, Stage: ev.Stage, Minibatch: ev.Minibatch, Kind: kind,
+			Start: ev.Start.Seconds(), End: (ev.Start + ev.Dur).Seconds(),
+		}
+		t.Ops = append(t.Ops, op)
+		t.Workers = max(t.Workers, op.Worker+1)
+		t.Horizon = max(t.Horizon, op.End)
+	}
+	return t
+}

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI-style gate: vet, formatting, build, the full test suite plain and
-# under the race detector, fuzz smoke, alloc budgets, and doc checks.
+# CI-style gate: vet, formatting, build, the full test suite plain (at the
+# default core count and on one core) and under the race detector, the
+# determinism gate, fuzz smoke, alloc budgets, and doc checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,8 +19,12 @@ fi
 echo "== go build"
 go build ./...
 
-echo "== go test"
+echo "== go test (default GOMAXPROCS, then one core)"
 go test ./...
+GOMAXPROCS=1 go test -count=1 ./...
+
+echo "== determinism gate (losses are a pure function of seed, plan and depth: 20 runs each)"
+go test -count=20 ./internal/pipeline/ -run 'PureFunction|Recompute|Staleness'
 
 echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent)"
 go test -race ./...
