@@ -150,6 +150,7 @@ func main() {
 		faults.CheckpointWrites += rep.Faults.CheckpointWrites
 		faults.TransportReconnects += rep.Faults.TransportReconnects
 		faults.TransportSendErrors += rep.Faults.TransportSendErrors
+		faults.TransportRecvErrors += rep.Faults.TransportRecvErrors
 		if faultFlags.Dir != "" {
 			if err := p.Checkpoint(faultFlags.Dir); err != nil {
 				fatal(err)
@@ -159,9 +160,9 @@ func main() {
 	if faultFlags.Dir != "" {
 		fmt.Printf("per-stage checkpoint generations written to %s\n", faultFlags.Dir)
 	}
-	if faults.Recoveries > 0 || faults.TransportReconnects > 0 || faults.TransportSendErrors > 0 {
-		fmt.Printf("faults: %d recoveries, %d checkpoint writes, %d transport reconnects, %d send errors\n",
-			faults.Recoveries, faults.CheckpointWrites, faults.TransportReconnects, faults.TransportSendErrors)
+	if faults.Recoveries > 0 || faults.TransportReconnects > 0 || faults.TransportSendErrors > 0 || faults.TransportRecvErrors > 0 {
+		fmt.Printf("faults: %d recoveries, %d checkpoint writes, %d transport reconnects, %d send errors, %d receive errors\n",
+			faults.Recoveries, faults.CheckpointWrites, faults.TransportReconnects, faults.TransportSendErrors, faults.TransportRecvErrors)
 	}
 	if err := obsFlags.WriteOutputs(reg, opLog); err != nil {
 		fatal(err)
@@ -299,12 +300,13 @@ func runElastic(mdl *cliconf.Model, task *cliconf.Task, model *nn.Sequential,
 		faults.CheckpointWrites += rep.Faults.CheckpointWrites
 		faults.TransportReconnects += rep.Faults.TransportReconnects
 		faults.TransportSendErrors += rep.Faults.TransportSendErrors
+		faults.TransportRecvErrors += rep.Faults.TransportRecvErrors
 	}
 	fmt.Printf("elastic: %d rescale(s) over the run, final plan %d worker(s), membership epoch %d\n",
 		rescales, e.Plan().Workers, view.Epoch())
-	if faults.Recoveries > 0 || faults.TransportReconnects > 0 || faults.TransportSendErrors > 0 {
-		fmt.Printf("faults: %d recoveries, %d checkpoint writes, %d transport reconnects, %d send errors\n",
-			faults.Recoveries, faults.CheckpointWrites, faults.TransportReconnects, faults.TransportSendErrors)
+	if faults.Recoveries > 0 || faults.TransportReconnects > 0 || faults.TransportSendErrors > 0 || faults.TransportRecvErrors > 0 {
+		fmt.Printf("faults: %d recoveries, %d checkpoint writes, %d transport reconnects, %d send errors, %d receive errors\n",
+			faults.Recoveries, faults.CheckpointWrites, faults.TransportReconnects, faults.TransportSendErrors, faults.TransportRecvErrors)
 	}
 	if err := obsFlags.WriteOutputs(reg, opLog); err != nil {
 		fatal(err)

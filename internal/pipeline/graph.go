@@ -33,6 +33,10 @@ func (sw *stageWorker) joinPending(mb int) (*tensor.Tensor, []int, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("pipeline: worker %d mb %d: %w", sw.id, mb, err)
 	}
+	// The join copied every part; the per-edge arrivals are finished.
+	for _, part := range parts {
+		sw.recycle(part)
+	}
 	return joined, widths, nil
 }
 
@@ -51,6 +55,9 @@ func (sw *stageWorker) sumPendingGrads(mb int) *tensor.Tensor {
 	sum := pend[srcs[0]].Clone()
 	for _, s := range srcs[1:] {
 		sum.Add(pend[s])
+	}
+	for _, g := range pend {
+		sw.recycle(g)
 	}
 	return sum
 }

@@ -287,9 +287,9 @@ func (r *Report) StageSummary() string {
 		}
 	}
 	f := r.Faults
-	if f.Recoveries > 0 || f.CheckpointWrites > 0 || f.TransportReconnects > 0 || f.TransportSendErrors > 0 {
-		fmt.Fprintf(&b, "faults: %d recoveries, %d checkpoint writes, %d transport reconnects, %d send errors\n",
-			f.Recoveries, f.CheckpointWrites, f.TransportReconnects, f.TransportSendErrors)
+	if f.Recoveries > 0 || f.CheckpointWrites > 0 || f.TransportReconnects > 0 || f.TransportSendErrors > 0 || f.TransportRecvErrors > 0 {
+		fmt.Fprintf(&b, "faults: %d recoveries, %d checkpoint writes, %d transport reconnects, %d send errors, %d receive errors\n",
+			f.Recoveries, f.CheckpointWrites, f.TransportReconnects, f.TransportSendErrors, f.TransportRecvErrors)
 	}
 	for _, rs := range r.Rescales {
 		fmt.Fprintf(&b, "%s\n", rs)

@@ -661,7 +661,7 @@ func (p *Pipeline) CollectModel() *nn.Sequential {
 type stashEntry struct {
 	params     []*tensor.Tensor // weight version used in forward (nil in NoStashing)
 	ctx        *nn.SeqContext   // nil when recomputation is enabled
-	input      *tensor.Tensor   // stage input, kept only for recomputation
+	input      *tensor.Tensor   // stage input: recomputed from, and recycled after backward
 	version    int
 	bytes      int64
 	fwdUpdates int // local optimizer updates at forward time (staleness baseline)
@@ -1022,7 +1022,7 @@ func (sw *stageWorker) forward(m transport.Message, ab *runAbort) error {
 		stashed = nil
 	}
 	y, ctx := sw.model.Forward(m.Tensor, true)
-	entry := stashEntry{params: stashed, ctx: ctx, version: m.Version,
+	entry := stashEntry{params: stashed, ctx: ctx, input: m.Tensor, version: m.Version,
 		bytes: stashBytesOf(stashed, m.Tensor), fwdUpdates: sw.updates,
 		joinWidths: joinWidths}
 	if sw.p.opts.Recompute {
@@ -1030,7 +1030,6 @@ func (sw *stageWorker) forward(m transport.Message, ab *runAbort) error {
 		// forward to rebuild layer contexts (trading compute for the
 		// activation-stash memory, §3.3).
 		entry.ctx = nil
-		entry.input = m.Tensor
 	}
 	sw.stash[m.Minibatch] = entry
 	sw.trackStash(entry.bytes)
@@ -1212,7 +1211,31 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 		sw.pruneVersions()
 	}
 
-	return sendUp()
+	if err := sendUp(); err != nil {
+		return err
+	}
+	// Nothing reads the minibatch's input activation (a layer context
+	// until now) or output gradient again, and the upstream gradient — it
+	// may be a view of the latter — has left. Only single-edge arrivals
+	// reach here: joins recycled theirs, and the input stage's batch and a
+	// sink's loss gradient never crossed the transport.
+	if len(sw.preds) == 1 {
+		sw.recycle(entry.input)
+	}
+	if len(sw.succs) == 1 {
+		sw.recycle(m.Tensor)
+	}
+	return nil
+}
+
+// recycle returns a tensor this worker took off the transport to the
+// tensor pool, once the op that consumed it is finished — the receiver's
+// half of the ownership rule in transport.Transport. On a transport that
+// delivers the sender's pointer it does nothing.
+func (sw *stageWorker) recycle(t *tensor.Tensor) {
+	if transport.ReceiverOwns(sw.p.tr) {
+		tensor.Put(t)
+	}
 }
 
 // roundOf returns the participant count and globally unique key of the
@@ -1411,6 +1434,10 @@ func (sw *stageWorker) exchangeGradients(mb int, grads []*tensor.Tensor, ab *run
 		}
 	}
 	delete(sw.gradExch, round)
+	// Own buffer included: on a transport that copies, no sibling holds it.
+	for _, c := range contribs {
+		sw.recycle(c)
+	}
 	inv := float32(1) / float32(participants)
 	for _, g := range grads {
 		g.Scale(inv)

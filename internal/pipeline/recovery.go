@@ -19,16 +19,18 @@ var ErrWorkerStalled = errors.New("pipeline: worker stalled")
 // FaultStats summarizes the failure-path activity of one Train
 // call: how often the runtime recovered from a detected
 // failure, how many mid-training checkpoints it wrote, and the transport's
-// reconnect/send-error counts (zero unless the transport reports stats).
+// reconnect and send/receive-error counts (zero unless the transport
+// reports stats).
 type FaultStats struct {
 	// Recoveries counts supervised restore-and-resume cycles.
 	Recoveries int
 	// CheckpointWrites counts checkpoint generations written.
 	CheckpointWrites int
-	// TransportReconnects and TransportSendErrors mirror the transport's
-	// cumulative counters for this call's duration.
+	// TransportReconnects, TransportSendErrors and TransportRecvErrors
+	// mirror the transport's cumulative counters for this call's duration.
 	TransportReconnects int64
 	TransportSendErrors int64
+	TransportRecvErrors int64
 }
 
 // runAbort coordinates failure propagation across the workers of one
@@ -250,9 +252,11 @@ func (p *Pipeline) publishFaultStats(rep *Report, recoveries, ckptWrites int) {
 		p.lastStats = cur
 		rep.Faults.TransportReconnects = delta.Reconnects
 		rep.Faults.TransportSendErrors = delta.SendErrors
+		rep.Faults.TransportRecvErrors = delta.RecvErrors
 		if p.opts.Metrics != nil {
 			p.opts.Metrics.Counter("transport.reconnects").Add(delta.Reconnects)
 			p.opts.Metrics.Counter("transport.send_errors").Add(delta.SendErrors)
+			p.opts.Metrics.Counter("transport.recv_errors").Add(delta.RecvErrors)
 		}
 	}
 }
@@ -267,4 +271,5 @@ func (p *Pipeline) registerFaultCounters() {
 	p.opts.Metrics.Counter("pipeline.checkpoint_writes")
 	p.opts.Metrics.Counter("transport.reconnects")
 	p.opts.Metrics.Counter("transport.send_errors")
+	p.opts.Metrics.Counter("transport.recv_errors")
 }

@@ -476,7 +476,7 @@ func TestFaultCountersInMetricsJSON(t *testing.T) {
 	}
 	for _, name := range []string{
 		"pipeline.recoveries", "pipeline.checkpoint_writes",
-		"transport.reconnects", "transport.send_errors",
+		"transport.reconnects", "transport.send_errors", "transport.recv_errors",
 	} {
 		if !strings.Contains(buf.String(), name) {
 			t.Fatalf("metrics JSON missing %q:\n%s", name, buf.String())

@@ -177,6 +177,7 @@ func TestLossesArePureFunctionOfSeedPlanDepth(t *testing.T) {
 		// replica 0, so its windows start on a replica-count boundary.
 		{"2-1-ring", []int{2, 1}, nil, collective.Ring, []int{8, 3}},
 		{"diamond", []int{1, 1, 1, 1}, diamondGraph, collective.Central, []int{7, 4}},
+		{"twohead", []int{1, 1, 1, 1}, twoHeadGraph, collective.Central, []int{7, 4}},
 	} {
 		factory, plan := shapePlan(t, c.replicas, c.graph)
 		ds := data.NewBlobs(23, 3, 4, 8, 11)

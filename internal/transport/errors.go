@@ -28,6 +28,10 @@ type Stats struct {
 	// SendErrors counts individual message writes that failed (each may be
 	// followed by a successful reconnect-and-retry).
 	SendErrors int64
+	// RecvErrors counts inbound connections that ended in a frame that
+	// could not be decoded — truncated by a dying sender, or corrupt.
+	// Nothing of such a frame is delivered.
+	RecvErrors int64
 	// Drops, Delays, Dups, Severed, and Killed count fault injections by a
 	// Chaos wrapper; zero for real transports.
 	Drops   int64
@@ -43,6 +47,7 @@ func (s Stats) Sub(prev Stats) Stats {
 	return Stats{
 		Reconnects: s.Reconnects - prev.Reconnects,
 		SendErrors: s.SendErrors - prev.SendErrors,
+		RecvErrors: s.RecvErrors - prev.RecvErrors,
 		Drops:      s.Drops - prev.Drops,
 		Delays:     s.Delays - prev.Delays,
 		Dups:       s.Dups - prev.Dups,
@@ -56,6 +61,7 @@ func (s Stats) Add(other Stats) Stats {
 	return Stats{
 		Reconnects: s.Reconnects + other.Reconnects,
 		SendErrors: s.SendErrors + other.SendErrors,
+		RecvErrors: s.RecvErrors + other.RecvErrors,
 		Drops:      s.Drops + other.Drops,
 		Delays:     s.Delays + other.Delays,
 		Dups:       s.Dups + other.Dups,
@@ -66,8 +72,8 @@ func (s Stats) Add(other Stats) Stats {
 
 // StatsReporter is implemented by transports that track failure-path
 // counters. The pipeline polls it after each Train/Run call to publish
-// transport.reconnects and transport.send_errors into its metrics
-// registry.
+// transport.reconnects, transport.send_errors and transport.recv_errors
+// into its metrics registry.
 type StatsReporter interface {
 	// Stats returns the cumulative counters.
 	Stats() Stats
@@ -77,6 +83,7 @@ type StatsReporter interface {
 type statsCounters struct {
 	reconnects atomic.Int64
 	sendErrors atomic.Int64
+	recvErrors atomic.Int64
 	drops      atomic.Int64
 	delays     atomic.Int64
 	dups       atomic.Int64
@@ -88,6 +95,7 @@ func (c *statsCounters) snapshot() Stats {
 	return Stats{
 		Reconnects: c.reconnects.Load(),
 		SendErrors: c.sendErrors.Load(),
+		RecvErrors: c.recvErrors.Load(),
 		Drops:      c.drops.Load(),
 		Delays:     c.delays.Load(),
 		Dups:       c.dups.Load(),

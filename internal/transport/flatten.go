@@ -8,18 +8,16 @@ import (
 
 // FlattenTensors concatenates tensors into one flat tensor (for
 // single-message gradient exchange) and UnflattenAdd adds a flat tensor
-// back into a destination slice of the same total size.
+// back into a destination slice of the same total size. The flat tensor
+// comes from the tensor pool; a caller that ends up its only holder may
+// recycle it with tensor.Put.
 func FlattenTensors(ts []*tensor.Tensor) *tensor.Tensor {
 	n := 0
 	for _, t := range ts {
 		n += t.Size()
 	}
-	out := tensor.New(n)
-	off := 0
-	for _, t := range ts {
-		copy(out.Data[off:], t.Data)
-		off += t.Size()
-	}
+	out := tensor.GetRaw(n)
+	FlattenInto(out.Data, ts)
 	return out
 }
 

@@ -3,19 +3,23 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
+	"unsafe"
 
 	"pipedream/internal/tensor"
 )
 
 // Binary activation framing for the socket transports. gob's reflection
 // walk allocated and copied every tensor twice per send (Message →
-// encoder buffer → socket); a frame is built once in a per-connection
-// scratch buffer whose payload section is filled straight from the
-// tensor's storage, and the receive side decodes into pooled tensors.
-// The format is little-endian and versioned by magic:
+// encoder buffer → socket). A frame's header, dims and labels are built in
+// a per-connection buffer; its payload is the tensor's own storage, handed
+// to the kernel beside that buffer in one writev, and the receive side
+// reads it from the socket straight into a pooled tensor's storage. The
+// format is little-endian and versioned by magic:
 //
 //	[0:4)   magic "PDF2"
 //	[4:8)   kind (uint32)
@@ -40,20 +44,41 @@ const (
 	frameMaxLabels = 1 << 24
 )
 
-// frameLen returns the encoded size of m in bytes.
-func frameLen(m Message) int {
-	n := frameHeaderLen + 8*len(m.Labels)
-	if m.Tensor != nil {
-		n += 4*m.Tensor.NumDims() + 4*m.Tensor.Size()
-	}
-	return n
+// hostLittleEndian reports that float32 storage already has the wire's
+// byte order, so payloads cross the codec as bytes. On any other host the
+// scalar loops below convert element by element.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// payloadBytes returns t's storage viewed as bytes.
+func payloadBytes(t *tensor.Tensor) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(t.Data))), 4*len(t.Data))
 }
 
-// appendFrame encodes m into buf (reusing its capacity) and returns the
-// full frame. The payload section is written directly from the tensor's
-// storage; no intermediate encoding buffer exists.
-func appendFrame(buf []byte, m Message) ([]byte, error) {
-	need := frameLen(m)
+// appendFrame encodes m's header, dims and labels into buf (reusing its
+// capacity) and returns the frame as the two byte ranges one writev hands
+// the kernel. With native set (little-endian hosts) payload is the
+// tensor's storage itself: no intermediate encoding buffer exists.
+// Otherwise the elements are converted into buf behind the labels and
+// payload is empty.
+func appendFrame(buf []byte, m Message, native bool) (head, payload []byte, err error) {
+	if len(m.Labels) > frameMaxLabels {
+		return buf, nil, fmt.Errorf("transport: frame %d labels exceeds %d", len(m.Labels), frameMaxLabels)
+	}
+	need := frameHeaderLen + 8*len(m.Labels)
+	if t := m.Tensor; t != nil {
+		if t.NumDims() > frameMaxDims {
+			return buf, nil, fmt.Errorf("transport: frame tensor rank %d exceeds %d", t.NumDims(), frameMaxDims)
+		}
+		if t.Size() > frameMaxElems {
+			return buf, nil, fmt.Errorf("transport: frame tensor %d elems exceeds %d", t.Size(), frameMaxElems)
+		}
+		need += 4 * t.NumDims()
+		if native {
+			payload = payloadBytes(t)
+		} else {
+			need += 4 * t.Size()
+		}
+	}
 	if cap(buf) < need {
 		buf = make([]byte, need)
 	}
@@ -68,114 +93,107 @@ func appendFrame(buf []byte, m Message) ([]byte, error) {
 	le.PutUint32(buf[32:], uint32(int32(m.Chunk.Step)))
 	le.PutUint32(buf[36:], uint32(int32(m.Chunk.Chunk)))
 	le.PutUint32(buf[40:], uint32(len(m.Labels)))
+	le.PutUint32(buf[44:], frameNilTensor)
 	le.PutUint32(buf[48:], uint32(int32(m.Src)))
 	le.PutUint32(buf[52:], uint32(int32(m.Sink)))
 	off := frameHeaderLen
-	if m.Tensor == nil {
-		le.PutUint32(buf[44:], frameNilTensor)
-	} else {
-		t := m.Tensor
-		if t.NumDims() > frameMaxDims {
-			return buf, fmt.Errorf("transport: frame tensor rank %d exceeds %d", t.NumDims(), frameMaxDims)
-		}
-		if t.Size() > frameMaxElems {
-			return buf, fmt.Errorf("transport: frame tensor %d elems exceeds %d", t.Size(), frameMaxElems)
-		}
-		le.PutUint32(buf[44:], uint32(t.NumDims()))
-		for _, d := range t.Shape {
+	if m.Tensor != nil {
+		le.PutUint32(buf[44:], uint32(m.Tensor.NumDims()))
+		for _, d := range m.Tensor.Shape {
 			le.PutUint32(buf[off:], uint32(d))
 			off += 4
 		}
-	}
-	if len(m.Labels) > frameMaxLabels {
-		return buf, fmt.Errorf("transport: frame %d labels exceeds %d", len(m.Labels), frameMaxLabels)
 	}
 	for _, l := range m.Labels {
 		le.PutUint64(buf[off:], uint64(int64(l)))
 		off += 8
 	}
-	if m.Tensor != nil {
+	if m.Tensor != nil && !native {
 		for _, v := range m.Tensor.Data {
 			le.PutUint32(buf[off:], math.Float32bits(v))
 			off += 4
 		}
 	}
-	return buf, nil
+	return buf, payload, nil
 }
 
 // readFrame decodes one frame from r. scratch is the caller's reusable
-// byte buffer (grown as needed and returned for the next call); the
-// decoded tensor comes from the global tensor pool, so receivers that
-// finish with a message may recycle it with tensor.Put.
-func readFrame(r io.Reader, scratch []byte) (Message, []byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// byte buffer for the header, dims and labels (grown as needed and
+// returned for the next call). The payload is read from r directly into
+// the storage of a tensor from the global pool — with native unset its
+// elements are then converted in place — which the receiver owns and
+// recycles with tensor.Put when done. On any error nothing is delivered
+// and a partly filled tensor goes back to the pool; only a stream that
+// ends between frames returns io.EOF itself.
+func readFrame(r io.Reader, scratch []byte, native bool) (Message, []byte, error) {
+	if err := readInto(r, &scratch, frameHeaderLen); err != nil {
 		return Message{}, scratch, err
 	}
 	le := binary.LittleEndian
-	if le.Uint32(hdr[0:]) != frameMagic {
-		return Message{}, scratch, fmt.Errorf("transport: bad frame magic %#x", le.Uint32(hdr[0:]))
+	if le.Uint32(scratch[0:]) != frameMagic {
+		return Message{}, scratch, fmt.Errorf("transport: bad frame magic %#x", le.Uint32(scratch[0:]))
 	}
 	m := Message{
-		Kind:      MsgKind(le.Uint32(hdr[4:])),
-		Minibatch: int(int64(le.Uint64(hdr[8:]))),
-		Version:   int(int64(le.Uint64(hdr[16:]))),
+		Kind:      MsgKind(le.Uint32(scratch[4:])),
+		Minibatch: int(int64(le.Uint64(scratch[8:]))),
+		Version:   int(int64(le.Uint64(scratch[16:]))),
 		Chunk: ChunkInfo{
-			Bucket: int(int32(le.Uint32(hdr[24:]))),
-			Phase:  int(int32(le.Uint32(hdr[28:]))),
-			Step:   int(int32(le.Uint32(hdr[32:]))),
-			Chunk:  int(int32(le.Uint32(hdr[36:]))),
+			Bucket: int(int32(le.Uint32(scratch[24:]))),
+			Phase:  int(int32(le.Uint32(scratch[28:]))),
+			Step:   int(int32(le.Uint32(scratch[32:]))),
+			Chunk:  int(int32(le.Uint32(scratch[36:]))),
 		},
-		Src:  int(int32(le.Uint32(hdr[48:]))),
-		Sink: int(int32(le.Uint32(hdr[52:]))),
+		Src:  int(int32(le.Uint32(scratch[48:]))),
+		Sink: int(int32(le.Uint32(scratch[52:]))),
 	}
-	nLabels := le.Uint32(hdr[40:])
-	rank := le.Uint32(hdr[44:])
+	nLabels := int(le.Uint32(scratch[40:]))
+	rank := le.Uint32(scratch[44:])
 	if nLabels > frameMaxLabels {
 		return Message{}, scratch, fmt.Errorf("transport: frame %d labels exceeds %d", nLabels, frameMaxLabels)
 	}
-	if rank != frameNilTensor && rank > frameMaxDims {
+	hasTensor := rank != frameNilTensor
+	if !hasTensor {
+		rank = 0
+	}
+	if rank > frameMaxDims {
 		return Message{}, scratch, fmt.Errorf("transport: frame tensor rank %d exceeds %d", rank, frameMaxDims)
 	}
-	var shape []int
+	if err := readInto(r, &scratch, 4*int(rank)+8*nLabels); err != nil {
+		return Message{}, scratch, fmt.Errorf("transport: truncated frame: %w", err)
+	}
+	var dims [frameMaxDims]int
+	shape := dims[:rank]
 	elems := 1
-	if rank == frameNilTensor {
-		elems = 0
-	} else {
-		shape = make([]int, rank)
-		if _, err := readInto(r, &scratch, 4*int(rank)); err != nil {
-			return Message{}, scratch, err
+	for i := range shape {
+		d := le.Uint32(scratch[4*i:])
+		if d > frameMaxElems {
+			return Message{}, scratch, fmt.Errorf("transport: frame dim %d out of range", d)
 		}
-		for i := range shape {
-			d := le.Uint32(scratch[4*i:])
-			if d > frameMaxElems {
-				return Message{}, scratch, fmt.Errorf("transport: frame dim %d out of range", d)
-			}
-			shape[i] = int(d)
-			elems *= int(d)
-			if elems > frameMaxElems {
-				return Message{}, scratch, fmt.Errorf("transport: frame tensor %v exceeds %d elems", shape, frameMaxElems)
-			}
+		shape[i] = int(d)
+		if elems *= int(d); elems > frameMaxElems {
+			return Message{}, scratch, fmt.Errorf("transport: frame tensor exceeds %d elems", frameMaxElems)
 		}
 	}
 	if nLabels > 0 {
-		if _, err := readInto(r, &scratch, 8*int(nLabels)); err != nil {
-			return Message{}, scratch, err
-		}
 		m.Labels = make([]int, nLabels)
 		for i := range m.Labels {
-			m.Labels[i] = int(int64(le.Uint64(scratch[8*i:])))
+			m.Labels[i] = int(int64(le.Uint64(scratch[4*len(shape)+8*i:])))
 		}
 	}
-	if rank != frameNilTensor {
-		if _, err := readInto(r, &scratch, 4*elems); err != nil {
-			return Message{}, scratch, err
-		}
-		// Pooled, not fresh: steady-state receive loops cycle activation
-		// tensors through the pool instead of allocating per message.
+	if hasTensor {
+		// Pooled, not fresh: a receiver that recycles what it consumed
+		// turns this into a free-list hit instead of a payload-sized
+		// allocation.
 		t := tensor.GetRaw(shape...)
-		for i := range t.Data {
-			t.Data[i] = math.Float32frombits(le.Uint32(scratch[4*i:]))
+		b := payloadBytes(t)
+		if _, err := io.ReadFull(r, b); err != nil {
+			tensor.Put(t)
+			return Message{}, scratch, fmt.Errorf("transport: truncated frame: %w", err)
+		}
+		if !native {
+			for i := range t.Data {
+				t.Data[i] = math.Float32frombits(le.Uint32(b[4*i:]))
+			}
 		}
 		m.Tensor = t
 	}
@@ -184,29 +202,35 @@ func readFrame(r io.Reader, scratch []byte) (Message, []byte, error) {
 
 // readInto fills the first n bytes of *scratch from r, growing the
 // buffer when needed.
-func readInto(r io.Reader, scratch *[]byte, n int) (int, error) {
+func readInto(r io.Reader, scratch *[]byte, n int) error {
 	if cap(*scratch) < n {
 		*scratch = make([]byte, n)
 	}
 	*scratch = (*scratch)[:n]
-	return io.ReadFull(r, *scratch)
+	_, err := io.ReadFull(r, *scratch)
+	return err
 }
 
 // frameReadLoop drains one connection, decoding frames into inbox until
-// the connection or transport closes.
-func frameReadLoop(conn io.Reader, inbox chan<- Message, closed <-chan struct{}) {
+// the connection or transport closes. It returns nil when the peer hung
+// up between frames or this endpoint closed the connection, and otherwise
+// the decode error of the truncated or corrupt frame that ended it.
+func frameReadLoop(conn io.Reader, inbox chan<- Message, closed <-chan struct{}) error {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var scratch []byte
 	for {
-		m, s, err := readFrame(br, scratch)
+		m, s, err := readFrame(br, scratch, hostLittleEndian)
 		if err != nil {
-			return
+			if err == io.EOF || errors.Is(err, net.ErrClosed) {
+				return nil
+			}
+			return err
 		}
 		scratch = s
 		select {
 		case inbox <- m:
 		case <-closed:
-			return
+			return nil
 		}
 	}
 }

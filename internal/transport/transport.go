@@ -2,9 +2,10 @@
 // workers. Two implementations share one interface: an in-process channel
 // transport (the common case: workers are goroutines) and a TCP transport
 // that serializes messages as binary frames over real sockets (see
-// frame.go: payloads are written straight from tensor storage and
-// received into pooled tensors), hosting either every worker of the plan
-// in one process or, in multi-process deployments, only this process's.
+// frame.go: payloads go to the kernel straight from tensor storage and
+// are read straight into pooled tensors), hosting either every worker of
+// the plan in one process or, in multi-process deployments, only this
+// process's.
 // A third, Chaos, wraps either with deterministic fault injection for
 // testing the pipeline's failure paths.
 //
@@ -124,6 +125,16 @@ type Message struct {
 }
 
 // Transport delivers messages to per-worker inboxes.
+//
+// Who owns Message.Tensor is a property of the transport, stated by
+// ReceiverOwns. A serializing transport (TCP) copies the tensor's bytes
+// before Send returns, so the sender keeps its tensor and may overwrite it
+// at once, and the receiver gets a private tensor from the tensor pool
+// that it recycles with tensor.Put when done. An in-process transport
+// (Channels) delivers the sender's pointer: the tensor is shared,
+// read-only on both sides, and never recycled — except where sender and
+// receiver agree a hand-over, as collective.RingReducer does for GradChunk
+// payloads and internal/serve for its inter-stage copies.
 type Transport interface {
 	// Send delivers m to worker `to`'s inbox. It may block if the
 	// receiver's inbox is full (providing natural backpressure). A
@@ -210,6 +221,16 @@ func Local(tr Transport, w int) bool {
 	return true
 }
 
+// ReceiverOwns reports whether every tensor taken from tr's inboxes is a
+// private pooled copy that its receiver must hand to tensor.Put once done
+// (see Transport). Transports say so through a ReceiverOwns method, which
+// a wrapper forwards as Chaos does; one without it delivers shared
+// pointers.
+func ReceiverOwns(tr Transport) bool {
+	p, ok := tr.(interface{ ReceiverOwns() bool })
+	return ok && p.ReceiverOwns()
+}
+
 // Default deadlines of the TCP transport. Each instance copies them at
 // construction so tests can shorten its own copies without races.
 const (
@@ -261,14 +282,19 @@ type TCP struct {
 	noInbox chan Message
 }
 
-// frameConn is one outbound socket plus its reusable frame buffer: each
-// send encodes the whole message into the buffer (payload bytes written
-// straight from the tensor's storage) and writes it with a single
-// syscall, so the steady state allocates nothing per message.
+// frameConn is one outbound socket plus its reusable header buffer: each
+// send encodes the message's header, dims and labels into the buffer and
+// hands it to the kernel together with the tensor's own storage in a
+// single writev, so the steady state neither copies the payload in user
+// space nor allocates per message.
 type frameConn struct {
 	mu   sync.Mutex
 	conn net.Conn
 	buf  []byte
+	// vec is the writev argument, a field because WriteTo consumes the
+	// slice it is called on (and a local would escape to the heap).
+	vec   net.Buffers
+	parts [2][]byte
 }
 
 // send writes one message under the connection's buffer lock, bounded by
@@ -276,8 +302,8 @@ type frameConn struct {
 func (fc *frameConn) send(m Message, timeout time.Duration) error {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	buf, err := appendFrame(fc.buf, m)
-	fc.buf = buf
+	head, payload, err := appendFrame(fc.buf, m, hostLittleEndian)
+	fc.buf = head
 	if err != nil {
 		return err
 	}
@@ -285,7 +311,10 @@ func (fc *frameConn) send(m Message, timeout time.Duration) error {
 		fc.conn.SetWriteDeadline(time.Now().Add(timeout))
 		defer fc.conn.SetWriteDeadline(time.Time{})
 	}
-	_, err = fc.conn.Write(buf)
+	fc.parts = [2][]byte{head, payload}
+	fc.vec = fc.parts[:]
+	_, err = fc.vec.WriteTo(fc.conn)
+	fc.parts[1] = nil // do not pin the sender's tensor until the next send
 	return err
 }
 
@@ -344,6 +373,10 @@ func (t *TCP) Addr(w int) string { return t.addrs[w] }
 // process.
 func (t *TCP) Local(w int) bool { return w >= 0 && w < len(t.inboxes) && t.inboxes[w] != nil }
 
+// ReceiverOwns reports that received tensors are private pooled copies
+// decoded off a socket (see Transport).
+func (t *TCP) ReceiverOwns() bool { return true }
+
 func (t *TCP) acceptLoop(ln net.Listener, inbox chan<- Message) {
 	defer t.wg.Done()
 	for {
@@ -366,7 +399,9 @@ func (t *TCP) acceptLoop(ln net.Listener, inbox chan<- Message) {
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
-			frameReadLoop(conn, inbox, t.ctx.Done())
+			if frameReadLoop(conn, inbox, t.ctx.Done()) != nil {
+				t.stats.recvErrors.Add(1)
+			}
 			t.mu.Lock()
 			delete(t.accepted, conn)
 			t.mu.Unlock()

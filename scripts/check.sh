@@ -37,8 +37,8 @@ go test -run '^$' -fuzz '^FuzzManifestParse$' -fuzztime=10s ./internal/checkpoin
 go test -run '^$' -fuzz '^FuzzPlanJSON$' -fuzztime=10s ./internal/partition/
 go test -run '^$' -fuzz '^FuzzInferRequest$' -fuzztime=10s ./cmd/pipedream-serve/
 
-echo "== alloc budgets (allocs/op vs scripts/alloc_budget.txt)"
-ALLOC_OUT=$(go test -run '^$' -bench '^(BenchmarkLSTMForwardBackward|BenchmarkPipelineRuntimeEpoch|BenchmarkGradSync|BenchmarkServeDynamic)$' \
+echo "== alloc budgets (allocs/op vs scripts/alloc_budget.txt, on one core like the budgets)"
+ALLOC_OUT=$(GOMAXPROCS=1 go test -run '^$' -bench '^(BenchmarkLSTMForwardBackward|BenchmarkPipelineRuntimeEpoch|BenchmarkGradSync|BenchmarkServeDynamic)$' \
     -benchmem -benchtime 10x .)
 echo "$ALLOC_OUT"
 OVER=$(echo "$ALLOC_OUT" | awk '
