@@ -13,8 +13,10 @@ import (
 // activation into the row panel right after it is accumulated — the
 // row is still cache-hot — and writes into a caller-owned destination.
 //
-// Bit-identity: the accumulation loop is the exact same code path as
-// MatMulInto (shared via matmulRowPanel), and the epilogue applies
+// Bit-identity: the accumulation is the exact same code path as
+// MatMulInto (shared via matmulRowPanel, below which the host's vector
+// kernel and the portable loop split the row's columns — see the kernel
+// contract in matmul.go), and the scalar epilogue applies
 // act(acc + bias) per element in index order — the same float32
 // operations in the same order as MatMulInto + AddRowVector +
 // Apply(act), so fused and unfused results are bit-identical at every

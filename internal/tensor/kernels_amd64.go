@@ -1,0 +1,64 @@
+package tensor
+
+// The amd64 side of the kernel contract (see matmul.go): when the CPU
+// and the OS support AVX2, the leading columns of every product — the
+// largest multiple of four — are computed by the micro-kernels in
+// kernels_amd64.s, and the portable loops finish the rest.
+
+// useAVX2 is decided once, from CPUID and XGETBV, when the package is
+// initialised; nothing else selects a kernel.
+var useAVX2 = hasAVX2()
+
+//go:noescape
+func hasAVX2() bool
+
+//go:noescape
+func rowPanelAVX2(c, a, b *float32, k, n, cols int)
+
+//go:noescape
+func transARowAVX2(c, a, b *float32, k, m, n, cols int)
+
+//go:noescape
+func transBRowAVX2(c, a, b *float32, k, cols int)
+
+// vectorCols is how many leading output columns of an n-column product
+// with inner dimension k the micro-kernels take. Zero whenever an
+// operand could be empty, so no kernel is handed &x[0] of an empty slice.
+func vectorCols(k, n int) int {
+	if !useAVX2 || k == 0 {
+		return 0
+	}
+	return n &^ 3
+}
+
+// rowPanelVec computes the leading columns of crow = arow·B and returns
+// how many it computed.
+func rowPanelVec(crow, arow, bd []float32, k, n int) int {
+	cols := vectorCols(k, n)
+	if cols > 0 {
+		rowPanelAVX2(&crow[0], &arow[0], &bd[0], k, n, cols)
+	}
+	return cols
+}
+
+// transAPanelVec computes the leading columns of rows [lo,hi) of
+// C = Aᵀ·B and returns how many it computed.
+func transAPanelVec(cd, ad, bd []float32, m, k, n, lo, hi int) int {
+	cols := vectorCols(k, n)
+	if cols > 0 {
+		for i := lo; i < hi; i++ {
+			transARowAVX2(&cd[i*n], &ad[i], &bd[0], k, m, n, cols)
+		}
+	}
+	return cols
+}
+
+// transBRowVec computes the leading columns of crow = arow·Bᵀ and
+// returns how many it computed.
+func transBRowVec(crow, arow, bd []float32, k, n int) int {
+	cols := vectorCols(k, n)
+	if cols > 0 {
+		transBRowAVX2(&crow[0], &arow[0], &bd[0], k, cols)
+	}
+	return cols
+}

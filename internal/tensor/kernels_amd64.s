@@ -1,0 +1,544 @@
+#include "textflag.h"
+
+// AVX2 micro-kernels under the three matrix products. Each vectorises
+// across output columns (or, for A·Bᵀ, across the four strided partial
+// sums of one dot product) and keeps its accumulators in registers for
+// the whole k loop. Multiplies and adds are separate instructions
+// issued in exactly the association order of the portable loops in
+// matmul.go, so every lane computes what the scalar code computes:
+// no FMA, no reassociation, bit-identical results.
+
+// func hasAVX2() bool
+// CPUID leaf 1 must report OSXSAVE and AVX, XCR0 must have the XMM and
+// YMM state enabled by the OS, and CPUID leaf 7 must report AVX2.
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JLT  probed
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  probed
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  probed
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	SHRL $5, BX
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
+probed:
+	RET
+
+// One 8-term group of the row panel for the column vector at byte
+// offset d: acc += ((((((a0·b0 + a1·b1) + a2·b2) + a3·b3) + a4·b4) +
+// a5·b5) + a6·b6) + a7·b7. BX and R11 address B rows p and p+4, R8 is
+// the row stride in bytes, R12 three times that; the eight broadcast A
+// coefficients sit in registers 8..15.
+#define ROW_GROUP8_Y(d, acc) \
+	VMULPS d(BX), Y8, Y4; \
+	VMULPS d(BX)(R8*1), Y9, Y5; \
+	VADDPS Y5, Y4, Y4; \
+	VMULPS d(BX)(R8*2), Y10, Y5; \
+	VADDPS Y5, Y4, Y4; \
+	VMULPS d(BX)(R12*1), Y11, Y5; \
+	VADDPS Y5, Y4, Y4; \
+	VMULPS d(R11), Y12, Y5; \
+	VADDPS Y5, Y4, Y4; \
+	VMULPS d(R11)(R8*1), Y13, Y5; \
+	VADDPS Y5, Y4, Y4; \
+	VMULPS d(R11)(R8*2), Y14, Y5; \
+	VADDPS Y5, Y4, Y4; \
+	VMULPS d(R11)(R12*1), Y15, Y5; \
+	VADDPS Y5, Y4, Y4; \
+	VADDPS Y4, acc, acc
+
+#define ROW_GROUP8_X(acc) \
+	VMULPS (BX), X8, X4; \
+	VMULPS (BX)(R8*1), X9, X5; \
+	VADDPS X5, X4, X4; \
+	VMULPS (BX)(R8*2), X10, X5; \
+	VADDPS X5, X4, X4; \
+	VMULPS (BX)(R12*1), X11, X5; \
+	VADDPS X5, X4, X4; \
+	VMULPS (R11), X12, X5; \
+	VADDPS X5, X4, X4; \
+	VMULPS (R11)(R8*1), X13, X5; \
+	VADDPS X5, X4, X4; \
+	VMULPS (R11)(R8*2), X14, X5; \
+	VADDPS X5, X4, X4; \
+	VMULPS (R11)(R12*1), X15, X5; \
+	VADDPS X5, X4, X4; \
+	VADDPS X4, acc, acc
+
+#define ROW_BROADCAST8 \
+	VBROADCASTSS 0(AX), Y8; \
+	VBROADCASTSS 4(AX), Y9; \
+	VBROADCASTSS 8(AX), Y10; \
+	VBROADCASTSS 12(AX), Y11; \
+	VBROADCASTSS 16(AX), Y12; \
+	VBROADCASTSS 20(AX), Y13; \
+	VBROADCASTSS 24(AX), Y14; \
+	VBROADCASTSS 28(AX), Y15; \
+	LEAQ (BX)(R8*4), R11
+
+// func rowPanelAVX2(c, a, b *float32, k, n, cols int)
+// c[j] = Σp a[p]·b[p*n+j] for j in [0,cols) in matmulRowPanel's order:
+// groups of eight k-steps, then single steps. cols is a multiple of 4
+// and k > 0. Column blocks of 32, 8 and 4 lanes.
+TEXT ·rowPanelAVX2(SB), NOSPLIT, $0-48
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ k+24(FP), CX
+	MOVQ n+32(FP), R8
+	MOVQ cols+40(FP), R9
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R12
+	LEAQ 0(R8*8), R13
+
+row32:
+	CMPQ   R9, $32
+	JLT    row8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ   SI, AX
+	MOVQ   DX, BX
+	MOVQ   CX, R10
+
+row32k8:
+	CMPQ R10, $8
+	JLT  row32k1
+	ROW_BROADCAST8
+	ROW_GROUP8_Y(0, Y0)
+	ROW_GROUP8_Y(32, Y1)
+	ROW_GROUP8_Y(64, Y2)
+	ROW_GROUP8_Y(96, Y3)
+	ADDQ $32, AX
+	ADDQ R13, BX
+	SUBQ $8, R10
+	JMP  row32k8
+
+row32k1:
+	TESTQ        R10, R10
+	JZ           row32store
+	VBROADCASTSS (AX), Y8
+	VMULPS       0(BX), Y8, Y4
+	VADDPS       Y4, Y0, Y0
+	VMULPS       32(BX), Y8, Y5
+	VADDPS       Y5, Y1, Y1
+	VMULPS       64(BX), Y8, Y6
+	VADDPS       Y6, Y2, Y2
+	VMULPS       96(BX), Y8, Y7
+	VADDPS       Y7, Y3, Y3
+	ADDQ         $4, AX
+	ADDQ         R8, BX
+	DECQ         R10
+	JMP          row32k1
+
+row32store:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, DX
+	SUBQ    $32, R9
+	JMP     row32
+
+row8:
+	CMPQ   R9, $8
+	JLT    row4
+	VXORPS Y0, Y0, Y0
+	MOVQ   SI, AX
+	MOVQ   DX, BX
+	MOVQ   CX, R10
+
+row8k8:
+	CMPQ R10, $8
+	JLT  row8k1
+	ROW_BROADCAST8
+	ROW_GROUP8_Y(0, Y0)
+	ADDQ $32, AX
+	ADDQ R13, BX
+	SUBQ $8, R10
+	JMP  row8k8
+
+row8k1:
+	TESTQ        R10, R10
+	JZ           row8store
+	VBROADCASTSS (AX), Y8
+	VMULPS       (BX), Y8, Y4
+	VADDPS       Y4, Y0, Y0
+	ADDQ         $4, AX
+	ADDQ         R8, BX
+	DECQ         R10
+	JMP          row8k1
+
+row8store:
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, DX
+	SUBQ    $8, R9
+	JMP     row8
+
+row4:
+	CMPQ   R9, $4
+	JLT    rowdone
+	VXORPS X0, X0, X0
+	MOVQ   SI, AX
+	MOVQ   DX, BX
+	MOVQ   CX, R10
+
+row4k8:
+	CMPQ R10, $8
+	JLT  row4k1
+	ROW_BROADCAST8
+	ROW_GROUP8_X(X0)
+	ADDQ $32, AX
+	ADDQ R13, BX
+	SUBQ $8, R10
+	JMP  row4k8
+
+row4k1:
+	TESTQ        R10, R10
+	JZ           row4store
+	VBROADCASTSS (AX), X8
+	VMULPS       (BX), X8, X4
+	VADDPS       X4, X0, X0
+	ADDQ         $4, AX
+	ADDQ         R8, BX
+	DECQ         R10
+	JMP          row4k1
+
+row4store:
+	VMOVUPS X0, (DI)
+
+rowdone:
+	VZEROUPPER
+	RET
+
+// One 4-term group of Aᵀ·B for the column vector at byte offset d:
+// acc += ((a0·b0 + a1·b1) + a2·b2) + a3·b3, the four broadcast A
+// coefficients in registers 8..11.
+#define TRANSA_GROUP4_Y(d, acc) \
+	VMULPS d(BX), Y8, Y4; \
+	VMULPS d(BX)(R8*1), Y9, Y5; \
+	VADDPS Y5, Y4, Y4; \
+	VMULPS d(BX)(R8*2), Y10, Y5; \
+	VADDPS Y5, Y4, Y4; \
+	VMULPS d(BX)(R12*1), Y11, Y5; \
+	VADDPS Y5, Y4, Y4; \
+	VADDPS Y4, acc, acc
+
+#define TRANSA_GROUP4_X(acc) \
+	VMULPS (BX), X8, X4; \
+	VMULPS (BX)(R8*1), X9, X5; \
+	VADDPS X5, X4, X4; \
+	VMULPS (BX)(R8*2), X10, X5; \
+	VADDPS X5, X4, X4; \
+	VMULPS (BX)(R12*1), X11, X5; \
+	VADDPS X5, X4, X4; \
+	VADDPS X4, acc, acc
+
+// A is walked down one column: consecutive coefficients are R11 bytes
+// apart (R13 is three times that).
+#define TRANSA_BROADCAST4 \
+	VBROADCASTSS (AX), Y8; \
+	VBROADCASTSS (AX)(R11*1), Y9; \
+	VBROADCASTSS (AX)(R11*2), Y10; \
+	VBROADCASTSS (AX)(R13*1), Y11
+
+#define TRANSA_ADVANCE4 \
+	LEAQ (AX)(R11*4), AX; \
+	LEAQ (BX)(R8*4), BX; \
+	SUBQ $4, R10
+
+// func transARowAVX2(c, a, b *float32, k, m, n, cols int)
+// c[j] = Σp a[p*m]·b[p*n+j] for j in [0,cols) — one output row of
+// Aᵀ·B — in MatMulTransAInto's order: groups of four k-steps, then
+// single steps. cols is a multiple of 4 and k > 0.
+TEXT ·transARowAVX2(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ k+24(FP), CX
+	MOVQ m+32(FP), R11
+	MOVQ n+40(FP), R8
+	MOVQ cols+48(FP), R9
+	SHLQ $2, R8
+	SHLQ $2, R11
+	LEAQ (R8)(R8*2), R12
+	LEAQ (R11)(R11*2), R13
+
+ta32:
+	CMPQ   R9, $32
+	JLT    ta8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ   SI, AX
+	MOVQ   DX, BX
+	MOVQ   CX, R10
+
+ta32k4:
+	CMPQ R10, $4
+	JLT  ta32k1
+	TRANSA_BROADCAST4
+	TRANSA_GROUP4_Y(0, Y0)
+	TRANSA_GROUP4_Y(32, Y1)
+	TRANSA_GROUP4_Y(64, Y2)
+	TRANSA_GROUP4_Y(96, Y3)
+	TRANSA_ADVANCE4
+	JMP  ta32k4
+
+ta32k1:
+	TESTQ        R10, R10
+	JZ           ta32store
+	VBROADCASTSS (AX), Y8
+	VMULPS       0(BX), Y8, Y4
+	VADDPS       Y4, Y0, Y0
+	VMULPS       32(BX), Y8, Y5
+	VADDPS       Y5, Y1, Y1
+	VMULPS       64(BX), Y8, Y6
+	VADDPS       Y6, Y2, Y2
+	VMULPS       96(BX), Y8, Y7
+	VADDPS       Y7, Y3, Y3
+	ADDQ         R11, AX
+	ADDQ         R8, BX
+	DECQ         R10
+	JMP          ta32k1
+
+ta32store:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, DX
+	SUBQ    $32, R9
+	JMP     ta32
+
+ta8:
+	CMPQ   R9, $8
+	JLT    ta4
+	VXORPS Y0, Y0, Y0
+	MOVQ   SI, AX
+	MOVQ   DX, BX
+	MOVQ   CX, R10
+
+ta8k4:
+	CMPQ R10, $4
+	JLT  ta8k1
+	TRANSA_BROADCAST4
+	TRANSA_GROUP4_Y(0, Y0)
+	TRANSA_ADVANCE4
+	JMP  ta8k4
+
+ta8k1:
+	TESTQ        R10, R10
+	JZ           ta8store
+	VBROADCASTSS (AX), Y8
+	VMULPS       (BX), Y8, Y4
+	VADDPS       Y4, Y0, Y0
+	ADDQ         R11, AX
+	ADDQ         R8, BX
+	DECQ         R10
+	JMP          ta8k1
+
+ta8store:
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, DX
+	SUBQ    $8, R9
+	JMP     ta8
+
+ta4:
+	CMPQ   R9, $4
+	JLT    tadone
+	VXORPS X0, X0, X0
+	MOVQ   SI, AX
+	MOVQ   DX, BX
+	MOVQ   CX, R10
+
+ta4k4:
+	CMPQ R10, $4
+	JLT  ta4k1
+	TRANSA_BROADCAST4
+	TRANSA_GROUP4_X(X0)
+	TRANSA_ADVANCE4
+	JMP  ta4k4
+
+ta4k1:
+	TESTQ        R10, R10
+	JZ           ta4store
+	VBROADCASTSS (AX), X8
+	VMULPS       (BX), X8, X4
+	VADDPS       X4, X0, X0
+	ADDQ         R11, AX
+	ADDQ         R8, BX
+	DECQ         R10
+	JMP          ta4k1
+
+ta4store:
+	VMOVUPS X0, (DI)
+
+tadone:
+	VZEROUPPER
+	RET
+
+// One 4-step group of four dot products of A·Bᵀ: lane l of each
+// accumulator is that column's strided partial sum s_l, so
+// acc_j += a[p:p+4] · b_j[p:p+4] lane by lane. base addresses B rows
+// j..j+3 (R8 is the row stride in bytes, R12 three times that).
+#define TRANSB_GROUP4(base, acc0, acc1, acc2, acc3) \
+	VMULPS (base), X8, X9; \
+	VADDPS X9, acc0, acc0; \
+	VMULPS (base)(R8*1), X8, X10; \
+	VADDPS X10, acc1, acc1; \
+	VMULPS (base)(R8*2), X8, X11; \
+	VADDPS X11, acc2, acc2; \
+	VMULPS (base)(R12*1), X8, X12; \
+	VADDPS X12, acc3, acc3
+
+// Transposes the four accumulators so that lanes become columns, then
+// out = ((s0 + s1) + s2) + s3 for four columns at once.
+#define TRANSB_REDUCE4(acc0, acc1, acc2, acc3, out) \
+	VUNPCKLPS acc1, acc0, X9; \
+	VUNPCKHPS acc1, acc0, X10; \
+	VUNPCKLPS acc3, acc2, X11; \
+	VUNPCKHPS acc3, acc2, X12; \
+	VUNPCKLPD X11, X9, out; \
+	VUNPCKHPD X11, X9, X13; \
+	VADDPS    X13, out, out; \
+	VUNPCKLPD X12, X10, X13; \
+	VADDPS    X13, out, out; \
+	VUNPCKHPD X12, X10, X13; \
+	VADDPS    X13, out, out
+
+// One tail step for four columns: out += a[p] · (b_j[p], …, b_j+3[p]).
+#define TRANSB_TAIL1(base, out) \
+	VMOVSS    (base), X9; \
+	VINSERTPS $0x10, (base)(R8*1), X9, X9; \
+	VINSERTPS $0x20, (base)(R8*2), X9, X9; \
+	VINSERTPS $0x30, (base)(R12*1), X9, X9; \
+	VMULPS    X9, X8, X9; \
+	VADDPS    X9, out, out
+
+// func transBRowAVX2(c, a, b *float32, k, cols int)
+// c[j] = Σp a[p]·b[j*k+p] for j in [0,cols) — one output row of A·Bᵀ —
+// in MatMulTransBInto's order: four strided partial sums over the
+// groups of four k-steps, ((s0+s1)+s2)+s3, then single steps. cols is a
+// multiple of 4 and k > 0. Column blocks of 8 and 4 dot products.
+TEXT ·transBRowAVX2(SB), NOSPLIT, $0-40
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ k+24(FP), CX
+	MOVQ cols+32(FP), R9
+	LEAQ 0(CX*4), R8
+	LEAQ (R8)(R8*2), R12
+	LEAQ 0(R8*8), R13
+
+tb8:
+	CMPQ   R9, $8
+	JLT    tb4
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
+	VXORPS X4, X4, X4
+	VXORPS X5, X5, X5
+	VXORPS X6, X6, X6
+	VXORPS X7, X7, X7
+	MOVQ   SI, AX
+	MOVQ   DX, BX
+	LEAQ   (DX)(R8*4), R11
+	MOVQ   CX, R10
+
+tb8k4:
+	CMPQ    R10, $4
+	JLT     tb8reduce
+	VMOVUPS (AX), X8
+	TRANSB_GROUP4(BX, X0, X1, X2, X3)
+	TRANSB_GROUP4(R11, X4, X5, X6, X7)
+	ADDQ    $16, AX
+	ADDQ    $16, BX
+	ADDQ    $16, R11
+	SUBQ    $4, R10
+	JMP     tb8k4
+
+tb8reduce:
+	TRANSB_REDUCE4(X0, X1, X2, X3, X14)
+	TRANSB_REDUCE4(X4, X5, X6, X7, X15)
+
+tb8k1:
+	TESTQ        R10, R10
+	JZ           tb8store
+	VBROADCASTSS (AX), X8
+	TRANSB_TAIL1(BX, X14)
+	TRANSB_TAIL1(R11, X15)
+	ADDQ         $4, AX
+	ADDQ         $4, BX
+	ADDQ         $4, R11
+	DECQ         R10
+	JMP          tb8k1
+
+tb8store:
+	VMOVUPS X14, 0(DI)
+	VMOVUPS X15, 16(DI)
+	ADDQ    $32, DI
+	ADDQ    R13, DX
+	SUBQ    $8, R9
+	JMP     tb8
+
+tb4:
+	CMPQ   R9, $4
+	JLT    tbdone
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
+	MOVQ   SI, AX
+	MOVQ   DX, BX
+	MOVQ   CX, R10
+
+tb4k4:
+	CMPQ    R10, $4
+	JLT     tb4reduce
+	VMOVUPS (AX), X8
+	TRANSB_GROUP4(BX, X0, X1, X2, X3)
+	ADDQ    $16, AX
+	ADDQ    $16, BX
+	SUBQ    $4, R10
+	JMP     tb4k4
+
+tb4reduce:
+	TRANSB_REDUCE4(X0, X1, X2, X3, X14)
+
+tb4k1:
+	TESTQ        R10, R10
+	JZ           tb4store
+	VBROADCASTSS (AX), X8
+	TRANSB_TAIL1(BX, X14)
+	ADDQ         $4, AX
+	ADDQ         $4, BX
+	DECQ         R10
+	JMP          tb4k1
+
+tb4store:
+	VMOVUPS X14, (DI)
+
+tbdone:
+	VZEROUPPER
+	RET

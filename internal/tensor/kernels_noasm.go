@@ -1,0 +1,12 @@
+//go:build !amd64
+
+package tensor
+
+// Hosts without micro-kernels: the vector side computes no columns and
+// the portable loops in matmul.go are the only implementation.
+
+func rowPanelVec(crow, arow, bd []float32, k, n int) int { return 0 }
+
+func transAPanelVec(cd, ad, bd []float32, m, k, n, lo, hi int) int { return 0 }
+
+func transBRowVec(crow, arow, bd []float32, k, n int) int { return 0 }

@@ -9,6 +9,20 @@ import "fmt"
 // for cache friendliness. Per-row accumulation order is independent of
 // the panel split, so results are bit-identical at every parallelism
 // degree.
+//
+// Kernel contract: the accumulation order of each product, as written
+// in the portable loops below, is the specification — per output
+// element, float32 multiplies and adds in that association order,
+// separately rounded (the Go compiler does not fuse them on amd64; on
+// an architecture where it does, the portable loop is the only
+// implementation and defines that host's bits). Every output column is
+// computed independently of the others, so a panel may be split by
+// columns: a vector kernel (the *Vec functions; AVX2 assembly on amd64,
+// absent elsewhere) takes the leading columns it can and reports how
+// many, and the portable loop, which takes a starting column, computes
+// the rest. Both produce the same bits, so which one ran is
+// unobservable; the portable loops are the only implementation on
+// other hosts and the reference the tests hold the assembly to.
 
 func checkMatMul2D(a, b *Tensor, op string) {
 	if a.NumDims() != 2 || b.NumDims() != 2 {
@@ -46,10 +60,19 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// matmulRowPanel accumulates one output row crow = arow·B, zeroing crow
-// first. It is the single accumulation kernel shared by MatMulInto and
+// matmulRowPanel computes one output row crow = arow·B, overwriting
+// crow. It is the single accumulation kernel shared by MatMulInto and
 // MatMulBiasActInto, so fused and unfused products are bit-identical.
 func matmulRowPanel(crow, arow, bd []float32, k, n int) {
+	rowPanelGo(crow, arow, bd, k, n, rowPanelVec(crow, arow, bd, k, n))
+}
+
+// rowPanelGo is the portable row panel over columns [j0,n).
+func rowPanelGo(crow, arow, bd []float32, k, n, j0 int) {
+	if j0 == n {
+		return
+	}
+	crow = crow[j0:n]
 	for j := range crow {
 		crow[j] = 0
 	}
@@ -61,14 +84,14 @@ func matmulRowPanel(crow, arow, bd []float32, k, n int) {
 	for ; p+8 <= k; p += 8 {
 		av0, av1, av2, av3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
 		av4, av5, av6, av7 := arow[p+4], arow[p+5], arow[p+6], arow[p+7]
-		br0 := bd[p*n : p*n+n]
-		br1 := bd[(p+1)*n : (p+1)*n+n]
-		br2 := bd[(p+2)*n : (p+2)*n+n]
-		br3 := bd[(p+3)*n : (p+3)*n+n]
-		br4 := bd[(p+4)*n : (p+4)*n+n]
-		br5 := bd[(p+5)*n : (p+5)*n+n]
-		br6 := bd[(p+6)*n : (p+6)*n+n]
-		br7 := bd[(p+7)*n : (p+7)*n+n]
+		br0 := bd[p*n+j0 : p*n+n]
+		br1 := bd[(p+1)*n+j0 : (p+1)*n+n]
+		br2 := bd[(p+2)*n+j0 : (p+2)*n+n]
+		br3 := bd[(p+3)*n+j0 : (p+3)*n+n]
+		br4 := bd[(p+4)*n+j0 : (p+4)*n+n]
+		br5 := bd[(p+5)*n+j0 : (p+5)*n+n]
+		br6 := bd[(p+6)*n+j0 : (p+6)*n+n]
+		br7 := bd[(p+7)*n+j0 : (p+7)*n+n]
 		for j := range crow {
 			crow[j] += av0*br0[j] + av1*br1[j] + av2*br2[j] + av3*br3[j] +
 				av4*br4[j] + av5*br5[j] + av6*br6[j] + av7*br7[j]
@@ -76,7 +99,7 @@ func matmulRowPanel(crow, arow, bd []float32, k, n int) {
 	}
 	for ; p < k; p++ {
 		av := arow[p]
-		brow := bd[p*n : p*n+n]
+		brow := bd[p*n+j0 : p*n+n]
 		for j, bv := range brow {
 			crow[j] += av * bv
 		}
@@ -108,44 +131,53 @@ func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 	// the kernel touches the contiguous segment A[p, lo:hi] of every A
 	// row, streams each B row once, and owns C rows [lo,hi) exclusively.
 	parallelFor(m, k*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			crow := cd[i*n : (i+1)*n]
-			for j := range crow {
-				crow[j] = 0
-			}
-		}
-		// 4 k-steps per sweep of each output row, quartering the
-		// store/reload traffic on C.
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			as0 := ad[p*m+lo : p*m+hi]
-			as1 := ad[(p+1)*m+lo : (p+1)*m+hi]
-			as2 := ad[(p+2)*m+lo : (p+2)*m+hi]
-			as3 := ad[(p+3)*m+lo : (p+3)*m+hi]
-			br0 := bd[p*n : p*n+n]
-			br1 := bd[(p+1)*n : (p+1)*n+n]
-			br2 := bd[(p+2)*n : (p+2)*n+n]
-			br3 := bd[(p+3)*n : (p+3)*n+n]
-			for ii := range as0 {
-				av0, av1, av2, av3 := as0[ii], as1[ii], as2[ii], as3[ii]
-				crow := cd[(lo+ii)*n : (lo+ii+1)*n]
-				for j := range crow {
-					crow[j] += av0*br0[j] + av1*br1[j] + av2*br2[j] + av3*br3[j]
-				}
-			}
-		}
-		for ; p < k; p++ {
-			aseg := ad[p*m+lo : p*m+hi]
-			brow := bd[p*n : p*n+n]
-			for ii, av := range aseg {
-				crow := cd[(lo+ii)*n : (lo+ii+1)*n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
-		}
+		transAPanelGo(cd, ad, bd, m, k, n, lo, hi, transAPanelVec(cd, ad, bd, m, k, n, lo, hi))
 	})
 	return dst
+}
+
+// transAPanelGo is the portable Aᵀ·B kernel over rows [lo,hi) and
+// columns [j0,n) of C.
+func transAPanelGo(cd, ad, bd []float32, m, k, n, lo, hi, j0 int) {
+	if j0 == n {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		crow := cd[i*n+j0 : (i+1)*n]
+		for j := range crow {
+			crow[j] = 0
+		}
+	}
+	// 4 k-steps per sweep of each output row, quartering the
+	// store/reload traffic on C.
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		as0 := ad[p*m+lo : p*m+hi]
+		as1 := ad[(p+1)*m+lo : (p+1)*m+hi]
+		as2 := ad[(p+2)*m+lo : (p+2)*m+hi]
+		as3 := ad[(p+3)*m+lo : (p+3)*m+hi]
+		br0 := bd[p*n+j0 : p*n+n]
+		br1 := bd[(p+1)*n+j0 : (p+1)*n+n]
+		br2 := bd[(p+2)*n+j0 : (p+2)*n+n]
+		br3 := bd[(p+3)*n+j0 : (p+3)*n+n]
+		for ii := range as0 {
+			av0, av1, av2, av3 := as0[ii], as1[ii], as2[ii], as3[ii]
+			crow := cd[(lo+ii)*n+j0 : (lo+ii+1)*n]
+			for j := range crow {
+				crow[j] += av0*br0[j] + av1*br1[j] + av2*br2[j] + av3*br3[j]
+			}
+		}
+	}
+	for ; p < k; p++ {
+		aseg := ad[p*m+lo : p*m+hi]
+		brow := bd[p*n+j0 : p*n+n]
+		for ii, av := range aseg {
+			crow := cd[(lo+ii)*n+j0 : (lo+ii+1)*n]
+			for j, bv := range brow {
+				crow[j] += av * bv
+			}
+		}
+	}
 }
 
 // MatMulTransB computes C = A·Bᵀ for A [m,k], B [n,k] → C [m,n].
@@ -171,29 +203,34 @@ func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 	ad, bd, cd := a.Data, b.Data, dst.Data
 	parallelFor(m, k*n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			arow := ad[i*k : (i+1)*k]
-			crow := cd[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				brow := bd[j*k : j*k+k]
-				// Four accumulators break the additive dependency chain
-				// so the dot product keeps the FMA ports busy.
-				var s0, s1, s2, s3 float32
-				p := 0
-				for ; p+4 <= k; p += 4 {
-					s0 += arow[p] * brow[p]
-					s1 += arow[p+1] * brow[p+1]
-					s2 += arow[p+2] * brow[p+2]
-					s3 += arow[p+3] * brow[p+3]
-				}
-				s := s0 + s1 + s2 + s3
-				for ; p < k; p++ {
-					s += arow[p] * brow[p]
-				}
-				crow[j] = s
-			}
+			arow, crow := ad[i*k:(i+1)*k], cd[i*n:(i+1)*n]
+			transBRowGo(crow, arow, bd, k, n, transBRowVec(crow, arow, bd, k, n))
 		}
 	})
 	return dst
+}
+
+// transBRowGo is the portable A·Bᵀ kernel for columns [j0,n) of one
+// output row.
+func transBRowGo(crow, arow, bd []float32, k, n, j0 int) {
+	for j := j0; j < n; j++ {
+		brow := bd[j*k : j*k+k]
+		// Four accumulators break the additive dependency chain of
+		// the dot product.
+		var s0, s1, s2, s3 float32
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			s0 += arow[p] * brow[p]
+			s1 += arow[p+1] * brow[p+1]
+			s2 += arow[p+2] * brow[p+2]
+			s3 += arow[p+3] * brow[p+3]
+		}
+		s := s0 + s1 + s2 + s3
+		for ; p < k; p++ {
+			s += arow[p] * brow[p]
+		}
+		crow[j] = s
+	}
 }
 
 // transposeBlock is the tile edge for Transpose2D: 32×32 float32 tiles

@@ -28,10 +28,25 @@ import (
 // default parallelism degree (e.g. PIPEDREAM_PARALLELISM=4).
 const ParallelismEnv = "PIPEDREAM_PARALLELISM"
 
-// serialThreshold is the minimum estimated work (in fused
-// multiply-add-sized units, n×workPerItem) a kernel must present before
-// chunks are dispatched to the pool. Below it, goroutine handoff costs
-// more than the parallelism recovers.
+// serialThreshold is the minimum estimated work (in multiply-add
+// units, n×workPerItem) a kernel must present before chunks are
+// dispatched to the pool. Below it, goroutine hand-off costs more than
+// the parallelism recovers. It also gates im2col, col2im and
+// Transpose2D, whose per-unit cost the AVX2 kernels did not change.
+//
+// The value is not calibrated to the 2-vCPU 2.1 GHz Xeon VM the
+// benchmarks run on, and BenchmarkMatMulDispatchCrossover (MatMulInto
+// at degree 1 / degree 2, µs) shows why it was left alone when the AVX2
+// kernels landed. With them: 64K 2.7 / 4.1, 512K 23 / 25, 2048K 93 /
+// 105, 4096K 193 / 209, 8192K 385 / 294, 16384K 799 / 493. With the
+// scalar loops before them: 64K 21 / 29, 512K 207 / 187, 1024K 395 /
+// 320, 2048K 890 / 547. Degree 2 first wins where the inline time
+// passes 200–400 µs under either kernel, and already lost at 64K with
+// the scalar loops: two concurrent 64×256×256 products run at 25 + 25
+// GFLOP/s there against 48 alone, so the two vCPUs share one core's
+// vector throughput and that crossover measures the sharing, not the
+// hand-off (about 1 µs, the 64K pair) this constant amortises on
+// separate cores.
 const serialThreshold = 64 * 1024
 
 var parDegree atomic.Int32

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -300,4 +301,26 @@ func TestPutForeignBufferIsSafe(t *testing.T) {
 		}
 	}
 	Put(got)
+}
+
+// BenchmarkMatMulDispatchCrossover is the measurement behind
+// serialThreshold: MatMulInto on an [m,128]·[128,128] product at degree
+// 1 and degree 2, for total work on both sides of the gate (below it the
+// two legs run the same inline code and bound the noise). The crossover
+// is the smallest work at which degree 2 beats degree 1.
+func BenchmarkMatMulDispatchCrossover(b *testing.B) {
+	const k, n = 128, 128
+	rng := rand.New(rand.NewSource(31))
+	w := uniform(rng, k, n)
+	for _, m := range []int{2, 4, 8, 16, 32, 64, 128, 256, 512, 1024} {
+		x, y := uniform(rng, m, k), New(m, n)
+		for _, deg := range []int{1, 2} {
+			b.Run(fmt.Sprintf("work=%dK/degree=%d", m*k*n>>10, deg), func(b *testing.B) {
+				defer SetParallelism(SetParallelism(deg))
+				for i := 0; i < b.N; i++ {
+					MatMulInto(y, x, w)
+				}
+			})
+		}
+	}
 }

@@ -19,6 +19,10 @@ fi
 echo "== go build"
 go build ./...
 
+echo "== portable kernels (arm64 cross-vet of tensor + nn; tensor tests on 386, where no assembly is built)"
+GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/
+GOARCH=386 go test -count=1 ./internal/tensor/
+
 echo "== go test (default GOMAXPROCS, then one core)"
 go test ./...
 GOMAXPROCS=1 go test -count=1 ./...
@@ -30,7 +34,8 @@ echo "== go test -race (every package; serve twice, its batcher and hot-swap rac
 go test -race ./...
 go test -race -count=2 ./internal/serve/...
 
-echo "== fuzz smoke (flatten + frame round-trips + checkpoint manifest + /infer body parser, 10s each)"
+echo "== fuzz smoke (matmul kernels vs portable loops + flatten + frame round-trips + checkpoint manifest + /infer body parser, 10s each)"
+go test -run '^$' -fuzz '^FuzzMatMulKernelsBitEqual$' -fuzztime=10s ./internal/tensor/
 go test -run '^$' -fuzz '^FuzzFlattenRoundTrip$' -fuzztime=10s ./internal/transport/
 go test -run '^$' -fuzz '^FuzzFrameRoundTrip$' -fuzztime=10s ./internal/transport/
 go test -run '^$' -fuzz '^FuzzManifestParse$' -fuzztime=10s ./internal/checkpoint/
