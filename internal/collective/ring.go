@@ -31,6 +31,10 @@ type RingReducer struct {
 	peers       []int
 	tr          Sender
 	bucketBytes int
+	// sendInPlace: tr serializes a message before Send returns, so a chunk
+	// goes out as a view of the bucket; otherwise the receiver gets the
+	// sender's pointer and each chunk is a pooled copy handed over to it.
+	sendInPlace bool
 
 	buckets []*ringBucket // templates built on first BeginRound, reused per round
 	nGrads  int
@@ -73,10 +77,11 @@ type ringBucket struct {
 	index       int
 	first, last int // tensor index range [first, last) into the grads slice
 	elems       int
-	buf         []float32 // owned buffer; nil for single-tensor buckets
-	data        []float32 // working view: buf, or the lone tensor's storage
-	chunks      [][2]int  // per-chunk [lo, hi) element ranges into data
-	chunkedFor  int       // participant count the chunk table was built for
+	buf         []float32     // owned buffer; nil for single-tensor buckets
+	data        []float32     // working view: buf, or the lone tensor's storage
+	out         tensor.Tensor // header of the chunk being sent in place
+	chunks      [][2]int      // per-chunk [lo, hi) element ranges into data
+	chunkedFor  int           // participant count the chunk table was built for
 
 	phase int // 0 reduce-scatter, 1 all-gather, 2 complete
 	step  int
@@ -98,6 +103,7 @@ func NewRingReducer(rank int, peers []int, tr Sender, bucketBytes int) *RingRedu
 		peers:       append([]int(nil), peers...),
 		tr:          tr,
 		bucketBytes: bucketBytes,
+		sendInPlace: transport.ReceiverOwns(tr),
 		pending:     make(map[chunkKey]*tensor.Tensor),
 		lastDone:    -1,
 	}
@@ -294,12 +300,20 @@ func (r *RingReducer) advance(st *roundState, b *ringBucket) error {
 		if !b.sent {
 			c := b.sendChunk(r.rank, p)
 			lo, hi := b.chunks[c][0], b.chunks[c][1]
-			// Payloads come from the tensor arena (uninitialized — the
-			// copy overwrites every element) and are recycled by the
-			// receiving reducer once consumed, keeping the per-chunk
-			// allocation churn off the training hot path.
-			payload := tensor.GetRaw(hi - lo)
-			copy(payload.Data, b.data[lo:hi])
+			var payload *tensor.Tensor
+			if r.sendInPlace {
+				// Send has the bytes on the wire before it returns, and the
+				// bucket is not touched until then: no copy, no pool traffic.
+				b.out.Shape = append(b.out.Shape[:0], hi-lo)
+				b.out.Data = b.data[lo:hi]
+				payload = &b.out
+			} else {
+				// The receiver gets this very tensor: a pooled copy
+				// (uninitialized — the copy overwrites every element) that
+				// the receiving reducer recycles once consumed.
+				payload = tensor.GetRaw(hi - lo)
+				copy(payload.Data, b.data[lo:hi])
+			}
 			msg := transport.Message{
 				Kind:      transport.GradChunk,
 				Minibatch: st.key,
@@ -308,8 +322,8 @@ func (r *RingReducer) advance(st *roundState, b *ringBucket) error {
 				Chunk:     transport.ChunkInfo{Bucket: b.index, Phase: b.phase, Step: b.step, Chunk: c},
 			}
 			// Account the wire bytes before Send: the receiving reducer
-			// recycles the payload's header once consumed, so no field of
-			// it may be read after the message is handed off.
+			// recycles a handed-over payload's header once consumed, so no
+			// field of it may be read after the message is handed off.
 			r.wire += int64(4 * (hi - lo))
 			if err := r.tr.Send(r.peers[(r.rank+1)%p], msg); err != nil {
 				return err
@@ -330,9 +344,7 @@ func (r *RingReducer) advance(st *roundState, b *ringBucket) error {
 		}
 		if b.phase == 0 {
 			dst := b.data[lo:hi]
-			for i, v := range in.Data {
-				dst[i] += v
-			}
+			tensor.AddInto(dst, dst, in.Data)
 		} else {
 			copy(b.data[lo:hi], in.Data)
 		}

@@ -338,3 +338,78 @@ func TestParseMethod(t *testing.T) {
 		t.Fatalf("String() = %q/%q", Ring.String(), Central.String())
 	}
 }
+
+// Over a transport that serializes during Send a chunk leaves as a view of
+// the bucket: the only pool traffic of a round is the receiving side's
+// decode, one tensor per chunk, and the result and the bytes on the wire
+// are those of the in-process transport's copy-and-hand-over path — also
+// when a chaos layer delays and duplicates the frames.
+func TestRingOverTCPSendsChunksInPlace(t *testing.T) {
+	const replicas, rounds = 3, 4
+	base := make([][]*tensor.Tensor, replicas)
+	for r := 0; r < replicas; r++ {
+		// Two small tensors share a bucket (flattened into its buffer), the
+		// large one has a bucket to itself (reduced in its own storage).
+		for ti, n := range []int{700, 33, 40} {
+			g := tensor.New(n)
+			for i := range g.Data {
+				g.Data[i] = float32(math.Sin(float64(r*1000 + ti*100 + i)))
+			}
+			base[r] = append(base[r], g)
+		}
+	}
+	peers := []int{0, 1, 2}
+	run := func(tr transport.Transport) (grads [][]*tensor.Tensor, wire, grabs int64) {
+		rings := make([]*RingReducer, replicas)
+		for r := range rings {
+			rings[r] = NewRingReducer(r, peers, tr, 1024)
+		}
+		grads = cloneGrads(base)
+		hits0, misses0, _ := tensor.PoolCounters()
+		for round := 0; round < rounds; round++ {
+			runRound(t, tr, rings, grads, round, replicas, round%2 == 0)
+		}
+		hits1, misses1, _ := tensor.PoolCounters()
+		return grads, rings[0].WireBytes(), hits1 - hits0 + misses1 - misses0
+	}
+	chans := transport.NewChannels(replicas, 256)
+	want, wantWire, _ := run(chans)
+	chans.Close()
+
+	tcp, err := transport.NewTCP(replicas, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wire, grabs := run(tcp)
+	tcp.Close()
+	const buckets = 2
+	if received := int64(replicas * rounds * buckets * 2 * (replicas - 1)); grabs != received {
+		t.Errorf("%d tensors taken from the pool for %d received chunks: the sender copies", grabs, received)
+	}
+
+	inner, err := transport.NewTCP(replicas, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos := transport.NewChaos(inner, transport.ChaosConfig{Seed: 3, DelayRate: 0.5, DupRate: 0.3, MaxDelay: 2 * time.Millisecond})
+	noisy, noisyWire, _ := run(chaos)
+	chaos.Close()
+
+	for name, c := range map[string]struct {
+		grads [][]*tensor.Tensor
+		wire  int64
+	}{"tcp": {got, wire}, "chaos over tcp": {noisy, noisyWire}} {
+		if c.wire != wantWire {
+			t.Errorf("%s: %d bytes on the wire, %d over channels", name, c.wire, wantWire)
+		}
+		for r := range want {
+			for ti := range want[r] {
+				for i, w := range want[r][ti].Data {
+					if g := c.grads[r][ti].Data[i]; math.Float32bits(g) != math.Float32bits(w) {
+						t.Fatalf("%s: replica %d tensor %d[%d] = %g, %g over channels", name, r, ti, i, g, w)
+					}
+				}
+			}
+		}
+	}
+}

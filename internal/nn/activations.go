@@ -24,8 +24,8 @@ func (r *ReLU) Name() string { return r.name }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
-	y := x.Clone()
-	tensor.ApplyActivation(y.Data, tensor.ActReLU)
+	y := tensor.GetRaw(x.Shape...)
+	tensor.Activate(y.Data, x.Data, tensor.ActReLU)
 	return y, x
 }
 
@@ -39,12 +39,8 @@ func (r *ReLU) fusedAct() tensor.Activation { return tensor.ActReLU }
 // Backward implements Layer.
 func (r *ReLU) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	x := ctx.(*tensor.Tensor)
-	g := gradOut.Clone()
-	for i, v := range x.Data {
-		if v <= 0 {
-			g.Data[i] = 0
-		}
-	}
+	g := tensor.GetRaw(gradOut.Shape...)
+	tensor.ReLUBackward(g.Data, gradOut.Data, x.Data)
 	return g
 }
 
@@ -65,8 +61,8 @@ func (t *Tanh) Name() string { return t.name }
 
 // Forward implements Layer.
 func (t *Tanh) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
-	y := x.Clone()
-	tensor.ApplyActivation(y.Data, tensor.ActTanh)
+	y := tensor.GetRaw(x.Shape...)
+	tensor.Activate(y.Data, x.Data, tensor.ActTanh)
 	return y, y
 }
 
@@ -79,11 +75,9 @@ func (t *Tanh) fusedAct() tensor.Activation { return tensor.ActTanh }
 
 // Backward implements Layer.
 func (t *Tanh) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
-	yc := ctx.(*tensor.Tensor)
-	g := gradOut.Clone()
-	for i, y := range yc.Data {
-		g.Data[i] *= 1 - y*y
-	}
+	y := ctx.(*tensor.Tensor)
+	g := tensor.GetRaw(gradOut.Shape...)
+	tensor.TanhBackward(g.Data, gradOut.Data, y.Data)
 	return g
 }
 
@@ -108,8 +102,8 @@ func (s *Sigmoid) Name() string { return s.name }
 
 // Forward implements Layer.
 func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
-	y := x.Clone()
-	tensor.ApplyActivation(y.Data, tensor.ActSigmoid)
+	y := tensor.GetRaw(x.Shape...)
+	tensor.Activate(y.Data, x.Data, tensor.ActSigmoid)
 	return y, y
 }
 
@@ -122,11 +116,9 @@ func (s *Sigmoid) fusedAct() tensor.Activation { return tensor.ActSigmoid }
 
 // Backward implements Layer.
 func (s *Sigmoid) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
-	yc := ctx.(*tensor.Tensor)
-	g := gradOut.Clone()
-	for i, y := range yc.Data {
-		g.Data[i] *= y * (1 - y)
-	}
+	y := ctx.(*tensor.Tensor)
+	g := tensor.GetRaw(gradOut.Shape...)
+	tensor.SigmoidBackward(g.Data, gradOut.Data, y.Data)
 	return g
 }
 
@@ -187,22 +179,23 @@ func NewDropout(rng *rand.Rand, name string, p float64) *Dropout {
 func (d *Dropout) Name() string { return d.name }
 
 // Forward implements Layer. The context is the pooled mask tensor (nil
-// outside training); Backward recycles it.
+// outside training, where the output is the input itself); Backward
+// recycles it.
 func (d *Dropout) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
 	if !train || d.P == 0 {
 		var noMask *tensor.Tensor
 		return x, noMask
 	}
 	keep := float32(1 / (1 - d.P))
-	y := x.Clone()
+	y := tensor.GetRaw(x.Shape...)
 	mask := tensor.GetRaw(x.Size())
-	for i := range mask.Data {
+	for i, v := range x.Data {
 		m := float32(0)
 		if d.rng.Float64() >= d.P {
 			m = keep
 		}
 		mask.Data[i] = m
-		y.Data[i] *= m
+		y.Data[i] = v * m
 	}
 	return y, mask
 }
@@ -219,13 +212,14 @@ func (d *Dropout) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	if mask == nil {
 		return gradOut
 	}
-	g := gradOut.Clone()
-	for i, m := range mask.Data {
-		g.Data[i] *= m
-	}
-	tensor.Put(mask)
+	g := tensor.GetRaw(gradOut.Shape...)
+	tensor.MulInto(g.Data, gradOut.Data, mask.Data)
+	d.discard(mask)
 	return g
 }
+
+// discard implements contextDiscarder: the mask is the layer's own.
+func (d *Dropout) discard(ctx Context) { tensor.Put(ctx.(*tensor.Tensor)) }
 
 // Params implements Layer.
 func (d *Dropout) Params() []*tensor.Tensor { return nil }

@@ -50,27 +50,25 @@ func (a *SelfAttention) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, C
 		panic(fmt.Sprintf("nn: %s forward input %v, want [B,T,%d]", a.name, x.Shape, a.Hidden))
 	}
 	b, T, H := x.Dim(0), x.Dim(1), a.Hidden
-	out := tensor.New(b, T, H)
-	c := attnCtx{x: x, batch: b, seq: T,
+	out := tensor.GetRaw(b, T, H) // every sample's block is written below
+	c := &attnCtx{x: x, batch: b, seq: T,
 		q: make([]*tensor.Tensor, b), k: make([]*tensor.Tensor, b),
 		v: make([]*tensor.Tensor, b), attn: make([]*tensor.Tensor, b),
 		ctxv: make([]*tensor.Tensor, b)}
 	scale := float32(1 / math.Sqrt(float64(H)))
 	for n := 0; n < b; n++ {
 		xn := tensor.FromSlice(x.Data[n*T*H:(n+1)*T*H], T, H)
-		q := tensor.MatMul(xn, a.Wq)
-		k := tensor.MatMul(xn, a.Wk)
-		v := tensor.MatMul(xn, a.Wv)
-		scores := tensor.Get(T, T)
+		q := tensor.MatMulInto(tensor.GetRaw(T, H), xn, a.Wq)
+		k := tensor.MatMulInto(tensor.GetRaw(T, H), xn, a.Wk)
+		v := tensor.MatMulInto(tensor.GetRaw(T, H), xn, a.Wv)
+		scores := tensor.GetRaw(T, T)
 		tensor.MatMulTransBInto(scores, q, k)
 		scores.Scale(scale)
-		attn := softmaxRows(scores)
+		attn := tensor.GetRaw(T, T)
+		softmaxRowsInto(attn, scores)
 		tensor.Put(scores)
-		ctxv := tensor.MatMul(attn, v) // [T,H]
-		y := tensor.Get(T, H)
-		tensor.MatMulInto(y, ctxv, a.Wo)
-		copy(out.Data[n*T*H:(n+1)*T*H], y.Data)
-		tensor.Put(y)
+		ctxv := tensor.MatMulInto(tensor.GetRaw(T, H), attn, v)
+		tensor.MatMulInto(tensor.FromSlice(out.Data[n*T*H:(n+1)*T*H], T, H), ctxv, a.Wo)
 		c.q[n], c.k[n], c.v[n], c.attn[n], c.ctxv[n] = q, k, v, attn, ctxv
 	}
 	return out, c
@@ -111,12 +109,12 @@ func (a *SelfAttention) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor
 
 // Backward implements Layer.
 func (a *SelfAttention) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
-	c := ctx.(attnCtx)
+	c := ctx.(*attnCtx)
 	b, T, H := c.batch, c.seq, a.Hidden
 	if gradOut.Size() != b*T*H {
 		panic(fmt.Sprintf("nn: %s backward grad %v, want [%d,%d,%d]", a.name, gradOut.Shape, b, T, H))
 	}
-	gradIn := tensor.New(b, T, H)
+	gradIn := tensor.GetRaw(b, T, H) // every sample's block is written below
 	scale := float32(1 / math.Sqrt(float64(H)))
 	for n := 0; n < b; n++ {
 		xn := tensor.FromSlice(c.x.Data[n*T*H:(n+1)*T*H], T, H)
@@ -162,7 +160,21 @@ func (a *SelfAttention) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Te
 		tensor.Put(gK)
 		tensor.Put(gV)
 	}
+	a.discard(c)
 	return gradIn
+}
+
+// discard implements contextDiscarder: the per-sample projections and
+// attention weights are the layer's own.
+func (a *SelfAttention) discard(ctx Context) {
+	c := ctx.(*attnCtx)
+	for n := range c.q {
+		tensor.Put(c.q[n])
+		tensor.Put(c.k[n])
+		tensor.Put(c.v[n])
+		tensor.Put(c.attn[n])
+		tensor.Put(c.ctxv[n])
+	}
 }
 
 // Params implements Layer.
@@ -175,16 +187,8 @@ func (a *SelfAttention) Grads() []*tensor.Tensor {
 	return []*tensor.Tensor{a.GWq, a.GWk, a.GWv, a.GWo}
 }
 
-// softmaxRows applies a numerically stable softmax to each row of a 2-D
-// tensor, returning a new tensor.
-func softmaxRows(t *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(t.Dim(0), t.Dim(1))
-	softmaxRowsInto(out, t)
-	return out
-}
-
-// softmaxRowsInto is the allocation-free form of softmaxRows: dst must
-// have t's shape and is fully overwritten.
+// softmaxRowsInto applies a numerically stable softmax to each row of a
+// 2-D tensor: dst must have t's shape and is fully overwritten.
 func softmaxRowsInto(dst, t *tensor.Tensor) {
 	rows, cols := t.Dim(0), t.Dim(1)
 	for i := 0; i < rows; i++ {
@@ -277,23 +281,24 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) (*tensor.Tens
 	b, T, H := x.Dim(0), x.Dim(1), a.Hidden
 	dh := H / a.Heads
 	scale := float32(1 / math.Sqrt(float64(dh)))
-	out := tensor.New(b, T, H)
-	c := mhaCtx{x: x, batch: b, seq: T,
+	out := tensor.GetRaw(b, T, H) // every sample's block is written below
+	c := &mhaCtx{x: x, batch: b, seq: T,
 		q: make([]*tensor.Tensor, b), k: make([]*tensor.Tensor, b),
 		v: make([]*tensor.Tensor, b), attn: make([][]*tensor.Tensor, b),
 		ctxv: make([]*tensor.Tensor, b)}
 	for n := 0; n < b; n++ {
 		xn := tensor.FromSlice(x.Data[n*T*H:(n+1)*T*H], T, H)
-		q := tensor.MatMul(xn, a.Wq)
-		k := tensor.MatMul(xn, a.Wk)
-		v := tensor.MatMul(xn, a.Wv)
-		ctxv := tensor.New(T, H)
+		q := tensor.MatMulInto(tensor.GetRaw(T, H), xn, a.Wq)
+		k := tensor.MatMulInto(tensor.GetRaw(T, H), xn, a.Wk)
+		v := tensor.MatMulInto(tensor.GetRaw(T, H), xn, a.Wv)
+		ctxv := tensor.Get(T, H) // the heads add their columns into zeros
 		c.attn[n] = make([]*tensor.Tensor, a.Heads)
 		for h := 0; h < a.Heads; h++ {
 			qh, kh, vh := headView(q, h, a.Heads), headView(k, h, a.Heads), headView(v, h, a.Heads)
-			scores := tensor.Get(T, T)
+			scores := tensor.GetRaw(T, T)
 			tensor.MatMulTransBInto(scores, qh, kh)
-			attn := softmaxRows(scores.Scale(scale))
+			attn := tensor.GetRaw(T, T)
+			softmaxRowsInto(attn, scores.Scale(scale))
 			tensor.Put(scores)
 			ctxh := tensor.Get(T, H/a.Heads)
 			tensor.MatMulInto(ctxh, attn, vh)
@@ -304,10 +309,7 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) (*tensor.Tens
 			tensor.Put(vh)
 			c.attn[n][h] = attn
 		}
-		y := tensor.Get(T, H)
-		tensor.MatMulInto(y, ctxv, a.Wo)
-		copy(out.Data[n*T*H:(n+1)*T*H], y.Data)
-		tensor.Put(y)
+		tensor.MatMulInto(tensor.FromSlice(out.Data[n*T*H:(n+1)*T*H], T, H), ctxv, a.Wo)
 		c.q[n], c.k[n], c.v[n], c.ctxv[n] = q, k, v, ctxv
 	}
 	return out, c
@@ -315,14 +317,14 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) (*tensor.Tens
 
 // Backward implements Layer.
 func (a *MultiHeadAttention) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
-	c := ctx.(mhaCtx)
+	c := ctx.(*mhaCtx)
 	b, T, H := c.batch, c.seq, a.Hidden
 	if gradOut.Size() != b*T*H {
 		panic(fmt.Sprintf("nn: %s backward grad %v, want [%d,%d,%d]", a.name, gradOut.Shape, b, T, H))
 	}
 	dh := H / a.Heads
 	scale := float32(1 / math.Sqrt(float64(dh)))
-	gradIn := tensor.New(b, T, H)
+	gradIn := tensor.GetRaw(b, T, H) // every sample's block is written below
 	for n := 0; n < b; n++ {
 		xn := tensor.FromSlice(c.x.Data[n*T*H:(n+1)*T*H], T, H)
 		gy := tensor.FromSlice(gradOut.Data[n*T*H:(n+1)*T*H], T, H)
@@ -380,7 +382,22 @@ func (a *MultiHeadAttention) Backward(ctx Context, gradOut *tensor.Tensor) *tens
 		tensor.Put(gK)
 		tensor.Put(gV)
 	}
+	a.discard(c)
 	return gradIn
+}
+
+// discard implements contextDiscarder.
+func (a *MultiHeadAttention) discard(ctx Context) {
+	c := ctx.(*mhaCtx)
+	for n := range c.q {
+		tensor.Put(c.q[n])
+		tensor.Put(c.k[n])
+		tensor.Put(c.v[n])
+		tensor.Put(c.ctxv[n])
+		for _, attn := range c.attn[n] {
+			tensor.Put(attn)
+		}
+	}
 }
 
 // Params implements Layer.

@@ -57,7 +57,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context)
 	// to MatMulInto + AddRowVector).
 	tensor.MatMulBiasActInto(flat, cols, c.W, c.B, tensor.ActNone)
 	// flat is laid out [B, OH, OW, OutC]; convert to [B, OutC, OH, OW].
-	y := tensor.New(b, c.OutC, oh, ow)
+	y := tensor.GetRaw(b, c.OutC, oh, ow)
 	convTransposeOut(y.Data, flat.Data, b, c.OutC, oh*ow)
 	tensor.Put(flat)
 	return y, &convCtx{cols: cols, batch: b}
@@ -100,7 +100,7 @@ func (c *Conv2D) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s backward grad %v, want [%d,%d,%d,%d]", c.name, gradOut.Shape, b, c.OutC, oh, ow))
 	}
 	// Convert gradOut [B, OutC, OH, OW] back to flat layout [B*OH*OW, OutC].
-	gflat := tensor.Get(b*oh*ow, c.OutC)
+	gflat := tensor.GetRaw(b*oh*ow, c.OutC)
 	for n := 0; n < b; n++ {
 		for oc := 0; oc < c.OutC; oc++ {
 			src := gradOut.Data[(n*c.OutC+oc)*oh*ow:]
@@ -111,14 +111,17 @@ func (c *Conv2D) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	}
 	addMatMulTransA(c.GW, cc.cols, gflat)
 	addSumRows(c.GB, gflat)
-	gcols := tensor.Get(b*oh*ow, c.Geom.InC*c.Geom.KH*c.Geom.KW)
+	gcols := tensor.GetRaw(b*oh*ow, c.Geom.InC*c.Geom.KH*c.Geom.KW)
 	tensor.MatMulTransBInto(gcols, gflat, c.W) // gflat · Wᵀ = [B*OH*OW, fanIn]
 	tensor.Put(gflat)
-	gradIn := tensor.Col2Im(gcols, b, c.Geom)
+	gradIn := tensor.Col2ImInto(tensor.Get(b, c.Geom.InC, c.Geom.InH, c.Geom.InW), gcols, c.Geom)
 	tensor.Put(gcols)
-	tensor.Put(cc.cols)
+	c.discard(cc)
 	return gradIn
 }
+
+// discard implements contextDiscarder.
+func (c *Conv2D) discard(ctx Context) { tensor.Put(ctx.(*convCtx).cols) }
 
 // Params implements Layer.
 func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.W, c.B} }
@@ -147,14 +150,16 @@ func (m *MaxPool2D) Name() string { return m.name }
 
 // Forward implements Layer.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
-	y, idx := tensor.MaxPool(x, m.Geom)
+	y := tensor.GetRaw(x.Dim(0), m.Geom.InC, m.Geom.OutH(), m.Geom.OutW())
+	idx := make([]int, y.Size())
+	tensor.MaxPoolInto(y, idx, x, m.Geom)
 	return y, poolCtx{idx: idx, inShape: x.Shape}
 }
 
 // Backward implements Layer.
 func (m *MaxPool2D) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	c := ctx.(poolCtx)
-	return tensor.MaxPoolBackward(gradOut, c.idx, c.inShape)
+	return tensor.MaxPoolBackwardInto(tensor.Get(c.inShape...), gradOut, c.idx)
 }
 
 // Params implements Layer.

@@ -41,7 +41,7 @@ func (d *Dense) checkInput(x *tensor.Tensor) {
 // no allocation).
 func (d *Dense) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
 	d.checkInput(x)
-	y := tensor.New(x.Dim(0), d.W.Dim(1))
+	y := tensor.GetRaw(x.Dim(0), d.W.Dim(1))
 	tensor.MatMulBiasActInto(y, x, d.W, d.B, tensor.ActNone)
 	return y, x
 }
@@ -66,7 +66,8 @@ func (d *Dense) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	x := ctx.(*tensor.Tensor)
 	addMatMulTransA(d.GW, x, gradOut)
 	addSumRows(d.GB, gradOut)
-	return tensor.MatMulTransB(gradOut, d.W) // gradIn = gradOut · Wᵀ
+	gradIn := tensor.GetRaw(gradOut.Dim(0), d.W.Dim(0))
+	return tensor.MatMulTransBInto(gradIn, gradOut, d.W) // gradOut · Wᵀ
 }
 
 // Params implements Layer.

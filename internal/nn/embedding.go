@@ -29,48 +29,39 @@ func NewEmbedding(rng *rand.Rand, name string, vocab, dim int) *Embedding {
 	}
 }
 
-type embeddingCtx struct {
-	ids   []int
-	shape []int
-}
-
 // Name implements Layer.
 func (e *Embedding) Name() string { return e.name }
 
-// Forward implements Layer.
+// Forward implements Layer. The context is the id tensor itself: Backward
+// reads the ids back from it.
 func (e *Embedding) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
 	if x.NumDims() != 2 {
 		panic(fmt.Sprintf("nn: %s forward input %v, want [B,T]", e.name, x.Shape))
 	}
-	b, T := x.Dim(0), x.Dim(1)
-	ids := make([]int, b*T)
-	y := tensor.New(b, T, e.Dim)
+	y := tensor.GetRaw(x.Dim(0), x.Dim(1), e.Dim)
+	e.gather(y, x)
+	return y, x
+}
+
+// gather copies the embedding row of every id in x into y.
+func (e *Embedding) gather(y, x *tensor.Tensor) {
 	for i, v := range x.Data {
 		id := int(v)
 		if id < 0 || id >= e.Vocab {
 			panic(fmt.Sprintf("nn: %s token id %d out of vocab %d", e.name, id, e.Vocab))
 		}
-		ids[i] = id
 		copy(y.Data[i*e.Dim:(i+1)*e.Dim], e.W.Data[id*e.Dim:(id+1)*e.Dim])
 	}
-	return y, embeddingCtx{ids: ids, shape: x.Shape}
 }
 
 // ForwardInfer implements InferLayer: the gather writes straight into
-// an arena tensor with no id slice retained.
+// an arena tensor.
 func (e *Embedding) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 	if x.NumDims() != 2 {
 		panic(fmt.Sprintf("nn: %s forward input %v, want [B,T]", e.name, x.Shape))
 	}
-	b, T := x.Dim(0), x.Dim(1)
-	y := a.GetRaw(b, T, e.Dim)
-	for i, v := range x.Data {
-		id := int(v)
-		if id < 0 || id >= e.Vocab {
-			panic(fmt.Sprintf("nn: %s token id %d out of vocab %d", e.name, id, e.Vocab))
-		}
-		copy(y.Data[i*e.Dim:(i+1)*e.Dim], e.W.Data[id*e.Dim:(id+1)*e.Dim])
-	}
+	y := a.GetRaw(x.Dim(0), x.Dim(1), e.Dim)
+	e.gather(y, x)
 	return y
 }
 
@@ -78,18 +69,16 @@ func (e *Embedding) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tens
 // are not differentiable) but keeps the pipeline contract of one gradient
 // message per activation message.
 func (e *Embedding) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
-	c := ctx.(embeddingCtx)
-	if gradOut.Size() != len(c.ids)*e.Dim {
-		panic(fmt.Sprintf("nn: %s backward grad %v for %d ids", e.name, gradOut.Shape, len(c.ids)))
+	x := ctx.(*tensor.Tensor)
+	if gradOut.Size() != x.Size()*e.Dim {
+		panic(fmt.Sprintf("nn: %s backward grad %v for %d ids", e.name, gradOut.Shape, x.Size()))
 	}
-	for i, id := range c.ids {
+	for i, v := range x.Data {
+		id := int(v) // validated by Forward
 		dst := e.GW.Data[id*e.Dim : (id+1)*e.Dim]
-		src := gradOut.Data[i*e.Dim : (i+1)*e.Dim]
-		for j, v := range src {
-			dst[j] += v
-		}
+		tensor.AddInto(dst, dst, gradOut.Data[i*e.Dim:(i+1)*e.Dim])
 	}
-	return tensor.New(c.shape...)
+	return tensor.Get(x.Shape...)
 }
 
 // Params implements Layer.

@@ -57,7 +57,7 @@ func (g *GRU) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
 		panic(fmt.Sprintf("nn: %s forward input %v, want [B,T,%d]", g.name, x.Shape, g.In))
 	}
 	b, T, H := x.Dim(0), x.Dim(1), g.Hidden
-	out := tensor.New(b, T, H)
+	out := tensor.GetRaw(b, T, H) // every row is written below
 	cc := &gruCtx{
 		xs:    tensor.GetRaw(T*b, g.In),
 		hs:    tensor.GetRaw((T+1)*b, H),
@@ -151,7 +151,7 @@ func (g *GRU) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	if gradOut.NumDims() != 3 || gradOut.Dim(0) != b || gradOut.Dim(1) != T || gradOut.Dim(2) != H {
 		panic(fmt.Sprintf("nn: %s backward grad %v, want [%d,%d,%d]", g.name, gradOut.Shape, b, T, H))
 	}
-	gradIn := tensor.New(b, T, g.In)
+	gradIn := tensor.GetRaw(b, T, g.In) // every row is copied into below
 	dhNext := tensor.Get(b, H)
 	dhPrev := tensor.Get(b, H)
 	dzx := tensor.Get(b, 3*H) // grad w.r.t. x·Wx pre-activations
@@ -213,11 +213,17 @@ func (g *GRU) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	tensor.Put(dzx)
 	tensor.Put(dzh)
 	tensor.Put(dx)
+	g.discard(cc)
+	return gradIn
+}
+
+// discard implements contextDiscarder.
+func (g *GRU) discard(ctx Context) {
+	cc := ctx.(*gruCtx)
 	tensor.Put(cc.xs)
 	tensor.Put(cc.hs)
 	tensor.Put(cc.gates)
 	tensor.Put(cc.hr)
-	return gradIn
 }
 
 // Params implements Layer.

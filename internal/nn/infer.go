@@ -31,12 +31,11 @@ type fusedActivation interface {
 	fusedAct() tensor.Activation
 }
 
-// applyInfer copies x through a pointwise activation into an
-// arena-backed output.
+// applyInfer runs x through a pointwise activation into an arena-backed
+// output.
 func applyInfer(act tensor.Activation, x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 	y := a.GetRaw(x.Shape...)
-	copy(y.Data, x.Data)
-	tensor.ApplyActivation(y.Data, act)
+	tensor.Activate(y.Data, x.Data, act)
 	return y
 }
 

@@ -24,6 +24,24 @@ type Context interface{}
 // Backward must accumulate parameter gradients into the tensors returned by
 // Grads (callers zero them between optimizer steps) and return the gradient
 // with respect to the layer input.
+//
+// Tensor ownership. A layer takes the tensors it returns from the tensor
+// pool (tensor.GetRaw when it writes every element, tensor.Get when it
+// accumulates into zeros) and owns none of them afterwards: its input
+// belongs to whoever called Forward, and its output and input gradient to
+// that caller too, who releases them (Sequential does, for everything that
+// stays inside it). So a layer never passes its input, its output, gradOut
+// or the gradient it returns to tensor.Put, and never writes to its input
+// or to gradOut. It may read its input until its Backward returns — the
+// Context may simply be the input — and its own output too, provided the
+// Context is then that output itself (the bare *tensor.Tensor, as Tanh and
+// Sigmoid do): that is how SeqContext.ReadsOutput knows the output must
+// outlive the forward pass. It may return a view of its input from
+// Forward, or of gradOut (or gradOut itself) from Backward. What a layer
+// does release is its own: scratch it took and finished with inside one
+// call, and pooled tensors only its Context refers to, which Backward
+// recycles before it returns (layers that hold such tensors implement
+// contextDiscarder for the forward passes that never get a backward).
 type Layer interface {
 	// Name identifies the layer in profiles and partitioning output.
 	Name() string
@@ -39,6 +57,13 @@ type Layer interface {
 	Grads() []*tensor.Tensor
 }
 
+// contextDiscarder is implemented by layers whose Context holds pooled
+// tensors of its own: discard recycles them. Backward ends with it, and
+// Sequential.Discard calls it for a forward pass that gets no backward.
+type contextDiscarder interface {
+	discard(ctx Context)
+}
+
 // Sequential is an ordered list of layers — the "operator graph" PipeDream
 // partitions into stages.
 type Sequential struct {
@@ -51,16 +76,44 @@ func NewSequential(layers ...Layer) *Sequential {
 }
 
 // SeqContext is the per-minibatch context of a Sequential: one context per
-// layer, in forward order.
+// layer, in forward order, and the layer outputs the Sequential is the one
+// to release. A context serves one Backward (or one Discard).
 type SeqContext struct {
 	ctxs []Context
+	// owned[i] is layer i's output when a later layer consumed it and it
+	// has storage of its own; nil for the last layer's output, which is the
+	// caller's, and for a view of the caller's input, of the caller's
+	// output or of the previous layer's output (which goes with that one).
+	// Decided when Forward ends, while all of them are alive.
+	owned []*tensor.Tensor
+	// readsOutput: some layer's context is the final output's storage.
+	readsOutput bool
 }
+
+// ReadsOutput reports whether Backward will read the output Forward
+// returned: whether a layer context is that tensor, as Tanh's and
+// Sigmoid's are, or a tensor it is a view of. When it does not, the caller
+// may release the output as soon as it has used it, before Backward.
+func (c *SeqContext) ReadsOutput() bool { return c.readsOutput }
 
 // Forward runs all layers in order.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *SeqContext) {
-	ctx := &SeqContext{ctxs: make([]Context, len(s.Layers))}
+	n := len(s.Layers)
+	ctx := &SeqContext{ctxs: make([]Context, n), owned: make([]*tensor.Tensor, n)}
+	in := x
 	for i, l := range s.Layers {
 		x, ctx.ctxs[i] = l.Forward(x, train)
+		ctx.owned[i] = x
+	}
+	prev := in
+	for i, out := range ctx.owned {
+		if t, ok := ctx.ctxs[i].(*tensor.Tensor); ok && tensor.SharesStorage(t, x) {
+			ctx.readsOutput = true
+		}
+		if i == n-1 || tensor.SharesStorage(out, prev) || tensor.SharesStorage(out, in) || tensor.SharesStorage(out, x) {
+			ctx.owned[i] = nil
+		}
+		prev = out
 	}
 	return x, ctx
 }
@@ -76,17 +129,47 @@ func (s *Sequential) Backward(ctx *SeqContext, gradOut *tensor.Tensor) *tensor.T
 // The pipeline runtime uses the hook to overlap replicated-stage gradient
 // synchronization with the remaining backward compute. A nil hook makes
 // this identical to Backward.
+//
+// Every gradient between two layers is recycled as soon as the earlier
+// layer's backward has consumed it, and every layer output the Sequential
+// owns (see SeqContext) once the backward of the layer that produced it
+// has returned: by then no context reads it any more. gradOut stays the
+// caller's, as does the returned gradient, which may be a view of gradOut.
 func (s *Sequential) BackwardWithHook(ctx *SeqContext, gradOut *tensor.Tensor, hook func(layer int)) *tensor.Tensor {
 	if len(ctx.ctxs) != len(s.Layers) {
 		panic(fmt.Sprintf("nn: context for %d layers used with %d-layer Sequential", len(ctx.ctxs), len(s.Layers)))
 	}
+	if ctx.owned == nil && len(s.Layers) > 0 {
+		panic("nn: Sequential context used after its Backward or Discard")
+	}
+	grad := gradOut
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		gradOut = s.Layers[i].Backward(ctx.ctxs[i], gradOut)
+		next := s.Layers[i].Backward(ctx.ctxs[i], grad)
+		if !tensor.SharesStorage(grad, gradOut) && !tensor.SharesStorage(grad, next) {
+			tensor.Put(grad)
+		}
+		grad = next
+		tensor.Put(ctx.owned[i])
 		if hook != nil {
 			hook(i)
 		}
 	}
-	return gradOut
+	ctx.owned = nil
+	return grad
+}
+
+// Discard recycles what a forward pass left in ctx when no Backward will
+// run for it (activation recomputation drops the first forward's state):
+// the layer outputs the Sequential owns and the pooled tensors held by
+// layer contexts.
+func (s *Sequential) Discard(ctx *SeqContext) {
+	for i, l := range s.Layers {
+		if d, ok := l.(contextDiscarder); ok {
+			d.discard(ctx.ctxs[i])
+		}
+		tensor.Put(ctx.owned[i])
+	}
+	ctx.owned = nil
 }
 
 // Params returns all parameters of all layers.

@@ -10,12 +10,13 @@ import (
 // SoftmaxCrossEntropy computes the mean softmax cross-entropy loss over a
 // batch of logits [B, C] and integer labels, returning the loss and the
 // gradient with respect to the logits (already averaged over the batch).
+// The gradient comes from the tensor pool and is the caller's to release.
 func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	if logits.NumDims() != 2 || logits.Dim(0) != len(labels) {
 		panic(fmt.Sprintf("nn: cross-entropy logits %v with %d labels", logits.Shape, len(labels)))
 	}
 	b, c := logits.Dim(0), logits.Dim(1)
-	grad := tensor.New(b, c)
+	grad := tensor.GetRaw(b, c) // every element is written below
 	var loss float64
 	inv := 1 / float64(b)
 	for n := 0; n < b; n++ {
@@ -48,12 +49,12 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 }
 
 // MSE computes the mean squared error between pred and target along with
-// the gradient with respect to pred.
+// the gradient with respect to pred (pooled, like SoftmaxCrossEntropy's).
 func MSE(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 	if pred.Size() != target.Size() {
 		panic(fmt.Sprintf("nn: mse size mismatch %v vs %v", pred.Shape, target.Shape))
 	}
-	grad := tensor.New(pred.Shape...)
+	grad := tensor.GetRaw(pred.Shape...)
 	var loss float64
 	inv := 1 / float64(pred.Size())
 	for i := range pred.Data {

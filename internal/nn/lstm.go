@@ -65,7 +65,7 @@ func (l *LSTM) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
 		panic(fmt.Sprintf("nn: %s forward input %v, want [B,T,%d]", l.name, x.Shape, l.In))
 	}
 	b, T, H := x.Dim(0), x.Dim(1), l.Hidden
-	out := tensor.New(b, T, H)
+	out := tensor.GetRaw(b, T, H) // every row is written below
 	cc := &lstmCtx{
 		xs:    tensor.GetRaw(T*b, l.In),
 		hs:    tensor.GetRaw((T+1)*b, H),
@@ -175,7 +175,7 @@ func (l *LSTM) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	if gradOut.NumDims() != 3 || gradOut.Dim(0) != b || gradOut.Dim(1) != T || gradOut.Dim(2) != H {
 		panic(fmt.Sprintf("nn: %s backward grad %v, want [%d,%d,%d]", l.name, gradOut.Shape, b, T, H))
 	}
-	gradIn := tensor.New(b, T, l.In)
+	gradIn := tensor.GetRaw(b, T, l.In) // every row is copied into below
 	// All per-step scratch is pooled and recycled across the T steps:
 	// dcPrev/dcNext double-buffer (every element is overwritten each
 	// step) and dhNext is rewritten in place by the Wh product.
@@ -232,12 +232,18 @@ func (l *LSTM) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	tensor.Put(dcPrev)
 	tensor.Put(dz)
 	tensor.Put(dx)
+	l.discard(cc)
+	return gradIn
+}
+
+// discard implements contextDiscarder.
+func (l *LSTM) discard(ctx Context) {
+	cc := ctx.(*lstmCtx)
 	tensor.Put(cc.xs)
 	tensor.Put(cc.hs)
 	tensor.Put(cc.cs)
 	tensor.Put(cc.gates)
 	tensor.Put(cc.tanhc)
-	return gradIn
 }
 
 // Params implements Layer.
@@ -264,7 +270,7 @@ func (s *LastStep) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Contex
 		panic(fmt.Sprintf("nn: %s forward input %v, want [B,T,H]", s.name, x.Shape))
 	}
 	b, T, H := x.Dim(0), x.Dim(1), x.Dim(2)
-	y := tensor.New(b, H)
+	y := tensor.GetRaw(b, H)
 	for n := 0; n < b; n++ {
 		copy(y.Data[n*H:(n+1)*H], x.Data[(n*T+T-1)*H:(n*T+T)*H])
 	}
@@ -288,7 +294,7 @@ func (s *LastStep) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tenso
 func (s *LastStep) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	c := ctx.(lastStepCtx)
 	b, T, H := c.shape[0], c.shape[1], c.shape[2]
-	g := tensor.New(b, T, H)
+	g := tensor.Get(b, T, H)
 	for n := 0; n < b; n++ {
 		copy(g.Data[(n*T+T-1)*H:(n*T+T)*H], gradOut.Data[n*H:(n+1)*H])
 	}

@@ -78,7 +78,7 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Conte
 		panic(fmt.Sprintf("nn: %s forward input %v, want [B,%d]", l.name, x.Shape, l.Dim))
 	}
 	b, d := x.Dim(0), l.Dim
-	y := tensor.New(b, d)
+	y := tensor.GetRaw(b, d)
 	xhat := tensor.GetRaw(b, d)
 	invStd := tensor.GetRaw(b)
 	l.forwardInto(y, xhat, invStd, x)
@@ -102,7 +102,7 @@ func (l *LayerNorm) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor
 	if gradOut.Size() != b*d {
 		panic(fmt.Sprintf("nn: %s backward grad %v, want [%d,%d]", l.name, gradOut.Shape, b, d))
 	}
-	grad := tensor.New(b, d)
+	grad := tensor.GetRaw(b, d) // every element is written below
 	for n := 0; n < b; n++ {
 		gRow := gradOut.Data[n*d : (n+1)*d]
 		xhRow := c.xhat.Data[n*d : (n+1)*d]
@@ -122,9 +122,15 @@ func (l *LayerNorm) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor
 			grad.Data[n*d+j] = float32(float64(c.invStd.Data[n]) * (dxh - meanDx - float64(xhRow[j])*meanDxXh))
 		}
 	}
+	l.discard(c)
+	return grad
+}
+
+// discard implements contextDiscarder.
+func (l *LayerNorm) discard(ctx Context) {
+	c := ctx.(*layerNormCtx)
 	tensor.Put(c.xhat)
 	tensor.Put(c.invStd)
-	return grad
 }
 
 // Params implements Layer.
@@ -157,7 +163,7 @@ func (a *AvgPool2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Conte
 	}
 	b := x.Dim(0)
 	oh, ow := g.OutH(), g.OutW()
-	y := tensor.New(b, g.InC, oh, ow)
+	y := tensor.GetRaw(b, g.InC, oh, ow) // every element is written below
 	inv := 1 / float32(g.KH*g.KW)
 	oi := 0
 	for n := 0; n < b; n++ {
@@ -192,7 +198,7 @@ func (a *AvgPool2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Conte
 func (a *AvgPool2D) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	c := ctx.(avgPoolCtx)
 	g := a.Geom
-	grad := tensor.New(c.inShape...)
+	grad := tensor.Get(c.inShape...)
 	b := c.inShape[0]
 	oh, ow := g.OutH(), g.OutW()
 	inv := 1 / float32(g.KH*g.KW)
@@ -242,7 +248,13 @@ func NewResidual(name string, inner *Sequential) *Residual {
 	return &Residual{name: name, Inner: inner}
 }
 
-type residualCtx struct{ inner *SeqContext }
+// residualCtx holds the inner stack's context and its output y, which the
+// block owns: nothing outside it sees y, only x + y. y is nil when the
+// inner stack handed back (a view of) x itself, which is the caller's.
+type residualCtx struct {
+	inner *SeqContext
+	y     *tensor.Tensor
+}
 
 // Name implements Layer.
 func (r *Residual) Name() string { return r.name }
@@ -253,8 +265,12 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Contex
 	if !y.SameShape(x) {
 		panic(fmt.Sprintf("nn: %s inner output %v does not match input %v", r.name, y.Shape, x.Shape))
 	}
-	out := y.Clone().Add(x)
-	return out, residualCtx{inner: ctx}
+	out := tensor.GetRaw(y.Shape...)
+	tensor.AddInto(out.Data, y.Data, x.Data)
+	if tensor.SharesStorage(y, x) {
+		y = nil
+	}
+	return out, &residualCtx{inner: ctx, y: y}
 }
 
 // ForwardInfer implements InferLayer: the inner stack runs on the
@@ -267,16 +283,30 @@ func (r *Residual) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tenso
 		panic(fmt.Sprintf("nn: %s inner output %v does not match input %v", r.name, y.Shape, x.Shape))
 	}
 	out := a.GetRaw(y.Shape...)
-	copy(out.Data, y.Data)
-	out.Add(x)
+	tensor.AddInto(out.Data, y.Data, x.Data)
 	return out
 }
 
 // Backward implements Layer.
 func (r *Residual) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
-	c := ctx.(residualCtx)
+	c := ctx.(*residualCtx)
 	gradInner := r.Inner.Backward(c.inner, gradOut)
-	return gradInner.Clone().Add(gradOut)
+	grad := tensor.GetRaw(gradInner.Shape...)
+	tensor.AddInto(grad.Data, gradInner.Data, gradOut.Data)
+	// The inner gradient is the block's unless the inner stack passed
+	// gradOut through.
+	if !tensor.SharesStorage(gradInner, gradOut) {
+		tensor.Put(gradInner)
+	}
+	tensor.Put(c.y)
+	return grad
+}
+
+// discard implements contextDiscarder.
+func (r *Residual) discard(ctx Context) {
+	c := ctx.(*residualCtx)
+	r.Inner.Discard(c.inner)
+	tensor.Put(c.y)
 }
 
 // Params implements Layer.

@@ -244,7 +244,8 @@ func TestSelfAttentionGradients(t *testing.T) {
 func TestSelfAttentionRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	scores := tensor.Randn(rng, 2, 4, 4)
-	attn := softmaxRows(scores)
+	attn := tensor.New(4, 4)
+	softmaxRowsInto(attn, scores)
 	for i := 0; i < 4; i++ {
 		var s float64
 		for j := 0; j < 4; j++ {

@@ -62,22 +62,34 @@ func (s *SGD) SetLR(lr float64) { s.lr = lr }
 func (s *SGD) Step(params, grads []*tensor.Tensor) {
 	checkAligned(params, grads)
 	for i, p := range params {
-		g := grads[i]
-		if s.WeightDecay != 0 {
-			g = g.Clone().AddScaled(float32(s.WeightDecay), p)
-		}
+		g := decayedGrad(grads[i], s.WeightDecay, p)
 		if s.Momentum == 0 {
 			p.AddScaled(float32(-s.lr), g)
-			continue
+		} else {
+			v, ok := s.velocity[p]
+			if !ok {
+				v = tensor.New(p.Shape...)
+				s.velocity[p] = v
+			}
+			v.Scale(float32(s.Momentum)).Add(g)
+			p.AddScaled(float32(-s.lr), v)
 		}
-		v, ok := s.velocity[p]
-		if !ok {
-			v = tensor.New(p.Shape...)
-			s.velocity[p] = v
+		if g != grads[i] {
+			tensor.Put(g)
 		}
-		v.Scale(float32(s.Momentum)).Add(g)
-		p.AddScaled(float32(-s.lr), v)
 	}
+}
+
+// decayedGrad returns the gradient with L2 weight decay folded in,
+// g + decay·p, in pooled scratch that the caller recycles once the step
+// has used it; without decay it is g itself.
+func decayedGrad(g *tensor.Tensor, decay float64, p *tensor.Tensor) *tensor.Tensor {
+	if decay == 0 {
+		return g
+	}
+	d := tensor.GetRaw(g.Shape...)
+	tensor.AddScaledInto(d.Data, g.Data, float32(decay), p.Data)
+	return d
 }
 
 // StateSnapshot implements Stateful: one velocity tensor per parameter
@@ -216,10 +228,7 @@ func (l *LARS) SetLR(lr float64) { l.lr = lr }
 func (l *LARS) Step(params, grads []*tensor.Tensor) {
 	checkAligned(params, grads)
 	for i, p := range params {
-		g := grads[i].Clone()
-		if l.WeightDecay != 0 {
-			g.AddScaled(float32(l.WeightDecay), p)
-		}
+		g := decayedGrad(grads[i], l.WeightDecay, p)
 		wNorm, gNorm := p.Norm(), g.Norm()
 		localLR := l.lr
 		if wNorm > 0 && gNorm > 0 {
@@ -232,6 +241,9 @@ func (l *LARS) Step(params, grads []*tensor.Tensor) {
 		}
 		v.Scale(float32(l.Momentum)).AddScaled(float32(localLR), g)
 		p.Sub(v)
+		if g != grads[i] {
+			tensor.Put(g)
+		}
 	}
 }
 

@@ -1,0 +1,173 @@
+package nn
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"pipedream/internal/tensor"
+)
+
+// ownershipStacks are layer stacks that between them put a view or an
+// identity layer first, in the middle and last, nest a Sequential in a
+// Residual (with real and with identity-only inner stacks), and cover
+// every layer whose context holds pooled tensors. Each returns the stack
+// built from seed and an input for it.
+var ownershipStacks = map[string]func(rng *rand.Rand) (*Sequential, *tensor.Tensor){
+	"dense-tanh-dense": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		return NewSequential(NewDense(rng, "a", 6, 8), NewTanh("t"), NewDense(rng, "b", 8, 3)), tensor.Randn(rng, 1, 4, 6)
+	},
+	"ends-in-tanh": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		return NewSequential(NewDense(rng, "a", 6, 8), NewReLU("r"), NewDense(rng, "b", 8, 8), NewTanh("t")), tensor.Randn(rng, 1, 4, 6)
+	},
+	"view-first": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		return NewSequential(NewFlatten("f"), NewDense(rng, "a", 6, 5), NewSigmoid("s")), tensor.Randn(rng, 1, 4, 2, 3)
+	},
+	"view-middle": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		return NewSequential(NewLSTM(rng, "l", 3, 4), NewFlattenTime("ft"), NewDense(rng, "a", 4, 2), NewReLU("r")), tensor.Randn(rng, 1, 2, 5, 3)
+	},
+	"view-last": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		return NewSequential(NewGRU(rng, "g", 3, 4), NewTanh("t"), NewFlattenTime("ft")), tensor.Randn(rng, 1, 2, 5, 3)
+	},
+	"views-only": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		return NewSequential(NewFlatten("f"), NewDropout(rng, "identity", 0)), tensor.Randn(rng, 1, 4, 2, 3)
+	},
+	"identity-middle": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		return NewSequential(NewDense(rng, "a", 6, 8), NewDropout(rng, "identity", 0), NewFlatten("f"), NewReLU("r"), NewDropout(rng, "d", 0.5), NewDense(rng, "b", 8, 3)), tensor.Randn(rng, 1, 4, 6)
+	},
+	"residual": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		inner := NewSequential(NewDense(rng, "i1", 6, 6), NewTanh("it"))
+		identity := NewSequential(NewDropout(rng, "identity", 0))
+		return NewSequential(NewLayerNorm("ln", 6), NewResidual("res", inner), NewResidual("res-id", identity), NewDense(rng, "b", 6, 3)), tensor.Randn(rng, 1, 4, 6)
+	},
+	"conv": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		g := tensor.ConvGeom{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
+		pool := tensor.ConvGeom{InC: 3, InH: 6, InW: 6, KH: 2, KW: 2, Stride: 2}
+		avg := tensor.ConvGeom{InC: 3, InH: 3, InW: 3, KH: 3, KW: 3, Stride: 1}
+		return NewSequential(NewConv2D(rng, "c", g, 3), NewReLU("r"), NewMaxPool2D("mp", pool), NewAvgPool2D("ap", avg), NewFlatten("f"), NewDense(rng, "d", 3, 2)), tensor.Randn(rng, 1, 2, 2, 6, 6)
+	},
+	"attention": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		ids := tensor.New(2, 5)
+		for i := range ids.Data {
+			ids.Data[i] = float32(rng.Intn(7))
+		}
+		return NewSequential(NewEmbedding(rng, "e", 7, 4), NewSelfAttention(rng, "sa", 4), NewMultiHeadAttention(rng, "mha", 4, 2), NewLastStep("ls"), NewDense(rng, "d", 4, 3)), ids
+	},
+}
+
+func bitsOf(ts ...*tensor.Tensor) []uint32 {
+	var out []uint32
+	for _, t := range ts {
+		for _, v := range t.Data {
+			out = append(out, math.Float32bits(v))
+		}
+	}
+	return out
+}
+
+func sameBits(t *testing.T, what string, got, want []uint32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: element %d is %#08x, want %#08x", what, i, got[i], want[i])
+		}
+	}
+}
+
+// A Sequential's forward and backward, which release every tensor the
+// Sequential owns, give bit for bit what the same layers give when called
+// one by one with nothing ever released — the package's tests run with the
+// use-after-release detector on, so a tensor released while a context
+// still reads it, or released twice through a view, fails here — and,
+// with the caller releasing what is the caller's, a warmed-up step takes
+// nothing from the pool that the previous step did not put back. The same
+// holds for a forward pass that is discarded instead.
+func TestSequentialReleasesEachTensorOnce(t *testing.T) {
+	// One P, so every Put of a step sits where the next step's Gets look;
+	// no collection, which empties sync.Pool.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for name, build := range ownershipStacks {
+		t.Run(name, func(t *testing.T) {
+			ref, x := build(rand.New(rand.NewSource(5)))
+			seq, _ := build(rand.New(rand.NewSource(5)))
+
+			// Reference: layer by layer, every tensor left to the collector.
+			ctxs := make([]Context, len(ref.Layers))
+			act := x
+			for i, l := range ref.Layers {
+				act, ctxs[i] = l.Forward(act, true)
+			}
+			gradOut := tensor.Randn(rand.New(rand.NewSource(6)), 1, act.Shape...)
+			grad := gradOut
+			for i := len(ref.Layers) - 1; i >= 0; i-- {
+				grad = ref.Layers[i].Backward(ctxs[i], grad)
+			}
+			wantY, wantGrad, wantParamGrads := bitsOf(act), bitsOf(grad), bitsOf(ref.Grads()...)
+
+			step := func(discard bool) {
+				y, ctx := seq.Forward(x, true)
+				sameBits(t, "output", bitsOf(y), wantY)
+				if discard {
+					seq.Discard(ctx)
+				} else {
+					g := seq.Backward(ctx, gradOut)
+					sameBits(t, "input gradient", bitsOf(g), wantGrad)
+					sameBits(t, "parameter gradients", bitsOf(seq.Grads()...), wantParamGrads)
+					if !tensor.SharesStorage(g, gradOut) {
+						tensor.Put(g)
+					}
+				}
+				if !tensor.SharesStorage(y, x) {
+					tensor.Put(y)
+				}
+				seq.ZeroGrads()
+			}
+			// The dropout mask of "identity-middle" is drawn per forward:
+			// give every step the reference's draw.
+			reseed := func() {
+				fresh, _ := build(rand.New(rand.NewSource(5)))
+				for i, l := range fresh.Layers {
+					if d, ok := l.(*Dropout); ok {
+						seq.Layers[i].(*Dropout).rng = d.rng
+					}
+				}
+			}
+			for _, discard := range []bool{false, true} {
+				for i := 0; i < 2; i++ { // fill the pool's size classes
+					reseed()
+					step(discard)
+				}
+				_, misses0, _ := tensor.PoolCounters()
+				reseed()
+				step(discard)
+				_, misses1, _ := tensor.PoolCounters()
+				if misses1 != misses0 && !raceEnabled {
+					t.Errorf("discard=%v: a warmed-up step missed the pool %d times: something it takes is never put back", discard, misses1-misses0)
+				}
+			}
+		})
+	}
+}
+
+// ReadsOutput is true exactly when a layer context is the final output or
+// a tensor the final output is a view of.
+func TestSeqContextReadsOutput(t *testing.T) {
+	want := map[string]bool{
+		"dense-tanh-dense": false, "ends-in-tanh": true, "view-first": true, "view-middle": false,
+		"view-last": true, "views-only": false, "identity-middle": false, "residual": false,
+		"conv": false, "attention": false,
+	}
+	for name, build := range ownershipStacks {
+		seq, x := build(rand.New(rand.NewSource(5)))
+		_, ctx := seq.Forward(x, true)
+		if got := ctx.ReadsOutput(); got != want[name] {
+			t.Errorf("%s: ReadsOutput() = %v, want %v", name, got, want[name])
+		}
+	}
+}

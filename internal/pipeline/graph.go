@@ -52,8 +52,12 @@ func (sw *stageWorker) sumPendingGrads(mb int) *tensor.Tensor {
 		srcs = append(srcs, s)
 	}
 	sort.Ints(srcs)
-	sum := pend[srcs[0]].Clone()
-	for _, s := range srcs[1:] {
+	// A fan-out stage has at least two successors. The sum is this
+	// worker's own (pooled, released when the backward ends).
+	first := pend[srcs[0]]
+	sum := tensor.GetRaw(first.Shape...)
+	tensor.AddInto(sum.Data, first.Data, pend[srcs[1]].Data)
+	for _, s := range srcs[2:] {
 		sum.Add(pend[s])
 	}
 	for _, g := range pend {
@@ -62,18 +66,22 @@ func (sw *stageWorker) sumPendingGrads(mb int) *tensor.Tensor {
 	return sum
 }
 
-// joinTensors combines fan-in activations under the given join op. For
-// JoinSum every part must share a shape; for JoinConcat the parts are
+// joinTensors combines the fan-in activations of a join (two parts or
+// more) under the given join op into a new pooled tensor. For JoinSum
+// every part must share a shape; for JoinConcat the parts are
 // concatenated along the feature (last) dimension of row-major
 // [rows, features] tensors, returning each part's width.
 func joinTensors(op partition.JoinOp, parts []*tensor.Tensor) (*tensor.Tensor, []int, error) {
 	switch op {
 	case partition.JoinSum:
-		out := parts[0].Clone()
 		for _, p := range parts[1:] {
-			if !out.SameShape(p) {
-				return nil, nil, fmt.Errorf("sum join over mismatched shapes %v vs %v", out.Shape, p.Shape)
+			if !parts[0].SameShape(p) {
+				return nil, nil, fmt.Errorf("sum join over mismatched shapes %v vs %v", parts[0].Shape, p.Shape)
 			}
+		}
+		out := tensor.GetRaw(parts[0].Shape...)
+		tensor.AddInto(out.Data, parts[0].Data, parts[1].Data)
+		for _, p := range parts[2:] {
 			out.Add(p)
 		}
 		return out, nil, nil
@@ -88,7 +96,7 @@ func joinTensors(op partition.JoinOp, parts []*tensor.Tensor) (*tensor.Tensor, [
 			widths[i] = p.Dim(1)
 			total += widths[i]
 		}
-		out := tensor.New(rows, total)
+		out := tensor.GetRaw(rows, total) // the parts' columns cover every row
 		off := 0
 		for i, p := range parts {
 			w := widths[i]
@@ -129,7 +137,7 @@ func splitJoinGrad(op partition.JoinOp, grad *tensor.Tensor, preds []int, widths
 		out := make([]*tensor.Tensor, len(preds))
 		off := 0
 		for i, w := range widths {
-			piece := tensor.New(rows, w)
+			piece := tensor.GetRaw(rows, w)
 			for r := 0; r < rows; r++ {
 				copy(piece.Data[r*w:(r+1)*w], grad.Data[r*total+off:r*total+off+w])
 			}

@@ -16,6 +16,7 @@ import (
 	"pipedream/internal/data"
 	"pipedream/internal/nn"
 	"pipedream/internal/partition"
+	"pipedream/internal/profile"
 	"pipedream/internal/tensor"
 	"pipedream/internal/topology"
 	"pipedream/internal/transport"
@@ -252,5 +253,157 @@ func TestBreakConnStormTrainsBitEqual(t *testing.T) {
 	}
 	if fmt.Sprint(params) != fmt.Sprint(wantParams) {
 		t.Fatal("final weights differ from the fault-free run")
+	}
+}
+
+// A warmed-up Train call allocates no tensor: every layer output, gradient,
+// loss gradient, weight stash and decoded frame is a pool hit that an
+// earlier minibatch's owner put back, with and without recomputation. What
+// is left per minibatch is headers, label slices and bookkeeping. Over
+// loopback TCP that holds for the stage boundaries too; over the in-process
+// transport a stage output and the gradient returned for it cross as
+// pointers and are never recycled (TestChannelsTensorsAreNeverRecycled), so
+// that plan keeps its boundaries narrow (1 KB each against 64 KB inside the
+// stages) and is allowed those two pool misses per minibatch — and a few
+// more: the two drain a size class that the stages' own [64, 4] tensors
+// share, so whether one of those finds it empty depends on how the workers
+// interleave.
+func TestTrainStepAllocatesNoTensors(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	// One P, so every Put of the run sits where the next Get looks.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const perCall = 32
+	stagesOf := func(last ...int) []partition.StageSpec {
+		var specs []partition.StageSpec
+		first := 0
+		for _, l := range last {
+			specs = append(specs, partition.StageSpec{FirstLayer: first, LastLayer: l, Replicas: 1})
+			first = l + 1
+		}
+		return specs
+	}
+	for _, c := range []struct {
+		name    string
+		factory func() *nn.Sequential
+		stages  []partition.StageSpec
+		ds      data.Dataset
+		tcp     bool
+		misses  int64 // allowed in the measured call
+	}{
+		{
+			name: "tcp-embedding-relu-relu-dense",
+			factory: func() *nn.Sequential {
+				rng := rand.New(rand.NewSource(41))
+				return nn.NewSequential(nn.NewEmbedding(rng, "emb", 4, 256), nn.NewReLU("r1"), nn.NewReLU("r2"),
+					nn.NewFlattenTime("ft"), nn.NewDense(rng, "dec", 256, 4))
+			},
+			stages: stagesOf(0, 1, 2, 4),
+			ds:     data.NewSequenceCopy(43, 4, 16, 8, perCall),
+			tcp:    true,
+		},
+		{
+			name: "channels-dense-tanh",
+			factory: func() *nn.Sequential {
+				rng := rand.New(rand.NewSource(41))
+				return nn.NewSequential(
+					nn.NewDense(rng, "a1", 8, 256), nn.NewTanh("t1"), nn.NewDense(rng, "a2", 256, 4), nn.NewTanh("t2"),
+					nn.NewDense(rng, "b1", 4, 256), nn.NewTanh("t3"), nn.NewDense(rng, "b2", 256, 3))
+			},
+			stages: stagesOf(3, 6),
+			ds:     data.NewBlobs(43, 3, 8, 64, perCall),
+			misses: 2*perCall + 4,
+		},
+	} {
+		for _, recompute := range []bool{false, true} {
+			plan, err := partition.NewPlan(syntheticProfileFor(c.factory()), topology.Flat(len(c.stages), 1e9, topology.V100),
+				partition.PlanOptions{Stages: c.stages})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := baseOptions(c.factory, plan)
+			opts.Depth = 0
+			opts.Recompute = recompute
+			if c.tcp {
+				tcp, err := transport.NewTCP(plan.Workers, 32)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tcp.Close()
+				opts.Transport = tcp
+			}
+			p, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			for i := 0; i < 2; i++ { // dial, size the header buffers, fill the pool
+				if _, err := p.Train(c.ds, perCall); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The best of three calls: a leak shows in every call, whereas the
+			// workers' interleaving now and then makes more tensors of a size
+			// live at once than ever before, which grows the pool once. A
+			// collection empties sync.Pool; keep one out of the measured calls.
+			restore := debug.SetGCPercent(-1)
+			bytes, mallocs, misses := uint64(math.MaxUint64), uint64(0), int64(math.MaxInt64)
+			for i := 0; i < 3 && err == nil; i++ {
+				var ms0, ms1 runtime.MemStats
+				_, misses0, _ := tensor.PoolCounters()
+				runtime.ReadMemStats(&ms0)
+				_, err = p.Train(c.ds, perCall)
+				runtime.ReadMemStats(&ms1)
+				_, misses1, _ := tensor.PoolCounters()
+				if b := ms1.TotalAlloc - ms0.TotalAlloc; b < bytes {
+					bytes, mallocs = b, ms1.Mallocs-ms0.Mallocs
+				}
+				misses = min(misses, misses1-misses0)
+			}
+			debug.SetGCPercent(restore)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perMB := bytes / perCall
+			t.Logf("%s recompute=%v: %d B in %d allocations per minibatch, %d pool misses in %d minibatches",
+				c.name, recompute, perMB, mallocs/perCall, misses, perCall)
+			if perMB >= 8<<10 {
+				t.Errorf("%s recompute=%v: a minibatch allocates %d B, want < 8 KB", c.name, recompute, perMB)
+			}
+			if misses > c.misses {
+				t.Errorf("%s recompute=%v: %d pool misses in a warmed-up call, want at most %d", c.name, recompute, misses, c.misses)
+			}
+		}
+	}
+}
+
+// profile.Measure, which calls the layers one by one, owns every tensor
+// they hand it and puts each back once: a second profile of a model with
+// views at both ends of the stack and contexts that are layer outputs
+// takes nothing new from the pool and (the detector is on) releases no
+// array twice. It lives here because this package's tests have the
+// detector.
+func TestProfileMeasureReleasesWhatItTakes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: every Put sits where the next Get looks
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rng := rand.New(rand.NewSource(3))
+	model := nn.NewSequential(
+		nn.NewFlatten("in"),
+		nn.NewDense(rng, "fc1", 6, 32), nn.NewTanh("t"),
+		nn.NewDropout(rng, "identity", 0),
+		nn.NewDense(rng, "fc2", 32, 3), nn.NewSigmoid("s"),
+		nn.NewFlatten("out"),
+	)
+	ds := data.NewImages(5, 3, 6, 1, 8, 4)
+	profile.Measure(model, "views", ds, 2)
+	_, misses0, _ := tensor.PoolCounters()
+	prof := profile.Measure(model, "views", ds, 2)
+	_, misses1, _ := tensor.PoolCounters()
+	if err := prof.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if misses1 != misses0 && !raceEnabled {
+		t.Fatalf("the second profile missed the pool %d times", misses1-misses0)
 	}
 }

@@ -68,7 +68,10 @@ func (m StalenessMode) String() string {
 	return fmt.Sprintf("StalenessMode(%d)", int(m))
 }
 
-// LossFunc computes a scalar loss and its gradient w.r.t. predictions.
+// LossFunc computes a scalar loss and its gradient w.r.t. predictions. The
+// gradient becomes the sink worker's: it is handed to tensor.Put once the
+// minibatch's backward has consumed it, so a LossFunc returns a tensor
+// nothing else keeps (nn's losses take theirs from the pool).
 type LossFunc func(pred *tensor.Tensor, labels []int) (float64, *tensor.Tensor)
 
 // RuntimeConfig groups the execution-shape options of a Pipeline: how
@@ -659,9 +662,14 @@ func (p *Pipeline) CollectModel() *nn.Sequential {
 // stashEntry is the per-minibatch state a worker keeps between a forward
 // and its backward.
 type stashEntry struct {
-	params     []*tensor.Tensor // weight version used in forward (nil in NoStashing)
-	ctx        *nn.SeqContext   // nil when recomputation is enabled
-	input      *tensor.Tensor   // stage input: recomputed from, and recycled after backward
+	params []*tensor.Tensor // weight version used in forward (nil in NoStashing)
+	ctx    *nn.SeqContext   // nil when recomputation is enabled
+	input  *tensor.Tensor   // stage input: recomputed from, and recycled after backward
+	// output is the stage output when this worker is the one to release it
+	// (see ownedOutput) and the backward pass still reads it (a stage ending
+	// in Tanh or Sigmoid, whose context is its output), kept until the
+	// backward ends; nil when the forward already released it.
+	output     *tensor.Tensor
 	version    int
 	bytes      int64
 	fwdUpdates int // local optimizer updates at forward time (staleness baseline)
@@ -1022,30 +1030,49 @@ func (sw *stageWorker) forward(m transport.Message, ab *runAbort) error {
 		stashed = nil
 	}
 	y, ctx := sw.model.Forward(m.Tensor, true)
-	entry := stashEntry{params: stashed, ctx: ctx, input: m.Tensor, version: m.Version,
-		bytes: stashBytesOf(stashed, m.Tensor), fwdUpdates: sw.updates,
+	entry := stashEntry{params: stashed, ctx: ctx, input: m.Tensor, output: sw.ownedOutput(y, m.Tensor),
+		version: m.Version, bytes: stashBytesOf(stashed, m.Tensor), fwdUpdates: sw.updates,
 		joinWidths: joinWidths}
-	if sw.p.opts.Recompute {
-		// Keep only the stage input; the backward pass re-runs the
-		// forward to rebuild layer contexts (trading compute for the
-		// activation-stash memory, §3.3).
-		entry.ctx = nil
-	}
-	sw.stash[m.Minibatch] = entry
-	sw.trackStash(entry.bytes)
-
+	var err error
 	if sw.isSink() {
 		loss, grad := sw.loss(y, m.Labels)
+		if tensor.SharesStorage(grad, y) {
+			// A loss that wrote its gradient over the prediction: one
+			// array, released as the gradient.
+			entry.output = nil
+		}
 		sw.results <- lossEvent{mb: m.Minibatch, loss: loss}
 		sw.bwdReady[m.Minibatch] = transport.Message{
 			Kind: transport.Gradient, Minibatch: m.Minibatch,
 			Version: m.Version, Tensor: grad,
 		}
-		return nil
+	} else {
+		err = sw.sendActivation(m, y, ab)
 	}
-	// Broadcast the output activation along every out-edge (one send for
-	// a linear plan). Receivers treat activations as read-only, so the
-	// same tensor backs every in-process send.
+	if sw.p.opts.Recompute {
+		// Keep only the stage input; the backward pass re-runs the
+		// forward to rebuild layer contexts (trading compute for the
+		// activation-stash memory, §3.3). What this forward built has
+		// served its purpose.
+		sw.model.Discard(ctx)
+		entry.ctx = nil
+	}
+	if entry.ctx == nil || !entry.ctx.ReadsOutput() {
+		// The output has been used (sent, or scored) and no layer
+		// context needs it for the backward pass.
+		tensor.Put(entry.output)
+		entry.output = nil
+	}
+	sw.stash[m.Minibatch] = entry
+	sw.trackStash(entry.bytes)
+	return err
+}
+
+// sendActivation broadcasts the output activation y of minibatch m along
+// every out-edge (one send for a linear plan). Receivers treat activations
+// as read-only, so the same tensor backs every in-process send. A
+// transport failure aborts the run.
+func (sw *stageWorker) sendActivation(m transport.Message, y *tensor.Tensor, ab *runAbort) error {
 	for _, next := range sw.succs {
 		target := sw.p.assign.StageWorkers[next][schedule.ReplicaFor(m.Minibatch, len(sw.p.assign.StageWorkers[next]))]
 		if err := sw.p.tr.Send(target, transport.Message{
@@ -1056,6 +1083,20 @@ func (sw *stageWorker) forward(m transport.Message, ab *runAbort) error {
 			ab.fail(err)
 			return err
 		}
+	}
+	return nil
+}
+
+// ownedOutput returns y, a stage output computed from input x, if this
+// worker is the one to release it, and nil otherwise. It is when y's
+// pointer never leaves the worker: a sink's output feeds only its loss, and
+// a serializing transport copies the bytes out during Send. Over an
+// in-process transport the pointer is the message, and the tensor is shared
+// from then on (transport.Transport). An output that is a view of the
+// stage's input goes the way of that input.
+func (sw *stageWorker) ownedOutput(y, x *tensor.Tensor) *tensor.Tensor {
+	if (sw.isSink() || transport.ReceiverOwns(sw.p.tr)) && !tensor.SharesStorage(y, x) {
+		return y
 	}
 	return nil
 }
@@ -1108,8 +1149,13 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 		ctx := entry.ctx
 		if ctx == nil {
 			// Recomputation: re-run the forward pass (under the same
-			// stashed weights) to rebuild the layer contexts.
-			_, ctx = sw.model.Forward(entry.input, true)
+			// stashed weights) to rebuild the layer contexts. Its output
+			// goes nowhere, so it is this worker's on any transport.
+			var y *tensor.Tensor
+			y, ctx = sw.model.Forward(entry.input, true)
+			if !tensor.SharesStorage(y, entry.input) {
+				entry.output = y
+			}
 		}
 		if useRing {
 			return sw.model.BackwardWithHook(ctx, m.Tensor, sw.pumpRing)
@@ -1143,29 +1189,52 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 	// reducing (overlap in both directions).
 	sentUp := false
 	sendUp := func() error {
-		if len(sw.preds) == 0 || sentUp {
+		if sentUp {
 			return nil
 		}
 		sentUp = true
-		// One gradient per in-edge: the join's backward routes gradIn to
-		// each predecessor (unchanged for sum, split by feature width
-		// for concat, pass-through for a single edge).
-		upGrads, err := splitJoinGrad(sw.join, gradIn, sw.preds, entry.joinWidths)
-		if err != nil {
-			err = fmt.Errorf("pipeline: worker %d backward mb %d: %w", sw.id, m.Minibatch, err)
-			ab.fail(err)
-			return err
-		}
-		for i, prev := range sw.preds {
-			target := sw.p.assign.StageWorkers[prev][schedule.ReplicaFor(m.Minibatch, len(sw.p.assign.StageWorkers[prev]))]
-			if err := sw.p.tr.Send(target, transport.Message{
-				Kind: transport.Gradient, Minibatch: m.Minibatch,
-				Version: entry.version, Src: sw.stage, Tensor: upGrads[i],
-			}); err != nil {
+		// gradIn is released here, by the rule of its path: if its pointer
+		// was handed to the transport, as a tensor that crossed it
+		// (recycle); if only copies of it were (a concat join's pieces, which
+		// go that way themselves) or nothing was (an input stage), as this
+		// worker's own. A stage of views only returns a view of the
+		// downstream gradient, which is released as that, below.
+		sentItself := false
+		if len(sw.preds) > 0 {
+			// One gradient per in-edge: the join's backward routes gradIn to
+			// each predecessor (unchanged for sum, split by feature width
+			// for concat, pass-through for a single edge).
+			upGrads, err := splitJoinGrad(sw.join, gradIn, sw.preds, entry.joinWidths)
+			if err != nil {
 				err = fmt.Errorf("pipeline: worker %d backward mb %d: %w", sw.id, m.Minibatch, err)
 				ab.fail(err)
 				return err
 			}
+			for i, prev := range sw.preds {
+				target := sw.p.assign.StageWorkers[prev][schedule.ReplicaFor(m.Minibatch, len(sw.p.assign.StageWorkers[prev]))]
+				if err := sw.p.tr.Send(target, transport.Message{
+					Kind: transport.Gradient, Minibatch: m.Minibatch,
+					Version: entry.version, Src: sw.stage, Tensor: upGrads[i],
+				}); err != nil {
+					err = fmt.Errorf("pipeline: worker %d backward mb %d: %w", sw.id, m.Minibatch, err)
+					ab.fail(err)
+					return err
+				}
+			}
+			for _, g := range upGrads {
+				if g == gradIn {
+					sentItself = true
+				} else {
+					sw.recycle(g)
+				}
+			}
+		}
+		switch {
+		case tensor.SharesStorage(gradIn, m.Tensor):
+		case sentItself:
+			sw.recycle(gradIn)
+		default:
+			tensor.Put(gradIn)
 		}
 		return nil
 	}
@@ -1215,16 +1284,25 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 		return err
 	}
 	// Nothing reads the minibatch's input activation (a layer context
-	// until now) or output gradient again, and the upstream gradient — it
-	// may be a view of the latter — has left. Only single-edge arrivals
-	// reach here: joins recycled theirs, and the input stage's batch and a
-	// sink's loss gradient never crossed the transport.
-	if len(sw.preds) == 1 {
+	// until now), its output (possibly the last layer's context) or the
+	// output's gradient again, and the upstream gradient — it may be a
+	// view of the latter — has left. What arrived over a single edge is
+	// released as a tensor that crossed the transport; a join's result, a
+	// fan-out's gradient sum and a sink's loss gradient were made here and
+	// never left; the input stage's batch is the dataset's.
+	switch len(sw.preds) {
+	case 0:
+	case 1:
 		sw.recycle(entry.input)
+	default:
+		tensor.Put(entry.input)
 	}
 	if len(sw.succs) == 1 {
 		sw.recycle(m.Tensor)
+	} else {
+		tensor.Put(m.Tensor)
 	}
+	tensor.Put(entry.output)
 	return nil
 }
 

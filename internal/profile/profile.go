@@ -163,15 +163,31 @@ func Measure(model *nn.Sequential, name string, ds data.Dataset, numBatches int)
 			ctxs[i], acts[i] = ctx, y
 			x = y
 		}
+		// Calling the layers one by one makes this function the owner of
+		// every tensor they return (nn.Layer): each gradient is released
+		// once the next backward has consumed it, each output once its own
+		// layer's backward has run, and a view with the tensor it views.
 		grad := tensor.Ones(x.Shape...)
 		for i := n - 1; i >= 0; i-- {
 			t0 := time.Now()
-			grad = model.Layers[i].Backward(ctxs[i], grad)
+			next := model.Layers[i].Backward(ctxs[i], grad)
 			prof.Layers[i].BwdTime += time.Since(t0).Seconds()
+			if !tensor.SharesStorage(next, grad) {
+				tensor.Put(grad)
+			}
+			grad = next
 			if b == 0 {
 				prof.Layers[i].ActivationBytes = int64(acts[i].Bytes())
 			}
+			in := batch.X
+			if i > 0 {
+				in = acts[i-1]
+			}
+			if !tensor.SharesStorage(acts[i], in) {
+				tensor.Put(acts[i])
+			}
 		}
+		tensor.Put(grad)
 		nn.ZeroGrads(model.Grads())
 	}
 	inv := 1 / float64(numBatches)

@@ -85,19 +85,23 @@ func Im2ColInto(dst, in *Tensor, g ConvGeom) *Tensor {
 	return dst
 }
 
-// Col2Im scatters a column matrix [B*OutH*OutW, C*KH*KW] back into a batch
-// image [B, C, H, W], summing overlapping contributions. It is the adjoint
-// of Im2Col and is used for convolution input gradients. Parallelism is
-// per image: every scatter-add for image n lands in image n's plane, so
-// concurrent images never race.
-func Col2Im(cols *Tensor, batch int, g ConvGeom) *Tensor {
+// Col2ImInto scatters a column matrix [B*OutH*OutW, C*KH*KW] back into a
+// batch image, summing overlapping contributions into out, a zero-filled
+// [B, C, H, W] tensor; it returns out. It is the adjoint of Im2Col and is
+// used for convolution input gradients. Parallelism is per image: every
+// scatter-add for image n lands in image n's plane, so concurrent images
+// never race.
+func Col2ImInto(out, cols *Tensor, g ConvGeom) *Tensor {
 	g.check()
 	oh, ow := g.OutH(), g.OutW()
 	rowLen := g.InC * g.KH * g.KW
+	if out.NumDims() != 4 || out.Shape[1] != g.InC || out.Shape[2] != g.InH || out.Shape[3] != g.InW {
+		panic(fmt.Sprintf("tensor: col2im output %v does not match geometry %+v", out.Shape, g))
+	}
+	batch := out.Shape[0]
 	if cols.NumDims() != 2 || cols.Shape[0] != batch*oh*ow || cols.Shape[1] != rowLen {
 		panic(fmt.Sprintf("tensor: col2im input %v does not match geometry %+v batch %d", cols.Shape, g, batch))
 	}
-	out := New(batch, g.InC, g.InH, g.InW)
 	parallelFor(batch, oh*ow*rowLen, func(lo, hi int) {
 		for n := lo; n < hi; n++ {
 			img := out.Data[n*g.InC*g.InH*g.InW:]
@@ -125,19 +129,21 @@ func Col2Im(cols *Tensor, batch int, g ConvGeom) *Tensor {
 	return out
 }
 
-// MaxPool performs max pooling over [B, C, H, W] and returns the pooled
-// tensor [B, C, OutH, OutW] along with the flat input index of each maximum
-// (for the backward pass). Images are pooled in parallel; outputs and
-// argmax indices for image n occupy a disjoint block.
-func MaxPool(in *Tensor, g ConvGeom) (*Tensor, []int) {
+// MaxPoolInto performs max pooling over [B, C, H, W] into out
+// [B, C, OutH, OutW], recording in idx the flat input index of each
+// maximum (for the backward pass); both are fully overwritten. Images are
+// pooled in parallel; outputs and argmax indices for image n occupy a
+// disjoint block.
+func MaxPoolInto(out *Tensor, idx []int, in *Tensor, g ConvGeom) {
 	g.check()
 	if in.NumDims() != 4 || in.Shape[1] != g.InC || in.Shape[2] != g.InH || in.Shape[3] != g.InW {
 		panic(fmt.Sprintf("tensor: maxpool input %v does not match geometry %+v", in.Shape, g))
 	}
 	b := in.Shape[0]
 	oh, ow := g.OutH(), g.OutW()
-	out := New(b, g.InC, oh, ow)
-	idx := make([]int, out.Size())
+	if out.Size() != b*g.InC*oh*ow || len(idx) != out.Size() {
+		panic(fmt.Sprintf("tensor: maxpool output %v with %d indices for input %v, geometry %+v", out.Shape, len(idx), in.Shape, g))
+	}
 	parallelFor(b, g.InC*oh*ow*g.KH*g.KW, func(lo, hi int) {
 		for n := lo; n < hi; n++ {
 			oi := n * g.InC * oh * ow
@@ -170,16 +176,15 @@ func MaxPool(in *Tensor, g ConvGeom) (*Tensor, []int) {
 			}
 		}
 	})
-	return out, idx
 }
 
-// MaxPoolBackward routes output gradients back to the argmax positions
-// recorded by MaxPool, producing the input gradient.
-func MaxPoolBackward(gradOut *Tensor, idx []int, inShape []int) *Tensor {
+// MaxPoolBackwardInto routes output gradients back to the argmax
+// positions recorded by MaxPoolInto, adding them into grad, a zero-filled
+// tensor of the pooling input's shape; it returns grad.
+func MaxPoolBackwardInto(grad, gradOut *Tensor, idx []int) *Tensor {
 	if gradOut.Size() != len(idx) {
 		panic(fmt.Sprintf("tensor: maxpool backward size mismatch %d vs %d", gradOut.Size(), len(idx)))
 	}
-	grad := New(inShape...)
 	for i, v := range gradOut.Data {
 		if idx[i] >= 0 {
 			grad.Data[idx[i]] += v

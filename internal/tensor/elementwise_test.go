@@ -1,0 +1,190 @@
+package tensor
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// exactBits reports the first element whose bit pattern differs, NaN
+// payloads included: the rectifier and its mask move bits, they do not
+// compute, so even a NaN must come through unchanged.
+func exactBits(t *testing.T, label string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: element %d of %d: kernel %#08x, portable %#08x", label, i, len(want), math.Float32bits(got[i]), math.Float32bits(want[i]))
+		}
+	}
+}
+
+// checkElementwiseBitEqual runs the four vectorised elementwise kernels
+// on n-element operands through their public entry points — out of
+// place into garbage, and in place over their first source — and
+// through the portable loops, and demands equal bits. Operands start an
+// odd number of elements into their allocation; odd seeds salt them
+// with ±Inf, NaN and overflowing values on top of ±0 and denormals.
+func checkElementwiseBitEqual(t *testing.T, seed int64, n int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	salt := finiteAwkward
+	if seed&1 == 1 {
+		salt = len(awkwardValues)
+	}
+	a, b := unalignedTensor(rng, salt, n), unalignedTensor(rng, salt, n)
+	s := awkwardValues[rng.Intn(salt)]
+	if rng.Intn(2) == 0 {
+		s = 2*rng.Float32() - 1
+	}
+	want := New(n)
+	// inPlace(a) is a fresh unaligned copy of a for a kernel to overwrite.
+	inPlace := func(src *Tensor) *Tensor {
+		c := unalignedTensor(rng, 0, n)
+		copy(c.Data, src.Data)
+		return c
+	}
+	same := func(label string, got *Tensor) {
+		t.Helper()
+		if err := sameBits(got, want); err != nil {
+			t.Fatalf("%s n=%d seed=%d: %v", label, n, seed, err)
+		}
+	}
+
+	reluGo(want.Data, a.Data, 0)
+	got := unalignedTensor(rng, 0, n)
+	Activate(got.Data, a.Data, ActReLU)
+	exactBits(t, "Activate(ReLU)", got.Data, want.Data)
+	got = inPlace(a)
+	ApplyActivation(got.Data, ActReLU)
+	exactBits(t, "ApplyActivation(ReLU)", got.Data, want.Data)
+
+	reluMaskGo(want.Data, a.Data, b.Data, 0)
+	got = unalignedTensor(rng, 0, n)
+	ReLUBackward(got.Data, a.Data, b.Data)
+	exactBits(t, "ReLUBackward", got.Data, want.Data)
+	got = inPlace(a)
+	ReLUBackward(got.Data, got.Data, b.Data)
+	exactBits(t, "ReLUBackward in place", got.Data, want.Data)
+
+	addGo(want.Data, a.Data, b.Data, 0)
+	got = unalignedTensor(rng, 0, n)
+	AddInto(got.Data, a.Data, b.Data)
+	same("AddInto", got)
+	same("Tensor.Add", inPlace(a).Add(b))
+
+	addScaledGo(want.Data, a.Data, s, b.Data, 0)
+	got = unalignedTensor(rng, 0, n)
+	AddScaledInto(got.Data, a.Data, s, b.Data)
+	same("AddScaledInto", got)
+	same("Tensor.AddScaled", inPlace(a).AddScaled(s, b))
+}
+
+// elementwiseBenchSizes are the operand lengths the benchmark's
+// workloads run the elementwise kernels at: train-comm's 1 MB
+// activation, train-compute's [64,256] layer output, train-replicated's
+// half-bucket ring chunk and its [4,512] activation.
+var elementwiseBenchSizes = []int{16 * 32 * 512, 64 * 256, 512 * 512 / 2, 4 * 512}
+
+// FuzzElementwiseKernelsBitEqual is the standing gate of the kernel
+// contract for the elementwise kernels (elementwise.go): whatever the
+// host selected produces the bits the portable loops produce.
+func FuzzElementwiseKernelsBitEqual(f *testing.F) {
+	for _, n := range elementwiseBenchSizes {
+		f.Add(int64(1), uint32(n))
+		f.Add(int64(2), uint32(n))
+	}
+	for n := 0; n <= 70; n++ {
+		f.Add(int64(3), uint32(n))
+		f.Add(int64(4), uint32(n))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nn uint32) {
+		n := int(nn)
+		if n > elementwiseBenchSizes[0] {
+			n %= 71
+		}
+		checkElementwiseBitEqual(t, seed, n)
+	})
+}
+
+// The pure-Go elementwise kernels against their definitions, out of
+// place and in place.
+func TestElementwiseKernelsMatchDefinitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const n = 37
+	g, y := unalignedTensor(rng, len(awkwardValues), n), unalignedTensor(rng, len(awkwardValues), n)
+	want, got := New(n), New(n)
+	for _, c := range []struct {
+		name string
+		def  func(g, y float32) float32
+		run  func(dst []float32)
+	}{
+		{"TanhBackward", func(g, y float32) float32 { return g * (1 - y*y) }, func(dst []float32) { TanhBackward(dst, dst, y.Data) }},
+		{"SigmoidBackward", func(g, y float32) float32 { return g * (y * (1 - y)) }, func(dst []float32) { SigmoidBackward(dst, dst, y.Data) }},
+		{"MulInto", func(g, y float32) float32 { return g * y }, func(dst []float32) { MulInto(dst, dst, y.Data) }},
+		{"Activate(Tanh)", func(g, _ float32) float32 { return Tanh32(g) }, func(dst []float32) { Activate(dst, dst, ActTanh) }},
+		{"Activate(Sigmoid)", func(g, _ float32) float32 { return Sigmoid32(g) }, func(dst []float32) { Activate(dst, dst, ActSigmoid) }},
+		{"Activate(None)", func(g, _ float32) float32 { return g }, func(dst []float32) { Activate(dst, dst, ActNone) }},
+	} {
+		for i := range want.Data {
+			want.Data[i] = c.def(g.Data[i], y.Data[i])
+		}
+		copy(got.Data, g.Data)
+		c.run(got.Data)
+		if err := sameBits(got, want); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	}
+}
+
+// A destination that straddles a source — neither the source itself nor
+// disjoint from it — is refused, as is a length mismatch.
+func TestElementwiseRejectsPartialOverlap(t *testing.T) {
+	buf := make([]float32, 40)
+	other := make([]float32, 32)
+	for name, call := range map[string]func(){
+		"AddInto dst/a":       func() { AddInto(buf[1:33], buf[0:32], other) },
+		"AddInto dst/b":       func() { AddInto(buf[0:32], other, buf[8:40]) },
+		"AddScaledInto":       func() { AddScaledInto(buf[4:36], other, 2, buf[0:32]) },
+		"Activate":            func() { Activate(buf[0:32], buf[1:33], ActReLU) },
+		"ReLUBackward":        func() { ReLUBackward(buf[0:32], other, buf[2:34]) },
+		"MulInto":             func() { MulInto(buf[3:35], buf[0:32], other) },
+		"AddInto short":       func() { AddInto(buf[0:32], other, other[:31]) },
+		"TanhBackward short":  func() { TanhBackward(buf[0:31], other, other) },
+		"SigmoidBackward mix": func() { SigmoidBackward(buf[0:32], buf[16:40][:24], other) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+func benchmarkElementwise(b *testing.B, n int, run func(dst, x, y []float32)) {
+	rng := rand.New(rand.NewSource(1))
+	x, y, dst := unalignedTensor(rng, 0, n), unalignedTensor(rng, 0, n), unalignedTensor(rng, 0, n)
+	b.SetBytes(int64(4 * n))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(dst.Data, x.Data, y.Data)
+	}
+}
+
+func BenchmarkReLU1MB(b *testing.B) {
+	benchmarkElementwise(b, elementwiseBenchSizes[0], func(dst, x, _ []float32) { Activate(dst, x, ActReLU) })
+}
+
+func BenchmarkReLUBackward1MB(b *testing.B) {
+	benchmarkElementwise(b, elementwiseBenchSizes[0], func(dst, x, y []float32) { ReLUBackward(dst, x, y) })
+}
+
+func BenchmarkAdd1MB(b *testing.B) {
+	benchmarkElementwise(b, elementwiseBenchSizes[0], func(dst, x, _ []float32) { AddInto(dst, dst, x) })
+}
+
+func BenchmarkAddScaled1MB(b *testing.B) {
+	benchmarkElementwise(b, elementwiseBenchSizes[0], func(dst, x, _ []float32) { AddScaledInto(dst, dst, 0.5, x) })
+}

@@ -54,27 +54,12 @@ func ReLU32(v float32) float32 {
 	return 0
 }
 
-// ApplyActivation applies act elementwise to row — the scalar epilogue
-// shared by the fused kernels and the standalone activation layers.
+// ApplyActivation applies act elementwise to row in place — the
+// epilogue of the fused kernels; Activate is the out-of-place form the
+// standalone activation layers use, and both run the same loops.
 func ApplyActivation(row []float32, act Activation) {
-	switch act {
-	case ActNone:
-	case ActReLU:
-		for j, v := range row {
-			if v <= 0 {
-				row[j] = 0
-			}
-		}
-	case ActTanh:
-		for j, v := range row {
-			row[j] = Tanh32(v)
-		}
-	case ActSigmoid:
-		for j, v := range row {
-			row[j] = Sigmoid32(v)
-		}
-	default:
-		panic(fmt.Sprintf("tensor: unknown activation %d", int(act)))
+	if act != ActNone {
+		Activate(row, row, act)
 	}
 }
 

@@ -62,3 +62,59 @@ func transBRowVec(crow, arow, bd []float32, k, n int) int {
 	}
 	return cols
 }
+
+// The elementwise kernels of elementwise.go. Each takes the leading
+// multiple of eight elements; n is that count and is never zero.
+
+//go:noescape
+func reluAVX2(dst, src *float32, n int)
+
+//go:noescape
+func reluMaskAVX2(dst, grad, x *float32, n int)
+
+//go:noescape
+func addAVX2(dst, a, b *float32, n int)
+
+//go:noescape
+func addScaledAVX2(dst, a, b *float32, s float32, n int)
+
+// vectorElems is how many leading elements of an n-element operand the
+// elementwise kernels take.
+func vectorElems(n int) int {
+	if !useAVX2 {
+		return 0
+	}
+	return n &^ 7
+}
+
+func reluVec(dst, src []float32) int {
+	n := vectorElems(len(src))
+	if n > 0 {
+		reluAVX2(&dst[0], &src[0], n)
+	}
+	return n
+}
+
+func reluMaskVec(dst, gradOut, x []float32) int {
+	n := vectorElems(len(x))
+	if n > 0 {
+		reluMaskAVX2(&dst[0], &gradOut[0], &x[0], n)
+	}
+	return n
+}
+
+func addVec(dst, a, b []float32) int {
+	n := vectorElems(len(a))
+	if n > 0 {
+		addAVX2(&dst[0], &a[0], &b[0], n)
+	}
+	return n
+}
+
+func addScaledVec(dst, a []float32, s float32, b []float32) int {
+	n := vectorElems(len(a))
+	if n > 0 {
+		addScaledAVX2(&dst[0], &a[0], &b[0], s, n)
+	}
+	return n
+}

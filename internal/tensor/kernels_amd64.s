@@ -542,3 +542,206 @@ tb4store:
 tbdone:
 	VZEROUPPER
 	RET
+
+// The elementwise kernels of elementwise.go: n is a positive multiple
+// of eight, taken 32 lanes at a time and then 8. Every lane computes
+// what the portable loop computes for its element. A block's loads all
+// precede its stores, so dst may be one of the sources.
+
+// func reluAVX2(dst, src *float32, n int)
+// dst[i] = src[i] <= 0 ? +0 : src[i]. The compare is "not less-or-
+// equal", true on unordered operands, so a NaN keeps its bits (VMAXPS
+// would replace it); ANDing with the mask makes every cleared lane +0.
+TEXT ·reluAVX2(SB), NOSPLIT, $0-24
+	MOVQ   dst+0(FP), DI
+	MOVQ   src+8(FP), SI
+	MOVQ   n+16(FP), CX
+	VXORPS Y15, Y15, Y15
+
+relu32:
+	CMPQ    CX, $32
+	JLT     relu8
+	VMOVUPS 0(SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	VCMPPS  $0x16, Y15, Y0, Y4
+	VCMPPS  $0x16, Y15, Y1, Y5
+	VCMPPS  $0x16, Y15, Y2, Y6
+	VCMPPS  $0x16, Y15, Y3, Y7
+	VANDPS  Y4, Y0, Y0
+	VANDPS  Y5, Y1, Y1
+	VANDPS  Y6, Y2, Y2
+	VANDPS  Y7, Y3, Y3
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $32, CX
+	JMP     relu32
+
+relu8:
+	TESTQ   CX, CX
+	JZ      reludone
+	VMOVUPS (SI), Y0
+	VCMPPS  $0x16, Y15, Y0, Y4
+	VANDPS  Y4, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JMP     relu8
+
+reludone:
+	VZEROUPPER
+	RET
+
+// func reluMaskAVX2(dst, grad, x *float32, n int)
+// dst[i] = x[i] <= 0 ? +0 : grad[i], with reluAVX2's compare.
+TEXT ·reluMaskAVX2(SB), NOSPLIT, $0-32
+	MOVQ   dst+0(FP), DI
+	MOVQ   grad+8(FP), SI
+	MOVQ   x+16(FP), DX
+	MOVQ   n+24(FP), CX
+	VXORPS Y15, Y15, Y15
+
+mask32:
+	CMPQ    CX, $32
+	JLT     mask8
+	VMOVUPS 0(DX), Y0
+	VMOVUPS 32(DX), Y1
+	VMOVUPS 64(DX), Y2
+	VMOVUPS 96(DX), Y3
+	VCMPPS  $0x16, Y15, Y0, Y4
+	VCMPPS  $0x16, Y15, Y1, Y5
+	VCMPPS  $0x16, Y15, Y2, Y6
+	VCMPPS  $0x16, Y15, Y3, Y7
+	VANDPS  0(SI), Y4, Y4
+	VANDPS  32(SI), Y5, Y5
+	VANDPS  64(SI), Y6, Y6
+	VANDPS  96(SI), Y7, Y7
+	VMOVUPS Y4, 0(DI)
+	VMOVUPS Y5, 32(DI)
+	VMOVUPS Y6, 64(DI)
+	VMOVUPS Y7, 96(DI)
+	ADDQ    $128, DX
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $32, CX
+	JMP     mask32
+
+mask8:
+	TESTQ   CX, CX
+	JZ      maskdone
+	VMOVUPS (DX), Y0
+	VCMPPS  $0x16, Y15, Y0, Y4
+	VANDPS  (SI), Y4, Y4
+	VMOVUPS Y4, (DI)
+	ADDQ    $32, DX
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JMP     mask8
+
+maskdone:
+	VZEROUPPER
+	RET
+
+// func addAVX2(dst, a, b *float32, n int)
+// dst[i] = a[i] + b[i].
+TEXT ·addAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+
+add32:
+	CMPQ    CX, $32
+	JLT     add8
+	VMOVUPS 0(SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	VADDPS  0(DX), Y0, Y0
+	VADDPS  32(DX), Y1, Y1
+	VADDPS  64(DX), Y2, Y2
+	VADDPS  96(DX), Y3, Y3
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DX
+	ADDQ    $128, DI
+	SUBQ    $32, CX
+	JMP     add32
+
+add8:
+	TESTQ   CX, CX
+	JZ      adddone
+	VMOVUPS (SI), Y0
+	VADDPS  (DX), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JMP     add8
+
+adddone:
+	VZEROUPPER
+	RET
+
+// func addScaledAVX2(dst, a, b *float32, s float32, n int)
+// dst[i] = a[i] + s·b[i]: VMULPS then VADDPS, each rounded, as the
+// portable loop's separate multiply and add are.
+TEXT ·addScaledAVX2(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         a+8(FP), SI
+	MOVQ         b+16(FP), DX
+	VBROADCASTSS s+24(FP), Y15
+	MOVQ         n+32(FP), CX
+
+axpy32:
+	CMPQ    CX, $32
+	JLT     axpy8
+	VMULPS  0(DX), Y15, Y4
+	VMULPS  32(DX), Y15, Y5
+	VMULPS  64(DX), Y15, Y6
+	VMULPS  96(DX), Y15, Y7
+	VMOVUPS 0(SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	VADDPS  Y4, Y0, Y0
+	VADDPS  Y5, Y1, Y1
+	VADDPS  Y6, Y2, Y2
+	VADDPS  Y7, Y3, Y3
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DX
+	ADDQ    $128, DI
+	SUBQ    $32, CX
+	JMP     axpy32
+
+axpy8:
+	TESTQ   CX, CX
+	JZ      axpydone
+	VMULPS  (DX), Y15, Y4
+	VMOVUPS (SI), Y0
+	VADDPS  Y4, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JMP     axpy8
+
+axpydone:
+	VZEROUPPER
+	RET

@@ -10,3 +10,11 @@ func rowPanelVec(crow, arow, bd []float32, k, n int) int { return 0 }
 func transAPanelVec(cd, ad, bd []float32, m, k, n, lo, hi int) int { return 0 }
 
 func transBRowVec(crow, arow, bd []float32, k, n int) int { return 0 }
+
+func reluVec(dst, src []float32) int { return 0 }
+
+func reluMaskVec(dst, gradOut, x []float32) int { return 0 }
+
+func addVec(dst, a, b []float32) int { return 0 }
+
+func addScaledVec(dst, a []float32, s float32, b []float32) int { return 0 }

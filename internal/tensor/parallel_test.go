@@ -181,13 +181,13 @@ func TestConvKernelsMatchSerialReference(t *testing.T) {
 
 			SetParallelism(1)
 			wantCols := Im2Col(in, g)
-			wantImg := Col2Im(cols, batch, g)
-			wantPool, wantIdx := MaxPool(in, g)
+			wantImg := col2Im(cols, batch, g)
+			wantPool, wantIdx := maxPool(in, g)
 
 			SetParallelism(4)
 			gotCols := Im2Col(in, g)
-			gotImg := Col2Im(cols, batch, g)
-			gotPool, gotIdx := MaxPool(in, g)
+			gotImg := col2Im(cols, batch, g)
+			gotPool, gotIdx := maxPool(in, g)
 
 			mustClose(t, gotCols, wantCols, "im2col")
 			mustClose(t, gotImg, wantImg, "col2im")

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -16,12 +17,21 @@ import (
 // slice, and the data array all come back from the free list. Put
 // re-slices Data to capacity and stores the header itself.
 //
-// Get returns a zero-filled tensor exactly like New; Put recycles it.
-// Ownership discipline is the caller's: never Put a tensor that escaped
-// (stashed contexts, layer outputs handed downstream, views created by
-// Reshape/FromSlice over shared data), and never use a tensor after Put
-// — with header recycling, a use-after-Put can observe a new shape as
-// well as new data.
+// Get returns a zero-filled tensor exactly like New, GetRaw one with
+// undefined contents for callers that write every element; Put recycles
+// either. The rule is one owner and one release point per tensor: a
+// tensor is Put once, by its owner, when no reader is left — not by
+// whoever happens to hold it last. For the tensors of a training step
+// the owners are fixed (docs/ARCHITECTURE.md, "Tensor ownership in a
+// training step", has the table): a layer owns its internal scratch and
+// what its context holds, nn.Sequential the layer outputs and gradients
+// that never leave it, the pipeline's stage worker what crosses a stage
+// boundary — and a tensor whose pointer an in-process transport handed
+// to another goroutine has no single owner and is never Put. A view
+// (Reshape, FromSlice over a pooled tensor's Data) shares its base's
+// array: release one of them, never both (SharesStorage tells). Never
+// use a tensor after Put — with header recycling, a use-after-Put can
+// observe a new shape as well as new data.
 
 // pools[c] holds *Tensor headers whose Data capacity is exactly 1<<c.
 var pools [33]sync.Pool
@@ -63,6 +73,9 @@ func grab(shape []int, zero bool) *Tensor {
 	if v := pools[c].Get(); v != nil {
 		poolHits.Add(1)
 		t := v.(*Tensor)
+		if poisonOnPut {
+			t.Data[0] = 0 // no longer released: see poison
+		}
 		t.Data = t.Data[:n]
 		if cap(t.Shape) >= len(shape) {
 			t.Shape = t.Shape[:len(shape)]
@@ -97,8 +110,9 @@ func GetRaw(shape ...int) *Tensor { return grab(shape, false) }
 // Put recycles t — header, shape, and backing array — into the free
 // list. t must not be used afterwards. Tensors whose capacity is not a
 // pooled size class (e.g. built by New or FromSlice) are dropped
-// silently, so Put is always safe to call on scratch you own — but
-// never on data that aliases or escaped.
+// silently, so Put is always safe to call on a tensor you own — but
+// never on one that has another reader or that shares its array with a
+// tensor released elsewhere.
 func Put(t *Tensor) {
 	if t == nil || cap(t.Data) == 0 {
 		return
@@ -109,5 +123,45 @@ func Put(t *Tensor) {
 	}
 	poolPuts.Add(1)
 	t.Data = t.Data[:cap(t.Data)]
+	if poisonOnPut {
+		poison(t)
+	}
 	pools[c].Put(t)
+}
+
+// SharesStorage reports whether a and b start at the same element of
+// the same backing array — b is a itself, or one is a view of the other
+// (Reshape, an identity layer's pass-through). The owner of a pooled
+// tensor uses it to release an array exactly once.
+func SharesStorage(a, b *Tensor) bool {
+	if a == nil || b == nil || cap(a.Data) == 0 || cap(b.Data) == 0 {
+		return false
+	}
+	return &a.Data[:1][0] == &b.Data[:1][0]
+}
+
+// poisonOnPut is the use-after-release detector, for tests only (set
+// through export_test.go here and from other packages' TestMain; no
+// product code touches it): when set, Put overwrites the whole backing
+// array with a signalling NaN and the shape with a negative dimension
+// before the tensor enters the free list, so a reader that kept the
+// tensor — or a view of it — computes NaN losses or panics on the shape
+// instead of silently reading whatever the next owner writes. The first
+// element doubles as the array's "released" mark, cleared when the free
+// list hands the array out again: a Put that finds it set is a second
+// release, through the same header or through a view, and panics.
+var poisonOnPut bool
+
+// poisonBits is a signalling NaN no kernel produces.
+const poisonBits = 0x7fa0dead
+
+func poison(t *Tensor) {
+	if math.Float32bits(t.Data[0]) == poisonBits {
+		panic("tensor: Put of an array that is already released")
+	}
+	p := math.Float32frombits(poisonBits)
+	for i := range t.Data {
+		t.Data[i] = p
+	}
+	t.Shape = append(t.Shape[:0], -1)
 }

@@ -191,9 +191,7 @@ func (t *Tensor) checkSame(o *Tensor, op string) {
 // Add adds o element-wise into t.
 func (t *Tensor) Add(o *Tensor) *Tensor {
 	t.checkSame(o, "add")
-	for i, v := range o.Data {
-		t.Data[i] += v
-	}
+	AddInto(t.Data, t.Data, o.Data)
 	return t
 }
 
@@ -226,9 +224,7 @@ func (t *Tensor) Scale(s float32) *Tensor {
 // AddScaled performs t += s*o (axpy).
 func (t *Tensor) AddScaled(s float32, o *Tensor) *Tensor {
 	t.checkSame(o, "addscaled")
-	for i, v := range o.Data {
-		t.Data[i] += s * v
-	}
+	AddScaledInto(t.Data, t.Data, s, o.Data)
 	return t
 }
 

@@ -308,7 +308,7 @@ func TestIm2ColWithPadding(t *testing.T) {
 	}
 }
 
-// Property: Col2Im is the adjoint of Im2Col: <Im2Col(x), y> = <x, Col2Im(y)>.
+// Property: Col2Im is the adjoint of Im2Col: <Im2Col(x), y> = <x, col2Im(y)>.
 // This is exactly the property the conv backward pass relies on.
 func TestCol2ImAdjointProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -328,7 +328,7 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 		for i := range cols.Data {
 			lhs += float64(cols.Data[i]) * float64(y.Data[i])
 		}
-		back := Col2Im(y, b, g)
+		back := col2Im(y, b, g)
 		var rhs float64
 		for i := range x.Data {
 			rhs += float64(x.Data[i]) * float64(back.Data[i])
@@ -348,14 +348,14 @@ func TestMaxPoolKnown(t *testing.T) {
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
 	g := ConvGeom{InC: 1, InH: 4, InW: 4, KH: 2, KW: 2, Stride: 2}
-	out, idx := MaxPool(in, g)
+	out, idx := maxPool(in, g)
 	want := []float32{6, 8, 14, 16}
 	for i, w := range want {
 		if out.Data[i] != w {
 			t.Fatalf("MaxPool[%d] = %v, want %v", i, out.Data[i], w)
 		}
 	}
-	grad := MaxPoolBackward(Ones(1, 1, 2, 2), idx, in.Shape)
+	grad := MaxPoolBackwardInto(New(in.Shape...), Ones(1, 1, 2, 2), idx)
 	// The gradient lands exactly on the maxima.
 	if grad.At(0, 0, 1, 1) != 1 || grad.At(0, 0, 3, 3) != 1 || grad.Sum() != 4 {
 		t.Fatalf("MaxPoolBackward wrong: %v", grad.Data)
@@ -368,7 +368,7 @@ func TestMaxPoolPreservesMaxUnderStride1(t *testing.T) {
 		h, w := 2+rng.Intn(5), 2+rng.Intn(5)
 		in := Randn(rng, 1, 1, 1, h, w)
 		g := ConvGeom{InC: 1, InH: h, InW: w, KH: h, KW: w, Stride: 1}
-		out, _ := MaxPool(in, g)
+		out, _ := maxPool(in, g)
 		// Pooling over the whole image returns the global max.
 		var m float32 = in.Data[0]
 		for _, v := range in.Data {
@@ -431,4 +431,17 @@ func TestSameShape(t *testing.T) {
 	if New(2, 3).SameShape(New(3, 2)) || New(2, 3).SameShape(New(2, 3, 1)) {
 		t.Fatal("SameShape false positive")
 	}
+}
+
+// col2Im and maxPool are the allocating forms of Col2ImInto and
+// MaxPoolInto.
+func col2Im(cols *Tensor, batch int, g ConvGeom) *Tensor {
+	return Col2ImInto(New(batch, g.InC, g.InH, g.InW), cols, g)
+}
+
+func maxPool(in *Tensor, g ConvGeom) (*Tensor, []int) {
+	out := New(in.Shape[0], g.InC, g.OutH(), g.OutW())
+	idx := make([]int, out.Size())
+	MaxPoolInto(out, idx, in, g)
+	return out, idx
 }

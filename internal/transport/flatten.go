@@ -26,13 +26,15 @@ func FlattenTensors(ts []*tensor.Tensor) *tensor.Tensor {
 func UnflattenAdd(dst []*tensor.Tensor, flat *tensor.Tensor) {
 	off := 0
 	for _, t := range dst {
-		for i := range t.Data {
-			t.Data[i] += flat.Data[off+i]
-		}
 		off += t.Size()
 	}
 	if off != flat.Size() {
 		panic(fmt.Sprintf("transport: unflatten size mismatch: %d vs %d", off, flat.Size()))
+	}
+	off = 0
+	for _, t := range dst {
+		tensor.AddInto(t.Data, t.Data, flat.Data[off:off+t.Size()])
+		off += t.Size()
 	}
 }
 

@@ -223,10 +223,11 @@ func Local(tr Transport, w int) bool {
 
 // ReceiverOwns reports whether every tensor taken from tr's inboxes is a
 // private pooled copy that its receiver must hand to tensor.Put once done
-// (see Transport). Transports say so through a ReceiverOwns method, which
-// a wrapper forwards as Chaos does; one without it delivers shared
-// pointers.
-func ReceiverOwns(tr Transport) bool {
+// — and so whether a sender still has its tensor to itself when Send
+// returns (see Transport). Transports say so through a ReceiverOwns method,
+// which a wrapper forwards as Chaos does; anything without it, a narrower
+// interface over a Transport included, delivers shared pointers.
+func ReceiverOwns(tr any) bool {
 	p, ok := tr.(interface{ ReceiverOwns() bool })
 	return ok && p.ReceiverOwns()
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI-style gate: vet, formatting, build, the full test suite plain (at the
 # default core count and on one core) and under the race detector, the
-# determinism gate, fuzz smoke, alloc budgets, and doc checks.
+# determinism gate, the poisoned-pool run, fuzz smoke, alloc budgets, and
+# doc checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,12 +31,18 @@ GOMAXPROCS=1 go test -count=1 ./...
 echo "== determinism gate (losses are a pure function of seed, plan and depth: 20 runs each)"
 go test -count=20 ./internal/pipeline/ -run 'PureFunction|Recompute|Staleness'
 
+echo "== poisoned pool (use-after-release detector on: nn and pipeline tests always run with it; these are the suites that compare losses bit for bit)"
+go test -count=1 ./internal/nn/ -run 'TestSequentialReleasesEachTensorOnce|TestLossesMatchParentCommit'
+go test -count=1 ./internal/pipeline/ -run 'TestLossesArePureFunctionOfSeedPlanDepth|TestBranchGraphPipelineMatchesReference|TestBreakConnStormTrainsBitEqual|TestLocalWorkerSetsTrainBitEqual|TestElastic|TestChaos|TestAdoptFullState|TestTrainMaxRecoveries'
+go test -count=1 ./internal/tensor/ -run 'TestPoisonOnPutCatchesUseAfterRelease'
+
 echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent)"
 go test -race ./...
 go test -race -count=2 ./internal/serve/...
 
-echo "== fuzz smoke (matmul kernels vs portable loops + flatten + frame round-trips + checkpoint manifest + /infer body parser, 10s each)"
+echo "== fuzz smoke (matmul and elementwise kernels vs portable loops + flatten + frame round-trips + checkpoint manifest + /infer body parser, 10s each)"
 go test -run '^$' -fuzz '^FuzzMatMulKernelsBitEqual$' -fuzztime=10s ./internal/tensor/
+go test -run '^$' -fuzz '^FuzzElementwiseKernelsBitEqual$' -fuzztime=10s ./internal/tensor/
 go test -run '^$' -fuzz '^FuzzFlattenRoundTrip$' -fuzztime=10s ./internal/transport/
 go test -run '^$' -fuzz '^FuzzFrameRoundTrip$' -fuzztime=10s ./internal/transport/
 go test -run '^$' -fuzz '^FuzzManifestParse$' -fuzztime=10s ./internal/checkpoint/
