@@ -11,12 +11,15 @@ import (
 // a chunked ring all-reduce carried over transport messages, overlapping
 // the reduction with the remaining backward compute.
 //
-// Gradients are packed into contiguous buckets of at most bucketBytes.
-// Because backward runs last-layer-first, the tail buckets become ready
-// first: as soon as a bucket's layers have final gradients, the owner
-// calls Ready and that bucket starts its ring — reduce-scatter (P-1
-// steps) then all-gather (P-1 steps), each step moving one 1/P-sized
-// chunk to the right neighbor — while earlier layers are still
+// The gradients live back to back in one flat arena (tensor.Pack; a list
+// that is not laid out that way is packed on the first round, which moves
+// the tensors' Data and keeps their headers), and a bucket is a contiguous
+// range of whole tensors of at most bucketBytes — a sub-slice of the
+// arena, reduced where it is. Because backward runs last-layer-first, the
+// tail buckets become ready first: as soon as a bucket's layers have final
+// gradients, the owner calls Ready and that bucket starts its ring —
+// reduce-scatter (P-1 steps) then all-gather (P-1 steps), each step moving
+// one 1/P-sized chunk to the right neighbor — while earlier layers are still
 // backpropagating. Each replica therefore moves 2(P-1)/P of the bucket
 // bytes, the cost the partitioning DP charges for replication.
 //
@@ -37,8 +40,7 @@ type RingReducer struct {
 	sendInPlace bool
 
 	buckets []*ringBucket // templates built on first BeginRound, reused per round
-	nGrads  int
-	nElems  int
+	arena   []float32     // the gradients' flat storage, which the buckets slice
 
 	cur      *roundState
 	pending  map[chunkKey]*tensor.Tensor
@@ -62,26 +64,20 @@ type chunkKey struct {
 type roundState struct {
 	key          int
 	participants int
-	grads        []*tensor.Tensor
 	readyFrom    int // grads[readyFrom:] have final values
 	done         int // completed buckets
 }
 
 // ringBucket is one contiguous range of gradient tensors reduced as a
-// unit. Its flat working buffer and chunk table persist across rounds
-// (gradient shapes never change within a run). A bucket that covers
-// exactly one tensor works on that tensor's storage in place — no
-// flatten/unflatten copies — so large layers that get a bucket to
-// themselves reduce copy-free.
+// unit, in place in the gradient arena. Its chunk table persists across
+// rounds (gradient shapes never change within a run).
 type ringBucket struct {
-	index       int
-	first, last int // tensor index range [first, last) into the grads slice
-	elems       int
-	buf         []float32     // owned buffer; nil for single-tensor buckets
-	data        []float32     // working view: buf, or the lone tensor's storage
-	out         tensor.Tensor // header of the chunk being sent in place
-	chunks      [][2]int      // per-chunk [lo, hi) element ranges into data
-	chunkedFor  int           // participant count the chunk table was built for
+	index      int
+	first      int           // index of the bucket's first tensor in the grads slice
+	data       []float32     // the bucket's tensors' range of the arena
+	out        tensor.Tensor // header of the chunk being sent in place
+	chunks     [][2]int      // per-chunk [lo, hi) element ranges into data
+	chunkedFor int           // participant count the chunk table was built for
 
 	phase int // 0 reduce-scatter, 1 all-gather, 2 complete
 	step  int
@@ -110,9 +106,9 @@ func NewRingReducer(rank int, peers []int, tr Sender, bucketBytes int) *RingRedu
 }
 
 // BeginRound opens all-reduce round `key` over the first `participants`
-// ranks. grads is this replica's gradient list; buckets with no elements
-// complete immediately, the rest join the ring once Ready marks their
-// layers final. key must be globally unique and increasing (the runtime
+// ranks. grads is this replica's gradient list, the same one every round;
+// buckets with no elements complete immediately, the rest join the ring
+// once Ready marks their layers final. key must be globally unique and increasing (the runtime
 // uses the first minibatch of the round-robin block).
 func (r *RingReducer) BeginRound(key, participants int, grads []*tensor.Tensor) error {
 	if r.cur != nil {
@@ -130,7 +126,7 @@ func (r *RingReducer) BeginRound(key, participants int, grads []*tensor.Tensor) 
 	if err := r.ensureBuckets(grads); err != nil {
 		return err
 	}
-	st := &roundState{key: key, participants: participants, grads: grads, readyFrom: len(grads)}
+	st := &roundState{key: key, participants: participants, readyFrom: len(grads)}
 	r.cur = st
 	if len(r.buckets) == 0 {
 		// A stage with no parameters has nothing to reduce.
@@ -140,7 +136,7 @@ func (r *RingReducer) BeginRound(key, participants int, grads []*tensor.Tensor) 
 	}
 	for _, b := range r.buckets {
 		b.resetFor(participants)
-		if b.elems == 0 {
+		if len(b.data) == 0 {
 			r.finishBucket(st, b)
 		}
 	}
@@ -148,10 +144,10 @@ func (r *RingReducer) BeginRound(key, participants int, grads []*tensor.Tensor) 
 }
 
 // Ready marks grads[firstFinal:] as final: every bucket fully inside that
-// range is flattened and starts (or continues) its ring. The pipeline
-// calls this from the backward hook after each layer, and with 0 before
-// the final drain. Calls after the round already completed (the overlap
-// finished mid-backward) are no-ops.
+// range starts (or continues) its ring. The pipeline calls this from the
+// backward hook after each layer, and with 0 before the final drain. Calls
+// after the round already completed (the overlap finished mid-backward)
+// are no-ops.
 func (r *RingReducer) Ready(firstFinal int) error {
 	st := r.cur
 	if st == nil {
@@ -170,12 +166,6 @@ func (r *RingReducer) Ready(firstFinal int) error {
 		}
 		if b.first < st.readyFrom {
 			break // buckets are ordered; everything earlier is not final yet
-		}
-		if b.buf == nil {
-			b.data = st.grads[b.first].Data // single-tensor bucket: reduce in place
-		} else {
-			b.data = b.buf
-			transport.FlattenInto(b.data, st.grads[b.first:b.last])
 		}
 		b.ready = true
 		if err := r.advance(st, b); err != nil {
@@ -249,40 +239,35 @@ func (r *RingReducer) Reset() {
 	r.lastDone = -1
 }
 
-// ensureBuckets builds the bucket templates on first use and verifies the
-// gradient layout has not changed since.
+// ensureBuckets builds the bucket templates over the gradients' arena on
+// first use and verifies the gradients have not moved since.
 func (r *RingReducer) ensureBuckets(grads []*tensor.Tensor) error {
-	total := 0
-	for _, g := range grads {
-		total += g.Size()
-	}
+	arena, flat := tensor.Flat(grads)
 	if r.buckets != nil {
-		if len(grads) != r.nGrads || total != r.nElems {
-			return fmt.Errorf("collective: gradient layout changed: %d tensors/%d elems, want %d/%d",
-				len(grads), total, r.nGrads, r.nElems)
+		if !flat || len(arena) != len(r.arena) || (len(arena) > 0 && &arena[0] != &r.arena[0]) {
+			return fmt.Errorf("collective: gradients moved since the first round: %d elems (one arena: %v), had %d",
+				len(arena), flat, len(r.arena))
 		}
 		return nil
 	}
-	r.nGrads, r.nElems = len(grads), total
+	if !flat {
+		arena = tensor.Pack(grads)
+	}
+	r.arena = arena
 	perBucket := r.bucketBytes / 4
 	if perBucket < 1 {
 		perBucket = 1
 	}
-	first, elems := 0, 0
+	first, lo, hi := 0, 0, 0
 	for i, g := range grads {
-		elems += g.Size()
-		if elems >= perBucket || i == len(grads)-1 {
-			b := &ringBucket{
+		hi += g.Size()
+		if hi-lo >= perBucket || i == len(grads)-1 {
+			r.buckets = append(r.buckets, &ringBucket{
 				index: len(r.buckets),
 				first: first,
-				last:  i + 1,
-				elems: elems,
-			}
-			if b.last-b.first > 1 {
-				b.buf = make([]float32, elems)
-			}
-			r.buckets = append(r.buckets, b)
-			first, elems = i+1, 0
+				data:  arena[lo:hi],
+			})
+			first, lo = i+1, hi
 		}
 	}
 	return nil
@@ -371,9 +356,6 @@ func (r *RingReducer) advance(st *roundState, b *ringBucket) error {
 			}
 		}
 		if b.phase == 2 {
-			if b.buf != nil {
-				transport.UnflattenFrom(st.grads[b.first:b.last], b.data)
-			}
 			r.finishBucket(st, b)
 			return nil
 		}
@@ -407,7 +389,7 @@ func (b *ringBucket) resetFor(p int) {
 	}
 	b.chunkedFor = p
 	b.chunks = b.chunks[:0]
-	base, rem := b.elems/p, b.elems%p
+	base, rem := len(b.data)/p, len(b.data)%p
 	lo := 0
 	for i := 0; i < p; i++ {
 		n := base

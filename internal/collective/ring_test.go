@@ -348,8 +348,8 @@ func TestRingOverTCPSendsChunksInPlace(t *testing.T) {
 	const replicas, rounds = 3, 4
 	base := make([][]*tensor.Tensor, replicas)
 	for r := 0; r < replicas; r++ {
-		// Two small tensors share a bucket (flattened into its buffer), the
-		// large one has a bucket to itself (reduced in its own storage).
+		// The large tensor has a bucket to itself, the two small ones share
+		// the other.
 		for ti, n := range []int{700, 33, 40} {
 			g := tensor.New(n)
 			for i := range g.Data {
@@ -411,5 +411,64 @@ func TestRingOverTCPSendsChunksInPlace(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A bucket is a range of the gradients' one arena, reduced where it is: a
+// list that is packed already stays where it is, one that is not is packed
+// on the first round — the headers stay, their Data moves, once — and the
+// tensors the caller holds carry the result either way. Gradients that
+// have moved since the first round are refused.
+func TestRingBucketsAreViewsOfTheGradientArena(t *testing.T) {
+	tr, rings := makeRings(2, 64)
+	defer tr.Close()
+	grads := make([][]*tensor.Tensor, 2)
+	for r := range grads {
+		for _, n := range []int{20, 5, 0, 9} {
+			grads[r] = append(grads[r], tensor.Full(float32(r+1), n))
+		}
+	}
+	arena := tensor.Pack(grads[0]) // replica 0 arrives packed, replica 1 does not
+	headers := append([]*tensor.Tensor(nil), grads[1]...)
+	for round := 0; round < 2; round++ {
+		for r := range grads {
+			for _, g := range grads[r] {
+				g.Fill(float32(r + 1))
+			}
+		}
+		runRound(t, tr, rings, grads, round, 2, round == 1)
+		if flat, ok := tensor.Flat(grads[0]); !ok || &flat[0] != &arena[0] || &rings[0].arena[0] != &arena[0] {
+			t.Fatalf("round %d: replica 0's packed gradients were moved", round)
+		}
+		flat, ok := tensor.Flat(grads[1])
+		if !ok || &flat[0] != &rings[1].arena[0] {
+			t.Fatalf("round %d: replica 1's gradients are not views of the reducer's arena", round)
+		}
+		for r, ring := range rings {
+			off := 0
+			for _, b := range ring.buckets {
+				if len(b.data) > 0 && &b.data[0] != &ring.arena[off] {
+					t.Fatalf("round %d: replica %d bucket %d is not arena[%d:]", round, r, b.index, off)
+				}
+				off += len(b.data)
+			}
+			if off != len(ring.arena) {
+				t.Fatalf("replica %d: buckets cover %d of %d arena elements", r, off, len(ring.arena))
+			}
+			for i, g := range grads[r] {
+				if r == 1 && g != headers[i] {
+					t.Fatalf("packing replaced gradient header %d", i)
+				}
+				for j, v := range g.Data {
+					if v != 1.5 {
+						t.Fatalf("round %d: replica %d gradient %d[%d] = %v, want the average 1.5", round, r, i, j, v)
+					}
+				}
+			}
+		}
+	}
+	tensor.Pack(grads[1])
+	if err := rings[1].BeginRound(2, 2, grads[1]); err == nil {
+		t.Fatal("a round over gradients that moved since the first one was accepted")
 	}
 }

@@ -42,6 +42,12 @@ type Context interface{}
 // call, and pooled tensors only its Context refers to, which Backward
 // recycles before it returns (layers that hold such tensors implement
 // contextDiscarder for the forward passes that never get a backward).
+//
+// Parameter headers (the *tensor.Tensor values Params and Grads return)
+// are stable for the life of the model; their Data is not stable across an
+// optimizer step, do not cache it: the pipeline runtime keeps a stage's
+// parameters in one flat array per weight version and points the headers
+// at the version an op runs under.
 type Layer interface {
 	// Name identifies the layer in profiles and partitioning output.
 	Name() string
@@ -206,36 +212,15 @@ func ZeroGrads(grads []*tensor.Tensor) {
 	}
 }
 
-// SnapshotParams deep-copies params — the mechanism behind weight stashing.
+// SnapshotParams deep-copies params: a weight version as a copy, for the
+// single-worker BSP/ASP reference loops and for tests. (The pipeline
+// runtime keeps versions without copying them.)
 func SnapshotParams(params []*tensor.Tensor) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, len(params))
 	for i, p := range params {
 		out[i] = p.Clone()
 	}
 	return out
-}
-
-// SnapshotParamsPooled deep-copies params into pooled tensors. Use for
-// short-lived stashes on the training hot path; the caller must hand the
-// slice to ReleaseSnapshot once nothing references it, and must never mix
-// pooled snapshots with ones that outlive the pool discipline (e.g. a
-// version table that hands out aliases).
-func SnapshotParamsPooled(params []*tensor.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(params))
-	for i, p := range params {
-		s := tensor.GetRaw(p.Shape...)
-		copy(s.Data, p.Data)
-		out[i] = s
-	}
-	return out
-}
-
-// ReleaseSnapshot returns a pooled snapshot's tensors to the pool. Only
-// pass slices produced by SnapshotParamsPooled.
-func ReleaseSnapshot(snapshot []*tensor.Tensor) {
-	for _, t := range snapshot {
-		tensor.Put(t)
-	}
 }
 
 // RestoreParams copies snapshot values back into params.

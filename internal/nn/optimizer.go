@@ -11,8 +11,15 @@ import (
 // per-parameter state keyed by parameter identity, so one optimizer can
 // drive any number of layers as long as the same tensors are passed in.
 type Optimizer interface {
-	// Step applies one update. grads must be aligned with params.
+	// Step applies one update in place: StepInto(params, params, grads).
 	Step(params, grads []*tensor.Tensor)
+	// StepInto applies one update out of place: it reads the current
+	// values from cur and writes the updated ones to next, element for
+	// element what Step would have left in cur. All three lists are
+	// aligned; state is keyed by next[i], and next[i] may be cur[i]. The
+	// pipeline runtime uses it to write weight version n+1 while in-flight
+	// minibatches still read version n.
+	StepInto(next, cur, grads []*tensor.Tensor)
 	// LR returns the current learning rate.
 	LR() float64
 	// SetLR changes the learning rate (for schedules and warm-up).
@@ -30,9 +37,9 @@ type Stateful interface {
 	RestoreState(params []*tensor.Tensor, state [][]*tensor.Tensor)
 }
 
-func checkAligned(params, grads []*tensor.Tensor) {
-	if len(params) != len(grads) {
-		panic(fmt.Sprintf("nn: %d params with %d grads", len(params), len(grads)))
+func checkAligned(next, cur, grads []*tensor.Tensor) {
+	if len(next) != len(grads) || len(cur) != len(grads) {
+		panic(fmt.Sprintf("nn: %d params (%d current) with %d grads", len(next), len(cur), len(grads)))
 	}
 }
 
@@ -59,12 +66,16 @@ func (s *SGD) LR() float64 { return s.lr }
 func (s *SGD) SetLR(lr float64) { s.lr = lr }
 
 // Step implements Optimizer.
-func (s *SGD) Step(params, grads []*tensor.Tensor) {
-	checkAligned(params, grads)
-	for i, p := range params {
-		g := decayedGrad(grads[i], s.WeightDecay, p)
+func (s *SGD) Step(params, grads []*tensor.Tensor) { s.StepInto(params, params, grads) }
+
+// StepInto implements Optimizer.
+func (s *SGD) StepInto(next, cur, grads []*tensor.Tensor) {
+	checkAligned(next, cur, grads)
+	for i, p := range next {
+		w := cur[i].Data
+		g := decayedGrad(grads[i], s.WeightDecay, w)
 		if s.Momentum == 0 {
-			p.AddScaled(float32(-s.lr), g)
+			tensor.AddScaledInto(p.Data, w, float32(-s.lr), g.Data)
 		} else {
 			v, ok := s.velocity[p]
 			if !ok {
@@ -72,7 +83,7 @@ func (s *SGD) Step(params, grads []*tensor.Tensor) {
 				s.velocity[p] = v
 			}
 			v.Scale(float32(s.Momentum)).Add(g)
-			p.AddScaled(float32(-s.lr), v)
+			tensor.AddScaledInto(p.Data, w, float32(-s.lr), v.Data)
 		}
 		if g != grads[i] {
 			tensor.Put(g)
@@ -81,14 +92,14 @@ func (s *SGD) Step(params, grads []*tensor.Tensor) {
 }
 
 // decayedGrad returns the gradient with L2 weight decay folded in,
-// g + decay·p, in pooled scratch that the caller recycles once the step
-// has used it; without decay it is g itself.
-func decayedGrad(g *tensor.Tensor, decay float64, p *tensor.Tensor) *tensor.Tensor {
+// g + decay·w for the current weights w, in pooled scratch that the
+// caller recycles once the step has used it; without decay it is g itself.
+func decayedGrad(g *tensor.Tensor, decay float64, w []float32) *tensor.Tensor {
 	if decay == 0 {
 		return g
 	}
 	d := tensor.GetRaw(g.Shape...)
-	tensor.AddScaledInto(d.Data, g.Data, float32(decay), p.Data)
+	tensor.AddScaledInto(d.Data, g.Data, float32(decay), w)
 	return d
 }
 
@@ -138,13 +149,16 @@ func (a *Adam) LR() float64 { return a.lr }
 func (a *Adam) SetLR(lr float64) { a.lr = lr }
 
 // Step implements Optimizer.
-func (a *Adam) Step(params, grads []*tensor.Tensor) {
-	checkAligned(params, grads)
+func (a *Adam) Step(params, grads []*tensor.Tensor) { a.StepInto(params, params, grads) }
+
+// StepInto implements Optimizer.
+func (a *Adam) StepInto(next, cur, grads []*tensor.Tensor) {
+	checkAligned(next, cur, grads)
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for i, p := range params {
-		g := grads[i]
+	for i, p := range next {
+		g, w := grads[i], cur[i].Data
 		m, ok := a.m[p]
 		if !ok {
 			m = tensor.New(p.Shape...)
@@ -157,7 +171,7 @@ func (a *Adam) Step(params, grads []*tensor.Tensor) {
 			mj := a.Beta1*float64(m.Data[j]) + (1-a.Beta1)*gj
 			vj := a.Beta2*float64(v.Data[j]) + (1-a.Beta2)*gj*gj
 			m.Data[j], v.Data[j] = float32(mj), float32(vj)
-			p.Data[j] -= float32(a.lr * (mj / bc1) / (math.Sqrt(vj/bc2) + a.Eps))
+			p.Data[j] = w[j] - float32(a.lr*(mj/bc1)/(math.Sqrt(vj/bc2)+a.Eps))
 		}
 	}
 }
@@ -225,11 +239,15 @@ func (l *LARS) LR() float64 { return l.lr }
 func (l *LARS) SetLR(lr float64) { l.lr = lr }
 
 // Step implements Optimizer.
-func (l *LARS) Step(params, grads []*tensor.Tensor) {
-	checkAligned(params, grads)
-	for i, p := range params {
-		g := decayedGrad(grads[i], l.WeightDecay, p)
-		wNorm, gNorm := p.Norm(), g.Norm()
+func (l *LARS) Step(params, grads []*tensor.Tensor) { l.StepInto(params, params, grads) }
+
+// StepInto implements Optimizer.
+func (l *LARS) StepInto(next, cur, grads []*tensor.Tensor) {
+	checkAligned(next, cur, grads)
+	for i, p := range next {
+		w := cur[i]
+		g := decayedGrad(grads[i], l.WeightDecay, w.Data)
+		wNorm, gNorm := w.Norm(), g.Norm()
 		localLR := l.lr
 		if wNorm > 0 && gNorm > 0 {
 			localLR = l.lr * l.Trust * wNorm / gNorm
@@ -240,7 +258,7 @@ func (l *LARS) Step(params, grads []*tensor.Tensor) {
 			l.velocity[p] = v
 		}
 		v.Scale(float32(l.Momentum)).AddScaled(float32(localLR), g)
-		p.Sub(v)
+		tensor.AddScaledInto(p.Data, w.Data, -1, v.Data) // w − v: negating v is exact
 		if g != grads[i] {
 			tensor.Put(g)
 		}

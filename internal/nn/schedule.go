@@ -71,10 +71,13 @@ func NewScheduled(opt Optimizer, schedule LRSchedule) *Scheduled {
 }
 
 // Step implements Optimizer.
-func (s *Scheduled) Step(params, grads []*tensor.Tensor) {
+func (s *Scheduled) Step(params, grads []*tensor.Tensor) { s.StepInto(params, params, grads) }
+
+// StepInto implements Optimizer.
+func (s *Scheduled) StepInto(next, cur, grads []*tensor.Tensor) {
 	s.Opt.SetLR(s.Schedule.LRAt(s.step))
 	s.step++
-	s.Opt.Step(params, grads)
+	s.Opt.StepInto(next, cur, grads)
 }
 
 // LR implements Optimizer.

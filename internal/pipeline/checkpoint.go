@@ -10,7 +10,6 @@ import (
 	"pipedream/internal/checkpoint"
 	"pipedream/internal/nn"
 	"pipedream/internal/partition"
-	"pipedream/internal/tensor"
 )
 
 // The on-disk format — generation directories of gob-encoded stage
@@ -279,8 +278,6 @@ func (sw *stageWorker) restoreFrom(path string, shard *checkpoint.StageShard) er
 		st.RestoreState(params, shard.OptState)
 	}
 	sw.updates = shard.Updates
-	if sw.mode == VerticalSync {
-		sw.versions = map[int][]*tensor.Tensor{sw.reflected(): nn.SnapshotParams(params)}
-	}
+	sw.weights.reset(sw.reflected())
 	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"pipedream/internal/membership"
 	"pipedream/internal/nn"
 	"pipedream/internal/partition"
-	"pipedream/internal/tensor"
 	"pipedream/internal/transport"
 )
 
@@ -443,9 +442,7 @@ func (p *Pipeline) adoptFullState(st *checkpoint.FullState) error {
 			}
 		}
 		sw.updates = ownedCount(st.Cursor, sw.replica, spec.Replicas)
-		if sw.mode == VerticalSync {
-			sw.versions = map[int][]*tensor.Tensor{sw.reflected(): nn.SnapshotParams(params)}
-		}
+		sw.weights.reset(sw.reflected())
 	}
 	p.cursor = st.Cursor
 	return nil

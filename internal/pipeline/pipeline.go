@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -223,8 +222,10 @@ type Report struct {
 	// Samples is the total number of training samples processed.
 	Samples int
 	// PeakStashBytes is, per local worker in worker-ID order, the peak
-	// bytes held in weight stashes and activation inputs (tensor payloads
-	// only).
+	// bytes held for in-flight minibatches: every weight version at least
+	// one of them reads — counted once however many hold it, so warm-up
+	// forwards that all ran under version 0 count it once — plus their
+	// stashed input activations (tensor payloads only).
 	PeakStashBytes []int64
 	// Stages carries per-worker runtime statistics — op counts and
 	// durations, sync waits, idle time, bubble fraction, queue depth,
@@ -335,12 +336,15 @@ func New(opts Options) (*Pipeline, error) {
 		}
 		model := opts.ModelFactory()
 		spec := opts.Plan.Stages[ref.Stage]
+		stage := model.Slice(spec.FirstLayer, spec.LastLayer+1)
 		sw := &stageWorker{
 			p:       p,
 			id:      w,
 			stage:   ref.Stage,
 			replica: ref.Replica,
-			model:   model.Slice(spec.FirstLayer, spec.LastLayer+1),
+			model:   stage,
+			weights: newWeightVersions(stage.Params()),
+			grads:   stage.Grads(),
 			opt:     opts.NewOptimizer(),
 			mode:    opts.Mode,
 			stash:   make(map[int]stashEntry),
@@ -352,15 +356,14 @@ func New(opts Options) (*Pipeline, error) {
 			fwdReady: make(map[int]transport.Message),
 			bwdReady: make(map[int]transport.Message),
 		}
+		sw.gradArena = tensor.Pack(sw.grads)
+		sw.gradFlat = tensor.FromSlice(sw.gradArena, len(sw.gradArena))
 		if l, ok := opts.SinkLoss[ref.Stage]; ok {
 			sw.loss = l
 		}
 		if useRing && spec.Replicas > 1 {
 			sw.ring = collective.NewRingReducer(ref.Replica, p.assign.StageWorkers[ref.Stage], p.tr, opts.BucketBytes)
 			sw.gradOffsets = gradOffsetsOf(sw.model)
-		}
-		if opts.Mode == VerticalSync {
-			sw.versions = map[int][]*tensor.Tensor{0: nn.SnapshotParams(sw.model.Params())}
 		}
 		if opts.instrumented() {
 			sw.met = newWorkerMetrics(opts.Metrics, opts.OpLog, ref.Stage, ref.Replica)
@@ -635,7 +638,9 @@ func (p *Pipeline) runChunk(ds data.Dataset, cs, ce, base int, losses []float64)
 // StageModel returns the live model slice executed by the given stage
 // replica — useful for inspection and tests — or nil when that worker
 // lives in another process. The returned Sequential shares parameter
-// tensors with the worker; do not mutate while training.
+// tensors with the worker; do not mutate while training. Parameter
+// headers are stable for the life of the model; their Data is not stable
+// across an optimizer step, do not cache it.
 func (p *Pipeline) StageModel(stage, replica int) *nn.Sequential {
 	for _, sw := range p.workers {
 		if sw.stage == stage && sw.replica == replica {
@@ -662,16 +667,15 @@ func (p *Pipeline) CollectModel() *nn.Sequential {
 // stashEntry is the per-minibatch state a worker keeps between a forward
 // and its backward.
 type stashEntry struct {
-	params []*tensor.Tensor // weight version used in forward (nil in NoStashing)
-	ctx    *nn.SeqContext   // nil when recomputation is enabled
-	input  *tensor.Tensor   // stage input: recomputed from, and recycled after backward
+	weights *weightVersion // version the forward ran under, held until the backward ends (nil in NoStashing)
+	ctx     *nn.SeqContext // nil when recomputation is enabled
+	input   *tensor.Tensor // stage input: recomputed from, and recycled after backward
 	// output is the stage output when this worker is the one to release it
 	// (see ownedOutput) and the backward pass still reads it (a stage ending
 	// in Tanh or Sigmoid, whose context is its output), kept until the
 	// backward ends; nil when the forward already released it.
 	output     *tensor.Tensor
-	version    int
-	bytes      int64
+	version    int // the minibatch's vertical-sync tag
 	fwdUpdates int // local optimizer updates at forward time (staleness baseline)
 	// joinWidths records, for a JoinConcat stage, each predecessor's
 	// feature width (in sw.preds order) so the backward pass can split
@@ -687,6 +691,20 @@ type stageWorker struct {
 	model   *nn.Sequential
 	opt     nn.Optimizer
 	mode    StalenessMode
+
+	// The stage's parameters live in the arrays of weights' versions and its
+	// gradients (grads, in Grads() order) in gradArena, which the ring's
+	// buckets and the full-gradient exchange reduce in place. accum, made
+	// at the first use and kept for the run, sums the gradients of one
+	// GradAccumulation cycle; accumViews are its per-gradient views and
+	// accumCount the minibatches summed so far.
+	weights    *weightVersions
+	grads      []*tensor.Tensor
+	gradArena  []float32
+	gradFlat   *tensor.Tensor // gradArena as the one tensor the full-gradient exchange sends
+	accum      []float32
+	accumViews []*tensor.Tensor
+	accumCount int
 
 	// Dataflow position in the plan's stage graph: the stages feeding
 	// this one, the stages it feeds, how fan-in activations combine,
@@ -705,19 +723,8 @@ type stageWorker struct {
 	curAb       *runAbort
 	ringErr     error
 
-	updates  int
-	versions map[int][]*tensor.Tensor // vertical sync: version -> params
-	stash    map[int]stashEntry
-
-	// cachedParams/cachedGrads memoize the model's flattened param and
-	// grad slices: layer membership is fixed once the worker runs, and
-	// rebuilding them per minibatch dominated steady-state allocations.
-	cachedParams []*tensor.Tensor
-	cachedGrads  []*tensor.Tensor
-
-	// Gradient accumulation state: pending gradient sum and count.
-	accumGrads []*tensor.Tensor
-	accumCount int
+	updates int
+	stash   map[int]stashEntry
 
 	stashBytes     int64
 	peakStashBytes int64
@@ -960,24 +967,6 @@ func (sw *stageWorker) run(ds data.Dataset, ops []schedule.TableOp, start, end i
 	return nil
 }
 
-// paramsCached returns the memoized flattened parameter slice (layer
-// membership is fixed once the worker runs; tensor identities are stable
-// across checkpoint restores, which CopyFrom into them).
-func (sw *stageWorker) paramsCached() []*tensor.Tensor {
-	if sw.cachedParams == nil {
-		sw.cachedParams = sw.model.Params()
-	}
-	return sw.cachedParams
-}
-
-// gradsCached returns the memoized flattened gradient slice.
-func (sw *stageWorker) gradsCached() []*tensor.Tensor {
-	if sw.cachedGrads == nil {
-		sw.cachedGrads = sw.model.Grads()
-	}
-	return sw.cachedGrads
-}
-
 // forward runs the stage's forward pass for one minibatch. A sink stage
 // computes the loss and leaves its gradient in bwdReady for the matching
 // backward op. A transport failure on the downstream send aborts the run.
@@ -998,41 +987,32 @@ func (sw *stageWorker) forward(m transport.Message, ab *runAbort) error {
 			return err
 		}
 	}
-	params := sw.paramsCached()
-	var stashed []*tensor.Tensor
+	// The version this forward runs under is held, not copied, until the
+	// minibatch's backward ends.
+	var weights *weightVersion
 	switch sw.mode {
 	case WeightStashing:
-		// Pooled: the stash is private to this worker and released by the
-		// matching backward, so the tensors can cycle through the pool.
-		stashed = nn.SnapshotParamsPooled(params)
+		weights = sw.weights.latest()
 	case VerticalSync:
 		// Version tags count globally reflected minibatches, so stages
 		// with different replication factors can translate them: this
 		// stage's version after u local updates reflects u·replicas
 		// minibatches. Use the newest version not exceeding the tag.
-		key, v, err := sw.lookupVersion(m.Version)
-		if err != nil {
+		if weights = sw.weights.lookup(m.Version); weights == nil {
+			err := fmt.Errorf("pipeline: worker %d has no weight version ≤ tag %d (surviving versions %v)",
+				sw.id, m.Version, sw.weights.keys())
 			ab.fail(err)
 			return err
 		}
-		stashed = v
-		if key != sw.reflected() {
-			// Compute with the stashed (older) version, then put the
-			// latest back before returning.
-			latest := nn.SnapshotParamsPooled(params)
-			nn.RestoreParams(params, stashed)
-			defer func() {
-				nn.RestoreParams(params, latest)
-				nn.ReleaseSnapshot(latest)
-			}()
-		}
-	case NoStashing:
-		stashed = nil
+	}
+	if weights != nil {
+		sw.trackStash(sw.weights.hold(weights))
+		sw.weights.bind(weights)
 	}
 	y, ctx := sw.model.Forward(m.Tensor, true)
-	entry := stashEntry{params: stashed, ctx: ctx, input: m.Tensor, output: sw.ownedOutput(y, m.Tensor),
-		version: m.Version, bytes: stashBytesOf(stashed, m.Tensor), fwdUpdates: sw.updates,
-		joinWidths: joinWidths}
+	sw.weights.bind(sw.weights.latest())
+	entry := stashEntry{weights: weights, ctx: ctx, input: m.Tensor, output: sw.ownedOutput(y, m.Tensor),
+		version: m.Version, fwdUpdates: sw.updates, joinWidths: joinWidths}
 	var err error
 	if sw.isSink() {
 		loss, grad := sw.loss(y, m.Labels)
@@ -1064,7 +1044,7 @@ func (sw *stageWorker) forward(m transport.Message, ab *runAbort) error {
 		entry.output = nil
 	}
 	sw.stash[m.Minibatch] = entry
-	sw.trackStash(entry.bytes)
+	sw.trackStash(int64(m.Tensor.Bytes()))
 	return err
 }
 
@@ -1124,9 +1104,7 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 		m.Tensor = sw.sumPendingGrads(m.Minibatch)
 	}
 	delete(sw.stash, m.Minibatch)
-	params := sw.paramsCached()
-	grads := sw.gradsCached()
-	nn.ZeroGrads(grads)
+	clear(sw.gradArena)
 
 	// Ring mode opens the all-reduce round before backward runs so that
 	// tail buckets start reducing from the overlap hook while earlier
@@ -1136,7 +1114,7 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 		participants, roundKey := sw.roundOf(m.Minibatch)
 		if participants > 1 {
 			useRing = true
-			if err := sw.ring.BeginRound(roundKey, participants, grads); err != nil {
+			if err := sw.ring.BeginRound(roundKey, participants, sw.grads); err != nil {
 				err = fmt.Errorf("pipeline: worker %d ring round for mb %d: %w", sw.id, m.Minibatch, err)
 				ab.fail(err)
 				return err
@@ -1162,22 +1140,17 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 		}
 		return sw.model.Backward(ctx, m.Tensor)
 	}
-	if entry.params != nil {
-		latest := nn.SnapshotParamsPooled(params)
-		nn.RestoreParams(params, entry.params)
+	if entry.weights != nil {
+		// Point the layers at the version the forward ran under, and back:
+		// its last reader may be this backward, which then frees its array.
+		sw.weights.bind(entry.weights)
 		gradIn = backward()
-		nn.RestoreParams(params, latest)
-		nn.ReleaseSnapshot(latest)
-		if sw.mode == WeightStashing {
-			// WeightStashing snapshots are pooled and now dead. VerticalSync
-			// entries alias the shared versions table and must NOT be
-			// recycled here.
-			nn.ReleaseSnapshot(entry.params)
-		}
+		sw.weights.bind(sw.weights.latest())
+		sw.trackStash(-sw.weights.release(entry.weights))
 	} else {
 		gradIn = backward()
 	}
-	sw.trackStash(-entry.bytes)
+	sw.trackStash(-int64(entry.input.Bytes()))
 	if sw.ringErr != nil {
 		err := sw.ringErr
 		sw.ringErr = nil
@@ -1262,7 +1235,7 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 			// Ring mode, but the final partial round has one participant:
 			// nothing to synchronize.
 		default:
-			if err := sw.exchangeGradients(m.Minibatch, grads, ab); err != nil {
+			if err := sw.exchangeGradients(m.Minibatch, ab); err != nil {
 				return err
 			}
 		}
@@ -1274,11 +1247,7 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 			}
 		}
 	}
-	sw.applyUpdate(params, grads)
-	if sw.mode == VerticalSync {
-		sw.versions[sw.reflected()] = nn.SnapshotParams(params)
-		sw.pruneVersions()
-	}
+	sw.applyUpdate()
 
 	if err := sendUp(); err != nil {
 		return err
@@ -1402,35 +1371,41 @@ func (sw *stageWorker) drainRing(ab *runAbort) error {
 	return nil
 }
 
-// applyUpdate steps the optimizer, honouring gradient accumulation: with
+// applyUpdate steps the optimizer — it reads the latest weight version
+// and writes the next — honouring gradient accumulation: with
 // GradAccumulation = N, gradients of N consecutive minibatches are
 // averaged into one update. The version counter still advances every
-// minibatch so vertical-sync tags stay aligned across stages.
-func (sw *stageWorker) applyUpdate(params, grads []*tensor.Tensor) {
-	n := sw.p.opts.GradAccumulation
-	if n <= 1 {
-		sw.opt.Step(params, grads)
-		sw.updates++
-		return
-	}
-	if sw.accumGrads == nil {
-		sw.accumGrads = nn.SnapshotParams(grads)
-	} else {
-		for i, g := range grads {
-			sw.accumGrads[i].Add(g)
-		}
-	}
-	sw.accumCount++
-	if sw.accumCount >= n {
-		inv := float32(1) / float32(sw.accumCount)
-		for _, g := range sw.accumGrads {
-			g.Scale(inv)
-		}
-		sw.opt.Step(params, sw.accumGrads)
-		sw.accumGrads = nil
-		sw.accumCount = 0
-	}
+// minibatch so vertical-sync tags stay aligned across stages. Versions no
+// forward can ask for any more leave the table.
+func (sw *stageWorker) applyUpdate() {
 	sw.updates++
+	if n := sw.p.opts.GradAccumulation; n <= 1 {
+		sw.weights.step(sw.opt, sw.grads, sw.reflected())
+	} else {
+		if sw.accum == nil {
+			sw.accum = make([]float32, len(sw.gradArena))
+			sw.accumViews = tensor.Views(sw.grads, sw.accum)
+		}
+		if sw.accumCount == 0 {
+			copy(sw.accum, sw.gradArena)
+		} else {
+			tensor.AddInto(sw.accum, sw.accum, sw.gradArena)
+		}
+		sw.accumCount++
+		if sw.accumCount >= n {
+			inv := float32(1) / float32(sw.accumCount)
+			for i := range sw.accum {
+				sw.accum[i] *= inv
+			}
+			sw.weights.step(sw.opt, sw.accumViews, sw.reflected())
+			sw.accumCount = 0
+		}
+	}
+	oldest := sw.reflected()
+	if sw.mode == VerticalSync {
+		oldest = sw.versionHorizon()
+	}
+	sw.weights.prune(oldest)
 }
 
 // reflected returns the number of globally admitted minibatches whose
@@ -1438,43 +1413,27 @@ func (sw *stageWorker) applyUpdate(params, grads []*tensor.Tensor) {
 // round-robin round covers `replicas` minibatches.
 func (sw *stageWorker) reflected() int { return sw.updates * sw.replicas() }
 
-// lookupVersion returns the newest stored weight version whose reflected
-// count does not exceed the tag. No such version surviving means pruning
-// outran an in-transit minibatch; the error names what is left.
-func (sw *stageWorker) lookupVersion(tag int) (int, []*tensor.Tensor, error) {
-	bestKey := -1
-	var best []*tensor.Tensor
-	for k, v := range sw.versions {
-		if k <= tag && k > bestKey {
-			bestKey, best = k, v
-		}
-	}
-	if best == nil {
-		have := make([]int, 0, len(sw.versions))
-		for k := range sw.versions {
-			have = append(have, k)
-		}
-		slices.Sort(have)
-		return 0, nil, fmt.Errorf("pipeline: worker %d has no weight version ≤ tag %d (surviving versions %v)",
-			sw.id, tag, have)
-	}
-	return bestKey, best, nil
-}
-
 // exchangeGradients is the central all_reduce for replicated stages,
-// between local and remote siblings alike: every replica sends its
-// flattened gradients for the round to each sibling and waits (while
+// between local and remote siblings alike: every replica sends its whole
+// gradient arena for the round to each sibling and waits (while
 // continuing to route pipeline traffic) until all participants'
 // contributions arrive, then averages in place. A dead sibling surfaces
 // as a send error or a watchdog trip, not a hang.
-func (sw *stageWorker) exchangeGradients(mb int, grads []*tensor.Tensor, ab *runAbort) error {
+func (sw *stageWorker) exchangeGradients(mb int, ab *runAbort) error {
 	replicas := sw.replicas()
 	participants, first := sw.roundOf(mb) // fewer than replicas in a final partial round
 	if participants <= 1 {
 		return nil
 	}
 	round := (mb - sw.trainStart) / replicas
-	flat := transport.FlattenTensors(grads)
+	// A serializing transport has the arena's bytes on the wire before Send
+	// returns; an in-process one hands the pointer over, so there the
+	// siblings get a pooled copy, which is theirs to read from then on.
+	flat := sw.gradFlat
+	if !transport.ReceiverOwns(sw.p.tr) {
+		flat = tensor.GetRaw(len(sw.gradArena))
+		copy(flat.Data, sw.gradArena)
+	}
 	for _, peer := range sw.p.assign.StageWorkers[sw.stage] {
 		if peer == sw.id {
 			continue
@@ -1502,32 +1461,60 @@ func (sw *stageWorker) exchangeGradients(mb int, grads []*tensor.Tensor, ab *run
 	}
 	// Sum in ascending replica index, this replica's own contribution in
 	// its place: float addition is not associative, so a fixed order is
-	// what makes every replica compute the same bits, run after run.
+	// what makes every replica compute the same bits, run after run. The
+	// own contribution is the arena itself and the sum ends up there; two
+	// or more terms before it (a third replica at the earliest) are summed
+	// in pooled scratch. The sum starts from its first term, not from
+	// zeros: no accumulated gradient is −0, so 0 + x is x, bit for bit.
 	contribs := sw.gradExch[round]
-	contribs[sw.replica] = flat
-	nn.ZeroGrads(grads)
-	for r := 0; r < replicas; r++ {
-		if c := contribs[r]; c != nil {
-			transport.UnflattenAdd(grads, c)
-		}
-	}
 	delete(sw.gradExch, round)
-	// Own buffer included: on a transport that copies, no sibling holds it.
+	var acc []float32
+	var scratch *tensor.Tensor
+	for r := 0; r < replicas; r++ {
+		c := sw.gradArena
+		if r != sw.replica {
+			t := contribs[r]
+			if t == nil {
+				continue
+			}
+			if t.Size() != len(sw.gradArena) {
+				err := fmt.Errorf("pipeline: worker %d gradient exchange round %d: replica %d sent %d values, the stage has %d",
+					sw.id, round, r, t.Size(), len(sw.gradArena))
+				ab.fail(err)
+				return err
+			}
+			c = t.Data
+		}
+		if acc == nil {
+			acc = c
+			continue
+		}
+		dst := sw.gradArena
+		if r < sw.replica {
+			if scratch == nil {
+				scratch = tensor.GetRaw(len(dst))
+			}
+			dst = scratch.Data
+		}
+		tensor.AddInto(dst, acc, c)
+		acc = dst
+	}
+	tensor.Put(scratch)
 	for _, c := range contribs {
 		sw.recycle(c)
 	}
 	inv := float32(1) / float32(participants)
-	for _, g := range grads {
-		g.Scale(inv)
+	for i := range sw.gradArena {
+		sw.gradArena[i] *= inv
 	}
 	return nil
 }
 
-// pruneVersions drops weight versions no in-flight or in-transit minibatch
-// can still need: older than both this worker's oldest stashed version and
-// the staleness horizon implied by the pipeline depth. Keys and horizons
-// are in reflected-minibatch units.
-func (sw *stageWorker) pruneVersions() {
+// versionHorizon returns, under vertical sync, the oldest reflected-
+// minibatch count a forward can still be tagged with: nothing older than
+// this worker's oldest stashed tag, nor than the staleness horizon implied
+// by the pipeline depth, is asked for again.
+func (sw *stageWorker) versionHorizon() int {
 	min := sw.reflected()
 	for _, e := range sw.stash {
 		if e.version < min {
@@ -1541,19 +1528,7 @@ func (sw *stageWorker) pruneVersions() {
 	if horizon < min {
 		min = horizon
 	}
-	// Always retain the newest version at or below min so lookupVersion
-	// has a floor.
-	floor := -1
-	for k := range sw.versions {
-		if k <= min && k > floor {
-			floor = k
-		}
-	}
-	for v := range sw.versions {
-		if v < min && v != floor {
-			delete(sw.versions, v)
-		}
-	}
+	return min
 }
 
 func (sw *stageWorker) trackStash(delta int64) {
@@ -1564,15 +1539,4 @@ func (sw *stageWorker) trackStash(delta int64) {
 	if sw.met != nil && sw.met.stash != nil {
 		sw.met.stash.Set(sw.stashBytes)
 	}
-}
-
-func stashBytesOf(params []*tensor.Tensor, input *tensor.Tensor) int64 {
-	var n int64
-	for _, p := range params {
-		n += int64(p.Bytes())
-	}
-	if input != nil {
-		n += int64(input.Bytes())
-	}
-	return n
 }

@@ -239,8 +239,8 @@ func TestVerticalSyncRunsAndPrunesVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sw := range p.workers {
-		if len(sw.versions) > p.depth*2+3 {
-			t.Fatalf("worker %d retains %d versions; pruning is broken", sw.id, len(sw.versions))
+		if n := len(sw.weights.listed); n > p.depth*2+3 {
+			t.Fatalf("worker %d retains %d versions; pruning is broken", sw.id, n)
 		}
 	}
 }

@@ -200,12 +200,16 @@ drain:
 	}
 	sw.fwdReady = make(map[int]transport.Message)
 	sw.bwdReady = make(map[int]transport.Message)
+	for _, e := range sw.stash {
+		if e.weights != nil {
+			sw.weights.release(e.weights)
+		}
+	}
 	sw.stash = make(map[int]stashEntry)
 	sw.seenFwd = nil
 	sw.fwdPend = nil
 	sw.gradPend = nil
 	sw.gradExch = nil
-	sw.accumGrads = nil
 	sw.accumCount = 0
 	sw.stashBytes = 0
 	sw.syncDur = 0

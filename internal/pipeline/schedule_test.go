@@ -14,7 +14,6 @@ import (
 	"pipedream/internal/nn"
 	"pipedream/internal/partition"
 	"pipedream/internal/schedule"
-	"pipedream/internal/tensor"
 	"pipedream/internal/topology"
 	"pipedream/internal/trace"
 	"pipedream/internal/transport"
@@ -158,8 +157,11 @@ func paramBits(ps []*Pipeline) map[int][]uint32 {
 // carries the messages — in-process channels, loopback TCP in one
 // process, one TCP endpoint per worker — and however many cores schedule
 // the worker goroutines, every loss and every final weight comes out bit
-// for bit the same. Each case trains two windows, the second starting off
-// a replica-count boundary and ending in a partial all-reduce round.
+// for bit the same — under weight stashing, under vertical sync (forwards
+// that run under an older version than the latest) and with gradient
+// accumulation (updates that write no new version). Each case trains two
+// windows, the second starting off a replica-count boundary and ending in a
+// partial all-reduce round.
 func TestLossesArePureFunctionOfSeedPlanDepth(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range []struct {
@@ -168,16 +170,23 @@ func TestLossesArePureFunctionOfSeedPlanDepth(t *testing.T) {
 		graph     *partition.StageGraph
 		allReduce collective.Method
 		windows   []int
+		mode      StalenessMode
+		accum     int
 	}{
-		{"chain3", []int{1, 1, 1}, nil, collective.Central, []int{7, 4}},
-		{"chain4", []int{1, 1, 1, 1}, nil, collective.Central, []int{7, 4}},
-		{"2-1", []int{2, 1}, nil, collective.Central, []int{7, 4}},
-		{"3-1-central", []int{3, 1}, nil, collective.Central, []int{7, 4}},
+		{"chain3", []int{1, 1, 1}, nil, collective.Central, []int{7, 4}, WeightStashing, 1},
+		{"chain4", []int{1, 1, 1, 1}, nil, collective.Central, []int{7, 4}, WeightStashing, 1},
+		{"2-1", []int{2, 1}, nil, collective.Central, []int{7, 4}, WeightStashing, 1},
+		{"3-1-central", []int{3, 1}, nil, collective.Central, []int{7, 4}, WeightStashing, 1},
 		// The ring collective ranks a partial round's participants from
 		// replica 0, so its windows start on a replica-count boundary.
-		{"2-1-ring", []int{2, 1}, nil, collective.Ring, []int{8, 3}},
-		{"diamond", []int{1, 1, 1, 1}, diamondGraph, collective.Central, []int{7, 4}},
-		{"twohead", []int{1, 1, 1, 1}, twoHeadGraph, collective.Central, []int{7, 4}},
+		{"2-1-ring", []int{2, 1}, nil, collective.Ring, []int{8, 3}, WeightStashing, 1},
+		{"diamond", []int{1, 1, 1, 1}, diamondGraph, collective.Central, []int{7, 4}, WeightStashing, 1},
+		{"twohead", []int{1, 1, 1, 1}, twoHeadGraph, collective.Central, []int{7, 4}, WeightStashing, 1},
+		{"chain3-vsync", []int{1, 1, 1}, nil, collective.Central, []int{7, 4}, VerticalSync, 1},
+		{"3-1-central-vsync", []int{3, 1}, nil, collective.Central, []int{7, 4}, VerticalSync, 1},
+		{"2-1-ring-vsync-accum2", []int{2, 1}, nil, collective.Ring, []int{8, 3}, VerticalSync, 2},
+		{"chain4-accum2", []int{1, 1, 1, 1}, nil, collective.Central, []int{7, 4}, WeightStashing, 2},
+		{"2-1-ring-accum2", []int{2, 1}, nil, collective.Ring, []int{8, 3}, WeightStashing, 2},
 	} {
 		factory, plan := shapePlan(t, c.replicas, c.graph)
 		ds := data.NewBlobs(23, 3, 4, 8, 11)
@@ -187,6 +196,8 @@ func TestLossesArePureFunctionOfSeedPlanDepth(t *testing.T) {
 				opts.Depth = depth
 				opts.Recompute = recompute
 				opts.AllReduce = c.allReduce
+				opts.Mode = c.mode
+				opts.GradAccumulation = c.accum
 				var wantLosses []float64
 				var wantParams map[int][]uint32
 				for _, tr := range []string{"channels", "tcp", "tcp-per-worker"} {
@@ -260,24 +271,25 @@ func TestGradientExchangeAveragesBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	grads := [][]*tensor.Tensor{
-		{tensor.FromSlice([]float32{1, 3}, 2)},
-		{tensor.FromSlice([]float32{3, 5}, 2)},
-	}
 	ab := newRunAbort()
 	errs := make(chan error, len(p.workers))
 	for r, sw := range p.workers {
 		sw.trainStart, sw.trainEnd = 0, 4
-		go func() { errs <- sw.exchangeGradients(r, grads[r], ab) }()
+		for i := range sw.gradArena {
+			sw.gradArena[i] = float32(2*r + 1 + 2*(i%2)) // 1 3 1 3… and 3 5 3 5…
+		}
+		go func() { errs <- sw.exchangeGradients(r, ab) }()
 	}
 	for range p.workers {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
-	for r, g := range grads {
-		if g[0].Data[0] != 2 || g[0].Data[1] != 4 {
-			t.Fatalf("replica %d: exchanged average = %v, want [2 4]", r, g[0].Data)
+	for r, sw := range p.workers {
+		for i, v := range sw.gradArena {
+			if want := float32(2 + 2*(i%2)); v != want {
+				t.Fatalf("replica %d: exchanged average[%d] = %v, want %v", r, i, v, want)
+			}
 		}
 	}
 }
@@ -295,12 +307,12 @@ func TestMissingWeightVersionFailsRunWithError(t *testing.T) {
 	}
 	defer p.Close()
 	sw := p.workers[1]
-	sw.versions = map[int][]*tensor.Tensor{5: sw.versions[0], 9: sw.versions[0]}
+	sw.weights.reset(5)
 	_, err = p.Train(data.NewBlobs(7, 3, 4, 8, 4), 4)
 	if err == nil {
 		t.Fatal("training with no usable weight version succeeded")
 	}
-	for _, want := range []string{"worker 1", "tag 0", "[5 9]"} {
+	for _, want := range []string{"worker 1", "tag 0", "[5]"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not name %q", err, want)
 		}

@@ -42,10 +42,10 @@ type recordingOpt struct {
 	history *[]float32
 }
 
-func (r *recordingOpt) Step(params, grads []*tensor.Tensor) {
-	r.Optimizer.Step(params, grads)
+func (r *recordingOpt) StepInto(next, cur, grads []*tensor.Tensor) {
+	r.Optimizer.StepInto(next, cur, grads)
 	r.mu.Lock()
-	*r.history = append(*r.history, params[0].Data[0])
+	*r.history = append(*r.history, next[0].Data[0])
 	r.mu.Unlock()
 }
 

@@ -32,6 +32,13 @@ import (
 // array: release one of them, never both (SharesStorage tells). Never
 // use a tensor after Put — with header recycling, a use-after-Put can
 // observe a new shape as well as new data.
+//
+// What the pool does not hold: a stage's weights and gradients. They live
+// in flat arrays (flat.go) that are exactly sized, private to the stage
+// worker that made them and recycled, if at all, through that worker's own
+// free list (internal/pipeline/versions.go) — a 1.18 MB weight version
+// would otherwise round up to a 2 MB size class. Views of such an array
+// are never Put.
 
 // pools[c] holds *Tensor headers whose Data capacity is exactly 1<<c.
 var pools [33]sync.Pool

@@ -135,27 +135,3 @@ func TestMsgKindString(t *testing.T) {
 		t.Fatal("kind strings wrong")
 	}
 }
-
-func TestFlattenUnflattenRoundTrip(t *testing.T) {
-	a := tensor.FromSlice([]float32{1, 2, 3}, 3)
-	b := tensor.FromSlice([]float32{4, 5}, 1, 2)
-	flat := FlattenTensors([]*tensor.Tensor{a, b})
-	if flat.Size() != 5 || flat.Data[3] != 4 {
-		t.Fatalf("flatten wrong: %v", flat.Data)
-	}
-	dst := []*tensor.Tensor{tensor.New(3), tensor.New(1, 2)}
-	dst[0].Data[0] = 10 // UnflattenAdd accumulates
-	UnflattenAdd(dst, flat)
-	if dst[0].Data[0] != 11 || dst[1].Data[1] != 5 {
-		t.Fatalf("unflatten wrong: %v %v", dst[0].Data, dst[1].Data)
-	}
-}
-
-func TestUnflattenAddPanicsOnSizeMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	UnflattenAdd([]*tensor.Tensor{tensor.New(2)}, tensor.New(3))
-}

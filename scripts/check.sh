@@ -33,17 +33,18 @@ go test -count=20 ./internal/pipeline/ -run 'PureFunction|Recompute|Staleness'
 
 echo "== poisoned pool (use-after-release detector on: nn and pipeline tests always run with it; these are the suites that compare losses bit for bit)"
 go test -count=1 ./internal/nn/ -run 'TestSequentialReleasesEachTensorOnce|TestLossesMatchParentCommit'
-go test -count=1 ./internal/pipeline/ -run 'TestLossesArePureFunctionOfSeedPlanDepth|TestBranchGraphPipelineMatchesReference|TestBreakConnStormTrainsBitEqual|TestLocalWorkerSetsTrainBitEqual|TestElastic|TestChaos|TestAdoptFullState|TestTrainMaxRecoveries'
+go test -count=1 ./internal/pipeline/ -run 'TestLossesArePureFunctionOfSeedPlanDepth|TestBranchGraphPipelineMatchesReference|TestBreakConnStormTrainsBitEqual|TestLocalWorkerSetsTrainBitEqual|TestElastic|TestChaos|TestAdoptFullState|TestTrainMaxRecoveries|TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied|TestTrainingMatchesParentCommit'
 go test -count=1 ./internal/tensor/ -run 'TestPoisonOnPutCatchesUseAfterRelease'
 
-echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent)"
+echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table ten times)"
 go test -race ./...
+go test -race -count=10 ./internal/pipeline/ -run 'TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied'
 go test -race -count=2 ./internal/serve/...
 
-echo "== fuzz smoke (matmul and elementwise kernels vs portable loops + flatten + frame round-trips + checkpoint manifest + /infer body parser, 10s each)"
+echo "== fuzz smoke (matmul and elementwise kernels vs portable loops + flat tensor storage + frame round-trips + checkpoint manifest + /infer body parser, 10s each)"
 go test -run '^$' -fuzz '^FuzzMatMulKernelsBitEqual$' -fuzztime=10s ./internal/tensor/
 go test -run '^$' -fuzz '^FuzzElementwiseKernelsBitEqual$' -fuzztime=10s ./internal/tensor/
-go test -run '^$' -fuzz '^FuzzFlattenRoundTrip$' -fuzztime=10s ./internal/transport/
+go test -run '^$' -fuzz '^FuzzPackRoundTrip$' -fuzztime=10s ./internal/tensor/
 go test -run '^$' -fuzz '^FuzzFrameRoundTrip$' -fuzztime=10s ./internal/transport/
 go test -run '^$' -fuzz '^FuzzManifestParse$' -fuzztime=10s ./internal/checkpoint/
 go test -run '^$' -fuzz '^FuzzPlanJSON$' -fuzztime=10s ./internal/partition/
