@@ -46,6 +46,7 @@ import (
 
 	"pipedream/internal/cliconf"
 	"pipedream/internal/metrics"
+	"pipedream/internal/serve"
 )
 
 func main() {
@@ -260,19 +261,12 @@ func orDefault(model string) string {
 // buildBodies pre-encodes request bodies from the task's eval set so the
 // load loop does no JSON work while timing.
 func buildBodies(task *cliconf.Task, rows int) [][]byte {
-	type inferRequest struct {
-		Inputs [][]float32 `json:"inputs"`
-	}
 	var bodies [][]byte
 	for b := 0; b < task.Eval.NumBatches(); b++ {
 		x := task.Eval.Batch(b).X
 		rowSize := x.Size() / x.Dim(0)
 		for lo := 0; lo+rows <= x.Dim(0); lo += rows {
-			req := inferRequest{Inputs: make([][]float32, rows)}
-			for i := 0; i < rows; i++ {
-				req.Inputs[i] = x.Data[(lo+i)*rowSize : (lo+i+1)*rowSize]
-			}
-			body, err := json.Marshal(req)
+			body, err := serve.AppendInferRequest(nil, x.Data[lo*rowSize:(lo+rows)*rowSize], rows)
 			if err != nil {
 				fatal(err)
 			}

@@ -43,6 +43,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -53,6 +54,7 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"sync"
 	"syscall"
 	"time"
 
@@ -65,8 +67,8 @@ import (
 	"pipedream/internal/tensor"
 )
 
-// maxInferBody bounds the /infer request body; larger bodies fail
-// decoding with a 400 instead of ballooning memory.
+// maxInferBody bounds the /infer request body; a request that does not
+// end within it fails decoding with a 400 instead of ballooning memory.
 const maxInferBody = 1 << 20
 
 // maxInferRows bounds the rows in one /infer request — the dynamic
@@ -347,73 +349,53 @@ func aggregateServe(ts fleet.TenantStats) serve.Stats {
 	return agg
 }
 
-// inferRequest is the POST /infer body: one flat float row per input.
-type inferRequest struct {
-	Inputs [][]float32 `json:"inputs"`
-}
+// inferBufs recycles the buffer an /infer request lives in: first its
+// body, then, once the body is decoded, its response.
+var inferBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// inferResponse carries per-row output vectors and their argmax class.
-type inferResponse struct {
-	Outputs [][]float32 `json:"outputs"`
-	Argmax  []int       `json:"argmax"`
-}
-
-// handleInfer decodes and validates one /infer body, runs it through
-// infer (a tenant- or server-bound closure), and encodes the response.
-// Every malformed body maps to a 4xx; infer errors map through
-// statusFor.
+// handleInfer reads one /infer body, decodes it into a pooled batch
+// tensor, runs it through infer (a tenant- or server-bound closure), and
+// writes the encoded response; internal/serve's wire codec owns the
+// format. Every malformed body maps to a 4xx; infer errors map through
+// statusFor. The handler owns the buffer and the tensor and releases
+// both at the end (docs/SERVING.md, "/infer wire format").
 func handleInfer(infer func(*tensor.Tensor) (*tensor.Tensor, error), inputShape []int, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var req inferRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInferBody)).Decode(&req); err != nil {
+	buf := inferBufs.Get().(*bytes.Buffer)
+	defer inferBufs.Put(buf)
+	buf.Reset()
+	if n := r.ContentLength; n > 0 && n <= maxInferBody {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants that much spare to see EOF
+	}
+	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxInferBody))
+	x, err := serve.DecodeInferRequest(buf.Bytes(), readErr, inputShape, maxInferRows)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	rowSize := 1
-	for _, d := range inputShape {
-		rowSize *= d
-	}
-	rows := len(req.Inputs)
-	if rows == 0 {
-		http.Error(w, "no inputs", http.StatusBadRequest)
-		return
-	}
-	if rows > maxInferRows {
-		http.Error(w, fmt.Sprintf("%d rows exceeds the per-request cap of %d", rows, maxInferRows), http.StatusBadRequest)
-		return
-	}
-	flat := make([]float32, 0, rows*rowSize)
-	for i, row := range req.Inputs {
-		if len(row) != rowSize {
-			http.Error(w, fmt.Sprintf("input %d has %d values, want %d", i, len(row), rowSize), http.StatusBadRequest)
-			return
-		}
-		flat = append(flat, row...)
-	}
-	x := tensor.FromSlice(flat, append([]int{rows}, inputShape...)...)
 	y, err := infer(x)
+	if err != nil {
+		// x goes to the GC, not the pool: when a request split over
+		// several batches fails on one, a stage may still hold another.
+		http.Error(w, err.Error(), statusFor(err))
+		return
+	}
+	// Every batch that aliased x has left the pipeline, and the body has
+	// been parsed: both are free to reuse.
+	tensor.Put(x)
+	buf.Reset()
+	out, err := serve.AppendInferResponse(buf.AvailableBuffer(), y)
 	if err != nil {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	outRow := y.Size() / y.Dim(0)
-	resp := inferResponse{Outputs: make([][]float32, y.Dim(0)), Argmax: make([]int, y.Dim(0))}
-	for i := 0; i < y.Dim(0); i++ {
-		row := y.Data[i*outRow : (i+1)*outRow]
-		resp.Outputs[i] = row
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		resp.Argmax[i] = best
-	}
+	buf.Write(out) // in place, unless out outgrew buf: then buf, and the pool, keep the larger array
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Write(buf.Bytes())
 }
 
 // statusFor maps the fleet's and server's typed errors onto HTTP

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -329,6 +330,11 @@ type Obs struct {
 	MetricsOut string
 	// TraceOut writes a Chrome trace-event JSON to this path at exit.
 	TraceOut string
+	// CPUProfile writes a pprof CPU profile of the run — from Sinks to
+	// WriteOutputs — to this path.
+	CPUProfile string
+
+	cpuProfile *os.File // open while the profile runs
 }
 
 // Register declares the observability flags, defaulting to the current
@@ -337,16 +343,30 @@ func (c *Obs) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Show, "metrics", c.Show, "collect live per-stage metrics and print the summary table")
 	fs.StringVar(&c.MetricsOut, "metrics-out", c.MetricsOut, "write an expvar-style JSON metrics snapshot to this path at end of run (implies -metrics)")
 	fs.StringVar(&c.TraceOut, "trace-out", c.TraceOut, "capture the run's op log and write a Chrome trace-event JSON to this path (open in ui.perfetto.dev)")
+	fs.StringVar(&c.CPUProfile, "cpuprofile", c.CPUProfile, "write a pprof CPU profile of the run to this path (read with go tool pprof)")
 }
 
 // MetricsEnabled reports whether a metrics registry should be attached.
 func (c *Obs) MetricsEnabled() bool { return c.Show || c.MetricsOut != "" }
 
 // Sinks returns the registry and op log the flags call for (nil for the
-// ones not requested).
+// ones not requested) and starts the CPU profile when one is; every
+// binary calls it once, after flag parsing. A profile that cannot be
+// started is a warning, not a reason to refuse the run.
 func (c *Obs) Sinks() (*metrics.Registry, *metrics.OpLog) {
 	var reg *metrics.Registry
 	var opLog *metrics.OpLog
+	if c.CPUProfile != "" {
+		f, err := os.Create(c.CPUProfile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "warning: -cpuprofile: %v\n", err)
+		} else {
+			c.cpuProfile = f
+		}
+	}
 	if c.MetricsEnabled() {
 		reg = metrics.NewRegistry()
 	}
@@ -356,10 +376,17 @@ func (c *Obs) Sinks() (*metrics.Registry, *metrics.OpLog) {
 	return reg, opLog
 }
 
-// WriteOutputs writes the requested end-of-run artifacts: the metrics
-// snapshot to MetricsOut and the rendered op log to TraceOut. Sinks not
-// requested (or nil) are skipped.
+// WriteOutputs writes the requested end-of-run artifacts: the CPU
+// profile Sinks started, the metrics snapshot to MetricsOut and the
+// rendered op log to TraceOut. Sinks not requested (or nil) are skipped.
 func (c *Obs) WriteOutputs(reg *metrics.Registry, opLog *metrics.OpLog) error {
+	if c.cpuProfile != nil {
+		pprof.StopCPUProfile()
+		if err := c.cpuProfile.Close(); err != nil {
+			return err
+		}
+		c.cpuProfile = nil
+	}
 	if c.MetricsOut != "" && reg != nil {
 		f, err := os.Create(c.MetricsOut)
 		if err != nil {

@@ -1,6 +1,9 @@
 package cliconf
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -44,5 +47,32 @@ func TestElasticParseEventsRejectsMalformed(t *testing.T) {
 		if _, err := (&Elastic{Events: bad}).ParseEvents(); err == nil {
 			t.Errorf("timeline %q: want error, got none", bad)
 		}
+	}
+}
+
+// TestObsCPUProfile: -cpuprofile starts a profile at Sinks and
+// WriteOutputs finishes it into a file pprof can read (a gzip stream),
+// and a path that cannot be created costs a warning, not the run.
+func TestObsCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	obs := &Obs{}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	obs.Register(fs)
+	if err := fs.Parse([]string{"-cpuprofile", path}); err != nil {
+		t.Fatal(err)
+	}
+	reg, opLog := obs.Sinks()
+	if err := obs.WriteOutputs(reg, opLog); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil || len(raw) < 2 || raw[0] != 0x1f || raw[1] != 0x8b {
+		t.Fatalf("profile %s: %d bytes, err %v; want a gzip stream", path, len(raw), err)
+	}
+
+	bad := &Obs{CPUProfile: filepath.Join(path, "under-a-file")}
+	bad.Sinks()
+	if err := bad.WriteOutputs(nil, nil); err != nil {
+		t.Fatalf("unwritable -cpuprofile: %v, want only a warning", err)
 	}
 }

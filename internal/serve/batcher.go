@@ -155,8 +155,13 @@ func (s *Server) dispatch(batch []*request, nextID int) int {
 		select {
 		case s.inflight <- struct{}{}:
 		case <-s.done:
-			s.failBatch(info, ErrServerClosed)
-			s.releaseVersion(v)
+			// Left for Close to fail once every stage worker has exited:
+			// failing the request here would hand its tensor back to the
+			// caller while stage 0 may still read an earlier chunk of it.
+			s.mu.Lock()
+			s.pending[nextID] = info
+			s.mu.Unlock()
+			nextID++
 			continue
 		}
 		s.mu.Lock()

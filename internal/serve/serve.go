@@ -208,9 +208,10 @@ type segment struct {
 
 // batchInfo is the demux routing entry for one dispatched batch.
 type batchInfo struct {
-	segs []segment
-	rows int
-	ver  *weightVersion // generation the batch was stamped with
+	segs  []segment
+	rows  int
+	ver   *weightVersion // generation the batch was stamped with
+	fault error          // first stage panic, set by noteFault under s.mu
 }
 
 // NewServer validates the config, slices the model into stage workers,

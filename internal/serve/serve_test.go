@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -296,11 +297,16 @@ func TestInputShapeValidation(t *testing.T) {
 }
 
 // TestWorkerPanicIsolated: a batch whose shape blows up inside a kernel
-// fails with ErrInference; the server keeps serving later requests.
+// fails with ErrInference naming the stage and what it panicked with; the
+// server keeps serving later requests.
 func TestWorkerPanicIsolated(t *testing.T) {
-	s := mustServer(t, Config{Model: testModel(6), MaxBatch: 1, BatchTimeout: time.Millisecond})
-	if _, err := s.Infer(testInputDim(1, 2, 7)); !errors.Is(err, ErrInference) {
+	s := mustServer(t, Config{Model: testModel(6), Plan: plan2(), MaxBatch: 1, BatchTimeout: time.Millisecond})
+	_, err := s.Infer(testInputDim(1, 2, 7))
+	if !errors.Is(err, ErrInference) {
 		t.Fatalf("bad-shape request: err = %v, want ErrInference", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "stage 0: ") || !strings.Contains(msg, "fc1 forward input [1 7]") {
+		t.Fatalf("bad-shape request: err = %q, want the stage and the panic's text (the 7-wide row)", msg)
 	}
 	if _, err := s.Infer(testInput(1, 3)); err != nil {
 		t.Fatalf("request after panic: %v", err)

@@ -102,7 +102,10 @@ func (s *Server) stageWorker(st int) {
 					slice = stages[st]
 				}
 				if slice != nil {
-					y = forwardInfer(slice, in, ar)
+					var fault any
+					if y, fault = forwardInfer(slice, in, ar); fault != nil {
+						s.noteFault(m.Minibatch, st, fault)
+					}
 				}
 			}
 			dur := time.Since(start)
@@ -254,18 +257,28 @@ func joinActivations(op partition.JoinOp, preds []int, parts map[int]*tensor.Ten
 }
 
 // forwardInfer runs one stage slice through the fused inference path,
-// converting a panic into a nil result so a bad batch cannot take the
-// worker down. The result lives on the arena until the caller resets it.
-func forwardInfer(slice *nn.Sequential, x *tensor.Tensor, ar *tensor.Arena) (y *tensor.Tensor) {
+// converting a panic into a nil result and the recovered value so a bad
+// batch cannot take the worker down. The result lives on the arena until
+// the caller resets it.
+func forwardInfer(slice *nn.Sequential, x *tensor.Tensor, ar *tensor.Arena) (y *tensor.Tensor, fault any) {
 	defer func() {
-		if recover() != nil {
+		if fault = recover(); fault != nil {
 			y = nil
 		}
 	}()
-	if x == nil {
-		return nil
+	return slice.ForwardInfer(x, ar), nil
+}
+
+// noteFault keeps what a stage's forward pass panicked with, and where,
+// with the batch, so the requests it fails say more than ErrInference. A
+// batch's first fault wins; the poison that follows it reaches the
+// demultiplexer only after this has returned.
+func (s *Server) noteFault(id, st int, fault any) {
+	s.mu.Lock()
+	if info := s.pending[id]; info != nil && info.fault == nil {
+		info.fault = fmt.Errorf("serve: stage %d: %v: %w", st, fault, ErrInference)
 	}
-	return slice.ForwardInfer(x, ar)
+	s.mu.Unlock()
 }
 
 // reclaimBatch is the failure path for a batch whose result can no
@@ -334,7 +347,8 @@ func (s *Server) demux() {
 
 // deliverLocked scatters one batch output to its requests. A nil output
 // means a stage worker failed on this batch; its requests get
-// ErrInference. Callers hold s.mu.
+// ErrInference, wrapped with the stage and the panic when one was noted.
+// Callers hold s.mu.
 //
 // The model may change the row count: FlattenTime reshapes [B, T, H] to
 // [B*T, H], so a batch of n input rows yields n*T output rows. As long
@@ -345,8 +359,12 @@ func (s *Server) demux() {
 // ErrInference rather than returning corrupt rows.
 func (s *Server) deliverLocked(info *batchInfo, y *tensor.Tensor) {
 	if y == nil || y.Dim(0) == 0 || y.Dim(0)%info.rows != 0 {
+		err := ErrInference
+		if info.fault != nil {
+			err = info.fault
+		}
 		for _, seg := range info.segs {
-			s.failPendingLocked(seg.pr, ErrInference)
+			s.failPendingLocked(seg.pr, err)
 		}
 		return
 	}

@@ -31,17 +31,18 @@ GOMAXPROCS=1 go test -count=1 ./...
 echo "== determinism gate (losses are a pure function of seed, plan and depth: 20 runs each)"
 go test -count=20 ./internal/pipeline/ -run 'PureFunction|Recompute|Staleness'
 
-echo "== poisoned pool (use-after-release detector on: nn and pipeline tests always run with it; these are the suites that compare losses bit for bit)"
+echo "== poisoned pool (use-after-release detector on: nn, pipeline, serve and pipedream-serve tests always run with it; these are the suites that compare losses and outputs bit for bit)"
 go test -count=1 ./internal/nn/ -run 'TestSequentialReleasesEachTensorOnce|TestLossesMatchParentCommit'
 go test -count=1 ./internal/pipeline/ -run 'TestLossesArePureFunctionOfSeedPlanDepth|TestBranchGraphPipelineMatchesReference|TestBreakConnStormTrainsBitEqual|TestLocalWorkerSetsTrainBitEqual|TestElastic|TestChaos|TestAdoptFullState|TestTrainMaxRecoveries|TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied|TestTrainingMatchesParentCommit'
 go test -count=1 ./internal/tensor/ -run 'TestPoisonOnPutCatchesUseAfterRelease'
+go test -count=1 ./cmd/pipedream-serve/ ./internal/serve/
 
 echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table ten times)"
 go test -race ./...
 go test -race -count=10 ./internal/pipeline/ -run 'TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied'
 go test -race -count=2 ./internal/serve/...
 
-echo "== fuzz smoke (matmul and elementwise kernels vs portable loops + flat tensor storage + frame round-trips + checkpoint manifest + /infer body parser, 10s each)"
+echo "== fuzz smoke (matmul and elementwise kernels vs portable loops + flat tensor storage + frame round-trips + checkpoint manifest + /infer handler, request scan and response bytes vs encoding/json, 10s each)"
 go test -run '^$' -fuzz '^FuzzMatMulKernelsBitEqual$' -fuzztime=10s ./internal/tensor/
 go test -run '^$' -fuzz '^FuzzElementwiseKernelsBitEqual$' -fuzztime=10s ./internal/tensor/
 go test -run '^$' -fuzz '^FuzzPackRoundTrip$' -fuzztime=10s ./internal/tensor/
@@ -49,6 +50,8 @@ go test -run '^$' -fuzz '^FuzzFrameRoundTrip$' -fuzztime=10s ./internal/transpor
 go test -run '^$' -fuzz '^FuzzManifestParse$' -fuzztime=10s ./internal/checkpoint/
 go test -run '^$' -fuzz '^FuzzPlanJSON$' -fuzztime=10s ./internal/partition/
 go test -run '^$' -fuzz '^FuzzInferRequest$' -fuzztime=10s ./cmd/pipedream-serve/
+go test -run '^$' -fuzz '^FuzzDecodeInferRequest$' -fuzztime=10s ./internal/serve/
+go test -run '^$' -fuzz '^FuzzInferResponseBytes$' -fuzztime=10s ./internal/serve/
 
 echo "== alloc budgets (allocs/op vs scripts/alloc_budget.txt, on one core like the budgets)"
 ALLOC_OUT=$(GOMAXPROCS=1 go test -run '^$' -bench '^(BenchmarkLSTMForwardBackward|BenchmarkPipelineRuntimeEpoch|BenchmarkGradSync|BenchmarkServeDynamic)$' \
@@ -71,6 +74,9 @@ if [ -n "$OVER" ]; then
     echo "$OVER" >&2
     exit 1
 fi
+# Per request, not per benchmark op, and AllocsPerRun pins itself to one
+# core: no GOMAXPROCS here.
+go test -count=1 -run '^TestHandleInferAllocs$' -v ./cmd/pipedream-serve/
 
 echo "== no panics on transport send/receive paths"
 PANICS=$(grep -n 'panic(' internal/transport/transport.go internal/transport/frame.go \
