@@ -379,12 +379,12 @@ func handleInfer(infer func(*tensor.Tensor) (*tensor.Tensor, error), inputShape 
 	y, err := infer(x)
 	if err != nil {
 		// x goes to the GC, not the pool: when a request split over
-		// several batches fails on one, a stage may still hold another.
+		// several batches fails on one, dispatch may still read x for the next.
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	// Every batch that aliased x has left the pipeline, and the body has
-	// been parsed: both are free to reuse.
+	// Every batch of x has been sent (a send copies), and the body has been
+	// parsed: both are free to reuse.
 	tensor.Put(x)
 	buf.Reset()
 	out, err := serve.AppendInferResponse(buf.AvailableBuffer(), y)

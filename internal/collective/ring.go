@@ -34,10 +34,6 @@ type RingReducer struct {
 	peers       []int
 	tr          Sender
 	bucketBytes int
-	// sendInPlace: tr serializes a message before Send returns, so a chunk
-	// goes out as a view of the bucket; otherwise the receiver gets the
-	// sender's pointer and each chunk is a pooled copy handed over to it.
-	sendInPlace bool
 
 	buckets []*ringBucket // templates built on first BeginRound, reused per round
 	arena   []float32     // the gradients' flat storage, which the buckets slice
@@ -99,7 +95,6 @@ func NewRingReducer(rank int, peers []int, tr Sender, bucketBytes int) *RingRedu
 		peers:       append([]int(nil), peers...),
 		tr:          tr,
 		bucketBytes: bucketBytes,
-		sendInPlace: transport.ReceiverOwns(tr),
 		pending:     make(map[chunkKey]*tensor.Tensor),
 		lastDone:    -1,
 	}
@@ -186,13 +181,10 @@ func (r *RingReducer) Deliver(m transport.Message) error {
 	if m.Kind != transport.GradChunk {
 		return nil
 	}
-	if m.Minibatch <= r.lastDone {
-		r.drops++
-		return nil
-	}
 	k := chunkKey{round: m.Minibatch, bucket: m.Chunk.Bucket, phase: m.Chunk.Phase, step: m.Chunk.Step}
-	if _, dup := r.pending[k]; dup {
+	if _, dup := r.pending[k]; dup || m.Minibatch <= r.lastDone {
 		r.drops++
+		tensor.Put(m.Tensor) // every delivery is a private copy
 		return nil
 	}
 	r.pending[k] = m.Tensor
@@ -285,30 +277,17 @@ func (r *RingReducer) advance(st *roundState, b *ringBucket) error {
 		if !b.sent {
 			c := b.sendChunk(r.rank, p)
 			lo, hi := b.chunks[c][0], b.chunks[c][1]
-			var payload *tensor.Tensor
-			if r.sendInPlace {
-				// Send has the bytes on the wire before it returns, and the
-				// bucket is not touched until then: no copy, no pool traffic.
-				b.out.Shape = append(b.out.Shape[:0], hi-lo)
-				b.out.Data = b.data[lo:hi]
-				payload = &b.out
-			} else {
-				// The receiver gets this very tensor: a pooled copy
-				// (uninitialized — the copy overwrites every element) that
-				// the receiving reducer recycles once consumed.
-				payload = tensor.GetRaw(hi - lo)
-				copy(payload.Data, b.data[lo:hi])
-			}
+			// The chunk goes out as a view of the bucket: Send only borrows
+			// it, and the bucket is not touched until Send returns.
+			b.out.Shape = append(b.out.Shape[:0], hi-lo)
+			b.out.Data = b.data[lo:hi]
 			msg := transport.Message{
 				Kind:      transport.GradChunk,
 				Minibatch: st.key,
 				Version:   r.rank,
-				Tensor:    payload,
+				Tensor:    &b.out,
 				Chunk:     transport.ChunkInfo{Bucket: b.index, Phase: b.phase, Step: b.step, Chunk: c},
 			}
-			// Account the wire bytes before Send: the receiving reducer
-			// recycles a handed-over payload's header once consumed, so no
-			// field of it may be read after the message is handed off.
 			r.wire += int64(4 * (hi - lo))
 			if err := r.tr.Send(r.peers[(r.rank+1)%p], msg); err != nil {
 				return err
@@ -333,10 +312,8 @@ func (r *RingReducer) advance(st *roundState, b *ringBucket) error {
 		} else {
 			copy(b.data[lo:hi], in.Data)
 		}
-		// The chunk is consumed exactly once per key; recycle its buffer.
-		// Duplicate deliveries never reach this point (they are dropped
-		// while the original is parked, or re-parked after consumption and
-		// purged unread at round end), so no buffer is recycled twice.
+		// Consumed once per key. A duplicate, a second private copy, is dropped
+		// while the original is parked, or re-parked and released at round end.
 		tensor.Put(in)
 		b.sent = false
 		b.step++
@@ -370,8 +347,9 @@ func (r *RingReducer) finishBucket(st *roundState, b *ringBucket) {
 	if st.done == len(r.buckets) {
 		r.lastDone = st.key
 		r.cur = nil
-		for k := range r.pending {
+		for k, in := range r.pending {
 			if k.round <= st.key {
+				tensor.Put(in)
 				delete(r.pending, k)
 			}
 		}

@@ -339,12 +339,12 @@ func TestParseMethod(t *testing.T) {
 	}
 }
 
-// Over a transport that serializes during Send a chunk leaves as a view of
-// the bucket: the only pool traffic of a round is the receiving side's
-// decode, one tensor per chunk, and the result and the bytes on the wire
-// are those of the in-process transport's copy-and-hand-over path — also
-// when a chaos layer delays and duplicates the frames.
-func TestRingOverTCPSendsChunksInPlace(t *testing.T) {
+// A chunk leaves as a view of the bucket on every transport: the only pool
+// traffic of a round is the receiving side's, one tensor per chunk (the
+// in-process transport's copy, TCP's decode), and the result and the bytes
+// on the wire are the same over both — also when a chaos layer delays and
+// duplicates the frames.
+func TestRingSendsChunksInPlace(t *testing.T) {
 	const replicas, rounds = 3, 4
 	base := make([][]*tensor.Tensor, replicas)
 	for r := 0; r < replicas; r++ {
@@ -373,7 +373,7 @@ func TestRingOverTCPSendsChunksInPlace(t *testing.T) {
 		return grads, rings[0].WireBytes(), hits1 - hits0 + misses1 - misses0
 	}
 	chans := transport.NewChannels(replicas, 256)
-	want, wantWire, _ := run(chans)
+	want, wantWire, chanGrabs := run(chans)
 	chans.Close()
 
 	tcp, err := transport.NewTCP(replicas, 256)
@@ -383,8 +383,11 @@ func TestRingOverTCPSendsChunksInPlace(t *testing.T) {
 	got, wire, grabs := run(tcp)
 	tcp.Close()
 	const buckets = 2
-	if received := int64(replicas * rounds * buckets * 2 * (replicas - 1)); grabs != received {
-		t.Errorf("%d tensors taken from the pool for %d received chunks: the sender copies", grabs, received)
+	received := int64(replicas * rounds * buckets * 2 * (replicas - 1))
+	for name, g := range map[string]int64{"channels": chanGrabs, "tcp": grabs} {
+		if g != received {
+			t.Errorf("%s: %d tensors taken from the pool for %d received chunks: the sender copies", name, g, received)
+		}
 	}
 
 	inner, err := transport.NewTCP(replicas, 256)

@@ -35,7 +35,7 @@ func (sw *stageWorker) joinPending(mb int) (*tensor.Tensor, []int, error) {
 	}
 	// The join copied every part; the per-edge arrivals are finished.
 	for _, part := range parts {
-		sw.recycle(part)
+		tensor.Put(part)
 	}
 	return joined, widths, nil
 }
@@ -61,7 +61,7 @@ func (sw *stageWorker) sumPendingGrads(mb int) *tensor.Tensor {
 		sum.Add(pend[s])
 	}
 	for _, g := range pend {
-		sw.recycle(g)
+		tensor.Put(g)
 	}
 	return sum
 }
@@ -123,8 +123,7 @@ func splitJoinGrad(op partition.JoinOp, grad *tensor.Tensor, preds []int, widths
 	case partition.JoinSum:
 		out := make([]*tensor.Tensor, len(preds))
 		for i := range preds {
-			// d(sum)/d(part) = identity: every edge receives the same
-			// gradient; receivers treat it as read-only.
+			// d(sum)/d(part) = identity: every edge is sent the same gradient.
 			out[i] = grad
 		}
 		return out, nil

@@ -45,45 +45,76 @@ func wideChain(t *testing.T, width int) (func() *nn.Sequential, *partition.Plan,
 	return factory, plan, data.NewBlobs(43, 3, 4, 32, 64)
 }
 
-// recorder remembers every tensor handed to Send.
+// recorder remembers the array of every tensor the transport delivers: it
+// taps each inbox on its way to the worker.
 type recorder struct {
 	transport.Transport
-	mu   sync.Mutex
-	sent []*tensor.Tensor
+	mu        sync.Mutex
+	taps      map[int]chan transport.Message
+	delivered map[unsafe.Pointer]int // array -> elements
+	wg        sync.WaitGroup
 }
 
-func (r *recorder) Send(to int, m transport.Message) error {
-	if m.Tensor != nil {
-		r.mu.Lock()
-		r.sent = append(r.sent, m.Tensor)
-		r.mu.Unlock()
+func (r *recorder) Inbox(w int) <-chan transport.Message {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ch, ok := r.taps[w]; ok {
+		return ch
 	}
-	return r.Transport.Send(to, m)
+	ch := make(chan transport.Message, 64)
+	r.taps[w] = ch
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		defer close(ch)
+		for m := range r.Transport.Inbox(w) {
+			if m.Tensor != nil {
+				r.mu.Lock()
+				r.delivered[unsafe.Pointer(unsafe.SliceData(m.Tensor.Data))] = m.Tensor.Size()
+				r.mu.Unlock()
+			}
+			ch <- m
+		}
+	}()
+	return ch
 }
 
-// On the in-process transport a message is the sender's pointer: the
-// pipeline hands no activation, gradient or exchanged gradient to
-// tensor.Put, whatever the plan's shape. The check empties the pool's size
-// classes of everything recycled during training and looks for a tensor
-// that crossed the transport.
-func TestChannelsTensorsAreNeverRecycled(t *testing.T) {
-	// One P, so every Put of the run sits where this goroutine's Gets look.
+// Whatever the in-process transport delivers is the receiving worker's, and
+// every activation, gradient and exchanged gradient it was handed is back in
+// the pool when Train returns, whatever the plan's shape — the duplicates a
+// chaos layer injects and the worker drops included. The check empties the
+// pool's size classes of everything put there during training and looks for
+// each array that crossed the transport.
+func TestChannelsTensorsAreRecycled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	// One P, so every Put of the run sits where this goroutine's Gets look,
+	// and no collection, which would empty the pool.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, c := range []struct {
 		name     string
 		replicas []int
 		graph    *partition.StageGraph
+		dups     bool
 	}{
-		{"3-1-central", []int{3, 1}, nil},
-		{"diamond", []int{1, 1, 1, 1}, diamondGraph},
-		{"twohead", []int{1, 1, 1, 1}, twoHeadGraph},
+		{"3-1-central", []int{3, 1}, nil, false},
+		{"diamond", []int{1, 1, 1, 1}, diamondGraph, false},
+		{"twohead", []int{1, 1, 1, 1}, twoHeadGraph, false},
+		{"diamond-dups", []int{1, 1, 1, 1}, diamondGraph, true},
+		{"twohead-dups", []int{1, 1, 1, 1}, twoHeadGraph, true},
 	} {
 		for _, recompute := range []bool{false, true} {
 			factory, plan := shapePlan(t, c.replicas, c.graph)
 			opts := baseOptions(factory, plan)
 			opts.Depth = 0
 			opts.Recompute = recompute
-			rec := &recorder{Transport: transport.NewChannels(plan.Workers, 64)}
+			var tr transport.Transport = transport.NewChannels(plan.Workers, 64)
+			if c.dups {
+				tr = transport.NewChaos(tr, transport.ChaosConfig{Seed: 3, DupRate: 0.5})
+			}
+			rec := &recorder{Transport: tr, taps: map[int]chan transport.Message{}, delivered: map[unsafe.Pointer]int{}}
 			opts.Transport = rec
 			p, err := New(opts)
 			if err != nil {
@@ -93,68 +124,95 @@ func TestChannelsTensorsAreNeverRecycled(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec.Close()
-			crossed := map[unsafe.Pointer]bool{}
-			sizes := map[int]bool{}
-			for _, x := range rec.sent {
-				crossed[unsafe.Pointer(unsafe.SliceData(x.Data))] = true
-				sizes[x.Size()] = true
-			}
-			if len(crossed) == 0 {
+			rec.wg.Wait()
+			if len(rec.delivered) == 0 {
 				t.Fatal("no tensor crossed the transport")
 			}
-			for n := range sizes {
+			dropped := 0
+			for _, sw := range p.workers {
+				dropped += sw.dupDrops
+			}
+			if (dropped > 0) != c.dups {
+				t.Fatalf("%s: %d duplicates dropped, duplicates injected: %v", c.name, dropped, c.dups)
+			}
+			// A duplicate of a worker's last message is still in its inbox.
+			for _, ch := range rec.taps {
+				for m := range ch {
+					delete(rec.delivered, unsafe.Pointer(unsafe.SliceData(m.Tensor.Data)))
+				}
+			}
+			pooled := map[unsafe.Pointer]bool{}
+			for _, n := range rec.delivered {
 				for {
 					_, misses0, _ := tensor.PoolCounters()
 					x := tensor.GetRaw(n)
 					if _, misses1, _ := tensor.PoolCounters(); misses1 != misses0 {
 						break // the size class is empty
 					}
-					if crossed[unsafe.Pointer(unsafe.SliceData(x.Data))] {
-						t.Fatalf("%s recompute=%v: a tensor sent over Channels was recycled", c.name, recompute)
-					}
+					pooled[unsafe.Pointer(unsafe.SliceData(x.Data))] = true
+				}
+			}
+			for array, n := range rec.delivered {
+				if !pooled[array] {
+					t.Fatalf("%s recompute=%v: a [%d] tensor delivered over Channels was not put back", c.name, recompute, n)
 				}
 			}
 		}
 	}
 }
 
-// After the first Train call on a 4-stage TCP chain the pool serves at
-// least nine Gets in ten: every frame decodes into a tensor the previous
-// minibatches' consumers returned.
-func TestTCPChainPoolHitRatio(t *testing.T) {
+// chainTransport is the transport of the allocation tests' chains: loopback
+// TCP or the in-process channels, which the ownership rule makes alike.
+func chainTransport(t *testing.T, tcp bool, workers int) transport.Transport {
+	t.Helper()
+	if !tcp {
+		return transport.NewChannels(workers, 32)
+	}
+	tr, err := transport.NewTCP(workers, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// After the first Train call on a 4-stage chain the pool serves at least
+// nine Gets in ten, over either transport: every delivery lands in a tensor
+// the previous minibatches' consumers returned.
+func TestChainPoolHitRatio(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
-	factory, plan, ds := wideChain(t, 2048)
-	tcp, err := transport.NewTCP(plan.Workers, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tcp.Close()
-	opts := baseOptions(factory, plan)
-	opts.Depth = 0
-	opts.Transport = tcp
-	p, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Train(ds, 16); err != nil {
-		t.Fatal(err)
-	}
-	// A collection empties sync.Pool (the layers' own outputs are garbage
-	// every minibatch); the ratio asked for is the recycling's, so keep
-	// collections out of the measured call.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	hits0, misses0, _ := tensor.PoolCounters()
-	if _, err := p.Train(ds, 48); err != nil {
-		t.Fatal(err)
-	}
-	hits1, misses1, _ := tensor.PoolCounters()
-	hits, misses := hits1-hits0, misses1-misses0
-	ratio := float64(hits) / float64(hits+misses)
-	t.Logf("pool: %d hits, %d misses (ratio %.3f) over 48 minibatches", hits, misses, ratio)
-	if ratio < 0.9 {
-		t.Fatalf("pool hit ratio %.3f after warm-up, want ≥ 0.9", ratio)
+	for _, tcp := range []bool{false, true} {
+		factory, plan, ds := wideChain(t, 2048)
+		tr := chainTransport(t, tcp, plan.Workers)
+		defer tr.Close()
+		opts := baseOptions(factory, plan)
+		opts.Depth = 0
+		opts.Transport = tr
+		p, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Train(ds, 16); err != nil {
+			t.Fatal(err)
+		}
+		// A collection empties sync.Pool (the layers' own outputs are garbage
+		// every minibatch); the ratio asked for is the recycling's, so keep
+		// collections out of the measured call.
+		restore := debug.SetGCPercent(-1)
+		hits0, misses0, _ := tensor.PoolCounters()
+		_, err = p.Train(ds, 48)
+		hits1, misses1, _ := tensor.PoolCounters()
+		debug.SetGCPercent(restore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, misses := hits1-hits0, misses1-misses0
+		ratio := float64(hits) / float64(hits+misses)
+		t.Logf("tcp=%v pool: %d hits, %d misses (ratio %.3f) over 48 minibatches", tcp, hits, misses, ratio)
+		if ratio < 0.9 {
+			t.Fatalf("tcp=%v: pool hit ratio %.3f after warm-up, want ≥ 0.9", tcp, ratio)
+		}
 	}
 }
 
@@ -256,18 +314,11 @@ func TestBreakConnStormTrainsBitEqual(t *testing.T) {
 	}
 }
 
-// A warmed-up Train call allocates no tensor: every layer output, gradient,
-// loss gradient, weight stash and decoded frame is a pool hit that an
-// earlier minibatch's owner put back, with and without recomputation. What
-// is left per minibatch is headers, label slices and bookkeeping. Over
-// loopback TCP that holds for the stage boundaries too; over the in-process
-// transport a stage output and the gradient returned for it cross as
-// pointers and are never recycled (TestChannelsTensorsAreNeverRecycled), so
-// that plan keeps its boundaries narrow (1 KB each against 64 KB inside the
-// stages) and is allowed those two pool misses per minibatch — and a few
-// more: the two drain a size class that the stages' own [64, 4] tensors
-// share, so whether one of those finds it empty depends on how the workers
-// interleave.
+// A warmed-up Train call allocates no tensor, over loopback TCP and over the
+// in-process transport alike: every layer output, gradient, loss gradient,
+// weight stash and delivered message is a pool hit that an earlier
+// minibatch's owner put back, with and without recomputation. What is left
+// per minibatch is headers, label slices and bookkeeping.
 func TestTrainStepAllocatesNoTensors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -289,11 +340,9 @@ func TestTrainStepAllocatesNoTensors(t *testing.T) {
 		factory func() *nn.Sequential
 		stages  []partition.StageSpec
 		ds      data.Dataset
-		tcp     bool
-		misses  int64 // allowed in the measured call
 	}{
 		{
-			name: "tcp-embedding-relu-relu-dense",
+			name: "embedding-relu-relu-dense",
 			factory: func() *nn.Sequential {
 				rng := rand.New(rand.NewSource(41))
 				return nn.NewSequential(nn.NewEmbedding(rng, "emb", 4, 256), nn.NewReLU("r1"), nn.NewReLU("r2"),
@@ -301,10 +350,9 @@ func TestTrainStepAllocatesNoTensors(t *testing.T) {
 			},
 			stages: stagesOf(0, 1, 2, 4),
 			ds:     data.NewSequenceCopy(43, 4, 16, 8, perCall),
-			tcp:    true,
 		},
 		{
-			name: "channels-dense-tanh",
+			name: "dense-tanh",
 			factory: func() *nn.Sequential {
 				rng := rand.New(rand.NewSource(41))
 				return nn.NewSequential(
@@ -313,10 +361,10 @@ func TestTrainStepAllocatesNoTensors(t *testing.T) {
 			},
 			stages: stagesOf(3, 6),
 			ds:     data.NewBlobs(43, 3, 8, 64, perCall),
-			misses: 2*perCall + 4,
 		},
 	} {
-		for _, recompute := range []bool{false, true} {
+		for _, run := range []struct{ tcp, recompute bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
+			tcp, recompute := run.tcp, run.recompute
 			plan, err := partition.NewPlan(syntheticProfileFor(c.factory()), topology.Flat(len(c.stages), 1e9, topology.V100),
 				partition.PlanOptions{Stages: c.stages})
 			if err != nil {
@@ -325,19 +373,12 @@ func TestTrainStepAllocatesNoTensors(t *testing.T) {
 			opts := baseOptions(c.factory, plan)
 			opts.Depth = 0
 			opts.Recompute = recompute
-			if c.tcp {
-				tcp, err := transport.NewTCP(plan.Workers, 32)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer tcp.Close()
-				opts.Transport = tcp
-			}
+			opts.Transport = chainTransport(t, tcp, plan.Workers)
+			defer opts.Transport.Close()
 			p, err := New(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer p.Close()
 			for i := 0; i < 2; i++ { // dial, size the header buffers, fill the pool
 				if _, err := p.Train(c.ds, perCall); err != nil {
 					t.Fatal(err)
@@ -366,13 +407,13 @@ func TestTrainStepAllocatesNoTensors(t *testing.T) {
 				t.Fatal(err)
 			}
 			perMB := bytes / perCall
-			t.Logf("%s recompute=%v: %d B in %d allocations per minibatch, %d pool misses in %d minibatches",
-				c.name, recompute, perMB, mallocs/perCall, misses, perCall)
+			t.Logf("%s tcp=%v recompute=%v: %d B in %d allocations per minibatch, %d pool misses in %d minibatches",
+				c.name, tcp, recompute, perMB, mallocs/perCall, misses, perCall)
 			if perMB >= 8<<10 {
-				t.Errorf("%s recompute=%v: a minibatch allocates %d B, want < 8 KB", c.name, recompute, perMB)
+				t.Errorf("%s tcp=%v recompute=%v: a minibatch allocates %d B, want < 8 KB", c.name, tcp, recompute, perMB)
 			}
-			if misses > c.misses {
-				t.Errorf("%s recompute=%v: %d pool misses in a warmed-up call, want at most %d", c.name, recompute, misses, c.misses)
+			if misses != 0 {
+				t.Errorf("%s tcp=%v recompute=%v: %d pool misses in a warmed-up call, want none", c.name, tcp, recompute, misses)
 			}
 		}
 	}

@@ -48,14 +48,16 @@ func newRunAbort() *runAbort {
 }
 
 // fail records the first error and closes the abort channel so workers
-// blocked on inboxes see it.
-func (a *runAbort) fail(err error) {
+// blocked on inboxes see it. It returns err, for the failing worker to
+// return in turn.
+func (a *runAbort) fail(err error) error {
 	a.once.Do(func() {
 		a.mu.Lock()
 		a.err = err
 		a.mu.Unlock()
 		close(a.ch)
 	})
+	return err
 }
 
 // failed reports (non-blocking) whether any worker has failed.
@@ -93,9 +95,7 @@ func (sw *stageWorker) waitMsg(ab *runAbort, countIdle bool) error {
 		if watchdog > 0 {
 			remain := time.Until(sw.lastProgress.Add(watchdog))
 			if remain <= 0 {
-				err := fmt.Errorf("pipeline: worker %d no progress for %v: %w", sw.id, watchdog, ErrWorkerStalled)
-				ab.fail(err)
-				return err
+				return ab.fail(fmt.Errorf("pipeline: worker %d no progress for %v: %w", sw.id, watchdog, ErrWorkerStalled))
 			}
 			timer = time.NewTimer(remain)
 			timeout = timer.C
@@ -106,9 +106,7 @@ func (sw *stageWorker) waitMsg(ab *runAbort, countIdle bool) error {
 				timer.Stop()
 			}
 			if !ok {
-				err := fmt.Errorf("pipeline: worker %d inbox: %w", sw.id, transport.ErrClosed)
-				ab.fail(err)
-				return err
+				return ab.fail(fmt.Errorf("pipeline: worker %d inbox: %w", sw.id, transport.ErrClosed))
 			}
 			if m.Kind == transport.Heartbeat {
 				continue // liveness only; not progress
@@ -122,9 +120,7 @@ func (sw *stageWorker) waitMsg(ab *runAbort, countIdle bool) error {
 			}
 			return ab.error()
 		case <-timeout:
-			err := fmt.Errorf("pipeline: worker %d no progress for %v: %w", sw.id, watchdog, ErrWorkerStalled)
-			ab.fail(err)
-			return err
+			return ab.fail(fmt.Errorf("pipeline: worker %d no progress for %v: %w", sw.id, watchdog, ErrWorkerStalled))
 		}
 	}
 }

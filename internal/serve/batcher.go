@@ -96,9 +96,10 @@ func (s *Server) batcher() {
 // It returns the next unused batch id.
 //
 // A request larger than MaxBatch spans several pipeline batches; several
-// small requests share one. Single-request batches reuse the request's
+// small requests share one. Single-request batches send the request's
 // tensor (or a zero-copy row-range alias of it); only multi-request
-// batches copy rows into a fresh tensor.
+// batches gather rows into a pooled tensor first. Send only borrows its
+// tensor, so once this loop has ended nothing reads a request's tensor.
 //
 // Each send first takes a MaxInFlight semaphore slot (released by the
 // demultiplexer), so a slow pipeline pushes backpressure here rather
@@ -155,9 +156,9 @@ func (s *Server) dispatch(batch []*request, nextID int) int {
 		select {
 		case s.inflight <- struct{}{}:
 		case <-s.done:
-			// Left for Close to fail once every stage worker has exited:
-			// failing the request here would hand its tensor back to the
-			// caller while stage 0 may still read an earlier chunk of it.
+			// Left for Close to fail once this loop has exited: failing the
+			// request here would hand its tensor back to the caller while a
+			// later chunk has still to be assembled from it.
 			s.mu.Lock()
 			s.pending[nextID] = info
 			s.mu.Unlock()
@@ -176,6 +177,9 @@ func (s *Server) dispatch(batch []*request, nextID int) int {
 			Tensor:    x,
 			Sink:      batch[0].head, // all requests of a batch share one head
 		})
+		if len(ps) > 1 {
+			tensor.Put(x) // assemble's gather, not a request's tensor
+		}
 		if err != nil {
 			<-s.inflight
 			s.mu.Lock()
@@ -194,8 +198,8 @@ func (s *Server) dispatch(batch []*request, nextID int) int {
 // assemble builds the input tensor for one pipeline batch. One piece
 // covering a whole request passes the request tensor through; one piece
 // covering a row range aliases the range zero-copy (tensor.FromSlice
-// does not copy, and forward passes never mutate their input); multiple
-// pieces copy rows into a fresh tensor.
+// does not copy); multiple pieces copy rows into a pooled tensor that
+// dispatch releases after the send.
 func assemble(ps []piece, rows, rowSize int) *tensor.Tensor {
 	if len(ps) == 1 {
 		p := ps[0]
@@ -206,7 +210,7 @@ func assemble(ps []piece, rows, rowSize int) *tensor.Tensor {
 		return tensor.FromSlice(p.pr.req.x.Data[p.lo*rowSize:(p.lo+p.n)*rowSize], shape...)
 	}
 	shape := append([]int{rows}, ps[0].pr.req.x.Shape[1:]...)
-	x := tensor.New(shape...)
+	x := tensor.GetRaw(shape...) // the pieces cover every row
 	dst := 0
 	for _, p := range ps {
 		copy(x.Data[dst:], p.pr.req.x.Data[p.lo*rowSize:(p.lo+p.n)*rowSize])

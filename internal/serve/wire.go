@@ -29,8 +29,9 @@ type inferRequest struct {
 // DecodeInferRequest parses a POST /infer body into a pooled
 // [rows, rowShape...] tensor the caller owns: it releases it with
 // tensor.Put once Infer has returned a result, and leaves it to the GC
-// when Infer failed (a failed split request can still have a chunk in a
-// stage). body is what was read of the request, readErr what ended the
+// when Infer failed (a split request answers with its first failed batch,
+// while dispatch may still have a later one to assemble from the tensor).
+// body is what was read of the request, readErr what ended the
 // read early, if anything did (a body over the size cap).
 //
 // A body of the plain shape — the one key "inputs", rows of JSON numbers,

@@ -41,8 +41,7 @@ func (s *Server) stageWorker(st int) {
 	sort.Ints(preds) // deterministic join order: ascending source stage
 	// The worker's scratch arena: every forward draws its buffers from
 	// here and a single O(1) Reset between batches reclaims them, so the
-	// steady-state loop allocates nothing per batch beyond the outgoing
-	// copies.
+	// steady-state loop allocates nothing per batch.
 	ar := tensor.NewArena()
 	// pend holds the arrived fan-in parts of each batch, keyed batch id →
 	// source stage. Entries always drain: a failed upstream branch sends a
@@ -54,6 +53,7 @@ func (s *Server) stageWorker(st int) {
 	if len(preds) > 1 {
 		pend = make(map[int]map[int]*tensor.Tensor)
 	}
+	toClient := []int{s.client}
 	for {
 		select {
 		case <-s.done:
@@ -66,7 +66,6 @@ func (s *Server) stageWorker(st int) {
 				continue
 			}
 			in := m.Tensor
-			joined := false
 			if len(preds) > 1 {
 				parts := pend[m.Minibatch]
 				if parts == nil {
@@ -75,9 +74,7 @@ func (s *Server) stageWorker(st int) {
 				}
 				if _, dup := parts[m.Src]; dup {
 					// Defensive: an in-edge never delivers twice; drop.
-					if m.Tensor != nil {
-						tensor.Put(m.Tensor)
-					}
+					tensor.Put(m.Tensor)
 					continue
 				}
 				parts[m.Src] = m.Tensor
@@ -86,7 +83,6 @@ func (s *Server) stageWorker(st int) {
 				}
 				delete(pend, m.Minibatch)
 				in = joinActivations(s.graph.Join(st), preds, parts)
-				joined = true
 			}
 			// Resolve the layer slice of the generation this batch was
 			// stamped with. A nil slice means an unknown generation — the
@@ -119,69 +115,33 @@ func (s *Server) stageWorker(st int) {
 					Dur:       dur,
 				}, start)
 			}
-			// Resolve where the batch goes next. An unroutable sink (a
-			// corrupt frame; Infer validates heads) terminates the batch
-			// with a tensor-less Prediction. A routed stage with no
-			// successors is the head itself.
-			route, known := s.routes[m.Sink]
-			terminal := !known || st == m.Sink
-			var succs []int
-			if !terminal {
-				succs = route[st]
-				if len(succs) == 0 {
-					terminal = true // unreachable: routed stages always reach their head
-				}
-			}
-			if !known {
+			// Resolve where the batch goes next: to the demultiplexer as a
+			// Prediction from the head itself — and, tensor-less, from a stage
+			// handed an unroutable sink (a corrupt frame; Infer validates
+			// heads) — and along the head's route otherwise (never empty:
+			// routed stages always reach their head).
+			kind, succs := transport.Prediction, toClient
+			if route, known := s.routes[m.Sink]; !known {
 				y = nil
+			} else if st != m.Sink && len(route[st]) > 0 {
+				kind, succs = transport.Activation, route[st]
 			}
-			// Copy the result off the arena before Reset. Predictions
-			// become GC-owned tensors (they are handed to callers and must
-			// outlive the pool discipline); intermediate activations go
-			// into pooled tensors — one distinct copy per successor, since
-			// each receiver recycles its input independently.
-			var outs []*tensor.Tensor
-			if !terminal {
-				outs = make([]*tensor.Tensor, len(succs))
-			}
-			if y != nil {
-				if terminal {
-					out := tensor.New(y.Shape...)
-					copy(out.Data, y.Data)
-					y = out
-				} else {
-					for i := range succs {
-						c := tensor.GetRaw(y.Shape...)
-						copy(c.Data, y.Data)
-						outs[i] = c
-					}
-				}
-			}
-			// Recycle this worker's input: joined tensors are always ours;
-			// single-edge inputs are the upstream worker's pooled copy
-			// except at stage 0, where they alias request tensors.
-			if in != nil && (joined || st > 0) {
-				tensor.Put(in)
-			}
-			ar.Reset()
 			// Forward the generation stamp and head with the batch so every
-			// downstream stage resolves the same weights and route.
-			if terminal {
-				out := transport.Message{Kind: transport.Prediction,
-					Minibatch: m.Minibatch, Version: m.Version, Tensor: y, Src: st, Sink: m.Sink}
-				if err := s.tr.Send(s.client, out); err != nil {
-					s.reclaimBatch(m.Minibatch, err)
-				}
-				continue
-			}
-			for i, n := range succs {
-				out := transport.Message{Kind: transport.Activation,
-					Minibatch: m.Minibatch, Version: m.Version, Tensor: outs[i], Src: st, Sink: m.Sink}
+			// downstream stage resolves the same weights and route. Send only
+			// borrows its tensor (transport.Transport), so the arena-backed
+			// result goes out as it is, once per successor.
+			out := transport.Message{Kind: kind,
+				Minibatch: m.Minibatch, Version: m.Version, Tensor: y, Src: st, Sink: m.Sink}
+			for _, n := range succs {
 				if err := s.tr.Send(n, out); err != nil {
 					s.reclaimBatch(m.Minibatch, err)
 					break // the batch is failed; skip the remaining fan-out
 				}
 			}
+			// The input (a delivery, or the join's result) is this worker's to
+			// release, and nothing reads the arena once the sends have returned.
+			tensor.Put(in)
+			ar.Reset()
 		}
 	}
 }
@@ -189,9 +149,9 @@ func (s *Server) stageWorker(st int) {
 // joinActivations combines one batch's fan-in parts in ascending source
 // order. Any missing (poisoned) part, shape disagreement, or unexpected
 // join op yields nil, which the caller propagates downstream as poison.
-// The parts are upstream workers' pooled copies: they are recycled here
-// and the joined result comes from the pool (the caller recycles it after
-// the forward pass).
+// The parts are this worker's deliveries: they are released here and the
+// joined result comes from the pool (the caller releases it after the
+// forward pass).
 func joinActivations(op partition.JoinOp, preds []int, parts map[int]*tensor.Tensor) *tensor.Tensor {
 	ordered := make([]*tensor.Tensor, len(preds))
 	ok := true
@@ -249,9 +209,7 @@ func joinActivations(op partition.JoinOp, preds []int, parts map[int]*tensor.Ten
 		}
 	}
 	for _, p := range ordered {
-		if p != nil {
-			tensor.Put(p)
-		}
+		tensor.Put(p)
 	}
 	return out
 }
@@ -348,7 +306,8 @@ func (s *Server) demux() {
 // deliverLocked scatters one batch output to its requests. A nil output
 // means a stage worker failed on this batch; its requests get
 // ErrInference, wrapped with the stage and the panic when one was noted.
-// Callers hold s.mu.
+// Callers hold s.mu. y is the demultiplexer's delivery: handed on as the
+// response of a request that is exactly the batch, released here otherwise.
 //
 // The model may change the row count: FlattenTime reshapes [B, T, H] to
 // [B*T, H], so a batch of n input rows yields n*T output rows. As long
@@ -366,10 +325,12 @@ func (s *Server) deliverLocked(info *batchInfo, y *tensor.Tensor) {
 		for _, seg := range info.segs {
 			s.failPendingLocked(seg.pr, err)
 		}
+		tensor.Put(y)
 		return
 	}
 	expand := y.Dim(0) / info.rows
 	outRowSize := y.Size() / y.Dim(0)
+	handed := false
 	for _, seg := range info.segs {
 		pr := seg.pr
 		if pr.failed {
@@ -379,6 +340,7 @@ func (s *Server) deliverLocked(info *batchInfo, y *tensor.Tensor) {
 			// The batch is exactly this request: hand the output through.
 			pr.out = y
 			pr.remaining = 0
+			handed = true
 		} else {
 			if pr.out == nil {
 				shape := append([]int{pr.req.rows * expand}, y.Shape[1:]...)
@@ -397,6 +359,9 @@ func (s *Server) deliverLocked(info *batchInfo, y *tensor.Tensor) {
 		if pr.remaining == 0 {
 			s.completeLocked(pr)
 		}
+	}
+	if !handed {
+		tensor.Put(y)
 	}
 }
 

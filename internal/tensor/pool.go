@@ -26,12 +26,12 @@ import (
 // training step", has the table): a layer owns its internal scratch and
 // what its context holds, nn.Sequential the layer outputs and gradients
 // that never leave it, the pipeline's stage worker what crosses a stage
-// boundary — and a tensor whose pointer an in-process transport handed
-// to another goroutine has no single owner and is never Put. A view
-// (Reshape, FromSlice over a pooled tensor's Data) shares its base's
-// array: release one of them, never both (SharesStorage tells). Never
-// use a tensor after Put — with header recycling, a use-after-Put can
-// observe a new shape as well as new data.
+// boundary (a transport's Send borrows a tensor, its receiver owns what
+// it is delivered: internal/transport). A view (Reshape, FromSlice over a
+// pooled tensor's Data) shares its base's array: release one of them,
+// never both (SharesStorage tells). Never use a tensor after Put — with
+// header recycling, a use-after-Put can observe a new shape as well as
+// new data.
 //
 // What the pool does not hold: a stage's weights and gradients. They live
 // in flat arrays (flat.go) that are exactly sized, private to the stage

@@ -151,9 +151,9 @@ func (c *Chaos) Send(to int, m Message) error {
 	}
 	if delay {
 		c.stats.delays.Add(1)
-		if m.Tensor != nil && ReceiverOwns(c.inner) {
-			// The message leaves after Send has returned, when a sender
-			// on a serializing transport may already overwrite its tensor.
+		if m.Tensor != nil {
+			// The message leaves after Send has returned, when the sender
+			// may already overwrite its tensor.
 			m.Tensor = m.Tensor.Clone()
 		}
 		c.sendWg.Add(1)
@@ -220,11 +220,6 @@ func (c *Chaos) Inbox(w int) <-chan Message {
 
 // Local reports whether the inner transport hosts worker w's inbox.
 func (c *Chaos) Local(w int) bool { return Local(c.inner, w) }
-
-// ReceiverOwns forwards the inner transport's ownership rule: Chaos
-// delivers what the inner transport decoded (a duplicate over a
-// serializing transport is a second private copy).
-func (c *Chaos) ReceiverOwns() bool { return ReceiverOwns(c.inner) }
 
 // Stats implements StatsReporter, merging this wrapper's injected-fault
 // counters with the inner transport's (when it reports any).

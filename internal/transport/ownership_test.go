@@ -30,30 +30,6 @@ func stamped(t *tensor.Tensor, id int) bool {
 	return true
 }
 
-func TestReceiverOwnsFollowsTheTransport(t *testing.T) {
-	tcp, err := NewTCP(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tcp.Close()
-	ch := NewChannels(1, 1)
-	defer ch.Close()
-	for _, c := range []struct {
-		name string
-		tr   Transport
-		want bool
-	}{
-		{"channels", ch, false},
-		{"tcp", tcp, true},
-		{"chaos(channels)", NewChaos(ch, ChaosConfig{}), false},
-		{"chaos(tcp)", NewChaos(tcp, ChaosConfig{}), true},
-	} {
-		if got := ReceiverOwns(c.tr); got != c.want {
-			t.Errorf("ReceiverOwns(%s) = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 // A warmed TCP round trip of a 1 MB activation allocates nothing the size
 // of the payload on either side: the sender hands the kernel the tensor's
 // storage, the receiver decodes into a pooled tensor that its consumer
@@ -118,34 +94,40 @@ func TestTCPRoundTripAllocatesNoPayload(t *testing.T) {
 	}
 }
 
-// After Send returns on a serializing transport the sender may overwrite
-// its tensor at once — even when a Chaos wrapper delivers the message
-// later — and the receiver's copy is unaffected.
+// After Send returns the sender may overwrite its tensor at once, on either
+// transport — even when a Chaos wrapper delivers the message later — and
+// the receiver's copy is unaffected. (The whole rule, over every transport
+// and wrapper: TestTransportContract in internal/serve/fleet.)
 func TestSenderMayOverwriteAfterSend(t *testing.T) {
-	for _, delayed := range []bool{false, true} {
-		tcp, err := NewTCP(2, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var tr Transport = tcp
-		if delayed {
-			tr = NewChaos(tcp, ChaosConfig{Seed: 1, DelayRate: 1, MaxDelay: 20 * time.Millisecond})
-		}
-		x := tensor.New(64, 64)
-		stamp(x, 5)
-		if err := tr.Send(1, Message{Kind: Activation, Minibatch: 5, Tensor: x}); err != nil {
-			t.Fatal(err)
-		}
-		x.Fill(-1)
-		select {
-		case m := <-tr.Inbox(1):
-			if !stamped(m.Tensor, 5) {
-				t.Errorf("delayed=%v: receiver saw the sender's later writes", delayed)
+	for _, overTCP := range []bool{false, true} {
+		for _, delayed := range []bool{false, true} {
+			var tr Transport = NewChannels(2, 4)
+			if overTCP {
+				tcp, err := NewTCP(2, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr = tcp
 			}
-		case <-time.After(5 * time.Second):
-			t.Errorf("delayed=%v: message never delivered", delayed)
+			if delayed {
+				tr = NewChaos(tr, ChaosConfig{Seed: 1, DelayRate: 1, MaxDelay: 20 * time.Millisecond})
+			}
+			x := tensor.New(64, 64)
+			stamp(x, 5)
+			if err := tr.Send(1, Message{Kind: Activation, Minibatch: 5, Tensor: x}); err != nil {
+				t.Fatal(err)
+			}
+			x.Fill(-1)
+			select {
+			case m := <-tr.Inbox(1):
+				if !stamped(m.Tensor, 5) {
+					t.Errorf("tcp=%v delayed=%v: receiver saw the sender's later writes", overTCP, delayed)
+				}
+			case <-time.After(5 * time.Second):
+				t.Errorf("tcp=%v delayed=%v: message never delivered", overTCP, delayed)
+			}
+			tr.Close()
 		}
-		tr.Close()
 	}
 }
 

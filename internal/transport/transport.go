@@ -126,15 +126,13 @@ type Message struct {
 
 // Transport delivers messages to per-worker inboxes.
 //
-// Who owns Message.Tensor is a property of the transport, stated by
-// ReceiverOwns. A serializing transport (TCP) copies the tensor's bytes
-// before Send returns, so the sender keeps its tensor and may overwrite it
-// at once, and the receiver gets a private tensor from the tensor pool
-// that it recycles with tensor.Put when done. An in-process transport
-// (Channels) delivers the sender's pointer: the tensor is shared,
-// read-only on both sides, and never recycled — except where sender and
-// receiver agree a hand-over, as collective.RingReducer does for GradChunk
-// payloads and internal/serve for its inter-stage copies.
+// One ownership rule holds on every implementation. Send borrows m.Tensor
+// until it returns: the sender still owns it — a view into a larger array
+// included — and may overwrite, release or re-send it at once. What comes
+// out of an Inbox is a private tensor from the tensor pool that the receiver
+// hands to tensor.Put when done. So an in-process Send must copy (Channels),
+// a serializing one has the bytes on the wire by then (TCP), and a wrapper
+// that delivers after its Send returned clones first (Chaos's delay).
 type Transport interface {
 	// Send delivers m to worker `to`'s inbox. It may block if the
 	// receiver's inbox is full (providing natural backpressure). A
@@ -170,7 +168,8 @@ func NewChannels(n, buffer int) *Channels {
 	return c
 }
 
-// Send implements Transport. After Close it returns ErrClosed.
+// Send implements Transport: the receiver gets a pooled copy of m.Tensor.
+// After Close it returns ErrClosed.
 func (c *Channels) Send(to int, m Message) (err error) {
 	// A concurrent Close can close the inbox between the select below and
 	// the channel send; recover turns that race into ErrClosed instead of
@@ -184,6 +183,10 @@ func (c *Channels) Send(to int, m Message) (err error) {
 	case <-c.closed:
 		return fmt.Errorf("send to worker %d: %w", to, ErrClosed)
 	default:
+	}
+	if src := m.Tensor; src != nil {
+		m.Tensor = tensor.GetRaw(src.Shape...)
+		copy(m.Tensor.Data, src.Data)
 	}
 	select {
 	case c.inboxes[to] <- m:
@@ -219,17 +222,6 @@ func Local(tr Transport, w int) bool {
 		return p.Local(w)
 	}
 	return true
-}
-
-// ReceiverOwns reports whether every tensor taken from tr's inboxes is a
-// private pooled copy that its receiver must hand to tensor.Put once done
-// — and so whether a sender still has its tensor to itself when Send
-// returns (see Transport). Transports say so through a ReceiverOwns method,
-// which a wrapper forwards as Chaos does; anything without it, a narrower
-// interface over a Transport included, delivers shared pointers.
-func ReceiverOwns(tr any) bool {
-	p, ok := tr.(interface{ ReceiverOwns() bool })
-	return ok && p.ReceiverOwns()
 }
 
 // Default deadlines of the TCP transport. Each instance copies them at
@@ -373,10 +365,6 @@ func (t *TCP) Addr(w int) string { return t.addrs[w] }
 // Local reports whether worker w listens, and has its inbox, in this
 // process.
 func (t *TCP) Local(w int) bool { return w >= 0 && w < len(t.inboxes) && t.inboxes[w] != nil }
-
-// ReceiverOwns reports that received tensors are private pooled copies
-// decoded off a socket (see Transport).
-func (t *TCP) ReceiverOwns() bool { return true }
 
 func (t *TCP) acceptLoop(ln net.Listener, inbox chan<- Message) {
 	defer t.wg.Done()

@@ -31,11 +31,11 @@ GOMAXPROCS=1 go test -count=1 ./...
 echo "== determinism gate (losses are a pure function of seed, plan and depth: 20 runs each)"
 go test -count=20 ./internal/pipeline/ -run 'PureFunction|Recompute|Staleness'
 
-echo "== poisoned pool (use-after-release detector on: nn, pipeline, serve and pipedream-serve tests always run with it; these are the suites that compare losses and outputs bit for bit)"
+echo "== poisoned pool (use-after-release detector on: nn, pipeline, serve, fleet and pipedream-serve tests always run with it; these are the suites that compare losses and outputs bit for bit, and the transport contract)"
 go test -count=1 ./internal/nn/ -run 'TestSequentialReleasesEachTensorOnce|TestLossesMatchParentCommit'
 go test -count=1 ./internal/pipeline/ -run 'TestLossesArePureFunctionOfSeedPlanDepth|TestBranchGraphPipelineMatchesReference|TestBreakConnStormTrainsBitEqual|TestLocalWorkerSetsTrainBitEqual|TestElastic|TestChaos|TestAdoptFullState|TestTrainMaxRecoveries|TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied|TestTrainingMatchesParentCommit'
 go test -count=1 ./internal/tensor/ -run 'TestPoisonOnPutCatchesUseAfterRelease'
-go test -count=1 ./cmd/pipedream-serve/ ./internal/serve/
+go test -count=1 ./cmd/pipedream-serve/ ./internal/serve/...
 
 echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table ten times)"
 go test -race ./...
@@ -142,17 +142,11 @@ grep -q 'docs/ARCHITECTURE.md' README.md || { echo "README.md does not link docs
 grep -q 'docs/SERVING.md' README.md || { echo "README.md does not link docs/SERVING.md" >&2; exit 1; }
 grep -q 'SERVING.md' docs/ARCHITECTURE.md || { echo "docs/ARCHITECTURE.md does not link SERVING.md" >&2; exit 1; }
 
-echo "== facade exports (planning + serving + fleet + elastic surface reachable from package pipedream)"
-for sym in NewPlan PlanOptions StageGraph StageEdge JoinOp JoinSum JoinConcat NewLinear LossFunc \
-    NewServer ServeConfig ErrOverloaded LoadCheckpointModel SyncConfig FaultConfig RuntimeConfig \
-    FollowConfig Follower ErrStaleGeneration \
-    NewFleet FleetConfig FleetTenantConfig FleetStats ParseRoutePolicy ErrUnknownTenant ErrNoReplicas NewQuota \
-    FleetHealthConfig \
-    NewElastic ElasticConfig RescaleStats ReplanFunc MembershipView MembershipConfig NewMembershipView; do
-    grep -q "\b$sym\b" pipedream.go || { echo "pipedream.go does not re-export $sym" >&2; exit 1; }
-done
+echo "== facade exports (go doc -all . against testdata/facade.golden: every re-exported name, declaration and doc comment)"
+go test -count=1 -run '^TestFacadeGolden$' .
 
-echo "== non-test Go lines outside bench/ (baseline for the next PR)"
+echo "== non-test Go lines outside bench/, and the largest runtime file (baselines for the next PR)"
 find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+wc -l internal/pipeline/pipeline.go
 
 echo "all checks passed"
