@@ -121,8 +121,8 @@ func BenchmarkTensorMatMulParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkConvForwardParallel measures a full im2col+matmul Conv2D
-// forward pass (the CNN hot path) at parallelism 1 vs all cores.
+// BenchmarkConvForwardParallel measures a full Conv2D training forward
+// pass (the CNN hot path) at parallelism 1 vs all cores.
 func BenchmarkConvForwardParallel(b *testing.B) {
 	g := tensor.ConvGeom{InC: 8, InH: 32, InW: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	for _, p := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) { // p1 once on one core
@@ -144,10 +144,30 @@ func BenchmarkTensorIm2Col(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	in := tensor.Randn(rng, 1, 8, 3, 32, 32)
 	g := tensor.ConvGeom{InC: 3, InH: 32, InW: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	cols := tensor.New(8*g.OutH()*g.OutW(), g.InC*g.KH*g.KW)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.Im2Col(in, g)
+		tensor.Im2ColInto(cols, in, g)
+	}
+}
+
+// BenchmarkConvInferImages measures what serve-http's conv stage does
+// per 16-row batch: both convolutions of the images task, each with its
+// ReLU, through Sequential.ForwardInfer at kernel parallelism 1.
+func BenchmarkConvInferImages(b *testing.B) {
+	defer tensor.SetParallelism(tensor.SetParallelism(1))
+	rng := rand.New(rand.NewSource(3))
+	g1 := tensor.ConvGeom{InC: 1, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	g2 := tensor.ConvGeom{InC: 8, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	stage := nn.NewSequential(nn.NewConv2D(rng, "conv1", g1, 8), nn.NewReLU("relu1"), nn.NewConv2D(rng, "conv2", g2, 8), nn.NewReLU("relu2"))
+	x := tensor.Randn(rng, 1, 16, 1, 12, 12)
+	arena := tensor.NewArena()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arena.Reset()
+		stage.ForwardInfer(x, arena)
 	}
 }
 

@@ -8,8 +8,10 @@ import (
 	"pipedream/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over [B, InC, H, W] inputs implemented via
-// im2col + matmul, the same lowering GPU frameworks use.
+// Conv2D is a 2-D convolution over [B, InC, H, W] inputs. The forward
+// pass is one direct kernel (tensor.ConvBiasActInto: no im2col panel, no
+// transpose, bias and activation in its epilogue); the backward pass
+// lowers to im2col + matmul, the lowering GPU frameworks use.
 type Conv2D struct {
 	name   string
 	Geom   tensor.ConvGeom
@@ -21,6 +23,7 @@ type Conv2D struct {
 
 // NewConv2D creates a convolution layer with He initialization.
 func NewConv2D(rng *rand.Rand, name string, g tensor.ConvGeom, outC int) *Conv2D {
+	g.Check()
 	fanIn := g.InC * g.KH * g.KW
 	scale := math.Sqrt(2.0 / float64(fanIn))
 	return &Conv2D{
@@ -34,67 +37,47 @@ func NewConv2D(rng *rand.Rand, name string, g tensor.ConvGeom, outC int) *Conv2D
 	}
 }
 
-type convCtx struct {
-	cols  *tensor.Tensor // pooled; recycled by Backward
-	batch int
-}
-
 // Name implements Layer.
 func (c *Conv2D) Name() string { return c.name }
 
 // OutShape returns the output spatial shape [OutC, OutH, OutW].
 func (c *Conv2D) OutShape() (int, int, int) { return c.OutC, c.Geom.OutH(), c.Geom.OutW() }
 
-// Forward implements Layer.
-func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
-	b := x.Dim(0)
-	oh, ow := c.Geom.OutH(), c.Geom.OutW()
-	fanIn := c.Geom.InC * c.Geom.KH * c.Geom.KW
-	cols := tensor.GetRaw(b*oh*ow, fanIn) // stashed for backward
-	tensor.Im2ColInto(cols, x, c.Geom)
-	flat := tensor.GetRaw(b*oh*ow, c.OutC)
-	// Matmul with the bias-add fused into the epilogue (bit-identical
-	// to MatMulInto + AddRowVector).
-	tensor.MatMulBiasActInto(flat, cols, c.W, c.B, tensor.ActNone)
-	// flat is laid out [B, OH, OW, OutC]; convert to [B, OutC, OH, OW].
-	y := tensor.GetRaw(b, c.OutC, oh, ow)
-	convTransposeOut(y.Data, flat.Data, b, c.OutC, oh*ow)
-	tensor.Put(flat)
-	return y, &convCtx{cols: cols, batch: b}
-}
-
-// convTransposeOut converts the matmul's [B, P, OutC] layout to the
-// NCHW [B, OutC, P] layout (P = OH·OW).
-func convTransposeOut(dst, src []float32, b, outC, p int) {
-	for n := 0; n < b; n++ {
-		for q := 0; q < p; q++ {
-			s := src[(n*p+q)*outC:]
-			for oc := 0; oc < outC; oc++ {
-				dst[(n*outC+oc)*p+q] = s[oc]
-			}
-		}
+// shapes checks x and returns the shapes of its output and kernel scratch.
+func (c *Conv2D) shapes(x *tensor.Tensor) (y, pad [4]int) {
+	g := c.Geom
+	if x.NumDims() != 4 || x.Dim(1) != g.InC || x.Dim(2) != g.InH || x.Dim(3) != g.InW {
+		panic(fmt.Sprintf("nn: %s forward input %v, want [B,%d,%d,%d]", c.name, x.Shape, g.InC, g.InH, g.InW))
 	}
+	return [4]int{x.Dim(0), c.OutC, g.OutH(), g.OutW()}, [4]int{x.Dim(0), g.InC, g.PadH(), g.PadW()}
 }
 
-// ForwardInfer implements InferLayer: im2col panel, fused
-// matmul+bias, and the NCHW transpose all run out of the arena.
+// Forward implements Layer. The context is the input tensor itself, as
+// Dense's is: the layer keeps nothing of its own for Backward.
+func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
+	yShape, padShape := c.shapes(x)
+	pad := tensor.GetRaw(padShape[:]...)
+	y := tensor.ConvBiasActInto(tensor.GetRaw(yShape[:]...), pad, x, c.W, c.B, c.Geom, tensor.ActNone)
+	tensor.Put(pad)
+	return y, x
+}
+
+// ForwardInfer implements InferLayer.
 func (c *Conv2D) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	b := x.Dim(0)
-	oh, ow := c.Geom.OutH(), c.Geom.OutW()
-	fanIn := c.Geom.InC * c.Geom.KH * c.Geom.KW
-	cols := a.GetRaw(b*oh*ow, fanIn)
-	tensor.Im2ColInto(cols, x, c.Geom)
-	flat := a.GetRaw(b*oh*ow, c.OutC)
-	tensor.MatMulBiasActInto(flat, cols, c.W, c.B, tensor.ActNone)
-	y := a.GetRaw(b, c.OutC, oh, ow)
-	convTransposeOut(y.Data, flat.Data, b, c.OutC, oh*ow)
-	return y
+	return c.forwardFused(x, a, tensor.ActNone)
 }
 
-// Backward implements Layer. It recycles the stashed im2col panel.
+// forwardFused implements fusedLayer: Forward's kernel call out of the
+// arena, with act in its epilogue.
+func (c *Conv2D) forwardFused(x *tensor.Tensor, a *tensor.Arena, act tensor.Activation) *tensor.Tensor {
+	yShape, padShape := c.shapes(x)
+	return tensor.ConvBiasActInto(a.GetRaw(yShape[:]...), a.GetRaw(padShape[:]...), x, c.W, c.B, c.Geom, act)
+}
+
+// Backward implements Layer; the im2col panel GW needs lives inside the call.
 func (c *Conv2D) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
-	cc := ctx.(*convCtx)
-	b := cc.batch
+	x := ctx.(*tensor.Tensor)
+	b := x.Dim(0)
 	oh, ow := c.Geom.OutH(), c.Geom.OutW()
 	if gradOut.NumDims() != 4 || gradOut.Dim(0) != b || gradOut.Dim(1) != c.OutC {
 		panic(fmt.Sprintf("nn: %s backward grad %v, want [%d,%d,%d,%d]", c.name, gradOut.Shape, b, c.OutC, oh, ow))
@@ -109,19 +92,15 @@ func (c *Conv2D) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	addMatMulTransA(c.GW, cc.cols, gflat)
+	cols := tensor.Im2ColInto(tensor.GetRaw(b*oh*ow, c.W.Dim(0)), x, c.Geom)
+	addMatMulTransA(c.GW, cols, gflat)
 	addSumRows(c.GB, gflat)
-	gcols := tensor.GetRaw(b*oh*ow, c.Geom.InC*c.Geom.KH*c.Geom.KW)
-	tensor.MatMulTransBInto(gcols, gflat, c.W) // gflat · Wᵀ = [B*OH*OW, fanIn]
+	tensor.MatMulTransBInto(cols, gflat, c.W) // gflat · Wᵀ = [B*OH*OW, fanIn], over the panel: GW has it
 	tensor.Put(gflat)
-	gradIn := tensor.Col2ImInto(tensor.Get(b, c.Geom.InC, c.Geom.InH, c.Geom.InW), gcols, c.Geom)
-	tensor.Put(gcols)
-	c.discard(cc)
+	gradIn := tensor.Col2ImInto(tensor.Get(b, c.Geom.InC, c.Geom.InH, c.Geom.InW), cols, c.Geom)
+	tensor.Put(cols)
 	return gradIn
 }
-
-// discard implements contextDiscarder.
-func (c *Conv2D) discard(ctx Context) { tensor.Put(ctx.(*convCtx).cols) }
 
 // Params implements Layer.
 func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.W, c.B} }
@@ -137,6 +116,7 @@ type MaxPool2D struct {
 
 // NewMaxPool2D creates a max-pooling layer.
 func NewMaxPool2D(name string, g tensor.ConvGeom) *MaxPool2D {
+	g.Check()
 	return &MaxPool2D{name: name, Geom: g}
 }
 

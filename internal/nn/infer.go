@@ -8,8 +8,8 @@ import "pipedream/internal/tensor"
 // gradients, so every intermediate can live in a caller-owned
 // tensor.Arena that is reset between requests. Layers that implement
 // InferLayer draw all scratch — and their output — from the arena;
-// Sequential.ForwardInfer additionally fuses Dense→activation pairs
-// into a single MatMulBiasActInto kernel call.
+// Sequential.ForwardInfer additionally folds a pointwise activation
+// into the kernel call of the Dense or Conv2D before it.
 //
 // Outputs returned by ForwardInfer are arena-backed and valid only
 // until the arena's next Reset: callers that hand results downstream
@@ -26,9 +26,15 @@ type InferLayer interface {
 }
 
 // fusedActivation is implemented by the pointwise activation layers so
-// the Sequential peephole can fold them into a preceding matmul.
+// the Sequential peephole can fold them into a preceding fusedLayer.
 type fusedActivation interface {
 	fusedAct() tensor.Activation
+}
+
+// fusedLayer is implemented by Dense and Conv2D, whose kernels have an
+// epilogue: forwardFused is ForwardInfer with act applied inside the call.
+type fusedLayer interface {
+	forwardFused(x *tensor.Tensor, a *tensor.Arena, act tensor.Activation) *tensor.Tensor
 }
 
 // applyInfer runs x through a pointwise activation into an arena-backed
@@ -41,16 +47,16 @@ func applyInfer(act tensor.Activation, x *tensor.Tensor, a *tensor.Arena) *tenso
 
 // ForwardInfer runs the model forward in inference mode. Every layer
 // that implements InferLayer executes allocation-free against the
-// arena; Dense layers immediately followed by ReLU/Tanh/Sigmoid run as
-// one fused matmul+bias+activation kernel; all other layers fall back
-// to Forward(x, false) with the context discarded. The result aliases
+// arena; a fusedLayer immediately followed by ReLU/Tanh/Sigmoid runs as
+// one kernel call with the activation in its epilogue; all other layers
+// fall back to Forward(x, false) with the context discarded. The result aliases
 // arena storage and is invalidated by a.Reset.
 func (s *Sequential) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 	for i := 0; i < len(s.Layers); i++ {
 		l := s.Layers[i]
-		if d, ok := l.(*Dense); ok && i+1 < len(s.Layers) {
+		if fl, ok := l.(fusedLayer); ok && i+1 < len(s.Layers) {
 			if f, ok := s.Layers[i+1].(fusedActivation); ok {
-				x = d.forwardFused(x, a, f.fusedAct())
+				x = fl.forwardFused(x, a, f.fusedAct())
 				i++
 				continue
 			}

@@ -147,6 +147,7 @@ type AvgPool2D struct {
 
 // NewAvgPool2D creates an average-pooling layer.
 func NewAvgPool2D(name string, g tensor.ConvGeom) *AvgPool2D {
+	g.Check()
 	return &AvgPool2D{name: name, Geom: g}
 }
 

@@ -48,6 +48,11 @@ var ownershipStacks = map[string]func(rng *rand.Rand) (*Sequential, *tensor.Tens
 		avg := tensor.ConvGeom{InC: 3, InH: 3, InW: 3, KH: 3, KW: 3, Stride: 1}
 		return NewSequential(NewConv2D(rng, "c", g, 3), NewReLU("r"), NewMaxPool2D("mp", pool), NewAvgPool2D("ap", avg), NewFlatten("f"), NewDense(rng, "d", 3, 2)), tensor.Randn(rng, 1, 2, 2, 6, 6)
 	},
+	"conv-relu-conv": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		g1 := tensor.ConvGeom{InC: 2, InH: 5, InW: 7, KH: 3, KW: 3, Stride: 1, Pad: 1}
+		g2 := tensor.ConvGeom{InC: 5, InH: 5, InW: 7, KH: 2, KW: 3, Stride: 2}
+		return NewSequential(NewConv2D(rng, "c1", g1, 5), NewReLU("r"), NewConv2D(rng, "c2", g2, 3)), tensor.Randn(rng, 1, 3, 2, 5, 7)
+	},
 	"attention": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
 		ids := tensor.New(2, 5)
 		for i := range ids.Data {
@@ -161,7 +166,7 @@ func TestSeqContextReadsOutput(t *testing.T) {
 	want := map[string]bool{
 		"dense-tanh-dense": false, "ends-in-tanh": true, "view-first": true, "view-middle": false,
 		"view-last": true, "views-only": false, "identity-middle": false, "residual": false,
-		"conv": false, "attention": false,
+		"conv": false, "conv-relu-conv": false, "attention": false,
 	}
 	for name, build := range ownershipStacks {
 		seq, x := build(rand.New(rand.NewSource(5)))

@@ -313,6 +313,28 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	}
 }
 
+// TestConvShapeFaultNamesStageAndLayer: a convolution handed the wrong
+// shape (here a model whose second convolution was built for one channel
+// and is fed two) fails the request with ErrInference naming the stage
+// and the layer, as a Dense does.
+func TestConvShapeFaultNamesStageAndLayer(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := tensor.ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	model := nn.NewSequential(nn.NewConv2D(rng, "conv0", g, 2), nn.NewReLU("relu0"), nn.NewConv2D(rng, "conv1", g, 2))
+	plan := &partition.Plan{Stages: []partition.StageSpec{
+		{FirstLayer: 0, LastLayer: 1, Replicas: 1},
+		{FirstLayer: 2, LastLayer: 2, Replicas: 1},
+	}, Graph: partition.NewLinear(2)}
+	s := mustServer(t, Config{Model: model, Plan: plan, InputShape: []int{1, 4, 4}, MaxBatch: 1, BatchTimeout: time.Millisecond})
+	_, err := s.Infer(tensor.RandUniform(rng, -1, 1, 1, 1, 4, 4))
+	if !errors.Is(err, ErrInference) {
+		t.Fatalf("err = %v, want ErrInference", err)
+	}
+	if want := "stage 1: nn: conv1 forward input [1 2 4 4], want [B,1,4,4]"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %q, want it to contain %q", err, want)
+	}
+}
+
 // TestCloseFailsPending: Close answers queued and in-flight requests
 // with ErrServerClosed, and later submits fail immediately.
 func TestCloseFailsPending(t *testing.T) {

@@ -113,12 +113,12 @@ func TestIm2ColIntoOverwritesPadding(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := ConvGeom{InC: 2, InH: 5, InW: 5, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	in := Randn(rng, 1, 2, g.InC, g.InH, g.InW)
-	want := Im2Col(in, g)
+	want := im2Col(in, g)
 	dst := GetRaw(want.Shape...)
 	dst.Fill(42) // poison: stale garbage must not leak through padding
 	Im2ColInto(dst, in, g)
 	if !dst.AllClose(want, 0) {
-		t.Fatalf("Im2ColInto differs from Im2Col")
+		t.Fatalf("Im2ColInto left garbage in the panel")
 	}
 	Put(dst)
 }

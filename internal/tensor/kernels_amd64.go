@@ -63,6 +63,32 @@ func transBRowVec(crow, arow, bd []float32, k, n int) int {
 	return cols
 }
 
+//go:noescape
+func convRowAVX2(dst, src, w, bias *float32, taps *int, k, outC, plane, cols, chans int)
+
+// convImageVec computes the leading columns of every output row of one
+// padded image and returns how many; none unless the stride is one.
+func convImageVec(out, img, wd, bias []float32, taps []int, outC int, g ConvGeom) int {
+	oh, ow, pw := g.OutH(), g.OutW(), g.PadW()
+	cols := ow &^ 3
+	if !useAVX2 || g.Stride != 1 || cols == 0 {
+		return 0
+	}
+	for oc, chans := 0, 4; oc < outC; oc += chans {
+		if outC-oc < 4 {
+			chans = 1
+		}
+		var bp *float32 // the biases of channels oc, oc+1, …
+		if bias != nil {
+			bp = &bias[oc]
+		}
+		for oy := 0; oy < oh; oy++ {
+			convRowAVX2(&out[(oc*oh+oy)*ow], &img[oy*pw], &wd[oc], bp, &taps[0], len(taps), outC, oh*ow, cols, chans)
+		}
+	}
+	return cols
+}
+
 // The elementwise kernels of elementwise.go. Each takes the leading
 // multiple of eight elements; n is that count and is never zero.
 

@@ -745,3 +745,298 @@ axpy8:
 axpydone:
 	VZEROUPPER
 	RET
+
+// The convolution row kernel (conv.go). One call computes the leading
+// cols columns (a multiple of four) of one output row, vectorised along
+// the row: the eight, then four, adjacent outputs of a block read
+// adjacent floats of the padded input row and share each broadcast
+// weight. Per output the taps are accumulated as convImageGo writes it:
+// groups of eight summed left to right then added to the accumulator,
+// then single steps, then the channel's bias. SI addresses the block's
+// first input float, R11 the tap table (element offsets from SI), BX
+// the weights of the next tap (R8 bytes apart), R10 counts the taps left.
+
+#define CONV_LOAD(i, x) \
+	MOVQ    (i*8)(R11), AX; \
+	VMOVUPS (SI)(AX*4), x
+
+// Four adjacent output channels share the input vector x: t_j = x·w_j
+// (MUL) or t_j += x·w_j (MAC) for the four weights at BX.
+#define CONV4_MUL(x, b0, b1, b2, b3, t0, t1, t2, t3) \
+	VBROADCASTSS 0(BX), b0; \
+	VMULPS       b0, x, t0; \
+	VBROADCASTSS 4(BX), b1; \
+	VMULPS       b1, x, t1; \
+	VBROADCASTSS 8(BX), b2; \
+	VMULPS       b2, x, t2; \
+	VBROADCASTSS 12(BX), b3; \
+	VMULPS       b3, x, t3; \
+	ADDQ         R8, BX
+
+#define CONV4_MAC(x, b0, b1, b2, b3, t0, t1, t2, t3) \
+	VBROADCASTSS 0(BX), b0; \
+	VMULPS       b0, x, b0; \
+	VADDPS       b0, t0, t0; \
+	VBROADCASTSS 4(BX), b1; \
+	VMULPS       b1, x, b1; \
+	VADDPS       b1, t1, t1; \
+	VBROADCASTSS 8(BX), b2; \
+	VMULPS       b2, x, b2; \
+	VADDPS       b2, t2, t2; \
+	VBROADCASTSS 12(BX), b3; \
+	VMULPS       b3, x, b3; \
+	VADDPS       b3, t3, t3; \
+	ADDQ         R8, BX
+
+#define CONV4_GROUP8(x, b0, b1, b2, b3, t0, t1, t2, t3, a0, a1, a2, a3) \
+	CONV_LOAD(0, x); \
+	CONV4_MUL(x, b0, b1, b2, b3, t0, t1, t2, t3); \
+	CONV_LOAD(1, x); \
+	CONV4_MAC(x, b0, b1, b2, b3, t0, t1, t2, t3); \
+	CONV_LOAD(2, x); \
+	CONV4_MAC(x, b0, b1, b2, b3, t0, t1, t2, t3); \
+	CONV_LOAD(3, x); \
+	CONV4_MAC(x, b0, b1, b2, b3, t0, t1, t2, t3); \
+	CONV_LOAD(4, x); \
+	CONV4_MAC(x, b0, b1, b2, b3, t0, t1, t2, t3); \
+	CONV_LOAD(5, x); \
+	CONV4_MAC(x, b0, b1, b2, b3, t0, t1, t2, t3); \
+	CONV_LOAD(6, x); \
+	CONV4_MAC(x, b0, b1, b2, b3, t0, t1, t2, t3); \
+	CONV_LOAD(7, x); \
+	CONV4_MAC(x, b0, b1, b2, b3, t0, t1, t2, t3); \
+	VADDPS t0, a0, a0; \
+	VADDPS t1, a1, a1; \
+	VADDPS t2, a2, a2; \
+	VADDPS t3, a3, a3
+
+// One output channel: t = x·w (MUL) or t += x·w (MAC) for the weight at BX.
+#define CONV1_MUL(x, b, t) \
+	VBROADCASTSS (BX), b; \
+	VMULPS       b, x, t; \
+	ADDQ         R8, BX
+
+#define CONV1_MAC(x, b, t) \
+	VBROADCASTSS (BX), b; \
+	VMULPS       b, x, b; \
+	VADDPS       b, t, t; \
+	ADDQ         R8, BX
+
+#define CONV1_GROUP8(x, b, t, a) \
+	CONV_LOAD(0, x); \
+	CONV1_MUL(x, b, t); \
+	CONV_LOAD(1, x); \
+	CONV1_MAC(x, b, t); \
+	CONV_LOAD(2, x); \
+	CONV1_MAC(x, b, t); \
+	CONV_LOAD(3, x); \
+	CONV1_MAC(x, b, t); \
+	CONV_LOAD(4, x); \
+	CONV1_MAC(x, b, t); \
+	CONV_LOAD(5, x); \
+	CONV1_MAC(x, b, t); \
+	CONV_LOAD(6, x); \
+	CONV1_MAC(x, b, t); \
+	CONV_LOAD(7, x); \
+	CONV1_MAC(x, b, t); \
+	VADDPS t, a, a
+
+// func convRowAVX2(dst, src, w, bias *float32, taps *int, k, outC, plane, cols, chans int)
+// chans = 4: four adjacent output channels at once — four independent
+// accumulator chains sharing every input load; their rows are plane
+// floats apart in dst, their weights adjacent in w and their biases in
+// bias (nil: none). chans = 1: one channel, for those a multiple of four
+// leaves over.
+TEXT ·convRowAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ w+16(FP), DX
+	MOVQ k+40(FP), CX
+	MOVQ outC+48(FP), R8
+	MOVQ plane+56(FP), R13
+	MOVQ cols+64(FP), R9
+	SHLQ $2, R8
+	SHLQ $2, R13
+	LEAQ (R13)(R13*2), R12
+	CMPQ chans+72(FP), $4
+	JNE  conv1col8
+
+conv4col8:
+	CMPQ   R9, $8
+	JLT    conv4col4
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ   taps+32(FP), R11
+	MOVQ   DX, BX
+	MOVQ   CX, R10
+
+conv4col8k8:
+	CMPQ R10, $8
+	JLT  conv4col8k1
+	CONV4_GROUP8(Y8, Y9, Y10, Y11, Y12, Y4, Y5, Y6, Y7, Y0, Y1, Y2, Y3)
+	ADDQ $64, R11
+	SUBQ $8, R10
+	JMP  conv4col8k8
+
+conv4col8k1:
+	TESTQ R10, R10
+	JZ    conv4col8store
+	CONV_LOAD(0, Y8)
+	CONV4_MAC(Y8, Y9, Y10, Y11, Y12, Y0, Y1, Y2, Y3)
+	ADDQ  $8, R11
+	DECQ  R10
+	JMP   conv4col8k1
+
+conv4col8store:
+	MOVQ         bias+24(FP), AX
+	TESTQ        AX, AX
+	JZ           conv4col8storenobias
+	VBROADCASTSS 0(AX), Y8
+	VADDPS       Y8, Y0, Y0
+	VBROADCASTSS 4(AX), Y9
+	VADDPS       Y9, Y1, Y1
+	VBROADCASTSS 8(AX), Y10
+	VADDPS       Y10, Y2, Y2
+	VBROADCASTSS 12(AX), Y11
+	VADDPS       Y11, Y3, Y3
+
+conv4col8storenobias:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, (DI)(R13*1)
+	VMOVUPS Y2, (DI)(R13*2)
+	VMOVUPS Y3, (DI)(R12*1)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	SUBQ    $8, R9
+	JMP     conv4col8
+
+conv4col4:
+	CMPQ   R9, $4
+	JLT    conv4done
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
+	MOVQ   taps+32(FP), R11
+	MOVQ   DX, BX
+	MOVQ   CX, R10
+
+conv4col4k8:
+	CMPQ R10, $8
+	JLT  conv4col4k1
+	CONV4_GROUP8(X8, X9, X10, X11, X12, X4, X5, X6, X7, X0, X1, X2, X3)
+	ADDQ $64, R11
+	SUBQ $8, R10
+	JMP  conv4col4k8
+
+conv4col4k1:
+	TESTQ R10, R10
+	JZ    conv4col4store
+	CONV_LOAD(0, X8)
+	CONV4_MAC(X8, X9, X10, X11, X12, X0, X1, X2, X3)
+	ADDQ  $8, R11
+	DECQ  R10
+	JMP   conv4col4k1
+
+conv4col4store:
+	MOVQ         bias+24(FP), AX
+	TESTQ        AX, AX
+	JZ           conv4col4storenobias
+	VBROADCASTSS 0(AX), X8
+	VADDPS       X8, X0, X0
+	VBROADCASTSS 4(AX), X9
+	VADDPS       X9, X1, X1
+	VBROADCASTSS 8(AX), X10
+	VADDPS       X10, X2, X2
+	VBROADCASTSS 12(AX), X11
+	VADDPS       X11, X3, X3
+
+conv4col4storenobias:
+	VMOVUPS X0, (DI)
+	VMOVUPS X1, (DI)(R13*1)
+	VMOVUPS X2, (DI)(R13*2)
+	VMOVUPS X3, (DI)(R12*1)
+
+conv4done:
+	VZEROUPPER
+	RET
+
+conv1col8:
+	CMPQ   R9, $8
+	JLT    conv1col4
+	VXORPS Y0, Y0, Y0
+	MOVQ   taps+32(FP), R11
+	MOVQ   DX, BX
+	MOVQ   CX, R10
+
+conv1col8k8:
+	CMPQ R10, $8
+	JLT  conv1col8k1
+	CONV1_GROUP8(Y8, Y9, Y4, Y0)
+	ADDQ $64, R11
+	SUBQ $8, R10
+	JMP  conv1col8k8
+
+conv1col8k1:
+	TESTQ R10, R10
+	JZ    conv1col8store
+	CONV_LOAD(0, Y8)
+	CONV1_MAC(Y8, Y9, Y0)
+	ADDQ  $8, R11
+	DECQ  R10
+	JMP   conv1col8k1
+
+conv1col8store:
+	MOVQ         bias+24(FP), AX
+	TESTQ        AX, AX
+	JZ           conv1col8storenobias
+	VBROADCASTSS (AX), Y8
+	VADDPS       Y8, Y0, Y0
+
+conv1col8storenobias:
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	SUBQ    $8, R9
+	JMP     conv1col8
+
+conv1col4:
+	CMPQ   R9, $4
+	JLT    conv1done
+	VXORPS X0, X0, X0
+	MOVQ   taps+32(FP), R11
+	MOVQ   DX, BX
+	MOVQ   CX, R10
+
+conv1col4k8:
+	CMPQ R10, $8
+	JLT  conv1col4k1
+	CONV1_GROUP8(X8, X9, X4, X0)
+	ADDQ $64, R11
+	SUBQ $8, R10
+	JMP  conv1col4k8
+
+conv1col4k1:
+	TESTQ R10, R10
+	JZ    conv1col4store
+	CONV_LOAD(0, X8)
+	CONV1_MAC(X8, X9, X0)
+	ADDQ  $8, R11
+	DECQ  R10
+	JMP   conv1col4k1
+
+conv1col4store:
+	MOVQ         bias+24(FP), AX
+	TESTQ        AX, AX
+	JZ           conv1col4storenobias
+	VBROADCASTSS (AX), X8
+	VADDPS       X8, X0, X0
+
+conv1col4storenobias:
+	VMOVUPS X0, (DI)
+
+conv1done:
+	VZEROUPPER
+	RET

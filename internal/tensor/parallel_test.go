@@ -180,12 +180,12 @@ func TestConvKernelsMatchSerialReference(t *testing.T) {
 			cols := uniform(rng, batch*g.OutH()*g.OutW(), g.InC*g.KH*g.KW)
 
 			SetParallelism(1)
-			wantCols := Im2Col(in, g)
+			wantCols := im2Col(in, g)
 			wantImg := col2Im(cols, batch, g)
 			wantPool, wantIdx := maxPool(in, g)
 
 			SetParallelism(4)
-			gotCols := Im2Col(in, g)
+			gotCols := im2Col(in, g)
 			gotImg := col2Im(cols, batch, g)
 			gotPool, gotIdx := maxPool(in, g)
 

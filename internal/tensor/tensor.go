@@ -1,6 +1,6 @@
 // Package tensor implements dense float32 tensors and the numerical
 // kernels needed to train neural networks on the CPU: element-wise
-// arithmetic, matrix multiplication, im2col-based convolution helpers,
+// arithmetic, matrix multiplication, convolution (direct forward, im2col backward),
 // pooling, reductions, and random initialization.
 //
 // Tensors are row-major. A Tensor value is cheap to copy (slice headers),

@@ -278,7 +278,7 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 	// With a 1x1 kernel, stride 1, no pad, im2col is a pure reshape.
 	in := FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
 	g := ConvGeom{InC: 1, InH: 2, InW: 2, KH: 1, KW: 1, Stride: 1}
-	cols := Im2Col(in, g)
+	cols := im2Col(in, g)
 	if cols.Dim(0) != 4 || cols.Dim(1) != 1 {
 		t.Fatalf("shape %v", cols.Shape)
 	}
@@ -292,7 +292,7 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 func TestIm2ColWithPadding(t *testing.T) {
 	in := FromSlice([]float32{5}, 1, 1, 1, 1)
 	g := ConvGeom{InC: 1, InH: 1, InW: 1, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	cols := Im2Col(in, g)
+	cols := im2Col(in, g)
 	if cols.Dim(0) != 1 || cols.Dim(1) != 9 {
 		t.Fatalf("shape %v", cols.Shape)
 	}
@@ -322,7 +322,7 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 		}
 		b := 1 + rng.Intn(2)
 		x := Randn(rng, 1, b, g.InC, g.InH, g.InW)
-		cols := Im2Col(x, g)
+		cols := im2Col(x, g)
 		y := Randn(rng, 1, cols.Shape[0], cols.Shape[1])
 		var lhs float64
 		for i := range cols.Data {
@@ -433,8 +433,12 @@ func TestSameShape(t *testing.T) {
 	}
 }
 
-// col2Im and maxPool are the allocating forms of Col2ImInto and
-// MaxPoolInto.
+// im2Col, col2Im and maxPool are the allocating forms of Im2ColInto,
+// Col2ImInto and MaxPoolInto.
+func im2Col(in *Tensor, g ConvGeom) *Tensor {
+	return Im2ColInto(New(in.Shape[0]*g.OutH()*g.OutW(), g.InC*g.KH*g.KW), in, g)
+}
+
 func col2Im(cols *Tensor, batch int, g ConvGeom) *Tensor {
 	return Col2ImInto(New(batch, g.InC, g.InH, g.InW), cols, g)
 }

@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 OUT_DIR="${1:-.}"
 BENCHTIME="${BENCHTIME:-1s}"
 COUNT="${COUNT:-1}"
-PATTERN='^(BenchmarkTensorMatMul128|BenchmarkTensorMatMulParallel|BenchmarkConvForwardParallel|BenchmarkTensorIm2Col|BenchmarkDenseForwardBackward|BenchmarkLSTMForwardBackward|BenchmarkPipelineRuntimeEpoch|BenchmarkGradSync)$'
+PATTERN='^(BenchmarkTensorMatMul128|BenchmarkTensorMatMulParallel|BenchmarkConvForwardParallel|BenchmarkConvInferImages|BenchmarkTensorIm2Col|BenchmarkDenseForwardBackward|BenchmarkLSTMForwardBackward|BenchmarkPipelineRuntimeEpoch|BenchmarkGradSync)$'
 
 TXT="$OUT_DIR/BENCH_kernels.txt"
 JSON="$OUT_DIR/BENCH_kernels.json"

@@ -42,8 +42,9 @@ go test -race ./...
 go test -race -count=10 ./internal/pipeline/ -run 'TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied'
 go test -race -count=2 ./internal/serve/...
 
-echo "== fuzz smoke (matmul and elementwise kernels vs portable loops + flat tensor storage + frame round-trips + checkpoint manifest + /infer handler, request scan and response bytes vs encoding/json, 10s each)"
+echo "== fuzz smoke (matmul, convolution and elementwise kernels vs portable loops + flat tensor storage + frame round-trips + checkpoint manifest + /infer handler, request scan and response bytes vs encoding/json, 10s each)"
 go test -run '^$' -fuzz '^FuzzMatMulKernelsBitEqual$' -fuzztime=10s ./internal/tensor/
+go test -run '^$' -fuzz '^FuzzConvKernelBitEqual$' -fuzztime=10s ./internal/tensor/
 go test -run '^$' -fuzz '^FuzzElementwiseKernelsBitEqual$' -fuzztime=10s ./internal/tensor/
 go test -run '^$' -fuzz '^FuzzPackRoundTrip$' -fuzztime=10s ./internal/tensor/
 go test -run '^$' -fuzz '^FuzzFrameRoundTrip$' -fuzztime=10s ./internal/transport/
