@@ -284,7 +284,6 @@ func benchServe(b *testing.B, maxBatch int) {
 		Model:             model,
 		Plan:              mustStraightPlan(b, 8, 8),
 		MaxBatch:          maxBatch,
-		BatchTimeout:      500 * time.Microsecond,
 		QueueCap:          4096,
 		MaxInFlight:       16,
 		KernelParallelism: 1,
@@ -363,7 +362,6 @@ func benchFleet(b *testing.B, replicas int) {
 		fleet.TenantConfig{Name: "bench", Server: serve.Config{
 			Model:             model,
 			MaxBatch:          1,
-			BatchTimeout:      100 * time.Microsecond,
 			QueueCap:          4096,
 			MaxInFlight:       4,
 			KernelParallelism: 1,
@@ -433,7 +431,6 @@ func BenchmarkWeightSwap(b *testing.B) {
 		Model:             build(),
 		Plan:              mustStraightPlan(b, 8, 8),
 		MaxBatch:          16,
-		BatchTimeout:      500 * time.Microsecond,
 		KernelParallelism: 1,
 	})
 	if err != nil {

@@ -91,7 +91,7 @@ func main() {
 	pollInterval := flag.Duration("poll-interval", time.Second, "how often -follow polls each checkpoint directory")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "max rows coalesced into one pipeline batch (1 disables dynamic batching)")
-	batchTimeout := flag.Duration("batch-timeout", serve.DefaultBatchTimeout, "max wait after the first queued request before dispatching a partial batch")
+	batchTimeout := flag.Duration("batch-timeout", serve.DefaultBatchTimeout, "longest a partial batch keeps collecting while stage 0 is busy (an idle pipeline dispatches at once)")
 	queueCap := flag.Int("queue-cap", serve.DefaultQueueCap, "max requests waiting for batching per replica before new ones are shed with 429")
 	maxInFlight := flag.Int("max-inflight", 0, "max batches concurrently inside each replica's stage pipeline (0 = 2x stages)")
 	healthRate := flag.Float64("health-error-rate", 0, "sliding-window failure rate at which a replica is ejected from routing, 0..1 (0 disables router health checks)")
@@ -336,6 +336,7 @@ func aggregateServe(ts fleet.TenantStats) serve.Stats {
 		agg.P50Micros = math.Max(agg.P50Micros, st.P50Micros)
 		agg.P95Micros = math.Max(agg.P95Micros, st.P95Micros)
 		agg.P99Micros = math.Max(agg.P99Micros, st.P99Micros)
+		agg.BatchWaitP50Micros = math.Max(agg.BatchWaitP50Micros, st.BatchWaitP50Micros)
 	}
 	if agg.Batches > 0 {
 		agg.MeanBatchRows = rowsTotal / float64(agg.Batches)

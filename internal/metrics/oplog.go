@@ -20,6 +20,8 @@ const (
 	// OpRequest is one serving request's full span, from admission into
 	// the dynamic batcher to response demultiplexing (internal/serve).
 	OpRequest
+	// OpQueue is a serving request's wait in the batcher, admission to dispatch.
+	OpQueue
 )
 
 // String implements fmt.Stringer.
@@ -33,6 +35,8 @@ func (k OpKind) String() string {
 		return "sync"
 	case OpRequest:
 		return "request"
+	case OpQueue:
+		return "queue"
 	}
 	return "unknown"
 }

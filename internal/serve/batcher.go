@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"pipedream/internal/tensor"
@@ -16,18 +17,21 @@ type piece struct {
 	n  int
 }
 
-// batcher is the coalescing loop: it blocks for the first queued
-// request, then collects more until the batch holds MaxBatch rows,
-// BatchTimeout elapses, or a request with a different per-row shape
-// arrives (which ends the batch and seeds the next one — requests with
-// different shapes never share a batch).
-//
-// The deadline runs from the first request, so a lone request waits at
-// most BatchTimeout and a full batch dispatches immediately.
+// batcher is the coalescing loop, and it is work-conserving: it blocks
+// for the first queued request, takes whatever else is queued (or, after
+// one yield, about to be) and dispatches the moment stage 0 has nothing
+// queued or running. Only while stage 0 is busy — a dispatch could not
+// start sooner — does it keep collecting, until the batch holds MaxBatch
+// rows, BatchTimeout has passed since it began to wait, or stage 0 goes
+// idle. A request that cannot join (see admit) seeds the next batch.
 func (s *Server) batcher() {
 	defer s.wg.Done()
 	nextID := 0
 	var carry *request
+	// One timer serves every wait; past Go 1.23 a stopped or reset timer
+	// never delivers a stale tick, so there is nothing to drain.
+	timer := time.NewTimer(s.cfg.BatchTimeout)
+	timer.Stop()
 	for {
 		var first *request
 		if carry != nil {
@@ -49,13 +53,35 @@ func (s *Server) batcher() {
 		}
 		batch := []*request{first}
 		rows := first.rows
-		if rows < s.cfg.MaxBatch {
-			timer := time.NewTimer(s.cfg.BatchTimeout)
-		collect:
-			for rows < s.cfg.MaxBatch {
+		armed, yielded := false, false // the timer runs only once the batch waits
+	collect:
+		for rows < s.cfg.MaxBatch {
+			var req *request
+			select {
+			case req = <-s.queue:
+			default:
+				// Empty — but on a saturated core the submitters that would
+				// fill it are runnable and have not run: channel hand-offs run
+				// batcher, stages and demux ahead of them, one request at a
+				// time (BenchmarkServeDynamic on one core: 8.6 µs/op, as if
+				// unbatched; 1.6 with this yield, which an idle core makes free).
+				if !yielded {
+					yielded = true
+					runtime.Gosched()
+					continue collect
+				}
+				// The busy count is read afresh on every pass: a stale wake
+				// token costs one re-check, and a wake-up after this load is
+				// not lost, its token is in the channel.
+				if s.stage0Busy.Load() == 0 {
+					break collect
+				}
+				if !armed {
+					timer.Reset(s.cfg.BatchTimeout)
+					armed = true
+				}
 				select {
 				case <-s.done:
-					timer.Stop()
 					// Close flushes the queue and the pending map; the
 					// requests already pulled into this batch are ours
 					// to fail.
@@ -63,31 +89,33 @@ func (s *Server) batcher() {
 						r.resp <- result{err: ErrServerClosed}
 					}
 					return
-				case req := <-s.queue:
-					// Growing a batch must never block on the quota —
-					// batch members already hold in-flight slots and
-					// complete only after dispatch, so a blocking wait
-					// here could be on this very batch (deadlock). A
-					// full window instead ends the batch: the request
-					// carries over and blocking-promotes as the next
-					// seed, after this batch has been dispatched.
-					// Requests for different heads travel different stage
-					// routes, so they never share a batch either.
-					if req.head != first.head || !s.quotaTryPromote(req) || !sameRowShape(req.x, first.x) {
-						carry = req
-						break collect
-					}
-					batch = append(batch, req)
-					rows += req.rows
+				case req = <-s.queue:
+				case <-s.stage0Idle:
+					continue collect
 				case <-timer.C:
 					break collect
 				}
 			}
-			timer.Stop()
+			if !s.admit(first, req) {
+				carry = req
+				break collect
+			}
+			batch = append(batch, req)
+			rows += req.rows
 		}
+		timer.Stop()
 		s.met.queueDepth.Set(int64(len(s.queue)))
 		nextID = s.dispatch(batch, nextID)
 	}
+}
+
+// admit reports whether req may join the batch first seeds: same head
+// (other heads travel other stage routes), same per-row shape, and an
+// in-flight quota slot free now. Growing a batch must never block on the
+// quota — its members hold slots until dispatched, so the wait could be on
+// this very batch; the request carries over and blocks as the next seed.
+func (s *Server) admit(first, req *request) bool {
+	return req.head == first.head && s.quotaTryPromote(req) && sameRowShape(req.x, first.x)
 }
 
 // dispatch chops the logical concatenation of the batch's rows into
@@ -106,8 +134,10 @@ func (s *Server) batcher() {
 // than queueing without bound inside the transport.
 func (s *Server) dispatch(batch []*request, nextID int) int {
 	prs := make([]*pendingReq, len(batch))
+	now := time.Now()
 	for i, r := range batch {
 		prs[i] = &pendingReq{req: r, remaining: r.rows, firstID: nextID}
+		s.met.observeBatchWait(r.enq, now, s.client, nextID)
 	}
 	// Assign request row ranges to pipeline batches.
 	var chunks [][]piece
@@ -170,6 +200,7 @@ func (s *Server) dispatch(batch []*request, nextID int) int {
 		s.mu.Unlock()
 		s.met.batches.Inc()
 		s.met.batchRows.Observe(float64(rows))
+		s.stage0Busy.Add(1)
 		err := s.tr.Send(0, transport.Message{
 			Kind:      transport.Activation,
 			Minibatch: nextID,
@@ -181,6 +212,7 @@ func (s *Server) dispatch(batch []*request, nextID int) int {
 			tensor.Put(x) // assemble's gather, not a request's tensor
 		}
 		if err != nil {
+			s.stage0Busy.Add(-1) // stage 0 will never see it
 			<-s.inflight
 			s.mu.Lock()
 			delete(s.pending, nextID)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"time"
 
 	"pipedream/internal/metrics"
 )
@@ -22,6 +23,7 @@ type serverMetrics struct {
 
 	batchRows   *metrics.Histogram // serve.batch_rows: rows per dispatched batch
 	latency     *metrics.Histogram // serve.latency_us: request latency, admission→response
+	batchWait   *metrics.Histogram // serve.batch_wait_us: request wait in the batcher, admission→dispatch
 	swapLatency *metrics.Histogram // serve.swap_latency_us: SwapModel slice-and-flip time
 	queueDepth  *metrics.Gauge     // serve.queue_depth: submit-queue depth after enqueue
 	weightGen   *metrics.Gauge     // serve.weight_generation: generation new requests board
@@ -43,6 +45,7 @@ func newServerMetrics(reg *metrics.Registry, oplog *metrics.OpLog, stages int) *
 		m.swaps = &metrics.Counter{}
 		m.batchRows = metrics.NewHistogram(metrics.DepthBuckets())
 		m.latency = metrics.NewHistogram(metrics.LatencyBuckets())
+		m.batchWait = metrics.NewHistogram(metrics.LatencyBuckets())
 		m.swapLatency = metrics.NewHistogram(metrics.LatencyBuckets())
 		m.queueDepth = &metrics.Gauge{}
 		m.weightGen = &metrics.Gauge{}
@@ -60,6 +63,7 @@ func newServerMetrics(reg *metrics.Registry, oplog *metrics.OpLog, stages int) *
 	m.swaps = reg.Counter("serve.swaps")
 	m.batchRows = reg.Histogram("serve.batch_rows", metrics.DepthBuckets())
 	m.latency = reg.Histogram("serve.latency_us", metrics.LatencyBuckets())
+	m.batchWait = reg.Histogram("serve.batch_wait_us", metrics.LatencyBuckets())
 	m.swapLatency = reg.Histogram("serve.swap_latency_us", metrics.LatencyBuckets())
 	m.queueDepth = reg.Gauge("serve.queue_depth")
 	m.weightGen = reg.Gauge("serve.weight_generation")
@@ -67,6 +71,16 @@ func newServerMetrics(reg *metrics.Registry, oplog *metrics.OpLog, stages int) *
 		m.stageForward[i] = reg.Histogram(fmt.Sprintf("serve.s%d.forward_us", i), metrics.DurationBuckets())
 	}
 	return m
+}
+
+// observeBatchWait records one request's wait in the batcher, from
+// admission at enq to the dispatch of batch id at now.
+func (m *serverMetrics) observeBatchWait(enq, now time.Time, client, id int) {
+	wait := now.Sub(enq)
+	m.batchWait.Observe(float64(wait.Microseconds()))
+	if m.oplog != nil {
+		m.oplog.Record(metrics.OpEvent{Worker: client, Stage: client, Minibatch: id, Kind: metrics.OpQueue, Dur: wait}, enq)
+	}
 }
 
 // Stats is a point-in-time summary of a server's counters and latency
@@ -96,22 +110,26 @@ type Stats struct {
 	// P50Micros, P95Micros, and P99Micros are bucketed upper bounds on
 	// the request latency quantiles, in microseconds.
 	P50Micros, P95Micros, P99Micros float64
+	// BatchWaitP50Micros is the same bound on the median wait in the
+	// batcher: near zero at rest, up to BatchTimeout behind a busy stage 0.
+	BatchWaitP50Micros float64
 }
 
 // Stats returns a point-in-time summary of the server's activity.
 func (s *Server) Stats() Stats {
 	return Stats{
-		Requests:         s.met.requests.Value(),
-		Rows:             s.met.rows.Value(),
-		Responses:        s.met.responses.Value(),
-		Shed:             s.met.shed.Value(),
-		Errors:           s.met.errors.Value(),
-		Batches:          s.met.batches.Value(),
-		MeanBatchRows:    s.met.batchRows.Mean(),
-		WeightGeneration: s.met.weightGen.Value(),
-		Swaps:            s.met.swaps.Value(),
-		P50Micros:        s.met.latency.Quantile(0.50),
-		P95Micros:        s.met.latency.Quantile(0.95),
-		P99Micros:        s.met.latency.Quantile(0.99),
+		Requests:           s.met.requests.Value(),
+		Rows:               s.met.rows.Value(),
+		Responses:          s.met.responses.Value(),
+		Shed:               s.met.shed.Value(),
+		Errors:             s.met.errors.Value(),
+		Batches:            s.met.batches.Value(),
+		MeanBatchRows:      s.met.batchRows.Mean(),
+		WeightGeneration:   s.met.weightGen.Value(),
+		Swaps:              s.met.swaps.Value(),
+		P50Micros:          s.met.latency.Quantile(0.50),
+		P95Micros:          s.met.latency.Quantile(0.95),
+		P99Micros:          s.met.latency.Quantile(0.99),
+		BatchWaitP50Micros: s.met.batchWait.Quantile(0.50),
 	}
 }

@@ -6,12 +6,12 @@
 //
 // Three pieces cooperate:
 //
-//   - A deadline-aware dynamic batcher coalesces queued requests into
-//     pipeline batches of at most MaxBatch rows, waiting at most
-//     BatchTimeout after the first request so a lone request never
-//     stalls. Requests with different per-row shapes never share a
-//     batch; requests larger than MaxBatch are split across batches and
-//     the response is reassembled.
+//   - A work-conserving dynamic batcher coalesces queued requests into
+//     pipeline batches of at most MaxBatch rows: it dispatches the moment
+//     stage 0 is free (a lone request never waits) and keeps collecting
+//     only while stage 0 is busy, for at most BatchTimeout. Requests with
+//     different per-row shapes never share a batch; requests larger than
+//     MaxBatch are split across batches and the response is reassembled.
 //   - One forward worker per stage runs the stage's layer slice
 //     (train=false) and forwards activations downstream, so consecutive
 //     batches execute concurrently on different stages.
@@ -46,8 +46,8 @@ const (
 	// DefaultMaxBatch is the default cap on rows coalesced into one
 	// pipeline batch.
 	DefaultMaxBatch = 16
-	// DefaultBatchTimeout is the default maximum wait after the first
-	// queued request before a partial batch is dispatched.
+	// DefaultBatchTimeout is the default for the longest a partial batch
+	// waits behind a busy stage 0 before it is dispatched anyway.
 	DefaultBatchTimeout = 2 * time.Millisecond
 	// DefaultQueueCap is the default bound on requests waiting for
 	// batching; submits beyond it shed with ErrOverloaded.
@@ -80,8 +80,8 @@ type Config struct {
 	// request row set travels alone, the baseline the saturation
 	// benchmark compares against.
 	MaxBatch int
-	// BatchTimeout bounds how long the batcher waits after the first
-	// queued request for more to coalesce (DefaultBatchTimeout when 0).
+	// BatchTimeout bounds how long a partial batch keeps collecting while
+	// stage 0 is busy (DefaultBatchTimeout when 0); at rest nothing waits.
 	BatchTimeout time.Duration
 	// QueueCap bounds the submit queue (DefaultQueueCap when 0); a full
 	// queue sheds new requests with ErrOverloaded instead of growing
@@ -153,6 +153,12 @@ type Server struct {
 	queue    chan *request
 	inflight chan struct{} // admission semaphore, one slot per in-flight batch
 	done     chan struct{}
+
+	// stage0Busy counts the batches sent to stage 0 and not yet passed on;
+	// stage 0 drops a token into stage0Idle when it returns to 0. The
+	// batcher coalesces only while it is non-zero.
+	stage0Busy atomic.Int32
+	stage0Idle chan struct{}
 
 	mu        sync.Mutex
 	closed    bool
@@ -263,6 +269,7 @@ func NewServer(cfg Config) (*Server, error) {
 		queue:       make(chan *request, cfg.QueueCap),
 		inflight:    make(chan struct{}, cfg.MaxInFlight),
 		done:        make(chan struct{}),
+		stage0Idle:  make(chan struct{}, 1),
 		pending:     make(map[int]*batchInfo),
 		met:         newServerMetrics(cfg.Metrics, cfg.OpLog, len(stages)),
 	}

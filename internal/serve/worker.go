@@ -142,6 +142,13 @@ func (s *Server) stageWorker(st int) {
 			// release, and nothing reads the arena once the sends have returned.
 			tensor.Put(in)
 			ar.Reset()
+			// Stage 0 with nothing left queued wakes a coalescing batcher.
+			if st == 0 && s.stage0Busy.Add(-1) == 0 {
+				select {
+				case s.stage0Idle <- struct{}{}:
+				default:
+				}
+			}
 		}
 	}
 }

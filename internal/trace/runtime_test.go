@@ -125,3 +125,33 @@ func TestRuntimeTimelineCarriesOpsInSeconds(t *testing.T) {
 		}
 	}
 }
+
+// TestServingSpansRenderedNotScheduled: a serving request's queue and
+// request spans are drawn beside the forward they waited for, under their
+// own names, and have no counterpart on a schedule timeline.
+func TestServingSpansRenderedNotScheduled(t *testing.T) {
+	l := metrics.NewOpLog(4)
+	us := func(n int) time.Duration { return time.Duration(n) * time.Microsecond }
+	l.Append(metrics.OpEvent{Worker: 1, Stage: 1, Minibatch: 7, Kind: metrics.OpQueue, Start: us(0), Dur: us(40)})
+	l.Append(metrics.OpEvent{Worker: 0, Stage: 0, Minibatch: 7, Kind: metrics.OpForward, Start: us(45), Dur: us(10)})
+	l.Append(metrics.OpEvent{Worker: 1, Stage: 1, Minibatch: 7, Kind: metrics.OpRequest, Start: us(0), Dur: us(60)})
+	var buf bytes.Buffer
+	if err := WriteRuntime(&buf, l); err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"queue", "F7", "request"} {
+		if events[i]["name"] != want {
+			t.Errorf("event %d is named %v, want %q", i, events[i]["name"], want)
+		}
+	}
+	if events[0]["cat"] != "queue" || events[0]["dur"].(float64) != 40 {
+		t.Errorf("queue event %v", events[0])
+	}
+	if tl := RuntimeTimeline(l); len(tl.Ops) != 1 || tl.Ops[0].Kind != schedule.Forward {
+		t.Errorf("timeline ops = %+v, want the forward alone", tl.Ops)
+	}
+}

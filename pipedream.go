@@ -163,8 +163,8 @@ type (
 // Serving types (forward-only pipelined inference; see
 // docs/ARCHITECTURE.md "Serving path").
 type (
-	// Server is a live forward-only serving pipeline with dynamic
-	// batching and admission control (internal/serve).
+	// Server is a live forward-only serving pipeline with work-conserving
+	// dynamic batching and admission control (internal/serve).
 	Server = serve.Server
 	// ServeConfig configures a Server: model, stage plan, batching
 	// (MaxBatch/BatchTimeout), and admission control (QueueCap/
