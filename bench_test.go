@@ -181,7 +181,6 @@ func BenchmarkDenseForwardBackward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		y, ctx := layer.Forward(x, true)
 		_ = y
-		nn.ZeroGrads(layer.Grads())
 		layer.Backward(ctx, grad)
 	}
 }
@@ -195,7 +194,6 @@ func BenchmarkLSTMForwardBackward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, ctx := layer.Forward(x, true)
-		nn.ZeroGrads(layer.Grads())
 		layer.Backward(ctx, grad)
 	}
 }

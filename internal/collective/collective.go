@@ -70,7 +70,10 @@ type Sender interface {
 }
 
 // DefaultBucketBytes is the gradient bucket size used when the caller
-// does not specify one: large enough to amortize per-message overhead,
-// small enough that the first bucket finishes backward (and can start
-// reducing) well before the last.
+// does not specify one: large enough to amortize per-message overhead.
+// It is a floor, not a cap: a bucket is whole tensors and closes on the
+// first one that takes it to this size, so a tensor larger than it is a
+// bucket of its own size (a 1 MB weight matrix is one 1 MB bucket, with
+// whatever smaller tensors precede it), and a bucket starts reducing
+// only when the backward of the earliest layer in it has finished.
 const DefaultBucketBytes = 256 << 10

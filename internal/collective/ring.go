@@ -187,11 +187,13 @@ func (r *RingReducer) Deliver(m transport.Message) error {
 		tensor.Put(m.Tensor) // every delivery is a private copy
 		return nil
 	}
+	cur := r.cur != nil && m.Minibatch == r.cur.key
+	if cur && (k.bucket < 0 || k.bucket >= len(r.buckets)) {
+		tensor.Put(m.Tensor)
+		return fmt.Errorf("collective: round %d chunk for unknown bucket %d of %d", m.Minibatch, k.bucket, len(r.buckets))
+	}
 	r.pending[k] = m.Tensor
-	if r.cur != nil && m.Minibatch == r.cur.key {
-		if k.bucket < 0 || k.bucket >= len(r.buckets) {
-			return fmt.Errorf("collective: round %d chunk for unknown bucket %d of %d", m.Minibatch, k.bucket, len(r.buckets))
-		}
+	if cur {
 		return r.advance(r.cur, r.buckets[k.bucket])
 	}
 	return nil
@@ -227,7 +229,10 @@ func (r *RingReducer) DroppedChunks() int64 { return r.drops }
 // round keys). Bucket layout and cumulative counters persist.
 func (r *RingReducer) Reset() {
 	r.cur = nil
-	r.pending = make(map[chunkKey]*tensor.Tensor)
+	for _, in := range r.pending {
+		tensor.Put(in)
+	}
+	clear(r.pending)
 	r.lastDone = -1
 }
 
@@ -302,15 +307,23 @@ func (r *RingReducer) advance(st *roundState, b *ringBucket) error {
 		delete(r.pending, k)
 		c := b.recvChunk(r.rank, p)
 		lo, hi := b.chunks[c][0], b.chunks[c][1]
-		if in.Size() != hi-lo {
+		if n := in.Size(); n != hi-lo {
+			tensor.Put(in)
 			return fmt.Errorf("collective: round %d bucket %d phase %d step %d: got %d elems, want %d",
-				st.key, b.index, b.phase, b.step, in.Size(), hi-lo)
+				st.key, b.index, b.phase, b.step, n, hi-lo)
 		}
-		if b.phase == 0 {
-			dst := b.data[lo:hi]
+		dst := b.data[lo:hi]
+		switch {
+		case b.phase == 1:
+			copy(dst, in.Data)
+		case b.step < p-2:
 			tensor.AddInto(dst, dst, in.Data)
-		} else {
-			copy(b.data[lo:hi], in.Data)
+		default:
+			// The last reduce-scatter step completes the chunk this rank
+			// owns. Scaling it in the same pass, so that the all-gather
+			// copies averaged values, is bit-identical to scaling the
+			// whole bucket at every replica, at 1/P the multiplies.
+			tensor.AddScaleInto(dst, dst, in.Data, float32(1)/float32(p))
 		}
 		// Consumed once per key. A duplicate, a second private copy, is dropped
 		// while the original is parked, or re-parked and released at round end.
@@ -320,17 +333,6 @@ func (r *RingReducer) advance(st *roundState, b *ringBucket) error {
 		if b.step == p-1 {
 			b.phase++
 			b.step = 0
-			if b.phase == 1 {
-				// Reduce-scatter done: this rank owns one fully summed
-				// chunk. Scale it here, once, so the all-gather copies
-				// final averaged values — bit-identical to scaling the
-				// whole bucket at every replica, at 1/P the multiplies.
-				own := b.chunks[b.sendChunk(r.rank, p)]
-				inv := float32(1) / float32(p)
-				for i := own[0]; i < own[1]; i++ {
-					b.data[i] *= inv
-				}
-			}
 		}
 		if b.phase == 2 {
 			r.finishBucket(st, b)

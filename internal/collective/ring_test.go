@@ -475,3 +475,67 @@ func TestRingBucketsAreViewsOfTheGradientArena(t *testing.T) {
 		t.Fatal("a round over gradients that moved since the first one was accepted")
 	}
 }
+
+// discardSender is a ring with no neighbour: what it sends goes nowhere.
+type discardSender struct{}
+
+func (discardSender) Send(int, transport.Message) error { return nil }
+
+// Every chunk delivered to a ring is the ring's to release, on the paths
+// where no reduction ever consumes it too: Reset with chunks parked (one
+// for the open round, one for a round not begun), a chunk naming a bucket
+// the round does not have, a chunk of the wrong size. After each, the pool
+// has been given back exactly what was taken from it.
+func TestRingFailurePathsReleaseChunks(t *testing.T) {
+	outstanding := func() int64 {
+		hits, misses, puts := tensor.PoolCounters()
+		return hits + misses - puts
+	}
+	chunk := func(round, bucket, elems int) transport.Message {
+		return transport.Message{
+			Kind: transport.GradChunk, Minibatch: round, Tensor: tensor.GetRaw(elems),
+			Chunk: transport.ChunkInfo{Bucket: bucket},
+		}
+	}
+	// A two-way round over one 4-element bucket, open and not yet ready.
+	openRound := func() *RingReducer {
+		r := NewRingReducer(0, []int{0, 1}, discardSender{}, 0)
+		if err := r.BeginRound(0, 2, []*tensor.Tensor{tensor.New(4)}); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	base := outstanding()
+
+	r := openRound()
+	for _, m := range []transport.Message{chunk(0, 0, 2), chunk(2, 0, 2)} {
+		if err := r.Deliver(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := outstanding() - base; got != 2 {
+		t.Fatalf("%d chunks parked, want 2", got)
+	}
+	r.Reset()
+	if got := outstanding() - base; got != 0 {
+		t.Errorf("after Reset with two chunks parked: %d tensors not returned to the pool", got)
+	}
+
+	if err := openRound().Deliver(chunk(0, 7, 2)); err == nil {
+		t.Error("chunk for bucket 7 of 1 accepted")
+	}
+	if got := outstanding() - base; got != 0 {
+		t.Errorf("after a chunk for an unknown bucket: %d tensors not returned to the pool", got)
+	}
+
+	r = openRound()
+	if err := r.Ready(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Deliver(chunk(0, 0, 3)); err == nil {
+		t.Error("3-element chunk accepted for a 2-element range")
+	}
+	if got := outstanding() - base; got != 0 {
+		t.Errorf("after a chunk of the wrong size: %d tensors not returned to the pool", got)
+	}
+}

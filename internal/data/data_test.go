@@ -219,7 +219,6 @@ func TestCSVTrainsEndToEnd(t *testing.T) {
 			b := ds.Batch(i)
 			y, ctx := model.Forward(b.X, true)
 			_, grad := nn.SoftmaxCrossEntropy(y, b.Labels)
-			nn.ZeroGrads(model.Grads())
 			model.Backward(ctx, grad)
 			opt.Step(model.Params(), model.Grads())
 		}

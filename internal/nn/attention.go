@@ -114,6 +114,7 @@ func (a *SelfAttention) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Te
 	if gradOut.Size() != b*T*H {
 		panic(fmt.Sprintf("nn: %s backward grad %v, want [%d,%d,%d]", a.name, gradOut.Shape, b, T, H))
 	}
+	zero(a.GWq, a.GWk, a.GWv, a.GWo) // summed over the samples below
 	gradIn := tensor.GetRaw(b, T, H) // every sample's block is written below
 	scale := float32(1 / math.Sqrt(float64(H)))
 	for n := 0; n < b; n++ {
@@ -324,6 +325,7 @@ func (a *MultiHeadAttention) Backward(ctx Context, gradOut *tensor.Tensor) *tens
 	}
 	dh := H / a.Heads
 	scale := float32(1 / math.Sqrt(float64(dh)))
+	zero(a.GWq, a.GWk, a.GWv, a.GWo) // summed over the samples below
 	gradIn := tensor.GetRaw(b, T, H) // every sample's block is written below
 	for n := 0; n < b; n++ {
 		xn := tensor.FromSlice(c.x.Data[n*T*H:(n+1)*T*H], T, H)

@@ -93,8 +93,8 @@ func (c *Conv2D) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	cols := tensor.Im2ColInto(tensor.GetRaw(b*oh*ow, c.W.Dim(0)), x, c.Geom)
-	addMatMulTransA(c.GW, cols, gflat)
-	addSumRows(c.GB, gflat)
+	tensor.MatMulTransAInto(c.GW, cols, gflat)
+	tensor.SumRowsInto(c.GB, gflat)
 	tensor.MatMulTransBInto(cols, gflat, c.W) // gflat · Wᵀ = [B*OH*OW, fanIn], over the panel: GW has it
 	tensor.Put(gflat)
 	gradIn := tensor.Col2ImInto(tensor.Get(b, c.Geom.InC, c.Geom.InH, c.Geom.InW), cols, c.Geom)

@@ -64,8 +64,8 @@ func (d *Dense) forwardFused(x *tensor.Tensor, a *tensor.Arena, act tensor.Activ
 // Backward implements Layer.
 func (d *Dense) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	x := ctx.(*tensor.Tensor)
-	addMatMulTransA(d.GW, x, gradOut)
-	addSumRows(d.GB, gradOut)
+	tensor.MatMulTransAInto(d.GW, x, gradOut) // xᵀ · gradOut
+	tensor.SumRowsInto(d.GB, gradOut)
 	gradIn := tensor.GetRaw(gradOut.Dim(0), d.W.Dim(0))
 	return tensor.MatMulTransBInto(gradIn, gradOut, d.W) // gradOut · Wᵀ
 }

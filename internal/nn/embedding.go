@@ -73,6 +73,7 @@ func (e *Embedding) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor
 	if gradOut.Size() != x.Size()*e.Dim {
 		panic(fmt.Sprintf("nn: %s backward grad %v for %d ids", e.name, gradOut.Shape, x.Size()))
 	}
+	e.GW.Zero() // a row's gradient is the sum over the tokens that hit it
 	for i, v := range x.Data {
 		id := int(v) // validated by Forward
 		dst := e.GW.Data[id*e.Dim : (id+1)*e.Dim]

@@ -41,7 +41,6 @@ func checkLayerGradients(t *testing.T, layer Layer, x *tensor.Tensor, tol float6
 	rng := rand.New(rand.NewSource(99))
 	y, ctx := layer.Forward(x, false)
 	proj := newProjector(rng, y.Size())
-	ZeroGrads(layer.Grads())
 	gradIn := layer.Backward(ctx, proj.grad(y.Shape))
 
 	const h = 1e-2
@@ -154,7 +153,6 @@ func TestEmbeddingGradients(t *testing.T) {
 	x := tensor.FromSlice([]float32{0, 3, 6, 2}, 2, 2)
 	y, ctx := layer.Forward(x, false)
 	proj := newProjector(rng, y.Size())
-	ZeroGrads(layer.Grads())
 	layer.Backward(ctx, proj.grad(y.Shape))
 	// Finite differences on the embedding table.
 	const h = 1e-2
@@ -237,7 +235,6 @@ func TestSequentialGradients(t *testing.T) {
 	x := tensor.Randn(rng, 1, 2, 4)
 	y, ctx := model.Forward(x, false)
 	proj := newProjector(rng, y.Size())
-	model.ZeroGrads()
 	gradIn := model.Backward(ctx, proj.grad(y.Shape))
 
 	const h = 1e-2

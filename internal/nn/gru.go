@@ -151,6 +151,7 @@ func (g *GRU) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	if gradOut.NumDims() != 3 || gradOut.Dim(0) != b || gradOut.Dim(1) != T || gradOut.Dim(2) != H {
 		panic(fmt.Sprintf("nn: %s backward grad %v, want [%d,%d,%d]", g.name, gradOut.Shape, b, T, H))
 	}
+	zero(g.GWx, g.GWh, g.GB)            // summed over the T steps below
 	gradIn := tensor.GetRaw(b, T, g.In) // every row is copied into below
 	dhNext := tensor.Get(b, H)
 	dhPrev := tensor.Get(b, H)

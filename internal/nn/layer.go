@@ -21,9 +21,12 @@ type Context interface{}
 
 // Layer is a differentiable operator with (possibly empty) parameters.
 //
-// Backward must accumulate parameter gradients into the tensors returned by
-// Grads (callers zero them between optimizer steps) and return the gradient
-// with respect to the layer input.
+// Backward must set the tensors returned by Grads to this minibatch's
+// parameter gradients — every element, whatever they held: callers do not
+// zero them, and one that wants a sum over several backward passes keeps
+// it itself — and return the gradient with respect to the layer input.
+// Until its next Backward the gradients are the caller's to read or to
+// rewrite in place (the ring all-reduce averages them where they lie).
 //
 // Tensor ownership. A layer takes the tensors it returns from the tensor
 // pool (tensor.GetRaw when it writes every element, tensor.Get when it
@@ -54,12 +57,12 @@ type Layer interface {
 	// Forward computes the layer output for one minibatch. train enables
 	// training-only behaviour such as dropout.
 	Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context)
-	// Backward computes input gradients and accumulates parameter
-	// gradients, given the context returned by the matching Forward.
+	// Backward computes input gradients and sets parameter gradients,
+	// given the context returned by the matching Forward.
 	Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor
 	// Params returns the parameter tensors (shared, not copies).
 	Params() []*tensor.Tensor
-	// Grads returns the gradient accumulators, aligned with Params.
+	// Grads returns the gradient tensors, aligned with Params.
 	Grads() []*tensor.Tensor
 }
 
@@ -124,7 +127,7 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *Seq
 	return x, ctx
 }
 
-// Backward runs all layers in reverse, accumulating parameter gradients.
+// Backward runs all layers in reverse, setting parameter gradients.
 func (s *Sequential) Backward(ctx *SeqContext, gradOut *tensor.Tensor) *tensor.Tensor {
 	return s.BackwardWithHook(ctx, gradOut, nil)
 }
@@ -187,7 +190,7 @@ func (s *Sequential) Params() []*tensor.Tensor {
 	return out
 }
 
-// Grads returns all gradient accumulators of all layers.
+// Grads returns the gradient tensors of all layers.
 func (s *Sequential) Grads() []*tensor.Tensor {
 	var out []*tensor.Tensor
 	for _, l := range s.Layers {
@@ -196,20 +199,13 @@ func (s *Sequential) Grads() []*tensor.Tensor {
 	return out
 }
 
-// ZeroGrads clears all gradient accumulators.
-func (s *Sequential) ZeroGrads() { ZeroGrads(s.Grads()) }
+// ZeroGrads clears all gradients. Nothing requires it: Backward sets them.
+func (s *Sequential) ZeroGrads() { zero(s.Grads()...) }
 
 // Slice returns a Sequential over layers [lo, hi) sharing the same layer
 // values — used to split a model into pipeline stages.
 func (s *Sequential) Slice(lo, hi int) *Sequential {
 	return &Sequential{Layers: s.Layers[lo:hi]}
-}
-
-// ZeroGrads clears each gradient tensor.
-func ZeroGrads(grads []*tensor.Tensor) {
-	for _, g := range grads {
-		g.Zero()
-	}
 }
 
 // SnapshotParams deep-copies params: a weight version as a copy, for the

@@ -175,6 +175,7 @@ func (l *LSTM) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	if gradOut.NumDims() != 3 || gradOut.Dim(0) != b || gradOut.Dim(1) != T || gradOut.Dim(2) != H {
 		panic(fmt.Sprintf("nn: %s backward grad %v, want [%d,%d,%d]", l.name, gradOut.Shape, b, T, H))
 	}
+	zero(l.GWx, l.GWh, l.GB)            // summed over the T steps below
 	gradIn := tensor.GetRaw(b, T, l.In) // every row is copied into below
 	// All per-step scratch is pooled and recycled across the T steps:
 	// dcPrev/dcNext double-buffer (every element is overwritten each

@@ -298,7 +298,6 @@ func TestMLPLearnsSeparableData(t *testing.T) {
 		}
 		y, ctx := model.Forward(x, true)
 		_, grad := SoftmaxCrossEntropy(y, labels)
-		model.ZeroGrads()
 		model.Backward(ctx, grad)
 		opt.Step(model.Params(), model.Grads())
 	}

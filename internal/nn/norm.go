@@ -102,6 +102,7 @@ func (l *LayerNorm) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor
 	if gradOut.Size() != b*d {
 		panic(fmt.Sprintf("nn: %s backward grad %v, want [%d,%d]", l.name, gradOut.Shape, b, d))
 	}
+	zero(l.GG, l.GB)            // summed over the rows below
 	grad := tensor.GetRaw(b, d) // every element is written below
 	for n := 0; n < b; n++ {
 		gRow := gradOut.Data[n*d : (n+1)*d]

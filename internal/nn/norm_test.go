@@ -202,7 +202,6 @@ func TestGRULearnsCopyTask(t *testing.T) {
 		}
 		y, ctx := model.Forward(x, true)
 		_, grad := SoftmaxCrossEntropy(y, labels)
-		ZeroGrads(model.Grads())
 		model.Backward(ctx, grad)
 		opt.Step(model.Params(), model.Grads())
 	}
@@ -281,7 +280,6 @@ func TestAttentionLearnsCopyTask(t *testing.T) {
 		}
 		y, ctx := model.Forward(x, true)
 		_, grad := SoftmaxCrossEntropy(y, labels)
-		ZeroGrads(model.Grads())
 		model.Backward(ctx, grad)
 		opt.Step(model.Params(), model.Grads())
 	}

@@ -131,7 +131,6 @@ func TestSequentialReleasesEachTensorOnce(t *testing.T) {
 				if !tensor.SharesStorage(y, x) {
 					tensor.Put(y)
 				}
-				seq.ZeroGrads()
 			}
 			// The dropout mask of "identity-middle" is drawn per forward:
 			// give every step the reference's draw.

@@ -65,7 +65,6 @@ func trainParentLossRun(task *cliconf.Task) parentLossRun {
 		b := task.Train.Batch(i)
 		y, ctx := model.Forward(b.X, true)
 		loss, grad := nn.SoftmaxCrossEntropy(y, b.Labels)
-		model.ZeroGrads()
 		model.Backward(ctx, grad)
 		opt.Step(model.Params(), model.Grads())
 		run.Losses = append(run.Losses, math.Float32bits(float32(loss)))

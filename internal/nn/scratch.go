@@ -2,12 +2,19 @@ package nn
 
 import "pipedream/internal/tensor"
 
-// Pooled-scratch helpers for the gradient-accumulation pattern
-// `dst.Add(MatMul*(a, b))` that dominates backward passes: the product
-// lands in a pooled buffer instead of a fresh allocation, so
-// steady-state training reuses the same few arenas every minibatch.
-// The …Into kernels overwrite every element, so their scratch is taken
-// unzeroed; SumRowsInto accumulates and needs the zeroed Get.
+// Backward sets parameter gradients. A gradient that is one product is
+// written where it lives (Dense, Conv2D); a layer that sums one term per
+// time step, sample or token clears its gradients first (zero) and adds
+// each term with the helpers below: the term lands in pooled scratch —
+// unzeroed, every …Into kernel overwrites its destination — and is added
+// on, so terms are summed in the order they are computed.
+
+// zero clears gradients.
+func zero(grads ...*tensor.Tensor) {
+	for _, g := range grads {
+		g.Zero()
+	}
+}
 
 // addMatMulTransA accumulates Aᵀ·B into dst using pooled scratch.
 func addMatMulTransA(dst, a, b *tensor.Tensor) {
@@ -25,11 +32,10 @@ func addMatMulTransB(dst, a, b *tensor.Tensor) {
 	tensor.Put(tmp)
 }
 
-// addSumRows accumulates the column-wise sums of a into dst (a bias
-// gradient) via pooled scratch, preserving the accumulation order of
-// the dst.Add(SumRows(a)) form it replaces.
+// addSumRows accumulates the column-wise sums of a into dst (one term
+// of a bias gradient) using pooled scratch.
 func addSumRows(dst, a *tensor.Tensor) {
-	tmp := tensor.Get(dst.Shape...)
+	tmp := tensor.GetRaw(dst.Shape...)
 	tensor.SumRowsInto(tmp, a)
 	dst.Add(tmp)
 	tensor.Put(tmp)

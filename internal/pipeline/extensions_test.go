@@ -91,12 +91,13 @@ func TestGradAccumulationMatchesLargeBatchReference(t *testing.T) {
 	refOpt := nn.NewSGD(0.1, 0, 0)
 	for mb := 0; mb < 12; mb += accum {
 		acc := nn.SnapshotParams(ref.Grads())
-		nn.ZeroGrads(acc)
+		for _, a := range acc {
+			a.Zero()
+		}
 		for k := 0; k < accum; k++ {
 			b := ds.Batch(mb + k)
 			y, ctx := ref.Forward(b.X, true)
 			_, grad := nn.SoftmaxCrossEntropy(y, b.Labels)
-			ref.ZeroGrads()
 			ref.Backward(ctx, grad)
 			for gi, g := range ref.Grads() {
 				acc[gi].Add(g)

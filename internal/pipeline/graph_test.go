@@ -86,7 +86,6 @@ func TestBranchGraphPipelineMatchesReference(t *testing.T) {
 					gout.Add(pend[s][src])
 				}
 			}
-			refStages[s].ZeroGrads()
 			gin := refStages[s].Backward(ctxs[s], gout)
 			refOpts[s].Step(refStages[s].Params(), refStages[s].Grads())
 			for _, p := range g.Preds(s) {

@@ -95,7 +95,6 @@ func checkPipelineMatchesSequential(t *testing.T, stages, depth int) {
 		y, ctx := ref.Forward(b.X, true)
 		loss, grad := nn.SoftmaxCrossEntropy(y, b.Labels)
 		refLosses = append(refLosses, loss)
-		ref.ZeroGrads()
 		ref.Backward(ctx, grad)
 		refOpt.Step(ref.Params(), ref.Grads())
 	}
@@ -257,7 +256,6 @@ func TestVerticalSyncMatchesSequentialAtDepthOne(t *testing.T) {
 		y, ctx := ref.Forward(b.X, true)
 		loss, grad := nn.SoftmaxCrossEntropy(y, b.Labels)
 		refLosses = append(refLosses, loss)
-		ref.ZeroGrads()
 		ref.Backward(ctx, grad)
 		refOpt.Step(ref.Params(), ref.Grads())
 	}

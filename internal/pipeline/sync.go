@@ -119,10 +119,7 @@ func (sw *stageWorker) applyUpdate() {
 		}
 		sw.accumCount++
 		if sw.accumCount >= n {
-			inv := float32(1) / float32(sw.accumCount)
-			for i := range sw.accum {
-				sw.accum[i] *= inv
-			}
+			tensor.ScaleInto(sw.accum, sw.accum, float32(1)/float32(sw.accumCount))
 			sw.weights.step(sw.opt, sw.accumViews, sw.reflected())
 			sw.accumCount = 0
 		}
@@ -181,7 +178,7 @@ func (sw *stageWorker) exchangeGradients(mb int, ab *runAbort) error {
 	// own contribution is the arena itself and the sum ends up there; two
 	// or more terms before it (a third replica at the earliest) are summed
 	// in pooled scratch. The sum starts from its first term, not from
-	// zeros: no accumulated gradient is −0, so 0 + x is x, bit for bit.
+	// zeros: no gradient Backward writes is −0, so 0 + x is x, bit for bit.
 	contribs := sw.gradExch[round]
 	delete(sw.gradExch, round)
 	var acc []float32
@@ -217,10 +214,7 @@ func (sw *stageWorker) exchangeGradients(mb int, ab *runAbort) error {
 	for _, c := range contribs {
 		tensor.Put(c)
 	}
-	inv := float32(1) / float32(participants)
-	for i := range sw.gradArena {
-		sw.gradArena[i] *= inv
-	}
+	tensor.ScaleInto(sw.gradArena, sw.gradArena, float32(1)/float32(participants))
 	return nil
 }
 

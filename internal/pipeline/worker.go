@@ -445,7 +445,6 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 		m.Tensor = sw.sumPendingGrads(m.Minibatch)
 	}
 	delete(sw.stash, m.Minibatch)
-	clear(sw.gradArena)
 
 	// Ring mode opens the all-reduce round before backward runs so that
 	// tail buckets start reducing from the overlap hook while earlier

@@ -188,7 +188,6 @@ func Measure(model *nn.Sequential, name string, ds data.Dataset, numBatches int)
 			}
 		}
 		tensor.Put(grad)
-		nn.ZeroGrads(model.Grads())
 	}
 	inv := 1 / float64(numBatches)
 	for i := range prof.Layers {

@@ -100,22 +100,22 @@ func TrainBSP(cfg Config, workers int) (*Curve, error) {
 		steps := 0
 		for i := 0; i+workers <= perEpoch; i += workers {
 			acc := nn.SnapshotParams(model.Grads())
-			nn.ZeroGrads(acc)
+			for _, a := range acc {
+				a.Zero()
+			}
 			for w := 0; w < workers; w++ {
 				b := cfg.Train.Batch(mb)
 				mb++
 				y, ctx := model.Forward(b.X, true)
 				loss, grad := cfg.Loss(y, b.Labels)
 				lossSum += loss
-				nn.ZeroGrads(model.Grads())
 				model.Backward(ctx, grad)
 				for gi, g := range model.Grads() {
 					acc[gi].Add(g)
 				}
 			}
 			for gi, g := range model.Grads() {
-				g.CopyFrom(acc[gi])
-				g.Scale(1 / float32(workers))
+				tensor.ScaleInto(g.Data, acc[gi].Data, 1/float32(workers))
 			}
 			opt.Step(model.Params(), model.Grads())
 			steps += workers
@@ -161,7 +161,6 @@ func TrainASP(cfg Config, workers int) (*Curve, error) {
 			y, ctx := model.Forward(b.X, true)
 			loss, grad := cfg.Loss(y, b.Labels)
 			lossSum += loss
-			nn.ZeroGrads(model.Grads())
 			model.Backward(ctx, grad)
 			if restore != nil {
 				nn.RestoreParams(params, restore)

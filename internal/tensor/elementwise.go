@@ -14,10 +14,10 @@ import (
 // below (the *Go functions, which take the index to start from) are the
 // specification: per element, the float32 operations as written,
 // separately rounded. Elements are independent, so a vector kernel (the
-// *Vec functions; AVX2 assembly on amd64 for the four that carry a
-// training step's time — ReLU, its backward mask, Add and AddScaled —
-// absent elsewhere) takes the leading elements it can and reports how
-// many, and the portable loop computes the rest. Both give the same
+// *Vec functions; AVX2 assembly on amd64 for those that carry a training
+// step's time — ReLU, its backward mask, Add, AddScaled, AddScale and
+// Scale — absent elsewhere) takes the leading elements it can and reports
+// how many, and the portable loop computes the rest. Both give the same
 // bits for every input, NaN, ±0, ±Inf and denormals included, so which
 // one ran is unobservable.
 //
@@ -142,6 +142,34 @@ func addScaledGo(dst, a []float32, s float32, b []float32, i0 int) {
 	dst, b = dst[:len(a)], b[:len(a)]
 	for i := i0; i < len(a); i++ {
 		dst[i] = a[i] + s*b[i]
+	}
+}
+
+// AddScaleInto writes (a[i] + b[i])·s to dst[i], the sum rounded before
+// the product: AddInto then ScaleInto, in one pass over the operands.
+func AddScaleInto(dst, a, b []float32, s float32) {
+	checkElementwise("addscale", dst, a)
+	checkElementwise("addscale", dst, b)
+	addScaleGo(dst, a, b, s, addScaleVec(dst, a, b, s))
+}
+
+func addScaleGo(dst, a, b []float32, s float32, i0 int) {
+	dst, b = dst[:len(a)], b[:len(a)]
+	for i := i0; i < len(a); i++ {
+		dst[i] = (a[i] + b[i]) * s
+	}
+}
+
+// ScaleInto writes src[i]·s to dst[i].
+func ScaleInto(dst, src []float32, s float32) {
+	checkElementwise("scale", dst, src)
+	scaleGo(dst, src, s, addScaleVec(dst, src, nil, s))
+}
+
+func scaleGo(dst, src []float32, s float32, i0 int) {
+	dst = dst[:len(src)]
+	for i := i0; i < len(src); i++ {
+		dst[i] = src[i] * s
 	}
 }
 

@@ -18,8 +18,8 @@ func exactBits(t *testing.T, label string, got, want []float32) {
 	}
 }
 
-// checkElementwiseBitEqual runs the four vectorised elementwise kernels
-// on n-element operands through their public entry points — out of
+// checkElementwiseBitEqual runs the vectorised elementwise kernels on
+// n-element operands through their public entry points — out of
 // place into garbage, and in place over their first source — and
 // through the portable loops, and demands equal bits. Operands start an
 // odd number of elements into their allocation; odd seeds salt them
@@ -77,6 +77,29 @@ func checkElementwiseBitEqual(t *testing.T, seed int64, n int) {
 	AddScaledInto(got.Data, a.Data, s, b.Data)
 	same("AddScaledInto", got)
 	same("Tensor.AddScaled", inPlace(a).AddScaled(s, b))
+
+	// AddScaleInto is AddInto and then a scalar multiply, in one pass:
+	// the two-pass form is the reference, the portable loop must give
+	// its bits and the kernel the portable loop's.
+	AddInto(want.Data, a.Data, b.Data)
+	for i := range want.Data {
+		want.Data[i] *= s
+	}
+	got = unalignedTensor(rng, 0, n)
+	addScaleGo(got.Data, a.Data, b.Data, s, 0)
+	same("addScaleGo", got)
+	got = unalignedTensor(rng, 0, n)
+	AddScaleInto(got.Data, a.Data, b.Data, s)
+	same("AddScaleInto", got)
+	got = inPlace(a)
+	AddScaleInto(got.Data, got.Data, b.Data, s)
+	same("AddScaleInto in place", got)
+
+	scaleGo(want.Data, a.Data, s, 0)
+	got = unalignedTensor(rng, 0, n)
+	ScaleInto(got.Data, a.Data, s)
+	same("ScaleInto", got)
+	same("Tensor.Scale", inPlace(a).Scale(s))
 }
 
 // elementwiseBenchSizes are the operand lengths the benchmark's
@@ -145,6 +168,8 @@ func TestElementwiseRejectsPartialOverlap(t *testing.T) {
 		"AddInto dst/a":       func() { AddInto(buf[1:33], buf[0:32], other) },
 		"AddInto dst/b":       func() { AddInto(buf[0:32], other, buf[8:40]) },
 		"AddScaledInto":       func() { AddScaledInto(buf[4:36], other, 2, buf[0:32]) },
+		"AddScaleInto":        func() { AddScaleInto(buf[4:36], other, buf[0:32], 2) },
+		"ScaleInto":           func() { ScaleInto(buf[1:33], buf[0:32], 2) },
 		"Activate":            func() { Activate(buf[0:32], buf[1:33], ActReLU) },
 		"ReLUBackward":        func() { ReLUBackward(buf[0:32], other, buf[2:34]) },
 		"MulInto":             func() { MulInto(buf[3:35], buf[0:32], other) },
@@ -187,4 +212,10 @@ func BenchmarkAdd1MB(b *testing.B) {
 
 func BenchmarkAddScaled1MB(b *testing.B) {
 	benchmarkElementwise(b, elementwiseBenchSizes[0], func(dst, x, _ []float32) { AddScaledInto(dst, dst, 0.5, x) })
+}
+
+// The last reduce-scatter step of train-replicated's ring, on its
+// half-bucket chunk.
+func BenchmarkAddScaleRingChunk(b *testing.B) {
+	benchmarkElementwise(b, elementwiseBenchSizes[2], func(dst, x, _ []float32) { AddScaleInto(dst, dst, x, 0.5) })
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -88,21 +89,25 @@ func TestMatMulBiasActConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSumRowsInto checks the accumulate-into form against SumRows.
+// TestSumRowsInto checks SumRowsInto against its definition — each
+// column summed from +0 down the rows — and that it overwrites whatever
+// dst held: a second call gives the sum again, not twice it.
 func TestSumRowsInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := Randn(rng, 1, 5, 8)
-	want := SumRows(a)
-	dst := Get(8)
-	SumRowsInto(dst, a)
-	if !dst.AllClose(want, 0) {
-		t.Fatalf("SumRowsInto = %v, want %v", dst, want)
+	want := New(8)
+	for i := 0; i < 5; i++ {
+		for j := 0; j < 8; j++ {
+			want.Data[j] += a.At(i, j)
+		}
 	}
-	// Accumulating form: second call doubles.
-	SumRowsInto(dst, a)
-	want.Scale(2)
-	if !dst.AllClose(want, 1e-6) {
-		t.Fatalf("SumRowsInto accumulate = %v, want %v", dst, want)
+	dst := GetRaw(8)
+	dst.Fill(float32(math.NaN()))
+	for call := 0; call < 2; call++ {
+		SumRowsInto(dst, a)
+		if err := sameBits(dst, want); err != nil {
+			t.Fatalf("SumRowsInto call %d: %v", call, err)
+		}
 	}
 	Put(dst)
 }

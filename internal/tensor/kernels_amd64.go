@@ -104,6 +104,9 @@ func addAVX2(dst, a, b *float32, n int)
 //go:noescape
 func addScaledAVX2(dst, a, b *float32, s float32, n int)
 
+//go:noescape
+func addScaleAVX2(dst, a, b *float32, s float32, n int)
+
 // vectorElems is how many leading elements of an n-element operand the
 // elementwise kernels take.
 func vectorElems(n int) int {
@@ -141,6 +144,19 @@ func addScaledVec(dst, a []float32, s float32, b []float32) int {
 	n := vectorElems(len(a))
 	if n > 0 {
 		addScaledAVX2(&dst[0], &a[0], &b[0], s, n)
+	}
+	return n
+}
+
+// addScaleVec serves AddScaleInto and, with a nil b, ScaleInto.
+func addScaleVec(dst, a, b []float32, s float32) int {
+	n := vectorElems(len(a))
+	if n > 0 {
+		var bp *float32
+		if b != nil {
+			bp = &b[0]
+		}
+		addScaleAVX2(&dst[0], &a[0], bp, s, n)
 	}
 	return n
 }

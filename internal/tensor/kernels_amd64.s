@@ -746,6 +746,66 @@ axpydone:
 	VZEROUPPER
 	RET
 
+// func addScaleAVX2(dst, a, b *float32, s float32, n int)
+// dst[i] = (a[i] + b[i])·s: VADDPS then VMULPS, each rounded, as the
+// portable loop's separate add and multiply are. b nil: dst[i] = a[i]·s.
+TEXT ·addScaleAVX2(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         a+8(FP), SI
+	MOVQ         b+16(FP), DX
+	VBROADCASTSS s+24(FP), Y15
+	MOVQ         n+32(FP), CX
+
+ascale32:
+	CMPQ    CX, $32
+	JLT     ascale8
+	VMOVUPS 0(SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	TESTQ   DX, DX
+	JZ      ascalemul32
+	VADDPS  0(DX), Y0, Y0
+	VADDPS  32(DX), Y1, Y1
+	VADDPS  64(DX), Y2, Y2
+	VADDPS  96(DX), Y3, Y3
+	ADDQ    $128, DX
+
+ascalemul32:
+	VMULPS  Y15, Y0, Y0
+	VMULPS  Y15, Y1, Y1
+	VMULPS  Y15, Y2, Y2
+	VMULPS  Y15, Y3, Y3
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $32, CX
+	JMP     ascale32
+
+ascale8:
+	TESTQ   CX, CX
+	JZ      ascaledone
+	VMOVUPS (SI), Y0
+	TESTQ   DX, DX
+	JZ      ascalemul8
+	VADDPS  (DX), Y0, Y0
+	ADDQ    $32, DX
+
+ascalemul8:
+	VMULPS  Y15, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JMP     ascale8
+
+ascaledone:
+	VZEROUPPER
+	RET
+
 // The convolution row kernel (conv.go). One call computes the leading
 // cols columns (a multiple of four) of one output row, vectorised along
 // the row: the eight, then four, adjacent outputs of a block read

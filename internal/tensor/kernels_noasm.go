@@ -20,3 +20,5 @@ func reluMaskVec(dst, gradOut, x []float32) int { return 0 }
 func addVec(dst, a, b []float32) int { return 0 }
 
 func addScaledVec(dst, a []float32, s float32, b []float32) int { return 0 }
+
+func addScaleVec(dst, a, b []float32, s float32) int { return 0 }

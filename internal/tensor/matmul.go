@@ -288,19 +288,9 @@ func AddRowVector(a, v *Tensor) *Tensor {
 	return a
 }
 
-// SumRows returns the column-wise sum of a [m,n] tensor as a length-n vector.
-func SumRows(a *Tensor) *Tensor {
-	if a.NumDims() != 2 {
-		panic(fmt.Sprintf("tensor: sumRows needs a 2-d tensor, got %v", a.Shape))
-	}
-	out := New(a.Shape[1])
-	return SumRowsInto(out, a)
-}
-
-// SumRowsInto accumulates the column-wise sum of a [m,n] tensor into
-// dst, a length-n vector that the caller has zeroed (or wants the sum
-// added onto). Returns dst. The allocation-free form of SumRows for
-// backward passes that fold the result straight into a bias gradient.
+// SumRowsInto writes the column-wise sum of a [m,n] tensor to dst, a
+// length-n vector, and returns dst. Like every …Into kernel it overwrites
+// dst: each element is summed from +0 down the rows.
 func SumRowsInto(dst, a *Tensor) *Tensor {
 	if a.NumDims() != 2 {
 		panic(fmt.Sprintf("tensor: sumRows needs a 2-d tensor, got %v", a.Shape))
@@ -310,6 +300,7 @@ func SumRowsInto(dst, a *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: sumRowsInto dst %v, want %d elements", dst.Shape, n))
 	}
 	dd := dst.Data
+	clear(dd)
 	for i := 0; i < m; i++ {
 		row := a.Data[i*n : (i+1)*n]
 		for j, v := range row {

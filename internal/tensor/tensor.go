@@ -156,11 +156,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 }
 
 // Zero sets all elements to zero.
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
+func (t *Tensor) Zero() { clear(t.Data) }
 
 // Fill sets all elements to v.
 func (t *Tensor) Fill(v float32) {
@@ -215,9 +211,7 @@ func (t *Tensor) Mul(o *Tensor) *Tensor {
 
 // Scale multiplies every element by s.
 func (t *Tensor) Scale(s float32) *Tensor {
-	for i := range t.Data {
-		t.Data[i] *= s
-	}
+	ScaleInto(t.Data, t.Data, s)
 	return t
 }
 

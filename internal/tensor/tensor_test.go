@@ -260,9 +260,9 @@ func TestAddRowVectorAndSumRows(t *testing.T) {
 			t.Fatalf("AddRowVector[%d] = %v, want %v", i, a.Data[i], w)
 		}
 	}
-	s := SumRows(a)
+	s := SumRowsInto(New(2), a)
 	if s.Data[0] != 24 || s.Data[1] != 46 {
-		t.Fatalf("SumRows = %v", s.Data)
+		t.Fatalf("SumRowsInto = %v", s.Data)
 	}
 }
 
