@@ -93,10 +93,6 @@ type Sigmoid struct{ name string }
 // NewSigmoid creates a Sigmoid layer.
 func NewSigmoid(name string) *Sigmoid { return &Sigmoid{name: name} }
 
-// sigmoid delegates to the canonical kernel so recurrent gates and the
-// fused epilogue round identically.
-func sigmoid(v float32) float32 { return tensor.Sigmoid32(v) }
-
 // Name implements Layer.
 func (s *Sigmoid) Name() string { return s.name }
 

@@ -83,23 +83,10 @@ func (g *GRU) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
 		tensor.MatMulInto(zx, xt, g.Wx) // [B, 3H]
 		tensor.MatMulInto(zh, hPrev, g.Wh)
 		for n := 0; n < b; n++ {
-			xr := zx.Data[n*3*H:]
-			hrw := zh.Data[n*3*H:]
-			gr := cc.gates.Data[(t*b+n)*3*H:]
-			hcRow := cc.hr.Data[(t*b+n)*H:]
-			hNewRow := cc.hs.Data[((t+1)*b+n)*H:]
-			outRow := out.Data[(n*T+t)*H:]
-			for j := 0; j < H; j++ {
-				r := sigmoid(xr[j] + hrw[j] + g.B.Data[j])
-				z := sigmoid(xr[H+j] + hrw[H+j] + g.B.Data[H+j])
-				hcand := hrw[2*H+j]
-				nv := tensor.Tanh32(xr[2*H+j] + r*hcand + g.B.Data[2*H+j])
-				gr[j], gr[H+j], gr[2*H+j] = r, z, nv
-				hcRow[j] = hcand
-				hv := (1-z)*nv + z*hPrevBlock[n*H+j]
-				hNewRow[j] = hv
-				outRow[j] = hv
-			}
+			hrw := zh.Data[n*3*H : (n+1)*3*H]
+			copy(cc.hr.Data[(t*b+n)*H:], hrw[2*H:])
+			gruCell(cc.gates.Data[(t*b+n)*3*H:], zx.Data[n*3*H:], hrw, g.B.Data,
+				hPrevBlock[n*H:], cc.hs.Data[((t+1)*b+n)*H:], out.Data[(n*T+t)*H:], H)
 		}
 	}
 	tensor.Put(zx)
@@ -107,9 +94,29 @@ func (g *GRU) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
 	return out, cc
 }
 
-// ForwardInfer implements InferLayer: the same recurrence with every
-// buffer drawn from the arena and no context retained; op order matches
-// Forward, so outputs are bit-identical.
+// gruCell is one row of one step. xr and hrw hold the 3H products x·Wx
+// and h·Wh, r|z|n; the activated gates go to gr (which may be xr
+// itself) and the new hidden state (1−z)·n + z·hPrev to both h (which
+// may be hPrev) and out.
+func gruCell(gr, xr, hrw, bias, hPrev, h, out []float32, H int) {
+	for j := 0; j < 2*H; j++ {
+		gr[j] = xr[j] + hrw[j] + bias[j]
+	}
+	tensor.Activate(gr[:2*H], gr[:2*H], tensor.ActSigmoid)
+	for j := 2 * H; j < 3*H; j++ {
+		gr[j] = xr[j] + gr[j-2*H]*hrw[j] + bias[j]
+	}
+	tensor.Activate(gr[2*H:3*H], gr[2*H:3*H], tensor.ActTanh)
+	for j := 0; j < H; j++ {
+		z := gr[H+j]
+		hv := (1-z)*gr[2*H+j] + z*hPrev[j]
+		h[j], out[j] = hv, hv
+	}
+}
+
+// ForwardInfer implements InferLayer: the same recurrence (gruCell)
+// with every buffer drawn from the arena and no context retained, so
+// outputs are bit-identical to Forward's.
 func (g *GRU) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 	if x.NumDims() != 3 || x.Dim(2) != g.In {
 		panic(fmt.Sprintf("nn: %s forward input %v, want [B,T,%d]", g.name, x.Shape, g.In))
@@ -127,17 +134,8 @@ func (g *GRU) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 		tensor.MatMulInto(zx, xt, g.Wx)
 		tensor.MatMulInto(zh, h, g.Wh)
 		for n := 0; n < b; n++ {
-			xr := zx.Data[n*3*H:]
-			hrw := zh.Data[n*3*H:]
-			hRow := h.Data[n*H:]
-			outRow := out.Data[(n*T+t)*H:]
-			for j := 0; j < H; j++ {
-				r := sigmoid(xr[j] + hrw[j] + g.B.Data[j])
-				z := sigmoid(xr[H+j] + hrw[H+j] + g.B.Data[H+j])
-				nv := tensor.Tanh32(xr[2*H+j] + r*hrw[2*H+j] + g.B.Data[2*H+j])
-				hRow[j] = (1-z)*nv + z*hRow[j]
-				outRow[j] = hRow[j]
-			}
+			xr, hRow := zx.Data[n*3*H:], h.Data[n*H:] // gates in place
+			gruCell(xr, xr, zh.Data[n*3*H:], g.B.Data, hRow, hRow, out.Data[(n*T+t)*H:], H)
 		}
 	}
 	return out

@@ -97,26 +97,9 @@ func (l *LSTM) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
 		z.Add(zh)
 		tensor.AddRowVector(z, l.B)
 		for n := 0; n < b; n++ {
-			zr := z.Data[n*4*H:]
-			gr := cc.gates.Data[(t*b+n)*4*H:]
-			cPrevRow := cc.cs.Data[(t*b+n)*H:]
-			cRow := cc.cs.Data[((t+1)*b+n)*H:]
-			tcRow := cc.tanhc.Data[(t*b+n)*H:]
-			hRow := cc.hs.Data[((t+1)*b+n)*H:]
-			outRow := out.Data[(n*T+t)*H:]
-			for j := 0; j < H; j++ {
-				iv := sigmoid(zr[j])
-				fv := sigmoid(zr[H+j])
-				gv := tensor.Tanh32(zr[2*H+j])
-				ov := sigmoid(zr[3*H+j])
-				cv := fv*cPrevRow[j] + iv*gv
-				tc := tensor.Tanh32(cv)
-				gr[j], gr[H+j], gr[2*H+j], gr[3*H+j] = iv, fv, gv, ov
-				cRow[j] = cv
-				tcRow[j] = tc
-				hRow[j] = ov * tc
-				outRow[j] = ov * tc
-			}
+			r, r1 := t*b+n, (t+1)*b+n
+			lstmCell(cc.gates.Data[r*4*H:], z.Data[n*4*H:], cc.cs.Data[r*H:], cc.cs.Data[r1*H:],
+				cc.tanhc.Data[r*H:], cc.hs.Data[r1*H:], out.Data[(n*T+t)*H:], H)
 		}
 	}
 	tensor.Put(z)
@@ -124,9 +107,27 @@ func (l *LSTM) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
 	return out, cc
 }
 
-// ForwardInfer implements InferLayer: the same recurrence with every
-// buffer drawn from the arena and no context retained. The op order
-// matches Forward exactly, so outputs are bit-identical.
+// lstmCell is one row of one step. zr holds the 4H pre-activations
+// i|f|g|o; the activated gates go to gr (which may be zr itself), the
+// new cell state to c (which may be cPrev), its tanh to tc, and the
+// hidden state o·tanh(c) to both h and out.
+func lstmCell(gr, zr, cPrev, c, tc, h, out []float32, H int) {
+	tensor.Activate(gr[:2*H], zr[:2*H], tensor.ActSigmoid)
+	tensor.Activate(gr[2*H:3*H], zr[2*H:3*H], tensor.ActTanh)
+	tensor.Activate(gr[3*H:4*H], zr[3*H:4*H], tensor.ActSigmoid)
+	for j := 0; j < H; j++ {
+		c[j] = gr[H+j]*cPrev[j] + gr[j]*gr[2*H+j]
+	}
+	tensor.Activate(tc[:H], c[:H], tensor.ActTanh)
+	for j := 0; j < H; j++ {
+		hv := gr[3*H+j] * tc[j]
+		h[j], out[j] = hv, hv
+	}
+}
+
+// ForwardInfer implements InferLayer: the same recurrence (lstmCell)
+// with every buffer drawn from the arena and no context retained, so
+// outputs are bit-identical to Forward's.
 func (l *LSTM) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 	if x.NumDims() != 3 || x.Dim(2) != l.In {
 		panic(fmt.Sprintf("nn: %s forward input %v, want [B,T,%d]", l.name, x.Shape, l.In))
@@ -147,21 +148,9 @@ func (l *LSTM) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 		z.Add(zh)
 		tensor.AddRowVector(z, l.B)
 		for n := 0; n < b; n++ {
-			zr := z.Data[n*4*H:]
-			hRow := h.Data[n*H:]
-			cRow := c.Data[n*H:]
-			outRow := out.Data[(n*T+t)*H:]
-			for j := 0; j < H; j++ {
-				iv := sigmoid(zr[j])
-				fv := sigmoid(zr[H+j])
-				gv := tensor.Tanh32(zr[2*H+j])
-				ov := sigmoid(zr[3*H+j])
-				cv := fv*cRow[j] + iv*gv
-				tc := tensor.Tanh32(cv)
-				cRow[j] = cv
-				hRow[j] = ov * tc
-				outRow[j] = ov * tc
-			}
+			// Gates in place; zh is spent once added into z and takes tanh(c).
+			zr, cRow := z.Data[n*4*H:], c.Data[n*H:]
+			lstmCell(zr, zr, cRow, cRow, zh.Data[n*H:], h.Data[n*H:], out.Data[(n*T+t)*H:], H)
 		}
 	}
 	return out

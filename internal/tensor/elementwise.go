@@ -15,11 +15,14 @@ import (
 // specification: per element, the float32 operations as written,
 // separately rounded. Elements are independent, so a vector kernel (the
 // *Vec functions; AVX2 assembly on amd64 for those that carry a training
-// step's time — ReLU, its backward mask, Add, AddScaled, AddScale and
-// Scale — absent elsewhere) takes the leading elements it can and reports
-// how many, and the portable loop computes the rest. Both give the same
-// bits for every input, NaN, ±0, ±Inf and denormals included, so which
-// one ran is unobservable.
+// step's time — ReLU, its backward mask, Add, AddScaled, AddScale, Scale,
+// tanh and sigmoid — absent elsewhere) takes the leading elements it can
+// and reports how many, and the portable loop computes the rest. Both
+// give the same bits for every input, NaN, ±0, ±Inf and denormals
+// included, so which one ran is unobservable. For tanh and sigmoid the
+// per-element definition is float64 library code (Tanh32 and Sigmoid32
+// in fused.go), and their vector bodies run only on a host where that
+// library code is the FMA sequence they mirror.
 //
 // Sources and dst must have equal lengths. dst may be one of the
 // sources itself (the same elements: the in-place forms Tensor.Add and
@@ -51,13 +54,9 @@ func Activate(dst, src []float32, act Activation) {
 	case ActReLU:
 		reluGo(dst, src, reluVec(dst, src))
 	case ActTanh:
-		for i, v := range src {
-			dst[i] = Tanh32(v)
-		}
+		tanhGo(dst, src, tanhVec(dst, src))
 	case ActSigmoid:
-		for i, v := range src {
-			dst[i] = Sigmoid32(v)
-		}
+		sigmoidGo(dst, src, sigmoidVec(dst, src))
 	default:
 		panic(fmt.Sprintf("tensor: unknown activation %d", int(act)))
 	}
@@ -73,6 +72,20 @@ func reluGo(dst, src []float32, i0 int) {
 			v = 0
 		}
 		dst[i] = v
+	}
+}
+
+func tanhGo(dst, src []float32, i0 int) {
+	dst = dst[:len(src)]
+	for i := i0; i < len(src); i++ {
+		dst[i] = Tanh32(src[i])
+	}
+}
+
+func sigmoidGo(dst, src []float32, i0 int) {
+	dst = dst[:len(src)]
+	for i := i0; i < len(src); i++ {
+		dst[i] = Sigmoid32(src[i])
 	}
 }
 

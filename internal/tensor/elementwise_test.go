@@ -1,8 +1,11 @@
 package tensor
 
 import (
+	"flag"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -57,6 +60,20 @@ func checkElementwiseBitEqual(t *testing.T, seed int64, n int) {
 	got = inPlace(a)
 	ApplyActivation(got.Data, ActReLU)
 	exactBits(t, "ApplyActivation(ReLU)", got.Data, want.Data)
+
+	for _, c := range []struct {
+		name     string
+		act      Activation
+		portable func(dst, src []float32, i0 int)
+	}{{"tanh", ActTanh, tanhGo}, {"sigmoid", ActSigmoid, sigmoidGo}} {
+		c.portable(want.Data, a.Data, 0)
+		got = unalignedTensor(rng, 0, n)
+		Activate(got.Data, a.Data, c.act)
+		exactBits(t, "Activate "+c.name, got.Data, want.Data)
+		got = inPlace(a)
+		ApplyActivation(got.Data, c.act)
+		exactBits(t, "ApplyActivation "+c.name, got.Data, want.Data)
+	}
 
 	reluMaskGo(want.Data, a.Data, b.Data, 0)
 	got = unalignedTensor(rng, 0, n)
@@ -127,6 +144,87 @@ func FuzzElementwiseKernelsBitEqual(f *testing.F) {
 		}
 		checkElementwiseBitEqual(t, seed, n)
 	})
+}
+
+var exhaustive = flag.Bool("tensor.exhaustive", false, "TestTanhSigmoidBitEqual sweeps all 2^32 float32 inputs, not every 251st")
+
+// checkActivationBits demands that Activate(tanh) and Activate(sigmoid)
+// return exactly the bits of Tanh32 and Sigmoid32 for every input in
+// src, NaN payloads included.
+func checkActivationBits(t *testing.T, src []float32) {
+	dst := make([]float32, len(src))
+	for _, c := range []struct {
+		name string
+		act  Activation
+		def  func(float32) float32
+	}{{"tanh", ActTanh, Tanh32}, {"sigmoid", ActSigmoid, Sigmoid32}} {
+		Activate(dst, src, c.act)
+		for i, v := range src {
+			if want := c.def(v); math.Float32bits(dst[i]) != math.Float32bits(want) {
+				t.Errorf("%s(%#08x = %g): Activate %#08x, definition %#08x", c.name, math.Float32bits(v), v, math.Float32bits(dst[i]), math.Float32bits(want))
+				break
+			}
+		}
+	}
+}
+
+// TestTanhSigmoidBitEqual holds whatever Activate selected on this host
+// for tanh and sigmoid to their scalar definitions: on every 251st
+// float32 bit pattern (all 2^32 with -tensor.exhaustive), sharded over
+// GOMAXPROCS, and on the inputs around which either the definitions or
+// the vector bodies branch, clamp or change exponent. The vector bodies
+// mirror the toolchain's archExp, so this is also the test that fails
+// if a toolchain bump moves a float32 result of math.Exp or math.Tanh.
+func TestTanhSigmoidBitEqual(t *testing.T) {
+	const block = 4096
+	stride := uint64(251)
+	if *exhaustive {
+		stride = 1
+	}
+	blocks := (1<<32 + block*stride - 1) / (block * stride)
+	shards := uint64(runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for w := uint64(0); w < shards; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src := make([]float32, 0, block)
+			for b := w; b < blocks && !t.Failed(); b += shards {
+				src = src[:0]
+				for p := b * block * stride; p < 1<<32 && len(src) < block; p += stride {
+					src = append(src, math.Float32frombits(uint32(p)))
+				}
+				checkActivationBits(t, src)
+			}
+		}()
+	}
+	wg.Wait()
+
+	// ±4096 ulps of: 0 (so ±0 and denormals), tanh's 0.625 and
+	// 0.5·MAXLOG, the ±128 the sigmoid body clamps at, 103.97 where
+	// sigmoid reaches +0, archExp's overflow (709.78), denormal (-708.4)
+	// and underflow (-745.13) arguments, ±Inf and the first NaNs; then
+	// both sides of every exponent boundary and 1,024 NaN payloads.
+	var src []float32
+	add := func(patterns ...uint32) {
+		for _, p := range patterns {
+			src = append(src, math.Float32frombits(p))
+		}
+	}
+	for _, v := range []float32{0, 0.625, 44.014845, 103.97208, 128, 708.3964, 709.7827, 745.1332, float32(math.Inf(1))} {
+		for d := -4096; d <= 4096; d++ {
+			p := (math.Float32bits(v) + uint32(d)) &^ (1 << 31)
+			add(p, p|1<<31)
+		}
+	}
+	for e := uint32(0); e < 512; e++ {
+		add(e<<23-1, e<<23, e<<23+1)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 1024; i++ {
+		add(0x7f800000 | rng.Uint32()&^0x7f800000 | uint32(i&1)<<22)
+	}
+	checkActivationBits(t, src)
 }
 
 // The pure-Go elementwise kernels against their definitions, out of
@@ -201,6 +299,22 @@ func benchmarkElementwise(b *testing.B, n int, run func(dst, x, y []float32)) {
 func BenchmarkReLU1MB(b *testing.B) {
 	benchmarkElementwise(b, elementwiseBenchSizes[0], func(dst, x, _ []float32) { Activate(dst, x, ActReLU) })
 }
+
+// benchmarkActivation times Activate over 64K inputs spread over
+// [-2, 2], so both arms of tanh are taken.
+func benchmarkActivation(b *testing.B, act Activation) {
+	rng := rand.New(rand.NewSource(1))
+	x, dst := unalignedTensor(rng, 0, 64*1024), unalignedTensor(rng, 0, 64*1024)
+	x.Scale(2)
+	b.SetBytes(int64(4 * x.Size()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Activate(dst.Data, x.Data, act)
+	}
+}
+
+func BenchmarkTanh64K(b *testing.B)    { benchmarkActivation(b, ActTanh) }
+func BenchmarkSigmoid64K(b *testing.B) { benchmarkActivation(b, ActSigmoid) }
 
 func BenchmarkReLUBackward1MB(b *testing.B) {
 	benchmarkElementwise(b, elementwiseBenchSizes[0], func(dst, x, y []float32) { ReLUBackward(dst, x, y) })

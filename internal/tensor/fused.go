@@ -36,12 +36,16 @@ const (
 
 // Sigmoid32 is the canonical float32 logistic used by every kernel and
 // layer in this codebase; sharing one definition keeps fused and
-// unfused paths bit-identical.
+// unfused paths bit-identical. It is the specification of
+// Activate(ActSigmoid): the vector body (sigmoidAVX2) returns these bits
+// for all 2³² inputs, which TestTanhSigmoidBitEqual sweeps.
 func Sigmoid32(v float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(v))))
 }
 
-// Tanh32 is the canonical float32 tanh (float64 math, rounded once).
+// Tanh32 is the canonical float32 tanh (float64 math, rounded once),
+// and the specification of Activate(ActTanh) as Sigmoid32 is of
+// Activate(ActSigmoid).
 func Tanh32(v float32) float32 {
 	return float32(math.Tanh(float64(v)))
 }

@@ -6,11 +6,13 @@ package tensor
 // kernels_amd64.s, and the portable loops finish the rest.
 
 // useAVX2 is decided once, from CPUID and XGETBV, when the package is
-// initialised; nothing else selects a kernel.
-var useAVX2 = hasAVX2()
+// initialised; nothing else selects a kernel. useFMA is AVX2 and FMA,
+// which implies math.Exp runs its FMA path: the condition under which
+// the tanh and sigmoid bodies return the bits of Tanh32 and Sigmoid32.
+var useAVX2, useFMA = cpuFeatures()
 
 //go:noescape
-func hasAVX2() bool
+func cpuFeatures() (avx2, fma bool)
 
 //go:noescape
 func rowPanelAVX2(c, a, b *float32, k, n, cols int)
@@ -158,5 +160,30 @@ func addScaleVec(dst, a, b []float32, s float32) int {
 		}
 		addScaleAVX2(&dst[0], &a[0], bp, s, n)
 	}
+	return n
+}
+
+//go:noescape
+func tanhAVX2(dst, src *float32, n int)
+
+//go:noescape
+func sigmoidAVX2(dst, src *float32, n int)
+
+// tanhVec and sigmoidVec take the leading multiple of four elements.
+func tanhVec(dst, src []float32) int {
+	n := len(src) &^ 3
+	if !useFMA || n == 0 {
+		return 0
+	}
+	tanhAVX2(&dst[0], &src[0], n)
+	return n
+}
+
+func sigmoidVec(dst, src []float32) int {
+	n := len(src) &^ 3
+	if !useFMA || n == 0 {
+		return 0
+	}
+	sigmoidAVX2(&dst[0], &src[0], n)
 	return n
 }

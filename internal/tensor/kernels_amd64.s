@@ -8,11 +8,13 @@
 // matmul.go, so every lane computes what the scalar code computes:
 // no FMA, no reassociation, bit-identical results.
 
-// func hasAVX2() bool
-// CPUID leaf 1 must report OSXSAVE and AVX, XCR0 must have the XMM and
-// YMM state enabled by the OS, and CPUID leaf 7 must report AVX2.
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
+// func cpuFeatures() (avx2, fma bool)
+// avx2: CPUID leaf 1 must report OSXSAVE and AVX, XCR0 must have the XMM
+// and YMM state enabled by the OS, and CPUID leaf 7 must report AVX2.
+// fma: all of that and CPUID leaf 1's FMA bit.
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+	MOVB $0, avx2+0(FP)
+	MOVB $0, fma+1(FP)
 	XORL AX, AX
 	CPUID
 	CMPL AX, $7
@@ -20,6 +22,7 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
+	MOVL CX, SI
 	ANDL $0x18000000, CX
 	CMPL CX, $0x18000000
 	JNE  probed
@@ -33,7 +36,10 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	CPUID
 	SHRL $5, BX
 	ANDL $1, BX
-	MOVB BX, ret+0(FP)
+	MOVB BX, avx2+0(FP)
+	SHRL $12, SI
+	ANDL BX, SI
+	MOVB SI, fma+1(FP)
 probed:
 	RET
 
@@ -803,6 +809,183 @@ ascalemul8:
 	JMP     ascale8
 
 ascaledone:
+	VZEROUPPER
+	RET
+
+// Vector tanh and sigmoid (Activate). Their specification is float64
+// code: float32(math.Tanh(float64(v))) and float32(1/(1+math.Exp(
+// -float64(v)))), and on a host with FMA math.Exp is the avxfma path of
+// the toolchain's exp_amd64.s (Shibata's SLEEF exp, written for SIMD
+// but with scalar ...SD instructions). EXP4 is that path with ...PD on
+// four float64 lanes, one instruction per instruction, fused where it
+// fuses: these two bodies are the only FMA in this file because their
+// specification is FMA code. They run only where math.Exp takes that
+// path (cpuFeatures' fma) and return its bits for every float32.
+
+DATA expc<>+0(SB)/8, $1.4426950408889634073599246810018920 // LOG2E
+DATA expc<>+8(SB)/8, $0.69314718055966295651160180568695068359375 // LN2U
+DATA expc<>+16(SB)/8, $0.28235290563031577122588448175013436025525412068e-12 // LN2L
+DATA expc<>+24(SB)/8, $0.0625
+DATA expc<>+32(SB)/8, $2.4801587301587301587e-5
+DATA expc<>+40(SB)/8, $1.9841269841269841270e-4
+DATA expc<>+48(SB)/8, $1.3888888888888888889e-3
+DATA expc<>+56(SB)/8, $8.3333333333333333333e-3
+DATA expc<>+64(SB)/8, $4.1666666666666666667e-2
+DATA expc<>+72(SB)/8, $1.6666666666666666667e-1
+DATA expc<>+80(SB)/8, $0.5
+DATA expc<>+88(SB)/8, $1.0
+DATA expc<>+96(SB)/8, $2.0
+DATA expc<>+104(SB)/8, $0x8000000000000000 // the sign bit
+DATA expc<>+112(SB)/8, $0.625
+DATA expc<>+120(SB)/8, $8.8029691931113054295988e+01 // math.tanh's MAXLOG
+DATA expc<>+128(SB)/8, $-9.64399179425052238628e-1 // tanhP
+DATA expc<>+136(SB)/8, $-9.92877231001918586564e1
+DATA expc<>+144(SB)/8, $-1.61468768441708447952e3
+DATA expc<>+152(SB)/8, $1.12811678491632931402e2 // tanhQ
+DATA expc<>+160(SB)/8, $2.23548839060100448583e3
+DATA expc<>+168(SB)/8, $4.84406305325125486048e3
+DATA expc<>+176(SB)/8, $128.0
+GLOBL expc<>(SB), RODATA, $184
+
+// p = p·x + the constant at off: one step of archExp's Horner loop.
+#define EXP_HORNER(off, x, p, t) \
+	VBROADCASTSD expc<>+off(SB), t; \
+	VFMADD213PD  t, x, p
+
+// x = exp(x), four lanes, for finite x whose result is a normal number
+// (no lane may need archExp's overflow, denormal or not-finite exits:
+// the callers clamp). p and t are scratch, nx the low half of ny; Y14
+// holds 2.0 and Y15 1.0. The scale 2ⁿ is (n << 52) + bits(1.0), which
+// is archExp's (n + 0x3FF) << 52.
+#define EXP4(x, p, t, nx, ny) \
+	VBROADCASTSD expc<>+0(SB), p; \
+	VMULPD       x, p, p; \
+	VCVTPD2DQY   p, nx; \
+	VCVTDQ2PD    nx, p; \
+	VBROADCASTSD expc<>+8(SB), t; \
+	VFNMADD231PD t, p, x; \
+	VBROADCASTSD expc<>+16(SB), t; \
+	VFNMADD231PD t, p, x; \
+	VPMOVSXDQ    nx, ny; \
+	VPSLLQ       $52, ny, ny; \
+	VPADDQ       Y15, ny, ny; \
+	VBROADCASTSD expc<>+24(SB), t; \
+	VMULPD       t, x, x; \
+	VBROADCASTSD expc<>+32(SB), p; \
+	EXP_HORNER(40, x, p, t); \
+	EXP_HORNER(48, x, p, t); \
+	EXP_HORNER(56, x, p, t); \
+	EXP_HORNER(64, x, p, t); \
+	EXP_HORNER(72, x, p, t); \
+	EXP_HORNER(80, x, p, t); \
+	VFMADD213PD  Y15, x, p; \
+	VMULPD       p, x, x; \
+	VADDPD       Y14, x, p; \
+	VMULPD       p, x, x; \
+	VADDPD       Y14, x, p; \
+	VMULPD       p, x, x; \
+	VADDPD       Y14, x, p; \
+	VMULPD       p, x, x; \
+	VADDPD       Y14, x, p; \
+	VFMADD213PD  Y15, p, x; \
+	VMULPD       ny, x, x
+
+// func tanhAVX2(dst, src *float32, n int)
+// n is a positive multiple of four. Both arms of math.tanh are computed
+// for every lane and blended. Below 0.625: x + x·s·P(s)/Q(s), each
+// multiply, add and divide rounded in the order the Go expression has;
+// a NaN fails the compare and leaves through this arm, as x + … does.
+// From 0.625: 1 − 2/(exp(2|x|) + 1) with 2|x| clamped to MAXLOG, which
+// moves only NaN lanes and those past math.tanh's 0.5·MAXLOG, where the
+// answer is 1 — and 2/(exp(MAXLOG) + 1) is under 2⁻⁵³, so the clamped
+// lane is exactly 1 with no third arm. x's sign bit is ORed back last:
+// every arm has x's sign, and ±0, which the scalar code returns before
+// computing, gets it.
+TEXT ·tanhAVX2(SB), NOSPLIT, $0-24
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD expc<>+88(SB), Y15
+	VBROADCASTSD expc<>+96(SB), Y14
+	VBROADCASTSD expc<>+104(SB), Y13
+	VBROADCASTSD expc<>+120(SB), Y12
+	VBROADCASTSD expc<>+112(SB), Y11
+
+tanh4:
+	VCVTPS2PD    (SI), Y0
+	VANDNPD      Y0, Y13, Y1
+	VCMPPD       $0x1D, Y11, Y1, Y8
+	VADDPD       Y1, Y1, Y1
+	VMINPD       Y12, Y1, Y1
+	EXP4(Y1, Y2, Y3, X4, Y4)
+	VADDPD       Y15, Y1, Y1
+	VDIVPD       Y1, Y14, Y1
+	VSUBPD       Y1, Y15, Y1
+	VMULPD       Y0, Y0, Y5
+	VBROADCASTSD expc<>+128(SB), Y6
+	VMULPD       Y5, Y6, Y6
+	VBROADCASTSD expc<>+136(SB), Y3
+	VADDPD       Y3, Y6, Y6
+	VMULPD       Y5, Y6, Y6
+	VBROADCASTSD expc<>+144(SB), Y3
+	VADDPD       Y3, Y6, Y6
+	VBROADCASTSD expc<>+152(SB), Y7
+	VADDPD       Y7, Y5, Y7
+	VMULPD       Y5, Y7, Y7
+	VBROADCASTSD expc<>+160(SB), Y3
+	VADDPD       Y3, Y7, Y7
+	VMULPD       Y5, Y7, Y7
+	VBROADCASTSD expc<>+168(SB), Y3
+	VADDPD       Y3, Y7, Y7
+	VMULPD       Y5, Y0, Y5
+	VMULPD       Y6, Y5, Y5
+	VDIVPD       Y7, Y5, Y5
+	VADDPD       Y5, Y0, Y5
+	VBLENDVPD    Y8, Y1, Y5, Y5
+	VANDPD       Y13, Y0, Y0
+	VORPD        Y0, Y5, Y5
+	VCVTPD2PSY   Y5, X5
+	VMOVUPS      X5, (DI)
+	ADDQ         $16, SI
+	ADDQ         $16, DI
+	SUBQ         $4, CX
+	JNZ          tanh4
+	VZEROUPPER
+	RET
+
+// func sigmoidAVX2(dst, src *float32, n int)
+// n is a positive multiple of four. a = -x is clamped to ±128 for the
+// exp: below -128 exp(a) is under 2⁻⁵³ and 1 + exp(a) is 1 either way,
+// above 128 the quotient is under half the smallest float32 and rounds
+// to +0 either way, so archExp's overflow, denormal and underflow
+// exits, and its ±Inf cases, end in the bits the clamped lanes get. A
+// NaN lane is replaced by a itself, which is what 1/(1 + NaN) returns.
+TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-24
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD expc<>+88(SB), Y15
+	VBROADCASTSD expc<>+96(SB), Y14
+	VBROADCASTSD expc<>+104(SB), Y13
+	VBROADCASTSD expc<>+176(SB), Y12
+	VXORPD       Y13, Y12, Y11
+
+sigmoid4:
+	VCVTPS2PD  (SI), Y0
+	VXORPD     Y13, Y0, Y0
+	VMINPD     Y12, Y0, Y1
+	VMAXPD     Y11, Y1, Y1
+	EXP4(Y1, Y2, Y3, X4, Y4)
+	VADDPD     Y15, Y1, Y1
+	VDIVPD     Y1, Y15, Y1
+	VCMPPD     $3, Y0, Y0, Y5
+	VBLENDVPD  Y5, Y0, Y1, Y1
+	VCVTPD2PSY Y1, X1
+	VMOVUPS    X1, (DI)
+	ADDQ       $16, SI
+	ADDQ       $16, DI
+	SUBQ       $4, CX
+	JNZ        sigmoid4
 	VZEROUPPER
 	RET
 

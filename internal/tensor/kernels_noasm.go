@@ -22,3 +22,7 @@ func addVec(dst, a, b []float32) int { return 0 }
 func addScaledVec(dst, a []float32, s float32, b []float32) int { return 0 }
 
 func addScaleVec(dst, a, b []float32, s float32) int { return 0 }
+
+func tanhVec(dst, src []float32) int { return 0 }
+
+func sigmoidVec(dst, src []float32) int { return 0 }

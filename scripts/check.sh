@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI-style gate: vet, formatting, build, the full test suite plain (at the
 # default core count and on one core) and under the race detector, the
-# determinism gate, the poisoned-pool run, fuzz smoke, alloc budgets, and
-# doc checks.
+# determinism gate, the poisoned-pool run, fuzz smoke, the exhaustive tanh /
+# sigmoid sweep, alloc budgets, and doc checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,7 +42,7 @@ go test -race ./...
 go test -race -count=10 ./internal/pipeline/ -run 'TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied'
 go test -race -count=2 ./internal/serve/...
 
-echo "== fuzz smoke (matmul, convolution and elementwise kernels vs portable loops + flat tensor storage + frame round-trips + checkpoint manifest + /infer handler, request scan and response bytes vs encoding/json, 10s each)"
+echo "== fuzz smoke (matmul, convolution and elementwise kernels — tanh and sigmoid among them — vs portable loops + flat tensor storage + frame round-trips + checkpoint manifest + /infer handler, request scan and response bytes vs encoding/json, 10s each)"
 go test -run '^$' -fuzz '^FuzzMatMulKernelsBitEqual$' -fuzztime=10s ./internal/tensor/
 go test -run '^$' -fuzz '^FuzzConvKernelBitEqual$' -fuzztime=10s ./internal/tensor/
 go test -run '^$' -fuzz '^FuzzElementwiseKernelsBitEqual$' -fuzztime=10s ./internal/tensor/
@@ -53,6 +53,9 @@ go test -run '^$' -fuzz '^FuzzPlanJSON$' -fuzztime=10s ./internal/partition/
 go test -run '^$' -fuzz '^FuzzInferRequest$' -fuzztime=10s ./cmd/pipedream-serve/
 go test -run '^$' -fuzz '^FuzzDecodeInferRequest$' -fuzztime=10s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzInferResponseBytes$' -fuzztime=10s ./internal/serve/
+
+echo "== vector tanh and sigmoid vs math.Tanh / math.Exp on all 2^32 float32 inputs (about 1 minute on two cores, 1.5 on one)"
+go test -count=1 -run '^TestTanhSigmoidBitEqual$' ./internal/tensor/ -tensor.exhaustive
 
 echo "== alloc budgets (allocs/op vs scripts/alloc_budget.txt, on one core like the budgets)"
 ALLOC_OUT=$(GOMAXPROCS=1 go test -run '^$' -bench '^(BenchmarkLSTMForwardBackward|BenchmarkPipelineRuntimeEpoch|BenchmarkGradSync|BenchmarkServeDynamic)$' \
