@@ -28,7 +28,7 @@ import (
 
 func main() {
 	mdl := &cliconf.Model{Task: "spiral", Seed: 42, Stages: 3, Replicas: 1}
-	syncFlags := &cliconf.Sync{Method: "ring"}
+	syncFlags := &cliconf.Sync{}
 	faultFlags := &cliconf.Fault{}
 	chaosFlags := &cliconf.Chaos{MaxDelay: 10 * time.Millisecond, Seed: 1}
 	obsFlags := &cliconf.Obs{}
@@ -58,27 +58,24 @@ func main() {
 		fatal(fmt.Errorf("unknown mode %q", *modeName))
 	}
 
-	syncCfg, sync, err := syncFlags.Build()
-	if err != nil {
-		fatal(err)
-	}
+	syncCfg := syncFlags.Build()
 	task, err := mdl.Build()
 	if err != nil {
 		fatal(err)
 	}
 	model := task.Factory()
 	if elasticFlags.Enabled {
-		runElastic(mdl, task, model, mode, syncCfg, sync, faultFlags, chaosFlags, obsFlags, elasticFlags,
+		runElastic(mdl, task, model, mode, syncCfg, faultFlags, chaosFlags, obsFlags, elasticFlags,
 			*epochs, *depth, *useTCP)
 		return
 	}
-	plan, err := cliconf.BuildPlan(model, mdl.Stages, mdl.Replicas, sync)
+	plan, err := cliconf.BuildPlan(model, mdl.Stages, mdl.Replicas, partition.SyncRing)
 	if err != nil {
 		fatal(err)
 	}
 	workers := mdl.Stages - 1 + mdl.Replicas
-	fmt.Printf("task %s: %d layers across %d stage(s) on %d worker(s), config %s, NOAM %d, mode %s, allreduce %s\n",
-		mdl.Task, len(model.Layers), mdl.Stages, workers, plan.ConfigString(), plan.NOAM, mode, syncCfg.AllReduce)
+	fmt.Printf("task %s: %d layers across %d stage(s) on %d worker(s), config %s, NOAM %d, mode %s\n",
+		mdl.Task, len(model.Layers), mdl.Stages, workers, plan.ConfigString(), plan.NOAM, mode)
 
 	reg, opLog := obsFlags.Sinks()
 	opts := pipeline.Options{
@@ -181,7 +178,7 @@ func main() {
 // repartitions onto the live set, and resumes from checkpoint whenever it
 // changes.
 func runElastic(mdl *cliconf.Model, task *cliconf.Task, model *nn.Sequential,
-	mode pipeline.StalenessMode, syncCfg pipeline.SyncConfig, sync partition.SyncModel,
+	mode pipeline.StalenessMode, syncCfg pipeline.SyncConfig,
 	faultFlags *cliconf.Fault, chaosFlags *cliconf.Chaos, obsFlags *cliconf.Obs,
 	elasticFlags *cliconf.Elastic, epochs, depth int, useTCP bool) {
 	if mdl.Replicas != 1 {
@@ -216,7 +213,7 @@ func runElastic(mdl *cliconf.Model, task *cliconf.Task, model *nn.Sequential,
 	replan := func(n int) (*partition.Plan, error) {
 		// One straight stage per live worker: the partitioner re-splits
 		// the layer list every time the worker count changes.
-		return cliconf.BuildPlan(model, n, 1, sync)
+		return cliconf.BuildPlan(model, n, 1, partition.SyncRing)
 	}
 	newTransport := func(workers, buffer int) (transport.Transport, error) {
 		var tr transport.Transport

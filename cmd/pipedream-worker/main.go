@@ -23,6 +23,7 @@ import (
 
 	"pipedream/internal/cliconf"
 	"pipedream/internal/nn"
+	"pipedream/internal/partition"
 	"pipedream/internal/pipeline"
 	"pipedream/internal/schedule"
 	"pipedream/internal/transport"
@@ -30,7 +31,7 @@ import (
 
 func main() {
 	mdl := &cliconf.Model{Task: "spiral", Seed: 42, Stages: 0, Replicas: 1}
-	syncFlags := &cliconf.Sync{Method: "ring"}
+	syncFlags := &cliconf.Sync{}
 	faultFlags := &cliconf.Fault{}
 	chaosFlags := &cliconf.Chaos{MaxDelay: 10 * time.Millisecond, Seed: 1}
 	obsFlags := &cliconf.Obs{}
@@ -60,16 +61,13 @@ func main() {
 			nStages, mdl.Replicas, nStages-1+mdl.Replicas, len(addrs)))
 	}
 
-	syncCfg, sync, err := syncFlags.Build()
-	if err != nil {
-		fatal(err)
-	}
+	syncCfg := syncFlags.Build()
 	task, err := mdl.Build()
 	if err != nil {
 		fatal(err)
 	}
 	model := task.Factory()
-	plan, err := cliconf.BuildPlan(model, nStages, mdl.Replicas, sync)
+	plan, err := cliconf.BuildPlan(model, nStages, mdl.Replicas, partition.SyncRing)
 	if err != nil {
 		fatal(err)
 	}

@@ -62,8 +62,14 @@ func ExampleNewPipeline() {
 		panic(err)
 	}
 	defer p.Close()
-	first, _ := p.Train(train, 30)
-	second, _ := p.Train(train, 30)
+	first, err := p.Train(train, 30)
+	if err != nil {
+		panic(err)
+	}
+	second, err := p.Train(train, 30)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("loss improved:", second.MeanLoss() < first.MeanLoss())
 	// Output:
 	// loss improved: true

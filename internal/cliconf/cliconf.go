@@ -151,10 +151,11 @@ func (c *Model) Build() (*Task, error) {
 }
 
 // BuildPlan partitions the model's layers evenly into stages (the first
-// stage replicated) and prices the result with the given sync-cost
-// model — the straight demo partitioning both runtime binaries use in
-// place of a measured profile.
-func BuildPlan(model *nn.Sequential, stages, replicas int, sync partition.SyncModel) (*partition.Plan, error) {
+// stage replicated) and prices the result — the straight demo
+// partitioning both runtime binaries use in place of a measured profile.
+// The last parameter has one legal value, partition.SyncRing, and is kept
+// only because the benchmark harness passes it.
+func BuildPlan(model *nn.Sequential, stages, replicas int, _ partition.SyncModel) (*partition.Plan, error) {
 	n := len(model.Layers)
 	if stages < 1 || stages > n {
 		return nil, fmt.Errorf("stages must be in [1, %d], got %d", n, stages)
@@ -181,13 +182,13 @@ func BuildPlan(model *nn.Sequential, stages, replicas int, sync partition.SyncMo
 		first = last + 1
 	}
 	workers := stages - 1 + replicas
-	return partition.NewPlan(prof, topology.Flat(workers, 1e9, topology.V100), partition.PlanOptions{Stages: specs, Sync: sync})
+	return partition.NewPlan(prof, topology.Flat(workers, 1e9, topology.V100), partition.PlanOptions{Stages: specs})
 }
 
 // Buffer sizes per-worker transport inboxes for a training run: room
-// for the 1F1B schedule's in-flight minibatches plus, when a replicated
-// stage will run the ring all-reduce, the ring's lock-step chunk traffic
-// (one in-flight chunk per bucket from the current round plus the next).
+// for the 1F1B schedule's in-flight minibatches plus, when a stage is
+// replicated, its ring all-reduce's lock-step chunk traffic (one in-flight
+// chunk per bucket from the current round plus the next).
 func Buffer(plan *partition.Plan, model *nn.Sequential, sc pipeline.SyncConfig) int {
 	buffer := 4*plan.NOAM + 8
 	replicated := false
@@ -196,7 +197,7 @@ func Buffer(plan *partition.Plan, model *nn.Sequential, sc pipeline.SyncConfig) 
 			replicated = true
 		}
 	}
-	if sc.AllReduce == collective.Ring && replicated {
+	if replicated {
 		bytes := 0
 		for _, g := range model.Grads() {
 			bytes += g.Bytes()
@@ -212,34 +213,20 @@ func Buffer(plan *partition.Plan, model *nn.Sequential, sc pipeline.SyncConfig) 
 
 // Sync configures the replicated-stage gradient collective.
 type Sync struct {
-	// Method is the -allreduce flag value: ring or central.
-	Method string
 	// BucketBytes is the ring collective's gradient bucket size.
 	BucketBytes int
 }
 
-// Register declares the gradient-sync flags, defaulting to the current
-// field values.
+// Register declares the gradient-sync flag, defaulting to the current
+// field value.
 func (c *Sync) Register(fs *flag.FlagSet) {
-	fs.StringVar(&c.Method, "allreduce", c.Method, "gradient collective for replicated stages: ring (chunked, overlapped with backward) or central (full-gradient exchange after backward)")
 	fs.IntVar(&c.BucketBytes, "bucket-bytes", c.BucketBytes, "ring all-reduce gradient bucket size in bytes (0 = 256KiB default; must match across workers)")
 }
 
-// Build parses the method and returns both the runtime's SyncConfig and
-// the partitioner's matching sync-cost model — the planner's replication
-// decision must be priced with the collective the runtime will actually
-// use: ring overlaps with backward and moves 2(R-1)/R of the weights,
-// central blocks and moves 2(R-1) of them through one coordinator.
-func (c *Sync) Build() (pipeline.SyncConfig, partition.SyncModel, error) {
-	method, err := collective.ParseMethod(c.Method)
-	if err != nil {
-		return pipeline.SyncConfig{}, 0, err
-	}
-	sync := partition.SyncRing
-	if method == collective.Central {
-		sync = partition.SyncCentral
-	}
-	return pipeline.SyncConfig{AllReduce: method, BucketBytes: c.BucketBytes}, sync, nil
+// Build returns the runtime's SyncConfig. The planner prices the one
+// collective the runtime runs, so there is no cost model to pick with it.
+func (c *Sync) Build() pipeline.SyncConfig {
+	return pipeline.SyncConfig{BucketBytes: c.BucketBytes}
 }
 
 // Fault configures checkpointing and failure recovery.

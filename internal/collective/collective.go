@@ -1,66 +1,30 @@
 // Package collective implements gradient synchronization for replicated
 // pipeline stages. PipeDream's hybrid parallelism (§3.1 of the paper)
-// replicates fast stages and averages their weight gradients every round.
-// The runtime has two collectives for that average, selected by Method:
+// replicates fast stages and averages their weight gradients every round
+// with one collective: RingReducer, a chunked ring all-reduce
+// (reduce-scatter followed by all-gather) over transport messages.
+// Gradients are split into buckets that start reducing as soon as their
+// layers' backward completes, overlapping synchronization with the
+// remaining backward compute. Each replica moves 2(R-1)/R of the weight
+// bytes, matching the cost the partitioning DP charges for replication.
 //
-//   - Ring — RingReducer, a chunked ring all-reduce (reduce-scatter
-//     followed by all-gather) over transport messages. Gradients are split
-//     into buckets that start reducing as soon as their layers' backward
-//     completes, overlapping synchronization with the remaining backward
-//     compute. Each replica moves 2(R-1)/R of the weight bytes, matching
-//     the cost the partitioning DP charges for replication.
-//   - Central — the full-gradient exchange the pipeline runtime implements
-//     itself (every replica sends its gradients to each sibling after
-//     backward, no overlap); this package only names it.
-//
-// Both sum in a fixed order — the ring accumulates chunk c as g_c +
-// g_{c+1} + ... regardless of message timing, the exchange adds
-// contributions in ascending replica index — so results are bit-identical
-// run to run.
+// The ring accumulates chunk c as g_c + g_{c+1} + ... regardless of
+// message timing, so results are bit-identical run to run.
 package collective
 
-import (
-	"fmt"
+import "pipedream/internal/transport"
 
-	"pipedream/internal/transport"
-)
-
-// Method selects the gradient-synchronization collective for replicated
-// stages.
+// Method names the gradient collective of replicated stages.
+//
+// Deprecated: the only value is Ring, the zero value; the type is kept
+// for the benchmark harness, which still names it.
 type Method int
 
-// Supported collectives. The zero value is Central.
-const (
-	// Central is the full-gradient exchange: every replica sends its
-	// gradients to each sibling over the transport and all sum the
-	// contributions in ascending replica order.
-	Central Method = iota
-	// Ring is the chunked ring all-reduce with backward/sync overlap
-	// (RingReducer), working over both in-process channels and TCP.
-	Ring
-)
-
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	switch m {
-	case Central:
-		return "central"
-	case Ring:
-		return "ring"
-	}
-	return fmt.Sprintf("Method(%d)", int(m))
-}
-
-// ParseMethod maps a -allreduce flag value to a Method.
-func ParseMethod(s string) (Method, error) {
-	switch s {
-	case "central":
-		return Central, nil
-	case "ring":
-		return Ring, nil
-	}
-	return Central, fmt.Errorf("collective: unknown all-reduce method %q (want ring or central)", s)
-}
+// Ring is the chunked ring all-reduce with backward/sync overlap
+// (RingReducer), working over both in-process channels and TCP.
+//
+// Deprecated: the only value of Method.
+const Ring Method = 0
 
 // Sender is the transport slice the ring collective needs: point-to-point
 // delivery to a peer's inbox. transport.Transport satisfies it.

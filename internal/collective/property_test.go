@@ -51,7 +51,7 @@ func TestRingPropertyMatchesNaiveReference(t *testing.T) {
 			grads := cloneGrads(base)
 			tr, rings := makeRings(replicas, bucketBytes)
 			defer tr.Close()
-			runRound(t, tr, rings, grads, trial*10, participants, perLayer)
+			runRound(t, tr, rings, grads, trial*60, participants, perLayer) // 60: rank 0 first for every R
 			return grads
 		}
 		first := run(rng.Intn(2) == 0)
@@ -84,6 +84,69 @@ func TestRingPropertyMatchesNaiveReference(t *testing.T) {
 				for i := range first[r][ti].Data {
 					if math.Float32bits(first[r][ti].Data[i]) != math.Float32bits(first[0][ti].Data[i]) {
 						t.Fatalf("trial %d: replica %d disagrees with replica 0 at tensor %d[%d]", trial, r, ti, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRingPartialRoundIsRelabelling holds the round/rank rule: a P-of-R
+// round whose first participant is rank f leaves on each participant the
+// bits of a fresh P-peer ring in which rank i holds rank (f+i) mod R's
+// gradients, and leaves everyone else's gradients alone — for every R ≤ 5
+// and every (f, P). At P = 2 the result is also (a + b)/2 computed directly.
+func TestRingPartialRoundIsRelabelling(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for replicas := 2; replicas <= 5; replicas++ {
+		base := make([][]*tensor.Tensor, replicas)
+		for r := range base {
+			for _, n := range []int{7, 0, 23, 5} { // three buckets of 16 bytes or more
+				g := tensor.New(n)
+				for i := range g.Data {
+					g.Data[i] = rng.Float32()*2 - 1
+				}
+				base[r] = append(base[r], g)
+			}
+		}
+		for f := 0; f < replicas; f++ {
+			for p := 2; p <= replicas; p++ {
+				got := cloneGrads(base)
+				tr, rings := makeRings(replicas, 16)
+				runRound(t, tr, rings, got, replicas+f, p, f%2 == 0)
+				tr.Close()
+
+				relabelled := make([][]*tensor.Tensor, p)
+				for i := range relabelled {
+					relabelled[i] = base[(f+i)%replicas]
+				}
+				want := cloneGrads(relabelled)
+				tr, rings = makeRings(p, 16)
+				runRound(t, tr, rings, want, 0, p, true)
+				tr.Close()
+
+				for r := range got {
+					i := mod(r-f, replicas)
+					for ti, g := range got[r] {
+						same := func(ref []float32, what string) {
+							t.Helper()
+							for j, v := range g.Data {
+								if math.Float32bits(v) != math.Float32bits(ref[j]) {
+									t.Fatalf("R=%d f=%d P=%d rank %d tensor %d[%d] = %g, want %g: %s",
+										replicas, f, p, r, ti, j, v, ref[j], what)
+								}
+							}
+						}
+						if i >= p {
+							same(base[r][ti].Data, "a non-participant's gradient changed")
+							continue
+						}
+						same(want[i][ti].Data, "differs from the relabelled fresh ring")
+						if p == 2 {
+							half := make([]float32, len(g.Data))
+							tensor.AddScaleInto(half, base[f][ti].Data, base[(f+1)%replicas][ti].Data, 0.5)
+							same(half, "differs from (a+b)/2")
+						}
 					}
 				}
 			}

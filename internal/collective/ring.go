@@ -60,6 +60,8 @@ type chunkKey struct {
 type roundState struct {
 	key          int
 	participants int
+	rank         int // this replica's rank in the round, counted from its first participant
+	next         int // worker id of the round's next rank, which receives this one's chunks
 	readyFrom    int // grads[readyFrom:] have final values
 	done         int // completed buckets
 }
@@ -100,11 +102,15 @@ func NewRingReducer(rank int, peers []int, tr Sender, bucketBytes int) *RingRedu
 	}
 }
 
-// BeginRound opens all-reduce round `key` over the first `participants`
-// ranks. grads is this replica's gradient list, the same one every round;
-// buckets with no elements complete immediately, the rest join the ring
-// once Ready marks their layers final. key must be globally unique and increasing (the runtime
-// uses the first minibatch of the round-robin block).
+// BeginRound opens all-reduce round `key` over `participants` ranks. key
+// is the global index of the round's first minibatch — unique and
+// increasing — and round-robin routing puts minibatch mb on rank mb mod R,
+// so the round's participants are ranks key, key+1, ... (mod R), and its
+// ranks count from that first participant: a P-of-R round is a fresh
+// P-peer ring in which rank i holds rank (key+i) mod R's gradients, for
+// full and partial rounds alike. grads is this replica's gradient list,
+// the same one every round; buckets with no elements complete immediately,
+// the rest join the ring once Ready marks their layers final.
 func (r *RingReducer) BeginRound(key, participants int, grads []*tensor.Tensor) error {
 	if r.cur != nil {
 		return fmt.Errorf("collective: ring round %d begun while round %d is incomplete", key, r.cur.key)
@@ -115,13 +121,16 @@ func (r *RingReducer) BeginRound(key, participants int, grads []*tensor.Tensor) 
 	if participants < 2 || participants > len(r.peers) {
 		return fmt.Errorf("collective: ring round %d over %d participants of %d peers", key, participants, len(r.peers))
 	}
-	if r.rank >= participants {
+	first := key % len(r.peers) // key > lastDone >= -1
+	rank := mod(r.rank-first, len(r.peers))
+	if rank >= participants {
 		return fmt.Errorf("collective: rank %d is not a participant of %d-way round %d", r.rank, participants, key)
 	}
 	if err := r.ensureBuckets(grads); err != nil {
 		return err
 	}
-	st := &roundState{key: key, participants: participants, readyFrom: len(grads)}
+	st := &roundState{key: key, participants: participants, readyFrom: len(grads),
+		rank: rank, next: r.peers[(first+(rank+1)%participants)%len(r.peers)]}
 	r.cur = st
 	if len(r.buckets) == 0 {
 		// A stage with no parameters has nothing to reduce.
@@ -280,7 +289,7 @@ func (r *RingReducer) advance(st *roundState, b *ringBucket) error {
 	p := st.participants
 	for {
 		if !b.sent {
-			c := b.sendChunk(r.rank, p)
+			c := b.sendChunk(st.rank, p)
 			lo, hi := b.chunks[c][0], b.chunks[c][1]
 			// The chunk goes out as a view of the bucket: Send only borrows
 			// it, and the bucket is not touched until Send returns.
@@ -294,7 +303,7 @@ func (r *RingReducer) advance(st *roundState, b *ringBucket) error {
 				Chunk:     transport.ChunkInfo{Bucket: b.index, Phase: b.phase, Step: b.step, Chunk: c},
 			}
 			r.wire += int64(4 * (hi - lo))
-			if err := r.tr.Send(r.peers[(r.rank+1)%p], msg); err != nil {
+			if err := r.tr.Send(st.next, msg); err != nil {
 				return err
 			}
 			b.sent = true
@@ -305,7 +314,7 @@ func (r *RingReducer) advance(st *roundState, b *ringBucket) error {
 			return nil // wait for the left neighbor's chunk
 		}
 		delete(r.pending, k)
-		c := b.recvChunk(r.rank, p)
+		c := b.recvChunk(st.rank, p)
 		lo, hi := b.chunks[c][0], b.chunks[c][1]
 		if n := in.Size(); n != hi-lo {
 			tensor.Put(in)

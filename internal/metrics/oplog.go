@@ -15,7 +15,7 @@ const (
 	// OpBackward is one stage backward pass of one minibatch.
 	OpBackward
 	// OpSync is time spent waiting in a replicated-stage gradient
-	// all_reduce (ring or full-gradient exchange).
+	// all_reduce.
 	OpSync
 	// OpRequest is one serving request's full span, from admission into
 	// the dynamic batcher to response demultiplexing (internal/serve).

@@ -43,8 +43,6 @@ type Plan struct {
 	// dataflow edge Graph.Edges[i] (for a linear plan: between stage i
 	// and stage i+1).
 	CommTimes []float64
-	// Sync is the collective cost model the plan was priced under.
-	Sync SyncModel
 	// BottleneckTime is the slowest pipeline element's time per
 	// minibatch; steady-state throughput is MinibatchSize/BottleneckTime.
 	BottleneckTime float64
@@ -159,60 +157,32 @@ func ringSyncTime(w int64, m int, bw float64, shared bool) float64 {
 	return 2 * float64(m-1) / float64(m) * float64(w) / bw
 }
 
-// centralSyncTime returns the per-update time of the centralized
-// (coordinator-based) exchange: the coordinator's link carries the full
-// 2(m-1)·w bytes, and the collective blocks the backward pass instead of
-// overlapping it.
-func centralSyncTime(w int64, m int, bw float64, shared bool) float64 {
-	if m <= 1 {
-		return 0
-	}
-	if shared {
-		bw /= float64(m)
-	}
-	return 2 * float64(m-1) * float64(w) / bw
-}
-
-// SyncModel selects which gradient collective the optimizer charges
-// replicated stages for — the planner must price what the runtime runs.
+// SyncModel names the gradient collective the optimizer charges
+// replicated stages for.
+//
+// Deprecated: the only value is SyncRing, the zero value; the type is
+// kept for the benchmark harness, which still names it.
 type SyncModel int
 
-const (
-	// SyncRing models the chunked overlapped ring collective: the
-	// all_reduce runs while later layers' backward still computes
-	// (wait-free backpropagation), so a replica's period is
-	// max(compute, 2(m-1)/m·w/B) / m.
-	SyncRing SyncModel = iota
-	// SyncCentral models the barrier-style central reducer: the full
-	// 2(m-1)·w exchange blocks the backward path, so a replica's period
-	// is (compute + 2(m-1)·w/B) / m.
-	SyncCentral
-)
+// SyncRing is the chunked overlapped ring collective, the one the runtime
+// runs (see stageSyncTime for its price).
+//
+// Deprecated: the only value of SyncModel.
+const SyncRing SyncModel = 0
 
-// String implements fmt.Stringer.
-func (s SyncModel) String() string {
-	if s == SyncCentral {
-		return "central"
-	}
-	return "ring"
-}
-
-// stageSyncTime prices one replicated stage under the chosen model (see
-// SyncRing/SyncCentral for the two formulas).
-func stageSyncTime(sync SyncModel, compute float64, w int64, m int, bw float64, shared bool) float64 {
-	if sync == SyncCentral {
-		return (compute + centralSyncTime(w, m, bw, shared)) / float64(m)
-	}
+// stageSyncTime prices one replicated stage: the ring all_reduce runs
+// while later layers' backward still computes (wait-free
+// backpropagation), so a replica's period is max(compute, 2(m-1)/m·w/B),
+// amortized over the m replicas.
+func stageSyncTime(compute float64, w int64, m int, bw float64, shared bool) float64 {
 	return math.Max(compute, ringSyncTime(w, m, bw, shared)) / float64(m)
 }
 
 // optimize is the hierarchical DP (§3.1): it considers every stage
 // boundary and replication factor at every level of the topology, then
 // flattens nested replication into the paper's "r1-r2-..." configuration
-// notation. Planning for the central reducer charges the blocking
-// 2(m-1)·w exchange, which can flip the DP away from replication where
-// the overlapped ring would profit from it.
-func optimize(prof *profile.ModelProfile, topo *topology.Topology, sync SyncModel) (*Plan, error) {
+// notation.
+func optimize(prof *profile.ModelProfile, topo *topology.Topology) (*Plan, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
@@ -245,8 +215,8 @@ func optimize(prof *profile.ModelProfile, topo *topology.Topology, sync SyncMode
 				for m := 2; m <= lvl.Width; m++ {
 					// Option 1: whole range as a single stage
 					// replicated over all m components. Each component
-					// sustains one minibatch per the sync model's period.
-					tSingle := stageSyncTime(sync, prev.a[i][j][prevWidth],
+					// sustains one minibatch per max(compute, sync).
+					tSingle := stageSyncTime(prev.a[i][j][prevWidth],
 						prof.WeightRange(i, j), m, lvl.Bandwidth, shared)
 					best, bestCh := tSingle, dpChoice{single: true}
 					// Option 2: split into an optimal sub-pipeline
@@ -255,7 +225,7 @@ func optimize(prof *profile.ModelProfile, topo *topology.Topology, sync SyncMode
 					for s := i; s < j; s++ {
 						comm := 2 * float64(prof.ActivationBytes(s)) / lvl.Bandwidth
 						for mp := 1; mp < m; mp++ {
-							tStage := stageSyncTime(sync, prev.a[s+1][j][prevWidth],
+							tStage := stageSyncTime(prev.a[s+1][j][prevWidth],
 								prof.WeightRange(s+1, j), mp, lvl.Bandwidth, shared)
 							t := math.Max(cur.a[i][s][m-mp], math.Max(comm, tStage))
 							if t < best {
@@ -274,7 +244,7 @@ func optimize(prof *profile.ModelProfile, topo *topology.Topology, sync SyncMode
 	}
 
 	stages := reconstruct(tables, prof, len(levels), 0, n-1, levels[len(levels)-1].Width, 1)
-	return evaluate(prof, topo, stages, sync, nil)
+	return evaluate(prof, topo, stages, nil)
 }
 
 // reconstruct walks the DP choices at table level k (1-based into tables;
@@ -365,12 +335,11 @@ func balanceStages(prof *profile.ModelProfile, stages int) []StageSpec {
 	return specs
 }
 
-// evaluate prices an explicit stage assignment (see SyncRing/SyncCentral
-// for the per-stage formulas): stage time = max(compute, ring
-// sync)/replicas (or the blocking central form), per-edge transfer time
-// = 2·a_s/bandwidth, bottleneck = slowest element. A nil graph asks
-// for the linear chain, which the returned plan then carries.
-func evaluate(prof *profile.ModelProfile, topo *topology.Topology, stages []StageSpec, sync SyncModel, graph *StageGraph) (*Plan, error) {
+// evaluate prices an explicit stage assignment: stage time =
+// max(compute, ring sync)/replicas, per-edge transfer time =
+// 2·a_s/bandwidth, bottleneck = slowest element. A nil graph asks for the
+// linear chain, which the returned plan then carries.
+func evaluate(prof *profile.ModelProfile, topo *topology.Topology, stages []StageSpec, graph *StageGraph) (*Plan, error) {
 	if err := validateStages(prof, topo, stages); err != nil {
 		return nil, err
 	}
@@ -389,22 +358,16 @@ func evaluate(prof *profile.ModelProfile, topo *topology.Topology, stages []Stag
 		Stages:     stages,
 		Workers:    workers,
 		Graph:      graph,
-		Sync:       sync,
 		StageTimes: make([]float64, len(stages)),
 		CommTimes:  make([]float64, 0, len(stages)-1),
 	}
 	for i, st := range stages {
 		compute := prof.TimeRange(st.FirstLayer, st.LastLayer)
 		w := prof.WeightRange(st.FirstLayer, st.LastLayer)
-		if sync == SyncCentral {
-			// The central exchange blocks the backward path.
-			p.StageTimes[i] = (compute + topo.CentralExchangeTime(w, st.Replicas)) / float64(st.Replicas)
-		} else {
-			// Each replica sustains one minibatch per max(compute, sync):
-			// with wait-free backpropagation, the ring all_reduce overlaps
-			// compute of the next minibatch.
-			p.StageTimes[i] = math.Max(compute, topo.AllReduceTime(w, st.Replicas)) / float64(st.Replicas)
-		}
+		// Each replica sustains one minibatch per max(compute, sync): with
+		// wait-free backpropagation, the ring all_reduce overlaps compute
+		// of the next minibatch.
+		p.StageTimes[i] = math.Max(compute, topo.AllReduceTime(w, st.Replicas)) / float64(st.Replicas)
 		if p.StageTimes[i] > p.BottleneckTime {
 			p.BottleneckTime = p.StageTimes[i]
 		}
@@ -499,7 +462,7 @@ func BruteForce(prof *profile.ModelProfile, topo *topology.Topology) (*Plan, err
 			if idx == len(stages) {
 				specs := make([]StageSpec, len(stages))
 				copy(specs, stages)
-				p, err := evaluate(prof, topo, specs, SyncRing, nil)
+				p, err := evaluate(prof, topo, specs, nil)
 				if err != nil {
 					return
 				}

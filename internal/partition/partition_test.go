@@ -514,72 +514,36 @@ func TestPlanJSONRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestSyncModelFlipsReplicationDecision pins the planner's sensitivity to
-// the collective: a stage whose ring sync (overlapped, 2(m-1)/m·w/B) hides
-// under compute is worth replicating, but the central reducer's blocking
-// 2(m-1)·w/B exchange makes the same replication slower than a straight
-// pipeline — the DP must flip its decision with the cost model.
-func TestSyncModelFlipsReplicationDecision(t *testing.T) {
+// TestRingSyncHidesUnderCompute pins the planner's replication decision: a
+// stage whose ring sync (overlapped, 2(m-1)/m·w/B) hides under compute is
+// worth replicating.
+func TestRingSyncHidesUnderCompute(t *testing.T) {
 	// Two layers, 5s each; 8 GB of weights on a 2 GB/s link:
-	//   ring:    max(10, 2·(1/2)·8) / 2 = max(10, 4)/2 = 5s per minibatch
-	//   central: (10 + 2·1·8/1)... charged as (10 + 8)/2 = 9s
+	//   max(10, 2·(1/2)·8) / 2 = max(10, 4)/2 = 5s per minibatch
 	// Straight 2-stage split: max(5, 5, comm≈0) = 5s.
 	prof := syntheticProfile([]float64{5, 5}, []int64{8, 8}, []int64{4 << 30, 4 << 30})
 	topo := topology.Flat(2, 2e9, topology.V100)
-
-	ring, err := NewPlan(prof, topo, PlanOptions{Sync: SyncRing})
+	plan, err := NewPlan(prof, topo, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	central, err := NewPlan(prof, topo, PlanOptions{Sync: SyncCentral})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ring.IsDataParallel() {
-		t.Fatalf("ring plan = %v, want data-parallel (sync hides under compute)", ring)
-	}
-	if central.IsDataParallel() {
-		t.Fatalf("central plan = %v, want a pipeline (blocking sync makes DP slower)", central)
-	}
-	if ring.Sync != SyncRing || central.Sync != SyncCentral {
-		t.Fatalf("plans do not record their sync model: %v / %v", ring.Sync, central.Sync)
-	}
-	if central.BottleneckTime < ring.BottleneckTime {
-		t.Fatalf("central bottleneck %v beats ring %v", central.BottleneckTime, ring.BottleneckTime)
+	if !plan.IsDataParallel() {
+		t.Fatalf("plan = %v, want data-parallel (sync hides under compute)", plan)
 	}
 }
 
-// TestEvaluateSyncFormulas checks the two per-stage pricing formulas
-// directly against the topology's communication primitives.
-func TestEvaluateSyncFormulas(t *testing.T) {
+// TestEvaluateSyncFormula checks the per-stage pricing formula directly
+// against the topology's communication primitive.
+func TestEvaluateSyncFormula(t *testing.T) {
 	prof := syntheticProfile([]float64{3, 3}, []int64{4, 4}, []int64{1 << 20, 1 << 20})
 	topo := topology.Flat(4, 1e9, topology.V100)
 	stages := []StageSpec{{FirstLayer: 0, LastLayer: 1, Replicas: 4}}
-	w := prof.WeightRange(0, 1)
-
-	ring, err := NewPlan(prof, topo, PlanOptions{Stages: stages, Sync: SyncRing})
+	plan, err := NewPlan(prof, topo, PlanOptions{Stages: stages})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRing := math.Max(6, topo.AllReduceTime(w, 4)) / 4
-	if math.Abs(ring.StageTimes[0]-wantRing) > 1e-12 {
-		t.Fatalf("ring stage time %v, want %v", ring.StageTimes[0], wantRing)
-	}
-
-	central, err := NewPlan(prof, topo, PlanOptions{Stages: stages, Sync: SyncCentral})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCentral := (6 + topo.CentralExchangeTime(w, 4)) / 4
-	if math.Abs(central.StageTimes[0]-wantCentral) > 1e-12 {
-		t.Fatalf("central stage time %v, want %v", central.StageTimes[0], wantCentral)
-	}
-	if central.StageTimes[0] <= ring.StageTimes[0] {
-		t.Fatalf("central %v not slower than ring %v", central.StageTimes[0], ring.StageTimes[0])
-	}
-	// The central exchange moves m· more bytes than one ring phase slot:
-	// 2(m-1)·w vs 2(m-1)/m·w.
-	if got, want := topo.CentralExchangeTime(w, 4), 4*topo.AllReduceTime(w, 4); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("CentralExchangeTime = %v, want %v (m· the ring phase)", got, want)
+	want := math.Max(6, topo.AllReduceTime(prof.WeightRange(0, 1), 4)) / 4
+	if math.Abs(plan.StageTimes[0]-want) > 1e-12 {
+		t.Fatalf("stage time %v, want %v", plan.StageTimes[0], want)
 	}
 }

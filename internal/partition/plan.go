@@ -8,12 +8,13 @@ import (
 )
 
 // PlanOptions selects what NewPlan builds. The zero value asks for the
-// classic PipeDream optimum: run the hierarchical DP under the ring
-// collective cost model with no memory constraint.
+// classic PipeDream optimum: run the hierarchical DP with no memory
+// constraint.
 type PlanOptions struct {
-	// Sync is the gradient collective the plan is priced under
-	// (SyncRing by default) — the planner must price what the runtime
-	// runs.
+	// Sync names the gradient collective the plan is priced under.
+	//
+	// Deprecated: the only value is SyncRing, the zero value; the field is
+	// kept for the benchmark harness and nothing reads it.
 	Sync SyncModel
 	// Memory enforces the device-memory constraint (§3.1): if the
 	// chosen plan does not fit, the in-flight depth is lowered toward
@@ -44,9 +45,9 @@ func NewPlan(prof *profile.ModelProfile, topo *topology.Topology, opts PlanOptio
 		return nil, fmt.Errorf("partition: PlanOptions.Graph requires explicit Stages (the DP only searches linear chains)")
 	}
 	if opts.Stages != nil {
-		return evaluate(prof, topo, opts.Stages, opts.Sync, opts.Graph)
+		return evaluate(prof, topo, opts.Stages, opts.Graph)
 	}
-	plan, err := optimize(prof, topo, opts.Sync)
+	plan, err := optimize(prof, topo)
 	if err != nil {
 		return nil, err
 	}

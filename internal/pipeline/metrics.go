@@ -27,15 +27,12 @@ type StageStats struct {
 	SyncWait time.Duration
 	// SyncFirstWait is the portion of SyncWait spent before the round's
 	// first gradient bucket finished reducing, and SyncTailWait the
-	// remainder (they sum to SyncWait). With the overlapped ring
-	// collective a small first wait means buckets were already reducing
-	// during backward compute; the central exchange has no buckets, so its
-	// whole wait counts as first wait.
+	// remainder (they sum to SyncWait). A small first wait means buckets
+	// were already reducing during backward compute.
 	SyncFirstWait time.Duration
 	SyncTailWait  time.Duration
 	// WireBytes is the cumulative gradient-chunk payload this worker put
-	// on the wire for ring all-reduce (zero for central or unreplicated
-	// stages).
+	// on the wire for ring all-reduce (zero for unreplicated stages).
 	WireBytes int64
 	// Idle is total time blocked waiting for a message with nothing
 	// runnable — the directly observed pipeline bubble.

@@ -80,9 +80,10 @@ func (r *recorder) Inbox(w int) <-chan transport.Message {
 }
 
 // Whatever the in-process transport delivers is the receiving worker's, and
-// every activation, gradient and exchanged gradient it was handed is back in
+// every activation, gradient and gradient chunk it was handed is back in
 // the pool when Train returns, whatever the plan's shape — the duplicates a
-// chaos layer injects and the worker drops included. The check empties the
+// chaos layer injects and the worker drops included, and frames of a kind
+// no training worker consumes. The check empties the
 // pool's size classes of everything put there during training and looks for
 // each array that crossed the transport.
 func TestChannelsTensorsAreRecycled(t *testing.T) {
@@ -98,12 +99,14 @@ func TestChannelsTensorsAreRecycled(t *testing.T) {
 		replicas []int
 		graph    *partition.StageGraph
 		dups     bool
+		strays   bool // every worker is sent a frame of the retired kind 2 and a Prediction
 	}{
-		{"3-1-central", []int{3, 1}, nil, false},
-		{"diamond", []int{1, 1, 1, 1}, diamondGraph, false},
-		{"twohead", []int{1, 1, 1, 1}, twoHeadGraph, false},
-		{"diamond-dups", []int{1, 1, 1, 1}, diamondGraph, true},
-		{"twohead-dups", []int{1, 1, 1, 1}, twoHeadGraph, true},
+		{"3-1", []int{3, 1}, nil, false, false},
+		{"diamond", []int{1, 1, 1, 1}, diamondGraph, false, false},
+		{"twohead", []int{1, 1, 1, 1}, twoHeadGraph, false, false},
+		{"diamond-dups", []int{1, 1, 1, 1}, diamondGraph, true, false},
+		{"twohead-dups", []int{1, 1, 1, 1}, twoHeadGraph, true, false},
+		{"3-1-strays", []int{3, 1}, nil, false, true},
 	} {
 		for _, recompute := range []bool{false, true} {
 			factory, plan := shapePlan(t, c.replicas, c.graph)
@@ -120,6 +123,17 @@ func TestChannelsTensorsAreRecycled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if c.strays {
+				x := tensor.GetRaw(5)
+				for w := 0; w < plan.Workers; w++ {
+					for _, kind := range []transport.MsgKind{2, transport.Prediction} {
+						if err := rec.Send(w, transport.Message{Kind: kind, Tensor: x}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				tensor.Put(x)
+			}
 			if _, err := p.Train(data.NewBlobs(23, 3, 4, 8, 12), 12); err != nil {
 				t.Fatal(err)
 			}
@@ -132,8 +146,8 @@ func TestChannelsTensorsAreRecycled(t *testing.T) {
 			for _, sw := range p.workers {
 				dropped += sw.dupDrops
 			}
-			if (dropped > 0) != c.dups {
-				t.Fatalf("%s: %d duplicates dropped, duplicates injected: %v", c.name, dropped, c.dups)
+			if (dropped > 0) != (c.dups || c.strays) || c.strays && dropped != 2*plan.Workers {
+				t.Fatalf("%s: %d deliveries dropped, duplicates injected: %v, strays: %v", c.name, dropped, c.dups, c.strays)
 			}
 			// A duplicate of a worker's last message is still in its inbox.
 			for _, ch := range rec.taps {

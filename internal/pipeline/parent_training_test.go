@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"testing"
 
-	"pipedream/internal/collective"
 	"pipedream/internal/data"
 	"pipedream/internal/nn"
 	"pipedream/internal/partition"
@@ -26,17 +25,16 @@ import (
 func parentTrainingRuns(t *testing.T) map[string]uint64 {
 	out := map[string]uint64{}
 	for _, c := range []struct {
-		name      string
-		replicas  []int
-		graph     *partition.StageGraph
-		allReduce collective.Method
-		windows   []int
+		name     string
+		replicas []int
+		graph    *partition.StageGraph
+		windows  []int
 	}{
-		{"chain3", []int{1, 1, 1}, nil, collective.Central, []int{9, 4}},
-		{"2-1", []int{2, 1}, nil, collective.Central, []int{9, 4}},
-		{"3-1", []int{3, 1}, nil, collective.Central, []int{9, 4}},
-		{"2-1-ring", []int{2, 1}, nil, collective.Ring, []int{10, 3}},
-		{"diamond", []int{1, 1, 1, 1}, diamondGraph, collective.Central, []int{9, 4}},
+		{"chain3", []int{1, 1, 1}, nil, []int{9, 4}},
+		{"2-1", []int{2, 1}, nil, []int{9, 4}},
+		{"3-1", []int{3, 1}, nil, []int{9, 4}},
+		{"2-1-ring", []int{2, 1}, nil, []int{10, 3}},
+		{"diamond", []int{1, 1, 1, 1}, diamondGraph, []int{9, 4}},
 	} {
 		factory, plan := shapePlan(t, c.replicas, c.graph)
 		ds := data.NewBlobs(23, 3, 4, 8, 13)
@@ -54,7 +52,6 @@ func parentTrainingRuns(t *testing.T) map[string]uint64 {
 						opts.Mode = mode
 						opts.Recompute = recompute
 						opts.GradAccumulation = accum
-						opts.AllReduce = c.allReduce
 						opts.NewOptimizer = newOpt
 						p, err := New(opts)
 						if err != nil {

@@ -7,10 +7,9 @@
 // minibatches are routed round-robin across stage replicas, and weight
 // stashing (optionally vertical sync) keeps gradients numerically correct
 // despite pipelined staleness (§3.2-3.3 of the paper). Replicated stages
-// synchronize gradients before applying updates — by default through a
-// full-gradient exchange summed in replica order, or (Options.AllReduce =
-// collective.Ring) through a chunked ring all-reduce that overlaps with
-// backward compute. Losses and weights are therefore a pure function of
+// synchronize gradients before applying updates through a chunked ring
+// all-reduce that overlaps with backward compute and sums in a fixed
+// order. Losses and weights are therefore a pure function of
 // (seed, plan, depth), whatever the transport or core count. A process
 // runs the workers whose inboxes its transport hosts: all of them by
 // default, its endpoint's local IDs in a multi-process deployment.
@@ -105,13 +104,11 @@ type RuntimeConfig struct {
 // SyncConfig groups the gradient-synchronization options for replicated
 // stages. Its fields are promoted into Options.
 type SyncConfig struct {
-	// AllReduce selects the gradient collective for replicated stages:
-	// collective.Central (the default: every replica sends its full
-	// gradient to each sibling over the transport and all sum the
-	// contributions in ascending replica order) or collective.Ring
-	// (chunked ring all-reduce over the transport, overlapped with
-	// backward compute). Both fix the summation order, so results are
-	// bit-identical run to run and replica to replica.
+	// AllReduce names the gradient collective of replicated stages.
+	//
+	// Deprecated: the only value is collective.Ring, the zero value (a
+	// chunked ring all-reduce over the transport, overlapped with backward
+	// compute); the field is kept for the benchmark harness.
 	AllReduce collective.Method
 	// BucketBytes caps the gradient bucket size of the ring collective;
 	// 0 selects collective.DefaultBucketBytes. Smaller buckets start
@@ -157,7 +154,7 @@ type FaultConfig struct {
 // Options configures a Pipeline. The tuning knobs live in three embedded
 // config groups — RuntimeConfig (execution shape), SyncConfig (gradient
 // collectives), and FaultConfig (checkpointing and recovery) — whose
-// fields are promoted, so opts.Depth, opts.AllReduce, opts.CheckpointDir
+// fields are promoted, so opts.Depth, opts.BucketBytes, opts.CheckpointDir
 // and friends read and assign exactly as before the split. Composite
 // literals name the group: Options{RuntimeConfig: RuntimeConfig{Depth: 4}}.
 type Options struct {
@@ -323,7 +320,6 @@ func New(opts Options) (*Pipeline, error) {
 	if opts.KernelParallelism > 0 {
 		tensor.SetParallelism(opts.KernelParallelism)
 	}
-	useRing := opts.AllReduce == collective.Ring
 	p.tr = opts.Transport
 	if p.tr == nil {
 		p.tr = transport.NewChannels(p.assign.NumWorkers(), channelBuffer(ref, opts, p.depth)*graph.MaxDegree())
@@ -357,11 +353,10 @@ func New(opts Options) (*Pipeline, error) {
 			bwdReady: make(map[int]transport.Message),
 		}
 		sw.gradArena = tensor.Pack(sw.grads)
-		sw.gradFlat = tensor.FromSlice(sw.gradArena, len(sw.gradArena))
 		if l, ok := opts.SinkLoss[ref.Stage]; ok {
 			sw.loss = l
 		}
-		if useRing && spec.Replicas > 1 {
+		if spec.Replicas > 1 {
 			sw.ring = collective.NewRingReducer(ref.Replica, p.assign.StageWorkers[ref.Stage], p.tr, opts.BucketBytes)
 			sw.gradOffsets = gradOffsetsOf(sw.model)
 		}
@@ -379,21 +374,11 @@ func New(opts Options) (*Pipeline, error) {
 // channelBuffer sizes the in-process transport's inboxes: they must
 // absorb every in-flight message even when a worker stalls in a gradient
 // all_reduce — depth minibatches per input replica, two messages each,
-// plus slack. Ring mode adds room for the lock-step chunk traffic: at
-// most one in-flight chunk per bucket from the left neighbor's current
-// round plus one from its next round. The central exchange adds one
-// full-gradient message per sibling for the current round and, from
-// siblings already a round ahead, one for the next.
+// plus slack — and the ring's lock-step chunk traffic: at most one
+// in-flight chunk per bucket from the left neighbor's current round plus
+// one from its next round.
 func channelBuffer(ref *nn.Sequential, opts Options, depth int) int {
-	buffer := 2*depth*opts.Plan.Stages[0].Replicas + 8
-	if opts.AllReduce == collective.Ring {
-		return buffer + 2*maxRingBuckets(ref, opts) + 8
-	}
-	siblings := 0
-	for _, spec := range opts.Plan.Stages {
-		siblings = max(siblings, spec.Replicas-1)
-	}
-	return buffer + 2*siblings
+	return 2*depth*opts.Plan.Stages[0].Replicas + 2*maxRingBuckets(ref, opts) + 16
 }
 
 // maxRingBuckets bounds how many gradient buckets the ring collective of

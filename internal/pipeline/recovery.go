@@ -205,7 +205,6 @@ drain:
 	sw.seenFwd = nil
 	sw.fwdPend = nil
 	sw.gradPend = nil
-	sw.gradExch = nil
 	sw.accumCount = 0
 	sw.stashBytes = 0
 	sw.syncDur = 0

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"pipedream/internal/collective"
 	"pipedream/internal/data"
 	"pipedream/internal/metrics"
 	"pipedream/internal/nn"
@@ -33,45 +32,9 @@ func trainWith(t *testing.T, opts Options, ds data.Dataset, mbs int) ([]float64,
 	return rep.Losses, flat
 }
 
-// TestRingMatchesCentralExactly: with two replicas, both collectives
-// compute the same two-operand average, so ring and central training must
-// agree bit-for-bit on every loss and every final parameter.
-//
-// The plan is a single replicated stage: every message on the wire is a
-// gradient chunk whose processing order is fixed by the ring schedule.
-func TestRingMatchesCentralExactly(t *testing.T) {
-	factory := mlpFactory(21, 4, 8, 3)
-	ds := data.NewBlobs(23, 3, 4, 8, 24)
-	mk := func(m collective.Method) Options {
-		return Options{
-			ModelFactory: factory,
-			Plan:         evenPlan(t, factory, 1, 2),
-			Loss:         nn.SoftmaxCrossEntropy,
-			NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.05, 0, 0) },
-			SyncConfig:   SyncConfig{AllReduce: m},
-		}
-	}
-	centralLoss, centralParams := trainWith(t, mk(collective.Central), ds, 24)
-	ringLoss, ringParams := trainWith(t, mk(collective.Ring), ds, 24)
-
-	for i := range centralLoss {
-		if centralLoss[i] != ringLoss[i] {
-			t.Fatalf("loss[%d]: central %v vs ring %v", i, centralLoss[i], ringLoss[i])
-		}
-	}
-	if len(centralParams) != len(ringParams) {
-		t.Fatalf("param count mismatch: %d vs %d", len(centralParams), len(ringParams))
-	}
-	for i := range centralParams {
-		if math.Float32bits(centralParams[i]) != math.Float32bits(ringParams[i]) {
-			t.Fatalf("param[%d]: central %v vs ring %v", i, centralParams[i], ringParams[i])
-		}
-	}
-}
-
-// TestRingReplicatedStageKeepsReplicasConsistent mirrors the central-mode
-// consistency test with three ring replicas: after 24 minibatches (8 full
-// rounds of 3) all replicas must hold identical weights. A follow-up
+// TestRingReplicatedStageKeepsReplicasConsistent: with three replicas and
+// several buckets per round, after 24 minibatches (8 full rounds of 3)
+// all replicas must hold identical weights. A follow-up
 // partial round of 2 participants must complete without deadlock and
 // leave those two participants in agreement.
 func TestRingReplicatedStageKeepsReplicasConsistent(t *testing.T) {
@@ -82,7 +45,7 @@ func TestRingReplicatedStageKeepsReplicasConsistent(t *testing.T) {
 		Plan:         evenPlan(t, factory, 2, 3),
 		Loss:         nn.SoftmaxCrossEntropy,
 		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.05, 0, 0) },
-		SyncConfig:   SyncConfig{AllReduce: collective.Ring, BucketBytes: 96}, // force several buckets per round
+		SyncConfig:   SyncConfig{BucketBytes: 96}, // force several buckets per round
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +88,7 @@ func TestRingOverTCPTransport(t *testing.T) {
 			Plan:         evenPlan(t, factory, 1, 2),
 			Loss:         nn.SoftmaxCrossEntropy,
 			NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
-			SyncConfig:   SyncConfig{AllReduce: collective.Ring, BucketBytes: 64}, // several chunked rounds per minibatch
+			SyncConfig:   SyncConfig{BucketBytes: 64}, // several chunked rounds per minibatch
 			Transport:    tr,
 		}
 	}
@@ -152,43 +115,19 @@ func TestRingOverTCPTransport(t *testing.T) {
 
 // TestRingVerticalSyncCompatible: vertical sync pins each minibatch to
 // one weight version across stages; the ring collective must work under
-// it. On a single replicated stage the run is deterministic, so ring
-// must be bit-identical to central; on a multi-stage plan the ring run
-// must keep the replicated stage's replicas in exact agreement.
+// it and keep the replicated stage's replicas in exact agreement. (That
+// the ring's two-replica sums are the bits a full-gradient exchange
+// produced is held by the 2-1/* rows of parent_training.json, which the
+// exchange wrote.)
 func TestRingVerticalSyncCompatible(t *testing.T) {
 	factory := mlpFactory(33, 4, 8, 3)
 	ds := data.NewBlobs(35, 3, 4, 8, 16)
-	mk := func(m collective.Method) Options {
-		return Options{
-			ModelFactory: factory,
-			Plan:         evenPlan(t, factory, 1, 2),
-			Loss:         nn.SoftmaxCrossEntropy,
-			NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.05, 0, 0) },
-			Mode:         VerticalSync,
-			SyncConfig:   SyncConfig{AllReduce: m},
-		}
-	}
-	centralLoss, centralParams := trainWith(t, mk(collective.Central), ds, 16)
-	ringLoss, ringParams := trainWith(t, mk(collective.Ring), ds, 16)
-	for i := range centralLoss {
-		if centralLoss[i] != ringLoss[i] {
-			t.Fatalf("vertical-sync loss[%d]: central %v vs ring %v", i, centralLoss[i], ringLoss[i])
-		}
-	}
-	for i := range centralParams {
-		if math.Float32bits(centralParams[i]) != math.Float32bits(ringParams[i]) {
-			t.Fatalf("vertical-sync param[%d]: central %v vs ring %v", i, centralParams[i], ringParams[i])
-		}
-	}
-
-	// Multi-stage vertical sync with a ring-replicated input stage.
 	p, err := New(Options{
 		ModelFactory: factory,
 		Plan:         evenPlan(t, factory, 2, 2),
 		Loss:         nn.SoftmaxCrossEntropy,
 		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.05, 0, 0) },
 		Mode:         VerticalSync,
-		SyncConfig:   SyncConfig{AllReduce: collective.Ring},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +158,7 @@ func TestOverlapSyncSplitMetrics(t *testing.T) {
 		Plan:         evenPlan(t, factory, 2, 2),
 		Loss:         nn.SoftmaxCrossEntropy,
 		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.05, 0, 0) },
-		SyncConfig:   SyncConfig{AllReduce: collective.Ring, BucketBytes: 128},
+		SyncConfig:   SyncConfig{BucketBytes: 128},
 		Metrics:      reg,
 	})
 	if err != nil {
@@ -279,7 +218,7 @@ func TestChaosRingDropDelayMatchesCleanRun(t *testing.T) {
 			Plan:         evenPlan(t, factory, 1, 2),
 			Loss:         nn.SoftmaxCrossEntropy,
 			NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
-			SyncConfig:   SyncConfig{AllReduce: collective.Ring, BucketBytes: 256},
+			SyncConfig:   SyncConfig{BucketBytes: 256},
 			Transport:    tr,
 		}
 		if dir != "" {

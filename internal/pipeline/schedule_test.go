@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"pipedream/internal/collective"
 	"pipedream/internal/data"
 	"pipedream/internal/metrics"
 	"pipedream/internal/nn"
@@ -165,28 +164,28 @@ func paramBits(ps []*Pipeline) map[int][]uint32 {
 func TestLossesArePureFunctionOfSeedPlanDepth(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range []struct {
-		name      string
-		replicas  []int
-		graph     *partition.StageGraph
-		allReduce collective.Method
-		windows   []int
-		mode      StalenessMode
-		accum     int
+		name     string
+		replicas []int
+		graph    *partition.StageGraph
+		windows  []int
+		mode     StalenessMode
+		accum    int
 	}{
-		{"chain3", []int{1, 1, 1}, nil, collective.Central, []int{7, 4}, WeightStashing, 1},
-		{"chain4", []int{1, 1, 1, 1}, nil, collective.Central, []int{7, 4}, WeightStashing, 1},
-		{"2-1", []int{2, 1}, nil, collective.Central, []int{7, 4}, WeightStashing, 1},
-		{"3-1-central", []int{3, 1}, nil, collective.Central, []int{7, 4}, WeightStashing, 1},
-		// The ring collective ranks a partial round's participants from
-		// replica 0, so its windows start on a replica-count boundary.
-		{"2-1-ring", []int{2, 1}, nil, collective.Ring, []int{8, 3}, WeightStashing, 1},
-		{"diamond", []int{1, 1, 1, 1}, diamondGraph, collective.Central, []int{7, 4}, WeightStashing, 1},
-		{"twohead", []int{1, 1, 1, 1}, twoHeadGraph, collective.Central, []int{7, 4}, WeightStashing, 1},
-		{"chain3-vsync", []int{1, 1, 1}, nil, collective.Central, []int{7, 4}, VerticalSync, 1},
-		{"3-1-central-vsync", []int{3, 1}, nil, collective.Central, []int{7, 4}, VerticalSync, 1},
-		{"2-1-ring-vsync-accum2", []int{2, 1}, nil, collective.Ring, []int{8, 3}, VerticalSync, 2},
-		{"chain4-accum2", []int{1, 1, 1, 1}, nil, collective.Central, []int{7, 4}, WeightStashing, 2},
-		{"2-1-ring-accum2", []int{2, 1}, nil, collective.Ring, []int{8, 3}, WeightStashing, 2},
+		{"chain3", []int{1, 1, 1}, nil, []int{7, 4}, WeightStashing, 1},
+		{"chain4", []int{1, 1, 1, 1}, nil, []int{7, 4}, WeightStashing, 1},
+		{"2-1", []int{2, 1}, nil, []int{7, 4}, WeightStashing, 1},
+		{"3-1", []int{3, 1}, nil, []int{7, 4}, WeightStashing, 1},
+		// The second window ends in a 2-of-3 round on replicas 2 and 0, and
+		// in a 2-of-4 round on replicas 2 and 3.
+		{"3-1-wrap", []int{3, 1}, nil, []int{8, 5}, WeightStashing, 1},
+		{"4-1", []int{4, 1}, nil, []int{6, 6}, WeightStashing, 1},
+		{"diamond", []int{1, 1, 1, 1}, diamondGraph, []int{7, 4}, WeightStashing, 1},
+		{"twohead", []int{1, 1, 1, 1}, twoHeadGraph, []int{7, 4}, WeightStashing, 1},
+		{"chain3-vsync", []int{1, 1, 1}, nil, []int{7, 4}, VerticalSync, 1},
+		{"3-1-vsync", []int{3, 1}, nil, []int{7, 4}, VerticalSync, 1},
+		{"2-1-vsync-accum2", []int{2, 1}, nil, []int{7, 4}, VerticalSync, 2},
+		{"chain4-accum2", []int{1, 1, 1, 1}, nil, []int{7, 4}, WeightStashing, 2},
+		{"2-1-accum2", []int{2, 1}, nil, []int{7, 4}, WeightStashing, 2},
 	} {
 		factory, plan := shapePlan(t, c.replicas, c.graph)
 		ds := data.NewBlobs(23, 3, 4, 8, 11)
@@ -195,7 +194,6 @@ func TestLossesArePureFunctionOfSeedPlanDepth(t *testing.T) {
 				opts := baseOptions(factory, plan)
 				opts.Depth = depth
 				opts.Recompute = recompute
-				opts.AllReduce = c.allReduce
 				opts.Mode = c.mode
 				opts.GradAccumulation = c.accum
 				var wantLosses []float64
@@ -257,38 +255,6 @@ func TestLossesArePureFunctionOfSeedPlanDepth(t *testing.T) {
 						})
 					}
 				}
-			}
-		}
-	}
-}
-
-// The full-gradient exchange leaves every replica with the block average
-// (the assertion the deleted in-process reducer's unit test made).
-func TestGradientExchangeAveragesBlock(t *testing.T) {
-	factory := mlpFactory(3, 4, 8, 3)
-	p, err := New(baseOptions(factory, evenPlan(t, factory, 1, 2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	ab := newRunAbort()
-	errs := make(chan error, len(p.workers))
-	for r, sw := range p.workers {
-		sw.trainStart, sw.trainEnd = 0, 4
-		for i := range sw.gradArena {
-			sw.gradArena[i] = float32(2*r + 1 + 2*(i%2)) // 1 3 1 3… and 3 5 3 5…
-		}
-		go func() { errs <- sw.exchangeGradients(r, ab) }()
-	}
-	for range p.workers {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	for r, sw := range p.workers {
-		for i, v := range sw.gradArena {
-			if want := float32(2 + 2*(i%2)); v != want {
-				t.Fatalf("replica %d: exchanged average[%d] = %v, want %v", r, i, v, want)
 			}
 		}
 	}

@@ -5,17 +5,17 @@ import (
 	"time"
 
 	"pipedream/internal/tensor"
-	"pipedream/internal/transport"
 )
 
-// This file is a stage worker's gradient sync across replicas (overlapped
-// ring or full-gradient exchange) and the optimizer step that follows it.
+// This file is a stage worker's gradient sync across replicas (the
+// overlapped ring) and the optimizer step that follows it.
 
 // roundOf returns the participant count and globally unique key of the
 // all-reduce round minibatch mb belongs to: with round-robin routing,
 // blocks of `replicas` consecutive minibatches from the Train window's
 // start land on distinct replicas, and the block's first minibatch index
-// names the round.
+// names the round — its replica is the round's first rank, so a window
+// may start and end anywhere.
 func (sw *stageWorker) roundOf(mb int) (participants, key int) {
 	replicas := sw.replicas()
 	k := (mb - sw.trainStart) / replicas
@@ -135,88 +135,6 @@ func (sw *stageWorker) applyUpdate() {
 // updates this worker's weights incorporate: one local update per
 // round-robin round covers `replicas` minibatches.
 func (sw *stageWorker) reflected() int { return sw.updates * sw.replicas() }
-
-// exchangeGradients is the central all_reduce for replicated stages,
-// between local and remote siblings alike: every replica sends its whole
-// gradient arena for the round to each sibling and waits (while
-// continuing to route pipeline traffic) until all participants'
-// contributions arrive, then averages in place. A dead sibling surfaces
-// as a send error or a watchdog trip, not a hang.
-func (sw *stageWorker) exchangeGradients(mb int, ab *runAbort) error {
-	replicas := sw.replicas()
-	participants, first := sw.roundOf(mb) // fewer than replicas in a final partial round
-	if participants <= 1 {
-		return nil
-	}
-	round := (mb - sw.trainStart) / replicas
-	for _, peer := range sw.p.assign.StageWorkers[sw.stage] {
-		if peer == sw.id {
-			continue
-		}
-		// Skip siblings whose minibatch of this round lies past the window.
-		offset := (sw.p.assign.Workers[peer].Replica - first%replicas + replicas) % replicas
-		if first+offset >= sw.trainEnd {
-			continue
-		}
-		if err := sw.p.tr.Send(peer, transport.Message{
-			Kind: transport.GradExchange, Minibatch: round,
-			Version: sw.replica, Tensor: sw.gradFlat, // the arena itself: Send only borrows it
-		}); err != nil {
-			return ab.fail(fmt.Errorf("pipeline: worker %d gradient exchange round %d: %w", sw.id, round, err))
-		}
-	}
-	// Wait for the other participants, routing unrelated messages into
-	// the normal queues so the pipeline keeps flowing.
-	for sw.gradExch == nil || len(sw.gradExch[round]) < participants-1 {
-		if err := sw.waitMsg(ab, false); err != nil {
-			return err
-		}
-	}
-	// Sum in ascending replica index, this replica's own contribution in
-	// its place: float addition is not associative, so a fixed order is
-	// what makes every replica compute the same bits, run after run. The
-	// own contribution is the arena itself and the sum ends up there; two
-	// or more terms before it (a third replica at the earliest) are summed
-	// in pooled scratch. The sum starts from its first term, not from
-	// zeros: no gradient Backward writes is −0, so 0 + x is x, bit for bit.
-	contribs := sw.gradExch[round]
-	delete(sw.gradExch, round)
-	var acc []float32
-	var scratch *tensor.Tensor
-	for r := 0; r < replicas; r++ {
-		c := sw.gradArena
-		if r != sw.replica {
-			t := contribs[r]
-			if t == nil {
-				continue
-			}
-			if t.Size() != len(sw.gradArena) {
-				return ab.fail(fmt.Errorf("pipeline: worker %d gradient exchange round %d: replica %d sent %d values, the stage has %d",
-					sw.id, round, r, t.Size(), len(sw.gradArena)))
-			}
-			c = t.Data
-		}
-		if acc == nil {
-			acc = c
-			continue
-		}
-		dst := sw.gradArena
-		if r < sw.replica {
-			if scratch == nil {
-				scratch = tensor.GetRaw(len(dst))
-			}
-			dst = scratch.Data
-		}
-		tensor.AddInto(dst, acc, c)
-		acc = dst
-	}
-	tensor.Put(scratch)
-	for _, c := range contribs {
-		tensor.Put(c)
-	}
-	tensor.ScaleInto(sw.gradArena, sw.gradArena, float32(1)/float32(participants))
-	return nil
-}
 
 // versionHorizon returns, under vertical sync, the oldest reflected-
 // minibatch count a forward can still be tagged with: nothing older than

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"pipedream/internal/collective"
 	"pipedream/internal/data"
 	"pipedream/internal/nn"
 	"pipedream/internal/tensor"
@@ -248,10 +247,9 @@ func TestWeightVersionsAreNotCopied(t *testing.T) {
 	for _, shape := range []struct {
 		name     string
 		replicas []int
-		ring     bool
 	}{
-		{"2-1-ring", []int{2, 1}, true},
-		{"chain3", []int{1, 1, 1}, false},
+		{"2-1", []int{2, 1}},
+		{"chain3", []int{1, 1, 1}},
 	} {
 		for optName, newOpt := range map[string]func() nn.Optimizer{
 			"sgd":      func() nn.Optimizer { return nn.NewSGD(0.05, 0, 0) },
@@ -292,9 +290,6 @@ func TestWeightVersionsAreNotCopied(t *testing.T) {
 				opts.Mode = mode
 				opts.NewOptimizer = newOpt
 				opts.Transport = tcp
-				if shape.ring {
-					opts.AllReduce = collective.Ring
-				}
 				p, err := New(opts)
 				if err != nil {
 					t.Fatal(err)

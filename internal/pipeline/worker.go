@@ -45,14 +45,13 @@ type stageWorker struct {
 
 	// The stage's parameters live in the arrays of weights' versions and its
 	// gradients (grads, in Grads() order) in gradArena, which the ring's
-	// buckets and the full-gradient exchange reduce in place. accum, made
-	// at the first use and kept for the run, sums the gradients of one
-	// GradAccumulation cycle; accumViews are its per-gradient views and
-	// accumCount the minibatches summed so far.
+	// buckets reduce in place. accum, made at the first use and kept for
+	// the run, sums the gradients of one GradAccumulation cycle; accumViews
+	// are its per-gradient views and accumCount the minibatches summed so
+	// far.
 	weights    *weightVersions
 	grads      []*tensor.Tensor
 	gradArena  []float32
-	gradFlat   *tensor.Tensor // gradArena as the one tensor the full-gradient exchange sends
 	accum      []float32
 	accumViews []*tensor.Tensor
 	accumCount int
@@ -64,11 +63,11 @@ type stageWorker struct {
 	join         partition.JoinOp
 	loss         LossFunc
 
-	// ring is the chunked overlapped collective (Options.AllReduce =
-	// collective.Ring); nil means the full-gradient exchange. gradOffsets
-	// maps "layer i finished backward" to the first final gradient
-	// tensor; curAb and ringErr let the message-routing path (enqueue)
-	// surface collective failures into the running chunk's abort.
+	// ring is a replicated stage's gradient collective; nil on a stage
+	// with one replica. gradOffsets maps "layer i finished backward" to
+	// the first final gradient tensor; curAb and ringErr let the
+	// message-routing path (enqueue) surface collective failures into the
+	// running chunk's abort.
 	ring        *collective.RingReducer
 	gradOffsets []int
 	curAb       *runAbort
@@ -85,7 +84,7 @@ type stageWorker struct {
 	// only the nil checks. syncStart/syncDur carry the most recent
 	// gradient-sync wait from the sync block to the backward hook;
 	// syncFirst is the portion of it spent before the first bucket
-	// completed (equal to syncDur outside ring mode).
+	// completed.
 	met       *workerMetrics
 	syncStart time.Time
 	syncDur   time.Duration
@@ -103,10 +102,6 @@ type stageWorker struct {
 	// successor's gradient did. Single-edge stages bypass both.
 	fwdPend  map[int]map[int]transport.Message
 	gradPend map[int]map[int]*tensor.Tensor
-	// gradExch buffers sibling replicas' gradient contributions by
-	// all-reduce round, keyed by sender replica so duplicate deliveries
-	// (chaos, retransmits) collapse instead of double-counting.
-	gradExch map[int]map[int]*tensor.Tensor
 	// seenFwd marks minibatches whose activation was already accepted, so
 	// duplicate deliveries are dropped instead of running twice.
 	seenFwd map[int]bool
@@ -207,20 +202,6 @@ func (sw *stageWorker) enqueue(m transport.Message) {
 			return
 		}
 		sw.bwdReady[m.Minibatch] = m
-	case transport.GradExchange:
-		if sw.gradExch == nil {
-			sw.gradExch = make(map[int]map[int]*tensor.Tensor)
-		}
-		round := sw.gradExch[m.Minibatch]
-		if round == nil {
-			round = make(map[int]*tensor.Tensor)
-			sw.gradExch[m.Minibatch] = round
-		}
-		if _, dup := round[m.Version]; dup {
-			sw.drop(m)
-			return
-		}
-		round[m.Version] = m.Tensor
 	case transport.GradChunk:
 		if sw.ring == nil {
 			sw.drop(m)
@@ -234,6 +215,10 @@ func (sw *stageWorker) enqueue(m transport.Message) {
 		}
 	case transport.Heartbeat:
 		// Liveness only; never queued.
+	default:
+		// No training worker consumes any other kind (a retired one, or a
+		// Prediction that went astray).
+		sw.drop(m)
 	}
 }
 
@@ -256,8 +241,8 @@ func (sw *stageWorker) drainInbox() {
 
 // run executes the worker's static schedule for one chunk of a Train
 // call: the ops of its schedule.Table list, in order. Each op blocks —
-// under the watchdog and the shared abort, still routing ring, exchange
-// and heartbeat traffic — until the activation or gradient it needs has
+// under the watchdog and the shared abort, still routing ring and
+// heartbeat traffic — until the activation or gradient it needs has
 // arrived; messages for later ops wait in the arrived-sets. run returns a
 // non-nil error (after flagging the shared abort) when the transport
 // fails, the watchdog trips, or another worker aborted the chunk.
@@ -446,14 +431,14 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 	}
 	delete(sw.stash, m.Minibatch)
 
-	// Ring mode opens the all-reduce round before backward runs so that
-	// tail buckets start reducing from the overlap hook while earlier
-	// layers are still backpropagating.
-	useRing := false
+	// A replicated stage opens the all-reduce round before backward runs
+	// so that tail buckets start reducing from the overlap hook while
+	// earlier layers are still backpropagating. A window's final partial
+	// round may have one participant: nothing to synchronize.
+	syncing := false
 	if sw.ring != nil {
-		participants, roundKey := sw.roundOf(m.Minibatch)
-		if participants > 1 {
-			useRing = true
+		if participants, roundKey := sw.roundOf(m.Minibatch); participants > 1 {
+			syncing = true
 			if err := sw.ring.BeginRound(roundKey, participants, sw.grads); err != nil {
 				return ab.fail(fmt.Errorf("pipeline: worker %d ring round for mb %d: %w", sw.id, m.Minibatch, err))
 			}
@@ -472,7 +457,7 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 				entry.output = y
 			}
 		}
-		if useRing {
+		if syncing {
 			return sw.model.BackwardWithHook(ctx, m.Tensor, sw.pumpRing)
 		}
 		return sw.model.Backward(ctx, m.Tensor)
@@ -494,9 +479,9 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 		return err
 	}
 
-	// In ring mode the upstream gradient leaves before the sync drain:
-	// the previous stage starts its backward while our buckets finish
-	// reducing (overlap in both directions); otherwise after the update.
+	// A syncing stage's upstream gradient leaves before the sync drain: the
+	// previous stage starts its backward while our buckets finish reducing
+	// (overlap in both directions); otherwise it leaves after the update.
 	sendUp := func() error {
 		if len(sw.preds) > 0 {
 			// One gradient per in-edge: the join's backward routes gradIn to
@@ -528,45 +513,25 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 		}
 		return nil
 	}
-	if useRing {
+	// Replicated stages average gradients before updating, so replicas
+	// stay consistent (the runtime analogue of DDP within a stage).
+	if syncing {
 		if err := sendUp(); err != nil {
 			return err
 		}
-	}
-
-	// Replicated stages average gradients before updating, so replicas
-	// stay consistent (the runtime analogue of DDP within a stage). Ring
-	// mode drains the overlapped collective; otherwise the replicas
-	// exchange full gradients over the transport.
-	if sw.replicas() > 1 {
 		var s0 time.Time
 		if sw.met != nil {
 			s0 = time.Now()
 		}
-		switch {
-		case useRing:
-			if err := sw.drainRing(ab); err != nil {
-				return err
-			}
-		case sw.ring != nil:
-			// Ring mode, but the final partial round has one participant:
-			// nothing to synchronize.
-		default:
-			if err := sw.exchangeGradients(m.Minibatch, ab); err != nil {
-				return err
-			}
+		if err := sw.drainRing(ab); err != nil {
+			return err
 		}
 		if sw.met != nil {
-			sw.syncStart = s0
-			sw.syncDur = time.Since(s0)
-			if !useRing {
-				sw.syncFirst = sw.syncDur
-			}
+			sw.syncStart, sw.syncDur = s0, time.Since(s0)
 		}
 	}
 	sw.applyUpdate()
-
-	if !useRing {
+	if !syncing {
 		if err := sendUp(); err != nil {
 			return err
 		}

@@ -83,26 +83,3 @@ func (t *Topology) P2PTime(bytes int64, m int) float64 {
 	}
 	return float64(bytes) / t.LinkBandwidth(m)
 }
-
-// CentralExchangeTime returns the per-update time for a centralized
-// (coordinator-based) gradient exchange across a group of m workers:
-// every other worker ships its full payload to the coordinator and
-// receives the averaged payload back, so the coordinator's link carries
-// 2(m-1)·bytes — the all_reduce volume without the ring's 1/m chunking.
-// Shared buses (PCIe trees) divide their bandwidth among the local
-// participants, as in AllReduceTime.
-func (t *Topology) CentralExchangeTime(bytes int64, m int) float64 {
-	if m <= 1 || bytes == 0 {
-		return 0
-	}
-	k := t.levelSpanned(m)
-	beff := t.Levels[k].Bandwidth
-	if k == 0 && t.Levels[0].Shared {
-		n := m
-		if w := t.Levels[0].Width; n > w {
-			n = w
-		}
-		beff /= float64(n)
-	}
-	return 2 * float64(m-1) * float64(bytes) / beff
-}

@@ -48,11 +48,7 @@ const (
 	// Gradient carries the loss gradient w.r.t. a stage's input back to
 	// the previous stage.
 	Gradient
-	// GradExchange carries one replica's flattened weight gradients to a
-	// sibling replica of the same stage (the distributed analogue of the
-	// in-process all_reduce). Minibatch holds the all-reduce round index
-	// and Version the sender's replica index.
-	GradExchange
+	_ // 2: retired full-gradient exchange
 	// Heartbeat is a liveness probe between adjacent stages. It carries
 	// no payload; its purpose is to force a send on the connection so
 	// that a dead peer surfaces as ErrPeerDown at the sender.
@@ -77,8 +73,6 @@ func (k MsgKind) String() string {
 		return "activation"
 	case Gradient:
 		return "gradient"
-	case GradExchange:
-		return "grad-exchange"
 	case Heartbeat:
 		return "heartbeat"
 	case GradChunk:

@@ -39,7 +39,6 @@ package pipedream
 
 import (
 	"pipedream/internal/cluster"
-	"pipedream/internal/collective"
 	"pipedream/internal/data"
 	"pipedream/internal/membership"
 	"pipedream/internal/metrics"
@@ -99,9 +98,9 @@ type (
 	PartitionPlan = partition.Plan
 	// StageSpec is one stage of a plan.
 	StageSpec = partition.StageSpec
-	// PlanOptions selects how NewPlan builds a plan: the sync cost
-	// model, the device-memory constraint, an explicit stage
-	// assignment, and/or a stage dataflow graph.
+	// PlanOptions selects how NewPlan builds a plan: the device-memory
+	// constraint, an explicit stage assignment, and/or a stage dataflow
+	// graph.
 	PlanOptions = partition.PlanOptions
 	// StageGraph is the stage dataflow DAG of a plan: stages as nodes,
 	// typed activation edges, fan-in joins, fan-out broadcasts. A nil
@@ -153,7 +152,7 @@ type (
 	// pipeline depth, activation recomputation, kernel parallelism.
 	RuntimeConfig = pipeline.RuntimeConfig
 	// SyncConfig groups PipelineOptions' gradient-synchronization knobs:
-	// all-reduce method, bucket size, gradient accumulation.
+	// ring bucket size, gradient accumulation.
 	SyncConfig = pipeline.SyncConfig
 	// FaultConfig groups PipelineOptions' fault-tolerance knobs:
 	// checkpointing, recovery budget, watchdog, heartbeat.
@@ -334,29 +333,6 @@ const (
 	NoStashing     = pipeline.NoStashing
 )
 
-// AllReduceMethod selects the gradient collective for replicated stages
-// (PipelineOptions.AllReduce; see docs/ARCHITECTURE.md "Gradient
-// collectives").
-type AllReduceMethod = collective.Method
-
-// Gradient collectives for replicated stages.
-const (
-	// RingAllReduce is the chunked ring all-reduce that overlaps
-	// synchronization with backward compute and moves 2(R-1)/R of the
-	// weight bytes per replica.
-	RingAllReduce = collective.Ring
-	// CentralAllReduce is the barrier-style reducer (the zero value):
-	// replicas block until all have contributed.
-	CentralAllReduce = collective.Central
-)
-
-// Replication sync-cost models for the partitioner
-// (PlanOptions.Sync; Plan.Sync records the choice).
-const (
-	SyncRing    = partition.SyncRing
-	SyncCentral = partition.SyncCentral
-)
-
 // Scheduling policies.
 const (
 	PipeDream1F1B       = schedule.PipeDream1F1B
@@ -429,10 +405,6 @@ var (
 	// membership view changes.
 	NewElastic = pipeline.NewElastic
 
-	// ParseAllReduceMethod maps an -allreduce flag value ("ring" or
-	// "central") to an AllReduceMethod.
-	ParseAllReduceMethod = collective.ParseMethod
-
 	// NewMetricsRegistry and NewOpLog build the observability sinks a
 	// pipeline accepts via PipelineOptions.Metrics / PipelineOptions.OpLog.
 	NewMetricsRegistry = metrics.NewRegistry
@@ -453,10 +425,10 @@ func ProfileModel(model *Sequential, name string, ds Dataset, numBatches int) *M
 
 // NewPlan is the single planning entry point: it splits the profiled
 // layers into pipeline stages, chooses replication factors, and computes
-// NOAM and the predicted throughput. PlanOptions select the sync cost
-// model, the device-memory constraint (depth recorded in Plan.Depth),
-// an explicit stage assignment to price instead of optimizing, and/or a
-// StageGraph giving the stages DAG-shaped dataflow.
+// NOAM and the predicted throughput. PlanOptions select the
+// device-memory constraint (depth recorded in Plan.Depth), an explicit
+// stage assignment to price instead of optimizing, and/or a StageGraph
+// giving the stages DAG-shaped dataflow.
 func NewPlan(prof *ModelProfile, topo *Topology, opts PlanOptions) (*PartitionPlan, error) {
 	return partition.NewPlan(prof, topo, opts)
 }

@@ -17,8 +17,10 @@ if [ -n "$UNFORMATTED" ]; then
     exit 1
 fi
 
-echo "== go build"
+echo "== go build (the frozen bench/ module too), and a replicated run whose windows end off a replica-count boundary"
 go build ./...
+(cd bench && go vet ./... && go build -o /dev/null ./...)
+go run ./cmd/pipedream-train -task spiral -stages 2 -replicas 3 -epochs 3 >/dev/null
 
 echo "== portable kernels (arm64 cross-vet of tensor + nn; tensor tests on 386, where no assembly is built)"
 GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/
