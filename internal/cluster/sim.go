@@ -129,15 +129,16 @@ func (h *eventHeap) Pop() any {
 // stageInfo caches per-stage quantities derived from the profile and
 // the plan's stage graph.
 type stageInfo struct {
-	spec      partition.StageSpec
-	fwdTime   float64
-	bwdTime   float64
-	weightB   int64 // stage weights
-	actOutB   int64 // activation bytes leaving the stage
-	actStashB int64 // activation bytes stashed per in-flight minibatch
-	syncTime  float64
-	syncBytes int64
-	inputActB int64 // activation bytes entering the stage
+	spec         partition.StageSpec
+	fwdTime      float64
+	bwdTime      float64
+	weightB      int64 // stage weights
+	actOutB      int64 // activation bytes leaving the stage
+	actStashB    int64 // activation bytes stashed per in-flight minibatch
+	syncTime     float64
+	syncBytes    int64
+	inputActB    int64   // activation bytes entering the stage
+	bwdParamTime float64 // the part of bwdTime after the upstream gradient left
 	// preds/succs are the stage's dataflow neighbors in the plan's
 	// graph (for a linear plan: stage-1 and stage+1).
 	preds, succs []int
@@ -211,23 +212,25 @@ func (s *sim) init() error {
 		return err
 	}
 	for si, spec := range cfg.Plan.Stages {
-		var fwd, bwd float64
+		var fwd, bwd, bwdParam float64
 		var wB, stash int64
 		for l := spec.FirstLayer; l <= spec.LastLayer; l++ {
 			fwd += prof.Layers[l].FwdTime
 			bwd += prof.Layers[l].BwdTime
+			bwdParam += prof.Layers[l].BwdParamTime
 			wB += prof.Layers[l].WeightBytes
 			stash += prof.Layers[l].ActivationBytes
 		}
 		info := stageInfo{
-			spec:      spec,
-			fwdTime:   fwd,
-			bwdTime:   bwd,
-			weightB:   wB,
-			actOutB:   prof.Layers[spec.LastLayer].ActivationBytes,
-			actStashB: stash,
-			preds:     graph.Preds(si),
-			succs:     graph.Succs(si),
+			spec:         spec,
+			fwdTime:      fwd,
+			bwdTime:      bwd,
+			bwdParamTime: bwdParam,
+			weightB:      wB,
+			actOutB:      prof.Layers[spec.LastLayer].ActivationBytes,
+			actStashB:    stash,
+			preds:        graph.Preds(si),
+			succs:        graph.Succs(si),
 		}
 		if spec.FirstLayer > 0 {
 			info.inputActB = prof.Layers[spec.FirstLayer-1].ActivationBytes
@@ -415,7 +418,9 @@ func (s *sim) onBackwardDone(w, mb int, end float64) {
 	if stage > 0 {
 		// Return a gradient along every in-edge; each carries the size of
 		// that predecessor's output activation (for a linear plan this is
-		// exactly the stage's input activation).
+		// exactly the stage's input activation), before the parameter
+		// halves run; the worker stays busy until end.
+		sent := end - s.stages[stage].bwdParamTime*s.speedOf(w)
 		for _, prev := range s.stages[stage].preds {
 			replicas := len(s.assign.StageWorkers[prev])
 			target := s.assign.StageWorkers[prev][schedule.ReplicaFor(mb, replicas)]
@@ -423,8 +428,8 @@ func (s *sim) onBackwardDone(w, mb int, end float64) {
 			span := s.stages[stage].spec.Replicas + s.stages[prev].spec.Replicas
 			delay := s.cfg.Topo.P2PTime(bytes, span)
 			s.p2pBytes += bytes
-			s.recordTransfer(w, stage, mb, end, end+delay)
-			s.post(end+delay, evGradArrive, target, mb)
+			s.recordTransfer(w, stage, mb, sent, sent+delay)
+			s.post(sent+delay, evGradArrive, target, mb)
 		}
 		return
 	}

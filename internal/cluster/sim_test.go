@@ -87,6 +87,36 @@ func TestSimulate1F1BInvariants(t *testing.T) {
 	}
 }
 
+// A stage's upstream gradient leaves BwdParamTime before its backward
+// ends — the parameter halves run after the send — while the worker stays
+// busy until the end. One minibatch at a time through two stages (forward
+// 1, backward 2, half of it the parameter half): B0 starts at 3 instead of
+// 4, so a minibatch completes every 5 time units instead of 6.
+func TestSimulateGradientLeavesBeforeParameterHalves(t *testing.T) {
+	for _, c := range []struct{ param, period float64 }{{0, 6}, {1, 5}} {
+		prof := uniformProfile(2, 1, 2, 4, 4)
+		for i := range prof.Layers {
+			prof.Layers[i].BwdParamTime = c.param
+		}
+		topo := fastTopo(2)
+		res, err := Simulate(Config{
+			Profile: prof, Topo: topo, Plan: straightPlan(t, prof, topo, 2),
+			Policy: schedule.ModelParallelSingle, Minibatches: 20, RecordTimeline: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(res.Throughput-1/c.period) > 1e-6 {
+			t.Errorf("parameter half %v: throughput %v, want 1/%v", c.param, res.Throughput, c.period)
+		}
+		for _, op := range res.Timeline.Ops {
+			if op.Kind == schedule.Backward && math.Abs(op.End-op.Start-2) > 1e-9 {
+				t.Fatalf("parameter half %v: a backward occupies its worker %v, want 2", c.param, op.End-op.Start)
+			}
+		}
+	}
+}
+
 func TestSimulateModelParallelLowUtilization(t *testing.T) {
 	// Figure 2: model parallelism keeps ~1 of 4 workers busy.
 	prof := uniformProfile(4, 1, 2, 4, 4)

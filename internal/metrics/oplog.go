@@ -64,6 +64,9 @@ type OpEvent struct {
 	// updates applied between this minibatch's forward and backward
 	// passes (0 otherwise).
 	Staleness int
+	// GradUp is, for backward ops, the offset from Start at which the
+	// upstream gradient left (0: none was sent).
+	GradUp time.Duration
 }
 
 // OpLog is a bounded, append-only log of runtime ops, shared by every

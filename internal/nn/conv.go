@@ -74,16 +74,21 @@ func (c *Conv2D) forwardFused(x *tensor.Tensor, a *tensor.Arena, act tensor.Acti
 	return tensor.ConvBiasActInto(a.GetRaw(yShape[:]...), a.GetRaw(padShape[:]...), x, c.W, c.B, c.Geom, act)
 }
 
-// Backward implements Layer; the im2col panel GW needs lives inside the call.
+// Backward implements Layer: the parameter half, then the input half.
 func (c *Conv2D) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
-	x := ctx.(*tensor.Tensor)
+	c.backwardParams(ctx, gradOut)
+	return c.backwardInput(ctx, gradOut)
+}
+
+// flatGrad returns the input and gradOut pooled in layout [B*OH*OW, OutC].
+func (c *Conv2D) flatGrad(ctx Context, gradOut *tensor.Tensor) (x, gflat *tensor.Tensor) {
+	x = ctx.(*tensor.Tensor)
 	b := x.Dim(0)
 	oh, ow := c.Geom.OutH(), c.Geom.OutW()
 	if gradOut.NumDims() != 4 || gradOut.Dim(0) != b || gradOut.Dim(1) != c.OutC {
 		panic(fmt.Sprintf("nn: %s backward grad %v, want [%d,%d,%d,%d]", c.name, gradOut.Shape, b, c.OutC, oh, ow))
 	}
-	// Convert gradOut [B, OutC, OH, OW] back to flat layout [B*OH*OW, OutC].
-	gflat := tensor.GetRaw(b*oh*ow, c.OutC)
+	gflat = tensor.GetRaw(b*oh*ow, c.OutC)
 	for n := 0; n < b; n++ {
 		for oc := 0; oc < c.OutC; oc++ {
 			src := gradOut.Data[(n*c.OutC+oc)*oh*ow:]
@@ -92,14 +97,28 @@ func (c *Conv2D) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	cols := tensor.Im2ColInto(tensor.GetRaw(b*oh*ow, c.W.Dim(0)), x, c.Geom)
-	tensor.MatMulTransAInto(c.GW, cols, gflat)
-	tensor.SumRowsInto(c.GB, gflat)
-	tensor.MatMulTransBInto(cols, gflat, c.W) // gflat · Wᵀ = [B*OH*OW, fanIn], over the panel: GW has it
+	return x, gflat
+}
+
+// backwardInput returns col2im(gflat · Wᵀ), the input gradient.
+func (c *Conv2D) backwardInput(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
+	x, gflat := c.flatGrad(ctx, gradOut)
+	cols := tensor.MatMulTransBInto(tensor.GetRaw(gflat.Dim(0), c.W.Dim(0)), gflat, c.W)
 	tensor.Put(gflat)
-	gradIn := tensor.Col2ImInto(tensor.Get(b, c.Geom.InC, c.Geom.InH, c.Geom.InW), cols, c.Geom)
+	gradIn := tensor.Col2ImInto(tensor.Get(x.Dim(0), c.Geom.InC, c.Geom.InH, c.Geom.InW), cols, c.Geom)
 	tensor.Put(cols)
 	return gradIn
+}
+
+// backwardParams sets GW = colsᵀ · gflat over the input's im2col panel
+// and GB to gflat's row sums.
+func (c *Conv2D) backwardParams(ctx Context, gradOut *tensor.Tensor) {
+	x, gflat := c.flatGrad(ctx, gradOut)
+	cols := tensor.Im2ColInto(tensor.GetRaw(gflat.Dim(0), c.W.Dim(0)), x, c.Geom)
+	tensor.MatMulTransAInto(c.GW, cols, gflat)
+	tensor.SumRowsInto(c.GB, gflat)
+	tensor.Put(cols)
+	tensor.Put(gflat)
 }
 
 // Params implements Layer.

@@ -61,13 +61,21 @@ func (d *Dense) forwardFused(x *tensor.Tensor, a *tensor.Arena, act tensor.Activ
 	return y
 }
 
-// Backward implements Layer.
+// Backward implements Layer: the parameter half, then the input half.
 func (d *Dense) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
-	x := ctx.(*tensor.Tensor)
-	tensor.MatMulTransAInto(d.GW, x, gradOut) // xᵀ · gradOut
+	d.backwardParams(ctx, gradOut)
+	return d.backwardInput(ctx, gradOut)
+}
+
+// backwardInput returns gradOut · Wᵀ, the gradient of the input.
+func (d *Dense) backwardInput(_ Context, gradOut *tensor.Tensor) *tensor.Tensor {
+	return tensor.MatMulTransBInto(tensor.GetRaw(gradOut.Dim(0), d.W.Dim(0)), gradOut, d.W)
+}
+
+// backwardParams sets GW = xᵀ · gradOut and GB to gradOut's row sums.
+func (d *Dense) backwardParams(ctx Context, gradOut *tensor.Tensor) {
+	tensor.MatMulTransAInto(d.GW, ctx.(*tensor.Tensor), gradOut)
 	tensor.SumRowsInto(d.GB, gradOut)
-	gradIn := tensor.GetRaw(gradOut.Dim(0), d.W.Dim(0))
-	return tensor.MatMulTransBInto(gradIn, gradOut, d.W) // gradOut · Wᵀ
 }
 
 // Params implements Layer.

@@ -65,10 +65,19 @@ func (e *Embedding) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tens
 	return y
 }
 
-// Backward implements Layer. The returned input gradient is zero (token ids
-// are not differentiable) but keeps the pipeline contract of one gradient
-// message per activation message.
+// Backward implements Layer: the parameter half, then the input half.
 func (e *Embedding) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
+	e.backwardParams(ctx, gradOut)
+	return e.backwardInput(ctx, gradOut)
+}
+
+// backwardInput returns zeros: token ids are not differentiable.
+func (e *Embedding) backwardInput(ctx Context, _ *tensor.Tensor) *tensor.Tensor {
+	return tensor.Get(ctx.(*tensor.Tensor).Shape...)
+}
+
+// backwardParams sets GW.
+func (e *Embedding) backwardParams(ctx Context, gradOut *tensor.Tensor) {
 	x := ctx.(*tensor.Tensor)
 	if gradOut.Size() != x.Size()*e.Dim {
 		panic(fmt.Sprintf("nn: %s backward grad %v for %d ids", e.name, gradOut.Shape, x.Size()))
@@ -79,7 +88,6 @@ func (e *Embedding) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor
 		dst := e.GW.Data[id*e.Dim : (id+1)*e.Dim]
 		tensor.AddInto(dst, dst, gradOut.Data[i*e.Dim:(i+1)*e.Dim])
 	}
-	return tensor.Get(x.Shape...)
 }
 
 // Params implements Layer.

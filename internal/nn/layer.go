@@ -27,6 +27,9 @@ type Context interface{}
 // it itself — and return the gradient with respect to the layer input.
 // Until its next Backward the gradients are the caller's to read or to
 // rewrite in place (the ring all-reduce averages them where they lie).
+// Sequential's backward has two passes (BackwardWithHook): a layer's
+// Backward may run before those above have set their gradients, or not at
+// all below the lowest layer with parameters of an input stage.
 //
 // Tensor ownership. A layer takes the tensors it returns from the tensor
 // pool (tensor.GetRaw when it writes every element, tensor.Get when it
@@ -74,7 +77,7 @@ type contextDiscarder interface {
 }
 
 // Sequential is an ordered list of layers — the "operator graph" PipeDream
-// partitions into stages.
+// partitions into stages; its backward runs in two passes (BackwardWithHook).
 type Sequential struct {
 	Layers []Layer
 }
@@ -94,7 +97,8 @@ type SeqContext struct {
 	// caller's, and for a view of the caller's input, of the caller's
 	// output or of the previous layer's output (which goes with that one).
 	// Decided when Forward ends, while all of them are alive.
-	owned []*tensor.Tensor
+	owned    []*tensor.Tensor
+	gradOuts []*tensor.Tensor // split layer i's gradOut, from its input half to its parameter half
 	// readsOutput: some layer's context is the final output's storage.
 	readsOutput bool
 }
@@ -108,7 +112,8 @@ func (c *SeqContext) ReadsOutput() bool { return c.readsOutput }
 // Forward runs all layers in order.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *SeqContext) {
 	n := len(s.Layers)
-	ctx := &SeqContext{ctxs: make([]Context, n), owned: make([]*tensor.Tensor, n)}
+	held := make([]*tensor.Tensor, 2*n)
+	ctx := &SeqContext{ctxs: make([]Context, n), owned: held[:n:n], gradOuts: held[n:]}
 	in := x
 	for i, l := range s.Layers {
 		x, ctx.ctxs[i] = l.Forward(x, train)
@@ -127,44 +132,102 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *Seq
 	return x, ctx
 }
 
-// Backward runs all layers in reverse, setting parameter gradients.
-func (s *Sequential) Backward(ctx *SeqContext, gradOut *tensor.Tensor) *tensor.Tensor {
-	return s.BackwardWithHook(ctx, gradOut, nil)
+// splitLayer's Backward is its two halves; both read the context (the
+// layer's input) and gradOut. backwardParams sets Grads.
+type splitLayer interface {
+	backwardInput(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor
+	backwardParams(ctx Context, gradOut *tensor.Tensor)
 }
 
-// BackwardWithHook runs all layers in reverse like Backward, invoking
-// hook(i) after layer i's backward completes — at that point the
-// parameter gradients of layers i..len-1 are final and may be consumed.
-// The pipeline runtime uses the hook to overlap replicated-stage gradient
-// synchronization with the remaining backward compute. A nil hook makes
-// this identical to Backward.
-//
-// Every gradient between two layers is recycled as soon as the earlier
-// layer's backward has consumed it, and every layer output the Sequential
-// owns (see SeqContext) once the backward of the layer that produced it
-// has returned: by then no context reads it any more. gradOut stays the
-// caller's, as does the returned gradient, which may be a view of gradOut.
-func (s *Sequential) BackwardWithHook(ctx *SeqContext, gradOut *tensor.Tensor, hook func(layer int)) *tensor.Tensor {
-	if len(ctx.ctxs) != len(s.Layers) {
-		panic(fmt.Sprintf("nn: context for %d layers used with %d-layer Sequential", len(ctx.ctxs), len(s.Layers)))
+// split returns l's halves, or nil when its backward runs whole: by concrete
+// type, so a wrapper embedding a *Dense with a Context of its own runs whole.
+func split(l Layer) splitLayer {
+	switch l.(type) {
+	case *Dense, *Conv2D, *Embedding:
+		return l.(splitLayer)
 	}
-	if ctx.owned == nil && len(s.Layers) > 0 {
+	return nil
+}
+
+// Backward is BackwardWithHook returning the input gradient, hooking nothing.
+func (s *Sequential) Backward(ctx *SeqContext, gradOut *tensor.Tensor) (gradIn *tensor.Tensor) {
+	s.BackwardWithHook(ctx, gradOut, func(g *tensor.Tensor) { gradIn = g }, nil)
+	return gradIn
+}
+
+// BackwardWithHook runs the backward in the order a pipeline waits for it,
+// in two passes over the layers, last to first. Pass 1 computes input
+// gradients — Dense, Conv2D and Embedding run their input half, any other
+// layer its whole Backward — and hands up the input gradient, the caller's
+// from then on (maybe a view of gradOut). Pass 2 runs the parameter halves,
+// calling hook(i) after layer i: the gradients of layers i.. are final.
+// Every product keeps its operands and accumulation order. A nil up asks
+// for no input gradient: the lowest layer with parameters runs no input
+// half and the layers below it do not run (their contexts are discarded).
+// A gradient between layers is recycled once no half reads it, a layer
+// output the Sequential owns (see SeqContext) once its producer ran and no
+// parameter half above reads it. gradOut stays the caller's.
+func (s *Sequential) BackwardWithHook(ctx *SeqContext, gradOut *tensor.Tensor, up func(gradIn *tensor.Tensor), hook func(layer int)) {
+	n := len(s.Layers)
+	if len(ctx.ctxs) != n {
+		panic(fmt.Sprintf("nn: context for %d layers used with %d-layer Sequential", len(ctx.ctxs), n))
+	}
+	if ctx.owned == nil && n > 0 {
 		panic("nn: Sequential context used after its Backward or Discard")
 	}
+	low := 0 // the lowest layer pass 1 runs
+	for up == nil && low < n && split(s.Layers[low]) == nil && len(s.Layers[low].Params()) == 0 {
+		low++
+	}
+	// splitIn is the nearest split layer above's input: no other output is read again.
+	var splitIn *tensor.Tensor
 	grad := gradOut
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		next := s.Layers[i].Backward(ctx.ctxs[i], grad)
-		if !tensor.SharesStorage(grad, gradOut) && !tensor.SharesStorage(grad, next) {
-			tensor.Put(grad)
+	for i := n - 1; i >= 0; i-- {
+		l := s.Layers[i]
+		sp := split(l)
+		switch {
+		case i < low:
+			if d, ok := l.(contextDiscarder); ok {
+				d.discard(ctx.ctxs[i])
+			}
+		case sp != nil:
+			ctx.gradOuts[i], grad = grad, nil
+			if i > low || up != nil {
+				grad = sp.backwardInput(ctx.ctxs[i], ctx.gradOuts[i])
+			}
+		default:
+			next := l.Backward(ctx.ctxs[i], grad)
+			if !tensor.SharesStorage(grad, gradOut) && !tensor.SharesStorage(grad, next) {
+				tensor.Put(grad)
+			}
+			grad = next
 		}
-		grad = next
+		if !tensor.SharesStorage(ctx.owned[i], splitIn) {
+			tensor.Put(ctx.owned[i])
+			ctx.owned[i] = nil
+		}
+		if sp != nil {
+			splitIn = ctx.ctxs[i].(*tensor.Tensor)
+		}
+	}
+	if up != nil {
+		up(grad)
+	} else if !tensor.SharesStorage(grad, gradOut) {
+		tensor.Put(grad) // what an unsplit lowest layer returned unasked
+	}
+	for i := n - 1; i >= 0; i-- {
+		if sp := split(s.Layers[i]); sp != nil {
+			sp.backwardParams(ctx.ctxs[i], ctx.gradOuts[i])
+			if !tensor.SharesStorage(ctx.gradOuts[i], gradOut) {
+				tensor.Put(ctx.gradOuts[i])
+			}
+		}
 		tensor.Put(ctx.owned[i])
 		if hook != nil {
 			hook(i)
 		}
 	}
 	ctx.owned = nil
-	return grad
 }
 
 // Discard recycles what a forward pass left in ctx when no Backward will

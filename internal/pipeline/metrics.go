@@ -177,10 +177,10 @@ func (wm *workerMetrics) observeBucketWait(d time.Duration, n int) {
 }
 
 // backwardDone records one completed backward pass: its full duration,
-// the sync-wait sub-span (nested inside it on the trace timeline) split
-// into before-first-bucket and tail portions, and the observed
-// weight-version staleness.
-func (wm *workerMetrics) backwardDone(sw *stageWorker, mb int, start time.Time, syncStart time.Time, syncDur, syncFirst time.Duration, staleness int) {
+// when its upstream gradient left (gradUp), the sync-wait sub-span (nested
+// inside it on the trace timeline) split into before-first-bucket and tail
+// portions, and the observed weight-version staleness.
+func (wm *workerMetrics) backwardDone(sw *stageWorker, mb int, start time.Time, gradUp time.Duration, syncStart time.Time, syncDur, syncFirst time.Duration, staleness int) {
 	d := time.Since(start)
 	if syncFirst > syncDur {
 		syncFirst = syncDur
@@ -207,7 +207,7 @@ func (wm *workerMetrics) backwardDone(sw *stageWorker, mb int, start time.Time, 
 	if wm.oplog != nil {
 		wm.oplog.Record(metrics.OpEvent{
 			Worker: sw.id, Stage: sw.stage, Replica: sw.replica,
-			Minibatch: mb, Kind: metrics.OpBackward, Dur: d, Staleness: staleness,
+			Minibatch: mb, Kind: metrics.OpBackward, Dur: d, Staleness: staleness, GradUp: gradUp,
 		}, start)
 		if syncDur > 0 {
 			wm.oplog.Record(metrics.OpEvent{

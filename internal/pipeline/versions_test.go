@@ -294,10 +294,16 @@ func TestWeightVersionsAreNotCopied(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if mode == WeightStashing {
-					for _, sw := range p.workers {
-						sw.model.Layers[0] = &arrayProbe{Dense: sw.model.Layers[0].(*nn.Dense), mu: &mu, errors: &probeErrors}
-					}
+				// Layer 0 is probed in both modes, so that both runs do the same
+				// work: a probe's backward is one piece, input gradient
+				// included. Only weight stashing promises the probe its
+				// forward's array.
+				errs := &probeErrors
+				if mode == NoStashing {
+					errs = new([]string)
+				}
+				for _, sw := range p.workers {
+					sw.model.Layers[0] = &arrayProbe{Dense: sw.model.Layers[0].(*nn.Dense), mu: &mu, errors: errs}
 				}
 				for i := 0; i < 2; i++ {
 					if _, err := p.Train(ds, perCall); err != nil {

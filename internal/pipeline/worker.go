@@ -407,19 +407,22 @@ func (sw *stageWorker) sendActivation(m transport.Message, y *tensor.Tensor, ab 
 	return nil
 }
 
-// backward runs the stage's backward pass for one minibatch, synchronizes
-// gradients across replicas, and applies the update to the latest weights
+// backward runs the stage's backward pass for one minibatch — the input
+// pass, the upstream send, the parameter pass — synchronizes gradients
+// across replicas, and applies the update to the latest weights
 // (PipeDream's semantics: gradients are computed with stashed weights but
 // applied to the most recent version). The schedule runs it exactly once
 // per minibatch, after that minibatch's forward, so the stash entry is
 // there.
 func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 	entry := sw.stash[m.Minibatch]
+	var op0 time.Time
+	var gradUp time.Duration // when the upstream gradient left, from op0
 	if sw.met != nil {
-		op0 := time.Now()
+		op0 = time.Now()
 		staleness := sw.updates - entry.fwdUpdates
 		defer func() {
-			sw.met.backwardDone(sw, m.Minibatch, op0, sw.syncStart, sw.syncDur, sw.syncFirst, staleness)
+			sw.met.backwardDone(sw, m.Minibatch, op0, gradUp, sw.syncStart, sw.syncDur, sw.syncFirst, staleness)
 			sw.syncDur = 0
 			sw.syncFirst = 0
 		}()
@@ -432,93 +435,97 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 	delete(sw.stash, m.Minibatch)
 
 	// A replicated stage opens the all-reduce round before backward runs
-	// so that tail buckets start reducing from the overlap hook while
-	// earlier layers are still backpropagating. A window's final partial
-	// round may have one participant: nothing to synchronize.
-	syncing := false
+	// so that tail buckets start reducing from the overlap hook, ringHook,
+	// while earlier layers are still backpropagating. A window's final
+	// partial round may have one participant: nothing to synchronize.
+	var ringHook func(layer int)
 	if sw.ring != nil {
 		if participants, roundKey := sw.roundOf(m.Minibatch); participants > 1 {
-			syncing = true
+			ringHook = sw.pumpRing
 			if err := sw.ring.BeginRound(roundKey, participants, sw.grads); err != nil {
 				return ab.fail(fmt.Errorf("pipeline: worker %d ring round for mb %d: %w", sw.id, m.Minibatch, err))
 			}
 		}
 	}
 
-	var gradIn *tensor.Tensor
-	backward := func() *tensor.Tensor {
-		ctx := entry.ctx
-		if ctx == nil {
-			// Recomputation: re-run the forward pass (under the same
-			// stashed weights) to rebuild the layer contexts.
-			var y *tensor.Tensor
-			y, ctx = sw.model.Forward(entry.input, true)
-			if !tensor.SharesStorage(y, entry.input) {
-				entry.output = y
-			}
-		}
-		if syncing {
-			return sw.model.BackwardWithHook(ctx, m.Tensor, sw.pumpRing)
-		}
-		return sw.model.Backward(ctx, m.Tensor)
-	}
-	if entry.weights != nil {
-		// Point the layers at the version the forward ran under, and back:
-		// its last reader may be this backward, which then frees its array.
-		sw.weights.bind(entry.weights)
-		gradIn = backward()
-		sw.weights.bind(sw.weights.latest())
-		sw.trackStash(-sw.weights.release(entry.weights))
-	} else {
-		gradIn = backward()
-	}
-	sw.trackStash(-int64(entry.input.Bytes()))
-	if sw.ringErr != nil {
-		err := sw.ringErr
-		sw.ringErr = nil
-		return err
-	}
-
-	// A syncing stage's upstream gradient leaves before the sync drain: the
-	// previous stage starts its backward while our buckets finish reducing
-	// (overlap in both directions); otherwise it leaves after the update.
-	sendUp := func() error {
-		if len(sw.preds) > 0 {
-			// One gradient per in-edge: the join's backward routes gradIn to
-			// each predecessor (unchanged for sum, split by feature width
-			// for concat, pass-through for a single edge).
+	// The upstream gradient leaves the moment the input pass has made it —
+	// before any weight gradient, ring drain or optimizer step — so the
+	// previous stage starts its backward while this one finishes (the input
+	// stage asks for none); the join's backward routes it to each in-edge
+	// (as is for sum, split by width for concat). The sends only borrow it;
+	// a stage of views returns a view of the downstream gradient.
+	var sendErr error
+	var up func(*tensor.Tensor)
+	if len(sw.preds) > 0 {
+		up = func(gradIn *tensor.Tensor) {
 			upGrads, err := splitJoinGrad(sw.join, gradIn, sw.preds, entry.joinWidths)
-			if err != nil {
-				return ab.fail(fmt.Errorf("pipeline: worker %d backward mb %d: %w", sw.id, m.Minibatch, err))
-			}
-			for i, prev := range sw.preds {
+			for i := 0; err == nil && i < len(sw.preds); i++ {
+				prev := sw.preds[i]
 				target := sw.p.assign.StageWorkers[prev][schedule.ReplicaFor(m.Minibatch, len(sw.p.assign.StageWorkers[prev]))]
-				if err := sw.p.tr.Send(target, transport.Message{
+				err = sw.p.tr.Send(target, transport.Message{
 					Kind: transport.Gradient, Minibatch: m.Minibatch,
 					Version: entry.version, Src: sw.stage, Tensor: upGrads[i],
-				}); err != nil {
-					return ab.fail(fmt.Errorf("pipeline: worker %d backward mb %d: %w", sw.id, m.Minibatch, err))
-				}
+				})
 			}
 			for _, g := range upGrads {
 				if g != gradIn {
 					tensor.Put(g) // a concat join's per-edge column copy
 				}
 			}
+			if !tensor.SharesStorage(gradIn, m.Tensor) {
+				tensor.Put(gradIn)
+			}
+			if err != nil {
+				sendErr = ab.fail(fmt.Errorf("pipeline: worker %d backward mb %d: %w", sw.id, m.Minibatch, err))
+			}
+			if sw.met != nil {
+				gradUp = time.Since(op0)
+			}
 		}
-		// The sends only borrowed gradIn. A stage of views only returns a
-		// view of the downstream gradient, which is released as that, below.
-		if !tensor.SharesStorage(gradIn, m.Tensor) {
-			tensor.Put(gradIn)
-		}
-		return nil
 	}
+	// Point the layers at the version the forward ran under, and back: its
+	// last reader may be this backward, which then frees its array.
+	if entry.weights != nil {
+		sw.weights.bind(entry.weights)
+	}
+	ctx := entry.ctx
+	if ctx == nil {
+		// Recomputation: re-run the forward pass (under the same stashed
+		// weights) to rebuild the layer contexts.
+		var y *tensor.Tensor
+		y, ctx = sw.model.Forward(entry.input, true)
+		if !tensor.SharesStorage(y, entry.input) {
+			entry.output = y
+		}
+	}
+	sw.model.BackwardWithHook(ctx, m.Tensor, up, ringHook)
+	if entry.weights != nil {
+		sw.weights.bind(sw.weights.latest())
+		sw.trackStash(-sw.weights.release(entry.weights))
+	}
+	sw.trackStash(-int64(entry.input.Bytes()))
+	// Nothing reads the minibatch's input activation (a layer context until
+	// now), its output (possibly the last layer's context) or the output's
+	// gradient again, and the upstream gradient — maybe a view of the latter
+	// — has left. All three are this worker's, taken off the transport or
+	// made here; only the input stage's batch is the dataset's.
+	if len(sw.preds) > 0 {
+		tensor.Put(entry.input)
+	}
+	tensor.Put(m.Tensor)
+	tensor.Put(entry.output)
+	if sendErr != nil {
+		return sendErr
+	}
+	if sw.ringErr != nil {
+		err := sw.ringErr
+		sw.ringErr = nil
+		return err
+	}
+
 	// Replicated stages average gradients before updating, so replicas
 	// stay consistent (the runtime analogue of DDP within a stage).
-	if syncing {
-		if err := sendUp(); err != nil {
-			return err
-		}
+	if ringHook != nil {
 		var s0 time.Time
 		if sw.met != nil {
 			s0 = time.Now()
@@ -531,21 +538,6 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 		}
 	}
 	sw.applyUpdate()
-	if !syncing {
-		if err := sendUp(); err != nil {
-			return err
-		}
-	}
-	// Nothing reads the minibatch's input activation (a layer context until
-	// now), its output (possibly the last layer's context) or the output's
-	// gradient again, and the upstream gradient — maybe a view of the latter
-	// — has left. All three are this worker's, taken off the transport or
-	// made here; only the input stage's batch is the dataset's.
-	if len(sw.preds) > 0 {
-		tensor.Put(entry.input)
-	}
-	tensor.Put(m.Tensor)
-	tensor.Put(entry.output)
 	return nil
 }
 

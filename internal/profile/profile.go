@@ -23,6 +23,10 @@ type LayerProfile struct {
 	BwdTime         float64 `json:"bwd_time"`         // seconds per minibatch
 	ActivationBytes int64   `json:"activation_bytes"` // a_l: output activation size
 	WeightBytes     int64   `json:"weight_bytes"`     // w_l: parameter size
+	// BwdParamTime is the part of BwdTime after the stage's upstream
+	// gradient has left: the parameter half (nn.Sequential.BackwardWithHook).
+	// 0 without parameters and in profiles Measure did not take.
+	BwdParamTime float64 `json:"bwd_param_time,omitempty"`
 }
 
 // TotalTime returns Tl = forward + backward time.
@@ -95,8 +99,8 @@ func (m *ModelProfile) Validate() error {
 		return fmt.Errorf("profile %q: minibatch size %d", m.Model, m.MinibatchSize)
 	}
 	for i, l := range m.Layers {
-		if l.FwdTime < 0 || l.BwdTime < 0 || l.ActivationBytes < 0 || l.WeightBytes < 0 {
-			return fmt.Errorf("profile %q: layer %d (%s) has negative fields", m.Model, i, l.Name)
+		if l.FwdTime < 0 || l.BwdTime < 0 || l.ActivationBytes < 0 || l.WeightBytes < 0 || l.BwdParamTime < 0 || l.BwdParamTime > l.BwdTime {
+			return fmt.Errorf("profile %q: layer %d (%s) has negative fields or a parameter half longer than its backward", m.Model, i, l.Name)
 		}
 		if l.TotalTime() == 0 && l.ActivationBytes == 0 {
 			return fmt.Errorf("profile %q: layer %d (%s) is empty", m.Model, i, l.Name)
@@ -126,7 +130,8 @@ func ReadJSON(r io.Reader) (*ModelProfile, error) {
 
 // Measure profiles a real model the way the paper's profiler does: run
 // numBatches minibatches on one worker, recording per-layer forward and
-// backward wall time, activation sizes, and weight sizes. The loss
+// backward wall time (and the backward's parameter half), activation
+// sizes, and weight sizes. The loss
 // gradient is taken as ones (profiling only needs realistic compute, not a
 // real objective).
 //
@@ -143,7 +148,12 @@ func Measure(model *nn.Sequential, name string, ds data.Dataset, numBatches int)
 	n := len(model.Layers)
 	prof := &ModelProfile{Model: name, Parallelism: tensor.Parallelism(),
 		Layers: make([]LayerProfile, n)}
+	// Each layer runs as a one-layer Sequential, timed as the runtime runs
+	// it: input pass, then parameter pass. Layer 0, always the input
+	// stage's first, computes no input gradient.
+	layers := make([]*nn.Sequential, n)
 	for i, l := range model.Layers {
+		layers[i] = model.Slice(i, i+1)
 		prof.Layers[i].Name = l.Name()
 		prof.Layers[i].WeightBytes = int64(nn.ParamBytes(l.Params()))
 	}
@@ -154,34 +164,40 @@ func Measure(model *nn.Sequential, name string, ds data.Dataset, numBatches int)
 			prof.InputBytes = int64(batch.X.Bytes())
 		}
 		x := batch.X
-		ctxs := make([]nn.Context, n)
+		ctxs := make([]*nn.SeqContext, n)
 		acts := make([]*tensor.Tensor, n)
-		for i, l := range model.Layers {
+		for i, l := range layers {
 			t0 := time.Now()
 			y, ctx := l.Forward(x, true)
 			prof.Layers[i].FwdTime += time.Since(t0).Seconds()
 			ctxs[i], acts[i] = ctx, y
 			x = y
 		}
-		// Calling the layers one by one makes this function the owner of
-		// every tensor they return (nn.Layer): each gradient is released
-		// once the next backward has consumed it, each output once its own
-		// layer's backward has run, and a view with the tensor it views.
+		// This function owns every output and input gradient: each gradient
+		// is released once the next backward has consumed it, each output
+		// once its own layer's backward has run, a view with what it views.
 		grad := tensor.Ones(x.Shape...)
 		for i := n - 1; i >= 0; i-- {
+			var next *tensor.Tensor
+			var up func(*tensor.Tensor)
+			in := batch.X
 			t0 := time.Now()
-			next := model.Layers[i].Backward(ctxs[i], grad)
-			prof.Layers[i].BwdTime += time.Since(t0).Seconds()
+			tUp, tEnd := t0, t0
+			if i > 0 {
+				in = acts[i-1]
+				up = func(g *tensor.Tensor) { next, tUp = g, time.Now() }
+			}
+			layers[i].BackwardWithHook(ctxs[i], grad, up, func(int) { tEnd = time.Now() })
+			prof.Layers[i].BwdTime += tEnd.Sub(t0).Seconds()
+			if prof.Layers[i].WeightBytes > 0 {
+				prof.Layers[i].BwdParamTime += tEnd.Sub(tUp).Seconds()
+			}
 			if !tensor.SharesStorage(next, grad) {
 				tensor.Put(grad)
 			}
 			grad = next
 			if b == 0 {
 				prof.Layers[i].ActivationBytes = int64(acts[i].Bytes())
-			}
-			in := batch.X
-			if i > 0 {
-				in = acts[i-1]
 			}
 			if !tensor.SharesStorage(acts[i], in) {
 				tensor.Put(acts[i])
@@ -193,6 +209,7 @@ func Measure(model *nn.Sequential, name string, ds data.Dataset, numBatches int)
 	for i := range prof.Layers {
 		prof.Layers[i].FwdTime *= inv
 		prof.Layers[i].BwdTime *= inv
+		prof.Layers[i].BwdParamTime *= inv
 	}
 	return prof
 }

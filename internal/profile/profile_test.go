@@ -128,4 +128,19 @@ func TestMeasureRealModel(t *testing.T) {
 	if prof.InputBytes != 8*4*4 {
 		t.Fatalf("input bytes = %d", prof.InputBytes)
 	}
+	// The input stage's first layer runs its parameter half alone; a
+	// layer without parameters has none; fc2 has both halves.
+	if l := prof.Layers[0]; l.BwdParamTime != l.BwdTime {
+		t.Errorf("fc1: parameter half %v of a %v backward, want all of it", l.BwdParamTime, l.BwdTime)
+	}
+	if l := prof.Layers[1]; l.BwdParamTime != 0 {
+		t.Errorf("tanh: parameter half %v, want 0", l.BwdParamTime)
+	}
+	if l := prof.Layers[2]; l.BwdParamTime <= 0 || l.BwdParamTime >= l.BwdTime {
+		t.Errorf("fc2: parameter half %v of a %v backward, want a part of it", l.BwdParamTime, l.BwdTime)
+	}
+	prof.Layers[2].BwdParamTime = 2 * prof.Layers[2].BwdTime
+	if err := prof.Validate(); err == nil {
+		t.Error("a parameter half longer than its backward must fail validation")
+	}
 }

@@ -91,6 +91,28 @@ func TestWriteRuntimeIsValidChromeTrace(t *testing.T) {
 	}
 }
 
+// A backward that sent an upstream gradient says when, from its start, as
+// grad_up_us; one that sent none (the input stage's) has no such arg.
+func TestWriteRuntimeMarksUpstreamGradient(t *testing.T) {
+	l := metrics.NewOpLog(4)
+	l.Append(metrics.OpEvent{Worker: 1, Stage: 1, Minibatch: 0, Kind: metrics.OpBackward, Dur: 2 * time.Millisecond, GradUp: 1250 * time.Microsecond})
+	l.Append(metrics.OpEvent{Worker: 0, Stage: 0, Minibatch: 0, Kind: metrics.OpBackward, Start: time.Millisecond, Dur: 2 * time.Millisecond})
+	var buf bytes.Buffer
+	if err := WriteRuntime(&buf, l); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct{ Args map[string]string }
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	if got := events[0].Args["grad_up_us"]; got != "1250" {
+		t.Errorf("stage 1 backward: grad_up_us %q, want \"1250\"", got)
+	}
+	if got, ok := events[1].Args["grad_up_us"]; ok {
+		t.Errorf("stage 0 backward: grad_up_us %q, want none", got)
+	}
+}
+
 func TestWriteRuntimeRejectsBadInput(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteRuntime(&buf, nil); err == nil {

@@ -72,9 +72,10 @@ func WriteChrome(w io.Writer, t *schedule.Timeline, timeUnit float64) error {
 // WriteRuntime serializes a live run's op log as Chrome trace events:
 // each worker becomes a thread, each recorded forward/backward/sync op a
 // complete event with its real (wall-clock) start and duration.
-// Backward events carry the observed weight-version staleness; sync
-// events nest inside the backward that waited. The output loads in
-// ui.perfetto.dev exactly like WriteChrome's simulated timelines.
+// Backward events carry the observed weight-version staleness and, if one
+// left, grad_up_us: when the upstream gradient left (input pass before,
+// parameter pass after); sync events nest inside the backward that waited.
+// The output loads in ui.perfetto.dev like WriteChrome's timelines.
 func WriteRuntime(w io.Writer, log *metrics.OpLog) error {
 	if log == nil {
 		return fmt.Errorf("trace: nil op log")
@@ -103,6 +104,9 @@ func WriteRuntime(w io.Writer, log *metrics.OpLog) error {
 		}
 		if op.Kind == metrics.OpBackward {
 			args["staleness"] = fmt.Sprintf("%d", op.Staleness)
+			if op.GradUp != 0 {
+				args["grad_up_us"] = fmt.Sprintf("%g", float64(op.GradUp.Nanoseconds())/1e3)
+			}
 		}
 		events = append(events, event{
 			Name: name,

@@ -17,10 +17,11 @@ if [ -n "$UNFORMATTED" ]; then
     exit 1
 fi
 
-echo "== go build (the frozen bench/ module too), and a replicated run whose windows end off a replica-count boundary"
+echo "== go build (the frozen bench/ module too), a replicated run whose windows end off a replica-count boundary, and a conv input stage (which computes no input gradient)"
 go build ./...
 (cd bench && go vet ./... && go build -o /dev/null ./...)
 go run ./cmd/pipedream-train -task spiral -stages 2 -replicas 3 -epochs 3 >/dev/null
+go run ./cmd/pipedream-train -task images -stages 2 >/dev/null
 
 echo "== portable kernels (arm64 cross-vet of tensor + nn; tensor tests on 386, where no assembly is built)"
 GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/
@@ -34,14 +35,15 @@ echo "== determinism gate (losses are a pure function of seed, plan and depth: 2
 go test -count=20 ./internal/pipeline/ -run 'PureFunction|Recompute|Staleness'
 
 echo "== poisoned pool (use-after-release detector on: nn, pipeline, serve, fleet and pipedream-serve tests always run with it; these are the suites that compare losses and outputs bit for bit, and the transport contract)"
-go test -count=1 ./internal/nn/ -run 'TestSequentialReleasesEachTensorOnce|TestLossesMatchParentCommit'
-go test -count=1 ./internal/pipeline/ -run 'TestLossesArePureFunctionOfSeedPlanDepth|TestBranchGraphPipelineMatchesReference|TestBreakConnStormTrainsBitEqual|TestLocalWorkerSetsTrainBitEqual|TestElastic|TestChaos|TestAdoptFullState|TestTrainMaxRecoveries|TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied|TestTrainingMatchesParentCommit'
+go test -count=1 ./internal/nn/ -run 'TestSequentialReleasesEachTensorOnce|TestTwoPassBackwardMatchesLayerByLayer|TestLossesMatchParentCommit'
+go test -count=1 ./internal/pipeline/ -run 'TestUpstreamGradientLeavesBeforeParameterHalves|TestLossesArePureFunctionOfSeedPlanDepth|TestBranchGraphPipelineMatchesReference|TestBreakConnStormTrainsBitEqual|TestLocalWorkerSetsTrainBitEqual|TestElastic|TestChaos|TestAdoptFullState|TestTrainMaxRecoveries|TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied|TestTrainingMatchesParentCommit'
 go test -count=1 ./internal/tensor/ -run 'TestPoisonOnPutCatchesUseAfterRelease'
 go test -count=1 ./cmd/pipedream-serve/ ./internal/serve/...
 
-echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table ten times)"
+echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table ten times, the two-pass backward three)"
 go test -race ./...
 go test -race -count=10 ./internal/pipeline/ -run 'TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied'
+go test -race -count=3 ./internal/nn/ ./internal/pipeline/ -run 'TestTwoPassBackwardMatchesLayerByLayer|TestUpstreamGradientLeavesBeforeParameterHalves'
 go test -race -count=2 ./internal/serve/...
 
 echo "== fuzz smoke (matmul, convolution and elementwise kernels — tanh and sigmoid among them — vs portable loops + flat tensor storage + frame round-trips + checkpoint manifest + /infer handler, request scan and response bytes vs encoding/json, 10s each)"
