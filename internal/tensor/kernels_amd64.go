@@ -3,7 +3,11 @@ package tensor
 // The amd64 side of the kernel contract (see matmul.go): when the CPU
 // and the OS support AVX2, the leading columns of every product — the
 // largest multiple of four — are computed by the micro-kernels in
-// kernels_amd64.s, and the portable loops finish the rest.
+// kernels_amd64.s, and the portable loops finish the rest. The forward
+// kernel computes one row per call; the backward ones share their
+// loads across rows: A·Bᵀ two rows per pass, pairing an odd last row
+// with itself, and Aᵀ·B four adjacent rows, overlapping a short last
+// block with the one before it.
 
 // useAVX2 is decided once, from CPUID and XGETBV, when the package is
 // initialised; nothing else selects a kernel. useFMA is AVX2 and FMA,
@@ -18,10 +22,10 @@ func cpuFeatures() (avx2, fma bool)
 func rowPanelAVX2(c, a, b *float32, k, n, cols int)
 
 //go:noescape
-func transARowAVX2(c, a, b *float32, k, m, n, cols int)
+func transARowsAVX2(c, a, b *float32, k, m, n, cols int)
 
 //go:noescape
-func transBRowAVX2(c, a, b *float32, k, cols int)
+func transBRowsAVX2(c, a *[2]*float32, b *float32, k, cols int)
 
 // vectorCols is how many leading output columns of an n-column product
 // with inner dimension k the micro-kernels take. Zero whenever an
@@ -44,23 +48,31 @@ func rowPanelVec(crow, arow, bd []float32, k, n int) int {
 }
 
 // transAPanelVec computes the leading columns of rows [lo,hi) of
-// C = Aᵀ·B and returns how many it computed.
+// C = Aᵀ·B, four adjacent rows per pass, and returns how many it
+// computed: none for a panel of fewer than four rows.
 func transAPanelVec(cd, ad, bd []float32, m, k, n, lo, hi int) int {
 	cols := vectorCols(k, n)
-	if cols > 0 {
-		for i := lo; i < hi; i++ {
-			transARowAVX2(&cd[i*n], &ad[i], &bd[0], k, m, n, cols)
-		}
+	if cols == 0 || hi-lo < 4 {
+		return 0
+	}
+	for i := lo; i < hi; i += 4 {
+		i = min(i, hi-4) // a short last block overlaps the one before it
+		transARowsAVX2(&cd[i*n], &ad[i], &bd[0], k, m, n, cols)
 	}
 	return cols
 }
 
-// transBRowVec computes the leading columns of crow = arow·Bᵀ and
-// returns how many it computed.
-func transBRowVec(crow, arow, bd []float32, k, n int) int {
+// transBPanelVec computes the leading columns of rows [lo,hi) of
+// C = A·Bᵀ, two rows per pass, and returns how many it computed.
+func transBPanelVec(cd, ad, bd []float32, k, n, lo, hi int) int {
 	cols := vectorCols(k, n)
-	if cols > 0 {
-		transBRowAVX2(&crow[0], &arow[0], &bd[0], k, cols)
+	if cols == 0 {
+		return 0
+	}
+	for i := lo; i < hi; i += 2 {
+		i1 := min(i+1, hi-1) // an odd last row is paired with itself
+		c, a := [2]*float32{&cd[i*n], &cd[i1*n]}, [2]*float32{&ad[i*k], &ad[i1*k]}
+		transBRowsAVX2(&c, &a, &bd[0], k, cols)
 	}
 	return cols
 }

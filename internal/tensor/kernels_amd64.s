@@ -2,11 +2,12 @@
 
 // AVX2 micro-kernels under the three matrix products. Each vectorises
 // across output columns (or, for A·Bᵀ, across the four strided partial
-// sums of one dot product) and keeps its accumulators in registers for
-// the whole k loop. Multiplies and adds are separate instructions
-// issued in exactly the association order of the portable loops in
-// matmul.go, so every lane computes what the scalar code computes:
-// no FMA, no reassociation, bit-identical results.
+// sums of one dot product, two rows to a register) and keeps its
+// accumulators in registers for the whole k loop; the backward two
+// compute several rows per pass. Multiplies and adds are separate
+// instructions issued in exactly the association order of the portable
+// loops in matmul.go, so every lane computes what the scalar code
+// computes: no FMA, no reassociation, bit-identical results.
 
 // func cpuFeatures() (avx2, fma bool)
 // avx2: CPUID leaf 1 must report OSXSAVE and AVX, XCR0 must have the XMM
@@ -134,6 +135,10 @@ row32k8:
 	SUBQ $8, R10
 	JMP  row32k8
 
+	// The single-step loop is all that runs when k < 8: its speed
+	// depends on where it falls within a 64-byte line, so pin that.
+	PCALIGN $64
+
 row32k1:
 	TESTQ        R10, R10
 	JZ           row32store
@@ -233,62 +238,249 @@ rowdone:
 	VZEROUPPER
 	RET
 
-// One 4-term group of Aᵀ·B for the column vector at byte offset d:
-// acc += ((a0·b0 + a1·b1) + a2·b2) + a3·b3, the four broadcast A
-// coefficients in registers 8..11.
-#define TRANSA_GROUP4_Y(d, acc) \
-	VMULPS d(BX), Y8, Y4; \
-	VMULPS d(BX)(R8*1), Y9, Y5; \
-	VADDPS Y5, Y4, Y4; \
-	VMULPS d(BX)(R8*2), Y10, Y5; \
-	VADDPS Y5, Y4, Y4; \
-	VMULPS d(BX)(R12*1), Y11, Y5; \
-	VADDPS Y5, Y4, Y4; \
-	VADDPS Y4, acc, acc
+// One 4-term group of Aᵀ·B for C row r of a block, whose B rows
+// p..p+3 sit in b0..b3 for all four rows:
+// acc += ((a0·b0 + a1·b1) + a2·b2) + a3·b3. The row's coefficients
+// are broadcast from byte d of SI (d = 4r) down its A column (R11 is
+// A's row stride in bytes, R13 three times that).
+#define TRANSA_ROW4(d, acc, b0, b1, b2, b3, t, u) \
+	VBROADCASTSS d(SI), t; \
+	VMULPS       b0, t, t; \
+	VBROADCASTSS d(SI)(R11*1), u; \
+	VMULPS       b1, u, u; \
+	VADDPS       u, t, t; \
+	VBROADCASTSS d(SI)(R11*2), u; \
+	VMULPS       b2, u, u; \
+	VADDPS       u, t, t; \
+	VBROADCASTSS d(SI)(R13*1), u; \
+	VMULPS       b3, u, u; \
+	VADDPS       u, t, t; \
+	VADDPS       t, acc, acc
 
-#define TRANSA_GROUP4_X(acc) \
-	VMULPS (BX), X8, X4; \
-	VMULPS (BX)(R8*1), X9, X5; \
-	VADDPS X5, X4, X4; \
-	VMULPS (BX)(R8*2), X10, X5; \
-	VADDPS X5, X4, X4; \
-	VMULPS (BX)(R12*1), X11, X5; \
-	VADDPS X5, X4, X4; \
-	VADDPS X4, acc, acc
+// One single k-step for C row r: acc += a·b0.
+#define TRANSA_ROW1(d, acc, b0, t) \
+	VBROADCASTSS d(SI), t; \
+	VMULPS       b0, t, t; \
+	VADDPS       t, acc, acc
 
-// A is walked down one column: consecutive coefficients are R11 bytes
-// apart (R13 is three times that).
-#define TRANSA_BROADCAST4 \
-	VBROADCASTSS (AX), Y8; \
-	VBROADCASTSS (AX)(R11*1), Y9; \
-	VBROADCASTSS (AX)(R11*2), Y10; \
-	VBROADCASTSS (AX)(R13*1), Y11
+// One column block of the four rows, its width that of the registers
+// named: accumulators y0..y3, B rows p..p+3 in b0..b3, temporaries t
+// and u, and the block's own labels for its two k loops and its store.
+// SI walks A, BX the rows of B from the block's column DX, R10 counts k
+// down; the block's C rows start at DI, R8 bytes apart.
+#define TRANSA_BLOCK(k4, k1, store, y0, y1, y2, y3, b0, b1, b2, b3, t, u) \
+	VXORPS  y0, y0, y0; \
+	VXORPS  y1, y1, y1; \
+	VXORPS  y2, y2, y2; \
+	VXORPS  y3, y3, y3; \
+	MOVQ    a+8(FP), SI; \
+	MOVQ    DX, BX; \
+	MOVQ    CX, R10; \
+k4: \
+	CMPQ    R10, $4; \
+	JLT     k1; \
+	VMOVUPS (BX), b0; \
+	VMOVUPS (BX)(R8*1), b1; \
+	VMOVUPS (BX)(R8*2), b2; \
+	VMOVUPS (BX)(R12*1), b3; \
+	TRANSA_ROW4(0, y0, b0, b1, b2, b3, t, u); \
+	TRANSA_ROW4(4, y1, b0, b1, b2, b3, t, u); \
+	TRANSA_ROW4(8, y2, b0, b1, b2, b3, t, u); \
+	TRANSA_ROW4(12, y3, b0, b1, b2, b3, t, u); \
+	LEAQ    (SI)(R11*4), SI; \
+	LEAQ    (BX)(R8*4), BX; \
+	SUBQ    $4, R10; \
+	JMP     k4; \
+k1: \
+	TESTQ   R10, R10; \
+	JZ      store; \
+	VMOVUPS (BX), b0; \
+	TRANSA_ROW1(0, y0, b0, t); \
+	TRANSA_ROW1(4, y1, b0, t); \
+	TRANSA_ROW1(8, y2, b0, t); \
+	TRANSA_ROW1(12, y3, b0, t); \
+	ADDQ    R11, SI; \
+	ADDQ    R8, BX; \
+	DECQ    R10; \
+	JMP     k1; \
+store: \
+	VMOVUPS y0, (DI); \
+	VMOVUPS y1, (DI)(R8*1); \
+	VMOVUPS y2, (DI)(R8*2); \
+	VMOVUPS y3, (DI)(R12*1)
 
-#define TRANSA_ADVANCE4 \
-	LEAQ (AX)(R11*4), AX; \
-	LEAQ (BX)(R8*4), BX; \
-	SUBQ $4, R10
-
-// func transARowAVX2(c, a, b *float32, k, m, n, cols int)
-// c[j] = Σp a[p*m]·b[p*n+j] for j in [0,cols) — one output row of
-// Aᵀ·B — in MatMulTransAInto's order: groups of four k-steps, then
-// single steps. cols is a multiple of 4 and k > 0.
-TEXT ·transARowAVX2(SB), NOSPLIT, $0-56
+// func transARowsAVX2(c, a, b *float32, k, m, n, cols int)
+// c[r*n+j] = Σp a[p*m+r]·b[p*n+j] for r in 0..3 and j in [0,cols) —
+// four adjacent output rows of Aᵀ·B — in MatMulTransAInto's order:
+// groups of four k-steps, then single steps, each row its own chain.
+// Every B row segment is loaded once for the four rows. cols is a
+// multiple of 4 and k > 0. Column blocks of 8 lanes, then one of 4.
+TEXT ·transARowsAVX2(SB), NOSPLIT, $0-56
 	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
 	MOVQ k+24(FP), CX
 	MOVQ m+32(FP), R11
 	MOVQ n+40(FP), R8
 	MOVQ cols+48(FP), R9
-	SHLQ $2, R8
 	SHLQ $2, R11
-	LEAQ (R8)(R8*2), R12
+	SHLQ $2, R8
 	LEAQ (R11)(R11*2), R13
+	LEAQ (R8)(R8*2), R12
 
-ta32:
-	CMPQ   R9, $32
-	JLT    ta8
+ta8:
+	CMPQ R9, $8
+	JLT  ta4
+	TRANSA_BLOCK(ta8k4, ta8k1, ta8store, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $8, R9
+	JMP  ta8
+
+ta4:
+	CMPQ R9, $4
+	JLT  tadone
+	TRANSA_BLOCK(ta4k4, ta4k1, ta4store, X0, X1, X2, X3, X4, X5, X6, X7, X8, X9)
+
+tadone:
+	VZEROUPPER
+	RET
+
+// One 4-step group of four dot products of A·Bᵀ for two A rows: Y8
+// holds [aᵢ[p:p+4] | aᵢ′[p:p+4]] and each B row's four values are
+// broadcast to both halves, so lane l of acc_j's low (high) half is
+// row i's (i′'s) strided partial sum s_l of column j, and
+// acc_j += a · b_j[p:p+4] lane by lane. base addresses B rows j..j+3
+// (R8 is the row stride in bytes, R12 three times that).
+#define TRANSB_GROUP4(base, acc0, acc1, acc2, acc3) \
+	VBROADCASTF128 (base), Y9; \
+	VMULPS         Y9, Y8, Y9; \
+	VADDPS         Y9, acc0, acc0; \
+	VBROADCASTF128 (base)(R8*1), Y10; \
+	VMULPS         Y10, Y8, Y10; \
+	VADDPS         Y10, acc1, acc1; \
+	VBROADCASTF128 (base)(R8*2), Y11; \
+	VMULPS         Y11, Y8, Y11; \
+	VADDPS         Y11, acc2, acc2; \
+	VBROADCASTF128 (base)(R12*1), Y12; \
+	VMULPS         Y12, Y8, Y12; \
+	VADDPS         Y12, acc3, acc3
+
+// Transposes the four accumulators within each half so that lanes
+// become columns, then out = ((s0 + s1) + s2) + s3 for four columns of
+// both rows at once.
+#define TRANSB_REDUCE4(acc0, acc1, acc2, acc3, out) \
+	VUNPCKLPS acc1, acc0, Y9; \
+	VUNPCKHPS acc1, acc0, Y10; \
+	VUNPCKLPS acc3, acc2, Y11; \
+	VUNPCKHPS acc3, acc2, Y12; \
+	VUNPCKLPD Y11, Y9, out; \
+	VUNPCKHPD Y11, Y9, Y13; \
+	VADDPS    Y13, out, out; \
+	VUNPCKLPD Y12, Y10, Y13; \
+	VADDPS    Y13, out, out; \
+	VUNPCKHPD Y12, Y10, Y13; \
+	VADDPS    Y13, out, out
+
+// Y8 = [aᵢ[p] ×4 | aᵢ′[p] ×4] for one tail step.
+#define TRANSB_A1 \
+	VBROADCASTSS (AX), X8; \
+	VBROADCASTSS (AX)(R14*1), X10; \
+	VINSERTF128  $1, X10, Y8, Y8
+
+// One tail step for four columns of both rows:
+// out += Y8 · (b_j[p], …, b_j+3[p]) in each half.
+#define TRANSB_TAIL1(base, out) \
+	VMOVSS      (base), X9; \
+	VINSERTPS   $0x10, (base)(R8*1), X9, X9; \
+	VINSERTPS   $0x20, (base)(R8*2), X9, X9; \
+	VINSERTPS   $0x30, (base)(R12*1), X9, X9; \
+	VINSERTF128 $1, X9, Y9, Y9; \
+	VMULPS      Y9, Y8, Y9; \
+	VADDPS      Y9, out, out
+
+// Stores four columns of both rows: lo, the low half of out, to row i
+// at byte offset d of DI, the high half to row i′, R13 bytes further.
+#define TRANSB_STORE(d, lo, out) \
+	VMOVUPS      lo, d(DI); \
+	VEXTRACTF128 $1, out, d(DI)(R13*1)
+
+// func transBRowsAVX2(c, a *[2]*float32, b *float32, k, cols int)
+// c[r][j] = Σp a[r][p]·b[j*k+p] for r in 0..1 and j in [0,cols) — two
+// output rows of A·Bᵀ (an odd last row is passed as both) — in
+// MatMulTransBInto's order: four strided partial sums over the groups
+// of four k-steps, ((s0+s1)+s2)+s3, then single steps. cols is a
+// multiple of 4 and k > 0. Column blocks of 8 and 4 dot products.
+TEXT ·transBRowsAVX2(SB), NOSPLIT, $0-40
+	MOVQ c+0(FP), AX
+	MOVQ 0(AX), DI
+	MOVQ 8(AX), R13
+	SUBQ DI, R13
+	MOVQ a+8(FP), AX
+	MOVQ 0(AX), SI
+	MOVQ 8(AX), R14
+	SUBQ SI, R14
+	MOVQ b+16(FP), DX
+	MOVQ k+24(FP), CX
+	MOVQ cols+32(FP), R9
+	LEAQ 0(CX*4), R8
+	LEAQ (R8)(R8*2), R12
+
+tb8:
+	CMPQ   R9, $8
+	JLT    tb4
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ   SI, AX
+	MOVQ   DX, BX
+	LEAQ   (DX)(R8*4), R11
+	MOVQ   CX, R10
+
+tb8k4:
+	CMPQ        R10, $4
+	JLT         tb8reduce
+	VMOVUPS     (AX), X8
+	VINSERTF128 $1, (AX)(R14*1), Y8, Y8
+	TRANSB_GROUP4(BX, Y0, Y1, Y2, Y3)
+	TRANSB_GROUP4(R11, Y4, Y5, Y6, Y7)
+	ADDQ        $16, AX
+	ADDQ        $16, BX
+	ADDQ        $16, R11
+	SUBQ        $4, R10
+	JMP         tb8k4
+
+tb8reduce:
+	TRANSB_REDUCE4(Y0, Y1, Y2, Y3, Y14)
+	TRANSB_REDUCE4(Y4, Y5, Y6, Y7, Y15)
+
+tb8k1:
+	TESTQ R10, R10
+	JZ    tb8store
+	TRANSB_A1
+	TRANSB_TAIL1(BX, Y14)
+	TRANSB_TAIL1(R11, Y15)
+	ADDQ  $4, AX
+	ADDQ  $4, BX
+	ADDQ  $4, R11
+	DECQ  R10
+	JMP   tb8k1
+
+tb8store:
+	TRANSB_STORE(0, X14, Y14)
+	TRANSB_STORE(16, X15, Y15)
+	ADDQ $32, DI
+	LEAQ (DX)(R8*8), DX
+	SUBQ $8, R9
+	JMP  tb8
+
+tb4:
+	CMPQ   R9, $4
+	JLT    tbdone
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -297,253 +489,32 @@ ta32:
 	MOVQ   DX, BX
 	MOVQ   CX, R10
 
-ta32k4:
-	CMPQ R10, $4
-	JLT  ta32k1
-	TRANSA_BROADCAST4
-	TRANSA_GROUP4_Y(0, Y0)
-	TRANSA_GROUP4_Y(32, Y1)
-	TRANSA_GROUP4_Y(64, Y2)
-	TRANSA_GROUP4_Y(96, Y3)
-	TRANSA_ADVANCE4
-	JMP  ta32k4
-
-ta32k1:
-	TESTQ        R10, R10
-	JZ           ta32store
-	VBROADCASTSS (AX), Y8
-	VMULPS       0(BX), Y8, Y4
-	VADDPS       Y4, Y0, Y0
-	VMULPS       32(BX), Y8, Y5
-	VADDPS       Y5, Y1, Y1
-	VMULPS       64(BX), Y8, Y6
-	VADDPS       Y6, Y2, Y2
-	VMULPS       96(BX), Y8, Y7
-	VADDPS       Y7, Y3, Y3
-	ADDQ         R11, AX
-	ADDQ         R8, BX
-	DECQ         R10
-	JMP          ta32k1
-
-ta32store:
-	VMOVUPS Y0, 0(DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	ADDQ    $128, DI
-	ADDQ    $128, DX
-	SUBQ    $32, R9
-	JMP     ta32
-
-ta8:
-	CMPQ   R9, $8
-	JLT    ta4
-	VXORPS Y0, Y0, Y0
-	MOVQ   SI, AX
-	MOVQ   DX, BX
-	MOVQ   CX, R10
-
-ta8k4:
-	CMPQ R10, $4
-	JLT  ta8k1
-	TRANSA_BROADCAST4
-	TRANSA_GROUP4_Y(0, Y0)
-	TRANSA_ADVANCE4
-	JMP  ta8k4
-
-ta8k1:
-	TESTQ        R10, R10
-	JZ           ta8store
-	VBROADCASTSS (AX), Y8
-	VMULPS       (BX), Y8, Y4
-	VADDPS       Y4, Y0, Y0
-	ADDQ         R11, AX
-	ADDQ         R8, BX
-	DECQ         R10
-	JMP          ta8k1
-
-ta8store:
-	VMOVUPS Y0, (DI)
-	ADDQ    $32, DI
-	ADDQ    $32, DX
-	SUBQ    $8, R9
-	JMP     ta8
-
-ta4:
-	CMPQ   R9, $4
-	JLT    tadone
-	VXORPS X0, X0, X0
-	MOVQ   SI, AX
-	MOVQ   DX, BX
-	MOVQ   CX, R10
-
-ta4k4:
-	CMPQ R10, $4
-	JLT  ta4k1
-	TRANSA_BROADCAST4
-	TRANSA_GROUP4_X(X0)
-	TRANSA_ADVANCE4
-	JMP  ta4k4
-
-ta4k1:
-	TESTQ        R10, R10
-	JZ           ta4store
-	VBROADCASTSS (AX), X8
-	VMULPS       (BX), X8, X4
-	VADDPS       X4, X0, X0
-	ADDQ         R11, AX
-	ADDQ         R8, BX
-	DECQ         R10
-	JMP          ta4k1
-
-ta4store:
-	VMOVUPS X0, (DI)
-
-tadone:
-	VZEROUPPER
-	RET
-
-// One 4-step group of four dot products of A·Bᵀ: lane l of each
-// accumulator is that column's strided partial sum s_l, so
-// acc_j += a[p:p+4] · b_j[p:p+4] lane by lane. base addresses B rows
-// j..j+3 (R8 is the row stride in bytes, R12 three times that).
-#define TRANSB_GROUP4(base, acc0, acc1, acc2, acc3) \
-	VMULPS (base), X8, X9; \
-	VADDPS X9, acc0, acc0; \
-	VMULPS (base)(R8*1), X8, X10; \
-	VADDPS X10, acc1, acc1; \
-	VMULPS (base)(R8*2), X8, X11; \
-	VADDPS X11, acc2, acc2; \
-	VMULPS (base)(R12*1), X8, X12; \
-	VADDPS X12, acc3, acc3
-
-// Transposes the four accumulators so that lanes become columns, then
-// out = ((s0 + s1) + s2) + s3 for four columns at once.
-#define TRANSB_REDUCE4(acc0, acc1, acc2, acc3, out) \
-	VUNPCKLPS acc1, acc0, X9; \
-	VUNPCKHPS acc1, acc0, X10; \
-	VUNPCKLPS acc3, acc2, X11; \
-	VUNPCKHPS acc3, acc2, X12; \
-	VUNPCKLPD X11, X9, out; \
-	VUNPCKHPD X11, X9, X13; \
-	VADDPS    X13, out, out; \
-	VUNPCKLPD X12, X10, X13; \
-	VADDPS    X13, out, out; \
-	VUNPCKHPD X12, X10, X13; \
-	VADDPS    X13, out, out
-
-// One tail step for four columns: out += a[p] · (b_j[p], …, b_j+3[p]).
-#define TRANSB_TAIL1(base, out) \
-	VMOVSS    (base), X9; \
-	VINSERTPS $0x10, (base)(R8*1), X9, X9; \
-	VINSERTPS $0x20, (base)(R8*2), X9, X9; \
-	VINSERTPS $0x30, (base)(R12*1), X9, X9; \
-	VMULPS    X9, X8, X9; \
-	VADDPS    X9, out, out
-
-// func transBRowAVX2(c, a, b *float32, k, cols int)
-// c[j] = Σp a[p]·b[j*k+p] for j in [0,cols) — one output row of A·Bᵀ —
-// in MatMulTransBInto's order: four strided partial sums over the
-// groups of four k-steps, ((s0+s1)+s2)+s3, then single steps. cols is a
-// multiple of 4 and k > 0. Column blocks of 8 and 4 dot products.
-TEXT ·transBRowAVX2(SB), NOSPLIT, $0-40
-	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ k+24(FP), CX
-	MOVQ cols+32(FP), R9
-	LEAQ 0(CX*4), R8
-	LEAQ (R8)(R8*2), R12
-	LEAQ 0(R8*8), R13
-
-tb8:
-	CMPQ   R9, $8
-	JLT    tb4
-	VXORPS X0, X0, X0
-	VXORPS X1, X1, X1
-	VXORPS X2, X2, X2
-	VXORPS X3, X3, X3
-	VXORPS X4, X4, X4
-	VXORPS X5, X5, X5
-	VXORPS X6, X6, X6
-	VXORPS X7, X7, X7
-	MOVQ   SI, AX
-	MOVQ   DX, BX
-	LEAQ   (DX)(R8*4), R11
-	MOVQ   CX, R10
-
-tb8k4:
-	CMPQ    R10, $4
-	JLT     tb8reduce
-	VMOVUPS (AX), X8
-	TRANSB_GROUP4(BX, X0, X1, X2, X3)
-	TRANSB_GROUP4(R11, X4, X5, X6, X7)
-	ADDQ    $16, AX
-	ADDQ    $16, BX
-	ADDQ    $16, R11
-	SUBQ    $4, R10
-	JMP     tb8k4
-
-tb8reduce:
-	TRANSB_REDUCE4(X0, X1, X2, X3, X14)
-	TRANSB_REDUCE4(X4, X5, X6, X7, X15)
-
-tb8k1:
-	TESTQ        R10, R10
-	JZ           tb8store
-	VBROADCASTSS (AX), X8
-	TRANSB_TAIL1(BX, X14)
-	TRANSB_TAIL1(R11, X15)
-	ADDQ         $4, AX
-	ADDQ         $4, BX
-	ADDQ         $4, R11
-	DECQ         R10
-	JMP          tb8k1
-
-tb8store:
-	VMOVUPS X14, 0(DI)
-	VMOVUPS X15, 16(DI)
-	ADDQ    $32, DI
-	ADDQ    R13, DX
-	SUBQ    $8, R9
-	JMP     tb8
-
-tb4:
-	CMPQ   R9, $4
-	JLT    tbdone
-	VXORPS X0, X0, X0
-	VXORPS X1, X1, X1
-	VXORPS X2, X2, X2
-	VXORPS X3, X3, X3
-	MOVQ   SI, AX
-	MOVQ   DX, BX
-	MOVQ   CX, R10
-
 tb4k4:
-	CMPQ    R10, $4
-	JLT     tb4reduce
-	VMOVUPS (AX), X8
-	TRANSB_GROUP4(BX, X0, X1, X2, X3)
-	ADDQ    $16, AX
-	ADDQ    $16, BX
-	SUBQ    $4, R10
-	JMP     tb4k4
+	CMPQ        R10, $4
+	JLT         tb4reduce
+	VMOVUPS     (AX), X8
+	VINSERTF128 $1, (AX)(R14*1), Y8, Y8
+	TRANSB_GROUP4(BX, Y0, Y1, Y2, Y3)
+	ADDQ        $16, AX
+	ADDQ        $16, BX
+	SUBQ        $4, R10
+	JMP         tb4k4
 
 tb4reduce:
-	TRANSB_REDUCE4(X0, X1, X2, X3, X14)
+	TRANSB_REDUCE4(Y0, Y1, Y2, Y3, Y14)
 
 tb4k1:
-	TESTQ        R10, R10
-	JZ           tb4store
-	VBROADCASTSS (AX), X8
-	TRANSB_TAIL1(BX, X14)
-	ADDQ         $4, AX
-	ADDQ         $4, BX
-	DECQ         R10
-	JMP          tb4k1
+	TESTQ R10, R10
+	JZ    tb4store
+	TRANSB_A1
+	TRANSB_TAIL1(BX, Y14)
+	ADDQ  $4, AX
+	ADDQ  $4, BX
+	DECQ  R10
+	JMP   tb4k1
 
 tb4store:
-	VMOVUPS X14, (DI)
+	TRANSB_STORE(0, X14, Y14)
 
 tbdone:
 	VZEROUPPER

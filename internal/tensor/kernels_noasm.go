@@ -9,7 +9,7 @@ func rowPanelVec(crow, arow, bd []float32, k, n int) int { return 0 }
 
 func transAPanelVec(cd, ad, bd []float32, m, k, n, lo, hi int) int { return 0 }
 
-func transBRowVec(crow, arow, bd []float32, k, n int) int { return 0 }
+func transBPanelVec(cd, ad, bd []float32, k, n, lo, hi int) int { return 0 }
 
 func convImageVec(out, img, wd, bias []float32, taps []int, outC int, g ConvGeom) int { return 0 }
 

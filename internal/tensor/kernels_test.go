@@ -126,11 +126,16 @@ func checkKernelsBitEqual(t *testing.T, seed int64, m, k, n int) {
 	}
 }
 
-// benchShapes are the (m,k,n) the benchmark's workloads and per-layer
-// probes multiply at: train-compute's hidden layer and 256→8 head,
-// serve-http's 1152→4 classifier, and train-comm's 512→4 decoder with
-// its k = 4 input gradient.
-var benchShapes = [][3]int{{64, 256, 256}, {64, 256, 8}, {16, 1152, 4}, {512, 512, 4}, {512, 4, 512}}
+// benchShapes are the (m,k,n) — output [m,n], inner dimension k — the
+// benchmark's workloads and per-layer probes multiply at:
+// train-compute's hidden layer, its weight gradient as the probe times
+// it, and its 256→8 head; serve-http's 1152→4 classifier; train-comm's
+// 512→4 decoder with its k = 4 input gradient; and train-replicated's
+// 64→512, 512→512 and 512→8 layers at batch 4.
+var benchShapes = [][3]int{
+	{64, 256, 256}, {256, 64, 256}, {64, 256, 8}, {16, 1152, 4}, {512, 512, 4}, {512, 4, 512},
+	{4, 64, 512}, {4, 512, 512}, {4, 512, 8},
+}
 
 // fuzzMaxWork caps the multiply-adds of one fuzz execution at the
 // largest bench shape; anything bigger is folded into [0,70]³.
@@ -148,6 +153,13 @@ func FuzzMatMulKernelsBitEqual(f *testing.F) {
 		f.Add(int64(3), s[0], s[1], s[2])
 		f.Add(int64(4), s[0], s[1], s[2])
 	}
+	// Every short block of the multi-row kernels (m mod 4 ≠ 0, m odd) at
+	// the bench's k and n.
+	for _, m := range []uint16{1, 2, 3, 5, 6, 7} {
+		f.Add(int64(5), m, uint16(256), uint16(256))
+		f.Add(int64(6), m, uint16(512), uint16(4))
+		f.Add(int64(7), m, uint16(4), uint16(512))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, mm, kk, nn uint16) {
 		m, k, n := int(mm), int(kk), int(nn)
 		if int64(m)*int64(k)*int64(n) > fuzzMaxWork { // int64: 65535³ overflows a 32-bit int
@@ -158,16 +170,46 @@ func FuzzMatMulKernelsBitEqual(f *testing.F) {
 }
 
 // TestMatMulKernelsDegenerateShapes walks every combination of empty,
-// below-a-vector and just-above-a-vector dimensions: the kernels must
-// give the portable loops' (zero or empty) result and never index an
-// empty operand.
+// below-a-vector and just-above-a-vector dimensions, with m mod 4 taking
+// every value at every k and n: the kernels must give the portable
+// loops' (zero or empty) result, finish their own short row blocks and
+// never index an empty operand.
 func TestMatMulKernelsDegenerateShapes(t *testing.T) {
-	dims := []int{0, 1, 3, 4, 5, 8, 9, 33}
+	dims := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 33}
 	for _, m := range dims {
 		for _, k := range dims {
 			for _, n := range dims {
 				checkKernelsBitEqual(t, int64(m*100+k*10+n), m, k, n)
 			}
+		}
+	}
+}
+
+// BenchmarkMatMulShapes times the three products at every benchShapes
+// entry on one goroutine and reports GFLOP/s: the per-shape figure under
+// the bench's tensor.matmul_gflops and tensor.matmul_bwd_gflops probes.
+//
+//	taskset -c 1 go test -run '^$' -bench MatMulShapes ./internal/tensor/
+func BenchmarkMatMulShapes(b *testing.B) {
+	defer SetParallelism(SetParallelism(1))
+	rng := rand.New(rand.NewSource(33))
+	for _, s := range benchShapes {
+		m, k, n := s[0], s[1], s[2]
+		a, bb, at, bt, c := uniform(rng, m, k), uniform(rng, k, n), uniform(rng, k, m), uniform(rng, n, k), New(m, n)
+		for _, p := range []struct {
+			name string
+			run  func()
+		}{
+			{"MatMul", func() { MatMulInto(c, a, bb) }},
+			{"TransA", func() { MatMulTransAInto(c, at, bb) }},
+			{"TransB", func() { MatMulTransBInto(c, a, bt) }},
+		} {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", m, k, n, p.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					p.run()
+				}
+				b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
 		}
 	}
 }

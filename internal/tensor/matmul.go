@@ -15,14 +15,18 @@ import "fmt"
 // element, float32 multiplies and adds in that association order,
 // separately rounded (the Go compiler does not fuse them on amd64; on
 // an architecture where it does, the portable loop is the only
-// implementation and defines that host's bits). Every output column is
+// implementation and defines that host's bits). Every output element is
 // computed independently of the others, so a panel may be split by
 // columns: a vector kernel (the *Vec functions; AVX2 assembly on amd64,
 // absent elsewhere) takes the leading columns it can and reports how
 // many, and the portable loop, which takes a starting column, computes
-// the rest. Both produce the same bits, so which one ran is
-// unobservable; the portable loops are the only implementation on
-// other hosts and the reference the tests hold the assembly to.
+// the rest. A vector kernel may also compute several rows per pass, to
+// share loads between them; such a kernel handles its own short block
+// at the panel's end, by computing some rows twice (the same bits,
+// written twice) or by taking no columns of a panel too short for a
+// pass. Both produce the same bits, so which one ran is unobservable;
+// the portable loops are the only implementation on other hosts and
+// the reference the tests hold the assembly to.
 
 func checkMatMul2D(a, b *Tensor, op string) {
 	if a.NumDims() != 2 || b.NumDims() != 2 {
@@ -202,9 +206,9 @@ func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 	}
 	ad, bd, cd := a.Data, b.Data, dst.Data
 	parallelFor(m, k*n, func(lo, hi int) {
+		j0 := transBPanelVec(cd, ad, bd, k, n, lo, hi)
 		for i := lo; i < hi; i++ {
-			arow, crow := ad[i*k:(i+1)*k], cd[i*n:(i+1)*n]
-			transBRowGo(crow, arow, bd, k, n, transBRowVec(crow, arow, bd, k, n))
+			transBRowGo(cd[i*n:(i+1)*n], ad[i*k:(i+1)*k], bd, k, n, j0)
 		}
 	})
 	return dst

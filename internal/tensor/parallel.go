@@ -41,12 +41,11 @@ const ParallelismEnv = "PIPEDREAM_PARALLELISM"
 // 105, 4096K 193 / 209, 8192K 385 / 294, 16384K 799 / 493. With the
 // scalar loops before them: 64K 21 / 29, 512K 207 / 187, 1024K 395 /
 // 320, 2048K 890 / 547. Degree 2 first wins where the inline time
-// passes 200–400 µs under either kernel, and already lost at 64K with
-// the scalar loops: two concurrent 64×256×256 products run at 25 + 25
-// GFLOP/s there against 48 alone, so the two vCPUs share one core's
-// vector throughput and that crossover measures the sharing, not the
-// hand-off (about 1 µs, the 64K pair) this constant amortises on
-// separate cores.
+// passes 200–400 µs under either kernel, far above the hand-off (about
+// 1 µs, the 64K pair) this constant amortises. The two vCPUs do not
+// share one core's vector units: two 64×256×256 products pinned one to
+// each run at 0.93× [0.85, 0.99] the speed of one alone
+// (BenchmarkMatMulShapes, six alternating rounds).
 const serialThreshold = 64 * 1024
 
 var parDegree atomic.Int32

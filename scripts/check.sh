@@ -46,8 +46,8 @@ go test -race -count=10 ./internal/pipeline/ -run 'TestWeightVersionTableMatches
 go test -race -count=3 ./internal/nn/ ./internal/pipeline/ -run 'TestTwoPassBackwardMatchesLayerByLayer|TestUpstreamGradientLeavesBeforeParameterHalves'
 go test -race -count=2 ./internal/serve/...
 
-echo "== fuzz smoke (matmul, convolution and elementwise kernels — tanh and sigmoid among them — vs portable loops + flat tensor storage + frame round-trips + checkpoint manifest + /infer handler, request scan and response bytes vs encoding/json, 10s each)"
-go test -run '^$' -fuzz '^FuzzMatMulKernelsBitEqual$' -fuzztime=10s ./internal/tensor/
+echo "== fuzz smoke (matmul — 30s: its backward kernels compute several rows per pass — convolution and elementwise kernels — tanh and sigmoid among them — vs portable loops + flat tensor storage + frame round-trips + checkpoint manifest + /infer handler, request scan and response bytes vs encoding/json, 10s each)"
+go test -run '^$' -fuzz '^FuzzMatMulKernelsBitEqual$' -fuzztime=30s ./internal/tensor/
 go test -run '^$' -fuzz '^FuzzConvKernelBitEqual$' -fuzztime=10s ./internal/tensor/
 go test -run '^$' -fuzz '^FuzzElementwiseKernelsBitEqual$' -fuzztime=10s ./internal/tensor/
 go test -run '^$' -fuzz '^FuzzPackRoundTrip$' -fuzztime=10s ./internal/tensor/
