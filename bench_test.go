@@ -152,22 +152,33 @@ func BenchmarkTensorIm2Col(b *testing.B) {
 	}
 }
 
-// BenchmarkConvInferImages measures what serve-http's conv stage does
-// per 16-row batch: both convolutions of the images task, each with its
-// ReLU, through Sequential.ForwardInfer at kernel parallelism 1.
+// BenchmarkConvInferImages measures what serve-http's two stage workers
+// compute per batch of the images task — conv1, ReLU, conv2 | ReLU,
+// flatten, dense — each stage the training forward with train=false and its
+// context discarded, releasing what a worker releases, at kernel
+// parallelism 1, for a 1-row and a 16-row batch.
 func BenchmarkConvInferImages(b *testing.B) {
 	defer tensor.SetParallelism(tensor.SetParallelism(1))
 	rng := rand.New(rand.NewSource(3))
 	g1 := tensor.ConvGeom{InC: 1, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	g2 := tensor.ConvGeom{InC: 8, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	stage := nn.NewSequential(nn.NewConv2D(rng, "conv1", g1, 8), nn.NewReLU("relu1"), nn.NewConv2D(rng, "conv2", g2, 8), nn.NewReLU("relu2"))
-	x := tensor.Randn(rng, 1, 16, 1, 12, 12)
-	arena := tensor.NewArena()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arena.Reset()
-		stage.ForwardInfer(x, arena)
+	model := nn.NewSequential(nn.NewConv2D(rng, "conv1", g1, 8), nn.NewReLU("r1"), nn.NewConv2D(rng, "conv2", g2, 8),
+		nn.NewReLU("r2"), nn.NewFlatten("flat"), nn.NewDense(rng, "fc", 8*12*12, 4))
+	stage0, stage1 := model.Slice(0, 3), model.Slice(3, 6)
+	for _, rows := range []int{1, 16} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			x := tensor.Randn(rng, 1, rows, 1, 12, 12)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				y0, ctx0 := stage0.Forward(x, false)
+				stage0.Discard(ctx0)
+				y1, ctx1 := stage1.Forward(y0, false)
+				stage1.Discard(ctx1)
+				tensor.Put(y1)
+				tensor.Put(y0)
+			}
+		})
 	}
 }
 

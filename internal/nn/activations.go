@@ -9,9 +9,8 @@ import (
 // The pointwise activations store a bare *tensor.Tensor as their
 // Context (the input for ReLU, the output for Tanh/Sigmoid): a pointer
 // fits in an interface word, so unlike a struct context it does not
-// allocate. All three share the canonical scalar kernels in
-// internal/tensor, which keeps their outputs bit-identical to the
-// fused MatMulBiasActInto epilogue used on the inference path.
+// allocate. All three run tensor.Activate, the kernel the fused
+// MatMulBiasActInto / ConvBiasActInto epilogues apply too.
 
 // ReLU is the rectified linear activation.
 type ReLU struct{ name string }
@@ -28,13 +27,6 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
 	tensor.Activate(y.Data, x.Data, tensor.ActReLU)
 	return y, x
 }
-
-// ForwardInfer implements InferLayer.
-func (r *ReLU) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	return applyInfer(tensor.ActReLU, x, a)
-}
-
-func (r *ReLU) fusedAct() tensor.Activation { return tensor.ActReLU }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
@@ -66,13 +58,6 @@ func (t *Tanh) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
 	return y, y
 }
 
-// ForwardInfer implements InferLayer.
-func (t *Tanh) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	return applyInfer(tensor.ActTanh, x, a)
-}
-
-func (t *Tanh) fusedAct() tensor.Activation { return tensor.ActTanh }
-
 // Backward implements Layer.
 func (t *Tanh) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	y := ctx.(*tensor.Tensor)
@@ -103,13 +88,6 @@ func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context
 	return y, y
 }
 
-// ForwardInfer implements InferLayer.
-func (s *Sigmoid) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	return applyInfer(tensor.ActSigmoid, x, a)
-}
-
-func (s *Sigmoid) fusedAct() tensor.Activation { return tensor.ActSigmoid }
-
 // Backward implements Layer.
 func (s *Sigmoid) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	y := ctx.(*tensor.Tensor)
@@ -138,12 +116,6 @@ func (f *Flatten) Name() string { return f.name }
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
 	return x.Reshape(x.Dim(0), -1), flattenCtx{shape: x.Shape}
-}
-
-// ForwardInfer implements InferLayer: a zero-copy reshape whose header
-// lives in the arena.
-func (f *Flatten) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	return a.View(x, x.Dim(0), x.Size()/x.Dim(0))
 }
 
 // Backward implements Layer.
@@ -194,12 +166,6 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context
 		y.Data[i] = v * m
 	}
 	return y, mask
-}
-
-// ForwardInfer implements InferLayer: dropout is the identity at
-// inference time.
-func (d *Dropout) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	return x
 }
 
 // Backward implements Layer.

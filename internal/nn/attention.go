@@ -74,39 +74,6 @@ func (a *SelfAttention) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, C
 	return out, c
 }
 
-// ForwardInfer implements InferLayer: per-sample projections, scores,
-// softmax, and the output projection all reuse arena buffers; the op
-// order matches Forward, so outputs are bit-identical.
-func (a *SelfAttention) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-	if x.NumDims() != 3 || x.Dim(2) != a.Hidden {
-		panic(fmt.Sprintf("nn: %s forward input %v, want [B,T,%d]", a.name, x.Shape, a.Hidden))
-	}
-	b, T, H := x.Dim(0), x.Dim(1), a.Hidden
-	out := ar.GetRaw(b, T, H)
-	scale := float32(1 / math.Sqrt(float64(H)))
-	q := ar.GetRaw(T, H)
-	k := ar.GetRaw(T, H)
-	v := ar.GetRaw(T, H)
-	scores := ar.GetRaw(T, T)
-	attn := ar.GetRaw(T, T)
-	ctxv := ar.GetRaw(T, H)
-	xn := &tensor.Tensor{Shape: []int{T, H}}
-	yn := &tensor.Tensor{Shape: []int{T, H}}
-	for n := 0; n < b; n++ {
-		xn.Data = x.Data[n*T*H : (n+1)*T*H]
-		tensor.MatMulInto(q, xn, a.Wq)
-		tensor.MatMulInto(k, xn, a.Wk)
-		tensor.MatMulInto(v, xn, a.Wv)
-		tensor.MatMulTransBInto(scores, q, k)
-		scores.Scale(scale)
-		softmaxRowsInto(attn, scores)
-		tensor.MatMulInto(ctxv, attn, v)
-		yn.Data = out.Data[n*T*H : (n+1)*T*H]
-		tensor.MatMulInto(yn, ctxv, a.Wo)
-	}
-	return out
-}
-
 // Backward implements Layer.
 func (a *SelfAttention) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	c := ctx.(*attnCtx)

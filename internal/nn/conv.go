@@ -62,18 +62,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context)
 	return y, x
 }
 
-// ForwardInfer implements InferLayer.
-func (c *Conv2D) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	return c.forwardFused(x, a, tensor.ActNone)
-}
-
-// forwardFused implements fusedLayer: Forward's kernel call out of the
-// arena, with act in its epilogue.
-func (c *Conv2D) forwardFused(x *tensor.Tensor, a *tensor.Arena, act tensor.Activation) *tensor.Tensor {
-	yShape, padShape := c.shapes(x)
-	return tensor.ConvBiasActInto(a.GetRaw(yShape[:]...), a.GetRaw(padShape[:]...), x, c.W, c.B, c.Geom, act)
-}
-
 // Backward implements Layer: the parameter half, then the input half.
 func (c *Conv2D) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	c.backwardParams(ctx, gradOut)

@@ -44,9 +44,6 @@ func TestConvRejectsBadGeometryAndInput(t *testing.T) {
 	if msg := panicText(func() { conv1.Forward(x, false) }); msg != want {
 		t.Errorf("Forward: %q, want %q", msg, want)
 	}
-	if msg := panicText(func() { conv1.ForwardInfer(x, tensor.NewArena()) }); msg != want {
-		t.Errorf("ForwardInfer: %q, want %q", msg, want)
-	}
 }
 
 // Between Forward and Backward a Conv2D holds no pooled tensor of its
@@ -72,18 +69,5 @@ func TestConvHoldsNoPooledTensor(t *testing.T) {
 	tensor.Put(y)
 	if held := outstanding() - before; held != 0 {
 		t.Fatalf("%d pooled tensors outstanding after Backward, want 0", held)
-	}
-}
-
-// The images conv stage serves a 16-row request out of one arena slab:
-// two zero-bordered copies and two outputs, where the im2col lowering
-// kept two panels (83 KB and 664 KB), two product matrices and separate
-// ReLU outputs — about 1.2 MB.
-func TestConvStageArenaFootprint(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	stage, a := imagesConvStage(rng), tensor.NewArena()
-	stage.ForwardInfer(tensor.Randn(rng, 1, 16, 1, 12, 12), a)
-	if got := a.Bytes(); got > 400<<10 {
-		t.Fatalf("arena holds %d bytes after a 16-row request, want at most %d", got, 400<<10)
 	}
 }

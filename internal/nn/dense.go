@@ -46,21 +46,6 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) 
 	return y, x
 }
 
-// ForwardInfer implements InferLayer.
-func (d *Dense) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	return d.forwardFused(x, a, tensor.ActNone)
-}
-
-// forwardFused is the arena-backed fused kernel call; act folds a
-// following pointwise activation into the matmul epilogue (the
-// Sequential.ForwardInfer peephole).
-func (d *Dense) forwardFused(x *tensor.Tensor, a *tensor.Arena, act tensor.Activation) *tensor.Tensor {
-	d.checkInput(x)
-	y := a.GetRaw(x.Dim(0), d.W.Dim(1))
-	tensor.MatMulBiasActInto(y, x, d.W, d.B, act)
-	return y
-}
-
 // Backward implements Layer: the parameter half, then the input half.
 func (d *Dense) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	d.backwardParams(ctx, gradOut)

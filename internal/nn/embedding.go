@@ -39,12 +39,6 @@ func (e *Embedding) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Conte
 		panic(fmt.Sprintf("nn: %s forward input %v, want [B,T]", e.name, x.Shape))
 	}
 	y := tensor.GetRaw(x.Dim(0), x.Dim(1), e.Dim)
-	e.gather(y, x)
-	return y, x
-}
-
-// gather copies the embedding row of every id in x into y.
-func (e *Embedding) gather(y, x *tensor.Tensor) {
 	for i, v := range x.Data {
 		id := int(v)
 		if id < 0 || id >= e.Vocab {
@@ -52,17 +46,7 @@ func (e *Embedding) gather(y, x *tensor.Tensor) {
 		}
 		copy(y.Data[i*e.Dim:(i+1)*e.Dim], e.W.Data[id*e.Dim:(id+1)*e.Dim])
 	}
-}
-
-// ForwardInfer implements InferLayer: the gather writes straight into
-// an arena tensor.
-func (e *Embedding) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	if x.NumDims() != 2 {
-		panic(fmt.Sprintf("nn: %s forward input %v, want [B,T]", e.name, x.Shape))
-	}
-	y := a.GetRaw(x.Dim(0), x.Dim(1), e.Dim)
-	e.gather(y, x)
-	return y
+	return y, x
 }
 
 // Backward implements Layer: the parameter half, then the input half.

@@ -95,9 +95,8 @@ func (g *GRU) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
 }
 
 // gruCell is one row of one step. xr and hrw hold the 3H products x·Wx
-// and h·Wh, r|z|n; the activated gates go to gr (which may be xr
-// itself) and the new hidden state (1−z)·n + z·hPrev to both h (which
-// may be hPrev) and out.
+// and h·Wh, r|z|n; the activated gates go to gr and the new hidden
+// state (1−z)·n + z·hPrev to both h and out.
 func gruCell(gr, xr, hrw, bias, hPrev, h, out []float32, H int) {
 	for j := 0; j < 2*H; j++ {
 		gr[j] = xr[j] + hrw[j] + bias[j]
@@ -112,33 +111,6 @@ func gruCell(gr, xr, hrw, bias, hPrev, h, out []float32, H int) {
 		hv := (1-z)*gr[2*H+j] + z*hPrev[j]
 		h[j], out[j] = hv, hv
 	}
-}
-
-// ForwardInfer implements InferLayer: the same recurrence (gruCell)
-// with every buffer drawn from the arena and no context retained, so
-// outputs are bit-identical to Forward's.
-func (g *GRU) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	if x.NumDims() != 3 || x.Dim(2) != g.In {
-		panic(fmt.Sprintf("nn: %s forward input %v, want [B,T,%d]", g.name, x.Shape, g.In))
-	}
-	b, T, H := x.Dim(0), x.Dim(1), g.Hidden
-	out := a.GetRaw(b, T, H)
-	xt := a.GetRaw(b, g.In)
-	zx := a.GetRaw(b, 3*H)
-	zh := a.GetRaw(b, 3*H)
-	h := a.Get(b, H)
-	for t := 0; t < T; t++ {
-		for n := 0; n < b; n++ {
-			copy(xt.Data[n*g.In:(n+1)*g.In], x.Data[(n*T+t)*g.In:(n*T+t+1)*g.In])
-		}
-		tensor.MatMulInto(zx, xt, g.Wx)
-		tensor.MatMulInto(zh, h, g.Wh)
-		for n := 0; n < b; n++ {
-			xr, hRow := zx.Data[n*3*H:], h.Data[n*H:] // gates in place
-			gruCell(xr, xr, zh.Data[n*3*H:], g.B.Data, hRow, hRow, out.Data[(n*T+t)*H:], H)
-		}
-	}
-	return out
 }
 
 // Backward implements Layer. It recycles the packed forward context

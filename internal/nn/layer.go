@@ -58,7 +58,9 @@ type Layer interface {
 	// Name identifies the layer in profiles and partitioning output.
 	Name() string
 	// Forward computes the layer output for one minibatch. train enables
-	// training-only behaviour such as dropout.
+	// training-only behaviour such as dropout. There is one forward path:
+	// inference is Forward(x, false) with the context discarded
+	// (Sequential.Discard).
 	Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context)
 	// Backward computes input gradients and sets parameter gradients,
 	// given the context returned by the matching Forward.
@@ -231,9 +233,11 @@ func (s *Sequential) BackwardWithHook(ctx *SeqContext, gradOut *tensor.Tensor, u
 }
 
 // Discard recycles what a forward pass left in ctx when no Backward will
-// run for it (activation recomputation drops the first forward's state):
-// the layer outputs the Sequential owns and the pooled tensors held by
-// layer contexts.
+// run for it: the layer outputs the Sequential owns and the pooled tensors
+// held by layer contexts. Forward(x, false) then Discard is the inference
+// call — serving runs it per batch, activation recomputation drops the
+// first forward's state with it. The output stays the caller's (it may be
+// a view of x: release one of them, tensor.SharesStorage tells).
 func (s *Sequential) Discard(ctx *SeqContext) {
 	for i, l := range s.Layers {
 		if d, ok := l.(contextDiscarder); ok {

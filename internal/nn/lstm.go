@@ -108,9 +108,8 @@ func (l *LSTM) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
 }
 
 // lstmCell is one row of one step. zr holds the 4H pre-activations
-// i|f|g|o; the activated gates go to gr (which may be zr itself), the
-// new cell state to c (which may be cPrev), its tanh to tc, and the
-// hidden state o·tanh(c) to both h and out.
+// i|f|g|o; the activated gates go to gr, the new cell state to c, its
+// tanh to tc, and the hidden state o·tanh(c) to both h and out.
 func lstmCell(gr, zr, cPrev, c, tc, h, out []float32, H int) {
 	tensor.Activate(gr[:2*H], zr[:2*H], tensor.ActSigmoid)
 	tensor.Activate(gr[2*H:3*H], zr[2*H:3*H], tensor.ActTanh)
@@ -123,37 +122,6 @@ func lstmCell(gr, zr, cPrev, c, tc, h, out []float32, H int) {
 		hv := gr[3*H+j] * tc[j]
 		h[j], out[j] = hv, hv
 	}
-}
-
-// ForwardInfer implements InferLayer: the same recurrence (lstmCell)
-// with every buffer drawn from the arena and no context retained, so
-// outputs are bit-identical to Forward's.
-func (l *LSTM) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	if x.NumDims() != 3 || x.Dim(2) != l.In {
-		panic(fmt.Sprintf("nn: %s forward input %v, want [B,T,%d]", l.name, x.Shape, l.In))
-	}
-	b, T, H := x.Dim(0), x.Dim(1), l.Hidden
-	out := a.GetRaw(b, T, H)
-	xt := a.GetRaw(b, l.In)
-	z := a.GetRaw(b, 4*H)
-	zh := a.GetRaw(b, 4*H)
-	h := a.Get(b, H)
-	c := a.Get(b, H)
-	for t := 0; t < T; t++ {
-		for n := 0; n < b; n++ {
-			copy(xt.Data[n*l.In:(n+1)*l.In], x.Data[(n*T+t)*l.In:(n*T+t+1)*l.In])
-		}
-		tensor.MatMulInto(z, xt, l.Wx)
-		tensor.MatMulInto(zh, h, l.Wh)
-		z.Add(zh)
-		tensor.AddRowVector(z, l.B)
-		for n := 0; n < b; n++ {
-			// Gates in place; zh is spent once added into z and takes tanh(c).
-			zr, cRow := z.Data[n*4*H:], c.Data[n*H:]
-			lstmCell(zr, zr, cRow, cRow, zh.Data[n*H:], h.Data[n*H:], out.Data[(n*T+t)*H:], H)
-		}
-	}
-	return out
 }
 
 // Backward implements Layer. It recycles the packed forward context
@@ -267,19 +235,6 @@ func (s *LastStep) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Contex
 	return y, lastStepCtx{shape: x.Shape}
 }
 
-// ForwardInfer implements InferLayer.
-func (s *LastStep) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	if x.NumDims() != 3 {
-		panic(fmt.Sprintf("nn: %s forward input %v, want [B,T,H]", s.name, x.Shape))
-	}
-	b, T, H := x.Dim(0), x.Dim(1), x.Dim(2)
-	y := a.GetRaw(b, H)
-	for n := 0; n < b; n++ {
-		copy(y.Data[n*H:(n+1)*H], x.Data[(n*T+T-1)*H:(n*T+T)*H])
-	}
-	return y
-}
-
 // Backward implements Layer.
 func (s *LastStep) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	c := ctx.(lastStepCtx)
@@ -315,14 +270,6 @@ func (s *FlattenTime) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Con
 		panic(fmt.Sprintf("nn: %s forward input %v, want [B,T,H]", s.name, x.Shape))
 	}
 	return x.Reshape(x.Dim(0)*x.Dim(1), x.Dim(2)), flattenTimeCtx{shape: x.Shape}
-}
-
-// ForwardInfer implements InferLayer: a zero-copy arena-header reshape.
-func (s *FlattenTime) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	if x.NumDims() != 3 {
-		panic(fmt.Sprintf("nn: %s forward input %v, want [B,T,H]", s.name, x.Shape))
-	}
-	return a.View(x, x.Dim(0)*x.Dim(1), x.Dim(2))
 }
 
 // Backward implements Layer.

@@ -41,11 +41,15 @@ type layerNormCtx struct {
 // Name implements Layer.
 func (l *LayerNorm) Name() string { return l.name }
 
-// forwardInto computes the layer-norm output into y, recording xhat and
-// invStd when they are non-nil (training) and skipping them for
-// inference.
-func (l *LayerNorm) forwardInto(y, xhat, invStd, x *tensor.Tensor) {
+// Forward implements Layer.
+func (l *LayerNorm) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
+	if x.NumDims() != 2 || x.Dim(1) != l.Dim {
+		panic(fmt.Sprintf("nn: %s forward input %v, want [B,%d]", l.name, x.Shape, l.Dim))
+	}
 	b, d := x.Dim(0), l.Dim
+	y := tensor.GetRaw(b, d)
+	xhat := tensor.GetRaw(b, d)
+	invStd := tensor.GetRaw(b)
 	for n := 0; n < b; n++ {
 		row := x.Data[n*d : (n+1)*d]
 		var mean float64
@@ -59,40 +63,14 @@ func (l *LayerNorm) forwardInto(y, xhat, invStd, x *tensor.Tensor) {
 			varSum += dv * dv
 		}
 		inv := 1 / math.Sqrt(varSum/float64(d)+l.Eps)
-		if invStd != nil {
-			invStd.Data[n] = float32(inv)
-		}
+		invStd.Data[n] = float32(inv)
 		for j, v := range row {
 			xh := float32((float64(v) - mean) * inv)
-			if xhat != nil {
-				xhat.Data[n*d+j] = xh
-			}
+			xhat.Data[n*d+j] = xh
 			y.Data[n*d+j] = xh*l.Gain.Data[j] + l.B.Data[j]
 		}
 	}
-}
-
-// Forward implements Layer.
-func (l *LayerNorm) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
-	if x.NumDims() != 2 || x.Dim(1) != l.Dim {
-		panic(fmt.Sprintf("nn: %s forward input %v, want [B,%d]", l.name, x.Shape, l.Dim))
-	}
-	b, d := x.Dim(0), l.Dim
-	y := tensor.GetRaw(b, d)
-	xhat := tensor.GetRaw(b, d)
-	invStd := tensor.GetRaw(b)
-	l.forwardInto(y, xhat, invStd, x)
 	return y, &layerNormCtx{xhat: xhat, invStd: invStd}
-}
-
-// ForwardInfer implements InferLayer.
-func (l *LayerNorm) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	if x.NumDims() != 2 || x.Dim(1) != l.Dim {
-		panic(fmt.Sprintf("nn: %s forward input %v, want [B,%d]", l.name, x.Shape, l.Dim))
-	}
-	y := a.GetRaw(x.Dim(0), l.Dim)
-	l.forwardInto(y, nil, nil, x)
-	return y
 }
 
 // Backward implements Layer. It recycles the pooled forward context.
@@ -273,20 +251,6 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Contex
 		y = nil
 	}
 	return out, &residualCtx{inner: ctx, y: y}
-}
-
-// ForwardInfer implements InferLayer: the inner stack runs on the
-// arena, and the skip connection sums into a fresh arena tensor (the
-// inner output may alias x, e.g. when the stack ends in an identity
-// layer, so the sum never runs in place).
-func (r *Residual) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	y := r.Inner.ForwardInfer(x, a)
-	if !y.SameShape(x) {
-		panic(fmt.Sprintf("nn: %s inner output %v does not match input %v", r.name, y.Shape, x.Shape))
-	}
-	out := a.GetRaw(y.Shape...)
-	tensor.AddInto(out.Data, y.Data, x.Data)
-	return out
 }
 
 // Backward implements Layer.

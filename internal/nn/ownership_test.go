@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -60,6 +61,34 @@ var ownershipStacks = map[string]func(rng *rand.Rand) (*Sequential, *tensor.Tens
 		}
 		return NewSequential(NewEmbedding(rng, "e", 7, 4), NewSelfAttention(rng, "sa", 4), NewMultiHeadAttention(rng, "mha", 4, 2), NewLastStep("ls"), NewDense(rng, "d", 4, 3)), ids
 	},
+	"lstm-laststep": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		return NewSequential(NewLSTM(rng, "lstm", 6, 10), NewLastStep("last"), NewDense(rng, "fc", 10, 3)), tensor.RandUniform(rng, -1, 1, 4, 7, 6)
+	},
+	"gru-flattentime": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		return NewSequential(NewGRU(rng, "gru", 6, 9), NewFlattenTime("ft"), NewDense(rng, "fc", 9, 2)), tensor.RandUniform(rng, -1, 1, 3, 5, 6)
+	},
+	"embedding-attention": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		ids := tensor.New(3, 6)
+		for i := range ids.Data {
+			ids.Data[i] = float32(rng.Intn(13))
+		}
+		return NewSequential(NewEmbedding(rng, "emb", 13, 8), NewSelfAttention(rng, "sa", 8), NewFlattenTime("ft"), NewDense(rng, "fc", 8, 4)), ids
+	},
+	"mha-residual-norm": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		ids := tensor.New(2, 4)
+		for i := range ids.Data {
+			ids.Data[i] = float32(rng.Intn(11))
+		}
+		inner := NewSequential(NewDense(rng, "rfc1", 12, 12), NewTanh("rt"))
+		return NewSequential(NewEmbedding(rng, "emb", 11, 12), NewMultiHeadAttention(rng, "mha", 12, 3), NewFlattenTime("ft"),
+			NewResidual("res", inner), NewLayerNorm("ln", 12)), ids
+	},
+	"conv-pool-norm": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		g := tensor.ConvGeom{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
+		pool := tensor.ConvGeom{InC: 4, InH: 6, InW: 6, KH: 2, KW: 2, Stride: 2}
+		return NewSequential(NewConv2D(rng, "c1", g, 4), NewReLU("r1"), NewMaxPool2D("p1", pool), NewFlatten("f1"),
+			NewLayerNorm("ln1", 4*3*3), NewDense(rng, "fc1", 4*3*3, 5)), tensor.RandUniform(rng, -1, 1, 3, 2, 6, 6)
+	},
 }
 
 func bitsOf(ts ...*tensor.Tensor) []uint32 {
@@ -91,7 +120,8 @@ func sameBits(t *testing.T, what string, got, want []uint32) {
 // still reads it, or released twice through a view, fails here — and,
 // with the caller releasing what is the caller's, a warmed-up step takes
 // nothing from the pool that the previous step did not put back. The same
-// holds for a forward pass that is discarded instead.
+// holds for a training forward that is discarded instead, and for the
+// inference call, Forward(x, false) then Discard.
 func TestSequentialReleasesEachTensorOnce(t *testing.T) {
 	// One P, so every Put of a step sits where the next step's Gets look;
 	// no collection, which empties sync.Pool.
@@ -104,9 +134,10 @@ func TestSequentialReleasesEachTensorOnce(t *testing.T) {
 
 			// Reference: layer by layer, every tensor left to the collector.
 			ctxs := make([]Context, len(ref.Layers))
-			act := x
+			act, inferAct := x, x
 			for i, l := range ref.Layers {
 				act, ctxs[i] = l.Forward(act, true)
+				inferAct, _ = l.Forward(inferAct, false)
 			}
 			gradOut := tensor.Randn(rand.New(rand.NewSource(6)), 1, act.Shape...)
 			grad := gradOut
@@ -114,19 +145,25 @@ func TestSequentialReleasesEachTensorOnce(t *testing.T) {
 				grad = ref.Layers[i].Backward(ctxs[i], grad)
 			}
 			wantY, wantGrad, wantParamGrads := bitsOf(act), bitsOf(grad), bitsOf(ref.Grads()...)
+			wantInferY := bitsOf(inferAct)
 
-			step := func(discard bool) {
-				y, ctx := seq.Forward(x, true)
-				sameBits(t, "output", bitsOf(y), wantY)
-				if discard {
-					seq.Discard(ctx)
-				} else {
+			step := func(mode string) {
+				y, ctx := seq.Forward(x, mode != "infer")
+				switch mode {
+				case "backward":
+					sameBits(t, "output", bitsOf(y), wantY)
 					g := seq.Backward(ctx, gradOut)
 					sameBits(t, "input gradient", bitsOf(g), wantGrad)
 					sameBits(t, "parameter gradients", bitsOf(seq.Grads()...), wantParamGrads)
 					if !tensor.SharesStorage(g, gradOut) {
 						tensor.Put(g)
 					}
+				case "discard":
+					sameBits(t, "output", bitsOf(y), wantY)
+					seq.Discard(ctx)
+				case "infer":
+					seq.Discard(ctx)
+					sameBits(t, "inference output", bitsOf(y), wantInferY)
 				}
 				if !tensor.SharesStorage(y, x) {
 					tensor.Put(y)
@@ -142,20 +179,56 @@ func TestSequentialReleasesEachTensorOnce(t *testing.T) {
 					}
 				}
 			}
-			for _, discard := range []bool{false, true} {
+			for _, mode := range []string{"backward", "discard", "infer"} {
 				for i := 0; i < 2; i++ { // fill the pool's size classes
 					reseed()
-					step(discard)
+					step(mode)
 				}
 				_, misses0, _ := tensor.PoolCounters()
 				reseed()
-				step(discard)
+				step(mode)
 				_, misses1, _ := tensor.PoolCounters()
 				if misses1 != misses0 && !raceEnabled {
-					t.Errorf("discard=%v: a warmed-up step missed the pool %d times: something it takes is never put back", discard, misses1-misses0)
+					t.Errorf("%s: a warmed-up step missed the pool %d times: something it takes is never put back", mode, misses1-misses0)
 				}
 			}
 		})
+	}
+}
+
+// Fleet replicas share one model's layers: the inference call is safe from
+// several goroutines at once and each gets the single-goroutine output.
+// Run under -race.
+func TestInferenceConcurrent(t *testing.T) {
+	for name, build := range ownershipStacks {
+		model, x := build(rand.New(rand.NewSource(5)))
+		ref, _ := model.Forward(x, false)
+		want := bitsOf(ref)
+		errs := make(chan string, 8)
+		for g := 0; g < 8; g++ {
+			go func() {
+				for iter := 0; iter < 20; iter++ {
+					y, ctx := model.Forward(x, false)
+					model.Discard(ctx)
+					got := bitsOf(y)
+					if !tensor.SharesStorage(y, x) {
+						tensor.Put(y)
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							errs <- fmt.Sprintf("%s: element %d is %#08x, want %#08x", name, i, got[i], want[i])
+							return
+						}
+					}
+				}
+				errs <- ""
+			}()
+		}
+		for g := 0; g < 8; g++ {
+			if msg := <-errs; msg != "" {
+				t.Fatal(msg)
+			}
+		}
 	}
 }
 
@@ -165,7 +238,8 @@ func TestSeqContextReadsOutput(t *testing.T) {
 	want := map[string]bool{
 		"dense-tanh-dense": false, "ends-in-tanh": true, "view-first": true, "view-middle": false,
 		"view-last": true, "views-only": false, "identity-middle": false, "residual": false,
-		"conv": false, "conv-relu-conv": false, "attention": false,
+		"conv": false, "conv-relu-conv": false, "attention": false, "lstm-laststep": false,
+		"gru-flattentime": false, "embedding-attention": false, "mha-residual-norm": false, "conv-pool-norm": false,
 	}
 	for name, build := range ownershipStacks {
 		seq, x := build(rand.New(rand.NewSource(5)))

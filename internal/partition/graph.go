@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"pipedream/internal/tensor"
 )
 
 // JoinOp selects how a stage with several in-edges combines the
@@ -30,6 +32,52 @@ func (j JoinOp) String() string {
 		return "concat"
 	default:
 		return "none"
+	}
+}
+
+// Apply combines the activations arriving on a join stage's in-edges (two
+// or more, in ascending source order) into a new pooled tensor; the parts
+// stay the caller's. For JoinSum every part must share a shape; for
+// JoinConcat the parts are row-major [rows, features] tensors joined
+// along the features, and Apply returns each part's width (the split of
+// the gradient on the way back). Training and serving both join here.
+func (j JoinOp) Apply(parts []*tensor.Tensor) (*tensor.Tensor, []int, error) {
+	switch j {
+	case JoinSum:
+		for _, p := range parts[1:] {
+			if !parts[0].SameShape(p) {
+				return nil, nil, fmt.Errorf("sum join over mismatched shapes %v vs %v", parts[0].Shape, p.Shape)
+			}
+		}
+		out := tensor.GetRaw(parts[0].Shape...)
+		tensor.AddInto(out.Data, parts[0].Data, parts[1].Data)
+		for _, p := range parts[2:] {
+			out.Add(p)
+		}
+		return out, nil, nil
+	case JoinConcat:
+		rows := parts[0].Dim(0)
+		widths := make([]int, len(parts))
+		total := 0
+		for i, p := range parts {
+			if p.NumDims() != 2 || p.Dim(0) != rows {
+				return nil, nil, fmt.Errorf("concat join needs [rows, features] tensors with equal rows, got %v", p.Shape)
+			}
+			widths[i] = p.Dim(1)
+			total += widths[i]
+		}
+		out := tensor.GetRaw(rows, total) // the parts' columns cover every row
+		off := 0
+		for i, p := range parts {
+			w := widths[i]
+			for r := 0; r < rows; r++ {
+				copy(out.Data[r*total+off:r*total+off+w], p.Data[r*w:(r+1)*w])
+			}
+			off += w
+		}
+		return out, widths, nil
+	default:
+		return nil, nil, fmt.Errorf("join op %v with %d inputs", j, len(parts))
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"pipedream/internal/nn"
 	"pipedream/internal/profile"
 	"pipedream/internal/topology"
 )
@@ -54,6 +55,27 @@ type Plan struct {
 	// built under a memory constraint (PlanOptions.Memory); 0 means
 	// "no constraint — run at NOAM".
 	Depth int
+}
+
+// StageSlices cuts model into the plan's stages — one Sequential per
+// stage, sharing the model's layers — after checking that the stages end
+// at the model's last layer. A nil plan is one stage holding the whole
+// model.
+func (p *Plan) StageSlices(model *nn.Sequential) ([]*nn.Sequential, error) {
+	if p == nil {
+		return []*nn.Sequential{model}, nil
+	}
+	if len(p.Stages) == 0 {
+		return nil, fmt.Errorf("plan has no stages")
+	}
+	if last := p.Stages[len(p.Stages)-1].LastLayer; last != len(model.Layers)-1 {
+		return nil, fmt.Errorf("plan covers %d layers, model has %d", last+1, len(model.Layers))
+	}
+	stages := make([]*nn.Sequential, len(p.Stages))
+	for i, spec := range p.Stages {
+		stages[i] = model.Slice(spec.FirstLayer, spec.LastLayer+1)
+	}
+	return stages, nil
 }
 
 // IsDataParallel reports whether the plan is a single stage replicated

@@ -56,7 +56,7 @@ type RescaleStats struct {
 	// the chunk failure that revealed it) until the old pipeline was
 	// fully drained and torn down.
 	Drain time.Duration
-	// Replan covers waiting for a stable admissible membership plus
+	// Replan is the time spent waiting for a stable admissible membership plus
 	// re-running the partitioner and reloading the full model state.
 	Replan time.Duration
 	// Restart covers building the new pipeline, re-slicing the model

@@ -29,7 +29,7 @@ func (sw *stageWorker) joinPending(mb int) (*tensor.Tensor, []int, error) {
 		parts[i] = pend[p].Tensor
 	}
 	delete(sw.fwdPend, mb)
-	joined, widths, err := joinTensors(sw.join, parts)
+	joined, widths, err := sw.join.Apply(parts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pipeline: worker %d mb %d: %w", sw.id, mb, err)
 	}
@@ -64,51 +64,6 @@ func (sw *stageWorker) sumPendingGrads(mb int) *tensor.Tensor {
 		tensor.Put(g)
 	}
 	return sum
-}
-
-// joinTensors combines the fan-in activations of a join (two parts or
-// more) under the given join op into a new pooled tensor. For JoinSum
-// every part must share a shape; for JoinConcat the parts are
-// concatenated along the feature (last) dimension of row-major
-// [rows, features] tensors, returning each part's width.
-func joinTensors(op partition.JoinOp, parts []*tensor.Tensor) (*tensor.Tensor, []int, error) {
-	switch op {
-	case partition.JoinSum:
-		for _, p := range parts[1:] {
-			if !parts[0].SameShape(p) {
-				return nil, nil, fmt.Errorf("sum join over mismatched shapes %v vs %v", parts[0].Shape, p.Shape)
-			}
-		}
-		out := tensor.GetRaw(parts[0].Shape...)
-		tensor.AddInto(out.Data, parts[0].Data, parts[1].Data)
-		for _, p := range parts[2:] {
-			out.Add(p)
-		}
-		return out, nil, nil
-	case partition.JoinConcat:
-		rows := parts[0].Dim(0)
-		widths := make([]int, len(parts))
-		total := 0
-		for i, p := range parts {
-			if p.NumDims() != 2 || p.Dim(0) != rows {
-				return nil, nil, fmt.Errorf("concat join needs [rows, features] tensors with equal rows, got %v", p.Shape)
-			}
-			widths[i] = p.Dim(1)
-			total += widths[i]
-		}
-		out := tensor.GetRaw(rows, total) // the parts' columns cover every row
-		off := 0
-		for i, p := range parts {
-			w := widths[i]
-			for r := 0; r < rows; r++ {
-				copy(out.Data[r*total+off:r*total+off+w], p.Data[r*w:(r+1)*w])
-			}
-			off += w
-		}
-		return out, widths, nil
-	default:
-		return nil, nil, fmt.Errorf("join op %v with %d inputs", op, len(parts))
-	}
 }
 
 // splitJoinGrad routes the gradient w.r.t. a stage's (joined) input back
@@ -147,12 +102,6 @@ func splitJoinGrad(op partition.JoinOp, grad *tensor.Tensor, preds []int, widths
 	default:
 		return nil, fmt.Errorf("split over join op %v with %d edges", op, len(preds))
 	}
-}
-
-// stageSlice returns the model slice of one plan stage.
-func stageSlice(model *nn.Sequential, plan *partition.Plan, s int) *nn.Sequential {
-	spec := plan.Stages[s]
-	return model.Slice(spec.FirstLayer, spec.LastLayer+1)
 }
 
 // ForwardGraph runs a forward pass of the full model through the plan's
@@ -196,6 +145,10 @@ func ForwardGraphHead(model *nn.Sequential, plan *partition.Plan, x *tensor.Tens
 // forwardActive evaluates the graph over the active node set (which must
 // be closed under predecessors), in topological order.
 func forwardActive(model *nn.Sequential, plan *partition.Plan, g *partition.StageGraph, x *tensor.Tensor, active map[int]bool) (map[int]*tensor.Tensor, error) {
+	stages, err := plan.StageSlices(model)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
+	}
 	outs := make(map[int]*tensor.Tensor, len(active))
 	for s := 0; s < g.Nodes; s++ {
 		if !active[s] {
@@ -213,13 +166,11 @@ func forwardActive(model *nn.Sequential, plan *partition.Plan, g *partition.Stag
 			for i, p := range preds {
 				parts[i] = outs[p]
 			}
-			var err error
-			in, _, err = joinTensors(g.Join(s), parts)
-			if err != nil {
+			if in, _, err = g.Join(s).Apply(parts); err != nil {
 				return nil, fmt.Errorf("pipeline: stage %d: %w", s, err)
 			}
 		}
-		y, _ := stageSlice(model, plan, s).Forward(in, false)
+		y, _ := stages[s].Forward(in, false)
 		outs[s] = y
 	}
 	return outs, nil

@@ -17,8 +17,6 @@ package pipeline
 
 import (
 	"fmt"
-	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -296,9 +294,8 @@ func New(opts Options) (*Pipeline, error) {
 		return nil, fmt.Errorf("pipeline: ModelFactory, Plan, Loss, and NewOptimizer are required")
 	}
 	ref := opts.ModelFactory()
-	last := opts.Plan.Stages[len(opts.Plan.Stages)-1].LastLayer
-	if last != len(ref.Layers)-1 {
-		return nil, fmt.Errorf("pipeline: plan covers %d layers, model has %d", last+1, len(ref.Layers))
+	if _, err := opts.Plan.StageSlices(ref); err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 	graph := opts.Plan.Graph
 	if err := graph.Validate(len(opts.Plan.Stages)); err != nil {
@@ -330,9 +327,8 @@ func New(opts Options) (*Pipeline, error) {
 		if !transport.Local(p.tr, w) {
 			continue
 		}
-		model := opts.ModelFactory()
-		spec := opts.Plan.Stages[ref.Stage]
-		stage := model.Slice(spec.FirstLayer, spec.LastLayer+1)
+		stages, _ := opts.Plan.StageSlices(opts.ModelFactory()) // checked on ref: every factory model has its layers
+		stage, spec := stages[ref.Stage], opts.Plan.Stages[ref.Stage]
 		sw := &stageWorker{
 			p:       p,
 			id:      w,
@@ -389,13 +385,14 @@ func maxRingBuckets(model *nn.Sequential, opts Options) int {
 	if bb <= 0 {
 		bb = collective.DefaultBucketBytes
 	}
+	stages, _ := opts.Plan.StageSlices(model) // New checked the plan against this model
 	max := 0
-	for _, spec := range opts.Plan.Stages {
+	for i, spec := range opts.Plan.Stages {
 		if spec.Replicas <= 1 {
 			continue
 		}
 		bytes := 0
-		for _, g := range model.Slice(spec.FirstLayer, spec.LastLayer+1).Grads() {
+		for _, g := range stages[i].Grads() {
 			bytes += g.Bytes()
 		}
 		n := (bytes + bb - 1) / bb
@@ -455,22 +452,10 @@ func (p *Pipeline) Train(ds data.Dataset, minibatches int) (*Report, error) {
 	if minibatches <= 0 {
 		return nil, fmt.Errorf("pipeline: minibatches = %d", minibatches)
 	}
-	// Wire kernel-level parallelism to the stage-level concurrency this
-	// call is about to create: every stage worker dispatches kernel
-	// chunks to tensor's single bounded pool, so the product of the two
-	// levels can never oversubscribe NumCPU — but sizing the kernel
-	// fan-out to the cores left per worker also keeps compute-balanced
-	// stages from contending on the pool's dispatch queue. Explicit
-	// overrides (KernelParallelism or the environment) are respected.
-	if p.opts.KernelParallelism == 0 && os.Getenv(tensor.ParallelismEnv) == "" {
-		per := runtime.NumCPU() / len(p.workers)
-		if per < 1 {
-			per = 1
-		}
-		if cur := tensor.Parallelism(); per < cur {
-			tensor.SetParallelism(per)
-			defer tensor.SetParallelism(cur)
-		}
+	// Size kernel-level parallelism to the stage workers this call runs;
+	// an explicit KernelParallelism (set by New) is respected.
+	if p.opts.KernelParallelism == 0 {
+		defer tensor.ScopeParallelism(len(p.workers))()
 	}
 	start := p.cursor
 	end := start + minibatches
@@ -640,10 +625,10 @@ func (p *Pipeline) StageModel(stage, replica int) *nn.Sequential {
 // hosted by another process keep the factory's initial weights.
 func (p *Pipeline) CollectModel() *nn.Sequential {
 	model := p.opts.ModelFactory()
+	stages, _ := p.opts.Plan.StageSlices(model) // New checked the plan against the factory's model
 	for _, sw := range p.workers {
 		if sw.replica == 0 {
-			spec := p.opts.Plan.Stages[sw.stage]
-			nn.RestoreParams(model.Slice(spec.FirstLayer, spec.LastLayer+1).Params(), sw.model.Params())
+			nn.RestoreParams(stages[sw.stage].Params(), sw.model.Params())
 		}
 	}
 	return model

@@ -2,10 +2,17 @@ package serve
 
 import (
 	"errors"
+	"math"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"pipedream/internal/modelzoo/branching"
+	"pipedream/internal/nn"
+	"pipedream/internal/partition"
+	"pipedream/internal/pipeline"
 	"pipedream/internal/tensor"
 )
 
@@ -104,4 +111,116 @@ func TestCloseRacingPooledRequests(t *testing.T) {
 		s.Close()
 		wg.Wait()
 	}
+}
+
+// TestPoolBalanceAfterTraffic: serving gives back what it takes from the
+// buffer pool. A stage worker runs the training forward — Forward(x,
+// false), then Discard — and releases its output and its input, once when
+// the output is a view of the input; a fan-in stage releases its parts
+// and, after the forward, the join. Coalesced traffic goes through a
+// linear plan whose first stage is a Flatten (its output a view of its
+// input), a diamond whose branches are a view and a gather and whose sum
+// join fails for requests of two time steps, and the two-head branching
+// plan; one request in five is poisoned by its failing stage or join and
+// must fail naming it. With every good answer bit-equal to the graph
+// executor's and released by the caller, hits + misses − puts is back at
+// its pre-traffic value once the server has closed.
+func TestPoolBalanceAfterTraffic(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	linear := nn.NewSequential(nn.NewFlatten("flat"), nn.NewDense(rng, "fc1", 6, 5), nn.NewTanh("t1"), nn.NewDense(rng, "fc2", 5, 3))
+	diamond := nn.NewSequential(nn.NewTanh("stem"), nn.NewFlatten("flat"), nn.NewLastStep("last"), nn.NewDense(rng, "head", 2, 3))
+	branch := branching.StandIn(31)
+	stages := func(ranges ...int) []partition.StageSpec {
+		var out []partition.StageSpec
+		for i := 0; i < len(ranges); i += 2 {
+			out = append(out, partition.StageSpec{FirstLayer: ranges[i], LastLayer: ranges[i+1], Replicas: 1})
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name      string
+		model     *nn.Sequential
+		plan      *partition.Plan
+		good, bad []int  // row shapes of answered and of poisoned requests
+		fault     string // what a poisoned request's error names
+	}{
+		{"linear", linear, &partition.Plan{Stages: stages(0, 0, 1, 2, 3, 3), Graph: partition.NewLinear(3)},
+			[]int{2, 3}, []int{3, 3}, "stage 1: nn: fc1 forward input"},
+		{"diamond", diamond, &partition.Plan{Stages: stages(0, 0, 1, 1, 2, 2, 3, 3), Graph: &partition.StageGraph{Nodes: 4,
+			Edges: []partition.StageEdge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3}},
+			Joins: []partition.JoinOp{3: partition.JoinSum}}},
+			[]int{1, 2}, []int{2, 2}, "stage 3: sum join over mismatched shapes"},
+		{"two-head", branch.Factory(), &partition.Plan{Stages: branch.Stages, Graph: branch.Graph},
+			[]int{2}, []int{5}, "stage 0: nn: stem forward input"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mustServer(t, Config{Model: tc.model, Plan: tc.plan, MaxBatch: 8, BatchTimeout: 200 * time.Microsecond})
+			heads := s.Heads()
+			// Inputs and references first: the graph executor's tensors are
+			// never released. Row counts keep an assembled answer (tensor.New:
+			// rows × 2 or 3 values) off a power of two, which Put would take.
+			type call struct {
+				x, want *tensor.Tensor
+				head    int
+			}
+			const goroutines, perG = 4, 30
+			calls := make([][]call, goroutines)
+			for g := range calls {
+				for i := 0; i < perG; i++ {
+					c := call{head: heads[(g+i)%len(heads)]}
+					shape := tc.good
+					if i%5 == 4 {
+						shape = tc.bad
+					}
+					c.x = tensor.RandUniform(rand.New(rand.NewSource(int64(g*100+i))), -1, 1, append([]int{[]int{3, 5, 6, 7}[(g+i)%4]}, shape...)...)
+					if i%5 != 4 {
+						var err error
+						if c.want, err = pipeline.ForwardGraphHead(tc.model, tc.plan, c.x, c.head); err != nil {
+							t.Fatal(err)
+						}
+					}
+					calls[g] = append(calls[g], c)
+				}
+			}
+			before := outstanding()
+			var wg sync.WaitGroup
+			for g := range calls {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i, c := range calls[g] {
+						y, err := s.InferHead(c.x, c.head)
+						if c.want == nil {
+							if !errors.Is(err, ErrInference) || !strings.Contains(err.Error(), tc.fault) {
+								t.Errorf("poisoned request %d/%d: err = %v, want ErrInference naming %q", g, i, err, tc.fault)
+							}
+							continue
+						}
+						if err != nil {
+							t.Errorf("request %d/%d: %v", g, i, err)
+							return
+						}
+						for j := range c.want.Data {
+							if math.Float32bits(y.Data[j]) != math.Float32bits(c.want.Data[j]) {
+								t.Errorf("request %d/%d: output %d = %v, want %v", g, i, j, y.Data[j], c.want.Data[j])
+								return
+							}
+						}
+						tensor.Put(y)
+					}
+				}(g)
+			}
+			wg.Wait()
+			s.Close() // every stage worker has returned
+			if held := outstanding() - before; held != 0 {
+				t.Errorf("%d pooled tensors outstanding after the traffic, want 0", held)
+			}
+		})
+	}
+}
+
+// outstanding is the buffer pool's balance: tensors taken and not put back.
+func outstanding() int64 {
+	hits, misses, puts := tensor.PoolCounters()
+	return hits + misses - puts
 }

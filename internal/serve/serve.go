@@ -28,8 +28,6 @@ package serve
 
 import (
 	"fmt"
-	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -242,9 +240,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.QueueCap < 1 {
 		return nil, fmt.Errorf("serve: QueueCap = %d", cfg.QueueCap)
 	}
-	stages, err := sliceStages(cfg.Model, cfg.Plan)
+	stages, err := cfg.Plan.StageSlices(cfg.Model)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	graph := partition.NewLinear(len(stages))
 	if cfg.Plan != nil {
@@ -304,17 +302,11 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	// Scope kernel parallelism to the per-stage core share, exactly as
 	// Pipeline.Train does for stage workers (explicit settings win).
+	s.restoreParallelism = func() {}
 	if cfg.KernelParallelism > 0 {
 		tensor.SetParallelism(cfg.KernelParallelism)
-	} else if os.Getenv(tensor.ParallelismEnv) == "" {
-		per := runtime.NumCPU() / len(stages)
-		if per < 1 {
-			per = 1
-		}
-		if cur := tensor.Parallelism(); per < cur {
-			tensor.SetParallelism(per)
-			s.restoreParallelism = func() { tensor.SetParallelism(cur) }
-		}
+	} else {
+		s.restoreParallelism = tensor.ScopeParallelism(len(stages))
 	}
 	for st := range stages {
 		s.wg.Add(1)
@@ -324,26 +316,6 @@ func NewServer(cfg Config) (*Server, error) {
 	go s.demux()
 	go s.batcher()
 	return s, nil
-}
-
-// sliceStages cuts the model into per-stage layer slices according to the
-// plan (one slice covering everything when plan is nil).
-func sliceStages(model *nn.Sequential, plan *partition.Plan) ([]*nn.Sequential, error) {
-	if plan == nil {
-		return []*nn.Sequential{model}, nil
-	}
-	if len(plan.Stages) == 0 {
-		return nil, fmt.Errorf("serve: plan has no stages")
-	}
-	last := plan.Stages[len(plan.Stages)-1].LastLayer
-	if last != len(model.Layers)-1 {
-		return nil, fmt.Errorf("serve: plan covers %d layers, model has %d", last+1, len(model.Layers))
-	}
-	stages := make([]*nn.Sequential, len(plan.Stages))
-	for i, spec := range plan.Stages {
-		stages[i] = model.Slice(spec.FirstLayer, spec.LastLayer+1)
-	}
-	return stages, nil
 }
 
 // Stages returns the number of pipeline stages the server runs.
@@ -535,9 +507,7 @@ func (s *Server) Close() error {
 			case req := <-s.queue:
 				req.resp <- result{err: ErrServerClosed}
 			default:
-				if s.restoreParallelism != nil {
-					s.restoreParallelism()
-				}
+				s.restoreParallelism()
 				return
 			}
 		}

@@ -79,9 +79,9 @@ func (s *Server) WeightGeneration() int {
 // parameters after handing it over.
 func (s *Server) SwapModel(model *nn.Sequential, gen int) error {
 	start := time.Now()
-	stages, err := sliceStages(model, s.cfg.Plan)
+	stages, err := s.cfg.Plan.StageSlices(model)
 	if err != nil {
-		return err
+		return fmt.Errorf("serve: %w", err)
 	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()

@@ -2,25 +2,24 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"pipedream/internal/metrics"
 	"pipedream/internal/nn"
-	"pipedream/internal/partition"
 	"pipedream/internal/tensor"
 	"pipedream/internal/transport"
 )
 
 // stageWorker is the forward loop of one pipeline stage: receive an
 // activation batch (joining fan-in parts on a DAG plan), run the layer
-// slice of the weight generation the batch was stamped with in inference
-// mode, and forward the result along the batch's head route — to each
-// downstream successor the target head depends on, or to the
-// demultiplexer as a Prediction when this stage is the head. One
-// goroutine per stage, so consecutive batches overlap across stages
-// exactly like forward passes in the training pipeline. Stages outside
-// the head's ancestor set never see the batch at all.
+// slice of the weight generation the batch was stamped with through the
+// training forward in inference mode (Forward(x, false), its context
+// discarded: there is one forward path), and forward the result along the
+// batch's head route — to each downstream successor the target head
+// depends on, or to the demultiplexer as a Prediction when this stage is
+// the head. One goroutine per stage, so consecutive batches overlap across
+// stages exactly like forward passes in the training pipeline. Stages
+// outside the head's ancestor set never see the batch at all.
 //
 // The generation lookup (not "the current weights") is what upholds the
 // hot-swap guarantee: a batch dispatched under generation N meets
@@ -28,21 +27,17 @@ import (
 // while the batch was in an upstream stage.
 //
 // A panic inside the forward pass (a shape mismatch reaching a kernel)
-// is contained to the batch. Failure travels as a tensor-less poison
-// activation along the normal route — not straight to the demultiplexer
-// — so fan-in stages still drain their pending parts and exactly one
-// (tensor-less) Prediction reaches the demultiplexer, which fails the
-// batch's requests with ErrInference while the server keeps serving.
+// or a failed join is contained to the batch. Failure travels as a
+// tensor-less poison activation along the normal route — not straight to
+// the demultiplexer — so fan-in stages still drain their pending parts and
+// exactly one (tensor-less) Prediction reaches the demultiplexer, which
+// fails the batch's requests with ErrInference while the server keeps
+// serving.
 func (s *Server) stageWorker(st int) {
 	defer s.wg.Done()
 	inbox := s.tr.Inbox(st)
 	hist := s.met.stageForward[st]
-	preds := s.graph.Preds(st)
-	sort.Ints(preds) // deterministic join order: ascending source stage
-	// The worker's scratch arena: every forward draws its buffers from
-	// here and a single O(1) Reset between batches reclaims them, so the
-	// steady-state loop allocates nothing per batch.
-	ar := tensor.NewArena()
+	preds := s.graph.Preds(st) // ascending: the order the join combines in
 	// pend holds the arrived fan-in parts of each batch, keyed batch id →
 	// source stage. Entries always drain: a failed upstream branch sends a
 	// tensor-less poison part instead of dropping the batch. (The one
@@ -82,7 +77,7 @@ func (s *Server) stageWorker(st int) {
 					continue // hold until every in-edge has delivered
 				}
 				delete(pend, m.Minibatch)
-				in = joinActivations(s.graph.Join(st), preds, parts)
+				in = s.join(st, m.Minibatch, preds, parts)
 			}
 			// Resolve the layer slice of the generation this batch was
 			// stamped with. A nil slice means an unknown generation — the
@@ -99,7 +94,7 @@ func (s *Server) stageWorker(st int) {
 				}
 				if slice != nil {
 					var fault any
-					if y, fault = forwardInfer(slice, in, ar); fault != nil {
+					if y, fault = forward(slice, in); fault != nil {
 						s.noteFault(m.Minibatch, st, fault)
 					}
 				}
@@ -120,28 +115,31 @@ func (s *Server) stageWorker(st int) {
 			// handed an unroutable sink (a corrupt frame; Infer validates
 			// heads) — and along the head's route otherwise (never empty:
 			// routed stages always reach their head).
-			kind, succs := transport.Prediction, toClient
+			kind, succs, sent := transport.Prediction, toClient, y
 			if route, known := s.routes[m.Sink]; !known {
-				y = nil
+				sent = nil
 			} else if st != m.Sink && len(route[st]) > 0 {
 				kind, succs = transport.Activation, route[st]
 			}
 			// Forward the generation stamp and head with the batch so every
 			// downstream stage resolves the same weights and route. Send only
-			// borrows its tensor (transport.Transport), so the arena-backed
-			// result goes out as it is, once per successor.
+			// borrows its tensor (transport.Transport): the output goes out as
+			// it is, once per successor.
 			out := transport.Message{Kind: kind,
-				Minibatch: m.Minibatch, Version: m.Version, Tensor: y, Src: st, Sink: m.Sink}
+				Minibatch: m.Minibatch, Version: m.Version, Tensor: sent, Src: st, Sink: m.Sink}
 			for _, n := range succs {
 				if err := s.tr.Send(n, out); err != nil {
 					s.reclaimBatch(m.Minibatch, err)
 					break // the batch is failed; skip the remaining fan-out
 				}
 			}
-			// The input (a delivery, or the join's result) is this worker's to
-			// release, and nothing reads the arena once the sends have returned.
+			// The output and the input (a delivery, or the join's result) are
+			// this worker's to release once the sends have returned — one of
+			// them only when the output is a view of the input (Flatten).
+			if !tensor.SharesStorage(y, in) {
+				tensor.Put(y)
+			}
 			tensor.Put(in)
-			ar.Reset()
 			// Stage 0 with nothing left queued wakes a coalescing batcher.
 			if st == 0 && s.stage0Busy.Add(-1) == 0 {
 				select {
@@ -153,13 +151,13 @@ func (s *Server) stageWorker(st int) {
 	}
 }
 
-// joinActivations combines one batch's fan-in parts in ascending source
-// order. Any missing (poisoned) part, shape disagreement, or unexpected
-// join op yields nil, which the caller propagates downstream as poison.
-// The parts are this worker's deliveries: they are released here and the
-// joined result comes from the pool (the caller releases it after the
-// forward pass).
-func joinActivations(op partition.JoinOp, preds []int, parts map[int]*tensor.Tensor) *tensor.Tensor {
+// join combines one batch's fan-in parts, in ascending source order,
+// through the plan's join op (partition.JoinOp.Apply, the join training
+// runs) and releases the parts, this worker's deliveries. A missing
+// (poisoned) part yields nil, and so does a failed join, which is noted as
+// the batch's fault; the caller propagates nil downstream as poison and
+// releases a joined result after the forward pass.
+func (s *Server) join(st, id int, preds []int, parts map[int]*tensor.Tensor) *tensor.Tensor {
 	ordered := make([]*tensor.Tensor, len(preds))
 	ok := true
 	for i, p := range preds {
@@ -169,50 +167,9 @@ func joinActivations(op partition.JoinOp, preds []int, parts map[int]*tensor.Ten
 	}
 	var out *tensor.Tensor
 	if ok {
-		switch op {
-		case partition.JoinSum:
-			for _, p := range ordered[1:] {
-				if !p.SameShape(ordered[0]) {
-					ok = false
-				}
-			}
-			if ok {
-				out = tensor.GetRaw(ordered[0].Shape...)
-				copy(out.Data, ordered[0].Data)
-				for _, p := range ordered[1:] {
-					for j, v := range p.Data {
-						out.Data[j] += v
-					}
-				}
-			}
-		case partition.JoinConcat:
-			rows, total := 0, 0
-			for i, p := range ordered {
-				if p.NumDims() != 2 {
-					ok = false
-					break
-				}
-				if i == 0 {
-					rows = p.Dim(0)
-				} else if p.Dim(0) != rows {
-					ok = false
-					break
-				}
-				total += p.Dim(1)
-			}
-			if ok {
-				out = tensor.GetRaw(rows, total)
-				off := 0
-				for _, p := range ordered {
-					w := p.Dim(1)
-					for r := 0; r < rows; r++ {
-						copy(out.Data[r*total+off:r*total+off+w], p.Data[r*w:(r+1)*w])
-					}
-					off += w
-				}
-			}
-		default:
-			out = nil // fan-in without a join op never validates
+		var err error
+		if out, _, err = s.graph.Join(st).Apply(ordered); err != nil {
+			s.noteFault(id, st, err)
 		}
 	}
 	for _, p := range ordered {
@@ -221,17 +178,21 @@ func joinActivations(op partition.JoinOp, preds []int, parts map[int]*tensor.Ten
 	return out
 }
 
-// forwardInfer runs one stage slice through the fused inference path,
-// converting a panic into a nil result and the recovered value so a bad
-// batch cannot take the worker down. The result lives on the arena until
-// the caller resets it.
-func forwardInfer(slice *nn.Sequential, x *tensor.Tensor, ar *tensor.Arena) (y *tensor.Tensor, fault any) {
+// forward runs one stage slice for inference — the training forward with
+// train=false, its context discarded — converting a panic into a nil
+// result and the recovered value so a bad batch cannot take the worker
+// down. The output is the caller's (it may be a view of x). What a
+// panicking forward had taken from the buffer pool is left to the
+// collector.
+func forward(slice *nn.Sequential, x *tensor.Tensor) (y *tensor.Tensor, fault any) {
 	defer func() {
 		if fault = recover(); fault != nil {
 			y = nil
 		}
 	}()
-	return slice.ForwardInfer(x, ar), nil
+	y, ctx := slice.Forward(x, false)
+	slice.Discard(ctx)
+	return y, nil
 }
 
 // noteFault keeps what a stage's forward pass panicked with, and where,

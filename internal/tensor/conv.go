@@ -147,9 +147,8 @@ func convImageGo(out, img, wd, bias []float32, taps []int, outC int, g ConvGeom,
 // column matrix of shape [B*OutH*OutW, C*KH*KW], so that convolution
 // becomes a matrix multiply against a [C*KH*KW, OutC] kernel matrix (the
 // backward pass's lowering; the forward is ConvBiasActInto). Images are
-// lowered in parallel, each into a disjoint row block. dst may be pooled or
-// arena-backed and uninitialized: every element, padding included, is
-// written. Returns dst.
+// lowered in parallel, each into a disjoint row block. dst may be
+// uninitialized: every element, padding included, is written. Returns dst.
 func Im2ColInto(dst, in *Tensor, g ConvGeom) *Tensor {
 	g.Check()
 	if in.NumDims() != 4 || in.Shape[1] != g.InC || in.Shape[2] != g.InH || in.Shape[3] != g.InW {

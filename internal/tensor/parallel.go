@@ -75,6 +75,26 @@ func SetParallelism(n int) int {
 // Parallelism returns the current degree of parallelism.
 func Parallelism() int { return int(parDegree.Load()) }
 
+// ScopeParallelism sizes the kernel fan-out to the cores each of workers
+// concurrent workers (pipeline stages, serving stages) gets: it lowers the
+// degree to NumCPU/workers, at least 1, and returns the func that restores
+// the previous degree. Every worker dispatches to the one bounded pool, so
+// the two levels never oversubscribe the machine either way; the lower
+// degree keeps compute-balanced workers off the pool's dispatch queue. A
+// degree set through ParallelismEnv, or already at most that share, is
+// left alone and restore does nothing.
+func ScopeParallelism(workers int) (restore func()) {
+	per := runtime.NumCPU() / workers
+	if per < 1 {
+		per = 1
+	}
+	if cur := Parallelism(); os.Getenv(ParallelismEnv) == "" && per < cur {
+		SetParallelism(per)
+		return func() { SetParallelism(cur) }
+	}
+	return func() {}
+}
+
 // task is one chunk of a parallelFor dispatch.
 type task struct {
 	lo, hi int

@@ -7,10 +7,10 @@ import (
 	"sync/atomic"
 )
 
-// A free-list arena for scratch tensors. Steady-state training allocates
-// the same handful of shapes every minibatch (im2col panels, gate
-// pre-activations, gradient scratch); recycling them through sync.Pool
-// size classes keeps the GC out of the hot path.
+// The buffer pool: a free list for scratch tensors. Steady-state
+// training allocates the same handful of shapes every minibatch (im2col
+// panels, gate pre-activations, gradient scratch); recycling them
+// through sync.Pool size classes keeps the GC out of the hot path.
 //
 // The pool recycles whole *Tensor headers, not just backing arrays: a
 // steady-state Get is allocation-free because the header, the Shape
@@ -43,15 +43,15 @@ import (
 // pools[c] holds *Tensor headers whose Data capacity is exactly 1<<c.
 var pools [33]sync.Pool
 
-// Arena traffic counters: hits are Gets served from the free list,
+// Buffer-pool traffic counters: hits are Gets served from the free list,
 // misses are Gets that allocated, puts are tensors recycled. One atomic
 // add per Get/Put (calls are per-scratch-tensor, not per-element) keeps
-// the arena observable at negligible cost.
+// the pool observable at negligible cost.
 var poolHits, poolMisses, poolPuts atomic.Int64
 
-// PoolCounters reports the arena's cumulative traffic since process
+// PoolCounters reports the buffer pool's cumulative traffic since process
 // start: free-list hits, allocating misses, and recycled puts. The
-// miss count in steady-state training is the arena's leak detector —
+// miss count in steady-state training is the pool's leak detector —
 // it should stop growing once every per-minibatch shape has been seen.
 func PoolCounters() (hits, misses, puts int64) {
 	return poolHits.Load(), poolMisses.Load(), poolPuts.Load()
@@ -126,7 +126,7 @@ func Put(t *Tensor) {
 	}
 	c := sizeClass(cap(t.Data))
 	if 1<<c != cap(t.Data) {
-		return // not an arena buffer; let the GC have it
+		return // not a pool buffer; let the GC have it
 	}
 	poolPuts.Add(1)
 	t.Data = t.Data[:cap(t.Data)]
