@@ -2,15 +2,18 @@ package nn
 
 import (
 	"math/rand"
+	"slices"
 
 	"pipedream/internal/tensor"
 )
 
 // The pointwise activations store a bare *tensor.Tensor as their
-// Context (the input for ReLU, the output for Tanh/Sigmoid): a pointer
-// fits in an interface word, so unlike a struct context it does not
-// allocate. All three run tensor.Activate, the kernel the fused
-// MatMulBiasActInto / ConvBiasActInto epilogues apply too.
+// Context, exactly what their backward reads: ReLU its keep mask (one bit
+// per element, tensor.ReLUWithMask), Tanh and Sigmoid their output. A
+// pointer fits in an interface word, so unlike a struct context it does
+// not allocate. Tanh and Sigmoid run tensor.Activate, the kernel the fused
+// MatMulBiasActInto / ConvBiasActInto epilogues apply too; ReLU the same
+// rectifier, writing its mask in the same pass.
 
 // ReLU is the rectified linear activation.
 type ReLU struct{ name string }
@@ -21,20 +24,24 @@ func NewReLU(name string) *ReLU { return &ReLU{name: name} }
 // Name implements Layer.
 func (r *ReLU) Name() string { return r.name }
 
-// Forward implements Layer.
+// Forward implements Layer. The context is the pooled keep mask, the
+// layer's own: neither input nor output outlives the forward for it.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
 	y := tensor.GetRaw(x.Shape...)
-	tensor.Activate(y.Data, x.Data, tensor.ActReLU)
-	return y, x
+	return y, tensor.ReLUWithMask(y.Data, x.Data)
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It recycles the mask.
 func (r *ReLU) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
-	x := ctx.(*tensor.Tensor)
+	mask := ctx.(*tensor.Tensor)
 	g := tensor.GetRaw(gradOut.Shape...)
-	tensor.ReLUBackward(g.Data, gradOut.Data, x.Data)
+	tensor.ReLUBackward(g.Data, gradOut.Data, mask.Data)
+	r.discard(mask)
 	return g
 }
+
+// discard implements contextDiscarder.
+func (r *ReLU) discard(ctx Context) { tensor.Put(ctx.(*tensor.Tensor)) }
 
 // Params implements Layer.
 func (r *ReLU) Params() []*tensor.Tensor { return nil }
@@ -108,6 +115,8 @@ type Flatten struct{ name string }
 // NewFlatten creates a Flatten layer.
 func NewFlatten(name string) *Flatten { return &Flatten{name: name} }
 
+// flattenCtx and the other shape-only contexts copy the input's shape:
+// Sequential may release the input, header and all, before Backward.
 type flattenCtx struct{ shape []int }
 
 // Name implements Layer.
@@ -115,7 +124,7 @@ func (f *Flatten) Name() string { return f.name }
 
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Context) {
-	return x.Reshape(x.Dim(0), -1), flattenCtx{shape: x.Shape}
+	return x.Reshape(x.Dim(0), -1), flattenCtx{shape: slices.Clone(x.Shape)}
 }
 
 // Backward implements Layer.

@@ -129,7 +129,7 @@ func NewMaxPool2D(name string, g tensor.ConvGeom) *MaxPool2D {
 
 type poolCtx struct {
 	idx     []int
-	inShape []int
+	inShape [4]int
 }
 
 // Name implements Layer.
@@ -140,13 +140,13 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Conte
 	y := tensor.GetRaw(x.Dim(0), m.Geom.InC, m.Geom.OutH(), m.Geom.OutW())
 	idx := make([]int, y.Size())
 	tensor.MaxPoolInto(y, idx, x, m.Geom)
-	return y, poolCtx{idx: idx, inShape: x.Shape}
+	return y, poolCtx{idx: idx, inShape: [4]int(x.Shape)}
 }
 
 // Backward implements Layer.
 func (m *MaxPool2D) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	c := ctx.(poolCtx)
-	return tensor.MaxPoolBackwardInto(tensor.Get(c.inShape...), gradOut, c.idx)
+	return tensor.MaxPoolBackwardInto(tensor.Get(c.inShape[:]...), gradOut, c.idx)
 }
 
 // Params implements Layer.

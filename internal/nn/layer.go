@@ -38,16 +38,20 @@ type Context interface{}
 // that caller too, who releases them (Sequential does, for everything that
 // stays inside it). So a layer never passes its input, its output, gradOut
 // or the gradient it returns to tensor.Put, and never writes to its input
-// or to gradOut. It may read its input until its Backward returns — the
-// Context may simply be the input — and its own output too, provided the
-// Context is then that output itself (the bare *tensor.Tensor, as Tanh and
-// Sigmoid do): that is how SeqContext.ReadsOutput knows the output must
-// outlive the forward pass. It may return a view of its input from
-// Forward, or of gradOut (or gradOut itself) from Backward. What a layer
-// does release is its own: scratch it took and finished with inside one
-// call, and pooled tensors only its Context refers to, which Backward
-// recycles before it returns (layers that hold such tensors implement
-// contextDiscarder for the forward passes that never get a backward).
+// or to gradOut. It may return a view of its input from Forward, or of
+// gradOut (or gradOut itself) from Backward. What a layer does release is
+// its own: scratch it took and finished with inside one call, and pooled
+// tensors only its Context refers to, which Backward recycles before it
+// returns (layers that hold such tensors implement contextDiscarder for the
+// forward passes that never get a backward).
+//
+// What a Context may read. Sequential releases an activation once no
+// Context reads it, and tells which do by type (see reads): a bare
+// *tensor.Tensor is exactly what Backward reads — the layer's input (Dense),
+// its output (Tanh) or a tensor of its own (ReLU's mask); a nil one and the
+// shape-only Contexts read nothing; any other may read the layer's input
+// and nothing else, so a Context that needs its output must be that output.
+// SeqContext.ReadsInput and ReadsOutput pass the answer on.
 //
 // Parameter headers (the *tensor.Tensor values Params and Grads return)
 // are stable for the life of the model; their Data is not stable across an
@@ -94,42 +98,102 @@ func NewSequential(layers ...Layer) *Sequential {
 // to release. A context serves one Backward (or one Discard).
 type SeqContext struct {
 	ctxs []Context
-	// owned[i] is layer i's output when a later layer consumed it and it
-	// has storage of its own; nil for the last layer's output, which is the
-	// caller's, and for a view of the caller's input, of the caller's
-	// output or of the previous layer's output (which goes with that one).
-	// Decided when Forward ends, while all of them are alive.
+	// owned[i] is layer i's output when a context reads it and it has
+	// storage of its own; nil for the last layer's output, which is the
+	// caller's, for a view of the caller's input, of the caller's output or
+	// of the previous layer's output (which goes with that one), and for an
+	// output no context reads, which Forward released.
 	owned    []*tensor.Tensor
 	gradOuts []*tensor.Tensor // split layer i's gradOut, from its input half to its parameter half
-	// readsOutput: some layer's context is the final output's storage.
-	readsOutput bool
+	read     []*tensor.Tensor // read[i]: the storage layer i's context reads (see reads), or nil
+	// readsInput, readsOutput: a context reads the caller's input, output.
+	readsInput, readsOutput bool
 }
 
 // ReadsOutput reports whether Backward will read the output Forward
-// returned: whether a layer context is that tensor, as Tanh's and
-// Sigmoid's are, or a tensor it is a view of. When it does not, the caller
-// may release the output as soon as it has used it, before Backward.
+// returned. When it does not, the caller may release the output as soon
+// as it has used it, before Backward.
 func (c *SeqContext) ReadsOutput() bool { return c.readsOutput }
 
-// Forward runs all layers in order.
+// ReadsInput reports whether Backward will read the input Forward was
+// given. When it does not, the caller may release the input as soon as
+// Forward returns, before Backward.
+func (c *SeqContext) ReadsInput() bool { return c.readsInput }
+
+// HeldBytes is the size of the activations Backward will read — the layer
+// outputs the Sequential keeps, the bare-tensor contexts (a ReLU's mask, a
+// Tanh's output), the caller's input where a context reads it — and of
+// extra, the caller's own tensors for the same Backward (nil ones count
+// nothing), each storage once. Tensors private to an opaque context (an
+// LSTM's gates, a LayerNorm's normalized input) are not counted. Ask
+// before Backward or Discard, which release what it counts.
+func (c *SeqContext) HeldBytes(extra ...*tensor.Tensor) int64 {
+	var bytes int64
+	for i, t := range c.read {
+		if t != nil && !sharesAny(t, c.read[:i]) {
+			bytes += int64(t.Bytes())
+		}
+	}
+	for i, t := range extra {
+		if t != nil && !sharesAny(t, c.read) && !sharesAny(t, extra[:i]) {
+			bytes += int64(t.Bytes())
+		}
+	}
+	return bytes
+}
+
+// reads returns the storage a layer context will read in Backward, given
+// the input its layer was handed: a bare tensor is what it reads (nil:
+// nothing); the contexts below keep shapes or tensors of their own and
+// read no activation; any other context may read its layer's input.
+func reads(ctx Context, in *tensor.Tensor) *tensor.Tensor {
+	switch c := ctx.(type) {
+	case *tensor.Tensor:
+		return c
+	case flattenCtx, flattenTimeCtx, lastStepCtx, poolCtx, avgPoolCtx, *layerNormCtx:
+		return nil
+	}
+	return in
+}
+
+// sharesAny reports whether t shares storage with one of ts.
+func sharesAny(t *tensor.Tensor, ts []*tensor.Tensor) bool {
+	for _, u := range ts {
+		if tensor.SharesStorage(t, u) {
+			return true
+		}
+	}
+	return false
+}
+
+// Forward runs all layers in order. Before it returns, while every output
+// is alive, it finds what the layer contexts read and releases the outputs
+// it owns that none reads.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *SeqContext) {
 	n := len(s.Layers)
-	held := make([]*tensor.Tensor, 2*n)
-	ctx := &SeqContext{ctxs: make([]Context, n), owned: held[:n:n], gradOuts: held[n:]}
+	held := make([]*tensor.Tensor, 3*n)
+	ctx := &SeqContext{ctxs: make([]Context, n), owned: held[:n:n], gradOuts: held[n : 2*n : 2*n], read: held[2*n:]}
 	in := x
 	for i, l := range s.Layers {
+		layerIn := x
 		x, ctx.ctxs[i] = l.Forward(x, train)
 		ctx.owned[i] = x
+		ctx.read[i] = reads(ctx.ctxs[i], layerIn)
 	}
+	ctx.readsInput, ctx.readsOutput = sharesAny(in, ctx.read), sharesAny(x, ctx.read)
 	prev := in
 	for i, out := range ctx.owned {
-		if t, ok := ctx.ctxs[i].(*tensor.Tensor); ok && tensor.SharesStorage(t, x) {
-			ctx.readsOutput = true
-		}
 		if i == n-1 || tensor.SharesStorage(out, prev) || tensor.SharesStorage(out, in) || tensor.SharesStorage(out, x) {
 			ctx.owned[i] = nil
 		}
 		prev = out
+	}
+	// Released only now: another goroutine may take a released header at once.
+	for i, out := range ctx.owned {
+		if out != nil && !sharesAny(out, ctx.read) {
+			tensor.Put(out)
+			ctx.owned[i] = nil
+		}
 	}
 	return x, ctx
 }

@@ -217,7 +217,7 @@ type LastStep struct{ name string }
 // NewLastStep creates a LastStep layer.
 func NewLastStep(name string) *LastStep { return &LastStep{name: name} }
 
-type lastStepCtx struct{ shape []int }
+type lastStepCtx struct{ shape [3]int }
 
 // Name implements Layer.
 func (s *LastStep) Name() string { return s.name }
@@ -232,7 +232,7 @@ func (s *LastStep) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Contex
 	for n := 0; n < b; n++ {
 		copy(y.Data[n*H:(n+1)*H], x.Data[(n*T+T-1)*H:(n*T+T)*H])
 	}
-	return y, lastStepCtx{shape: x.Shape}
+	return y, lastStepCtx{shape: [3]int(x.Shape)}
 }
 
 // Backward implements Layer.
@@ -259,7 +259,7 @@ type FlattenTime struct{ name string }
 // NewFlattenTime creates a FlattenTime layer.
 func NewFlattenTime(name string) *FlattenTime { return &FlattenTime{name: name} }
 
-type flattenTimeCtx struct{ shape []int }
+type flattenTimeCtx struct{ shape [3]int }
 
 // Name implements Layer.
 func (s *FlattenTime) Name() string { return s.name }
@@ -269,13 +269,13 @@ func (s *FlattenTime) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Con
 	if x.NumDims() != 3 {
 		panic(fmt.Sprintf("nn: %s forward input %v, want [B,T,H]", s.name, x.Shape))
 	}
-	return x.Reshape(x.Dim(0)*x.Dim(1), x.Dim(2)), flattenTimeCtx{shape: x.Shape}
+	return x.Reshape(x.Dim(0)*x.Dim(1), x.Dim(2)), flattenTimeCtx{shape: [3]int(x.Shape)}
 }
 
 // Backward implements Layer.
 func (s *FlattenTime) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	c := ctx.(flattenTimeCtx)
-	return gradOut.Reshape(c.shape...)
+	return gradOut.Reshape(c.shape[:]...)
 }
 
 // Params implements Layer.

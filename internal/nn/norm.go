@@ -130,7 +130,7 @@ func NewAvgPool2D(name string, g tensor.ConvGeom) *AvgPool2D {
 	return &AvgPool2D{name: name, Geom: g}
 }
 
-type avgPoolCtx struct{ inShape []int }
+type avgPoolCtx struct{ inShape [4]int }
 
 // Name implements Layer.
 func (a *AvgPool2D) Name() string { return a.name }
@@ -171,14 +171,14 @@ func (a *AvgPool2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Conte
 			}
 		}
 	}
-	return y, avgPoolCtx{inShape: x.Shape}
+	return y, avgPoolCtx{inShape: [4]int(x.Shape)}
 }
 
 // Backward implements Layer.
 func (a *AvgPool2D) Backward(ctx Context, gradOut *tensor.Tensor) *tensor.Tensor {
 	c := ctx.(avgPoolCtx)
 	g := a.Geom
-	grad := tensor.Get(c.inShape...)
+	grad := tensor.Get(c.inShape[:]...)
 	b := c.inShape[0]
 	oh, ow := g.OutH(), g.OutW()
 	inv := 1 / float32(g.KH*g.KW)

@@ -35,6 +35,9 @@ var ownershipStacks = map[string]func(rng *rand.Rand) (*Sequential, *tensor.Tens
 	"views-only": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
 		return NewSequential(NewFlatten("f"), NewDropout(rng, "identity", 0)), tensor.Randn(rng, 1, 4, 2, 3)
 	},
+	"flatten-only": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		return NewSequential(NewFlatten("f")), tensor.Randn(rng, 1, 4, 2, 3)
+	},
 	"identity-middle": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
 		return NewSequential(NewDense(rng, "a", 6, 8), NewDropout(rng, "identity", 0), NewFlatten("f"), NewReLU("r"), NewDropout(rng, "d", 0.5), NewDense(rng, "b", 8, 3)), tensor.Randn(rng, 1, 4, 6)
 	},
@@ -63,6 +66,13 @@ var ownershipStacks = map[string]func(rng *rand.Rand) (*Sequential, *tensor.Tens
 	},
 	"lstm-laststep": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
 		return NewSequential(NewLSTM(rng, "lstm", 6, 10), NewLastStep("last"), NewDense(rng, "fc", 10, 3)), tensor.RandUniform(rng, -1, 1, 4, 7, 6)
+	},
+	"embedding-lstm": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
+		ids := tensor.New(3, 5)
+		for i := range ids.Data {
+			ids.Data[i] = float32(rng.Intn(9))
+		}
+		return NewSequential(NewEmbedding(rng, "emb", 9, 6), NewLSTM(rng, "lstm", 6, 4), NewLastStep("last"), NewDense(rng, "fc", 4, 3)), ids
 	},
 	"gru-flattentime": func(rng *rand.Rand) (*Sequential, *tensor.Tensor) {
 		return NewSequential(NewGRU(rng, "gru", 6, 9), NewFlattenTime("ft"), NewDense(rng, "fc", 9, 2)), tensor.RandUniform(rng, -1, 1, 3, 5, 6)
@@ -101,6 +111,26 @@ func bitsOf(ts ...*tensor.Tensor) []uint32 {
 	return out
 }
 
+// heldAfterForward lists, per ownership stack, the layers whose outputs a
+// training forward's context still holds — those a layer context reads and
+// that are not a view of another — and whether a context reads the input.
+// An output no context reads is back in the pool when Forward returns:
+// Dense→Tanh keeps the Tanh output (its own and the next Dense's context)
+// and drops the pre-activation, ReLU keeps only its mask, Conv→ReLU→MaxPool
+// holds none of the three, a Flatten-only stack nothing at all, and an LSTM
+// (an opaque context) keeps its input whatever produced it.
+var heldAfterForward = map[string]struct {
+	outputs    []int
+	readsInput bool
+}{
+	"dense-tanh-dense": {[]int{1}, true}, "ends-in-tanh": {[]int{1}, true}, "view-first": {nil, true},
+	"view-middle": {[]int{0}, true}, "view-last": {nil, true}, "views-only": {nil, false},
+	"flatten-only": {nil, false}, "identity-middle": {[]int{4}, true}, "residual": {[]int{0, 1, 2}, false},
+	"conv": {[]int{3}, true}, "conv-relu-conv": {[]int{1}, true}, "attention": {[]int{0, 1, 3}, true},
+	"lstm-laststep": {[]int{1}, true}, "embedding-lstm": {[]int{0, 2}, true}, "gru-flattentime": {[]int{0}, true},
+	"embedding-attention": {[]int{0, 1}, true}, "mha-residual-norm": {[]int{0, 1}, true}, "conv-pool-norm": {[]int{4}, true},
+}
+
 func sameBits(t *testing.T, what string, got, want []uint32) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -121,7 +151,9 @@ func sameBits(t *testing.T, what string, got, want []uint32) {
 // with the caller releasing what is the caller's, a warmed-up step takes
 // nothing from the pool that the previous step did not put back. The same
 // holds for a training forward that is discarded instead, and for the
-// inference call, Forward(x, false) then Discard.
+// inference call, Forward(x, false) then Discard. After a training
+// forward the context holds exactly the outputs heldAfterForward lists:
+// every other one was put back before Forward returned.
 func TestSequentialReleasesEachTensorOnce(t *testing.T) {
 	// One P, so every Put of a step sits where the next step's Gets look;
 	// no collection, which empties sync.Pool.
@@ -151,6 +183,16 @@ func TestSequentialReleasesEachTensorOnce(t *testing.T) {
 				y, ctx := seq.Forward(x, mode != "infer")
 				switch mode {
 				case "backward":
+					want := heldAfterForward[name]
+					var held []int
+					for i, o := range ctx.owned {
+						if o != nil {
+							held = append(held, i)
+						}
+					}
+					if fmt.Sprint(held) != fmt.Sprint(want.outputs) || ctx.ReadsInput() != want.readsInput {
+						t.Fatalf("after Forward the context holds outputs %v and ReadsInput is %v, want %v and %v", held, ctx.ReadsInput(), want.outputs, want.readsInput)
+					}
 					sameBits(t, "output", bitsOf(y), wantY)
 					g := seq.Backward(ctx, gradOut)
 					sameBits(t, "input gradient", bitsOf(g), wantGrad)
@@ -237,8 +279,8 @@ func TestInferenceConcurrent(t *testing.T) {
 func TestSeqContextReadsOutput(t *testing.T) {
 	want := map[string]bool{
 		"dense-tanh-dense": false, "ends-in-tanh": true, "view-first": true, "view-middle": false,
-		"view-last": true, "views-only": false, "identity-middle": false, "residual": false,
-		"conv": false, "conv-relu-conv": false, "attention": false, "lstm-laststep": false,
+		"view-last": true, "views-only": false, "flatten-only": false, "identity-middle": false, "residual": false,
+		"conv": false, "conv-relu-conv": false, "attention": false, "lstm-laststep": false, "embedding-lstm": false,
 		"gru-flattentime": false, "embedding-attention": false, "mha-residual-norm": false, "conv-pool-norm": false,
 	}
 	for name, build := range ownershipStacks {
@@ -247,5 +289,31 @@ func TestSeqContextReadsOutput(t *testing.T) {
 		if got := ctx.ReadsOutput(); got != want[name] {
 			t.Errorf("%s: ReadsOutput() = %v, want %v", name, got, want[name])
 		}
+	}
+}
+
+// HeldBytes counts every array a training forward's context keeps once:
+// Dense→Tanh→Dense holds its input (the first Dense's context) and the Tanh
+// output (the Tanh's and the second Dense's); the conv stack its input, the
+// ReLU's 216-bit mask in 7 elements and the pooled [2,3,1,1] output the
+// Dense reads through a Flatten view. A caller's tensor passed in extra is
+// counted unless the context holds its array already.
+func TestSeqContextHeldBytes(t *testing.T) {
+	for _, c := range []struct {
+		stack       string
+		held, extra int64
+	}{
+		{"dense-tanh-dense", 4*6*4 + 4*8*4, 4 * 3 * 4},
+		{"conv", 2*2*6*6*4 + 7*4 + 2*3*4, 2 * 2 * 4},
+	} {
+		seq, x := ownershipStacks[c.stack](rand.New(rand.NewSource(5)))
+		y, ctx := seq.Forward(x, true)
+		if got := ctx.HeldBytes(); got != c.held {
+			t.Errorf("%s: HeldBytes() = %d, want %d", c.stack, got, c.held)
+		}
+		if got := ctx.HeldBytes(x, y, nil); got != c.held+c.extra {
+			t.Errorf("%s: HeldBytes(input, output, nil) = %d, want %d", c.stack, got, c.held+c.extra)
+		}
+		seq.Discard(ctx)
 	}
 }

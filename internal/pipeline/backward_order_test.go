@@ -143,10 +143,6 @@ func TestUpstreamGradientLeavesBeforeParameterHalves(t *testing.T) {
 			if p, err = New(opts); err != nil {
 				t.Fatal(err)
 			}
-			outstanding := func() int64 {
-				hits, misses, puts := tensor.PoolCounters()
-				return hits + misses - puts
-			}
 			fill := func(x *tensor.Tensor) *tensor.Tensor {
 				for i := range x.Data {
 					x.Data[i] = float32(i%7) / 7

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"pipedream/internal/data"
@@ -41,8 +42,10 @@ func TestRecomputeMatchesStashedActivationsExactly(t *testing.T) {
 	}
 }
 
-// Recomputation trades activation-stash memory for compute: the peak
-// stash bytes must shrink (only stage inputs and weight versions remain).
+// Recomputation trades activation-stash memory for compute: on a Dense/Tanh
+// MLP the peak stash bytes shrink, only stage inputs remaining. On a ReLU
+// chain the plain stash is the smaller one: it keeps one mask bit per
+// element and drops the stage input, which recomputation must keep.
 func TestRecomputeShrinksStash(t *testing.T) {
 	// A model with a large hidden layer so contexts dominate the stash.
 	factory := mlpFactory(9, 4, 64, 3)
@@ -70,11 +73,15 @@ func TestRecomputeShrinksStash(t *testing.T) {
 		}
 		return total
 	}
-	// Note: PeakStashBytes counts stashed params + inputs, which don't
-	// differ between modes; this test asserts recompute still trains
-	// correctly under NoStashing bookkeeping and doesn't grow the stash.
-	if r, s := peak(true), peak(false); r > s {
-		t.Fatalf("recompute stash %d exceeds plain %d", r, s)
+	if r, s := peak(true), peak(false); r >= s {
+		t.Fatalf("Dense/Tanh: recompute stash %d, plain %d: want recompute smaller", r, s)
+	}
+	factory = func() *nn.Sequential {
+		rng := rand.New(rand.NewSource(9))
+		return nn.NewSequential(nn.NewDense(rng, "fc1", 4, 64), nn.NewReLU("r1"), nn.NewReLU("r2"), nn.NewDense(rng, "fc2", 64, 3))
+	}
+	if r, s := peak(true), peak(false); s >= r {
+		t.Fatalf("ReLU chain: plain stash %d, recompute %d: want plain smaller", s, r)
 	}
 }
 

@@ -57,7 +57,7 @@ type StageStats struct {
 	MeanStaleness float64
 	MaxStaleness  int
 	// PeakStashBytes is the worker's lifetime peak of stashed weights +
-	// activation inputs (same number as Report.PeakStashBytes).
+	// activations (same number as Report.PeakStashBytes).
 	PeakStashBytes int64
 }
 

@@ -340,15 +340,6 @@ func TestTrainStepAllocatesNoTensors(t *testing.T) {
 	// One P, so every Put of the run sits where the next Get looks.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const perCall = 32
-	stagesOf := func(last ...int) []partition.StageSpec {
-		var specs []partition.StageSpec
-		first := 0
-		for _, l := range last {
-			specs = append(specs, partition.StageSpec{FirstLayer: first, LastLayer: l, Replicas: 1})
-			first = l + 1
-		}
-		return specs
-	}
 	for _, c := range []struct {
 		name    string
 		factory func() *nn.Sequential
@@ -460,5 +451,147 @@ func TestProfileMeasureReleasesWhatItTakes(t *testing.T) {
 	}
 	if misses1 != misses0 && !raceEnabled {
 		t.Fatalf("the second profile missed the pool %d times", misses1-misses0)
+	}
+}
+
+// stagesOf cuts a chain into unreplicated stages ending at the given layers.
+func stagesOf(last ...int) []partition.StageSpec {
+	var specs []partition.StageSpec
+	first := 0
+	for _, l := range last {
+		specs = append(specs, partition.StageSpec{FirstLayer: first, LastLayer: l, Replicas: 1})
+		first = l + 1
+	}
+	return specs
+}
+
+// outstanding is how many pooled tensors are taken and not yet put back.
+func outstanding() int64 {
+	hits, misses, puts := tensor.PoolCounters()
+	return hits + misses - puts
+}
+
+// swallow takes every message without delivering it (Send only borrows).
+type swallow struct{ transport.Transport }
+
+func (swallow) Send(int, transport.Message) error { return nil }
+
+// overwriteLoss scores pred and writes its gradient over pred itself.
+func overwriteLoss(pred *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	loss, grad := nn.SoftmaxCrossEntropy(pred, labels)
+	copy(pred.Data, grad.Data)
+	tensor.Put(grad)
+	return loss, pred
+}
+
+// A stage whose layer contexts do not read its input releases the input
+// when its forward ends — a ReLU-first and a Tanh-first stage, and a fan-in
+// stage, whose input is the join of its arrivals — and keeps it under
+// recomputation, which restarts from it, and at a Dense-first sink, whose
+// context it is. A sink whose loss writes over a view of its input
+// releases that array once, as the gradient. Each stage runs one forward
+// and one backward by hand; the pool's counters (hits + misses − puts) say
+// how many tensors the worker holds between the two, the stash entry
+// whether the input is one of them, and after the backward none is left.
+func TestUnreadStageInputReleasedAtForwardEnd(t *testing.T) {
+	chain := func() *nn.Sequential {
+		rng := rand.New(rand.NewSource(5))
+		return nn.NewSequential(nn.NewDense(rng, "in", 4, 8), nn.NewReLU("r1"), nn.NewReLU("r2"),
+			nn.NewTanh("t1"), nn.NewTanh("t2"), nn.NewDense(rng, "out", 8, 3))
+	}
+	diamond := func() *nn.Sequential {
+		rng := rand.New(rand.NewSource(5))
+		return nn.NewSequential(nn.NewDense(rng, "in", 4, 8), nn.NewTanh("a"), nn.NewTanh("b"),
+			nn.NewReLU("join"), nn.NewDense(rng, "out", 8, 3))
+	}
+	views := func() *nn.Sequential {
+		rng := rand.New(rand.NewSource(5))
+		return nn.NewSequential(nn.NewDense(rng, "in", 4, 3), nn.NewFlatten("head"))
+	}
+	for _, c := range []struct {
+		name    string
+		factory func() *nn.Sequential
+		stages  []partition.StageSpec
+		graph   *partition.StageGraph
+		loss    LossFunc
+		stage   int
+		// held is how many tensors the worker holds after the forward,
+		// without and with recomputation; released: the input is not one
+		// of them without.
+		held     [2]int
+		released bool
+	}{
+		{"relu-first", chain, stagesOf(0, 2, 4, 5), nil, nil, 1, [2]int{2, 1}, true},                   // two masks | the input
+		{"tanh-first", chain, stagesOf(0, 2, 4, 5), nil, nil, 2, [2]int{2, 1}, true},                   // t1's output, the stage output | the input
+		{"dense-first sink", chain, stagesOf(0, 2, 4, 5), nil, nil, 3, [2]int{2, 2}, false},            // the input, the loss gradient
+		{"fan-in relu-first", diamond, stagesOf(0, 1, 2, 4), diamondGraph, nil, 3, [2]int{3, 2}, true}, // mask, ReLU output, loss gradient | join, gradient
+		{"sink loss over a view of its input", views, stagesOf(0, 1), nil, overwriteLoss, 1, [2]int{1, 1}, false},
+	} {
+		for i, recompute := range []bool{false, true} {
+			plan, err := partition.NewPlan(syntheticProfileFor(c.factory()), topology.Flat(len(c.stages), 1e9, topology.V100),
+				partition.PlanOptions{Stages: c.stages, Graph: c.graph})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := baseOptions(c.factory, plan)
+			opts.Recompute = recompute
+			if c.loss != nil {
+				opts.Loss = c.loss
+			}
+			opts.Transport = swallow{transport.NewChannels(plan.Workers, 8)}
+			p, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sw *stageWorker
+			for _, w := range p.workers {
+				if w.stage == c.stage {
+					sw = w
+				}
+			}
+			sw.results = make(chan lossEvent, 1)
+			before := outstanding()
+			width := 8
+			if c.loss != nil {
+				width = 3 // the head flattens its [8, 3] input
+			}
+			x := tensor.GetRaw(8, width)
+			for j := range x.Data {
+				x.Data[j] = float32(j%7)/7 - 0.4
+			}
+			m := transport.Message{Kind: transport.Activation, Tensor: x, Labels: []int{0, 1, 2, 0, 1, 2, 0, 1}}
+			if len(sw.preds) > 1 {
+				// The fan-in stage: one arrival per in-edge, joined by forward.
+				x2 := tensor.GetRaw(8, width)
+				copy(x2.Data, x.Data)
+				sw.fwdPend = map[int]map[int]transport.Message{0: {sw.preds[0]: {Tensor: x}, sw.preds[1]: {Tensor: x2}}}
+				m.Tensor = nil
+			}
+			ab := newRunAbort()
+			if err := sw.forward(m, ab); err != nil {
+				t.Fatal(err)
+			}
+			entry := sw.stash[0]
+			if held := outstanding() - before; held != int64(c.held[i]) || (entry.input == nil) != (c.released && !recompute) {
+				t.Errorf("%s recompute=%v: after the forward the worker holds %d tensors, the input released: %v; want %d, %v",
+					c.name, recompute, held, entry.input == nil, c.held[i], c.released && !recompute)
+			}
+			g, ok := sw.bwdReady[0] // a sink's loss gradient
+			if !ok {
+				g = transport.Message{Kind: transport.Gradient, Tensor: tensor.GetRaw(8, 8)}
+				for j := range g.Tensor.Data {
+					g.Tensor.Data[j] = float32(j%5) / 5
+				}
+			}
+			delete(sw.bwdReady, 0)
+			if err := sw.backward(g, ab); err != nil {
+				t.Fatal(err)
+			}
+			if held := outstanding() - before; held != 0 || sw.stashBytes != 0 {
+				t.Errorf("%s recompute=%v: %d pooled tensors and %d stash bytes outstanding after the backward, want 0",
+					c.name, recompute, held, sw.stashBytes)
+			}
+			p.Close()
+		}
 	}
 }

@@ -81,8 +81,10 @@ type RuntimeConfig struct {
 	Depth int
 	// Recompute discards forward activations and recomputes them during
 	// the backward pass (GPipe's memory-for-compute trade, §3.3) instead
-	// of stashing layer contexts. Requires deterministic layers (dropout
-	// would re-draw its mask during recomputation).
+	// of stashing layer contexts, keeping each stage input to restart
+	// from: on a ReLU chain more than the plain stash, a bit per element.
+	// Requires deterministic layers (dropout would re-draw its mask during
+	// recomputation).
 	Recompute bool
 	// KernelParallelism, when > 0, sets the tensor package's degree of
 	// kernel-level parallelism for this process (tensor.SetParallelism).
@@ -219,8 +221,9 @@ type Report struct {
 	// PeakStashBytes is, per local worker in worker-ID order, the peak
 	// bytes held for in-flight minibatches: every weight version at least
 	// one of them reads — counted once however many hold it, so warm-up
-	// forwards that all ran under version 0 count it once — plus their
-	// stashed input activations (tensor payloads only).
+	// forwards that all ran under version 0 count it once — plus the
+	// activations their stash entries keep for the backward, the stage
+	// input and output while held among them (nn.SeqContext.HeldBytes).
 	PeakStashBytes []int64
 	// Stages carries per-worker runtime statistics — op counts and
 	// durations, sync waits, idle time, bubble fraction, queue depth,
@@ -367,14 +370,18 @@ func New(opts Options) (*Pipeline, error) {
 	return p, nil
 }
 
-// channelBuffer sizes the in-process transport's inboxes: they must
-// absorb every in-flight message even when a worker stalls in a gradient
-// all_reduce — depth minibatches per input replica, two messages each,
-// plus slack — and the ring's lock-step chunk traffic: at most one
-// in-flight chunk per bucket from the left neighbor's current round plus
-// one from its next round.
+// channelBuffer sizes the in-process transport's inboxes from the plan:
+// they must absorb every in-flight message even when a worker stalls in a
+// gradient all_reduce — depth minibatches per input replica, two messages
+// each, plus 8 for heartbeats — and a replicated stage's ring traffic: at
+// most one in-flight chunk per bucket from the left neighbor's current
+// round plus one from its next round, plus 8.
 func channelBuffer(ref *nn.Sequential, opts Options, depth int) int {
-	return 2*depth*opts.Plan.Stages[0].Replicas + 2*maxRingBuckets(ref, opts) + 16
+	n := 2*depth*opts.Plan.Stages[0].Replicas + 8
+	if b := maxRingBuckets(ref, opts); b > 0 {
+		n += 2*b + 8
+	}
+	return n
 }
 
 // maxRingBuckets bounds how many gradient buckets the ring collective of

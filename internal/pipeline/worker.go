@@ -17,17 +17,20 @@ import (
 // schedule loop of forwards and backwards. Gradient sync is in sync.go.
 
 // stashEntry is the per-minibatch state a worker keeps between a forward
-// and its backward.
+// and its backward: exactly what the backward reads.
 type stashEntry struct {
 	weights *weightVersion // version the forward ran under, held until the backward ends (nil in NoStashing)
 	ctx     *nn.SeqContext // nil when recomputation is enabled
-	input   *tensor.Tensor // stage input: recomputed from, and released after backward
+	// input is the stage input while a layer context or recomputation reads
+	// it or the loss wrote over it; nil once released (or left to the dataset).
+	input *tensor.Tensor
 	// output is the stage output while the backward pass still reads it (a
 	// stage ending in Tanh or Sigmoid, whose context is its output); nil once
 	// released, and for a view of the input, which goes the way of the input.
 	output     *tensor.Tensor
-	version    int // the minibatch's vertical-sync tag
-	fwdUpdates int // local optimizer updates at forward time (staleness baseline)
+	held       int64 // the activation bytes counted in the worker's stash
+	version    int   // the minibatch's vertical-sync tag
+	fwdUpdates int   // local optimizer updates at forward time (staleness baseline)
 	// joinWidths records, for a JoinConcat stage, each predecessor's
 	// feature width (in sw.preds order) so the backward pass can split
 	// the gradient back per edge. Nil elsewhere.
@@ -357,8 +360,10 @@ func (sw *stageWorker) forward(m transport.Message, ab *runAbort) error {
 		entry.output = y
 	}
 	var err error
+	var grad *tensor.Tensor // a sink's loss gradient
 	if sw.isSink() {
-		loss, grad := sw.loss(y, m.Labels)
+		var loss float64
+		loss, grad = sw.loss(y, m.Labels)
 		if tensor.SharesStorage(grad, y) {
 			// A loss that wrote its gradient over the prediction: one
 			// array, released as the gradient.
@@ -386,8 +391,22 @@ func (sw *stageWorker) forward(m transport.Message, ab *runAbort) error {
 		tensor.Put(entry.output)
 		entry.output = nil
 	}
+	if entry.ctx == nil {
+		entry.held = int64(m.Tensor.Bytes())
+	} else {
+		if !entry.ctx.ReadsInput() && !tensor.SharesStorage(grad, m.Tensor) {
+			// Nor does any context need the input (a stage starting with
+			// ReLU or Tanh). A delivered or joined input is this worker's;
+			// the input stage's batch is the dataset's.
+			if len(sw.preds) > 0 {
+				tensor.Put(m.Tensor)
+			}
+			entry.input = nil
+		}
+		entry.held = entry.ctx.HeldBytes(entry.input, entry.output)
+	}
 	sw.stash[m.Minibatch] = entry
-	sw.trackStash(int64(m.Tensor.Bytes()))
+	sw.trackStash(entry.held)
 	return err
 }
 
@@ -503,13 +522,14 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 		sw.weights.bind(sw.weights.latest())
 		sw.trackStash(-sw.weights.release(entry.weights))
 	}
-	sw.trackStash(-int64(entry.input.Bytes()))
+	sw.trackStash(-entry.held)
 	// Nothing reads the minibatch's input activation (a layer context until
 	// now), its output (possibly the last layer's context) or the output's
 	// gradient again, and the upstream gradient — maybe a view of the latter
 	// — has left. All three are this worker's, taken off the transport or
-	// made here; only the input stage's batch is the dataset's.
-	if len(sw.preds) > 0 {
+	// made here; only the input stage's batch is the dataset's. An input
+	// the loss wrote its gradient over goes as the gradient.
+	if len(sw.preds) > 0 && !tensor.SharesStorage(entry.input, m.Tensor) {
 		tensor.Put(entry.input)
 	}
 	tensor.Put(m.Tensor)

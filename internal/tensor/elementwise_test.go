@@ -53,7 +53,7 @@ func checkElementwiseBitEqual(t *testing.T, seed int64, n int) {
 		}
 	}
 
-	reluGo(want.Data, a.Data, 0)
+	reluGo(want.Data, a.Data, nil, 0)
 	got := unalignedTensor(rng, 0, n)
 	Activate(got.Data, a.Data, ActReLU)
 	exactBits(t, "Activate(ReLU)", got.Data, want.Data)
@@ -75,13 +75,23 @@ func checkElementwiseBitEqual(t *testing.T, seed int64, n int) {
 		exactBits(t, "ApplyActivation "+c.name, got.Data, want.Data)
 	}
 
-	reluMaskGo(want.Data, a.Data, b.Data, 0)
+	// The rectifier with its mask gives the portable loop's output and
+	// mask bits, and the backward from that mask the portable backward's
+	// bits, out of place and over gradOut.
+	wantMask := make([]float32, reluMaskLen(n))
+	reluGo(want.Data, a.Data, maskBytes(wantMask)[1:], 0)
 	got = unalignedTensor(rng, 0, n)
-	ReLUBackward(got.Data, a.Data, b.Data)
+	mask := ReLUWithMask(got.Data, a.Data)
+	exactBits(t, "ReLUWithMask", got.Data, want.Data)
+	exactBits(t, "ReLUWithMask's mask", mask.Data, wantMask)
+	reluBackwardGo(want.Data, b.Data, maskBytes(wantMask)[1:], 0)
+	got = unalignedTensor(rng, 0, n)
+	ReLUBackward(got.Data, b.Data, mask.Data)
 	exactBits(t, "ReLUBackward", got.Data, want.Data)
-	got = inPlace(a)
-	ReLUBackward(got.Data, got.Data, b.Data)
+	got = inPlace(b)
+	ReLUBackward(got.Data, got.Data, mask.Data)
 	exactBits(t, "ReLUBackward in place", got.Data, want.Data)
+	Put(mask)
 
 	addGo(want.Data, a.Data, b.Data, 0)
 	got = unalignedTensor(rng, 0, n)
@@ -257,23 +267,104 @@ func TestElementwiseKernelsMatchDefinitions(t *testing.T) {
 	}
 }
 
+// The rectifier with its mask, and the backward from that mask, against
+// their definitions — keep = !(x <= 0), bit i%8 of mask byte 1+i/8, byte 0
+// zero — on every length 0–70 and a few past the vector blocks, operands
+// starting one to seven elements into their allocation, over ±0, ±Inf,
+// denormals and NaN payloads (the pool's poison among them), out of place
+// and with the backward over gradOut. Whatever ran (AVX2, the portable
+// loop on 386 or past the vector blocks), no mask can read as released
+// to the poisoned pool: bytes 1–3 of its first element are the poison's
+// for the input chosen last, and Put accepts it.
+func TestReLUMaskMatchesDefinition(t *testing.T) {
+	defer PoisonOnPut(PoisonOnPut(true))
+	specials := []uint32{0, 1 << 31, 1, 1<<31 | 1, 0x007fffff, 0x807fffff, 0x7f800000, 0xff800000,
+		poisonBits, poisonBits | 1<<31, 0x7fc00000, 0xffc00000, 0x7f800001, 0xffffffff, 0x3f800000, 0xbf800000}
+	rng := rand.New(rand.NewSource(35))
+	fill := func(n int) []float32 {
+		off := 1 + rng.Intn(7)
+		s := make([]float32, off+n)[off:]
+		for i := range s {
+			s[i] = 2*rng.Float32() - 1
+			if rng.Intn(3) == 0 {
+				s[i] = math.Float32frombits(specials[rng.Intn(len(specials))])
+			}
+		}
+		return s
+	}
+	check := func(x []float32) {
+		t.Helper()
+		n := len(x)
+		g := fill(n)
+		y := fill(n)
+		mask := ReLUWithMask(y, x)
+		bits := maskBytes(mask.Data)
+		if len(mask.Data) != reluMaskLen(n) || bits[0] != 0 {
+			t.Fatalf("n=%d: mask of %d elements, byte 0 %#x", n, len(mask.Data), bits[0])
+		}
+		back, inPlace := fill(n), append([]float32(nil), g...)
+		ReLUBackward(back, g, mask.Data)
+		ReLUBackward(inPlace, inPlace, mask.Data)
+		for i, v := range x {
+			keep := !(v <= 0)
+			wantY, wantG := float32(0), float32(0)
+			if keep {
+				wantY, wantG = v, g[i]
+			}
+			if bit := bits[1+i/8]>>(i%8)&1 == 1; bit != keep {
+				t.Fatalf("n=%d element %d (%#08x): mask bit %v, want %v", n, i, math.Float32bits(v), bit, keep)
+			}
+			for _, c := range []struct {
+				what      string
+				got, want float32
+			}{{"output", y[i], wantY}, {"gradient", back[i], wantG}, {"gradient in place", inPlace[i], wantG}} {
+				if math.Float32bits(c.got) != math.Float32bits(c.want) {
+					t.Fatalf("n=%d element %d (%#08x): %s %#08x, want %#08x", n, i, math.Float32bits(v), c.what, math.Float32bits(c.got), math.Float32bits(c.want))
+				}
+			}
+		}
+		Put(mask)
+	}
+	for n := 0; n <= 70; n++ {
+		check(fill(n))
+	}
+	for _, n := range []int{255, 256, 257, 4099} {
+		check(fill(n))
+	}
+	x := make([]float32, 40)
+	for i := range x {
+		x[i] = -1
+		if poisonBits>>(8+i)&1 == 1 {
+			x[i] = 1
+		}
+	}
+	check(x)
+}
+
 // A destination that straddles a source — neither the source itself nor
-// disjoint from it — is refused, as is a length mismatch.
+// disjoint from it — is refused, as is a length mismatch, a ReLU mask of
+// the wrong length and one that shares an element with an operand.
 func TestElementwiseRejectsPartialOverlap(t *testing.T) {
 	buf := make([]float32, 40)
 	other := make([]float32, 32)
+	mask := make([]float32, reluMaskLen(32))
 	for name, call := range map[string]func(){
-		"AddInto dst/a":       func() { AddInto(buf[1:33], buf[0:32], other) },
-		"AddInto dst/b":       func() { AddInto(buf[0:32], other, buf[8:40]) },
-		"AddScaledInto":       func() { AddScaledInto(buf[4:36], other, 2, buf[0:32]) },
-		"AddScaleInto":        func() { AddScaleInto(buf[4:36], other, buf[0:32], 2) },
-		"ScaleInto":           func() { ScaleInto(buf[1:33], buf[0:32], 2) },
-		"Activate":            func() { Activate(buf[0:32], buf[1:33], ActReLU) },
-		"ReLUBackward":        func() { ReLUBackward(buf[0:32], other, buf[2:34]) },
-		"MulInto":             func() { MulInto(buf[3:35], buf[0:32], other) },
-		"AddInto short":       func() { AddInto(buf[0:32], other, other[:31]) },
-		"TanhBackward short":  func() { TanhBackward(buf[0:31], other, other) },
-		"SigmoidBackward mix": func() { SigmoidBackward(buf[0:32], buf[16:40][:24], other) },
+		"AddInto dst/a":             func() { AddInto(buf[1:33], buf[0:32], other) },
+		"AddInto dst/b":             func() { AddInto(buf[0:32], other, buf[8:40]) },
+		"AddScaledInto":             func() { AddScaledInto(buf[4:36], other, 2, buf[0:32]) },
+		"AddScaleInto":              func() { AddScaleInto(buf[4:36], other, buf[0:32], 2) },
+		"ScaleInto":                 func() { ScaleInto(buf[1:33], buf[0:32], 2) },
+		"Activate":                  func() { Activate(buf[0:32], buf[1:33], ActReLU) },
+		"ReLUWithMask":              func() { ReLUWithMask(buf[0:32], buf[4:36]) },
+		"ReLUBackward":              func() { ReLUBackward(buf[0:32], buf[2:34], mask) },
+		"ReLUBackward short mask":   func() { ReLUBackward(buf[0:32], other, mask[:1]) },
+		"ReLUBackward long mask":    func() { ReLUBackward(buf[0:32], other, buf[32:35]) },
+		"ReLUBackward mask/dst":     func() { ReLUBackward(buf[0:32], other, buf[31:33]) },
+		"ReLUBackward mask/gradOut": func() { ReLUBackward(other, buf[0:32], buf[30:32]) },
+		"MulInto":                   func() { MulInto(buf[3:35], buf[0:32], other) },
+		"AddInto short":             func() { AddInto(buf[0:32], other, other[:31]) },
+		"TanhBackward short":        func() { TanhBackward(buf[0:31], other, other) },
+		"SigmoidBackward mix":       func() { SigmoidBackward(buf[0:32], buf[16:40][:24], other) },
 	} {
 		func() {
 			defer func() {
@@ -316,8 +407,14 @@ func benchmarkActivation(b *testing.B, act Activation) {
 func BenchmarkTanh64K(b *testing.B)    { benchmarkActivation(b, ActTanh) }
 func BenchmarkSigmoid64K(b *testing.B) { benchmarkActivation(b, ActSigmoid) }
 
+func BenchmarkReLUWithMask1MB(b *testing.B) {
+	benchmarkElementwise(b, elementwiseBenchSizes[0], func(dst, x, _ []float32) { Put(ReLUWithMask(dst, x)) })
+}
+
 func BenchmarkReLUBackward1MB(b *testing.B) {
-	benchmarkElementwise(b, elementwiseBenchSizes[0], func(dst, x, y []float32) { ReLUBackward(dst, x, y) })
+	n := elementwiseBenchSizes[0]
+	mask := ReLUWithMask(make([]float32, n), unalignedTensor(rand.New(rand.NewSource(2)), 0, n).Data)
+	benchmarkElementwise(b, n, func(dst, g, _ []float32) { ReLUBackward(dst, g, mask.Data) })
 }
 
 func BenchmarkAdd1MB(b *testing.B) {

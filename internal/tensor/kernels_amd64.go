@@ -1,5 +1,7 @@
 package tensor
 
+import "unsafe"
+
 // The amd64 side of the kernel contract (see matmul.go): when the CPU
 // and the OS support AVX2, the leading columns of every product — the
 // largest multiple of four — are computed by the micro-kernels in
@@ -107,10 +109,10 @@ func convImageVec(out, img, wd, bias []float32, taps []int, outC int, g ConvGeom
 // multiple of eight elements; n is that count and is never zero.
 
 //go:noescape
-func reluAVX2(dst, src *float32, n int)
+func reluAVX2(dst, src *float32, mask *byte, n int)
 
 //go:noescape
-func reluMaskAVX2(dst, grad, x *float32, n int)
+func reluBackwardAVX2(dst, grad *float32, mask *byte, n int)
 
 //go:noescape
 func addAVX2(dst, a, b *float32, n int)
@@ -130,18 +132,20 @@ func vectorElems(n int) int {
 	return n &^ 7
 }
 
-func reluVec(dst, src []float32) int {
+// reluVec writes the mask bytes of the elements it takes when mask is
+// not nil.
+func reluVec(dst, src []float32, mask []byte) int {
 	n := vectorElems(len(src))
 	if n > 0 {
-		reluAVX2(&dst[0], &src[0], n)
+		reluAVX2(&dst[0], &src[0], unsafe.SliceData(mask), n)
 	}
 	return n
 }
 
-func reluMaskVec(dst, gradOut, x []float32) int {
-	n := vectorElems(len(x))
+func reluBackwardVec(dst, gradOut []float32, mask []byte) int {
+	n := vectorElems(len(gradOut))
 	if n > 0 {
-		reluMaskAVX2(&dst[0], &gradOut[0], &x[0], n)
+		reluBackwardAVX2(&dst[0], &gradOut[0], &mask[0], n)
 	}
 	return n
 }

@@ -525,104 +525,139 @@ tbdone:
 // what the portable loop computes for its element. A block's loads all
 // precede its stores, so dst may be one of the sources.
 
-// func reluAVX2(dst, src *float32, n int)
+// func reluAVX2(dst, src *float32, mask *byte, n int)
 // dst[i] = src[i] <= 0 ? +0 : src[i]. The compare is "not less-or-
 // equal", true on unordered operands, so a NaN keeps its bits (VMAXPS
 // would replace it); ANDing with the mask makes every cleared lane +0.
-TEXT ·reluAVX2(SB), NOSPLIT, $0-24
+// A non-nil mask gets the compare's sign bits (VMOVMSKPS), a byte per
+// eight elements: bit i%8 of byte i/8 is set where element i passed.
+TEXT ·reluAVX2(SB), NOSPLIT, $0-32
 	MOVQ   dst+0(FP), DI
 	MOVQ   src+8(FP), SI
-	MOVQ   n+16(FP), CX
+	MOVQ   mask+16(FP), DX
+	MOVQ   n+24(FP), CX
 	VXORPS Y15, Y15, Y15
 
 relu32:
-	CMPQ    CX, $32
-	JLT     relu8
-	VMOVUPS 0(SI), Y0
-	VMOVUPS 32(SI), Y1
-	VMOVUPS 64(SI), Y2
-	VMOVUPS 96(SI), Y3
-	VCMPPS  $0x16, Y15, Y0, Y4
-	VCMPPS  $0x16, Y15, Y1, Y5
-	VCMPPS  $0x16, Y15, Y2, Y6
-	VCMPPS  $0x16, Y15, Y3, Y7
-	VANDPS  Y4, Y0, Y0
-	VANDPS  Y5, Y1, Y1
-	VANDPS  Y6, Y2, Y2
-	VANDPS  Y7, Y3, Y3
-	VMOVUPS Y0, 0(DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	ADDQ    $128, SI
-	ADDQ    $128, DI
-	SUBQ    $32, CX
-	JMP     relu32
+	CMPQ      CX, $32
+	JLT       relu8
+	VMOVUPS   0(SI), Y0
+	VMOVUPS   32(SI), Y1
+	VMOVUPS   64(SI), Y2
+	VMOVUPS   96(SI), Y3
+	VCMPPS    $0x16, Y15, Y0, Y4
+	VCMPPS    $0x16, Y15, Y1, Y5
+	VCMPPS    $0x16, Y15, Y2, Y6
+	VCMPPS    $0x16, Y15, Y3, Y7
+	VANDPS    Y4, Y0, Y0
+	VANDPS    Y5, Y1, Y1
+	VANDPS    Y6, Y2, Y2
+	VANDPS    Y7, Y3, Y3
+	VMOVUPS   Y0, 0(DI)
+	VMOVUPS   Y1, 32(DI)
+	VMOVUPS   Y2, 64(DI)
+	VMOVUPS   Y3, 96(DI)
+	ADDQ      $128, SI
+	ADDQ      $128, DI
+	SUBQ      $32, CX
+	TESTQ     DX, DX
+	JZ        relu32
+	VMOVMSKPS Y4, AX
+	MOVB      AX, 0(DX)
+	VMOVMSKPS Y5, AX
+	MOVB      AX, 1(DX)
+	VMOVMSKPS Y6, AX
+	MOVB      AX, 2(DX)
+	VMOVMSKPS Y7, AX
+	MOVB      AX, 3(DX)
+	ADDQ      $4, DX
+	JMP       relu32
 
 relu8:
-	TESTQ   CX, CX
-	JZ      reludone
-	VMOVUPS (SI), Y0
-	VCMPPS  $0x16, Y15, Y0, Y4
-	VANDPS  Y4, Y0, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JMP     relu8
+	TESTQ     CX, CX
+	JZ        reludone
+	VMOVUPS   (SI), Y0
+	VCMPPS    $0x16, Y15, Y0, Y4
+	VANDPS    Y4, Y0, Y0
+	VMOVUPS   Y0, (DI)
+	ADDQ      $32, SI
+	ADDQ      $32, DI
+	SUBQ      $8, CX
+	TESTQ     DX, DX
+	JZ        relu8
+	VMOVMSKPS Y4, AX
+	MOVB      AX, (DX)
+	INCQ      DX
+	JMP       relu8
 
 reludone:
 	VZEROUPPER
 	RET
 
-// func reluMaskAVX2(dst, grad, x *float32, n int)
-// dst[i] = x[i] <= 0 ? +0 : grad[i], with reluAVX2's compare.
-TEXT ·reluMaskAVX2(SB), NOSPLIT, $0-32
-	MOVQ   dst+0(FP), DI
-	MOVQ   grad+8(FP), SI
-	MOVQ   x+16(FP), DX
-	MOVQ   n+24(FP), CX
-	VXORPS Y15, Y15, Y15
+// Lane j holds 1<<j: the bit of a mask byte that lane j reads.
+DATA relubits<>+0(SB)/8, $0x0000000200000001
+DATA relubits<>+8(SB)/8, $0x0000000800000004
+DATA relubits<>+16(SB)/8, $0x0000002000000010
+DATA relubits<>+24(SB)/8, $0x0000008000000040
+GLOBL relubits<>(SB), RODATA, $32
 
-mask32:
-	CMPQ    CX, $32
-	JLT     mask8
-	VMOVUPS 0(DX), Y0
-	VMOVUPS 32(DX), Y1
-	VMOVUPS 64(DX), Y2
-	VMOVUPS 96(DX), Y3
-	VCMPPS  $0x16, Y15, Y0, Y4
-	VCMPPS  $0x16, Y15, Y1, Y5
-	VCMPPS  $0x16, Y15, Y2, Y6
-	VCMPPS  $0x16, Y15, Y3, Y7
-	VANDPS  0(SI), Y4, Y4
-	VANDPS  32(SI), Y5, Y5
-	VANDPS  64(SI), Y6, Y6
-	VANDPS  96(SI), Y7, Y7
-	VMOVUPS Y4, 0(DI)
-	VMOVUPS Y5, 32(DI)
-	VMOVUPS Y6, 64(DI)
-	VMOVUPS Y7, 96(DI)
-	ADDQ    $128, DX
-	ADDQ    $128, SI
-	ADDQ    $128, DI
-	SUBQ    $32, CX
-	JMP     mask32
+// func reluBackwardAVX2(dst, grad *float32, mask *byte, n int)
+// dst[i] = grad[i] where bit i%8 of mask byte i/8 (reluAVX2's layout) is
+// set, +0 elsewhere: a mask byte in every lane, ANDed with the lane's
+// own bit and compared with it, is all ones exactly where that bit is.
+TEXT ·reluBackwardAVX2(SB), NOSPLIT, $0-32
+	MOVQ    dst+0(FP), DI
+	MOVQ    grad+8(FP), SI
+	MOVQ    mask+16(FP), DX
+	MOVQ    n+24(FP), CX
+	VMOVDQU relubits<>(SB), Y15
 
-mask8:
-	TESTQ   CX, CX
-	JZ      maskdone
-	VMOVUPS (DX), Y0
-	VCMPPS  $0x16, Y15, Y0, Y4
-	VANDPS  (SI), Y4, Y4
-	VMOVUPS Y4, (DI)
-	ADDQ    $32, DX
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JMP     mask8
+rback32:
+	CMPQ         CX, $32
+	JLT          rback8
+	VPBROADCASTD (DX), Y0
+	VPSRLD       $8, Y0, Y1
+	VPSRLD       $16, Y0, Y2
+	VPSRLD       $24, Y0, Y3
+	VPAND        Y15, Y0, Y0
+	VPAND        Y15, Y1, Y1
+	VPAND        Y15, Y2, Y2
+	VPAND        Y15, Y3, Y3
+	VPCMPEQD     Y15, Y0, Y0
+	VPCMPEQD     Y15, Y1, Y1
+	VPCMPEQD     Y15, Y2, Y2
+	VPCMPEQD     Y15, Y3, Y3
+	VANDPS       0(SI), Y0, Y0
+	VANDPS       32(SI), Y1, Y1
+	VANDPS       64(SI), Y2, Y2
+	VANDPS       96(SI), Y3, Y3
+	VMOVUPS      Y0, 0(DI)
+	VMOVUPS      Y1, 32(DI)
+	VMOVUPS      Y2, 64(DI)
+	VMOVUPS      Y3, 96(DI)
+	ADDQ         $4, DX
+	ADDQ         $128, SI
+	ADDQ         $128, DI
+	SUBQ         $32, CX
+	JMP          rback32
 
-maskdone:
+rback8:
+	TESTQ        CX, CX
+	JZ           rbackdone
+	MOVBLZX      (DX), AX
+	VMOVD        AX, X0
+	VPBROADCASTD X0, Y0
+	VPAND        Y15, Y0, Y0
+	VPCMPEQD     Y15, Y0, Y0
+	VANDPS       (SI), Y0, Y0
+	VMOVUPS      Y0, (DI)
+	INCQ         DX
+	ADDQ         $32, SI
+	ADDQ         $32, DI
+	SUBQ         $8, CX
+	JMP          rback8
+
+rbackdone:
 	VZEROUPPER
 	RET
 

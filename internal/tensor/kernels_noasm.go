@@ -13,9 +13,9 @@ func transBPanelVec(cd, ad, bd []float32, k, n, lo, hi int) int { return 0 }
 
 func convImageVec(out, img, wd, bias []float32, taps []int, outC int, g ConvGeom) int { return 0 }
 
-func reluVec(dst, src []float32) int { return 0 }
+func reluVec(dst, src []float32, mask []byte) int { return 0 }
 
-func reluMaskVec(dst, gradOut, x []float32) int { return 0 }
+func reluBackwardVec(dst, gradOut []float32, mask []byte) int { return 0 }
 
 func addVec(dst, a, b []float32) int { return 0 }
 

@@ -23,7 +23,7 @@ go build ./...
 go run ./cmd/pipedream-train -task spiral -stages 2 -replicas 3 -epochs 3 >/dev/null
 go run ./cmd/pipedream-train -task images -stages 2 >/dev/null
 
-echo "== portable kernels (arm64 cross-vet of tensor + nn; tensor tests on 386, where no assembly is built)"
+echo "== portable kernels (arm64 cross-vet of tensor + nn; tensor tests on 386, where no assembly is built: the ReLU mask's definition test and bit-equality fuzz seeds among them)"
 GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/
 GOARCH=386 go test -count=1 ./internal/tensor/
 
@@ -35,16 +35,16 @@ echo "== determinism gate (losses are a pure function of seed, plan and depth: 2
 go test -count=20 ./internal/pipeline/ -run 'PureFunction|Recompute|Staleness'
 
 echo "== poisoned pool (use-after-release detector on: nn, pipeline, serve, fleet and pipedream-serve tests always run with it; these are the suites that compare losses and outputs bit for bit — the inference call among them — the transport contract, and serving's pool balance)"
-go test -count=1 ./internal/nn/ -run 'TestSequentialReleasesEachTensorOnce|TestTwoPassBackwardMatchesLayerByLayer|TestLossesMatchParentCommit'
-go test -count=1 ./internal/pipeline/ -run 'TestUpstreamGradientLeavesBeforeParameterHalves|TestLossesArePureFunctionOfSeedPlanDepth|TestBranchGraphPipelineMatchesReference|TestBreakConnStormTrainsBitEqual|TestLocalWorkerSetsTrainBitEqual|TestElastic|TestChaos|TestAdoptFullState|TestTrainMaxRecoveries|TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied|TestTrainingMatchesParentCommit'
+go test -count=1 ./internal/nn/ -run 'TestSequentialReleasesEachTensorOnce|TestSeqContextHeldBytes|TestTwoPassBackwardMatchesLayerByLayer|TestLossesMatchParentCommit'
+go test -count=1 ./internal/pipeline/ -run 'TestUnreadStageInputReleasedAtForwardEnd|TestRecomputeShrinksStash|TestUpstreamGradientLeavesBeforeParameterHalves|TestLossesArePureFunctionOfSeedPlanDepth|TestBranchGraphPipelineMatchesReference|TestBreakConnStormTrainsBitEqual|TestLocalWorkerSetsTrainBitEqual|TestElastic|TestChaos|TestAdoptFullState|TestTrainMaxRecoveries|TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied|TestTrainingMatchesParentCommit'
 go test -count=1 ./internal/tensor/ -run 'TestPoisonOnPutCatchesUseAfterRelease'
 go test -count=1 ./internal/serve/ -run 'TestPoolBalanceAfterTraffic'
 go test -count=1 ./cmd/pipedream-serve/ ./internal/serve/...
 
-echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table ten times, the two-pass backward and the shared-model inference call three)"
+echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table ten times, the two-pass backward, the shared-model inference call and the release of what no context reads three)"
 go test -race ./...
 go test -race -count=10 ./internal/pipeline/ -run 'TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied'
-go test -race -count=3 ./internal/nn/ ./internal/pipeline/ -run 'TestTwoPassBackwardMatchesLayerByLayer|TestUpstreamGradientLeavesBeforeParameterHalves|TestInferenceConcurrent'
+go test -race -count=3 ./internal/nn/ ./internal/pipeline/ -run 'TestTwoPassBackwardMatchesLayerByLayer|TestUpstreamGradientLeavesBeforeParameterHalves|TestInferenceConcurrent|TestSequentialReleasesEachTensorOnce|TestUnreadStageInputReleasedAtForwardEnd'
 go test -race -count=2 ./internal/serve/...
 
 echo "== fuzz smoke (matmul — 30s: its backward kernels compute several rows per pass — convolution and elementwise kernels — tanh and sigmoid among them — vs portable loops + flat tensor storage + frame round-trips + checkpoint manifest + /infer handler, request scan and response bytes vs encoding/json, 10s each)"
