@@ -70,11 +70,7 @@ func DataParallelASP(prof *profile.ModelProfile, topo *topology.Topology, worker
 // sample under data parallelism: 2(m-1)/m of the model weights per
 // minibatch — the DP bars of Figure 17.
 func DPBytesPerSample(prof *profile.ModelProfile, workers int) float64 {
-	if workers <= 1 {
-		return 0
-	}
-	return 2 * float64(workers-1) / float64(workers) * float64(prof.TotalWeightBytes()) /
-		float64(prof.MinibatchSize)
+	return topology.RingBytes(prof.TotalWeightBytes(), workers) / float64(prof.MinibatchSize)
 }
 
 // PipelineBytesPerSample returns the bytes per training sample for a
@@ -95,10 +91,7 @@ func PipelineBytesPerSample(prof *profile.ModelProfile, stages []partition.Stage
 		if i < len(stages)-1 {
 			bytes += 2 * float64(prof.Layers[st.LastLayer].ActivationBytes) / float64(st.Replicas)
 		}
-		if st.Replicas > 1 {
-			w := float64(prof.WeightRange(st.FirstLayer, st.LastLayer))
-			bytes += 2 * float64(st.Replicas-1) / float64(st.Replicas) * w
-		}
+		bytes += topology.RingBytes(prof.WeightRange(st.FirstLayer, st.LastLayer), st.Replicas)
 		if bytes > worst {
 			worst = bytes
 		}

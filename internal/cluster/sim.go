@@ -239,7 +239,7 @@ func (s *sim) init() error {
 		}
 		if spec.Replicas > 1 {
 			info.syncTime = cfg.Topo.AllReduceTime(wB, spec.Replicas)
-			info.syncBytes = int64(2 * float64(spec.Replicas-1) / float64(spec.Replicas) * float64(wB) * float64(spec.Replicas))
+			info.syncBytes = int64(topology.RingBytes(wB, spec.Replicas) * float64(spec.Replicas))
 		}
 		s.stages = append(s.stages, info)
 	}

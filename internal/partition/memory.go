@@ -16,29 +16,39 @@ import (
 func StageMemory(plan *Plan, prof *profile.ModelProfile) []int64 {
 	out := make([]int64, len(plan.Stages))
 	for i, st := range plan.Stages {
-		weights := prof.WeightRange(st.FirstLayer, st.LastLayer)
-		var acts int64
-		for l := st.FirstLayer; l <= st.LastLayer; l++ {
-			acts += prof.Layers[l].ActivationBytes
-		}
-		if st.FirstLayer > 0 {
-			acts += prof.Layers[st.FirstLayer-1].ActivationBytes
-		} else {
-			acts += prof.InputBytes
-		}
-		inflight := int64(plan.NOAM)
-		out[i] = weights*(1+inflight) + inflight*acts
+		out[i] = stageMemory(prof, st, plan.NOAM)
 	}
 	return out
+}
+
+// stageMemory is one stage's peak per-worker bytes with depth minibatches
+// in flight: depth+1 weight versions and depth activation stashes.
+func stageMemory(prof *profile.ModelProfile, st StageSpec, depth int) int64 {
+	weights := prof.WeightRange(st.FirstLayer, st.LastLayer)
+	var acts int64
+	for l := st.FirstLayer; l <= st.LastLayer; l++ {
+		acts += prof.Layers[l].ActivationBytes
+	}
+	if st.FirstLayer > 0 {
+		acts += prof.Layers[st.FirstLayer-1].ActivationBytes
+	} else {
+		acts += prof.InputBytes
+	}
+	inflight := int64(depth)
+	return weights*(1+inflight) + inflight*acts
 }
 
 // CheckMemory verifies that every stage of a plan fits in the device
 // memory of the topology's accelerators, returning a descriptive error
 // for the first stage that does not.
 func CheckMemory(plan *Plan, prof *profile.ModelProfile, topo *topology.Topology) error {
-	mem := StageMemory(plan, prof)
-	for i, m := range mem {
-		if m > topo.Device.MemBytes {
+	return checkMemory(plan, prof, topo, plan.NOAM)
+}
+
+// checkMemory is CheckMemory with depth minibatches in flight.
+func checkMemory(plan *Plan, prof *profile.ModelProfile, topo *topology.Topology, depth int) error {
+	for i, st := range plan.Stages {
+		if m := stageMemory(prof, st, depth); m > topo.Device.MemBytes {
 			return fmt.Errorf("partition: stage %d needs %.1f GB, %s has %.1f GB",
 				i, float64(m)/(1<<30), topo.Device.Name, float64(topo.Device.MemBytes)/(1<<30))
 		}
@@ -53,31 +63,9 @@ func CheckMemory(plan *Plan, prof *profile.ModelProfile, topo *topology.Topology
 // discussion describes) and, failing that, falls back to the deepest
 // straight pipeline that fits. The chosen depth lands in Plan.Depth.
 func constrainMemory(plan *Plan, prof *profile.ModelProfile, topo *topology.Topology) (*Plan, error) {
-	if err := CheckMemory(plan, prof, topo); err == nil {
-		plan.Depth = plan.NOAM
-		return plan, nil
-	}
-	// Reduce the in-flight depth until the worst stage fits.
-	for depth := plan.NOAM - 1; depth >= 1; depth-- {
-		fits := true
-		for _, st := range plan.Stages {
-			weights := prof.WeightRange(st.FirstLayer, st.LastLayer)
-			var acts int64
-			for l := st.FirstLayer; l <= st.LastLayer; l++ {
-				acts += prof.Layers[l].ActivationBytes
-			}
-			if st.FirstLayer > 0 {
-				acts += prof.Layers[st.FirstLayer-1].ActivationBytes
-			} else {
-				acts += prof.InputBytes
-			}
-			need := weights*int64(1+depth) + int64(depth)*acts
-			if need > topo.Device.MemBytes {
-				fits = false
-				break
-			}
-		}
-		if fits {
+	// Lower the in-flight depth from NOAM until the worst stage fits.
+	for depth := plan.NOAM; depth >= 1; depth-- {
+		if checkMemory(plan, prof, topo, depth) == nil {
 			plan.Depth = depth
 			return plan, nil
 		}

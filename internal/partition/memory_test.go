@@ -86,17 +86,7 @@ func TestOptimizeWithMemoryReducesDepthOnTinyDevice(t *testing.T) {
 	}
 	// The returned depth must actually fit.
 	for i, st := range plan.Stages {
-		weights := prof.WeightRange(st.FirstLayer, st.LastLayer)
-		var acts int64
-		for l := st.FirstLayer; l <= st.LastLayer; l++ {
-			acts += prof.Layers[l].ActivationBytes
-		}
-		if st.FirstLayer > 0 {
-			acts += prof.Layers[st.FirstLayer-1].ActivationBytes
-		} else {
-			acts += prof.InputBytes
-		}
-		if need := weights*int64(1+depth) + int64(depth)*acts; need > dev.MemBytes {
+		if need := stageMemory(prof, st, depth); need > dev.MemBytes {
 			t.Fatalf("stage %d still needs %d > %d at depth %d", i, need, dev.MemBytes, depth)
 		}
 	}

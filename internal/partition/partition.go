@@ -27,8 +27,11 @@ type StageSpec struct {
 // Plan is a complete pipeline-parallel configuration for a model on a
 // topology, with the optimizer's throughput prediction.
 type Plan struct {
-	Model   string
-	Stages  []StageSpec
+	Model  string
+	Stages []StageSpec
+	// Workers is the number of workers the stages use, the sum of their
+	// Replicas. The optimizer may leave some of the topology's workers
+	// idle, so it can be below the topology's TotalWorkers.
 	Workers int
 
 	// Graph is the stage dataflow: NewLinear(len(Stages)) for the
@@ -136,6 +139,7 @@ type dpChoice struct {
 	split  bool // true: sub-pipeline [i..s] with m-mp workers + stage [s+1..j] with mp
 	s, mp  int
 	single bool // true: whole range as one (replicated) stage at this level
+	fewer  bool // true: the range on m-1 components, the m-th left idle
 }
 
 // levelTable holds A and choices for one topology level.
@@ -164,21 +168,6 @@ func newLevelTable(n, width int) *levelTable {
 	return t
 }
 
-// ringSyncTime returns the per-update all_reduce ring-phase time for
-// weights w across m participants on links of bandwidth bw: each
-// participant exchanges 2(m-1)/m·w bytes. shared marks bus interconnects
-// whose bandwidth divides among participants (PCIe trees), in which case
-// the expression reduces to the paper's 2(m-1)·w/B formulation.
-func ringSyncTime(w int64, m int, bw float64, shared bool) float64 {
-	if m <= 1 {
-		return 0
-	}
-	if shared {
-		bw /= float64(m)
-	}
-	return 2 * float64(m-1) / float64(m) * float64(w) / bw
-}
-
 // SyncModel names the gradient collective the optimizer charges
 // replicated stages for.
 //
@@ -187,18 +176,10 @@ func ringSyncTime(w int64, m int, bw float64, shared bool) float64 {
 type SyncModel int
 
 // SyncRing is the chunked overlapped ring collective, the one the runtime
-// runs (see stageSyncTime for its price).
+// runs (see topology.AllReduceTime for its price).
 //
 // Deprecated: the only value of SyncModel.
 const SyncRing SyncModel = 0
-
-// stageSyncTime prices one replicated stage: the ring all_reduce runs
-// while later layers' backward still computes (wait-free
-// backpropagation), so a replica's period is max(compute, 2(m-1)/m·w/B),
-// amortized over the m replicas.
-func stageSyncTime(compute float64, w int64, m int, bw float64, shared bool) float64 {
-	return math.Max(compute, ringSyncTime(w, m, bw, shared)) / float64(m)
-}
 
 // optimize is the hierarchical DP (§3.1): it considers every stage
 // boundary and replication factor at every level of the topology, then
@@ -211,10 +192,34 @@ func optimize(prof *profile.ModelProfile, topo *topology.Topology) (*Plan, error
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
-	n := prof.NumLayers()
-	levels := topo.Levels
+	tables := solve(prof, topo)
+	k := len(tables) - 1
+	stages := reconstruct(tables, k, 0, prof.NumLayers()-1, tables[k].width, 1)
+	return evaluate(prof, topo, stages, nil)
+}
 
-	// Level 0: single device. A^0(i,j,1) = sum of layer times.
+// solve fills the DP tables, tables[0] being the single device and
+// tables[k] topology level k-1.
+//
+// A^k(i,j,m) is the best bottleneck of layers [i..j] on m components of
+// topology level l = k-1, and may leave components idle. Its stage and
+// edge prices are the paper's: a stage replicated over m components costs
+// max(A^{k-1}, RingTime(l, w, m))/m and an edge 2·LinkTime(l, a). evaluate
+// prices the plan reconstruct returns by group size instead, through
+// AllReduceTime and P2PTime. On one level the two are the same number, and
+// so they are for any plan that takes no split or replication above the
+// innermost level. Above it they differ in two terms:
+//
+//	(a) outer-level replication: the table charges max(A^{k-1}, ring_l)/m,
+//	    where A^{k-1} may itself be replicated; evaluate charges
+//	    max(compute, Σ phases)/R over the stage's final replica count R.
+//	(b) outer-level splits: the table charges the edge at level l's link;
+//	    evaluate charges the link of the level R_from + R_to workers span,
+//	    which may be an inner, faster one.
+//
+// TestTableValueMatchesEvaluate asserts the equality and logs the gap.
+func solve(prof *profile.ModelProfile, topo *topology.Topology) []*levelTable {
+	n := prof.NumLayers()
 	prev := newLevelTable(n, 1)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
@@ -224,10 +229,14 @@ func optimize(prof *profile.ModelProfile, topo *topology.Topology) (*Plan, error
 	}
 	tables := []*levelTable{prev}
 
-	for li, lvl := range levels {
+	for li, lvl := range topo.Levels {
 		cur := newLevelTable(n, lvl.Width)
 		prevWidth := prev.width
-		shared := li == 0 && lvl.Shared
+		// Each of m replicas sustains one minibatch per max(compute,
+		// sync): the ring overlaps the next minibatch's compute.
+		replicated := func(compute float64, w int64, m int) float64 {
+			return math.Max(compute, topo.RingTime(li, w, m)) / float64(m)
+		}
 		for span := 0; span < n; span++ {
 			for i := 0; i+span < n; i++ {
 				j := i + span
@@ -236,25 +245,27 @@ func optimize(prof *profile.ModelProfile, topo *topology.Topology) (*Plan, error
 				cur.ch[i][j][1] = dpChoice{}
 				for m := 2; m <= lvl.Width; m++ {
 					// Option 1: whole range as a single stage
-					// replicated over all m components. Each component
-					// sustains one minibatch per max(compute, sync).
-					tSingle := stageSyncTime(prev.a[i][j][prevWidth],
-						prof.WeightRange(i, j), m, lvl.Bandwidth, shared)
-					best, bestCh := tSingle, dpChoice{single: true}
+					// replicated over all m components.
+					best := replicated(prev.a[i][j][prevWidth], prof.WeightRange(i, j), m)
+					bestCh := dpChoice{single: true}
 					// Option 2: split into an optimal sub-pipeline
 					// [i..s] on m-mp components followed by one stage
 					// [s+1..j] replicated over mp components.
 					for s := i; s < j; s++ {
-						comm := 2 * float64(prof.ActivationBytes(s)) / lvl.Bandwidth
+						comm := 2 * topo.LinkTime(li, prof.ActivationBytes(s))
 						for mp := 1; mp < m; mp++ {
-							tStage := stageSyncTime(prev.a[s+1][j][prevWidth],
-								prof.WeightRange(s+1, j), mp, lvl.Bandwidth, shared)
+							tStage := replicated(prev.a[s+1][j][prevWidth], prof.WeightRange(s+1, j), mp)
 							t := math.Max(cur.a[i][s][m-mp], math.Max(comm, tStage))
 							if t < best {
 								best = t
 								bestCh = dpChoice{split: true, s: s, mp: mp}
 							}
 						}
+					}
+					// Option 3: leave a component idle, when that is
+					// strictly cheaper.
+					if cur.a[i][j][m-1] < best {
+						best, bestCh = cur.a[i][j][m-1], dpChoice{fewer: true}
 					}
 					cur.a[i][j][m] = best
 					cur.ch[i][j][m] = bestCh
@@ -264,32 +275,32 @@ func optimize(prof *profile.ModelProfile, topo *topology.Topology) (*Plan, error
 		tables = append(tables, cur)
 		prev = cur
 	}
-
-	stages := reconstruct(tables, prof, len(levels), 0, n-1, levels[len(levels)-1].Width, 1)
-	return evaluate(prof, topo, stages, nil)
+	return tables
 }
 
 // reconstruct walks the DP choices at table level k (1-based into tables;
 // tables[0] is the device level) for layers [i..j] on m components, with
 // every resulting stage's replication multiplied by mult (the product of
 // enclosing replication factors at higher levels).
-func reconstruct(tables []*levelTable, prof *profile.ModelProfile, k, i, j, m, mult int) []StageSpec {
+func reconstruct(tables []*levelTable, k, i, j, m, mult int) []StageSpec {
 	if k == 0 {
 		return []StageSpec{{FirstLayer: i, LastLayer: j, Replicas: mult}}
 	}
-	t := tables[k]
 	if m == 1 {
-		return reconstruct(tables, prof, k-1, i, j, tables[k-1].width, mult)
+		return reconstruct(tables, k-1, i, j, tables[k-1].width, mult)
 	}
-	ch := t.ch[i][j][m]
-	if ch.split {
-		left := reconstruct(tables, prof, k, i, ch.s, m-ch.mp, mult)
-		right := reconstruct(tables, prof, k-1, ch.s+1, j, tables[k-1].width, mult*ch.mp)
+	ch := tables[k].ch[i][j][m]
+	switch {
+	case ch.fewer:
+		return reconstruct(tables, k, i, j, m-1, mult)
+	case ch.split:
+		left := reconstruct(tables, k, i, ch.s, m-ch.mp, mult)
+		right := reconstruct(tables, k-1, ch.s+1, j, tables[k-1].width, mult*ch.mp)
 		return append(left, right...)
 	}
 	// Single stage over m components: the range is replicated m ways,
 	// each replica being one level-(k-1) component solved recursively.
-	return reconstruct(tables, prof, k-1, i, j, tables[k-1].width, mult*m)
+	return reconstruct(tables, k-1, i, j, tables[k-1].width, mult*m)
 }
 
 // DataParallel returns the vanilla-DP plan: one stage over all layers
@@ -358,8 +369,8 @@ func balanceStages(prof *profile.ModelProfile, stages int) []StageSpec {
 }
 
 // evaluate prices an explicit stage assignment: stage time =
-// max(compute, ring sync)/replicas, per-edge transfer time =
-// 2·a_s/bandwidth, bottleneck = slowest element. A nil graph asks for the
+// max(compute, AllReduceTime)/replicas, per-edge transfer time =
+// 2·P2PTime(a_s), bottleneck = slowest element. A nil graph asks for the
 // linear chain, which the returned plan then carries.
 func evaluate(prof *profile.ModelProfile, topo *topology.Topology, stages []StageSpec, graph *StageGraph) (*Plan, error) {
 	if err := validateStages(prof, topo, stages); err != nil {
@@ -398,8 +409,8 @@ func evaluate(prof *profile.ModelProfile, topo *topology.Topology, stages []Stag
 	// matching gradient on the way back) over the link joining the two
 	// stages' worker groups.
 	for _, e := range graph.Edges {
-		bw := bandwidthForSpan(topo, stages[e.From].Replicas+stages[e.To].Replicas)
-		ct := 2 * float64(prof.ActivationBytes(stages[e.From].LastLayer)) / bw
+		span := stages[e.From].Replicas + stages[e.To].Replicas
+		ct := 2 * topo.P2PTime(prof.ActivationBytes(stages[e.From].LastLayer), span)
 		p.CommTimes = append(p.CommTimes, ct)
 		if ct > p.BottleneckTime {
 			p.BottleneckTime = ct
@@ -408,25 +419,6 @@ func evaluate(prof *profile.ModelProfile, topo *topology.Topology, stages []Stag
 	p.PredictedThroughput = float64(prof.MinibatchSize) / p.BottleneckTime
 	p.NOAM = (workers + stages[0].Replicas - 1) / stages[0].Replicas
 	return p, nil
-}
-
-// bandwidthForSpan returns the bandwidth of the innermost topology level
-// whose cumulative width can contain `workers` workers; spans larger than
-// one component of a level pay that level's (slower) link.
-func bandwidthForSpan(topo *topology.Topology, workers int) float64 {
-	if workers <= 1 {
-		// Degenerate: no communication, return the fastest link to avoid
-		// division by zero in callers that divide anyway.
-		return topo.Levels[0].Bandwidth
-	}
-	cum := 1
-	for _, lvl := range topo.Levels {
-		cum *= lvl.Width
-		if workers <= cum {
-			return lvl.Bandwidth
-		}
-	}
-	return topo.Levels[len(topo.Levels)-1].Bandwidth
 }
 
 func validateStages(prof *profile.ModelProfile, topo *topology.Topology, stages []StageSpec) error {

@@ -1,21 +1,28 @@
 package topology
 
-// This file models communication costs on a hierarchical topology. Two
-// primitives cover everything PipeDream needs:
+// This file models communication costs on a hierarchical topology. Every
+// time and byte count a plan is charged — by the partitioner's DP, by its
+// evaluation of a finished plan and by the cluster simulator — comes from
+// the functions here. Three act on one level:
+//
+//   - RingBytes: what each participant of an n-way ring all_reduce sends,
+//     2(n-1)/n of the payload.
+//   - RingTime: one ring phase at one level, RingBytes over that level's
+//     bandwidth; a shared bus (a PCIe tree) divides its bandwidth among
+//     the participants.
+//   - LinkTime: one point-to-point flow over one level's link.
+//
+// Two price a group of workers through them:
 //
 //   - AllReduceTime: the per-update stall a worker sees synchronizing
 //     weights across a replication group, modelled as a hierarchical
-//     all_reduce (NCCL-style): a ring phase inside each level, then a
-//     ring across level components, each phase moving 2(n-1)/n of the
-//     payload over that level's links. Shared bus levels (PCIe trees)
-//     divide their bandwidth among the participants. Crossing into a
-//     slower level adds its full phase, which is why data-parallel
-//     overheads spike when training scales past one server (Figure 1's
-//     second takeaway).
+//     all_reduce (NCCL-style): one RingTime phase per level the group
+//     spans. Crossing into a slower level adds its full phase, which is
+//     why data-parallel overheads spike when training scales past one
+//     server (Figure 1's second takeaway).
 //
 //   - P2PTime: a single activation/gradient transfer between consecutive
-//     pipeline stages, one point-to-point flow at the full bandwidth of
-//     the slowest link it crosses.
+//     pipeline stages, the LinkTime of the slowest level it crosses.
 
 // capacityThrough returns the number of workers contained in one component
 // of level k (product of widths of levels ≤ k).
@@ -38,17 +45,43 @@ func (t *Topology) levelSpanned(m int) int {
 	return len(t.Levels) - 1
 }
 
-// LinkBandwidth returns the bandwidth of the level a group of m workers
-// spans — the slowest link its traffic must cross.
-func (t *Topology) LinkBandwidth(m int) float64 {
-	return t.Levels[t.levelSpanned(m)].Bandwidth
+// RingBytes returns the bytes each of n participants sends in a ring
+// all_reduce of `bytes`: 2(n-1)/n of the payload, 0 for n ≤ 1.
+func RingBytes(bytes int64, n int) float64 {
+	if n <= 1 {
+		return 0
+	}
+	return 2 * float64(n-1) / float64(n) * float64(bytes)
+}
+
+// RingTime returns the time of one ring all_reduce phase of `bytes` among
+// n participants over level's links: RingBytes / beff, where beff is the
+// level bandwidth, divided by n when level 0 is a shared bus.
+func (t *Topology) RingTime(level int, bytes int64, n int) float64 {
+	if n <= 1 {
+		return 0
+	}
+	lvl := t.Levels[level]
+	beff := lvl.Bandwidth
+	if level == 0 && lvl.Shared {
+		beff /= float64(n)
+	}
+	return RingBytes(bytes, n) / beff
+}
+
+// LinkTime returns the time one point-to-point message of `bytes` takes
+// over level's link.
+func (t *Topology) LinkTime(level int, bytes int64) float64 {
+	if bytes == 0 {
+		return 0
+	}
+	return float64(bytes) / t.Levels[level].Bandwidth
 }
 
 // AllReduceTime returns the per-update time for hierarchically
 // all_reducing `bytes` of gradients across a group of m workers: the sum
-// over the levels the group spans of a ring phase 2(n_k-1)/n_k ·
-// bytes/beff_k, where n_k is the participant count at level k and beff_k
-// the level bandwidth (divided by participants for shared buses).
+// of RingTime over the levels the group spans, each with the group's
+// participant count at that level.
 func (t *Topology) AllReduceTime(bytes int64, m int) float64 {
 	if m <= 1 || bytes == 0 {
 		return 0
@@ -59,27 +92,15 @@ func (t *Topology) AllReduceTime(bytes int64, m int) float64 {
 		if remaining <= 1 {
 			break
 		}
-		n := lvl.Width
-		if remaining < n {
-			n = remaining
-		}
-		if n > 1 {
-			beff := lvl.Bandwidth
-			if k == 0 && lvl.Shared {
-				beff /= float64(n)
-			}
-			total += 2 * float64(n-1) / float64(n) * float64(bytes) / beff
-		}
+		total += t.RingTime(k, bytes, min(remaining, lvl.Width))
 		remaining = (remaining + lvl.Width - 1) / lvl.Width
 	}
 	return total
 }
 
 // P2PTime returns the transfer time for one point-to-point message of
-// `bytes` between two workers whose combined placement spans m workers.
+// `bytes` between two workers whose combined placement spans m workers:
+// LinkTime at the level the group spans.
 func (t *Topology) P2PTime(bytes int64, m int) float64 {
-	if bytes == 0 {
-		return 0
-	}
-	return float64(bytes) / t.LinkBandwidth(m)
+	return t.LinkTime(t.levelSpanned(m), bytes)
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI-style gate: vet, formatting, build, the full test suite plain (at the
 # default core count and on one core) and under the race detector, the
-# determinism gate, the poisoned-pool run, fuzz smoke, the exhaustive tanh /
+# determinism gate, the planner properties, the poisoned-pool run, fuzz smoke, the exhaustive tanh /
 # sigmoid sweep, alloc budgets, and doc checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,6 +33,9 @@ GOMAXPROCS=1 go test -count=1 ./...
 
 echo "== determinism gate (losses are a pure function of seed, plan and depth: 20 runs each)"
 go test -count=20 ./internal/pipeline/ -run 'PureFunction|Recompute|Staleness'
+
+echo "== planner properties (the DP dominates both baselines, matches brute force, and its table value is evaluate's price: 200 runs each, so a failure in a fraction of a percent of draws cannot hide)"
+go test -count=200 ./internal/partition/ -run '^(TestOptimizeDominatesBaselines|TestOptimizeMatchesBruteForceOnRandomProfiles|TestTableValueMatchesEvaluate)$'
 
 echo "== poisoned pool (use-after-release detector on: nn, pipeline, serve, fleet and pipedream-serve tests always run with it; these are the suites that compare losses and outputs bit for bit — the inference call among them — the transport contract, and serving's pool balance)"
 go test -count=1 ./internal/nn/ -run 'TestSequentialReleasesEachTensorOnce|TestSeqContextHeldBytes|TestTwoPassBackwardMatchesLayerByLayer|TestLossesMatchParentCommit'
