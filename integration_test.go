@@ -185,7 +185,7 @@ func TestPipelineRandomConfigsProperty(t *testing.T) {
 		}
 		model := factory()
 		n := len(model.Layers)
-		stages := 1 + rng.Intn(minInt(n, 4))
+		stages := 1 + rng.Intn(min(n, 4))
 		replicas := 1 + rng.Intn(2)
 		mode := []pipeline.StalenessMode{WeightStashing, VerticalSync, NoStashing}[rng.Intn(3)]
 		depth := rng.Intn(4) // 0 = NOAM
@@ -246,11 +246,4 @@ func TestPipelineRandomConfigsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -504,7 +504,7 @@ func (s *sim) result() *Result {
 	}
 	// Steady-state throughput: completions after warm-up (2× pipeline
 	// depth, capped at half the run).
-	warm := 2 * s.depth * maxInt(1, len(s.assign.StageWorkers[0]))
+	warm := 2 * s.depth * max(1, len(s.assign.StageWorkers[0]))
 	if warm > s.cfg.Minibatches/2 {
 		warm = s.cfg.Minibatches / 2
 	}
@@ -560,11 +560,4 @@ func (s *sim) result() *Result {
 		r.MeanUtilization = s.timeline.MeanUtilization(warmT)
 	}
 	return r
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

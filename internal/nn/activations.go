@@ -147,9 +147,11 @@ type Dropout struct {
 	rng  *rand.Rand
 }
 
-// NewDropout creates a Dropout layer with drop probability p.
+// NewDropout creates a Dropout layer with drop probability p. It draws its
+// masks from a private stream seeded from rng here, so no two layers of a
+// model share a generator and stages cut from one model share no state.
 func NewDropout(rng *rand.Rand, name string, p float64) *Dropout {
-	return &Dropout{name: name, P: p, rng: rng}
+	return &Dropout{name: name, P: p, rng: rand.New(rand.NewSource(rng.Int63()))}
 }
 
 // Name implements Layer.

@@ -8,6 +8,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"pipedream/internal/tensor"
 )
@@ -334,9 +335,10 @@ func (s *Sequential) Grads() []*tensor.Tensor {
 func (s *Sequential) ZeroGrads() { zero(s.Grads()...) }
 
 // Slice returns a Sequential over layers [lo, hi) sharing the same layer
-// values — used to split a model into pipeline stages.
+// values — used to split a model into pipeline stages. Its layer list is
+// its own, so a stage keeps none of the model's other layers alive.
 func (s *Sequential) Slice(lo, hi int) *Sequential {
-	return &Sequential{Layers: s.Layers[lo:hi]}
+	return &Sequential{Layers: slices.Clone(s.Layers[lo:hi])}
 }
 
 // SnapshotParams deep-copies params: a weight version as a copy, for the

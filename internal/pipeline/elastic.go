@@ -231,26 +231,11 @@ func (e *Elastic) ensure(rep *Report, drained time.Duration) error {
 	replanDur := time.Since(t0)
 
 	t1 := time.Now()
-	depth := opts.Depth
-	if depth <= 0 {
-		depth = plan.NOAM
-	}
-	buffer := channelBuffer(opts.ModelFactory(), opts, depth)
-	var tr transport.Transport
-	if e.cfg.NewTransport != nil {
-		tr, err = e.cfg.NewTransport(plan.Workers, buffer)
-		if err != nil {
-			return fmt.Errorf("pipeline: rescale transport: %w", err)
-		}
-	} else {
-		tr = transport.NewChannels(plan.Workers, buffer)
-	}
-	opts.Transport = tr
-	p, err := New(opts)
+	p, err := newPipeline(opts, e.cfg.NewTransport)
 	if err != nil {
-		tr.Close()
 		return fmt.Errorf("pipeline: rescale: %w", err)
 	}
+	tr := p.tr
 	if full != nil {
 		if err := p.adoptFullState(full); err != nil {
 			tr.Close()

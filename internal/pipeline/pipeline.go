@@ -159,8 +159,12 @@ type FaultConfig struct {
 // literals name the group: Options{RuntimeConfig: RuntimeConfig{Depth: 4}}.
 type Options struct {
 	// ModelFactory must return architecturally identical models with
-	// identical initial weights on every call (use a fixed seed); each
-	// worker owns a private instance and slices out its stage.
+	// identical initial weights on every call (use a fixed seed). New
+	// calls it once per replica index the process hosts, and the local
+	// workers of replica r run their stages of the r-th model, so the
+	// layers of one model must share no state that Forward or Backward
+	// changes; New rejects a model whose stages share a layer or a
+	// parameter tensor.
 	ModelFactory func() *nn.Sequential
 	// Plan assigns model layers to stages/replicas (from the optimizer).
 	// Activations are routed along the edges of the plan's stage graph:
@@ -292,13 +296,13 @@ type lossEvent struct {
 // In a multi-process deployment every process calls New with the same
 // plan and its own transport endpoint, and then Train with the same
 // minibatch counts.
-func New(opts Options) (*Pipeline, error) {
+func New(opts Options) (*Pipeline, error) { return newPipeline(opts, nil) }
+
+// newPipeline is New; when opts.Transport is nil the pipeline makes its
+// own with newTr (nil: in-process channels), sized by the first model.
+func newPipeline(opts Options, newTr TransportFactory) (*Pipeline, error) {
 	if opts.ModelFactory == nil || opts.Plan == nil || opts.Loss == nil || opts.NewOptimizer == nil {
 		return nil, fmt.Errorf("pipeline: ModelFactory, Plan, Loss, and NewOptimizer are required")
-	}
-	ref := opts.ModelFactory()
-	if _, err := opts.Plan.StageSlices(ref); err != nil {
-		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 	graph := opts.Plan.Graph
 	if err := graph.Validate(len(opts.Plan.Stages)); err != nil {
@@ -321,53 +325,119 @@ func New(opts Options) (*Pipeline, error) {
 		tensor.SetParallelism(opts.KernelParallelism)
 	}
 	p.tr = opts.Transport
-	if p.tr == nil {
-		p.tr = transport.NewChannels(p.assign.NumWorkers(), channelBuffer(ref, opts, p.depth)*graph.MaxDegree())
-		p.ownTr = true
+	// One factory model per replica index this process hosts, built in
+	// replica order: every local worker of replica r runs its stage of
+	// model r, so at most one whole model is transient at a time. The
+	// first model built checks the plan and, when the pipeline makes its
+	// own transport (p.tr is nil until then; it hosts every worker), sizes it.
+	byID := make([]*stageWorker, p.assign.NumWorkers())
+	replicas, checked := 0, false
+	for _, s := range opts.Plan.Stages {
+		replicas = max(replicas, s.Replicas)
 	}
-	// Only the workers whose inboxes the transport hosts are built here.
-	for w, ref := range p.assign.Workers {
-		if !transport.Local(p.tr, w) {
-			continue
+	for r := 0; r < replicas; r++ {
+		var stages []*nn.Sequential
+		for w, ref := range p.assign.Workers {
+			if ref.Replica != r || p.tr != nil && !transport.Local(p.tr, w) {
+				continue
+			}
+			if stages == nil {
+				var err error
+				if stages, err = opts.Plan.StageSlices(opts.ModelFactory()); err == nil && !checked {
+					err = p.firstModel(stages, newTr)
+				}
+				if err != nil {
+					return nil, fmt.Errorf("pipeline: %w", err)
+				}
+				checked = true
+			}
+			byID[w] = p.newWorker(w, ref, stages[ref.Stage])
 		}
-		stages, _ := opts.Plan.StageSlices(opts.ModelFactory()) // checked on ref: every factory model has its layers
-		stage, spec := stages[ref.Stage], opts.Plan.Stages[ref.Stage]
-		sw := &stageWorker{
-			p:       p,
-			id:      w,
-			stage:   ref.Stage,
-			replica: ref.Replica,
-			model:   stage,
-			weights: newWeightVersions(stage.Params()),
-			grads:   stage.Grads(),
-			opt:     opts.NewOptimizer(),
-			mode:    opts.Mode,
-			stash:   make(map[int]stashEntry),
-			preds:   graph.Preds(ref.Stage),
-			succs:   graph.Succs(ref.Stage),
-			join:    graph.Join(ref.Stage),
-			loss:    opts.Loss,
-
-			fwdReady: make(map[int]transport.Message),
-			bwdReady: make(map[int]transport.Message),
+	}
+	for _, sw := range byID {
+		if sw != nil {
+			p.workers = append(p.workers, sw)
 		}
-		sw.gradArena = tensor.Pack(sw.grads)
-		if l, ok := opts.SinkLoss[ref.Stage]; ok {
-			sw.loss = l
-		}
-		if spec.Replicas > 1 {
-			sw.ring = collective.NewRingReducer(ref.Replica, p.assign.StageWorkers[ref.Stage], p.tr, opts.BucketBytes)
-			sw.gradOffsets = gradOffsetsOf(sw.model)
-		}
-		if opts.instrumented() {
-			sw.met = newWorkerMetrics(opts.Metrics, opts.OpLog, ref.Stage, ref.Replica)
-		}
-		p.workers = append(p.workers, sw)
 	}
 	if len(p.workers) == 0 {
 		return nil, fmt.Errorf("pipeline: the transport hosts none of the plan's %d workers", p.assign.NumWorkers())
 	}
 	return p, nil
+}
+
+// firstModel checks the stages of the first factory model built: no two
+// may share a layer or a parameter tensor, since stages of one model run
+// on different workers. When the caller gave no transport it then makes
+// one, sized for these stages, that hosts every worker.
+func (p *Pipeline) firstModel(stages []*nn.Sequential, newTr TransportFactory) error {
+	owner := map[any]int{} // layer or parameter tensor → its stage
+	for s, st := range stages {
+		for _, l := range st.Layers {
+			keys := []any{l}
+			for _, t := range l.Params() {
+				keys = append(keys, t)
+			}
+			for i, k := range keys {
+				if o, ok := owner[k]; ok && o != s {
+					what := "layer"
+					if i > 0 {
+						what = "a parameter tensor of layer"
+					}
+					return fmt.Errorf("stages %d and %d share %s %q", o, s, what, l.Name())
+				}
+				owner[k] = s
+			}
+		}
+	}
+	if p.tr != nil {
+		return nil
+	}
+	var err error
+	buffer := channelBuffer(stages, p.opts, p.depth) * p.graph.MaxDegree()
+	if newTr == nil {
+		p.tr = transport.NewChannels(p.assign.NumWorkers(), buffer)
+	} else if p.tr, err = newTr(p.assign.NumWorkers(), buffer); err != nil {
+		return fmt.Errorf("transport: %w", err)
+	}
+	p.ownTr = true
+	return nil
+}
+
+// newWorker builds worker w, which runs stage (its stage slice of one
+// factory model).
+func (p *Pipeline) newWorker(w int, ref schedule.WorkerRef, stage *nn.Sequential) *stageWorker {
+	opts, graph := p.opts, p.graph
+	sw := &stageWorker{
+		p:       p,
+		id:      w,
+		stage:   ref.Stage,
+		replica: ref.Replica,
+		model:   stage,
+		weights: newWeightVersions(stage.Params()),
+		grads:   stage.Grads(),
+		opt:     opts.NewOptimizer(),
+		mode:    opts.Mode,
+		stash:   make(map[int]stashEntry),
+		preds:   graph.Preds(ref.Stage),
+		succs:   graph.Succs(ref.Stage),
+		join:    graph.Join(ref.Stage),
+		loss:    opts.Loss,
+
+		fwdReady: make(map[int]transport.Message),
+		bwdReady: make(map[int]transport.Message),
+	}
+	sw.gradArena = tensor.Pack(sw.grads)
+	if l, ok := opts.SinkLoss[ref.Stage]; ok {
+		sw.loss = l
+	}
+	if opts.Plan.Stages[ref.Stage].Replicas > 1 {
+		sw.ring = collective.NewRingReducer(ref.Replica, p.assign.StageWorkers[ref.Stage], p.tr, opts.BucketBytes)
+		sw.gradOffsets = gradOffsetsOf(sw.model)
+	}
+	if opts.instrumented() {
+		sw.met = newWorkerMetrics(opts.Metrics, opts.OpLog, ref.Stage, ref.Replica)
+	}
+	return sw
 }
 
 // channelBuffer sizes the in-process transport's inboxes from the plan:
@@ -376,9 +446,9 @@ func New(opts Options) (*Pipeline, error) {
 // each, plus 8 for heartbeats — and a replicated stage's ring traffic: at
 // most one in-flight chunk per bucket from the left neighbor's current
 // round plus one from its next round, plus 8.
-func channelBuffer(ref *nn.Sequential, opts Options, depth int) int {
+func channelBuffer(stages []*nn.Sequential, opts Options, depth int) int {
 	n := 2*depth*opts.Plan.Stages[0].Replicas + 8
-	if b := maxRingBuckets(ref, opts); b > 0 {
+	if b := maxRingBuckets(stages, opts); b > 0 {
 		n += 2*b + 8
 	}
 	return n
@@ -387,13 +457,12 @@ func channelBuffer(ref *nn.Sequential, opts Options, depth int) int {
 // maxRingBuckets bounds how many gradient buckets the ring collective of
 // any replicated stage will use — the transport buffer slack needed to
 // absorb its chunk traffic.
-func maxRingBuckets(model *nn.Sequential, opts Options) int {
+func maxRingBuckets(stages []*nn.Sequential, opts Options) int {
 	bb := opts.BucketBytes
 	if bb <= 0 {
 		bb = collective.DefaultBucketBytes
 	}
-	stages, _ := opts.Plan.StageSlices(model) // New checked the plan against this model
-	max := 0
+	buckets := 0
 	for i, spec := range opts.Plan.Stages {
 		if spec.Replicas <= 1 {
 			continue
@@ -402,15 +471,9 @@ func maxRingBuckets(model *nn.Sequential, opts Options) int {
 		for _, g := range stages[i].Grads() {
 			bytes += g.Bytes()
 		}
-		n := (bytes + bb - 1) / bb
-		if n < 1 {
-			n = 1
-		}
-		if n > max {
-			max = n
-		}
+		buckets = max(buckets, (bytes+bb-1)/bb, 1)
 	}
-	return max
+	return buckets
 }
 
 // gradOffsetsOf returns, per layer, the index of the layer's first

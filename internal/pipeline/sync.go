@@ -47,28 +47,19 @@ func (sw *stageWorker) pumpRing(layer int) {
 // drainRing blocks until the in-flight ring round completes, routing
 // unrelated messages into the normal queues so the pipeline keeps
 // flowing. When instrumented it splits the wait into
-// before-first-bucket-completion vs tail and records per-bucket waits.
+// before-first-bucket-completion vs tail and records per-bucket waits;
+// uninstrumented, it reads no clock.
 func (sw *stageWorker) drainRing(ab *runAbort) error {
 	r := sw.ring
-	if sw.met == nil {
-		for !r.Idle() {
-			if err := sw.waitMsg(ab, false); err != nil {
-				return err
-			}
-			if sw.ringErr != nil {
-				err := sw.ringErr
-				sw.ringErr = nil
-				return err
-			}
-		}
-		return nil
+	var t0, last time.Time
+	if sw.met != nil {
+		t0 = time.Now()
+		last = t0
 	}
-	t0 := time.Now()
 	total := r.NumBuckets()
 	prevDone := r.CompletedBuckets()
 	firstSeen := prevDone > 0 || r.Idle()
 	var firstDur time.Duration
-	last := t0
 	for !r.Idle() {
 		if err := sw.waitMsg(ab, false); err != nil {
 			return err
@@ -77,6 +68,9 @@ func (sw *stageWorker) drainRing(ab *runAbort) error {
 			err := sw.ringErr
 			sw.ringErr = nil
 			return err
+		}
+		if sw.met == nil {
+			continue
 		}
 		done := total
 		if !r.Idle() {

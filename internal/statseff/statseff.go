@@ -120,7 +120,7 @@ func TrainBSP(cfg Config, workers int) (*Curve, error) {
 			opt.Step(model.Params(), model.Grads())
 			steps += workers
 		}
-		curve.TrainLoss = append(curve.TrainLoss, lossSum/float64(maxi(steps, 1)))
+		curve.TrainLoss = append(curve.TrainLoss, lossSum/float64(max(steps, 1)))
 		curve.Score = append(curve.Score, evaluate(model, cfg.Eval))
 	}
 	return curve, nil
@@ -171,7 +171,7 @@ func TrainASP(cfg Config, workers int) (*Curve, error) {
 			}
 			steps++
 		}
-		curve.TrainLoss = append(curve.TrainLoss, lossSum/float64(maxi(steps, 1)))
+		curve.TrainLoss = append(curve.TrainLoss, lossSum/float64(max(steps, 1)))
 		curve.Score = append(curve.Score, evaluate(model, cfg.Eval))
 	}
 	return curve, nil
@@ -215,13 +215,6 @@ func TrainSequential(cfg Config) (*Curve, error) {
 	}
 	c.Name = "Sequential"
 	return c, nil
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // TrainGPipeSemantics trains with GPipe's learning semantics on our
