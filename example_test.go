@@ -30,14 +30,9 @@ func ExamplePlan() {
 		}
 		fmt.Printf("%s: %s\n", name, plan.ConfigString())
 	}
-	// VGG-16 leaves two workers idle at the same predicted bottleneck,
-	// 0.06297 s: replicating the last layer 2 ways took 8.2 ms per
-	// minibatch, and merged into the 1-worker stage before it, it takes
-	// 1.0 ms there.
-	//
 	// Output:
 	// ResNet-50: 16 (DP)
-	// VGG-16: 12-1-1
+	// VGG-16: 15-1
 }
 
 // ExampleNewPipeline trains a small model through the 1F1B-RR runtime and

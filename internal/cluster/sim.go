@@ -38,8 +38,8 @@ type Config struct {
 	// the worker itself (no overlap). The default models wait-free
 	// backpropagation (§2.1): the all_reduce runs on the NIC while the
 	// worker computes, and only the worker's NEXT backward pass waits for
-	// an unfinished sync — so a replica's period is max(compute, sync),
-	// matching the optimizer's cost model.
+	// an unfinished sync — so a replica's period is bwd + max(fwd, sync),
+	// the optimizer's price of a replicated stage.
 	BlockingSync bool
 	// WorkerSpeed optionally scales each worker's compute time (index =
 	// worker ID; 1.0 = nominal, 2.0 = twice as slow). Models stragglers
@@ -504,7 +504,8 @@ func (s *sim) result() *Result {
 	}
 	// Steady-state throughput: completions after warm-up (2× pipeline
 	// depth, capped at half the run).
-	warm := 2 * s.depth * max(1, len(s.assign.StageWorkers[0]))
+	inputs := max(1, len(s.assign.StageWorkers[0]))
+	warm := 2 * s.depth * inputs
 	if warm > s.cfg.Minibatches/2 {
 		warm = s.cfg.Minibatches / 2
 	}
@@ -522,10 +523,14 @@ func (s *sim) result() *Result {
 				r.Throughput = float64(s.cfg.Minibatches-warm) * float64(s.cfg.Profile.MinibatchSize) / dt
 			}
 		}
-	} else if s.cfg.Minibatches > warm+1 {
-		dt := s.complTimes[s.cfg.Minibatches-1] - s.complTimes[warm]
+	} else if rounds := (s.cfg.Minibatches - 1 - warm) / inputs; rounds > 0 {
+		// Whole rounds of the input stage's replicas, from minibatch warm
+		// to one the same replica completes: all R replicas start at once,
+		// so a window opening or closing mid-round would count minibatches
+		// that took no time inside it.
+		dt := s.complTimes[warm+rounds*inputs] - s.complTimes[warm]
 		if dt > 0 {
-			r.Throughput = float64(s.cfg.Minibatches-1-warm) * float64(s.cfg.Profile.MinibatchSize) / dt
+			r.Throughput = float64(rounds*inputs) * float64(s.cfg.Profile.MinibatchSize) / dt
 		}
 	}
 	if r.Throughput == 0 && s.now > 0 {

@@ -1,15 +1,16 @@
 // Package partition implements PipeDream's automatic work-partitioning
-// algorithm (§3.1 of the paper): a hierarchical dynamic program that
-// splits a profiled model's layers into pipeline stages — possibly
-// replicated with data parallelism — so that the slowest stage is as fast
-// as possible, accounting for activation/gradient transfers between stages
-// and all_reduce weight synchronization within replicated stages, level by
-// level through the machine topology.
+// algorithm (§3.1 of the paper): an exact search that splits a profiled
+// model's layers into pipeline stages — possibly replicated with data
+// parallelism — so that the slowest stage is as fast as possible,
+// accounting for activation/gradient transfers between stages and
+// all_reduce weight synchronization within replicated stages, each priced
+// over the links of the machine topology the workers span.
 package partition
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pipedream/internal/nn"
 	"pipedream/internal/profile"
@@ -133,41 +134,6 @@ func (p *Plan) String() string {
 		p.Model, p.Workers, p.ConfigString(), p.BottleneckTime, p.PredictedThroughput, p.NOAM)
 }
 
-// dpChoice records how an A^k(i,j,m) entry was achieved for plan
-// reconstruction.
-type dpChoice struct {
-	split  bool // true: sub-pipeline [i..s] with m-mp workers + stage [s+1..j] with mp
-	s, mp  int
-	single bool // true: whole range as one (replicated) stage at this level
-	fewer  bool // true: the range on m-1 components, the m-th left idle
-}
-
-// levelTable holds A and choices for one topology level.
-// Indexing: a[i][j][m] for layers i..j inclusive, m components (1-based).
-type levelTable struct {
-	width int
-	a     [][][]float64
-	ch    [][][]dpChoice
-}
-
-func newLevelTable(n, width int) *levelTable {
-	t := &levelTable{width: width}
-	t.a = make([][][]float64, n)
-	t.ch = make([][][]dpChoice, n)
-	for i := 0; i < n; i++ {
-		t.a[i] = make([][]float64, n)
-		t.ch[i] = make([][]dpChoice, n)
-		for j := 0; j < n; j++ {
-			t.a[i][j] = make([]float64, width+1)
-			t.ch[i][j] = make([]dpChoice, width+1)
-			for m := range t.a[i][j] {
-				t.a[i][j][m] = math.Inf(1)
-			}
-		}
-	}
-	return t
-}
-
 // SyncModel names the gradient collective the optimizer charges
 // replicated stages for.
 //
@@ -181,10 +147,18 @@ type SyncModel int
 // Deprecated: the only value of SyncModel.
 const SyncRing SyncModel = 0
 
-// optimize is the hierarchical DP (§3.1): it considers every stage
-// boundary and replication factor at every level of the topology, then
-// flattens nested replication into the paper's "r1-r2-..." configuration
-// notation.
+// optimize is the partitioner (§3.1): an exact search over every chain of
+// contiguous stages, each replicated over any number of workers and the
+// chain using at most every worker, for the plan evaluate prices lowest.
+// Ties go to the fewest stages, then the most workers: a worker is left
+// idle only when that is strictly cheaper.
+//
+// Under evaluate a stage's price depends only on its layers and replica
+// count, and an edge's only on the layer it leaves and the replica counts
+// of the stages it joins, so the best chain over layers [0..j] whose last
+// stage has r replicas and which uses m workers extends as a unit: search
+// keeps one per (j, r, m). Its first pass finds the least bottleneck, its
+// second the fewest stages among chains no slower than that.
 func optimize(prof *profile.ModelProfile, topo *topology.Topology) (*Plan, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
@@ -192,115 +166,114 @@ func optimize(prof *profile.ModelProfile, topo *topology.Topology) (*Plan, error
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
-	tables := solve(prof, topo)
-	k := len(tables) - 1
-	stages := reconstruct(tables, k, 0, prof.NumLayers()-1, tables[k].width, 1)
+	best, _ := search(prof, topo, 0)
+	_, stages := search(prof, topo, best)
 	return evaluate(prof, topo, stages, nil)
 }
 
-// solve fills the DP tables, tables[0] being the single device and
-// tables[k] topology level k-1.
-//
-// A^k(i,j,m) is the best bottleneck of layers [i..j] on m components of
-// topology level l = k-1, and may leave components idle. Its stage and
-// edge prices are the paper's: a stage replicated over m components costs
-// max(A^{k-1}, RingTime(l, w, m))/m and an edge 2·LinkTime(l, a). evaluate
-// prices the plan reconstruct returns by group size instead, through
-// AllReduceTime and P2PTime. On one level the two are the same number, and
-// so they are for any plan that takes no split or replication above the
-// innermost level. Above it they differ in two terms:
-//
-//	(a) outer-level replication: the table charges max(A^{k-1}, ring_l)/m,
-//	    where A^{k-1} may itself be replicated; evaluate charges
-//	    max(compute, Σ phases)/R over the stage's final replica count R.
-//	(b) outer-level splits: the table charges the edge at level l's link;
-//	    evaluate charges the link of the level R_from + R_to workers span,
-//	    which may be an inner, faster one.
-//
-// TestTableValueMatchesEvaluate asserts the equality and logs the gap.
-func solve(prof *profile.ModelProfile, topo *topology.Topology) []*levelTable {
-	n := prof.NumLayers()
-	prev := newLevelTable(n, 1)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			prev.a[i][j][1] = prof.TimeRange(i, j)
-			prev.ch[i][j][1] = dpChoice{single: true}
+// chain is the search's best chain of stages ending at some layer j with r
+// replicas in its last stage and m workers in all.
+type chain struct {
+	// cost is the chain's bottleneck, raised to the search's floor.
+	cost   float64
+	stages int
+	// prevLast and prevR are the previous stage's last layer and replica
+	// count; prevLast is -1 for a one-stage chain.
+	prevLast, prevR int
+}
+
+// shorter reports whether c beats d: a lower cost, or as low in fewer
+// stages.
+func (c chain) shorter(d chain) bool {
+	return c.cost < d.cost || c.cost == d.cost && c.stages < d.stages
+}
+
+// search returns the cheapest chain over all layers, by the tie rule
+// optimize states, with every price below floor read as floor: at floor 0
+// it finds the least bottleneck, at that bottleneck the fewest stages that
+// reach it.
+func search(prof *profile.ModelProfile, topo *topology.Topology, floor float64) (float64, []StageSpec) {
+	n, w := prof.NumLayers(), topo.TotalWorkers()
+	at := func(j, m, r int) int { return (j*(w+1)+m)*(w+1) + r }
+	best := make([]chain, n*(w+1)*(w+1))
+	for k := range best {
+		best[k].cost = math.Inf(1)
+	}
+	for j := 0; j < n; j++ {
+		for r := 1; r <= w; r++ {
+			best[at(j, r, r)] = chain{cost: max(floor, stageTime(prof, topo, StageSpec{0, j, r})), stages: 1, prevLast: -1}
 		}
 	}
-	tables := []*levelTable{prev}
-
-	for li, lvl := range topo.Levels {
-		cur := newLevelTable(n, lvl.Width)
-		prevWidth := prev.width
-		// Each of m replicas sustains one minibatch per max(compute,
-		// sync): the ring overlaps the next minibatch's compute.
-		replicated := func(compute float64, w int64, m int) float64 {
-			return math.Max(compute, topo.RingTime(li, w, m)) / float64(m)
+	// No chain costlier than the floor, or than the whole model as one
+	// stage, can win; and a stage only gets slower as it takes more layers.
+	limit := floor
+	if limit == 0 {
+		limit = math.Inf(1)
+		for r := 1; r <= w; r++ {
+			limit = min(limit, best[at(n-1, r, r)].cost)
 		}
-		for span := 0; span < n; span++ {
-			for i := 0; i+span < n; i++ {
-				j := i + span
-				// m = 1: one component of the previous level.
-				cur.a[i][j][1] = prev.a[i][j][prevWidth]
-				cur.ch[i][j][1] = dpChoice{}
-				for m := 2; m <= lvl.Width; m++ {
-					// Option 1: whole range as a single stage
-					// replicated over all m components.
-					best := replicated(prev.a[i][j][prevWidth], prof.WeightRange(i, j), m)
-					bestCh := dpChoice{single: true}
-					// Option 2: split into an optimal sub-pipeline
-					// [i..s] on m-mp components followed by one stage
-					// [s+1..j] replicated over mp components.
-					for s := i; s < j; s++ {
-						comm := 2 * topo.LinkTime(li, prof.ActivationBytes(s))
-						for mp := 1; mp < m; mp++ {
-							tStage := replicated(prev.a[s+1][j][prevWidth], prof.WeightRange(s+1, j), mp)
-							t := math.Max(cur.a[i][s][m-mp], math.Max(comm, tStage))
-							if t < best {
-								best = t
-								bestCh = dpChoice{split: true, s: s, mp: mp}
-							}
-						}
+	}
+	edge := make([]float64, w+1)
+	feed := make([]chain, w+1)
+	// Extend every chain ending at layer i by one stage starting at i+1.
+	// The edge half — the chain on m-r workers followed by the edge into
+	// a stage of r replicas — does not depend on where that stage ends, so
+	// feed[m] holds its best for all of them.
+	for i := 0; i < n-1; i++ {
+		for span := 2; span <= w; span++ {
+			edge[span] = edgeTime(prof, topo, i, span)
+		}
+		for r := 1; r < w; r++ {
+			if stageTime(prof, topo, StageSpec{i + 1, i + 1, r}) > limit {
+				continue
+			}
+			for m := r + 1; m <= w; m++ {
+				f := chain{cost: math.Inf(1)}
+				for pr := 1; pr <= m-r; pr++ {
+					c := best[at(i, m-r, pr)]
+					if c.cost = max(c.cost, edge[pr+r]); c.shorter(f) {
+						f = chain{c.cost, c.stages, i, pr}
 					}
-					// Option 3: leave a component idle, when that is
-					// strictly cheaper.
-					if cur.a[i][j][m-1] < best {
-						best, bestCh = cur.a[i][j][m-1], dpChoice{fewer: true}
+				}
+				f.stages++
+				feed[m] = f
+			}
+			for j := i + 1; j < n; j++ {
+				st := stageTime(prof, topo, StageSpec{i + 1, j, r})
+				if st > limit {
+					break
+				}
+				for m := r + 1; m <= w; m++ {
+					c := feed[m]
+					c.cost = max(c.cost, st)
+					if c.shorter(best[at(j, m, r)]) {
+						best[at(j, m, r)] = c
 					}
-					cur.a[i][j][m] = best
-					cur.ch[i][j][m] = bestCh
 				}
 			}
 		}
-		tables = append(tables, cur)
-		prev = cur
 	}
-	return tables
-}
-
-// reconstruct walks the DP choices at table level k (1-based into tables;
-// tables[0] is the device level) for layers [i..j] on m components, with
-// every resulting stage's replication multiplied by mult (the product of
-// enclosing replication factors at higher levels).
-func reconstruct(tables []*levelTable, k, i, j, m, mult int) []StageSpec {
-	if k == 0 {
-		return []StageSpec{{FirstLayer: i, LastLayer: j, Replicas: mult}}
+	// The cheapest chain over every layer; of equals, the one on the most
+	// workers.
+	top, r, m := chain{cost: math.Inf(1)}, 0, 0
+	for mm := 1; mm <= w; mm++ {
+		for rr := 1; rr <= mm; rr++ {
+			if c := best[at(n-1, mm, rr)]; c.shorter(top) || !top.shorter(c) && mm > m {
+				top, r, m = c, rr, mm
+			}
+		}
 	}
-	if m == 1 {
-		return reconstruct(tables, k-1, i, j, tables[k-1].width, mult)
+	var stages []StageSpec
+	for j := n - 1; ; {
+		c := best[at(j, m, r)]
+		stages = append(stages, StageSpec{FirstLayer: c.prevLast + 1, LastLayer: j, Replicas: r})
+		if c.prevLast < 0 {
+			break
+		}
+		j, r, m = c.prevLast, c.prevR, m-r
 	}
-	ch := tables[k].ch[i][j][m]
-	switch {
-	case ch.fewer:
-		return reconstruct(tables, k, i, j, m-1, mult)
-	case ch.split:
-		left := reconstruct(tables, k, i, ch.s, m-ch.mp, mult)
-		right := reconstruct(tables, k-1, ch.s+1, j, tables[k-1].width, mult*ch.mp)
-		return append(left, right...)
-	}
-	// Single stage over m components: the range is replicated m ways,
-	// each replica being one level-(k-1) component solved recursively.
-	return reconstruct(tables, k-1, i, j, tables[k-1].width, mult*m)
+	slices.Reverse(stages)
+	return top.cost, stages
 }
 
 // DataParallel returns the vanilla-DP plan: one stage over all layers
@@ -368,10 +341,10 @@ func balanceStages(prof *profile.ModelProfile, stages int) []StageSpec {
 	return specs
 }
 
-// evaluate prices an explicit stage assignment: stage time =
-// max(compute, AllReduceTime)/replicas, per-edge transfer time =
-// 2·P2PTime(a_s), bottleneck = slowest element. A nil graph asks for the
-// linear chain, which the returned plan then carries.
+// evaluate prices an explicit stage assignment: each stage at stageTime,
+// each dataflow edge at edgeTime, the bottleneck being the slowest of
+// them. A nil graph asks for the linear chain, which the returned plan
+// then carries.
 func evaluate(prof *profile.ModelProfile, topo *topology.Topology, stages []StageSpec, graph *StageGraph) (*Plan, error) {
 	if err := validateStages(prof, topo, stages); err != nil {
 		return nil, err
@@ -395,30 +368,36 @@ func evaluate(prof *profile.ModelProfile, topo *topology.Topology, stages []Stag
 		CommTimes:  make([]float64, 0, len(stages)-1),
 	}
 	for i, st := range stages {
-		compute := prof.TimeRange(st.FirstLayer, st.LastLayer)
-		w := prof.WeightRange(st.FirstLayer, st.LastLayer)
-		// Each replica sustains one minibatch per max(compute, sync): with
-		// wait-free backpropagation, the ring all_reduce overlaps compute
-		// of the next minibatch.
-		p.StageTimes[i] = math.Max(compute, topo.AllReduceTime(w, st.Replicas)) / float64(st.Replicas)
-		if p.StageTimes[i] > p.BottleneckTime {
-			p.BottleneckTime = p.StageTimes[i]
-		}
+		p.StageTimes[i] = stageTime(prof, topo, st)
+		p.BottleneckTime = max(p.BottleneckTime, p.StageTimes[i])
 	}
-	// Each dataflow edge prices the sender's output activation (and the
-	// matching gradient on the way back) over the link joining the two
-	// stages' worker groups.
 	for _, e := range graph.Edges {
-		span := stages[e.From].Replicas + stages[e.To].Replicas
-		ct := 2 * topo.P2PTime(prof.ActivationBytes(stages[e.From].LastLayer), span)
+		ct := edgeTime(prof, topo, stages[e.From].LastLayer, stages[e.From].Replicas+stages[e.To].Replicas)
 		p.CommTimes = append(p.CommTimes, ct)
-		if ct > p.BottleneckTime {
-			p.BottleneckTime = ct
-		}
+		p.BottleneckTime = max(p.BottleneckTime, ct)
 	}
 	p.PredictedThroughput = float64(prof.MinibatchSize) / p.BottleneckTime
 	p.NOAM = (workers + stages[0].Replicas - 1) / stages[0].Replicas
 	return p, nil
+}
+
+// stageTime is the per-minibatch time of a stage: each of its R replicas
+// takes every R-th minibatch and spends bwd + max(fwd, sync) on it. The
+// ring all_reduce of the stage's gradients starts when a backward ends and
+// the next backward waits for it, so only the forward in between hides it
+// — the steady state cluster.Simulate and the runtime run.
+func stageTime(prof *profile.ModelProfile, topo *topology.Topology, st StageSpec) float64 {
+	fwd := prof.FwdRange(st.FirstLayer, st.LastLayer)
+	bwd := prof.BwdRange(st.FirstLayer, st.LastLayer)
+	sync := topo.AllReduceTime(prof.WeightRange(st.FirstLayer, st.LastLayer), st.Replicas)
+	return (bwd + max(fwd, sync)) / float64(st.Replicas)
+}
+
+// edgeTime is the per-minibatch time of a dataflow edge leaving layer last:
+// its output activation and the matching gradient, each over the link
+// joining the two stages' worker groups, which together span span workers.
+func edgeTime(prof *profile.ModelProfile, topo *topology.Topology, last, span int) float64 {
+	return 2 * topo.P2PTime(prof.ActivationBytes(last), span)
 }
 
 func validateStages(prof *profile.ModelProfile, topo *topology.Topology, stages []StageSpec) error {
@@ -449,9 +428,9 @@ func validateStages(prof *profile.ModelProfile, topo *topology.Topology, stages 
 	return nil
 }
 
-// BruteForce finds the optimal plan by enumerating every contiguous
-// partition and replication assignment on a flat topology. Exponential —
-// only for validating Optimize in tests on small inputs.
+// BruteForce finds the optimal plan by pricing every contiguous partition
+// and replication assignment with evaluate, on any topology. Exponential —
+// the reference the optimizer is tested against on small inputs.
 func BruteForce(prof *profile.ModelProfile, topo *topology.Topology) (*Plan, error) {
 	n := prof.NumLayers()
 	workers := topo.TotalWorkers()

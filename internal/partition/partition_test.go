@@ -83,8 +83,11 @@ func TestOptimizePrefersDPForCompactWeights(t *testing.T) {
 	}
 }
 
+// Property: the search finds BruteForce's optimum exactly, on flat
+// topologies and on two-level ones (up to 6 layers and 8 workers): both
+// price a plan with evaluate.
 func TestOptimizeMatchesBruteForceOnRandomProfiles(t *testing.T) {
-	f := func(seed int64) bool {
+	f := func(seed int64, twoLevel bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(4)
 		times := make([]float64, n)
@@ -98,6 +101,11 @@ func TestOptimizeMatchesBruteForceOnRandomProfiles(t *testing.T) {
 		prof := syntheticProfile(times, acts, weights)
 		workers := 2 + rng.Intn(3)
 		topo := topology.Flat(workers, 1e8+rng.Float64()*1e9, topology.V100)
+		for ; twoLevel; seed++ {
+			if prof, topo = twoLevelCase(seed); prof.NumLayers() <= 6 && topo.TotalWorkers() <= 8 {
+				break
+			}
+		}
 		opt, err := NewPlan(prof, topo, PlanOptions{})
 		if err != nil {
 			t.Fatalf("optimize: %v", err)
@@ -106,10 +114,9 @@ func TestOptimizeMatchesBruteForceOnRandomProfiles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("brute force: %v", err)
 		}
-		// The DP must achieve the brute-force optimum (within float eps).
-		if opt.BottleneckTime > bf.BottleneckTime*(1+1e-9)+1e-12 {
-			t.Logf("seed %d: DP %v (%s) vs brute force %v (%s)",
-				seed, opt.BottleneckTime, opt.ConfigString(), bf.BottleneckTime, bf.ConfigString())
+		if opt.BottleneckTime != bf.BottleneckTime {
+			t.Logf("seed %d (two levels: %v): search %v (%s) vs brute force %v (%s)",
+				seed, twoLevel, opt.BottleneckTime, opt.ConfigString(), bf.BottleneckTime, bf.ConfigString())
 			return false
 		}
 		return true
@@ -355,24 +362,16 @@ func TestOptimizeHierarchicalStructuralProperty(t *testing.T) {
 	}
 }
 
-// Property: the hierarchical optimizer's plan is never worse (under the
-// shared cost model) than both trivial baselines it generalizes: pure
-// data parallelism and the best straight pipeline.
+// Property: the optimizer's plan is never worse (under the shared cost
+// model) than both trivial baselines it generalizes, pure data parallelism
+// and the best straight pipeline, on flat and two-level topologies: both
+// are chains the search prices the way evaluate does.
 func TestOptimizeDominatesBaselines(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(6)
-		times := make([]float64, n)
-		acts := make([]int64, n)
-		weights := make([]int64, n)
-		for i := range times {
-			times[i] = 0.01 + rng.Float64()
-			acts[i] = int64(1 + rng.Intn(1<<22))
-			weights[i] = int64(1 + rng.Intn(1<<26))
+	f := func(seed int64, twoLevel bool) bool {
+		prof, topo := flatCase(seed)
+		if twoLevel {
+			prof, topo = twoLevelCase(seed)
 		}
-		prof := syntheticProfile(times, acts, weights)
-		workers := 2 + rng.Intn(4)
-		topo := topology.Flat(workers, 1e8+rng.Float64()*1e9, topology.V100)
 		opt, err := NewPlan(prof, topo, PlanOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -385,17 +384,49 @@ func TestOptimizeDominatesBaselines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const eps = 1e-9
-		return opt.BottleneckTime <= dp.BottleneckTime*(1+eps) &&
-			opt.BottleneckTime <= mp.BottleneckTime*(1+eps)
+		if opt.BottleneckTime > dp.BottleneckTime || opt.BottleneckTime > mp.BottleneckTime {
+			t.Logf("seed %d (two levels: %v): %s at %v, DataParallel %v, ModelParallel %s %v", seed, twoLevel,
+				opt.ConfigString(), opt.BottleneckTime, dp.BottleneckTime, mp.ConfigString(), mp.BottleneckTime)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// flatCase draws the profile and flat topology TestOptimizeDominatesBaselines
-// draws for the same seed.
+// Ties go to the fewest stages, then the most workers.
+func TestOptimizeTieRule(t *testing.T) {
+	cases := []struct {
+		name    string
+		prof    *profile.ModelProfile
+		workers int
+		want    string
+	}{
+		// Two equal 3 s layers with little to sync or send: on two
+		// workers data parallelism, (4 + max(2, ~0))/2, and the straight
+		// split, max(3, 3, ~0), both take 3 s per minibatch.
+		{"fewest stages", syntheticProfile([]float64{3, 3}, []int64{4, 4}, []int64{4, 4}), 2, "2 (DP)"},
+		// A 6 s layer with 4 GiB of weights, which no replication pays
+		// for at 0.1 GB/s, bounds every plan at 6 s; its 1 s tail fits
+		// under that alone or replicated, and the third worker goes to
+		// the tail.
+		{"most workers", syntheticProfile([]float64{6, 1}, []int64{4, 4}, []int64{4 << 30, 4}), 3, "1-2"},
+	}
+	for _, c := range cases {
+		plan, err := NewPlan(c.prof, topology.Flat(c.workers, 1e8, topology.V100), PlanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.ConfigString(); got != c.want {
+			t.Errorf("%s: plan %v, want %s", c.name, plan, c.want)
+		}
+	}
+}
+
+// flatCase draws a random profile on a random flat topology of 2 to 5
+// workers.
 func flatCase(seed int64) (*profile.ModelProfile, *topology.Topology) {
 	rng := rand.New(rand.NewSource(seed))
 	n := 2 + rng.Intn(6)
@@ -412,10 +443,10 @@ func flatCase(seed int64) (*profile.ModelProfile, *topology.Topology) {
 	return prof, topology.Flat(workers, 1e8+rng.Float64()*1e9, topology.V100)
 }
 
-// The two seeds on which the DP lost to ModelParallel's 2-worker straight
-// pipeline while its recurrence had to use every worker: it forced 2-1 on
-// 3 workers (0.0863 s against 0.0773 s) and 1-4 on 5 (0.2134 s against
-// 0.0713 s).
+// The two seeds on which an earlier optimizer lost to ModelParallel's
+// 2-worker straight pipeline while it had to use every worker: it forced
+// 2-1 on 3 workers (0.0863 s against 0.0773 s) and 1-4 on 5 (0.2134 s
+// against 0.0713 s).
 func TestOptimizeDominatesBaselinesAtRecordedSeeds(t *testing.T) {
 	for _, seed := range []int64{-3551159696768814281, -7897631603225293097} {
 		prof, topo := flatCase(seed)
@@ -438,69 +469,8 @@ func TestOptimizeDominatesBaselinesAtRecordedSeeds(t *testing.T) {
 	}
 }
 
-// innermostOnly reports whether reconstructing layers [0..n-1] takes no
-// split or replication above the innermost level: every outer level only
-// idles components down to one.
-func innermostOnly(tables []*levelTable, n int) bool {
-	for k := len(tables) - 1; k >= 2; k-- {
-		m := tables[k].width
-		for m > 1 && tables[k].ch[0][n-1][m].fewer {
-			m--
-		}
-		if m > 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// Property: the DP minimises the price evaluate reports. Its table value
-// for the returned plan equals the plan's BottleneckTime on one level, and
-// on two levels for every plan that takes no choice above the innermost
-// one. The other two-level plans may carry the gap solve documents; the
-// test logs their share and range.
-func TestTableValueMatchesEvaluate(t *testing.T) {
-	outer, gaps := 0, 0
-	lo, hi := math.Inf(1), math.Inf(-1)
-	f := func(seed int64, twoLevel bool) bool {
-		prof, topo := flatCase(seed)
-		if twoLevel {
-			prof, topo = twoLevelCase(seed)
-		}
-		plan, err := NewPlan(prof, topo, PlanOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := prof.NumLayers()
-		tables := solve(prof, topo)
-		top := tables[len(tables)-1]
-		table := top.a[0][n-1][top.width]
-		if len(tables) == 2 || innermostOnly(tables, n) {
-			if math.Abs(plan.BottleneckTime-table) > 1e-12*table {
-				t.Logf("seed %d (two levels: %v): table %v, evaluate %v for %s",
-					seed, twoLevel, table, plan.BottleneckTime, plan.ConfigString())
-				return false
-			}
-			return true
-		}
-		outer++
-		if r := plan.BottleneckTime / table; r != 1 {
-			gaps++
-			lo, hi = math.Min(lo, r), math.Max(hi, r)
-		}
-		return true
-	}
-	const draws = 200
-	if err := quick.Check(f, &quick.Config{MaxCount: draws}); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%d of %d plans took an outer-level choice; %d of those priced differently, evaluate/table in [%.3g, %.3g]",
-		outer, draws, gaps, lo, hi)
-}
-
-// The hierarchical reconstruction must flatten nested replication
-// correctly: a top-level stage replicated over s servers whose inner
-// solution replicates over g GPUs becomes a flat stage with s*g replicas.
+// Replication spans levels: a stage replicated over every GPU of every
+// server is one flat stage with servers × GPUs replicas.
 func TestReconstructFlattensNestedReplication(t *testing.T) {
 	// Two identical compute-heavy layers with tiny weights and tiny
 	// activations: every level's best choice is full replication, so the
@@ -524,9 +494,8 @@ func TestReconstructFlattensNestedReplication(t *testing.T) {
 	}
 }
 
-// A weight-heavy tail forces a split at the top level; the inner level
-// then replicates the compute-heavy front within each server, and the
-// flattening must multiply the two replication factors.
+// A weight-heavy tail forces a pipeline split, and the tail's replicas
+// stay within one server's fast links.
 func TestReconstructMultipliesReplication(t *testing.T) {
 	prof := syntheticProfile(
 		[]float64{4, 0.1},
@@ -615,26 +584,9 @@ func TestPlanJSONRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestRingSyncHidesUnderCompute pins the planner's replication decision: a
-// stage whose ring sync (overlapped, 2(m-1)/m·w/B) hides under compute is
-// worth replicating.
-func TestRingSyncHidesUnderCompute(t *testing.T) {
-	// Two layers, 5s each; 8 GB of weights on a 2 GB/s link:
-	//   max(10, 2·(1/2)·8) / 2 = max(10, 4)/2 = 5s per minibatch
-	// Straight 2-stage split: max(5, 5, comm≈0) = 5s.
-	prof := syntheticProfile([]float64{5, 5}, []int64{8, 8}, []int64{4 << 30, 4 << 30})
-	topo := topology.Flat(2, 2e9, topology.V100)
-	plan, err := NewPlan(prof, topo, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.IsDataParallel() {
-		t.Fatalf("plan = %v, want data-parallel (sync hides under compute)", plan)
-	}
-}
-
 // TestEvaluateSyncFormula checks the per-stage pricing formula directly
-// against the topology's communication primitive.
+// against the topology's communication primitive: each of R replicas
+// spends bwd + max(fwd, sync) per minibatch.
 func TestEvaluateSyncFormula(t *testing.T) {
 	prof := syntheticProfile([]float64{3, 3}, []int64{4, 4}, []int64{1 << 20, 1 << 20})
 	topo := topology.Flat(4, 1e9, topology.V100)
@@ -643,7 +595,7 @@ func TestEvaluateSyncFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := math.Max(6, topo.AllReduceTime(prof.WeightRange(0, 1), 4)) / 4
+	want := (4 + math.Max(2, topo.AllReduceTime(prof.WeightRange(0, 1), 4))) / 4
 	if math.Abs(plan.StageTimes[0]-want) > 1e-12 {
 		t.Fatalf("stage time %v, want %v", plan.StageTimes[0], want)
 	}

@@ -8,8 +8,7 @@ import (
 )
 
 // PlanOptions selects what NewPlan builds. The zero value asks for the
-// classic PipeDream optimum: run the hierarchical DP with no memory
-// constraint.
+// classic PipeDream optimum: run the optimizer with no memory constraint.
 type PlanOptions struct {
 	// Sync names the gradient collective the plan is priced under.
 	//
@@ -26,23 +25,23 @@ type PlanOptions struct {
 	// instead of running the optimizer.
 	Stages []StageSpec
 	// Graph, when non-nil, is the stage dataflow DAG over Stages
-	// (which must also be set — the hierarchical DP only searches
-	// linear chains). Nodes own the Stages entries of the same index;
+	// (which must also be set — the optimizer only searches linear
+	// chains). Nodes own the Stages entries of the same index;
 	// layer ranges are laid out in topological node order.
 	Graph *StageGraph
 }
 
-// NewPlan is the single entry point for building a Plan. With no options it runs the hierarchical
-// DP; with Stages it prices an explicit assignment; with Graph it
-// prices a DAG-shaped assignment; with Memory it enforces the device
-// memory bound and records the resulting depth in Plan.Depth.
+// NewPlan is the single entry point for building a Plan. With no options
+// it runs the optimizer; with Stages it prices an explicit assignment;
+// with Graph it prices a DAG-shaped assignment; with Memory it enforces
+// the device memory bound and records the resulting depth in Plan.Depth.
 //
 // (The paper-facing name would be partition.Plan, but Plan is the
 // result type; Go does not allow a type and a function to share a
 // name in one package.)
 func NewPlan(prof *profile.ModelProfile, topo *topology.Topology, opts PlanOptions) (*Plan, error) {
 	if opts.Graph != nil && opts.Stages == nil {
-		return nil, fmt.Errorf("partition: PlanOptions.Graph requires explicit Stages (the DP only searches linear chains)")
+		return nil, fmt.Errorf("partition: PlanOptions.Graph requires explicit Stages (the optimizer only searches linear chains)")
 	}
 	if opts.Stages != nil {
 		return evaluate(prof, topo, opts.Stages, opts.Graph)

@@ -1,0 +1,98 @@
+package partition_test
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+	"testing/quick"
+
+	"pipedream/internal/cluster"
+	"pipedream/internal/partition"
+	"pipedream/internal/profile"
+	"pipedream/internal/schedule"
+	"pipedream/internal/topology"
+)
+
+// simulate returns the steady-state throughput cluster.Simulate measures
+// for plan under 1F1B.
+func simulate(t *testing.T, prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan, minibatches int) float64 {
+	t.Helper()
+	res, err := cluster.Simulate(cluster.Config{Profile: prof, Topo: topo, Plan: plan,
+		Policy: schedule.PipeDream1F1B, Minibatches: minibatches})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Throughput
+}
+
+// TestRingSyncHidesUnderCompute pins the planner's replication decision
+// on two workers: replicating a stage pays when its ring sync hides under
+// the next forward, and not when the sync outlasts it. Either way the
+// planner picks the plan the simulator runs faster.
+func TestRingSyncHidesUnderCompute(t *testing.T) {
+	cases := []struct {
+		name string
+		prof *profile.ModelProfile
+		want string
+	}{
+		// 6 s and 4 s layers, 2 GiB of weights on a 2 GB/s link: the
+		// 1.07 s sync hides under the 3.33 s forward, so data parallelism
+		// takes (6.67 + 3.33)/2 = 5 s per minibatch, the straight split 6.
+		{"sync hides", partition.SyntheticProfile([]float64{6, 4}, []int64{8, 8}, []int64{1 << 30, 1 << 30}), "2 (DP)"},
+		// Two 5 s layers, 8 GiB of weights: the 4.29 s sync outlasts the
+		// 3.33 s forward, so data parallelism takes (6.67 + 4.29)/2 =
+		// 5.48 s, the straight split 5.
+		{"sync outlasts the forward", partition.SyntheticProfile([]float64{5, 5}, []int64{8, 8}, []int64{4 << 30, 4 << 30}), "Straight"},
+	}
+	topo := topology.Flat(2, 2e9, topology.V100)
+	for _, c := range cases {
+		plan, err := partition.NewPlan(c.prof, topo, partition.PlanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dp, err := partition.DataParallel(c.prof, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		straight, err := partition.ModelParallel(c.prof, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faster := dp
+		if simulate(t, c.prof, topo, straight, 40) > simulate(t, c.prof, topo, dp, 40) {
+			faster = straight
+		}
+		if plan.ConfigString() != c.want || faster.ConfigString() != c.want {
+			t.Errorf("%s: planner picks %v, simulator runs %s faster; want %s", c.name, plan, faster.ConfigString(), c.want)
+		}
+	}
+}
+
+// Property: on every one-stage plan — R replicas of the whole model, flat
+// or two-level topology, R from 1 to every worker — evaluate's predicted
+// throughput is the one cluster.Simulate measures.
+func TestEvaluateMatchesSimulateOnOneStagePlans(t *testing.T) {
+	f := func(seed int64, twoLevel bool) bool {
+		prof, topo := partition.FlatCase(seed)
+		if twoLevel {
+			prof, topo = partition.TwoLevelCase(seed)
+		}
+		r := 1 + rand.New(rand.NewSource(seed)).Intn(topo.TotalWorkers())
+		plan, err := partition.NewPlan(prof, topo, partition.PlanOptions{Stages: []partition.StageSpec{
+			{FirstLayer: 0, LastLayer: prof.NumLayers() - 1, Replicas: r},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := simulate(t, prof, topo, plan, 8*r)
+		if math.Abs(sim-plan.PredictedThroughput) > 1e-12*plan.PredictedThroughput {
+			t.Logf("seed %d (two levels: %v): %d replicas, evaluate %v, Simulate %v",
+				seed, twoLevel, r, plan.PredictedThroughput, sim)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -48,6 +48,8 @@ type ModelProfile struct {
 	Layers      []LayerProfile `json:"layers"`
 
 	cumTime   []float64 // cumTime[i] = sum of TotalTime over layers [0,i)
+	cumFwd    []float64 // cumFwd[i] = sum of FwdTime over layers [0,i)
+	cumBwd    []float64 // cumBwd[i] = sum of BwdTime over layers [0,i)
 	cumWeight []int64   // cumWeight[i] = sum of WeightBytes over layers [0,i)
 }
 
@@ -60,9 +62,13 @@ func (m *ModelProfile) buildSums() {
 		return
 	}
 	m.cumTime = make([]float64, len(m.Layers)+1)
+	m.cumFwd = make([]float64, len(m.Layers)+1)
+	m.cumBwd = make([]float64, len(m.Layers)+1)
 	m.cumWeight = make([]int64, len(m.Layers)+1)
 	for i, l := range m.Layers {
 		m.cumTime[i+1] = m.cumTime[i] + l.TotalTime()
+		m.cumFwd[i+1] = m.cumFwd[i] + l.FwdTime
+		m.cumBwd[i+1] = m.cumBwd[i] + l.BwdTime
 		m.cumWeight[i+1] = m.cumWeight[i] + l.WeightBytes
 	}
 }
@@ -71,6 +77,18 @@ func (m *ModelProfile) buildSums() {
 func (m *ModelProfile) TimeRange(i, j int) float64 {
 	m.buildSums()
 	return m.cumTime[j+1] - m.cumTime[i]
+}
+
+// FwdRange returns the forward time of layers [i, j] inclusive.
+func (m *ModelProfile) FwdRange(i, j int) float64 {
+	m.buildSums()
+	return m.cumFwd[j+1] - m.cumFwd[i]
+}
+
+// BwdRange returns the backward time of layers [i, j] inclusive.
+func (m *ModelProfile) BwdRange(i, j int) float64 {
+	m.buildSums()
+	return m.cumBwd[j+1] - m.cumBwd[i]
 }
 
 // WeightRange returns the total weight bytes of layers [i, j] inclusive.

@@ -1,28 +1,24 @@
 package topology
 
 // This file models communication costs on a hierarchical topology. Every
-// time and byte count a plan is charged — by the partitioner's DP, by its
-// evaluation of a finished plan and by the cluster simulator — comes from
-// the functions here. Three act on one level:
+// time and byte count a plan is charged — by the partitioner's search and
+// its evaluation of a plan, and by the cluster simulator — comes from the
+// three exported functions here:
 //
 //   - RingBytes: what each participant of an n-way ring all_reduce sends,
 //     2(n-1)/n of the payload.
-//   - RingTime: one ring phase at one level, RingBytes over that level's
-//     bandwidth; a shared bus (a PCIe tree) divides its bandwidth among
-//     the participants.
-//   - LinkTime: one point-to-point flow over one level's link.
-//
-// Two price a group of workers through them:
 //
 //   - AllReduceTime: the per-update stall a worker sees synchronizing
 //     weights across a replication group, modelled as a hierarchical
-//     all_reduce (NCCL-style): one RingTime phase per level the group
-//     spans. Crossing into a slower level adds its full phase, which is
-//     why data-parallel overheads spike when training scales past one
-//     server (Figure 1's second takeaway).
+//     all_reduce (NCCL-style): one ring phase per level the group spans,
+//     RingBytes over that level's bandwidth (a shared bus, a PCIe tree,
+//     divides it among the participants). Crossing into a slower level
+//     adds its full phase, which is why data-parallel overheads spike
+//     when training scales past one server (Figure 1's second takeaway).
 //
 //   - P2PTime: a single activation/gradient transfer between consecutive
-//     pipeline stages, the LinkTime of the slowest level it crosses.
+//     pipeline stages, one flow over the link of the slowest level it
+//     crosses.
 
 // capacityThrough returns the number of workers contained in one component
 // of level k (product of widths of levels ≤ k).
@@ -54,10 +50,10 @@ func RingBytes(bytes int64, n int) float64 {
 	return 2 * float64(n-1) / float64(n) * float64(bytes)
 }
 
-// RingTime returns the time of one ring all_reduce phase of `bytes` among
+// ringTime returns the time of one ring all_reduce phase of `bytes` among
 // n participants over level's links: RingBytes / beff, where beff is the
 // level bandwidth, divided by n when level 0 is a shared bus.
-func (t *Topology) RingTime(level int, bytes int64, n int) float64 {
+func (t *Topology) ringTime(level int, bytes int64, n int) float64 {
 	if n <= 1 {
 		return 0
 	}
@@ -69,9 +65,9 @@ func (t *Topology) RingTime(level int, bytes int64, n int) float64 {
 	return RingBytes(bytes, n) / beff
 }
 
-// LinkTime returns the time one point-to-point message of `bytes` takes
+// linkTime returns the time one point-to-point message of `bytes` takes
 // over level's link.
-func (t *Topology) LinkTime(level int, bytes int64) float64 {
+func (t *Topology) linkTime(level int, bytes int64) float64 {
 	if bytes == 0 {
 		return 0
 	}
@@ -80,7 +76,7 @@ func (t *Topology) LinkTime(level int, bytes int64) float64 {
 
 // AllReduceTime returns the per-update time for hierarchically
 // all_reducing `bytes` of gradients across a group of m workers: the sum
-// of RingTime over the levels the group spans, each with the group's
+// of ringTime over the levels the group spans, each with the group's
 // participant count at that level.
 func (t *Topology) AllReduceTime(bytes int64, m int) float64 {
 	if m <= 1 || bytes == 0 {
@@ -92,7 +88,7 @@ func (t *Topology) AllReduceTime(bytes int64, m int) float64 {
 		if remaining <= 1 {
 			break
 		}
-		total += t.RingTime(k, bytes, min(remaining, lvl.Width))
+		total += t.ringTime(k, bytes, min(remaining, lvl.Width))
 		remaining = (remaining + lvl.Width - 1) / lvl.Width
 	}
 	return total
@@ -100,7 +96,7 @@ func (t *Topology) AllReduceTime(bytes int64, m int) float64 {
 
 // P2PTime returns the transfer time for one point-to-point message of
 // `bytes` between two workers whose combined placement spans m workers:
-// LinkTime at the level the group spans.
+// linkTime at the level the group spans.
 func (t *Topology) P2PTime(bytes int64, m int) float64 {
-	return t.LinkTime(t.levelSpanned(m), bytes)
+	return t.linkTime(t.levelSpanned(m), bytes)
 }

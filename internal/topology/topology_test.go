@@ -141,22 +141,22 @@ func TestP2PTimeUsesSpannedLink(t *testing.T) {
 }
 
 // The group prices are built from the level prices, bit for bit:
-// AllReduceTime is one RingTime phase per level spanned, with that level's
-// participant count, and P2PTime is LinkTime at the spanned level.
+// AllReduceTime is one ringTime phase per level spanned, with that level's
+// participant count, and P2PTime is linkTime at the spanned level.
 func TestGroupPricesAreLevelPrices(t *testing.T) {
 	topo := ClusterA(4) // 4 GPUs on a shared bus per server, 4 servers
 	bytes := int64(123456789)
 	for _, c := range []struct{ m, inner, outer int }{
 		{2, 2, 1}, {3, 3, 1}, {4, 4, 1}, {5, 4, 2}, {8, 4, 2}, {12, 4, 3}, {16, 4, 4},
 	} {
-		want := topo.RingTime(0, bytes, c.inner) + topo.RingTime(1, bytes, c.outer)
+		want := topo.ringTime(0, bytes, c.inner) + topo.ringTime(1, bytes, c.outer)
 		if got := topo.AllReduceTime(bytes, c.m); got != want {
-			t.Fatalf("AllReduceTime(%d workers) = %v, want RingTime sum %v", c.m, got, want)
+			t.Fatalf("AllReduceTime(%d workers) = %v, want ringTime sum %v", c.m, got, want)
 		}
 	}
 	for _, c := range []struct{ m, level int }{{2, 0}, {4, 0}, {5, 1}, {16, 1}, {100, 1}} {
-		if got, want := topo.P2PTime(bytes, c.m), topo.LinkTime(c.level, bytes); got != want {
-			t.Fatalf("P2PTime(span %d) = %v, want LinkTime(level %d) = %v", c.m, got, c.level, want)
+		if got, want := topo.P2PTime(bytes, c.m), topo.linkTime(c.level, bytes); got != want {
+			t.Fatalf("P2PTime(span %d) = %v, want linkTime(level %d) = %v", c.m, got, c.level, want)
 		}
 	}
 }

@@ -6,12 +6,11 @@
 //  1. Profile — measure per-layer compute time, activation size, and
 //     weight size for a model (ProfileModel), or use an analytic profile
 //     from the model zoo (Model).
-//  2. Plan — run the hierarchical dynamic-programming partitioner to
-//     split layers into (possibly replicated) pipeline stages for a
-//     hardware topology (Plan, or NewPlan with PlanOptions for the
-//     memory constraint, explicit stage assignments, and DAG-shaped
-//     StageGraph dataflow — fan-out branches, fan-in joins, multiple
-//     output heads).
+//  2. Plan — run the partitioner's exact search to split layers into
+//     (possibly replicated) pipeline stages for a hardware topology
+//     (Plan, or NewPlan with PlanOptions for the memory constraint,
+//     explicit stage assignments, and DAG-shaped StageGraph dataflow —
+//     fan-out branches, fan-in joins, multiple output heads).
 //  3. Execute — either train a real model in-process with the 1F1B-RR
 //     runtime, complete with weight stashing and round-robin replicated
 //     stages (NewPipeline), or simulate the plan's behaviour on a
@@ -439,8 +438,8 @@ func NewLinear(n int) *StageGraph {
 	return partition.NewLinear(n)
 }
 
-// Plan is shorthand for NewPlan with default options: run the
-// hierarchical dynamic-programming optimizer and nothing else.
+// Plan is shorthand for NewPlan with default options: run the optimizer
+// and nothing else.
 func Plan(prof *ModelProfile, topo *Topology) (*PartitionPlan, error) {
 	return partition.NewPlan(prof, topo, partition.PlanOptions{})
 }

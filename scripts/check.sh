@@ -34,8 +34,8 @@ GOMAXPROCS=1 go test -count=1 ./...
 echo "== determinism gate (losses are a pure function of seed, plan and depth: 20 runs each)"
 go test -count=20 ./internal/pipeline/ -run 'PureFunction|Recompute|Staleness'
 
-echo "== planner properties (the DP dominates both baselines, matches brute force, and its table value is evaluate's price: 200 runs each, so a failure in a fraction of a percent of draws cannot hide)"
-go test -count=200 ./internal/partition/ -run '^(TestOptimizeDominatesBaselines|TestOptimizeMatchesBruteForceOnRandomProfiles|TestTableValueMatchesEvaluate)$'
+echo "== planner properties (the search matches brute force on flat and two-level topologies and never loses to data parallelism or a straight pipeline on either, and evaluate's price of a one-stage plan is the throughput cluster.Simulate measures: 200 runs each, so a failure in a fraction of a percent of draws cannot hide)"
+go test -count=200 ./internal/partition/ -run '^(TestOptimizeDominatesBaselines|TestOptimizeMatchesBruteForceOnRandomProfiles|TestEvaluateMatchesSimulateOnOneStagePlans)$'
 
 echo "== poisoned pool (use-after-release detector on: nn, pipeline, serve, fleet and pipedream-serve tests always run with it; these are the suites that compare losses and outputs bit for bit — the inference call among them — the transport contract, and serving's pool balance)"
 go test -count=1 ./internal/nn/ -run 'TestSequentialReleasesEachTensorOnce|TestSeqContextHeldBytes|TestTwoPassBackwardMatchesLayerByLayer|TestLossesMatchParentCommit'
