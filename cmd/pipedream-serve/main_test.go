@@ -13,10 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"pipedream/internal/metrics"
 	"pipedream/internal/modelzoo/branching"
 	"pipedream/internal/nn"
 	"pipedream/internal/partition"
 	"pipedream/internal/serve"
+	"pipedream/internal/serve/fleet"
 	"pipedream/internal/tensor"
 )
 
@@ -246,6 +248,64 @@ func TestHandleInferPerHead(t *testing.T) {
 	// A stage that is not an output head is a client error, not a 5xx.
 	if rec := post(1); rec.Code != http.StatusBadRequest {
 		t.Fatalf("non-sink head: status %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestMetricsHoldEachReplicasServeInstruments: /metrics writes the fleet
+// registry, and after one /infer it holds the serve.* instruments of the
+// replica that answered, under that replica's prefix, with its requests
+// counter at 1.
+func TestMetricsHoldEachReplicasServeInstruments(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	reg := metrics.NewRegistry()
+	fl, err := fleet.New(fleet.Config{Replicas: 2, Metrics: reg}, fleet.TenantConfig{
+		Name: "spiral",
+		Server: serve.Config{
+			Model:        nn.NewSequential(nn.NewDense(rng, "fc1", 2, 3)),
+			InputShape:   []int{2},
+			BatchTimeout: time.Millisecond,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fl.Close() })
+	ten, err := fl.Tenant("spiral")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	handleInfer(ten.Infer, []int{2}, rec, httptest.NewRequest(http.MethodPost, "/infer", strings.NewReader(`{"inputs":[[0.3,-0.2]]}`)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	answered := 0
+	for id := 0; id < 2; id++ {
+		prefix := fmt.Sprintf("serve.fleet.spiral.r%d.", id)
+		for _, key := range []string{"requests", "latency_us", "s0.forward_us"} {
+			if _, ok := snap[prefix+key]; !ok {
+				t.Errorf("/metrics has no %s", prefix+key)
+			}
+		}
+		picks, requests := snap[prefix+"picks"], snap[prefix+"requests"]
+		if picks != requests {
+			t.Errorf("replica %d: %v picks, %v requests", id, picks, requests)
+		}
+		if requests == 1.0 {
+			answered++
+		}
+	}
+	if answered != 1 {
+		t.Errorf("%d replicas count the one request, want 1", answered)
 	}
 }
 

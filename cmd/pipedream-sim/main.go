@@ -104,9 +104,12 @@ func main() {
 	fmt.Printf("policy:     %s\n", policy)
 	fmt.Printf("total time: %.3fs for %d minibatches\n", res.TotalTime, *minibatches)
 	fmt.Printf("throughput: %.4g samples/s (steady state)\n", res.Throughput)
-	dp := cluster.DataParallelBSP(prof, topo, topo.TotalWorkers())
-	fmt.Printf("DP baseline: %.4g samples/s (comm overhead %.0f%%)\n", dp.Throughput, dp.CommStallFrac*100)
-	fmt.Printf("speedup over DP: %.2fx\n", res.Throughput/dp.Throughput)
+	dp, err := partition.DataParallel(prof, topo)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("DP baseline: %.4g samples/s (comm overhead %.0f%%)\n", dp.PredictedThroughput, cluster.SyncStall(prof, dp)*100)
+	fmt.Printf("speedup over DP: %.2fx\n", res.Throughput/dp.PredictedThroughput)
 	fmt.Printf("bytes/sample (p2p + sync): %.0f\n", res.BytesPerSample(*minibatches*prof.MinibatchSize))
 	worst := int64(0)
 	for _, m := range res.PeakMemory {

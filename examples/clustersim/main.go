@@ -24,9 +24,12 @@ func main() {
 	}
 	fmt.Printf("optimizer plan: %s\n\n", plan)
 
-	dp := cluster.DataParallelBSP(prof, topo, 16)
+	dp, err := pipedream.DataParallelPlan(prof, topo)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%-22s %10.0f samples/s  (comm overhead %.0f%%)\n",
-		"data parallelism (BSP):", dp.Throughput, dp.CommStallFrac*100)
+		"data parallelism (BSP):", dp.PredictedThroughput, cluster.SyncStall(prof, dp)*100)
 
 	for _, policy := range []pipedream.Policy{schedule.GPipe, schedule.PipeDream1F1B} {
 		res, err := pipedream.Simulate(pipedream.SimConfig{
@@ -37,7 +40,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-22s %10.0f samples/s  (%.2fx over DP)\n",
-			policy.String()+":", res.Throughput, res.Throughput/dp.Throughput)
+			policy.String()+":", res.Throughput, res.Throughput/dp.PredictedThroughput)
 	}
 
 	// Short run with a recorded timeline to see the pipeline fill.

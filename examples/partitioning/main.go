@@ -28,10 +28,13 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			dp := cluster.DataParallelBSP(prof, topo, topo.TotalWorkers())
+			dp, err := pipedream.DataParallelPlan(prof, topo)
+			if err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("  %-22s → %-14s predicted %.3g samples/s (DP: %.3g, overhead %.0f%%)\n",
 				topo.Name, plan.ConfigString(), plan.PredictedThroughput,
-				dp.Throughput, dp.CommStallFrac*100)
+				dp.PredictedThroughput, cluster.SyncStall(prof, dp)*100)
 			for i, st := range plan.Stages {
 				fmt.Printf("      stage %d: layers %2d-%2d ×%d (%.1f MB weights)\n",
 					i, st.FirstLayer, st.LastLayer, st.Replicas,

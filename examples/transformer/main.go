@@ -27,10 +27,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		dp := cluster.DataParallelBSP(prof, topo, topo.TotalWorkers())
+		dp, err := pipedream.DataParallelPlan(prof, topo)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-22s → %-10s predicted %.0f samples/s vs DP %.0f (%.1fx, DP comm overhead %.0f%%)\n",
 			topo.Name, plan.ConfigString(), plan.PredictedThroughput,
-			dp.Throughput, plan.PredictedThroughput/dp.Throughput, dp.CommStallFrac*100)
+			dp.PredictedThroughput, plan.PredictedThroughput/dp.PredictedThroughput, cluster.SyncStall(prof, dp)*100)
 	}
 
 	// Part 2: really train attention through the pipeline.

@@ -356,47 +356,49 @@ func TestSimulateWorkConservation(t *testing.T) {
 	}
 }
 
-func TestDataParallelBSPOverhead(t *testing.T) {
-	// Heavy weights on a slow link → overhead near 1; tiny weights → 0.
+func TestSyncStall(t *testing.T) {
+	// Heavy weights on a slow link → stall near 1; tiny weights → 0.
 	heavy := uniformProfile(2, 0.05, 0.1, 4, 256<<20)
 	light := uniformProfile(2, 0.05, 0.1, 4, 1<<10)
 	topo := topology.ClusterA(4)
-	h := DataParallelBSP(heavy, topo, 16)
-	l := DataParallelBSP(light, topo, 16)
-	if h.CommStallFrac < 0.5 {
-		t.Fatalf("heavy model overhead %v, want >0.5", h.CommStallFrac)
+	stall := func(prof *profile.ModelProfile) float64 {
+		dp, err := partition.DataParallel(prof, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return SyncStall(prof, dp)
 	}
-	if l.CommStallFrac > 0.01 {
-		t.Fatalf("light model overhead %v, want ~0", l.CommStallFrac)
+	if h := stall(heavy); h < 0.5 {
+		t.Fatalf("heavy model stall %v, want >0.5", h)
 	}
-	if DataParallelASP(heavy, topo, 16).CommStallFrac != 0 {
-		t.Fatal("ASP must have zero comm stalls")
-	}
-}
-
-func TestDPBytesPerSample(t *testing.T) {
-	prof := uniformProfile(2, 1, 1, 4, 512)
-	prof.MinibatchSize = 4
-	// 2*(3/4)*1024 bytes per minibatch of 4 samples = 384 B/sample.
-	if got := DPBytesPerSample(prof, 4); math.Abs(got-384) > 1e-9 {
-		t.Fatalf("DP bytes/sample = %v, want 384", got)
-	}
-	if got := DPBytesPerSample(prof, 1); got != 0 {
-		t.Fatalf("single-worker DP bytes = %v, want 0", got)
+	if l := stall(light); l < 0 || l > 1e-12 {
+		t.Fatalf("light model stall %v, want 0", l)
 	}
 }
 
 func TestPipelineBytesPerSampleStraight(t *testing.T) {
 	prof := uniformProfile(4, 1, 1, 1000, 512)
 	prof.MinibatchSize = 10
-	specs := []partition.StageSpec{
-		{FirstLayer: 0, LastLayer: 1, Replicas: 1},
-		{FirstLayer: 2, LastLayer: 3, Replicas: 1},
+	cases := []struct {
+		name   string
+		stages []partition.StageSpec
+		want   float64
+	}{
+		// Worst worker: stage 0 sends act (1000) and receives grad (1000)
+		// → 2000 bytes / 10 samples = 200.
+		{"straight", []partition.StageSpec{
+			{FirstLayer: 0, LastLayer: 1, Replicas: 1},
+			{FirstLayer: 2, LastLayer: 3, Replicas: 1},
+		}, 200},
+		// Data parallelism: 2*(3/4)*2048 bytes per minibatch of 10
+		// samples.
+		{"one stage ×4", []partition.StageSpec{{FirstLayer: 0, LastLayer: 3, Replicas: 4}}, 307.2},
+		{"one stage ×1", []partition.StageSpec{{FirstLayer: 0, LastLayer: 3, Replicas: 1}}, 0},
 	}
-	// Worst worker: stage 0 sends act (1000) and receives grad (1000) →
-	// 2000 bytes / 10 samples = 200.
-	if got := PipelineBytesPerSample(prof, specs); math.Abs(got-200) > 1e-9 {
-		t.Fatalf("pipeline bytes/sample = %v, want 200", got)
+	for _, c := range cases {
+		if got := PipelineBytesPerSample(prof, c.stages); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("%s: bytes/sample = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

@@ -56,8 +56,11 @@ func claims(quick bool) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	vggDP := cluster.DataParallelBSP(vgg, topoA, 16)
-	vggSpeedup := vggRes.Throughput / vggDP.Throughput
+	vggDP, err := dpPlan(vgg, topoA, topoA.TotalWorkers())
+	if err != nil {
+		return nil, err
+	}
+	vggSpeedup := vggRes.Throughput / vggDP.PredictedThroughput
 	check("pipeline speedup over DP for weight-heavy CNNs (Table 1)",
 		fmt.Sprintf("VGG-16 4x4(A): %.2fx", vggSpeedup), vggSpeedup >= 2)
 
@@ -130,7 +133,11 @@ func claims(quick bool) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dpBytes := cluster.DPBytesPerSample(gnmt8, 4)
+	gnmt8DP, err := dpPlan(gnmt8, topology.ClusterA(1), 4)
+	if err != nil {
+		return nil, err
+	}
+	dpBytes := cluster.PipelineBytesPerSample(gnmt8, gnmt8DP.Stages)
 	pdBytes := cluster.PipelineBytesPerSample(gnmt8, best.Stages)
 	check("communication reduction vs DP (Fig. 17)",
 		fmt.Sprintf("GNMT-8: %.0f%% less data per sample", 100*(1-pdBytes/dpBytes)),

@@ -52,8 +52,11 @@ func fig1(quick bool) ([]*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				step := cluster.DataParallelBSP(prof, topo, n)
-				row = append(row, pct(step.CommStallFrac))
+				dp, err := dpPlan(prof, topo, n)
+				if err != nil {
+					return nil, err
+				}
+				row = append(row, pct(cluster.SyncStall(prof, dp)))
 			}
 			t.AddRow(row...)
 		}
@@ -82,8 +85,11 @@ func fig12(quick bool) ([]*Table, error) {
 			if prec == "fp16" {
 				prof = halvePrecision(prof)
 			}
-			step := cluster.DataParallelBSP(prof, topo, n)
-			row = append(row, pct(step.CommStallFrac))
+			dp, err := dpPlan(prof, topo, n)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, pct(cluster.SyncStall(prof, dp)))
 		}
 		t.AddRow(row...)
 	}
@@ -119,7 +125,11 @@ func fig17(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dpBytes := cluster.DPBytesPerSample(prof, 4)
+		dp, err := dpPlan(prof, topo, topo.TotalWorkers())
+		if err != nil {
+			return nil, err
+		}
+		dpBytes := cluster.PipelineBytesPerSample(prof, dp.Stages)
 		best, err := bestNonDPPlan(prof, topo)
 		if err != nil {
 			return nil, err
@@ -192,9 +202,15 @@ func tbl3(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sDed := cluster.DataParallelBSP(prof, ded, c.gpus)
-		sCloud := cluster.DataParallelBSP(prof, cloud, c.gpus)
-		t.AddRow(c.model, fmt.Sprintf("%d", c.gpus), f2(sCloud.StepTime/sDed.StepTime)+"x", c.paper)
+		dpDed, err := dpPlan(prof, ded, c.gpus)
+		if err != nil {
+			return nil, err
+		}
+		dpCloud, err := dpPlan(prof, cloud, c.gpus)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(c.model, fmt.Sprintf("%d", c.gpus), f2(dpCloud.StageTimes[0]/dpDed.StageTimes[0])+"x", c.paper)
 	}
 	t.AddNote("paper shape: slower cloud links make multi-server all_reduce 2-3.3x slower per epoch")
 	return []*Table{t}, nil

@@ -11,6 +11,10 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"pipedream/internal/partition"
+	"pipedream/internal/profile"
+	"pipedream/internal/topology"
 )
 
 // Table is one printable experiment artifact (a paper table, or one panel
@@ -128,6 +132,16 @@ func RunAll(quick bool, w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// dpPlan is the data-parallel baseline every experiment compares against:
+// the planner's own one-stage plan, the whole model replicated over
+// workers of topo, priced by the same stage formula as any pipeline stage
+// (PredictedThroughput, StageTimes[0]).
+func dpPlan(prof *profile.ModelProfile, topo *topology.Topology, workers int) (*partition.Plan, error) {
+	return partition.NewPlan(prof, topo, partition.PlanOptions{Stages: []partition.StageSpec{
+		{FirstLayer: 0, LastLayer: prof.NumLayers() - 1, Replicas: workers},
+	}})
 }
 
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }

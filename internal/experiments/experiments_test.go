@@ -2,9 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
+
+	"pipedream/internal/cluster"
+	"pipedream/internal/modelzoo"
+	"pipedream/internal/partition"
+	"pipedream/internal/schedule"
 )
 
 // TestAllExperimentsRunQuick exercises every registered experiment in
@@ -137,6 +143,34 @@ func TestTable1Shape(t *testing.T) {
 			if speedup < 1.3 {
 				t.Fatalf("%s %s speedup %.2f, want ≥1.3", model, clusterCfg, speedup)
 			}
+		}
+	}
+}
+
+// Every Table 1 row divides by the planner's own one-stage plan: the
+// baseline's throughput is the one cluster.Simulate runs for
+// partition.DataParallel on the row's cluster.
+func TestDPBaselineIsTheOneStagePlan(t *testing.T) {
+	for _, c := range table1Cases() {
+		prof, err := modelzoo.ByName(c.model, c.topo.Device, modelzoo.PaperBatchSize(c.model))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dp, err := dpPlan(prof, c.topo, c.topo.TotalWorkers())
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := partition.DataParallel(prof, c.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cluster.Simulate(cluster.Config{Profile: prof, Topo: c.topo, Plan: plan,
+			Policy: schedule.PipeDream1F1B, Minibatches: 8 * plan.Workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := dp.PredictedThroughput, res.Throughput; math.Abs(got-want) > 1e-12*want {
+			t.Errorf("%s %s: baseline %v samples/s, Simulate(DataParallel) %v", c.model, c.cfgLabel, got, want)
 		}
 	}
 }

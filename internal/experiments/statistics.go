@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"pipedream/internal/cluster"
 	"pipedream/internal/data"
 	"pipedream/internal/modelzoo"
 	"pipedream/internal/nn"
@@ -93,8 +92,11 @@ func fig10(quick bool) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dp := cluster.DataParallelBSP(prof, topo, 16)
-	speedup := res.Throughput / dp.Throughput
+	dp, err := dpPlan(prof, topo, topo.TotalWorkers())
+	if err != nil {
+		return nil, err
+	}
+	speedup := res.Throughput / dp.PredictedThroughput
 	if speedup < 1 {
 		speedup = 1
 	}

@@ -49,7 +49,7 @@ func table1Cases() []table1Case {
 }
 
 // pipelineEpochSpeedup computes the simulated PipeDream throughput over
-// the analytic DP baseline for one case.
+// the data-parallel baseline's for one case.
 func pipelineEpochSpeedup(c table1Case, minibatches int) (*partition.Plan, float64, error) {
 	prof, err := modelzoo.ByName(c.model, c.topo.Device, modelzoo.PaperBatchSize(c.model))
 	if err != nil {
@@ -59,9 +59,9 @@ func pipelineEpochSpeedup(c table1Case, minibatches int) (*partition.Plan, float
 	if err != nil {
 		return nil, 0, err
 	}
-	dp := cluster.DataParallelBSP(prof, c.topo, c.topo.TotalWorkers())
-	if plan.IsDataParallel() {
-		return plan, 1.0, nil
+	dp, err := dpPlan(prof, c.topo, c.topo.TotalWorkers())
+	if err != nil {
+		return nil, 0, err
 	}
 	res, err := cluster.Simulate(cluster.Config{
 		Profile: prof, Topo: c.topo, Plan: plan,
@@ -70,16 +70,13 @@ func pipelineEpochSpeedup(c table1Case, minibatches int) (*partition.Plan, float
 	if err != nil {
 		return nil, 0, err
 	}
-	speedup := res.Throughput / dp.Throughput
-	if speedup < 1 {
+	speedup := res.Throughput / dp.PredictedThroughput
+	if speedup < 1 || plan.IsDataParallel() {
 		// The optimizer considers plain data parallelism a configuration
 		// too: when the pipeline does not beat DP under measurement, the
-		// deployment falls back to DP (as it does for ResNet-50).
-		dpPlan, err := partition.DataParallel(prof, c.topo)
-		if err != nil {
-			return nil, 0, err
-		}
-		return dpPlan, 1.0, nil
+		// deployment falls back to DP (as it does for ResNet-50), and DP
+		// is 1x by definition.
+		return dp, 1.0, nil
 	}
 	return plan, speedup, nil
 }

@@ -33,23 +33,21 @@ func extTransformer(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dp := cluster.DataParallelBSP(prof, topo, topo.TotalWorkers())
-		var pdTput float64
-		if plan.IsDataParallel() {
-			pdTput = dp.Throughput
-		} else {
-			res, err := cluster.Simulate(cluster.Config{
-				Profile: prof, Topo: topo, Plan: plan,
-				Policy: schedule.PipeDream1F1B, Minibatches: minibatches,
-			})
-			if err != nil {
-				return nil, err
-			}
-			pdTput = res.Throughput
+		dp, err := dpPlan(prof, topo, topo.TotalWorkers())
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(topo.Name, plan.ConfigString(), f1(dp.Throughput), f1(pdTput),
-			f2(pdTput/dp.Throughput)+"x")
-		if pdTput < dp.Throughput {
+		res, err := cluster.Simulate(cluster.Config{
+			Profile: prof, Topo: topo, Plan: plan,
+			Policy: schedule.PipeDream1F1B, Minibatches: minibatches,
+		})
+		if err != nil {
+			return nil, err
+		}
+		dpTput, pdTput := dp.PredictedThroughput, res.Throughput
+		t.AddRow(topo.Name, plan.ConfigString(), f1(dpTput), f1(pdTput),
+			f2(pdTput/dpTput)+"x")
+		if pdTput < dpTput {
 			return nil, fmt.Errorf("ext-transformer: pipeline slower than DP on %s", topo.Name)
 		}
 	}

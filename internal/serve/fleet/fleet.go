@@ -61,10 +61,10 @@ type Config struct {
 	// Policy selects the routing policy (default RoundRobin).
 	Policy Policy
 	// Metrics, when non-nil, receives serve.fleet.* instrumentation:
-	// per-tenant request/response/shed counters and per-replica pick
-	// counters and in-flight gauges. Replica servers keep their own
-	// standalone instruments (reachable through Stats), since serve.*
-	// names are per-process, not per-replica.
+	// per-tenant request/response/shed counters, and under
+	// serve.fleet.<tenant>.r<id>. each replica's pick counter, in-flight
+	// gauge and its server's serve.* instruments (requests, latency_us,
+	// s<i>.forward_us, …).
 	Metrics *metrics.Registry
 	// Health, when MaxErrorRate > 0, turns on router-level health
 	// checks for every tenant: replicas whose sliding-window failure
@@ -81,7 +81,8 @@ type TenantConfig struct {
 	// Server is the replica template: Model, Plan, MaxBatch,
 	// BatchTimeout, QueueCap, InputShape, WeightGeneration and the rest
 	// apply to every replica of this tenant. Transport, Quota, and
-	// Metrics are owned by the fleet and must be left nil.
+	// Metrics are owned by the fleet and must be left nil; the fleet
+	// sets each replica's MetricsPrefix.
 	Server serve.Config
 	// MaxQueued bounds the tenant's waiting requests across all its
 	// replicas (quota queue slots). Default: Replicas × the template's
@@ -193,6 +194,10 @@ func New(cfg Config, tenants ...TenantConfig) (*Fleet, error) {
 	shared := transport.NewChannels(total, buffer)
 
 	f := &Fleet{tenants: make(map[string]*Tenant, len(tenants)), policy: policy, shared: shared}
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = metrics.NewRegistry() // instruments stay live for Stats
+	}
 	base := 0
 	for _, tc := range tenants {
 		if tc.Name == "" {
@@ -212,24 +217,23 @@ func New(cfg Config, tenants ...TenantConfig) (*Fleet, error) {
 			name:      tc.Name,
 			router:    newRouter(policy),
 			quota:     serve.NewQuota(quotaBounds(tc, cfg.Replicas, stages)),
-			met:       newTenantMetrics(cfg.Metrics, tc.Name),
-			reg:       cfg.Metrics,
+			met:       newTenantMetrics(reg, tc.Name),
+			reg:       reg,
 			health:    cfg.Health.withDefaults(),
 			now:       time.Now,
 			template:  tc.Server,
 			followers: make(map[int]*serve.Follower),
 		}
 		for r := 0; r < cfg.Replicas; r++ {
-			scfg := tc.Server
+			id, scfg := t.nextReplica()
 			scfg.Transport = &offsetTransport{tr: shared, base: base}
-			scfg.Quota = t.quota
 			srv, err := serve.NewServer(scfg)
 			if err != nil {
 				f.Close()
 				return nil, fmt.Errorf("fleet: tenant %q replica %d: %w", tc.Name, r, err)
 			}
 			t.mu.Lock()
-			t.newReplicaLocked(srv)
+			t.newReplicaLocked(srv, id)
 			t.mu.Unlock()
 			base += stages + 1
 		}
@@ -289,17 +293,8 @@ func serveBatchWindow(cfg serve.Config, stages int) int {
 }
 
 // newTenantMetrics builds a tenant's instruments from the fleet
-// registry, or standalone when there is none.
+// registry.
 func newTenantMetrics(reg *metrics.Registry, name string) *tenantMetrics {
-	if reg == nil {
-		return &tenantMetrics{
-			requests:  &metrics.Counter{},
-			responses: &metrics.Counter{},
-			errors:    &metrics.Counter{},
-			shed:      &metrics.Counter{},
-			retries:   &metrics.Counter{},
-		}
-	}
 	prefix := "serve.fleet." + name + "."
 	return &tenantMetrics{
 		requests:  reg.Counter(prefix + "requests"),

@@ -98,18 +98,22 @@ func healthTenant(t *testing.T, clock *fakeClock) (ten *Tenant, goodID, badID in
 	}
 	t.Cleanup(func() { bad.Close() })
 
+	reg := metrics.NewRegistry()
 	ten = &Tenant{
 		name:      "canary",
 		router:    newRouter(RoundRobin),
 		quota:     serve.NewQuota(256, 256),
-		met:       newTenantMetrics(nil, "canary"),
+		met:       newTenantMetrics(reg, "canary"),
+		reg:       reg,
 		health:    HealthConfig{MaxErrorRate: 0.5, Window: 8, MinSamples: 4, CoolDown: time.Minute}.withDefaults(),
 		now:       clock.Now,
 		followers: make(map[int]*serve.Follower),
 	}
+	goodID, _ = ten.nextReplica()
+	badID, _ = ten.nextReplica()
 	ten.mu.Lock()
-	goodRep := ten.newReplicaLocked(good)
-	badRep := ten.newReplicaLocked(bad)
+	goodRep := ten.newReplicaLocked(good, goodID)
+	badRep := ten.newReplicaLocked(bad, badID)
 	ten.mu.Unlock()
 	return ten, goodRep.id, badRep.id
 }
@@ -193,17 +197,20 @@ func TestHealthAllEjectedFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { bad.Close() })
+	reg := metrics.NewRegistry()
 	ten := &Tenant{
 		name:      "sick",
 		router:    newRouter(RoundRobin),
 		quota:     serve.NewQuota(256, 256),
-		met:       newTenantMetrics(nil, "sick"),
+		met:       newTenantMetrics(reg, "sick"),
+		reg:       reg,
 		health:    HealthConfig{MaxErrorRate: 0.5, Window: 4, MinSamples: 2, CoolDown: time.Minute}.withDefaults(),
 		now:       clock.Now,
 		followers: make(map[int]*serve.Follower),
 	}
+	id, _ := ten.nextReplica()
 	ten.mu.Lock()
-	rep := ten.newReplicaLocked(bad)
+	rep := ten.newReplicaLocked(bad, id)
 	ten.mu.Unlock()
 	x := testInput(3, 2)
 	for i := 0; i < 8; i++ {

@@ -24,7 +24,7 @@ type replica struct {
 
 // tenantMetrics are one tenant's fleet-level instruments — routing and
 // admission, not pipeline internals (each replica's serve.Stats carries
-// those). Standalone instruments when the fleet has no registry, same
+// those). A fleet given no registry keeps them in a private one, same
 // convention as serve's.
 type tenantMetrics struct {
 	requests  *metrics.Counter // serve.fleet.<tenant>.requests
@@ -44,11 +44,11 @@ type Tenant struct {
 	router router
 	quota  *serve.Quota
 	met    *tenantMetrics
-	reg    *metrics.Registry // fleet registry, for per-replica instruments
+	reg    *metrics.Registry // fleet registry (a private one if none), for per-replica instruments
 	health HealthConfig      // resolved; zero when health checks are off
 	now    func() time.Time  // injectable clock for the health cool-down
 
-	template serve.Config // replica config: Transport/Quota/Metrics overridden per replica
+	template serve.Config // replica config: Transport/Quota/Metrics/MetricsPrefix set per replica
 
 	mu        sync.RWMutex
 	live      []*replica
@@ -202,10 +202,8 @@ func (t *Tenant) pick(key uint64) (*replica, error) {
 // follower so it converges to the directory's newest generation. It
 // returns the new replica's id.
 func (t *Tenant) AddReplica() (int, error) {
-	cfg := t.template
+	id, cfg := t.nextReplica()
 	cfg.Transport = nil // post-construction replicas own a private transport
-	cfg.Quota = t.quota
-	cfg.Metrics = nil
 	srv, err := serve.NewServer(cfg)
 	if err != nil {
 		return 0, fmt.Errorf("fleet: tenant %q: add replica: %w", t.name, err)
@@ -216,7 +214,7 @@ func (t *Tenant) AddReplica() (int, error) {
 		srv.Close()
 		return 0, fmt.Errorf("fleet: tenant %q: %w", t.name, serve.ErrServerClosed)
 	}
-	rep := t.newReplicaLocked(srv)
+	rep := t.newReplicaLocked(srv, id)
 	if t.follow != nil {
 		f, err := srv.Follow(*t.follow)
 		if err != nil {
@@ -229,21 +227,33 @@ func (t *Tenant) AddReplica() (int, error) {
 	return rep.id, nil
 }
 
-// newReplicaLocked wraps srv as the next replica and appends it to the
-// live set. Callers hold the write lock.
-func (t *Tenant) newReplicaLocked(srv *serve.Server) *replica {
-	rep := &replica{id: t.nextID, srv: srv}
+// nextReplica takes the next replica id (one whose server fails to
+// build is skipped) and returns it with the replica's config: the
+// template, the tenant's quota, and the fleet's registry under the
+// replica's prefix.
+func (t *Tenant) nextReplica() (int, serve.Config) {
+	t.mu.Lock()
+	id := t.nextID
 	t.nextID++
-	ejections := &metrics.Counter{}
-	if t.reg != nil {
-		prefix := fmt.Sprintf("serve.fleet.%s.r%d.", t.name, rep.id)
-		rep.inflight = t.reg.Gauge(prefix + "inflight")
-		rep.picks = t.reg.Counter(prefix + "picks")
-		ejections = t.reg.Counter(prefix + "ejections")
-	} else {
-		rep.inflight = &metrics.Gauge{}
-		rep.picks = &metrics.Counter{}
-	}
+	t.mu.Unlock()
+	cfg := t.template
+	cfg.Quota = t.quota
+	cfg.Metrics = t.reg
+	cfg.MetricsPrefix = replicaPrefix(t.name, id)
+	return id, cfg
+}
+
+// replicaPrefix starts the name of every instrument of one replica.
+func replicaPrefix(tenant string, id int) string {
+	return fmt.Sprintf("serve.fleet.%s.r%d.", tenant, id)
+}
+
+// newReplicaLocked wraps srv as replica id and appends it to the live
+// set. Callers hold the write lock.
+func (t *Tenant) newReplicaLocked(srv *serve.Server, id int) *replica {
+	prefix := replicaPrefix(t.name, id)
+	rep := &replica{id: id, srv: srv, inflight: t.reg.Gauge(prefix + "inflight"), picks: t.reg.Counter(prefix + "picks")}
+	ejections := t.reg.Counter(prefix + "ejections")
 	if t.health.enabled() {
 		rep.health = newReplicaHealth(t.health, t.now, ejections)
 	}

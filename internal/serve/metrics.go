@@ -9,8 +9,9 @@ import (
 
 // serverMetrics holds the server's instruments, fetched once at startup
 // so hot paths never touch the registry's lock. When no registry is
-// configured the instruments are standalone (still live, still cheap) so
-// recording code needs no nil checks and Stats always works.
+// configured they live in a private one (still live, still cheap) so
+// recording code needs no nil checks and Stats always works. Each name
+// below follows the server's metrics prefix, "serve." by default.
 type serverMetrics struct {
 	requests  *metrics.Counter // serve.requests: Infer calls admitted to validation
 	rows      *metrics.Counter // serve.rows: input rows across all requests
@@ -33,42 +34,29 @@ type serverMetrics struct {
 	oplog *metrics.OpLog
 }
 
-func newServerMetrics(reg *metrics.Registry, oplog *metrics.OpLog, stages int) *serverMetrics {
-	m := &serverMetrics{oplog: oplog, stageForward: make([]*metrics.Histogram, stages)}
+func newServerMetrics(reg *metrics.Registry, prefix string, oplog *metrics.OpLog, stages int) *serverMetrics {
 	if reg == nil {
-		m.requests = &metrics.Counter{}
-		m.rows = &metrics.Counter{}
-		m.shed = &metrics.Counter{}
-		m.batches = &metrics.Counter{}
-		m.responses = &metrics.Counter{}
-		m.errors = &metrics.Counter{}
-		m.swaps = &metrics.Counter{}
-		m.batchRows = metrics.NewHistogram(metrics.DepthBuckets())
-		m.latency = metrics.NewHistogram(metrics.LatencyBuckets())
-		m.batchWait = metrics.NewHistogram(metrics.LatencyBuckets())
-		m.swapLatency = metrics.NewHistogram(metrics.LatencyBuckets())
-		m.queueDepth = &metrics.Gauge{}
-		m.weightGen = &metrics.Gauge{}
-		for i := range m.stageForward {
-			m.stageForward[i] = metrics.NewHistogram(metrics.DurationBuckets())
-		}
-		return m
+		reg = metrics.NewRegistry()
 	}
-	m.requests = reg.Counter("serve.requests")
-	m.rows = reg.Counter("serve.rows")
-	m.shed = reg.Counter("serve.shed")
-	m.batches = reg.Counter("serve.batches")
-	m.responses = reg.Counter("serve.responses")
-	m.errors = reg.Counter("serve.errors")
-	m.swaps = reg.Counter("serve.swaps")
-	m.batchRows = reg.Histogram("serve.batch_rows", metrics.DepthBuckets())
-	m.latency = reg.Histogram("serve.latency_us", metrics.LatencyBuckets())
-	m.batchWait = reg.Histogram("serve.batch_wait_us", metrics.LatencyBuckets())
-	m.swapLatency = reg.Histogram("serve.swap_latency_us", metrics.LatencyBuckets())
-	m.queueDepth = reg.Gauge("serve.queue_depth")
-	m.weightGen = reg.Gauge("serve.weight_generation")
+	if prefix == "" {
+		prefix = "serve."
+	}
+	m := &serverMetrics{oplog: oplog, stageForward: make([]*metrics.Histogram, stages)}
+	m.requests = reg.Counter(prefix + "requests")
+	m.rows = reg.Counter(prefix + "rows")
+	m.shed = reg.Counter(prefix + "shed")
+	m.batches = reg.Counter(prefix + "batches")
+	m.responses = reg.Counter(prefix + "responses")
+	m.errors = reg.Counter(prefix + "errors")
+	m.swaps = reg.Counter(prefix + "swaps")
+	m.batchRows = reg.Histogram(prefix+"batch_rows", metrics.DepthBuckets())
+	m.latency = reg.Histogram(prefix+"latency_us", metrics.LatencyBuckets())
+	m.batchWait = reg.Histogram(prefix+"batch_wait_us", metrics.LatencyBuckets())
+	m.swapLatency = reg.Histogram(prefix+"swap_latency_us", metrics.LatencyBuckets())
+	m.queueDepth = reg.Gauge(prefix + "queue_depth")
+	m.weightGen = reg.Gauge(prefix + "weight_generation")
 	for i := range m.stageForward {
-		m.stageForward[i] = reg.Histogram(fmt.Sprintf("serve.s%d.forward_us", i), metrics.DurationBuckets())
+		m.stageForward[i] = reg.Histogram(fmt.Sprintf("%ss%d.forward_us", prefix, i), metrics.DurationBuckets())
 	}
 	return m
 }

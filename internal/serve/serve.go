@@ -116,6 +116,9 @@ type Config struct {
 	// histograms, queue-depth gauge, and per-stage forward-time
 	// histograms.
 	Metrics *metrics.Registry
+	// MetricsPrefix starts the name of every instrument the server puts
+	// in Metrics; "serve." when empty. A fleet gives each replica its own.
+	MetricsPrefix string
 	// OpLog, when non-nil, records per-stage forward spans and
 	// per-request end-to-end spans; render with trace.WriteRuntime.
 	OpLog *metrics.OpLog
@@ -269,7 +272,7 @@ func NewServer(cfg Config) (*Server, error) {
 		done:        make(chan struct{}),
 		stage0Idle:  make(chan struct{}, 1),
 		pending:     make(map[int]*batchInfo),
-		met:         newServerMetrics(cfg.Metrics, cfg.OpLog, len(stages)),
+		met:         newServerMetrics(cfg.Metrics, cfg.MetricsPrefix, cfg.OpLog, len(stages)),
 	}
 	// Precompute, per head, each stage's forward fan-out restricted to
 	// the head's ancestor set: a request for one head never visits a

@@ -267,6 +267,10 @@ type TCP struct {
 
 	// noInbox is a pre-closed channel returned for non-local worker IDs.
 	noInbox chan Message
+
+	// wrapConn, when set (by tests, before the first Send), wraps every
+	// dialed connection.
+	wrapConn func(net.Conn) net.Conn
 }
 
 // frameConn is one outbound socket plus its reusable header buffer: each
@@ -459,6 +463,9 @@ func (t *TCP) conn(to int, deadline time.Time) (fc *frameConn, fresh bool, err e
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetKeepAlive(true)
 		tc.SetKeepAlivePeriod(15 * time.Second)
+	}
+	if t.wrapConn != nil {
+		c = t.wrapConn(c)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()

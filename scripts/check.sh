@@ -37,6 +37,9 @@ go test -count=20 ./internal/pipeline/ -run 'PureFunction|Recompute|Staleness'
 echo "== planner properties (the search matches brute force on flat and two-level topologies and never loses to data parallelism or a straight pipeline on either, and evaluate's price of a one-stage plan is the throughput cluster.Simulate measures: 200 runs each, so a failure in a fraction of a percent of draws cannot hide)"
 go test -count=200 ./internal/partition/ -run '^(TestOptimizeDominatesBaselines|TestOptimizeMatchesBruteForceOnRandomProfiles|TestEvaluateMatchesSimulateOnOneStagePlans)$'
 
+echo "== one price for data parallelism (every Table 1 row divides by the planner's one-stage plan, at the throughput cluster.Simulate runs it; outside bench/ and tests only stageTime and the simulator read AllReduceTime)"
+go test -count=1 ./internal/experiments/ ./internal/topology/ -run '^(TestDPBaselineIsTheOneStagePlan|TestAllReduceTimeHasOnePricer)$'
+
 echo "== poisoned pool (use-after-release detector on: nn, pipeline, serve, fleet and pipedream-serve tests always run with it; these are the suites that compare losses and outputs bit for bit — the inference call among them — the transport contract, and serving's pool balance)"
 go test -count=1 ./internal/nn/ -run 'TestSequentialReleasesEachTensorOnce|TestSeqContextHeldBytes|TestTwoPassBackwardMatchesLayerByLayer|TestLossesMatchParentCommit'
 go test -count=1 ./internal/pipeline/ -run 'TestUnreadStageInputReleasedAtForwardEnd|TestRecomputeShrinksStash|TestUpstreamGradientLeavesBeforeParameterHalves|TestLossesArePureFunctionOfSeedPlanDepth|TestBranchGraphPipelineMatchesReference|TestBreakConnStormTrainsBitEqual|TestLocalWorkerSetsTrainBitEqual|TestElastic|TestChaos|TestAdoptFullState|TestTrainMaxRecoveries|TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied|TestTrainingMatchesParentCommit|TestEachReplicaModelBuiltOnce|TestDropoutStagesOfOneModelTrainBitEqual'
@@ -44,8 +47,9 @@ go test -count=1 ./internal/tensor/ -run 'TestPoisonOnPutCatchesUseAfterRelease'
 go test -count=1 ./internal/serve/ -run 'TestPoolBalanceAfterTraffic'
 go test -count=1 ./cmd/pipedream-serve/ ./internal/serve/...
 
-echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table ten times, the two-pass backward, the shared-model inference call, the release of what no context reads, one factory model per replica and dropout stages of one model three)"
+echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table ten times, the two-pass backward, the shared-model inference call, the release of what no context reads, one factory model per replica and dropout stages of one model three; the transport's connection storm twenty)"
 go test -race ./...
+go test -race -count=20 ./internal/transport/ -run '^TestBreakConnStormDeliversOnlyWholeFrames$'
 go test -race -count=10 ./internal/pipeline/ -run 'TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied'
 go test -race -count=3 ./internal/nn/ ./internal/pipeline/ -run 'TestTwoPassBackwardMatchesLayerByLayer|TestUpstreamGradientLeavesBeforeParameterHalves|TestInferenceConcurrent|TestSequentialReleasesEachTensorOnce|TestUnreadStageInputReleasedAtForwardEnd|TestEachReplicaModelBuiltOnce|TestDropoutStagesOfOneModelTrainBitEqual'
 go test -race -count=2 ./internal/serve/...
