@@ -5,7 +5,7 @@
 // Usage:
 //
 //	pipedream-sim -model GNMT-16 -cluster a -servers 4 -policy 1f1b
-//	pipedream-sim -model VGG-16 -policy gpipe -micro 4 -timeline
+//	pipedream-sim -model VGG-16 -policy gpipe -depth 4 -timeline
 package main
 
 import (
@@ -28,8 +28,7 @@ func main() {
 	batch := flag.Int("batch", 0, "per-worker minibatch size (0 = paper default)")
 	policyName := flag.String("policy", "1f1b", "schedule: 1f1b, gpipe, or mp")
 	minibatches := flag.Int("minibatches", 256, "minibatches to simulate")
-	depth := flag.Int("depth", 0, "pipeline depth override (0 = NOAM)")
-	micro := flag.Int("micro", 0, "GPipe microbatches per flush (0 = NOAM)")
+	depth := flag.Int("depth", 0, "pipeline depth: 1F1B in-flight minibatches or GPipe microbatches per flush (0 = NOAM)")
 	timeline := flag.Bool("timeline", false, "print the worker timeline")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the timeline to this path")
 	traceOutAlias := flag.String("trace-out", "", "alias of -trace (the flag name the runtime CLIs use)")
@@ -93,7 +92,7 @@ func main() {
 
 	res, err := cluster.Simulate(cluster.Config{
 		Profile: prof, Topo: topo, Plan: plan, Policy: policy,
-		Minibatches: *minibatches, PipelineDepth: *depth, Microbatches: *micro,
+		Minibatches: *minibatches, Depth: *depth,
 		RecordTimeline: *timeline || *traceOut != "",
 	})
 	if err != nil {
@@ -110,7 +109,7 @@ func main() {
 	}
 	fmt.Printf("DP baseline: %.4g samples/s (comm overhead %.0f%%)\n", dp.PredictedThroughput, cluster.SyncStall(prof, dp)*100)
 	fmt.Printf("speedup over DP: %.2fx\n", res.Throughput/dp.PredictedThroughput)
-	fmt.Printf("bytes/sample (p2p + sync): %.0f\n", res.BytesPerSample(*minibatches*prof.MinibatchSize))
+	fmt.Printf("bytes/sample (p2p + sync): %.0f\n", float64(res.P2PBytes+res.SyncBytes)/float64(*minibatches*prof.MinibatchSize))
 	worst := int64(0)
 	for _, m := range res.PeakMemory {
 		if m > worst {

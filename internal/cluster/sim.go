@@ -2,8 +2,8 @@
 // pipeline-parallel DNN training on a hierarchical GPU cluster — the
 // substrate that stands in for the paper's V100/1080Ti/TitanX testbeds.
 // Workers execute stage forward/backward passes whose durations come from
-// a layer profile; activations and gradients travel between stages with
-// point-to-point transfer delays; replicated stages pay ring-all_reduce
+// a layer profile; activations and gradients queue for one link per edge
+// of the plan's stage graph; replicated stages pay ring-all_reduce
 // weight synchronization. Scheduling policies reproduce PipeDream's 1F1B
 // (-RR), GPipe's microbatch-flush pipeline, and traditional model
 // parallelism, so every timeline and throughput figure in the paper can be
@@ -30,17 +30,10 @@ type Config struct {
 
 	// Minibatches to process end to end (forward and backward).
 	Minibatches int
-	// PipelineDepth overrides NOAM for 1F1B (Figure 18); 0 means NOAM.
-	PipelineDepth int
-	// Microbatches per GPipe flush; 0 means NOAM.
-	Microbatches int
-	// BlockingSync makes replicated-stage weight synchronization occupy
-	// the worker itself (no overlap). The default models wait-free
-	// backpropagation (§2.1): the all_reduce runs on the NIC while the
-	// worker computes, and only the worker's NEXT backward pass waits for
-	// an unfinished sync — so a replica's period is bwd + max(fwd, sync),
-	// the optimizer's price of a replicated stage.
-	BlockingSync bool
+	// Depth is the pipeline depth: 1F1B's in-flight minibatches at the
+	// input stage (Figure 18) or GPipe's microbatches per flush; 0 means
+	// the plan's NOAM.
+	Depth int
 	// WorkerSpeed optionally scales each worker's compute time (index =
 	// worker ID; 1.0 = nominal, 2.0 = twice as slow). Models stragglers
 	// and heterogeneous accelerators, which the paper's homogeneous
@@ -75,21 +68,13 @@ type Result struct {
 	// Timeline is populated when Config.RecordTimeline is set.
 	Timeline *schedule.Timeline
 	// Transfers records every asynchronous inter-stage transfer when
-	// RecordTimeline is set: Worker is the SENDER, Start the send time,
-	// End the arrival (Figure 5's overlapped communication).
+	// RecordTimeline is set: Worker is the SENDER, Start the time the
+	// transfer entered its link (after any earlier transfer on it), End
+	// the time it left the link and arrived (Figure 5's overlap).
 	Transfers []schedule.Op
 	// CompletionTimes[i] is when minibatch i finished its backward pass
 	// at the input stage.
 	CompletionTimes []float64
-}
-
-// BytesPerSample returns total communicated bytes divided by samples
-// processed.
-func (r *Result) BytesPerSample(samples int) float64 {
-	if samples == 0 {
-		return 0
-	}
-	return float64(r.P2PBytes+r.SyncBytes) / float64(samples)
 }
 
 // event kinds.
@@ -97,14 +82,16 @@ const (
 	evWorkerFree = iota // worker finished its current op
 	evActArrive         // activations for a minibatch arrived at a worker
 	evGradArrive        // gradients for a minibatch arrived at a worker
+	evSend              // a transfer from worker src is ready for its link
 )
 
 type event struct {
-	time float64
-	seq  int // tiebreaker for determinism
-	kind int
-	w    int // worker
-	mb   int // minibatch
+	time              float64
+	seq               int // tiebreaker for determinism
+	kind              int
+	w                 int // worker (for evSend, the receiver)
+	mb                int // minibatch
+	src, link, arrive int // evSend: the sender, its sim.links index, the arrival kind
 }
 
 type eventHeap []event
@@ -139,9 +126,22 @@ type stageInfo struct {
 	syncBytes    int64
 	inputActB    int64   // activation bytes entering the stage
 	bwdParamTime float64 // the part of bwdTime after the upstream gradient left
-	// preds/succs are the stage's dataflow neighbors in the plan's
-	// graph (for a linear plan: stage-1 and stage+1).
-	preds, succs []int
+	// in/out index sim.links: the stage's dataflow edges in the plan's
+	// graph (for a linear plan: from stage-1 and to stage+1).
+	in, out []int
+}
+
+// link is one edge of the plan's stage graph, carrying both directions to
+// and from every replica of either stage: the link partition's edgeTime
+// prices at 2·P2PTime per minibatch. It serves transfers in ready order,
+// each holding it for time. The ring all_reduce keeps nicFree instead:
+// the planner prices sync and edges apart, and ring peers are replicas of
+// one stage, edge peers workers of adjacent stages, so the runtime never
+// puts both on one TCP connection either.
+type link struct {
+	from, to int     // stages
+	time     float64 // P2PTime of from's output activation: one transfer's hold
+	free     float64 // when the link has sent every transfer it accepted
 }
 
 type workerState struct {
@@ -171,12 +171,12 @@ type sim struct {
 	assign *schedule.Assignment
 	stages []stageInfo
 	ws     []workerState
+	links  []link
 	h      eventHeap
 	seq    int
 	now    float64
 
 	depth      int
-	completed  int
 	complTimes []float64
 	timeline   *schedule.Timeline
 
@@ -211,7 +211,7 @@ func (s *sim) init() error {
 	if err := graph.Validate(len(cfg.Plan.Stages)); err != nil {
 		return err
 	}
-	for si, spec := range cfg.Plan.Stages {
+	for _, spec := range cfg.Plan.Stages {
 		var fwd, bwd, bwdParam float64
 		var wB, stash int64
 		for l := spec.FirstLayer; l <= spec.LastLayer; l++ {
@@ -229,8 +229,6 @@ func (s *sim) init() error {
 			weightB:      wB,
 			actOutB:      prof.Layers[spec.LastLayer].ActivationBytes,
 			actStashB:    stash,
-			preds:        graph.Preds(si),
-			succs:        graph.Succs(si),
 		}
 		if spec.FirstLayer > 0 {
 			info.inputActB = prof.Layers[spec.FirstLayer-1].ActivationBytes
@@ -243,17 +241,18 @@ func (s *sim) init() error {
 		}
 		s.stages = append(s.stages, info)
 	}
-	s.depth = cfg.PipelineDepth
+	for i, e := range graph.Edges {
+		span := cfg.Plan.Stages[e.From].Replicas + cfg.Plan.Stages[e.To].Replicas
+		s.links = append(s.links, link{from: e.From, to: e.To, time: cfg.Topo.P2PTime(s.stages[e.From].actOutB, span)})
+		s.stages[e.From].out = append(s.stages[e.From].out, i)
+		s.stages[e.To].in = append(s.stages[e.To].in, i)
+	}
+	s.depth = cfg.Depth
 	if s.depth <= 0 {
 		s.depth = cfg.Plan.NOAM
 	}
-	switch cfg.Policy {
-	case schedule.ModelParallelSingle:
+	if cfg.Policy == schedule.ModelParallelSingle {
 		s.depth = 1
-	case schedule.GPipe:
-		if cfg.Microbatches > 0 {
-			s.depth = cfg.Microbatches
-		}
 	}
 	if s.depth < 1 {
 		return fmt.Errorf("cluster: pipeline depth %d (plan has NOAM %d; build it with partition.NewPlan)", s.depth, cfg.Plan.NOAM)
@@ -280,6 +279,14 @@ func (s *sim) post(t float64, kind, w, mb int) {
 	heap.Push(&s.h, event{time: t, seq: s.seq, kind: kind, w: w, mb: mb})
 }
 
+// send posts a transfer over link l from worker src to worker dst, ready
+// at t: it queues for the link when that event is handled.
+func (s *sim) send(t float64, l, src, dst, mb, arrive int) {
+	s.p2pBytes += s.stages[s.links[l].from].actOutB
+	s.seq++
+	heap.Push(&s.h, event{time: t, seq: s.seq, kind: evSend, w: dst, mb: mb, src: src, link: l, arrive: arrive})
+}
+
 func (s *sim) run() {
 	for s.h.Len() > 0 {
 		e := heap.Pop(&s.h).(event)
@@ -291,6 +298,16 @@ func (s *sim) run() {
 			s.ws[e.w].bwdArr[e.mb]++
 		case evWorkerFree:
 			s.ws[e.w].busy = false
+		case evSend:
+			l := &s.links[e.link]
+			start := max(s.now, l.free)
+			l.free = start + l.time
+			if s.timeline != nil {
+				s.transfers = append(s.transfers, schedule.Op{Worker: e.src, Stage: s.ws[e.src].ref.Stage,
+					Minibatch: e.mb, Kind: schedule.TransferOp, Start: start, End: l.free})
+			}
+			s.post(l.free, e.arrive, e.w, e.mb)
+			continue
 		}
 		s.dispatch(e.w)
 	}
@@ -312,7 +329,7 @@ func (s *sim) dispatch(w int) {
 			if s.cfg.Policy == schedule.GPipe && op.Minibatch >= (s.round+1)*s.depth {
 				return
 			}
-		} else if st.fwdArr[op.Minibatch] < len(info.preds) {
+		} else if st.fwdArr[op.Minibatch] < len(info.in) {
 			return
 		}
 		delete(st.fwdArr, op.Minibatch)
@@ -320,7 +337,7 @@ func (s *sim) dispatch(w int) {
 		s.startForward(w, op.Minibatch)
 		return
 	}
-	if st.bwdArr[op.Minibatch] < max(1, len(info.succs)) {
+	if st.bwdArr[op.Minibatch] < max(1, len(info.out)) {
 		return
 	}
 	delete(st.bwdArr, op.Minibatch)
@@ -351,10 +368,8 @@ func (s *sim) startForward(w, mb int) {
 }
 
 func (s *sim) onForwardDone(w, mb int, end float64) {
-	st := &s.ws[w]
-	stage := st.ref.Stage
-	succs := s.stages[stage].succs
-	if len(succs) == 0 {
+	out := s.stages[s.ws[w].ref.Stage].out
+	if len(out) == 0 {
 		// Sink stage: the loss gradient is available locally as soon as
 		// the forward ends (no transfer).
 		s.post(end, evGradArrive, w, mb)
@@ -362,16 +377,15 @@ func (s *sim) onForwardDone(w, mb int, end float64) {
 	}
 	// Route to every successor's round-robin replica; transfers overlap
 	// with the sender's subsequent compute (asynchronous sends).
-	for _, next := range succs {
-		replicas := len(s.assign.StageWorkers[next])
-		target := s.assign.StageWorkers[next][schedule.ReplicaFor(mb, replicas)]
-		bytes := s.stages[stage].actOutB
-		span := s.stages[stage].spec.Replicas + s.stages[next].spec.Replicas
-		delay := s.cfg.Topo.P2PTime(bytes, span)
-		s.p2pBytes += bytes
-		s.recordTransfer(w, stage, mb, end, end+delay)
-		s.post(end+delay, evActArrive, target, mb)
+	for _, l := range out {
+		s.send(end, l, w, s.replicaOf(s.links[l].to, mb), mb, evActArrive)
 	}
+}
+
+// replicaOf returns the worker of stage that handles minibatch mb.
+func (s *sim) replicaOf(stage, mb int) int {
+	workers := s.assign.StageWorkers[stage]
+	return workers[schedule.ReplicaFor(mb, len(workers))]
 }
 
 func (s *sim) startBackward(w, mb int) {
@@ -380,7 +394,7 @@ func (s *sim) startBackward(w, mb int) {
 	st.busy = true
 	start := s.now
 	syncing := info.spec.Replicas > 1 && s.cfg.Policy != schedule.GPipe && info.syncTime > 0
-	if syncing && !s.cfg.BlockingSync && st.nicFree > start {
+	if syncing && st.nicFree > start {
 		// Wait-free backprop: the previous minibatch's all_reduce must
 		// finish before this backward's gradients can be produced into
 		// the same buffers.
@@ -402,42 +416,27 @@ func (s *sim) startBackward(w, mb int) {
 		syncEnd := end + info.syncTime
 		s.record(w, st.ref.Stage, mb, schedule.SyncOp, end, syncEnd)
 		s.syncBytes += info.syncBytes / int64(info.spec.Replicas)
-		if s.cfg.BlockingSync {
-			end = syncEnd // the worker itself stalls for the all_reduce
-		} else {
-			st.nicFree = syncEnd // only the next backward waits
-		}
+		st.nicFree = syncEnd // only the next backward waits
 	}
 	s.onBackwardDone(w, mb, end)
 	s.post(end, evWorkerFree, w, -1)
 }
 
 func (s *sim) onBackwardDone(w, mb int, end float64) {
-	st := &s.ws[w]
-	stage := st.ref.Stage
+	stage := s.ws[w].ref.Stage
 	if stage > 0 {
 		// Return a gradient along every in-edge; each carries the size of
 		// that predecessor's output activation (for a linear plan this is
 		// exactly the stage's input activation), before the parameter
 		// halves run; the worker stays busy until end.
 		sent := end - s.stages[stage].bwdParamTime*s.speedOf(w)
-		for _, prev := range s.stages[stage].preds {
-			replicas := len(s.assign.StageWorkers[prev])
-			target := s.assign.StageWorkers[prev][schedule.ReplicaFor(mb, replicas)]
-			bytes := s.stages[prev].actOutB
-			span := s.stages[stage].spec.Replicas + s.stages[prev].spec.Replicas
-			delay := s.cfg.Topo.P2PTime(bytes, span)
-			s.p2pBytes += bytes
-			s.recordTransfer(w, stage, mb, sent, sent+delay)
-			s.post(sent+delay, evGradArrive, target, mb)
+		for _, l := range s.stages[stage].in {
+			s.send(sent, l, w, s.replicaOf(s.links[l].from, mb), mb, evGradArrive)
 		}
 		return
 	}
 	// Input stage: minibatch complete.
-	if mb < len(s.complTimes) {
-		s.complTimes[mb] = end
-	}
-	s.completed++
+	s.complTimes[mb] = end
 	if s.cfg.Policy == schedule.GPipe {
 		s.roundPending++
 		if s.roundPending == s.roundSize() {
@@ -479,16 +478,6 @@ func (s *sim) flushRound(t float64) {
 	}
 }
 
-// recordTransfer logs an asynchronous transfer when timelines are kept.
-func (s *sim) recordTransfer(w, stage, mb int, start, end float64) {
-	if s.timeline != nil {
-		s.transfers = append(s.transfers, schedule.Op{
-			Worker: w, Stage: stage, Minibatch: mb,
-			Kind: schedule.TransferOp, Start: start, End: end,
-		})
-	}
-}
-
 func (s *sim) record(w, stage, mb int, kind schedule.OpKind, start, end float64) {
 	if s.timeline != nil {
 		s.timeline.Ops = append(s.timeline.Ops, schedule.Op{
@@ -505,10 +494,7 @@ func (s *sim) result() *Result {
 	// Steady-state throughput: completions after warm-up (2× pipeline
 	// depth, capped at half the run).
 	inputs := max(1, len(s.assign.StageWorkers[0]))
-	warm := 2 * s.depth * inputs
-	if warm > s.cfg.Minibatches/2 {
-		warm = s.cfg.Minibatches / 2
-	}
+	warm := min(2*s.depth*inputs, s.cfg.Minibatches/2)
 	if s.cfg.Policy == schedule.GPipe {
 		// GPipe completions bunch at flush boundaries; measure whole
 		// rounds (round-aligned warm-up through the final flush) or the
@@ -524,13 +510,21 @@ func (s *sim) result() *Result {
 			}
 		}
 	} else if rounds := (s.cfg.Minibatches - 1 - warm) / inputs; rounds > 0 {
-		// Whole rounds of the input stage's replicas, from minibatch warm
-		// to one the same replica completes: all R replicas start at once,
-		// so a window opening or closing mid-round would count minibatches
-		// that took no time inside it.
-		dt := s.complTimes[warm+rounds*inputs] - s.complTimes[warm]
-		if dt > 0 {
-			r.Throughput = float64(rounds*inputs) * float64(s.cfg.Profile.MinibatchSize) / dt
+		// Whole rounds of the input stage's replicas from minibatch warm,
+		// each ended by one replica (all R start at once, so a window
+		// cut mid-round counts minibatches that took no time in it),
+		// stopping warm short of the end: the drain bunches completions.
+		// A steady state may repeat only every few rounds, so the rate is
+		// the least-squares slope through the rounds' ends: a window's two
+		// ends alone misread a partial period by a round's swing.
+		rounds = max(1, (s.cfg.Minibatches-1-2*warm)/inputs)
+		var cov float64 // Σ (j - rounds/2)·(t_j - t_0) over rounds j = 0..rounds
+		for j := 0; j <= rounds; j++ {
+			cov += (float64(j) - float64(rounds)/2) * (s.complTimes[warm+j*inputs] - s.complTimes[warm])
+		}
+		if cov > 0 {
+			variance := float64(rounds*(rounds+1)*(rounds+2)) / 12 // Σ (j - rounds/2)²
+			r.Throughput = float64(inputs*s.cfg.Profile.MinibatchSize) * variance / cov
 		}
 	}
 	if r.Throughput == 0 && s.now > 0 {

@@ -170,7 +170,7 @@ func TestSimulateGPipeFlushCost(t *testing.T) {
 	plan := straightPlan(t, prof, topo, 4)
 	res, err := Simulate(Config{
 		Profile: prof, Topo: topo, Plan: plan,
-		Policy: schedule.GPipe, Microbatches: 4, Minibatches: 64,
+		Policy: schedule.GPipe, Depth: 4, Minibatches: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestSimulatePeakMemoryScalesWithDepth(t *testing.T) {
 	memAt := func(depth int) int64 {
 		res, err := Simulate(Config{
 			Profile: prof, Topo: topo, Plan: plan,
-			Policy: schedule.PipeDream1F1B, Minibatches: 40, PipelineDepth: depth,
+			Policy: schedule.PipeDream1F1B, Minibatches: 40, Depth: depth,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -266,7 +266,7 @@ func TestSimulateThroughputImprovesWithDepthUntilNOAM(t *testing.T) {
 	tputAt := func(depth int) float64 {
 		res, err := Simulate(Config{
 			Profile: prof, Topo: topo, Plan: plan,
-			Policy: schedule.PipeDream1F1B, Minibatches: 60, PipelineDepth: depth,
+			Policy: schedule.PipeDream1F1B, Minibatches: 60, Depth: depth,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -521,7 +521,7 @@ func TestStaticSchedulePlanWithoutNOAM(t *testing.T) {
 
 func TestWaitFreeSyncOverlapsCompute(t *testing.T) {
 	// A single replicated stage (DP plan) with sync < compute: wait-free
-	// backprop hides the sync entirely, while blocking sync serializes it.
+	// backprop hides the sync entirely.
 	prof := uniformProfile(2, 1, 2, 4, 1<<20)
 	topo := topology.Flat(2, 4e6, topology.V100) // sync = 2*(1/2)*2MiB/4MB/s ≈ 0.52s < bwd 4
 	plan, err := partition.NewPlan(prof, topo, partition.PlanOptions{Stages: []partition.StageSpec{
@@ -530,24 +530,17 @@ func TestWaitFreeSyncOverlapsCompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(blocking bool) float64 {
-		res, err := Simulate(Config{
-			Profile: prof, Topo: topo, Plan: plan,
-			Policy: schedule.PipeDream1F1B, Minibatches: 40, BlockingSync: blocking,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Throughput
-	}
-	overlapped, blocking := run(false), run(true)
-	if overlapped <= blocking {
-		t.Fatalf("wait-free sync (%v) should beat blocking sync (%v)", overlapped, blocking)
+	res, err := Simulate(Config{
+		Profile: prof, Topo: topo, Plan: plan,
+		Policy: schedule.PipeDream1F1B, Minibatches: 40,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// With sync hidden, each replica sustains one minibatch per
 	// fwd+bwd = 6 units → stage throughput 2/6.
-	if math.Abs(overlapped-1.0/3.0) > 0.02 {
-		t.Fatalf("overlapped throughput %v, want ~1/3", overlapped)
+	if math.Abs(res.Throughput-1.0/3.0) > 0.02 {
+		t.Fatalf("overlapped throughput %v, want ~1/3", res.Throughput)
 	}
 }
 

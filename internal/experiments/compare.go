@@ -25,20 +25,20 @@ func init() {
 
 // simThroughput runs the simulator for a plan under a policy.
 func simThroughput(prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan,
-	policy schedule.Policy, minibatches, depth, micro int) (*cluster.Result, error) {
+	policy schedule.Policy, minibatches, depth int) (*cluster.Result, error) {
 	return cluster.Simulate(cluster.Config{
 		Profile: prof, Topo: topo, Plan: plan, Policy: policy,
-		Minibatches: minibatches, PipelineDepth: depth, Microbatches: micro,
+		Minibatches: minibatches, Depth: depth,
 	})
 }
 
 // simGPipe runs the simulator under GPipe with activation recomputation,
 // as the real GPipe trades compute for memory (§2.2).
 func simGPipe(prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan,
-	minibatches, micro int) (*cluster.Result, error) {
+	minibatches, depth int) (*cluster.Result, error) {
 	return cluster.Simulate(cluster.Config{
 		Profile: prof, Topo: topo, Plan: plan, Policy: schedule.GPipe,
-		Minibatches: minibatches, Microbatches: micro, Recompute: true,
+		Minibatches: minibatches, Depth: depth, Recompute: true,
 	})
 }
 
@@ -61,11 +61,11 @@ func fig14a(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mp, err := simThroughput(prof, topo, mpPlan, schedule.ModelParallelSingle, minibatches, 0, 0)
+		mp, err := simThroughput(prof, topo, mpPlan, schedule.ModelParallelSingle, minibatches, 0)
 		if err != nil {
 			return nil, err
 		}
-		straight, err := simThroughput(prof, topo, mpPlan, schedule.PipeDream1F1B, minibatches, 0, 0)
+		straight, err := simThroughput(prof, topo, mpPlan, schedule.PipeDream1F1B, minibatches, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -73,7 +73,7 @@ func fig14a(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pd, err := simThroughput(prof, topo, best, schedule.PipeDream1F1B, minibatches, 0, 0)
+		pd, err := simThroughput(prof, topo, best, schedule.PipeDream1F1B, minibatches, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -112,11 +112,11 @@ func fig14b(quick bool) ([]*Table, error) {
 				return nil, err
 			}
 		}
-		noPipe, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches, 1, 0)
+		noPipe, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches, 1)
 		if err != nil {
 			return nil, err
 		}
-		pipe, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches, 0, 0)
+		pipe, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -151,7 +151,7 @@ func sec54(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pd, err := simThroughput(prof, c.topo, plan, schedule.PipeDream1F1B, rounds*plan.NOAM, 0, 0)
+		pd, err := simThroughput(prof, c.topo, plan, schedule.PipeDream1F1B, rounds*plan.NOAM, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -213,11 +213,49 @@ func fig15(quick bool) ([]*Table, error) {
 	}
 	topo := topology.ClusterA(4)
 	prof := modelzoo.VGG16(topo.Device, 64)
-	n := prof.NumLayers()
-	configs := []struct {
-		name  string
-		specs []partition.StageSpec
-	}{
+	t := &Table{ID: "fig15", Title: "Predicted vs simulated throughput, VGG-16, 16 workers (Cluster-A)",
+		Header: []string{"config", "predicted (samples/s)", "simulated (samples/s)"}}
+	var xs, ys []float64
+	bestPred, bestSim := "", ""
+	var bestPredV, bestSimV float64
+	for _, c := range fig15Configs(prof.NumLayers()) {
+		plan, err := partition.NewPlan(prof, topo, partition.PlanOptions{Stages: c.specs})
+		if err != nil {
+			return nil, fmt.Errorf("config %s: %w", c.name, err)
+		}
+		res, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches, 0)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(c.name, f1(plan.PredictedThroughput), f1(res.Throughput))
+		xs = append(xs, plan.PredictedThroughput)
+		ys = append(ys, res.Throughput)
+		if plan.PredictedThroughput > bestPredV {
+			bestPredV, bestPred = plan.PredictedThroughput, c.name
+		}
+		if res.Throughput > bestSimV {
+			bestSimV, bestSim = res.Throughput, c.name
+		}
+	}
+	r := pearson(xs, ys)
+	t.AddNote("Pearson correlation predicted vs simulated: r = %.3f (paper: strongly linear)", r)
+	t.AddNote("best predicted config: %s; best simulated config: %s", bestPred, bestSim)
+	if r < 0.8 {
+		return nil, fmt.Errorf("fig15: correlation %.3f too weak — cost model and simulator diverged", r)
+	}
+	return []*Table{t}, nil
+}
+
+// fig15Config is one of Figure 15's hand-picked VGG-16 configurations.
+type fig15Config struct {
+	name  string
+	specs []partition.StageSpec
+}
+
+// fig15Configs returns Figure 15's configurations of an n-layer VGG-16
+// on 16 workers.
+func fig15Configs(n int) []fig15Config {
+	return []fig15Config{
 		{"DP-16", []partition.StageSpec{{FirstLayer: 0, LastLayer: n - 1, Replicas: 16}}},
 		{"15-1", []partition.StageSpec{
 			{FirstLayer: 0, LastLayer: n - 4, Replicas: 15},
@@ -244,37 +282,6 @@ func fig15(quick bool) ([]*Table, error) {
 			{FirstLayer: 14, LastLayer: 16, Replicas: 1},
 			{FirstLayer: 17, LastLayer: n - 1, Replicas: 1}}},
 	}
-	t := &Table{ID: "fig15", Title: "Predicted vs simulated throughput, VGG-16, 16 workers (Cluster-A)",
-		Header: []string{"config", "predicted (samples/s)", "simulated (samples/s)"}}
-	var xs, ys []float64
-	bestPred, bestSim := "", ""
-	var bestPredV, bestSimV float64
-	for _, c := range configs {
-		plan, err := partition.NewPlan(prof, topo, partition.PlanOptions{Stages: c.specs})
-		if err != nil {
-			return nil, fmt.Errorf("config %s: %w", c.name, err)
-		}
-		res, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches, 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(c.name, f1(plan.PredictedThroughput), f1(res.Throughput))
-		xs = append(xs, plan.PredictedThroughput)
-		ys = append(ys, res.Throughput)
-		if plan.PredictedThroughput > bestPredV {
-			bestPredV, bestPred = plan.PredictedThroughput, c.name
-		}
-		if res.Throughput > bestSimV {
-			bestSimV, bestSim = res.Throughput, c.name
-		}
-	}
-	r := pearson(xs, ys)
-	t.AddNote("Pearson correlation predicted vs simulated: r = %.3f (paper: strongly linear)", r)
-	t.AddNote("best predicted config: %s; best simulated config: %s", bestPred, bestSim)
-	if r < 0.8 {
-		return nil, fmt.Errorf("fig15: correlation %.3f too weak — cost model and simulator diverged", r)
-	}
-	return []*Table{t}, nil
 }
 
 func pearson(xs, ys []float64) float64 {
@@ -317,7 +324,7 @@ func fig16(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches, 0, 0)
+		res, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -361,7 +368,7 @@ func fig18(quick bool) ([]*Table, error) {
 		Header: []string{"depth", "throughput (samples/s)", "peak stage-0 memory", "peak stage-3 memory"}}
 	var prevT float64
 	for depth := 1; depth <= 7; depth++ {
-		res, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches, depth, 0)
+		res, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches, depth)
 		if err != nil {
 			return nil, err
 		}

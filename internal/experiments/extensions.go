@@ -96,7 +96,7 @@ func ablMemory(quick bool) ([]*Table, error) {
 		res, err := cluster.Simulate(cluster.Config{
 			Profile: prof, Topo: topo, Plan: plan,
 			Policy: schedule.PipeDream1F1B, Minibatches: minibatches,
-			PipelineDepth: depth,
+			Depth: depth,
 		})
 		if err != nil {
 			return nil, err

@@ -96,3 +96,40 @@ func TestEvaluateMatchesSimulateOnOneStagePlans(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: a straight two-stage plan whose edge is its bottleneck — a
+// flat link slow enough that the activation and its gradient take one to
+// four times the slower stage — never simulates above evaluate's price.
+// Simulate queues both transfers on the edge's one link, the occupancy
+// edgeTime charges. A plan may read below its price (its in-flight window
+// need not cover the edge's round trip), so only the ceiling is held.
+func TestEdgeBoundTwoStagePlansSimulateAtMostTheirPrice(t *testing.T) {
+	f := func(seed int64) bool {
+		prof, _ := partition.FlatCase(seed)
+		rng := rand.New(rand.NewSource(seed))
+		n := prof.NumLayers()
+		cut := rng.Intn(n - 1)
+		stage := max(prof.TimeRange(0, cut), prof.TimeRange(cut+1, n-1))
+		bandwidth := float64(2*prof.ActivationBytes(cut)) / (stage * (1 + 3*rng.Float64()))
+		topo := topology.Flat(2, bandwidth, topology.V100)
+		plan, err := partition.NewPlan(prof, topo, partition.PlanOptions{Stages: []partition.StageSpec{
+			{FirstLayer: 0, LastLayer: cut, Replicas: 1},
+			{FirstLayer: cut + 1, LastLayer: n - 1, Replicas: 1},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.BottleneckTime != plan.CommTimes[0] {
+			t.Fatalf("seed %d: the edge (%v s) is not the bottleneck (%v s)", seed, plan.CommTimes[0], plan.BottleneckTime)
+		}
+		if sim := simulate(t, prof, topo, plan, 64); sim > 1.005*plan.PredictedThroughput {
+			t.Logf("seed %d: cut after layer %d of %d, evaluate %v, Simulate %v (%+.1f%%)",
+				seed, cut, n, plan.PredictedThroughput, sim, (sim/plan.PredictedThroughput-1)*100)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
