@@ -1,6 +1,7 @@
 // Command pipedream-optimizer runs PipeDream's partitioning algorithm for
-// a model on a cluster and prints the resulting stage assignment, NOAM,
-// and predicted throughput against the data-parallel baseline.
+// a model on a cluster and prints the resulting stage assignment,
+// in-flight depth, and predicted throughput against the data-parallel
+// baseline.
 //
 // Usage:
 //

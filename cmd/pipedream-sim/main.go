@@ -28,7 +28,7 @@ func main() {
 	batch := flag.Int("batch", 0, "per-worker minibatch size (0 = paper default)")
 	policyName := flag.String("policy", "1f1b", "schedule: 1f1b, gpipe, or mp")
 	minibatches := flag.Int("minibatches", 256, "minibatches to simulate")
-	depth := flag.Int("depth", 0, "pipeline depth: 1F1B in-flight minibatches or GPipe microbatches per flush (0 = NOAM)")
+	depth := flag.Int("depth", 0, "pipeline depth: 1F1B in-flight minibatches or GPipe microbatches per flush (0 = the plan's)")
 	timeline := flag.Bool("timeline", false, "print the worker timeline")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the timeline to this path")
 	traceOutAlias := flag.String("trace-out", "", "alias of -trace (the flag name the runtime CLIs use)")
@@ -73,6 +73,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if *depth > 0 {
+		plan.Depth = *depth
+	}
 
 	var policy schedule.Policy
 	switch *policyName {
@@ -92,7 +95,7 @@ func main() {
 
 	res, err := cluster.Simulate(cluster.Config{
 		Profile: prof, Topo: topo, Plan: plan, Policy: policy,
-		Minibatches: *minibatches, Depth: *depth,
+		Minibatches:    *minibatches,
 		RecordTimeline: *timeline || *traceOut != "",
 	})
 	if err != nil {

@@ -42,7 +42,7 @@ func main() {
 	elasticFlags.Register(fs)
 	modeName := flag.String("mode", "weight-stashing", "staleness mode: weight-stashing, vertical-sync, or no-stashing")
 	epochs := flag.Int("epochs", 8, "training epochs")
-	depth := flag.Int("depth", 0, "pipeline depth override (0 = NOAM)")
+	depth := flag.Int("depth", 0, "in-flight minibatches per input replica (0 = the plan's)")
 	useTCP := flag.Bool("tcp", false, "run the pipeline over TCP sockets instead of channels")
 	flag.Parse()
 
@@ -73,22 +73,24 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if *depth > 0 {
+		plan.Depth = *depth
+	}
 	workers := mdl.Stages - 1 + mdl.Replicas
-	fmt.Printf("task %s: %d layers across %d stage(s) on %d worker(s), config %s, NOAM %d, mode %s\n",
-		mdl.Task, len(model.Layers), mdl.Stages, workers, plan.ConfigString(), plan.NOAM, mode)
+	fmt.Printf("task %s: %d layers across %d stage(s) on %d worker(s), config %s, depth %d, mode %s\n",
+		mdl.Task, len(model.Layers), mdl.Stages, workers, plan.ConfigString(), plan.Depth, mode)
 
 	reg, opLog := obsFlags.Sinks()
 	opts := pipeline.Options{
-		ModelFactory:  task.Factory,
-		Plan:          plan,
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  task.NewOptimizer,
-		Mode:          mode,
-		Metrics:       reg,
-		OpLog:         opLog,
-		RuntimeConfig: pipeline.RuntimeConfig{Depth: *depth},
-		SyncConfig:    syncCfg,
-		FaultConfig:   faultFlags.Build(),
+		ModelFactory: task.Factory,
+		Plan:         plan,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: task.NewOptimizer,
+		Mode:         mode,
+		Metrics:      reg,
+		OpLog:        opLog,
+		SyncConfig:   syncCfg,
+		FaultConfig:  faultFlags.Build(),
 	}
 	buffer := cliconf.Buffer(plan, model, syncCfg)
 	if *useTCP {
@@ -98,7 +100,7 @@ func main() {
 		}
 		defer tr.Close()
 		opts.Transport = tr
-		fmt.Println("transport: TCP loopback sockets (gob-encoded tensors)")
+		fmt.Println("transport: TCP loopback sockets (binary-framed tensors)")
 	}
 	if chaosFlags.Enabled() {
 		inner := opts.Transport
@@ -213,7 +215,11 @@ func runElastic(mdl *cliconf.Model, task *cliconf.Task, model *nn.Sequential,
 	replan := func(n int) (*partition.Plan, error) {
 		// One straight stage per live worker: the partitioner re-splits
 		// the layer list every time the worker count changes.
-		return cliconf.BuildPlan(model, n, 1, partition.SyncRing)
+		plan, err := cliconf.BuildPlan(model, n, 1, partition.SyncRing)
+		if err == nil && depth > 0 {
+			plan.Depth = depth
+		}
+		return plan, err
 	}
 	newTransport := func(workers, buffer int) (transport.Transport, error) {
 		var tr transport.Transport
@@ -234,15 +240,14 @@ func runElastic(mdl *cliconf.Model, task *cliconf.Task, model *nn.Sequential,
 
 	reg, opLog := obsFlags.Sinks()
 	opts := pipeline.Options{
-		ModelFactory:  task.Factory,
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  task.NewOptimizer,
-		Mode:          mode,
-		Metrics:       reg,
-		OpLog:         opLog,
-		RuntimeConfig: pipeline.RuntimeConfig{Depth: depth},
-		SyncConfig:    syncCfg,
-		FaultConfig:   fc,
+		ModelFactory: task.Factory,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: task.NewOptimizer,
+		Mode:         mode,
+		Metrics:      reg,
+		OpLog:        opLog,
+		SyncConfig:   syncCfg,
+		FaultConfig:  fc,
 	}
 	e, err := pipeline.NewElastic(opts, pipeline.ElasticConfig{
 		View:         view,

@@ -1,0 +1,125 @@
+package pipedream
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"pipedream/internal/cluster"
+	"pipedream/internal/data"
+	"pipedream/internal/modelzoo"
+	"pipedream/internal/nn"
+	"pipedream/internal/partition"
+	"pipedream/internal/schedule"
+	"pipedream/internal/topology"
+)
+
+// TestMemoryConstrainedPlanRunsAtItsDepth: a plan NewPlan builds under the
+// device-memory constraint is checked, simulated and trained at the depth
+// the constraint chose. CheckMemory accepts it; the simulator keeps the
+// 1F1B invariants with at most Depth minibatches in flight per input
+// replica and a peak within the device; the runtime's staleness stays
+// below Depth. The GNMT-16 rows are the abl-memory experiment's devices;
+// on the VGG-16 rows no optimizer plan fits, and the model-parallel
+// fallback fits only at depth 1.
+func TestMemoryConstrainedPlanRunsAtItsDepth(t *testing.T) {
+	device := func(memMB int64) *topology.Topology {
+		dev := topology.Device{Name: fmt.Sprintf("%dMB", memMB),
+			EffectiveFLOPS: topology.V100.EffectiveFLOPS, MemBytes: memMB << 20}
+		return &topology.Topology{Name: dev.Name, Device: dev, Levels: topology.ClusterA(1).Levels}
+	}
+	gnmt := modelzoo.GNMT16(topology.V100, 64)
+	vgg, err := modelzoo.ByName("VGG-16", topology.V100, modelzoo.PaperBatchSize("VGG-16"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A five-layer MLP priced with 100 MB of weights per layer: too heavy
+	// to replicate, so the optimizer picks a straight pipeline (NOAM 4)
+	// that a 700 MB device holds only two minibatches deep.
+	mlp := func() *Sequential {
+		rng := rand.New(rand.NewSource(5))
+		return nn.NewSequential(nn.NewDense(rng, "fc1", 4, 8), nn.NewTanh("t1"),
+			nn.NewDense(rng, "fc2", 8, 8), nn.NewTanh("t2"), nn.NewDense(rng, "fc3", 8, 3))
+	}
+	heavy := &ModelProfile{Model: "mlp", MinibatchSize: 1, InputBytes: 1 << 20}
+	for range 5 {
+		heavy.Layers = append(heavy.Layers, LayerProfile{Name: "l", FwdTime: 0.01, BwdTime: 0.02,
+			ActivationBytes: 1 << 20, WeightBytes: 100 << 20})
+	}
+	flat := topology.Flat(4, 1e9, topology.Device{Name: "700MB", EffectiveFLOPS: 1e12, MemBytes: 700 << 20})
+
+	for _, c := range []struct {
+		name    string
+		prof    *ModelProfile
+		topo    *topology.Topology
+		depth   int
+		factory func() *Sequential // non-nil: also train the plan
+	}{
+		{"GNMT-16/16384MB", gnmt, device(16384), 4, nil},
+		{"GNMT-16/1400MB", gnmt, device(1400), 2, nil},
+		{"GNMT-16/1100MB", gnmt, device(1100), 1, nil},
+		{"GNMT-16/900MB", gnmt, device(900), 1, nil},
+		{"VGG-16/2478MB", vgg, device(2478), 1, nil},
+		{"VGG-16/3296MB", vgg, device(3296), 1, nil},
+		{"MLP/700MB", heavy, flat, 2, mlp},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			plan, err := NewPlan(c.prof, c.topo, PlanOptions{Memory: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Depth != c.depth {
+				t.Fatalf("plan %s at depth %d, want %d", plan.ConfigString(), plan.Depth, c.depth)
+			}
+			if err := partition.CheckMemory(plan, c.prof, c.topo); err != nil {
+				t.Fatalf("CheckMemory rejects the plan NewPlan fitted at depth %d: %v", plan.Depth, err)
+			}
+
+			const mbs = 48
+			res, err := cluster.Simulate(cluster.Config{Profile: c.prof, Topo: c.topo, Plan: plan,
+				Policy: schedule.PipeDream1F1B, Minibatches: mbs, RecordTimeline: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			edge := 2 * plan.Depth * plan.Stages[0].Replicas
+			a := schedule.Assign(plan)
+			if err := schedule.Validate1F1B(res.Timeline, a, res.CompletionTimes[edge], res.CompletionTimes[mbs-edge]); err != nil {
+				t.Fatalf("simulated at another depth than the plan's %d: %v", plan.Depth, err)
+			}
+			for s, peak := range res.PeakMemory {
+				if peak > c.topo.Device.MemBytes {
+					t.Fatalf("stage %d simulated at a %d MB peak on a %s device", s, peak>>20, c.topo.Device.Name)
+				}
+			}
+
+			if c.factory == nil {
+				return
+			}
+			p, err := NewPipeline(PipelineOptions{
+				ModelFactory: c.factory,
+				Plan:         plan,
+				Loss:         SoftmaxCrossEntropy,
+				NewOptimizer: func() Optimizer { return NewSGD(0.05, 0, 0) },
+				Mode:         WeightStashing,
+				Metrics:      NewMetricsRegistry(), // per-worker staleness in the report
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			rep, err := p.Train(data.NewBlobs(7, 3, 4, 4, 24), 24)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Stages) != plan.Workers {
+				t.Fatalf("report has %d workers' statistics, want %d", len(rep.Stages), plan.Workers)
+			}
+			for _, st := range rep.Stages {
+				if st.MaxStaleness > plan.Depth-1 {
+					t.Fatalf("stage %d replica %d trained with staleness %d at depth %d",
+						st.Stage, st.Replica, st.MaxStaleness, plan.Depth)
+				}
+			}
+		})
+	}
+}

@@ -111,11 +111,7 @@ func ExampleNewPlan() {
 	if err != nil {
 		panic(err)
 	}
-	depth := plan.Depth
-	if depth == 0 { // 0 means the memory bound never bit: run at NOAM
-		depth = plan.NOAM
-	}
-	fmt.Printf("%s at depth %d (NOAM %d)\n", plan.ConfigString(), depth, plan.NOAM)
+	fmt.Printf("%s at depth %d\n", plan.ConfigString(), plan.Depth)
 	// Output:
-	// Straight at depth 4 (NOAM 4)
+	// Straight at depth 4
 }

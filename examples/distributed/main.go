@@ -55,7 +55,7 @@ func main() {
 		addrs[i] = ln.Addr().String()
 		ln.Close()
 	}
-	fmt.Printf("config %s (NOAM %d), workers at %v\n\n", plan.ConfigString(), plan.NOAM, addrs)
+	fmt.Printf("config %s (depth %d), workers at %v\n\n", plan.ConfigString(), plan.Depth, addrs)
 
 	workers := make([]*pipedream.Pipeline, 3)
 	for i := range workers {

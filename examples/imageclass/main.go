@@ -54,7 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("pipeline config %s on 4 workers, NOAM %d\n\n", plan.ConfigString(), plan.NOAM)
+	fmt.Printf("pipeline config %s on 4 workers, depth %d\n\n", plan.ConfigString(), plan.Depth)
 
 	bsp, err := statseff.TrainBSP(cfg, 4)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Translation: a GNMT-style LSTM seq2seq stand-in trained on a synthetic
 // copy task with a straight pipeline over TCP sockets — the configuration
 // the paper's optimizer picks for GNMT on Cluster-A (Table 1), executed
-// over a real network transport with gob-serialized tensors.
+// over a real network transport carrying binary-framed tensors.
 package main
 
 import (
@@ -49,7 +49,7 @@ func main() {
 	}
 
 	// Real TCP loopback transport between the stage workers.
-	tr, err := transport.NewTCP(4, 4*plan.NOAM+8)
+	tr, err := transport.NewTCP(4, 4*plan.Depth+8)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("\nstraight pipeline %s, NOAM %d, transport TCP\n\n", plan.ConfigString(), plan.NOAM)
+	fmt.Printf("\nstraight pipeline %s, depth %d, transport TCP\n\n", plan.ConfigString(), plan.Depth)
 	for epoch := 1; epoch <= 6; epoch++ {
 		rep, err := p.Train(train, train.NumBatches())
 		if err != nil {

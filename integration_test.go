@@ -188,7 +188,7 @@ func TestPipelineRandomConfigsProperty(t *testing.T) {
 		stages := 1 + rng.Intn(min(n, 4))
 		replicas := 1 + rng.Intn(2)
 		mode := []pipeline.StalenessMode{WeightStashing, VerticalSync, NoStashing}[rng.Intn(3)]
-		depth := rng.Intn(4) // 0 = NOAM
+		depth := rng.Intn(4) // 0 = the plan's NOAM
 
 		prof := &ModelProfile{Model: "t", MinibatchSize: 1, InputBytes: 4}
 		for range model.Layers {
@@ -216,6 +216,9 @@ func TestPipelineRandomConfigsProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: evaluate: %v", seed, err)
 		}
+		if depth > 0 {
+			plan.Depth = depth
+		}
 		ds := data.NewBlobs(seed+1, 3, 4, 4, 17) // odd count exercises partial all-reduce rounds
 		p, err := NewPipeline(PipelineOptions{
 			ModelFactory:  factory,
@@ -223,7 +226,7 @@ func TestPipelineRandomConfigsProperty(t *testing.T) {
 			Loss:          SoftmaxCrossEntropy,
 			NewOptimizer:  func() Optimizer { return NewSGD(0.05, 0, 0) },
 			Mode:          mode,
-			RuntimeConfig: RuntimeConfig{Depth: depth, Recompute: rng.Intn(2) == 0},
+			RuntimeConfig: RuntimeConfig{Recompute: rng.Intn(2) == 0},
 			SyncConfig:    SyncConfig{GradAccumulation: rng.Intn(3)},
 		})
 		if err != nil {

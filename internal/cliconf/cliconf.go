@@ -190,7 +190,7 @@ func BuildPlan(model *nn.Sequential, stages, replicas int, _ partition.SyncModel
 // replicated, its ring all-reduce's lock-step chunk traffic (one in-flight
 // chunk per bucket from the current round plus the next).
 func Buffer(plan *partition.Plan, model *nn.Sequential, sc pipeline.SyncConfig) int {
-	buffer := 4*plan.NOAM + 8
+	buffer := 4*plan.Depth + 8
 	replicated := false
 	for _, s := range plan.Stages {
 		if s.Replicas > 1 {

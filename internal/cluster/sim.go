@@ -28,12 +28,10 @@ type Config struct {
 	Plan    *partition.Plan
 	Policy  schedule.Policy
 
-	// Minibatches to process end to end (forward and backward).
+	// Minibatches to process end to end (forward and backward). The
+	// plan's Depth is the pipeline depth: 1F1B's in-flight minibatches
+	// at the input stage (Figure 18) or GPipe's microbatches per flush.
 	Minibatches int
-	// Depth is the pipeline depth: 1F1B's in-flight minibatches at the
-	// input stage (Figure 18) or GPipe's microbatches per flush; 0 means
-	// the plan's NOAM.
-	Depth int
 	// WorkerSpeed optionally scales each worker's compute time (index =
 	// worker ID; 1.0 = nominal, 2.0 = twice as slow). Models stragglers
 	// and heterogeneous accelerators, which the paper's homogeneous
@@ -247,17 +245,14 @@ func (s *sim) init() error {
 		s.stages[e.From].out = append(s.stages[e.From].out, i)
 		s.stages[e.To].in = append(s.stages[e.To].in, i)
 	}
-	s.depth = cfg.Depth
-	if s.depth <= 0 {
-		s.depth = cfg.Plan.NOAM
+	if cfg.Plan.Depth < 1 {
+		return fmt.Errorf("cluster: plan has depth %d (build it with partition.NewPlan)", cfg.Plan.Depth)
 	}
+	s.depth = cfg.Plan.Depth
 	if cfg.Policy == schedule.ModelParallelSingle {
 		s.depth = 1
 	}
-	if s.depth < 1 {
-		return fmt.Errorf("cluster: pipeline depth %d (plan has NOAM %d; build it with partition.NewPlan)", s.depth, cfg.Plan.NOAM)
-	}
-	table := schedule.Table(s.assign, cfg.Policy, s.depth, 0, cfg.Minibatches)
+	table := schedule.Table(s.assign, cfg.Policy, 0, cfg.Minibatches)
 	s.ws = make([]workerState, s.assign.NumWorkers())
 	for w := range s.ws {
 		s.ws[w] = workerState{ref: s.assign.Workers[w], table: table[w],

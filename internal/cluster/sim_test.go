@@ -80,9 +80,9 @@ func TestSimulate1F1BInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := schedule.Assign(plan)
-	warm := res.CompletionTimes[2*plan.NOAM]
-	cool := res.CompletionTimes[len(res.CompletionTimes)-2*plan.NOAM]
-	if err := schedule.Validate1F1B(res.Timeline, a, plan.NOAM, warm, cool); err != nil {
+	warm := res.CompletionTimes[2*plan.Depth]
+	cool := res.CompletionTimes[len(res.CompletionTimes)-2*plan.Depth]
+	if err := schedule.Validate1F1B(res.Timeline, a, warm, cool); err != nil {
 		t.Fatalf("1F1B invariant violated: %v", err)
 	}
 }
@@ -168,9 +168,10 @@ func TestSimulateGPipeFlushCost(t *testing.T) {
 	prof := uniformProfile(4, 1, 1, 4, 4)
 	topo := fastTopo(4)
 	plan := straightPlan(t, prof, topo, 4)
+	plan.Depth = 4
 	res, err := Simulate(Config{
 		Profile: prof, Topo: topo, Plan: plan,
-		Policy: schedule.GPipe, Depth: 4, Minibatches: 64,
+		Policy: schedule.GPipe, Minibatches: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +213,7 @@ func TestSimulateReplicatedStageRoundRobin(t *testing.T) {
 		}
 	}
 	a := schedule.Assign(plan)
-	if err := schedule.Validate1F1B(res.Timeline, a, plan.NOAM, res.CompletionTimes[8], res.CompletionTimes[14]); err != nil {
+	if err := schedule.Validate1F1B(res.Timeline, a, res.CompletionTimes[8], res.CompletionTimes[14]); err != nil {
 		t.Fatalf("1F1B-RR invariant violated: %v", err)
 	}
 }
@@ -242,9 +243,11 @@ func TestSimulatePeakMemoryScalesWithDepth(t *testing.T) {
 	topo := fastTopo(4)
 	plan := straightPlan(t, prof, topo, 4)
 	memAt := func(depth int) int64 {
+		q := *plan
+		q.Depth = depth
 		res, err := Simulate(Config{
-			Profile: prof, Topo: topo, Plan: plan,
-			Policy: schedule.PipeDream1F1B, Minibatches: 40, Depth: depth,
+			Profile: prof, Topo: topo, Plan: &q,
+			Policy: schedule.PipeDream1F1B, Minibatches: 40,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -264,9 +267,11 @@ func TestSimulateThroughputImprovesWithDepthUntilNOAM(t *testing.T) {
 	topo := fastTopo(4)
 	plan := straightPlan(t, prof, topo, 4) // NOAM = 4
 	tputAt := func(depth int) float64 {
+		q := *plan
+		q.Depth = depth
 		res, err := Simulate(Config{
-			Profile: prof, Topo: topo, Plan: plan,
-			Policy: schedule.PipeDream1F1B, Minibatches: 60, Depth: depth,
+			Profile: prof, Topo: topo, Plan: &q,
+			Policy: schedule.PipeDream1F1B, Minibatches: 60,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -503,7 +508,7 @@ func TestStaticScheduleReplicatedStage(t *testing.T) {
 }
 
 func TestStaticSchedulePlanWithoutNOAM(t *testing.T) {
-	// A Plan literal that never went through NewPlan has NOAM 0: an error
+	// A Plan literal that never went through NewPlan has depth 0: an error
 	// from both entry points that read the schedule table, not a panic.
 	prof := uniformProfile(2, 1, 2, 4, 4)
 	plan := &partition.Plan{Workers: 2, Graph: partition.NewLinear(2), Stages: []partition.StageSpec{
@@ -511,11 +516,11 @@ func TestStaticSchedulePlanWithoutNOAM(t *testing.T) {
 		{FirstLayer: 1, LastLayer: 1, Replicas: 1},
 	}}
 	if _, err := StaticSchedule(plan); err == nil {
-		t.Fatal("StaticSchedule accepted a plan with NOAM 0")
+		t.Fatal("StaticSchedule accepted a plan with depth 0")
 	}
 	if _, err := Simulate(Config{Profile: prof, Topo: fastTopo(2), Plan: plan,
 		Policy: schedule.PipeDream1F1B, Minibatches: 8}); err == nil {
-		t.Fatal("Simulate accepted a plan with NOAM 0")
+		t.Fatal("Simulate accepted a plan with depth 0")
 	}
 }
 

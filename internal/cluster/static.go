@@ -18,18 +18,19 @@ type CycleOp struct {
 
 // StaticSchedule returns the static per-worker schedule §3.2 describes:
 // the cyclic pattern of forward and backward passes each worker runs
-// repeatedly in steady state, read off schedule.Table at the plan's NOAM
-// depth — the last warm-up forward and the backward that follows it, the
+// repeatedly in steady state, read off schedule.Table at the plan's
+// Depth — the last warm-up forward and the backward that follows it, the
 // pair every later pair of table entries repeats one round further on.
 func StaticSchedule(plan *partition.Plan) ([][]CycleOp, error) {
-	if plan.NOAM < 1 {
-		return nil, fmt.Errorf("cluster: plan has NOAM %d (build it with partition.NewPlan)", plan.NOAM)
+	if plan.Depth < 1 {
+		return nil, fmt.Errorf("cluster: plan has depth %d (build it with partition.NewPlan)", plan.Depth)
 	}
 	a := schedule.Assign(plan)
 	// Long enough for every worker to leave its warm-up: no warm-up
-	// exceeds the worker count, no replica count does either.
-	n := (plan.Workers + 1) * plan.Workers
-	table := schedule.Table(a, schedule.PipeDream1F1B, plan.NOAM, 0, n)
+	// exceeds the larger of the depth and the worker count, no replica
+	// count exceeds the worker count.
+	n := (max(plan.Depth, plan.Workers) + 1) * plan.Workers
+	table := schedule.Table(a, schedule.PipeDream1F1B, 0, n)
 	out := make([][]CycleOp, len(table))
 	for w, ops := range table {
 		b := 0

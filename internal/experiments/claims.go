@@ -73,7 +73,7 @@ func claims(quick bool) ([]*Table, error) {
 	run := func(policy schedule.Policy, recompute bool) (float64, error) {
 		res, err := cluster.Simulate(cluster.Config{
 			Profile: gnmt, Topo: topoA, Plan: mpPlan, Policy: policy,
-			Minibatches: 12 * mpPlan.NOAM, Recompute: recompute,
+			Minibatches: 12 * mpPlan.Depth, Recompute: recompute,
 		})
 		if err != nil {
 			return 0, err

@@ -23,22 +23,26 @@ func init() {
 	register("opt", "Optimizer runtime for every model and cluster (paper bound: < 8 s)", expOpt)
 }
 
-// simThroughput runs the simulator for a plan under a policy.
+// simThroughput runs the simulator for a plan, at its depth, under a
+// policy.
 func simThroughput(prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan,
-	policy schedule.Policy, minibatches, depth int) (*cluster.Result, error) {
+	policy schedule.Policy, minibatches int) (*cluster.Result, error) {
 	return cluster.Simulate(cluster.Config{
 		Profile: prof, Topo: topo, Plan: plan, Policy: policy,
-		Minibatches: minibatches, Depth: depth,
+		Minibatches: minibatches,
 	})
 }
 
-// simGPipe runs the simulator under GPipe with activation recomputation,
-// as the real GPipe trades compute for memory (§2.2).
+// simGPipe runs the simulator under GPipe with depth microbatches per
+// flush and activation recomputation, as the real GPipe trades compute
+// for memory (§2.2).
 func simGPipe(prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan,
 	minibatches, depth int) (*cluster.Result, error) {
+	q := *plan
+	q.Depth = depth
 	return cluster.Simulate(cluster.Config{
-		Profile: prof, Topo: topo, Plan: plan, Policy: schedule.GPipe,
-		Minibatches: minibatches, Depth: depth, Recompute: true,
+		Profile: prof, Topo: topo, Plan: &q, Policy: schedule.GPipe,
+		Minibatches: minibatches, Recompute: true,
 	})
 }
 
@@ -61,11 +65,11 @@ func fig14a(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mp, err := simThroughput(prof, topo, mpPlan, schedule.ModelParallelSingle, minibatches, 0)
+		mp, err := simThroughput(prof, topo, mpPlan, schedule.ModelParallelSingle, minibatches)
 		if err != nil {
 			return nil, err
 		}
-		straight, err := simThroughput(prof, topo, mpPlan, schedule.PipeDream1F1B, minibatches, 0)
+		straight, err := simThroughput(prof, topo, mpPlan, schedule.PipeDream1F1B, minibatches)
 		if err != nil {
 			return nil, err
 		}
@@ -73,7 +77,7 @@ func fig14a(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pd, err := simThroughput(prof, topo, best, schedule.PipeDream1F1B, minibatches, 0)
+		pd, err := simThroughput(prof, topo, best, schedule.PipeDream1F1B, minibatches)
 		if err != nil {
 			return nil, err
 		}
@@ -112,11 +116,13 @@ func fig14b(quick bool) ([]*Table, error) {
 				return nil, err
 			}
 		}
-		noPipe, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches, 1)
+		q := *plan
+		q.Depth = 1
+		noPipe, err := simThroughput(prof, topo, &q, schedule.PipeDream1F1B, minibatches)
 		if err != nil {
 			return nil, err
 		}
-		pipe, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches, 0)
+		pipe, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches)
 		if err != nil {
 			return nil, err
 		}
@@ -151,14 +157,14 @@ func sec54(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pd, err := simThroughput(prof, c.topo, plan, schedule.PipeDream1F1B, rounds*plan.NOAM, 0)
+		pd, err := simThroughput(prof, c.topo, plan, schedule.PipeDream1F1B, rounds*plan.Depth)
 		if err != nil {
 			return nil, err
 		}
 		// GPipe at NOAM microbatches (whole rounds, so the per-round rate
 		// is measured cleanly), with activation recomputation as the real
 		// GPipe performs.
-		gpNoam, err := simGPipe(prof, c.topo, plan, rounds*plan.NOAM, plan.NOAM)
+		gpNoam, err := simGPipe(prof, c.topo, plan, rounds*plan.Depth, plan.Depth)
 		if err != nil {
 			return nil, err
 		}
@@ -172,7 +178,7 @@ func sec54(quick bool) ([]*Table, error) {
 		slow := func(r *cluster.Result) string {
 			return pct(1 - r.Throughput/pd.Throughput)
 		}
-		t.AddRow(c.name, fmt.Sprintf("NOAM (%d)", plan.NOAM), slow(gpNoam), c.paper[0])
+		t.AddRow(c.name, fmt.Sprintf("NOAM (%d)", plan.Depth), slow(gpNoam), c.paper[0])
 		t.AddRow(c.name, fmt.Sprintf("max-memory (%d)", maxDepth), slow(gpMax), c.paper[1])
 	}
 	t.AddNote("paper shape: GPipe's pipeline flushes plus activation recomputation cost")
@@ -223,7 +229,7 @@ func fig15(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("config %s: %w", c.name, err)
 		}
-		res, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches, 0)
+		res, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches)
 		if err != nil {
 			return nil, err
 		}
@@ -324,7 +330,7 @@ func fig16(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches, 0)
+		res, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches)
 		if err != nil {
 			return nil, err
 		}
@@ -368,7 +374,9 @@ func fig18(quick bool) ([]*Table, error) {
 		Header: []string{"depth", "throughput (samples/s)", "peak stage-0 memory", "peak stage-3 memory"}}
 	var prevT float64
 	for depth := 1; depth <= 7; depth++ {
-		res, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches, depth)
+		q := *plan
+		q.Depth = depth
+		res, err := simThroughput(prof, topo, &q, schedule.PipeDream1F1B, minibatches)
 		if err != nil {
 			return nil, err
 		}

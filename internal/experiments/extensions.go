@@ -89,14 +89,9 @@ func ablMemory(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		depth := plan.Depth
-		if depth == 0 { // unconstrained: run at full NOAM
-			depth = plan.NOAM
-		}
 		res, err := cluster.Simulate(cluster.Config{
 			Profile: prof, Topo: topo, Plan: plan,
 			Policy: schedule.PipeDream1F1B, Minibatches: minibatches,
-			Depth: depth,
 		})
 		if err != nil {
 			return nil, err
@@ -107,7 +102,7 @@ func ablMemory(quick bool) ([]*Table, error) {
 				worst = m
 			}
 		}
-		t.AddRow(fmt.Sprintf("%d MB", memMB), fmt.Sprintf("%d", depth), f1(res.Throughput), mb(worst))
+		t.AddRow(fmt.Sprintf("%d MB", memMB), fmt.Sprintf("%d", plan.Depth), f1(res.Throughput), mb(worst))
 	}
 	t.AddNote("the optimizer takes device memory capacity as input (§3.1); when the NOAM-deep")
 	t.AddNote("pipeline does not fit, it reduces depth — less overlap, smaller stashes (Figure 18)")

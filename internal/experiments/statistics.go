@@ -88,7 +88,7 @@ func fig10(quick bool) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, 160, 0)
+	res, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, 160)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +320,7 @@ func ablRepl(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		straight, err := simThroughput(prof, topo, straightPlan, schedule.PipeDream1F1B, minibatches, 0)
+		straight, err := simThroughput(prof, topo, straightPlan, schedule.PipeDream1F1B, minibatches)
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +328,7 @@ func ablRepl(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		repl, err := simThroughput(prof, topo, best, schedule.PipeDream1F1B, minibatches, 0)
+		repl, err := simThroughput(prof, topo, best, schedule.PipeDream1F1B, minibatches)
 		if err != nil {
 			return nil, err
 		}
@@ -364,11 +364,11 @@ func ablTopo(quick bool) ([]*Table, error) {
 			return nil, err
 		}
 		// Both plans execute on the REAL cluster.
-		flatRes, err := simThroughput(prof, topo, flatPlan, schedule.PipeDream1F1B, minibatches, 0)
+		flatRes, err := simThroughput(prof, topo, flatPlan, schedule.PipeDream1F1B, minibatches)
 		if err != nil {
 			return nil, err
 		}
-		awareRes, err := simThroughput(prof, topo, awarePlan, schedule.PipeDream1F1B, minibatches, 0)
+		awareRes, err := simThroughput(prof, topo, awarePlan, schedule.PipeDream1F1B, minibatches)
 		if err != nil {
 			return nil, err
 		}

@@ -58,7 +58,7 @@ func timelineTable(id, title string, policy schedule.Policy, paperNote string) (
 		Header: []string{"metric", "value"}}
 	t.AddRow("steady-state throughput (minibatch/unit)", f2(res.Throughput))
 	t.AddRow("mean worker utilization", pct(res.MeanUtilization))
-	t.AddRow("NOAM", fmt.Sprintf("%d", plan.NOAM))
+	t.AddRow("NOAM", fmt.Sprintf("%d", plan.Depth))
 	t.AddNote("timeline (digits = forward mb, letters = backward mb, '.' = idle):")
 	for _, line := range splitLines(res.Timeline.Render(1)) {
 		t.AddNote("%s", line)
@@ -82,7 +82,7 @@ func fig3(quick bool) ([]*Table, error) {
 		Header: []string{"metric", "value"}}
 	t.AddRow("steady-state throughput (minibatch/unit)", f2(res.Throughput))
 	t.AddRow("mean worker utilization", pct(res.MeanUtilization))
-	t.AddRow("microbatches per flush", fmt.Sprintf("%d", plan.NOAM))
+	t.AddRow("microbatches per flush", fmt.Sprintf("%d", plan.Depth))
 	t.AddNote("timeline (digits = forward mb, letters = backward mb, '.' = idle):")
 	for _, line := range splitLines(res.Timeline.Render(1)) {
 		t.AddNote("%s", line)
@@ -100,16 +100,16 @@ func fig4(quick bool) ([]*Table, error) {
 		Header: []string{"metric", "value"}}
 	t.AddRow("steady-state throughput (minibatch/unit)", f2(res.Throughput))
 	t.AddRow("mean worker utilization", pct(res.MeanUtilization))
-	t.AddRow("NOAM (startup admissions)", fmt.Sprintf("%d", plan.NOAM))
+	t.AddRow("NOAM (startup admissions)", fmt.Sprintf("%d", plan.Depth))
 	t.AddNote("timeline (digits = forward mb, letters = backward mb, '.' = idle):")
 	for _, line := range splitLines(res.Timeline.Render(1)) {
 		t.AddNote("%s", line)
 	}
 	// Verify the 1F1B invariants on the rendered timeline.
 	a := schedule.Assign(plan)
-	warm := res.CompletionTimes[min(2*plan.NOAM, len(res.CompletionTimes)-1)]
-	cool := res.CompletionTimes[max(0, len(res.CompletionTimes)-2*plan.NOAM)]
-	if err := schedule.Validate1F1B(res.Timeline, a, plan.NOAM, warm, cool); err != nil {
+	warm := res.CompletionTimes[min(2*plan.Depth, len(res.CompletionTimes)-1)]
+	cool := res.CompletionTimes[max(0, len(res.CompletionTimes)-2*plan.Depth)]
+	if err := schedule.Validate1F1B(res.Timeline, a, warm, cool); err != nil {
 		return nil, fmt.Errorf("1F1B invariants: %w", err)
 	}
 	t.AddNote("1F1B invariants validated: ordering, routing, alternation, NOAM bound")
@@ -142,7 +142,7 @@ func fig8(quick bool) ([]*Table, error) {
 		Header: []string{"metric", "value"}}
 	t.AddRow("steady-state throughput (minibatch/unit)", f2(res.Throughput))
 	t.AddRow("mean worker utilization", pct(res.MeanUtilization))
-	t.AddRow("NOAM", fmt.Sprintf("%d", plan.NOAM))
+	t.AddRow("NOAM", fmt.Sprintf("%d", plan.Depth))
 	t.AddNote("timeline (workers 0-1 replicate stage 0; worker 2 is stage 1):")
 	for _, line := range splitLines(res.Timeline.Render(1)) {
 		t.AddNote("%s", line)

@@ -1,0 +1,82 @@
+package partition
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestDepthHasOneHome keeps the in-flight depth a single plan number:
+// outside bench/ and tests, no struct declares a field named Depth or
+// NOAM except Plan.Depth. The schedule, the simulator, the runtime and
+// the memory check read the plan's; a caller that wants another depth
+// sets it on its own copy of the plan.
+func TestDepthHasOneHome(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("module root not found: %v", err)
+	}
+	fset := token.NewFileSet()
+	homes := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if rel == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && rel != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		named := map[*ast.StructType]string{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					named[st] = ts.Name.Name
+				}
+			}
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				for _, name := range field.Names {
+					if name.Name != "Depth" && name.Name != "NOAM" {
+						continue
+					}
+					if rel == "internal/partition/partition.go" && named[st] == "Plan" && name.Name == "Depth" {
+						homes++
+						continue
+					}
+					t.Errorf("%s: struct %q declares %s; the in-flight depth is partition.Plan.Depth",
+						fset.Position(name.Pos()), named[st], name.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if homes != 1 {
+		t.Fatalf("found Plan.Depth %d times under %s, want once: the walk missed internal/partition", homes, root)
+	}
+}

@@ -11,12 +11,12 @@ import (
 // plan, in bytes: the stage's weights (one version per in-flight
 // minibatch, plus the live copy) and the activation stash (stage input
 // plus every layer output) for each in-flight minibatch. The in-flight
-// bound per stage is the plan's NOAM — the §3.3 worst case of one
+// bound per stage is the plan's Depth — the §3.3 worst case of one
 // <weights, activations> version per admitted minibatch.
 func StageMemory(plan *Plan, prof *profile.ModelProfile) []int64 {
 	out := make([]int64, len(plan.Stages))
 	for i, st := range plan.Stages {
-		out[i] = stageMemory(prof, st, plan.NOAM)
+		out[i] = stageMemory(prof, st, plan.Depth)
 	}
 	return out
 }
@@ -38,17 +38,12 @@ func stageMemory(prof *profile.ModelProfile, st StageSpec, depth int) int64 {
 	return weights*(1+inflight) + inflight*acts
 }
 
-// CheckMemory verifies that every stage of a plan fits in the device
-// memory of the topology's accelerators, returning a descriptive error
-// for the first stage that does not.
+// CheckMemory verifies that every stage of a plan, run at the plan's
+// Depth, fits in the device memory of the topology's accelerators,
+// returning a descriptive error for the first stage that does not.
 func CheckMemory(plan *Plan, prof *profile.ModelProfile, topo *topology.Topology) error {
-	return checkMemory(plan, prof, topo, plan.NOAM)
-}
-
-// checkMemory is CheckMemory with depth minibatches in flight.
-func checkMemory(plan *Plan, prof *profile.ModelProfile, topo *topology.Topology, depth int) error {
-	for i, st := range plan.Stages {
-		if m := stageMemory(prof, st, depth); m > topo.Device.MemBytes {
+	for i, m := range StageMemory(plan, prof) {
+		if m > topo.Device.MemBytes {
 			return fmt.Errorf("partition: stage %d needs %.1f GB, %s has %.1f GB",
 				i, float64(m)/(1<<30), topo.Device.Name, float64(topo.Device.MemBytes)/(1<<30))
 		}
@@ -58,27 +53,23 @@ func checkMemory(plan *Plan, prof *profile.ModelProfile, topo *topology.Topology
 
 // constrainMemory enforces the device-memory constraint the paper's
 // partitioning algorithm takes as input (§3.1): if the unconstrained
-// optimum does not fit, it lowers the pipeline depth toward the memory
-// bound (trading throughput for footprint, as §5.5's Figure 18
-// discussion describes) and, failing that, falls back to the deepest
-// straight pipeline that fits. The chosen depth lands in Plan.Depth.
+// optimum does not fit at its Depth, it lowers the Depth toward the
+// memory bound (trading throughput for footprint, as §5.5's Figure 18
+// discussion describes) and, failing that, does the same for the
+// straight model-parallel pipeline, whose stages hold less each. The
+// returned plan fits at its Depth.
 func constrainMemory(plan *Plan, prof *profile.ModelProfile, topo *topology.Topology) (*Plan, error) {
-	// Lower the in-flight depth from NOAM until the worst stage fits.
-	for depth := plan.NOAM; depth >= 1; depth-- {
-		if checkMemory(plan, prof, topo, depth) == nil {
-			plan.Depth = depth
-			return plan, nil
-		}
-	}
-	// Even one in-flight minibatch does not fit: split the model across
-	// more stages (model parallelism shrinks per-stage weights).
 	mp, err := ModelParallel(prof, topo)
 	if err != nil {
 		return nil, err
 	}
-	if err := CheckMemory(mp, prof, topo); err != nil {
-		return nil, fmt.Errorf("partition: no memory-feasible configuration: %w", err)
+	for _, p := range []*Plan{plan, mp} {
+		for err = CheckMemory(p, prof, topo); err != nil && p.Depth > 1; err = CheckMemory(p, prof, topo) {
+			p.Depth--
+		}
+		if err == nil {
+			return p, nil
+		}
 	}
-	mp.Depth = 1
-	return mp, nil
+	return nil, fmt.Errorf("partition: no memory-feasible configuration: %w", err)
 }

@@ -58,9 +58,9 @@ func TestOptimizeWithMemoryFitsOnRealDevices(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		depth := plan.Depth
-		if depth < 1 || depth > plan.NOAM {
-			t.Fatalf("%s: depth %d outside [1, NOAM=%d]", name, depth, plan.NOAM)
+		noam := Noam(plan.Workers, plan.Stages[0].Replicas)
+		if plan.Depth < 1 || plan.Depth > noam {
+			t.Fatalf("%s: depth %d outside [1, NOAM=%d]", name, plan.Depth, noam)
 		}
 	}
 }
@@ -81,8 +81,8 @@ func TestOptimizeWithMemoryReducesDepthOnTinyDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	depth := plan.Depth
-	if depth >= plan.NOAM && plan.NOAM > 1 {
-		t.Fatalf("expected reduced depth, got %d of NOAM %d", depth, plan.NOAM)
+	if noam := Noam(plan.Workers, plan.Stages[0].Replicas); depth >= noam && noam > 1 {
+		t.Fatalf("expected reduced depth, got %d of NOAM %d", depth, noam)
 	}
 	// The returned depth must actually fit.
 	for i, st := range plan.Stages {

@@ -53,11 +53,12 @@ type Plan struct {
 	BottleneckTime float64
 	// PredictedThroughput is samples/second in steady state.
 	PredictedThroughput float64
-	// NOAM is the optimal number of in-flight minibatches (§3.2).
-	NOAM int
-	// Depth is the in-flight depth the plan should run at when it was
-	// built under a memory constraint (PlanOptions.Memory); 0 means
-	// "no constraint — run at NOAM".
+	// Depth is the number of in-flight minibatches per input-stage
+	// replica the plan runs at: the schedule's warm-up, the simulator's
+	// and the runtime's in-flight bound, and the stash count CheckMemory
+	// prices. NewPlan sets it to NOAM, the fewest that keep the pipeline
+	// full (§3.2), and PlanOptions.Memory lowers it until the stages fit
+	// (§3.3); a caller that wants another depth sets it on its own copy.
 	Depth int
 }
 
@@ -130,8 +131,8 @@ func (p *Plan) ConfigString() string {
 
 // String summarizes the plan.
 func (p *Plan) String() string {
-	return fmt.Sprintf("%s on %d workers: %s, bottleneck %.3gs, %.4g samples/s, NOAM %d",
-		p.Model, p.Workers, p.ConfigString(), p.BottleneckTime, p.PredictedThroughput, p.NOAM)
+	return fmt.Sprintf("%s on %d workers: %s, bottleneck %.3gs, %.4g samples/s, depth %d",
+		p.Model, p.Workers, p.ConfigString(), p.BottleneckTime, p.PredictedThroughput, p.Depth)
 }
 
 // SyncModel names the gradient collective the optimizer charges
@@ -377,8 +378,14 @@ func evaluate(prof *profile.ModelProfile, topo *topology.Topology, stages []Stag
 		p.BottleneckTime = max(p.BottleneckTime, ct)
 	}
 	p.PredictedThroughput = float64(prof.MinibatchSize) / p.BottleneckTime
-	p.NOAM = (workers + stages[0].Replicas - 1) / stages[0].Replicas
+	p.Depth = Noam(workers, stages[0].Replicas)
 	return p, nil
+}
+
+// Noam returns NUM_OPT_ACTIVE_MINIBATCHES = ceil(workers / input-stage
+// replicas): the fewest in-flight minibatches that keep the pipeline full.
+func Noam(workers, inputReplicas int) int {
+	return (workers + inputReplicas - 1) / inputReplicas
 }
 
 // stageTime is the per-minibatch time of a stage: each of its R replicas

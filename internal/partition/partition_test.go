@@ -155,8 +155,8 @@ func TestEvaluateNOAM(t *testing.T) {
 		t.Fatal(err)
 	}
 	// NOAM = ceil(3 workers / 2 input replicas) = 2.
-	if plan.NOAM != 2 {
-		t.Fatalf("NOAM = %d, want 2", plan.NOAM)
+	if plan.Depth != 2 {
+		t.Fatalf("depth = %d, want NOAM 2", plan.Depth)
 	}
 }
 
@@ -186,8 +186,8 @@ func TestDataParallelPlanShape(t *testing.T) {
 	if !plan.IsDataParallel() || plan.Workers != 4 {
 		t.Fatalf("plan %+v not data parallel over 4", plan)
 	}
-	if plan.NOAM != 1 {
-		t.Fatalf("DP NOAM = %d, want 1", plan.NOAM)
+	if plan.Depth != 1 {
+		t.Fatalf("DP depth = %d, want NOAM 1", plan.Depth)
 	}
 }
 
@@ -349,10 +349,10 @@ func TestOptimizeHierarchicalStructuralProperty(t *testing.T) {
 			next = st.LastLayer + 1
 			total += st.Replicas
 		}
-		if next != n || total > workers || p1.NOAM < 1 {
+		if next != n || total > workers || p1.Depth < 1 {
 			return false
 		}
-		if p1.NOAM != (p1.Workers+p1.Stages[0].Replicas-1)/p1.Stages[0].Replicas {
+		if p1.Depth != (p1.Workers+p1.Stages[0].Replicas-1)/p1.Stages[0].Replicas {
 			return false
 		}
 		return true
@@ -552,7 +552,7 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ConfigString() != plan.ConfigString() || got.NOAM != plan.NOAM ||
+	if got.ConfigString() != plan.ConfigString() || got.Depth != plan.Depth ||
 		got.BottleneckTime != plan.BottleneckTime {
 		t.Fatalf("round trip changed the plan: %s vs %s", got, plan)
 	}

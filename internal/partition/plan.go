@@ -16,9 +16,9 @@ type PlanOptions struct {
 	// kept for the benchmark harness and nothing reads it.
 	Sync SyncModel
 	// Memory enforces the device-memory constraint (§3.1): if the
-	// chosen plan does not fit, the in-flight depth is lowered toward
-	// the memory bound (recorded in Plan.Depth) and, failing that, the
-	// deepest straight pipeline that fits is returned. Only meaningful
+	// chosen plan does not fit at its Depth, Plan.Depth is lowered until
+	// it does and, failing that, the straight model-parallel pipeline is
+	// returned at the highest Depth at which it fits. Only meaningful
 	// when the optimizer picks the stages (Stages == nil).
 	Memory bool
 	// Stages, when non-nil, is an explicit stage assignment to price
@@ -33,8 +33,8 @@ type PlanOptions struct {
 
 // NewPlan is the single entry point for building a Plan. With no options
 // it runs the optimizer; with Stages it prices an explicit assignment;
-// with Graph it prices a DAG-shaped assignment; with Memory it enforces
-// the device memory bound and records the resulting depth in Plan.Depth.
+// with Graph it prices a DAG-shaped assignment; with Memory it lowers
+// Plan.Depth, which is NOAM otherwise, until the plan fits device memory.
 //
 // (The paper-facing name would be partition.Plan, but Plan is the
 // result type; Go does not allow a type and a function to share a

@@ -35,9 +35,10 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 }
 
 // ReadJSON loads a stage assignment and re-evaluates it against the given
-// profile and topology (recomputing stage times, NOAM, and the throughput
-// prediction). The profile's model name must match the plan's. A plan
-// with serialized edges comes back graph-shaped, validated as a DAG.
+// profile and topology, recomputing stage times and the throughput
+// prediction; Depth comes back as NOAM, since files carry no depth. The
+// profile's model name must match the plan's. A plan with serialized
+// edges comes back graph-shaped, validated as a DAG.
 func ReadJSON(r io.Reader, prof *profile.ModelProfile, topo *topology.Topology) (*Plan, error) {
 	var pj planJSON
 	if err := json.NewDecoder(r).Decode(&pj); err != nil {

@@ -67,7 +67,7 @@ func TestPlanJSONGraphRoundTrip(t *testing.T) {
 	if len(gs) != len(ps) || gs[0] != ps[0] {
 		t.Fatalf("sinks changed: %v vs %v", gs, ps)
 	}
-	if got.NOAM != plan.NOAM || got.BottleneckTime != plan.BottleneckTime {
+	if got.Depth != plan.Depth || got.BottleneckTime != plan.BottleneckTime {
 		t.Fatalf("derived fields changed: %s vs %s", got, plan)
 	}
 }

@@ -89,17 +89,18 @@ func TestEachReplicaModelBuiltOnce(t *testing.T) {
 		f, calls := counted(factory)
 		var atReplan int64
 		e, err := NewElastic(Options{
-			ModelFactory:  f,
-			Loss:          nn.SoftmaxCrossEntropy,
-			NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
-			RuntimeConfig: RuntimeConfig{Depth: 1},
-			FaultConfig:   FaultConfig{CheckpointDir: t.TempDir(), CheckpointEvery: 5, MaxRecoveries: 2, WatchdogTimeout: 250 * time.Millisecond},
+			ModelFactory: f,
+			Loss:         nn.SoftmaxCrossEntropy,
+			NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
+			FaultConfig:  FaultConfig{CheckpointDir: t.TempDir(), CheckpointEvery: 5, MaxRecoveries: 2, WatchdogTimeout: 250 * time.Millisecond},
 		}, ElasticConfig{
 			View: h.view,
 			// 3 workers run 2-1; the 2 survivors run stage 0 twice.
 			Replan: func(n int) (*partition.Plan, error) {
 				atReplan = calls.Load()
-				return evenPlan(t, factory, n-1, 2), nil
+				plan := evenPlan(t, factory, n-1, 2)
+				plan.Depth = 1
+				return plan, nil
 			},
 			MinWorkers:   2,
 			WaitTimeout:  5 * time.Second,
@@ -164,7 +165,7 @@ func TestDropoutStagesOfOneModelTrainBitEqual(t *testing.T) {
 	plan := evenPlan(t, dropoutFactory, 2, 1)
 	run := func(tr transport.Transport) []float64 {
 		opts := baseOptions(dropoutFactory, plan)
-		opts.Depth, opts.Transport = 0, tr
+		opts.Plan, opts.Transport = plan, tr
 		p, err := New(opts)
 		if err != nil {
 			t.Fatal(err)

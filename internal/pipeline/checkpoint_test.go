@@ -96,12 +96,13 @@ func TestRestoreSkipsMidPruneGeneration(t *testing.T) {
 	ds := data.NewBlobs(13, 3, 4, 8, 30)
 	dir := t.TempDir()
 	mk := func() *Pipeline {
+		plan := evenPlan(t, factory, 2, 1)
+		plan.Depth = 1
 		p, err := New(Options{
-			ModelFactory:  factory,
-			Plan:          evenPlan(t, factory, 2, 1),
-			Loss:          nn.SoftmaxCrossEntropy,
-			NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
-			RuntimeConfig: RuntimeConfig{Depth: 1},
+			ModelFactory: factory,
+			Plan:         plan,
+			Loss:         nn.SoftmaxCrossEntropy,
+			NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -145,12 +146,13 @@ func TestRestoreRacesPruneAtGenerationBoundary(t *testing.T) {
 	factory := mlpFactory(17, 4, 8, 3)
 	dir := t.TempDir()
 	mk := func() *Pipeline {
+		plan := evenPlan(t, factory, 2, 1)
+		plan.Depth = 1
 		p, err := New(Options{
-			ModelFactory:  factory,
-			Plan:          evenPlan(t, factory, 2, 1),
-			Loss:          nn.SoftmaxCrossEntropy,
-			NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
-			RuntimeConfig: RuntimeConfig{Depth: 1},
+			ModelFactory: factory,
+			Plan:         plan,
+			Loss:         nn.SoftmaxCrossEntropy,
+			NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
 		})
 		if err != nil {
 			t.Fatal(err)

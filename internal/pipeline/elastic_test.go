@@ -86,12 +86,13 @@ func (h *elasticHarness) chaos() *transport.Chaos {
 // every chaos run must match bit-for-bit at depth 1.
 func elasticBaseline(t *testing.T, factory func() *nn.Sequential, ds data.Dataset, stages, mbs int) ([]float64, []*tensor.Tensor) {
 	t.Helper()
+	plan := evenPlan(t, factory, stages, 1)
+	plan.Depth = 1
 	p, err := New(Options{
-		ModelFactory:  factory,
-		Plan:          evenPlan(t, factory, stages, 1),
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
-		RuntimeConfig: RuntimeConfig{Depth: 1},
+		ModelFactory: factory,
+		Plan:         plan,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -155,10 +156,9 @@ func TestElasticKillWorkerReplansAndMatchesBaseline(t *testing.T) {
 	}}
 
 	e, err := NewElastic(Options{
-		ModelFactory:  factory,
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
-		RuntimeConfig: RuntimeConfig{Depth: 1},
+		ModelFactory: factory,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
 		FaultConfig: FaultConfig{
 			CheckpointDir:   t.TempDir(),
 			CheckpointEvery: 5,
@@ -166,8 +166,12 @@ func TestElasticKillWorkerReplansAndMatchesBaseline(t *testing.T) {
 			WatchdogTimeout: 250 * time.Millisecond,
 		},
 	}, ElasticConfig{
-		View:         h.view,
-		Replan:       func(n int) (*partition.Plan, error) { return evenPlan(t, factory, n, 1), nil },
+		View: h.view,
+		Replan: func(n int) (*partition.Plan, error) {
+			plan := evenPlan(t, factory, n, 1)
+			plan.Depth = 1
+			return plan, nil
+		},
 		MinWorkers:   2,
 		WaitTimeout:  5 * time.Second,
 		NewTransport: h.transportFactory,
@@ -217,10 +221,9 @@ func TestElasticAddWorkerWidensPlanAndMatchesBaseline(t *testing.T) {
 	}}
 
 	e, err := NewElastic(Options{
-		ModelFactory:  factory,
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
-		RuntimeConfig: RuntimeConfig{Depth: 1},
+		ModelFactory: factory,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
 		FaultConfig: FaultConfig{
 			CheckpointDir:   t.TempDir(),
 			CheckpointEvery: 5,
@@ -228,8 +231,12 @@ func TestElasticAddWorkerWidensPlanAndMatchesBaseline(t *testing.T) {
 			WatchdogTimeout: 250 * time.Millisecond,
 		},
 	}, ElasticConfig{
-		View:         h.view,
-		Replan:       func(n int) (*partition.Plan, error) { return evenPlan(t, factory, n, 1), nil },
+		View: h.view,
+		Replan: func(n int) (*partition.Plan, error) {
+			plan := evenPlan(t, factory, n, 1)
+			plan.Depth = 1
+			return plan, nil
+		},
 		MinWorkers:   2,
 		WaitTimeout:  5 * time.Second,
 		NewTransport: h.transportFactory,
@@ -287,10 +294,9 @@ func TestElasticBelowMinWorkersWaitsForRejoin(t *testing.T) {
 	}}
 
 	e, err := NewElastic(Options{
-		ModelFactory:  factory,
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
-		RuntimeConfig: RuntimeConfig{Depth: 1},
+		ModelFactory: factory,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
 		FaultConfig: FaultConfig{
 			CheckpointDir:   t.TempDir(),
 			CheckpointEvery: 5,
@@ -298,8 +304,12 @@ func TestElasticBelowMinWorkersWaitsForRejoin(t *testing.T) {
 			WatchdogTimeout: 250 * time.Millisecond,
 		},
 	}, ElasticConfig{
-		View:         h.view,
-		Replan:       func(n int) (*partition.Plan, error) { return evenPlan(t, factory, n, 1), nil },
+		View: h.view,
+		Replan: func(n int) (*partition.Plan, error) {
+			plan := evenPlan(t, factory, n, 1)
+			plan.Depth = 1
+			return plan, nil
+		},
 		MinWorkers:   2,
 		WaitTimeout:  5 * time.Second,
 		NewTransport: h.transportFactory,
@@ -344,10 +354,9 @@ func TestElasticFlapWithinDebounceDoesNotRescale(t *testing.T) {
 	}}
 
 	e, err := NewElastic(Options{
-		ModelFactory:  factory,
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
-		RuntimeConfig: RuntimeConfig{Depth: 1},
+		ModelFactory: factory,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
 		FaultConfig: FaultConfig{
 			CheckpointDir:   t.TempDir(),
 			CheckpointEvery: 5,
@@ -355,8 +364,12 @@ func TestElasticFlapWithinDebounceDoesNotRescale(t *testing.T) {
 			WatchdogTimeout: 250 * time.Millisecond,
 		},
 	}, ElasticConfig{
-		View:         h.view,
-		Replan:       func(n int) (*partition.Plan, error) { return evenPlan(t, factory, n, 1), nil },
+		View: h.view,
+		Replan: func(n int) (*partition.Plan, error) {
+			plan := evenPlan(t, factory, n, 1)
+			plan.Depth = 1
+			return plan, nil
+		},
 		MinWorkers:   2,
 		WaitTimeout:  5 * time.Second,
 		NewTransport: h.transportFactory,
@@ -384,12 +397,13 @@ func TestTrainMaxRecoveriesIsConsecutiveNotLifetime(t *testing.T) {
 	ds := data.NewBlobs(33, 3, 4, 8, 30)
 	const mbs = 20
 
+	plan := evenPlan(t, factory, 2, 1)
+	plan.Depth = 1
 	ref, err := New(Options{
-		ModelFactory:  factory,
-		Plan:          evenPlan(t, factory, 2, 1),
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
-		RuntimeConfig: RuntimeConfig{Depth: 1},
+		ModelFactory: factory,
+		Plan:         plan,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -407,12 +421,11 @@ func TestTrainMaxRecoveriesIsConsecutiveNotLifetime(t *testing.T) {
 	outer := &breakAtDataset{Dataset: inner, at: 2, hook: func() { chaos.DropNext(1) }}
 
 	p, err := New(Options{
-		ModelFactory:  factory,
-		Plan:          evenPlan(t, factory, 2, 1),
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
-		RuntimeConfig: RuntimeConfig{Depth: 1},
-		Transport:     chaos,
+		ModelFactory: factory,
+		Plan:         plan,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
+		Transport:    chaos,
 		FaultConfig: FaultConfig{
 			CheckpointDir:   t.TempDir(),
 			CheckpointEvery: 5,
@@ -478,10 +491,11 @@ func TestAdoptFullStateResumesBitEqual(t *testing.T) {
 	opt := func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) }
 
 	// Baseline: 20 mbs on one 3-stage pipeline.
+	plan := evenPlan(t, factory, 3, 1)
+	plan.Depth = 1
 	ref, err := New(Options{
-		ModelFactory: factory, Plan: evenPlan(t, factory, 3, 1),
+		ModelFactory: factory, Plan: plan,
 		Loss: nn.SoftmaxCrossEntropy, NewOptimizer: opt,
-		RuntimeConfig: RuntimeConfig{Depth: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -495,9 +509,8 @@ func TestAdoptFullStateResumesBitEqual(t *testing.T) {
 	// Phase 1: 10 mbs on a 3-stage pipeline, checkpoint.
 	dir := t.TempDir()
 	p1, err := New(Options{
-		ModelFactory: factory, Plan: evenPlan(t, factory, 3, 1),
+		ModelFactory: factory, Plan: plan,
 		Loss: nn.SoftmaxCrossEntropy, NewOptimizer: opt,
-		RuntimeConfig: RuntimeConfig{Depth: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -519,10 +532,11 @@ func TestAdoptFullStateResumesBitEqual(t *testing.T) {
 	if full.OptState == nil {
 		t.Fatal("checkpoint carries no optimizer state")
 	}
+	plan2 := evenPlan(t, factory, 2, 1)
+	plan2.Depth = 1
 	p2, err := New(Options{
-		ModelFactory: factory, Plan: evenPlan(t, factory, 2, 1),
+		ModelFactory: factory, Plan: plan2,
 		Loss: nn.SoftmaxCrossEntropy, NewOptimizer: opt,
-		RuntimeConfig: RuntimeConfig{Depth: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -118,13 +118,14 @@ func TestGradAccumulationMatchesLargeBatchReference(t *testing.T) {
 	}
 
 	// Pipeline with depth 1 (no staleness) and gradient accumulation.
+	plan := evenPlan(t, factory, 1, 1)
+	plan.Depth = 1
 	p, err := New(Options{
-		ModelFactory:  factory,
-		Plan:          evenPlan(t, factory, 1, 1),
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
-		RuntimeConfig: RuntimeConfig{Depth: 1},
-		SyncConfig:    SyncConfig{GradAccumulation: accum},
+		ModelFactory: factory,
+		Plan:         plan,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
+		SyncConfig:   SyncConfig{GradAccumulation: accum},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,13 +148,14 @@ func TestGradAccumulationMatchesLargeBatchReference(t *testing.T) {
 func TestGradAccumulationPartialWindow(t *testing.T) {
 	factory := mlpFactory(23, 4, 8, 3)
 	ds := data.NewBlobs(29, 3, 4, 8, 5)
+	plan := evenPlan(t, factory, 1, 1)
+	plan.Depth = 1
 	p, err := New(Options{
-		ModelFactory:  factory,
-		Plan:          evenPlan(t, factory, 1, 1),
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.5, 0, 0) },
-		RuntimeConfig: RuntimeConfig{Depth: 1},
-		SyncConfig:    SyncConfig{GradAccumulation: 4},
+		ModelFactory: factory,
+		Plan:         plan,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.5, 0, 0) },
+		SyncConfig:   SyncConfig{GradAccumulation: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,12 +206,13 @@ func TestCheckpointPreservesOptimizerState(t *testing.T) {
 	factory := mlpFactory(61, 4, 8, 3)
 	ds := data.NewBlobs(67, 3, 4, 8, 30)
 	mk := func() *Pipeline {
+		plan := evenPlan(t, factory, 2, 1)
+		plan.Depth = 1 // determinism
 		p, err := New(Options{
-			ModelFactory:  factory,
-			Plan:          evenPlan(t, factory, 2, 1),
-			Loss:          nn.SoftmaxCrossEntropy,
-			NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) }, // momentum matters
-			RuntimeConfig: RuntimeConfig{Depth: 1},                               // determinism
+			ModelFactory: factory,
+			Plan:         plan,
+			Loss:         nn.SoftmaxCrossEntropy,
+			NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) }, // momentum matters
 		})
 		if err != nil {
 			t.Fatal(err)

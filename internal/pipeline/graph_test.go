@@ -32,6 +32,7 @@ func TestBranchGraphPipelineMatchesReference(t *testing.T) {
 	const minibatches = 20
 	b := branching.StandIn(5)
 	plan := branchPlan(t, b)
+	plan.Depth = 1
 	g := plan.Graph
 
 	// Reference: explicit topological forward, per-sink losses, reverse
@@ -98,12 +99,11 @@ func TestBranchGraphPipelineMatchesReference(t *testing.T) {
 	}
 
 	p, err := New(Options{
-		ModelFactory:  b.Factory,
-		Plan:          plan,
-		Loss:          nn.SoftmaxCrossEntropy,
-		SinkLoss:      map[int]LossFunc{b.ParityHead: branching.ParityLoss},
-		NewOptimizer:  b.NewOptimizer,
-		RuntimeConfig: RuntimeConfig{Depth: 1},
+		ModelFactory: b.Factory,
+		Plan:         plan,
+		Loss:         nn.SoftmaxCrossEntropy,
+		SinkLoss:     map[int]LossFunc{b.ParityHead: branching.ParityLoss},
+		NewOptimizer: b.NewOptimizer,
 	})
 	if err != nil {
 		t.Fatal(err)

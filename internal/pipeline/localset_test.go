@@ -85,12 +85,13 @@ func trainAll(t *testing.T, ps []*Pipeline, ds data.Dataset, n int) []float64 {
 }
 
 func baseOptions(factory func() *nn.Sequential, plan *partition.Plan) Options {
+	q := *plan
+	q.Depth = 1
 	return Options{
-		ModelFactory:  factory,
-		Plan:          plan,
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
-		RuntimeConfig: RuntimeConfig{Depth: 1},
+		ModelFactory: factory,
+		Plan:         &q,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
 	}
 }
 
@@ -201,7 +202,7 @@ func TestLocalWorkerSetsReplicatedStage(t *testing.T) {
 	for _, mbs := range []int{20, 21} {
 		ds := data.NewBlobs(17, 3, 4, 8, mbs)
 		opts := baseOptions(factory, plan)
-		opts.Depth = 0
+		opts.Plan = plan // NOAM
 		addrs := freeAddrs(t, 3)
 		ps := make([]*Pipeline, 3)
 		for w := range ps {

@@ -19,14 +19,15 @@ func TestReportStagesPopulated(t *testing.T) {
 	ds := data.NewBlobs(5, 3, 4, 8, 24)
 	reg := metrics.NewRegistry()
 	log := metrics.NewOpLog(0)
+	plan := evenPlan(t, factory, 2, 1)
+	plan.Depth = 2
 	p, err := New(Options{
-		ModelFactory:  factory,
-		Plan:          evenPlan(t, factory, 2, 1),
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.05, 0, 0) },
-		RuntimeConfig: RuntimeConfig{Depth: 2},
-		Metrics:       reg,
-		OpLog:         log,
+		ModelFactory: factory,
+		Plan:         plan,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.05, 0, 0) },
+		Metrics:      reg,
+		OpLog:        log,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ func parentTrainingRuns(t *testing.T) map[string]uint64 {
 						"lars":     func() nn.Optimizer { return nn.NewLARS(0.5, 0.9, 1e-3, 0.02) },
 					} {
 						opts := baseOptions(factory, plan)
-						opts.Depth = 0 // NOAM
+						opts.Plan = plan // NOAM
 						opts.Mode = mode
 						opts.Recompute = recompute
 						opts.GradAccumulation = accum

@@ -70,15 +70,12 @@ func (m StalenessMode) String() string {
 // nothing else keeps (nn's losses take theirs from the pool).
 type LossFunc func(pred *tensor.Tensor, labels []int) (float64, *tensor.Tensor)
 
-// RuntimeConfig groups the execution-shape options of a Pipeline: how
-// deep the pipeline runs, whether activations are recomputed, and how
-// much kernel-level parallelism each worker may use. Its fields are
-// promoted into Options, so opts.Depth and friends keep working.
+// RuntimeConfig groups the execution-shape options of a Pipeline:
+// whether activations are recomputed, and how much kernel-level
+// parallelism each worker may use. (How deep the pipeline runs is the
+// plan's Depth.) Its fields are promoted into Options, so opts.Recompute
+// and friends read and assign directly.
 type RuntimeConfig struct {
-	// Depth overrides NOAM as the per-input-replica in-flight bound: the
-	// input stage's warm-up in the static schedule, and a cap on every
-	// later stage's.
-	Depth int
 	// Recompute discards forward activations and recomputes them during
 	// the backward pass (GPipe's memory-for-compute trade, §3.3) instead
 	// of stashing layer contexts, keeping each stage input to restart
@@ -154,9 +151,9 @@ type FaultConfig struct {
 // Options configures a Pipeline. The tuning knobs live in three embedded
 // config groups — RuntimeConfig (execution shape), SyncConfig (gradient
 // collectives), and FaultConfig (checkpointing and recovery) — whose
-// fields are promoted, so opts.Depth, opts.BucketBytes, opts.CheckpointDir
+// fields are promoted, so opts.Recompute, opts.BucketBytes, opts.CheckpointDir
 // and friends read and assign exactly as before the split. Composite
-// literals name the group: Options{RuntimeConfig: RuntimeConfig{Depth: 4}}.
+// literals name the group: Options{RuntimeConfig: RuntimeConfig{Recompute: true}}.
 type Options struct {
 	// ModelFactory must return architecturally identical models with
 	// identical initial weights on every call (use a fixed seed). New
@@ -274,7 +271,6 @@ type Pipeline struct {
 	opts   Options
 	assign *schedule.Assignment
 	graph  *partition.StageGraph
-	depth  int
 	// workers are the stage workers this process hosts, in worker-ID
 	// order: all of the plan's when the transport is in-process, the
 	// transport's local IDs otherwise.
@@ -314,12 +310,8 @@ func newPipeline(opts Options, newTr TransportFactory) (*Pipeline, error) {
 		}
 	}
 	p := &Pipeline{opts: opts, assign: schedule.Assign(opts.Plan), graph: graph}
-	p.depth = opts.Depth
-	if p.depth <= 0 {
-		p.depth = opts.Plan.NOAM
-	}
-	if p.depth < 1 {
-		return nil, fmt.Errorf("pipeline: depth %d (plan has NOAM %d; build it with partition.NewPlan)", p.depth, opts.Plan.NOAM)
+	if opts.Plan.Depth < 1 {
+		return nil, fmt.Errorf("pipeline: plan has depth %d (build it with partition.NewPlan)", opts.Plan.Depth)
 	}
 	if opts.KernelParallelism > 0 {
 		tensor.SetParallelism(opts.KernelParallelism)
@@ -393,7 +385,7 @@ func (p *Pipeline) firstModel(stages []*nn.Sequential, newTr TransportFactory) e
 		return nil
 	}
 	var err error
-	buffer := channelBuffer(stages, p.opts, p.depth) * p.graph.MaxDegree()
+	buffer := channelBuffer(stages, p.opts) * p.graph.MaxDegree()
 	if newTr == nil {
 		p.tr = transport.NewChannels(p.assign.NumWorkers(), buffer)
 	} else if p.tr, err = newTr(p.assign.NumWorkers(), buffer); err != nil {
@@ -446,8 +438,8 @@ func (p *Pipeline) newWorker(w int, ref schedule.WorkerRef, stage *nn.Sequential
 // each, plus 8 for heartbeats — and a replicated stage's ring traffic: at
 // most one in-flight chunk per bucket from the left neighbor's current
 // round plus one from its next round, plus 8.
-func channelBuffer(stages []*nn.Sequential, opts Options, depth int) int {
-	n := 2*depth*opts.Plan.Stages[0].Replicas + 8
+func channelBuffer(stages []*nn.Sequential, opts Options) int {
+	n := 2*opts.Plan.Depth*opts.Plan.Stages[0].Replicas + 8
 	if b := maxRingBuckets(stages, opts); b > 0 {
 		n += 2*b + 8
 	}
@@ -497,9 +489,6 @@ func (p *Pipeline) Close() error {
 	}
 	return nil
 }
-
-// Depth returns the effective pipeline depth (NOAM unless overridden).
-func (p *Pipeline) Depth() int { return p.depth }
 
 // Cursor returns the global minibatch index the next Train call starts
 // from; Restore rewinds it to the restored checkpoint's cursor.
@@ -644,7 +633,7 @@ func (p *Pipeline) runChunk(ds data.Dataset, cs, ce, base int, losses []float64)
 			sw.ring.Reset()
 		}
 	}
-	table := schedule.Table(p.assign, schedule.PipeDream1F1B, p.depth, cs, ce)
+	table := schedule.Table(p.assign, schedule.PipeDream1F1B, cs, ce)
 	ab := newRunAbort()
 	// Every sink stage reports one loss event per minibatch, and the
 	// channel is only drained after the workers join — size it for all of

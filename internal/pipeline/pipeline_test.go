@@ -72,7 +72,7 @@ func syntheticProfileFor(model *nn.Sequential) *profile.ModelProfile {
 }
 
 func TestSingleStageMatchesSequentialExactly(t *testing.T) {
-	checkPipelineMatchesSequential(t, 1, 0)
+	checkPipelineMatchesSequential(t, 1, 1) // a single stage's NOAM
 }
 
 func TestDepthOnePipelineMatchesSequentialExactly(t *testing.T) {
@@ -99,12 +99,13 @@ func checkPipelineMatchesSequential(t *testing.T, stages, depth int) {
 		refOpt.Step(ref.Params(), ref.Grads())
 	}
 
+	plan := evenPlan(t, factory, stages, 1)
+	plan.Depth = depth
 	p, err := New(Options{
-		ModelFactory:  factory,
-		Plan:          evenPlan(t, factory, stages, 1),
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
-		RuntimeConfig: RuntimeConfig{Depth: depth},
+		ModelFactory: factory,
+		Plan:         plan,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +239,7 @@ func TestVerticalSyncRunsAndPrunesVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sw := range p.workers {
-		if n := len(sw.weights.listed); n > p.depth*2+3 {
+		if n := len(sw.weights.listed); n > p.Plan().Depth*2+3 {
 			t.Fatalf("worker %d retains %d versions; pruning is broken", sw.id, n)
 		}
 	}
@@ -259,13 +260,14 @@ func TestVerticalSyncMatchesSequentialAtDepthOne(t *testing.T) {
 		ref.Backward(ctx, grad)
 		refOpt.Step(ref.Params(), ref.Grads())
 	}
+	plan := evenPlan(t, factory, 3, 1)
+	plan.Depth = 1
 	p, err := New(Options{
-		ModelFactory:  factory,
-		Plan:          evenPlan(t, factory, 3, 1),
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
-		Mode:          VerticalSync,
-		RuntimeConfig: RuntimeConfig{Depth: 1},
+		ModelFactory: factory,
+		Plan:         plan,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
+		Mode:         VerticalSync,
 	})
 	if err != nil {
 		t.Fatal(err)

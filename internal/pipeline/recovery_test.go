@@ -44,13 +44,14 @@ func TestChaosSeverDelayMatchesBaseline(t *testing.T) {
 
 	run := func(tr transport.Transport, ds data.Dataset) []float64 {
 		t.Helper()
+		plan := evenPlan(t, factory, 3, 1)
+		plan.Depth = 1 // strictly sequential: delays cannot reorder
 		p, err := New(Options{
-			ModelFactory:  factory,
-			Plan:          evenPlan(t, factory, 3, 1),
-			Loss:          nn.SoftmaxCrossEntropy,
-			NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
-			RuntimeConfig: RuntimeConfig{Depth: 1}, // strictly sequential: delays cannot reorder
-			Transport:     tr,
+			ModelFactory: factory,
+			Plan:         plan,
+			Loss:         nn.SoftmaxCrossEntropy,
+			NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
+			Transport:    tr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -100,13 +101,14 @@ func TestChaosDropRecoveryMatchesCleanRun(t *testing.T) {
 
 	mk := func(tr transport.Transport, dir string) *Pipeline {
 		t.Helper()
+		plan := evenPlan(t, factory, 2, 1)
+		plan.Depth = 1
 		opts := Options{
-			ModelFactory:  factory,
-			Plan:          evenPlan(t, factory, 2, 1),
-			Loss:          nn.SoftmaxCrossEntropy,
-			NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
-			RuntimeConfig: RuntimeConfig{Depth: 1},
-			Transport:     tr,
+			ModelFactory: factory,
+			Plan:         plan,
+			Loss:         nn.SoftmaxCrossEntropy,
+			NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
+			Transport:    tr,
 		}
 		if dir != "" {
 			opts.CheckpointDir = dir
@@ -160,14 +162,15 @@ func TestChaosRecoveryExhaustedSurfacesTypedError(t *testing.T) {
 	ds := data.NewBlobs(43, 3, 4, 8, 30)
 	chaos := transport.NewChaos(transport.NewChannels(2, 16), transport.ChaosConfig{Seed: 2, DropRate: 1})
 	defer chaos.Close()
+	plan := evenPlan(t, factory, 2, 1)
+	plan.Depth = 1
 	p, err := New(Options{
-		ModelFactory:  factory,
-		Plan:          evenPlan(t, factory, 2, 1),
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
-		RuntimeConfig: RuntimeConfig{Depth: 1},
-		Transport:     chaos,
-		FaultConfig:   FaultConfig{CheckpointDir: t.TempDir(), CheckpointEvery: 5, MaxRecoveries: 1, WatchdogTimeout: 150 * time.Millisecond},
+		ModelFactory: factory,
+		Plan:         plan,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
+		Transport:    chaos,
+		FaultConfig:  FaultConfig{CheckpointDir: t.TempDir(), CheckpointEvery: 5, MaxRecoveries: 1, WatchdogTimeout: 150 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,13 +189,14 @@ func TestChaosSeveredPeerSurfacesErrPeerDown(t *testing.T) {
 	ds := data.NewBlobs(53, 3, 4, 8, 30)
 	chaos := transport.NewChaos(transport.NewChannels(2, 16), transport.ChaosConfig{Seed: 3})
 	defer chaos.Close()
+	plan := evenPlan(t, factory, 2, 1)
+	plan.Depth = 1
 	p, err := New(Options{
-		ModelFactory:  factory,
-		Plan:          evenPlan(t, factory, 2, 1),
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
-		RuntimeConfig: RuntimeConfig{Depth: 1},
-		Transport:     chaos,
+		ModelFactory: factory,
+		Plan:         plan,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
+		Transport:    chaos,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -285,12 +289,13 @@ func TestChaosMidTrainingCheckpointResumeEquivalence(t *testing.T) {
 	ds := data.NewBlobs(83, 3, 4, 8, 30)
 	mk := func(dir string) *Pipeline {
 		t.Helper()
+		plan := evenPlan(t, factory, 2, 1)
+		plan.Depth = 1
 		opts := Options{
-			ModelFactory:  factory,
-			Plan:          evenPlan(t, factory, 2, 1),
-			Loss:          nn.SoftmaxCrossEntropy,
-			NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
-			RuntimeConfig: RuntimeConfig{Depth: 1},
+			ModelFactory: factory,
+			Plan:         plan,
+			Loss:         nn.SoftmaxCrossEntropy,
+			NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
 		}
 		if dir != "" {
 			opts.CheckpointDir = dir
@@ -347,12 +352,13 @@ func TestRestoreGenerationValidation(t *testing.T) {
 	ds := data.NewBlobs(97, 3, 4, 8, 30)
 	mk := func() *Pipeline {
 		t.Helper()
+		plan := evenPlan(t, factory, 2, 1)
+		plan.Depth = 1
 		p, err := New(Options{
-			ModelFactory:  factory,
-			Plan:          evenPlan(t, factory, 2, 1),
-			Loss:          nn.SoftmaxCrossEntropy,
-			NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
-			RuntimeConfig: RuntimeConfig{Depth: 1},
+			ModelFactory: factory,
+			Plan:         plan,
+			Loss:         nn.SoftmaxCrossEntropy,
+			NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -406,12 +412,13 @@ func TestRestoreGenerationValidation(t *testing.T) {
 func TestRestoreRejectsMixedGenerations(t *testing.T) {
 	factory := mlpFactory(101, 4, 8, 3)
 	ds := data.NewBlobs(103, 3, 4, 8, 30)
+	plan := evenPlan(t, factory, 2, 1)
+	plan.Depth = 1
 	p, err := New(Options{
-		ModelFactory:  factory,
-		Plan:          evenPlan(t, factory, 2, 1),
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
-		RuntimeConfig: RuntimeConfig{Depth: 1},
+		ModelFactory: factory,
+		Plan:         plan,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -450,14 +457,15 @@ func TestFaultCountersInMetricsJSON(t *testing.T) {
 	factory := mlpFactory(107, 4, 8, 3)
 	ds := data.NewBlobs(109, 3, 4, 8, 30)
 	reg := metrics.NewRegistry()
+	plan := evenPlan(t, factory, 2, 1)
+	plan.Depth = 1
 	p, err := New(Options{
-		ModelFactory:  factory,
-		Plan:          evenPlan(t, factory, 2, 1),
-		Loss:          nn.SoftmaxCrossEntropy,
-		NewOptimizer:  func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
-		RuntimeConfig: RuntimeConfig{Depth: 1},
-		Metrics:       reg,
-		FaultConfig:   FaultConfig{CheckpointDir: t.TempDir(), CheckpointEvery: 5},
+		ModelFactory: factory,
+		Plan:         plan,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
+		Metrics:      reg,
+		FaultConfig:  FaultConfig{CheckpointDir: t.TempDir(), CheckpointEvery: 5},
 	})
 	if err != nil {
 		t.Fatal(err)

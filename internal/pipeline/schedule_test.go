@@ -92,7 +92,7 @@ func TestRuntimeExecutesScheduleTable(t *testing.T) {
 			factory, plan := shapePlan(t, c.replicas, c.graph)
 			log := metrics.NewOpLog(0)
 			opts := baseOptions(factory, plan)
-			opts.Depth = 0 // NOAM
+			opts.Plan = plan // NOAM
 			opts.OpLog = log
 			p, err := New(opts)
 			if err != nil {
@@ -104,7 +104,7 @@ func TestRuntimeExecutesScheduleTable(t *testing.T) {
 			}
 			tl := trace.RuntimeTimeline(log)
 			a := schedule.Assign(plan)
-			table := schedule.Table(a, schedule.PipeDream1F1B, p.Depth(), 0, mbs)
+			table := schedule.Table(a, schedule.PipeDream1F1B, 0, mbs)
 			done := make([]float64, mbs) // when each minibatch's backward ended at the input stage
 			for w := range table {
 				var ran []schedule.TableOp
@@ -128,8 +128,8 @@ func TestRuntimeExecutesScheduleTable(t *testing.T) {
 				}
 			}
 			// The same steady-state window the simulated goldens use.
-			edge := 2 * p.Depth() * c.replicas[0]
-			if err := schedule.Validate1F1B(tl, a, p.Depth(), done[edge], done[mbs-edge]); err != nil {
+			edge := 2 * plan.Depth * c.replicas[0]
+			if err := schedule.Validate1F1B(tl, a, done[edge], done[mbs-edge]); err != nil {
 				t.Fatalf("1F1B invariant violated by the runtime: %v", err)
 			}
 		})
@@ -189,10 +189,12 @@ func TestLossesArePureFunctionOfSeedPlanDepth(t *testing.T) {
 	} {
 		factory, plan := shapePlan(t, c.replicas, c.graph)
 		ds := data.NewBlobs(23, 3, 4, 8, 11)
-		for _, depth := range []int{1, 0} { // 0 = NOAM
+		for _, depth := range []int{1, 0} { // 0 = the plan's NOAM
 			for _, recompute := range []bool{false, true} {
 				opts := baseOptions(factory, plan)
-				opts.Depth = depth
+				if depth == 0 {
+					opts.Plan = plan
+				}
 				opts.Recompute = recompute
 				opts.Mode = c.mode
 				opts.GradAccumulation = c.accum

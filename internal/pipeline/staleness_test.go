@@ -130,7 +130,7 @@ func TestStalenessBoundedPerPaperFormula(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	depth := p.Depth() // NOAM = nStages for a straight pipeline
+	depth := p.Plan().Depth // NOAM = nStages for a straight pipeline
 	maxStale := make([]int, nStages)
 	for s := 0; s < nStages; s++ {
 		hist := *histories[s]

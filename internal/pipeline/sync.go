@@ -144,7 +144,7 @@ func (sw *stageWorker) versionHorizon() int {
 	// Messages still in transit can carry tags lagging by up to the total
 	// number of in-flight minibatches; keep one extra round of slack per
 	// replica group.
-	horizon := sw.reflected() - sw.p.depth*len(sw.p.assign.StageWorkers[0]) - sw.replicas() - 1
+	horizon := sw.reflected() - sw.p.opts.Plan.Depth*len(sw.p.assign.StageWorkers[0]) - sw.replicas() - 1
 	if horizon < min {
 		min = horizon
 	}

@@ -286,7 +286,7 @@ func TestWeightVersionsAreNotCopied(t *testing.T) {
 					t.Fatal(err)
 				}
 				opts := baseOptions(factory, plan)
-				opts.Depth = 0
+				opts.Plan = plan // NOAM
 				opts.Mode = mode
 				opts.NewOptimizer = newOpt
 				opts.Transport = tcp
@@ -325,9 +325,9 @@ func TestWeightVersionsAreNotCopied(t *testing.T) {
 				gets[mode] = hits1 + misses1 - hits0 - misses0
 				for _, sw := range p.workers {
 					w := sw.weights
-					if w.arrays != arrays[sw.id] || w.arrays > p.depth+1 {
+					if w.arrays != arrays[sw.id] || w.arrays > p.Plan().Depth+1 {
 						t.Errorf("%s %v: worker %d has %d version arrays (%d before the measured call), want at most depth+1 = %d",
-							name, mode, sw.id, w.arrays, arrays[sw.id], p.depth+1)
+							name, mode, sw.id, w.arrays, arrays[sw.id], p.Plan().Depth+1)
 					}
 					if live := w.arrays - len(w.free); len(w.listed) != 1 || live != 1 || w.bound != w.latest() {
 						t.Errorf("%s %v: worker %d ends the call with %d listed versions and %d live arrays", name, mode, sw.id, len(w.listed), live)

@@ -99,10 +99,10 @@ func TestGolden1F1BTimelines(t *testing.T) {
 			}
 			a := schedule.Assign(plan)
 			workers := a.NumWorkers()
-			noam := schedule.Noam(workers, cfg.replicas[0])
-			if plan.NOAM != noam {
-				t.Fatalf("plan NOAM = %d, schedule.Noam(%d, %d) = %d",
-					plan.NOAM, workers, cfg.replicas[0], noam)
+			noam := partition.Noam(workers, cfg.replicas[0])
+			if plan.Depth != noam {
+				t.Fatalf("plan depth = %d, partition.Noam(%d, %d) = %d",
+					plan.Depth, workers, cfg.replicas[0], noam)
 			}
 
 			// Startup admission: each input replica runs exactly NOAM
@@ -124,7 +124,7 @@ func TestGolden1F1BTimelines(t *testing.T) {
 				}
 			}
 
-			table := schedule.Table(a, schedule.PipeDream1F1B, noam, 0, mbs)
+			table := schedule.Table(a, schedule.PipeDream1F1B, 0, mbs)
 			for w, want := range table {
 				var got []schedule.Op
 				for _, op := range res.Timeline.WorkerOps(w) {
@@ -149,7 +149,7 @@ func TestGolden1F1BTimelines(t *testing.T) {
 			edge := 2 * noam * cfg.replicas[0]
 			warm := res.CompletionTimes[edge]
 			cool := res.CompletionTimes[len(res.CompletionTimes)-edge]
-			if err := schedule.Validate1F1B(res.Timeline, a, noam, warm, cool); err != nil {
+			if err := schedule.Validate1F1B(res.Timeline, a, warm, cool); err != nil {
 				t.Errorf("1F1B invariant violated: %v", err)
 			}
 

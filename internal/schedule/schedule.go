@@ -1,6 +1,6 @@
 // Package schedule implements PipeDream's work-scheduling machinery
 // (§3.2): assignment of workers to (possibly replicated) pipeline stages,
-// the NOAM in-flight minibatch bound, deterministic round-robin routing of
+// the static schedule at the plan's in-flight depth, deterministic round-robin routing of
 // minibatches across stage replicas (the "RR" in 1F1B-RR), and the shared
 // timeline vocabulary used by the cluster simulator, the runtime, and the
 // figure-rendering experiments.
@@ -19,7 +19,8 @@ type Policy int
 
 // Scheduling policies compared in the paper.
 const (
-	// PipeDream1F1B: startup admits NOAM minibatches, then every worker
+	// PipeDream1F1B: startup admits the plan's Depth (NOAM unless
+	// lowered) minibatches per input replica, then every worker
 	// alternates one forward with one backward; no flushes.
 	PipeDream1F1B Policy = iota
 	// GPipe: admit m microbatches, run all forwards then all backwards,
@@ -88,15 +89,6 @@ func ReplicaFor(mb, replicas int) int {
 		panic(fmt.Sprintf("schedule: replicas = %d", replicas))
 	}
 	return mb % replicas
-}
-
-// Noam returns NUM_OPT_ACTIVE_MINIBATCHES = ceil(workers / input-stage
-// replicas): the fewest in-flight minibatches that keep the pipeline full.
-func Noam(totalWorkers, inputReplicas int) int {
-	if inputReplicas < 1 {
-		panic(fmt.Sprintf("schedule: input replicas = %d", inputReplicas))
-	}
-	return (totalWorkers + inputReplicas - 1) / inputReplicas
 }
 
 // OpKind distinguishes forward from backward work.
@@ -246,11 +238,11 @@ func (t *Timeline) Render(step float64) string {
 //  3. alternation: in steady state (between `warm` and `cool`, excluding
 //     the startup fill and the end-of-run drain) every worker's ops
 //     strictly alternate forward/backward;
-//  4. in-flight bound: never more than `noam` minibatches active per
-//     input-stage replica.
+//  4. in-flight bound: never more than the plan's Depth minibatches
+//     active per input-stage replica.
 //
 // It returns an error describing the first violation.
-func Validate1F1B(t *Timeline, a *Assignment, noam int, warm, cool float64) error {
+func Validate1F1B(t *Timeline, a *Assignment, warm, cool float64) error {
 	type key struct{ stage, mb int }
 	fwdEnd := map[key]float64{}
 	fwdWorker := map[key]int{}
@@ -348,9 +340,9 @@ func Validate1F1B(t *Timeline, a *Assignment, noam int, warm, cool float64) erro
 	active := make([]int, replicas)
 	for _, e := range events {
 		active[e.rep] += e.delta
-		if active[e.rep] > noam {
-			return fmt.Errorf("input replica %d has %d in-flight minibatches at t=%.4g, NOAM=%d",
-				e.rep, active[e.rep], e.t, noam)
+		if active[e.rep] > a.Plan.Depth {
+			return fmt.Errorf("input replica %d has %d in-flight minibatches at t=%.4g, depth %d",
+				e.rep, active[e.rep], e.t, a.Plan.Depth)
 		}
 	}
 	return nil

@@ -16,7 +16,7 @@ func planWith(stages ...int) *partition.Plan {
 		first++
 		p.Workers += r
 	}
-	p.NOAM = Noam(p.Workers, stages[0])
+	p.Depth = partition.Noam(p.Workers, stages[0])
 	p.Graph = partition.NewLinear(len(stages))
 	return p
 }
@@ -67,8 +67,8 @@ func TestNoam(t *testing.T) {
 		{5, 4, 2},
 	}
 	for _, c := range cases {
-		if got := Noam(c.workers, c.inputReps); got != c.want {
-			t.Fatalf("Noam(%d,%d) = %d, want %d", c.workers, c.inputReps, got, c.want)
+		if got := partition.Noam(c.workers, c.inputReps); got != c.want {
+			t.Fatalf("partition.Noam(%d,%d) = %d, want %d", c.workers, c.inputReps, got, c.want)
 		}
 	}
 }
@@ -78,7 +78,7 @@ func TestNoamMinimality(t *testing.T) {
 	f := func(w, r uint8) bool {
 		workers := int(w%63) + 1
 		reps := int(r)%workers + 1
-		n := Noam(workers, reps)
+		n := partition.Noam(workers, reps)
 		return n*reps >= workers && (n-1)*reps < workers
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -127,7 +127,7 @@ func TestValidate1F1BCatchesBadRouting(t *testing.T) {
 		{Worker: 0, Stage: 0, Minibatch: 0, Kind: Forward, Start: 0, End: 1},
 		{Worker: 1, Stage: 0, Minibatch: 0, Kind: Backward, Start: 2, End: 3}, // wrong replica!
 	}
-	if err := Validate1F1B(tl, a, 2, 0, 10); err == nil {
+	if err := Validate1F1B(tl, a, 0, 10); err == nil {
 		t.Fatal("expected routing violation")
 	}
 }
@@ -140,7 +140,7 @@ func TestValidate1F1BCatchesBackwardBeforeForward(t *testing.T) {
 		{Worker: 0, Stage: 0, Minibatch: 0, Kind: Forward, Start: 2, End: 3},
 		{Worker: 0, Stage: 0, Minibatch: 0, Kind: Backward, Start: 1, End: 2},
 	}
-	if err := Validate1F1B(tl, a, 1, 0, 10); err == nil {
+	if err := Validate1F1B(tl, a, 0, 10); err == nil {
 		t.Fatal("expected ordering violation")
 	}
 }
@@ -149,18 +149,19 @@ func TestValidate1F1BCatchesOverAdmission(t *testing.T) {
 	plan := planWith(1)
 	a := Assign(plan)
 	tl := &Timeline{Workers: 1, Horizon: 10}
-	// Two minibatches in flight with NOAM 1.
+	// Two minibatches in flight at depth 1.
 	tl.Ops = []Op{
 		{Worker: 0, Stage: 0, Minibatch: 0, Kind: Forward, Start: 0, End: 1},
 		{Worker: 0, Stage: 0, Minibatch: 1, Kind: Forward, Start: 1, End: 2},
 		{Worker: 0, Stage: 0, Minibatch: 0, Kind: Backward, Start: 2, End: 3},
 		{Worker: 0, Stage: 0, Minibatch: 1, Kind: Backward, Start: 3, End: 4},
 	}
-	if err := Validate1F1B(tl, a, 1, 0, 10); err == nil {
-		t.Fatal("expected NOAM violation")
+	if err := Validate1F1B(tl, a, 0, 10); err == nil {
+		t.Fatal("expected depth violation")
 	}
-	if err := Validate1F1B(tl, a, 2, 0, 0); err != nil {
-		t.Fatalf("NOAM 2 should pass: %v", err)
+	plan.Depth = 2
+	if err := Validate1F1B(tl, a, 0, 0); err != nil {
+		t.Fatalf("depth 2 should pass: %v", err)
 	}
 }
 
@@ -171,7 +172,7 @@ func TestValidate1F1BCatchesMissingForward(t *testing.T) {
 	tl.Ops = []Op{
 		{Worker: 0, Stage: 0, Minibatch: 7, Kind: Backward, Start: 1, End: 2},
 	}
-	if err := Validate1F1B(tl, a, 1, 0, 10); err == nil {
+	if err := Validate1F1B(tl, a, 0, 10); err == nil {
 		t.Fatal("expected missing-forward violation")
 	}
 }

@@ -1,6 +1,10 @@
 package schedule
 
-import "fmt"
+import (
+	"fmt"
+
+	"pipedream/internal/partition"
+)
 
 // TableOp is one entry of a worker's static schedule: run the forward or
 // the backward pass of one minibatch.
@@ -21,15 +25,16 @@ type TableOp struct {
 // It runs `warm-up` forwards, then alternates one backward with one
 // forward over its own minibatches in ascending order, then drains the
 // remaining backwards. The warm-up is the worker's share of the stage's
-// in-flight window (see inFlight): `depth` at the input stage, 1 at a
-// sink, n−s at stage s of a straight n-stage pipeline (Figure 4). In
+// in-flight window (see inFlight): the plan's Depth at the input stage, 1
+// at a sink, n−s at stage s of a straight n-stage pipeline (Figure 4). In
 // steady state every backward therefore runs exactly warm-up − 1 local
 // updates after its forward.
 //
-// GPipe: per round of `depth` consecutive microbatches, all of the
+// GPipe: per round of Depth consecutive microbatches, all of the
 // worker's forwards in ascending order, then its backwards in reverse.
 // ModelParallelSingle is the 1F1B table at depth 1.
-func Table(a *Assignment, policy Policy, depth, start, end int) [][]TableOp {
+func Table(a *Assignment, policy Policy, start, end int) [][]TableOp {
+	depth := a.Plan.Depth
 	if policy == ModelParallelSingle {
 		depth = 1
 	}
@@ -86,8 +91,8 @@ func Table(a *Assignment, policy Policy, depth, start, end int) [][]TableOp {
 
 // inFlight returns, per stage, how many consecutive minibatches the
 // stage's replicas together keep between forward and backward under
-// 1F1B. The input stage admits `depth` per replica (NOAM by default).
-// Any other stage needs Noam(workers on the longest path from it to a
+// 1F1B. The input stage admits `depth` per replica (the plan's Depth).
+// Any other stage needs NOAM(workers on the longest path from it to a
 // sink, its replicas) per replica to keep that path busy — but never more
 // than a predecessor forwards before it needs a gradient back, or the
 // warm-up would wait for a minibatch that cannot arrive until one of the
@@ -108,7 +113,7 @@ func inFlight(a *Assignment, depth int) []int {
 	window[0] = depth * len(a.StageWorkers[0])
 	for s := 1; s < n; s++ {
 		replicas := len(a.StageWorkers[s])
-		window[s] = Noam(path[s], replicas) * replicas
+		window[s] = partition.Noam(path[s], replicas) * replicas
 		for _, p := range g.Preds(s) {
 			window[s] = min(window[s], window[p]-len(a.StageWorkers[p])+1)
 		}

@@ -50,14 +50,15 @@ func TestTableKnownShapes(t *testing.T) {
 		{"model-parallel", planWith(1, 1), ModelParallelSingle, 7, 0, 2, []string{
 			"F0 B0 F1 B1", "F0 B0 F1 B1",
 		}},
-		// GPipe: per round of `depth` microbatches, all forwards then the
+		// GPipe: per round of Depth microbatches, all forwards then the
 		// backwards in reverse; the last round is short.
 		{"gpipe", planWith(1, 1), GPipe, 3, 0, 5, []string{
 			"F0 F1 F2 B2 B1 B0 F3 F4 B4 B3",
 			"F0 F1 F2 B2 B1 B0 F3 F4 B4 B3",
 		}},
 	} {
-		table := Table(Assign(c.plan), c.policy, c.depth, c.start, c.end)
+		c.plan.Depth = c.depth
+		table := Table(Assign(c.plan), c.policy, c.start, c.end)
 		for w, want := range c.want {
 			if got := render(table[w]); got != want {
 				t.Errorf("%s worker %d:\n got %s\nwant %s", c.name, w, got, want)
@@ -167,15 +168,15 @@ func TestTableIsTotalAndDeadlockFree(t *testing.T) {
 		if err := plan.Graph.Validate(n); err != nil {
 			t.Fatalf("trial %d: generator built an invalid graph: %v", trial, err)
 		}
-		plan.NOAM = Noam(plan.Workers, plan.Stages[0].Replicas)
+		plan.Depth = 1 + rng.Intn(2*partition.Noam(plan.Workers, plan.Stages[0].Replicas))
 		a := Assign(plan)
-		depth := 1 + rng.Intn(2*plan.NOAM)
+		depth := plan.Depth
 		start := rng.Intn(7)
 		end := start + 1 + rng.Intn(40)
 		desc := fmt.Sprintf("trial %d: %s depth %d window [%d,%d)", trial, plan.ConfigString(), depth, start, end)
 
 		for _, policy := range []Policy{PipeDream1F1B, GPipe, ModelParallelSingle} {
-			table := Table(a, policy, depth, start, end)
+			table := Table(a, policy, start, end)
 			for s := range plan.Stages {
 				for mb := start; mb < end; mb++ {
 					w := a.StageWorkers[s][ReplicaFor(mb, plan.Stages[s].Replicas)]
@@ -215,7 +216,7 @@ func TestTableIsTotalAndDeadlockFree(t *testing.T) {
 		for s, window := range inFlight(a, depth) {
 			wholeRounds = wholeRounds && window >= plan.Stages[s].Replicas
 		}
-		if wholeRounds && !replay(a, Table(a, PipeDream1F1B, depth, start, end), start, end, true) {
+		if wholeRounds && !replay(a, Table(a, PipeDream1F1B, start, end), start, end, true) {
 			t.Fatalf("%s: replay with all_reduce coupling deadlocks", desc)
 		}
 	}

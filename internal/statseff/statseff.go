@@ -229,14 +229,15 @@ func TrainGPipeSemantics(cfg Config, plan *partition.Plan, microbatches int) (*C
 	if microbatches < 1 {
 		return nil, fmt.Errorf("statseff: microbatches = %d", microbatches)
 	}
+	q := *plan
+	q.Depth = microbatches
 	p, err := pipeline.New(pipeline.Options{
-		ModelFactory:  cfg.Factory,
-		Plan:          plan,
-		Loss:          cfg.Loss,
-		NewOptimizer:  cfg.NewOptimizer,
-		Mode:          pipeline.WeightStashing,
-		RuntimeConfig: pipeline.RuntimeConfig{Depth: microbatches},
-		SyncConfig:    pipeline.SyncConfig{GradAccumulation: microbatches},
+		ModelFactory: cfg.Factory,
+		Plan:         &q,
+		Loss:         cfg.Loss,
+		NewOptimizer: cfg.NewOptimizer,
+		Mode:         pipeline.WeightStashing,
+		SyncConfig:   pipeline.SyncConfig{GradAccumulation: microbatches},
 	})
 	if err != nil {
 		return nil, err

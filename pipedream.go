@@ -144,11 +144,12 @@ type (
 )
 
 // Grouped pipeline configuration (embedded in PipelineOptions; read
-// fields through promotion — opts.Depth — but set them in literals
-// through the group: RuntimeConfig: pipedream.RuntimeConfig{Depth: 4}).
+// fields through promotion — opts.Recompute — but set them in literals
+// through the group: RuntimeConfig: pipedream.RuntimeConfig{Recompute: true}).
 type (
 	// RuntimeConfig groups PipelineOptions' execution-shape knobs:
-	// pipeline depth, activation recomputation, kernel parallelism.
+	// activation recomputation, kernel parallelism. The pipeline depth
+	// is the plan's Depth.
 	RuntimeConfig = pipeline.RuntimeConfig
 	// SyncConfig groups PipelineOptions' gradient-synchronization knobs:
 	// ring bucket size, gradient accumulation.
@@ -424,10 +425,11 @@ func ProfileModel(model *Sequential, name string, ds Dataset, numBatches int) *M
 
 // NewPlan is the single planning entry point: it splits the profiled
 // layers into pipeline stages, chooses replication factors, and computes
-// NOAM and the predicted throughput. PlanOptions select the
-// device-memory constraint (depth recorded in Plan.Depth), an explicit
-// stage assignment to price instead of optimizing, and/or a StageGraph
-// giving the stages DAG-shaped dataflow.
+// the predicted throughput and the in-flight depth, Plan.Depth (NOAM).
+// PlanOptions select the device-memory constraint (which lowers
+// Plan.Depth until the stages fit), an explicit stage assignment to
+// price instead of optimizing, and/or a StageGraph giving the stages
+// DAG-shaped dataflow.
 func NewPlan(prof *ModelProfile, topo *Topology, opts PlanOptions) (*PartitionPlan, error) {
 	return partition.NewPlan(prof, topo, opts)
 }

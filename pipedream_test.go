@@ -33,8 +33,8 @@ func TestEndToEndWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.NOAM < 1 {
-		t.Fatalf("NOAM = %d", plan.NOAM)
+	if plan.Depth < 1 {
+		t.Fatalf("depth = %d", plan.Depth)
 	}
 
 	p, err := NewPipeline(PipelineOptions{
