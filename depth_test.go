@@ -35,7 +35,7 @@ func TestMemoryConstrainedPlanRunsAtItsDepth(t *testing.T) {
 	}
 	// A five-layer MLP priced with 100 MB of weights per layer: too heavy
 	// to replicate, so the optimizer picks a straight pipeline (NOAM 4)
-	// that a 700 MB device holds only two minibatches deep.
+	// that a 500 MB device holds only two minibatches deep.
 	mlp := func() *Sequential {
 		rng := rand.New(rand.NewSource(5))
 		return nn.NewSequential(nn.NewDense(rng, "fc1", 4, 8), nn.NewTanh("t1"),
@@ -46,7 +46,7 @@ func TestMemoryConstrainedPlanRunsAtItsDepth(t *testing.T) {
 		heavy.Layers = append(heavy.Layers, LayerProfile{Name: "l", FwdTime: 0.01, BwdTime: 0.02,
 			ActivationBytes: 1 << 20, WeightBytes: 100 << 20})
 	}
-	flat := topology.Flat(4, 1e9, topology.Device{Name: "700MB", EffectiveFLOPS: 1e12, MemBytes: 700 << 20})
+	flat := topology.Flat(4, 1e9, topology.Device{Name: "500MB", EffectiveFLOPS: 1e12, MemBytes: 500 << 20})
 
 	for _, c := range []struct {
 		name    string
@@ -56,12 +56,12 @@ func TestMemoryConstrainedPlanRunsAtItsDepth(t *testing.T) {
 		factory func() *Sequential // non-nil: also train the plan
 	}{
 		{"GNMT-16/16384MB", gnmt, device(16384), 4, nil},
-		{"GNMT-16/1400MB", gnmt, device(1400), 2, nil},
-		{"GNMT-16/1100MB", gnmt, device(1100), 1, nil},
-		{"GNMT-16/900MB", gnmt, device(900), 1, nil},
+		{"GNMT-16/1400MB", gnmt, device(1400), 3, nil},
+		{"GNMT-16/1100MB", gnmt, device(1100), 2, nil},
+		{"GNMT-16/900MB", gnmt, device(900), 2, nil},
 		{"VGG-16/2478MB", vgg, device(2478), 1, nil},
 		{"VGG-16/3296MB", vgg, device(3296), 1, nil},
-		{"MLP/700MB", heavy, flat, 2, mlp},
+		{"MLP/500MB", heavy, flat, 2, mlp},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			plan, err := NewPlan(c.prof, c.topo, PlanOptions{Memory: true})

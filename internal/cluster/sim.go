@@ -57,8 +57,9 @@ type Result struct {
 	// MeanUtilization is the average busy fraction across workers over
 	// the steady-state window.
 	MeanUtilization float64
-	// PeakMemory is the per-worker peak footprint in bytes (weight
-	// versions + activation stashes).
+	// PeakMemory is the per-worker peak footprint in bytes:
+	// partition.WorkerMemory at the most minibatches the worker held
+	// between forward and backward.
 	PeakMemory []int64
 	// P2PBytes and SyncBytes are total bytes moved between stages and
 	// within replicated stages, respectively.
@@ -117,12 +118,9 @@ type stageInfo struct {
 	spec         partition.StageSpec
 	fwdTime      float64
 	bwdTime      float64
-	weightB      int64 // stage weights
 	actOutB      int64 // activation bytes leaving the stage
-	actStashB    int64 // activation bytes stashed per in-flight minibatch
 	syncTime     float64
 	syncBytes    int64
-	inputActB    int64   // activation bytes entering the stage
 	bwdParamTime float64 // the part of bwdTime after the upstream gradient left
 	// in/out index sim.links: the stage's dataflow edges in the plan's
 	// graph (for a linear plan: from stage-1 and to stage+1).
@@ -211,27 +209,19 @@ func (s *sim) init() error {
 	}
 	for _, spec := range cfg.Plan.Stages {
 		var fwd, bwd, bwdParam float64
-		var wB, stash int64
+		var wB int64
 		for l := spec.FirstLayer; l <= spec.LastLayer; l++ {
 			fwd += prof.Layers[l].FwdTime
 			bwd += prof.Layers[l].BwdTime
 			bwdParam += prof.Layers[l].BwdParamTime
 			wB += prof.Layers[l].WeightBytes
-			stash += prof.Layers[l].ActivationBytes
 		}
 		info := stageInfo{
 			spec:         spec,
 			fwdTime:      fwd,
 			bwdTime:      bwd,
 			bwdParamTime: bwdParam,
-			weightB:      wB,
 			actOutB:      prof.Layers[spec.LastLayer].ActivationBytes,
-			actStashB:    stash,
-		}
-		if spec.FirstLayer > 0 {
-			info.inputActB = prof.Layers[spec.FirstLayer-1].ActivationBytes
-		} else {
-			info.inputActB = prof.InputBytes
 		}
 		if spec.Replicas > 1 {
 			info.syncTime = cfg.Topo.AllReduceTime(wB, spec.Replicas)
@@ -526,17 +516,9 @@ func (s *sim) result() *Result {
 		r.Throughput = float64(s.cfg.Minibatches) * float64(s.cfg.Profile.MinibatchSize) / s.now
 	}
 	r.PeakMemory = make([]int64, len(s.ws))
-	for w := range s.ws {
-		info := &s.stages[s.ws[w].ref.Stage]
-		versions := int64(s.ws[w].peakStash)
-		if versions < 1 {
-			versions = 1
-		}
-		stash := info.actStashB + info.inputActB
-		if s.cfg.Recompute {
-			stash = info.inputActB // only the stage input is kept
-		}
-		r.PeakMemory[w] = info.weightB*versions + int64(s.ws[w].peakStash)*stash
+	for w, st := range s.ws {
+		r.PeakMemory[w] = partition.WorkerMemory(s.cfg.Profile, s.stages[st.ref.Stage].spec, st.peakStash,
+			s.cfg.Policy == schedule.GPipe, s.cfg.Recompute)
 	}
 	r.P2PBytes = s.p2pBytes
 	r.SyncBytes = s.syncBytes

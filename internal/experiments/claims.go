@@ -155,11 +155,7 @@ func claims(quick bool) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var acts int64
-	for _, l := range gnmt8.Layers {
-		acts += l.ActivationBytes
-	}
-	dpMem := gnmt8.TotalWeightBytes() + acts + gnmt8.InputBytes
+	dpMem := partition.StageMemory(gnmt8DP, gnmt8)[0]
 	var worst int64
 	for _, m := range memRes.PeakMemory {
 		if m > worst {

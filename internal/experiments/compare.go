@@ -186,26 +186,21 @@ func sec54(quick bool) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// maxGPipeDepth estimates the largest microbatch count whose activation
-// stashes fit in device memory at the worst stage.
+// maxGPipeDepth is the largest microbatch count, from 2 to 64, at which
+// every stage's GPipe price (with recomputation, as sec54 simulates it)
+// fits in device memory.
 func maxGPipeDepth(prof *profile.ModelProfile, plan *partition.Plan, mem int64) int {
-	worstStash := int64(1)
-	for _, st := range plan.Stages {
-		var stash int64
-		for l := st.FirstLayer; l <= st.LastLayer; l++ {
-			stash += prof.Layers[l].ActivationBytes
+	fits := func(m int) bool {
+		for _, st := range plan.Stages {
+			if partition.WorkerMemory(prof, st, (m+st.Replicas-1)/st.Replicas, true, true) > mem {
+				return false
+			}
 		}
-		stash += prof.WeightRange(st.FirstLayer, st.LastLayer)
-		if stash > worstStash {
-			worstStash = stash
-		}
+		return true
 	}
-	d := int(mem / worstStash)
-	if d < 2 {
-		d = 2
-	}
-	if d > 64 {
-		d = 64
+	d := 2
+	for d < 64 && fits(d+1) {
+		d++
 	}
 	return d
 }
@@ -334,12 +329,11 @@ func fig16(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// DP worker footprint: full weights + one activation working set.
-		var acts int64
-		for _, l := range prof.Layers {
-			acts += l.ActivationBytes
+		dp, err := partition.DataParallel(prof, topo)
+		if err != nil {
+			return nil, err
 		}
-		dpMem := prof.TotalWeightBytes() + acts + prof.InputBytes
+		dpMem := partition.StageMemory(dp, prof)[0]
 		row := []string{m, mb(dpMem)}
 		worst := int64(0)
 		for w := 0; w < 4 && w < len(res.PeakMemory); w++ {

@@ -7,35 +7,77 @@ import (
 	"pipedream/internal/topology"
 )
 
-// StageMemory estimates the peak per-worker memory of each stage of a
-// plan, in bytes: the stage's weights (one version per in-flight
-// minibatch, plus the live copy) and the activation stash (stage input
-// plus every layer output) for each in-flight minibatch. The in-flight
-// bound per stage is the plan's Depth — the §3.3 worst case of one
-// <weights, activations> version per admitted minibatch.
-func StageMemory(plan *Plan, prof *profile.ModelProfile) []int64 {
-	out := make([]int64, len(plan.Stages))
-	for i, st := range plan.Stages {
-		out[i] = stageMemory(prof, st, plan.Depth)
+// Windows returns, per stage, how many consecutive minibatches the
+// stage's replicas together keep between forward and backward under
+// 1F1B. The input stage admits Depth per replica. Any other stage needs
+// Noam(workers on the longest path from it to a sink, its replicas) per
+// replica to keep that path busy — but never more than a predecessor
+// forwards before it needs a gradient back, or the warm-up would wait for
+// a minibatch that cannot arrive until one of the stage's own backwards
+// has run. A replicated predecessor needs the gradients of a whole round
+// before its all_reduce lets any replica move on, which can be
+// replicas−1 minibatches past the one it waits for.
+func (p *Plan) Windows() []int {
+	g := p.Graph
+	n := len(p.Stages)
+	path := make([]int, n)
+	for s := n - 1; s >= 0; s-- {
+		for _, q := range g.Succs(s) {
+			path[s] = max(path[s], path[q])
+		}
+		path[s] += p.Stages[s].Replicas
 	}
-	return out
+	window := make([]int, n)
+	window[0] = p.Depth * p.Stages[0].Replicas
+	for s := 1; s < n; s++ {
+		replicas := p.Stages[s].Replicas
+		window[s] = Noam(path[s], replicas) * replicas
+		for _, q := range g.Preds(s) {
+			window[s] = min(window[s], window[q]-p.Stages[q].Replicas+1)
+		}
+		window[s] = max(window[s], 1)
+	}
+	return window
 }
 
-// stageMemory is one stage's peak per-worker bytes with depth minibatches
-// in flight: depth+1 weight versions and depth activation stashes.
-func stageMemory(prof *profile.ModelProfile, st StageSpec, depth int) int64 {
-	weights := prof.WeightRange(st.FirstLayer, st.LastLayer)
-	var acts int64
-	for l := st.FirstLayer; l <= st.LastLayer; l++ {
-		acts += prof.Layers[l].ActivationBytes
+// WorkerMemory is the one memory price: the bytes one worker of stage st
+// holds with inFlight minibatches between forward and backward. That is
+// the stage's weights once per weight array, plus per in-flight minibatch
+// the activation stash — the stage input and every layer output, or the
+// stage input alone under recompute, which rebuilds the rest in the
+// backward pass. The array count is what the runtime makes: under weight
+// stashing one per in-flight minibatch but never fewer than two (the
+// latest and the one the optimizer writes next); under GPipe, whose
+// flush leaves no minibatch holding an old version, always two.
+func WorkerMemory(prof *profile.ModelProfile, st StageSpec, inFlight int, gpipe, recompute bool) int64 {
+	arrays := 2
+	if !gpipe {
+		arrays = max(inFlight, 2)
 	}
+	stash := prof.InputBytes
 	if st.FirstLayer > 0 {
-		acts += prof.Layers[st.FirstLayer-1].ActivationBytes
-	} else {
-		acts += prof.InputBytes
+		stash = prof.Layers[st.FirstLayer-1].ActivationBytes
 	}
-	inflight := int64(depth)
-	return weights*(1+inflight) + inflight*acts
+	if !recompute {
+		for l := st.FirstLayer; l <= st.LastLayer; l++ {
+			stash += prof.Layers[l].ActivationBytes
+		}
+	}
+	return prof.WeightRange(st.FirstLayer, st.LastLayer)*int64(arrays) + int64(inFlight)*stash
+}
+
+// StageMemory is the peak per-worker memory of each stage of a plan, in
+// bytes, under 1F1B with weight stashing: WorkerMemory at the stage's
+// window (Windows) shared among its replicas, ⌈window/replicas⌉ minibatches
+// per worker — the §3.3 bound of one <weights, activations> version per
+// minibatch the stage keeps in flight.
+func StageMemory(plan *Plan, prof *profile.ModelProfile) []int64 {
+	out := make([]int64, len(plan.Stages))
+	for i, window := range plan.Windows() {
+		st := plan.Stages[i]
+		out[i] = WorkerMemory(prof, st, (window+st.Replicas-1)/st.Replicas, false, false)
+	}
+	return out
 }
 
 // CheckMemory verifies that every stage of a plan, run at the plan's

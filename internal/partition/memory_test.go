@@ -18,14 +18,14 @@ func TestStageMemoryAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := StageMemory(plan, prof) // NOAM = 2
-	// Stage 0: weights 1000×(1+2) + 2×(input 50 + act 100) = 3300.
-	if mem[0] != 3300 {
-		t.Fatalf("stage 0 memory = %d, want 3300", mem[0])
+	mem := StageMemory(plan, prof) // NOAM = 2: windows 2 and 1
+	// Stage 0: weights 1000×2 arrays + 2×(input 50 + act 100) = 2300.
+	if mem[0] != 2300 {
+		t.Fatalf("stage 0 memory = %d, want 2300", mem[0])
 	}
-	// Stage 1: weights 2000×3 + 2×(in-act 100 + act 100) = 6400.
-	if mem[1] != 6400 {
-		t.Fatalf("stage 1 memory = %d, want 6400", mem[1])
+	// Stage 1: weights 2000×2 arrays + 1×(in-act 100 + act 100) = 4200.
+	if mem[1] != 4200 {
+		t.Fatalf("stage 1 memory = %d, want 4200", mem[1])
 	}
 }
 
@@ -85,8 +85,8 @@ func TestOptimizeWithMemoryReducesDepthOnTinyDevice(t *testing.T) {
 		t.Fatalf("expected reduced depth, got %d of NOAM %d", depth, noam)
 	}
 	// The returned depth must actually fit.
-	for i, st := range plan.Stages {
-		if need := stageMemory(prof, st, depth); need > dev.MemBytes {
+	for i, need := range StageMemory(plan, prof) {
+		if need > dev.MemBytes {
 			t.Fatalf("stage %d still needs %d > %d at depth %d", i, need, dev.MemBytes, depth)
 		}
 	}

@@ -12,19 +12,21 @@ import (
 // planJSON is the serialized form of a Plan (derived fields are
 // recomputed on load against a profile/topology, so files stay small and
 // can't go stale). Edges/Joins carry the stage dataflow for graph-shaped
-// plans; both absent means the linear chain.
+// plans; both absent means the linear chain. Depth is the plan's; absent
+// means NOAM.
 type planJSON struct {
 	Model  string      `json:"model"`
 	Stages []StageSpec `json:"stages"`
 	Edges  []StageEdge `json:"edges,omitempty"`
 	Joins  []JoinOp    `json:"joins,omitempty"`
+	Depth  *int        `json:"depth,omitempty"`
 }
 
-// WriteJSON serializes the plan's stage assignment, including the DAG
-// topology (edges and join ops) when the plan is graph-shaped, so
-// ReadJSON reconstructs the same dataflow.
+// WriteJSON serializes the plan's stage assignment and depth, including
+// the DAG topology (edges and join ops) when the plan is graph-shaped, so
+// ReadJSON reconstructs the same dataflow at the same depth.
 func (p *Plan) WriteJSON(w io.Writer) error {
-	pj := planJSON{Model: p.Model, Stages: p.Stages}
+	pj := planJSON{Model: p.Model, Stages: p.Stages, Depth: &p.Depth}
 	if g := p.Graph; !g.IsLinear() {
 		pj.Edges = g.Edges
 		pj.Joins = g.Joins
@@ -36,9 +38,10 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 
 // ReadJSON loads a stage assignment and re-evaluates it against the given
 // profile and topology, recomputing stage times and the throughput
-// prediction; Depth comes back as NOAM, since files carry no depth. The
-// profile's model name must match the plan's. A plan with serialized
-// edges comes back graph-shaped, validated as a DAG.
+// prediction. Depth comes back as written — a depth below 1 is rejected —
+// or as NOAM when the file has none. The profile's model name must match
+// the plan's. A plan with serialized edges comes back graph-shaped,
+// validated as a DAG.
 func ReadJSON(r io.Reader, prof *profile.ModelProfile, topo *topology.Topology) (*Plan, error) {
 	var pj planJSON
 	if err := json.NewDecoder(r).Decode(&pj); err != nil {
@@ -53,5 +56,13 @@ func ReadJSON(r io.Reader, prof *profile.ModelProfile, topo *topology.Topology) 
 	} else if len(pj.Joins) > 0 {
 		return nil, fmt.Errorf("partition: plan has join ops but no edges")
 	}
-	return NewPlan(prof, topo, opts)
+	if pj.Depth != nil && *pj.Depth < 1 {
+		return nil, fmt.Errorf("partition: plan has depth %d", *pj.Depth)
+	}
+	plan, err := NewPlan(prof, topo, opts)
+	if err != nil || pj.Depth == nil {
+		return plan, err
+	}
+	plan.Depth = *pj.Depth
+	return plan, nil
 }

@@ -2,8 +2,10 @@ package partition
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"pipedream/internal/modelzoo"
 	"pipedream/internal/profile"
 	"pipedream/internal/topology"
 )
@@ -113,7 +115,7 @@ func TestPlanJSONRejectsJoinsWithoutEdges(t *testing.T) {
 // FuzzPlanJSON hammers ReadJSON with arbitrary bytes (seeded with real
 // linear and graph-shaped plan files): it must never panic, and any plan
 // it accepts must itself round-trip through WriteJSON/ReadJSON with an
-// unchanged ConfigString.
+// unchanged ConfigString and Depth.
 func FuzzPlanJSON(f *testing.F) {
 	prof := syntheticProfile([]float64{1, 1, 1, 1}, []int64{8, 8, 8, 8}, []int64{8, 8, 8, 8})
 	topo := topology.Flat(4, 1e9, topology.V100)
@@ -165,6 +167,8 @@ func FuzzPlanJSON(f *testing.F) {
 
 	f.Add([]byte(`{"model":"synthetic","stages":[{"FirstLayer":0,"LastLayer":3,"Replicas":4}],"joins":[2]}`))
 	f.Add([]byte(`{"model":"synthetic","stages":[],"edges":[{"From":5,"To":0}]}`))
+	f.Add([]byte(`{"model":"synthetic","stages":[{"FirstLayer":0,"LastLayer":3,"Replicas":1}],"depth":0}`))
+	f.Add([]byte(`{"model":"synthetic","stages":[{"FirstLayer":0,"LastLayer":3,"Replicas":1}],"depth":7}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		plan, err := ReadJSON(bytes.NewReader(data), prof, topo)
@@ -179,8 +183,56 @@ func FuzzPlanJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted plan failed to round-trip: %v\n%s", err, out.String())
 		}
-		if again.ConfigString() != plan.ConfigString() {
-			t.Fatalf("round trip changed config: %q vs %q", again.ConfigString(), plan.ConfigString())
+		if again.ConfigString() != plan.ConfigString() || again.Depth != plan.Depth {
+			t.Fatalf("round trip changed the plan: %q at depth %d vs %q at depth %d",
+				again.ConfigString(), again.Depth, plan.ConfigString(), plan.Depth)
+		}
+		if plan.Depth < 1 {
+			t.Fatalf("accepted a plan at depth %d", plan.Depth)
 		}
 	})
+}
+
+// TestPlanJSONKeepsItsDepth: a plan the memory constraint lowered below
+// NOAM — GNMT-16 on four 1,400 MB devices — comes back from its file at
+// the depth its planner chose, not at the NOAM it rejected; a file with
+// no depth comes back at NOAM, and one with a depth below 1 is refused.
+func TestPlanJSONKeepsItsDepth(t *testing.T) {
+	dev := topology.Device{Name: "1400MB", EffectiveFLOPS: topology.V100.EffectiveFLOPS, MemBytes: 1400 << 20}
+	topo := &topology.Topology{Name: dev.Name, Device: dev, Levels: topology.ClusterA(1).Levels}
+	prof := modelzoo.GNMT16(topology.V100, 64)
+	plan, err := NewPlan(prof, topo, PlanOptions{Memory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noam := Noam(plan.Workers, plan.Stages[0].Replicas)
+	if plan.Depth >= noam {
+		t.Fatalf("plan %s at depth %d: the constraint did not lower NOAM %d", plan.ConfigString(), plan.Depth, noam)
+	}
+	var buf bytes.Buffer
+	if err := plan.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadJSON(bytes.NewReader(buf.Bytes()), prof, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ConfigString() != plan.ConfigString() || got.Depth != plan.Depth {
+		t.Fatalf("read back %s at depth %d, wrote %s at depth %d", got.ConfigString(), got.Depth, plan.ConfigString(), plan.Depth)
+	}
+	if err := CheckMemory(got, prof, topo); err != nil {
+		t.Fatalf("the plan read back does not fit: %v", err)
+	}
+
+	stages := `{"model":"GNMT-16","stages":[{"FirstLayer":0,"LastLayer":` + fmt.Sprint(prof.NumLayers()-1) + `,"Replicas":4}]`
+	bare, err := ReadJSON(bytes.NewBufferString(stages+`}`), prof, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare.Depth != Noam(bare.Workers, 4) {
+		t.Fatalf("a file with no depth reads back at depth %d, want NOAM %d", bare.Depth, Noam(bare.Workers, 4))
+	}
+	if _, err := ReadJSON(bytes.NewBufferString(stages+`,"depth":0}`), prof, topo); err == nil {
+		t.Fatal("a file at depth 0 must be refused")
+	}
 }

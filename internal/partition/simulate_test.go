@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"pipedream/internal/cluster"
+	"pipedream/internal/modelzoo"
 	"pipedream/internal/partition"
 	"pipedream/internal/profile"
 	"pipedream/internal/schedule"
@@ -132,4 +133,56 @@ func TestEdgeBoundTwoStagePlansSimulateAtMostTheirPrice(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSimulatedPeakIsThePlannedPrice holds the planner's memory price to
+// the simulator's: on every modelzoo model, on one and four Cluster-A
+// servers and two Cluster-B servers, for the optimizer's, the straight
+// model-parallel and the data-parallel plan at every depth from 1 to two
+// past NOAM, each stage's StageMemory is byte for byte the largest
+// PeakMemory cluster.Simulate reports for a worker of that stage.
+func TestSimulatedPeakIsThePlannedPrice(t *testing.T) {
+	plans := 0
+	for _, topo := range []*topology.Topology{topology.ClusterA(1), topology.ClusterA(4), topology.ClusterB(2)} {
+		for _, name := range modelzoo.Names() {
+			prof, err := modelzoo.ByName(name, topo.Device, modelzoo.PaperBatchSize(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, build := range []func(*profile.ModelProfile, *topology.Topology) (*partition.Plan, error){
+				func(prof *profile.ModelProfile, topo *topology.Topology) (*partition.Plan, error) {
+					return partition.NewPlan(prof, topo, partition.PlanOptions{})
+				},
+				partition.ModelParallel,
+				partition.DataParallel,
+			} {
+				plan, err := build(prof, topo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for depth := 1; depth <= plan.Depth+2; depth++ {
+					q := *plan
+					q.Depth = depth
+					res, err := cluster.Simulate(cluster.Config{Profile: prof, Topo: topo, Plan: &q,
+						Policy: schedule.PipeDream1F1B, Minibatches: 2*q.Windows()[0] + q.Workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					a := schedule.Assign(&q)
+					for s, price := range partition.StageMemory(&q, prof) {
+						var peak int64
+						for _, w := range a.StageWorkers[s] {
+							peak = max(peak, res.PeakMemory[w])
+						}
+						if peak != price {
+							t.Errorf("%s on %s, %s at depth %d: stage %d priced at %d B, simulated peak %d B",
+								name, topo.Name, q.ConfigString(), depth, s, price, peak)
+						}
+					}
+					plans++
+				}
+			}
+		}
+	}
+	t.Logf("%d plans", plans)
 }

@@ -1,10 +1,6 @@
 package schedule
 
-import (
-	"fmt"
-
-	"pipedream/internal/partition"
-)
+import "fmt"
 
 // TableOp is one entry of a worker's static schedule: run the forward or
 // the backward pass of one minibatch.
@@ -25,25 +21,28 @@ type TableOp struct {
 // It runs `warm-up` forwards, then alternates one backward with one
 // forward over its own minibatches in ascending order, then drains the
 // remaining backwards. The warm-up is the worker's share of the stage's
-// in-flight window (see inFlight): the plan's Depth at the input stage, 1
-// at a sink, n−s at stage s of a straight n-stage pipeline (Figure 4). In
-// steady state every backward therefore runs exactly warm-up − 1 local
-// updates after its forward.
+// in-flight window (partition.Plan.Windows): the plan's Depth at the
+// input stage, 1 at a sink, n−s at stage s of a straight n-stage pipeline
+// (Figure 4). In steady state every backward therefore runs exactly
+// warm-up − 1 local updates after its forward.
 //
 // GPipe: per round of Depth consecutive microbatches, all of the
 // worker's forwards in ascending order, then its backwards in reverse.
 // ModelParallelSingle is the 1F1B table at depth 1.
 func Table(a *Assignment, policy Policy, start, end int) [][]TableOp {
-	depth := a.Plan.Depth
+	plan := a.Plan
 	if policy == ModelParallelSingle {
-		depth = 1
+		q := *plan
+		q.Depth = 1
+		plan = &q
 	}
+	depth := plan.Depth
 	if depth < 1 {
 		panic(fmt.Sprintf("schedule: depth = %d", depth))
 	}
 	var window []int
 	if policy != GPipe {
-		window = inFlight(a, depth)
+		window = plan.Windows()
 	}
 	table := make([][]TableOp, a.NumWorkers())
 	for w, ref := range a.Workers {
@@ -87,37 +86,4 @@ func Table(a *Assignment, policy Policy, start, end int) [][]TableOp {
 		table[w] = ops
 	}
 	return table
-}
-
-// inFlight returns, per stage, how many consecutive minibatches the
-// stage's replicas together keep between forward and backward under
-// 1F1B. The input stage admits `depth` per replica (the plan's Depth).
-// Any other stage needs NOAM(workers on the longest path from it to a
-// sink, its replicas) per replica to keep that path busy — but never more
-// than a predecessor forwards before it needs a gradient back, or the
-// warm-up would wait for a minibatch that cannot arrive until one of the
-// stage's own backwards has run. A replicated predecessor needs the
-// gradients of a whole round before its all_reduce lets any replica move
-// on, which can be replicas−1 minibatches past the one it waits for.
-func inFlight(a *Assignment, depth int) []int {
-	g := a.Plan.Graph
-	n := len(a.StageWorkers)
-	path := make([]int, n)
-	for s := n - 1; s >= 0; s-- {
-		for _, q := range g.Succs(s) {
-			path[s] = max(path[s], path[q])
-		}
-		path[s] += len(a.StageWorkers[s])
-	}
-	window := make([]int, n)
-	window[0] = depth * len(a.StageWorkers[0])
-	for s := 1; s < n; s++ {
-		replicas := len(a.StageWorkers[s])
-		window[s] = partition.Noam(path[s], replicas) * replicas
-		for _, p := range g.Preds(s) {
-			window[s] = min(window[s], window[p]-len(a.StageWorkers[p])+1)
-		}
-		window[s] = max(window[s], 1)
-	}
-	return window
 }

@@ -213,7 +213,7 @@ func TestTableIsTotalAndDeadlockFree(t *testing.T) {
 		}
 
 		wholeRounds := true
-		for s, window := range inFlight(a, depth) {
+		for s, window := range plan.Windows() {
 			wholeRounds = wholeRounds && window >= plan.Stages[s].Replicas
 		}
 		if wholeRounds && !replay(a, Table(a, PipeDream1F1B, start, end), start, end, true) {

@@ -37,9 +37,10 @@ go test -count=20 ./internal/pipeline/ -run 'PureFunction|Recompute|Staleness'
 echo "== planner properties (the search matches brute force on flat and two-level topologies and never loses to data parallelism or a straight pipeline on either, evaluate's price of a one-stage plan is the throughput cluster.Simulate measures, and a straight two-stage plan bound by its edge never simulates above that price: 200 runs each, so a failure in a fraction of a percent of draws cannot hide)"
 go test -count=200 ./internal/partition/ -run '^(TestOptimizeDominatesBaselines|TestOptimizeMatchesBruteForceOnRandomProfiles|TestEvaluateMatchesSimulateOnOneStagePlans|TestEdgeBoundTwoStagePlansSimulateAtMostTheirPrice)$'
 
-echo "== one price, one depth (every Table 1 row divides by the planner's one-stage plan, at the throughput cluster.Simulate runs it; outside bench/ and tests only stageTime and the simulator read AllReduceTime; every tbl1, ext-transformer and fig15 plan simulates at no more than 1.03 of its price, AlexNet 4x4 within 2 %, and a run of 320 minibatches reads what one of 640 does; outside bench/ and tests no struct but partition.Plan declares a Depth or NOAM field, and a memory-constrained plan is checked, simulated and trained at the depth its planner chose)"
+echo "== one price, one depth (every Table 1 row divides by the planner's one-stage plan, at the throughput cluster.Simulate runs it; outside bench/ and tests only stageTime and the simulator read AllReduceTime; every tbl1, ext-transformer and fig15 plan simulates at no more than 1.03 of its price, AlexNet 4x4 within 2 %, and a run of 320 minibatches reads what one of 640 does; outside bench/ and tests no struct but partition.Plan and its file form declares a Depth or NOAM field, and a memory-constrained plan is checked, simulated, trained and read back from its file at the depth its planner chose; every stage's planned memory is the peak cluster.Simulate holds on every modelzoo model, cluster and depth, and each runtime worker makes the weight arrays that price charges)"
 go test -count=1 ./internal/experiments/ ./internal/topology/ -run '^(TestDPBaselineIsTheOneStagePlan|TestAllReduceTimeHasOnePricer|TestPredictedVersusSimulated|TestSimulatedThroughputIndependentOfRunLength)$'
-go test -count=1 . ./internal/partition/ -run '^(TestMemoryConstrainedPlanRunsAtItsDepth|TestDepthHasOneHome)$'
+go test -count=1 . ./internal/partition/ -run '^(TestMemoryConstrainedPlanRunsAtItsDepth|TestDepthHasOneHome|TestSimulatedPeakIsThePlannedPrice|TestPlanJSONKeepsItsDepth)$'
+go test -count=1 ./internal/pipeline/ -run '^TestWeightArraysAreThePlannedPrice$'
 
 echo "== poisoned pool (use-after-release detector on: nn, pipeline, serve, fleet and pipedream-serve tests always run with it; these are the suites that compare losses and outputs bit for bit — the inference call among them — the transport contract, and serving's pool balance)"
 go test -count=1 ./internal/nn/ -run 'TestSequentialReleasesEachTensorOnce|TestSeqContextHeldBytes|TestTwoPassBackwardMatchesLayerByLayer|TestLossesMatchParentCommit'
@@ -98,24 +99,8 @@ go test -count=1 -run '^TestHandleInferAllocs$' -v ./cmd/pipedream-serve/
 echo "== no panics on transport send/receive paths or in the membership view (the data path returns errors; liveness code must degrade, not crash)"
 go test -count=1 ./internal/transport/ -run '^TestNoPanicOnDataPathOrMembership$'
 
-echo "== doc comments (exported identifiers in pipeline + metrics + serve + fleet + cliconf + tensor + checkpoint + membership)"
-MISSING=$(for f in internal/pipeline/*.go internal/metrics/*.go internal/serve/*.go internal/serve/fleet/*.go \
-    internal/cliconf/*.go internal/tensor/*.go internal/checkpoint/*.go internal/membership/*.go; do
-    case "$f" in *_test.go) continue ;; esac
-    awk -v file="$f" '
-    /^(func|type|var|const) (\()?[A-Za-z]/ {
-        name = ""
-        if ($0 ~ /^func \(/) { split($0, a, ") "); split(a[2], b, "("); name = b[1] }
-        else { split($0, a, " "); name = a[2]; sub(/[(=[].*/, "", name) }
-        if (name ~ /^[A-Z]/ && prev !~ /^\/\//)
-            print file ":" FNR ": exported " name " missing doc comment"
-    }
-    { prev = $0 }' "$f"
-done)
-if [ -n "$MISSING" ]; then
-    echo "$MISSING" >&2
-    exit 1
-fi
+echo "== doc comments (exported identifiers in pipeline + metrics + serve + fleet + cliconf + tensor + checkpoint + membership, through go/parser)"
+go test -count=1 -run '^TestExportedIdentifiersHaveDocComments$' .
 
 echo "== markdown cross-references (links resolve, named packages exist)"
 # Relative markdown links in every core document must point at real
