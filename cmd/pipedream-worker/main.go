@@ -15,12 +15,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"time"
 
+	"pipedream/internal/checkpoint"
 	"pipedream/internal/cliconf"
 	"pipedream/internal/nn"
 	"pipedream/internal/partition"
@@ -121,8 +123,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "worker %d: joining — waiting for a complete checkpoint generation in %s\n",
 			*id, faultFlags.Dir)
 		for {
-			if _, err := pipeline.LatestCheckpoint(faultFlags.Dir); err == nil {
+			_, err := pipeline.LatestCheckpoint(faultFlags.Dir)
+			if err == nil {
 				break
+			}
+			if !errors.Is(err, checkpoint.ErrNoGeneration) {
+				fatal(err)
 			}
 			time.Sleep(200 * time.Millisecond)
 		}

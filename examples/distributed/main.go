@@ -18,6 +18,7 @@ import (
 	"pipedream/internal/data"
 	"pipedream/internal/nn"
 	"pipedream/internal/partition"
+	"pipedream/internal/pipeline"
 	"pipedream/internal/topology"
 )
 
@@ -57,9 +58,16 @@ func main() {
 	}
 	fmt.Printf("config %s (depth %d), workers at %v\n\n", plan.ConfigString(), plan.Depth, addrs)
 
+	// Every endpoint's inboxes are sized by the rule the runtime sizes
+	// its own transport by.
+	stages, err := plan.StageSlices(factory())
+	if err != nil {
+		log.Fatal(err)
+	}
+	buffer := pipeline.InboxSize(plan, stages, 0)
 	workers := make([]*pipedream.Pipeline, 3)
 	for i := range workers {
-		tr, err := pipedream.ListenTCP(addrs, []int{i}, 32)
+		tr, err := pipedream.ListenTCP(addrs, []int{i}, buffer)
 		if err != nil {
 			log.Fatal(err)
 		}

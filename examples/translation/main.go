@@ -13,6 +13,7 @@ import (
 	"pipedream/internal/data"
 	"pipedream/internal/nn"
 	"pipedream/internal/partition"
+	"pipedream/internal/pipeline"
 	"pipedream/internal/topology"
 	"pipedream/internal/transport"
 )
@@ -48,8 +49,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Real TCP loopback transport between the stage workers.
-	tr, err := transport.NewTCP(4, 4*plan.Depth+8)
+	// Real TCP loopback transport between the stage workers, its inboxes
+	// sized by the rule the runtime sizes its own transport by.
+	stages, err := plan.StageSlices(factory())
+	if err != nil {
+		log.Fatal(err)
+	}
+	tr, err := transport.NewTCP(4, pipeline.InboxSize(plan, stages, 0))
 	if err != nil {
 		log.Fatal(err)
 	}

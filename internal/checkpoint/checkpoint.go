@@ -16,9 +16,11 @@
 // POSIX), and the manifest is written after every shard, so a reader
 // never observes a torn file and a generation whose manifest exists was
 // fully written — unless it is being pruned, which deletes files in
-// unspecified order. Readers therefore must treat a missing shard as
+// unspecified order. A reader therefore must treat a missing shard as
 // "this generation is gone" and fall back to an older one, never as
-// corruption (see LoadModel).
+// corruption. Newest is the one walker that does so: Latest, LoadModel,
+// LoadFullState and the training runtime's restore all pick their
+// generation through it.
 package checkpoint
 
 import (
@@ -135,8 +137,15 @@ func WriteManifest(gdir string, man *Manifest) error {
 	})
 }
 
-// ReadShard reads and decodes one stage shard file.
-func ReadShard(path string) (*StageShard, error) {
+// ReadShard reads the shard of one stage replica from the generation
+// directory gdir whose manifest is man, and checks that it belongs there:
+// its generation tag (a file copied in from another generation is a mixed
+// checkpoint), its stage and replica, and an optimizer state, when it
+// carries one, for each of its parameters. A shard file that is missing
+// fails with an error wrapping fs.ErrNotExist — under Newest, the sign
+// that a prune is sweeping the generation away.
+func ReadShard(gdir string, man *Manifest, stage, replica int) (*StageShard, error) {
+	path := filepath.Join(gdir, StageFileName(stage, replica))
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
@@ -146,10 +155,36 @@ func ReadShard(path string) (*StageShard, error) {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
+	case shard.Generation != man.Generation:
+		return nil, fmt.Errorf("checkpoint: read %s: file generation %d in generation-%d directory (mixed checkpoint)",
+			path, shard.Generation, man.Generation)
+	case shard.Stage != stage || shard.Replica != replica:
+		return nil, fmt.Errorf("checkpoint: read %s: file is for stage %d replica %d", path, shard.Stage, shard.Replica)
+	case shard.OptState != nil && len(shard.OptState) != len(shard.Params):
+		return nil, fmt.Errorf("checkpoint: read %s: optimizer state for %d params, shard has %d",
+			path, len(shard.OptState), len(shard.Params))
 	}
 	return &shard, nil
+}
+
+// CopyParams copies checkpointed parameters src into a model's dst after
+// checking that they match it in count and in every tensor's size; from
+// names the checkpoint in the error.
+func CopyParams(from string, dst, src []*tensor.Tensor) error {
+	if len(dst) != len(src) {
+		return fmt.Errorf("checkpoint: load %s: %d params in checkpoint, model has %d", from, len(src), len(dst))
+	}
+	for i, pt := range dst {
+		if pt.Size() != src[i].Size() {
+			return fmt.Errorf("checkpoint: load %s: param %d has %d values, model has %d",
+				from, i, src[i].Size(), pt.Size())
+		}
+		pt.CopyFrom(src[i])
+	}
+	return nil
 }
 
 // ListGenerations returns the generation cursors found under dir in
@@ -259,27 +294,82 @@ func Complete(gdir string, man *Manifest) bool {
 // unreadable directory, a corrupt manifest — surface loudly.
 var ErrNoGeneration = errors.New("no complete generation")
 
-// Latest returns the cursor of the newest complete checkpoint generation
-// under dir — the minibatch count training would resume from, and the
-// weight generation serving would flip to. A generation is complete when
-// its manifest exists and every stage file the manifest implies is
-// present. It returns an error when no complete generation exists.
-func Latest(dir string) (int, error) {
-	gens, err := ListGenerations(dir)
-	if err != nil {
-		return 0, fmt.Errorf("checkpoint: dir %s: %w", dir, err)
-	}
-	for i := len(gens) - 1; i >= 0; i-- {
-		gdir := filepath.Join(dir, DirName(gens[i]))
-		man, err := ReadManifest(gdir)
+// maxListings bounds how often Newest lists a directory in one call.
+// Running out needs a writer that prunes every listed generation before
+// the reader opens one, again and again.
+const maxListings = 4
+
+// Newest is the one reader of a checkpoint directory: it picks the
+// generation every stage restarts from (§4) — the newest complete one —
+// and hands it to load. It walks the generations under dir newest first
+// and skips one that has no manifest yet or misses a stage file, whether
+// the completeness check finds the gap or load does (load's error wraps
+// fs.ErrNotExist: a concurrent prune removed the shard after the check).
+// An unreadable or corrupt manifest, a manifest naming another generation
+// than its directory, and any other error of load fail the walk loudly.
+// When every listed generation was skipped, a concurrent writer may have
+// pruned them all while writing newer ones, so the directory is listed
+// again, up to maxListings times.
+//
+// A nil load only checks completeness. Newest returns the manifest of
+// the generation load accepted; an error wrapping ErrNoGeneration (and
+// fs.ErrNotExist when dir does not exist yet) when none was.
+func Newest(dir string, load func(gdir string, man *Manifest) error) (*Manifest, error) {
+	skipped := "no generation listed"
+	for range maxListings {
+		gens, err := ListGenerations(dir)
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("checkpoint: dir %s: %w (%w)", dir, ErrNoGeneration, err)
+		}
 		if err != nil {
-			continue
+			return nil, fmt.Errorf("checkpoint: dir %s: %w", dir, err)
 		}
-		if Complete(gdir, man) {
-			return man.Cursor, nil
+		if len(gens) == 0 {
+			break
+		}
+		for i := len(gens) - 1; i >= 0; i-- {
+			gdir := filepath.Join(dir, DirName(gens[i]))
+			man, err := ReadManifest(gdir)
+			if errors.Is(err, fs.ErrNotExist) {
+				skipped = fmt.Sprintf("generation %d has no manifest", gens[i])
+				continue
+			}
+			if err != nil {
+				return nil, fmt.Errorf("checkpoint: %s: %w", gdir, err)
+			}
+			if man.Generation != gens[i] {
+				return nil, fmt.Errorf("checkpoint: %s: manifest generation %d does not match directory",
+					gdir, man.Generation)
+			}
+			if !Complete(gdir, man) {
+				skipped = fmt.Sprintf("generation %d is incomplete", gens[i])
+				continue
+			}
+			if load != nil {
+				err := load(gdir, man)
+				if errors.Is(err, fs.ErrNotExist) {
+					skipped = fmt.Sprintf("generation %d vanished mid-read: %v", gens[i], err)
+					continue
+				}
+				if err != nil {
+					return nil, err
+				}
+			}
+			return man, nil
 		}
 	}
-	return 0, fmt.Errorf("checkpoint: dir %s: %w", dir, ErrNoGeneration)
+	return nil, fmt.Errorf("checkpoint: dir %s: %w (%s)", dir, ErrNoGeneration, skipped)
+}
+
+// Latest returns the cursor of the newest complete checkpoint generation
+// under dir (see Newest) — the minibatch count training would resume
+// from, and the weight generation serving would flip to.
+func Latest(dir string) (int, error) {
+	man, err := Newest(dir, nil)
+	if err != nil {
+		return 0, err
+	}
+	return man.Cursor, nil
 }
 
 // Prune keeps the newest `keep` generation directories under dir and
@@ -307,10 +397,10 @@ func Prune(dir string, keep int) {
 //
 // LoadModel needs no plan: the consumer may re-partition the model into
 // a different number of stages than training used (or run it
-// unpartitioned). Generations that are incomplete — or that lose a shard
-// between the completeness check and the read, the mid-prune window —
-// are skipped in favour of older ones; a present-but-corrupt or
-// cross-generation-mixed file fails loudly.
+// unpartitioned). Newest picks the generation: incomplete ones, and ones
+// that lose a shard between the completeness check and the read (the
+// mid-prune window), are skipped in favour of older ones; a corrupt
+// manifest or a corrupt or cross-generation-mixed file fails loudly.
 func LoadModel(dir string, factory func() *nn.Sequential) (*nn.Sequential, int, error) {
 	st, err := LoadFullState(dir, factory)
 	if err != nil {
@@ -337,50 +427,18 @@ type FullState struct {
 }
 
 // LoadFullState reassembles the newest complete checkpoint generation
-// under dir into a FullState. Selection and fallback semantics are
-// LoadModel's: incomplete generations and generations that lose a shard
-// between the completeness check and the read (the mid-prune window) are
-// skipped in favour of older ones; present-but-corrupt files fail
-// loudly.
+// under dir (see Newest) into a FullState.
 func LoadFullState(dir string, factory func() *nn.Sequential) (*FullState, error) {
-	gens, err := ListGenerations(dir)
+	var st *FullState
+	man, err := Newest(dir, func(gdir string, man *Manifest) (err error) {
+		st, err = loadGenerationState(gdir, man, factory)
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: load %s: %w", dir, err)
+		return nil, err
 	}
-	var lastSkip error
-	for i := len(gens) - 1; i >= 0; i-- {
-		gdir := filepath.Join(dir, DirName(gens[i]))
-		man, err := ReadManifest(gdir)
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				lastSkip = fmt.Errorf("generation %d has no manifest", gens[i])
-				continue
-			}
-			return nil, fmt.Errorf("checkpoint: load %s: %w", gdir, err)
-		}
-		if man.Generation != gens[i] {
-			return nil, fmt.Errorf("checkpoint: load %s: manifest generation %d does not match directory",
-				gdir, man.Generation)
-		}
-		if !Complete(gdir, man) {
-			lastSkip = fmt.Errorf("generation %d is incomplete", gens[i])
-			continue
-		}
-		st, err := loadGenerationState(gdir, man, factory)
-		if err != nil {
-			// A shard that existed at the completeness check but is gone
-			// at read time means a prune swept this generation away
-			// between the two; older generations are still valid.
-			if errors.Is(err, fs.ErrNotExist) {
-				lastSkip = fmt.Errorf("generation %d vanished mid-read: %v", gens[i], err)
-				continue
-			}
-			return nil, err
-		}
-		st.Cursor = man.Cursor
-		return st, nil
-	}
-	return nil, fmt.Errorf("checkpoint: dir %s: %w (%v)", dir, ErrNoGeneration, lastSkip)
+	st.Cursor = man.Cursor
+	return st, nil
 }
 
 // loadGenerationState reads every stage's replica-0 file of one complete,
@@ -391,17 +449,9 @@ func loadGenerationState(gdir string, man *Manifest, factory func() *nn.Sequenti
 	var optState [][]*tensor.Tensor
 	haveOpt := true
 	for s := 0; s < man.Stages; s++ {
-		path := filepath.Join(gdir, StageFileName(s, 0))
-		shard, err := ReadShard(path)
+		shard, err := ReadShard(gdir, man, s, 0)
 		if err != nil {
 			return nil, err
-		}
-		if shard.Generation != man.Generation {
-			return nil, fmt.Errorf("checkpoint: load %s: file generation %d in generation-%d directory (mixed checkpoint)",
-				path, shard.Generation, man.Generation)
-		}
-		if shard.Stage != s {
-			return nil, fmt.Errorf("checkpoint: load %s: file is for stage %d", path, shard.Stage)
 		}
 		loaded = append(loaded, shard.Params...)
 		if len(shard.Params) == 0 {
@@ -412,26 +462,12 @@ func loadGenerationState(gdir string, man *Manifest, factory func() *nn.Sequenti
 		}
 		if shard.OptState == nil {
 			haveOpt = false
-		} else if haveOpt {
-			if len(shard.OptState) != len(shard.Params) {
-				return nil, fmt.Errorf("checkpoint: load %s: optimizer state for %d params, shard has %d",
-					path, len(shard.OptState), len(shard.Params))
-			}
-			optState = append(optState, shard.OptState...)
 		}
+		optState = append(optState, shard.OptState...)
 	}
 	model := factory()
-	params := model.Params()
-	if len(params) != len(loaded) {
-		return nil, fmt.Errorf("checkpoint: load %s: %d params in checkpoint, model has %d",
-			gdir, len(loaded), len(params))
-	}
-	for i, pt := range params {
-		if pt.Size() != loaded[i].Size() {
-			return nil, fmt.Errorf("checkpoint: load %s: param %d has %d values, model has %d",
-				gdir, i, loaded[i].Size(), pt.Size())
-		}
-		pt.CopyFrom(loaded[i])
+	if err := CopyParams(gdir, model.Params(), loaded); err != nil {
+		return nil, err
 	}
 	if !haveOpt {
 		optState = nil

@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"pipedream/internal/collective"
 	"pipedream/internal/data"
 	"pipedream/internal/membership"
 	"pipedream/internal/metrics"
@@ -185,42 +184,26 @@ func BuildPlan(model *nn.Sequential, stages, replicas int, _ partition.SyncModel
 	return partition.NewPlan(prof, topology.Flat(workers, 1e9, topology.V100), partition.PlanOptions{Stages: specs})
 }
 
-// Buffer sizes per-worker transport inboxes for a training run: room
-// for the 1F1B schedule's in-flight minibatches plus, when a stage is
-// replicated, its ring all-reduce's lock-step chunk traffic (one in-flight
-// chunk per bucket from the current round plus the next).
+// Buffer sizes per-worker transport inboxes for a training run of plan
+// on model by pipeline.InboxSize, the rule the runtime sizes its own
+// transport by.
 func Buffer(plan *partition.Plan, model *nn.Sequential, sc pipeline.SyncConfig) int {
-	buffer := 4*plan.Depth + 8
-	replicated := false
-	for _, s := range plan.Stages {
-		if s.Replicas > 1 {
-			replicated = true
-		}
-	}
-	if replicated {
-		bytes := 0
-		for _, g := range model.Grads() {
-			bytes += g.Bytes()
-		}
-		bb := sc.BucketBytes
-		if bb <= 0 {
-			bb = collective.DefaultBucketBytes
-		}
-		buffer += 2*((bytes+bb-1)/bb) + 16
-	}
-	return buffer
+	// A plan that does not cover model is pipeline.New's error to report.
+	stages, _ := plan.StageSlices(model)
+	return pipeline.InboxSize(plan, stages, sc.BucketBytes)
 }
 
 // Sync configures the replicated-stage gradient collective.
 type Sync struct {
-	// BucketBytes is the ring collective's gradient bucket size.
+	// BucketBytes is the ring collective's gradient bucket size floor
+	// (see pipeline.SyncConfig.BucketBytes).
 	BucketBytes int
 }
 
 // Register declares the gradient-sync flag, defaulting to the current
 // field value.
 func (c *Sync) Register(fs *flag.FlagSet) {
-	fs.IntVar(&c.BucketBytes, "bucket-bytes", c.BucketBytes, "ring all-reduce gradient bucket size in bytes (0 = 256KiB default; must match across workers)")
+	fs.IntVar(&c.BucketBytes, "bucket-bytes", c.BucketBytes, "ring all-reduce gradient bucket size floor in bytes: a bucket of whole tensors closes at the first tensor that reaches it (0 = 256KiB default; must match across workers)")
 }
 
 // Build returns the runtime's SyncConfig. The planner prices the one

@@ -14,8 +14,9 @@ import (
 // The gradients live back to back in one flat arena (tensor.Pack; a list
 // that is not laid out that way is packed on the first round, which moves
 // the tensors' Data and keeps their headers), and a bucket is a contiguous
-// range of whole tensors of at most bucketBytes — a sub-slice of the
-// arena, reduced where it is. Because backward runs last-layer-first, the
+// range of whole tensors that closes at the first tensor taking it to
+// bucketBytes or more (only the last bucket may hold less) — a sub-slice
+// of the arena, reduced where it is. Because backward runs last-layer-first, the
 // tail buckets become ready first: as soon as a bucket's layers have final
 // gradients, the owner calls Ready and that bucket starts its ring —
 // reduce-scatter (P-1 steps) then all-gather (P-1 steps), each step moving

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -66,6 +65,18 @@ func (p *Pipeline) checkpointAt(dir string, cursor int) error {
 	return nil
 }
 
+// seedCheckpoint writes the generation for cursor when the checkpoint
+// directory holds none yet, and reports whether it did. Any other error
+// of the walk — a corrupt manifest among them — is returned, and nothing
+// is written over it.
+func (p *Pipeline) seedCheckpoint(cursor int) (bool, error) {
+	_, err := checkpoint.Latest(p.opts.CheckpointDir)
+	if !errors.Is(err, checkpoint.ErrNoGeneration) {
+		return false, err
+	}
+	return true, p.checkpointAt(p.opts.CheckpointDir, cursor)
+}
+
 func (p *Pipeline) manifest(cursor int) *checkpoint.Manifest {
 	man := &checkpoint.Manifest{
 		Generation: cursor,
@@ -96,9 +107,8 @@ func (p *Pipeline) manifest(cursor int) *checkpoint.Manifest {
 
 // LatestCheckpoint returns the cursor of the newest complete checkpoint
 // generation under dir — the minibatch count training would resume from.
-// A generation is complete when its manifest exists and every stage file
-// the manifest implies is present. It returns an error when no complete
-// generation exists.
+// It picks the generation as Restore does (checkpoint.Newest), and fails
+// with an error wrapping checkpoint.ErrNoGeneration when none exists yet.
 func LatestCheckpoint(dir string) (int, error) {
 	cursor, err := checkpoint.Latest(dir)
 	if err != nil {
@@ -117,103 +127,47 @@ func LatestCheckpoint(dir string) (int, error) {
 //
 // Unlike Restore, LoadModel needs no Pipeline and no plan: the serving
 // process may re-partition the model into a different number of stages
-// than training used (or run it unpartitioned). Generations that lose a
-// shard between the completeness check and the read (a concurrent prune)
-// are skipped in favour of older ones.
+// than training used (or run it unpartitioned). It picks the generation
+// as Restore does (checkpoint.Newest).
 func LoadModel(dir string, factory func() *nn.Sequential) (*nn.Sequential, int, error) {
 	return checkpoint.LoadModel(dir, factory)
 }
 
-// Restore loads parameters previously written by Checkpoint: the newest
-// complete generation is selected, validated against this pipeline's plan,
-// and every local worker's weights, optimizer state, and update counter
-// are restored; the pipeline's minibatch cursor rewinds to the
-// generation's. Incomplete generations (missing stage files — including
-// files that vanish mid-read under a concurrent prune) are skipped in
-// favour of older ones; a present-but-corrupt or plan-mismatched
-// generation fails loudly. Directories written by the pre-generation flat
-// layout are still accepted (without cursor information).
+// Restore loads parameters previously written by Checkpoint from the
+// generation checkpoint.Newest picks — the newest complete one, skipping
+// generations that are incomplete or that lose a stage file mid-read
+// under a concurrent prune — after validating it against this pipeline's
+// plan: every local worker's weights, optimizer state, and update counter
+// are restored, and the pipeline's minibatch cursor rewinds to the
+// generation's. A corrupt manifest or stage file and a plan-mismatched
+// generation fail loudly.
 func (p *Pipeline) Restore(dir string) error {
-	_, err := p.restoreLatest(dir)
-	return err
-}
-
-// restoreLatest restores from the newest complete generation and returns
-// its cursor. A concurrent writer (another incarnation checkpointing and
-// pruning at its barrier loop) can delete every generation a single
-// directory listing saw before this reader opens one; in that case the
-// listing is re-taken — the writer that emptied it necessarily produced
-// newer complete generations. The retry is bounded: exhausting it needs
-// the writer to outrun the reader across the whole listing repeatedly.
-func (p *Pipeline) restoreLatest(dir string) (int, error) {
-	var err error
-	for attempt := 0; attempt < 4; attempt++ {
-		var cursor int
-		var retry bool
-		cursor, retry, err = p.restoreOnce(dir)
-		if err == nil {
-			return cursor, nil
-		}
-		if !retry {
-			return 0, err
-		}
-	}
-	return 0, err
-}
-
-// restoreOnce restores from the newest complete generation of one
-// directory listing. retry reports that every listed generation was
-// skipped (incomplete or vanished mid-read) — a fresh listing may see
-// the generations a concurrent writer added since.
-func (p *Pipeline) restoreOnce(dir string) (cursor int, retry bool, _ error) {
-	gens, err := checkpoint.ListGenerations(dir)
-	if err != nil {
-		return 0, false, fmt.Errorf("pipeline: restore %s: %w", dir, err)
-	}
-	if len(gens) == 0 {
-		// Pre-generation layout: stage files at the directory root, no
-		// manifest, no cursor.
-		if err := p.restoreGeneration(dir, nil); err != nil {
-			return 0, false, err
-		}
-		return p.cursor, false, nil
-	}
-	var lastSkip error
-	for i := len(gens) - 1; i >= 0; i-- {
-		gdir := filepath.Join(dir, checkpoint.DirName(gens[i]))
-		man, err := checkpoint.ReadManifest(gdir)
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				lastSkip = fmt.Errorf("generation %d has no manifest", gens[i])
-				continue // crashed before the manifest: incomplete
-			}
-			return 0, false, fmt.Errorf("pipeline: restore %s: %w", gdir, err)
-		}
-		if man.Generation != gens[i] {
-			return 0, false, fmt.Errorf("pipeline: restore %s: manifest generation %d does not match directory",
-				gdir, man.Generation)
-		}
+	man, err := checkpoint.Newest(dir, func(gdir string, man *checkpoint.Manifest) error {
 		if err := p.validateManifest(man); err != nil {
-			return 0, false, fmt.Errorf("pipeline: restore %s: %w", gdir, err)
+			return fmt.Errorf("pipeline: restore %s: %w", gdir, err)
 		}
-		if !checkpoint.Complete(gdir, man) {
-			lastSkip = fmt.Errorf("generation %d is incomplete", gens[i])
-			continue
-		}
-		if err := p.restoreGeneration(gdir, man); err != nil {
-			// A shard present at the completeness check but gone at read
-			// time means a prune swept this generation between the two;
-			// fall back to an older complete one.
-			if errors.Is(err, fs.ErrNotExist) {
-				lastSkip = fmt.Errorf("generation %d vanished mid-read: %v", gens[i], err)
-				continue
+		for _, sw := range p.workers {
+			shard, err := checkpoint.ReadShard(gdir, man, sw.stage, sw.replica)
+			if err != nil {
+				return err
 			}
-			return 0, false, err
+			params := sw.model.Params()
+			if err := checkpoint.CopyParams(gdir, params, shard.Params); err != nil {
+				return err
+			}
+			if st, ok := sw.opt.(nn.Stateful); ok && shard.OptState != nil {
+				st.RestoreState(params, shard.OptState)
+			}
+			sw.updates = shard.Updates
+			sw.weights.reset(sw.reflected())
 		}
-		p.cursor = man.Cursor
-		return man.Cursor, false, nil
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("pipeline: restore: %w", err)
 	}
-	return 0, true, fmt.Errorf("pipeline: no complete checkpoint generation in %s (%v)", dir, lastSkip)
+	p.cursor = man.Cursor
+	return nil
 }
 
 // validateManifest checks the manifest against this pipeline's plan shape.
@@ -230,54 +184,5 @@ func (p *Pipeline) validateManifest(man *checkpoint.Manifest) error {
 			return fmt.Errorf("checkpoint stage %d has %d replicas, plan has %d", s, reps, spec.Replicas)
 		}
 	}
-	return nil
-}
-
-// restoreGeneration loads this process's workers from the stage files in
-// gdir: one complete generation validated against man, or (man nil) the
-// pre-generation flat layout.
-func (p *Pipeline) restoreGeneration(gdir string, man *checkpoint.Manifest) error {
-	for _, sw := range p.workers {
-		path := filepath.Join(gdir, checkpoint.StageFileName(sw.stage, sw.replica))
-		shard, err := checkpoint.ReadShard(path)
-		if err != nil {
-			return err
-		}
-		if man != nil && shard.Generation != man.Generation {
-			return fmt.Errorf("pipeline: restore %s: file generation %d in generation-%d directory (mixed checkpoint)",
-				path, shard.Generation, man.Generation)
-		}
-		if err := sw.restoreFrom(path, shard); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// restoreFrom applies one validated checkpoint shard to this worker.
-func (sw *stageWorker) restoreFrom(path string, shard *checkpoint.StageShard) error {
-	if shard.Stage != sw.stage || shard.Replica != sw.replica {
-		return fmt.Errorf("pipeline: restore %s: checkpoint is for stage %d replica %d", path, shard.Stage, shard.Replica)
-	}
-	params := sw.model.Params()
-	if len(params) != len(shard.Params) {
-		return fmt.Errorf("pipeline: restore %s: %d params in checkpoint, model has %d", path, len(shard.Params), len(params))
-	}
-	for i, pt := range params {
-		if pt.Size() != shard.Params[i].Size() {
-			return fmt.Errorf("pipeline: restore %s: param %d has %d values, model has %d",
-				path, i, shard.Params[i].Size(), pt.Size())
-		}
-		pt.CopyFrom(shard.Params[i])
-	}
-	if st, ok := sw.opt.(nn.Stateful); ok && shard.OptState != nil {
-		if len(shard.OptState) != len(params) {
-			return fmt.Errorf("pipeline: restore %s: optimizer state for %d params, model has %d",
-				path, len(shard.OptState), len(params))
-		}
-		st.RestoreState(params, shard.OptState)
-	}
-	sw.updates = shard.Updates
-	sw.weights.reset(sw.reflected())
 	return nil
 }

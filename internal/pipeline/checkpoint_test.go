@@ -1,13 +1,20 @@
 package pipeline
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"pipedream/internal/checkpoint"
 	"pipedream/internal/data"
+	"pipedream/internal/membership"
 	"pipedream/internal/nn"
+	"pipedream/internal/partition"
 )
 
 // TestLoadModelReassemblesCheckpoint trains a multi-stage pipeline,
@@ -203,5 +210,140 @@ func TestRestoreRacesPruneAtGenerationBoundary(t *testing.T) {
 				t.Fatalf("restored cursor %d is not a written generation", r.cursor)
 			}
 		}
+	}
+}
+
+// TestLoadFullStateRacesPruneAtGenerationBoundary is the elastic
+// rescale's twin of TestRestoreRacesPruneAtGenerationBoundary: every
+// LoadFullState against a writer that checkpoints and prunes must land on
+// SOME complete generation without error, however often the prune
+// empties the listing the reader walks.
+func TestLoadFullStateRacesPruneAtGenerationBoundary(t *testing.T) {
+	factory := mlpFactory(19, 4, 8, 3)
+	dir := t.TempDir()
+	plan := evenPlan(t, factory, 2, 1)
+	plan.Depth = 1
+	w, err := New(Options{
+		ModelFactory: factory,
+		Plan:         plan,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	// Seed one complete generation so the reader never sees an empty dir.
+	if err := w.checkpointAt(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for gen := 1; gen <= 60; gen++ {
+			if err := w.checkpointAt(dir, gen*5); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for {
+		var werr error
+		finished := false
+		select {
+		case werr = <-done:
+			finished = true
+		default:
+		}
+		if werr != nil {
+			t.Fatal(werr)
+		}
+		st, err := checkpoint.LoadFullState(dir, factory)
+		if err != nil {
+			t.Fatalf("LoadFullState raced prune: %v", err)
+		}
+		if st.Cursor%5 != 0 {
+			t.Fatalf("loaded cursor %d is not a written generation", st.Cursor)
+		}
+		if finished {
+			return
+		}
+	}
+}
+
+// TestCorruptNewestManifestFailsEveryReader: a newest generation whose
+// manifest does not parse is corruption, not a generation still being
+// written. LatestCheckpoint, LoadModel and Restore all report it instead
+// of falling back to the older generation, and Train — plain and elastic
+// — returns it rather than seeding a generation over it.
+func TestCorruptNewestManifestFailsEveryReader(t *testing.T) {
+	factory := mlpFactory(27, 4, 8, 3)
+	ds := data.NewBlobs(29, 3, 4, 8, 10)
+	dir := t.TempDir()
+	opts := Options{
+		ModelFactory: factory,
+		Plan:         evenPlan(t, factory, 2, 1),
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
+	}
+	p, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for range 2 { // generations 5 and 10
+		if _, err := p.Train(ds, 5); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Checkpoint(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, checkpoint.DirName(10), checkpoint.ManifestName), []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := func(what string, err error) {
+		t.Helper()
+		if err == nil || errors.Is(err, checkpoint.ErrNoGeneration) || !strings.Contains(err.Error(), "manifest") {
+			t.Fatalf("%s over a corrupt newest manifest: %v; want the manifest's error", what, err)
+		}
+	}
+	cur, err := LatestCheckpoint(dir)
+	corrupt(fmt.Sprintf("LatestCheckpoint (cursor %d)", cur), err)
+	_, _, err = LoadModel(dir, factory)
+	corrupt("LoadModel", err)
+	corrupt("Restore", p.Restore(dir))
+
+	opts.FaultConfig = FaultConfig{CheckpointDir: dir, CheckpointEvery: 5, MaxRecoveries: 1}
+	r, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	_, err = r.Train(ds, 5)
+	corrupt("Train", err)
+
+	h := newElasticHarness(membership.Config{HeartbeatTimeout: 100 * time.Millisecond, Debounce: 20 * time.Millisecond})
+	for id := range 2 {
+		h.startNode(t, id)
+	}
+	e, err := NewElastic(opts, ElasticConfig{
+		View: h.view,
+		Replan: func(n int) (*partition.Plan, error) {
+			return evenPlan(t, factory, n, 1), nil
+		},
+		MinWorkers:   2,
+		WaitTimeout:  5 * time.Second,
+		NewTransport: h.transportFactory,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	_, err = e.Train(ds, 5)
+	corrupt("Elastic.Train", err)
+
+	if gens, err := checkpoint.ListGenerations(dir); err != nil || !slices.Equal(gens, []int{5, 10}) {
+		t.Fatalf("generations after the failed Trains: %v, %v; want [5 10] untouched", gens, err)
 	}
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -221,12 +222,12 @@ func (e *Elastic) ensure(rep *Report, drained time.Duration) error {
 	}
 	opts := e.opts
 	opts.Plan = plan
-	var full *checkpoint.FullState
-	if _, lerr := LatestCheckpoint(opts.CheckpointDir); lerr == nil {
-		full, err = checkpoint.LoadFullState(opts.CheckpointDir, opts.ModelFactory)
-		if err != nil {
-			return fmt.Errorf("pipeline: rescale: %w", err)
-		}
+	full, err := checkpoint.LoadFullState(opts.CheckpointDir, opts.ModelFactory)
+	if errors.Is(err, checkpoint.ErrNoGeneration) {
+		full, err = nil, nil // nothing written yet: start from e.cursor
+	}
+	if err != nil {
+		return fmt.Errorf("pipeline: rescale: %w", err)
 	}
 	replanDur := time.Since(t0)
 
@@ -336,10 +337,9 @@ func (e *Elastic) Train(ds data.Dataset, minibatches int) (*Report, error) {
 		p := e.p
 		// Seed an initial generation so the first failure — and the first
 		// replan — has something to restore.
-		if _, err := LatestCheckpoint(e.opts.CheckpointDir); err != nil {
-			if err := p.checkpointAt(e.opts.CheckpointDir, e.cursor); err != nil {
-				return nil, err
-			}
+		if seeded, err := p.seedCheckpoint(e.cursor); err != nil {
+			return nil, err
+		} else if seeded {
 			ckptWrites++
 		}
 		ce := e.cursor + e.opts.CheckpointEvery

@@ -107,7 +107,9 @@ type SyncConfig struct {
 	// chunked ring all-reduce over the transport, overlapped with backward
 	// compute); the field is kept for the benchmark harness.
 	AllReduce collective.Method
-	// BucketBytes caps the gradient bucket size of the ring collective;
+	// BucketBytes is the ring collective's gradient bucket size, a floor:
+	// a bucket of whole tensors closes at the first tensor that takes it
+	// to this many bytes, so a larger tensor is a bucket of its own size.
 	// 0 selects collective.DefaultBucketBytes. Smaller buckets start
 	// reducing earlier (more overlap) at more per-message overhead.
 	BucketBytes int
@@ -385,7 +387,7 @@ func (p *Pipeline) firstModel(stages []*nn.Sequential, newTr TransportFactory) e
 		return nil
 	}
 	var err error
-	buffer := channelBuffer(stages, p.opts) * p.graph.MaxDegree()
+	buffer := InboxSize(p.opts.Plan, stages, p.opts.BucketBytes)
 	if newTr == nil {
 		p.tr = transport.NewChannels(p.assign.NumWorkers(), buffer)
 	} else if p.tr, err = newTr(p.assign.NumWorkers(), buffer); err != nil {
@@ -432,40 +434,36 @@ func (p *Pipeline) newWorker(w int, ref schedule.WorkerRef, stage *nn.Sequential
 	return sw
 }
 
-// channelBuffer sizes the in-process transport's inboxes from the plan:
-// they must absorb every in-flight message even when a worker stalls in a
-// gradient all_reduce — depth minibatches per input replica, two messages
-// each, plus 8 for heartbeats — and a replicated stage's ring traffic: at
-// most one in-flight chunk per bucket from the left neighbor's current
-// round plus one from its next round, plus 8.
-func channelBuffer(stages []*nn.Sequential, opts Options) int {
-	n := 2*opts.Plan.Depth*opts.Plan.Stages[0].Replicas + 8
-	if b := maxRingBuckets(stages, opts); b > 0 {
-		n += 2*b + 8
-	}
-	return n
-}
-
-// maxRingBuckets bounds how many gradient buckets the ring collective of
-// any replicated stage will use — the transport buffer slack needed to
-// absorb its chunk traffic.
-func maxRingBuckets(stages []*nn.Sequential, opts Options) int {
-	bb := opts.BucketBytes
-	if bb <= 0 {
-		bb = collective.DefaultBucketBytes
+// InboxSize is the transport inbox capacity each worker of a run of
+// plan needs, over in-process channels or TCP alike. The inboxes must
+// absorb every in-flight message even when a worker stalls in a gradient
+// all_reduce — depth minibatches per input replica, two messages each,
+// plus 8 for heartbeats — and a replicated stage's ring traffic: at most
+// one in-flight chunk per bucket from the left neighbor's current round
+// plus one from its next round, plus 8. A DAG plan scales all of it by
+// its largest fan-in or fan-out. stages are the plan's stage slices of
+// one model (partition.Plan.StageSlices); bucketBytes is the ring's
+// (0: collective.DefaultBucketBytes).
+func InboxSize(plan *partition.Plan, stages []*nn.Sequential, bucketBytes int) int {
+	if bucketBytes <= 0 {
+		bucketBytes = collective.DefaultBucketBytes
 	}
 	buckets := 0
-	for i, spec := range opts.Plan.Stages {
-		if spec.Replicas <= 1 {
+	for i, st := range stages {
+		if plan.Stages[i].Replicas <= 1 {
 			continue
 		}
 		bytes := 0
-		for _, g := range stages[i].Grads() {
+		for _, g := range st.Grads() {
 			bytes += g.Bytes()
 		}
-		buckets = max(buckets, (bytes+bb-1)/bb, 1)
+		buckets = max(buckets, (bytes+bucketBytes-1)/bucketBytes, 1)
 	}
-	return buckets
+	n := 2*plan.Depth*plan.Stages[0].Replicas + 8
+	if buckets > 0 {
+		n += 2*buckets + 8
+	}
+	return n * plan.Graph.MaxDegree()
 }
 
 // gradOffsetsOf returns, per layer, the index of the layer's first
@@ -540,10 +538,9 @@ func (p *Pipeline) Train(ds data.Dataset, minibatches int) (*Report, error) {
 		// Seed an initial generation so the first failure has something to
 		// restore (a training run that fails before its first periodic
 		// checkpoint would otherwise be unrecoverable).
-		if _, err := LatestCheckpoint(p.opts.CheckpointDir); err != nil {
-			if err := p.checkpointAt(p.opts.CheckpointDir, start); err != nil {
-				return nil, err
-			}
+		if seeded, err := p.seedCheckpoint(start); err != nil {
+			return nil, err
+		} else if seeded {
 			ckptWrites++
 		}
 	}

@@ -228,14 +228,13 @@ func (p *Pipeline) recoverFromCheckpoint() (int, error) {
 	for _, sw := range p.workers {
 		sw.resetTransient()
 	}
-	cursor, err := p.restoreLatest(p.opts.CheckpointDir)
-	if err != nil {
+	if err := p.Restore(p.opts.CheckpointDir); err != nil {
 		return 0, err
 	}
 	if p.opts.Metrics != nil {
 		p.opts.Metrics.Counter("pipeline.recoveries").Inc()
 	}
-	return cursor, nil
+	return p.cursor, nil
 }
 
 // publishFaultStats folds this call's failure-path activity into the

@@ -389,11 +389,10 @@ func TestRestoreGenerationValidation(t *testing.T) {
 	}
 	r := mk()
 	defer r.Close()
-	cur, err := r.restoreLatest(dir)
-	if err != nil {
+	if err := r.Restore(dir); err != nil {
 		t.Fatal(err)
 	}
-	if cur != 5 {
+	if cur := r.Cursor(); cur != 5 {
 		t.Fatalf("restored cursor %d, want fallback to 5", cur)
 	}
 

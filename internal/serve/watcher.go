@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"sync"
 	"time"
@@ -27,7 +26,8 @@ import (
 // the directory lives on. The atomic manifest-last write protocol makes
 // polling race-free — a generation is either invisible or complete, and
 // the one mid-prune window (manifest present, shard already deleted) is
-// skipped by LoadModel's fs.ErrNotExist fallback.
+// skipped by checkpoint.Newest, the walker Latest and LoadModel pick
+// their generation through.
 
 // FollowConfig configures a checkpoint follower started with
 // Server.Follow.
@@ -122,13 +122,14 @@ func (s *Server) Follow(cfg FollowConfig) (*Follower, error) {
 func (s *Server) pollOnce(cfg FollowConfig) {
 	latest, err := checkpoint.Latest(cfg.Dir)
 	if err != nil {
-		// An empty or not-yet-created directory is the steady state
-		// before the trainer's first checkpoint; stay quiet and keep
-		// polling. Anything else — the directory turned unreadable, a
-		// file sits where the directory should be — is a real fault the
-		// operator must hear about; the follower reports it and lives
-		// on to retry next tick.
-		if !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, checkpoint.ErrNoGeneration) {
+		// An empty or not-yet-created directory (ErrNoGeneration) is the
+		// steady state before the trainer's first checkpoint; stay quiet
+		// and keep polling. Anything else — the directory turned
+		// unreadable, a file sits where the directory should be, the
+		// newest manifest is corrupt — is a real fault the operator must
+		// hear about; the follower reports it and lives on to retry next
+		// tick.
+		if !errors.Is(err, checkpoint.ErrNoGeneration) {
 			if cfg.OnError != nil {
 				cfg.OnError(fmt.Errorf("serve: follow: list: %w", err))
 			}

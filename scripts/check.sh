@@ -49,9 +49,10 @@ go test -count=1 ./internal/tensor/ -run 'TestPoisonOnPutCatchesUseAfterRelease'
 go test -count=1 ./internal/serve/ -run 'TestPoolBalanceAfterTraffic'
 go test -count=1 ./cmd/pipedream-serve/ ./internal/serve/...
 
-echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table ten times, the two-pass backward, the shared-model inference call, the release of what no context reads, one factory model per replica and dropout stages of one model three; the transport's connection storm twenty)"
+echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table ten times, the two-pass backward, the shared-model inference call, the release of what no context reads, one factory model per replica and dropout stages of one model three; the checkpoint readers against a concurrent prune — restore, LoadFullState and the serving follower — five; the transport's connection storm twenty)"
 go test -race ./...
 go test -race -count=20 ./internal/transport/ -run '^TestBreakConnStormDeliversOnlyWholeFrames$'
+go test -race -count=5 ./internal/pipeline/ ./internal/serve/ -run '^(TestRestoreRacesPruneAtGenerationBoundary|TestLoadFullStateRacesPruneAtGenerationBoundary|TestFollowerSkipsMidPruneGeneration)$'
 go test -race -count=10 ./internal/pipeline/ -run 'TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied'
 go test -race -count=3 ./internal/nn/ ./internal/pipeline/ -run 'TestTwoPassBackwardMatchesLayerByLayer|TestUpstreamGradientLeavesBeforeParameterHalves|TestInferenceConcurrent|TestSequentialReleasesEachTensorOnce|TestUnreadStageInputReleasedAtForwardEnd|TestEachReplicaModelBuiltOnce|TestDropoutStagesOfOneModelTrainBitEqual'
 go test -race -count=2 ./internal/serve/...
