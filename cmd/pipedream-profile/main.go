@@ -2,7 +2,8 @@
 // trainable model — exactly the paper's profiling step (§3.1): run some
 // minibatches on one worker, timing each layer's forward and backward
 // passes and recording activation/weight sizes — and writes the profile
-// as JSON for pipedream-optimizer to consume.
+// as JSON for pipedream-optimizer to consume. The model is the one the
+// runtime binaries train for the same -task and -seed.
 //
 // Usage:
 //
@@ -13,25 +14,25 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
-	"pipedream/internal/data"
-	"pipedream/internal/nn"
-	"pipedream/internal/profile"
+	"pipedream/internal/cliconf"
 	"pipedream/internal/tensor"
 )
 
 func main() {
-	task := flag.String("task", "spiral", "built-in model: spiral, images, or sequence")
+	mdl := &cliconf.Model{Task: "spiral", Seed: 42}
+	mdl.RegisterTask(flag.CommandLine)
 	batches := flag.Int("batches", 20, "minibatches to profile over")
 	out := flag.String("o", "", "output JSON path (default stdout)")
-	seed := flag.Int64("seed", 42, "random seed")
 	showMetrics := flag.Bool("metrics", false, "report tensor-arena traffic (pool hits/misses) for the profiling run to stderr")
 	flag.Parse()
 
-	model, ds, name := buildModel(*task, *seed)
-	prof := profile.Measure(model, name, ds, *batches)
+	task, err := mdl.Build()
+	if err != nil {
+		fatal(err)
+	}
+	prof := mdl.Profile(task, 1, *batches) // one worker per process
 	if *showMetrics {
 		hits, misses, puts := tensor.PoolCounters()
 		total := hits + misses
@@ -59,40 +60,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "profiled %d layers over %d minibatches → %s (total %.4fs/minibatch, %.1f KB weights)\n",
 			prof.NumLayers(), *batches, *out, prof.TotalTime(), float64(prof.TotalWeightBytes())/1024)
 	}
-}
-
-func buildModel(task string, seed int64) (*nn.Sequential, data.Dataset, string) {
-	rng := rand.New(rand.NewSource(seed))
-	switch task {
-	case "spiral":
-		return nn.NewSequential(
-			nn.NewDense(rng, "fc1", 2, 32),
-			nn.NewTanh("t1"),
-			nn.NewDense(rng, "fc2", 32, 32),
-			nn.NewTanh("t2"),
-			nn.NewDense(rng, "fc3", 32, 3),
-		), data.NewSpiral(seed+1, 3, 16, 30), "spiral-mlp"
-	case "images":
-		g1 := tensor.ConvGeom{InC: 1, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}
-		g2 := tensor.ConvGeom{InC: 8, InH: 12, InW: 12, KH: 2, KW: 2, Stride: 2}
-		return nn.NewSequential(
-			nn.NewConv2D(rng, "conv1", g1, 8),
-			nn.NewReLU("r1"),
-			nn.NewMaxPool2D("pool", g2),
-			nn.NewFlatten("flat"),
-			nn.NewDense(rng, "fc", 8*6*6, 4),
-		), data.NewImages(seed+1, 4, 1, 12, 16, 30), "images-cnn"
-	case "sequence":
-		return nn.NewSequential(
-			nn.NewEmbedding(rng, "emb", 10, 16),
-			nn.NewLSTM(rng, "lstm1", 16, 32),
-			nn.NewLSTM(rng, "lstm2", 32, 32),
-			nn.NewFlattenTime("ft"),
-			nn.NewDense(rng, "dec", 32, 10),
-		), data.NewSequenceCopy(seed+1, 10, 8, 16, 30), "sequence-lstm"
-	}
-	fatal(fmt.Errorf("unknown task %q (want spiral, images, or sequence)", task))
-	return nil, nil, ""
 }
 
 func fatal(err error) {

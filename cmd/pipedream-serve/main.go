@@ -60,7 +60,6 @@ import (
 
 	"pipedream/internal/cliconf"
 	"pipedream/internal/metrics"
-	"pipedream/internal/partition"
 	"pipedream/internal/pipeline"
 	"pipedream/internal/serve"
 	"pipedream/internal/serve/fleet"
@@ -123,7 +122,11 @@ func main() {
 	// -checkpoint-dir) plus one tenant per -models entry. All tenants run
 	// the same architecture; each loads its own weight lineage.
 	specs := append([]cliconf.FleetModel{{Name: mdl.Task, Dir: *ckptDir}}, extraModels...)
-	var plan *partition.Plan
+	// One architecture, one plan: every tenant runs the same cut.
+	plan, err := mdl.Plan(task)
+	if err != nil {
+		fatal(err)
+	}
 	tenants := make([]fleet.TenantConfig, 0, len(specs))
 	for _, spec := range specs {
 		model, cursor := task.Factory(), 0
@@ -142,14 +145,6 @@ func main() {
 				model, cursor = task.Factory(), 0
 				fmt.Printf("tenant %s: no checkpoint in %s yet, serving fresh weights until one appears\n", spec.Name, spec.Dir)
 			default:
-				fatal(err)
-			}
-		}
-		if plan == nil {
-			// One architecture, one plan: every tenant partitions the same
-			// layer ranges.
-			plan, err = cliconf.BuildPlan(model, mdl.Stages, 1, partition.SyncRing)
-			if err != nil {
 				fatal(err)
 			}
 		}
@@ -187,8 +182,8 @@ func main() {
 		fatal(err)
 	}
 	defaultTenant := specs[0].Name
-	fmt.Printf("serving %d tenant(s) x %d replica(s) of %s on %d stage(s), route %s, max batch %d, batch timeout %v, input shape %v\n",
-		len(tenants), max(flt.Replicas, 1), mdl.Task, len(plan.Stages), policy, *maxBatch, *batchTimeout, inputShape)
+	fmt.Printf("serving %d tenant(s) x %d replica(s) of %s on %d stage(s) (%s), route %s, max batch %d, batch timeout %v, input shape %v\n",
+		len(tenants), max(flt.Replicas, 1), mdl.Task, len(plan.Stages), cliconf.Cuts(plan, tenants[0].Server.Model), policy, *maxBatch, *batchTimeout, inputShape)
 
 	if *follow {
 		for _, spec := range specs {

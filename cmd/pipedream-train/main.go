@@ -1,11 +1,13 @@
 // Command pipedream-train trains a real model in-process with PipeDream's
 // 1F1B-RR runtime: workers are goroutines, stages exchange activations and
 // gradients through the transport, and weight stashing keeps gradients
-// valid. It demonstrates the runtime end to end on synthetic tasks.
+// valid. It demonstrates the runtime end to end on synthetic tasks, cut
+// on the model's measured profile or by a pipedream-optimizer -plan file.
 //
 // Usage:
 //
 //	pipedream-train -task spiral -stages 3 -epochs 10
+//	pipedream-train -task images -plan plan.json
 //	pipedream-train -task sequence -mode vertical-sync
 //	pipedream-train -task images -replicas 2 -tcp
 //	pipedream-train -task spiral -stages 3 -elastic -membership-events '2s:leave:2,5s:join:2'
@@ -69,16 +71,15 @@ func main() {
 			*epochs, *depth, *useTCP)
 		return
 	}
-	plan, err := cliconf.BuildPlan(model, mdl.Stages, mdl.Replicas, partition.SyncRing)
+	plan, err := mdl.Plan(task)
 	if err != nil {
 		fatal(err)
 	}
 	if *depth > 0 {
 		plan.Depth = *depth
 	}
-	workers := mdl.Stages - 1 + mdl.Replicas
-	fmt.Printf("task %s: %d layers across %d stage(s) on %d worker(s), config %s, depth %d, mode %s\n",
-		mdl.Task, len(model.Layers), mdl.Stages, workers, plan.ConfigString(), plan.Depth, mode)
+	fmt.Printf("task %s: %d layers across %d stage(s) (%s) on %d worker(s), config %s, depth %d, mode %s\n",
+		mdl.Task, len(model.Layers), len(plan.Stages), cliconf.Cuts(plan, model), plan.Workers, plan.ConfigString(), plan.Depth, mode)
 
 	reg, opLog := obsFlags.Sinks()
 	opts := pipeline.Options{
@@ -94,7 +95,7 @@ func main() {
 	}
 	buffer := cliconf.Buffer(plan, model, syncCfg)
 	if *useTCP {
-		tr, err := transport.NewTCP(workers, buffer)
+		tr, err := transport.NewTCP(plan.Workers, buffer)
 		if err != nil {
 			fatal(err)
 		}
@@ -105,7 +106,7 @@ func main() {
 	if chaosFlags.Enabled() {
 		inner := opts.Transport
 		if inner == nil {
-			inner = transport.NewChannels(workers, buffer)
+			inner = transport.NewChannels(plan.Workers, buffer)
 		}
 		chaos := chaosFlags.Wrap(inner)
 		defer chaos.Close()
@@ -139,7 +140,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		acc := evaluate(p, task.Eval)
+		acc := evaluate(p.CollectModel(), task.Eval)
 		fmt.Printf("epoch %2d: mean loss %.4f, eval accuracy %.1f%%, wall %v\n",
 			e, rep.MeanLoss(), acc*100, rep.WallTime.Round(1e6))
 		if obsFlags.MetricsEnabled() {
@@ -183,8 +184,8 @@ func runElastic(mdl *cliconf.Model, task *cliconf.Task, model *nn.Sequential,
 	mode pipeline.StalenessMode, syncCfg pipeline.SyncConfig,
 	faultFlags *cliconf.Fault, chaosFlags *cliconf.Chaos, obsFlags *cliconf.Obs,
 	elasticFlags *cliconf.Elastic, epochs, depth int, useTCP bool) {
-	if mdl.Replicas != 1 {
-		fatal(fmt.Errorf("-elastic repartitions to one straight stage per live worker; -replicas must be 1"))
+	if mdl.Replicas != 1 || mdl.PlanFile != "" {
+		fatal(fmt.Errorf("-elastic repartitions to one straight stage per live worker; it takes no -plan, and -replicas must be 1"))
 	}
 	events, err := elasticFlags.ParseEvents()
 	if err != nil {
@@ -212,10 +213,10 @@ func runElastic(mdl *cliconf.Model, task *cliconf.Task, model *nn.Sequential,
 		view.Join(w, "")
 	}
 
+	// Every rescale cuts one stage per live worker on the startup profile.
+	prof := mdl.Profile(task, mdl.Stages, cliconf.ProfileBatches)
 	replan := func(n int) (*partition.Plan, error) {
-		// One straight stage per live worker: the partitioner re-splits
-		// the layer list every time the worker count changes.
-		plan, err := cliconf.BuildPlan(model, n, 1, partition.SyncRing)
+		plan, err := cliconf.Cut(prof, n, 1)
 		if err == nil && depth > 0 {
 			plan.Depth = depth
 		}
@@ -288,7 +289,7 @@ func runElastic(mdl *cliconf.Model, task *cliconf.Task, model *nn.Sequential,
 		if err != nil {
 			fatal(err)
 		}
-		acc := evaluateModel(final, task.Eval)
+		acc := evaluate(final, task.Eval)
 		fmt.Printf("epoch %2d: mean loss %.4f, eval accuracy %.1f%%, wall %v\n",
 			ep, rep.MeanLoss(), acc*100, rep.WallTime.Round(1e6))
 		for _, rs := range rep.Rescales {
@@ -315,11 +316,7 @@ func runElastic(mdl *cliconf.Model, task *cliconf.Task, model *nn.Sequential,
 	}
 }
 
-func evaluate(p *pipeline.Pipeline, eval data.Dataset) float64 {
-	return evaluateModel(p.CollectModel(), eval)
-}
-
-func evaluateModel(model *nn.Sequential, eval data.Dataset) float64 {
+func evaluate(model *nn.Sequential, eval data.Dataset) float64 {
 	correct, total := 0, 0
 	for i := 0; i < eval.NumBatches(); i++ {
 		b := eval.Batch(i)

@@ -1,17 +1,17 @@
-// Command pipedream-worker is one stage worker of a DISTRIBUTED PipeDream
-// deployment: launch one process per pipeline stage, all with the same
-// -peers list, each with its own -id, and they train together over real
-// TCP — the process-per-worker deployment model of the paper's runtime.
+// Command pipedream-worker is one worker of a DISTRIBUTED PipeDream
+// deployment: launch one process per worker of a plan, all with the same
+// -plan file and -peers list (an address per worker), each with its own
+// -id, and they train together over real TCP — the paper's
+// process-per-worker deployment, run step of its workflow (Fig. 6):
 //
-// A 3-stage pipeline on one machine:
+//	pipedream-profile -task images -o prof.json
+//	pipedream-optimizer -profile prof.json -cluster c -servers 3 -o plan.json
+//	pipedream-worker -plan plan.json -id 0 -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 &
+//	pipedream-worker -plan plan.json -id 1 -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 &
+//	pipedream-worker -plan plan.json -id 2 -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002
 //
-//	pipedream-worker -id 0 -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 &
-//	pipedream-worker -id 1 -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 &
-//	pipedream-worker -id 2 -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002
-//
-// The output-stage worker prints per-epoch losses. Every process must use
-// identical -task, -seed, -stages, -minibatches, and -epochs so models and
-// data agree.
+// The output-stage workers print per-epoch losses. Every process must use
+// identical -task, -seed, -plan, -minibatches, and -epochs.
 package main
 
 import (
@@ -25,20 +25,20 @@ import (
 	"pipedream/internal/checkpoint"
 	"pipedream/internal/cliconf"
 	"pipedream/internal/nn"
-	"pipedream/internal/partition"
 	"pipedream/internal/pipeline"
 	"pipedream/internal/schedule"
 	"pipedream/internal/transport"
 )
 
 func main() {
-	mdl := &cliconf.Model{Task: "spiral", Seed: 42, Stages: 0, Replicas: 1}
+	mdl := &cliconf.Model{Task: "spiral", Seed: 42}
 	syncFlags := &cliconf.Sync{}
 	faultFlags := &cliconf.Fault{}
 	chaosFlags := &cliconf.Chaos{MaxDelay: 10 * time.Millisecond, Seed: 1}
 	obsFlags := &cliconf.Obs{}
 	fs := flag.CommandLine
-	mdl.Register(fs)
+	mdl.RegisterTask(fs)
+	mdl.RegisterPlan(fs)
 	syncFlags.Register(fs)
 	faultFlags.Register(fs)
 	chaosFlags.Register(fs)
@@ -50,35 +50,28 @@ func main() {
 	join := flag.Bool("join", false, "late-join mode: block until a complete checkpoint generation appears in -checkpoint-dir, then restore from it and start contributing (implies -resume)")
 	flag.Parse()
 
-	addrs := strings.Split(*peers, ",")
-	if len(addrs) < 2 || *peers == "" {
-		fatal(fmt.Errorf("need at least two -peers addresses, got %q", *peers))
+	if mdl.PlanFile == "" {
+		fatal(fmt.Errorf("-plan is required: write one with pipedream-profile and pipedream-optimizer -o"))
 	}
-	nStages := mdl.Stages
-	if nStages == 0 {
-		nStages = len(addrs) - mdl.Replicas + 1
-	}
-	if nStages-1+mdl.Replicas != len(addrs) {
-		fatal(fmt.Errorf("%d stages with a %d-way first stage need %d peers, got %d",
-			nStages, mdl.Replicas, nStages-1+mdl.Replicas, len(addrs)))
-	}
-
 	syncCfg := syncFlags.Build()
 	task, err := mdl.Build()
 	if err != nil {
 		fatal(err)
 	}
-	model := task.Factory()
-	plan, err := cliconf.BuildPlan(model, nStages, mdl.Replicas, partition.SyncRing)
+	plan, err := mdl.Plan(task)
 	if err != nil {
 		fatal(err)
+	}
+	addrs := strings.Split(*peers, ",")
+	if *peers == "" || len(addrs) != plan.Workers {
+		fatal(fmt.Errorf("the plan uses %d workers, so -peers needs %d addresses, got %q", plan.Workers, plan.Workers, *peers))
 	}
 	mbs := *minibatches
 	if mbs == 0 {
 		mbs = task.Train.NumBatches()
 	}
 
-	tr, err := transport.ListenTCP(addrs, []int{*id}, cliconf.Buffer(plan, model, syncCfg))
+	tr, err := transport.ListenTCP(addrs, []int{*id}, cliconf.Buffer(plan, task.Factory(), syncCfg))
 	if err != nil {
 		fatal(err)
 	}
@@ -109,7 +102,7 @@ func main() {
 	}
 	stage := schedule.Assign(plan).Workers[*id].Stage
 	isSink := len(plan.Graph.Succs(stage)) == 0
-	fmt.Fprintf(os.Stderr, "worker %d: stage %d of %d, listening on %s\n", *id, stage, nStages, tr.Addr(*id))
+	fmt.Fprintf(os.Stderr, "worker %d: stage %d of %d, listening on %s\n", *id, stage, len(plan.Stages), tr.Addr(*id))
 
 	if *join {
 		// A late-arriving replacement worker: the rest of the pipeline is

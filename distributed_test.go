@@ -14,7 +14,6 @@ import (
 
 	"pipedream/internal/cliconf"
 	"pipedream/internal/nn"
-	"pipedream/internal/partition"
 	"pipedream/internal/pipeline"
 )
 
@@ -40,11 +39,12 @@ func freeAddrs(t *testing.T, n int) []string {
 }
 
 // TestDistributedMultiProcessTraining launches one OS process per pipeline
-// stage (the paper's deployment model) and verifies they train together
-// over TCP exactly as one process does over channels — the same printed
-// epoch losses and, from the checkpoint each stage writes, bit-identical
-// final weights: the static schedule makes both a pure function of (seed,
-// plan, depth). Every process must exit cleanly.
+// stage (the paper's deployment model), all reading one plan file, and
+// verifies they train together over TCP exactly as one process running
+// the same file does over channels — the same printed epoch losses and,
+// from the checkpoint each stage writes, bit-identical final weights: the
+// static schedule makes both a pure function of (seed, plan, depth).
+// Every process must exit cleanly.
 func TestDistributedMultiProcessTraining(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
@@ -61,6 +61,29 @@ func TestDistributedMultiProcessTraining(t *testing.T) {
 	peers := strings.Join(addrs, ",")
 	ckptDir := t.TempDir()
 
+	// One plan file, cut on this process's profile, for every worker and
+	// for the one-process reference.
+	mdl := &cliconf.Model{Task: "spiral", Seed: 42, Stages: stages, Replicas: 1}
+	task, err := mdl.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, err := mdl.Plan(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mdl.PlanFile = filepath.Join(t.TempDir(), "plan.json")
+	f, err := os.Create(mdl.PlanFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cut.WriteJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	var wg sync.WaitGroup
 	outputs := make([]string, stages)
 	errs := make([]error, stages)
@@ -69,6 +92,7 @@ func TestDistributedMultiProcessTraining(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			cmd := exec.Command(bin,
+				"-plan", mdl.PlanFile,
 				"-id", strconv.Itoa(id),
 				"-peers", peers,
 				"-epochs", "3",
@@ -90,12 +114,8 @@ func TestDistributedMultiProcessTraining(t *testing.T) {
 	if len(losses) != 3 {
 		t.Fatalf("got %d epoch losses, want 3; output:\n%s", len(losses), outputs[stages-1])
 	}
-	// The same plan in one process over channels.
-	task, err := (&cliconf.Model{Task: "spiral", Seed: 42}).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := cliconf.BuildPlan(task.Factory(), stages, 1, partition.SyncRing)
+	// The same plan file in one process over channels.
+	plan, err := mdl.Plan(task)
 	if err != nil {
 		t.Fatal(err)
 	}

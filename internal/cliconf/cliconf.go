@@ -5,15 +5,16 @@
 // struct's current field values as the defaults, so each binary presets
 // what differs — and a Build (or equivalent) method that turns the
 // parsed values into the runtime configuration the internal packages
-// consume. The task zoo and the demo partitioning/buffer-sizing logic
-// the binaries duplicated live here too, so every process of a
-// distributed run derives the identical model, plan, and transport
-// sizing from the identical flags.
+// consume. The task zoo, the planner and the buffer sizing live here
+// too, so pipedream-profile measures the model the runtime trains, and
+// every process of a distributed run derives the identical model, plan
+// (from one plan file), and transport sizing from the identical flags.
 package cliconf
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"runtime/pprof"
@@ -37,40 +38,46 @@ import (
 
 // Model selects the demo task and the pipeline shape: which model/
 // dataset pair to build, the shared seed every process must agree on,
-// and how many stages and first-stage replicas to partition into.
+// and a plan file or the stages and first-stage replicas to cut.
 type Model struct {
 	// Task names the demo task: spiral, images, or sequence.
 	Task string
 	// Seed is the shared random seed; distributed processes must agree.
 	Seed int64
-	// Stages is the number of pipeline stages (binaries choose their own
-	// default; 0 lets pipedream-worker derive it from the peer count).
+	// Stages is the number of pipeline stages.
 	Stages int
 	// Replicas is the replication factor of the first stage (1F1B-RR).
 	Replicas int
+	// PlanFile, when set, is the plan pipedream-optimizer -o wrote.
+	PlanFile string
 }
 
-// Register declares every model/task flag — task selection plus the
-// full training pipeline shape — defaulting to the current field
-// values. Binaries that consume only part of the surface register the
-// narrower subset (RegisterForward, RegisterTask) so no flag is parsed
-// and then silently ignored.
+// Register declares every model/task flag — task selection, the full
+// training pipeline shape and a plan file — defaulting to the current
+// field values. Binaries that consume only part of the surface register
+// the narrower subsets (RegisterForward, RegisterTask, RegisterPlan) so
+// no flag is parsed and then silently ignored.
 func (c *Model) Register(fs *flag.FlagSet) {
 	c.RegisterForward(fs)
 	fs.IntVar(&c.Replicas, "replicas", c.Replicas, "replicas of the first stage (1F1B-RR)")
+	c.RegisterPlan(fs)
 }
 
-// RegisterForward declares the flags a forward-only consumer needs:
-// task selection plus stage count, without the training-only -replicas
-// (serving runs one worker per stage). Used by pipedream-serve.
+// RegisterForward declares task selection plus stage count, without the
+// training-only -replicas (serving runs one worker per stage).
 func (c *Model) RegisterForward(fs *flag.FlagSet) {
 	c.RegisterTask(fs)
-	fs.IntVar(&c.Stages, "stages", c.Stages, "pipeline stages (0 = derive from peer count)")
+	fs.IntVar(&c.Stages, "stages", c.Stages, "pipeline stages, cut on the model's measured profile")
 }
 
-// RegisterTask declares only the task-selection flags — enough to
-// rebuild the model's datasets client-side, with no pipeline shape at
-// all. Used by pipedream-loadgen.
+// RegisterPlan declares -plan, the only shape flag of pipedream-worker,
+// whose processes must not disagree on a measured cut.
+func (c *Model) RegisterPlan(fs *flag.FlagSet) {
+	fs.StringVar(&c.PlanFile, "plan", c.PlanFile, "plan JSON written by pipedream-optimizer -o: its stages, replicas and depth (overrides -stages and -replicas)")
+}
+
+// RegisterTask declares only the task-selection flags: enough to rebuild
+// the model and its datasets, with no pipeline shape at all.
 func (c *Model) RegisterTask(fs *flag.FlagSet) {
 	fs.StringVar(&c.Task, "task", c.Task, "demo task: spiral, images, or sequence")
 	fs.Int64Var(&c.Seed, "seed", c.Seed, "random seed (must match across distributed processes)")
@@ -149,39 +156,73 @@ func (c *Model) Build() (*Task, error) {
 	return nil, fmt.Errorf("unknown task %q (want spiral, images, or sequence)", c.Task)
 }
 
-// BuildPlan partitions the model's layers evenly into stages (the first
-// stage replicated) and prices the result — the straight demo
-// partitioning both runtime binaries use in place of a measured profile.
-// The last parameter has one legal value, partition.SyncRing, and is kept
-// only because the benchmark harness passes it.
+// ProfileBatches is the number of minibatches Plan profiles over.
+const ProfileBatches = 1
+
+// Profile measures a fresh model of the task, named after it, over batches
+// training minibatches at the kernel degree each of workers in-process
+// workers gets (tensor.ScopeParallelism): the runtime's view (§3.1).
+func (c *Model) Profile(task *Task, workers, batches int) *profile.ModelProfile {
+	defer tensor.ScopeParallelism(workers)()
+	return profile.Measure(task.Factory(), c.Task, task.Train, batches)
+}
+
+// Plan is the runtime binaries' one planner, the optimize step of the
+// paper's workflow (§3.1, Fig. 6): the PlanFile pipedream-optimizer -o
+// wrote, refused if for another model or other layers and priced at one
+// worker per process, or else Stages stages, the first replicated Replicas
+// times, cut on a profile measured at the degree those workers run at.
+func (c *Model) Plan(task *Task) (*partition.Plan, error) {
+	if c.PlanFile == "" {
+		return Cut(c.Profile(task, max(1, c.Stages-1+c.Replicas), ProfileBatches), c.Stages, c.Replicas)
+	}
+	f, err := os.Open(c.PlanFile)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	plan, err := partition.ReadJSON(f, c.Profile(task, 1, ProfileBatches), link(math.MaxInt32)) // any width prices alike
+	if err != nil {
+		err = fmt.Errorf("-plan %s: %w", c.PlanFile, err)
+	}
+	return plan, err
+}
+
+// Cut prices stages stages of prof, the first replicated replicas times,
+// on the runtime's link, balanced by partition.BalanceStages.
+func Cut(prof *profile.ModelProfile, stages, replicas int) (*partition.Plan, error) {
+	if n := prof.NumLayers(); stages < 1 || stages > n || replicas < 1 {
+		return nil, fmt.Errorf("need 1 to %d stages and at least one replica, got %d stages and %d replicas", n, stages, replicas)
+	}
+	specs := partition.BalanceStages(prof, stages, replicas)
+	return partition.NewPlan(prof, link(stages-1+replicas), partition.PlanOptions{Stages: specs})
+}
+
+// Cuts renders the plan's stages by layer name, e.g. "conv1..r1 | conv2..fc".
+func Cuts(plan *partition.Plan, model *nn.Sequential) string {
+	parts := make([]string, len(plan.Stages))
+	for i, st := range plan.Stages {
+		parts[i] = model.Layers[st.FirstLayer].Name() + ".." + model.Layers[st.LastLayer].Name()
+	}
+	return strings.Join(parts, " | ")
+}
+
+// link is the topology a run is priced on: one flat link taken to carry
+// 1 GB/s.
+func link(workers int) *topology.Topology {
+	return topology.Flat(workers, 1e9, topology.V100)
+}
+
+// BuildPlan cuts the model on a fabricated profile of equal layers.
+//
+// Deprecated: use Model.Plan; only the benchmark harness calls this, and
+// the last parameter has one legal value, partition.SyncRing.
 func BuildPlan(model *nn.Sequential, stages, replicas int, _ partition.SyncModel) (*partition.Plan, error) {
-	n := len(model.Layers)
-	if stages < 1 || stages > n {
-		return nil, fmt.Errorf("stages must be in [1, %d], got %d", n, stages)
-	}
 	prof := &profile.ModelProfile{Model: "cli", MinibatchSize: 1, InputBytes: 4}
-	for i := 0; i < n; i++ {
-		prof.Layers = append(prof.Layers, profile.LayerProfile{
-			Name: model.Layers[i].Name(), FwdTime: 1, BwdTime: 2, ActivationBytes: 4, WeightBytes: 4,
-		})
+	for _, l := range model.Layers {
+		prof.Layers = append(prof.Layers, profile.LayerProfile{Name: l.Name(), FwdTime: 1, BwdTime: 2, ActivationBytes: 4, WeightBytes: 4})
 	}
-	per := n / stages
-	var specs []partition.StageSpec
-	first := 0
-	for s := 0; s < stages; s++ {
-		last := first + per - 1
-		if s == stages-1 {
-			last = n - 1
-		}
-		rep := 1
-		if s == 0 {
-			rep = replicas
-		}
-		specs = append(specs, partition.StageSpec{FirstLayer: first, LastLayer: last, Replicas: rep})
-		first = last + 1
-	}
-	workers := stages - 1 + replicas
-	return partition.NewPlan(prof, topology.Flat(workers, 1e9, topology.V100), partition.PlanOptions{Stages: specs})
+	return Cut(prof, stages, replicas)
 }
 
 // Buffer sizes per-worker transport inboxes for a training run of plan

@@ -139,20 +139,21 @@ type Images struct {
 func NewImages(seed int64, classes, channels, size, batchSize, numBatches int) *Images {
 	rng := rand.New(rand.NewSource(seed))
 	im := &Images{name: fmt.Sprintf("images(k=%d,%dx%dx%d)", classes, channels, size, size)}
+	plane := size * size
+	pattern := make([]float64, classes*plane) // class c: sin(f·y)·cos(f·x), f = (c+1)π/size
+	for p := range pattern {
+		freq := float64(p/plane+1) * math.Pi / float64(size)
+		pattern[p] = math.Sin(freq*float64(p%plane/size)) * math.Cos(freq*float64(p%size))
+	}
 	for i := 0; i < numBatches; i++ {
 		x := tensor.New(batchSize, channels, size, size)
 		labels := make([]int, batchSize)
-		for n := 0; n < batchSize; n++ {
+		for n := range labels {
 			c := rng.Intn(classes)
 			labels[n] = c
-			freq := float64(c+1) * math.Pi / float64(size)
-			for ch := 0; ch < channels; ch++ {
-				for yy := 0; yy < size; yy++ {
-					for xx := 0; xx < size; xx++ {
-						v := math.Sin(freq*float64(yy))*math.Cos(freq*float64(xx)) + rng.NormFloat64()*0.3
-						x.Set(float32(v), n, ch, yy, xx)
-					}
-				}
+			img := x.Data[n*channels*plane : (n+1)*channels*plane]
+			for j := range img {
+				img[j] = float32(pattern[c*plane+j%plane] + rng.NormFloat64()*0.3)
 			}
 		}
 		im.batches = append(im.batches, Batch{X: x, Labels: labels})

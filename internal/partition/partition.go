@@ -293,13 +293,14 @@ func ModelParallel(prof *profile.ModelProfile, topo *topology.Topology) (*Plan, 
 	if workers > n {
 		workers = n
 	}
-	stages := balanceStages(prof, workers)
+	stages := BalanceStages(prof, workers, 1)
 	return NewPlan(prof, topo, PlanOptions{Stages: stages})
 }
 
-// balanceStages splits layers into `stages` contiguous groups minimizing
-// the maximum group compute time (exact DP — small n).
-func balanceStages(prof *profile.ModelProfile, stages int) []StageSpec {
+// BalanceStages splits layers into `stages` contiguous groups, the first
+// replicated `replicas` times, minimizing the maximum group compute time
+// with the first group's shared among its replicas (exact DP — small n).
+func BalanceStages(prof *profile.ModelProfile, stages, replicas int) []StageSpec {
 	n := prof.NumLayers()
 	// dp[s][j]: minimal max-time splitting layers [0..j] into s+1 groups.
 	dp := make([][]float64, stages)
@@ -312,7 +313,7 @@ func balanceStages(prof *profile.ModelProfile, stages int) []StageSpec {
 		}
 	}
 	for j := 0; j < n; j++ {
-		dp[0][j] = prof.TimeRange(0, j)
+		dp[0][j] = prof.TimeRange(0, j) / float64(replicas)
 	}
 	for s := 1; s < stages; s++ {
 		for j := s; j < n; j++ {
@@ -339,6 +340,7 @@ func balanceStages(prof *profile.ModelProfile, stages int) []StageSpec {
 		first = bounds[s] + 1
 	}
 	specs = append(specs, StageSpec{FirstLayer: first, LastLayer: n - 1, Replicas: 1})
+	specs[0].Replicas = replicas
 	return specs
 }
 
@@ -392,7 +394,8 @@ func Noam(workers, inputReplicas int) int {
 // takes every R-th minibatch and spends bwd + max(fwd, sync) on it. The
 // ring all_reduce of the stage's gradients starts when a backward ends and
 // the next backward waits for it, so only the forward in between hides it
-// — the steady state cluster.Simulate and the runtime run.
+// — cluster.Simulate's steady state, not the runtime's: there a backward
+// drains the ring and applies the update before the next forward starts.
 func stageTime(prof *profile.ModelProfile, topo *topology.Topology, st StageSpec) float64 {
 	fwd := prof.FwdRange(st.FirstLayer, st.LastLayer)
 	bwd := prof.BwdRange(st.FirstLayer, st.LastLayer)

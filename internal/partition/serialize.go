@@ -39,9 +39,9 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 // ReadJSON loads a stage assignment and re-evaluates it against the given
 // profile and topology, recomputing stage times and the throughput
 // prediction. Depth comes back as written — a depth below 1 is rejected —
-// or as NOAM when the file has none. The profile's model name must match
-// the plan's. A plan with serialized edges comes back graph-shaped,
-// validated as a DAG.
+// or as NOAM when the file has none. The profile's model name and layer
+// count must match the plan's. A plan with serialized edges comes back
+// graph-shaped, validated as a DAG.
 func ReadJSON(r io.Reader, prof *profile.ModelProfile, topo *topology.Topology) (*Plan, error) {
 	var pj planJSON
 	if err := json.NewDecoder(r).Decode(&pj); err != nil {
@@ -49,6 +49,9 @@ func ReadJSON(r io.Reader, prof *profile.ModelProfile, topo *topology.Topology) 
 	}
 	if pj.Model != prof.Model {
 		return nil, fmt.Errorf("partition: plan is for model %q, profile is %q", pj.Model, prof.Model)
+	}
+	if n := len(pj.Stages); n > 0 && pj.Stages[n-1].LastLayer+1 != prof.NumLayers() {
+		return nil, fmt.Errorf("partition: plan for %q covers %d layers, profile %q has %d", pj.Model, pj.Stages[n-1].LastLayer+1, prof.Model, prof.NumLayers())
 	}
 	opts := PlanOptions{Stages: pj.Stages}
 	if len(pj.Edges) > 0 {

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI-style gate: vet, formatting, build, the full test suite plain (at the
+# CI-style gate: vet, formatting, build, the paper's profile → optimize →
+# run workflow through the binaries, the full test suite plain (at the
 # default core count and on one core) and under the race detector, the
 # determinism gate, the planner properties, the poisoned-pool run, fuzz smoke, the exhaustive tanh /
 # sigmoid sweep, alloc budgets, and doc checks.
@@ -22,6 +23,27 @@ go build ./...
 (cd bench && go vet ./... && go build -o /dev/null ./...)
 go run ./cmd/pipedream-train -task spiral -stages 2 -replicas 3 -epochs 3 >/dev/null
 go run ./cmd/pipedream-train -task images -stages 2 >/dev/null
+
+echo "== the paper's workflow (Fig. 6) on images: pipedream-profile, pipedream-optimizer on cluster c, one pipedream-worker per planned worker on loopback, then pipedream-train -plan twice with bit-equal losses"
+FIG6=$(mktemp -d)
+trap 'rm -rf "$FIG6"' EXIT
+go build -o "$FIG6" ./cmd/pipedream-profile ./cmd/pipedream-optimizer ./cmd/pipedream-worker ./cmd/pipedream-train
+"$FIG6/pipedream-profile" -task images -o "$FIG6/prof.json" 2>/dev/null
+"$FIG6/pipedream-optimizer" -profile "$FIG6/prof.json" -cluster c -servers 3 -o "$FIG6/plan.json"
+WORKERS=$(grep -o '"Replicas": [0-9]*' "$FIG6/plan.json" | awk '{n += $2} END {print n}')
+BASE=$((20000 + RANDOM % 20000))
+PEERS=$(seq -s, -f "127.0.0.1:%g" "$BASE" $((BASE + WORKERS - 1)))
+PIDS=()
+for ((id = 0; id < WORKERS; id++)); do
+    "$FIG6/pipedream-worker" -task images -plan "$FIG6/plan.json" -id "$id" -peers "$PEERS" -epochs 2 >/dev/null 2>"$FIG6/worker$id.log" &
+    PIDS+=($!)
+done
+for ((id = 0; id < WORKERS; id++)); do
+    wait "${PIDS[$id]}" || { echo "pipedream-worker $id failed:" >&2; cat "$FIG6/worker$id.log" >&2; exit 1; }
+done
+"$FIG6/pipedream-train" -task images -plan "$FIG6/plan.json" -epochs 3 | sed 's/, wall .*//' >"$FIG6/train1.txt"
+"$FIG6/pipedream-train" -task images -plan "$FIG6/plan.json" -epochs 3 | sed 's/, wall .*//' >"$FIG6/train2.txt"
+diff "$FIG6/train1.txt" "$FIG6/train2.txt" || { echo "two pipedream-train -plan runs printed different losses" >&2; exit 1; }
 
 echo "== portable kernels (arm64 cross-vet of tensor + nn; tensor tests on 386, where no assembly is built: the ReLU mask's definition test and bit-equality fuzz seeds among them)"
 GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/
