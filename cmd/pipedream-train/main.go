@@ -78,8 +78,8 @@ func main() {
 	if *depth > 0 {
 		plan.Depth = *depth
 	}
-	fmt.Printf("task %s: %d layers across %d stage(s) (%s) on %d worker(s), config %s, depth %d, mode %s\n",
-		mdl.Task, len(model.Layers), len(plan.Stages), cliconf.Cuts(plan, model), plan.Workers, plan.ConfigString(), plan.Depth, mode)
+	fmt.Printf("task %s: %d layers across %d stage(s) (%s) on %d worker(s), config %s, depth %d, %s, mode %s\n",
+		mdl.Task, len(model.Layers), len(plan.Stages), cliconf.Cuts(plan, model), plan.Workers, plan.ConfigString(), plan.Depth, plan.WindowString(), mode)
 
 	reg, opLog := obsFlags.Sinks()
 	opts := pipeline.Options{

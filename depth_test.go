@@ -16,12 +16,14 @@ import (
 
 // TestMemoryConstrainedPlanRunsAtItsDepth: a plan NewPlan builds under the
 // device-memory constraint is checked, simulated and trained at the depth
-// the constraint chose. CheckMemory accepts it; the simulator keeps the
-// 1F1B invariants with at most Depth minibatches in flight per input
-// replica and a peak within the device; the runtime's staleness stays
-// below Depth. The GNMT-16 rows are the abl-memory experiment's devices;
-// on the VGG-16 rows no optimizer plan fits, and the model-parallel
-// fallback fits only at depth 1.
+// the constraint chose — the deepest that fits, and no deeper than the
+// depth whose windows cover every cycle, which the same stages get with
+// no constraint. CheckMemory accepts it; the simulator keeps the 1F1B
+// invariants with at most Depth minibatches in flight per input replica
+// and a peak within the device; each runtime worker's staleness stays
+// within its stage's window. The GNMT-16 rows are the abl-memory
+// experiment's devices; on the VGG-16 rows no optimizer plan fits, and
+// the model-parallel fallback fits only at depth 1.
 func TestMemoryConstrainedPlanRunsAtItsDepth(t *testing.T) {
 	device := func(memMB int64) *topology.Topology {
 		dev := topology.Device{Name: fmt.Sprintf("%dMB", memMB),
@@ -34,8 +36,8 @@ func TestMemoryConstrainedPlanRunsAtItsDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A five-layer MLP priced with 100 MB of weights per layer: too heavy
-	// to replicate, so the optimizer picks a straight pipeline (NOAM 4)
-	// that a 500 MB device holds only two minibatches deep.
+	// to replicate, so the optimizer picks a straight pipeline that a
+	// 500 MB device holds only three minibatches deep.
 	mlp := func() *Sequential {
 		rng := rand.New(rand.NewSource(5))
 		return nn.NewSequential(nn.NewDense(rng, "fc1", 4, 8), nn.NewTanh("t1"),
@@ -55,13 +57,13 @@ func TestMemoryConstrainedPlanRunsAtItsDepth(t *testing.T) {
 		depth   int
 		factory func() *Sequential // non-nil: also train the plan
 	}{
-		{"GNMT-16/16384MB", gnmt, device(16384), 4, nil},
+		{"GNMT-16/16384MB", gnmt, device(16384), 7, nil},
 		{"GNMT-16/1400MB", gnmt, device(1400), 3, nil},
-		{"GNMT-16/1100MB", gnmt, device(1100), 2, nil},
+		{"GNMT-16/1100MB", gnmt, device(1100), 3, nil},
 		{"GNMT-16/900MB", gnmt, device(900), 2, nil},
 		{"VGG-16/2478MB", vgg, device(2478), 1, nil},
 		{"VGG-16/3296MB", vgg, device(3296), 1, nil},
-		{"MLP/500MB", heavy, flat, 2, mlp},
+		{"MLP/500MB", heavy, flat, 3, mlp},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			plan, err := NewPlan(c.prof, c.topo, PlanOptions{Memory: true})
@@ -73,6 +75,16 @@ func TestMemoryConstrainedPlanRunsAtItsDepth(t *testing.T) {
 			}
 			if err := partition.CheckMemory(plan, c.prof, c.topo); err != nil {
 				t.Fatalf("CheckMemory rejects the plan NewPlan fitted at depth %d: %v", plan.Depth, err)
+			}
+			own, err := NewPlan(c.prof, c.topo, PlanOptions{Stages: plan.Stages})
+			if err != nil {
+				t.Fatal(err)
+			}
+			deeper := *plan
+			deeper.Depth++
+			if plan.Depth > own.Depth || deeper.Depth <= own.Depth && partition.CheckMemory(&deeper, c.prof, c.topo) == nil {
+				t.Fatalf("plan %s at depth %d: its windows cover every cycle at depth %d, and it fits at %d: %v",
+					plan.ConfigString(), plan.Depth, own.Depth, deeper.Depth, partition.CheckMemory(&deeper, c.prof, c.topo))
 			}
 
 			const mbs = 48
@@ -114,10 +126,12 @@ func TestMemoryConstrainedPlanRunsAtItsDepth(t *testing.T) {
 			if len(rep.Stages) != plan.Workers {
 				t.Fatalf("report has %d workers' statistics, want %d", len(rep.Stages), plan.Workers)
 			}
+			windows := plan.Windows()
 			for _, st := range rep.Stages {
-				if st.MaxStaleness > plan.Depth-1 {
-					t.Fatalf("stage %d replica %d trained with staleness %d at depth %d",
-						st.Stage, st.Replica, st.MaxStaleness, plan.Depth)
+				r := plan.Stages[st.Stage].Replicas
+				if limit := (windows[st.Stage]+r-1)/r - 1; st.MaxStaleness > limit {
+					t.Fatalf("stage %d replica %d trained with staleness %d, window %d over %d replicas",
+						st.Stage, st.Replica, st.MaxStaleness, windows[st.Stage], r)
 				}
 			}
 		})

@@ -113,5 +113,5 @@ func ExampleNewPlan() {
 	}
 	fmt.Printf("%s at depth %d\n", plan.ConfigString(), plan.Depth)
 	// Output:
-	// Straight at depth 4
+	// Straight at depth 7
 }

@@ -188,7 +188,7 @@ func TestPipelineRandomConfigsProperty(t *testing.T) {
 		stages := 1 + rng.Intn(min(n, 4))
 		replicas := 1 + rng.Intn(2)
 		mode := []pipeline.StalenessMode{WeightStashing, VerticalSync, NoStashing}[rng.Intn(3)]
-		depth := rng.Intn(4) // 0 = the plan's NOAM
+		depth := rng.Intn(4) // 0 = the plan's own depth
 
 		prof := &ModelProfile{Model: "t", MinibatchSize: 1, InputBytes: 4}
 		for range model.Layers {

@@ -70,25 +70,27 @@ func claims(quick bool) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(policy schedule.Policy, recompute bool) (float64, error) {
+	gpipe := *mpPlan // GPipe flushes every m = NOAM microbatches, as the paper runs it
+	gpipe.Depth = partition.Noam(mpPlan.Workers, mpPlan.Stages[0].Replicas)
+	run := func(plan *partition.Plan, policy schedule.Policy, recompute bool) (float64, error) {
 		res, err := cluster.Simulate(cluster.Config{
-			Profile: gnmt, Topo: topoA, Plan: mpPlan, Policy: policy,
-			Minibatches: 12 * mpPlan.Depth, Recompute: recompute,
+			Profile: gnmt, Topo: topoA, Plan: plan, Policy: policy,
+			Minibatches: 12 * gpipe.Depth, Recompute: recompute,
 		})
 		if err != nil {
 			return 0, err
 		}
 		return res.Throughput, nil
 	}
-	pd, err := run(schedule.PipeDream1F1B, false)
+	pd, err := run(mpPlan, schedule.PipeDream1F1B, false)
 	if err != nil {
 		return nil, err
 	}
-	gp, err := run(schedule.GPipe, true)
+	gp, err := run(&gpipe, schedule.GPipe, true)
 	if err != nil {
 		return nil, err
 	}
-	mp, err := run(schedule.ModelParallelSingle, false)
+	mp, err := run(mpPlan, schedule.ModelParallelSingle, false)
 	if err != nil {
 		return nil, err
 	}

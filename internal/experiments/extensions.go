@@ -104,7 +104,7 @@ func ablMemory(quick bool) ([]*Table, error) {
 		}
 		t.AddRow(fmt.Sprintf("%d MB", memMB), fmt.Sprintf("%d", plan.Depth), f1(res.Throughput), mb(worst))
 	}
-	t.AddNote("the optimizer takes device memory capacity as input (§3.1); when the NOAM-deep")
-	t.AddNote("pipeline does not fit, it reduces depth — less overlap, smaller stashes (Figure 18)")
+	t.AddNote("the optimizer takes device memory capacity as input (§3.1); when its windows do")
+	t.AddNote("not fit, it reduces depth — less overlap, smaller stashes (Figure 18)")
 	return []*Table{t}, nil
 }

@@ -25,7 +25,7 @@ func fig5(quick bool) ([]*Table, error) {
 	}
 	// A balanced 4-stage pipeline in the paper's regime: transfers are a
 	// noticeable but small fraction of stage time (comm latency beyond
-	// that eats into NOAM's in-flight budget and opens bubbles — the
+	// that the stages' windows must cover, or bubbles open — the
 	// situation PipeDream's partitioner avoids by construction).
 	topo := topology.Flat(4, 1e9, topology.V100)
 	prof := timelineProfile(4)

@@ -74,10 +74,10 @@ func (p pricedPlan) simulate(t *testing.T, minibatches int) float64 {
 
 // The simulator charges what the planner prices: every edge-bound plan
 // used to simulate faster than its price (AlexNet 4x4 at 2.6×) because
-// transfers shared no link. Plans may still fall below their price —
-// their in-flight window does not cover an edge's round trip — so only
-// the ceiling is asserted, plus AlexNet 4x4, the row the link fixed, and
-// Figure 15's correlation. Run with -v for the table.
+// transfers shared no link, and seven read 0.63–0.99 of it because their
+// windows did not cover an edge's round trip. Every row must read within
+// [0.99, 1.03] of its price, AlexNet 4x4, the row the link fixed, within
+// 2 %, and Figure 15's correlation must hold. Run with -v for the table.
 func TestPredictedVersusSimulated(t *testing.T) {
 	t.Log("| row | plan | predicted (samples/s) | simulated (samples/s) | simulated ÷ predicted |")
 	t.Log("|---|---|---|---|---|")
@@ -85,8 +85,8 @@ func TestPredictedVersusSimulated(t *testing.T) {
 		pred, sim := p.plan.PredictedThroughput, p.simulate(t, 640)
 		ratio := sim / pred
 		t.Logf("| %s | `%s` | %.1f | %.1f | %.3f |", p.row, p.plan.ConfigString(), pred, sim, ratio)
-		if ratio > 1.03 {
-			t.Errorf("%s %s simulates at %.3f of its price, above 1.03", p.row, p.plan.ConfigString(), ratio)
+		if ratio > 1.03 || ratio < 0.99 {
+			t.Errorf("%s %s simulates at %.3f of its price, outside [0.99, 1.03]", p.row, p.plan.ConfigString(), ratio)
 		}
 		if p.row == "AlexNet 4x4 (A)" && math.Abs(ratio-1) > 0.02 {
 			t.Errorf("AlexNet 4x4 (A) simulates at %.3f of its price, want within ±2%%", ratio)

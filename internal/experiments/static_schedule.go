@@ -35,12 +35,12 @@ func expStatic(quick bool) ([]*Table, error) {
 		{"2-1 replicated configuration (Figure 8)", func() ([]partition.StageSpec, int) {
 			return []partition.StageSpec{
 				{FirstLayer: 0, LastLayer: 1, Replicas: 2},
-				{FirstLayer: 2, LastLayer: 3, Replicas: 1},
+				{FirstLayer: 2, LastLayer: 2, Replicas: 1},
 			}, 3
 		}},
 	} {
 		specs, workers := c.prof()
-		prof := timelineProfile(4)
+		prof := timelineProfile(specs[len(specs)-1].LastLayer + 1)
 		topo := topology.Flat(workers, 1e15, topology.V100)
 		plan, err := partition.NewPlan(prof, topo, partition.PlanOptions{Stages: specs})
 		if err != nil {

@@ -60,7 +60,7 @@ func StandIn(seed int64) *Model {
 			Train: data.NewSpiral(seed+1, 3, 16, 40),
 			Eval:  data.NewSpiral(seed+2, 3, 32, 8),
 			// Gentler than the linear stand-ins: the residual sum join
-			// doubles the gradient path into the stem, and the DAG's NOAM
+			// doubles the gradient path into the stem, and the DAG's
 			// depth adds staleness on top.
 			NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.03, 0.9, 0) },
 		},

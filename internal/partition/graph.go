@@ -277,16 +277,11 @@ func (g *StageGraph) MaxDegree() int {
 		indeg[e.To]++
 		outdeg[e.From]++
 	}
-	max := 1
-	for i := 0; i < g.Nodes; i++ {
-		if indeg[i] > max {
-			max = indeg[i]
-		}
-		if outdeg[i] > max {
-			max = outdeg[i]
-		}
+	deg := 1
+	for i := range g.Nodes {
+		deg = max(deg, indeg[i], outdeg[i])
 	}
-	return max
+	return deg
 }
 
 // Clone returns a deep copy.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pipedream/internal/modelzoo"
+	"pipedream/internal/profile"
 	"pipedream/internal/topology"
 )
 
@@ -18,7 +19,7 @@ func TestStageMemoryAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := StageMemory(plan, prof) // NOAM = 2: windows 2 and 1
+	mem := StageMemory(plan, prof) // depth 2: windows 2 and 1
 	// Stage 0: weights 1000×2 arrays + 2×(input 50 + act 100) = 2300.
 	if mem[0] != 2300 {
 		t.Fatalf("stage 0 memory = %d, want 2300", mem[0])
@@ -58,15 +59,31 @@ func TestOptimizeWithMemoryFitsOnRealDevices(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		noam := Noam(plan.Workers, plan.Stages[0].Replicas)
-		if plan.Depth < 1 || plan.Depth > noam {
-			t.Fatalf("%s: depth %d outside [1, NOAM=%d]", name, plan.Depth, noam)
-		}
+		checkDeepestFit(t, name, plan, prof, topo)
+	}
+}
+
+// checkDeepestFit holds a plan NewPlan fitted to memory to the deepest
+// depth that fits, no deeper than the depth whose windows cover every
+// cycle at the plan's bottleneck.
+func checkDeepestFit(t *testing.T, name string, plan *Plan, prof *profile.ModelProfile, topo *topology.Topology) {
+	t.Helper()
+	own := plan.cover(plan.BottleneckTime / windowSlack)[0] / plan.Stages[0].Replicas
+	if plan.Depth < 1 || plan.Depth > own {
+		t.Fatalf("%s: depth %d outside [1, %d], the depth whose windows cover every cycle", name, plan.Depth, own)
+	}
+	if err := CheckMemory(plan, prof, topo); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	deeper := *plan
+	deeper.Depth++
+	if deeper.Depth <= own && CheckMemory(&deeper, prof, topo) == nil {
+		t.Fatalf("%s: %s fits at depth %d too, but runs at %d", name, plan.ConfigString(), deeper.Depth, plan.Depth)
 	}
 }
 
 func TestOptimizeWithMemoryReducesDepthOnTinyDevice(t *testing.T) {
-	// A device that fits the weights but not NOAM activation stashes must
+	// A device that fits the weights but not its own depth's stashes must
 	// get a reduced depth (the Figure 18 trade: throughput for memory).
 	prof := syntheticProfile(
 		[]float64{1, 1, 1, 1},
@@ -80,16 +97,10 @@ func TestOptimizeWithMemoryReducesDepthOnTinyDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	depth := plan.Depth
-	if noam := Noam(plan.Workers, plan.Stages[0].Replicas); depth >= noam && noam > 1 {
-		t.Fatalf("expected reduced depth, got %d of NOAM %d", depth, noam)
+	if own := plan.cover(plan.BottleneckTime / windowSlack)[0] / plan.Stages[0].Replicas; plan.Depth >= own && own > 1 {
+		t.Fatalf("expected reduced depth, got %d of %d", plan.Depth, own)
 	}
-	// The returned depth must actually fit.
-	for i, need := range StageMemory(plan, prof) {
-		if need > dev.MemBytes {
-			t.Fatalf("stage %d still needs %d > %d at depth %d", i, need, dev.MemBytes, depth)
-		}
-	}
+	checkDeepestFit(t, "tiny device", plan, prof, topo)
 }
 
 func TestOptimizeWithMemoryImpossible(t *testing.T) {

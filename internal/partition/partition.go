@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"pipedream/internal/nn"
 	"pipedream/internal/profile"
@@ -56,10 +57,12 @@ type Plan struct {
 	// Depth is the number of in-flight minibatches per input-stage
 	// replica the plan runs at: the schedule's warm-up, the simulator's
 	// and the runtime's in-flight bound, and the stash count CheckMemory
-	// prices. NewPlan sets it to NOAM, the fewest that keep the pipeline
-	// full (§3.2), and PlanOptions.Memory lowers it until the stages fit
-	// (§3.3); a caller that wants another depth sets it on its own copy.
+	// prices. NewPlan sets it to the input window per replica (Windows;
+	// NOAM, §3.2, on even stages), PlanOptions.Memory lowers it until the
+	// stages fit (§3.3); a caller that wants another sets it on a copy.
 	Depth int
+	// windows are a plan file's, for Windows while Depth is the file's.
+	windows []int
 }
 
 // StageSlices cuts model into the plan's stages — one Sequential per
@@ -103,36 +106,35 @@ func (p *Plan) IsStraight() bool {
 // "Straight". Graph-shaped plans append the edge list so the topology
 // round-trips through the string, e.g. "1-1-1-1 dag(0>1,0>2,1>2:sum)".
 func (p *Plan) ConfigString() string {
-	if g := p.Graph; !g.IsLinear() {
-		s := ""
-		for i, st := range p.Stages {
-			if i > 0 {
-				s += "-"
-			}
-			s += fmt.Sprintf("%d", st.Replicas)
-		}
-		return fmt.Sprintf("%s dag(%s)", s, g)
-	}
-	if p.IsDataParallel() {
-		return fmt.Sprintf("%d (DP)", p.Workers)
-	}
-	if p.IsStraight() {
-		return "Straight"
-	}
-	s := ""
+	replicas := make([]string, len(p.Stages))
 	for i, st := range p.Stages {
-		if i > 0 {
-			s += "-"
-		}
-		s += fmt.Sprintf("%d", st.Replicas)
+		replicas[i] = fmt.Sprint(st.Replicas)
+	}
+	s := strings.Join(replicas, "-")
+	switch {
+	case !p.Graph.IsLinear():
+		return fmt.Sprintf("%s dag(%s)", s, p.Graph)
+	case p.IsDataParallel():
+		return fmt.Sprintf("%d (DP)", p.Workers)
+	case p.IsStraight():
+		return "Straight"
 	}
 	return s
 }
 
-// String summarizes the plan.
+// String summarizes the plan, with its stage windows.
 func (p *Plan) String() string {
-	return fmt.Sprintf("%s on %d workers: %s, bottleneck %.3gs, %.4g samples/s, depth %d",
-		p.Model, p.Workers, p.ConfigString(), p.BottleneckTime, p.PredictedThroughput, p.Depth)
+	return fmt.Sprintf("%s on %d workers: %s, bottleneck %.3gs, %.4g samples/s, depth %d, %s",
+		p.Model, p.Workers, p.ConfigString(), p.BottleneckTime, p.PredictedThroughput, p.Depth, p.WindowString())
+}
+
+// WindowString renders the stage windows and staleness, ⌈window/replicas⌉ − 1.
+func (p *Plan) WindowString() string {
+	windows, stale := p.Windows(), make([]int, len(p.Stages))
+	for s, w := range windows {
+		stale[s] = (w+p.Stages[s].Replicas-1)/p.Stages[s].Replicas - 1
+	}
+	return fmt.Sprintf("windows %v, staleness %v", windows, stale)
 }
 
 // SyncModel names the gradient collective the optimizer charges
@@ -326,20 +328,16 @@ func BalanceStages(prof *profile.ModelProfile, stages, replicas int) []StageSpec
 			}
 		}
 	}
-	bounds := make([]int, 0, stages)
-	j := n - 1
-	for s := stages - 1; s >= 1; s-- {
-		bounds = append(bounds, cut[s][j])
-		j = cut[s][j]
+	// Group s ends at j and starts after cut[s][j]; group 0 starts at 0.
+	specs := make([]StageSpec, stages)
+	for s, j := stages-1, n-1; s >= 0; s-- {
+		first := 0
+		if s > 0 {
+			first = cut[s][j] + 1
+		}
+		specs[s] = StageSpec{FirstLayer: first, LastLayer: j, Replicas: 1}
+		j = first - 1
 	}
-	// bounds are in reverse order.
-	specs := make([]StageSpec, 0, stages)
-	first := 0
-	for s := len(bounds) - 1; s >= 0; s-- {
-		specs = append(specs, StageSpec{FirstLayer: first, LastLayer: bounds[s], Replicas: 1})
-		first = bounds[s] + 1
-	}
-	specs = append(specs, StageSpec{FirstLayer: first, LastLayer: n - 1, Replicas: 1})
 	specs[0].Replicas = replicas
 	return specs
 }
@@ -380,12 +378,12 @@ func evaluate(prof *profile.ModelProfile, topo *topology.Topology, stages []Stag
 		p.BottleneckTime = max(p.BottleneckTime, ct)
 	}
 	p.PredictedThroughput = float64(prof.MinibatchSize) / p.BottleneckTime
-	p.Depth = Noam(workers, stages[0].Replicas)
+	p.Depth = p.cover(p.BottleneckTime / windowSlack)[0] / stages[0].Replicas
 	return p, nil
 }
 
-// Noam returns NUM_OPT_ACTIVE_MINIBATCHES = ceil(workers / input-stage
-// replicas): the fewest in-flight minibatches that keep the pipeline full.
+// Noam returns NUM_OPT_ACTIVE_MINIBATCHES = ceil(workers / input-stage replicas),
+// the paper's depth for even stages on free links; Windows sets a plan's.
 func Noam(workers, inputReplicas int) int {
 	return (workers + inputReplicas - 1) / inputReplicas
 }

@@ -154,7 +154,8 @@ func TestEvaluateNOAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// NOAM = ceil(3 workers / 2 input replicas) = 2.
+	// Even stages on a free link: the windows give the paper's NOAM,
+	// ceil(3 workers / 2 input replicas) = 2.
 	if plan.Depth != 2 {
 		t.Fatalf("depth = %d, want NOAM 2", plan.Depth)
 	}
@@ -321,7 +322,8 @@ func twoLevelCase(seed int64) (*profile.ModelProfile, *topology.Topology) {
 
 // Property: on random hierarchical topologies, Optimize always returns a
 // structurally valid plan — contiguous full layer coverage, worker budget
-// respected, NOAM consistent — and is deterministic.
+// respected, windows that cover every cycle at its depth — and is
+// deterministic.
 func TestOptimizeHierarchicalStructuralProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		prof, topo := twoLevelCase(seed)
@@ -352,14 +354,42 @@ func TestOptimizeHierarchicalStructuralProperty(t *testing.T) {
 		if next != n || total > workers || p1.Depth < 1 {
 			return false
 		}
-		if p1.Depth != (p1.Workers+p1.Stages[0].Replicas-1)/p1.Stages[0].Replicas {
-			return false
-		}
-		return true
+		return coversEveryCycle(t, p1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// coversEveryCycle reports whether a plan runs at the depth of its own
+// windows, the input stage's per replica, and whether those windows hold
+// what each cycle needs at the plan's bottleneck: every window a multiple
+// of its stage's replicas, at least a successor's plus the rest of the
+// stage's round, and at least the stage's, the edge's and the
+// successor's passes in periods.
+func coversEveryCycle(t *testing.T, p *Plan) bool {
+	t.Helper()
+	period := p.BottleneckTime / windowSlack
+	w := p.Windows()
+	if p.Depth*p.Stages[0].Replicas != w[0] {
+		t.Logf("%s: depth %d, input window %d", p.ConfigString(), p.Depth, w[0])
+		return false
+	}
+	for s, st := range p.Stages {
+		if w[s] < st.Replicas || w[s]%st.Replicas != 0 {
+			t.Logf("%s: stage %d window %d, %d replicas", p.ConfigString(), s, w[s], st.Replicas)
+			return false
+		}
+	}
+	op := func(s int) float64 { return p.StageTimes[s] * float64(p.Stages[s].Replicas) }
+	for i, e := range p.Graph.Edges {
+		s, q := e.From, e.To
+		if w[s] < w[q]+p.Stages[s].Replicas-1 || float64(w[s])*period < op(s)+p.CommTimes[i]+op(q) {
+			t.Logf("%s: windows %v do not cover edge %d→%d", p.ConfigString(), w, s, q)
+			return false
+		}
+	}
+	return true
 }
 
 // Property: the optimizer's plan is never worse (under the shared cost

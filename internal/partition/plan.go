@@ -16,10 +16,10 @@ type PlanOptions struct {
 	// kept for the benchmark harness and nothing reads it.
 	Sync SyncModel
 	// Memory enforces the device-memory constraint (§3.1): if the
-	// chosen plan does not fit at its Depth, Plan.Depth is lowered until
-	// it does and, failing that, the straight model-parallel pipeline is
-	// returned at the highest Depth at which it fits. Only meaningful
-	// when the optimizer picks the stages (Stages == nil).
+	// chosen plan does not fit at its Depth (each stage at its window),
+	// Plan.Depth is lowered until it does and, failing that, the straight
+	// model-parallel pipeline is returned at the highest Depth at which it
+	// fits. Only meaningful when the optimizer picks the stages.
 	Memory bool
 	// Stages, when non-nil, is an explicit stage assignment to price
 	// instead of running the optimizer.
@@ -34,7 +34,7 @@ type PlanOptions struct {
 // NewPlan is the single entry point for building a Plan. With no options
 // it runs the optimizer; with Stages it prices an explicit assignment;
 // with Graph it prices a DAG-shaped assignment; with Memory it lowers
-// Plan.Depth, which is NOAM otherwise, until the plan fits device memory.
+// Plan.Depth, its windows' otherwise, until the plan fits device memory.
 //
 // (The paper-facing name would be partition.Plan, but Plan is the
 // result type; Go does not allow a type and a function to share a

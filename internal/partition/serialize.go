@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"pipedream/internal/profile"
 	"pipedream/internal/topology"
@@ -12,21 +13,22 @@ import (
 // planJSON is the serialized form of a Plan (derived fields are
 // recomputed on load against a profile/topology, so files stay small and
 // can't go stale). Edges/Joins carry the stage dataflow for graph-shaped
-// plans; both absent means the linear chain. Depth is the plan's; absent
-// means NOAM.
+// plans; both absent means the linear chain. Depth and Windows are the
+// plan's; absent, the reading profile's times set them.
 type planJSON struct {
-	Model  string      `json:"model"`
-	Stages []StageSpec `json:"stages"`
-	Edges  []StageEdge `json:"edges,omitempty"`
-	Joins  []JoinOp    `json:"joins,omitempty"`
-	Depth  *int        `json:"depth,omitempty"`
+	Model   string      `json:"model"`
+	Stages  []StageSpec `json:"stages"`
+	Edges   []StageEdge `json:"edges,omitempty"`
+	Joins   []JoinOp    `json:"joins,omitempty"`
+	Depth   *int        `json:"depth,omitempty"`
+	Windows []int       `json:"windows,omitempty"`
 }
 
-// WriteJSON serializes the plan's stage assignment and depth, including
-// the DAG topology (edges and join ops) when the plan is graph-shaped, so
-// ReadJSON reconstructs the same dataflow at the same depth.
+// WriteJSON serializes the plan's stage assignment, depth and windows,
+// including the DAG topology (edges and join ops) when the plan is
+// graph-shaped, so ReadJSON gives any profile the same dataflow and table.
 func (p *Plan) WriteJSON(w io.Writer) error {
-	pj := planJSON{Model: p.Model, Stages: p.Stages, Depth: &p.Depth}
+	pj := planJSON{Model: p.Model, Stages: p.Stages, Depth: &p.Depth, Windows: p.Windows()}
 	if g := p.Graph; !g.IsLinear() {
 		pj.Edges = g.Edges
 		pj.Joins = g.Joins
@@ -38,10 +40,11 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 
 // ReadJSON loads a stage assignment and re-evaluates it against the given
 // profile and topology, recomputing stage times and the throughput
-// prediction. Depth comes back as written — a depth below 1 is rejected —
-// or as NOAM when the file has none. The profile's model name and layer
-// count must match the plan's. A plan with serialized edges comes back
-// graph-shaped, validated as a DAG.
+// prediction. Depth and windows come back as written (absent, the
+// profile sets them); a depth below 1 and windows fit would change are
+// refused. The profile's model name and layer count must match the
+// plan's. A plan with serialized edges comes back graph-shaped, validated
+// as a DAG.
 func ReadJSON(r io.Reader, prof *profile.ModelProfile, topo *topology.Topology) (*Plan, error) {
 	var pj planJSON
 	if err := json.NewDecoder(r).Decode(&pj); err != nil {
@@ -63,9 +66,15 @@ func ReadJSON(r io.Reader, prof *profile.ModelProfile, topo *topology.Topology) 
 		return nil, fmt.Errorf("partition: plan has depth %d", *pj.Depth)
 	}
 	plan, err := NewPlan(prof, topo, opts)
-	if err != nil || pj.Depth == nil {
-		return plan, err
+	if err != nil {
+		return nil, err
 	}
-	plan.Depth = *pj.Depth
+	if pj.Depth != nil {
+		plan.Depth = *pj.Depth
+	}
+	if pj.Windows != nil && (pj.Depth == nil || len(pj.Windows) != len(pj.Stages) || !slices.Equal(plan.fit(slices.Clone(pj.Windows)), pj.Windows)) {
+		return nil, fmt.Errorf("partition: plan windows %v do not fit its stages at depth %d", pj.Windows, plan.Depth)
+	}
+	plan.windows = pj.Windows
 	return plan, nil
 }

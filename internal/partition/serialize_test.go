@@ -3,6 +3,7 @@ package partition
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"pipedream/internal/modelzoo"
@@ -194,9 +195,10 @@ func FuzzPlanJSON(f *testing.F) {
 }
 
 // TestPlanJSONKeepsItsDepth: a plan the memory constraint lowered below
-// NOAM — GNMT-16 on four 1,400 MB devices — comes back from its file at
-// the depth its planner chose, not at the NOAM it rejected; a file with
-// no depth comes back at NOAM, and one with a depth below 1 is refused.
+// its own depth — GNMT-16 on four 1,400 MB devices — comes back from its
+// file at the depth its planner chose, not at the one it rejected; a file
+// with no depth comes back at the depth its stages' windows set, and one
+// with a depth below 1 is refused.
 func TestPlanJSONKeepsItsDepth(t *testing.T) {
 	dev := topology.Device{Name: "1400MB", EffectiveFLOPS: topology.V100.EffectiveFLOPS, MemBytes: 1400 << 20}
 	topo := &topology.Topology{Name: dev.Name, Device: dev, Levels: topology.ClusterA(1).Levels}
@@ -205,9 +207,12 @@ func TestPlanJSONKeepsItsDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noam := Noam(plan.Workers, plan.Stages[0].Replicas)
-	if plan.Depth >= noam {
-		t.Fatalf("plan %s at depth %d: the constraint did not lower NOAM %d", plan.ConfigString(), plan.Depth, noam)
+	unconstrained, err := NewPlan(prof, topo, PlanOptions{Stages: plan.Stages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Depth >= unconstrained.Depth {
+		t.Fatalf("plan %s at depth %d: the constraint did not lower its own depth %d", plan.ConfigString(), plan.Depth, unconstrained.Depth)
 	}
 	var buf bytes.Buffer
 	if err := plan.WriteJSON(&buf); err != nil {
@@ -229,10 +234,70 @@ func TestPlanJSONKeepsItsDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bare.Depth != Noam(bare.Workers, 4) {
-		t.Fatalf("a file with no depth reads back at depth %d, want NOAM %d", bare.Depth, Noam(bare.Workers, 4))
+	if w := bare.cover(bare.BottleneckTime / windowSlack); bare.Depth != w[0]/4 {
+		t.Fatalf("a file with no depth reads back at depth %d, want %d (windows %v)", bare.Depth, w[0]/4, w)
 	}
 	if _, err := ReadJSON(bytes.NewBufferString(stages+`,"depth":0}`), prof, topo); err == nil {
 		t.Fatal("a file at depth 0 must be refused")
+	}
+}
+
+// TestPlanJSONKeepsItsWindows: the windows follow measured times, so a
+// plan file carries them, and every process that reads it schedules the
+// same table whatever its own profile measures. A file written on one
+// profile and read on another with other times returns the written
+// windows — and a depth lowered after the read runs on the reader's
+// times. A file whose windows are not one per stage, do not match its
+// depth, or that a predecessor could not feed is refused.
+func TestPlanJSONKeepsItsWindows(t *testing.T) {
+	stages := []StageSpec{
+		{FirstLayer: 0, LastLayer: 0, Replicas: 1},
+		{FirstLayer: 1, LastLayer: 1, Replicas: 1},
+		{FirstLayer: 2, LastLayer: 2, Replicas: 1},
+		{FirstLayer: 3, LastLayer: 3, Replicas: 1},
+	}
+	topo := topology.Flat(4, 1e9, topology.V100)
+	acts := []int64{8, 8, 8, 8}
+	writer := syntheticProfile([]float64{1, 1, 1, 1}, acts, acts)
+	reader := syntheticProfile([]float64{1, 0.2, 0.2, 1}, acts, acts)
+	written, err := NewPlan(writer, topo, PlanOptions{Stages: stages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := NewPlan(reader, topo, PlanOptions{Stages: stages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(written.Windows(), own.Windows()) {
+		t.Fatalf("both profiles give windows %v; the test needs two", own.Windows())
+	}
+	var buf bytes.Buffer
+	if err := written.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadJSON(bytes.NewReader(buf.Bytes()), reader, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Windows(), written.Windows()) || got.Depth != written.Depth {
+		t.Fatalf("read back windows %v at depth %d, wrote %v at depth %d", got.Windows(), got.Depth, written.Windows(), written.Depth)
+	}
+	lowered, ownLowered := *got, *own
+	lowered.Depth, ownLowered.Depth = 1, 1
+	if !slices.Equal(lowered.Windows(), ownLowered.Windows()) {
+		t.Fatalf("at depth 1 the file's plan has windows %v, the reader's %v", lowered.Windows(), ownLowered.Windows())
+	}
+
+	for _, bad := range []string{
+		`"depth":4,"windows":[4,3,1]`,   // one short
+		`"depth":3,"windows":[4,3,2,1]`, // input window is not the depth's
+		`"depth":4,"windows":[4,5,2,1]`, // stage 1 holds more than stage 0 feeds
+		`"depth":4,"windows":[4,3,2,0]`, // an empty window
+		`"windows":[4,3,2,1]`,           // windows without their depth
+	} {
+		file := `{"model":"synthetic","stages":[{"FirstLayer":0,"LastLayer":0,"Replicas":1},{"FirstLayer":1,"LastLayer":1,"Replicas":1},{"FirstLayer":2,"LastLayer":2,"Replicas":1},{"FirstLayer":3,"LastLayer":3,"Replicas":1}],` + bad + `}`
+		if _, err := ReadJSON(bytes.NewBufferString(file), reader, topo); err == nil {
+			t.Errorf("a file with %s was accepted", bad)
+		}
 	}
 }

@@ -101,7 +101,7 @@ func TestUpstreamGradientLeavesBeforeParameterHalves(t *testing.T) {
 			u := &upOrder{Transport: transport.NewChannels(plan.Workers, 64), t: t, probes: map[int]*stepProbe{}}
 			log := metrics.NewOpLog(0)
 			opts := baseOptions(factory, plan)
-			opts.Plan = plan // NOAM
+			opts.Plan = plan // its own depth
 			opts.Transport = u
 			opts.OpLog = log
 			p, err := New(opts)

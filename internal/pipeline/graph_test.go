@@ -133,7 +133,7 @@ func TestBranchGraphPipelineMatchesReference(t *testing.T) {
 }
 
 // TestBranchGraphTrainsAtNOAM runs the branching model end to end at the
-// plan's NOAM depth (several minibatches in flight across the DAG) and
+// plan's own depth (several minibatches in flight across the DAG) and
 // requires the summed two-head loss to drop.
 func TestBranchGraphTrainsAtNOAM(t *testing.T) {
 	b := branching.StandIn(9)

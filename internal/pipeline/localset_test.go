@@ -202,7 +202,7 @@ func TestLocalWorkerSetsReplicatedStage(t *testing.T) {
 	for _, mbs := range []int{20, 21} {
 		ds := data.NewBlobs(17, 3, 4, 8, mbs)
 		opts := baseOptions(factory, plan)
-		opts.Plan = plan // NOAM
+		opts.Plan = plan // its own depth
 		addrs := freeAddrs(t, 3)
 		ps := make([]*Pipeline, 3)
 		for w := range ps {

@@ -26,7 +26,7 @@ func priceArrays(st partition.StageSpec, k int, gpipe bool) int {
 // the weight arrays the price charges its stage. Under weight stashing
 // that is one per minibatch of the stage's window the worker keeps in
 // flight, never fewer than two — 4/3/2/2 on a straight 4-stage plan at
-// NOAM, 2 on 2-1-1 and 3-1. With gradient accumulation over a cycle at
+// its own depth, 2 on 2-1-1 and 3-1. With gradient accumulation over a cycle at
 // least as long as the window, a worker's in-flight minibatches hold at
 // most one version besides the latest, and the count is GPipe's two.
 func TestWeightArraysAreThePlannedPrice(t *testing.T) {
@@ -43,7 +43,7 @@ func TestWeightArraysAreThePlannedPrice(t *testing.T) {
 		factory, plan := shapePlan(t, c.replicas, nil)
 		name := fmt.Sprintf("%v/accum%d", c.replicas, c.accum)
 		opts := baseOptions(factory, plan)
-		opts.Plan = plan // NOAM
+		opts.Plan = plan // its own depth
 		opts.Mode = WeightStashing
 		opts.GradAccumulation = c.accum
 		p, err := New(opts)

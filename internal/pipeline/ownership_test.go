@@ -111,7 +111,7 @@ func TestChannelsTensorsAreRecycled(t *testing.T) {
 		for _, recompute := range []bool{false, true} {
 			factory, plan := shapePlan(t, c.replicas, c.graph)
 			opts := baseOptions(factory, plan)
-			opts.Plan = plan // NOAM
+			opts.Plan = plan // its own depth
 			opts.Recompute = recompute
 			var tr transport.Transport = transport.NewChannels(plan.Workers, 64)
 			if c.dups {
@@ -201,7 +201,7 @@ func TestChainPoolHitRatio(t *testing.T) {
 		tr := chainTransport(t, tcp, plan.Workers)
 		defer tr.Close()
 		opts := baseOptions(factory, plan)
-		opts.Plan = plan // NOAM
+		opts.Plan = plan // its own depth
 		opts.Transport = tr
 		p, err := New(opts)
 		if err != nil {
@@ -270,7 +270,7 @@ func TestBreakConnStormTrainsBitEqual(t *testing.T) {
 		}
 		defer tcp.Close()
 		opts := baseOptions(factory, plan)
-		opts.Plan = plan // NOAM
+		opts.Plan = plan // its own depth
 		opts.Transport = tcp
 		p, err := New(opts)
 		if err != nil {
@@ -376,7 +376,7 @@ func TestTrainStepAllocatesNoTensors(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := baseOptions(c.factory, plan)
-			opts.Plan = plan // NOAM
+			opts.Plan = plan // its own depth
 			opts.Recompute = recompute
 			opts.Transport = chainTransport(t, tcp, plan.Workers)
 			defer opts.Transport.Close()

@@ -29,14 +29,22 @@ func parentTrainingRuns(t *testing.T) map[string]uint64 {
 		replicas []int
 		graph    *partition.StageGraph
 		windows  []int
+		// depth, when set, is the depth the golden hashes were trained
+		// at, which the plan's own windows no longer give.
+		depth int
 	}{
-		{"chain3", []int{1, 1, 1}, nil, []int{9, 4}},
-		{"2-1", []int{2, 1}, nil, []int{9, 4}},
-		{"3-1", []int{3, 1}, nil, []int{9, 4}},
-		{"2-1-ring", []int{2, 1}, nil, []int{10, 3}},
-		{"diamond", []int{1, 1, 1, 1}, diamondGraph, []int{9, 4}},
+		{"chain3", []int{1, 1, 1}, nil, []int{9, 4}, 0},
+		{"2-1", []int{2, 1}, nil, []int{9, 4}, 2},
+		{"3-1", []int{3, 1}, nil, []int{9, 4}, 2},
+		{"2-1-ring", []int{2, 1}, nil, []int{10, 3}, 2},
+		{"diamond", []int{1, 1, 1, 1}, diamondGraph, []int{9, 4}, 4},
 	} {
 		factory, plan := shapePlan(t, c.replicas, c.graph)
+		if c.depth > 0 {
+			q := *plan
+			q.Depth = c.depth
+			plan = &q
+		}
 		ds := data.NewBlobs(23, 3, 4, 8, 13)
 		for _, mode := range []StalenessMode{WeightStashing, VerticalSync, NoStashing} {
 			for _, recompute := range []bool{false, true} {
@@ -48,7 +56,7 @@ func parentTrainingRuns(t *testing.T) map[string]uint64 {
 						"lars":     func() nn.Optimizer { return nn.NewLARS(0.5, 0.9, 1e-3, 0.02) },
 					} {
 						opts := baseOptions(factory, plan)
-						opts.Plan = plan // NOAM
+						opts.Plan = plan // not baseOptions' depth 1
 						opts.Mode = mode
 						opts.Recompute = recompute
 						opts.GradAccumulation = accum

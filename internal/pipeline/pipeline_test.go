@@ -72,7 +72,7 @@ func syntheticProfileFor(model *nn.Sequential) *profile.ModelProfile {
 }
 
 func TestSingleStageMatchesSequentialExactly(t *testing.T) {
-	checkPipelineMatchesSequential(t, 1, 1) // a single stage's NOAM
+	checkPipelineMatchesSequential(t, 1, 1) // a single stage's depth
 }
 
 func TestDepthOnePipelineMatchesSequentialExactly(t *testing.T) {
@@ -204,7 +204,7 @@ func TestNoStashingProducesVersionMismatches(t *testing.T) {
 	ds := data.NewBlobs(5, 3, 4, 8, 40)
 	p, err := New(Options{
 		ModelFactory: factory,
-		Plan:         evenPlan(t, factory, 3, 1), // NOAM = 3 in-flight
+		Plan:         evenPlan(t, factory, 3, 1), // depth 3 in flight
 		Loss:         nn.SoftmaxCrossEntropy,
 		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
 		Mode:         NoStashing,

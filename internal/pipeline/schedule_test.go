@@ -92,7 +92,7 @@ func TestRuntimeExecutesScheduleTable(t *testing.T) {
 			factory, plan := shapePlan(t, c.replicas, c.graph)
 			log := metrics.NewOpLog(0)
 			opts := baseOptions(factory, plan)
-			opts.Plan = plan // NOAM
+			opts.Plan = plan // its own depth
 			opts.OpLog = log
 			p, err := New(opts)
 			if err != nil {
@@ -189,7 +189,7 @@ func TestLossesArePureFunctionOfSeedPlanDepth(t *testing.T) {
 	} {
 		factory, plan := shapePlan(t, c.replicas, c.graph)
 		ds := data.NewBlobs(23, 3, 4, 8, 11)
-		for _, depth := range []int{1, 0} { // 0 = the plan's NOAM
+		for _, depth := range []int{1, 0} { // 0 = the plan's own depth
 			for _, recompute := range []bool{false, true} {
 				opts := baseOptions(factory, plan)
 				if depth == 0 {

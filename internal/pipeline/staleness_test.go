@@ -22,8 +22,8 @@ import (
 // ideal schedule, but never staler. The guarantees that must hold are
 // therefore:
 //
-//  1. bounded staleness: every forward uses a version at most NOAM
-//     updates behind the newest possible (the paper's "bounded staleness
+//  1. bounded staleness: every forward uses a version at most the
+//     plan's depth in updates behind the newest possible (the paper's "bounded staleness
 //     has been found effective" property);
 //  2. the output stage always uses the freshest weights (staleness
 //     exactly 1: its own previous minibatch's update is applied, because
@@ -130,7 +130,7 @@ func TestStalenessBoundedPerPaperFormula(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	depth := p.Plan().Depth // NOAM = nStages for a straight pipeline
+	depth := p.Plan().Depth // nStages for an even straight pipeline
 	maxStale := make([]int, nStages)
 	for s := 0; s < nStages; s++ {
 		hist := *histories[s]
@@ -163,7 +163,7 @@ func TestStalenessBoundedPerPaperFormula(t *testing.T) {
 			}
 			stale := mb - v + 1 // update mb+1 computed with version v ⇒ staleness mb+1-v
 			if stale < 1 || stale > depth {
-				t.Fatalf("stage %d mb %d: staleness %d outside [1, NOAM=%d]", s, mb, stale, depth)
+				t.Fatalf("stage %d mb %d: staleness %d outside [1, depth %d]", s, mb, stale, depth)
 			}
 			if mb >= depth && stale > maxStale[s] {
 				maxStale[s] = stale

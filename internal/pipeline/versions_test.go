@@ -286,7 +286,7 @@ func TestWeightVersionsAreNotCopied(t *testing.T) {
 					t.Fatal(err)
 				}
 				opts := baseOptions(factory, plan)
-				opts.Plan = plan // NOAM
+				opts.Plan = plan // its own depth
 				opts.Mode = mode
 				opts.NewOptimizer = newOpt
 				opts.Transport = tcp

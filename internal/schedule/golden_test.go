@@ -21,24 +21,27 @@ type goldenConfig struct {
 	// graph, when non-nil, shapes the stages into a DAG instead of the
 	// linear chain (all-1 replicas, one layer per stage).
 	graph *partition.StageGraph
+	// depth, when set, is the depth the golden timeline was drawn at,
+	// above the plan's own.
+	depth int
 }
 
 func goldenConfigs() []goldenConfig {
 	return []goldenConfig{
 		{name: "w4r1", replicas: []int{1, 1, 1, 1}}, // straight 4-stage pipeline (Figure 4)
 		{name: "w4r2", replicas: []int{2, 1, 1}},    // 2-1-1 replicated input (Figure 8)
-		{name: "w6r3", replicas: []int{3, 1, 1, 1}}, // 3-1-1-1, NOAM = ceil(6/3) = 2
+		{name: "w6r3", replicas: []int{3, 1, 1, 1}}, // 3-1-1-1, depth 2
 		// Diamond dataflow: 0 fans out to 1 and 2, which join (sum) at 3.
 		{name: "diamond", replicas: []int{1, 1, 1, 1}, graph: &partition.StageGraph{
 			Nodes: 4,
 			Edges: []partition.StageEdge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3}},
 			Joins: []partition.JoinOp{partition.JoinNone, partition.JoinNone, partition.JoinNone, partition.JoinSum},
-		}},
+		}, depth: 4},
 		// Two-head dataflow: a shared trunk 0→1 splits into sinks 2 and 3.
 		{name: "twohead", replicas: []int{1, 1, 1, 1}, graph: &partition.StageGraph{
 			Nodes: 4,
 			Edges: []partition.StageEdge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 1, To: 3}},
-		}},
+		}, depth: 4},
 	}
 }
 
@@ -67,6 +70,9 @@ func goldenPlan(t *testing.T, cfg goldenConfig) (*profile.ModelProfile, *topolog
 	if err != nil {
 		t.Fatal(err)
 	}
+	if cfg.depth > 0 {
+		plan.Depth = cfg.depth
+	}
 	return prof, topo, plan
 }
 
@@ -75,10 +81,12 @@ func goldenPlan(t *testing.T, cfg goldenConfig) (*profile.ModelProfile, *topolog
 //
 //  1. the rendered timeline must match the checked-in golden file
 //     character for character (regenerate with UPDATE_GOLDEN=1);
-//  2. startup must admit exactly NOAM = ceil(workers/input-replicas)
-//     minibatches per input replica before the first backward runs;
+//  2. the plan runs at the depth its own windows give — on the chains
+//     NOAM = ceil(workers/input-replicas) — or at the one pinned, and
+//     startup must admit exactly that many minibatches per input
+//     replica before the first backward runs;
 //  3. the steady state must satisfy the full 1F1B invariant set
-//     (ordering, same-worker RR routing, strict alternation, NOAM
+//     (ordering, same-worker RR routing, strict alternation, depth
 //     in-flight bound);
 //  4. every worker's simulated (kind, minibatch) sequence must be its
 //     schedule.Table list — the simulator prices the table, it does
@@ -98,14 +106,15 @@ func TestGolden1F1BTimelines(t *testing.T) {
 				t.Fatal(err)
 			}
 			a := schedule.Assign(plan)
-			workers := a.NumWorkers()
-			noam := partition.Noam(workers, cfg.replicas[0])
-			if plan.Depth != noam {
-				t.Fatalf("plan depth = %d, partition.Noam(%d, %d) = %d",
-					plan.Depth, workers, cfg.replicas[0], noam)
+			depth := cfg.depth
+			if depth == 0 {
+				depth = partition.Noam(a.NumWorkers(), cfg.replicas[0])
+			}
+			if plan.Depth != depth || plan.Windows()[0] != depth*cfg.replicas[0] {
+				t.Fatalf("plan depth = %d, windows %v, want depth %d", plan.Depth, plan.Windows(), depth)
 			}
 
-			// Startup admission: each input replica runs exactly NOAM
+			// Startup admission: each input replica runs exactly depth
 			// forwards before its first backward.
 			for _, w := range a.StageWorkers[0] {
 				ops := res.Timeline.WorkerOps(w)
@@ -118,9 +127,9 @@ func TestGolden1F1BTimelines(t *testing.T) {
 						admitted++
 					}
 				}
-				if admitted != noam {
-					t.Errorf("input worker %d admitted %d minibatches at startup, NOAM = %d",
-						w, admitted, noam)
+				if admitted != depth {
+					t.Errorf("input worker %d admitted %d minibatches at startup, depth %d",
+						w, admitted, depth)
 				}
 			}
 
@@ -144,9 +153,9 @@ func TestGolden1F1BTimelines(t *testing.T) {
 			}
 
 			// Full 1F1B invariants over the steady-state window: the fill
-			// and drain each span NOAM minibatches per input replica, so
-			// the window excludes 2·NOAM·replicas at both ends.
-			edge := 2 * noam * cfg.replicas[0]
+			// and drain each span depth minibatches per input replica, so
+			// the window excludes 2·depth·replicas at both ends.
+			edge := 2 * depth * cfg.replicas[0]
 			warm := res.CompletionTimes[edge]
 			cool := res.CompletionTimes[len(res.CompletionTimes)-edge]
 			if err := schedule.Validate1F1B(res.Timeline, a, warm, cool); err != nil {

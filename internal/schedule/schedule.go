@@ -19,8 +19,8 @@ type Policy int
 
 // Scheduling policies compared in the paper.
 const (
-	// PipeDream1F1B: startup admits the plan's Depth (NOAM unless
-	// lowered) minibatches per input replica, then every worker
+	// PipeDream1F1B: startup admits the plan's Depth minibatches per
+	// input replica and each later stage its window, then every worker
 	// alternates one forward with one backward; no flushes.
 	PipeDream1F1B Policy = iota
 	// GPipe: admit m microbatches, run all forwards then all backwards,

@@ -1,24 +1,54 @@
 package schedule
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"pipedream/internal/partition"
+	"pipedream/internal/profile"
+	"pipedream/internal/topology"
 )
 
+// planWith prices a chain of one-layer stages with the given replica
+// counts on a flat, fast link.
 func planWith(stages ...int) *partition.Plan {
-	p := &partition.Plan{Model: "t"}
-	first := 0
-	for _, r := range stages {
-		p.Stages = append(p.Stages, partition.StageSpec{FirstLayer: first, LastLayer: first, Replicas: r})
-		first++
-		p.Workers += r
+	return pricedPlan(stages, nil, nil)
+}
+
+// pricedPlan prices one-layer stages with the given replica counts over
+// graph (nil: the chain) on a synthetic profile. With no rng every layer
+// takes a 1 s forward and a 2 s backward on a link fast enough to be
+// free; with one, a 0.1–1 s forward (the backward twice that) and an
+// activation of up to 16 MiB on a 0.1–10 GB/s link, so that some plans
+// are bound by an edge and their windows reach past their stages'.
+func pricedPlan(replicas []int, graph *partition.StageGraph, rng *rand.Rand) *partition.Plan {
+	prof := &profile.ModelProfile{Model: "t", MinibatchSize: 1, InputBytes: 4}
+	var stages []partition.StageSpec
+	workers := 0
+	bandwidth := 1e18
+	if rng != nil {
+		bandwidth = 1e8 * math.Pow(100, rng.Float64())
 	}
-	p.Depth = partition.Noam(p.Workers, stages[0])
-	p.Graph = partition.NewLinear(len(stages))
-	return p
+	for s, r := range replicas {
+		layer := profile.LayerProfile{Name: "l", FwdTime: 1, BwdTime: 2, ActivationBytes: 4, WeightBytes: 4}
+		if rng != nil {
+			layer.FwdTime = 0.1 + 0.9*rng.Float64()
+			layer.BwdTime = 2 * layer.FwdTime
+			layer.ActivationBytes = 1 + rng.Int63n(1<<24)
+		}
+		prof.Layers = append(prof.Layers, layer)
+		stages = append(stages, partition.StageSpec{FirstLayer: s, LastLayer: s, Replicas: r})
+		workers += r
+	}
+	plan, err := partition.NewPlan(prof, topology.Flat(workers, bandwidth, topology.V100),
+		partition.PlanOptions{Stages: stages, Graph: graph})
+	if err != nil {
+		panic(err)
+	}
+	return plan
 }
 
 func TestAssignDenseWorkerIDs(t *testing.T) {

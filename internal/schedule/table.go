@@ -21,10 +21,10 @@ type TableOp struct {
 // It runs `warm-up` forwards, then alternates one backward with one
 // forward over its own minibatches in ascending order, then drains the
 // remaining backwards. The warm-up is the worker's share of the stage's
-// in-flight window (partition.Plan.Windows): the plan's Depth at the
-// input stage, 1 at a sink, n−s at stage s of a straight n-stage pipeline
-// (Figure 4). In steady state every backward therefore runs exactly
-// warm-up − 1 local updates after its forward.
+// in-flight window (partition.Plan.Windows): the plan's Depth per input
+// replica, elsewhere the least that covers the stage's 1F1B cycles — n−s
+// at stage s of an even straight pipeline on free links (Figure 4). In
+// steady state every backward runs warm-up − 1 updates after its forward.
 //
 // GPipe: per round of Depth consecutive microbatches, all of the
 // worker's forwards in ascending order, then its backwards in reverse.

@@ -42,8 +42,8 @@ func TestTableKnownShapes(t *testing.T) {
 			"F3 F5 B3 F7 B5 F9 B7 B9",
 			"F3 B3 F4 B4 F5 B5 F6 B6 F7 B7 F8 B8 F9 B9",
 		}},
-		// A depth below NOAM caps every stage's warm-up, not just the
-		// input stage's.
+		// A depth below the plan's own caps every stage's warm-up, not
+		// just the input stage's.
 		{"straight-3-depth-1", planWith(1, 1, 1), PipeDream1F1B, 1, 0, 2, []string{
 			"F0 B0 F1 B1", "F0 B0 F1 B1", "F0 B0 F1 B1",
 		}},
@@ -132,7 +132,8 @@ func replay(a *Assignment, table [][]TableOp, start, end int, sync bool) bool {
 }
 
 // The table is total and deadlock-free: on random stage graphs (fan-in,
-// fan-out, several sinks), replica vectors, depths from 1 to 2·NOAM and
+// fan-out, several sinks), replica vectors, depths from 1 to twice the
+// plan's own (so the windows cover and the windows lowered and capped) and
 // windows of any alignment and length, every minibatch runs exactly once
 // forward and once backward, forward first, on the worker ReplicaFor
 // names, and a zero-latency replay of the tables terminates — with the
@@ -143,11 +144,10 @@ func TestTableIsTotalAndDeadlockFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 2000; trial++ {
 		n := 1 + rng.Intn(6)
-		plan := &partition.Plan{Model: "t", Graph: &partition.StageGraph{Nodes: n, Joins: make([]partition.JoinOp, n)}}
-		for s := 0; s < n; s++ {
-			r := 1 + rng.Intn(3)
-			plan.Stages = append(plan.Stages, partition.StageSpec{FirstLayer: s, LastLayer: s, Replicas: r})
-			plan.Workers += r
+		graph := &partition.StageGraph{Nodes: n, Joins: make([]partition.JoinOp, n)}
+		replicas := make([]int, n)
+		for s := range replicas {
+			replicas[s] = 1 + rng.Intn(3)
 			if s == 0 {
 				continue
 			}
@@ -155,20 +155,18 @@ func TestTableIsTotalAndDeadlockFree(t *testing.T) {
 			for p := 0; p < s; p++ {
 				// One predecessor always; extra in-edges one time in three.
 				if p == rng.Intn(s) || rng.Intn(3) == 0 {
-					plan.Graph.Edges = append(plan.Graph.Edges, partition.StageEdge{From: p, To: s})
+					graph.Edges = append(graph.Edges, partition.StageEdge{From: p, To: s})
 					fanIn++
 				}
 			}
 			if fanIn == 0 {
-				plan.Graph.Edges = append(plan.Graph.Edges, partition.StageEdge{From: s - 1, To: s})
+				graph.Edges = append(graph.Edges, partition.StageEdge{From: s - 1, To: s})
 			} else if fanIn > 1 {
-				plan.Graph.Joins[s] = partition.JoinSum
+				graph.Joins[s] = partition.JoinSum
 			}
 		}
-		if err := plan.Graph.Validate(n); err != nil {
-			t.Fatalf("trial %d: generator built an invalid graph: %v", trial, err)
-		}
-		plan.Depth = 1 + rng.Intn(2*partition.Noam(plan.Workers, plan.Stages[0].Replicas))
+		plan := pricedPlan(replicas, graph, rng)
+		plan.Depth = 1 + rng.Intn(2*plan.Depth)
 		a := Assign(plan)
 		depth := plan.Depth
 		start := rng.Intn(7)

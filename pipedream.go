@@ -425,7 +425,7 @@ func ProfileModel(model *Sequential, name string, ds Dataset, numBatches int) *M
 
 // NewPlan is the single planning entry point: it splits the profiled
 // layers into pipeline stages, chooses replication factors, and computes
-// the predicted throughput and the in-flight depth, Plan.Depth (NOAM).
+// the predicted throughput and the in-flight depth (Plan.Depth, Windows).
 // PlanOptions select the device-memory constraint (which lowers
 // Plan.Depth until the stages fit), an explicit stage assignment to
 // price instead of optimizing, and/or a StageGraph giving the stages
