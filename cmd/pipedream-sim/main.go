@@ -74,7 +74,7 @@ func main() {
 		fatal(err)
 	}
 	if *depth > 0 {
-		plan.Depth = *depth
+		plan = plan.AtDepth(*depth)
 	}
 
 	var policy schedule.Policy

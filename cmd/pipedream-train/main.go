@@ -76,7 +76,7 @@ func main() {
 		fatal(err)
 	}
 	if *depth > 0 {
-		plan.Depth = *depth
+		plan = plan.AtDepth(*depth)
 	}
 	fmt.Printf("task %s: %d layers across %d stage(s) (%s) on %d worker(s), config %s, depth %d, %s, mode %s\n",
 		mdl.Task, len(model.Layers), len(plan.Stages), cliconf.Cuts(plan, model), plan.Workers, plan.ConfigString(), plan.Depth, plan.WindowString(), mode)
@@ -218,7 +218,7 @@ func runElastic(mdl *cliconf.Model, task *cliconf.Task, model *nn.Sequential,
 	replan := func(n int) (*partition.Plan, error) {
 		plan, err := cliconf.Cut(prof, n, 1)
 		if err == nil && depth > 0 {
-			plan.Depth = depth
+			plan = plan.AtDepth(depth)
 		}
 		return plan, err
 	}

@@ -70,8 +70,8 @@ func claims(quick bool) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	gpipe := *mpPlan // GPipe flushes every m = NOAM microbatches, as the paper runs it
-	gpipe.Depth = partition.Noam(mpPlan.Workers, mpPlan.Stages[0].Replicas)
+	// GPipe flushes every m = NOAM microbatches, as the paper runs it.
+	gpipe := mpPlan.AtDepth(partition.Noam(mpPlan.Workers, mpPlan.Stages[0].Replicas))
 	run := func(plan *partition.Plan, policy schedule.Policy, recompute bool) (float64, error) {
 		res, err := cluster.Simulate(cluster.Config{
 			Profile: gnmt, Topo: topoA, Plan: plan, Policy: policy,
@@ -86,7 +86,7 @@ func claims(quick bool) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	gp, err := run(&gpipe, schedule.GPipe, true)
+	gp, err := run(gpipe, schedule.GPipe, true)
 	if err != nil {
 		return nil, err
 	}

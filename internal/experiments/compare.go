@@ -38,10 +38,8 @@ func simThroughput(prof *profile.ModelProfile, topo *topology.Topology, plan *pa
 // for memory (§2.2).
 func simGPipe(prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan,
 	minibatches, depth int) (*cluster.Result, error) {
-	q := *plan
-	q.Depth = depth
 	return cluster.Simulate(cluster.Config{
-		Profile: prof, Topo: topo, Plan: &q, Policy: schedule.GPipe,
+		Profile: prof, Topo: topo, Plan: plan.AtDepth(depth), Policy: schedule.GPipe,
 		Minibatches: minibatches, Recompute: true,
 	})
 }
@@ -116,9 +114,7 @@ func fig14b(quick bool) ([]*Table, error) {
 				return nil, err
 			}
 		}
-		q := *plan
-		q.Depth = 1
-		noPipe, err := simThroughput(prof, topo, &q, schedule.PipeDream1F1B, minibatches)
+		noPipe, err := simThroughput(prof, topo, plan.AtDepth(1), schedule.PipeDream1F1B, minibatches)
 		if err != nil {
 			return nil, err
 		}
@@ -369,9 +365,7 @@ func fig18(quick bool) ([]*Table, error) {
 		Header: []string{"depth", "throughput (samples/s)", "peak stage-0 memory", "peak stage-3 memory"}}
 	var prevT float64
 	for depth := 1; depth <= 7; depth++ {
-		q := *plan
-		q.Depth = depth
-		res, err := simThroughput(prof, topo, &q, schedule.PipeDream1F1B, minibatches)
+		res, err := simThroughput(prof, topo, plan.AtDepth(depth), schedule.PipeDream1F1B, minibatches)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -61,6 +62,42 @@ func fig15Plans(t *testing.T) []pricedPlan {
 	return out
 }
 
+// belowOwnDepthPlans returns the plans that run below the depth their
+// windows cover: the memory-constrained plans of abl-memory's GNMT-16
+// devices and of two VGG-16 devices, on one Cluster-A server, and Figure
+// 18's GNMT-8 model-parallel plan at depths 1 to 7.
+func belowOwnDepthPlans(t *testing.T) []pricedPlan {
+	t.Helper()
+	var out []pricedPlan
+	gnmt16 := modelzoo.GNMT16(topology.V100, 64)
+	vgg, err := modelzoo.ByName("VGG-16", topology.V100, modelzoo.PaperBatchSize("VGG-16"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		prof  *profile.ModelProfile
+		memMB int64
+	}{{gnmt16, 16384}, {gnmt16, 1400}, {gnmt16, 1100}, {gnmt16, 900}, {vgg, 3296}, {vgg, 2478}} {
+		dev := topology.Device{Name: fmt.Sprintf("%dMB", c.memMB), EffectiveFLOPS: topology.V100.EffectiveFLOPS, MemBytes: c.memMB << 20}
+		topo := &topology.Topology{Name: dev.Name, Device: dev, Levels: topology.ClusterA(1).Levels}
+		plan, err := partition.NewPlan(c.prof, topo, partition.PlanOptions{Memory: true})
+		if err != nil {
+			t.Fatalf("%s on %s: %v", c.prof.Model, dev.Name, err)
+		}
+		out = append(out, pricedPlan{fmt.Sprintf("%s / %d MB, depth %d", c.prof.Model, c.memMB, plan.Depth), c.prof, topo, plan})
+	}
+	topo := topology.ClusterA(1)
+	gnmt8 := modelzoo.GNMT8(topo.Device, 64)
+	mp, err := partition.ModelParallel(gnmt8, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for depth := 1; depth <= 7; depth++ {
+		out = append(out, pricedPlan{fmt.Sprintf("fig18 depth %d", depth), gnmt8, topo, mp.AtDepth(depth)})
+	}
+	return out
+}
+
 // simulate returns the steady-state throughput cluster.Simulate runs p at.
 func (p pricedPlan) simulate(t *testing.T, minibatches int) float64 {
 	t.Helper()
@@ -104,6 +141,15 @@ func TestPredictedVersusSimulated(t *testing.T) {
 	t.Logf("fig15: Pearson r = %.4f between price and simulation", r)
 	if r < 0.99 {
 		t.Errorf("fig15: Pearson r = %.3f, want ≥ 0.99", r)
+	}
+	// Below its own depth a plan is priced at the cycles its windows leave
+	// short: these rows read 0.278–0.692 of a bottleneck-only price.
+	for _, p := range belowOwnDepthPlans(t) {
+		pred, sim := p.plan.PredictedThroughput, p.simulate(t, 640)
+		t.Logf("| %s | `%s` %v | %.1f | %.1f | %.3f |", p.row, p.plan.ConfigString(), p.plan.Windows(), pred, sim, sim/pred)
+		if math.Abs(sim/pred-1) > 0.02 {
+			t.Errorf("%s %s simulates at %.3f of its price, want within ±2%%", p.row, p.plan.ConfigString(), sim/pred)
+		}
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 // NOAM except Plan.Depth and planJSON.Depth, its form in a plan file,
 // which only ReadJSON reads, into Plan.Depth. The schedule, the
 // simulator, the runtime and the memory check read the plan's; a caller
-// that wants another depth sets it on its own copy of the plan.
+// that wants another depth asks AtDepth, which re-prices the copy it
+// returns, so outside bench/ and tests no code but evaluate, ReadJSON and
+// AtDepth assigns to a Depth field.
 func TestDepthHasOneHome(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -26,7 +28,18 @@ func TestDepthHasOneHome(t *testing.T) {
 		t.Fatalf("module root not found: %v", err)
 	}
 	fset := token.NewFileSet()
-	homes, files := 0, 0
+	homes, files, writers := 0, 0, 0
+	writes := func(rel, fn string, x ast.Expr) {
+		if sel, ok := x.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Depth" {
+			return
+		}
+		if strings.HasPrefix(rel, "internal/partition/") && (fn == "evaluate" || fn == "ReadJSON" || fn == "AtDepth") {
+			writers++
+			return
+		}
+		t.Errorf("%s: %s assigns to a Depth field; change a plan's depth with Plan.AtDepth, which re-prices it",
+			fset.Position(x.Pos()), fn)
+	}
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -45,6 +58,23 @@ func TestDepthHasOneHome(t *testing.T) {
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			return err
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, x := range n.Lhs {
+						writes(rel, fn.Name.Name, x)
+					}
+				case *ast.IncDecStmt:
+					writes(rel, fn.Name.Name, n.X)
+				}
+				return true
+			})
 		}
 		named := map[*ast.StructType]string{}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -81,7 +111,8 @@ func TestDepthHasOneHome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if homes != 1 || files != 1 {
-		t.Fatalf("found Plan.Depth %d times and planJSON.Depth %d times under %s, want each once: the walk missed internal/partition", homes, files, root)
+	if homes != 1 || files != 1 || writers != 3 {
+		t.Fatalf("found Plan.Depth %d times, planJSON.Depth %d times and %d writes of Depth in evaluate, ReadJSON and AtDepth under %s, want 1, 1 and 3: the walk missed internal/partition",
+			homes, files, writers, root)
 	}
 }

@@ -149,24 +149,27 @@ func CheckMemory(plan *Plan, prof *profile.ModelProfile, topo *topology.Topology
 }
 
 // constrainMemory enforces the device-memory constraint the paper's
-// partitioning algorithm takes as input (§3.1): if the unconstrained
-// optimum does not fit at its Depth, it lowers the Depth toward the
-// memory bound (trading throughput for footprint, as §5.5's Figure 18
-// discussion describes) and, failing that, does the same for the
-// straight model-parallel pipeline, whose stages hold less each. The
-// returned plan fits at its Depth.
+// partitioning algorithm takes as input (§3.1): the unconstrained optimum
+// and the straight model-parallel pipeline, whose stages hold less each,
+// each at the deepest Depth at which it fits (trading throughput for
+// footprint, as §5.5's Figure 18 discussion describes); of those that fit,
+// the one priced higher at its windows, the optimum on a tie.
 func constrainMemory(plan *Plan, prof *profile.ModelProfile, topo *topology.Topology) (*Plan, error) {
 	mp, err := ModelParallel(prof, topo)
 	if err != nil {
 		return nil, err
 	}
+	var best *Plan
 	for _, p := range []*Plan{plan, mp} {
 		for err = CheckMemory(p, prof, topo); err != nil && p.Depth > 1; err = CheckMemory(p, prof, topo) {
-			p.Depth--
+			p = p.AtDepth(p.Depth - 1)
 		}
-		if err == nil {
-			return p, nil
+		if err == nil && (best == nil || p.PredictedThroughput > best.PredictedThroughput) {
+			best = p
 		}
 	}
-	return nil, fmt.Errorf("partition: no memory-feasible configuration: %w", err)
+	if best == nil {
+		return nil, fmt.Errorf("partition: no memory-feasible configuration: %w", err)
+	}
+	return best, nil
 }

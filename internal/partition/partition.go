@@ -50,19 +50,61 @@ type Plan struct {
 	// and stage i+1).
 	CommTimes []float64
 	// BottleneckTime is the slowest pipeline element's time per
-	// minibatch; steady-state throughput is MinibatchSize/BottleneckTime.
+	// minibatch; with every 1F1B cycle covered, steady-state throughput
+	// is MinibatchSize/BottleneckTime.
 	BottleneckTime float64
-	// PredictedThroughput is samples/second in steady state.
+	// PredictedThroughput is samples/second in steady state at the plan's
+	// windows: MinibatchSize over the longer of BottleneckTime and the
+	// period the 1F1B cycles through one-replica stages allow (price).
 	PredictedThroughput float64
 	// Depth is the number of in-flight minibatches per input-stage
 	// replica the plan runs at: the schedule's warm-up, the simulator's
 	// and the runtime's in-flight bound, and the stash count CheckMemory
 	// prices. NewPlan sets it to the input window per replica (Windows;
 	// NOAM, §3.2, on even stages), PlanOptions.Memory lowers it until the
-	// stages fit (§3.3); a caller that wants another sets it on a copy.
+	// stages fit (§3.3); a caller that wants another asks AtDepth.
 	Depth int
 	// windows are a plan file's, for Windows while Depth is the file's.
 	windows []int
+	// samples is the profile's MinibatchSize, for price.
+	samples float64
+}
+
+// AtDepth returns a copy of the plan run at d ≥ 1 minibatches in flight
+// per input replica, priced at the windows that depth gives. It is the
+// one way to change a plan's depth.
+func (p *Plan) AtDepth(d int) *Plan {
+	q := *p
+	q.Depth = d
+	q.price()
+	return &q
+}
+
+// price sets PredictedThroughput at the plan's windows. Each stage-graph
+// path s→…→r of one-replica stages closes a 1F1B cycle F_s→…→F_r→B_r→…→B_s
+// that carries W_s − W_r + 1 minibatches per Σ StageTimes + Σ CommTimes
+// along the path; the plan's period is the longest of the bottleneck and
+// each cycle's time per minibatch. Replicated stages' cycles are not
+// priced: no form tried fits the simulator's round-robin routing.
+func (p *Plan) price() {
+	window, period := p.Windows(), p.BottleneckTime
+	for s, st := range p.Stages {
+		if st.Replicas > 1 {
+			continue
+		}
+		path := slices.Repeat([]float64{math.Inf(-1)}, len(p.Stages)) // the longest s→…→r
+		path[s] = p.StageTimes[s]
+		for r := s + 1; r < len(p.Stages); r++ {
+			for i, e := range p.Graph.Edges {
+				if e.To == r && p.Stages[r].Replicas == 1 {
+					path[r] = max(path[r], path[e.From]+p.CommTimes[i]+p.StageTimes[r])
+				}
+			}
+			// fit never widens a window along a path; with none, -Inf stays out.
+			period = max(period, path[r]/float64(max(window[s]-window[r]+1, 1)))
+		}
+	}
+	p.PredictedThroughput = p.samples / period
 }
 
 // StageSlices cuts model into the plan's stages — one Sequential per
@@ -152,9 +194,9 @@ const SyncRing SyncModel = 0
 
 // optimize is the partitioner (§3.1): an exact search over every chain of
 // contiguous stages, each replicated over any number of workers and the
-// chain using at most every worker, for the plan evaluate prices lowest.
-// Ties go to the fewest stages, then the most workers: a worker is left
-// idle only when that is strictly cheaper.
+// chain using at most every worker, for the least BottleneckTime
+// evaluate gives. Ties go to the fewest stages, then the most workers: a
+// worker is left idle only when that is strictly cheaper.
 //
 // Under evaluate a stage's price depends only on its layers and replica
 // count, and an edge's only on the layer it leaves and the replica counts
@@ -377,8 +419,9 @@ func evaluate(prof *profile.ModelProfile, topo *topology.Topology, stages []Stag
 		p.CommTimes = append(p.CommTimes, ct)
 		p.BottleneckTime = max(p.BottleneckTime, ct)
 	}
-	p.PredictedThroughput = float64(prof.MinibatchSize) / p.BottleneckTime
 	p.Depth = p.cover(p.BottleneckTime / windowSlack)[0] / stages[0].Replicas
+	p.samples = float64(prof.MinibatchSize)
+	p.price()
 	return p, nil
 }
 

@@ -15,11 +15,11 @@ type PlanOptions struct {
 	// Deprecated: the only value is SyncRing, the zero value; the field is
 	// kept for the benchmark harness and nothing reads it.
 	Sync SyncModel
-	// Memory enforces the device-memory constraint (§3.1): if the
-	// chosen plan does not fit at its Depth (each stage at its window),
-	// Plan.Depth is lowered until it does and, failing that, the straight
-	// model-parallel pipeline is returned at the highest Depth at which it
-	// fits. Only meaningful when the optimizer picks the stages.
+	// Memory enforces the device-memory constraint (§3.1): the chosen
+	// plan and the straight model-parallel pipeline each run at the
+	// deepest Depth at which they fit (each stage at its window), and the
+	// one priced higher there is returned. Only meaningful when the
+	// optimizer picks the stages.
 	Memory bool
 	// Stages, when non-nil, is an explicit stage assignment to price
 	// instead of running the optimizer.
@@ -34,7 +34,8 @@ type PlanOptions struct {
 // NewPlan is the single entry point for building a Plan. With no options
 // it runs the optimizer; with Stages it prices an explicit assignment;
 // with Graph it prices a DAG-shaped assignment; with Memory it lowers
-// Plan.Depth, its windows' otherwise, until the plan fits device memory.
+// Plan.Depth, its windows' otherwise, until the plan fits device memory,
+// and prices the plan at that depth.
 //
 // (The paper-facing name would be partition.Plan, but Plan is the
 // result type; Go does not allow a type and a function to share a

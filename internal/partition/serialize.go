@@ -40,7 +40,7 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 
 // ReadJSON loads a stage assignment and re-evaluates it against the given
 // profile and topology, recomputing stage times and the throughput
-// prediction. Depth and windows come back as written (absent, the
+// prediction at the plan's windows. Depth and windows come back as written (absent, the
 // profile sets them); a depth below 1 and windows fit would change are
 // refused. The profile's model name and layer count must match the
 // plan's. A plan with serialized edges comes back graph-shaped, validated
@@ -76,5 +76,6 @@ func ReadJSON(r io.Reader, prof *profile.ModelProfile, topo *topology.Topology) 
 		return nil, fmt.Errorf("partition: plan windows %v do not fit its stages at depth %d", pj.Windows, plan.Depth)
 	}
 	plan.windows = pj.Windows
+	plan.price()
 	return plan, nil
 }

@@ -27,6 +27,24 @@ func simulate(t *testing.T, prof *profile.ModelProfile, topo *topology.Topology,
 	return res.Throughput
 }
 
+// completionRate is the rate at which cluster.Simulate completes plan's
+// minibatches under 1F1B, over the middle half of the run's completions in
+// time order. Simulate's steady-state estimate reads every R₀-th minibatch,
+// one input replica's: below a replicated plan's depth the replicas' chains
+// can drift apart on a shared link, and 10 of 8,000 random plans read
+// 1.005–1.600 of their price there while the run as a whole did not.
+func completionRate(t *testing.T, prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan, minibatches int) float64 {
+	t.Helper()
+	res, err := cluster.Simulate(cluster.Config{Profile: prof, Topo: topo, Plan: plan,
+		Policy: schedule.PipeDream1F1B, Minibatches: minibatches})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := slices.Sorted(slices.Values(res.CompletionTimes))
+	lo, hi := minibatches/4, 3*minibatches/4
+	return float64((hi-lo)*prof.MinibatchSize) / (done[hi] - done[lo])
+}
+
 // TestRingSyncHidesUnderCompute pins the planner's replication decision
 // on two workers: replicating a stage pays when its ring sync hides under
 // the next forward, and not when the sync outlasts it. Either way the
@@ -200,11 +218,20 @@ var randomPlanRuns int64
 // 10,000 chains and 10,000 stage graphs from seed 1,000,000 on, two
 // graphs read 0.975 and 0.980, one a two-stage chain whose three
 // minibatches in flight travel the saturated link as a convoy.
+//
+// Each plan also runs at one drawn depth from 1 to its own, where its
+// windows may leave cycles short: there it never completes minibatches
+// faster than 1.005 of its price. The price covers the cycles through
+// one-replica stages only, so a plan with a replicated stage may read
+// below it; the share of the others within ±2 % is logged. A plan with no
+// edge between two one-replica stages keeps its bottleneck price, bit for
+// bit.
 func TestRandomPlansSimulateAtTheirPrice(t *testing.T) {
 	base := 400 * randomPlanRuns
 	randomPlanRuns++
 	for _, dag := range []bool{false, true} {
-		edgeBound, short := 0, 0
+		rng := rand.New(rand.NewSource(base))
+		edgeBound, short, unreplicated, close := 0, 0, 0, 0
 		for seed := base; seed < base+400; seed++ {
 			prof, topo, plan := randomPlan(t, seed, dag)
 			if slices.Contains(plan.CommTimes, plan.BottleneckTime) {
@@ -215,8 +242,27 @@ func TestRandomPlansSimulateAtTheirPrice(t *testing.T) {
 					dag, seed, plan.ConfigString(), plan.Windows(), ratio)
 				short++
 			}
+			q := plan.AtDepth(1 + rng.Intn(plan.Depth))
+			if !slices.ContainsFunc(q.Graph.Edges, func(e partition.StageEdge) bool {
+				return q.Stages[e.From].Replicas == 1 && q.Stages[e.To].Replicas == 1
+			}) && q.PredictedThroughput != float64(prof.MinibatchSize)/q.BottleneckTime {
+				t.Errorf("dag %v seed %d: %s has no path of one-replica stages but is priced off its bottleneck: %v, not %v",
+					dag, seed, q.ConfigString(), q.PredictedThroughput, float64(prof.MinibatchSize)/q.BottleneckTime)
+			}
+			ratio := completionRate(t, prof, topo, q, 64*q.Workers) / q.PredictedThroughput
+			if ratio > 1.005 {
+				t.Errorf("dag %v seed %d: %s at depth %d, windows %v, simulates at %.3f of its price",
+					dag, seed, q.ConfigString(), q.Depth, q.Windows(), ratio)
+			}
+			if !slices.ContainsFunc(q.Stages, func(st partition.StageSpec) bool { return st.Replicas > 1 }) {
+				unreplicated++
+				if math.Abs(ratio-1) <= 0.02 {
+					close++
+				}
+			}
 		}
-		t.Logf("dag %v: seeds %d–%d, %d edge-bound, %d below 0.99", dag, base, base+399, edgeBound, short)
+		t.Logf("dag %v: seeds %d–%d, %d edge-bound, %d below 0.99; at a drawn depth, %d of %d unreplicated plans within ±2%%",
+			dag, base, base+399, edgeBound, short, close, unreplicated)
 		if edgeBound == 0 {
 			t.Errorf("dag %v: no edge-bound plan drawn", dag)
 		}

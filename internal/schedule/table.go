@@ -32,9 +32,7 @@ type TableOp struct {
 func Table(a *Assignment, policy Policy, start, end int) [][]TableOp {
 	plan := a.Plan
 	if policy == ModelParallelSingle {
-		q := *plan
-		q.Depth = 1
-		plan = &q
+		plan = plan.AtDepth(1)
 	}
 	depth := plan.Depth
 	if depth < 1 {

@@ -229,11 +229,9 @@ func TrainGPipeSemantics(cfg Config, plan *partition.Plan, microbatches int) (*C
 	if microbatches < 1 {
 		return nil, fmt.Errorf("statseff: microbatches = %d", microbatches)
 	}
-	q := *plan
-	q.Depth = microbatches
 	p, err := pipeline.New(pipeline.Options{
 		ModelFactory: cfg.Factory,
-		Plan:         &q,
+		Plan:         plan.AtDepth(microbatches),
 		Loss:         cfg.Loss,
 		NewOptimizer: cfg.NewOptimizer,
 		Mode:         pipeline.WeightStashing,
