@@ -38,13 +38,15 @@ type Context interface{}
 // belongs to whoever called Forward, and its output and input gradient to
 // that caller too, who releases them (Sequential does, for everything that
 // stays inside it). So a layer never passes its input, its output, gradOut
-// or the gradient it returns to tensor.Put, and never writes to its input
-// or to gradOut. It may return a view of its input from Forward, or of
-// gradOut (or gradOut itself) from Backward. What a layer does release is
-// its own: scratch it took and finished with inside one call, and pooled
-// tensors only its Context refers to, which Backward recycles before it
-// returns (layers that hold such tensors implement contextDiscarder for the
-// forward passes that never get a backward).
+// or the gradient it returns to tensor.Put, and its Forward and Backward
+// never write to its input or to gradOut (Sequential alone runs an
+// elementwise layer over a buffer whose values it owns and no context
+// reads: see Sequential.Forward). It may return a view of its input from
+// Forward, or of gradOut (or gradOut itself) from Backward. What a layer
+// does release is its own: scratch it took and finished with inside one
+// call, and pooled tensors only its Context refers to, which Backward
+// recycles before it returns (layers that hold such tensors implement
+// contextDiscarder for the forward passes that never get a backward).
 //
 // What a Context may read. Sequential releases an activation once no
 // Context reads it, and tells which do by type (see reads): a bare
@@ -121,6 +123,9 @@ func (c *SeqContext) ReadsOutput() bool { return c.readsOutput }
 // Forward returns, before Backward.
 func (c *SeqContext) ReadsInput() bool { return c.readsInput }
 
+// Reads reports whether Backward will read t's storage.
+func (c *SeqContext) Reads(t *tensor.Tensor) bool { return sharesAny(t, c.read) }
+
 // HeldBytes is the size of the activations Backward will read — the layer
 // outputs the Sequential keeps, the bare-tensor contexts (a ReLU's mask, a
 // Tanh's output), the caller's input where a context reads it — and of
@@ -167,17 +172,33 @@ func sharesAny(t *tensor.Tensor, ts []*tensor.Tensor) bool {
 	return false
 }
 
-// Forward runs all layers in order. Before it returns, while every output
-// is alive, it finds what the layer contexts read and releases the outputs
-// it owns that none reads.
+// Forward runs all layers in order. An elementwise layer (ReLU, Tanh,
+// Sigmoid, Dropout) writes its output over its input when that is an
+// output the Sequential owns and no context reads; x stays as it was.
+// Before it returns, while every output is alive, Forward finds what the
+// layer contexts read and releases the outputs it owns that none reads.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *SeqContext) {
+	return s.forward(x, train, false)
+}
+
+// ForwardOver is Forward with x's values handed over: a first elementwise
+// layer writes over x too. x stays the caller's to release.
+func (s *Sequential) ForwardOver(x *tensor.Tensor, train bool) (*tensor.Tensor, *SeqContext) {
+	return s.forward(x, train, true)
+}
+
+func (s *Sequential) forward(x *tensor.Tensor, train, over bool) (*tensor.Tensor, *SeqContext) {
 	n := len(s.Layers)
 	held := make([]*tensor.Tensor, 3*n)
 	ctx := &SeqContext{ctxs: make([]Context, n), owned: held[:n:n], gradOuts: held[n : 2*n : 2*n], read: held[2*n:]}
 	in := x
 	for i, l := range s.Layers {
 		layerIn := x
-		x, ctx.ctxs[i] = l.Forward(x, train)
+		if e, ok := l.(elementwise); ok && (over || !tensor.SharesStorage(x, in)) && !sharesAny(x, ctx.read[:i]) {
+			ctx.ctxs[i] = e.forwardInto(x, x, train)
+		} else {
+			x, ctx.ctxs[i] = l.Forward(x, train)
+		}
 		ctx.owned[i] = x
 		ctx.read[i] = reads(ctx.ctxs[i], layerIn)
 	}
@@ -216,9 +237,10 @@ func split(l Layer) splitLayer {
 	return nil
 }
 
-// Backward is BackwardWithHook returning the input gradient, hooking nothing.
+// Backward is BackwardWithHook returning the input gradient, hooking
+// nothing, and leaving gradOut as it was.
 func (s *Sequential) Backward(ctx *SeqContext, gradOut *tensor.Tensor) (gradIn *tensor.Tensor) {
-	s.BackwardWithHook(ctx, gradOut, func(g *tensor.Tensor) { gradIn = g }, nil)
+	s.backward(ctx, gradOut, false, func(g *tensor.Tensor) { gradIn = g }, nil)
 	return gradIn
 }
 
@@ -233,8 +255,14 @@ func (s *Sequential) Backward(ctx *SeqContext, gradOut *tensor.Tensor) (gradIn *
 // half and the layers below it do not run (their contexts are discarded).
 // A gradient between layers is recycled once no half reads it, a layer
 // output the Sequential owns (see SeqContext) once its producer ran and no
-// parameter half above reads it. gradOut stays the caller's.
+// parameter half above reads it. An elementwise layer writes its input
+// gradient over the one it is given, gradOut's values included; gradOut
+// stays the caller's to release.
 func (s *Sequential) BackwardWithHook(ctx *SeqContext, gradOut *tensor.Tensor, up func(gradIn *tensor.Tensor), hook func(layer int)) {
+	s.backward(ctx, gradOut, true, up, hook)
+}
+
+func (s *Sequential) backward(ctx *SeqContext, gradOut *tensor.Tensor, over bool, up func(gradIn *tensor.Tensor), hook func(layer int)) {
 	n := len(s.Layers)
 	if len(ctx.ctxs) != n {
 		panic(fmt.Sprintf("nn: context for %d layers used with %d-layer Sequential", len(ctx.ctxs), n))
@@ -263,7 +291,12 @@ func (s *Sequential) BackwardWithHook(ctx *SeqContext, gradOut *tensor.Tensor, u
 				grad = sp.backwardInput(ctx.ctxs[i], ctx.gradOuts[i])
 			}
 		default:
-			next := l.Backward(ctx.ctxs[i], grad)
+			next := grad
+			if e, ok := l.(elementwise); ok && (over || !tensor.SharesStorage(grad, gradOut)) {
+				e.backwardInto(grad, ctx.ctxs[i], grad)
+			} else {
+				next = l.Backward(ctx.ctxs[i], grad)
+			}
 			if !tensor.SharesStorage(grad, gradOut) && !tensor.SharesStorage(grad, next) {
 				tensor.Put(grad)
 			}

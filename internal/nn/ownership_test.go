@@ -114,19 +114,21 @@ func bitsOf(ts ...*tensor.Tensor) []uint32 {
 // heldAfterForward lists, per ownership stack, the layers whose outputs a
 // training forward's context still holds — those a layer context reads and
 // that are not a view of another — and whether a context reads the input.
-// An output no context reads is back in the pool when Forward returns:
-// Dense→Tanh keeps the Tanh output (its own and the next Dense's context)
-// and drops the pre-activation, ReLU keeps only its mask, Conv→ReLU→MaxPool
-// holds none of the three, a Flatten-only stack nothing at all, and an LSTM
-// (an opaque context) keeps its input whatever produced it.
+// An output no context reads is back in the pool when Forward returns, and
+// an elementwise layer writes over an output no context reads: Dense→Tanh
+// keeps one array, the Dense output the Tanh wrote over (its own and the
+// next Dense's context), a Dense→ReLU→Dropout chain one, ReLU keeps
+// only its mask, Conv→ReLU→MaxPool holds none of the three, a Flatten-only
+// stack nothing at all, and an LSTM (an opaque context) keeps its input
+// whatever produced it.
 var heldAfterForward = map[string]struct {
 	outputs    []int
 	readsInput bool
 }{
-	"dense-tanh-dense": {[]int{1}, true}, "ends-in-tanh": {[]int{1}, true}, "view-first": {nil, true},
+	"dense-tanh-dense": {[]int{0}, true}, "ends-in-tanh": {[]int{0}, true}, "view-first": {nil, true},
 	"view-middle": {[]int{0}, true}, "view-last": {nil, true}, "views-only": {nil, false},
-	"flatten-only": {nil, false}, "identity-middle": {[]int{4}, true}, "residual": {[]int{0, 1, 2}, false},
-	"conv": {[]int{3}, true}, "conv-relu-conv": {[]int{1}, true}, "attention": {[]int{0, 1, 3}, true},
+	"flatten-only": {nil, false}, "identity-middle": {[]int{0}, true}, "residual": {[]int{0, 1, 2}, false},
+	"conv": {[]int{3}, true}, "conv-relu-conv": {[]int{0}, true}, "attention": {[]int{0, 1, 3}, true},
 	"lstm-laststep": {[]int{1}, true}, "embedding-lstm": {[]int{0, 2}, true}, "gru-flattentime": {[]int{0}, true},
 	"embedding-attention": {[]int{0, 1}, true}, "mha-residual-norm": {[]int{0, 1}, true}, "conv-pool-norm": {[]int{4}, true},
 }
@@ -316,4 +318,131 @@ func TestSeqContextHeldBytes(t *testing.T) {
 		}
 		seq.Discard(ctx)
 	}
+}
+
+// randomChain draws a chain of one to seven layers over [4, 6]
+// activations from Dense, ReLU, Tanh, Sigmoid, Dropout (the identity or
+// not), Flatten (a view) and LayerNorm, with an input and a gradOut; the
+// same seed draws the same chain, weights and dropout streams.
+func randomChain(seed int64) (seq *Sequential, x, gradOut *tensor.Tensor) {
+	const rows, width = 4, 6
+	rng := rand.New(rand.NewSource(seed))
+	layers := make([]Layer, 1+rng.Intn(7))
+	for i := range layers {
+		name := fmt.Sprint(i)
+		switch rng.Intn(7) {
+		case 0:
+			layers[i] = NewDense(rng, name, width, width)
+		case 1:
+			layers[i] = NewReLU(name)
+		case 2:
+			layers[i] = NewTanh(name)
+		case 3:
+			layers[i] = NewSigmoid(name)
+		case 4:
+			layers[i] = NewDropout(rng, name, float64(rng.Intn(2))/2)
+		case 5:
+			layers[i] = NewFlatten(name)
+		case 6:
+			layers[i] = NewLayerNorm(name, width)
+		}
+	}
+	return NewSequential(layers...), tensor.Randn(rng, 1, rows, width), tensor.Randn(rng, 1, rows, width)
+}
+
+// pooledCopy is a copy of t from the pool, for handing over.
+func pooledCopy(t *tensor.Tensor) *tensor.Tensor {
+	c := tensor.GetRaw(t.Shape...)
+	copy(c.Data, t.Data)
+	return c
+}
+
+// The ownership rule on random chains. The borrowing entry points —
+// Forward, Backward, Forward(x, false) then Discard — leave the caller's x
+// and gradOut as they were; the handing-over ones — ForwardOver and
+// BackwardWithHook — may write over them and give the same bits: output,
+// input gradient and parameter gradients all equal the layer-by-layer
+// reference's. With the detector on (a second release panics, an early one
+// poisons a result) the pool balance is back to zero after each call
+// sequence once the caller released its own, each array once.
+func TestRandomChainsKeepTheOwnershipRule(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		ref, x, gradOut := randomChain(seed)
+		ctxs := make([]Context, len(ref.Layers))
+		act, inferAct := x, x
+		for i, l := range ref.Layers {
+			act, ctxs[i] = l.Forward(act, true)
+			inferAct, _ = l.Forward(inferAct, false)
+		}
+		grad := gradOut
+		for i := len(ref.Layers) - 1; i >= 0; i-- {
+			grad = ref.Layers[i].Backward(ctxs[i], grad)
+		}
+		wantY, wantInferY, wantGrad, wantParams := bitsOf(act), bitsOf(inferAct), bitsOf(grad), bitsOf(ref.Grads()...)
+		wantX, wantGradOut := bitsOf(x), bitsOf(gradOut)
+		what := func(s string) string { return fmt.Sprintf("seed %d %v: %s", seed, ref.Layers, s) }
+		balanced := func(run string, o0 int64) {
+			if held := outstanding() - o0; held != 0 {
+				t.Fatalf("%s: %d pooled tensors outstanding, want 0", what(run), held)
+			}
+		}
+
+		seq, _, _ := randomChain(seed)
+		o0 := outstanding()
+		y, ctx := seq.Forward(x, true)
+		sameBits(t, what("borrowed output"), bitsOf(y), wantY)
+		g := seq.Backward(ctx, gradOut)
+		sameBits(t, what("borrowed input gradient"), bitsOf(g), wantGrad)
+		sameBits(t, what("borrowed parameter gradients"), bitsOf(seq.Grads()...), wantParams)
+		sameBits(t, what("x after Forward and Backward"), bitsOf(x), wantX)
+		sameBits(t, what("gradOut after Backward"), bitsOf(gradOut), wantGradOut)
+		if !tensor.SharesStorage(y, x) {
+			tensor.Put(y)
+		}
+		if !tensor.SharesStorage(g, gradOut) {
+			tensor.Put(g)
+		}
+		balanced("borrowed", o0)
+
+		y, ctx = seq.Forward(x, false)
+		seq.Discard(ctx)
+		sameBits(t, what("inference output"), bitsOf(y), wantInferY)
+		sameBits(t, what("x after inference"), bitsOf(x), wantX)
+		if !tensor.SharesStorage(y, x) {
+			tensor.Put(y)
+		}
+		balanced("inference", o0)
+
+		seq, _, _ = randomChain(seed)
+		xo, gOver := pooledCopy(x), pooledCopy(gradOut)
+		y, ctx = seq.ForwardOver(xo, true)
+		sameBits(t, what("handed-over output"), bitsOf(y), wantY)
+		var gradIn *tensor.Tensor
+		seq.BackwardWithHook(ctx, gOver, func(g *tensor.Tensor) { gradIn = g }, nil)
+		sameBits(t, what("handed-over input gradient"), bitsOf(gradIn), wantGrad)
+		sameBits(t, what("handed-over parameter gradients"), bitsOf(seq.Grads()...), wantParams)
+		for _, own := range []struct{ t, of *tensor.Tensor }{{y, xo}, {xo, nil}, {gradIn, gOver}, {gOver, nil}} {
+			if !tensor.SharesStorage(own.t, own.of) {
+				tensor.Put(own.t)
+			}
+		}
+		balanced("handed over", o0)
+
+		seq, _, _ = randomChain(seed)
+		xo = pooledCopy(x)
+		y, ctx = seq.ForwardOver(xo, false)
+		seq.Discard(ctx)
+		sameBits(t, what("handed-over inference output"), bitsOf(y), wantInferY)
+		if !tensor.SharesStorage(y, xo) {
+			tensor.Put(y)
+		}
+		tensor.Put(xo)
+		balanced("handed-over inference", o0)
+	}
+}
+
+// outstanding is how many pooled tensors are taken and not yet put back.
+func outstanding() int64 {
+	hits, misses, puts := tensor.PoolCounters()
+	return hits + misses - puts
 }

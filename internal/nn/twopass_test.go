@@ -78,10 +78,11 @@ func TestTwoPassBackwardMatchesLayerByLayer(t *testing.T) {
 				if asked {
 					up = func(g *tensor.Tensor) { gradIn = g }
 				}
-				seq.BackwardWithHook(ctx, gradOut, up, nil)
+				handed := gradOut.Clone() // BackwardWithHook may write over it
+				seq.BackwardWithHook(ctx, handed, up, nil)
 				if asked {
 					nn.SameBits(t, "input gradient", nn.BitsOf(gradIn), wantIn)
-					if !tensor.SharesStorage(gradIn, gradOut) {
+					if !tensor.SharesStorage(gradIn, handed) {
 						tensor.Put(gradIn)
 					}
 				}

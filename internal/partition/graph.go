@@ -36,11 +36,12 @@ func (j JoinOp) String() string {
 }
 
 // Apply combines the activations arriving on a join stage's in-edges (two
-// or more, in ascending source order) into a new pooled tensor; the parts
-// stay the caller's. For JoinSum every part must share a shape; for
-// JoinConcat the parts are row-major [rows, features] tensors joined
-// along the features, and Apply returns each part's width (the split of
-// the gradient on the way back). Training and serving both join here.
+// or more, in ascending source order); the parts stay the caller's. For
+// JoinSum every part must share a shape, and the rest are added in order
+// into the first, which the caller owns. For JoinConcat the parts are
+// row-major [rows, features] tensors joined along the features into a new
+// pooled tensor, and Apply returns each part's width (the split of the
+// gradient on the way back). Training and serving both join here.
 func (j JoinOp) Apply(parts []*tensor.Tensor) (*tensor.Tensor, []int, error) {
 	switch j {
 	case JoinSum:
@@ -49,12 +50,10 @@ func (j JoinOp) Apply(parts []*tensor.Tensor) (*tensor.Tensor, []int, error) {
 				return nil, nil, fmt.Errorf("sum join over mismatched shapes %v vs %v", parts[0].Shape, p.Shape)
 			}
 		}
-		out := tensor.GetRaw(parts[0].Shape...)
-		tensor.AddInto(out.Data, parts[0].Data, parts[1].Data)
-		for _, p := range parts[2:] {
-			out.Add(p)
+		for _, p := range parts[1:] {
+			parts[0].Add(p)
 		}
-		return out, nil, nil
+		return parts[0], nil, nil
 	case JoinConcat:
 		rows := parts[0].Dim(0)
 		widths := make([]int, len(parts))

@@ -33,9 +33,11 @@ func (sw *stageWorker) joinPending(mb int) (*tensor.Tensor, []int, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("pipeline: worker %d mb %d: %w", sw.id, mb, err)
 	}
-	// The join copied every part; the per-edge arrivals are finished.
+	// The per-edge arrivals are finished, but the one a sum was added into.
 	for _, part := range parts {
-		tensor.Put(part)
+		if part != joined {
+			tensor.Put(part)
+		}
 	}
 	return joined, widths, nil
 }
@@ -52,16 +54,12 @@ func (sw *stageWorker) sumPendingGrads(mb int) *tensor.Tensor {
 		srcs = append(srcs, s)
 	}
 	sort.Ints(srcs)
-	// A fan-out stage has at least two successors. The sum is this
-	// worker's own (pooled, released when the backward ends).
-	first := pend[srcs[0]]
-	sum := tensor.GetRaw(first.Shape...)
-	tensor.AddInto(sum.Data, first.Data, pend[srcs[1]].Data)
-	for _, s := range srcs[2:] {
+	// A fan-out stage has at least two successors. The sum is added into
+	// the first gradient, this worker's (released when the backward ends).
+	sum := pend[srcs[0]]
+	for _, s := range srcs[1:] {
 		sum.Add(pend[s])
-	}
-	for _, g := range pend {
-		tensor.Put(g)
+		tensor.Put(pend[s])
 	}
 	return sum
 }
@@ -166,6 +164,7 @@ func forwardActive(model *nn.Sequential, plan *partition.Plan, g *partition.Stag
 			for i, p := range preds {
 				parts[i] = outs[p]
 			}
+			parts[0] = parts[0].Clone() // a sum is added into it
 			if in, _, err = g.Join(s).Apply(parts); err != nil {
 				return nil, fmt.Errorf("pipeline: stage %d: %w", s, err)
 			}

@@ -476,6 +476,26 @@ type swallow struct{ transport.Transport }
 
 func (swallow) Send(int, transport.Message) error { return nil }
 
+// handWorker builds opts' pipeline over a transport that delivers nothing
+// and returns it with the worker of one stage, whose forward and backward
+// a test calls by hand.
+func handWorker(t *testing.T, opts Options, stage int) (*Pipeline, *stageWorker) {
+	t.Helper()
+	opts.Transport = swallow{transport.NewChannels(opts.Plan.Workers, 8)}
+	p, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sw := range p.workers {
+		if sw.stage == stage {
+			sw.results = make(chan lossEvent, 1)
+			return p, sw
+		}
+	}
+	t.Fatalf("no worker runs stage %d", stage)
+	return nil, nil
+}
+
 // overwriteLoss scores pred and writes its gradient over pred itself.
 func overwriteLoss(pred *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	loss, grad := nn.SoftmaxCrossEntropy(pred, labels)
@@ -485,14 +505,17 @@ func overwriteLoss(pred *tensor.Tensor, labels []int) (float64, *tensor.Tensor) 
 }
 
 // A stage whose layer contexts do not read its input releases the input
-// when its forward ends — a ReLU-first and a Tanh-first stage, and a fan-in
-// stage, whose input is the join of its arrivals — and keeps it under
-// recomputation, which restarts from it, and at a Dense-first sink, whose
-// context it is. A sink whose loss writes over a view of its input
-// releases that array once, as the gradient. Each stage runs one forward
-// and one backward by hand; the pool's counters (hits + misses − puts) say
-// how many tensors the worker holds between the two, the stash entry
-// whether the input is one of them, and after the backward none is left.
+// when its forward ends — a ReLU-first stage, whose rectifiers write over
+// it and keep their masks — and keeps it under recomputation, which
+// restarts from it, at a Dense-first sink, whose context it is, at a
+// Tanh-first stage, whose first Tanh writes over it and reads that output,
+// and at a fan-in stage, whose arrivals are summed into the first one and
+// its ReLU writes over that sum, which the Dense reads. A sink whose loss
+// writes over a view of its input releases that array once, as the
+// gradient. Each stage runs one forward and one backward by hand; the
+// pool's counters (hits + misses − puts) say how many tensors the worker
+// holds between the two, the stash entry whether the input is one of
+// them, and after the backward none is left.
 func TestUnreadStageInputReleasedAtForwardEnd(t *testing.T) {
 	chain := func() *nn.Sequential {
 		rng := rand.New(rand.NewSource(5))
@@ -521,10 +544,10 @@ func TestUnreadStageInputReleasedAtForwardEnd(t *testing.T) {
 		held     [2]int
 		released bool
 	}{
-		{"relu-first", chain, stagesOf(0, 2, 4, 5), nil, nil, 1, [2]int{2, 1}, true},                   // two masks | the input
-		{"tanh-first", chain, stagesOf(0, 2, 4, 5), nil, nil, 2, [2]int{2, 1}, true},                   // t1's output, the stage output | the input
-		{"dense-first sink", chain, stagesOf(0, 2, 4, 5), nil, nil, 3, [2]int{2, 2}, false},            // the input, the loss gradient
-		{"fan-in relu-first", diamond, stagesOf(0, 1, 2, 4), diamondGraph, nil, 3, [2]int{3, 2}, true}, // mask, ReLU output, loss gradient | join, gradient
+		{"relu-first", chain, stagesOf(0, 2, 4, 5), nil, nil, 1, [2]int{2, 1}, true},                    // two masks | the input
+		{"tanh-first", chain, stagesOf(0, 2, 4, 5), nil, nil, 2, [2]int{2, 1}, false},                   // the input t1 wrote over, the stage output | the input
+		{"dense-first sink", chain, stagesOf(0, 2, 4, 5), nil, nil, 3, [2]int{2, 2}, false},             // the input, the loss gradient
+		{"fan-in relu-first", diamond, stagesOf(0, 1, 2, 4), diamondGraph, nil, 3, [2]int{3, 2}, false}, // mask, the join ReLU wrote over, loss gradient | join, gradient
 		{"sink loss over a view of its input", views, stagesOf(0, 1), nil, overwriteLoss, 1, [2]int{1, 1}, false},
 	} {
 		for i, recompute := range []bool{false, true} {
@@ -538,18 +561,7 @@ func TestUnreadStageInputReleasedAtForwardEnd(t *testing.T) {
 			if c.loss != nil {
 				opts.Loss = c.loss
 			}
-			opts.Transport = swallow{transport.NewChannels(plan.Workers, 8)}
-			p, err := New(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sw *stageWorker
-			for _, w := range p.workers {
-				if w.stage == c.stage {
-					sw = w
-				}
-			}
-			sw.results = make(chan lossEvent, 1)
+			p, sw := handWorker(t, opts, c.stage)
 			before := outstanding()
 			width := 8
 			if c.loss != nil {

@@ -352,7 +352,13 @@ func (sw *stageWorker) forward(m transport.Message, ab *runAbort) error {
 		sw.trackStash(sw.weights.hold(weights))
 		sw.weights.bind(weights)
 	}
-	y, ctx := sw.model.Forward(m.Tensor, true)
+	// The layers may write over a delivered or joined input, not over the
+	// dataset's batch or an input recomputation re-runs from.
+	forward := sw.model.Forward
+	if len(sw.preds) > 0 && !sw.p.opts.Recompute {
+		forward = sw.model.ForwardOver
+	}
+	y, ctx := forward(m.Tensor, true)
 	sw.weights.bind(sw.weights.latest())
 	entry := stashEntry{weights: weights, ctx: ctx, input: m.Tensor,
 		version: m.Version, fwdUpdates: sw.updates, joinWidths: joinWidths}

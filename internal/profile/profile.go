@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"pipedream/internal/data"
@@ -185,15 +186,22 @@ func Measure(model *nn.Sequential, name string, ds data.Dataset, numBatches int)
 		ctxs := make([]*nn.SeqContext, n)
 		acts := make([]*tensor.Tensor, n)
 		for i, l := range layers {
+			// An output no context reads is handed to the next layer, as
+			// inside a stage (or across a cut: the worker owns a delivery).
+			forward := l.ForwardOver
+			if tensor.SharesStorage(x, batch.X) || slices.ContainsFunc(ctxs[:i], func(c *nn.SeqContext) bool { return c.Reads(x) }) {
+				forward = l.Forward
+			}
 			t0 := time.Now()
-			y, ctx := l.Forward(x, true)
+			y, ctx := forward(x, true)
 			prof.Layers[i].FwdTime += time.Since(t0).Seconds()
 			ctxs[i], acts[i] = ctx, y
 			x = y
 		}
 		// This function owns every output and input gradient: each gradient
-		// is released once the next backward has consumed it, each output
-		// once its own layer's backward has run, a view with what it views.
+		// is handed to the next backward and released once it has run, each
+		// output once its own layer's backward has, a view (or an output
+		// written over its input) with what it views.
 		grad := tensor.Ones(x.Shape...)
 		for i := n - 1; i >= 0; i-- {
 			var next *tensor.Tensor

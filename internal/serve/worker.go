@@ -153,10 +153,11 @@ func (s *Server) stageWorker(st int) {
 
 // join combines one batch's fan-in parts, in ascending source order,
 // through the plan's join op (partition.JoinOp.Apply, the join training
-// runs) and releases the parts, this worker's deliveries. A missing
-// (poisoned) part yields nil, and so does a failed join, which is noted as
-// the batch's fault; the caller propagates nil downstream as poison and
-// releases a joined result after the forward pass.
+// runs) and releases the parts, this worker's deliveries, but the one a
+// sum was added into. A missing (poisoned) part yields nil, and so does a
+// failed join, which is noted as the batch's fault; the caller propagates
+// nil downstream as poison and releases a joined result after the forward
+// pass.
 func (s *Server) join(st, id int, preds []int, parts map[int]*tensor.Tensor) *tensor.Tensor {
 	ordered := make([]*tensor.Tensor, len(preds))
 	ok := true
@@ -173,7 +174,9 @@ func (s *Server) join(st, id int, preds []int, parts map[int]*tensor.Tensor) *te
 		}
 	}
 	for _, p := range ordered {
-		tensor.Put(p)
+		if p != out {
+			tensor.Put(p)
+		}
 	}
 	return out
 }

@@ -84,6 +84,11 @@ func checkElementwiseBitEqual(t *testing.T, seed int64, n int) {
 	mask := ReLUWithMask(got.Data, a.Data)
 	exactBits(t, "ReLUWithMask", got.Data, want.Data)
 	exactBits(t, "ReLUWithMask's mask", mask.Data, wantMask)
+	got = inPlace(a)
+	inPlaceMask := ReLUWithMask(got.Data, got.Data)
+	exactBits(t, "ReLUWithMask in place", got.Data, want.Data)
+	exactBits(t, "ReLUWithMask's mask in place", inPlaceMask.Data, wantMask)
+	Put(inPlaceMask)
 	reluBackwardGo(want.Data, b.Data, maskBytes(wantMask)[1:], 0)
 	got = unalignedTensor(rng, 0, n)
 	ReLUBackward(got.Data, b.Data, mask.Data)
@@ -127,6 +132,18 @@ func checkElementwiseBitEqual(t *testing.T, seed int64, n int) {
 	ScaleInto(got.Data, a.Data, s)
 	same("ScaleInto", got)
 	same("Tensor.Scale", inPlace(a).Scale(s))
+
+	// The backward kernels of Tanh, Sigmoid and Dropout: over gradOut as
+	// out of place.
+	for _, c := range []struct {
+		name string
+		run  func(dst, gradOut, y []float32)
+	}{{"TanhBackward", TanhBackward}, {"SigmoidBackward", SigmoidBackward}, {"MulInto", MulInto}} {
+		c.run(want.Data, b.Data, a.Data)
+		got = inPlace(b)
+		c.run(got.Data, got.Data, a.Data)
+		exactBits(t, c.name+" in place", got.Data, want.Data)
+	}
 }
 
 // elementwiseBenchSizes are the operand lengths the benchmark's
@@ -237,33 +254,52 @@ func TestTanhSigmoidBitEqual(t *testing.T) {
 	checkActivationBits(t, src)
 }
 
-// The pure-Go elementwise kernels against their definitions, out of
-// place and in place.
+// Every kernel a layer runs in place (nn's elementwise layers, the sum
+// join) against its definition, with dst its first source, on every
+// length 0–67, so the vector kernels' tails are covered.
 func TestElementwiseKernelsMatchDefinitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	const n = 37
-	g, y := unalignedTensor(rng, len(awkwardValues), n), unalignedTensor(rng, len(awkwardValues), n)
-	want, got := New(n), New(n)
-	for _, c := range []struct {
-		name string
-		def  func(g, y float32) float32
-		run  func(dst []float32)
-	}{
-		{"TanhBackward", func(g, y float32) float32 { return g * (1 - y*y) }, func(dst []float32) { TanhBackward(dst, dst, y.Data) }},
-		{"SigmoidBackward", func(g, y float32) float32 { return g * (y * (1 - y)) }, func(dst []float32) { SigmoidBackward(dst, dst, y.Data) }},
-		{"MulInto", func(g, y float32) float32 { return g * y }, func(dst []float32) { MulInto(dst, dst, y.Data) }},
-		{"Activate(Tanh)", func(g, _ float32) float32 { return Tanh32(g) }, func(dst []float32) { Activate(dst, dst, ActTanh) }},
-		{"Activate(Sigmoid)", func(g, _ float32) float32 { return Sigmoid32(g) }, func(dst []float32) { Activate(dst, dst, ActSigmoid) }},
-		{"Activate(None)", func(g, _ float32) float32 { return g }, func(dst []float32) { Activate(dst, dst, ActNone) }},
-	} {
-		for i := range want.Data {
-			want.Data[i] = c.def(g.Data[i], y.Data[i])
+	rectify := func(v float32) float32 {
+		if v <= 0 {
+			return 0
 		}
-		copy(got.Data, g.Data)
-		c.run(got.Data)
-		if err := sameBits(got, want); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		return v
+	}
+	for n := 0; n <= 67; n++ {
+		g, y := unalignedTensor(rng, len(awkwardValues), n), unalignedTensor(rng, len(awkwardValues), n)
+		mask := ReLUWithMask(make([]float32, n), y.Data)
+		want, got := New(n), New(n)
+		for _, c := range []struct {
+			name string
+			def  func(g, y float32) float32
+			run  func(dst []float32)
+		}{
+			{"TanhBackward", func(g, y float32) float32 { return g * (1 - y*y) }, func(dst []float32) { TanhBackward(dst, dst, y.Data) }},
+			{"SigmoidBackward", func(g, y float32) float32 { return g * (y * (1 - y)) }, func(dst []float32) { SigmoidBackward(dst, dst, y.Data) }},
+			{"MulInto", func(g, y float32) float32 { return g * y }, func(dst []float32) { MulInto(dst, dst, y.Data) }},
+			{"AddInto", func(g, y float32) float32 { return g + y }, func(dst []float32) { AddInto(dst, dst, y.Data) }},
+			{"Activate(Tanh)", func(g, _ float32) float32 { return Tanh32(g) }, func(dst []float32) { Activate(dst, dst, ActTanh) }},
+			{"Activate(Sigmoid)", func(g, _ float32) float32 { return Sigmoid32(g) }, func(dst []float32) { Activate(dst, dst, ActSigmoid) }},
+			{"Activate(ReLU)", func(g, _ float32) float32 { return rectify(g) }, func(dst []float32) { Activate(dst, dst, ActReLU) }},
+			{"Activate(None)", func(g, _ float32) float32 { return g }, func(dst []float32) { Activate(dst, dst, ActNone) }},
+			{"ReLUWithMask", func(g, _ float32) float32 { return rectify(g) }, func(dst []float32) { Put(ReLUWithMask(dst, dst)) }},
+			{"ReLUBackward", func(g, y float32) float32 {
+				if y <= 0 {
+					return 0
+				}
+				return g
+			}, func(dst []float32) { ReLUBackward(dst, dst, mask.Data) }},
+		} {
+			for i := range want.Data {
+				want.Data[i] = c.def(g.Data[i], y.Data[i])
+			}
+			copy(got.Data, g.Data)
+			c.run(got.Data)
+			if err := sameBits(got, want); err != nil {
+				t.Fatalf("%s n=%d: %v", c.name, n, err)
+			}
 		}
+		Put(mask)
 	}
 }
 

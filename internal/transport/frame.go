@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -42,6 +44,9 @@ const (
 	frameMaxDims   = 16
 	frameMaxElems  = 1 << 28 // 1 GiB of float32 payload
 	frameMaxLabels = 1 << 24
+	// framePiece bounds what a reader allocates ahead of the bytes: a
+	// frame part beyond it is read into storage that grows as they arrive.
+	framePiece = 16 << 20
 )
 
 // hostLittleEndian reports that float32 storage already has the wire's
@@ -183,12 +188,20 @@ func readFrame(r io.Reader, scratch []byte, native bool) (Message, []byte, error
 	if hasTensor {
 		// Pooled, not fresh: a receiver that recycles what it consumed
 		// turns this into a free-list hit instead of a payload-sized
-		// allocation.
-		t := tensor.GetRaw(shape...)
-		b := payloadBytes(t)
-		if _, err := io.ReadFull(r, b); err != nil {
+		// allocation. A payload over a piece is copied in once it is whole.
+		var t *tensor.Tensor
+		var b []byte
+		if 4*elems <= framePiece {
+			t = tensor.GetRaw(shape...)
+			b = payloadBytes(t)
+		}
+		if err := readInto(r, &b, 4*elems); err != nil {
 			tensor.Put(t)
 			return Message{}, scratch, fmt.Errorf("transport: truncated frame: %w", err)
+		}
+		if t == nil {
+			t = tensor.GetRaw(shape...)
+			copy(payloadBytes(t), b)
 		}
 		if !native {
 			for i := range t.Data {
@@ -201,8 +214,17 @@ func readFrame(r io.Reader, scratch []byte, native bool) (Message, []byte, error
 }
 
 // readInto fills the first n bytes of *scratch from r, growing the
-// buffer when needed.
+// buffer when needed; past framePiece into a new one that grows as the
+// bytes arrive.
 func readInto(r io.Reader, scratch *[]byte, n int) error {
+	if n > framePiece {
+		var b bytes.Buffer
+		if _, err := b.ReadFrom(io.LimitReader(r, int64(n))); err != nil || b.Len() < n {
+			return cmp.Or(err, io.ErrUnexpectedEOF)
+		}
+		*scratch = b.Bytes()
+		return nil
+	}
 	if cap(*scratch) < n {
 		*scratch = make([]byte, n)
 	}
