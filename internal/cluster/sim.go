@@ -52,7 +52,7 @@ type Result struct {
 	// TotalTime is the simulated wall time to finish all minibatches.
 	TotalTime float64
 	// Throughput is the steady-state rate in samples/second, measured
-	// over completions after warm-up.
+	// over completions in time order after warm-up.
 	Throughput float64
 	// MeanUtilization is the average busy fraction across workers over
 	// the steady-state window.
@@ -477,9 +477,13 @@ func (s *sim) result() *Result {
 		CompletionTimes: s.complTimes,
 	}
 	// Steady-state throughput: completions after warm-up (2× pipeline
-	// depth, capped at half the run).
+	// depth, capped at half the run), counted in time order, not by
+	// minibatch: below a replicated plan's depth the input replicas'
+	// minibatches can drift apart, and one replica's alone misread the
+	// run's rate (up to 1.6× on random plans).
 	inputs := max(1, len(s.assign.StageWorkers[0]))
 	warm := min(2*s.depth*inputs, s.cfg.Minibatches/2)
+	done := slices.Sorted(slices.Values(s.complTimes))
 	if s.cfg.Policy == schedule.GPipe {
 		// GPipe completions bunch at flush boundaries; measure whole
 		// rounds (round-aligned warm-up through the final flush) or the
@@ -489,23 +493,23 @@ func (s *sim) result() *Result {
 			warm = 0
 		}
 		if warm > 0 {
-			dt := s.complTimes[s.cfg.Minibatches-1] - s.complTimes[warm-1]
+			dt := done[s.cfg.Minibatches-1] - done[warm-1]
 			if dt > 0 {
 				r.Throughput = float64(s.cfg.Minibatches-warm) * float64(s.cfg.Profile.MinibatchSize) / dt
 			}
 		}
 	} else if rounds := (s.cfg.Minibatches - 1 - warm) / inputs; rounds > 0 {
-		// Whole rounds of the input stage's replicas from minibatch warm,
-		// each ended by one replica (all R start at once, so a window
-		// cut mid-round counts minibatches that took no time in it),
-		// stopping warm short of the end: the drain bunches completions.
+		// Whole rounds of R completions from the warm-th on (all R input
+		// replicas start at once, so a window cut mid-round counts
+		// minibatches that took no time in it), stopping warm short of
+		// the end: the drain bunches completions.
 		// A steady state may repeat only every few rounds, so the rate is
 		// the least-squares slope through the rounds' ends: a window's two
 		// ends alone misread a partial period by a round's swing.
 		rounds = max(1, (s.cfg.Minibatches-1-2*warm)/inputs)
 		var cov float64 // Σ (j - rounds/2)·(t_j - t_0) over rounds j = 0..rounds
 		for j := 0; j <= rounds; j++ {
-			cov += (float64(j) - float64(rounds)/2) * (s.complTimes[warm+j*inputs] - s.complTimes[warm])
+			cov += (float64(j) - float64(rounds)/2) * (done[warm+j*inputs] - done[warm])
 		}
 		if cov > 0 {
 			variance := float64(rounds*(rounds+1)*(rounds+2)) / 12 // Σ (j - rounds/2)²
@@ -531,7 +535,7 @@ func (s *sim) result() *Result {
 		// in reverse.
 		warmT := 0.0
 		if s.cfg.Minibatches > warm {
-			warmT = slices.Sorted(slices.Values(s.complTimes))[warm]
+			warmT = done[warm]
 		}
 		r.MeanUtilization = s.timeline.MeanUtilization(warmT)
 	}

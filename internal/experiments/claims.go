@@ -49,18 +49,11 @@ func claims(quick bool) ([]*Table, error) {
 		resnetPlan.IsDataParallel() && !vggPlan.IsDataParallel())
 
 	// 2. VGG-16 pipeline beats DP by multiples on slow interconnects.
-	vggRes, err := cluster.Simulate(cluster.Config{
-		Profile: vgg, Topo: topoA, Plan: vggPlan,
-		Policy: schedule.PipeDream1F1B, Minibatches: 160,
-	})
-	if err != nil {
-		return nil, err
-	}
 	vggDP, err := dpPlan(vgg, topoA, topoA.TotalWorkers())
 	if err != nil {
 		return nil, err
 	}
-	vggSpeedup := vggRes.Throughput / vggDP.PredictedThroughput
+	vggSpeedup := t.price("VGG-16 4x4 (A)", vgg, topoA, vggPlan) / vggDP.PredictedThroughput
 	check("pipeline speedup over DP for weight-heavy CNNs (Table 1)",
 		fmt.Sprintf("VGG-16 4x4(A): %.2fx", vggSpeedup), vggSpeedup >= 2)
 
@@ -82,10 +75,7 @@ func claims(quick bool) ([]*Table, error) {
 		}
 		return res.Throughput, nil
 	}
-	pd, err := run(mpPlan, schedule.PipeDream1F1B, false)
-	if err != nil {
-		return nil, err
-	}
+	pd := t.price("GNMT-16 4x4 (A) straight", gnmt, topoA, mpPlan)
 	gp, err := run(gpipe, schedule.GPipe, true)
 	if err != nil {
 		return nil, err

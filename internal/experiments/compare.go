@@ -23,16 +23,6 @@ func init() {
 	register("opt", "Optimizer runtime for every model and cluster (paper bound: < 8 s)", expOpt)
 }
 
-// simThroughput runs the simulator for a plan, at its depth, under a
-// policy.
-func simThroughput(prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan,
-	policy schedule.Policy, minibatches int) (*cluster.Result, error) {
-	return cluster.Simulate(cluster.Config{
-		Profile: prof, Topo: topo, Plan: plan, Policy: policy,
-		Minibatches: minibatches,
-	})
-}
-
 // simGPipe runs the simulator under GPipe with depth microbatches per
 // flush and activation recomputation, as the real GPipe trades compute
 // for memory (§2.2).
@@ -63,11 +53,8 @@ func fig14a(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mp, err := simThroughput(prof, topo, mpPlan, schedule.ModelParallelSingle, minibatches)
-		if err != nil {
-			return nil, err
-		}
-		straight, err := simThroughput(prof, topo, mpPlan, schedule.PipeDream1F1B, minibatches)
+		mp, err := cluster.Simulate(cluster.Config{Profile: prof, Topo: topo, Plan: mpPlan,
+			Policy: schedule.ModelParallelSingle, Minibatches: minibatches})
 		if err != nil {
 			return nil, err
 		}
@@ -75,12 +62,8 @@ func fig14a(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pd, err := simThroughput(prof, topo, best, schedule.PipeDream1F1B, minibatches)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(m, "1.00x", f2(straight.Throughput/mp.Throughput)+"x",
-			f2(pd.Throughput/mp.Throughput)+"x")
+		straight, pd := t.price(m+" straight", prof, topo, mpPlan), t.price(m+" PipeDream", prof, topo, best)
+		t.AddRow(m, "1.00x", f2(straight/mp.Throughput)+"x", f2(pd/mp.Throughput)+"x")
 	}
 	t.AddNote("paper shape: pipelining alone gives ≥2x over model parallelism for every model;")
 	t.AddNote("replication lifts VGG-16/AlexNet much further (paper: 14.9x / 6.5x)")
@@ -114,16 +97,16 @@ func fig14b(quick bool) ([]*Table, error) {
 				return nil, err
 			}
 		}
-		noPipe, err := simThroughput(prof, topo, plan.AtDepth(1), schedule.PipeDream1F1B, minibatches)
+		// A replicated plan at depth 1 can run far below its price (the
+		// price leaves replicated cycles out), so the unpipelined column is
+		// the simulator's.
+		noPipe, err := cluster.Simulate(cluster.Config{Profile: prof, Topo: topo, Plan: plan.AtDepth(1),
+			Policy: schedule.PipeDream1F1B, Minibatches: minibatches})
 		if err != nil {
 			return nil, err
 		}
-		pipe, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(m, f1(noPipe.Throughput)+" samples/s", f1(pipe.Throughput)+" samples/s",
-			f2(pipe.Throughput/noPipe.Throughput)+"x")
+		pipe := t.price(m, prof, topo, plan)
+		t.AddRow(m, f1(noPipe.Throughput)+" samples/s", f1(pipe)+" samples/s", f2(pipe/noPipe.Throughput)+"x")
 	}
 	t.AddNote("paper shape: pipelining increases hybrid-parallel throughput by up to ~80%%")
 	return []*Table{t}, nil
@@ -157,10 +140,7 @@ func sec54(quick bool) ([]*Table, error) {
 		// per-round rate is measured cleanly), with activation
 		// recomputation as the real GPipe performs.
 		noam := partition.Noam(plan.Workers, plan.Stages[0].Replicas)
-		pd, err := simThroughput(prof, c.topo, plan, schedule.PipeDream1F1B, rounds*noam)
-		if err != nil {
-			return nil, err
-		}
+		pd := t.price(c.name, prof, c.topo, plan)
 		gpNoam, err := simGPipe(prof, c.topo, plan, rounds*noam, noam)
 		if err != nil {
 			return nil, err
@@ -173,7 +153,7 @@ func sec54(quick bool) ([]*Table, error) {
 			return nil, err
 		}
 		slow := func(r *cluster.Result) string {
-			return pct(1 - r.Throughput/pd.Throughput)
+			return pct(1 - r.Throughput/pd)
 		}
 		t.AddRow(c.name, fmt.Sprintf("NOAM (%d)", noam), slow(gpNoam), c.paper[0])
 		t.AddRow(c.name, fmt.Sprintf("max-memory (%d)", maxDepth), slow(gpMax), c.paper[1])
@@ -221,15 +201,18 @@ func fig15(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("config %s: %w", c.name, err)
 		}
-		res, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches)
+		// The simulated column referees the price (Fig. 15's point).
+		res, err := cluster.Simulate(cluster.Config{Profile: prof, Topo: topo, Plan: plan,
+			Policy: schedule.PipeDream1F1B, Minibatches: minibatches})
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(c.name, f1(plan.PredictedThroughput), f1(res.Throughput))
-		xs = append(xs, plan.PredictedThroughput)
+		pred := t.price(c.name, prof, topo, plan)
+		t.AddRow(c.name, f1(pred), f1(res.Throughput))
+		xs = append(xs, pred)
 		ys = append(ys, res.Throughput)
-		if plan.PredictedThroughput > bestPredV {
-			bestPredV, bestPred = plan.PredictedThroughput, c.name
+		if pred > bestPredV {
+			bestPredV, bestPred = pred, c.name
 		}
 		if res.Throughput > bestSimV {
 			bestSimV, bestSim = res.Throughput, c.name
@@ -322,7 +305,8 @@ func fig16(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, minibatches)
+		res, err := cluster.Simulate(cluster.Config{Profile: prof, Topo: topo, Plan: plan,
+			Policy: schedule.PipeDream1F1B, Minibatches: minibatches})
 		if err != nil {
 			return nil, err
 		}
@@ -365,16 +349,20 @@ func fig18(quick bool) ([]*Table, error) {
 		Header: []string{"depth", "throughput (samples/s)", "peak stage-0 memory", "peak stage-3 memory"}}
 	var prevT float64
 	for depth := 1; depth <= 7; depth++ {
-		res, err := simThroughput(prof, topo, plan.AtDepth(depth), schedule.PipeDream1F1B, minibatches)
+		atDepth := plan.AtDepth(depth)
+		// The memory columns are the simulator's peaks.
+		res, err := cluster.Simulate(cluster.Config{Profile: prof, Topo: topo, Plan: atDepth,
+			Policy: schedule.PipeDream1F1B, Minibatches: minibatches})
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%d", depth), f1(res.Throughput),
+		tput := t.price(fmt.Sprintf("depth %d", depth), prof, topo, atDepth)
+		t.AddRow(fmt.Sprintf("%d", depth), f1(tput),
 			mb(res.PeakMemory[0]), mb(res.PeakMemory[len(res.PeakMemory)-1]))
-		if depth > 1 && res.Throughput+1e-9 < prevT*0.95 {
+		if depth > 1 && tput+1e-9 < prevT*0.95 {
 			return nil, fmt.Errorf("fig18: throughput regressed at depth %d", depth)
 		}
-		prevT = res.Throughput
+		prevT = tput
 	}
 	t.AddNote("paper shape: memory grows with depth (more stashed versions); throughput")
 	t.AddNote("rises until ~NOAM then plateaus — extra depth only costs memory")

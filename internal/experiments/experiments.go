@@ -27,6 +27,30 @@ type Table struct {
 	// Notes carry the paper-expected shape and free-form commentary
 	// (timeline renders, correlation coefficients, ...).
 	Notes []string
+	// plans are the plans whose price a row prints, in the order price
+	// recorded them.
+	plans []pricedPlan
+}
+
+// pricedPlan is one plan a row prints the price of, beside the profile and
+// cluster it was priced on.
+type pricedPlan struct {
+	row  string
+	prof *profile.ModelProfile
+	topo *topology.Topology
+	plan *partition.Plan
+}
+
+// price is the 1F1B throughput every row prints for plan: the planner's
+// PredictedThroughput. It records the plan on t under the row's name, so
+// TestPredictedVersusSimulated holds each printed price to what
+// cluster.Simulate runs the plan at, and notes that on the table.
+func (t *Table) price(row string, prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan) float64 {
+	if len(t.plans) == 0 {
+		t.AddNote("1F1B throughput is the planner's price (PredictedThroughput), refereed by TestPredictedVersusSimulated")
+	}
+	t.plans = append(t.plans, pricedPlan{t.ID + " " + row, prof, topo, plan})
+	return plan.PredictedThroughput
 }
 
 // AddRow appends a formatted row.

@@ -102,7 +102,8 @@ func ablMemory(quick bool) ([]*Table, error) {
 				worst = m
 			}
 		}
-		t.AddRow(fmt.Sprintf("%d MB", memMB), fmt.Sprintf("%d", plan.Depth), f1(res.Throughput), mb(worst))
+		row := fmt.Sprintf("%d MB", memMB)
+		t.AddRow(row, fmt.Sprintf("%d", plan.Depth), f1(t.price(row, prof, topo, plan)), mb(worst))
 	}
 	t.AddNote("the optimizer takes device memory capacity as input (§3.1); when its windows do")
 	t.AddNote("not fit, it reduces depth — less overlap, smaller stashes (Figure 18)")

@@ -9,7 +9,6 @@ import (
 	"pipedream/internal/nn"
 	"pipedream/internal/partition"
 	"pipedream/internal/pipeline"
-	"pipedream/internal/schedule"
 	"pipedream/internal/statseff"
 	"pipedream/internal/topology"
 )
@@ -73,7 +72,7 @@ func seqStandInConfig(epochs int) statseff.Config {
 	}
 }
 
-// fig10 combines the simulated epoch-time speedup of VGG-16 on 16 GPUs
+// fig10 combines the priced epoch-time speedup of VGG-16 on 16 GPUs
 // with measured convergence of the CNN stand-in to produce accuracy vs
 // wall-clock curves.
 func fig10(quick bool) ([]*Table, error) {
@@ -81,14 +80,12 @@ func fig10(quick bool) ([]*Table, error) {
 	if quick {
 		epochs = 6
 	}
-	// Hardware efficiency from the simulator (VGG-16, Cluster-A 4x4).
+	// Hardware efficiency from the planner's price (VGG-16, Cluster-A 4x4).
+	t := &Table{ID: "fig10",
+		Header: []string{"epoch", "DP time", "DP accuracy", "PipeDream time", "PipeDream accuracy"}}
 	topo := topology.ClusterA(4)
 	prof := modelzoo.VGG16(topo.Device, 64)
 	plan, err := partition.NewPlan(prof, topo, partition.PlanOptions{})
-	if err != nil {
-		return nil, err
-	}
-	res, err := simThroughput(prof, topo, plan, schedule.PipeDream1F1B, 160)
 	if err != nil {
 		return nil, err
 	}
@@ -96,10 +93,7 @@ func fig10(quick bool) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	speedup := res.Throughput / dp.PredictedThroughput
-	if speedup < 1 {
-		speedup = 1
-	}
+	speedup := max(1, t.price("VGG-16 4x4 (A)", prof, topo, plan)/dp.PredictedThroughput)
 	// Statistical efficiency from real training.
 	cfg := standInConfig(epochs)
 	bsp, err := statseff.TrainBSP(cfg, 4)
@@ -114,8 +108,7 @@ func fig10(quick bool) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{ID: "fig10", Title: fmt.Sprintf("Accuracy vs (relative) time — PipeDream epoch time is %.2fx faster", speedup),
-		Header: []string{"epoch", "DP time", "DP accuracy", "PipeDream time", "PipeDream accuracy"}}
+	t.Title = fmt.Sprintf("Accuracy vs (relative) time — PipeDream epoch time is %.2fx faster", speedup)
 	for e := 0; e < epochs; e++ {
 		t.AddRow(fmt.Sprintf("%d", e+1),
 			fmt.Sprintf("%.1f", float64(e+1)),
@@ -123,7 +116,7 @@ func fig10(quick bool) ([]*Table, error) {
 			fmt.Sprintf("%.1f", float64(e+1)/speedup),
 			pct(pd.Score[e]))
 	}
-	t.AddNote("time unit = one DP epoch; PipeDream epochs are %.2fx shorter (simulated),", speedup)
+	t.AddNote("time unit = one DP epoch; PipeDream epochs are %.2fx shorter,", speedup)
 	t.AddNote("while accuracy-per-epoch matches — so accuracy-vs-time is shifted left (paper Figure 10)")
 	return []*Table{t}, nil
 }
@@ -304,10 +297,6 @@ func ablVSync(quick bool) ([]*Table, error) {
 // ablRepl quantifies what stage replication buys the optimizer: best plan
 // with replication vs best straight pipeline.
 func ablRepl(quick bool) ([]*Table, error) {
-	minibatches := 160
-	if quick {
-		minibatches = 64
-	}
 	t := &Table{ID: "abl-repl", Title: "Ablation: optimizer with vs without stage replication",
 		Header: []string{"model", "topology", "straight-only (samples/s)", "with replication (samples/s)", "gain"}}
 	for _, m := range []string{"VGG-16", "AlexNet", "GNMT-16"} {
@@ -320,32 +309,22 @@ func ablRepl(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		straight, err := simThroughput(prof, topo, straightPlan, schedule.PipeDream1F1B, minibatches)
-		if err != nil {
-			return nil, err
-		}
 		best, err := partition.NewPlan(prof, topo, partition.PlanOptions{})
 		if err != nil {
 			return nil, err
 		}
-		repl, err := simThroughput(prof, topo, best, schedule.PipeDream1F1B, minibatches)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(m, topo.Name, f1(straight.Throughput), f1(repl.Throughput),
-			f2(repl.Throughput/straight.Throughput)+"x")
+		straight := t.price(m+" straight", prof, topo, straightPlan)
+		repl := t.price(m+" with replication", prof, topo, best)
+		t.AddRow(m, topo.Name, f1(straight), f1(repl), f2(repl/straight)+"x")
 	}
 	t.AddNote("replication rescues models whose layers do not divide evenly across workers")
 	return []*Table{t}, nil
 }
 
 // ablTopo quantifies topology awareness: the optimizer run on the true
-// hierarchy vs on a flat topology at the slowest bandwidth.
+// hierarchy vs on a flat topology at the slowest bandwidth, both plans
+// priced on the true hierarchy.
 func ablTopo(quick bool) ([]*Table, error) {
-	minibatches := 160
-	if quick {
-		minibatches = 64
-	}
 	t := &Table{ID: "abl-topo", Title: "Ablation: topology-aware vs flat (bottleneck-bandwidth) optimizer",
 		Header: []string{"model", "flat plan", "aware plan", "flat (samples/s)", "aware (samples/s)"}}
 	for _, m := range []string{"VGG-16", "GNMT-16"} {
@@ -359,21 +338,17 @@ func ablTopo(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The flat plan's stages, run on the REAL cluster.
+		flatPlan, err = partition.NewPlan(prof, topo, partition.PlanOptions{Stages: flatPlan.Stages})
+		if err != nil {
+			return nil, err
+		}
 		awarePlan, err := partition.NewPlan(prof, topo, partition.PlanOptions{})
 		if err != nil {
 			return nil, err
 		}
-		// Both plans execute on the REAL cluster.
-		flatRes, err := simThroughput(prof, topo, flatPlan, schedule.PipeDream1F1B, minibatches)
-		if err != nil {
-			return nil, err
-		}
-		awareRes, err := simThroughput(prof, topo, awarePlan, schedule.PipeDream1F1B, minibatches)
-		if err != nil {
-			return nil, err
-		}
 		t.AddRow(m, flatPlan.ConfigString(), awarePlan.ConfigString(),
-			f1(flatRes.Throughput), f1(awareRes.Throughput))
+			f1(t.price(m+" flat", prof, topo, flatPlan)), f1(t.price(m+" aware", prof, topo, awarePlan)))
 	}
 	t.AddNote("the hierarchy-aware optimizer places heavy sync traffic on fast intra-server links")
 	return []*Table{t}, nil

@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 
-	"pipedream/internal/cluster"
 	"pipedream/internal/data"
 	"pipedream/internal/modelzoo"
 	"pipedream/internal/nn"
 	"pipedream/internal/partition"
 	"pipedream/internal/pipeline"
-	"pipedream/internal/schedule"
 	"pipedream/internal/statseff"
 	"pipedream/internal/topology"
 )
@@ -48,9 +46,9 @@ func table1Cases() []table1Case {
 	}
 }
 
-// pipelineEpochSpeedup computes the simulated PipeDream throughput over
-// the data-parallel baseline's for one case.
-func pipelineEpochSpeedup(c table1Case, minibatches int) (*partition.Plan, float64, error) {
+// pipelineEpochSpeedup is the optimizer plan's price over the
+// data-parallel baseline's for one case, priced on t.
+func pipelineEpochSpeedup(t *Table, c table1Case) (*partition.Plan, float64, error) {
 	prof, err := modelzoo.ByName(c.model, c.topo.Device, modelzoo.PaperBatchSize(c.model))
 	if err != nil {
 		return nil, 0, err
@@ -63,19 +61,12 @@ func pipelineEpochSpeedup(c table1Case, minibatches int) (*partition.Plan, float
 	if err != nil {
 		return nil, 0, err
 	}
-	res, err := cluster.Simulate(cluster.Config{
-		Profile: prof, Topo: c.topo, Plan: plan,
-		Policy: schedule.PipeDream1F1B, Minibatches: minibatches,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	speedup := res.Throughput / dp.PredictedThroughput
+	speedup := t.price(c.model+" "+c.cfgLabel, prof, c.topo, plan) / dp.PredictedThroughput
 	if speedup < 1 || plan.IsDataParallel() {
 		// The optimizer considers plain data parallelism a configuration
-		// too: when the pipeline does not beat DP under measurement, the
-		// deployment falls back to DP (as it does for ResNet-50), and DP
-		// is 1x by definition.
+		// too: when the pipeline is not priced above DP, the deployment
+		// falls back to DP (as it does for ResNet-50), and DP is 1x by
+		// definition.
 		return dp, 1.0, nil
 	}
 	return plan, speedup, nil
@@ -174,12 +165,6 @@ func straightPlanLayers(layers, stages int) (*partition.Plan, error) {
 }
 
 func tbl1(quick bool) ([]*Table, error) {
-	// Throughput must be measured in steady state: run enough minibatches
-	// to amortize pipeline fill on up to 16 workers.
-	minibatches := 320
-	if quick {
-		minibatches = 128
-	}
 	t := &Table{ID: "tbl1", Title: "PipeDream vs data parallelism",
 		Header: []string{"model", "cluster", "config (ours)", "config (paper)",
 			"epoch speedup", "TTA speedup", "paper TTA"}}
@@ -196,7 +181,7 @@ func tbl1(quick bool) ([]*Table, error) {
 		ratios[task] = r
 	}
 	for _, c := range table1Cases() {
-		plan, epochSpeedup, err := pipelineEpochSpeedup(c, minibatches)
+		plan, epochSpeedup, err := pipelineEpochSpeedup(t, c)
 		if err != nil {
 			return nil, fmt.Errorf("%s %s: %w", c.model, c.cfgLabel, err)
 		}

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"pipedream/internal/cluster"
 	"pipedream/internal/modelzoo"
 	"pipedream/internal/partition"
-	"pipedream/internal/schedule"
 	"pipedream/internal/topology"
 )
 
@@ -21,10 +19,6 @@ func init() {
 // §2.3 anticipated this: "attention layers" are listed among the model
 // diversity the optimizer must handle.
 func extTransformer(quick bool) ([]*Table, error) {
-	minibatches := 320
-	if quick {
-		minibatches = 128
-	}
 	t := &Table{ID: "ext-transformer", Title: "BERT-Large (340M params): PipeDream vs data parallelism",
 		Header: []string{"cluster", "config", "DP (samples/s)", "PipeDream (samples/s)", "speedup"}}
 	for _, topo := range []*topology.Topology{topology.ClusterA(4), topology.ClusterB(2)} {
@@ -37,14 +31,7 @@ func extTransformer(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := cluster.Simulate(cluster.Config{
-			Profile: prof, Topo: topo, Plan: plan,
-			Policy: schedule.PipeDream1F1B, Minibatches: minibatches,
-		})
-		if err != nil {
-			return nil, err
-		}
-		dpTput, pdTput := dp.PredictedThroughput, res.Throughput
+		dpTput, pdTput := dp.PredictedThroughput, t.price(topo.Name, prof, topo, plan)
 		t.AddRow(topo.Name, plan.ConfigString(), f1(dpTput), f1(pdTput),
 			f2(pdTput/dpTput)+"x")
 		if pdTput < dpTput {

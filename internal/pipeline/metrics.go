@@ -19,9 +19,13 @@ type StageStats struct {
 	Worker, Stage, Replica int
 	// FwdOps and BwdOps count completed forward and backward passes.
 	FwdOps, BwdOps int
-	// FwdTime and BwdTime are total compute time in each direction
-	// (BwdTime excludes gradient-sync waiting).
+	// FwdTime and BwdTime are total compute time in each direction: they
+	// exclude SendTime, and BwdTime excludes gradient-sync waiting.
 	FwdTime, BwdTime time.Duration
+	// SendTime is total time blocked in the transport's Send: a forward's
+	// activation sends and a backward's upstream-gradient sends (on TCP,
+	// the socket writes). Ring all-reduce traffic is not in it.
+	SendTime time.Duration
 	// SyncWait is total time blocked in replicated-stage gradient
 	// all_reduce (zero for unreplicated stages).
 	SyncWait time.Duration
@@ -40,8 +44,8 @@ type StageStats struct {
 	// Wall is this worker's wall-clock time inside the run loop.
 	Wall time.Duration
 	// BubbleFraction is 1 − (FwdTime+BwdTime)/Wall: the fraction of the
-	// worker's wall time not spent computing (idle + sync stalls +
-	// scheduling overhead). The steady-state ideal is ~0 for the
+	// worker's wall time not spent computing (idle + sends + sync stalls
+	// + scheduling overhead). The steady-state ideal is ~0 for the
 	// bottleneck stage and grows with pipeline imbalance.
 	BubbleFraction float64
 	// MeanQueueDepth and PeakQueueDepth summarize how many arrived
@@ -85,6 +89,8 @@ type workerMetrics struct {
 	bwdOps    int
 	fwdTime   time.Duration
 	bwdTime   time.Duration
+	sendTime  time.Duration
+	opSend    time.Duration // Send time of the op in progress
 	syncTime  time.Duration
 	syncFirst time.Duration
 	syncTail  time.Duration
@@ -149,13 +155,17 @@ func (wm *workerMetrics) sampleQueues(depth int) {
 	}
 }
 
-// forwardDone records one completed forward pass.
+// forwardDone records one completed forward pass: its compute time is
+// its duration less its sends.
 func (wm *workerMetrics) forwardDone(sw *stageWorker, mb int, start time.Time) {
 	d := time.Since(start)
+	compute := d - wm.opSend
+	wm.sendTime += wm.opSend
+	wm.opSend = 0
 	wm.fwdOps++
-	wm.fwdTime += d
+	wm.fwdTime += compute
 	if wm.fwdHist != nil {
-		wm.fwdHist.Observe(float64(d.Microseconds()))
+		wm.fwdHist.Observe(float64(compute.Microseconds()))
 	}
 	if wm.oplog != nil {
 		wm.oplog.Record(metrics.OpEvent{
@@ -177,17 +187,21 @@ func (wm *workerMetrics) observeBucketWait(d time.Duration, n int) {
 }
 
 // backwardDone records one completed backward pass: its full duration,
-// when its upstream gradient left (gradUp), the sync-wait sub-span (nested
-// inside it on the trace timeline) split into before-first-bucket and tail
-// portions, and the observed weight-version staleness.
+// its compute time (less its sends and sync wait), when its upstream
+// gradient left (gradUp), the sync-wait sub-span (nested inside it on the
+// trace timeline) split into before-first-bucket and tail portions, and
+// the observed weight-version staleness.
 func (wm *workerMetrics) backwardDone(sw *stageWorker, mb int, start time.Time, gradUp time.Duration, syncStart time.Time, syncDur, syncFirst time.Duration, staleness int) {
 	d := time.Since(start)
 	if syncFirst > syncDur {
 		syncFirst = syncDur
 	}
 	syncTail := syncDur - syncFirst
+	compute := d - syncDur - wm.opSend
+	wm.sendTime += wm.opSend
+	wm.opSend = 0
 	wm.bwdOps++
-	wm.bwdTime += d - syncDur
+	wm.bwdTime += compute
 	wm.syncTime += syncDur
 	wm.syncFirst += syncFirst
 	wm.syncTail += syncTail
@@ -196,7 +210,7 @@ func (wm *workerMetrics) backwardDone(sw *stageWorker, mb int, start time.Time, 
 		wm.maxStale = staleness
 	}
 	if wm.bwdHist != nil {
-		wm.bwdHist.Observe(float64((d - syncDur).Microseconds()))
+		wm.bwdHist.Observe(float64(compute.Microseconds()))
 		wm.staleHist.Observe(float64(staleness))
 		if syncDur > 0 {
 			wm.syncHist.Observe(float64(syncDur.Microseconds()))
@@ -223,7 +237,7 @@ func (wm *workerMetrics) stats(sw *stageWorker) StageStats {
 	s := StageStats{
 		Worker: sw.id, Stage: sw.stage, Replica: sw.replica,
 		FwdOps: wm.fwdOps, BwdOps: wm.bwdOps,
-		FwdTime: wm.fwdTime, BwdTime: wm.bwdTime,
+		FwdTime: wm.fwdTime, BwdTime: wm.bwdTime, SendTime: wm.sendTime,
 		SyncWait: wm.syncTime, SyncFirstWait: wm.syncFirst, SyncTailWait: wm.syncTail,
 		Idle: wm.idleTime, Wall: wm.wall,
 		PeakQueueDepth: wm.peakQueue, MaxStaleness: wm.maxStale,
@@ -272,12 +286,12 @@ func (r *Report) StageSummary() string {
 	}
 	var b strings.Builder
 	if len(r.Stages) > 0 {
-		fmt.Fprintf(&b, "%-8s %-6s %6s %10s %10s %10s %10s %10s %10s %7s %11s %10s %10s %8s\n",
-			"worker", "stage", "ops", "fwd", "bwd", "sync", "sync1st", "synctail", "idle", "bubble", "queue(µ/pk)", "stale(µ/mx)", "stash", "wire")
+		fmt.Fprintf(&b, "%-8s %-6s %6s %10s %10s %10s %10s %10s %10s %10s %7s %11s %10s %10s %8s\n",
+			"worker", "stage", "ops", "fwd", "bwd", "send", "sync", "sync1st", "synctail", "idle", "bubble", "queue(µ/pk)", "stale(µ/mx)", "stash", "wire")
 		for _, s := range r.Stages {
-			fmt.Fprintf(&b, "%-8d %d/%-4d %6d %10s %10s %10s %10s %10s %10s %6.1f%% %5.1f/%-5d %6.1f/%-3d %10s %8s\n",
+			fmt.Fprintf(&b, "%-8d %d/%-4d %6d %10s %10s %10s %10s %10s %10s %10s %6.1f%% %5.1f/%-5d %6.1f/%-3d %10s %8s\n",
 				s.Worker, s.Stage, s.Replica, s.FwdOps+s.BwdOps,
-				roundDur(s.FwdTime), roundDur(s.BwdTime), roundDur(s.SyncWait),
+				roundDur(s.FwdTime), roundDur(s.BwdTime), roundDur(s.SendTime), roundDur(s.SyncWait),
 				roundDur(s.SyncFirstWait), roundDur(s.SyncTailWait), roundDur(s.Idle),
 				100*s.BubbleFraction, s.MeanQueueDepth, s.PeakQueueDepth,
 				s.MeanStaleness, s.MaxStaleness, fmtBytes(s.PeakStashBytes), fmtBytes(s.WireBytes))

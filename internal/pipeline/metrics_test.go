@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"pipedream/internal/data"
 	"pipedream/internal/metrics"
 	"pipedream/internal/nn"
+	"pipedream/internal/transport"
 )
 
 // TestReportStagesPopulated trains a real 2-stage pipeline with full
@@ -129,6 +131,56 @@ func TestReportStagesPopulated(t *testing.T) {
 }
 
 // TestReplicatedStageRecordsSyncWait checks that the in-process
+// slowSend is a transport whose every Send blocks sendDelay first.
+type slowSend struct{ transport.Transport }
+
+const sendDelay = 2 * time.Millisecond
+
+func (s slowSend) Send(to int, m transport.Message) error {
+	time.Sleep(sendDelay)
+	return s.Transport.Send(to, m)
+}
+
+// A stage's compute time leaves out the time it blocks in Send: over a
+// transport whose every Send takes 2 ms, a small MLP's forward and
+// backward passes still average under 2 ms each on a three-stage chain,
+// and SendTime holds every activation and upstream-gradient send.
+func TestComputeTimeExcludesSends(t *testing.T) {
+	factory := mlpFactory(3, 4, 16, 3)
+	plan := evenPlan(t, factory, 3, 1)
+	tr := slowSend{transport.NewChannels(plan.Workers, 64)}
+	defer tr.Close()
+	opts := baseOptions(factory, plan)
+	opts.Plan = plan // its own depth
+	opts.Transport = tr
+	opts.Metrics = metrics.NewRegistry()
+	p, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const mbs = 12
+	rep, err := p.Train(data.NewBlobs(5, 3, 4, 8, mbs), mbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range rep.Stages {
+		sends := 0
+		if s.Stage < len(plan.Stages)-1 {
+			sends += s.FwdOps // the activation downstream
+		}
+		if s.Stage > 0 {
+			sends += s.BwdOps // the gradient upstream
+		}
+		if fwd, bwd := s.FwdTime/time.Duration(s.FwdOps), s.BwdTime/time.Duration(s.BwdOps); fwd >= sendDelay || bwd >= sendDelay {
+			t.Errorf("stage %d: %v per forward, %v per backward; a send takes %v and is not compute", s.Stage, fwd, bwd, sendDelay)
+		}
+		if want := time.Duration(sends) * sendDelay; s.SendTime < want {
+			t.Errorf("stage %d: SendTime %v over %d sends of %v each, want ≥ %v", s.Stage, s.SendTime, sends, sendDelay, want)
+		}
+	}
+}
+
 // all_reduce of a replicated stage shows up as gradient-sync wait.
 func TestReplicatedStageRecordsSyncWait(t *testing.T) {
 	factory := mlpFactory(9, 4, 16, 3)

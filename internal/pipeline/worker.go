@@ -381,7 +381,14 @@ func (sw *stageWorker) forward(m transport.Message, ab *runAbort) error {
 			Version: m.Version, Tensor: grad,
 		}
 	} else {
+		var s0 time.Time
+		if sw.met != nil {
+			s0 = time.Now()
+		}
 		err = sw.sendActivation(m, y, ab)
+		if sw.met != nil {
+			sw.met.opSend += time.Since(s0)
+		}
 	}
 	if sw.p.opts.Recompute {
 		// Keep only the stage input; the backward pass re-runs the
@@ -484,6 +491,10 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 	if len(sw.preds) > 0 {
 		up = func(gradIn *tensor.Tensor) {
 			upGrads, err := splitJoinGrad(sw.join, gradIn, sw.preds, entry.joinWidths)
+			var s0 time.Time
+			if sw.met != nil {
+				s0 = time.Now()
+			}
 			for i := 0; err == nil && i < len(sw.preds); i++ {
 				prev := sw.preds[i]
 				target := sw.p.assign.StageWorkers[prev][schedule.ReplicaFor(m.Minibatch, len(sw.p.assign.StageWorkers[prev]))]
@@ -491,6 +502,11 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 					Kind: transport.Gradient, Minibatch: m.Minibatch,
 					Version: entry.version, Src: sw.stage, Tensor: upGrads[i],
 				})
+			}
+			if sw.met != nil {
+				sent := time.Now()
+				sw.met.opSend += sent.Sub(s0)
+				gradUp = sent.Sub(op0)
 			}
 			for _, g := range upGrads {
 				if g != gradIn {
@@ -502,9 +518,6 @@ func (sw *stageWorker) backward(m transport.Message, ab *runAbort) error {
 			}
 			if err != nil {
 				sendErr = ab.fail(fmt.Errorf("pipeline: worker %d backward mb %d: %w", sw.id, m.Minibatch, err))
-			}
-			if sw.met != nil {
-				gradUp = time.Since(op0)
 			}
 		}
 	}
