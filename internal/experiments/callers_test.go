@@ -15,9 +15,7 @@ import (
 // referees.
 var simulateCallers = map[string]string{
 	"simGPipe":     "GPipe's flushes and recomputation (sec54)",
-	"claims":       "GPipe and model parallelism (claim 3), peak memory (claim 6)",
-	"fig14a":       "model parallelism, one minibatch in flight",
-	"fig14b":       "the unpipelined column: replicated plans at depth 1 run below their price",
+	"claims":       "GPipe (claim 3), peak memory (claim 6)",
 	"fig15":        "the referee column of the figure",
 	"fig16":        "peak memory",
 	"fig18":        "peak memory",

@@ -65,25 +65,13 @@ func claims(quick bool) ([]*Table, error) {
 	}
 	// GPipe flushes every m = NOAM microbatches, as the paper runs it.
 	gpipe := mpPlan.AtDepth(partition.Noam(mpPlan.Workers, mpPlan.Stages[0].Replicas))
-	run := func(plan *partition.Plan, policy schedule.Policy, recompute bool) (float64, error) {
-		res, err := cluster.Simulate(cluster.Config{
-			Profile: gnmt, Topo: topoA, Plan: plan, Policy: policy,
-			Minibatches: 12 * gpipe.Depth, Recompute: recompute,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.Throughput, nil
-	}
 	pd := t.price("GNMT-16 4x4 (A) straight", gnmt, topoA, mpPlan)
-	gp, err := run(gpipe, schedule.GPipe, true)
+	res, err := cluster.Simulate(cluster.Config{Profile: gnmt, Topo: topoA, Plan: gpipe,
+		Policy: schedule.GPipe, Minibatches: 12 * gpipe.Depth, Recompute: true})
 	if err != nil {
 		return nil, err
 	}
-	mp, err := run(mpPlan, schedule.ModelParallelSingle, false)
-	if err != nil {
-		return nil, err
-	}
+	gp, mp := res.Throughput, t.price("GNMT-16 4x4 (A) model-parallel", gnmt, topoA, mpPlan.AtDepth(1))
 	check("1F1B > GPipe > model parallelism (Figs. 2-4, §5.4)",
 		fmt.Sprintf("GNMT-16/16w: %.0f > %.0f > %.0f samples/s", pd, gp, mp),
 		pd > gp && gp > mp)

@@ -36,11 +36,7 @@ func simGPipe(prof *profile.ModelProfile, topo *topology.Topology, plan *partiti
 
 // fig14a compares model parallelism, a straight pipeline, and PipeDream's
 // chosen configuration for four models on one Cluster-A server.
-func fig14a(quick bool) ([]*Table, error) {
-	minibatches := 160
-	if quick {
-		minibatches = 64
-	}
+func fig14a(bool) ([]*Table, error) {
 	topo := topology.ClusterA(1)
 	t := &Table{ID: "fig14a", Title: "Speedup over model parallelism (4 GPUs, Cluster-A)",
 		Header: []string{"model", "model-parallel", "straight pipeline", "PipeDream (w/ replication)"}}
@@ -53,17 +49,13 @@ func fig14a(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mp, err := cluster.Simulate(cluster.Config{Profile: prof, Topo: topo, Plan: mpPlan,
-			Policy: schedule.ModelParallelSingle, Minibatches: minibatches})
-		if err != nil {
-			return nil, err
-		}
+		mp := t.price(m+" model-parallel", prof, topo, mpPlan.AtDepth(1))
 		best, err := partition.NewPlan(prof, topo, partition.PlanOptions{})
 		if err != nil {
 			return nil, err
 		}
 		straight, pd := t.price(m+" straight", prof, topo, mpPlan), t.price(m+" PipeDream", prof, topo, best)
-		t.AddRow(m, "1.00x", f2(straight/mp.Throughput)+"x", f2(pd/mp.Throughput)+"x")
+		t.AddRow(m, "1.00x", f2(straight/mp)+"x", f2(pd/mp)+"x")
 	}
 	t.AddNote("paper shape: pipelining alone gives ≥2x over model parallelism for every model;")
 	t.AddNote("replication lifts VGG-16/AlexNet much further (paper: 14.9x / 6.5x)")
@@ -73,11 +65,7 @@ func fig14a(quick bool) ([]*Table, error) {
 // fig14b shows the value of pipelining on top of a hybrid (model+data
 // parallel) partition: the same plan run with one minibatch in flight
 // versus the full 1F1B pipeline.
-func fig14b(quick bool) ([]*Table, error) {
-	minibatches := 160
-	if quick {
-		minibatches = 64
-	}
+func fig14b(bool) ([]*Table, error) {
 	topo := topology.ClusterA(1)
 	t := &Table{ID: "fig14b", Title: "Hybrid parallelism with and without pipelining (4 GPUs, Cluster-A)",
 		Header: []string{"model", "hybrid (no pipelining)", "hybrid + pipelining", "gain"}}
@@ -97,16 +85,8 @@ func fig14b(quick bool) ([]*Table, error) {
 				return nil, err
 			}
 		}
-		// A replicated plan at depth 1 can run far below its price (the
-		// price leaves replicated cycles out), so the unpipelined column is
-		// the simulator's.
-		noPipe, err := cluster.Simulate(cluster.Config{Profile: prof, Topo: topo, Plan: plan.AtDepth(1),
-			Policy: schedule.PipeDream1F1B, Minibatches: minibatches})
-		if err != nil {
-			return nil, err
-		}
-		pipe := t.price(m, prof, topo, plan)
-		t.AddRow(m, f1(noPipe.Throughput)+" samples/s", f1(pipe)+" samples/s", f2(pipe/noPipe.Throughput)+"x")
+		noPipe, pipe := t.price(m+" unpipelined", prof, topo, plan.AtDepth(1)), t.price(m, prof, topo, plan)
+		t.AddRow(m, f1(noPipe)+" samples/s", f1(pipe)+" samples/s", f2(pipe/noPipe)+"x")
 	}
 	t.AddNote("paper shape: pipelining increases hybrid-parallel throughput by up to ~80%%")
 	return []*Table{t}, nil

@@ -43,12 +43,17 @@ func (p *Plan) Windows() []int {
 }
 
 // fit sets the input window to Depth per replica and caps each other
-// stage at what its predecessors forward before needing a gradient back.
+// stage at what its predecessors forward before needing a gradient back,
+// rounded down to a multiple of its replicas where it holds one per
+// replica, so that they all warm up alike.
 func (p *Plan) fit(window []int) []int {
 	window[0] = p.Depth * p.Stages[0].Replicas
 	for s := 1; s < len(window); s++ {
 		for _, q := range p.Graph.Preds(s) {
 			window[s] = min(window[s], window[q]-p.Stages[q].Replicas+1)
+		}
+		if r := p.Stages[s].Replicas; window[s] >= r {
+			window[s] -= window[s] % r
 		}
 		window[s] = max(window[s], 1)
 	}

@@ -55,19 +55,21 @@ type Plan struct {
 	BottleneckTime float64
 	// PredictedThroughput is samples/second in steady state at the plan's
 	// windows: MinibatchSize over the longer of BottleneckTime and the
-	// period the 1F1B cycles through one-replica stages allow (price).
+	// period of the 1F1B order schedule.Table runs (price).
 	PredictedThroughput float64
 	// Depth is the number of in-flight minibatches per input-stage
 	// replica the plan runs at: the schedule's warm-up, the simulator's
 	// and the runtime's in-flight bound, and the stash count CheckMemory
-	// prices. NewPlan sets it to the input window per replica (Windows;
-	// NOAM, §3.2, on even stages), PlanOptions.Memory lowers it until the
-	// stages fit (§3.3); a caller that wants another asks AtDepth.
+	// prices. NewPlan sets it to the input window per replica (Windows),
+	// PlanOptions.Memory lowers it until the stages fit (§3.3); a caller
+	// that wants another asks AtDepth.
 	Depth int
 	// windows are a plan file's, for Windows while Depth is the file's.
 	windows []int
-	// samples is the profile's MinibatchSize, for price.
+	// samples is the profile's MinibatchSize and costs each stage's
+	// passes, for price.
 	samples float64
+	costs   []stageCost
 }
 
 // AtDepth returns a copy of the plan run at d ≥ 1 minibatches in flight
@@ -80,31 +82,99 @@ func (p *Plan) AtDepth(d int) *Plan {
 	return &q
 }
 
-// price sets PredictedThroughput at the plan's windows. Each stage-graph
-// path s→…→r of one-replica stages closes a 1F1B cycle F_s→…→F_r→B_r→…→B_s
-// that carries W_s − W_r + 1 minibatches per Σ StageTimes + Σ CommTimes
-// along the path; the plan's period is the longest of the bottleneck and
-// each cycle's time per minibatch. Replicated stages' cycles are not
-// priced: no form tried fits the simulator's round-robin routing.
+// price sets PredictedThroughput at the plan's windows: MinibatchSize over
+// the longer of BottleneckTime and the period of schedule.Table's 1F1B
+// order, the largest Σ t ÷ Σ d over the cycles of its timed event graph,
+// folded modulo the lcm of the replica counts. There an arc X(m) → Y(m+d)
+// starts pass Y of minibatch m+d no sooner than t after pass X of m: each
+// replica's order B_s(m) → F_s(m+k·R_s) → B_s(m+R_s) after k warm-up
+// forwards, its ring sync B_s(m) → B_s(m+R_s), a sink's loss F_s(m) →
+// B_s(m), and over each edge s→q the activation F_s(m) → F_q(m) and the
+// gradient B_q(m) → B_s(m), sent as their half of the pass ends.
 func (p *Plan) price() {
-	window, period := p.Windows(), p.BottleneckTime
-	for s, st := range p.Stages {
-		if st.Replicas > 1 {
-			continue
-		}
-		path := slices.Repeat([]float64{math.Inf(-1)}, len(p.Stages)) // the longest s→…→r
-		path[s] = p.StageTimes[s]
-		for r := s + 1; r < len(p.Stages); r++ {
-			for i, e := range p.Graph.Edges {
-				if e.To == r && p.Stages[r].Replicas == 1 {
-					path[r] = max(path[r], path[e.From]+p.CommTimes[i]+p.StageTimes[r])
-				}
-			}
-			// fit never widens a window along a path; with none, -Inf stays out.
-			period = max(period, path[r]/float64(max(window[s]-window[r]+1, 1)))
+	lcm := 1
+	for _, st := range p.Stages {
+		for step := lcm; lcm%st.Replicas != 0; lcm += step {
 		}
 	}
+	var arcs []arc
+	add := func(s, b, m, q, c, d int, t float64) { // b, c: 0 forward, 1 backward
+		arcs = append(arcs, arc{(s*lcm+m)*2 + b, (q*lcm+((m+d)%lcm+lcm)%lcm)*2 + c, t, float64(d)})
+	}
+	window := p.Windows()
+	for m := range lcm {
+		for s, st := range p.Stages {
+			c, r := p.costs[s], st.Replicas
+			k := max(1, (window[s]-m%r+r-1)/r) * r
+			add(s, 1, m, s, 0, k, c.bwd)
+			add(s, 0, m, s, 1, r-k, c.fwd)
+			add(s, 1, m, s, 1, r, c.bwd+c.sync)
+		}
+		for i, e := range p.Graph.Edges {
+			add(e.From, 0, m, e.To, 0, 0, p.costs[e.From].fwd+p.CommTimes[i]/2)
+			add(e.To, 1, m, e.From, 1, 0, p.costs[e.To].bwdIn+p.CommTimes[i]/2)
+		}
+		for _, s := range p.Graph.Sinks() {
+			add(s, 0, m, s, 1, 0, p.costs[s].fwd)
+		}
+	}
+	period := maxCycleRatio(2*len(p.Stages)*lcm, arcs, 1e-9*p.BottleneckTime)
+	if period < p.BottleneckTime*(1+1e-9) { // a stage's own cycle, but for rounding
+		period = p.BottleneckTime
+	}
 	p.PredictedThroughput = p.samples / period
+}
+
+// arc is one of price's precedences: pass to starts no sooner than t after
+// pass from, d minibatches on.
+type arc struct {
+	from, to int
+	t, d     float64
+}
+
+// maxCycleRatio is the largest Σ t ÷ Σ d over the cycles of a graph of n
+// nodes, each with an out-arc, whose every cycle has a positive Σ d, by
+// Howard's policy iteration: each node follows one arc; each cycle of
+// those gives the nodes reaching it its ratio (eta) and, at that ratio, a
+// potential (x); nodes then switch to arcs towards a higher ratio or,
+// where no node has one, a higher potential, until none does by tol.
+func maxCycleRatio(n int, arcs []arc, tol float64) float64 {
+	policy, eta, x, mark, walk := make([]arc, n), make([]float64, n), make([]float64, n), make([]int, n), 0
+	for _, a := range arcs {
+		policy[a.from] = a
+	}
+	for {
+		start := walk // marks above start were set in this pass
+		for v := range n {
+			var path []int
+			for walk++; mark[v] <= start; v = policy[v].to {
+				mark[v], path = walk, append(path, v)
+			}
+			if mark[v] == walk { // the path closed a new cycle at v
+				t, d := policy[v].t, policy[v].d
+				for u := policy[v].to; u != v; u = policy[u].to {
+					t, d = t+policy[u].t, d+policy[u].d
+				}
+				eta[v], x[v] = t/d, 0
+			}
+			for i := len(path) - 1; i >= 0; i-- {
+				if u, a := path[i], policy[path[i]]; u != v {
+					eta[u], x[u] = eta[a.to], a.t-eta[a.to]*a.d+x[a.to]
+				}
+			}
+		}
+		improved := false
+		for potential := 0; potential < 2 && !improved; potential++ {
+			for _, a := range arcs {
+				if u, e := a.from, eta[a.to]; e > eta[u]+tol || potential == 1 && e >= eta[u]-tol && a.t-eta[u]*a.d+x[a.to] > x[u]+tol {
+					policy[u], improved = a, true
+				}
+			}
+		}
+		if !improved {
+			return slices.Max(eta)
+		}
+	}
 }
 
 // StageSlices cuts model into the plan's stages — one Sequential per
@@ -246,7 +316,8 @@ func search(prof *profile.ModelProfile, topo *topology.Topology, floor float64) 
 	}
 	for j := 0; j < n; j++ {
 		for r := 1; r <= w; r++ {
-			best[at(j, r, r)] = chain{cost: max(floor, stageTime(prof, topo, StageSpec{0, j, r})), stages: 1, prevLast: -1}
+			st, _ := stageTime(prof, topo, StageSpec{0, j, r})
+			best[at(j, r, r)] = chain{cost: max(floor, st), stages: 1, prevLast: -1}
 		}
 	}
 	// No chain costlier than the floor, or than the whole model as one
@@ -269,7 +340,7 @@ func search(prof *profile.ModelProfile, topo *topology.Topology, floor float64) 
 			edge[span] = edgeTime(prof, topo, i, span)
 		}
 		for r := 1; r < w; r++ {
-			if stageTime(prof, topo, StageSpec{i + 1, i + 1, r}) > limit {
+			if st, _ := stageTime(prof, topo, StageSpec{i + 1, i + 1, r}); st > limit {
 				continue
 			}
 			for m := r + 1; m <= w; m++ {
@@ -284,7 +355,7 @@ func search(prof *profile.ModelProfile, topo *topology.Topology, floor float64) 
 				feed[m] = f
 			}
 			for j := i + 1; j < n; j++ {
-				st := stageTime(prof, topo, StageSpec{i + 1, j, r})
+				st, _ := stageTime(prof, topo, StageSpec{i + 1, j, r})
 				if st > limit {
 					break
 				}
@@ -409,10 +480,14 @@ func evaluate(prof *profile.ModelProfile, topo *topology.Topology, stages []Stag
 		Graph:      graph,
 		StageTimes: make([]float64, len(stages)),
 		CommTimes:  make([]float64, 0, len(stages)-1),
+		costs:      make([]stageCost, len(stages)),
 	}
 	for i, st := range stages {
-		p.StageTimes[i] = stageTime(prof, topo, st)
+		p.StageTimes[i], p.costs[i] = stageTime(prof, topo, st)
 		p.BottleneckTime = max(p.BottleneckTime, p.StageTimes[i])
+		for _, l := range prof.Layers[st.FirstLayer : st.LastLayer+1] {
+			p.costs[i].bwdIn -= l.BwdParamTime
+		}
 	}
 	for _, e := range graph.Edges {
 		ct := edgeTime(prof, topo, stages[e.From].LastLayer, stages[e.From].Replicas+stages[e.To].Replicas)
@@ -431,17 +506,24 @@ func Noam(workers, inputReplicas int) int {
 	return (workers + inputReplicas - 1) / inputReplicas
 }
 
-// stageTime is the per-minibatch time of a stage: each of its R replicas
-// takes every R-th minibatch and spends bwd + max(fwd, sync) on it. The
-// ring all_reduce of the stage's gradients starts when a backward ends and
+// stageCost is what one replica of a stage spends on a minibatch: its
+// forward, the input half of its backward (until the upstream gradient
+// leaves), its whole backward and its ring sync.
+type stageCost struct{ fwd, bwdIn, bwd, sync float64 }
+
+// stageTime is the per-minibatch time of a stage, and one replica's parts
+// of it (bwdIn the whole bwd): each of its R replicas takes every
+// R-th minibatch and spends bwd + max(fwd, sync) on it. The ring
+// all_reduce of the stage's gradients starts when a backward ends and
 // the next backward waits for it, so only the forward in between hides it
 // — cluster.Simulate's steady state, not the runtime's: there a backward
 // drains the ring and applies the update before the next forward starts.
-func stageTime(prof *profile.ModelProfile, topo *topology.Topology, st StageSpec) float64 {
+// price's sync arc is the same choice.
+func stageTime(prof *profile.ModelProfile, topo *topology.Topology, st StageSpec) (float64, stageCost) {
 	fwd := prof.FwdRange(st.FirstLayer, st.LastLayer)
 	bwd := prof.BwdRange(st.FirstLayer, st.LastLayer)
 	sync := topo.AllReduceTime(prof.WeightRange(st.FirstLayer, st.LastLayer), st.Replicas)
-	return (bwd + max(fwd, sync)) / float64(st.Replicas)
+	return (bwd + max(fwd, sync)) / float64(st.Replicas), stageCost{fwd, bwd, bwd, sync}
 }
 
 // edgeTime is the per-minibatch time of a dataflow edge leaving layer last:

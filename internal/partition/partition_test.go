@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -451,6 +452,40 @@ func TestOptimizeTieRule(t *testing.T) {
 		}
 		if got := plan.ConfigString(); got != c.want {
 			t.Errorf("%s: plan %v, want %s", c.name, plan, c.want)
+		}
+	}
+}
+
+// TestPriceIsTheTablesCycleRatio works the 1F1B event graph by hand on a
+// 6 s and a 2 s layer (forward a third of each, backward the rest) with
+// free links, at depth 1.
+func TestPriceIsTheTablesCycleRatio(t *testing.T) {
+	cases := []struct {
+		name     string
+		replicas []int
+		windows  []int
+		want     float64
+	}{
+		// F0→F1→B1→B0→F0 of the next minibatch: 2 + 2/3 + 4/3 + 4 = 8 s
+		// for one minibatch.
+		{"straight", []int{1, 1}, []int{1, 1}, 0.125},
+		// The same cycle, but the replica whose backward ends it forwards
+		// the minibatch after next: 8 s for two. Its bottleneck alone
+		// would read (4 + 2)/2 = 3 s, 0.3333 samples/s.
+		{"replicated input stage", []int{2, 1}, []int{2, 1}, 0.25},
+	}
+	prof := syntheticProfile([]float64{6, 2}, []int64{8, 8}, []int64{8, 8})
+	for _, c := range cases {
+		plan, err := NewPlan(prof, topology.Flat(3, 1e12, topology.V100), PlanOptions{Stages: []StageSpec{
+			{FirstLayer: 0, LastLayer: 0, Replicas: c.replicas[0]},
+			{FirstLayer: 1, LastLayer: 1, Replicas: c.replicas[1]},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan = plan.AtDepth(1)
+		if w := plan.Windows(); !slices.Equal(w, c.windows) || math.Abs(plan.PredictedThroughput-c.want) > 1e-4*c.want {
+			t.Errorf("%s: windows %v, %.4f samples/s; want %v, %.4f", c.name, w, plan.PredictedThroughput, c.windows, c.want)
 		}
 	}
 }
