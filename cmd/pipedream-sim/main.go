@@ -83,8 +83,8 @@ func main() {
 		policy = schedule.PipeDream1F1B
 	case "gpipe":
 		policy = schedule.GPipe
-	case "mp":
-		policy = schedule.ModelParallelSingle
+	case "mp": // one minibatch in flight: the 1F1B table at depth 1
+		plan = plan.AtDepth(1)
 	default:
 		fatal(fmt.Errorf("unknown policy %q (want 1f1b, gpipe, or mp)", *policyName))
 	}

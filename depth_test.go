@@ -96,9 +96,11 @@ func TestMemoryConstrainedPlanRunsAtItsDepth(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			edge := 2 * plan.Depth * plan.Stages[0].Replicas
-			a := schedule.Assign(plan)
-			if err := schedule.Validate1F1B(res.Timeline, a, res.CompletionTimes[edge], res.CompletionTimes[mbs-edge]); err != nil {
+			g, err := schedule.Graph(schedule.Assign(plan), schedule.PipeDream1F1B, 0, mbs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := schedule.Validate(res.Timeline, g); err != nil {
 				t.Fatalf("simulated at another depth than the plan's %d: %v", plan.Depth, err)
 			}
 			for s, peak := range res.PeakMemory {

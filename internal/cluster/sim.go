@@ -1,17 +1,17 @@
 // Package cluster is a deterministic discrete-event simulator of
 // pipeline-parallel DNN training on a hierarchical GPU cluster — the
 // substrate that stands in for the paper's V100/1080Ti/TitanX testbeds.
-// Workers execute stage forward/backward passes whose durations come from
-// a layer profile; activations and gradients queue for one link per edge
-// of the plan's stage graph; replicated stages pay ring-all_reduce
-// weight synchronization. Scheduling policies reproduce PipeDream's 1F1B
-// (-RR), GPipe's microbatch-flush pipeline, and traditional model
-// parallelism, so every timeline and throughput figure in the paper can be
+// Workers run the plan's schedule.EventGraph: stage forward/backward
+// passes whose durations come from a layer profile; activations and
+// gradients queue for one link per edge of the plan's stage graph;
+// replicated stages pay ring-all_reduce weight synchronization. The
+// policies reproduce PipeDream's 1F1B(-RR) — traditional model
+// parallelism is its depth-1 table — and GPipe's microbatch-flush
+// pipeline, so every timeline and throughput figure in the paper can be
 // regenerated from the same machinery.
 package cluster
 
 import (
-	"container/heap"
 	"fmt"
 	"slices"
 
@@ -76,44 +76,46 @@ type Result struct {
 	CompletionTimes []float64
 }
 
-// event kinds.
-const (
-	evWorkerFree = iota // worker finished its current op
-	evActArrive         // activations for a minibatch arrived at a worker
-	evGradArrive        // gradients for a minibatch arrived at a worker
-	evSend              // a transfer from worker src is ready for its link
-)
-
+// event is one arc reaching its node at time; an arc that crosses a link
+// first becomes ready for it (link ≥ 0) and queues there.
 type event struct {
-	time              float64
-	seq               int // tiebreaker for determinism
-	kind              int
-	w                 int // worker (for evSend, the receiver)
-	mb                int // minibatch
-	src, link, arrive int // evSend: the sender, its sim.links index, the arrival kind
+	time float64
+	seq  int // tiebreaker for determinism
+	from int // the arc's source node
+	to   int // its target node
+	link int // the link to queue for, or -1 once the arc has arrived
 }
 
+func (e event) before(f event) bool { return e.time < f.time || e.time == f.time && e.seq < f.seq }
+
+// eventHeap is a binary min-heap of events in (time, seq) order.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	for i := len(*h) - 1; i > 0 && (*h)[i].before((*h)[(i-1)/2]); i = (i - 1) / 2 {
+		(*h)[i], (*h)[(i-1)/2] = (*h)[(i-1)/2], (*h)[i]
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
-// stageInfo caches per-stage quantities derived from the profile and
-// the plan's stage graph.
+func (h *eventHeap) pop() event {
+	old := *h
+	e, n := old[0], len(old)-1
+	old[0], *h = old[n], old[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c+1 < n && old[c+1].before(old[c]) {
+			c++
+		}
+		if c >= n || !old[c].before(old[i]) {
+			return e
+		}
+		old[i], old[c] = old[c], old[i]
+		i = c
+	}
+}
+
+// stageInfo caches per-stage quantities derived from the profile.
 type stageInfo struct {
 	spec         partition.StageSpec
 	fwdTime      float64
@@ -122,66 +124,49 @@ type stageInfo struct {
 	syncTime     float64
 	syncBytes    int64
 	bwdParamTime float64 // the part of bwdTime after the upstream gradient left
-	// in/out index sim.links: the stage's dataflow edges in the plan's
-	// graph (for a linear plan: from stage-1 and to stage+1).
-	in, out []int
 }
 
 // link is one edge of the plan's stage graph, carrying both directions to
 // and from every replica of either stage: the link partition's edgeTime
 // prices at 2·P2PTime per minibatch. It serves transfers in ready order,
-// each holding it for time. The ring all_reduce keeps nicFree instead:
+// each holding it for time. The ring all_reduce is a sync arc instead:
 // the planner prices sync and edges apart, and ring peers are replicas of
 // one stage, edge peers workers of adjacent stages, so the runtime never
 // puts both on one TCP connection either.
 type link struct {
-	from, to int     // stages
-	time     float64 // P2PTime of from's output activation: one transfer's hold
-	free     float64 // when the link has sent every transfer it accepted
+	from int     // stage
+	time float64 // P2PTime of from's output activation: one transfer's hold
+	free float64 // when the link has sent every transfer it accepted
 }
 
-type workerState struct {
-	ref  schedule.WorkerRef
-	busy bool
-	// table is the worker's static schedule (schedule.Table) and next
-	// the index of the op it runs next: the simulator prices the ops, it
-	// does not order them.
-	table []schedule.TableOp
-	next  int
-	// fwdArr/bwdArr count per-minibatch arrivals: a forward is runnable
-	// once activations from every predecessor landed, a backward once
-	// gradients from every successor did (a sink's own loss gradient
-	// counts as its one arrival).
-	fwdArr map[int]int
-	bwdArr map[int]int
-	// stash is the number of in-flight minibatches with stashed state.
-	stash     int
-	peakStash int
-	// nicFree is when the worker's outstanding weight sync completes
-	// (wait-free backprop: the next backward waits on it, nothing else).
-	nicFree float64
-}
-
+// sim runs the plan's schedule.EventGraph: an op starts once every arc
+// into it has arrived, and no sooner than its sync arcs allow. An arc
+// arrives when its source ends (order, loss), when its transfer leaves
+// the link (activation, gradient: the gradient is sent as the backward's
+// input half ends) or when the flush's longest all_reduce after it ends;
+// a sync arc holds the next backward until the replica's all_reduce ends
+// (wait-free backprop: nothing else waits for it).
 type sim struct {
-	cfg    Config
-	assign *schedule.Assignment
-	stages []stageInfo
-	ws     []workerState
-	links  []link
-	h      eventHeap
-	seq    int
-	now    float64
+	cfg     Config
+	assign  *schedule.Assignment
+	graph   *schedule.EventGraph
+	stages  []stageInfo
+	links   []link
+	pending []int     // per node: arcs into it that have not arrived
+	floor   []float64 // per node: when its sync arcs let it start
+	flush   float64   // GPipe: the longest stage all_reduce
+	h       eventHeap
+	seq     int
+	now     float64
+	end     float64 // when the last op (or GPipe flush) ended
 
-	depth      int
 	complTimes []float64
 	timeline   *schedule.Timeline
+	// stash is each worker's in-flight minibatches with stashed state.
+	stash, peakStash []int
 
 	p2pBytes, syncBytes int64
 	transfers           []schedule.Op
-
-	// GPipe round state.
-	round        int
-	roundPending int
 }
 
 // Simulate runs the configured policy to completion and returns metrics.
@@ -203,8 +188,11 @@ func Simulate(cfg Config) (*Result, error) {
 func (s *sim) init() error {
 	cfg := s.cfg
 	prof := cfg.Profile
-	graph := cfg.Plan.Graph
-	if err := graph.Validate(len(cfg.Plan.Stages)); err != nil {
+	if err := cfg.Plan.Graph.Validate(len(cfg.Plan.Stages)); err != nil {
+		return err
+	}
+	g, err := schedule.Graph(s.assign, cfg.Policy, 0, cfg.Minibatches)
+	if err != nil {
 		return err
 	}
 	for _, spec := range cfg.Plan.Stages {
@@ -227,107 +215,72 @@ func (s *sim) init() error {
 			info.syncTime = cfg.Topo.AllReduceTime(wB, spec.Replicas)
 			info.syncBytes = int64(topology.RingBytes(wB, spec.Replicas) * float64(spec.Replicas))
 		}
+		s.flush = max(s.flush, info.syncTime)
 		s.stages = append(s.stages, info)
 	}
-	for i, e := range graph.Edges {
+	for _, e := range cfg.Plan.Graph.Edges {
 		span := cfg.Plan.Stages[e.From].Replicas + cfg.Plan.Stages[e.To].Replicas
-		s.links = append(s.links, link{from: e.From, to: e.To, time: cfg.Topo.P2PTime(s.stages[e.From].actOutB, span)})
-		s.stages[e.From].out = append(s.stages[e.From].out, i)
-		s.stages[e.To].in = append(s.stages[e.To].in, i)
+		s.links = append(s.links, link{from: e.From, time: cfg.Topo.P2PTime(s.stages[e.From].actOutB, span)})
 	}
-	if cfg.Plan.Depth < 1 {
-		return fmt.Errorf("cluster: plan has depth %d (build it with partition.NewPlan)", cfg.Plan.Depth)
+	s.graph = g
+	s.pending, s.floor = make([]int, len(g.Nodes)), make([]float64, len(g.Nodes))
+	for _, n := range g.Nodes {
+		for _, a := range n.Out {
+			if a.Class != schedule.SyncArc {
+				s.pending[a.To]++
+			}
+		}
 	}
-	s.depth = cfg.Plan.Depth
-	if cfg.Policy == schedule.ModelParallelSingle {
-		s.depth = 1
-	}
-	table := schedule.Table(s.assign, cfg.Policy, 0, cfg.Minibatches)
-	s.ws = make([]workerState, s.assign.NumWorkers())
-	for w := range s.ws {
-		s.ws[w] = workerState{ref: s.assign.Workers[w], table: table[w],
-			fwdArr: make(map[int]int), bwdArr: make(map[int]int)}
-	}
+	workers := s.assign.NumWorkers()
+	s.stash, s.peakStash = make([]int, workers), make([]int, workers)
 	if cfg.RecordTimeline {
-		s.timeline = &schedule.Timeline{Workers: s.assign.NumWorkers()}
+		s.timeline = &schedule.Timeline{Workers: workers}
 	}
 	s.complTimes = make([]float64, cfg.Minibatches)
-	// Kick off: wake every input-stage worker.
-	for _, w := range s.assign.StageWorkers[0] {
-		s.post(0, evWorkerFree, w, -1)
+	// Kick off: the input workers' first forwards wait for nothing.
+	for v, p := range s.pending {
+		if p == 0 {
+			s.start(v)
+		}
 	}
 	return nil
 }
 
-func (s *sim) post(t float64, kind, w, mb int) {
+// post schedules arc a of node from to reach its target at t, or, if it
+// crosses a link, to queue for it at t.
+func (s *sim) post(t float64, from int, a schedule.Arc) {
+	link := -1
+	if a.Class == schedule.ActivationArc || a.Class == schedule.GradientArc {
+		link = a.Edge
+		s.p2pBytes += s.stages[s.links[link].from].actOutB
+	}
 	s.seq++
-	heap.Push(&s.h, event{time: t, seq: s.seq, kind: kind, w: w, mb: mb})
-}
-
-// send posts a transfer over link l from worker src to worker dst, ready
-// at t: it queues for the link when that event is handled.
-func (s *sim) send(t float64, l, src, dst, mb, arrive int) {
-	s.p2pBytes += s.stages[s.links[l].from].actOutB
-	s.seq++
-	heap.Push(&s.h, event{time: t, seq: s.seq, kind: evSend, w: dst, mb: mb, src: src, link: l, arrive: arrive})
+	s.h.push(event{time: t, seq: s.seq, from: from, to: a.To, link: link})
 }
 
 func (s *sim) run() {
-	for s.h.Len() > 0 {
-		e := heap.Pop(&s.h).(event)
+	for len(s.h) > 0 {
+		e := s.h.pop()
 		s.now = e.time
-		switch e.kind {
-		case evActArrive:
-			s.ws[e.w].fwdArr[e.mb]++
-		case evGradArrive:
-			s.ws[e.w].bwdArr[e.mb]++
-		case evWorkerFree:
-			s.ws[e.w].busy = false
-		case evSend:
+		if e.link >= 0 {
 			l := &s.links[e.link]
 			start := max(s.now, l.free)
 			l.free = start + l.time
 			if s.timeline != nil {
-				s.transfers = append(s.transfers, schedule.Op{Worker: e.src, Stage: s.ws[e.src].ref.Stage,
-					Minibatch: e.mb, Kind: schedule.TransferOp, Start: start, End: l.free})
+				n := s.graph.Nodes[e.from]
+				s.transfers = append(s.transfers, schedule.Op{Worker: n.Worker, Stage: n.Stage,
+					Minibatch: n.Minibatch, Kind: schedule.TransferOp, Start: start, End: l.free})
 			}
-			s.post(l.free, e.arrive, e.w, e.mb)
+			e.link = -1
+			s.seq++
+			e.time, e.seq = l.free, s.seq
+			s.h.push(e)
 			continue
 		}
-		s.dispatch(e.w)
-	}
-}
-
-// dispatch starts worker w's next table op if the worker is free and the
-// op's inputs have arrived.
-func (s *sim) dispatch(w int) {
-	st := &s.ws[w]
-	if st.busy || st.next == len(st.table) {
-		return
-	}
-	op := st.table[st.next]
-	info := &s.stages[st.ref.Stage]
-	if op.Kind == schedule.Forward {
-		if st.ref.Stage == 0 {
-			// The input stage reads its own data; a GPipe round opens only
-			// after the previous round's flush.
-			if s.cfg.Policy == schedule.GPipe && op.Minibatch >= (s.round+1)*s.depth {
-				return
-			}
-		} else if st.fwdArr[op.Minibatch] < len(info.in) {
-			return
+		if s.pending[e.to]--; s.pending[e.to] == 0 {
+			s.start(e.to)
 		}
-		delete(st.fwdArr, op.Minibatch)
-		st.next++
-		s.startForward(w, op.Minibatch)
-		return
 	}
-	if st.bwdArr[op.Minibatch] < max(1, len(info.out)) {
-		return
-	}
-	delete(st.bwdArr, op.Minibatch)
-	st.next++
-	s.startBackward(w, op.Minibatch)
 }
 
 // speedOf returns worker w's compute-time multiplier.
@@ -338,128 +291,53 @@ func (s *sim) speedOf(w int) float64 {
 	return 1
 }
 
-func (s *sim) startForward(w, mb int) {
-	st := &s.ws[w]
-	info := &s.stages[st.ref.Stage]
-	st.busy = true
-	end := s.now + info.fwdTime*s.speedOf(w)
-	s.record(w, st.ref.Stage, mb, schedule.Forward, s.now, end)
-	st.stash++
-	if st.stash > st.peakStash {
-		st.peakStash = st.stash
-	}
-	s.onForwardDone(w, mb, end)
-	s.post(end, evWorkerFree, w, -1)
-}
-
-func (s *sim) onForwardDone(w, mb int, end float64) {
-	out := s.stages[s.ws[w].ref.Stage].out
-	if len(out) == 0 {
-		// Sink stage: the loss gradient is available locally as soon as
-		// the forward ends (no transfer).
-		s.post(end, evGradArrive, w, mb)
-		return
-	}
-	// Route to every successor's round-robin replica; transfers overlap
-	// with the sender's subsequent compute (asynchronous sends).
-	for _, l := range out {
-		s.send(end, l, w, s.replicaOf(s.links[l].to, mb), mb, evActArrive)
-	}
-}
-
-// replicaOf returns the worker of stage that handles minibatch mb.
-func (s *sim) replicaOf(stage, mb int) int {
-	workers := s.assign.StageWorkers[stage]
-	return workers[schedule.ReplicaFor(mb, len(workers))]
-}
-
-func (s *sim) startBackward(w, mb int) {
-	st := &s.ws[w]
-	info := &s.stages[st.ref.Stage]
-	st.busy = true
-	start := s.now
-	syncing := info.spec.Replicas > 1 && s.cfg.Policy != schedule.GPipe && info.syncTime > 0
-	if syncing && st.nicFree > start {
-		// Wait-free backprop: the previous minibatch's all_reduce must
-		// finish before this backward's gradients can be produced into
-		// the same buffers.
-		start = st.nicFree
-	}
-	bwd := info.bwdTime
-	if s.cfg.Recompute {
-		bwd += info.fwdTime // re-run the forward to rebuild activations
-	}
-	end := start + bwd*s.speedOf(w)
-	s.record(w, st.ref.Stage, mb, schedule.Backward, start, end)
-	if st.stash > 0 {
-		st.stash--
-	}
-	// Per-minibatch weight sync for replicated stages under 1F1B (GPipe
-	// aggregates gradients and syncs once per flush, handled at round
-	// boundaries).
-	if syncing {
-		syncEnd := end + info.syncTime
-		s.record(w, st.ref.Stage, mb, schedule.SyncOp, end, syncEnd)
-		s.syncBytes += info.syncBytes / int64(info.spec.Replicas)
-		st.nicFree = syncEnd // only the next backward waits
-	}
-	s.onBackwardDone(w, mb, end)
-	s.post(end, evWorkerFree, w, -1)
-}
-
-func (s *sim) onBackwardDone(w, mb int, end float64) {
-	stage := s.ws[w].ref.Stage
-	if stage > 0 {
-		// Return a gradient along every in-edge; each carries the size of
-		// that predecessor's output activation (for a linear plan this is
-		// exactly the stage's input activation), before the parameter
-		// halves run; the worker stays busy until end.
-		sent := end - s.stages[stage].bwdParamTime*s.speedOf(w)
-		for _, l := range s.stages[stage].in {
-			s.send(sent, l, w, s.replicaOf(s.links[l].from, mb), mb, evGradArrive)
-		}
-		return
-	}
-	// Input stage: minibatch complete.
-	s.complTimes[mb] = end
-	if s.cfg.Policy == schedule.GPipe {
-		s.roundPending++
-		if s.roundPending == s.roundSize() {
-			s.flushRound(end)
+// start runs node v from now (or its sync floor) and posts its out-arcs.
+func (s *sim) start(v int) {
+	n := &s.graph.Nodes[v]
+	info := &s.stages[n.Stage]
+	speed := s.speedOf(n.Worker)
+	start, t := max(s.now, s.floor[v]), info.fwdTime
+	if n.Kind == schedule.Backward {
+		t = info.bwdTime
+		if s.cfg.Recompute {
+			t += info.fwdTime // re-run the forward to rebuild activations
 		}
 	}
-}
-
-func (s *sim) roundSize() int {
-	remaining := s.cfg.Minibatches - s.round*s.depth
-	if remaining > s.depth {
-		return s.depth
-	}
-	return remaining
-}
-
-// flushRound applies GPipe's end-of-round weight sync and opens the next
-// round.
-func (s *sim) flushRound(t float64) {
-	// Replicated stages all_reduce the aggregated gradients once per
-	// round; every worker of the stage stalls for the sync.
-	syncEnd := t
-	for si := range s.stages {
-		info := &s.stages[si]
-		if info.spec.Replicas > 1 && info.syncTime > 0 {
-			for _, w := range s.assign.StageWorkers[si] {
-				s.record(w, si, -1, schedule.SyncOp, t, t+info.syncTime)
-			}
-			s.syncBytes += info.syncBytes
-			if t+info.syncTime > syncEnd {
-				syncEnd = t + info.syncTime
+	end := start + t*speed
+	s.end = max(s.end, end)
+	s.record(n.Worker, n.Stage, n.Minibatch, n.Kind, start, end)
+	gpipe := s.cfg.Policy == schedule.GPipe
+	if n.Kind == schedule.Forward {
+		s.stash[n.Worker]++
+		s.peakStash[n.Worker] = max(s.peakStash[n.Worker], s.stash[n.Worker])
+	} else {
+		s.stash[n.Worker] = max(0, s.stash[n.Worker]-1)
+		if n.Stage == 0 {
+			s.complTimes[n.Minibatch] = end
+		}
+		// A replicated stage all_reduces after every backward under 1F1B;
+		// under GPipe after a worker's last backward of a round (the next
+		// op is a forward, or none), once per round.
+		if info.syncTime > 0 && (!gpipe || v+1 == len(s.graph.Nodes) || s.graph.Nodes[v+1].Worker != n.Worker ||
+			s.graph.Nodes[v+1].Kind == schedule.Forward) {
+			s.record(n.Worker, n.Stage, n.Minibatch, schedule.SyncOp, end, end+info.syncTime)
+			s.syncBytes += info.syncBytes / int64(info.spec.Replicas)
+			if gpipe {
+				s.end = max(s.end, end+info.syncTime)
 			}
 		}
 	}
-	s.round++
-	s.roundPending = 0
-	for _, w := range s.assign.StageWorkers[0] {
-		s.post(syncEnd, evWorkerFree, w, -1)
+	for _, a := range n.Out {
+		switch a.Class {
+		case schedule.ActivationArc, schedule.LossArc, schedule.OrderArc:
+			s.post(end, v, a)
+		case schedule.GradientArc:
+			s.post(end-info.bwdParamTime*speed, v, a)
+		case schedule.SyncArc:
+			s.floor[a.To] = end + info.syncTime
+		case schedule.FlushArc:
+			s.post(end+s.flush, v, a)
+		}
 	}
 }
 
@@ -473,7 +351,7 @@ func (s *sim) record(w, stage, mb int, kind schedule.OpKind, start, end float64)
 
 func (s *sim) result() *Result {
 	r := &Result{
-		TotalTime:       s.now,
+		TotalTime:       s.end,
 		CompletionTimes: s.complTimes,
 	}
 	// Steady-state throughput: completions after warm-up (2× pipeline
@@ -481,14 +359,14 @@ func (s *sim) result() *Result {
 	// minibatch: below a replicated plan's depth the input replicas'
 	// minibatches can drift apart, and one replica's alone misread the
 	// run's rate (up to 1.6× on random plans).
-	inputs := max(1, len(s.assign.StageWorkers[0]))
-	warm := min(2*s.depth*inputs, s.cfg.Minibatches/2)
+	inputs, depth := max(1, len(s.assign.StageWorkers[0])), s.cfg.Plan.Depth
+	warm := min(2*depth*inputs, s.cfg.Minibatches/2)
 	done := slices.Sorted(slices.Values(s.complTimes))
 	if s.cfg.Policy == schedule.GPipe {
 		// GPipe completions bunch at flush boundaries; measure whole
 		// rounds (round-aligned warm-up through the final flush) or the
 		// per-round rate is misread.
-		warm = ((warm + s.depth - 1) / s.depth) * s.depth
+		warm = ((warm + depth - 1) / depth) * depth
 		if warm >= s.cfg.Minibatches {
 			warm = 0
 		}
@@ -516,18 +394,18 @@ func (s *sim) result() *Result {
 			r.Throughput = float64(inputs*s.cfg.Profile.MinibatchSize) * variance / cov
 		}
 	}
-	if r.Throughput == 0 && s.now > 0 {
-		r.Throughput = float64(s.cfg.Minibatches) * float64(s.cfg.Profile.MinibatchSize) / s.now
+	if r.Throughput == 0 && s.end > 0 {
+		r.Throughput = float64(s.cfg.Minibatches) * float64(s.cfg.Profile.MinibatchSize) / s.end
 	}
-	r.PeakMemory = make([]int64, len(s.ws))
-	for w, st := range s.ws {
-		r.PeakMemory[w] = partition.WorkerMemory(s.cfg.Profile, s.stages[st.ref.Stage].spec, st.peakStash,
+	r.PeakMemory = make([]int64, len(s.peakStash))
+	for w, peak := range s.peakStash {
+		r.PeakMemory[w] = partition.WorkerMemory(s.cfg.Profile, s.stages[s.assign.Workers[w].Stage].spec, peak,
 			s.cfg.Policy == schedule.GPipe, s.cfg.Recompute)
 	}
 	r.P2PBytes = s.p2pBytes
 	r.SyncBytes = s.syncBytes
 	if s.timeline != nil {
-		s.timeline.Horizon = s.now
+		s.timeline.Horizon = s.end
 		r.Timeline = s.timeline
 		r.Transfers = s.transfers
 		// Utilization counts from the moment `warm` minibatches are done —

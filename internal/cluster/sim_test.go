@@ -50,6 +50,19 @@ func straightPlan(t *testing.T, prof *profile.ModelProfile, topo *topology.Topol
 	return plan
 }
 
+// validate fails t unless the simulated timeline res passes
+// schedule.Validate against plan's event graph over [0, mbs).
+func validate(t *testing.T, res *Result, plan *partition.Plan, policy schedule.Policy, mbs int) {
+	t.Helper()
+	g, err := schedule.Graph(schedule.Assign(plan), policy, 0, mbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := schedule.Validate(res.Timeline, g); err != nil {
+		t.Fatalf("the simulated timeline breaks its schedule: %v", err)
+	}
+}
+
 func TestSimulateBalancedPipelineThroughput(t *testing.T) {
 	// 4 equal stages, fwd=1, bwd=2, no comm: steady state processes one
 	// minibatch per (fwd+bwd)=3 time units.
@@ -79,12 +92,7 @@ func TestSimulate1F1BInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := schedule.Assign(plan)
-	warm := res.CompletionTimes[2*plan.Depth]
-	cool := res.CompletionTimes[len(res.CompletionTimes)-2*plan.Depth]
-	if err := schedule.Validate1F1B(res.Timeline, a, warm, cool); err != nil {
-		t.Fatalf("1F1B invariant violated: %v", err)
-	}
+	validate(t, res, plan, schedule.PipeDream1F1B, 40)
 }
 
 // A stage's upstream gradient leaves BwdParamTime before its backward
@@ -100,8 +108,8 @@ func TestSimulateGradientLeavesBeforeParameterHalves(t *testing.T) {
 		}
 		topo := fastTopo(2)
 		res, err := Simulate(Config{
-			Profile: prof, Topo: topo, Plan: straightPlan(t, prof, topo, 2),
-			Policy: schedule.ModelParallelSingle, Minibatches: 20, RecordTimeline: true,
+			Profile: prof, Topo: topo, Plan: straightPlan(t, prof, topo, 2).AtDepth(1),
+			Policy: schedule.PipeDream1F1B, Minibatches: 20, RecordTimeline: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -123,8 +131,8 @@ func TestSimulateModelParallelLowUtilization(t *testing.T) {
 	topo := fastTopo(4)
 	plan := straightPlan(t, prof, topo, 4)
 	res, err := Simulate(Config{
-		Profile: prof, Topo: topo, Plan: plan,
-		Policy: schedule.ModelParallelSingle, Minibatches: 30, RecordTimeline: true,
+		Profile: prof, Topo: topo, Plan: plan.AtDepth(1),
+		Policy: schedule.PipeDream1F1B, Minibatches: 30, RecordTimeline: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +151,7 @@ func TestSimulatePipeDreamBeatsGPipeBeatsModelParallel(t *testing.T) {
 	prof := uniformProfile(8, 1, 2, 4, 4)
 	topo := fastTopo(4)
 	plan := straightPlan(t, prof, topo, 4)
-	run := func(policy schedule.Policy) float64 {
+	run := func(policy schedule.Policy, plan *partition.Plan) float64 {
 		res, err := Simulate(Config{
 			Profile: prof, Topo: topo, Plan: plan,
 			Policy: policy, Minibatches: 60,
@@ -153,9 +161,9 @@ func TestSimulatePipeDreamBeatsGPipeBeatsModelParallel(t *testing.T) {
 		}
 		return res.Throughput
 	}
-	pd := run(schedule.PipeDream1F1B)
-	gp := run(schedule.GPipe)
-	mp := run(schedule.ModelParallelSingle)
+	pd := run(schedule.PipeDream1F1B, plan)
+	gp := run(schedule.GPipe, plan)
+	mp := run(schedule.PipeDream1F1B, plan.AtDepth(1))
 	if !(pd > gp && gp > mp) {
 		t.Fatalf("ordering violated: 1F1B %v, GPipe %v, MP %v", pd, gp, mp)
 	}
@@ -181,6 +189,47 @@ func TestSimulateGPipeFlushCost(t *testing.T) {
 	want := 4.0 / 14.0
 	if math.Abs(res.Throughput-want) > 0.03 {
 		t.Fatalf("GPipe throughput = %v, want ~%v", res.Throughput, want)
+	}
+}
+
+// GPipe's flush is a barrier: no forward of round r+1 starts before
+// round r's all_reduce ends, and no worker runs two ops at once. Two
+// layers of 1 GB weights on a 1 GB/s link sync for about a second, on the
+// replicated stage of a 1-2 and of a 2-1 plan.
+func TestGPipeRoundWaitsForItsFlush(t *testing.T) {
+	prof := uniformProfile(2, 1, 2, 4, 1<<30)
+	topo := topology.Flat(3, 1e9, topology.V100)
+	for _, replicas := range [][2]int{{1, 2}, {2, 1}} {
+		plan, err := partition.NewPlan(prof, topo, partition.PlanOptions{Stages: []partition.StageSpec{
+			{FirstLayer: 0, LastLayer: 0, Replicas: replicas[0]},
+			{FirstLayer: 1, LastLayer: 1, Replicas: replicas[1]},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan = plan.AtDepth(4)
+		const mbs = 16
+		res, err := Simulate(Config{Profile: prof, Topo: topo, Plan: plan,
+			Policy: schedule.GPipe, Minibatches: mbs, RecordTimeline: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		validate(t, res, plan, schedule.GPipe, mbs)
+		flushEnd := make([]float64, mbs/4) // per round, when its last all_reduce ends
+		for _, op := range res.Timeline.Ops {
+			if op.Kind == schedule.SyncOp {
+				flushEnd[op.Minibatch/4] = max(flushEnd[op.Minibatch/4], op.End)
+			}
+		}
+		for _, op := range res.Timeline.Ops {
+			if round := op.Minibatch / 4; op.Kind == schedule.Forward && round > 0 && op.Start < flushEnd[round-1] {
+				t.Errorf("%s: F%d starts at %.4g, before round %d's flush ends at %.4g",
+					plan.ConfigString(), op.Minibatch, op.Start, round-1, flushEnd[round-1])
+			}
+		}
+		if flushEnd[0] == 0 {
+			t.Errorf("%s: no all_reduce after round 0", plan.ConfigString())
+		}
 	}
 }
 
@@ -212,10 +261,7 @@ func TestSimulateReplicatedStageRoundRobin(t *testing.T) {
 			t.Fatalf("mb %d %v ran on worker %d, want %d", op.Minibatch, op.Kind, op.Worker, want)
 		}
 	}
-	a := schedule.Assign(plan)
-	if err := schedule.Validate1F1B(res.Timeline, a, res.CompletionTimes[8], res.CompletionTimes[14]); err != nil {
-		t.Fatalf("1F1B-RR invariant violated: %v", err)
-	}
+	validate(t, res, plan, schedule.PipeDream1F1B, 20)
 }
 
 func TestSimulateCommunicationDelaysThroughput(t *testing.T) {
@@ -340,7 +386,11 @@ func TestSimulateWorkConservation(t *testing.T) {
 			t.Fatalf("evaluate: %v", err)
 		}
 		mbs := 10 + rng.Intn(30)
-		policy := []schedule.Policy{schedule.PipeDream1F1B, schedule.GPipe, schedule.ModelParallelSingle}[rng.Intn(3)]
+		k := rng.Intn(3)
+		policy := []schedule.Policy{schedule.PipeDream1F1B, schedule.GPipe, schedule.PipeDream1F1B}[k]
+		if k == 2 { // model parallelism
+			plan = plan.AtDepth(1)
+		}
 		res, err := Simulate(Config{
 			Profile: prof, Topo: topo, Plan: plan,
 			Policy: policy, Minibatches: mbs,

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"pipedream/internal/partition"
 	"pipedream/internal/schedule"
 )
@@ -22,15 +20,15 @@ type CycleOp struct {
 // Depth — the last warm-up forward and the backward that follows it, the
 // pair every later pair of table entries repeats one round further on.
 func StaticSchedule(plan *partition.Plan) ([][]CycleOp, error) {
-	if plan.Depth < 1 {
-		return nil, fmt.Errorf("cluster: plan has depth %d (build it with partition.NewPlan)", plan.Depth)
-	}
 	a := schedule.Assign(plan)
 	// Long enough for every worker to leave its warm-up: no warm-up
 	// exceeds the larger of the depth and the worker count, no replica
 	// count exceeds the worker count.
 	n := (max(plan.Depth, plan.Workers) + 1) * plan.Workers
-	table := schedule.Table(a, schedule.PipeDream1F1B, 0, n)
+	table, err := schedule.Table(a, schedule.PipeDream1F1B, 0, n)
+	if err != nil {
+		return nil, err
+	}
 	out := make([][]CycleOp, len(table))
 	for w, ops := range table {
 		b := 0

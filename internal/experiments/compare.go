@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"pipedream/internal/cluster"
@@ -360,17 +361,24 @@ func expOpt(quick bool) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t0 := time.Now()
-			if _, err := partition.NewPlan(prof, topo, partition.PlanOptions{}); err != nil {
-				return nil, err
+			// The median of a few calls: one call in a process that has
+			// run every other experiment reads several times its usual.
+			var runs []time.Duration
+			for range 5 {
+				t0 := time.Now()
+				if _, err := partition.NewPlan(prof, topo, partition.PlanOptions{}); err != nil {
+					return nil, err
+				}
+				runs = append(runs, time.Since(t0))
 			}
-			el := time.Since(t0)
+			slices.Sort(runs)
+			el := runs[len(runs)/2]
 			t.AddRow(m, topo.Name, fmt.Sprintf("%d", prof.NumLayers()), el.String())
 			if el > 8*time.Second {
 				return nil, fmt.Errorf("optimizer took %v for %s on %s — exceeds the paper's 8 s", el, m, topo.Name)
 			}
 		}
 	}
-	t.AddNote("all runtimes far below the paper's 8-second bound")
+	t.AddNote("runtime: the median of 5 NewPlan calls; all far below the paper's 8-second bound")
 	return []*Table{t}, nil
 }

@@ -31,7 +31,9 @@ func timelineProfile(layers int) *profile.ModelProfile {
 	return p
 }
 
-func timelineRun(policy schedule.Policy, minibatches int) (*cluster.Result, *partition.Plan, error) {
+// timelineRun simulates the four-stage timeline plan under policy, at
+// depth (0: the plan's own).
+func timelineRun(policy schedule.Policy, minibatches, depth int) (*cluster.Result, *partition.Plan, error) {
 	prof := timelineProfile(4)
 	topo := topology.Flat(4, 1e15, topology.V100)
 	var specs []partition.StageSpec
@@ -42,6 +44,9 @@ func timelineRun(policy schedule.Policy, minibatches int) (*cluster.Result, *par
 	if err != nil {
 		return nil, nil, err
 	}
+	if depth > 0 {
+		plan = plan.AtDepth(depth)
+	}
 	res, err := cluster.Simulate(cluster.Config{
 		Profile: prof, Topo: topo, Plan: plan, Policy: policy,
 		Minibatches: minibatches, RecordTimeline: true,
@@ -49,8 +54,8 @@ func timelineRun(policy schedule.Policy, minibatches int) (*cluster.Result, *par
 	return res, plan, err
 }
 
-func timelineTable(id, title string, policy schedule.Policy, paperNote string) ([]*Table, error) {
-	res, plan, err := timelineRun(policy, 10)
+func timelineTable(id, title string, depth int, paperNote string) ([]*Table, error) {
+	res, plan, err := timelineRun(schedule.PipeDream1F1B, 10, depth)
 	if err != nil {
 		return nil, err
 	}
@@ -68,13 +73,12 @@ func timelineTable(id, title string, policy schedule.Policy, paperNote string) (
 }
 
 func fig2(quick bool) ([]*Table, error) {
-	return timelineTable("fig2", "Model parallelism: one minibatch in flight",
-		schedule.ModelParallelSingle,
+	return timelineTable("fig2", "Model parallelism: one minibatch in flight", 1,
 		"only one worker active at a time; utilization ~1/4 of PipeDream's")
 }
 
 func fig3(quick bool) ([]*Table, error) {
-	res, plan, err := timelineRun(schedule.GPipe, 12)
+	res, plan, err := timelineRun(schedule.GPipe, 12, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +96,7 @@ func fig3(quick bool) ([]*Table, error) {
 }
 
 func fig4(quick bool) ([]*Table, error) {
-	res, plan, err := timelineRun(schedule.PipeDream1F1B, 10)
+	res, plan, err := timelineRun(schedule.PipeDream1F1B, 10, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -106,10 +110,11 @@ func fig4(quick bool) ([]*Table, error) {
 		t.AddNote("%s", line)
 	}
 	// Verify the 1F1B invariants on the rendered timeline.
-	a := schedule.Assign(plan)
-	warm := res.CompletionTimes[min(2*plan.Depth, len(res.CompletionTimes)-1)]
-	cool := res.CompletionTimes[max(0, len(res.CompletionTimes)-2*plan.Depth)]
-	if err := schedule.Validate1F1B(res.Timeline, a, warm, cool); err != nil {
+	g, err := schedule.Graph(schedule.Assign(plan), schedule.PipeDream1F1B, 0, len(res.CompletionTimes))
+	if err != nil {
+		return nil, err
+	}
+	if err := schedule.Validate(res.Timeline, g); err != nil {
 		return nil, fmt.Errorf("1F1B invariants: %w", err)
 	}
 	t.AddNote("1F1B invariants validated: ordering, routing, alternation, NOAM bound")

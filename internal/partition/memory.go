@@ -60,6 +60,14 @@ func (p *Plan) fit(window []int) []int {
 	return window
 }
 
+// WarmUp is the one warm-up rule: the forwards a replica of a stage with
+// the given window and replica count runs before its first backward, when
+// its first minibatch is the window's first-th (first < replicas) — its
+// minibatches inside the window, and at least one.
+func WarmUp(window, replicas, first int) int {
+	return max(1, (window-first+replicas-1)/replicas)
+}
+
 // cover is the bottom-up window pass: each stage's least multiple of its
 // replicas that holds a successor's window plus the rest of its round and
 // spans, in periods, each cycle F_s→…→F_r→B_r→…→B_s→F_s through it: its

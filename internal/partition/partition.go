@@ -105,7 +105,7 @@ func (p *Plan) price() {
 	for m := range lcm {
 		for s, st := range p.Stages {
 			c, r := p.costs[s], st.Replicas
-			k := max(1, (window[s]-m%r+r-1)/r) * r
+			k := WarmUp(window[s], r, m%r) * r
 			add(s, 1, m, s, 0, k, c.bwd)
 			add(s, 0, m, s, 1, r-k, c.fwd)
 			add(s, 1, m, s, 1, r, c.bwd+c.sync)

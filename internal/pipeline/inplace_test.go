@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pipedream/internal/data"
+	"pipedream/internal/metrics"
 	"pipedream/internal/nn"
 	"pipedream/internal/partition"
 	"pipedream/internal/tensor"
@@ -35,7 +36,7 @@ func commPlan(t *testing.T) *partition.Plan {
 // activation and the gradient they were delivered, trains at depth 1 bit
 // for bit as one worker running the whole model does — losses and final
 // weights — over in-process channels and loopback TCP, with and without
-// recomputation.
+// recomputation; and its op log passes schedule.Validate.
 func TestCommChainTrainsBitEqualInPlace(t *testing.T) {
 	const mbs = 12
 	ds := data.NewSequenceCopy(3, 4, 8, 4, mbs)
@@ -56,6 +57,7 @@ func TestCommChainTrainsBitEqualInPlace(t *testing.T) {
 		for _, recompute := range []bool{false, true} {
 			opts := baseOptions(commChain, commPlan(t))
 			opts.Recompute = recompute
+			opts.OpLog = metrics.NewOpLog(0)
 			if tcp {
 				tr, err := transport.NewTCP(4, 64)
 				if err != nil {
@@ -80,6 +82,7 @@ func TestCommChainTrainsBitEqualInPlace(t *testing.T) {
 			if !sameBits(bitsOf(p.CollectModel().Params()), wantWeights) {
 				t.Fatalf("tcp=%v recompute=%v: final weights differ from one worker's", tcp, recompute)
 			}
+			validateOpLog(t, opts.OpLog, opts.Plan, mbs)
 			p.Close()
 		}
 	}

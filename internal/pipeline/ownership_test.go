@@ -14,6 +14,7 @@ import (
 	"unsafe"
 
 	"pipedream/internal/data"
+	"pipedream/internal/metrics"
 	"pipedream/internal/nn"
 	"pipedream/internal/partition"
 	"pipedream/internal/profile"
@@ -85,7 +86,8 @@ func (r *recorder) Inbox(w int) <-chan transport.Message {
 // chaos layer injects and the worker drops included, and frames of a kind
 // no training worker consumes. The check empties the
 // pool's size classes of everything put there during training and looks for
-// each array that crossed the transport.
+// each array that crossed the transport. Each run's op log passes
+// schedule.Validate, duplicated deliveries or not.
 func TestChannelsTensorsAreRecycled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -113,6 +115,7 @@ func TestChannelsTensorsAreRecycled(t *testing.T) {
 			opts := baseOptions(factory, plan)
 			opts.Plan = plan // its own depth
 			opts.Recompute = recompute
+			opts.OpLog = metrics.NewOpLog(0)
 			var tr transport.Transport = transport.NewChannels(plan.Workers, 64)
 			if c.dups {
 				tr = transport.NewChaos(tr, transport.ChaosConfig{Seed: 3, DupRate: 0.5})
@@ -137,6 +140,7 @@ func TestChannelsTensorsAreRecycled(t *testing.T) {
 			if _, err := p.Train(data.NewBlobs(23, 3, 4, 8, 12), 12); err != nil {
 				t.Fatal(err)
 			}
+			validateOpLog(t, opts.OpLog, plan, 12)
 			rec.Close()
 			rec.wg.Wait()
 			if len(rec.delivered) == 0 {

@@ -630,7 +630,10 @@ func (p *Pipeline) runChunk(ds data.Dataset, cs, ce, base int, losses []float64)
 			sw.ring.Reset()
 		}
 	}
-	table := schedule.Table(p.assign, schedule.PipeDream1F1B, cs, ce)
+	table, err := schedule.Table(p.assign, schedule.PipeDream1F1B, cs, ce)
+	if err != nil {
+		return err
+	}
 	ab := newRunAbort()
 	// Every sink stage reports one loss event per minibatch, and the
 	// channel is only drained after the workers join — size it for all of

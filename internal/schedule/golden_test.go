@@ -85,12 +85,11 @@ func goldenPlan(t *testing.T, cfg goldenConfig) (*profile.ModelProfile, *topolog
 //     NOAM = ceil(workers/input-replicas) — or at the one pinned, and
 //     startup must admit exactly that many minibatches per input
 //     replica before the first backward runs;
-//  3. the steady state must satisfy the full 1F1B invariant set
-//     (ordering, same-worker RR routing, strict alternation, depth
-//     in-flight bound);
-//  4. every worker's simulated (kind, minibatch) sequence must be its
-//     schedule.Table list — the simulator prices the table, it does
-//     not reorder it.
+//  3. the timeline must pass schedule.Validate against the run's event
+//     graph: every op once, on its routed worker, after its
+//     predecessors — so every worker runs its schedule.Table list in
+//     order (the simulator prices the table, it does not reorder it),
+//     alternating, within the depth.
 func TestGolden1F1BTimelines(t *testing.T) {
 	for _, cfg := range goldenConfigs() {
 		cfg := cfg
@@ -133,33 +132,12 @@ func TestGolden1F1BTimelines(t *testing.T) {
 				}
 			}
 
-			table := schedule.Table(a, schedule.PipeDream1F1B, 0, mbs)
-			for w, want := range table {
-				var got []schedule.Op
-				for _, op := range res.Timeline.WorkerOps(w) {
-					if op.Kind != schedule.SyncOp {
-						got = append(got, op)
-					}
-				}
-				if len(got) != len(want) {
-					t.Fatalf("worker %d simulated %d ops, its table has %d", w, len(got), len(want))
-				}
-				for i, op := range got {
-					if op.Kind != want[i].Kind || op.Minibatch != want[i].Minibatch {
-						t.Fatalf("worker %d op %d: simulated %v%d, table says %v%d", w, i,
-							op.Kind, op.Minibatch, want[i].Kind, want[i].Minibatch)
-					}
-				}
+			g, err := schedule.Graph(a, schedule.PipeDream1F1B, 0, mbs)
+			if err != nil {
+				t.Fatal(err)
 			}
-
-			// Full 1F1B invariants over the steady-state window: the fill
-			// and drain each span depth minibatches per input replica, so
-			// the window excludes 2·depth·replicas at both ends.
-			edge := 2 * depth * cfg.replicas[0]
-			warm := res.CompletionTimes[edge]
-			cool := res.CompletionTimes[len(res.CompletionTimes)-edge]
-			if err := schedule.Validate1F1B(res.Timeline, a, warm, cool); err != nil {
-				t.Errorf("1F1B invariant violated: %v", err)
+			if err := schedule.Validate(res.Timeline, g); err != nil {
+				t.Errorf("the simulated timeline breaks its schedule: %v", err)
 			}
 
 			got := res.Timeline.Render(1.0)

@@ -26,9 +26,6 @@ const (
 	// GPipe: admit m microbatches, run all forwards then all backwards,
 	// flush the pipeline, apply the update, repeat.
 	GPipe
-	// ModelParallelSingle: one minibatch in the system at a time
-	// (traditional model parallelism, Figure 2).
-	ModelParallelSingle
 )
 
 // String implements fmt.Stringer.
@@ -38,8 +35,6 @@ func (p Policy) String() string {
 		return "1F1B"
 	case GPipe:
 		return "GPipe"
-	case ModelParallelSingle:
-		return "ModelParallel"
 	}
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
@@ -230,119 +225,50 @@ func (t *Timeline) Render(step float64) string {
 	return b.String()
 }
 
-// Validate1F1B checks the core 1F1B invariants on a timeline:
-//  1. ordering: a minibatch's backward at a stage starts only after its
-//     forward at that stage ended;
-//  2. routing: forward and backward of a minibatch at a replicated stage
-//     run on the same worker (1F1B-RR);
-//  3. alternation: in steady state (between `warm` and `cool`, excluding
-//     the startup fill and the end-of-run drain) every worker's ops
-//     strictly alternate forward/backward;
-//  4. in-flight bound: never more than the plan's Depth minibatches
-//     active per input-stage replica.
-//
+// Validate checks a timeline, simulated or run, against the event graph
+// it was to execute: every forward and backward is a node of g, runs on
+// that node's worker, and runs exactly once; and no op starts before the
+// end of its order, loss, sync and flush predecessors, nor before the
+// start of its activation and gradient predecessors (a runtime op's end
+// includes its sends, which the receiver may overtake). Routing,
+// alternation and the in-flight bound follow from the table's order.
 // It returns an error describing the first violation.
-func Validate1F1B(t *Timeline, a *Assignment, warm, cool float64) error {
-	type key struct{ stage, mb int }
-	fwdEnd := map[key]float64{}
-	fwdWorker := map[key]int{}
-	for _, op := range t.Ops {
-		if op.Kind != Forward {
+func Validate(t *Timeline, g *EventGraph) error {
+	ran := make([]*Op, len(g.Nodes))
+	for i := range t.Ops {
+		op := &t.Ops[i]
+		if op.Kind == SyncOp {
 			continue
 		}
-		k := key{op.Stage, op.Minibatch}
-		fwdEnd[k] = op.End
-		fwdWorker[k] = op.Worker
+		mb := op.Minibatch - g.start
+		if op.Stage < 0 || op.Stage >= len(g.at) || op.Kind > Backward || mb < 0 || mb >= len(g.at[0][0]) {
+			return fmt.Errorf("%v%d at stage %d is not in the schedule", op.Kind, op.Minibatch, op.Stage)
+		}
+		v := g.at[op.Stage][op.Kind][mb]
+		if w := g.Nodes[v].Worker; op.Worker != w {
+			return fmt.Errorf("%v%d at stage %d runs on worker %d, routed to worker %d", op.Kind, op.Minibatch, op.Stage, op.Worker, w)
+		}
+		if ran[v] != nil {
+			return fmt.Errorf("%v%d at stage %d runs twice", op.Kind, op.Minibatch, op.Stage)
+		}
+		ran[v] = op
 	}
-	for _, op := range t.Ops {
-		if op.Kind != Backward {
-			continue
-		}
-		k := key{op.Stage, op.Minibatch}
-		fe, ok := fwdEnd[k]
-		if !ok {
-			return fmt.Errorf("backward of mb %d at stage %d without forward", op.Minibatch, op.Stage)
-		}
-		if op.Start < fe-1e-9 {
-			return fmt.Errorf("mb %d stage %d: backward starts %.4g before forward ends %.4g",
-				op.Minibatch, op.Stage, op.Start, fe)
-		}
-		if fwdWorker[k] != op.Worker {
-			return fmt.Errorf("mb %d stage %d: forward on worker %d, backward on worker %d",
-				op.Minibatch, op.Stage, fwdWorker[k], op.Worker)
+	for v, n := range g.Nodes {
+		if ran[v] == nil {
+			return fmt.Errorf("%v%d at stage %d never runs", n.Kind, n.Minibatch, n.Stage)
 		}
 	}
-	// Alternation in steady state.
-	for w := 0; w < t.Workers; w++ {
-		var last OpKind = -1
-		for _, op := range t.WorkerOps(w) {
-			if op.Kind == SyncOp || op.End <= warm || op.Start >= cool {
-				continue
+	for v, n := range g.Nodes {
+		for _, a := range n.Out {
+			from, to := ran[v], ran[a.To]
+			ready := from.End
+			if a.Class == ActivationArc || a.Class == GradientArc {
+				ready = from.Start
 			}
-			if last != -1 && op.Kind == last {
-				return fmt.Errorf("worker %d runs two consecutive %v ops after t=%.4g (mb %d at %.4g)",
-					w, op.Kind, warm, op.Minibatch, op.Start)
+			if to.Start < ready-1e-9 {
+				return fmt.Errorf("worker %d starts %v%d at %.4g, before its %v predecessor %v%d at stage %d allows (%.4g)",
+					to.Worker, to.Kind, to.Minibatch, to.Start, a.Class, from.Kind, from.Minibatch, from.Stage, ready)
 			}
-			last = op.Kind
-		}
-	}
-	// In-flight bound per input replica: count minibatches whose input-
-	// stage forward started but whose input-stage backward has not ended.
-	input := 0
-	type iv struct{ start, end float64 }
-	life := map[int]iv{} // minibatch -> [fwd start at stage0, bwd end at stage0]
-	for _, op := range t.Ops {
-		if op.Stage != input {
-			continue
-		}
-		v, ok := life[op.Minibatch]
-		if !ok {
-			v = iv{start: -1, end: -1}
-		}
-		if op.Kind == Forward {
-			v.start = op.Start
-		} else if op.Kind == Backward {
-			v.end = op.End
-		}
-		life[op.Minibatch] = v
-	}
-	replicas := len(a.StageWorkers[0])
-	var events []struct {
-		t     float64
-		delta int
-		rep   int
-	}
-	for mb, v := range life {
-		if v.start < 0 {
-			continue
-		}
-		end := v.end
-		if end < 0 {
-			end = t.Horizon
-		}
-		rep := ReplicaFor(mb, replicas)
-		events = append(events, struct {
-			t     float64
-			delta int
-			rep   int
-		}{v.start, 1, rep}, struct {
-			t     float64
-			delta int
-			rep   int
-		}{end, -1, rep})
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].t != events[j].t {
-			return events[i].t < events[j].t
-		}
-		return events[i].delta < events[j].delta // process ends before starts at ties
-	})
-	active := make([]int, replicas)
-	for _, e := range events {
-		active[e.rep] += e.delta
-		if active[e.rep] > a.Plan.Depth {
-			return fmt.Errorf("input replica %d has %d in-flight minibatches at t=%.4g, depth %d",
-				e.rep, active[e.rep], e.t, a.Plan.Depth)
 		}
 	}
 	return nil

@@ -149,35 +149,46 @@ func TestTimelineRender(t *testing.T) {
 	}
 }
 
-func TestValidate1F1BCatchesBadRouting(t *testing.T) {
-	plan := planWith(2, 1)
-	a := Assign(plan)
-	tl := &Timeline{Workers: 3, Horizon: 10}
-	tl.Ops = []Op{
-		{Worker: 0, Stage: 0, Minibatch: 0, Kind: Forward, Start: 0, End: 1},
-		{Worker: 1, Stage: 0, Minibatch: 0, Kind: Backward, Start: 2, End: 3}, // wrong replica!
+// graphOf is the 1F1B event graph of plan over minibatches [start, end).
+func graphOf(t *testing.T, plan *partition.Plan, start, end int) *EventGraph {
+	t.Helper()
+	g, err := Graph(Assign(plan), PipeDream1F1B, start, end)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := Validate1F1B(tl, a, 0, 10); err == nil {
-		t.Fatal("expected routing violation")
+	return g
+}
+
+// wantViolation fails t unless Validate rejects tl naming want.
+func wantViolation(t *testing.T, tl *Timeline, g *EventGraph, want string) {
+	t.Helper()
+	if err := Validate(tl, g); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Validate = %v, want an error naming %q", err, want)
 	}
 }
 
-func TestValidate1F1BCatchesBackwardBeforeForward(t *testing.T) {
-	plan := planWith(1)
-	a := Assign(plan)
+func TestValidateCatchesBadRouting(t *testing.T) {
+	tl := &Timeline{Workers: 3, Horizon: 10}
+	tl.Ops = []Op{
+		{Worker: 0, Stage: 0, Minibatch: 0, Kind: Forward, Start: 0, End: 1},
+		{Worker: 2, Stage: 1, Minibatch: 0, Kind: Forward, Start: 1, End: 2},
+		{Worker: 2, Stage: 1, Minibatch: 0, Kind: Backward, Start: 2, End: 4},
+		{Worker: 1, Stage: 0, Minibatch: 0, Kind: Backward, Start: 4, End: 6}, // wrong replica!
+	}
+	wantViolation(t, tl, graphOf(t, planWith(2, 1), 0, 1), "routed to worker 0")
+}
+
+func TestValidateCatchesBackwardBeforeForward(t *testing.T) {
 	tl := &Timeline{Workers: 1, Horizon: 10}
 	tl.Ops = []Op{
 		{Worker: 0, Stage: 0, Minibatch: 0, Kind: Forward, Start: 2, End: 3},
 		{Worker: 0, Stage: 0, Minibatch: 0, Kind: Backward, Start: 1, End: 2},
 	}
-	if err := Validate1F1B(tl, a, 0, 10); err == nil {
-		t.Fatal("expected ordering violation")
-	}
+	wantViolation(t, tl, graphOf(t, planWith(1), 0, 1), "loss predecessor F0")
 }
 
-func TestValidate1F1BCatchesOverAdmission(t *testing.T) {
+func TestValidateCatchesOverAdmission(t *testing.T) {
 	plan := planWith(1)
-	a := Assign(plan)
 	tl := &Timeline{Workers: 1, Horizon: 10}
 	// Two minibatches in flight at depth 1.
 	tl.Ops = []Op{
@@ -186,29 +197,22 @@ func TestValidate1F1BCatchesOverAdmission(t *testing.T) {
 		{Worker: 0, Stage: 0, Minibatch: 0, Kind: Backward, Start: 2, End: 3},
 		{Worker: 0, Stage: 0, Minibatch: 1, Kind: Backward, Start: 3, End: 4},
 	}
-	if err := Validate1F1B(tl, a, 0, 10); err == nil {
-		t.Fatal("expected depth violation")
-	}
-	plan.Depth = 2
-	if err := Validate1F1B(tl, a, 0, 0); err != nil {
+	wantViolation(t, tl, graphOf(t, plan.AtDepth(1), 0, 2), "order predecessor B0")
+	if err := Validate(tl, graphOf(t, plan.AtDepth(2), 0, 2)); err != nil {
 		t.Fatalf("depth 2 should pass: %v", err)
 	}
 }
 
-func TestValidate1F1BCatchesMissingForward(t *testing.T) {
-	plan := planWith(1)
-	a := Assign(plan)
+func TestValidateCatchesMissingForward(t *testing.T) {
 	tl := &Timeline{Workers: 1, Horizon: 10}
 	tl.Ops = []Op{
 		{Worker: 0, Stage: 0, Minibatch: 7, Kind: Backward, Start: 1, End: 2},
 	}
-	if err := Validate1F1B(tl, a, 0, 10); err == nil {
-		t.Fatal("expected missing-forward violation")
-	}
+	wantViolation(t, tl, graphOf(t, planWith(1), 7, 8), "F7 at stage 0 never runs")
 }
 
 func TestPolicyStrings(t *testing.T) {
-	if PipeDream1F1B.String() != "1F1B" || GPipe.String() != "GPipe" || ModelParallelSingle.String() != "ModelParallel" {
+	if PipeDream1F1B.String() != "1F1B" || GPipe.String() != "GPipe" {
 		t.Fatal("policy strings wrong")
 	}
 	if Forward.String() != "F" || Backward.String() != "B" || SyncOp.String() != "S" {

@@ -1,6 +1,10 @@
 package schedule
 
-import "fmt"
+import (
+	"fmt"
+
+	"pipedream/internal/partition"
+)
 
 // TableOp is one entry of a worker's static schedule: run the forward or
 // the backward pass of one minibatch.
@@ -13,34 +17,31 @@ type TableOp struct {
 // assignment, the ordered forward and backward passes it executes for
 // minibatches [start, end). It is the one place that decides op order —
 // the runtime executes a worker's list op by op, blocking for the message
-// each op needs; the simulator prices the same lists — so the order, and
-// with it the weight version every forward reads, is a pure function of
-// the arguments.
+// each op needs; the simulator runs the same lists as an EventGraph — so
+// the order, and with it the weight version every forward reads, is a
+// pure function of the arguments. A plan below depth 1 is an error.
 //
 // PipeDream1F1B: a worker owns the minibatches ReplicaFor routes to it.
 // It runs `warm-up` forwards, then alternates one backward with one
 // forward over its own minibatches in ascending order, then drains the
-// remaining backwards. The warm-up is the worker's share of the stage's
-// in-flight window (partition.Plan.Windows): the plan's Depth per input
-// replica, elsewhere the least that covers the stage's 1F1B cycles — n−s
-// at stage s of an even straight pipeline on free links (Figure 4). In
-// steady state every backward runs warm-up − 1 updates after its forward.
+// remaining backwards. The warm-up (partition.WarmUp) is the worker's
+// share of the stage's in-flight window (partition.Plan.Windows): the
+// plan's Depth per input replica, elsewhere the least that covers the
+// stage's 1F1B cycles — n−s at stage s of an even straight pipeline on
+// free links (Figure 4). In steady state every backward runs warm-up − 1
+// updates after its forward. Model parallelism is this table at depth 1
+// (plan.AtDepth(1)).
 //
 // GPipe: per round of Depth consecutive microbatches, all of the
 // worker's forwards in ascending order, then its backwards in reverse.
-// ModelParallelSingle is the 1F1B table at depth 1.
-func Table(a *Assignment, policy Policy, start, end int) [][]TableOp {
-	plan := a.Plan
-	if policy == ModelParallelSingle {
-		plan = plan.AtDepth(1)
-	}
-	depth := plan.Depth
+func Table(a *Assignment, policy Policy, start, end int) ([][]TableOp, error) {
+	depth := a.Plan.Depth
 	if depth < 1 {
-		panic(fmt.Sprintf("schedule: depth = %d", depth))
+		return nil, fmt.Errorf("schedule: plan has depth %d (build it with partition.NewPlan)", depth)
 	}
 	var window []int
 	if policy != GPipe {
-		window = plan.Windows()
+		window = a.Plan.Windows()
 	}
 	table := make([][]TableOp, a.NumWorkers())
 	for w, ref := range a.Workers {
@@ -64,15 +65,10 @@ func Table(a *Assignment, policy Policy, start, end int) [][]TableOp {
 				}
 				lo = hi
 			}
-		} else {
-			// The worker's first forwards are its minibatches inside the
-			// stage's window (at least one: a replica whose first minibatch
-			// lies beyond a window narrower than the replica count still
-			// has to start with it).
-			warm := 0
-			for warm < len(own) && (warm == 0 || own[warm] < start+window[ref.Stage]) {
-				ops = append(ops, TableOp{Forward, own[warm]})
-				warm++
+		} else if len(own) > 0 {
+			warm := min(len(own), partition.WarmUp(window[ref.Stage], replicas, own[0]-start))
+			for _, mb := range own[:warm] {
+				ops = append(ops, TableOp{Forward, mb})
 			}
 			for k, mb := range own {
 				ops = append(ops, TableOp{Backward, mb})
@@ -83,5 +79,125 @@ func Table(a *Assignment, policy Policy, start, end int) [][]TableOp {
 		}
 		table[w] = ops
 	}
-	return table
+	return table, nil
+}
+
+// ArcClass says why one op of an EventGraph waits for another.
+type ArcClass int
+
+// Arc classes. An arc carries no duration; the simulator gives each class
+// its own.
+const (
+	// OrderArc: consecutive ops of one worker's Table list.
+	OrderArc ArcClass = iota
+	// ActivationArc: a forward to the same minibatch's forward at the
+	// routed replica of the stage at the other end of a plan edge.
+	ActivationArc
+	// GradientArc: a backward to the same minibatch's backward at the
+	// routed replica of the stage at the other end of a plan edge.
+	GradientArc
+	// LossArc: a sink's forward to its backward of the same minibatch.
+	LossArc
+	// SyncArc: under 1F1B, a replica's backward to its next backward,
+	// which reuses the gradient buffers the first one's all_reduce reads.
+	SyncArc
+	// FlushArc: under GPipe, every input-stage backward of round r to each
+	// input worker's first forward of round r+1.
+	FlushArc
+)
+
+var arcNames = [...]string{"order", "activation", "gradient", "loss", "sync", "flush"}
+
+// String implements fmt.Stringer.
+func (c ArcClass) String() string { return arcNames[c] }
+
+// Arc is a precedence of an EventGraph: node To waits for its source.
+type Arc struct {
+	To    int
+	Class ArcClass
+	// Edge indexes the plan's Graph.Edges for activation and gradient
+	// arcs (the link they cross), and is -1 otherwise.
+	Edge int
+}
+
+// Node is one op of an EventGraph: a Table entry, the worker running it
+// and that worker's stage.
+type Node struct {
+	TableOp
+	Worker, Stage int
+	// Out lists the ops waiting for this one: its activations or
+	// gradients (or a sink's loss) in edge order, then its worker's next
+	// op, then its sync or flush successors.
+	Out []Arc
+}
+
+// EventGraph is the unrolled precedence graph of a run (§3.2, Fig. 8):
+// the Table's ops for minibatches [start, end) and every arc between them.
+// With a duration per op and per arc class it is the run's timed event
+// graph — what cluster.Simulate executes and Validate checks a timeline
+// against.
+type EventGraph struct {
+	// Nodes are the Table's ops worker by worker, each in its table order.
+	Nodes []Node
+	start int
+	at    [][2][]int // at[s][kind][mb-start]: the node of that pass
+}
+
+// Graph builds the event graph of Table(a, policy, start, end).
+func Graph(a *Assignment, policy Policy, start, end int) (*EventGraph, error) {
+	table, err := Table(a, policy, start, end)
+	if err != nil {
+		return nil, err
+	}
+	edges, depth, inputs := a.Plan.Graph.Edges, a.Plan.Depth, len(a.StageWorkers[0])
+	mbs, stages := end-start, len(a.StageWorkers)
+	g := &EventGraph{Nodes: make([]Node, 0, 2*stages*mbs), start: start, at: make([][2][]int, stages)}
+	for s := range g.at {
+		g.at[s] = [2][]int{make([]int, mbs), make([]int, mbs)}
+	}
+	for w, ops := range table {
+		for _, op := range ops {
+			s := a.Workers[w].Stage
+			g.at[s][op.Kind][op.Minibatch-start] = len(g.Nodes)
+			g.Nodes = append(g.Nodes, Node{TableOp: op, Worker: w, Stage: s})
+		}
+	}
+	// Each node's arcs are one run of a shared array, in the order Out
+	// documents; its capacity bounds their count.
+	arcs := make([]Arc, 0, 2*len(g.Nodes)+mbs*(2*len(edges)+stages+inputs))
+	add := func(to int, class ArcClass, edge int) { arcs = append(arcs, Arc{to, class, edge}) }
+	for v, n := range g.Nodes {
+		lo, mb := len(arcs), n.Minibatch-start
+		for i, e := range edges {
+			if n.Kind == Forward && e.From == n.Stage {
+				add(g.at[e.To][Forward][mb], ActivationArc, i)
+			} else if n.Kind == Backward && e.To == n.Stage {
+				add(g.at[e.From][Backward][mb], GradientArc, i)
+			}
+		}
+		if n.Kind == Forward && len(arcs) == lo { // a sink
+			add(g.at[n.Stage][Backward][mb], LossArc, -1)
+		}
+		if v+1 < len(g.Nodes) && g.Nodes[v+1].Worker == n.Worker {
+			add(v+1, OrderArc, -1)
+		}
+		if n.Kind == Backward && policy != GPipe && len(a.StageWorkers[n.Stage]) > 1 {
+			for u := v + 1; u < len(g.Nodes) && g.Nodes[u].Worker == n.Worker; u++ {
+				if g.Nodes[u].Kind == Backward { // the replica's next backward
+					add(u, SyncArc, -1)
+					break
+				}
+			}
+		}
+		if policy == GPipe && n.Stage == 0 && n.Kind == Backward {
+			next := start + (mb/depth+1)*depth // the next round's first minibatch
+			for r := range inputs {
+				if m := next + ((r-next%inputs)%inputs+inputs)%inputs; m < min(end, next+depth) {
+					add(g.at[0][Forward][m-start], FlushArc, -1)
+				}
+			}
+		}
+		g.Nodes[v].Out = arcs[lo:len(arcs):len(arcs)]
+	}
+	return g, nil
 }

@@ -3,6 +3,7 @@ package schedule
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,7 +48,8 @@ func TestTableKnownShapes(t *testing.T) {
 		{"straight-3-depth-1", planWith(1, 1, 1), PipeDream1F1B, 1, 0, 2, []string{
 			"F0 B0 F1 B1", "F0 B0 F1 B1", "F0 B0 F1 B1",
 		}},
-		{"model-parallel", planWith(1, 1), ModelParallelSingle, 7, 0, 2, []string{
+		// Model parallelism is the 1F1B table at depth 1.
+		{"model-parallel", planWith(1, 1), PipeDream1F1B, 1, 0, 2, []string{
 			"F0 B0 F1 B1", "F0 B0 F1 B1",
 		}},
 		// GPipe: per round of Depth microbatches, all forwards then the
@@ -58,7 +60,10 @@ func TestTableKnownShapes(t *testing.T) {
 		}},
 	} {
 		c.plan.Depth = c.depth
-		table := Table(Assign(c.plan), c.policy, c.start, c.end)
+		table, err := Table(Assign(c.plan), c.policy, c.start, c.end)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for w, want := range c.want {
 			if got := render(table[w]); got != want {
 				t.Errorf("%s worker %d:\n got %s\nwant %s", c.name, w, got, want)
@@ -67,68 +72,39 @@ func TestTableKnownShapes(t *testing.T) {
 	}
 }
 
-// replay executes the tables with zero latency: an op runs once the ops
-// producing its inputs have — a forward needs the minibatch's forward at
-// every predecessor stage, a backward its backward at every successor.
-// With sync set a replicated stage's backward additionally completes only
-// once every replica with a minibatch in the same round (blocks of
-// `replicas` minibatches from start) has begun its own, as the runtime's
-// blocking all_reduce makes it. It reports whether every table ran to its
-// end.
-func replay(a *Assignment, table [][]TableOp, start, end int, sync bool) bool {
-	g := a.Plan.Graph
-	type key struct {
-		stage, mb int
-		kind      OpKind
+// acyclic reports whether every op of g can run, by Kahn's algorithm over
+// its arcs and the extra ones (extra[v] lists more successors of v).
+func acyclic(g *EventGraph, extra map[int][]int) bool {
+	in := make([]int, len(g.Nodes))
+	succs := func(v int) []int {
+		next := slices.Clone(extra[v])
+		for _, a := range g.Nodes[v].Out {
+			next = append(next, a.To)
+		}
+		return next
 	}
-	done := map[key]bool{}  // op completed
-	begun := map[key]bool{} // backward entered its all_reduce
-	next := make([]int, len(table))
-	for progress := true; progress; {
-		progress = false
-		for w, ops := range table {
-			if next[w] == len(ops) {
-				continue
-			}
-			op, stage := ops[next[w]], a.Workers[w].Stage
-			ready := true
-			if op.Kind == Forward {
-				for _, p := range g.Preds(stage) {
-					ready = ready && done[key{p, op.Minibatch, Forward}]
-				}
-			} else {
-				for _, q := range g.Succs(stage) {
-					ready = ready && done[key{q, op.Minibatch, Backward}]
-				}
-			}
-			if !ready {
-				continue
-			}
-			k := key{stage, op.Minibatch, op.Kind}
-			if replicas := len(a.StageWorkers[stage]); sync && op.Kind == Backward && replicas > 1 {
-				if !begun[k] {
-					begun[k] = true
-					progress = true
-				}
-				first := start + (op.Minibatch-start)/replicas*replicas
-				for mb := first; mb < min(first+replicas, end); mb++ {
-					ready = ready && begun[key{stage, mb, Backward}]
-				}
-				if !ready {
-					continue
-				}
-			}
-			done[k] = true
-			next[w]++
-			progress = true
+	var ready []int
+	for v := range g.Nodes {
+		for _, u := range succs(v) {
+			in[u]++
 		}
 	}
-	for w, ops := range table {
-		if next[w] != len(ops) {
-			return false
+	for v, d := range in {
+		if d == 0 {
+			ready = append(ready, v)
 		}
 	}
-	return true
+	ran := 0
+	for ; len(ready) > 0; ran++ {
+		v := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		for _, u := range succs(v) {
+			if in[u]--; in[u] == 0 {
+				ready = append(ready, u)
+			}
+		}
+	}
+	return ran == len(g.Nodes)
 }
 
 // The table is total and deadlock-free: on random stage graphs (fan-in,
@@ -136,10 +112,13 @@ func replay(a *Assignment, table [][]TableOp, start, end int, sync bool) bool {
 // plan's own (so the windows cover and the windows lowered and capped) and
 // windows of any alignment and length, every minibatch runs exactly once
 // forward and once backward, forward first, on the worker ReplicaFor
-// names, and a zero-latency replay of the tables terminates — with the
-// replicas' all_reduce coupling too, wherever the depth admits a whole
-// round at all (a stage whose window is narrower than its replica count
-// can never complete one, whatever the order).
+// names, and the unrolled event graph — sync and flush arcs included; at
+// depth 1 too, model parallelism — is acyclic. So is it with the runtime's
+// blocking all_reduce, which holds each replica's op after a backward
+// until every replica with a minibatch in the same round (blocks of
+// `replicas` minibatches from start) has run its backward, wherever the
+// depth admits a whole round at all (a stage whose window is narrower than
+// its replica count can never complete one, whatever the order).
 func TestTableIsTotalAndDeadlockFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 2000; trial++ {
@@ -173,8 +152,15 @@ func TestTableIsTotalAndDeadlockFree(t *testing.T) {
 		end := start + 1 + rng.Intn(40)
 		desc := fmt.Sprintf("trial %d: %s depth %d window [%d,%d)", trial, plan.ConfigString(), depth, start, end)
 
-		for _, policy := range []Policy{PipeDream1F1B, GPipe, ModelParallelSingle} {
-			table := Table(a, policy, start, end)
+		for _, c := range []struct {
+			policy Policy
+			a      *Assignment
+		}{{PipeDream1F1B, a}, {GPipe, a}, {PipeDream1F1B, Assign(plan.AtDepth(1))}} {
+			policy := c.policy
+			table, err := Table(c.a, policy, start, end)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for s := range plan.Stages {
 				for mb := start; mb < end; mb++ {
 					w := a.StageWorkers[s][ReplicaFor(mb, plan.Stages[s].Replicas)]
@@ -205,8 +191,12 @@ func TestTableIsTotalAndDeadlockFree(t *testing.T) {
 			if ops != 2*n*(end-start) {
 				t.Fatalf("%s %v: %d ops in the table, want %d", desc, policy, ops, 2*n*(end-start))
 			}
-			if !replay(a, table, start, end, false) {
-				t.Fatalf("%s %v: replay deadlocks", desc, policy)
+			g, err := Graph(c.a, policy, start, end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !acyclic(g, nil) {
+				t.Fatalf("%s %v at depth %d: the event graph has a cycle", desc, policy, c.a.Plan.Depth)
 			}
 		}
 
@@ -214,8 +204,29 @@ func TestTableIsTotalAndDeadlockFree(t *testing.T) {
 		for s, window := range plan.Windows() {
 			wholeRounds = wholeRounds && window >= plan.Stages[s].Replicas
 		}
-		if wholeRounds && !replay(a, Table(a, PipeDream1F1B, start, end), start, end, true) {
-			t.Fatalf("%s: replay with all_reduce coupling deadlocks", desc)
+		if !wholeRounds {
+			continue
+		}
+		g, err := Graph(a, PipeDream1F1B, start, end)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := map[int][]int{}
+		for s, st := range plan.Stages {
+			for first := start; st.Replicas > 1 && first < end; first += st.Replicas {
+				for m := first; m < min(first+st.Replicas, end); m++ {
+					after := g.at[s][Backward][m-start] + 1
+					if after == len(g.Nodes) || g.Nodes[after].Worker != g.Nodes[after-1].Worker {
+						continue // the replica's last op
+					}
+					for peer := first; peer < min(first+st.Replicas, end); peer++ {
+						ring[g.at[s][Backward][peer-start]] = append(ring[g.at[s][Backward][peer-start]], after)
+					}
+				}
+			}
+		}
+		if !acyclic(g, ring) {
+			t.Fatalf("%s: the event graph with all_reduce coupling has a cycle", desc)
 		}
 	}
 }

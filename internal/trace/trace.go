@@ -125,9 +125,9 @@ func WriteRuntime(w io.Writer, log *metrics.OpLog) error {
 
 // RuntimeTimeline converts a live run's op log into the schedule.Timeline
 // the simulator emits (times in seconds from the log's origin), so the
-// invariants checked on simulated timelines — schedule.Validate1F1B, a
-// worker's op order against schedule.Table — can be checked on what the
-// runtime actually did. Forward, backward and sync ops carry over; other
+// check made on simulated timelines — schedule.Validate against the run's
+// schedule.EventGraph — is made on what the runtime actually did too.
+// Forward, backward and sync ops carry over; other
 // spans (serving requests) have no timeline counterpart and are skipped.
 func RuntimeTimeline(log *metrics.OpLog) *schedule.Timeline {
 	kinds := map[metrics.OpKind]schedule.OpKind{

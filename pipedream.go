@@ -138,8 +138,7 @@ type (
 	SimConfig = cluster.Config
 	// SimResult carries simulation measurements.
 	SimResult = cluster.Result
-	// Policy selects the inter-batch schedule (1F1B, GPipe, model
-	// parallel).
+	// Policy selects the inter-batch schedule (1F1B or GPipe).
 	Policy = schedule.Policy
 )
 
@@ -335,9 +334,8 @@ const (
 
 // Scheduling policies.
 const (
-	PipeDream1F1B       = schedule.PipeDream1F1B
-	GPipe               = schedule.GPipe
-	ModelParallelSingle = schedule.ModelParallelSingle
+	PipeDream1F1B = schedule.PipeDream1F1B
+	GPipe         = schedule.GPipe
 )
 
 // Re-exported constructors and functions.
