@@ -102,8 +102,7 @@ func BenchmarkTensorMatMul128(b *testing.B) {
 
 // BenchmarkTensorMatMulParallel measures the blocked matmul kernel at
 // parallelism 1 vs all cores; the ratio is the kernel-level speedup the
-// shared worker pool delivers on this machine (compare across PRs via
-// scripts/bench.sh → BENCH_kernels.json).
+// shared worker pool delivers on this machine.
 func BenchmarkTensorMatMulParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.Randn(rng, 1, 256, 256)

@@ -502,72 +502,14 @@ func TestSimulateRecomputeTradesMemoryForCompute(t *testing.T) {
 	}
 }
 
-func TestStaticScheduleStraightPipeline(t *testing.T) {
-	// A balanced straight pipeline's steady-state static schedule is the
-	// literal 1F1B cycle: one forward, one backward, advancing one
-	// minibatch per cycle.
-	prof := uniformProfile(4, 1, 2, 4, 4)
-	topo := fastTopo(4)
-	plan := straightPlan(t, prof, topo, 4)
-	cycles, err := StaticSchedule(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cycles) != 4 {
-		t.Fatalf("got %d worker cycles, want 4", len(cycles))
-	}
-	for w, c := range cycles {
-		if len(c) != 2 {
-			t.Fatalf("worker %d cycle length %d, want 2 (1F1B)", w, len(c))
-		}
-		kinds := map[schedule.OpKind]bool{}
-		for _, op := range c {
-			kinds[op.Kind] = true
-		}
-		if !kinds[schedule.Forward] || !kinds[schedule.Backward] {
-			t.Fatalf("worker %d cycle %+v is not one-forward-one-backward", w, c)
-		}
-	}
-}
-
-func TestStaticScheduleReplicatedStage(t *testing.T) {
-	// With a 2-1 configuration, each stage-0 replica's cycle advances by
-	// 2 minibatches (round-robin), the unreplicated stage by 1.
-	prof := uniformProfile(2, 1, 1, 4, 4)
-	topo := fastTopo(3)
-	plan, err := partition.NewPlan(prof, topo, partition.PlanOptions{Stages: []partition.StageSpec{
-		{FirstLayer: 0, LastLayer: 0, Replicas: 2},
-		{FirstLayer: 1, LastLayer: 1, Replicas: 1},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycles, err := StaticSchedule(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Replica cycles contain one F and one B.
-	for w := 0; w < 2; w++ {
-		if len(cycles[w]) != 2 {
-			t.Fatalf("replica %d cycle %+v, want 1F1B", w, cycles[w])
-		}
-	}
-	if len(cycles[2]) != 2 {
-		t.Fatalf("stage-1 cycle %+v, want 1F1B", cycles[2])
-	}
-}
-
-func TestStaticSchedulePlanWithoutNOAM(t *testing.T) {
+func TestSimulatePlanWithoutDepth(t *testing.T) {
 	// A Plan literal that never went through NewPlan has depth 0: an error
-	// from both entry points that read the schedule table, not a panic.
+	// from the simulator, which reads the schedule table, not a panic.
 	prof := uniformProfile(2, 1, 2, 4, 4)
 	plan := &partition.Plan{Workers: 2, Graph: partition.NewLinear(2), Stages: []partition.StageSpec{
 		{FirstLayer: 0, LastLayer: 0, Replicas: 1},
 		{FirstLayer: 1, LastLayer: 1, Replicas: 1},
 	}}
-	if _, err := StaticSchedule(plan); err == nil {
-		t.Fatal("StaticSchedule accepted a plan with depth 0")
-	}
 	if _, err := Simulate(Config{Profile: prof, Topo: fastTopo(2), Plan: plan,
 		Policy: schedule.PipeDream1F1B, Minibatches: 8}); err == nil {
 		t.Fatal("Simulate accepted a plan with depth 0")

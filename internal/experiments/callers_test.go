@@ -11,15 +11,12 @@ import (
 
 // simulateCallers are the functions that may run cluster.Simulate, each
 // for what the planner's price does not model. Every 1F1B throughput row
-// reads the price (Table.price), which TestPredictedVersusSimulated
-// referees.
+// reads the price (Table.price) and every 1F1B memory row the memory price
+// (Table.memory), which TestPredictedVersusSimulated referees.
 var simulateCallers = map[string]string{
 	"simGPipe":     "GPipe's flushes and recomputation (sec54)",
-	"claims":       "GPipe (claim 3), peak memory (claim 6)",
+	"claims":       "GPipe (claim 3)",
 	"fig15":        "the referee column of the figure",
-	"fig16":        "peak memory",
-	"fig18":        "peak memory",
-	"ablMemory":    "peak memory",
 	"ablRecompute": "activation recomputation",
 	"ablStraggler": "straggler workers",
 	"fig5":         "transfers and their overlap with compute",
@@ -63,7 +60,7 @@ func TestSimulateCallersAreListed(t *testing.T) {
 					return true
 				}
 				if _, listed := simulateCallers[fd.Name.Name]; !listed {
-					t.Errorf("%s: %s calls cluster.Simulate; a 1F1B throughput row prints Table.price, or the function joins simulateCallers with its reason",
+					t.Errorf("%s: %s calls cluster.Simulate; a 1F1B throughput or memory row prints Table.price or Table.memory, or the function joins simulateCallers with its reason",
 						fset.Position(sel.Pos()), fd.Name.Name)
 				}
 				called[fd.Name.Name] = true

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"pipedream/internal/cluster"
 	"pipedream/internal/modelzoo"
@@ -128,20 +129,8 @@ func claims(quick bool) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	memRes, err := cluster.Simulate(cluster.Config{
-		Profile: gnmt8, Topo: topology.ClusterA(1), Plan: memPlan,
-		Policy: schedule.PipeDream1F1B, Minibatches: 48,
-	})
-	if err != nil {
-		return nil, err
-	}
 	dpMem := partition.StageMemory(gnmt8DP, gnmt8)[0]
-	var worst int64
-	for _, m := range memRes.PeakMemory {
-		if m > worst {
-			worst = m
-		}
-	}
+	worst := slices.Max(t.memory("GNMT-8 1x4 (A) straight", gnmt8, topology.ClusterA(1), memPlan))
 	check("worst-stage memory on par with DP (Fig. 16)",
 		fmt.Sprintf("GNMT-8: pipeline %s vs DP %s", mb(worst), mb(dpMem)),
 		float64(worst) <= 1.2*float64(dpMem))

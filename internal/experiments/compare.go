@@ -270,10 +270,6 @@ func pearson(xs, ys []float64) float64 {
 // fig16 reports the per-stage peak memory of 4-stage straight pipelines
 // against the per-worker footprint of data parallelism.
 func fig16(quick bool) ([]*Table, error) {
-	minibatches := 64
-	if quick {
-		minibatches = 32
-	}
 	t := &Table{ID: "fig16", Title: "Memory footprint: 4-stage pipeline vs data parallelism (4 workers)",
 		Header: []string{"model", "DP per-worker", "stage 0", "stage 1", "stage 2", "stage 3", "worst/DP"}}
 	topo := topology.ClusterA(1)
@@ -286,25 +282,17 @@ func fig16(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := cluster.Simulate(cluster.Config{Profile: prof, Topo: topo, Plan: plan,
-			Policy: schedule.PipeDream1F1B, Minibatches: minibatches})
-		if err != nil {
-			return nil, err
-		}
 		dp, err := partition.DataParallel(prof, topo)
 		if err != nil {
 			return nil, err
 		}
 		dpMem := partition.StageMemory(dp, prof)[0]
 		row := []string{m, mb(dpMem)}
-		worst := int64(0)
-		for w := 0; w < 4 && w < len(res.PeakMemory); w++ {
-			row = append(row, mb(res.PeakMemory[w]))
-			if res.PeakMemory[w] > worst {
-				worst = res.PeakMemory[w]
-			}
+		stages := t.memory(m, prof, topo, plan)
+		for _, mem := range stages {
+			row = append(row, mb(mem))
 		}
-		row = append(row, f2(float64(worst)/float64(dpMem)))
+		row = append(row, f2(float64(slices.Max(stages))/float64(dpMem)))
 		t.AddRow(row...)
 	}
 	t.AddNote("paper shape: despite stashing multiple weight/activation versions, PipeDream's")
@@ -316,10 +304,6 @@ func fig16(quick bool) ([]*Table, error) {
 // fig18 sweeps the pipeline depth for GNMT-8 on 4 workers, reporting
 // throughput and worst-stage memory.
 func fig18(quick bool) ([]*Table, error) {
-	minibatches := 160
-	if quick {
-		minibatches = 64
-	}
 	topo := topology.ClusterA(1)
 	prof := modelzoo.GNMT8(topo.Device, 64)
 	plan, err := partition.ModelParallel(prof, topo)
@@ -331,15 +315,9 @@ func fig18(quick bool) ([]*Table, error) {
 	var prevT float64
 	for depth := 1; depth <= 7; depth++ {
 		atDepth := plan.AtDepth(depth)
-		// The memory columns are the simulator's peaks.
-		res, err := cluster.Simulate(cluster.Config{Profile: prof, Topo: topo, Plan: atDepth,
-			Policy: schedule.PipeDream1F1B, Minibatches: minibatches})
-		if err != nil {
-			return nil, err
-		}
-		tput := t.price(fmt.Sprintf("depth %d", depth), prof, topo, atDepth)
-		t.AddRow(fmt.Sprintf("%d", depth), f1(tput),
-			mb(res.PeakMemory[0]), mb(res.PeakMemory[len(res.PeakMemory)-1]))
+		row := fmt.Sprintf("depth %d", depth)
+		tput, mem := t.price(row, prof, topo, atDepth), t.memory(row, prof, topo, atDepth)
+		t.AddRow(fmt.Sprintf("%d", depth), f1(tput), mb(mem[0]), mb(mem[len(mem)-1]))
 		if depth > 1 && tput+1e-9 < prevT*0.95 {
 			return nil, fmt.Errorf("fig18: throughput regressed at depth %d", depth)
 		}

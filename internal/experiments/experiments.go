@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,7 +29,7 @@ type Table struct {
 	// (timeline renders, correlation coefficients, ...).
 	Notes []string
 	// plans are the plans whose price a row prints, in the order price
-	// recorded them.
+	// and memory recorded them.
 	plans []pricedPlan
 }
 
@@ -46,11 +47,27 @@ type pricedPlan struct {
 // TestPredictedVersusSimulated holds each printed price to what
 // cluster.Simulate runs the plan at, and notes that on the table.
 func (t *Table) price(row string, prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan) float64 {
-	if len(t.plans) == 0 {
-		t.AddNote("1F1B throughput is the planner's price (PredictedThroughput), refereed by TestPredictedVersusSimulated")
-	}
-	t.plans = append(t.plans, pricedPlan{t.ID + " " + row, prof, topo, plan})
+	t.record(row, prof, topo, plan, "1F1B throughput is the planner's price (PredictedThroughput), refereed by TestPredictedVersusSimulated")
 	return plan.PredictedThroughput
+}
+
+// memory is the per-worker memory every 1F1B row prints for each stage of
+// plan: the planner's StageMemory. It records the plan as price does, so
+// TestPredictedVersusSimulated also holds each stage's price to the largest
+// peak cluster.Simulate reaches on a worker of that stage.
+func (t *Table) memory(row string, prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan) []int64 {
+	t.record(row, prof, topo, plan, "1F1B memory is the planner's price (StageMemory), refereed by TestPredictedVersusSimulated")
+	return partition.StageMemory(plan, prof)
+}
+
+// record adds note to t and plan to t's plans, each once.
+func (t *Table) record(row string, prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan, note string) {
+	if !slices.Contains(t.Notes, note) {
+		t.Notes = append(t.Notes, note)
+	}
+	if !slices.ContainsFunc(t.plans, func(p pricedPlan) bool { return p.plan == plan }) {
+		t.plans = append(t.plans, pricedPlan{t.ID + " " + row, prof, topo, plan})
+	}
 }
 
 // AddRow appends a formatted row.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -223,6 +224,33 @@ func TestFig14aShape(t *testing.T) {
 		}
 		if repl < straight-0.01 {
 			t.Fatalf("%s: replication made things worse (%v vs %v)", row[0], repl, straight)
+		}
+	}
+}
+
+// Shape: §3.2 — every worker's static cycle is one forward and one
+// backward: on a straight 4-stage pipeline stage s's backward trails its
+// forward by 3−s minibatches; under 2-1 each input replica's trails by 2,
+// the replica count, so each replica advances by 2 per cycle.
+func TestStaticShape(t *testing.T) {
+	tables, err := Run("static", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"F@+0  B@-3", "F@+0  B@-2", "F@+0  B@-1", "F@+0  B@+0"},
+		{"F@+0  B@-2", "F@+0  B@-2", "F@+0  B@+0"},
+	}
+	if len(tables) != len(want) {
+		t.Fatalf("%d static tables, want %d", len(tables), len(want))
+	}
+	for i, tbl := range tables {
+		var got []string
+		for _, row := range tbl.Rows {
+			got = append(got, row[1])
+		}
+		if !slices.Equal(got, want[i]) {
+			t.Errorf("%s: cycles %q, want %q", tbl.Title, got, want[i])
 		}
 	}
 }

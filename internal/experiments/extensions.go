@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"pipedream/internal/cluster"
 	"pipedream/internal/modelzoo"
@@ -73,10 +74,6 @@ func ablRecompute(quick bool) ([]*Table, error) {
 // small-memory device forces a reduced pipeline depth, trading throughput
 // for footprint (the Figure 18 lever, applied automatically).
 func ablMemory(quick bool) ([]*Table, error) {
-	minibatches := 160
-	if quick {
-		minibatches = 64
-	}
 	t := &Table{ID: "abl-memory", Title: "Memory-constrained planning (GNMT-16, 4 workers, Cluster-A server)",
 		Header: []string{"device memory", "depth chosen", "throughput (samples/s)", "worst-stage memory"}}
 	prof := modelzoo.GNMT16(topology.V100, 64)
@@ -89,21 +86,9 @@ func ablMemory(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := cluster.Simulate(cluster.Config{
-			Profile: prof, Topo: topo, Plan: plan,
-			Policy: schedule.PipeDream1F1B, Minibatches: minibatches,
-		})
-		if err != nil {
-			return nil, err
-		}
-		var worst int64
-		for _, m := range res.PeakMemory {
-			if m > worst {
-				worst = m
-			}
-		}
 		row := fmt.Sprintf("%d MB", memMB)
-		t.AddRow(row, fmt.Sprintf("%d", plan.Depth), f1(t.price(row, prof, topo, plan)), mb(worst))
+		t.AddRow(row, fmt.Sprintf("%d", plan.Depth), f1(t.price(row, prof, topo, plan)),
+			mb(slices.Max(t.memory(row, prof, topo, plan))))
 	}
 	t.AddNote("the optimizer takes device memory capacity as input (§3.1); when its windows do")
 	t.AddNote("not fit, it reduces depth — less overlap, smaller stashes (Figure 18)")

@@ -66,12 +66,11 @@ func fig5(quick bool) ([]*Table, error) {
 	}
 	t := &Table{ID: "fig5", Title: "Compute/communication overlap, balanced 4-stage pipeline (1 GB/s links)",
 		Header: []string{"worker", "transfers", "total transfer time", "overlapped with compute"}}
-	workers := len(res.PeakMemory)
 	// Measure the steady state only: the pipeline fill and drain leave
 	// workers idle around their transfers.
 	warm := res.CompletionTimes[minibatches/4]
 	cool := res.CompletionTimes[3*minibatches/4]
-	for w := 0; w < workers; w++ {
+	for w := range plan.Workers {
 		busy := res.Timeline.WorkerOps(w)
 		var total, overlapped float64
 		count := 0

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pipedream/internal/cluster"
+	"pipedream/internal/partition"
 	"pipedream/internal/schedule"
 )
 
@@ -45,23 +46,25 @@ func recordedPlans(t *testing.T) []pricedPlan {
 	return out
 }
 
-// simulate returns the steady-state throughput cluster.Simulate runs p at.
-func (p pricedPlan) simulate(t *testing.T, minibatches int) float64 {
+// simulate returns what cluster.Simulate measures running p.
+func (p pricedPlan) simulate(t *testing.T, minibatches int) *cluster.Result {
 	t.Helper()
 	res, err := cluster.Simulate(cluster.Config{Profile: p.prof, Topo: p.topo, Plan: p.plan,
 		Policy: schedule.PipeDream1F1B, Minibatches: minibatches})
 	if err != nil {
 		t.Fatalf("%s: %v", p.row, err)
 	}
-	return res.Throughput
+	return res
 }
 
-// The repro prints the planner's price for every 1F1B throughput row;
-// the simulator referees it here, over exactly the plans those rows
-// price. Every plan must simulate within [0.99, 1.03] of its price,
+// The repro prints the planner's price for every 1F1B throughput and
+// memory row; the simulator referees it here, over exactly the plans those
+// rows price. Every plan must simulate within [0.99, 1.03] of its price,
 // AlexNet 4x4 (which simulated at 2.6× before transfers shared a link)
 // within 2 %, and Figure 15's price and simulation must correlate at
-// r ≥ 0.99. Run with -v for the table.
+// r ≥ 0.99. Each stage's StageMemory must be byte for byte the largest
+// peak the simulator reaches on a worker of that stage. Run with -v for
+// the table.
 func TestPredictedVersusSimulated(t *testing.T) {
 	plans := recordedPlans(t)
 	t.Logf("%d plans priced by the repro's rows", len(plans))
@@ -70,11 +73,22 @@ func TestPredictedVersusSimulated(t *testing.T) {
 	var xs, ys []float64
 	alexNet := false
 	for _, p := range plans {
-		pred, sim := p.plan.PredictedThroughput, p.simulate(t, 640)
+		res := p.simulate(t, 640)
+		pred, sim := p.plan.PredictedThroughput, res.Throughput
 		ratio := sim / pred
 		t.Logf("| %s | `%s` | %v | %.1f | %.1f | %.3f |", p.row, p.plan.ConfigString(), p.plan.Windows(), pred, sim, ratio)
 		if ratio > 1.03 || ratio < 0.99 {
 			t.Errorf("%s %s simulates at %.3f of its price, outside [0.99, 1.03]", p.row, p.plan.ConfigString(), ratio)
+		}
+		a := schedule.Assign(p.plan)
+		for s, price := range partition.StageMemory(p.plan, p.prof) {
+			var peak int64
+			for _, w := range a.StageWorkers[s] {
+				peak = max(peak, res.PeakMemory[w])
+			}
+			if peak != price {
+				t.Errorf("%s %s: stage %d's memory priced at %d B, simulated peak %d B", p.row, p.plan.ConfigString(), s, price, peak)
+			}
 		}
 		if p.row == "tbl1 AlexNet 4x4 (A)" {
 			alexNet = true
@@ -102,7 +116,7 @@ func TestPredictedVersusSimulated(t *testing.T) {
 // high.
 func TestSimulatedThroughputIndependentOfRunLength(t *testing.T) {
 	for _, p := range recordedPlans(t) {
-		short, long := p.simulate(t, 320), p.simulate(t, 640)
+		short, long := p.simulate(t, 320).Throughput, p.simulate(t, 640).Throughput
 		if math.Abs(short/long-1) > 0.005 {
 			t.Errorf("%s %s: %.2f samples/s at 320 minibatches, %.2f at 640", p.row, p.plan.ConfigString(), short, long)
 		}

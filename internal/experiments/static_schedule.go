@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
-	"pipedream/internal/cluster"
 	"pipedream/internal/partition"
+	"pipedream/internal/schedule"
 	"pipedream/internal/topology"
 )
 
@@ -16,8 +16,10 @@ func init() {
 // expStatic prints the static per-worker schedule §3.2 describes: "a
 // static schedule of operators that each worker runs repeatedly, keeping
 // utilization high across all workers" — each worker's steady-state
-// (op, minibatch-offset) pair from schedule.Table, the same table the
-// runtime executes and the simulator prices.
+// (op, minibatch-offset) pair, read off schedule.Table, the same table the
+// runtime executes and the simulator runs: the last warm-up forward and
+// the backward that follows it, the pair every later pair of the worker's
+// table repeats one round further on.
 func expStatic(quick bool) ([]*Table, error) {
 	var tables []*Table
 	for _, c := range []struct {
@@ -46,18 +48,19 @@ func expStatic(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cycles, err := cluster.StaticSchedule(plan)
+		// Long enough for every worker to leave its warm-up: no warm-up
+		// exceeds the larger of the depth and the worker count, no replica
+		// count exceeds the worker count.
+		table, err := schedule.Table(schedule.Assign(plan), schedule.PipeDream1F1B, 0, (max(plan.Depth, workers)+1)*workers)
 		if err != nil {
 			return nil, err
 		}
 		t := &Table{ID: "static", Title: "Static 1F1B-RR schedule — " + c.title,
 			Header: []string{"worker", "repeating pattern (kind @ minibatch offset)"}}
-		for w, cyc := range cycles {
-			parts := make([]string, len(cyc))
-			for i, op := range cyc {
-				parts[i] = fmt.Sprintf("%v@%+d", op.Kind, op.MinibatchOffset)
-			}
-			t.AddRow(fmt.Sprintf("%d", w), strings.Join(parts, "  "))
+		for w, ops := range table {
+			b := slices.IndexFunc(ops, func(op schedule.TableOp) bool { return op.Kind == schedule.Backward })
+			f := ops[b-1]
+			t.AddRow(fmt.Sprintf("%d", w), fmt.Sprintf("%v@+0  %v@%+d", f.Kind, ops[b].Kind, ops[b].Minibatch-f.Minibatch))
 		}
 		t.AddNote("each worker executes this fixed cycle without any distributed coordination;")
 		t.AddNote("replicated-stage workers advance by their replica count per cycle (round-robin);")

@@ -254,9 +254,13 @@ func TestRandomPlansSimulateAtTheirPrice(t *testing.T) {
 // servers and two Cluster-B servers, for the optimizer's, the straight
 // model-parallel and the data-parallel plan at every depth from 1 to two
 // past the plan's own, each stage's StageMemory is byte for byte the largest
-// PeakMemory cluster.Simulate reports for a worker of that stage.
+// PeakMemory cluster.Simulate reports for a worker of that stage. The same
+// holds for WorkerMemory under recomputation and under GPipe, whose
+// replicas each hold ⌈depth/R⌉ of a round's microbatches (sec54 sizes its
+// GPipe depth by that price): over a run of 3·depth·workers minibatches,
+// so that every replica of every stage takes its turn at the most.
 func TestSimulatedPeakIsThePlannedPrice(t *testing.T) {
-	plans := 0
+	plans, peaks := 0, 0
 	for _, topo := range []*topology.Topology{topology.ClusterA(1), topology.ClusterA(4), topology.ClusterB(2)} {
 		for _, name := range modelzoo.Names() {
 			prof, err := modelzoo.ByName(name, topo.Device, modelzoo.PaperBatchSize(name))
@@ -277,26 +281,44 @@ func TestSimulatedPeakIsThePlannedPrice(t *testing.T) {
 				for depth := 1; depth <= plan.Depth+2; depth++ {
 					q := *plan
 					q.Depth = depth
-					res, err := cluster.Simulate(cluster.Config{Profile: prof, Topo: topo, Plan: &q,
-						Policy: schedule.PipeDream1F1B, Minibatches: 2*q.Windows()[0] + q.Workers})
-					if err != nil {
-						t.Fatal(err)
-					}
 					a := schedule.Assign(&q)
-					for s, price := range partition.StageMemory(&q, prof) {
-						var peak int64
-						for _, w := range a.StageWorkers[s] {
-							peak = max(peak, res.PeakMemory[w])
+					check := func(policy schedule.Policy, recompute bool, minibatches int, price func(s int) int64) {
+						t.Helper()
+						res, err := cluster.Simulate(cluster.Config{Profile: prof, Topo: topo, Plan: &q,
+							Policy: policy, Minibatches: minibatches, Recompute: recompute})
+						if err != nil {
+							t.Fatal(err)
 						}
-						if peak != price {
-							t.Errorf("%s on %s, %s at depth %d: stage %d priced at %d B, simulated peak %d B",
-								name, topo.Name, q.ConfigString(), depth, s, price, peak)
+						for s, workers := range a.StageWorkers {
+							var peak int64
+							for _, w := range workers {
+								peak = max(peak, res.PeakMemory[w])
+							}
+							peaks++
+							if peak != price(s) {
+								t.Errorf("%s on %s, %s at depth %d under %v (recompute %v): stage %d priced at %d B, simulated peak %d B",
+									name, topo.Name, q.ConfigString(), depth, policy, recompute, s, price(s), peak)
+							}
 						}
+					}
+					// A replica's share of n minibatches across its stage's replicas.
+					share := func(n, s int) int { return (n + q.Stages[s].Replicas - 1) / q.Stages[s].Replicas }
+					windows, mem := q.Windows(), partition.StageMemory(&q, prof)
+					for _, recompute := range []bool{false, true} {
+						check(schedule.PipeDream1F1B, recompute, 2*windows[0]+q.Workers, func(s int) int64 {
+							if !recompute {
+								return mem[s]
+							}
+							return partition.WorkerMemory(prof, q.Stages[s], share(windows[s], s), false, true)
+						})
+						check(schedule.GPipe, recompute, 3*depth*q.Workers, func(s int) int64 {
+							return partition.WorkerMemory(prof, q.Stages[s], share(depth, s), true, recompute)
+						})
 					}
 					plans++
 				}
 			}
 		}
 	}
-	t.Logf("%d plans", plans)
+	t.Logf("%d plans, each under 1F1B and GPipe with recomputation off and on: %d stage peaks", plans, peaks)
 }

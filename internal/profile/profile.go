@@ -148,11 +148,11 @@ func ReadJSON(r io.Reader) (*ModelProfile, error) {
 }
 
 // Measure profiles a real model the way the paper's profiler does: run
-// numBatches minibatches on one worker, recording per-layer forward and
-// backward wall time (and the backward's parameter half), activation
-// sizes, and weight sizes. The loss
-// gradient is taken as ones (profiling only needs realistic compute, not a
-// real objective).
+// one untimed minibatch, then numBatches timed ones, on one worker,
+// recording per-layer forward and backward wall time (and the backward's
+// parameter half), activation sizes, and weight sizes. The loss gradient
+// is taken as ones (profiling only needs realistic compute, not a real
+// objective).
 //
 // Timings are taken under the tensor package's current parallelism
 // degree, which is recorded in the returned profile: set it (via
@@ -176,11 +176,17 @@ func Measure(model *nn.Sequential, name string, ds data.Dataset, numBatches int)
 		prof.Layers[i].Name = l.Name()
 		prof.Layers[i].WeightBytes = int64(nn.ParamBytes(l.Params()))
 	}
-	for b := 0; b < numBatches; b++ {
-		batch := ds.Batch(b)
+	// Minibatch -1 runs batch 0 untimed: a process's first minibatch warms
+	// the tensor pool, the pages and the code paths, and reads several
+	// times slower than the ones after it.
+	for b := -1; b < numBatches; b++ {
+		batch := ds.Batch(max(b, 0))
 		if b == 0 {
 			prof.MinibatchSize = batch.X.Dim(0)
 			prof.InputBytes = int64(batch.X.Bytes())
+			for i := range prof.Layers {
+				prof.Layers[i].FwdTime, prof.Layers[i].BwdTime, prof.Layers[i].BwdParamTime = 0, 0, 0
+			}
 		}
 		x := batch.X
 		ctxs := make([]*nn.SeqContext, n)

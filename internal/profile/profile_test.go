@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pipedream/internal/data"
@@ -142,5 +143,28 @@ func TestMeasureRealModel(t *testing.T) {
 	prof.Layers[2].BwdParamTime = 2 * prof.Layers[2].BwdTime
 	if err := prof.Validate(); err == nil {
 		t.Error("a parameter half longer than its backward must fail validation")
+	}
+}
+
+// batchLog records the minibatch indices a profiler reads.
+type batchLog struct {
+	data.Dataset
+	read []int
+}
+
+func (l *batchLog) Batch(i int) data.Batch {
+	l.read = append(l.read, i)
+	return l.Dataset.Batch(i)
+}
+
+// Measure runs batch 0 once untimed before timing numBatches minibatches,
+// so a one-batch profile times a warm minibatch, not the process's first.
+func TestMeasureWarmsUpOnBatchZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	model := nn.NewSequential(nn.NewDense(rng, "fc", 4, 2))
+	ds := &batchLog{Dataset: data.NewBlobs(5, 2, 4, 8, 4)}
+	Measure(model, "mlp", ds, 3)
+	if want := []int{0, 0, 1, 2}; !slices.Equal(ds.read, want) {
+		t.Fatalf("Measure read batches %v, want %v", ds.read, want)
 	}
 }
