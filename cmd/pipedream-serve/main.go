@@ -123,7 +123,7 @@ func main() {
 	// the same architecture; each loads its own weight lineage.
 	specs := append([]cliconf.FleetModel{{Name: mdl.Task, Dir: *ckptDir}}, extraModels...)
 	// One architecture, one plan: every tenant runs the same cut.
-	plan, err := mdl.Plan(task)
+	plan, err := mdl.ServePlan(task)
 	if err != nil {
 		fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"pipedream/internal/cliconf"
 	"pipedream/internal/metrics"
 	"pipedream/internal/modelzoo/branching"
 	"pipedream/internal/nn"
@@ -412,5 +413,33 @@ func TestHandleInferAllocs(t *testing.T) {
 	t.Logf("allocations per request: %.1f at 16 rows, %.1f at 64 rows", small, large)
 	if small > 32 || large > small+2 {
 		t.Fatalf("allocations per request: %.1f at 16 rows, %.1f at 64 rows; want ≤ 32 and no growth with rows", small, large)
+	}
+}
+
+// TestImagesCutIsUnchanged pins the cut pipedream-serve prints for the
+// images task on its forward profile to the one the training profile
+// gave: conv1..r1 | conv2..fc on two stages, conv2 alone in the middle of
+// three. The two-stage choice rests on conv1+r1 against r2+flat+fc, about
+// 1.7× apart in forward time on one timed minibatch, so timer noise flips
+// a single measurement now and then: the test holds the cut most of seven
+// plans make.
+func TestImagesCutIsUnchanged(t *testing.T) {
+	for stages, want := range map[int]string{2: "conv1..r1 | conv2..fc", 3: "conv1..r1 | conv2..conv2 | r2..fc"} {
+		mdl := &cliconf.Model{Task: "images", Seed: 42, Stages: stages, Replicas: 1}
+		task, err := mdl.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts := map[string]int{}
+		for range 7 {
+			plan, err := mdl.ServePlan(task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cuts[cliconf.Cuts(plan, task.Factory())]++
+		}
+		if cuts[want] < 4 {
+			t.Errorf("%d stages: cuts %v, want mostly %s", stages, cuts, want)
+		}
 	}
 }

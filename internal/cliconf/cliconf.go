@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"pipedream/internal/data"
@@ -58,7 +59,8 @@ type Model struct {
 // the narrower subsets (RegisterForward, RegisterTask, RegisterPlan) so
 // no flag is parsed and then silently ignored.
 func (c *Model) Register(fs *flag.FlagSet) {
-	c.RegisterForward(fs)
+	c.RegisterTask(fs)
+	fs.IntVar(&c.Stages, "stages", c.Stages, "pipeline stages, cut on the model's measured profile")
 	fs.IntVar(&c.Replicas, "replicas", c.Replicas, "replicas of the first stage (1F1B-RR)")
 	c.RegisterPlan(fs)
 }
@@ -67,7 +69,7 @@ func (c *Model) Register(fs *flag.FlagSet) {
 // training-only -replicas (serving runs one worker per stage).
 func (c *Model) RegisterForward(fs *flag.FlagSet) {
 	c.RegisterTask(fs)
-	fs.IntVar(&c.Stages, "stages", c.Stages, "pipeline stages, cut on the model's measured profile")
+	fs.IntVar(&c.Stages, "stages", c.Stages, "pipeline stages, cut on the model's measured forward pass")
 }
 
 // RegisterPlan declares -plan, the only shape flag of pipedream-worker,
@@ -88,7 +90,7 @@ func (c *Model) RegisterTask(fs *flag.FlagSet) {
 type Task struct {
 	// Factory builds a fresh model with deterministically seeded weights.
 	Factory func() *nn.Sequential
-	// Train is the training dataset.
+	// Train is the training dataset, generated when first read.
 	Train data.Dataset
 	// Eval is the held-out evaluation dataset.
 	Eval data.Dataset
@@ -113,7 +115,7 @@ func (c *Model) Build() (*Task, error) {
 					nn.NewDense(rng, "fc3", 32, 3),
 				)
 			},
-			Train:        data.NewSpiral(seed+1, 3, 16, 50),
+			Train:        &lazy{sync.OnceValue(func() data.Dataset { return data.NewSpiral(seed+1, 3, 16, 50) })},
 			Eval:         data.NewSpiral(seed+2, 3, 32, 8),
 			NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
 		}, nil
@@ -132,7 +134,7 @@ func (c *Model) Build() (*Task, error) {
 					nn.NewDense(rng, "fc", 8*12*12, 4),
 				)
 			},
-			Train:        data.NewImages(seed+1, 4, 1, 12, 16, 30),
+			Train:        &lazy{sync.OnceValue(func() data.Dataset { return data.NewImages(seed+1, 4, 1, 12, 16, 30) })},
 			Eval:         data.NewImages(seed+2, 4, 1, 12, 32, 6),
 			NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.05, 0.9, 0) },
 		}, nil
@@ -148,7 +150,7 @@ func (c *Model) Build() (*Task, error) {
 					nn.NewDense(rng, "dec", 32, 10),
 				)
 			},
-			Train:        data.NewSequenceCopy(seed+1, 10, 8, 16, 40),
+			Train:        &lazy{sync.OnceValue(func() data.Dataset { return data.NewSequenceCopy(seed+1, 10, 8, 16, 40) })},
 			Eval:         data.NewSequenceCopy(seed+2, 10, 8, 32, 6),
 			NewOptimizer: func() nn.Optimizer { return nn.NewAdam(0.01) },
 		}, nil
@@ -156,7 +158,19 @@ func (c *Model) Build() (*Task, error) {
 	return nil, fmt.Errorf("unknown task %q (want spiral, images, or sequence)", c.Task)
 }
 
-// ProfileBatches is the number of minibatches Plan profiles over.
+// lazy is a dataset generated the first time something reads it.
+type lazy struct{ get func() data.Dataset }
+
+// Name implements data.Dataset.
+func (l *lazy) Name() string { return l.get().Name() }
+
+// NumBatches implements data.Dataset.
+func (l *lazy) NumBatches() int { return l.get().NumBatches() }
+
+// Batch implements data.Dataset.
+func (l *lazy) Batch(i int) data.Batch { return l.get().Batch(i) }
+
+// ProfileBatches is the number of minibatches a planner profiles over.
 const ProfileBatches = 1
 
 // Profile measures a fresh model of the task, named after it, over batches
@@ -186,6 +200,15 @@ func (c *Model) Plan(task *Task) (*partition.Plan, error) {
 		err = fmt.Errorf("-plan %s: %w", c.PlanFile, err)
 	}
 	return plan, err
+}
+
+// ServePlan is pipedream-serve's planner: Stages stages, one worker each,
+// cut on the pass they run, the forward of the first Eval batch
+// (profile.MeasureForward), at the degree those workers run at. It reads
+// no training data.
+func (c *Model) ServePlan(task *Task) (*partition.Plan, error) {
+	defer tensor.ScopeParallelism(max(1, c.Stages))()
+	return Cut(profile.MeasureForward(task.Factory(), c.Task, task.Eval, ProfileBatches), c.Stages, 1)
 }
 
 // Cut prices stages stages of prof, the first replicated replicas times,

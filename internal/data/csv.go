@@ -15,8 +15,7 @@ import (
 // order; a trailing partial batch is dropped (pipeline replicas need
 // uniform batch shapes).
 type CSVDataset struct {
-	name    string
-	batches []Batch
+	set
 	classes int
 }
 
@@ -36,7 +35,7 @@ func ReadCSV(r io.Reader, name string, batchSize int) (*CSVDataset, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("data: csv rows need ≥1 feature plus a label, got %d columns", len(rows[0]))
 	}
-	ds := &CSVDataset{name: name}
+	ds := &CSVDataset{set: set{name: name}}
 	var feats []float32
 	var labels []int
 	for i, row := range rows {
@@ -74,15 +73,6 @@ func ReadCSV(r io.Reader, name string, batchSize int) (*CSVDataset, error) {
 	}
 	return ds, nil
 }
-
-// Name implements Dataset.
-func (c *CSVDataset) Name() string { return c.name }
-
-// NumBatches implements Dataset.
-func (c *CSVDataset) NumBatches() int { return len(c.batches) }
-
-// Batch implements Dataset.
-func (c *CSVDataset) Batch(i int) Batch { return c.batches[i%len(c.batches)] }
 
 // Classes returns the number of distinct labels (max label + 1).
 func (c *CSVDataset) Classes() int { return c.classes }

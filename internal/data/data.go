@@ -33,12 +33,25 @@ type Dataset interface {
 	Batch(i int) Batch
 }
 
-// Blobs is a Gaussian-blob classification dataset: K well-separated class
-// centers in D dimensions with unit-variance noise.
-type Blobs struct {
+// set is a named list of pregenerated minibatches, the Dataset behind
+// every generator in this package; Batch wraps around.
+type set struct {
 	name    string
 	batches []Batch
 }
+
+// Name implements Dataset.
+func (s *set) Name() string { return s.name }
+
+// NumBatches implements Dataset.
+func (s *set) NumBatches() int { return len(s.batches) }
+
+// Batch implements Dataset.
+func (s *set) Batch(i int) Batch { return s.batches[i%len(s.batches)] }
+
+// Blobs is a Gaussian-blob classification dataset: K well-separated class
+// centers in D dimensions with unit-variance noise.
+type Blobs struct{ set }
 
 // NewBlobs generates a blob dataset with the given classes, input
 // dimension, batch size, and number of batches.
@@ -54,7 +67,7 @@ func NewBlobs(seed int64, classes, dim, batchSize, numBatches int) *Blobs {
 			centers[c][d] = rng.NormFloat64() * 4
 		}
 	}
-	b := &Blobs{name: fmt.Sprintf("blobs(k=%d,d=%d)", classes, dim)}
+	b := &Blobs{set{name: fmt.Sprintf("blobs(k=%d,d=%d)", classes, dim)}}
 	for i := 0; i < numBatches; i++ {
 		x := tensor.New(batchSize, dim)
 		labels := make([]int, batchSize)
@@ -76,32 +89,20 @@ func NewBlobs(seed int64, classes, dim, batchSize, numBatches int) *Blobs {
 // different classification problems.
 func NewBlobsPair(seed int64, classes, dim, batchSize, trainBatches, evalBatches int) (*Blobs, *Blobs) {
 	all := NewBlobs(seed, classes, dim, batchSize, trainBatches+evalBatches)
-	train := &Blobs{name: all.name + "/train", batches: all.batches[:trainBatches]}
-	eval := &Blobs{name: all.name + "/eval", batches: all.batches[trainBatches:]}
+	train := &Blobs{set{all.name + "/train", all.batches[:trainBatches]}}
+	eval := &Blobs{set{all.name + "/eval", all.batches[trainBatches:]}}
 	return train, eval
 }
-
-// Name implements Dataset.
-func (b *Blobs) Name() string { return b.name }
-
-// NumBatches implements Dataset.
-func (b *Blobs) NumBatches() int { return len(b.batches) }
-
-// Batch implements Dataset.
-func (b *Blobs) Batch(i int) Batch { return b.batches[i%len(b.batches)] }
 
 // Spiral is the classic two-arm spiral: not linearly separable, so it
 // genuinely requires hidden layers and exposes convergence differences
 // between staleness regimes.
-type Spiral struct {
-	name    string
-	batches []Batch
-}
+type Spiral struct{ set }
 
 // NewSpiral generates a spiral dataset with the given arms.
 func NewSpiral(seed int64, arms, batchSize, numBatches int) *Spiral {
 	rng := rand.New(rand.NewSource(seed))
-	s := &Spiral{name: fmt.Sprintf("spiral(arms=%d)", arms)}
+	s := &Spiral{set{name: fmt.Sprintf("spiral(arms=%d)", arms)}}
 	for i := 0; i < numBatches; i++ {
 		x := tensor.New(batchSize, 2)
 		labels := make([]int, batchSize)
@@ -118,27 +119,15 @@ func NewSpiral(seed int64, arms, batchSize, numBatches int) *Spiral {
 	return s
 }
 
-// Name implements Dataset.
-func (s *Spiral) Name() string { return s.name }
-
-// NumBatches implements Dataset.
-func (s *Spiral) NumBatches() int { return len(s.batches) }
-
-// Batch implements Dataset.
-func (s *Spiral) Batch(i int) Batch { return s.batches[i%len(s.batches)] }
-
 // Images generates small synthetic image-classification batches
 // [B, C, H, W]: each class has a characteristic frequency pattern plus
 // noise, so small CNNs can learn it quickly.
-type Images struct {
-	name    string
-	batches []Batch
-}
+type Images struct{ set }
 
 // NewImages generates an image dataset.
 func NewImages(seed int64, classes, channels, size, batchSize, numBatches int) *Images {
 	rng := rand.New(rand.NewSource(seed))
-	im := &Images{name: fmt.Sprintf("images(k=%d,%dx%dx%d)", classes, channels, size, size)}
+	im := &Images{set{name: fmt.Sprintf("images(k=%d,%dx%dx%d)", classes, channels, size, size)}}
 	plane := size * size
 	pattern := make([]float64, classes*plane) // class c: sin(f·y)·cos(f·x), f = (c+1)π/size
 	for p := range pattern {
@@ -161,27 +150,15 @@ func NewImages(seed int64, classes, channels, size, batchSize, numBatches int) *
 	return im
 }
 
-// Name implements Dataset.
-func (im *Images) Name() string { return im.name }
-
-// NumBatches implements Dataset.
-func (im *Images) NumBatches() int { return len(im.batches) }
-
-// Batch implements Dataset.
-func (im *Images) Batch(i int) Batch { return im.batches[i%len(im.batches)] }
-
 // SequenceCopy is a toy translation task: the model must reproduce the
 // input token sequence shifted by one (predict token t from tokens ≤ t).
 // Labels are flattened [B*T] for use with a per-time-step softmax head.
-type SequenceCopy struct {
-	name    string
-	batches []Batch
-}
+type SequenceCopy struct{ set }
 
 // NewSequenceCopy generates the copy task with the given vocabulary.
 func NewSequenceCopy(seed int64, vocab, seqLen, batchSize, numBatches int) *SequenceCopy {
 	rng := rand.New(rand.NewSource(seed))
-	sc := &SequenceCopy{name: fmt.Sprintf("seqcopy(v=%d,t=%d)", vocab, seqLen)}
+	sc := &SequenceCopy{set{name: fmt.Sprintf("seqcopy(v=%d,t=%d)", vocab, seqLen)}}
 	for i := 0; i < numBatches; i++ {
 		x := tensor.New(batchSize, seqLen)
 		labels := make([]int, batchSize*seqLen)
@@ -197,24 +174,12 @@ func NewSequenceCopy(seed int64, vocab, seqLen, batchSize, numBatches int) *Sequ
 	return sc
 }
 
-// Name implements Dataset.
-func (sc *SequenceCopy) Name() string { return sc.name }
-
-// NumBatches implements Dataset.
-func (sc *SequenceCopy) NumBatches() int { return len(sc.batches) }
-
-// Batch implements Dataset.
-func (sc *SequenceCopy) Batch(i int) Batch { return sc.batches[i%len(sc.batches)] }
-
 // MarkovText is a synthetic language-modelling corpus: tokens are drawn
 // from a random first-order Markov chain, so the next token is genuinely
 // predictable from the previous one and perplexity can drop well below the
 // vocabulary size. Labels are the next token at each position, flattened
 // [B*T].
-type MarkovText struct {
-	name    string
-	batches []Batch
-}
+type MarkovText struct{ set }
 
 // NewMarkovText generates a Markov-chain LM dataset.
 func NewMarkovText(seed int64, vocab, seqLen, batchSize, numBatches int) *MarkovText {
@@ -225,7 +190,7 @@ func NewMarkovText(seed int64, vocab, seqLen, batchSize, numBatches int) *Markov
 	for v := range succ {
 		succ[v] = []int{rng.Intn(vocab), rng.Intn(vocab), rng.Intn(vocab)}
 	}
-	mt := &MarkovText{name: fmt.Sprintf("markov(v=%d,t=%d)", vocab, seqLen)}
+	mt := &MarkovText{set{name: fmt.Sprintf("markov(v=%d,t=%d)", vocab, seqLen)}}
 	for i := 0; i < numBatches; i++ {
 		x := tensor.New(batchSize, seqLen)
 		labels := make([]int, batchSize*seqLen)
@@ -242,12 +207,3 @@ func NewMarkovText(seed int64, vocab, seqLen, batchSize, numBatches int) *Markov
 	}
 	return mt
 }
-
-// Name implements Dataset.
-func (mt *MarkovText) Name() string { return mt.name }
-
-// NumBatches implements Dataset.
-func (mt *MarkovText) NumBatches() int { return len(mt.batches) }
-
-// Batch implements Dataset.
-func (mt *MarkovText) Batch(i int) Batch { return mt.batches[i%len(mt.batches)] }

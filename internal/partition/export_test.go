@@ -7,3 +7,13 @@ var (
 	TwoLevelCase     = twoLevelCase
 	SyntheticProfile = syntheticProfile
 )
+
+// EventGraph returns the node count of the graph price folds and each
+// arc's ends and minibatch offset d.
+func EventGraph(p *Plan) (n int, arcs [][3]int) {
+	n, as := p.eventGraph()
+	for _, a := range as {
+		arcs = append(arcs, [3]int{a.from, a.to, int(a.d)})
+	}
+	return n, arcs
+}

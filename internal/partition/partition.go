@@ -92,6 +92,16 @@ func (p *Plan) AtDepth(d int) *Plan {
 // B_s(m), and over each edge s→q the activation F_s(m) → F_q(m) and the
 // gradient B_q(m) → B_s(m), sent as their half of the pass ends.
 func (p *Plan) price() {
+	n, arcs := p.eventGraph()
+	period := maxCycleRatio(n, arcs, 1e-9*p.BottleneckTime)
+	if period < p.BottleneckTime*(1+1e-9) { // a stage's own cycle, but for rounding
+		period = p.BottleneckTime
+	}
+	p.PredictedThroughput = p.samples / period
+}
+
+// eventGraph is price's folded graph: its node count and its arcs.
+func (p *Plan) eventGraph() (int, []arc) {
 	lcm := 1
 	for _, st := range p.Stages {
 		for step := lcm; lcm%st.Replicas != 0; lcm += step {
@@ -118,11 +128,7 @@ func (p *Plan) price() {
 			add(s, 0, m, s, 1, 0, p.costs[s].fwd)
 		}
 	}
-	period := maxCycleRatio(2*len(p.Stages)*lcm, arcs, 1e-9*p.BottleneckTime)
-	if period < p.BottleneckTime*(1+1e-9) { // a stage's own cycle, but for rounding
-		period = p.BottleneckTime
-	}
-	p.PredictedThroughput = p.samples / period
+	return 2 * len(p.Stages) * lcm, arcs
 }
 
 // arc is one of price's precedences: pass to starts no sooner than t after

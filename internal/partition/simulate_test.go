@@ -249,6 +249,49 @@ func TestRandomPlansSimulateAtTheirPrice(t *testing.T) {
 	}
 }
 
+// TestPriceGraphHasNoZeroOffsetCycle is the static deadlock check on the
+// graph price folds: maxCycleRatio takes every cycle of it to carry Σ d > 0
+// minibatches, and a cycle with Σ d ≤ 0 is a pass that waits on itself.
+// Over the random chains and stage graphs of
+// TestRandomPlansSimulateAtTheirPrice (seeds 0–3,999), at their own depth
+// and at the depth it draws, Bellman–Ford on the weights d·(n+1) − 1 finds no
+// negative cycle: a simple cycle of L ≤ n arcs weighs (n+1)·Σ d − L, below
+// zero exactly when Σ d ≤ 0.
+func TestPriceGraphHasNoZeroOffsetCycle(t *testing.T) {
+	for _, dag := range []bool{false, true} {
+		for base := int64(0); base < 4000; base += 400 {
+			rng := rand.New(rand.NewSource(base))
+			for seed := base; seed < base+400; seed++ {
+				_, _, plan := randomPlan(t, seed, dag)
+				for _, q := range []*partition.Plan{plan, plan.AtDepth(1 + rng.Intn(plan.Depth))} {
+					if zeroOffsetCycle(partition.EventGraph(q)) {
+						t.Fatalf("dag %v seed %d: %s at depth %d, windows %v: price's graph has a cycle with Σ d ≤ 0",
+							dag, seed, q.ConfigString(), q.Depth, q.Windows())
+					}
+				}
+			}
+		}
+	}
+}
+
+// zeroOffsetCycle reports whether a graph of n nodes has a cycle whose
+// arcs' offsets sum to at most zero: Bellman–Ford from every node at once.
+func zeroOffsetCycle(n int, arcs [][3]int) bool {
+	dist := make([]int, n)
+	for range n {
+		relaxed := false
+		for _, a := range arcs {
+			if w := dist[a[0]] + a[2]*(n+1) - 1; w < dist[a[1]] {
+				dist[a[1]], relaxed = w, true
+			}
+		}
+		if !relaxed {
+			return false
+		}
+	}
+	return true
+}
+
 // TestSimulatedPeakIsThePlannedPrice holds the planner's memory price to
 // the simulator's: on every modelzoo model, on one and four Cluster-A
 // servers and two Cluster-B servers, for the optimizer's, the straight

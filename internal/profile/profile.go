@@ -161,6 +161,17 @@ func ReadJSON(r io.Reader) (*ModelProfile, error) {
 // actually train with before profiling, or the measured Tl will not
 // match the compute time the partitioner is sizing stages for.
 func Measure(model *nn.Sequential, name string, ds data.Dataset, numBatches int) *ModelProfile {
+	return measure(model, name, ds, numBatches, true)
+}
+
+// MeasureForward is Measure for the pass a serving stage runs: each layer's
+// Forward(x, false), its context discarded. No Backward runs, so every
+// backward time is zero and the profile's TimeRange is forward time.
+func MeasureForward(model *nn.Sequential, name string, ds data.Dataset, numBatches int) *ModelProfile {
+	return measure(model, name, ds, numBatches, false)
+}
+
+func measure(model *nn.Sequential, name string, ds data.Dataset, numBatches int, train bool) *ModelProfile {
 	if numBatches < 1 {
 		numBatches = 1
 	}
@@ -199,16 +210,19 @@ func Measure(model *nn.Sequential, name string, ds data.Dataset, numBatches int)
 				forward = l.Forward
 			}
 			t0 := time.Now()
-			y, ctx := forward(x, true)
+			y, ctx := forward(x, train)
 			prof.Layers[i].FwdTime += time.Since(t0).Seconds()
 			ctxs[i], acts[i] = ctx, y
 			x = y
 		}
 		// This function owns every output and input gradient: each gradient
 		// is handed to the next backward and released once it has run, each
-		// output once its own layer's backward has, a view (or an output
-		// written over its input) with what it views.
-		grad := tensor.Ones(x.Shape...)
+		// output once its own layer's backward (or Discard) has, a view (or
+		// an output written over its input) with what it views.
+		var grad *tensor.Tensor
+		if train {
+			grad = tensor.Ones(x.Shape...)
+		}
 		for i := n - 1; i >= 0; i-- {
 			var next *tensor.Tensor
 			var up func(*tensor.Tensor)
@@ -219,15 +233,19 @@ func Measure(model *nn.Sequential, name string, ds data.Dataset, numBatches int)
 				in = acts[i-1]
 				up = func(g *tensor.Tensor) { next, tUp = g, time.Now() }
 			}
-			layers[i].BackwardWithHook(ctxs[i], grad, up, func(int) { tEnd = time.Now() })
-			prof.Layers[i].BwdTime += tEnd.Sub(t0).Seconds()
-			if prof.Layers[i].WeightBytes > 0 {
-				prof.Layers[i].BwdParamTime += tEnd.Sub(tUp).Seconds()
+			if train {
+				layers[i].BackwardWithHook(ctxs[i], grad, up, func(int) { tEnd = time.Now() })
+				prof.Layers[i].BwdTime += tEnd.Sub(t0).Seconds()
+				if prof.Layers[i].WeightBytes > 0 {
+					prof.Layers[i].BwdParamTime += tEnd.Sub(tUp).Seconds()
+				}
+				if !tensor.SharesStorage(next, grad) {
+					tensor.Put(grad)
+				}
+				grad = next
+			} else {
+				layers[i].Discard(ctxs[i])
 			}
-			if !tensor.SharesStorage(next, grad) {
-				tensor.Put(grad)
-			}
-			grad = next
 			if b == 0 {
 				prof.Layers[i].ActivationBytes = int64(acts[i].Bytes())
 			}

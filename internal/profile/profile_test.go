@@ -9,6 +9,7 @@ import (
 
 	"pipedream/internal/data"
 	"pipedream/internal/nn"
+	"pipedream/internal/tensor"
 )
 
 func sampleProfile() *ModelProfile {
@@ -166,5 +167,52 @@ func TestMeasureWarmsUpOnBatchZero(t *testing.T) {
 	Measure(model, "mlp", ds, 3)
 	if want := []int{0, 0, 1, 2}; !slices.Equal(ds.read, want) {
 		t.Fatalf("Measure read batches %v, want %v", ds.read, want)
+	}
+}
+
+// countingLayer counts its Backward calls.
+type countingLayer struct {
+	nn.Layer
+	backwards *int
+}
+
+func (l countingLayer) Backward(ctx nn.Context, gradOut *tensor.Tensor) *tensor.Tensor {
+	*l.backwards++
+	return l.Layer.Backward(ctx, gradOut)
+}
+
+// MeasureForward, the serving profile, runs each layer's forward pass on
+// Measure's minibatches and never its Backward: every backward time is
+// zero, so a profile's TimeRange is the pass serving runs.
+func TestMeasureForwardRunsNoBackward(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	backwards := 0
+	model := nn.NewSequential(
+		countingLayer{nn.NewDense(rng, "fc1", 4, 32), &backwards},
+		countingLayer{nn.NewTanh("t"), &backwards},
+		countingLayer{nn.NewDense(rng, "fc2", 32, 2), &backwards},
+	)
+	ds := &batchLog{Dataset: data.NewBlobs(5, 2, 4, 8, 4)}
+	prof := MeasureForward(model, "mlp", ds, 2)
+	if backwards != 0 {
+		t.Fatalf("MeasureForward ran %d Backward calls", backwards)
+	}
+	if want := []int{0, 0, 1}; !slices.Equal(ds.read, want) {
+		t.Fatalf("MeasureForward read batches %v, want %v", ds.read, want)
+	}
+	if err := prof.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range prof.Layers {
+		if l.FwdTime <= 0 || l.BwdTime != 0 || l.BwdParamTime != 0 {
+			t.Errorf("layer %d: %+v, want a forward time and no backward", i, l)
+		}
+	}
+	if got := prof.Layers[0].ActivationBytes; got != 8*32*4 {
+		t.Fatalf("fc1 activation bytes = %d", got)
+	}
+	Measure(model, "mlp", ds, 1)
+	if backwards == 0 {
+		t.Fatal("the counting layers count no Backward under Measure")
 	}
 }

@@ -77,22 +77,37 @@ func Parallelism() int { return int(parDegree.Load()) }
 
 // ScopeParallelism sizes the kernel fan-out to the cores each of workers
 // concurrent workers (pipeline stages, serving stages) gets: it lowers the
-// degree to NumCPU/workers, at least 1, and returns the func that restores
-// the previous degree. Every worker dispatches to the one bounded pool, so
-// the two levels never oversubscribe the machine either way; the lower
-// degree keeps compute-balanced workers off the pool's dispatch queue. A
-// degree set through ParallelismEnv, or already at most that share, is
-// left alone and restore does nothing.
+// degree to NumCPU/workers, at least 1, and returns the func that ends the
+// scope. Every worker dispatches to the one bounded pool, so the two
+// levels never oversubscribe the machine either way; the lower degree
+// keeps compute-balanced workers off the pool's dispatch queue. Scopes may
+// overlap (serving replicas do): the last to end restores the degree the
+// first found. With none live, a degree set through ParallelismEnv, or
+// already at most that share, is left alone and the scope does nothing.
 func ScopeParallelism(workers int) (restore func()) {
-	per := runtime.NumCPU() / workers
-	if per < 1 {
-		per = 1
+	scopes.Lock()
+	defer scopes.Unlock()
+	per, cur := max(runtime.NumCPU()/workers, 1), Parallelism()
+	if scopes.live == 0 && (os.Getenv(ParallelismEnv) != "" || per >= cur) {
+		return func() {}
 	}
-	if cur := Parallelism(); os.Getenv(ParallelismEnv) == "" && per < cur {
-		SetParallelism(per)
-		return func() { SetParallelism(cur) }
+	if scopes.live++; scopes.live == 1 {
+		scopes.outer = cur
 	}
-	return func() {}
+	SetParallelism(min(per, cur))
+	return func() {
+		scopes.Lock()
+		defer scopes.Unlock()
+		if scopes.live--; scopes.live == 0 {
+			SetParallelism(scopes.outer)
+		}
+	}
+}
+
+// scopes counts the live scopes and keeps the degree the first one found.
+var scopes struct {
+	sync.Mutex
+	live, outer int
 }
 
 // task is one chunk of a parallelFor dispatch.

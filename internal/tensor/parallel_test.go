@@ -3,7 +3,9 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -232,6 +234,45 @@ func TestSetParallelism(t *testing.T) {
 		t.Fatalf("Parallelism() = %d after reset, want GOMAXPROCS", got)
 	}
 	SetParallelism(old)
+}
+
+// TestOverlappingScopesRestoreWhenTheLastEnds holds ScopeParallelism to
+// two serving replicas, each scoping the degree for its stages: released
+// out of order, the first scope to end leaves the degree the second still
+// runs at, and the last restores the one the first found, also when
+// scopes open and close on several goroutines at once.
+func TestOverlappingScopesRestoreWhenTheLastEnds(t *testing.T) {
+	if runtime.NumCPU() < 2 || os.Getenv(ParallelismEnv) != "" {
+		t.Skip("one core or a fixed degree: no scope lowers the degree")
+	}
+	defer SetParallelism(SetParallelism(runtime.NumCPU()))
+	outer := Parallelism()
+	first := ScopeParallelism(2)
+	lowered := Parallelism()
+	if lowered >= outer {
+		t.Fatalf("a two-worker scope left degree %d of %d", lowered, outer)
+	}
+	second := ScopeParallelism(2)
+	first()
+	if got := Parallelism(); got != lowered {
+		t.Fatalf("the first scope ended while the second is live: degree %d, want %d", got, lowered)
+	}
+	second()
+	if got := Parallelism(); got != outer {
+		t.Fatalf("both scopes ended: degree %d, want %d", got, outer)
+	}
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ScopeParallelism(2)()
+		}()
+	}
+	wg.Wait()
+	if got := Parallelism(); got != outer {
+		t.Fatalf("eight concurrent scopes ended: degree %d, want %d", got, outer)
+	}
 }
 
 // TestParallelForConcurrentCallers drives many goroutines through the

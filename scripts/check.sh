@@ -53,9 +53,10 @@ echo "== go test (default GOMAXPROCS, then one core)"
 go test ./...
 GOMAXPROCS=1 go test -count=1 ./...
 
-echo "== determinism gate (losses are a pure function of seed, plan and depth, and every runtime op log checked — five golden shapes, the in-place train-comm chain, diamond and two-head runs with duplicated deliveries — passes schedule.Validate against the run's event graph: 20 runs each; the validator's mutations, the simulated goldens, GPipe's flush gate and the acyclic event graphs of 2,000 random plans once)"
+echo "== determinism gate (losses are a pure function of seed, plan and depth, and every runtime op log checked — five golden shapes, the in-place train-comm chain, diamond and two-head runs with duplicated deliveries — passes schedule.Validate against the run's event graph: 20 runs each; the validator's mutations, the simulated goldens, GPipe's flush gate and the acyclic event graphs of 2,000 random plans once; the folded graph the planner prices, on 8,000 random plans at their own and a drawn depth, has no cycle whose minibatch offsets sum to zero or less)"
 go test -count=20 ./internal/pipeline/ -run 'PureFunction|Recompute|Staleness|TestRuntimeExecutesScheduleTable|TestCommChainTrainsBitEqualInPlace|TestChannelsTensorsAreRecycled'
 go test -count=1 ./internal/schedule/ ./internal/cluster/ -run '^(TestValidateCatches.*|TestGolden1F1BTimelines|TestTableIsTotalAndDeadlockFree|TestGPipeRoundWaitsForItsFlush|TestSimulate1F1BInvariants|TestSimulateReplicatedStageRoundRobin)$'
+go test -count=1 ./internal/partition/ -run '^TestPriceGraphHasNoZeroOffsetCycle$'
 
 echo "== planner properties (the search matches brute force on flat and two-level topologies and never loses to data parallelism or a straight pipeline on either, evaluate's price of a one-stage plan is the throughput cluster.Simulate measures, and a straight two-stage plan bound by its edge never simulates above that price: 200 runs each, so a failure in a fraction of a percent of draws cannot hide)"
 go test -count=200 ./internal/partition/ -run '^(TestOptimizeDominatesBaselines|TestOptimizeMatchesBruteForceOnRandomProfiles|TestEvaluateMatchesSimulateOnOneStagePlans|TestEdgeBoundTwoStagePlansSimulateAtMostTheirPrice)$'
@@ -67,11 +68,12 @@ go test -count=1 . ./internal/partition/ -run '^(TestMemoryConstrainedPlanRunsAt
 go test -count=10 ./internal/partition/ -run '^TestRandomPlansSimulateAtTheirPrice$'
 go test -count=1 ./internal/pipeline/ -run '^TestWeightArraysAreThePlannedPrice$'
 
-echo "== poisoned pool (use-after-release detector on: nn, pipeline, serve, fleet and pipedream-serve tests always run with it; these are the suites that compare losses and outputs bit for bit — the inference call among them, random layer chains run in place against the borrowing calls, and the train-comm chain whose ReLU stages write over their deliveries — the transport contract, and serving's pool balance)"
+echo "== poisoned pool (use-after-release detector on: nn, pipeline, serve, fleet, pipedream-serve, cliconf and profile tests always run with it; these are the suites that compare losses and outputs bit for bit — the inference call among them, random layer chains run in place against the borrowing calls, and the train-comm chain whose ReLU stages write over their deliveries — the transport contract, serving's pool balance, and serving's start-up: a forward-only profile that runs no Backward, returns every pooled tensor, reads no training data and cuts the forward pass, images' cut unchanged)"
 go test -count=1 ./internal/nn/ -run 'TestSequentialReleasesEachTensorOnce|TestSeqContextHeldBytes|TestTwoPassBackwardMatchesLayerByLayer|TestLossesMatchParentCommit|TestRandomChainsKeepTheOwnershipRule'
 go test -count=1 ./internal/pipeline/ -run 'TestUnreadStageInputReleasedAtForwardEnd|TestCommChainTrainsBitEqualInPlace|TestOneReLUStageTakesOnlyItsMask|TestRecomputeShrinksStash|TestUpstreamGradientLeavesBeforeParameterHalves|TestLossesArePureFunctionOfSeedPlanDepth|TestBranchGraphPipelineMatchesReference|TestBreakConnStormTrainsBitEqual|TestLocalWorkerSetsTrainBitEqual|TestElastic|TestChaos|TestAdoptFullState|TestTrainMaxRecoveries|TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied|TestTrainingMatchesParentCommit|TestEachReplicaModelBuiltOnce|TestDropoutStagesOfOneModelTrainBitEqual'
 go test -count=1 ./internal/tensor/ -run 'TestPoisonOnPutCatchesUseAfterRelease'
 go test -count=1 ./internal/serve/ -run 'TestPoolBalanceAfterTraffic'
+go test -count=1 ./internal/profile/ ./internal/cliconf/ ./cmd/pipedream-serve/ -run 'TestMeasureForwardRunsNoBackward|TestServePlanReadsNoTrainingData|TestServePlanCutsTheForwardPass|TestImagesCutIsUnchanged'
 go test -count=1 ./cmd/pipedream-serve/ ./internal/serve/...
 
 echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table ten times, the two-pass backward, the shared-model inference call, the release of what no context reads, random layer chains run in place, the in-place train-comm chain, one factory model per replica and dropout stages of one model three; the checkpoint readers against a concurrent prune — restore, LoadFullState and the serving follower — five; the transport's connection storm twenty)"
