@@ -16,7 +16,8 @@ import (
 // the tensors' Data and keeps their headers), and a bucket is a contiguous
 // range of whole tensors that closes at the first tensor taking it to
 // bucketBytes or more (only the last bucket may hold less) — a sub-slice
-// of the arena, reduced where it is. Because backward runs last-layer-first, the
+// of the arena, reduced where it is; each round slices the buckets from the
+// arena it is handed. Because backward runs last-layer-first, the
 // tail buckets become ready first: as soon as a bucket's layers have final
 // gradients, the owner calls Ready and that bucket starts its ring —
 // reduce-scatter (P-1 steps) then all-gather (P-1 steps), each step moving
@@ -247,13 +248,18 @@ func (r *RingReducer) Reset() {
 }
 
 // ensureBuckets builds the bucket templates over the gradients' arena on
-// first use and verifies the gradients have not moved since.
+// first use and later slices them from the arena they are in now.
 func (r *RingReducer) ensureBuckets(grads []*tensor.Tensor) error {
 	arena, flat := tensor.Flat(grads)
 	if r.buckets != nil {
-		if !flat || len(arena) != len(r.arena) || (len(arena) > 0 && &arena[0] != &r.arena[0]) {
-			return fmt.Errorf("collective: gradients moved since the first round: %d elems (one arena: %v), had %d",
+		if !flat || len(arena) != len(r.arena) {
+			return fmt.Errorf("collective: gradient layout changed since the first round: %d elems (one arena: %v), had %d",
 				len(arena), flat, len(r.arena))
+		}
+		r.arena = arena
+		off := 0
+		for _, b := range r.buckets {
+			b.data, off = arena[off:off+len(b.data)], off+len(b.data)
 		}
 		return nil
 	}

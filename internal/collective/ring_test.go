@@ -405,8 +405,9 @@ func TestRingSendsChunksInPlace(t *testing.T) {
 // A bucket is a range of the gradients' one arena, reduced where it is: a
 // list that is packed already stays where it is, one that is not is packed
 // on the first round — the headers stay, their Data moves, once — and the
-// tensors the caller holds carry the result either way. Gradients that
-// have moved since the first round are refused.
+// tensors the caller holds carry the result either way. An arena that has
+// moved since, with the same layout, is reduced where it is now; a list
+// whose element count changed, or that is no longer one array, is refused.
 func TestRingBucketsAreViewsOfTheGradientArena(t *testing.T) {
 	tr, rings := makeRings(2, 64)
 	defer tr.Close()
@@ -418,25 +419,22 @@ func TestRingBucketsAreViewsOfTheGradientArena(t *testing.T) {
 	}
 	arena := tensor.Pack(grads[0]) // replica 0 arrives packed, replica 1 does not
 	headers := append([]*tensor.Tensor(nil), grads[1]...)
-	for round := 0; round < 2; round++ {
+	round := func(key int) {
+		t.Helper()
 		for r := range grads {
 			for _, g := range grads[r] {
 				g.Fill(float32(r + 1))
 			}
 		}
-		runRound(t, tr, rings, grads, round, 2, round == 1)
-		if flat, ok := tensor.Flat(grads[0]); !ok || &flat[0] != &arena[0] || &rings[0].arena[0] != &arena[0] {
-			t.Fatalf("round %d: replica 0's packed gradients were moved", round)
-		}
-		flat, ok := tensor.Flat(grads[1])
-		if !ok || &flat[0] != &rings[1].arena[0] {
-			t.Fatalf("round %d: replica 1's gradients are not views of the reducer's arena", round)
-		}
+		runRound(t, tr, rings, grads, key, 2, key == 1)
 		for r, ring := range rings {
+			if flat, ok := tensor.Flat(grads[r]); !ok || &flat[0] != &ring.arena[0] {
+				t.Fatalf("round %d: replica %d's gradients are not views of the reducer's arena", key, r)
+			}
 			off := 0
 			for _, b := range ring.buckets {
 				if len(b.data) > 0 && &b.data[0] != &ring.arena[off] {
-					t.Fatalf("round %d: replica %d bucket %d is not arena[%d:]", round, r, b.index, off)
+					t.Fatalf("round %d: replica %d bucket %d is not arena[%d:]", key, r, b.index, off)
 				}
 				off += len(b.data)
 			}
@@ -449,15 +447,30 @@ func TestRingBucketsAreViewsOfTheGradientArena(t *testing.T) {
 				}
 				for j, v := range g.Data {
 					if v != 1.5 {
-						t.Fatalf("round %d: replica %d gradient %d[%d] = %v, want the average 1.5", round, r, i, j, v)
+						t.Fatalf("round %d: replica %d gradient %d[%d] = %v, want the average 1.5", key, r, i, j, v)
 					}
 				}
 			}
 		}
 	}
-	tensor.Pack(grads[1])
-	if err := rings[1].BeginRound(2, 2, grads[1]); err == nil {
-		t.Fatal("a round over gradients that moved since the first one was accepted")
+	for key := 0; key < 2; key++ {
+		round(key)
+		if &rings[0].arena[0] != &arena[0] {
+			t.Fatalf("round %d: replica 0's packed gradients were moved", key)
+		}
+	}
+
+	moved := tensor.Pack(grads[1]) // the same layout in a new array
+	round(2)
+	if &rings[1].arena[0] != &moved[0] {
+		t.Fatal("a round over a moved arena did not reduce into it")
+	}
+	if err := rings[1].BeginRound(3, 2, grads[1][:3]); err == nil {
+		t.Fatal("a round over a list with another element count was accepted")
+	}
+	grads[1][0].Data = make([]float32, grads[1][0].Size())
+	if err := rings[1].BeginRound(3, 2, grads[1]); err == nil {
+		t.Fatal("a round over gradients that are no longer one array was accepted")
 	}
 }
 

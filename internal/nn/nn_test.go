@@ -362,61 +362,101 @@ func TestOptimizerStatefulRoundTrip(t *testing.T) {
 	}
 }
 
-// StepInto with next ≠ cur — the parameter headers pointed at a second
-// array, the current values read through views of the first, the two
-// arrays swapping roles every step, as the pipeline's weight versions do —
-// leaves the same bits in the parameters and in the optimizer's state as
-// Step does in place on a clone, weight decay included.
+// StepInto with next ≠ cur leaves the same bits in the parameters and in
+// the optimizer's state as Step does in place on a clone, weight decay and
+// a learning-rate schedule included, in two forms: the parameter headers
+// pointed at a second array, the current values read through views of the
+// first, the two arrays swapping roles every step; and the pipeline's,
+// where next is bound to the array the gradients are views of, so each
+// step writes the new weights over the gradients it reads, and the array
+// of the version read becomes the next step's gradient array. Neither form
+// writes the version it reads.
 func TestStepIntoMatchesStepBitForBit(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mk   func() Optimizer
 	}{
+		{"sgd-plain", func() Optimizer { return NewSGD(0.1, 0, 0) }},
 		{"sgd", func() Optimizer { return NewSGD(0.1, 0, 1e-2) }},
 		{"sgd-momentum", func() Optimizer { return NewSGD(0.1, 0.9, 1e-2) }},
 		{"adam", func() Optimizer { return NewAdam(0.05) }},
 		{"lars", func() Optimizer { return NewLARS(0.1, 0.9, 1e-2, 0.1) }},
+		{"scheduled", func() Optimizer {
+			return NewScheduled(NewAdam(0.05), StepDecay{Base: 0.05, Factor: 0.5, Every: 2})
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			shapes := [][]int{{5, 3}, {3}, {2, 2, 2}}
-			var inPlace, next []*tensor.Tensor
+			var inPlace, next, over []*tensor.Tensor
 			for _, s := range shapes {
 				p := tensor.Randn(rng, 1, s...)
-				inPlace, next = append(inPlace, p), append(next, p.Clone())
+				inPlace, next, over = append(inPlace, p), append(next, p.Clone()), append(over, p.Clone())
 			}
 			arrays := [2][]float32{tensor.Pack(next)}
 			arrays[1] = make([]float32, len(arrays[0]))
 			cur := tensor.Views(next, arrays[0])
-			optA, optB := tc.mk(), tc.mk()
+			version := tensor.Pack(over)
+			arena := make([]float32, len(version))
+			curOver, gradsOver := tensor.Views(over, version), tensor.Views(over, arena)
+			optA, optB, optC := tc.mk(), tc.mk(), tc.mk()
+			stateOf := func(o Optimizer, params []*tensor.Tensor) [][]*tensor.Tensor {
+				if s, ok := o.(*Scheduled); ok {
+					o = s.Opt
+				}
+				return o.(Stateful).StateSnapshot(params)
+			}
+			unwritten := func(step int, form string, read, before []float32) {
+				for i, v := range read {
+					if math.Float32bits(v) != math.Float32bits(before[i]) {
+						t.Fatalf("step %d, stepping into %s: StepInto wrote element %d of the version it reads", step, form, i)
+					}
+				}
+			}
 			for step := 0; step < 5; step++ {
 				var grads []*tensor.Tensor
 				for _, s := range shapes {
 					grads = append(grads, tensor.Randn(rng, 1, s...))
 				}
 				optA.Step(inPlace, grads)
+
 				tensor.Bind(cur, arrays[step%2])
 				tensor.Bind(next, arrays[(step+1)%2])
 				before := append([]float32(nil), arrays[step%2]...)
 				optB.StepInto(next, cur, grads)
-				for i, v := range arrays[step%2] {
-					if math.Float32bits(v) != math.Float32bits(before[i]) {
-						t.Fatalf("step %d: StepInto wrote element %d of the version it reads", step, i)
-					}
+				unwritten(step, "a second array", arrays[step%2], before)
+
+				for i, g := range grads {
+					copy(gradsOver[i].Data, g.Data)
 				}
-				stateA, stateB := optA.(Stateful).StateSnapshot(inPlace), optB.(Stateful).StateSnapshot(next)
-				for i := range inPlace {
-					same := func(a, b *tensor.Tensor, what string) {
-						for j := range a.Data {
-							if math.Float32bits(a.Data[j]) != math.Float32bits(b.Data[j]) {
-								t.Fatalf("step %d: %s of parameter %d differs at element %d: %v in place, %v out of place",
-									step, what, i, j, a.Data[j], b.Data[j])
+				tensor.Bind(over, arena)
+				before = append(before[:0], version...)
+				optC.StepInto(over, curOver, gradsOver)
+				unwritten(step, "the gradients' array", version, before)
+				version, arena = arena, version
+				tensor.Bind(curOver, version)
+				tensor.Bind(gradsOver, arena)
+
+				stateA := stateOf(optA, inPlace)
+				for _, f := range []struct {
+					name   string
+					opt    Optimizer
+					params []*tensor.Tensor
+				}{{"a second array", optB, next}, {"the gradients' array", optC, over}} {
+					stateB := stateOf(f.opt, f.params)
+					for i := range inPlace {
+						same := func(a, b *tensor.Tensor, what string) {
+							for j := range a.Data {
+								if math.Float32bits(a.Data[j]) != math.Float32bits(b.Data[j]) {
+									t.Fatalf("step %d: %s of parameter %d differs at element %d: %v in place, %v stepped into %s",
+										step, what, i, j, a.Data[j], b.Data[j], f.name)
+								}
 							}
 						}
-					}
-					same(inPlace[i], next[i], "value")
-					for k := range stateA[i] {
-						same(stateA[i][k], stateB[i][k], "optimizer state")
+						same(inPlace[i], f.params[i], "value")
+						for k := range stateA[i] {
+							same(stateA[i][k], stateB[i][k], "optimizer state")
+						}
 					}
 				}
 			}

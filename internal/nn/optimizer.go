@@ -16,8 +16,10 @@ type Optimizer interface {
 	// StepInto applies one update out of place: it reads the current
 	// values from cur and writes the updated ones to next, element for
 	// element what Step would have left in cur. All three lists are
-	// aligned; state is keyed by next[i], and next[i] may be cur[i]. The
-	// pipeline runtime uses it to write weight version n+1 while in-flight
+	// aligned; state is keyed by next[i], next[i] may be cur[i], and it may
+	// share storage with grads[i]: each gradient element is read before the
+	// parameter element in its place is written. The pipeline runtime uses
+	// it to write weight version n+1 over the gradients while in-flight
 	// minibatches still read version n.
 	StepInto(next, cur, grads []*tensor.Tensor)
 	// LR returns the current learning rate.

@@ -22,12 +22,14 @@ func poisonGrads(arena []float32) {
 }
 
 // stepProbe wraps a worker's optimizer. Each step leaves the gradient arena
-// poisoned, so until the next backward's parameter pass sets it the arena
-// reads as poison; it also counts the steps and the backwards whose upstream
-// gradient has begun to leave, which its worker's transport sends report.
+// poisoned — the array it hands the gradients is a freed version's, which
+// the use-after-release detector marks — so until the next backward's
+// parameter pass sets it the arena reads as poison; the probe counts the
+// steps and the backwards whose upstream gradient has begun to leave,
+// which its worker's transport sends report.
 type stepProbe struct {
 	nn.Optimizer
-	arena        []float32
+	sw           *stageWorker
 	steps, sends int
 	lastMB       int
 }
@@ -35,7 +37,6 @@ type stepProbe struct {
 func (o *stepProbe) StepInto(next, cur, grads []*tensor.Tensor) {
 	o.Optimizer.StepInto(next, cur, grads)
 	o.steps++
-	poisonGrads(o.arena)
 }
 
 // upOrder checks every upstream Gradient as it leaves: no parameter half of
@@ -55,7 +56,7 @@ func (u *upOrder) Send(to int, m transport.Message) error {
 			o.sends++
 			o.lastMB = m.Minibatch
 		}
-		for _, v := range o.arena {
+		for _, v := range o.sw.gradArena {
 			if math.Float32bits(v) != gradPoison {
 				u.t.Errorf("stage %d mb %d: the upstream gradient left after a parameter half had run", m.Src, m.Minibatch)
 				break
@@ -111,7 +112,7 @@ func TestUpstreamGradientLeavesBeforeParameterHalves(t *testing.T) {
 			defer u.Close()
 			for _, sw := range p.workers {
 				if len(sw.preds) > 0 {
-					probe := &stepProbe{Optimizer: sw.opt, arena: sw.gradArena}
+					probe := &stepProbe{Optimizer: sw.opt, sw: sw}
 					sw.opt, u.probes[sw.stage] = probe, probe
 					poisonGrads(sw.gradArena)
 				}

@@ -92,15 +92,17 @@ func (sw *stageWorker) drainRing(ab *runAbort) error {
 }
 
 // applyUpdate steps the optimizer — it reads the latest weight version
-// and writes the next — honouring gradient accumulation: with
+// and writes the next over the gradient arena, which a freed version's
+// array replaces — honouring gradient accumulation: with
 // GradAccumulation = N, gradients of N consecutive minibatches are
-// averaged into one update. The version counter still advances every
-// minibatch so vertical-sync tags stay aligned across stages. Versions no
-// forward can ask for any more leave the table.
+// averaged into one update, written over the accumulator. The version
+// counter still advances every minibatch so vertical-sync tags stay
+// aligned across stages. Versions no forward can ask for any more leave
+// the table.
 func (sw *stageWorker) applyUpdate() {
 	sw.updates++
 	if n := sw.p.opts.GradAccumulation; n <= 1 {
-		sw.weights.step(sw.opt, sw.grads, sw.reflected())
+		sw.gradArena = sw.weights.step(sw.opt, sw.grads, sw.reflected())
 	} else {
 		if sw.accum == nil {
 			sw.accum = make([]float32, len(sw.gradArena))
@@ -114,7 +116,7 @@ func (sw *stageWorker) applyUpdate() {
 		sw.accumCount++
 		if sw.accumCount >= n {
 			tensor.ScaleInto(sw.accum, sw.accum, float32(1)/float32(sw.accumCount))
-			sw.weights.step(sw.opt, sw.accumViews, sw.reflected())
+			sw.accum = sw.weights.step(sw.opt, sw.accumViews, sw.reflected())
 			sw.accumCount = 0
 		}
 	}

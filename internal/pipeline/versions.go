@@ -13,8 +13,9 @@ import (
 // back to back in one flat array per version (tensor.Pack), the model's
 // parameter headers are pointed at the array of whichever version an op
 // runs under (bind: slice-header writes, no element moves), and the
-// optimizer reads the latest version and writes the next one into an array
-// from the free list. A version is referenced by the table while it can
+// optimizer reads the latest version and writes the next one over the
+// gradient arena, whose array it becomes; a freed version's array becomes
+// the arena. A version is referenced by the table while it can
 // still be looked up (the latest always; older ones until prune) and by
 // every in-flight minibatch whose forward ran under it; its array returns
 // to the free list when the last reference goes. So at most one array per
@@ -34,7 +35,7 @@ type weightVersions struct {
 	listed []*weightVersion
 	free   []*weightVersion
 	bound  *weightVersion
-	arrays int // arrays ever made (the free ones included)
+	arrays int // arrays ever made but the first arena (the free ones included)
 }
 
 // weightVersion is one version of a stage's weights.
@@ -139,22 +140,29 @@ func (t *weightVersions) recycle(v *weightVersion) {
 	t.free = append(t.free, v)
 }
 
-// step applies one optimizer update: it reads the latest version, writes
-// the next one — keyed key, listed as the new latest, in an array off the
-// free list — and leaves the model bound to it. The optimizer's write is
-// the only time parameter bytes move.
-func (t *weightVersions) step(opt nn.Optimizer, grads []*tensor.Tensor, key int) {
+// step applies one optimizer update: it writes the version after the
+// latest — keyed key, listed as the new latest — over the gradients (views
+// of one array, still hot), rebinds grads to a free array (a new one, marked
+// released, if none is free) and returns it. The model is left bound to the
+// new version; the optimizer's write is the only time parameter bytes move.
+func (t *weightVersions) step(opt nn.Optimizer, grads []*tensor.Tensor, key int) []float32 {
+	arena, _ := tensor.Flat(grads) // nil, and Bind panics, if grads are not one array
 	cur := t.latest()
 	var next *weightVersion
 	if n := len(t.free); n > 0 {
 		next, t.free = t.free[n-1], t.free[:n-1]
 	} else {
 		next = t.wrap(make([]float32, len(cur.data)))
+		tensor.Scrub(next.data)
 	}
-	next.key, next.listed = key, true
+	free := next.data
+	next.data, next.key, next.listed = arena, key, true
+	tensor.Bind(next.views, arena)
 	t.bind(next)
 	opt.StepInto(t.params, cur.views, grads)
 	t.listed = append(t.listed, next)
+	tensor.Bind(grads, free)
+	return free
 }
 
 // prune drops from the table the versions no lookup will ask for again:

@@ -139,8 +139,9 @@ func TestWeightVersionTableMatchesCopyReference(t *testing.T) {
 						g.Data[j] = float32(rng.NormFloat64())
 					}
 				}
+				refOpt.Step(ref, grads) // first: the table's step writes over grads
+				tensor.Pack(grads)
 				table.step(opt, grads, updates)
-				refOpt.Step(ref, grads)
 				history = append(history, version{updates, bitsOf(ref)})
 			}
 			oldest := updates

@@ -48,10 +48,10 @@ type stageWorker struct {
 
 	// The stage's parameters live in the arrays of weights' versions and its
 	// gradients (grads, in Grads() order) in gradArena, which the ring's
-	// buckets reduce in place. accum, made at the first use and kept for
-	// the run, sums the gradients of one GradAccumulation cycle; accumViews
-	// are its per-gradient views and accumCount the minibatches summed so
-	// far.
+	// buckets reduce in place. accum, made at the first use, sums the
+	// gradients of one GradAccumulation cycle; accumViews are its
+	// per-gradient views and accumCount the minibatches summed so far. A
+	// step writes weights over either array and swaps in a freed one.
 	weights    *weightVersions
 	grads      []*tensor.Tensor
 	gradArena  []float32

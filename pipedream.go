@@ -68,9 +68,11 @@ type (
 	Layer = nn.Layer
 	// Optimizer applies gradient updates (SGD, Adam, LARS): Step(params,
 	// grads) in place, or StepInto(next, cur, grads) out of place — the
-	// form the pipeline runtime uses to write a new weight version while
-	// in-flight minibatches still read the current one. A custom optimizer
-	// implements both; Step is StepInto(params, params, grads).
+	// form the pipeline runtime uses to write a new weight version over the
+	// gradients while in-flight minibatches still read the current one. A
+	// custom optimizer implements both, with Step as StepInto(params,
+	// params, grads), and reads each gradient element before it writes the
+	// parameter element sharing its storage.
 	Optimizer = nn.Optimizer
 	// LossFunc scores predictions against labels and returns the loss
 	// gradient — the type of PipelineOptions.Loss and the values of
