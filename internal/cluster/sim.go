@@ -226,7 +226,7 @@ func (s *sim) init() error {
 	s.pending, s.floor = make([]int, len(g.Nodes)), make([]float64, len(g.Nodes))
 	for _, n := range g.Nodes {
 		for _, a := range n.Out {
-			if a.Class != schedule.SyncArc {
+			if a.Class != partition.SyncArc {
 				s.pending[a.To]++
 			}
 		}
@@ -250,7 +250,7 @@ func (s *sim) init() error {
 // crosses a link, to queue for it at t.
 func (s *sim) post(t float64, from int, a schedule.Arc) {
 	link := -1
-	if a.Class == schedule.ActivationArc || a.Class == schedule.GradientArc {
+	if a.Class == partition.ActivationArc || a.Class == partition.GradientArc {
 		link = a.Edge
 		s.p2pBytes += s.stages[s.links[link].from].actOutB
 	}
@@ -329,13 +329,13 @@ func (s *sim) start(v int) {
 	}
 	for _, a := range n.Out {
 		switch a.Class {
-		case schedule.ActivationArc, schedule.LossArc, schedule.OrderArc:
+		case partition.ActivationArc, partition.LossArc, partition.OrderArc:
 			s.post(end, v, a)
-		case schedule.GradientArc:
+		case partition.GradientArc:
 			s.post(end-info.bwdParamTime*speed, v, a)
-		case schedule.SyncArc:
+		case partition.SyncArc:
 			s.floor[a.To] = end + info.syncTime
-		case schedule.FlushArc:
+		case partition.FlushArc:
 			s.post(end+s.flush, v, a)
 		}
 	}

@@ -84,13 +84,7 @@ func (p *Plan) AtDepth(d int) *Plan {
 
 // price sets PredictedThroughput at the plan's windows: MinibatchSize over
 // the longer of BottleneckTime and the period of schedule.Table's 1F1B
-// order, the largest Σ t ÷ Σ d over the cycles of its timed event graph,
-// folded modulo the lcm of the replica counts. There an arc X(m) → Y(m+d)
-// starts pass Y of minibatch m+d no sooner than t after pass X of m: each
-// replica's order B_s(m) → F_s(m+k·R_s) → B_s(m+R_s) after k warm-up
-// forwards, its ring sync B_s(m) → B_s(m+R_s), a sink's loss F_s(m) →
-// B_s(m), and over each edge s→q the activation F_s(m) → F_q(m) and the
-// gradient B_q(m) → B_s(m), sent as their half of the pass ends.
+// order, the largest Σ t ÷ Σ d over the cycles of eventGraph.
 func (p *Plan) price() {
 	n, arcs := p.eventGraph()
 	period := maxCycleRatio(n, arcs, 1e-9*p.BottleneckTime)
@@ -100,35 +94,92 @@ func (p *Plan) price() {
 	p.PredictedThroughput = p.samples / period
 }
 
-// eventGraph is price's folded graph: its node count and its arcs.
+// eventGraph is price's graph, Arcs folded modulo the lcm L of the replica
+// counts; node (s·L + m)·2 + b is pass b of minibatch m at stage s.
 func (p *Plan) eventGraph() (int, []arc) {
 	lcm := 1
 	for _, st := range p.Stages {
 		for step := lcm; lcm%st.Replicas != 0; lcm += step {
 		}
 	}
+	window, n := p.Windows(), 2*len(p.Stages)*lcm
 	var arcs []arc
-	add := func(s, b, m, q, c, d int, t float64) { // b, c: 0 forward, 1 backward
-		arcs = append(arcs, arc{(s*lcm+m)*2 + b, (q*lcm+((m+d)%lcm+lcm)%lcm)*2 + c, t, float64(d)})
-	}
-	window := p.Windows()
-	for m := range lcm {
-		for s, st := range p.Stages {
-			c, r := p.costs[s], st.Replicas
-			k := WarmUp(window[s], r, m%r) * r
-			add(s, 1, m, s, 0, k, c.bwd)
-			add(s, 0, m, s, 1, r-k, c.fwd)
-			add(s, 1, m, s, 1, r, c.bwd+c.sync)
-		}
-		for i, e := range p.Graph.Edges {
-			add(e.From, 0, m, e.To, 0, 0, p.costs[e.From].fwd+p.CommTimes[i]/2)
-			add(e.To, 1, m, e.From, 1, 0, p.costs[e.To].bwdIn+p.CommTimes[i]/2)
-		}
-		for _, s := range p.Graph.Sinks() {
-			add(s, 0, m, s, 1, 0, p.costs[s].fwd)
+	var out []Arc
+	for v := range n {
+		m := v / 2 % lcm
+		out = p.Arcs(window, v/2/lcm, v%2, m, out[:0])
+		for _, a := range out {
+			arcs = append(arcs, arc{v, (a.Stage*lcm+((m+a.D)%lcm+lcm)%lcm)*2 + a.Pass, a.T, float64(a.D)})
 		}
 	}
-	return 2 * len(p.Stages) * lcm, arcs
+	return n, arcs
+}
+
+// ArcClass says why one pass of the 1F1B schedule waits for another.
+type ArcClass int
+
+// Arc classes; the simulator times each class its own way.
+const (
+	// OrderArc: consecutive ops of one worker's schedule.Table list.
+	OrderArc ArcClass = iota
+	// ActivationArc and GradientArc: a forward to the same minibatch's
+	// forward, and a backward to its backward, at the routed replica of
+	// the stage at the other end of a plan edge.
+	ActivationArc
+	GradientArc
+	// LossArc: a sink's forward to its backward of the same minibatch.
+	LossArc
+	// SyncArc: under 1F1B, a replica's backward to its next backward,
+	// which reuses the gradient buffers the first one's all_reduce reads.
+	SyncArc
+	// FlushArc: under GPipe, every input-stage backward of round r to each
+	// input worker's first forward of round r+1.
+	FlushArc
+)
+
+var arcNames = [...]string{"order", "activation", "gradient", "loss", "sync", "flush"}
+
+// String implements fmt.Stringer.
+func (c ArcClass) String() string { return arcNames[c] }
+
+// Arc is a precedence Arcs appends for a pass of minibatch m: pass Pass
+// (0 forward, 1 backward) of minibatch m+D at stage Stage starts no sooner
+// than T after that pass starts. Edge indexes Graph.Edges for activation
+// and gradient arcs, and is -1 otherwise.
+type Arc struct {
+	Stage, Pass, D, Edge int
+	Class                ArcClass
+	T                    float64
+}
+
+// Arcs appends to out 1F1B's precedences (§3.2, Fig. 8) out of pass (0
+// forward, 1 backward) of minibatch m at stage s, at the stage windows
+// window, in this order: over each edge s→q, in edge order, the activation
+// F_s(m) → F_q(m), or over each edge q→s the gradient B_s(m) → B_q(m), sent
+// as their half of the pass ends; a sink's loss F_s(m) → B_s(m); the
+// replica's order B_s(m) → F_s(m+k·R_s) → B_s(m+R_s) after its k = WarmUp
+// forwards; and a replicated stage's ring sync B_s(m) → B_s(m+R_s).
+func (p *Plan) Arcs(window []int, s, pass, m int, out []Arc) []Arc {
+	c, r, lo := p.costs[s], p.Stages[s].Replicas, len(out)
+	k := WarmUp(window[s], r, m%r)
+	for i, e := range p.Graph.Edges {
+		if pass == 0 && e.From == s {
+			out = append(out, Arc{e.To, 0, 0, i, ActivationArc, c.fwd + p.CommTimes[i]/2})
+		} else if pass == 1 && e.To == s {
+			out = append(out, Arc{e.From, 1, 0, i, GradientArc, c.bwdIn + p.CommTimes[i]/2})
+		}
+	}
+	if pass == 0 {
+		if len(out) == lo { // a sink
+			out = append(out, Arc{s, 1, 0, -1, LossArc, c.fwd})
+		}
+		return append(out, Arc{s, 1, r - k*r, -1, OrderArc, c.fwd})
+	}
+	out = append(out, Arc{s, 0, k * r, -1, OrderArc, c.bwd})
+	if r > 1 {
+		out = append(out, Arc{s, 1, r, -1, SyncArc, c.bwd + c.sync})
+	}
+	return out
 }
 
 // arc is one of price's precedences: pass to starts no sooner than t after
@@ -145,14 +196,15 @@ type arc struct {
 // potential (x); nodes then switch to arcs towards a higher ratio or,
 // where no node has one, a higher potential, until none does by tol.
 func maxCycleRatio(n int, arcs []arc, tol float64) float64 {
-	policy, eta, x, mark, walk := make([]arc, n), make([]float64, n), make([]float64, n), make([]int, n), 0
+	policy, eta, x, walk := make([]arc, n), make([]float64, n), make([]float64, n), 0
+	mark, path := make([]int, n), make([]int, 0, n) // path: one walk's nodes
 	for _, a := range arcs {
 		policy[a.from] = a
 	}
 	for {
 		start := walk // marks above start were set in this pass
 		for v := range n {
-			var path []int
+			path = path[:0]
 			for walk++; mark[v] <= start; v = policy[v].to {
 				mark[v], path = walk, append(path, v)
 			}

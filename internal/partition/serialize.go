@@ -72,7 +72,7 @@ func ReadJSON(r io.Reader, prof *profile.ModelProfile, topo *topology.Topology) 
 	if pj.Depth != nil {
 		plan.Depth = *pj.Depth
 	}
-	if pj.Windows != nil && (pj.Depth == nil || len(pj.Windows) != len(pj.Stages) || !slices.Equal(plan.fit(slices.Clone(pj.Windows)), pj.Windows)) {
+	if pj.Windows != nil && (pj.Depth == nil || len(pj.Windows) != len(plan.Stages) || !slices.Equal(plan.fit(slices.Clone(pj.Windows)), pj.Windows)) {
 		return nil, fmt.Errorf("partition: plan windows %v do not fit its stages at depth %d", pj.Windows, plan.Depth)
 	}
 	plan.windows = pj.Windows

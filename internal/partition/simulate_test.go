@@ -292,6 +292,68 @@ func zeroOffsetCycle(n int, arcs [][3]int) bool {
 	return true
 }
 
+// TestGraphFoldsToThePrice holds the graph schedule.Graph unrolls to the
+// one price folds. Both read Plan.Arcs, but Graph takes its order arcs
+// from schedule.Table and price from Arcs, so this referees the two
+// orders. Over the random chains and stage graphs of seeds 0–799, at their
+// own depth and at the depth TestPriceGraphHasNoZeroOffsetCycle draws,
+// Graph's arcs out of one steady period [P, P+L) (past every warm-up,
+// before any drain) folded modulo the lcm L of the replica counts are the
+// arcs of partition.EventGraph, each with its minibatch offset.
+func TestGraphFoldsToThePrice(t *testing.T) {
+	arcOrder := func(a, b [3]int) int { return slices.Compare(a[:], b[:]) }
+	for _, dag := range []bool{false, true} {
+		for base := int64(0); base < 800; base += 400 {
+			rng := rand.New(rand.NewSource(base))
+			for seed := base; seed < base+400; seed++ {
+				_, _, plan := randomPlan(t, seed, dag)
+				for _, q := range []*partition.Plan{plan, plan.AtDepth(1 + rng.Intn(plan.Depth))} {
+					n, want := partition.EventGraph(q)
+					got := foldedPeriod(t, q, n/2/len(q.Stages))
+					slices.SortFunc(got, arcOrder)
+					slices.SortFunc(want, arcOrder)
+					if !slices.Equal(got, want) {
+						i := 0
+						for i < min(len(got), len(want)) && got[i] == want[i] {
+							i++
+						}
+						t.Fatalf("dag %v seed %d: %s at depth %d, windows %v: the table's steady period folds to %d arcs, price's graph has %d; sorted, they part at %v against %v",
+							dag, seed, q.ConfigString(), q.Depth, q.Windows(), len(got), len(want), got[i:min(i+1, len(got))], want[i:min(i+1, len(want))])
+					}
+				}
+			}
+		}
+	}
+}
+
+// foldedPeriod unrolls plan's 1F1B event graph over [0, 2P+L), P the
+// largest window plus replica count, and returns the arcs out of
+// minibatches [P, P+L) as partition.EventGraph numbers them: ends folded
+// modulo L, and the minibatch offset.
+func foldedPeriod(t *testing.T, plan *partition.Plan, lcm int) [][3]int {
+	t.Helper()
+	p := 0
+	for s, w := range plan.Windows() {
+		p = max(p, w+plan.Stages[s].Replicas)
+	}
+	g, err := schedule.Graph(schedule.Assign(plan), schedule.PipeDream1F1B, 0, 2*p+lcm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := func(n schedule.Node) int { return (n.Stage*lcm+n.Minibatch%lcm)*2 + int(n.Kind) }
+	var arcs [][3]int
+	for _, n := range g.Nodes {
+		if n.Minibatch < p || n.Minibatch >= p+lcm {
+			continue
+		}
+		for _, a := range n.Out {
+			to := g.Nodes[a.To]
+			arcs = append(arcs, [3]int{node(n), node(to), to.Minibatch - n.Minibatch})
+		}
+	}
+	return arcs
+}
+
 // TestSimulatedPeakIsThePlannedPrice holds the planner's memory price to
 // the simulator's: on every modelzoo model, on one and four Cluster-A
 // servers and two Cluster-B servers, for the optimizer's, the straight

@@ -189,9 +189,9 @@ func (t *Timeline) WorkerOps(w int) []Op {
 
 // Render draws an ASCII Gantt chart of the timeline (one row per worker),
 // quantized to the given time step — the textual analogue of the paper's
-// Figures 2-4 and 8. Forward ops print the minibatch digit, backward ops
-// print the digit in brackets-free lowercase style using '·'-padding for
-// idle time.
+// Figures 2-4 and 8. A forward prints its minibatch's last digit, a
+// backward the letter 'a'–'j' for that digit, a sync '#', and idle time
+// '.'.
 func (t *Timeline) Render(step float64) string {
 	if step <= 0 || t.Horizon <= 0 {
 		return ""
@@ -262,7 +262,7 @@ func Validate(t *Timeline, g *EventGraph) error {
 		for _, a := range n.Out {
 			from, to := ran[v], ran[a.To]
 			ready := from.End
-			if a.Class == ActivationArc || a.Class == GradientArc {
+			if a.Class == partition.ActivationArc || a.Class == partition.GradientArc {
 				ready = from.Start
 			}
 			if to.Start < ready-1e-9 {

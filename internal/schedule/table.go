@@ -82,39 +82,10 @@ func Table(a *Assignment, policy Policy, start, end int) ([][]TableOp, error) {
 	return table, nil
 }
 
-// ArcClass says why one op of an EventGraph waits for another.
-type ArcClass int
-
-// Arc classes. An arc carries no duration; the simulator gives each class
-// its own.
-const (
-	// OrderArc: consecutive ops of one worker's Table list.
-	OrderArc ArcClass = iota
-	// ActivationArc: a forward to the same minibatch's forward at the
-	// routed replica of the stage at the other end of a plan edge.
-	ActivationArc
-	// GradientArc: a backward to the same minibatch's backward at the
-	// routed replica of the stage at the other end of a plan edge.
-	GradientArc
-	// LossArc: a sink's forward to its backward of the same minibatch.
-	LossArc
-	// SyncArc: under 1F1B, a replica's backward to its next backward,
-	// which reuses the gradient buffers the first one's all_reduce reads.
-	SyncArc
-	// FlushArc: under GPipe, every input-stage backward of round r to each
-	// input worker's first forward of round r+1.
-	FlushArc
-)
-
-var arcNames = [...]string{"order", "activation", "gradient", "loss", "sync", "flush"}
-
-// String implements fmt.Stringer.
-func (c ArcClass) String() string { return arcNames[c] }
-
 // Arc is a precedence of an EventGraph: node To waits for its source.
 type Arc struct {
 	To    int
-	Class ArcClass
+	Class partition.ArcClass
 	// Edge indexes the plan's Graph.Edges for activation and gradient
 	// arcs (the link they cross), and is -1 otherwise.
 	Edge int
@@ -125,9 +96,8 @@ type Arc struct {
 type Node struct {
 	TableOp
 	Worker, Stage int
-	// Out lists the ops waiting for this one: its activations or
-	// gradients (or a sink's loss) in edge order, then its worker's next
-	// op, then its sync or flush successors.
+	// Out lists the ops waiting for this one in partition.Plan.Arcs'
+	// order, then its GPipe flush successors.
 	Out []Arc
 }
 
@@ -143,7 +113,9 @@ type EventGraph struct {
 	at    [][2][]int // at[s][kind][mb-start]: the node of that pass
 }
 
-// Graph builds the event graph of Table(a, policy, start, end).
+// Graph builds the event graph of Table(a, policy, start, end): the plan's
+// Arcs over [start, end), with each order arc to the worker's next Table
+// op (warm-up and drain run F→F, B→B); under GPipe flush arcs replace syncs.
 func Graph(a *Assignment, policy Policy, start, end int) (*EventGraph, error) {
 	table, err := Table(a, policy, start, end)
 	if err != nil {
@@ -165,35 +137,25 @@ func Graph(a *Assignment, policy Policy, start, end int) (*EventGraph, error) {
 	// Each node's arcs are one run of a shared array, in the order Out
 	// documents; its capacity bounds their count.
 	arcs := make([]Arc, 0, 2*len(g.Nodes)+mbs*(2*len(edges)+stages+inputs))
-	add := func(to int, class ArcClass, edge int) { arcs = append(arcs, Arc{to, class, edge}) }
+	// The table gives every order arc its target, so no window sets its offset.
+	window, out := make([]int, stages), []partition.Arc(nil)
 	for v, n := range g.Nodes {
-		lo, mb := len(arcs), n.Minibatch-start
-		for i, e := range edges {
-			if n.Kind == Forward && e.From == n.Stage {
-				add(g.at[e.To][Forward][mb], ActivationArc, i)
-			} else if n.Kind == Backward && e.To == n.Stage {
-				add(g.at[e.From][Backward][mb], GradientArc, i)
-			}
-		}
-		if n.Kind == Forward && len(arcs) == lo { // a sink
-			add(g.at[n.Stage][Backward][mb], LossArc, -1)
-		}
-		if v+1 < len(g.Nodes) && g.Nodes[v+1].Worker == n.Worker {
-			add(v+1, OrderArc, -1)
-		}
-		if n.Kind == Backward && policy != GPipe && len(a.StageWorkers[n.Stage]) > 1 {
-			for u := v + 1; u < len(g.Nodes) && g.Nodes[u].Worker == n.Worker; u++ {
-				if g.Nodes[u].Kind == Backward { // the replica's next backward
-					add(u, SyncArc, -1)
-					break
+		lo := len(arcs)
+		out = a.Plan.Arcs(window, n.Stage, int(n.Kind), n.Minibatch, out[:0])
+		for _, arc := range out {
+			if arc.Class == partition.OrderArc { // the table's next op on this worker
+				if v+1 < len(g.Nodes) && g.Nodes[v+1].Worker == n.Worker {
+					arcs = append(arcs, Arc{v + 1, arc.Class, -1})
 				}
+			} else if to := n.Minibatch - start + arc.D; to < mbs && (arc.Class != partition.SyncArc || policy != GPipe) {
+				arcs = append(arcs, Arc{g.at[arc.Stage][arc.Pass][to], arc.Class, arc.Edge})
 			}
 		}
 		if policy == GPipe && n.Stage == 0 && n.Kind == Backward {
-			next := start + (mb/depth+1)*depth // the next round's first minibatch
+			next := start + ((n.Minibatch-start)/depth+1)*depth // the next round's first minibatch
 			for r := range inputs {
 				if m := next + ((r-next%inputs)%inputs+inputs)%inputs; m < min(end, next+depth) {
-					add(g.at[0][Forward][m-start], FlushArc, -1)
+					arcs = append(arcs, Arc{g.at[0][Forward][m-start], partition.FlushArc, -1})
 				}
 			}
 		}
