@@ -102,7 +102,11 @@ func main() {
 		fatal(err)
 	}
 
-	fmt.Printf("plan:       %s\n", plan)
+	line := plan.String()
+	if policy == schedule.GPipe { // no windows, and a flush every Depth microbatches
+		line = fmt.Sprintf("%s on %d workers: %s, %.4g samples/s, depth %d", plan.Model, plan.Workers, plan.ConfigString(), plan.GPipeThroughput(), plan.Depth)
+	}
+	fmt.Printf("plan:       %s\n", line)
 	fmt.Printf("policy:     %s\n", policy)
 	fmt.Printf("total time: %.3fs for %d minibatches\n", res.TotalTime, *minibatches)
 	fmt.Printf("throughput: %.4g samples/s (steady state)\n", res.Throughput)

@@ -32,16 +32,6 @@ type Config struct {
 	// plan's Depth is the pipeline depth: 1F1B's in-flight minibatches
 	// at the input stage (Figure 18) or GPipe's microbatches per flush.
 	Minibatches int
-	// WorkerSpeed optionally scales each worker's compute time (index =
-	// worker ID; 1.0 = nominal, 2.0 = twice as slow). Models stragglers
-	// and heterogeneous accelerators, which the paper's homogeneous
-	// optimizer does not plan for.
-	WorkerSpeed []float64
-	// Recompute models GPipe-style activation recomputation: stages
-	// discard forward activations (shrinking per-minibatch stashes to the
-	// stage input) and re-run the forward pass during backward (adding
-	// its time to every backward pass).
-	Recompute bool
 	// RecordTimeline keeps per-op records (needed for figures; costs
 	// memory proportional to ops).
 	RecordTimeline bool
@@ -283,27 +273,15 @@ func (s *sim) run() {
 	}
 }
 
-// speedOf returns worker w's compute-time multiplier.
-func (s *sim) speedOf(w int) float64 {
-	if w < len(s.cfg.WorkerSpeed) && s.cfg.WorkerSpeed[w] > 0 {
-		return s.cfg.WorkerSpeed[w]
-	}
-	return 1
-}
-
 // start runs node v from now (or its sync floor) and posts its out-arcs.
 func (s *sim) start(v int) {
 	n := &s.graph.Nodes[v]
 	info := &s.stages[n.Stage]
-	speed := s.speedOf(n.Worker)
 	start, t := max(s.now, s.floor[v]), info.fwdTime
 	if n.Kind == schedule.Backward {
 		t = info.bwdTime
-		if s.cfg.Recompute {
-			t += info.fwdTime // re-run the forward to rebuild activations
-		}
 	}
-	end := start + t*speed
+	end := start + t
 	s.end = max(s.end, end)
 	s.record(n.Worker, n.Stage, n.Minibatch, n.Kind, start, end)
 	gpipe := s.cfg.Policy == schedule.GPipe
@@ -332,7 +310,7 @@ func (s *sim) start(v int) {
 		case partition.ActivationArc, partition.LossArc, partition.OrderArc:
 			s.post(end, v, a)
 		case partition.GradientArc:
-			s.post(end-info.bwdParamTime*speed, v, a)
+			s.post(end-info.bwdParamTime, v, a)
 		case partition.SyncArc:
 			s.floor[a.To] = end + info.syncTime
 		case partition.FlushArc:
@@ -400,7 +378,7 @@ func (s *sim) result() *Result {
 	r.PeakMemory = make([]int64, len(s.peakStash))
 	for w, peak := range s.peakStash {
 		r.PeakMemory[w] = partition.WorkerMemory(s.cfg.Profile, s.stages[s.assign.Workers[w].Stage].spec, peak,
-			s.cfg.Policy == schedule.GPipe, s.cfg.Recompute)
+			s.cfg.Policy == schedule.GPipe, false)
 	}
 	r.P2PBytes = s.p2pBytes
 	r.SyncBytes = s.syncBytes

@@ -11,14 +11,12 @@ import (
 
 // simulateCallers are the functions that may run cluster.Simulate, each
 // for what the planner's price does not model. Every 1F1B throughput row
-// reads the price (Table.price) and every 1F1B memory row the memory price
-// (Table.memory), which TestPredictedVersusSimulated referees.
+// reads the price (Table.price), every GPipe one the GPipe price
+// (Table.gpipe) and every 1F1B memory row the memory price (Table.memory),
+// which TestPredictedVersusSimulated referees.
 var simulateCallers = map[string]string{
-	"simGPipe":     "GPipe's flushes and recomputation (sec54)",
-	"claims":       "GPipe (claim 3)",
 	"fig15":        "the referee column of the figure",
-	"ablRecompute": "activation recomputation",
-	"ablStraggler": "straggler workers",
+	"ablStraggler": "a slowed stage under the nominal plan's windows, which the price reads 2 % high at 1.25x (FIFO link order)",
 	"fig5":         "transfers and their overlap with compute",
 	"timelineRun":  "the fig2-fig4 timelines",
 	"fig8":         "the 1F1B-RR timeline",
@@ -26,8 +24,8 @@ var simulateCallers = map[string]string{
 
 // TestSimulateCallersAreListed keeps one number per plan: outside tests,
 // only the functions in simulateCallers call cluster.Simulate, each of
-// them does, and there is no simThroughput, so a new 1F1B row cannot go
-// back to the simulator unnoticed.
+// them does, and there is no simThroughput, so a new 1F1B or GPipe row
+// cannot go back to the simulator unnoticed.
 func TestSimulateCallersAreListed(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -60,7 +58,7 @@ func TestSimulateCallersAreListed(t *testing.T) {
 					return true
 				}
 				if _, listed := simulateCallers[fd.Name.Name]; !listed {
-					t.Errorf("%s: %s calls cluster.Simulate; a 1F1B throughput or memory row prints Table.price or Table.memory, or the function joins simulateCallers with its reason",
+					t.Errorf("%s: %s calls cluster.Simulate; a throughput or memory row prints Table.price, Table.gpipe or Table.memory, or the function joins simulateCallers with its reason",
 						fset.Position(sel.Pos()), fd.Name.Name)
 				}
 				called[fd.Name.Name] = true

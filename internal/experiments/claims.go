@@ -8,7 +8,6 @@ import (
 	"pipedream/internal/modelzoo"
 	"pipedream/internal/partition"
 	"pipedream/internal/pipeline"
-	"pipedream/internal/schedule"
 	"pipedream/internal/statseff"
 	"pipedream/internal/topology"
 )
@@ -64,15 +63,16 @@ func claims(quick bool) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// GPipe flushes every m = NOAM microbatches, as the paper runs it.
-	gpipe := mpPlan.AtDepth(partition.Noam(mpPlan.Workers, mpPlan.Stages[0].Replicas))
-	pd := t.price("GNMT-16 4x4 (A) straight", gnmt, topoA, mpPlan)
-	res, err := cluster.Simulate(cluster.Config{Profile: gnmt, Topo: topoA, Plan: gpipe,
-		Policy: schedule.GPipe, Minibatches: 12 * gpipe.Depth, Recompute: true})
+	// GPipe runs the same stages with activation recomputation and flushes
+	// every m = NOAM microbatches, as the paper runs it.
+	gnmtRec := recomputed(gnmt)
+	gpipe, err := partition.NewPlan(gnmtRec, topoA, partition.PlanOptions{Stages: mpPlan.Stages})
 	if err != nil {
 		return nil, err
 	}
-	gp, mp := res.Throughput, t.price("GNMT-16 4x4 (A) model-parallel", gnmt, topoA, mpPlan.AtDepth(1))
+	pd := t.price("GNMT-16 4x4 (A) straight", gnmt, topoA, mpPlan)
+	gp := t.gpipe("GNMT-16 4x4 (A) GPipe", gnmtRec, topoA, gpipe.AtDepth(partition.Noam(mpPlan.Workers, mpPlan.Stages[0].Replicas)))
+	mp := t.price("GNMT-16 4x4 (A) model-parallel", gnmt, topoA, mpPlan.AtDepth(1))
 	check("1F1B > GPipe > model parallelism (Figs. 2-4, §5.4)",
 		fmt.Sprintf("GNMT-16/16w: %.0f > %.0f > %.0f samples/s", pd, gp, mp),
 		pd > gp && gp > mp)

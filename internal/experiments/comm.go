@@ -102,15 +102,11 @@ func fig12(quick bool) ([]*Table, error) {
 // halve, while compute shrinks ~3x (tensor cores accelerate math far more
 // than the network accelerates transfers — the imbalance Figure 12 shows).
 func halvePrecision(p *profile.ModelProfile) *profile.ModelProfile {
-	q := &profile.ModelProfile{
-		Model: p.Model + "-fp16", MinibatchSize: p.MinibatchSize, InputBytes: p.InputBytes / 2,
-	}
-	for _, l := range p.Layers {
-		q.Layers = append(q.Layers, profile.LayerProfile{
-			Name: l.Name, FwdTime: l.FwdTime / 3, BwdTime: l.BwdTime / 3,
-			ActivationBytes: l.ActivationBytes / 2, WeightBytes: l.WeightBytes / 2,
-		})
-	}
+	q := editLayers(p, 0, p.NumLayers()-1, func(l *profile.LayerProfile) {
+		l.FwdTime, l.BwdTime, l.BwdParamTime = l.FwdTime/3, l.BwdTime/3, l.BwdParamTime/3
+		l.ActivationBytes, l.WeightBytes = l.ActivationBytes/2, l.WeightBytes/2
+	})
+	q.Model, q.InputBytes = p.Model+"-fp16", p.InputBytes/2
 	return q
 }
 

@@ -24,15 +24,23 @@ func init() {
 	register("opt", "Optimizer runtime for every model and cluster (paper bound: < 8 s)", expOpt)
 }
 
-// simGPipe runs the simulator under GPipe with depth microbatches per
-// flush and activation recomputation, as the real GPipe trades compute
-// for memory (§2.2).
-func simGPipe(prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan,
-	minibatches, depth int) (*cluster.Result, error) {
-	return cluster.Simulate(cluster.Config{
-		Profile: prof, Topo: topo, Plan: plan.AtDepth(depth), Policy: schedule.GPipe,
-		Minibatches: minibatches, Recompute: true,
-	})
+// recomputed is prof under activation recomputation (§3.3), as the real
+// GPipe trades compute for memory (§2.2): each layer's backward re-runs
+// its forward.
+func recomputed(prof *profile.ModelProfile) *profile.ModelProfile {
+	return editLayers(prof, 0, prof.NumLayers()-1, func(l *profile.LayerProfile) { l.BwdTime += l.FwdTime })
+}
+
+// editLayers returns a copy of prof with edit applied to layers [first,
+// last]. The copy is a fresh profile: a profile caches its prefix sums
+// keyed only by its layer count, so a struct copy would read prof's.
+func editLayers(prof *profile.ModelProfile, first, last int, edit func(*profile.LayerProfile)) *profile.ModelProfile {
+	q := &profile.ModelProfile{Model: prof.Model, MinibatchSize: prof.MinibatchSize, InputBytes: prof.InputBytes,
+		Parallelism: prof.Parallelism, Layers: slices.Clone(prof.Layers)}
+	for l := first; l <= last; l++ {
+		edit(&q.Layers[l])
+	}
+	return q
 }
 
 // fig14a compares model parallelism, a straight pipeline, and PipeDream's
@@ -96,11 +104,7 @@ func fig14b(bool) ([]*Table, error) {
 // sec54 compares PipeDream's 1F1B with GPipe's microbatch-flush pipeline
 // on GNMT-16 with 16 workers, using the same partitions (as the paper
 // does, since GPipe provides no partitioner).
-func sec54(quick bool) ([]*Table, error) {
-	rounds := 12
-	if quick {
-		rounds = 6
-	}
+func sec54(bool) ([]*Table, error) {
 	t := &Table{ID: "sec54", Title: "GPipe slowdown vs PipeDream, GNMT-16, 16 workers",
 		Header: []string{"cluster", "GPipe depth", "slowdown vs 1F1B", "paper"}}
 	for _, c := range []struct {
@@ -117,27 +121,21 @@ func sec54(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// GPipe at the paper's m = NOAM microbatches (whole rounds, so the
-		// per-round rate is measured cleanly), with activation
-		// recomputation as the real GPipe performs.
-		noam := partition.Noam(plan.Workers, plan.Stages[0].Replicas)
 		pd := t.price(c.name, prof, c.topo, plan)
-		gpNoam, err := simGPipe(prof, c.topo, plan, rounds*noam, noam)
+		// GPipe recomputes activations, as the real GPipe does, at the
+		// paper's m = NOAM microbatches and at the most that fit in memory.
+		rec := recomputed(prof)
+		gpipe, err := partition.NewPlan(rec, c.topo, partition.PlanOptions{Stages: plan.Stages})
 		if err != nil {
 			return nil, err
 		}
-		// GPipe at the largest depth that fits device memory: versions of
-		// activations per stage bounded by memory/stash size.
+		slow := func(depth int) string {
+			return pct(1 - t.gpipe(fmt.Sprintf("%s GPipe depth %d", c.name, depth), rec, c.topo, gpipe.AtDepth(depth))/pd)
+		}
+		noam := partition.Noam(plan.Workers, plan.Stages[0].Replicas)
 		maxDepth := maxGPipeDepth(prof, plan, c.topo.Device.MemBytes)
-		gpMax, err := simGPipe(prof, c.topo, plan, rounds*maxDepth, maxDepth)
-		if err != nil {
-			return nil, err
-		}
-		slow := func(r *cluster.Result) string {
-			return pct(1 - r.Throughput/pd)
-		}
-		t.AddRow(c.name, fmt.Sprintf("NOAM (%d)", noam), slow(gpNoam), c.paper[0])
-		t.AddRow(c.name, fmt.Sprintf("max-memory (%d)", maxDepth), slow(gpMax), c.paper[1])
+		t.AddRow(c.name, fmt.Sprintf("NOAM (%d)", noam), slow(noam), c.paper[0])
+		t.AddRow(c.name, fmt.Sprintf("max-memory (%d)", maxDepth), slow(maxDepth), c.paper[1])
 	}
 	t.AddNote("paper shape: GPipe's pipeline flushes plus activation recomputation cost")
 	t.AddNote("35-71%% throughput vs 1F1B; deeper pipelines amortize flushes but pay recompute")
@@ -145,7 +143,7 @@ func sec54(quick bool) ([]*Table, error) {
 }
 
 // maxGPipeDepth is the largest microbatch count, from 2 to 64, at which
-// every stage's GPipe price (with recomputation, as sec54 simulates it)
+// every stage's GPipe price (with recomputation, as sec54 prices it)
 // fits in device memory.
 func maxGPipeDepth(prof *profile.ModelProfile, plan *partition.Plan, mem int64) int {
 	fits := func(m int) bool {

@@ -15,6 +15,7 @@ import (
 
 	"pipedream/internal/partition"
 	"pipedream/internal/profile"
+	"pipedream/internal/schedule"
 	"pipedream/internal/topology"
 )
 
@@ -33,13 +34,14 @@ type Table struct {
 	plans []pricedPlan
 }
 
-// pricedPlan is one plan a row prints the price of, beside the profile and
-// cluster it was priced on.
+// pricedPlan is one plan a row prints the price of under policy, beside
+// the profile and cluster it was priced on.
 type pricedPlan struct {
-	row  string
-	prof *profile.ModelProfile
-	topo *topology.Topology
-	plan *partition.Plan
+	row    string
+	prof   *profile.ModelProfile
+	topo   *topology.Topology
+	plan   *partition.Plan
+	policy schedule.Policy
 }
 
 // price is the 1F1B throughput every row prints for plan: the planner's
@@ -47,8 +49,16 @@ type pricedPlan struct {
 // TestPredictedVersusSimulated holds each printed price to what
 // cluster.Simulate runs the plan at, and notes that on the table.
 func (t *Table) price(row string, prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan) float64 {
-	t.record(row, prof, topo, plan, "1F1B throughput is the planner's price (PredictedThroughput), refereed by TestPredictedVersusSimulated")
+	t.record(row, prof, topo, plan, schedule.PipeDream1F1B, "1F1B throughput is the planner's price (PredictedThroughput), refereed by TestPredictedVersusSimulated")
 	return plan.PredictedThroughput
+}
+
+// gpipe is the GPipe throughput every row prints for plan, with a flush
+// every Depth microbatches: the planner's GPipeThroughput, recorded as
+// price records a 1F1B row.
+func (t *Table) gpipe(row string, prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan) float64 {
+	t.record(row, prof, topo, plan, schedule.GPipe, "GPipe throughput is the planner's price (GPipeThroughput), refereed by TestPredictedVersusSimulated")
+	return plan.GPipeThroughput()
 }
 
 // memory is the per-worker memory every 1F1B row prints for each stage of
@@ -56,17 +66,17 @@ func (t *Table) price(row string, prof *profile.ModelProfile, topo *topology.Top
 // TestPredictedVersusSimulated also holds each stage's price to the largest
 // peak cluster.Simulate reaches on a worker of that stage.
 func (t *Table) memory(row string, prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan) []int64 {
-	t.record(row, prof, topo, plan, "1F1B memory is the planner's price (StageMemory), refereed by TestPredictedVersusSimulated")
+	t.record(row, prof, topo, plan, schedule.PipeDream1F1B, "1F1B memory is the planner's price (StageMemory), refereed by TestPredictedVersusSimulated")
 	return partition.StageMemory(plan, prof)
 }
 
-// record adds note to t and plan to t's plans, each once.
-func (t *Table) record(row string, prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan, note string) {
+// record adds note to t and plan under policy to t's plans, each once.
+func (t *Table) record(row string, prof *profile.ModelProfile, topo *topology.Topology, plan *partition.Plan, policy schedule.Policy, note string) {
 	if !slices.Contains(t.Notes, note) {
 		t.Notes = append(t.Notes, note)
 	}
-	if !slices.ContainsFunc(t.plans, func(p pricedPlan) bool { return p.plan == plan }) {
-		t.plans = append(t.plans, pricedPlan{t.ID + " " + row, prof, topo, plan})
+	if !slices.ContainsFunc(t.plans, func(p pricedPlan) bool { return p.plan == plan && p.policy == policy }) {
+		t.plans = append(t.plans, pricedPlan{t.ID + " " + row, prof, topo, plan, policy})
 	}
 }
 

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"slices"
 
-	"pipedream/internal/cluster"
 	"pipedream/internal/modelzoo"
 	"pipedream/internal/partition"
-	"pipedream/internal/schedule"
 	"pipedream/internal/topology"
 )
 
@@ -18,12 +16,9 @@ func init() {
 
 // ablRecompute quantifies the §3.3 memory-reduction technique the paper
 // lists (and GPipe uses): discard activation stashes and recompute them
-// in the backward pass.
-func ablRecompute(quick bool) ([]*Table, error) {
-	minibatches := 160
-	if quick {
-		minibatches = 64
-	}
+// in the backward pass. The recompute column prices the same stages on
+// the recomputed profile, and each stage's stash at its stage input.
+func ablRecompute(bool) ([]*Table, error) {
 	t := &Table{ID: "abl-recompute", Title: "Activation recomputation: throughput vs worst-stage memory",
 		Header: []string{"model", "throughput (plain)", "throughput (recompute)", "memory (plain)", "memory (recompute)"}}
 	topo := topology.ClusterA(1)
@@ -36,32 +31,19 @@ func ablRecompute(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		run := func(recompute bool) (*cluster.Result, error) {
-			return cluster.Simulate(cluster.Config{
-				Profile: prof, Topo: topo, Plan: plan,
-				Policy: schedule.PipeDream1F1B, Minibatches: minibatches,
-				Recompute: recompute,
-			})
-		}
-		plain, err := run(false)
+		rec := recomputed(prof)
+		recPlan, err := partition.NewPlan(rec, topo, partition.PlanOptions{Stages: plan.Stages})
 		if err != nil {
 			return nil, err
 		}
-		rec, err := run(true)
-		if err != nil {
-			return nil, err
+		plain, recTput := t.price(m, prof, topo, plan), t.price(m+" recompute", rec, topo, recPlan)
+		plainMem, recMem := slices.Max(t.memory(m, prof, topo, plan)), int64(0)
+		for s, window := range recPlan.Windows() {
+			st := recPlan.Stages[s]
+			recMem = max(recMem, partition.WorkerMemory(prof, st, (window+st.Replicas-1)/st.Replicas, false, true))
 		}
-		worst := func(r *cluster.Result) int64 {
-			var w int64
-			for _, m := range r.PeakMemory {
-				if m > w {
-					w = m
-				}
-			}
-			return w
-		}
-		t.AddRow(m, f1(plain.Throughput), f1(rec.Throughput), mb(worst(plain)), mb(worst(rec)))
-		if rec.Throughput > plain.Throughput || worst(rec) > worst(plain) {
+		t.AddRow(m, f1(plain), f1(recTput), mb(plainMem), mb(recMem))
+		if recTput > plain || recMem > plainMem {
 			return nil, fmt.Errorf("abl-recompute %s: trade-off inverted", m)
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -46,39 +47,56 @@ func recordedPlans(t *testing.T) []pricedPlan {
 	return out
 }
 
-// simulate returns what cluster.Simulate measures running p.
+// simulate returns what cluster.Simulate measures running p under its
+// policy.
 func (p pricedPlan) simulate(t *testing.T, minibatches int) *cluster.Result {
 	t.Helper()
 	res, err := cluster.Simulate(cluster.Config{Profile: p.prof, Topo: p.topo, Plan: p.plan,
-		Policy: schedule.PipeDream1F1B, Minibatches: minibatches})
+		Policy: p.policy, Minibatches: minibatches})
 	if err != nil {
 		t.Fatalf("%s: %v", p.row, err)
 	}
 	return res
 }
 
-// The repro prints the planner's price for every 1F1B throughput and
-// memory row; the simulator referees it here, over exactly the plans those
-// rows price. Every plan must simulate within [0.99, 1.03] of its price,
+// The repro prints the planner's price for every 1F1B and GPipe
+// throughput row and every 1F1B memory row; the simulator referees it
+// here, over exactly the plans those rows price, each under the policy its
+// row prints. Every plan must simulate within [0.99, 1.03] of its price,
 // AlexNet 4x4 (which simulated at 2.6× before transfers shared a link)
 // within 2 %, and Figure 15's price and simulation must correlate at
-// r ≥ 0.99. Each stage's StageMemory must be byte for byte the largest
-// peak the simulator reaches on a worker of that stage. Run with -v for
-// the table.
+// r ≥ 0.99. Under 1F1B each stage's StageMemory must be byte for byte the
+// largest peak the simulator reaches on a worker of that stage. Run with
+// -v for the table.
 func TestPredictedVersusSimulated(t *testing.T) {
 	plans := recordedPlans(t)
 	t.Logf("%d plans priced by the repro's rows", len(plans))
-	t.Log("| row | plan | windows | predicted (samples/s) | simulated (samples/s) | simulated ÷ predicted |")
-	t.Log("|---|---|---|---|---|---|")
+	t.Log("| row | plan | policy | windows | predicted (samples/s) | simulated (samples/s) | simulated ÷ predicted |")
+	t.Log("|---|---|---|---|---|---|---|")
 	var xs, ys []float64
 	alexNet := false
 	for _, p := range plans {
 		res := p.simulate(t, 640)
-		pred, sim := p.plan.PredictedThroughput, res.Throughput
+		pred, sim, windows := p.plan.PredictedThroughput, res.Throughput, fmt.Sprint(p.plan.Windows())
+		if p.policy == schedule.GPipe {
+			pred, windows = p.plan.GPipeThroughput(), "-"
+		}
 		ratio := sim / pred
-		t.Logf("| %s | `%s` | %v | %.1f | %.1f | %.3f |", p.row, p.plan.ConfigString(), p.plan.Windows(), pred, sim, ratio)
+		t.Logf("| %s | `%s` | %v | %s | %.1f | %.1f | %.3f |", p.row, p.plan.ConfigString(), p.policy, windows, pred, sim, ratio)
 		if ratio > 1.03 || ratio < 0.99 {
 			t.Errorf("%s %s simulates at %.3f of its price, outside [0.99, 1.03]", p.row, p.plan.ConfigString(), ratio)
+		}
+		if p.row == "tbl1 AlexNet 4x4 (A)" {
+			alexNet = true
+			if math.Abs(ratio-1) > 0.02 {
+				t.Errorf("%s simulates at %.3f of its price, want within ±2%%", p.row, ratio)
+			}
+		}
+		if strings.HasPrefix(p.row, "fig15 ") {
+			xs, ys = append(xs, pred), append(ys, sim)
+		}
+		if p.policy == schedule.GPipe {
+			continue
 		}
 		a := schedule.Assign(p.plan)
 		for s, price := range partition.StageMemory(p.plan, p.prof) {
@@ -89,15 +107,6 @@ func TestPredictedVersusSimulated(t *testing.T) {
 			if peak != price {
 				t.Errorf("%s %s: stage %d's memory priced at %d B, simulated peak %d B", p.row, p.plan.ConfigString(), s, price, peak)
 			}
-		}
-		if p.row == "tbl1 AlexNet 4x4 (A)" {
-			alexNet = true
-			if math.Abs(ratio-1) > 0.02 {
-				t.Errorf("%s simulates at %.3f of its price, want within ±2%%", p.row, ratio)
-			}
-		}
-		if strings.HasPrefix(p.row, "fig15 ") {
-			xs, ys = append(xs, pred), append(ys, sim)
 		}
 	}
 	if !alexNet || len(xs) == 0 {

@@ -8,10 +8,11 @@ var (
 	SyntheticProfile = syntheticProfile
 )
 
-// EventGraph returns the node count of the graph price folds and each
-// arc's ends and minibatch offset d.
-func EventGraph(p *Plan) (n int, arcs [][3]int) {
-	n, as := p.eventGraph()
+// EventGraph returns the node count of the graph price folds at the
+// windows window (nil: GPipeThroughput's) and each arc's ends and
+// minibatch offset d.
+func EventGraph(p *Plan, window []int) (n int, arcs [][3]int) {
+	n, as := p.eventGraph(window)
 	for _, a := range as {
 		arcs = append(arcs, [3]int{a.from, a.to, int(a.d)})
 	}

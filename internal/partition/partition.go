@@ -86,7 +86,7 @@ func (p *Plan) AtDepth(d int) *Plan {
 // the longer of BottleneckTime and the period of schedule.Table's 1F1B
 // order, the largest Σ t ÷ Σ d over the cycles of eventGraph.
 func (p *Plan) price() {
-	n, arcs := p.eventGraph()
+	n, arcs := p.eventGraph(p.Windows())
 	period := maxCycleRatio(n, arcs, 1e-9*p.BottleneckTime)
 	if period < p.BottleneckTime*(1+1e-9) { // a stage's own cycle, but for rounding
 		period = p.BottleneckTime
@@ -94,15 +94,29 @@ func (p *Plan) price() {
 	p.PredictedThroughput = p.samples / period
 }
 
+// GPipeThroughput is the plan's price under GPipe (§2.2, §5.4), a flush
+// every Depth microbatches: MinibatchSize over eventGraph(nil)'s largest
+// Σ t ÷ Σ d. Backward passes that include their forwards price GPipe's
+// recomputation. A transfer waits its link time but in no queue, so a plan
+// whose links are busy simulates below it.
+func (p *Plan) GPipeThroughput() float64 {
+	n, arcs := p.eventGraph(nil)
+	return p.samples / maxCycleRatio(n, arcs, 1e-9*p.BottleneckTime)
+}
+
 // eventGraph is price's graph, Arcs folded modulo the lcm L of the replica
-// counts; node (s·L + m)·2 + b is pass b of minibatch m at stage s.
-func (p *Plan) eventGraph() (int, []arc) {
+// counts, and of Depth under GPipe, whose rounds it then aligns; node
+// (s·L + m)·2 + b is pass b of minibatch m at stage s.
+func (p *Plan) eventGraph(window []int) (int, []arc) {
 	lcm := 1
+	if window == nil {
+		lcm = p.Depth
+	}
 	for _, st := range p.Stages {
 		for step := lcm; lcm%st.Replicas != 0; lcm += step {
 		}
 	}
-	window, n := p.Windows(), 2*len(p.Stages)*lcm
+	n := 2 * len(p.Stages) * lcm
 	var arcs []arc
 	var out []Arc
 	for v := range n {
@@ -152,16 +166,19 @@ type Arc struct {
 	T                    float64
 }
 
-// Arcs appends to out 1F1B's precedences (§3.2, Fig. 8) out of pass (0
-// forward, 1 backward) of minibatch m at stage s, at the stage windows
-// window, in this order: over each edge s→q, in edge order, the activation
-// F_s(m) → F_q(m), or over each edge q→s the gradient B_s(m) → B_q(m), sent
-// as their half of the pass ends; a sink's loss F_s(m) → B_s(m); the
-// replica's order B_s(m) → F_s(m+k·R_s) → B_s(m+R_s) after its k = WarmUp
-// forwards; and a replicated stage's ring sync B_s(m) → B_s(m+R_s).
+// Arcs appends to out the precedences (§3.2, Fig. 8) out of pass (0
+// forward, 1 backward) of minibatch m at stage s, in this order: over each
+// edge s→q, in edge order, the activation F_s(m) → F_q(m), or over each
+// edge q→s the gradient B_s(m) → B_q(m), sent as their half of the pass
+// ends; a sink's loss F_s(m) → B_s(m); the replica's order. Under 1F1B at
+// the stage windows window, that is B_s(m) → F_s(m+k·R_s) → B_s(m+R_s)
+// after k = WarmUp forwards, and a replicated stage's ring sync B_s(m) →
+// B_s(m+R_s). Under GPipe (nil window), rounds of Depth minibatches from a
+// multiple of Depth run forwards ascending, then backwards descending, and
+// an input-stage backward flushes, after the longest sync, to each input
+// replica's first forward of the next round.
 func (p *Plan) Arcs(window []int, s, pass, m int, out []Arc) []Arc {
 	c, r, lo := p.costs[s], p.Stages[s].Replicas, len(out)
-	k := WarmUp(window[s], r, m%r)
 	for i, e := range p.Graph.Edges {
 		if pass == 0 && e.From == s {
 			out = append(out, Arc{e.To, 0, 0, i, ActivationArc, c.fwd + p.CommTimes[i]/2})
@@ -169,10 +186,34 @@ func (p *Plan) Arcs(window []int, s, pass, m int, out []Arc) []Arc {
 			out = append(out, Arc{e.From, 1, 0, i, GradientArc, c.bwdIn + p.CommTimes[i]/2})
 		}
 	}
-	if pass == 0 {
-		if len(out) == lo { // a sink
-			out = append(out, Arc{s, 1, 0, -1, LossArc, c.fwd})
+	if pass == 0 && len(out) == lo { // a sink
+		out = append(out, Arc{s, 1, 0, -1, LossArc, c.fwd})
+	}
+	if window == nil {
+		next := (m/p.Depth + 1) * p.Depth // the next round's first minibatch
+		switch {
+		case pass == 0 && m+r < next:
+			return append(out, Arc{s, 0, r, -1, OrderArc, c.fwd})
+		case pass == 0:
+			return append(out, Arc{s, 1, 0, -1, OrderArc, c.fwd})
+		case m-r >= next-p.Depth:
+			out = append(out, Arc{s, 1, -r, -1, OrderArc, c.bwd})
+		default:
+			out = append(out, Arc{s, 0, (next - m + r - 1) / r * r, -1, OrderArc, c.bwd})
 		}
+		if s == 0 {
+			sync := 0.0
+			for _, q := range p.costs {
+				sync = max(sync, q.sync)
+			}
+			for f := next; f < next+min(r, p.Depth); f++ {
+				out = append(out, Arc{0, 0, f - m, -1, FlushArc, c.bwd + sync})
+			}
+		}
+		return out
+	}
+	k := WarmUp(window[s], r, m%r)
+	if pass == 0 {
 		return append(out, Arc{s, 1, r - k*r, -1, OrderArc, c.fwd})
 	}
 	out = append(out, Arc{s, 0, k * r, -1, OrderArc, c.bwd})

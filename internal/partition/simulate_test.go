@@ -264,7 +264,7 @@ func TestPriceGraphHasNoZeroOffsetCycle(t *testing.T) {
 			for seed := base; seed < base+400; seed++ {
 				_, _, plan := randomPlan(t, seed, dag)
 				for _, q := range []*partition.Plan{plan, plan.AtDepth(1 + rng.Intn(plan.Depth))} {
-					if zeroOffsetCycle(partition.EventGraph(q)) {
+					if zeroOffsetCycle(partition.EventGraph(q, q.Windows())) {
 						t.Fatalf("dag %v seed %d: %s at depth %d, windows %v: price's graph has a cycle with Σ d ≤ 0",
 							dag, seed, q.ConfigString(), q.Depth, q.Windows())
 					}
@@ -293,13 +293,14 @@ func zeroOffsetCycle(n int, arcs [][3]int) bool {
 }
 
 // TestGraphFoldsToThePrice holds the graph schedule.Graph unrolls to the
-// one price folds. Both read Plan.Arcs, but Graph takes its order arcs
-// from schedule.Table and price from Arcs, so this referees the two
-// orders. Over the random chains and stage graphs of seeds 0–799, at their
-// own depth and at the depth TestPriceGraphHasNoZeroOffsetCycle draws,
-// Graph's arcs out of one steady period [P, P+L) (past every warm-up,
-// before any drain) folded modulo the lcm L of the replica counts are the
-// arcs of partition.EventGraph, each with its minibatch offset.
+// one price folds, under 1F1B and under GPipe. Both read Plan.Arcs, but
+// Graph takes its order arcs from schedule.Table and price from Arcs, so
+// this referees the two orders. Over the random chains and stage graphs of
+// seeds 0–799, at their own depth and at the depth
+// TestPriceGraphHasNoZeroOffsetCycle draws, Graph's arcs out of one steady
+// period [P, P+L) (past every warm-up, before any drain) folded modulo the
+// lcm L of the replica counts, and of the depth under GPipe, are the arcs
+// of partition.EventGraph, each with its minibatch offset.
 func TestGraphFoldsToThePrice(t *testing.T) {
 	arcOrder := func(a, b [3]int) int { return slices.Compare(a[:], b[:]) }
 	for _, dag := range []bool{false, true} {
@@ -308,17 +309,23 @@ func TestGraphFoldsToThePrice(t *testing.T) {
 			for seed := base; seed < base+400; seed++ {
 				_, _, plan := randomPlan(t, seed, dag)
 				for _, q := range []*partition.Plan{plan, plan.AtDepth(1 + rng.Intn(plan.Depth))} {
-					n, want := partition.EventGraph(q)
-					got := foldedPeriod(t, q, n/2/len(q.Stages))
-					slices.SortFunc(got, arcOrder)
-					slices.SortFunc(want, arcOrder)
-					if !slices.Equal(got, want) {
-						i := 0
-						for i < min(len(got), len(want)) && got[i] == want[i] {
-							i++
+					for _, policy := range []schedule.Policy{schedule.PipeDream1F1B, schedule.GPipe} {
+						window := q.Windows()
+						if policy == schedule.GPipe {
+							window = nil
 						}
-						t.Fatalf("dag %v seed %d: %s at depth %d, windows %v: the table's steady period folds to %d arcs, price's graph has %d; sorted, they part at %v against %v",
-							dag, seed, q.ConfigString(), q.Depth, q.Windows(), len(got), len(want), got[i:min(i+1, len(got))], want[i:min(i+1, len(want))])
+						n, want := partition.EventGraph(q, window)
+						got := foldedPeriod(t, q, policy, n/2/len(q.Stages))
+						slices.SortFunc(got, arcOrder)
+						slices.SortFunc(want, arcOrder)
+						if !slices.Equal(got, want) {
+							i := 0
+							for i < min(len(got), len(want)) && got[i] == want[i] {
+								i++
+							}
+							t.Fatalf("dag %v seed %d: %s at depth %d under %v, windows %v: the table's steady period folds to %d arcs, price's graph has %d; sorted, they part at %v against %v",
+								dag, seed, q.ConfigString(), q.Depth, policy, q.Windows(), len(got), len(want), got[i:min(i+1, len(got))], want[i:min(i+1, len(want))])
+						}
 					}
 				}
 			}
@@ -326,17 +333,17 @@ func TestGraphFoldsToThePrice(t *testing.T) {
 	}
 }
 
-// foldedPeriod unrolls plan's 1F1B event graph over [0, 2P+L), P the
-// largest window plus replica count, and returns the arcs out of
-// minibatches [P, P+L) as partition.EventGraph numbers them: ends folded
-// modulo L, and the minibatch offset.
-func foldedPeriod(t *testing.T, plan *partition.Plan, lcm int) [][3]int {
+// foldedPeriod unrolls plan's event graph under policy over [0, 2P+L), P
+// past every window and two GPipe rounds by a replica count, and returns
+// the arcs out of minibatches [P, P+L) as partition.EventGraph numbers
+// them: ends folded modulo L, and the minibatch offset.
+func foldedPeriod(t *testing.T, plan *partition.Plan, policy schedule.Policy, lcm int) [][3]int {
 	t.Helper()
 	p := 0
 	for s, w := range plan.Windows() {
-		p = max(p, w+plan.Stages[s].Replicas)
+		p = max(p, max(w, 2*plan.Depth)+plan.Stages[s].Replicas)
 	}
-	g, err := schedule.Graph(schedule.Assign(plan), schedule.PipeDream1F1B, 0, 2*p+lcm)
+	g, err := schedule.Graph(schedule.Assign(plan), policy, 0, 2*p+lcm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,10 +367,10 @@ func foldedPeriod(t *testing.T, plan *partition.Plan, lcm int) [][3]int {
 // model-parallel and the data-parallel plan at every depth from 1 to two
 // past the plan's own, each stage's StageMemory is byte for byte the largest
 // PeakMemory cluster.Simulate reports for a worker of that stage. The same
-// holds for WorkerMemory under recomputation and under GPipe, whose
-// replicas each hold ⌈depth/R⌉ of a round's microbatches (sec54 sizes its
-// GPipe depth by that price): over a run of 3·depth·workers minibatches,
-// so that every replica of every stage takes its turn at the most.
+// holds for WorkerMemory under GPipe, whose replicas each hold ⌈depth/R⌉
+// of a round's microbatches (sec54 sizes its GPipe depth by that price):
+// over a run of 3·depth·workers minibatches, so that every replica of
+// every stage takes its turn at the most.
 func TestSimulatedPeakIsThePlannedPrice(t *testing.T) {
 	plans, peaks := 0, 0
 	for _, topo := range []*topology.Topology{topology.ClusterA(1), topology.ClusterA(4), topology.ClusterB(2)} {
@@ -387,10 +394,10 @@ func TestSimulatedPeakIsThePlannedPrice(t *testing.T) {
 					q := *plan
 					q.Depth = depth
 					a := schedule.Assign(&q)
-					check := func(policy schedule.Policy, recompute bool, minibatches int, price func(s int) int64) {
+					check := func(policy schedule.Policy, minibatches int, price func(s int) int64) {
 						t.Helper()
 						res, err := cluster.Simulate(cluster.Config{Profile: prof, Topo: topo, Plan: &q,
-							Policy: policy, Minibatches: minibatches, Recompute: recompute})
+							Policy: policy, Minibatches: minibatches})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -401,29 +408,22 @@ func TestSimulatedPeakIsThePlannedPrice(t *testing.T) {
 							}
 							peaks++
 							if peak != price(s) {
-								t.Errorf("%s on %s, %s at depth %d under %v (recompute %v): stage %d priced at %d B, simulated peak %d B",
-									name, topo.Name, q.ConfigString(), depth, policy, recompute, s, price(s), peak)
+								t.Errorf("%s on %s, %s at depth %d under %v: stage %d priced at %d B, simulated peak %d B",
+									name, topo.Name, q.ConfigString(), depth, policy, s, price(s), peak)
 							}
 						}
 					}
 					// A replica's share of n minibatches across its stage's replicas.
 					share := func(n, s int) int { return (n + q.Stages[s].Replicas - 1) / q.Stages[s].Replicas }
 					windows, mem := q.Windows(), partition.StageMemory(&q, prof)
-					for _, recompute := range []bool{false, true} {
-						check(schedule.PipeDream1F1B, recompute, 2*windows[0]+q.Workers, func(s int) int64 {
-							if !recompute {
-								return mem[s]
-							}
-							return partition.WorkerMemory(prof, q.Stages[s], share(windows[s], s), false, true)
-						})
-						check(schedule.GPipe, recompute, 3*depth*q.Workers, func(s int) int64 {
-							return partition.WorkerMemory(prof, q.Stages[s], share(depth, s), true, recompute)
-						})
-					}
+					check(schedule.PipeDream1F1B, 2*windows[0]+q.Workers, func(s int) int64 { return mem[s] })
+					check(schedule.GPipe, 3*depth*q.Workers, func(s int) int64 {
+						return partition.WorkerMemory(prof, q.Stages[s], share(depth, s), true, false)
+					})
 					plans++
 				}
 			}
 		}
 	}
-	t.Logf("%d plans, each under 1F1B and GPipe with recomputation off and on: %d stage peaks", plans, peaks)
+	t.Logf("%d plans, each under 1F1B and GPipe: %d stage peaks", plans, peaks)
 }

@@ -32,8 +32,9 @@ type TableOp struct {
 // updates after its forward. Model parallelism is this table at depth 1
 // (plan.AtDepth(1)).
 //
-// GPipe: per round of Depth consecutive microbatches, all of the
-// worker's forwards in ascending order, then its backwards in reverse.
+// GPipe: per round of Depth consecutive microbatches, from a multiple of
+// Depth, all of the worker's forwards in ascending order, then its
+// backwards in reverse.
 func Table(a *Assignment, policy Policy, start, end int) ([][]TableOp, error) {
 	depth := a.Plan.Depth
 	if depth < 1 {
@@ -56,7 +57,7 @@ func Table(a *Assignment, policy Policy, start, end int) ([][]TableOp, error) {
 		if policy == GPipe {
 			for lo := 0; lo < len(own); {
 				hi := lo
-				for hi < len(own) && (own[hi]-start)/depth == (own[lo]-start)/depth {
+				for hi < len(own) && own[hi]/depth == own[lo]/depth {
 					ops = append(ops, TableOp{Forward, own[hi]})
 					hi++
 				}
@@ -97,7 +98,7 @@ type Node struct {
 	TableOp
 	Worker, Stage int
 	// Out lists the ops waiting for this one in partition.Plan.Arcs'
-	// order, then its GPipe flush successors.
+	// order.
 	Out []Arc
 }
 
@@ -114,14 +115,14 @@ type EventGraph struct {
 }
 
 // Graph builds the event graph of Table(a, policy, start, end): the plan's
-// Arcs over [start, end), with each order arc to the worker's next Table
-// op (warm-up and drain run F→F, B→B); under GPipe flush arcs replace syncs.
+// Arcs over [start, end), under GPipe its rounds', with each order arc to
+// the worker's next Table op (warm-up and drain run F→F, B→B).
 func Graph(a *Assignment, policy Policy, start, end int) (*EventGraph, error) {
 	table, err := Table(a, policy, start, end)
 	if err != nil {
 		return nil, err
 	}
-	edges, depth, inputs := a.Plan.Graph.Edges, a.Plan.Depth, len(a.StageWorkers[0])
+	edges, inputs := a.Plan.Graph.Edges, len(a.StageWorkers[0])
 	mbs, stages := end-start, len(a.StageWorkers)
 	g := &EventGraph{Nodes: make([]Node, 0, 2*stages*mbs), start: start, at: make([][2][]int, stages)}
 	for s := range g.at {
@@ -137,8 +138,12 @@ func Graph(a *Assignment, policy Policy, start, end int) (*EventGraph, error) {
 	// Each node's arcs are one run of a shared array, in the order Out
 	// documents; its capacity bounds their count.
 	arcs := make([]Arc, 0, 2*len(g.Nodes)+mbs*(2*len(edges)+stages+inputs))
-	// The table gives every order arc its target, so no window sets its offset.
+	// The table gives every order arc its target, so no window sets its
+	// offset; a nil one asks for GPipe's arcs.
 	window, out := make([]int, stages), []partition.Arc(nil)
+	if policy == GPipe {
+		window = nil
+	}
 	for v, n := range g.Nodes {
 		lo := len(arcs)
 		out = a.Plan.Arcs(window, n.Stage, int(n.Kind), n.Minibatch, out[:0])
@@ -147,16 +152,8 @@ func Graph(a *Assignment, policy Policy, start, end int) (*EventGraph, error) {
 				if v+1 < len(g.Nodes) && g.Nodes[v+1].Worker == n.Worker {
 					arcs = append(arcs, Arc{v + 1, arc.Class, -1})
 				}
-			} else if to := n.Minibatch - start + arc.D; to < mbs && (arc.Class != partition.SyncArc || policy != GPipe) {
+			} else if to := n.Minibatch - start + arc.D; to < mbs {
 				arcs = append(arcs, Arc{g.at[arc.Stage][arc.Pass][to], arc.Class, arc.Edge})
-			}
-		}
-		if policy == GPipe && n.Stage == 0 && n.Kind == Backward {
-			next := start + ((n.Minibatch-start)/depth+1)*depth // the next round's first minibatch
-			for r := range inputs {
-				if m := next + ((r-next%inputs)%inputs+inputs)%inputs; m < min(end, next+depth) {
-					arcs = append(arcs, Arc{g.at[0][Forward][m-start], partition.FlushArc, -1})
-				}
 			}
 		}
 		g.Nodes[v].Out = arcs[lo:len(arcs):len(arcs)]

@@ -13,9 +13,9 @@
 #
 #   scripts/bench_history.sh compare [--base REV] [--pairs N] [--seed S]
 #                                    [--workload W]...
-#       checks REV (default HEAD) out in a git worktree under a temporary
+#       exports REV (default HEAD) with git archive into a temporary
 #       directory, runs N pairs (default 3) per workload, base and this
-#       tree in alternating order, removes the worktree, and prints per
+#       tree in alternating order, removes the directory, and prints per
 #       end-to-end metric each side's median [Q1, Q3], the change of the
 #       medians and the pairs this tree won.
 set -euo pipefail
@@ -51,7 +51,7 @@ run() {
         return
     fi
     # The rows this script appends leave the tree dirty in no other way.
-    [ -z "$(git -C "$dir" status --porcelain --untracked-files=no -- . ':(exclude)BENCH_history.jsonl')" ] || dirty=true
+    [ -z "$(git -C "$dir" status --porcelain --untracked-files=no -- . ':(exclude)BENCH_history.jsonl' 2>/dev/null)" ] || dirty=true
     jq -c --arg w "$w" --argjson seed "$seed" --argjson dirty "$dirty" \
         --slurpfile r "$dir/bench/out/$w.e2e.result.json" \
         '{workload: $w, seed: $seed, recorded: (now | todate), commit: $r[0].env.commit, dirty: $dirty,
@@ -69,8 +69,9 @@ if [ "$mode" = history ]; then
 fi
 
 tmp=$(mktemp -d)
-trap 'git worktree remove --force "$tmp/base" 2>/dev/null; git worktree prune; rm -rf "$tmp"' EXIT
-git worktree add --detach "$tmp/base" "$base" >/dev/null 2>&1
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/base"
+git archive "$base" | tar -x -C "$tmp/base"
 for w in "${workloads[@]}"; do
     for ((i = 0; i < pairs; i++)); do
         order=(base change)

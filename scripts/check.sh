@@ -61,7 +61,7 @@ go test -count=1 ./internal/partition/ -run '^TestPriceGraphHasNoZeroOffsetCycle
 echo "== planner properties (the search matches brute force on flat and two-level topologies and never loses to data parallelism or a straight pipeline on either, evaluate's price of a one-stage plan is the throughput cluster.Simulate measures, and a straight two-stage plan bound by its edge never simulates above that price: 200 runs each, so a failure in a fraction of a percent of draws cannot hide)"
 go test -count=200 ./internal/partition/ -run '^(TestOptimizeDominatesBaselines|TestOptimizeMatchesBruteForceOnRandomProfiles|TestEvaluateMatchesSimulateOnOneStagePlans|TestEdgeBoundTwoStagePlansSimulateAtMostTheirPrice)$'
 
-echo "== one price, one depth (the price and the event graph read one arc generator, partition.Plan.Arcs: price folds it, schedule.Graph unrolls it with the table's order, and on the random chains and stage graphs of seeds 0–799, at their own and a drawn depth, Graph's steady period folds to exactly the price's arcs; every Table 1 row divides by the planner's one-stage plan, at the throughput cluster.Simulate runs it; outside bench/ and tests only stageTime and the simulator read AllReduceTime; every plan a pipedream-repro row prints the price of (what Table.price and Table.memory record, 74 plans: tbl1, ext-transformer, fig10, fig14a/b and their depth-1 columns, sec54, fig15, fig16, fig18 at depths 1–7, abl-repl, abl-memory's constrained depths, abl-topo, claims) simulates within [0.99, 1.03] of its price, AlexNet 4x4 within 2 %, every stage peaks at exactly its memory price (StageMemory, the memory referee), and a run of 320 minibatches reads what one of 640 does; in internal/experiments only the listed functions (GPipe, stragglers, timelines, recomputation, fig15's referee column) call cluster.Simulate, and there is no simThroughput; every experiment runs once in quick mode; 4,000 random chains and 4,000 random stage graphs, replicated or not, compute- or edge-bound, simulate at no less than 0.99 of their price at their own windows, and at a drawn depth below their own simulate no faster than 1.005 of the price AtDepth gives (Simulate reads completions in time order) (10 runs of 400 each, seeds 0–3,999: about 40 s on two cores); pipedream-sim's plan line prints the price of the depth it runs; outside bench/ and tests no struct but partition.Plan and its file form declares a Depth or NOAM field, no code but evaluate, ReadJSON and Plan.AtDepth assigns to a Depth field, and a memory-constrained plan is checked, simulated, trained and read back from its file at the depth and windows its planner chose; every stage's planned memory is the peak cluster.Simulate holds on every modelzoo model, cluster and depth, under 1F1B and GPipe, with recomputation off and on, and each runtime worker makes the weight arrays that price charges)"
+echo "== one price, one depth (the price and the event graph read one arc generator, partition.Plan.Arcs: price folds it, schedule.Graph unrolls it with the table's order, under 1F1B and under GPipe (no windows: rounds of Depth minibatches and their flush arcs), and on the random chains and stage graphs of seeds 0–799, at their own and a drawn depth, Graph's steady period folds to exactly the price's arcs under either; every Table 1 row divides by the planner's one-stage plan, at the throughput cluster.Simulate runs it; outside bench/ and tests only stageTime and the simulator read AllReduceTime; every plan a pipedream-repro row prints the price of (what Table.price, Table.gpipe and Table.memory record, 84 plans: tbl1, ext-transformer, fig10, fig14a/b and their depth-1 columns, sec54 and its GPipe rows, fig5's zero-communication ideal, fig15, fig16, fig18 at depths 1–7, abl-repl, abl-recompute plain and recomputed, abl-memory's constrained depths, abl-topo, claims and its GPipe leg) simulates under the policy its row prints within [0.99, 1.03] of its price, AlexNet 4x4 within 2 %, every 1F1B stage peaks at exactly its memory price (StageMemory, the memory referee), and a run of 320 minibatches reads what one of 640 does; in internal/experiments only the listed functions (stragglers, timelines, fig5's transfers, fig15's referee column) call cluster.Simulate, and there is no simThroughput; every experiment runs once in quick mode; 4,000 random chains and 4,000 random stage graphs, replicated or not, compute- or edge-bound, simulate at no less than 0.99 of their price at their own windows, and at a drawn depth below their own simulate no faster than 1.005 of the price AtDepth gives (Simulate reads completions in time order) (10 runs of 400 each, seeds 0–3,999: about 40 s on two cores); pipedream-sim's plan line prints the price of the depth and policy it runs; outside bench/ and tests no struct but partition.Plan and its file form declares a Depth or NOAM field, no code but evaluate, ReadJSON and Plan.AtDepth assigns to a Depth field, and a memory-constrained plan is checked, simulated, trained and read back from its file at the depth and windows its planner chose; every stage's planned memory is the peak cluster.Simulate holds on every modelzoo model, cluster and depth, under 1F1B and GPipe, and each runtime worker makes the weight arrays that price charges)"
 go test -count=1 ./internal/experiments/ ./internal/topology/ ./cmd/pipedream-sim/ -run '^(TestDPBaselineIsTheOneStagePlan|TestAllReduceTimeHasOnePricer|TestPredictedVersusSimulated|TestSimulatedThroughputIndependentOfRunLength|TestSimulateCallersAreListed|TestPrintsThePriceItRuns)$'
 go run ./cmd/pipedream-repro -exp all -quick >/dev/null
 go test -count=1 . ./internal/partition/ -run '^(TestMemoryConstrainedPlanRunsAtItsDepth|TestDepthHasOneHome|TestSimulatedPeakIsThePlannedPrice|TestPlanJSONKeepsItsDepth|TestPlanJSONKeepsItsWindows|TestGraphFoldsToThePrice)$'
