@@ -66,25 +66,9 @@ func main() {
 		fatal(err)
 	}
 	model := task.Factory()
-	if elasticFlags.Enabled {
-		runElastic(mdl, task, model, mode, syncCfg, faultFlags, chaosFlags, obsFlags, elasticFlags,
-			*epochs, *depth, *useTCP)
-		return
-	}
-	plan, err := mdl.Plan(task)
-	if err != nil {
-		fatal(err)
-	}
-	if *depth > 0 {
-		plan = plan.AtDepth(*depth)
-	}
-	fmt.Printf("task %s: %d layers across %d stage(s) (%s) on %d worker(s), config %s, depth %d, %s, mode %s\n",
-		mdl.Task, len(model.Layers), len(plan.Stages), cliconf.Cuts(plan, model), plan.Workers, plan.ConfigString(), plan.Depth, plan.WindowString(), mode)
-
 	reg, opLog := obsFlags.Sinks()
 	opts := pipeline.Options{
 		ModelFactory: task.Factory,
-		Plan:         plan,
 		Loss:         nn.SoftmaxCrossEntropy,
 		NewOptimizer: task.NewOptimizer,
 		Mode:         mode,
@@ -93,40 +77,55 @@ func main() {
 		SyncConfig:   syncCfg,
 		FaultConfig:  faultFlags.Build(),
 	}
-	buffer := cliconf.Buffer(plan, model, syncCfg)
-	if *useTCP {
-		tr, err := transport.NewTCP(plan.Workers, buffer)
+	newTransport := transportFactory(*useTCP, chaosFlags)
+	// run is a static pipeline or an elastic one; both resume at Cursor.
+	var run interface {
+		Cursor() int
+		Train(ds data.Dataset, minibatches int) (*pipeline.Report, error)
+	}
+	var view *membership.View
+	if elasticFlags.Enabled {
+		var e *pipeline.Elastic
+		e, view = newElastic(mdl, task, model, opts, chaosFlags, elasticFlags, *depth, newTransport)
+		defer e.Close()
+		run = e
+	} else {
+		plan, err := mdl.Plan(task)
+		if err != nil {
+			fatal(err)
+		}
+		if *depth > 0 {
+			plan = plan.AtDepth(*depth)
+		}
+		fmt.Printf("task %s: %d layers across %d stage(s) (%s) on %d worker(s), config %s, depth %d, %s, mode %s\n",
+			mdl.Task, len(model.Layers), len(plan.Stages), cliconf.Cuts(plan, model), plan.Workers, plan.ConfigString(), plan.Depth, plan.WindowString(), mode)
+		tr, err := newTransport(plan.Workers, cliconf.Buffer(plan, model, syncCfg))
 		if err != nil {
 			fatal(err)
 		}
 		defer tr.Close()
-		opts.Transport = tr
-		fmt.Println("transport: TCP loopback sockets (binary-framed tensors)")
-	}
-	if chaosFlags.Enabled() {
-		inner := opts.Transport
-		if inner == nil {
-			inner = transport.NewChannels(plan.Workers, buffer)
+		if *useTCP {
+			fmt.Println("transport: TCP loopback sockets (binary-framed tensors)")
 		}
-		chaos := chaosFlags.Wrap(inner)
-		defer chaos.Close()
-		opts.Transport = chaos
-		fmt.Printf("chaos: %s\n", chaosFlags)
-	}
-	p, err := pipeline.New(opts)
-	if err != nil {
-		fatal(err)
-	}
-	defer p.Close()
-
-	if faultFlags.Resume {
-		if faultFlags.Dir == "" {
-			fatal(fmt.Errorf("-resume needs -checkpoint-dir"))
+		if chaosFlags.Enabled() {
+			fmt.Printf("chaos: %s\n", chaosFlags)
 		}
-		if err := p.Restore(faultFlags.Dir); err != nil {
+		opts.Plan, opts.Transport = plan, tr
+		p, err := pipeline.New(opts)
+		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("resumed from checkpoint generation at minibatch %d\n", p.Cursor())
+		defer p.Close()
+		if faultFlags.Resume {
+			if faultFlags.Dir == "" {
+				fatal(fmt.Errorf("-resume needs -checkpoint-dir"))
+			}
+			if err := p.Restore(faultFlags.Dir); err != nil {
+				fatal(err)
+			}
+			fmt.Printf("resumed from checkpoint generation at minibatch %d\n", p.Cursor())
+		}
+		run = p
 	}
 
 	// The epoch loop is cursor-driven so a resumed run finishes its
@@ -134,15 +133,30 @@ func main() {
 	mbs := task.Train.NumBatches()
 	total := *epochs * mbs
 	var faults pipeline.FaultStats
-	for p.Cursor() < total {
-		e := p.Cursor()/mbs + 1
-		rep, err := p.Train(task.Train, mbs-p.Cursor()%mbs)
+	for run.Cursor() < total {
+		ep := run.Cursor()/mbs + 1
+		rep, err := run.Train(task.Train, mbs-run.Cursor()%mbs)
 		if err != nil {
 			fatal(err)
 		}
-		acc := evaluate(p.CollectModel(), task.Eval)
+		var final *nn.Sequential
+		switch r := run.(type) {
+		case *pipeline.Pipeline:
+			final = r.CollectModel()
+			if faultFlags.Dir != "" {
+				err = r.Checkpoint(faultFlags.Dir)
+			}
+		case *pipeline.Elastic:
+			final, err = r.CollectModel()
+		}
+		if err != nil {
+			fatal(err)
+		}
 		fmt.Printf("epoch %2d: mean loss %.4f, eval accuracy %.1f%%, wall %v\n",
-			e, rep.MeanLoss(), acc*100, rep.WallTime.Round(1e6))
+			ep, rep.MeanLoss(), evaluate(final, task.Eval)*100, rep.WallTime.Round(1e6))
+		for _, rs := range rep.Rescales {
+			fmt.Printf("  %s\n", rs)
+		}
 		if obsFlags.MetricsEnabled() {
 			fmt.Print(rep.StageSummary())
 		}
@@ -151,13 +165,11 @@ func main() {
 		faults.TransportReconnects += rep.Faults.TransportReconnects
 		faults.TransportSendErrors += rep.Faults.TransportSendErrors
 		faults.TransportRecvErrors += rep.Faults.TransportRecvErrors
-		if faultFlags.Dir != "" {
-			if err := p.Checkpoint(faultFlags.Dir); err != nil {
-				fatal(err)
-			}
-		}
 	}
-	if faultFlags.Dir != "" {
+	if e, ok := run.(*pipeline.Elastic); ok {
+		fmt.Printf("elastic: %d rescale(s) over the run, final plan %d worker(s), membership epoch %d\n",
+			e.Rescales(), e.Plan().Workers, view.Epoch())
+	} else if faultFlags.Dir != "" {
 		fmt.Printf("per-stage checkpoint generations written to %s\n", faultFlags.Dir)
 	}
 	if faults.Recoveries > 0 || faults.TransportReconnects > 0 || faults.TransportSendErrors > 0 || faults.TransportRecvErrors > 0 {
@@ -175,15 +187,35 @@ func main() {
 	}
 }
 
-// runElastic trains on the elastic runtime: the worker set follows a
+// transportFactory returns the constructor of a run's transport: loopback
+// TCP sockets or in-process channels, wrapped in the chaos proxy when any
+// chaos flag is set. An elastic run calls it once per plan incarnation.
+func transportFactory(tcp bool, chaos *cliconf.Chaos) pipeline.TransportFactory {
+	return func(workers, buffer int) (transport.Transport, error) {
+		var tr transport.Transport
+		if tcp {
+			t, err := transport.NewTCP(workers, buffer)
+			if err != nil {
+				return nil, err
+			}
+			tr = t
+		} else {
+			tr = transport.NewChannels(workers, buffer)
+		}
+		if chaos.Enabled() {
+			tr = chaos.Wrap(tr)
+		}
+		return tr, nil
+	}
+}
+
+// newElastic builds the elastic runtime: the worker set follows a
 // membership view — here scripted with -membership-events, standing in
 // for a cluster manager or failure detector — and the controller drains,
 // repartitions onto the live set, and resumes from checkpoint whenever it
 // changes.
-func runElastic(mdl *cliconf.Model, task *cliconf.Task, model *nn.Sequential,
-	mode pipeline.StalenessMode, syncCfg pipeline.SyncConfig,
-	faultFlags *cliconf.Fault, chaosFlags *cliconf.Chaos, obsFlags *cliconf.Obs,
-	elasticFlags *cliconf.Elastic, epochs, depth int, useTCP bool) {
+func newElastic(mdl *cliconf.Model, task *cliconf.Task, model *nn.Sequential, opts pipeline.Options,
+	chaosFlags *cliconf.Chaos, elasticFlags *cliconf.Elastic, depth int, newTransport pipeline.TransportFactory) (*pipeline.Elastic, *membership.View) {
 	if mdl.Replicas != 1 || mdl.PlanFile != "" {
 		fatal(fmt.Errorf("-elastic repartitions to one straight stage per live worker; it takes no -plan, and -replicas must be 1"))
 	}
@@ -191,7 +223,7 @@ func runElastic(mdl *cliconf.Model, task *cliconf.Task, model *nn.Sequential,
 	if err != nil {
 		fatal(err)
 	}
-	fc := faultFlags.Build()
+	fc := &opts.FaultConfig
 	if fc.CheckpointDir == "" {
 		dir, err := os.MkdirTemp("", "pipedream-elastic-")
 		if err != nil {
@@ -222,34 +254,6 @@ func runElastic(mdl *cliconf.Model, task *cliconf.Task, model *nn.Sequential,
 		}
 		return plan, err
 	}
-	newTransport := func(workers, buffer int) (transport.Transport, error) {
-		var tr transport.Transport
-		if useTCP {
-			t, err := transport.NewTCP(workers, buffer)
-			if err != nil {
-				return nil, err
-			}
-			tr = t
-		} else {
-			tr = transport.NewChannels(workers, buffer)
-		}
-		if chaosFlags.Enabled() {
-			tr = chaosFlags.Wrap(tr)
-		}
-		return tr, nil
-	}
-
-	reg, opLog := obsFlags.Sinks()
-	opts := pipeline.Options{
-		ModelFactory: task.Factory,
-		Loss:         nn.SoftmaxCrossEntropy,
-		NewOptimizer: task.NewOptimizer,
-		Mode:         mode,
-		Metrics:      reg,
-		OpLog:        opLog,
-		SyncConfig:   syncCfg,
-		FaultConfig:  fc,
-	}
 	e, err := pipeline.NewElastic(opts, pipeline.ElasticConfig{
 		View:         view,
 		Replan:       replan,
@@ -259,10 +263,9 @@ func runElastic(mdl *cliconf.Model, task *cliconf.Task, model *nn.Sequential,
 	if err != nil {
 		fatal(err)
 	}
-	defer e.Close()
 
 	fmt.Printf("task %s: %d layers, elastic across %d worker(s) (min %d), mode %s\n",
-		mdl.Task, len(model.Layers), mdl.Stages, elasticFlags.MinWorkers, mode)
+		mdl.Task, len(model.Layers), mdl.Stages, elasticFlags.MinWorkers, opts.Mode)
 	fmt.Printf("elastic: checkpointing to %s every %d minibatches (the rescale barrier)\n",
 		fc.CheckpointDir, fc.CheckpointEvery)
 	if chaosFlags.Enabled() {
@@ -274,46 +277,7 @@ func runElastic(mdl *cliconf.Model, task *cliconf.Task, model *nn.Sequential,
 	cliconf.PlayEvents(view, events, func(format string, args ...any) {
 		fmt.Printf("  "+format+"\n", args...)
 	})
-
-	mbs := task.Train.NumBatches()
-	total := epochs * mbs
-	var faults pipeline.FaultStats
-	rescales := 0
-	for e.Cursor() < total {
-		ep := e.Cursor()/mbs + 1
-		rep, err := e.Train(task.Train, mbs-e.Cursor()%mbs)
-		if err != nil {
-			fatal(err)
-		}
-		final, err := e.CollectModel()
-		if err != nil {
-			fatal(err)
-		}
-		acc := evaluate(final, task.Eval)
-		fmt.Printf("epoch %2d: mean loss %.4f, eval accuracy %.1f%%, wall %v\n",
-			ep, rep.MeanLoss(), acc*100, rep.WallTime.Round(1e6))
-		for _, rs := range rep.Rescales {
-			fmt.Printf("  %s\n", rs)
-		}
-		if obsFlags.MetricsEnabled() {
-			fmt.Print(rep.StageSummary())
-		}
-		rescales += len(rep.Rescales)
-		faults.Recoveries += rep.Faults.Recoveries
-		faults.CheckpointWrites += rep.Faults.CheckpointWrites
-		faults.TransportReconnects += rep.Faults.TransportReconnects
-		faults.TransportSendErrors += rep.Faults.TransportSendErrors
-		faults.TransportRecvErrors += rep.Faults.TransportRecvErrors
-	}
-	fmt.Printf("elastic: %d rescale(s) over the run, final plan %d worker(s), membership epoch %d\n",
-		rescales, e.Plan().Workers, view.Epoch())
-	if faults.Recoveries > 0 || faults.TransportReconnects > 0 || faults.TransportSendErrors > 0 || faults.TransportRecvErrors > 0 {
-		fmt.Printf("faults: %d recoveries, %d checkpoint writes, %d transport reconnects, %d send errors, %d receive errors\n",
-			faults.Recoveries, faults.CheckpointWrites, faults.TransportReconnects, faults.TransportSendErrors, faults.TransportRecvErrors)
-	}
-	if err := obsFlags.WriteOutputs(reg, opLog); err != nil {
-		fatal(err)
-	}
+	return e, view
 }
 
 func evaluate(model *nn.Sequential, eval data.Dataset) float64 {

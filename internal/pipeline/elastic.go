@@ -197,9 +197,11 @@ func sameNodes(a, b []int) bool {
 // partitioner for that many workers, reassembles the full model state
 // from checkpoint shards, re-slices it onto the new plan, and rewrites
 // the resume generation in the new plan's shape (so a later same-plan
-// recovery validates against it). drainedAt timestamps the teardown that
-// preceded this rebuild, for the rescale's latency split.
-func (e *Elastic) ensure(rep *Report, drained time.Duration) error {
+// recovery validates against it). drained is the time the teardown that
+// preceded this rebuild took, for the rescale's latency split. A
+// generation older than start, the minibatch the Train call began at,
+// is an error: its minibatches were reported by an earlier call.
+func (e *Elastic) ensure(rep *Report, drained time.Duration, start int) error {
 	if e.p != nil {
 		return nil
 	}
@@ -225,6 +227,8 @@ func (e *Elastic) ensure(rep *Report, drained time.Duration) error {
 	full, err := checkpoint.LoadFullState(opts.CheckpointDir, opts.ModelFactory)
 	if errors.Is(err, checkpoint.ErrNoGeneration) {
 		full, err = nil, nil // nothing written yet: start from e.cursor
+	} else if err == nil && full.Cursor < start {
+		err = fmt.Errorf("checkpoint generation %d predates this Train call (start %d)", full.Cursor, start)
 	}
 	if err != nil {
 		return fmt.Errorf("pipeline: rescale: %w", err)
@@ -254,7 +258,6 @@ func (e *Elastic) ensure(rep *Report, drained time.Duration) error {
 	} else {
 		p.cursor = e.cursor
 	}
-	p.beginRun()
 	restartDur := time.Since(t1)
 
 	if e.built {
@@ -287,6 +290,9 @@ func (e *Elastic) ensure(rep *Report, drained time.Duration) error {
 // can recover.
 func (e *Elastic) replanRequired() bool {
 	v := e.cfg.View
+	if v == nil {
+		return false
+	}
 	mc := v.Config()
 	window := mc.HeartbeatTimeout + mc.Debounce + 20*time.Millisecond
 	deadline := time.Now().Add(window)
@@ -308,12 +314,24 @@ func (e *Elastic) replanRequired() bool {
 // as workers join and leave, and returns when every minibatch has been
 // trained. Chunks failed mid-rescale are re-run from the last checkpoint
 // cursor, so Losses is fully populated on success.
+//
+// It is the one chunk loop of both runtimes: a static Pipeline's Train
+// runs it with no membership view, so a failure never replans and no
+// barrier rescales. Each chunk ends at a barrier (every CheckpointEvery
+// minibatches when periodic checkpointing is on, else the call's end)
+// that writes a generation; a failed chunk restores from the newest one,
+// up to MaxRecoveries consecutive times.
 func (e *Elastic) Train(ds data.Dataset, minibatches int) (*Report, error) {
 	if minibatches <= 0 {
 		return nil, fmt.Errorf("pipeline: minibatches = %d", minibatches)
 	}
 	start := e.cursor
 	end := start + minibatches
+	periodic := e.opts.CheckpointDir != "" && e.opts.CheckpointEvery > 0
+	every := minibatches
+	if periodic {
+		every = e.opts.CheckpointEvery
+	}
 	losses := make([]float64, minibatches)
 	rep := &Report{Losses: losses}
 	t0 := time.Now()
@@ -321,31 +339,34 @@ func (e *Elastic) Train(ds data.Dataset, minibatches int) (*Report, error) {
 		e.opts.OpLog.SetOrigin(t0)
 	}
 	recoveries, ckptWrites := 0, 0
-	// consecFailures counts failed recoveries since the last cleanly
-	// completed chunk; MaxRecoveries bounds the consecutive count, not
-	// the lifetime one.
+	// consecFailures counts failed chunks since the last clean one.
+	// MaxRecoveries bounds this consecutive count, not the lifetime
+	// total: a long run surviving sporadic, spaced-out faults keeps
+	// recovering, while a fault loop that never completes a chunk still
+	// surfaces after MaxRecoveries attempts.
 	consecFailures := 0
 	drained := time.Duration(0)
+	var p *Pipeline // the incarnation this call last began measuring
 	for e.cursor < end {
-		if err := e.ensure(rep, drained); err != nil {
+		if err := e.ensure(rep, drained, start); err != nil {
 			return nil, err
 		}
 		drained = 0
-		if e.cursor < start {
-			return nil, fmt.Errorf("pipeline: checkpoint generation %d predates this Train call (start %d)", e.cursor, start)
+		if p != e.p {
+			// This call's first incarnation, or a rescaled one: open its
+			// measurement window, and seed an initial generation so the
+			// first failure (and the first replan) has something to restore.
+			p = e.p
+			p.beginRun()
+			if p.autoRecover() {
+				if seeded, err := p.seedCheckpoint(e.cursor); err != nil {
+					return nil, err
+				} else if seeded {
+					ckptWrites++
+				}
+			}
 		}
-		p := e.p
-		// Seed an initial generation so the first failure — and the first
-		// replan — has something to restore.
-		if seeded, err := p.seedCheckpoint(e.cursor); err != nil {
-			return nil, err
-		} else if seeded {
-			ckptWrites++
-		}
-		ce := e.cursor + e.opts.CheckpointEvery
-		if ce > end {
-			ce = end
-		}
+		ce := min(e.cursor+every, end)
 		if err := p.runChunk(ds, e.cursor, ce, start, losses); err != nil {
 			failedAt := time.Now()
 			if e.replanRequired() {
@@ -354,7 +375,7 @@ func (e *Elastic) Train(ds data.Dataset, minibatches int) (*Report, error) {
 				continue
 			}
 			consecFailures++
-			if consecFailures > e.opts.MaxRecoveries {
+			if !p.autoRecover() || consecFailures > e.opts.MaxRecoveries {
 				return nil, err
 			}
 			recoveries++
@@ -362,37 +383,37 @@ func (e *Elastic) Train(ds data.Dataset, minibatches int) (*Report, error) {
 			if rerr != nil {
 				return nil, fmt.Errorf("pipeline: recovery after %v: %w", err, rerr)
 			}
+			// A generation older than this call's start (a peer process died
+			// before writing its shard of the newest one) replays the gap;
+			// runChunk drops those minibatches' losses.
 			e.cursor = restored
 			continue
 		}
 		consecFailures = 0
-		e.cursor = ce
-		p.cursor = ce
-		if err := p.checkpointAt(e.opts.CheckpointDir, ce); err != nil {
-			return nil, err
+		e.cursor, p.cursor = ce, ce
+		if periodic {
+			if err := p.checkpointAt(e.opts.CheckpointDir, ce); err != nil {
+				return nil, err
+			}
+			ckptWrites++
 		}
-		ckptWrites++
 		// Rescale barrier: the chunk drained and a consistent checkpoint
 		// is on disk. If the stable membership no longer matches the
 		// plan's nodes, retire this incarnation; a set still in motion
 		// (mid-debounce flap) keeps training on the current plan.
-		now := time.Now()
-		e.cfg.View.Sweep(now)
-		if e.cfg.View.Stable(now) && !sameNodes(e.cfg.View.AliveIDs(), e.nodes) {
-			since := now.Sub(e.cfg.View.LastChange())
-			e.teardown()
-			drained = since
+		if v := e.cfg.View; v != nil {
+			now := time.Now()
+			v.Sweep(now)
+			if v.Stable(now) && !sameNodes(v.AliveIDs(), e.nodes) {
+				drained = now.Sub(v.LastChange())
+				e.teardown()
+			}
 		}
 	}
 	rep.WallTime = time.Since(t0)
 	rep.Samples = minibatches * ds.Batch(start).X.Dim(0)
 	rep.MembershipEpoch = e.epoch
-	if e.p != nil {
-		e.p.finishReport(rep, recoveries, ckptWrites)
-	} else {
-		rep.Faults.Recoveries = recoveries
-		rep.Faults.CheckpointWrites = ckptWrites
-	}
+	p.finishReport(rep, recoveries, ckptWrites)
 	return rep, nil
 }
 

@@ -1,13 +1,17 @@
 package pipeline
 
 import (
+	"os"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pipedream/internal/checkpoint"
 	"pipedream/internal/data"
 	"pipedream/internal/membership"
+	"pipedream/internal/metrics"
 	"pipedream/internal/nn"
 	"pipedream/internal/partition"
 	"pipedream/internal/tensor"
@@ -24,14 +28,19 @@ type elasticHarness struct {
 	mu      sync.Mutex
 	cur     *transport.Chaos
 	beaters map[int]chan struct{}
+	held    map[int]bool // nodes whose beater is paused, as a starved worker's
 }
 
 func newElasticHarness(cfg membership.Config) *elasticHarness {
-	return &elasticHarness{view: membership.New(cfg), beaters: make(map[int]chan struct{})}
+	return &elasticHarness{view: membership.New(cfg), beaters: make(map[int]chan struct{}), held: make(map[int]bool)}
 }
 
 // startNode joins the node and keeps it beating every 5ms until
-// stopNode (or the test's cleanup) is called.
+// stopNode (or the test's cleanup) is called. A beat that comes later
+// than the heartbeat timeout may find the node evicted, and View.Beat
+// ignores an evicted member; so the beater then re-announces with Join,
+// as a live worker that missed its deadline does. An explicit Leave
+// stays in force while the beats are on time.
 func (h *elasticHarness) startNode(t *testing.T, id int) {
 	t.Helper()
 	h.view.Join(id, "")
@@ -40,15 +49,29 @@ func (h *elasticHarness) startNode(t *testing.T, id int) {
 	h.beaters[id] = stop
 	h.mu.Unlock()
 	t.Cleanup(func() { h.stopNode(id) })
+	timeout := h.view.Config().HeartbeatTimeout
 	go func() {
 		tick := time.NewTicker(5 * time.Millisecond)
 		defer tick.Stop()
+		last := time.Now()
 		for {
 			select {
 			case <-stop:
 				return
 			case <-tick.C:
-				h.view.Beat(id)
+				h.mu.Lock()
+				held := h.held[id]
+				h.mu.Unlock()
+				if held {
+					continue
+				}
+				now := time.Now()
+				if timeout > 0 && now.Sub(last) > timeout {
+					h.view.Join(id, "")
+				} else {
+					h.view.Beat(id)
+				}
+				last = now
 			}
 		}
 	}()
@@ -63,6 +86,14 @@ func (h *elasticHarness) stopNode(id int) {
 		close(stop)
 		delete(h.beaters, id)
 	}
+}
+
+// hold pauses (or resumes) a node's beater without stopping it — a
+// worker that is alive but starved of CPU.
+func (h *elasticHarness) hold(id int, paused bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.held[id] = paused
 }
 
 // transportFactory builds one chaos-wrapped transport per incarnation.
@@ -557,5 +588,129 @@ func TestAdoptFullStateResumesBitEqual(t *testing.T) {
 		if rep2.Losses[i] != refRep.Losses[10+i] {
 			t.Fatalf("phase2 loss %d = %v, want %v", 10+i, rep2.Losses[i], refRep.Losses[10+i])
 		}
+	}
+}
+
+// A survivor whose beater is starved past the heartbeat timeout — as
+// under go test -race with every package running at once — is evicted by
+// the next sweep. Its next announcement must re-admit it, or a rescale
+// that needs it waits for a worker that is alive until WaitTimeout.
+func TestElasticHarnessReadmitsStarvedSurvivor(t *testing.T) {
+	h := newElasticHarness(membership.Config{HeartbeatTimeout: 100 * time.Millisecond})
+	h.startNode(t, 0)
+	h.startNode(t, 1)
+	h.hold(1, true)
+	deadline := time.Now().Add(5 * time.Second)
+	for sameNodes(h.view.AliveIDs(), []int{0, 1}) {
+		if time.Now().After(deadline) {
+			t.Fatal("the failure detector never evicted the paused node")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	h.hold(1, false)
+	if _, _, err := h.view.WaitStable(2, 5*time.Second); err != nil {
+		t.Fatalf("the starved node was not re-admitted once its beater resumed: %v", err)
+	}
+}
+
+// elasticRun builds an elastic runtime on h's view with the chaos tests'
+// settings: a checkpoint barrier every 5 minibatches, at least 2
+// workers, and one depth-1 stage per live node.
+func elasticRun(t *testing.T, h *elasticHarness, factory func() *nn.Sequential, reg *metrics.Registry) *Elastic {
+	t.Helper()
+	e, err := NewElastic(Options{
+		ModelFactory: factory,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
+		Metrics:      reg,
+		FaultConfig: FaultConfig{
+			CheckpointDir:   t.TempDir(),
+			CheckpointEvery: 5,
+			MaxRecoveries:   2,
+			WatchdogTimeout: 250 * time.Millisecond,
+		},
+	}, ElasticConfig{
+		View: h.view,
+		Replan: func(n int) (*partition.Plan, error) {
+			plan := evenPlan(t, factory, n, 1)
+			plan.Depth = 1
+			return plan, nil
+		},
+		MinWorkers:   2,
+		WaitTimeout:  5 * time.Second,
+		NewTransport: h.transportFactory,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	return e
+}
+
+// Each Train call reports its own ops only: a second call on the same
+// plan incarnation opens a fresh measurement window, as Pipeline.Train
+// does.
+func TestElasticTrainReportsOnlyItsOwnOps(t *testing.T) {
+	h := newElasticHarness(membership.Config{})
+	h.startNode(t, 0)
+	h.startNode(t, 1)
+	e := elasticRun(t, h, mlpFactory(41, 4, 8, 3), metrics.NewRegistry())
+	ds := data.NewBlobs(43, 3, 4, 8, 30)
+	const mbs = 10
+	for call := 1; call <= 2; call++ {
+		rep, err := e.Train(ds, mbs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Stages) != 2 {
+			t.Fatalf("call %d: %d stage reports, want 2", call, len(rep.Stages))
+		}
+		for _, st := range rep.Stages {
+			if st.FwdOps != mbs {
+				t.Fatalf("call %d: worker %d reports %d forwards, want this call's %d", call, st.Worker, st.FwdOps, mbs)
+			}
+		}
+	}
+}
+
+// parallelismProbe runs its layer and records the highest kernel degree
+// a forward ran at.
+type parallelismProbe struct {
+	nn.Layer
+	seen *atomic.Int64
+}
+
+func (l parallelismProbe) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, nn.Context) {
+	d := int64(tensor.Parallelism())
+	for cur := l.seen.Load(); d > cur && !l.seen.CompareAndSwap(cur, d); cur = l.seen.Load() {
+	}
+	return l.Layer.Forward(x, train)
+}
+
+// With KernelParallelism unset, an elastic run sizes kernel parallelism
+// to its stage workers, as a static one does: each of the 2 workers'
+// forwards runs at no more than NumCPU/2.
+func TestElasticTrainScopesKernelParallelism(t *testing.T) {
+	const workers = 2
+	per := max(runtime.NumCPU()/workers, 1)
+	if os.Getenv(tensor.ParallelismEnv) != "" || per >= tensor.Parallelism() {
+		t.Skipf("%d CPUs leave kernel degree %d nothing to lower for %d workers", runtime.NumCPU(), tensor.Parallelism(), workers)
+	}
+	var seen atomic.Int64
+	base := mlpFactory(51, 4, 8, 3)
+	factory := func() *nn.Sequential {
+		m := base()
+		m.Layers[0] = parallelismProbe{Layer: m.Layers[0], seen: &seen}
+		return m
+	}
+	h := newElasticHarness(membership.Config{})
+	h.startNode(t, 0)
+	h.startNode(t, 1)
+	e := elasticRun(t, h, factory, nil)
+	if _, err := e.Train(data.NewBlobs(53, 3, 4, 8, 30), 10); err != nil {
+		t.Fatal(err)
+	}
+	if got := seen.Load(); got == 0 || got > int64(per) {
+		t.Fatalf("forwards ran at kernel degree %d, want 1..%d (NumCPU/workers)", got, per)
 	}
 }

@@ -93,8 +93,9 @@ type RuntimeConfig struct {
 	// setting when stages are compute-balanced is roughly
 	// NumCPU / number-of-workers; when this is left 0 and the
 	// PIPEDREAM_PARALLELISM environment variable is not set, Train
-	// lowers the global degree to that value for its duration (it
-	// never raises it) and restores the previous degree on return.
+	// (static or elastic) lowers the global degree to that value while
+	// each chunk's workers run (it never raises it) and restores the
+	// previous degree when the chunk drains.
 	KernelParallelism int
 }
 
@@ -504,86 +505,11 @@ func (p *Pipeline) Plan() *partition.Plan { return p.opts.Plan }
 // file (and the plan-derived manifest) is written every K minibatches;
 // with MaxRecoveries additionally set, a detected failure — a dead peer,
 // a stalled pipeline (WatchdogTimeout) — drains in-flight state, restores
-// from the last complete generation, and resumes.
+// from the last complete generation, and resumes. It is the elastic
+// runtime's chunk loop run with no membership view: the plan never
+// changes, and every failure restores onto it.
 func (p *Pipeline) Train(ds data.Dataset, minibatches int) (*Report, error) {
-	if minibatches <= 0 {
-		return nil, fmt.Errorf("pipeline: minibatches = %d", minibatches)
-	}
-	// Size kernel-level parallelism to the stage workers this call runs;
-	// an explicit KernelParallelism (set by New) is respected.
-	if p.opts.KernelParallelism == 0 {
-		defer tensor.ScopeParallelism(len(p.workers))()
-	}
-	start := p.cursor
-	end := start + minibatches
-	periodic := p.opts.CheckpointDir != "" && p.opts.CheckpointEvery > 0
-	every := minibatches
-	if periodic {
-		every = p.opts.CheckpointEvery
-	}
-	t0 := time.Now()
-	if p.opts.OpLog != nil {
-		p.opts.OpLog.SetOrigin(t0)
-	}
-	p.beginRun()
-	losses := make([]float64, minibatches)
-	recoveries, ckptWrites := 0, 0
-	// consecFailures counts failed chunks since the last clean one.
-	// MaxRecoveries bounds this consecutive count, not the lifetime
-	// total: a long run surviving sporadic, spaced-out faults keeps
-	// recovering, while a fault loop that never completes a chunk still
-	// surfaces after MaxRecoveries attempts.
-	consecFailures := 0
-	if p.autoRecover() {
-		// Seed an initial generation so the first failure has something to
-		// restore (a training run that fails before its first periodic
-		// checkpoint would otherwise be unrecoverable).
-		if seeded, err := p.seedCheckpoint(start); err != nil {
-			return nil, err
-		} else if seeded {
-			ckptWrites++
-		}
-	}
-	cs := start
-	for cs < end {
-		ce := cs + every
-		if ce > end {
-			ce = end
-		}
-		if err := p.runChunk(ds, cs, ce, start, losses); err != nil {
-			consecFailures++
-			if !p.autoRecover() || consecFailures > p.opts.MaxRecoveries {
-				return nil, err
-			}
-			recoveries++
-			restored, rerr := p.recoverFromCheckpoint()
-			if rerr != nil {
-				return nil, fmt.Errorf("pipeline: recovery after %v: %w", err, rerr)
-			}
-			// A generation older than this call's start (a peer process died
-			// before writing its shard of the newest one) replays the gap;
-			// runChunk drops those minibatches' losses.
-			cs = restored
-			continue
-		}
-		consecFailures = 0
-		cs = ce
-		p.cursor = ce
-		if periodic {
-			if err := p.checkpointAt(p.opts.CheckpointDir, ce); err != nil {
-				return nil, err
-			}
-			ckptWrites++
-		}
-	}
-	p.cursor = end
-	rep := &Report{
-		Losses:   losses,
-		WallTime: time.Since(t0),
-		Samples:  minibatches * ds.Batch(start).X.Dim(0),
-	}
-	p.finishReport(rep, recoveries, ckptWrites)
-	return rep, nil
+	return (&Elastic{opts: p.opts, p: p, cursor: p.cursor}).Train(ds, minibatches)
 }
 
 // beginRun opens one Train call's measurement window on every local
@@ -618,6 +544,11 @@ func (p *Pipeline) finishReport(rep *Report, recoveries, ckptWrites int) {
 // stage's weights reflect exactly the same minibatches, so a checkpoint
 // taken here is globally consistent. Losses land in losses[mb-base].
 func (p *Pipeline) runChunk(ds data.Dataset, cs, ce, base int, losses []float64) error {
+	// Size kernel-level parallelism to the stage workers this chunk runs;
+	// an explicit KernelParallelism (set by New) is respected.
+	if p.opts.KernelParallelism == 0 {
+		defer tensor.ScopeParallelism(len(p.workers))()
+	}
 	// Sink losses accumulate (a multi-sink graph reports one loss event per
 	// head); zero this chunk's range so a recovery retry starts clean.
 	for mb := cs; mb < ce; mb++ {

@@ -180,21 +180,23 @@ func TrainASP(cfg Config, workers int) (*Curve, error) {
 // TrainPipeline trains with the real PipeDream runtime under the given
 // plan and staleness mode.
 func TrainPipeline(cfg Config, plan *partition.Plan, mode pipeline.StalenessMode) (*Curve, error) {
+	return trainPipeline(cfg, fmt.Sprintf("PipeDream(%s,%s)", plan.ConfigString(), mode),
+		pipeline.Options{Plan: plan, Mode: mode})
+}
+
+// trainPipeline runs the epoch loop of a curve on the real runtime,
+// built from opts with cfg's model, loss and optimizer.
+func trainPipeline(cfg Config, name string, opts pipeline.Options) (*Curve, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	p, err := pipeline.New(pipeline.Options{
-		ModelFactory: cfg.Factory,
-		Plan:         plan,
-		Loss:         cfg.Loss,
-		NewOptimizer: cfg.NewOptimizer,
-		Mode:         mode,
-	})
+	opts.ModelFactory, opts.Loss, opts.NewOptimizer = cfg.Factory, cfg.Loss, cfg.NewOptimizer
+	p, err := pipeline.New(opts)
 	if err != nil {
 		return nil, err
 	}
 	defer p.Close()
-	curve := &Curve{Name: fmt.Sprintf("PipeDream(%s,%s)", plan.ConfigString(), mode)}
+	curve := &Curve{Name: name}
 	for e := 0; e < cfg.Epochs; e++ {
 		rep, err := p.Train(cfg.Train, cfg.Train.NumBatches())
 		if err != nil {
@@ -223,32 +225,11 @@ func TrainSequential(cfg Config) (*Curve, error) {
 // statistically equivalent to BSP with an m-times-larger global batch and
 // m-times-fewer updates per epoch.
 func TrainGPipeSemantics(cfg Config, plan *partition.Plan, microbatches int) (*Curve, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	if microbatches < 1 {
 		return nil, fmt.Errorf("statseff: microbatches = %d", microbatches)
 	}
-	p, err := pipeline.New(pipeline.Options{
-		ModelFactory: cfg.Factory,
-		Plan:         plan.AtDepth(microbatches),
-		Loss:         cfg.Loss,
-		NewOptimizer: cfg.NewOptimizer,
-		Mode:         pipeline.WeightStashing,
-		SyncConfig:   pipeline.SyncConfig{GradAccumulation: microbatches},
+	return trainPipeline(cfg, fmt.Sprintf("GPipe(m=%d,%s)", microbatches, plan.ConfigString()), pipeline.Options{
+		Plan:       plan.AtDepth(microbatches),
+		SyncConfig: pipeline.SyncConfig{GradAccumulation: microbatches},
 	})
-	if err != nil {
-		return nil, err
-	}
-	defer p.Close()
-	curve := &Curve{Name: fmt.Sprintf("GPipe(m=%d,%s)", microbatches, plan.ConfigString())}
-	for e := 0; e < cfg.Epochs; e++ {
-		rep, err := p.Train(cfg.Train, cfg.Train.NumBatches())
-		if err != nil {
-			return nil, err
-		}
-		curve.TrainLoss = append(curve.TrainLoss, rep.MeanLoss())
-		curve.Score = append(curve.Score, evaluate(p.CollectModel(), cfg.Eval))
-	}
-	return curve, nil
 }

@@ -45,6 +45,11 @@ done
 "$FIG6/pipedream-train" -task images -plan "$FIG6/plan.json" -epochs 3 | sed 's/, wall .*//' >"$FIG6/train2.txt"
 diff "$FIG6/train1.txt" "$FIG6/train2.txt" || { echo "two pipedream-train -plan runs printed different losses" >&2; exit 1; }
 
+echo "== elastic smoke: pipedream-train -elastic on images, a worker leaving at the start, trains both epochs and ends on a 2-worker plan"
+"$FIG6/pipedream-train" -task images -stages 3 -epochs 2 -elastic -min-workers 2 -membership-events '0s:leave:2' -checkpoint-dir "$FIG6/elastic" >"$FIG6/elastic.txt"
+grep -q '^epoch  2:' "$FIG6/elastic.txt" && grep -q 'final plan 2 worker(s)' "$FIG6/elastic.txt" ||
+    { echo "the elastic smoke run did not finish on 2 workers:" >&2; cat "$FIG6/elastic.txt" >&2; exit 1; }
+
 echo "== portable kernels (arm64 cross-vet of tensor + nn; tensor tests on 386, where no assembly is built: the ReLU mask's definition test and bit-equality fuzz seeds among them)"
 GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/
 GOARCH=386 go test -count=1 ./internal/tensor/
@@ -76,8 +81,9 @@ go test -count=1 ./internal/serve/ -run 'TestPoolBalanceAfterTraffic'
 go test -count=1 ./internal/profile/ ./internal/cliconf/ ./cmd/pipedream-serve/ -run 'TestMeasureForwardRunsNoBackward|TestServePlanReadsNoTrainingData|TestServePlanCutsTheForwardPass|TestImagesCutIsUnchanged'
 go test -count=1 ./cmd/pipedream-serve/ ./internal/serve/...
 
-echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table ten times, the two-pass backward, the shared-model inference call, the release of what no context reads, random layer chains run in place, the in-place train-comm chain, one factory model per replica and dropout stages of one model three; the checkpoint readers against a concurrent prune — restore, LoadFullState and the serving follower — five; the transport's connection storm twenty)"
+echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table ten times, the two-pass backward, the shared-model inference call, the release of what no context reads, random layer chains run in place, the in-place train-comm chain, one factory model per replica and dropout stages of one model three; the checkpoint readers against a concurrent prune — restore, LoadFullState and the serving follower — five; the elastic runtime's tests and the consecutive-recovery bound, which share the one chunk loop, five; the transport's connection storm twenty)"
 go test -race ./...
+go test -race -count=5 ./internal/pipeline/ -run '^(TestElastic|TestTrainMaxRecoveries)'
 go test -race -count=20 ./internal/transport/ -run '^TestBreakConnStormDeliversOnlyWholeFrames$'
 go test -race -count=5 ./internal/pipeline/ ./internal/serve/ -run '^(TestRestoreRacesPruneAtGenerationBoundary|TestLoadFullStateRacesPruneAtGenerationBoundary|TestFollowerSkipsMidPruneGeneration)$'
 go test -race -count=10 ./internal/pipeline/ -run 'TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied'
