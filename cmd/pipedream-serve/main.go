@@ -1,9 +1,9 @@
 // Command pipedream-serve is the inference front-end of the PipeDream
-// reproduction: it loads trained checkpoints (written by pipedream-train
-// or pipedream-worker), partitions each model onto forward-only stage
-// pipelines, and serves HTTP inference requests through a replicated,
-// multi-tenant fleet with dynamic batching and per-tenant admission
-// control.
+// reproduction: it loads trained checkpoints (written by pipedream-train,
+// in one process or one per worker), partitions each model onto
+// forward-only stage pipelines, and serves HTTP inference requests
+// through a replicated, multi-tenant fleet with dynamic batching and
+// per-tenant admission control.
 //
 // Serve a checkpointed spiral model on 2 stages, 3 replicas:
 //

@@ -1,30 +1,45 @@
-// Command pipedream-train trains a real model in-process with PipeDream's
-// 1F1B-RR runtime: workers are goroutines, stages exchange activations and
-// gradients through the transport, and weight stashing keeps gradients
-// valid. It demonstrates the runtime end to end on synthetic tasks, cut
-// on the model's measured profile or by a pipedream-optimizer -plan file.
+// Command pipedream-train trains a real model with PipeDream's 1F1B-RR
+// runtime: stages exchange activations and gradients through the
+// transport, and weight stashing keeps gradients valid. It demonstrates
+// the runtime end to end on synthetic tasks, cut on the model's measured
+// profile or by a pipedream-optimizer -plan file.
 //
-// Usage:
+// By default every worker is a goroutine of this process. With -peers (an
+// address per worker of the plan) and -id, the process runs only worker
+// id and trains with the others over TCP — the paper's process-per-worker
+// deployment, the run step of its workflow (Fig. 6). Every process of
+// such a run needs identical -task, -seed, -plan and -epochs, and those
+// hosting an output stage print the epoch losses:
 //
 //	pipedream-train -task spiral -stages 3 -epochs 10
 //	pipedream-train -task images -plan plan.json
 //	pipedream-train -task sequence -mode vertical-sync
 //	pipedream-train -task images -replicas 2 -tcp
 //	pipedream-train -task spiral -stages 3 -elastic -membership-events '2s:leave:2,5s:join:2'
+//
+//	pipedream-profile -task images -o prof.json
+//	pipedream-optimizer -profile prof.json -cluster c -servers 3 -o plan.json
+//	pipedream-train -task images -plan plan.json -id 0 -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 &
+//	pipedream-train -task images -plan plan.json -id 1 -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 &
+//	pipedream-train -task images -plan plan.json -id 2 -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
+	"pipedream/internal/checkpoint"
 	"pipedream/internal/cliconf"
 	"pipedream/internal/data"
 	"pipedream/internal/membership"
 	"pipedream/internal/nn"
 	"pipedream/internal/partition"
 	"pipedream/internal/pipeline"
+	"pipedream/internal/schedule"
 	"pipedream/internal/transport"
 )
 
@@ -46,6 +61,9 @@ func main() {
 	epochs := flag.Int("epochs", 8, "training epochs")
 	depth := flag.Int("depth", 0, "in-flight minibatches per input replica (0 = the plan's)")
 	useTCP := flag.Bool("tcp", false, "run the pipeline over TCP sockets instead of channels")
+	peerList := flag.String("peers", "", "comma-separated listen addresses of every worker of the -plan, ordered by id: run only worker -id in this process, over TCP")
+	id := flag.Int("id", 0, "with -peers: the worker this process runs")
+	join := flag.Bool("join", false, "late-join mode: block until a complete checkpoint generation appears in -checkpoint-dir, then restore from it and start contributing (implies -resume)")
 	flag.Parse()
 
 	var mode pipeline.StalenessMode
@@ -58,6 +76,19 @@ func main() {
 		mode = pipeline.NoStashing
 	default:
 		fatal(fmt.Errorf("unknown mode %q", *modeName))
+	}
+	var peers []string
+	if *peerList != "" {
+		if mdl.PlanFile == "" {
+			fatal(fmt.Errorf("-peers needs -plan: the processes of a run must not disagree on a measured cut"))
+		}
+		if elasticFlags.Enabled {
+			fatal(fmt.Errorf("-peers runs the static plan of its -plan file; it takes no -elastic"))
+		}
+		peers = strings.Split(*peerList, ",")
+	}
+	if elasticFlags.Enabled && (mdl.Replicas != 1 || mdl.PlanFile != "") {
+		fatal(fmt.Errorf("-elastic repartitions to one straight stage per live worker; it takes no -plan, and -replicas must be 1"))
 	}
 
 	syncCfg := syncFlags.Build()
@@ -77,14 +108,25 @@ func main() {
 		SyncConfig:   syncCfg,
 		FaultConfig:  faultFlags.Build(),
 	}
-	newTransport := transportFactory(*useTCP, chaosFlags)
+	newTransport := transportFactory(*useTCP, peers, *id, chaosFlags)
 	// run is a static pipeline or an elastic one; both resume at Cursor.
 	var run interface {
 		Cursor() int
 		Train(ds data.Dataset, minibatches int) (*pipeline.Report, error)
 	}
 	var view *membership.View
+	// sink reports whether this process prints the epoch losses: it hosts
+	// an output stage, as every in-process run does.
+	sink := true
 	if elasticFlags.Enabled {
+		if opts.FaultConfig.CheckpointDir == "" {
+			dir, err := os.MkdirTemp("", "pipedream-elastic-")
+			if err != nil {
+				fatal(err)
+			}
+			defer os.RemoveAll(dir)
+			opts.FaultConfig.CheckpointDir = dir
+		}
 		var e *pipeline.Elastic
 		e, view = newElastic(mdl, task, model, opts, chaosFlags, elasticFlags, *depth, newTransport)
 		defer e.Close()
@@ -97,6 +139,12 @@ func main() {
 		if *depth > 0 {
 			plan = plan.AtDepth(*depth)
 		}
+		if peers != nil && len(peers) != plan.Workers {
+			fatal(fmt.Errorf("the plan uses %d workers, so -peers needs %d addresses, got %d", plan.Workers, plan.Workers, len(peers)))
+		}
+		if peers != nil && (*id < 0 || *id >= plan.Workers) {
+			fatal(fmt.Errorf("-id %d is not a worker of the plan (0 to %d)", *id, plan.Workers-1))
+		}
 		fmt.Printf("task %s: %d layers across %d stage(s) (%s) on %d worker(s), config %s, depth %d, %s, mode %s\n",
 			mdl.Task, len(model.Layers), len(plan.Stages), cliconf.Cuts(plan, model), plan.Workers, plan.ConfigString(), plan.Depth, plan.WindowString(), mode)
 		tr, err := newTransport(plan.Workers, cliconf.Buffer(plan, model, syncCfg))
@@ -104,7 +152,12 @@ func main() {
 			fatal(err)
 		}
 		defer tr.Close()
-		if *useTCP {
+		if peers != nil {
+			// The pipeline runs the workers the transport hosts: this one.
+			stage := schedule.Assign(plan).Workers[*id].Stage
+			sink = len(plan.Graph.Succs(stage)) == 0
+			fmt.Printf("transport: worker %d (stage %d) listening on %s\n", *id, stage, peers[*id])
+		} else if *useTCP {
 			fmt.Println("transport: TCP loopback sockets (binary-framed tensors)")
 		}
 		if chaosFlags.Enabled() {
@@ -116,10 +169,22 @@ func main() {
 			fatal(err)
 		}
 		defer p.Close()
-		if faultFlags.Resume {
-			if faultFlags.Dir == "" {
-				fatal(fmt.Errorf("-resume needs -checkpoint-dir"))
+		if (*join || faultFlags.Resume) && faultFlags.Dir == "" {
+			fatal(fmt.Errorf("-join and -resume need -checkpoint-dir"))
+		}
+		if *join {
+			// A replacement worker: block until the others' complete generation
+			// exists, then resume from it. Peers retrying sends with backoff
+			// bridge the gap until this process starts answering.
+			fmt.Printf("joining: waiting for a complete checkpoint generation in %s\n", faultFlags.Dir)
+			for _, err := pipeline.LatestCheckpoint(faultFlags.Dir); err != nil; _, err = pipeline.LatestCheckpoint(faultFlags.Dir) {
+				if !errors.Is(err, checkpoint.ErrNoGeneration) {
+					fatal(err)
+				}
+				time.Sleep(200 * time.Millisecond)
 			}
+		}
+		if *join || faultFlags.Resume {
 			if err := p.Restore(faultFlags.Dir); err != nil {
 				fatal(err)
 			}
@@ -129,7 +194,8 @@ func main() {
 	}
 
 	// The epoch loop is cursor-driven so a resumed run finishes its
-	// partial epoch before starting the next one.
+	// partial epoch before starting the next one, keeping the epoch
+	// boundaries of every process of a -peers run aligned.
 	mbs := task.Train.NumBatches()
 	total := *epochs * mbs
 	var faults pipeline.FaultStats
@@ -139,10 +205,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		// A -peers process holds only its own stage, so it evaluates nothing.
 		var final *nn.Sequential
 		switch r := run.(type) {
 		case *pipeline.Pipeline:
-			final = r.CollectModel()
+			if peers == nil {
+				final = r.CollectModel()
+			}
 			if faultFlags.Dir != "" {
 				err = r.Checkpoint(faultFlags.Dir)
 			}
@@ -152,8 +221,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("epoch %2d: mean loss %.4f, eval accuracy %.1f%%, wall %v\n",
-			ep, rep.MeanLoss(), evaluate(final, task.Eval)*100, rep.WallTime.Round(1e6))
+		acc := ""
+		if final != nil {
+			acc = fmt.Sprintf(", eval accuracy %.1f%%", evaluate(final, task.Eval)*100)
+		}
+		if sink {
+			fmt.Printf("epoch %2d: mean loss %.6f%s, wall %v\n", ep, rep.MeanLoss(), acc, rep.WallTime.Round(1e6))
+		}
 		for _, rs := range rep.Rescales {
 			fmt.Printf("  %s\n", rs)
 		}
@@ -187,19 +261,27 @@ func main() {
 	}
 }
 
-// transportFactory returns the constructor of a run's transport: loopback
-// TCP sockets or in-process channels, wrapped in the chaos proxy when any
-// chaos flag is set. An elastic run calls it once per plan incarnation.
-func transportFactory(tcp bool, chaos *cliconf.Chaos) pipeline.TransportFactory {
+// transportFactory returns the constructor of a run's transport: this
+// process's TCP endpoint of a -peers run, loopback TCP sockets, or
+// in-process channels, wrapped in the chaos proxy when any chaos flag is
+// set. An elastic run calls it once per plan incarnation.
+func transportFactory(tcp bool, peers []string, id int, chaos *cliconf.Chaos) pipeline.TransportFactory {
 	return func(workers, buffer int) (transport.Transport, error) {
 		var tr transport.Transport
-		if tcp {
+		switch {
+		case peers != nil:
+			t, err := transport.ListenTCP(peers, []int{id}, buffer)
+			if err != nil {
+				return nil, err
+			}
+			tr = t
+		case tcp:
 			t, err := transport.NewTCP(workers, buffer)
 			if err != nil {
 				return nil, err
 			}
 			tr = t
-		} else {
+		default:
 			tr = transport.NewChannels(workers, buffer)
 		}
 		if chaos.Enabled() {
@@ -216,21 +298,11 @@ func transportFactory(tcp bool, chaos *cliconf.Chaos) pipeline.TransportFactory 
 // changes.
 func newElastic(mdl *cliconf.Model, task *cliconf.Task, model *nn.Sequential, opts pipeline.Options,
 	chaosFlags *cliconf.Chaos, elasticFlags *cliconf.Elastic, depth int, newTransport pipeline.TransportFactory) (*pipeline.Elastic, *membership.View) {
-	if mdl.Replicas != 1 || mdl.PlanFile != "" {
-		fatal(fmt.Errorf("-elastic repartitions to one straight stage per live worker; it takes no -plan, and -replicas must be 1"))
-	}
 	events, err := elasticFlags.ParseEvents()
 	if err != nil {
 		fatal(err)
 	}
 	fc := &opts.FaultConfig
-	if fc.CheckpointDir == "" {
-		dir, err := os.MkdirTemp("", "pipedream-elastic-")
-		if err != nil {
-			fatal(err)
-		}
-		fc.CheckpointDir = dir
-	}
 	if fc.CheckpointEvery <= 0 {
 		fc.CheckpointEvery = 10
 	}

@@ -49,8 +49,8 @@ func TestDistributedMultiProcessTraining(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
 	}
-	bin := filepath.Join(t.TempDir(), "pipedream-worker")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/pipedream-worker")
+	bin := filepath.Join(t.TempDir(), "pipedream-train")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/pipedream-train")
 	build.Dir = "."
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("build worker: %v\n%s", err, out)
@@ -182,9 +182,10 @@ func parseEpochLosses(t *testing.T, out string) []float64 {
 	t.Helper()
 	var losses []float64
 	for _, line := range strings.Split(out, "\n") {
+		// "epoch  1: mean loss 0.123456, wall 12ms"
 		fields := strings.Fields(line)
-		if len(fields) == 4 && fields[0] == "epoch" && fields[2] == "loss" {
-			v, err := strconv.ParseFloat(fields[3], 64)
+		if len(fields) == 7 && fields[0] == "epoch" && fields[3] == "loss" {
+			v, err := strconv.ParseFloat(strings.TrimSuffix(fields[4], ","), 64)
 			if err != nil {
 				t.Fatalf("bad loss line %q: %v", line, err)
 			}

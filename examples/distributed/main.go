@@ -1,6 +1,6 @@
 // Distributed: the multi-process deployment API demonstrated in one
 // program — three one-worker pipelines (here goroutines; one per OS
-// process in production, see cmd/pipedream-worker), each built on its own
+// process in production, see pipedream-train -peers), each built on its own
 // ListenTCP endpoint of a shared address list and connected by real TCP
 // sockets,
 // training a 2-1 replicated configuration with the message-based gradient

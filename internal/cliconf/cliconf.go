@@ -1,11 +1,11 @@
 // Package cliconf factors the flag surface the pipedream command-line
-// binaries share (pipedream-train, pipedream-worker, pipedream-serve)
-// out of their mains: each configuration group is a struct with a
-// Register method that declares its flags on a FlagSet — using the
-// struct's current field values as the defaults, so each binary presets
-// what differs — and a Build (or equivalent) method that turns the
-// parsed values into the runtime configuration the internal packages
-// consume. The task zoo, the planner and the buffer sizing live here
+// binaries share (pipedream-train, pipedream-serve, pipedream-profile,
+// pipedream-loadgen) out of their mains: each configuration group is a
+// struct with a Register method that declares its flags on a FlagSet —
+// using the struct's current field values as the defaults, so each
+// binary presets what differs — and a Build (or equivalent) method that
+// turns the parsed values into the runtime configuration the internal
+// packages consume. The task zoo, the planner and the buffer sizing live here
 // too, so pipedream-profile measures the model the runtime trains, and
 // every process of a distributed run derives the identical model, plan
 // (from one plan file), and transport sizing from the identical flags.
@@ -56,13 +56,13 @@ type Model struct {
 // Register declares every model/task flag — task selection, the full
 // training pipeline shape and a plan file — defaulting to the current
 // field values. Binaries that consume only part of the surface register
-// the narrower subsets (RegisterForward, RegisterTask, RegisterPlan) so
-// no flag is parsed and then silently ignored.
+// the narrower subsets (RegisterForward, RegisterTask) so no flag is
+// parsed and then silently ignored.
 func (c *Model) Register(fs *flag.FlagSet) {
 	c.RegisterTask(fs)
 	fs.IntVar(&c.Stages, "stages", c.Stages, "pipeline stages, cut on the model's measured profile")
 	fs.IntVar(&c.Replicas, "replicas", c.Replicas, "replicas of the first stage (1F1B-RR)")
-	c.RegisterPlan(fs)
+	fs.StringVar(&c.PlanFile, "plan", c.PlanFile, "plan JSON written by pipedream-optimizer -o: its stages, replicas and depth (overrides -stages and -replicas)")
 }
 
 // RegisterForward declares task selection plus stage count, without the
@@ -70,12 +70,6 @@ func (c *Model) Register(fs *flag.FlagSet) {
 func (c *Model) RegisterForward(fs *flag.FlagSet) {
 	c.RegisterTask(fs)
 	fs.IntVar(&c.Stages, "stages", c.Stages, "pipeline stages, cut on the model's measured forward pass")
-}
-
-// RegisterPlan declares -plan, the only shape flag of pipedream-worker,
-// whose processes must not disagree on a measured cut.
-func (c *Model) RegisterPlan(fs *flag.FlagSet) {
-	fs.StringVar(&c.PlanFile, "plan", c.PlanFile, "plan JSON written by pipedream-optimizer -o: its stages, replicas and depth (overrides -stages and -replicas)")
 }
 
 // RegisterTask declares only the task-selection flags: enough to rebuild

@@ -33,7 +33,7 @@ func freeAddrs(t *testing.T, n int) []string {
 
 // endpoint builds the Pipeline of one process of a deployment: a TCP
 // endpoint hosting the workers in local (optionally wrapped, as
-// cmd/pipedream-worker wraps it in Chaos) and the stage workers New
+// pipedream-train -peers wraps it in Chaos) and the stage workers New
 // derives from it. Both are torn down with the test.
 func endpoint(t *testing.T, opts Options, addrs []string, local []int, wrap func(*transport.TCP) transport.Transport) *Pipeline {
 	t.Helper()

@@ -224,3 +224,29 @@ func outstanding() int64 {
 	hits, misses, puts := tensor.PoolCounters()
 	return hits + misses - puts
 }
+
+// TestCloseReleasesQueuedDeliveries: a request split into three pipeline
+// batches fails on its first, so Infer returns while the other two are
+// still inside the stages — stage 0 sleeps, so they wait in inboxes.
+// Close, landing then, must hand their pooled deliveries back.
+func TestCloseReleasesQueuedDeliveries(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	plan := &partition.Plan{Stages: []partition.StageSpec{{FirstLayer: 0, LastLayer: 0, Replicas: 1},
+		{FirstLayer: 1, LastLayer: 1, Replicas: 1}}, Graph: partition.NewLinear(2)}
+	x := tensor.RandUniform(rng, -1, 1, 6, 3) // fc1 takes rows of 2
+	for round := 0; round < 10; round++ {
+		model := nn.NewSequential(&slowLayer{delay: 2 * time.Millisecond}, nn.NewDense(rng, "fc1", 2, 3))
+		s, err := NewServer(Config{Model: model, Plan: plan, MaxBatch: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := outstanding()
+		if _, err := s.Infer(x); !errors.Is(err, ErrInference) {
+			t.Fatalf("round %d: err = %v, want ErrInference", round, err)
+		}
+		s.Close()
+		if held := outstanding() - before; held != 0 {
+			t.Fatalf("round %d: %d pooled tensors outstanding after Close, want 0", round, held)
+		}
+	}
+}

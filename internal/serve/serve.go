@@ -505,6 +505,20 @@ func (s *Server) Close() error {
 		for _, v := range orphaned {
 			s.releaseVersion(v)
 		}
+		// Batches behind a failed one of the same request may still sit
+		// in this server's inboxes (a closed inbox still yields what it
+		// buffered): their deliveries go back to the pool.
+		for ep := 0; ep <= s.client; ep++ {
+			for drained := false; !drained; {
+				select {
+				case m, ok := <-s.tr.Inbox(ep):
+					drained = !ok
+					tensor.Put(m.Tensor)
+				default:
+					drained = true
+				}
+			}
+		}
 		for {
 			select {
 			case req := <-s.queue:

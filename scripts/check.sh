@@ -24,10 +24,10 @@ go build ./...
 go run ./cmd/pipedream-train -task spiral -stages 2 -replicas 3 -epochs 3 >/dev/null
 go run ./cmd/pipedream-train -task images -stages 2 >/dev/null
 
-echo "== the paper's workflow (Fig. 6) on images: pipedream-profile, pipedream-optimizer on cluster c, one pipedream-worker per planned worker on loopback, then pipedream-train -plan twice with bit-equal losses"
+echo "== the paper's workflow (Fig. 6) on images: pipedream-profile, pipedream-optimizer on cluster c, one pipedream-train -id -peers process per planned worker on loopback, whose printed epoch losses sum to those of pipedream-train -plan in one process (each within 1e-6 per printing process), then pipedream-train -plan twice with bit-equal losses"
 FIG6=$(mktemp -d)
 trap 'rm -rf "$FIG6"' EXIT
-go build -o "$FIG6" ./cmd/pipedream-profile ./cmd/pipedream-optimizer ./cmd/pipedream-worker ./cmd/pipedream-train
+go build -o "$FIG6" ./cmd/pipedream-profile ./cmd/pipedream-optimizer ./cmd/pipedream-train
 "$FIG6/pipedream-profile" -task images -o "$FIG6/prof.json" 2>/dev/null
 "$FIG6/pipedream-optimizer" -profile "$FIG6/prof.json" -cluster c -servers 3 -o "$FIG6/plan.json"
 WORKERS=$(grep -o '"Replicas": [0-9]*' "$FIG6/plan.json" | awk '{n += $2} END {print n}')
@@ -35,20 +35,37 @@ BASE=$((20000 + RANDOM % 20000))
 PEERS=$(seq -s, -f "127.0.0.1:%g" "$BASE" $((BASE + WORKERS - 1)))
 PIDS=()
 for ((id = 0; id < WORKERS; id++)); do
-    "$FIG6/pipedream-worker" -task images -plan "$FIG6/plan.json" -id "$id" -peers "$PEERS" -epochs 2 >/dev/null 2>"$FIG6/worker$id.log" &
+    "$FIG6/pipedream-train" -task images -plan "$FIG6/plan.json" -id "$id" -peers "$PEERS" -epochs 2 >"$FIG6/worker$id.txt" 2>&1 &
     PIDS+=($!)
 done
 for ((id = 0; id < WORKERS; id++)); do
-    wait "${PIDS[$id]}" || { echo "pipedream-worker $id failed:" >&2; cat "$FIG6/worker$id.log" >&2; exit 1; }
+    wait "${PIDS[$id]}" || { echo "pipedream-train -id $id failed:" >&2; cat "$FIG6/worker$id.txt" >&2; exit 1; }
 done
 "$FIG6/pipedream-train" -task images -plan "$FIG6/plan.json" -epochs 3 | sed 's/, wall .*//' >"$FIG6/train1.txt"
 "$FIG6/pipedream-train" -task images -plan "$FIG6/plan.json" -epochs 3 | sed 's/, wall .*//' >"$FIG6/train2.txt"
 diff "$FIG6/train1.txt" "$FIG6/train2.txt" || { echo "two pipedream-train -plan runs printed different losses" >&2; exit 1; }
+for ep in 1 2; do
+    # "epoch  1: mean loss 0.292437, ...": field 5 is the loss.
+    awk -v ep="$ep:" '
+        $1 == "epoch" && $2 == ep { sub(/,$/, "", $5); if (FILENAME ~ /train1/) want = $5; else { sum += $5; k++ } }
+        END {
+            d = sum - want
+            if (k == 0 || want == "" || d > k * 1e-6 || -d > k * 1e-6) {
+                printf "epoch %s %d -peers processes printed losses summing to %.6f, one process %s\n", ep, k, sum, want
+                exit 1
+            }
+        }' "$FIG6/train1.txt" "$FIG6"/worker*.txt >&2 || { cat "$FIG6"/worker*.txt >&2; exit 1; }
+done
 
-echo "== elastic smoke: pipedream-train -elastic on images, a worker leaving at the start, trains both epochs and ends on a 2-worker plan"
+echo "== elastic smoke: pipedream-train -elastic on images, a worker leaving at the start, trains both epochs and ends on a 2-worker plan; without -checkpoint-dir it leaves nothing in the temp dir"
 "$FIG6/pipedream-train" -task images -stages 3 -epochs 2 -elastic -min-workers 2 -membership-events '0s:leave:2' -checkpoint-dir "$FIG6/elastic" >"$FIG6/elastic.txt"
 grep -q '^epoch  2:' "$FIG6/elastic.txt" && grep -q 'final plan 2 worker(s)' "$FIG6/elastic.txt" ||
     { echo "the elastic smoke run did not finish on 2 workers:" >&2; cat "$FIG6/elastic.txt" >&2; exit 1; }
+mkdir "$FIG6/tmp"
+TMPDIR="$FIG6/tmp" "$FIG6/pipedream-train" -task images -stages 3 -epochs 2 -elastic -min-workers 2 -membership-events '0s:leave:2' >"$FIG6/elastic-tmp.txt"
+grep -q 'final plan 2 worker(s)' "$FIG6/elastic-tmp.txt" ||
+    { echo "the elastic smoke run without -checkpoint-dir did not finish on 2 workers:" >&2; cat "$FIG6/elastic-tmp.txt" >&2; exit 1; }
+[ -z "$(ls -A "$FIG6/tmp")" ] || { echo "pipedream-train -elastic left in its temp dir:" >&2; ls -A "$FIG6/tmp" >&2; exit 1; }
 
 echo "== portable kernels (arm64 cross-vet of tensor + nn; tensor tests on 386, where no assembly is built: the ReLU mask's definition test and bit-equality fuzz seeds among them)"
 GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/
@@ -77,7 +94,7 @@ echo "== poisoned pool (use-after-release detector on: nn, collective, pipeline,
 go test -count=1 ./internal/nn/ -run 'TestSequentialReleasesEachTensorOnce|TestSeqContextHeldBytes|TestTwoPassBackwardMatchesLayerByLayer|TestLossesMatchParentCommit|TestRandomChainsKeepTheOwnershipRule|TestStepIntoMatchesStepBitForBit|TestBackwardSetsGrads'
 go test -count=1 ./internal/pipeline/ ./internal/collective/ -run 'TestRingBucketsAreViewsOfTheGradientArena|TestUnreadStageInputReleasedAtForwardEnd|TestCommChainTrainsBitEqualInPlace|TestOneReLUStageTakesOnlyItsMask|TestRecomputeShrinksStash|TestUpstreamGradientLeavesBeforeParameterHalves|TestLossesArePureFunctionOfSeedPlanDepth|TestBranchGraphPipelineMatchesReference|TestBreakConnStormTrainsBitEqual|TestLocalWorkerSetsTrainBitEqual|TestElastic|TestChaos|TestAdoptFullState|TestTrainMaxRecoveries|TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied|TestTrainingMatchesParentCommit|TestEachReplicaModelBuiltOnce|TestDropoutStagesOfOneModelTrainBitEqual'
 go test -count=1 ./internal/tensor/ -run 'TestPoisonOnPutCatchesUseAfterRelease'
-go test -count=1 ./internal/serve/ -run 'TestPoolBalanceAfterTraffic'
+go test -count=1 ./internal/serve/ -run 'TestPoolBalanceAfterTraffic|TestCloseReleasesQueuedDeliveries'
 go test -count=1 ./internal/profile/ ./internal/cliconf/ ./cmd/pipedream-serve/ -run 'TestMeasureForwardRunsNoBackward|TestServePlanReadsNoTrainingData|TestServePlanCutsTheForwardPass|TestImagesCutIsUnchanged'
 go test -count=1 ./cmd/pipedream-serve/ ./internal/serve/...
 
