@@ -423,7 +423,7 @@ func BenchmarkFleetReplicas4(b *testing.B) { benchFleet(b, 4) }
 
 // BenchmarkWeightSwap measures the cost of installing a new weight
 // generation into a live 8-stage server: slicing the model by the plan
-// plus the version-table flip. This is the full request-visible swap
+// plus one pointer store. This is the full request-visible swap
 // cost — requests never stop during it, so it bounds how often a
 // follower can swap, not request latency.
 func BenchmarkWeightSwap(b *testing.B) {
@@ -446,7 +446,7 @@ func BenchmarkWeightSwap(b *testing.B) {
 	}
 	defer srv.Close()
 	// Two models swapped alternately so every iteration installs a
-	// distinct weightVersion; generations must strictly advance.
+	// distinct version; generations must strictly advance.
 	models := [2]*nn.Sequential{build(), build()}
 	b.ReportAllocs()
 	b.ResetTimer()

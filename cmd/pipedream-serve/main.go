@@ -58,9 +58,9 @@ import (
 	"syscall"
 	"time"
 
+	"pipedream/internal/checkpoint"
 	"pipedream/internal/cliconf"
 	"pipedream/internal/metrics"
-	"pipedream/internal/pipeline"
 	"pipedream/internal/serve"
 	"pipedream/internal/serve/fleet"
 	"pipedream/internal/tensor"
@@ -134,7 +134,7 @@ func main() {
 		case spec.Dir == "":
 			fmt.Printf("warning: tenant %s has no checkpoint directory, serving freshly initialized weights\n", spec.Name)
 		default:
-			model, cursor, err = pipeline.LoadModel(spec.Dir, task.Factory)
+			model, cursor, err = checkpoint.LoadModel(spec.Dir, task.Factory)
 			switch {
 			case err == nil:
 				fmt.Printf("tenant %s: loaded checkpoint from %s (trained to minibatch %d)\n", spec.Name, spec.Dir, cursor)

@@ -136,6 +136,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		if peers != nil && !plan.Pinned() {
+			fatal(fmt.Errorf("-plan %s pins no depth and windows, so each -peers process would derive its windows from its own measured profile: write it with pipedream-optimizer -o", mdl.PlanFile))
+		}
+		if peers != nil && *depth > 0 && *depth != plan.Depth {
+			fatal(fmt.Errorf("-depth %d is not the depth %d of -plan %s, so each -peers process would derive its windows from its own measured profile", *depth, plan.Depth, mdl.PlanFile))
+		}
 		if *depth > 0 {
 			plan = plan.AtDepth(*depth)
 		}
@@ -177,7 +183,7 @@ func main() {
 			// exists, then resume from it. Peers retrying sends with backoff
 			// bridge the gap until this process starts answering.
 			fmt.Printf("joining: waiting for a complete checkpoint generation in %s\n", faultFlags.Dir)
-			for _, err := pipeline.LatestCheckpoint(faultFlags.Dir); err != nil; _, err = pipeline.LatestCheckpoint(faultFlags.Dir) {
+			for _, err := checkpoint.Latest(faultFlags.Dir); err != nil; _, err = checkpoint.Latest(faultFlags.Dir) {
 				if !errors.Is(err, checkpoint.ErrNoGeneration) {
 					fatal(err)
 				}

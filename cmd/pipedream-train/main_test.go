@@ -10,9 +10,11 @@ import (
 
 // TestPeersArgumentErrors: a -peers run refuses, before it listens on
 // anything, the arguments its processes could not agree on or could not
-// run — no -plan (each process would measure its own cut), -elastic, a
-// peer list that does not name every worker of the plan, and an -id
-// outside the plan — each with a non-zero exit and a message naming it.
+// run — no -plan (each process would measure its own cut), a plan file
+// without depth and windows or a -depth other than the file's (each would
+// derive its own windows), -elastic, a peer list that does not name every
+// worker of the plan, and an -id outside the plan — each with a non-zero
+// exit and a message naming it.
 func TestPeersArgumentErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -29,12 +31,20 @@ func TestPeersArgumentErrors(t *testing.T) {
 		{"FirstLayer": 3, "LastLayer": 4, "Replicas": 1}], "depth": 2, "windows": [2, 1]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	unpinned := filepath.Join(dir, "unpinned.json")
+	if err := os.WriteFile(unpinned, []byte(`{"model": "spiral", "stages": [
+		{"FirstLayer": 0, "LastLayer": 2, "Replicas": 1},
+		{"FirstLayer": 3, "LastLayer": 4, "Replicas": 1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	const two = "127.0.0.1:1,127.0.0.1:2"
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-peers", two}, "-peers needs -plan"},
+		{[]string{"-plan", unpinned, "-peers", two}, "-plan " + unpinned + " pins no depth and windows"},
+		{[]string{"-plan", plan, "-peers", two, "-depth", "3"}, "-depth 3 is not the depth 2 of -plan " + plan},
 		{[]string{"-plan", plan, "-peers", two, "-elastic"}, "it takes no -elastic"},
 		{[]string{"-plan", plan, "-peers", two + ",127.0.0.1:3"}, "the plan uses 2 workers, so -peers needs 2 addresses, got 3"},
 		{[]string{"-plan", plan, "-peers", "127.0.0.1:1"}, "the plan uses 2 workers, so -peers needs 2 addresses, got 1"},

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"pipedream/internal/checkpoint"
 	"pipedream/internal/cliconf"
 	"pipedream/internal/nn"
 	"pipedream/internal/pipeline"
@@ -139,7 +140,7 @@ func TestDistributedMultiProcessTraining(t *testing.T) {
 			t.Fatalf("epoch %d: three processes printed loss %.6f, one process computes %s", e+1, got, want)
 		}
 	}
-	trained, _, err := pipeline.LoadModel(ckptDir, task.Factory)
+	trained, _, err := checkpoint.LoadModel(ckptDir, task.Factory)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,10 +22,10 @@ const (
 // forward and backward under 1F1B: cover's at the least period whose
 // input window fits Depth, fitted, or a plan file's at the file's depth.
 func (p *Plan) Windows() []int {
-	want := p.Depth * p.Stages[0].Replicas
-	if len(p.windows) == len(p.Stages) && p.windows[0] == want {
+	if p.Pinned() {
 		return slices.Clone(p.windows)
 	}
+	want := p.Depth * p.Stages[0].Replicas
 	period := p.BottleneckTime / windowSlack
 	window := p.cover(period)
 	if window[0] > want {
@@ -40,6 +40,14 @@ func (p *Plan) Windows() []int {
 		window = p.cover(hi)
 	}
 	return p.fit(window)
+}
+
+// Pinned reports whether Windows returns a plan file's windows, which
+// hold at the file's depth, rather than windows derived from the plan's
+// stage times: only then do the processes of one run, each pricing the
+// file on its own measured profile, schedule the same table.
+func (p *Plan) Pinned() bool {
+	return len(p.windows) == len(p.Stages) && p.windows[0] == p.Depth*p.Stages[0].Replicas
 }
 
 // fit sets the input window to Depth per replica and caps each other

@@ -105,34 +105,6 @@ func (p *Pipeline) manifest(cursor int) *checkpoint.Manifest {
 	return man
 }
 
-// LatestCheckpoint returns the cursor of the newest complete checkpoint
-// generation under dir — the minibatch count training would resume from.
-// It picks the generation as Restore does (checkpoint.Newest), and fails
-// with an error wrapping checkpoint.ErrNoGeneration when none exists yet.
-func LatestCheckpoint(dir string) (int, error) {
-	cursor, err := checkpoint.Latest(dir)
-	if err != nil {
-		return 0, fmt.Errorf("pipeline: %w", err)
-	}
-	return cursor, nil
-}
-
-// LoadModel assembles a full trained model from the newest complete
-// checkpoint generation under dir, for forward-only use (serving,
-// evaluation, export). It reads replica 0 of every stage the generation's
-// manifest names, concatenates their parameters in stage order — which,
-// because stages partition the layer list, is exactly the full model's
-// parameter list — and copies them into a fresh model built by factory.
-// The returned cursor is the global minibatch count the weights reflect.
-//
-// Unlike Restore, LoadModel needs no Pipeline and no plan: the serving
-// process may re-partition the model into a different number of stages
-// than training used (or run it unpartitioned). It picks the generation
-// as Restore does (checkpoint.Newest).
-func LoadModel(dir string, factory func() *nn.Sequential) (*nn.Sequential, int, error) {
-	return checkpoint.LoadModel(dir, factory)
-}
-
 // Restore loads parameters previously written by Checkpoint from the
 // generation checkpoint.Newest picks — the newest complete one, skipping
 // generations that are incomplete or that lose a stage file mid-read

@@ -43,7 +43,7 @@ func TestLoadModelReassemblesCheckpoint(t *testing.T) {
 	}
 	want := p.CollectModel().Params()
 
-	model, cursor, err := LoadModel(dir, factory)
+	model, cursor, err := checkpoint.LoadModel(dir, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestLoadModelReassemblesCheckpoint(t *testing.T) {
 // parameter layout does not match the shards both fail with an error
 // instead of a silently wrong model.
 func TestLoadModelValidation(t *testing.T) {
-	if _, _, err := LoadModel(t.TempDir(), mlpFactory(1, 4, 8, 3)); err == nil {
+	if _, _, err := checkpoint.LoadModel(t.TempDir(), mlpFactory(1, 4, 8, 3)); err == nil {
 		t.Fatal("LoadModel on an empty directory succeeded")
 	}
 
@@ -88,7 +88,7 @@ func TestLoadModelValidation(t *testing.T) {
 	if err := p.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadModel(dir, mlpFactory(1, 4, 16, 3)); err == nil {
+	if _, _, err := checkpoint.LoadModel(dir, mlpFactory(1, 4, 16, 3)); err == nil {
 		t.Fatal("LoadModel with a mismatched factory succeeded")
 	}
 }
@@ -308,9 +308,9 @@ func TestCorruptNewestManifestFailsEveryReader(t *testing.T) {
 			t.Fatalf("%s over a corrupt newest manifest: %v; want the manifest's error", what, err)
 		}
 	}
-	cur, err := LatestCheckpoint(dir)
-	corrupt(fmt.Sprintf("LatestCheckpoint (cursor %d)", cur), err)
-	_, _, err = LoadModel(dir, factory)
+	cur, err := checkpoint.Latest(dir)
+	corrupt(fmt.Sprintf("checkpoint.Latest (cursor %d)", cur), err)
+	_, _, err = checkpoint.LoadModel(dir, factory)
 	corrupt("LoadModel", err)
 	corrupt("Restore", p.Restore(dir))
 

@@ -156,7 +156,7 @@ func (e *Elastic) CollectModel() (*nn.Sequential, error) {
 	if e.p != nil {
 		return e.p.CollectModel(), nil
 	}
-	model, _, err := LoadModel(e.opts.CheckpointDir, e.opts.ModelFactory)
+	model, _, err := checkpoint.LoadModel(e.opts.CheckpointDir, e.opts.ModelFactory)
 	return model, err
 }
 

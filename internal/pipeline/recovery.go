@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"pipedream/internal/tensor"
 	"pipedream/internal/transport"
 )
 
@@ -180,27 +181,54 @@ func (sw *stageWorker) neighbours() []int {
 // resetTransient clears one worker's in-flight state — arrived-sets, stashes,
 // dedup sets, accumulated gradients — so a restore starts from a clean
 // slate. Inbox contents are drained and discarded (they reference
-// pre-failure weight versions).
+// pre-failure weight versions). Every pooled tensor dropped goes back to
+// the pool: a stash entry's as its backward would have released them.
 func (sw *stageWorker) resetTransient() {
 	inbox := sw.p.tr.Inbox(sw.id)
 drain:
 	for {
 		select {
-		case _, ok := <-inbox:
+		case m, ok := <-inbox:
 			if !ok {
 				break drain
 			}
+			tensor.Put(m.Tensor)
 		default:
 			break drain
 		}
 	}
-	sw.fwdReady = make(map[int]transport.Message)
-	sw.bwdReady = make(map[int]transport.Message)
-	for _, e := range sw.stash {
+	for mb, e := range sw.stash {
+		grad := sw.bwdReady[mb].Tensor
+		delete(sw.bwdReady, mb)
 		if e.weights != nil {
 			sw.weights.release(e.weights)
 		}
+		if e.ctx != nil {
+			sw.model.Discard(e.ctx)
+		}
+		if len(sw.preds) > 0 && !tensor.SharesStorage(e.input, grad) {
+			tensor.Put(e.input)
+		}
+		tensor.Put(grad)
+		tensor.Put(e.output)
 	}
+	for _, ready := range []map[int]transport.Message{sw.fwdReady, sw.bwdReady} {
+		for _, m := range ready {
+			tensor.Put(m.Tensor)
+		}
+	}
+	for _, pend := range sw.fwdPend {
+		for _, m := range pend {
+			tensor.Put(m.Tensor)
+		}
+	}
+	for _, pend := range sw.gradPend {
+		for _, g := range pend {
+			tensor.Put(g)
+		}
+	}
+	sw.fwdReady = make(map[int]transport.Message)
+	sw.bwdReady = make(map[int]transport.Message)
 	sw.stash = make(map[int]stashEntry)
 	sw.seenFwd = nil
 	sw.fwdPend = nil

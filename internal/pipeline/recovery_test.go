@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"pipedream/internal/checkpoint"
 	"pipedream/internal/data"
 	"pipedream/internal/metrics"
 	"pipedream/internal/nn"
@@ -320,12 +321,12 @@ func TestChaosMidTrainingCheckpointResumeEquivalence(t *testing.T) {
 	}
 	p1.Close() // "crash": the process is gone; only the directory survives
 
-	cur, err := LatestCheckpoint(dir)
+	cur, err := checkpoint.Latest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cur != 15 {
-		t.Fatalf("LatestCheckpoint = %d, want 15", cur)
+		t.Fatalf("checkpoint.Latest = %d, want 15", cur)
 	}
 	p2 := mk(dir)
 	defer p2.Close()
@@ -488,5 +489,43 @@ func TestFaultCountersInMetricsJSON(t *testing.T) {
 		if !strings.Contains(buf.String(), name) {
 			t.Fatalf("metrics JSON missing %q:\n%s", name, buf.String())
 		}
+	}
+}
+
+// TestRecoveryReturnsDroppedTensorsToPool: a recovery drops the in-flight
+// state of every worker — its inbox, the deliveries waiting for their op,
+// the per-edge arrivals, the stash — and hands each pooled tensor in it
+// back. A message dropped mid-run stalls a 3-stage pipeline with
+// minibatches in flight at every stage; once the recovered run has ended
+// and the pipeline has closed, the pool's balance (hits + misses − puts)
+// is what it was before the run.
+func TestRecoveryReturnsDroppedTensorsToPool(t *testing.T) {
+	factory := mlpFactory(31, 4, 8, 3)
+	ds := data.NewBlobs(37, 3, 4, 8, 30)
+	plan := evenPlan(t, factory, 3, 1)
+	chaos := transport.NewChaos(transport.NewChannels(3, 16), transport.ChaosConfig{Seed: 1})
+	before := outstanding()
+	p, err := New(Options{
+		ModelFactory: factory,
+		Plan:         plan,
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0.9, 0) },
+		Transport:    chaos,
+		FaultConfig:  FaultConfig{CheckpointDir: t.TempDir(), CheckpointEvery: 5, MaxRecoveries: 3, WatchdogTimeout: 250 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := p.Train(&breakAtDataset{Dataset: ds, at: 8, hook: func() { chaos.DropNext(1) }}, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Faults.Recoveries == 0 {
+		t.Fatal("no recovery ran — the test exercised nothing")
+	}
+	p.Close()
+	chaos.Close()
+	if held := outstanding() - before; held != 0 {
+		t.Errorf("%d pooled tensors outstanding after a recovered run, want 0", held)
 	}
 }

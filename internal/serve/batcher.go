@@ -162,11 +162,11 @@ func (s *Server) dispatch(batch []*request, nextID int) int {
 	if len(cur) > 0 {
 		chunks = append(chunks, cur)
 	}
-	// Board every pipeline batch of this dispatch onto the current weight
-	// version in one step. Stamping once per dispatch (not per chunk)
-	// guarantees a request split across several pipeline batches never
-	// straddles a hot-swap: all its chunks run the same generation.
-	v := s.acquireVersion(len(chunks))
+	// Stamp every pipeline batch of this dispatch with the current weight
+	// version. Loading it once per dispatch (not per chunk) guarantees a
+	// request split across several pipeline batches never straddles a
+	// hot-swap: all its chunks run the same generation.
+	v := s.current.Load()
 	for _, pr := range prs {
 		pr.gen = v.gen
 	}
@@ -218,9 +218,6 @@ func (s *Server) dispatch(batch []*request, nextID int) int {
 			delete(s.pending, nextID)
 			s.mu.Unlock()
 			s.failBatch(info, fmt.Errorf("serve: batch %d lost: %v: %w", nextID, err, ErrTransport))
-			// The demultiplexer will never see this batch; drop its
-			// version reference here.
-			s.releaseVersion(v)
 		}
 		nextID++
 	}

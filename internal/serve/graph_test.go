@@ -3,10 +3,14 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"pipedream/internal/modelzoo/branching"
+	"pipedream/internal/nn"
 	"pipedream/internal/partition"
 	"pipedream/internal/pipeline"
 	"pipedream/internal/tensor"
@@ -155,5 +159,120 @@ func TestInferHeadConcurrentMixedHeads(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// TestSwapSoakOnDAGPlans is TestSwapSoak on the diamond and the two-head
+// plans of TestPoolBalanceAfterTraffic: every stage runs the version its
+// batch was stamped with, fan-in joins included. Clients on every head
+// call InferVersioned while a swapper advances the generation, each
+// generation's weights differing at every stage with parameters; every
+// answer must be bit-equal to the graph executor's on the stamped
+// generation's model, and once traffic stops the server refers to one
+// version again.
+func TestSwapSoakOnDAGPlans(t *testing.T) {
+	const gens = 8
+	const clients = 6
+	// withGen perturbs every parameter tensor by the generation, so a batch
+	// that ran any stage on another generation's weights answers otherwise.
+	withGen := func(m *nn.Sequential, gen int) *nn.Sequential {
+		for _, p := range m.Params() {
+			p.Data[0] += 0.25 * float32(gen)
+		}
+		return m
+	}
+	branch := branching.StandIn(31)
+	for _, tc := range []struct {
+		name  string
+		model func(gen int) *nn.Sequential
+		plan  *partition.Plan
+		row   []int // a request row's shape
+	}{
+		{"diamond", func(gen int) *nn.Sequential {
+			rng := rand.New(rand.NewSource(31))
+			return withGen(nn.NewSequential(nn.NewTanh("stem"), nn.NewFlatten("flat"), nn.NewLastStep("last"), nn.NewDense(rng, "head", 2, 3)), gen)
+		}, &partition.Plan{Stages: []partition.StageSpec{{FirstLayer: 0, LastLayer: 0, Replicas: 1},
+			{FirstLayer: 1, LastLayer: 1, Replicas: 1}, {FirstLayer: 2, LastLayer: 2, Replicas: 1}, {FirstLayer: 3, LastLayer: 3, Replicas: 1}},
+			Graph: &partition.StageGraph{Nodes: 4,
+				Edges: []partition.StageEdge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3}},
+				Joins: []partition.JoinOp{3: partition.JoinSum}}},
+			[]int{1, 2}},
+		{"two-head", func(gen int) *nn.Sequential { return withGen(branch.Factory(), gen) },
+			&partition.Plan{Stages: branch.Stages, Graph: branch.Graph}, []int{2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mustServer(t, Config{Model: tc.model(0), Plan: tc.plan, MaxBatch: 4,
+				BatchTimeout: 200 * time.Microsecond})
+			heads := s.Heads()
+			swapsDone := make(chan struct{})
+			go func() {
+				defer close(swapsDone)
+				for g := 1; g <= gens; g++ {
+					if err := s.SwapModel(tc.model(g), g); err != nil {
+						t.Errorf("swap to %d: %v", g, err)
+						return
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+			}()
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				head := heads[c%len(heads)]
+				x := tensor.RandUniform(rand.New(rand.NewSource(int64(100+c))), -1, 1, append([]int{1 + c%3}, tc.row...)...)
+				wants := make([]*tensor.Tensor, gens+1)
+				for g := range wants {
+					var err error
+					if wants[g], err = pipeline.ForwardGraphHead(tc.model(g), tc.plan, x, head); err != nil {
+						t.Fatal(err)
+					}
+				}
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for done := false; !done; {
+						select {
+						case <-swapsDone:
+							done = true
+						default:
+						}
+						y, gen, err := s.InferHeadVersioned(x, head)
+						if err != nil {
+							t.Errorf("client %d head %d: %v", c, head, err)
+							return
+						}
+						if gen < 0 || gen > gens {
+							t.Errorf("client %d head %d: answer stamped with unknown generation %d", c, head, gen)
+							return
+						}
+						want := wants[gen]
+						if len(y.Data) != len(want.Data) {
+							t.Errorf("client %d head %d gen %d: %d values, want %d", c, head, gen, len(y.Data), len(want.Data))
+							return
+						}
+						for i := range want.Data {
+							if math.Float32bits(y.Data[i]) != math.Float32bits(want.Data[i]) {
+								t.Errorf("client %d head %d gen %d: output[%d] = %v, want %v (weights mixed across generations?)",
+									c, head, gen, i, y.Data[i], want.Data[i])
+								return
+							}
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			if g := s.WeightGeneration(); g != gens {
+				t.Fatalf("WeightGeneration = %d, want %d", g, gens)
+			}
+			if st := s.Stats(); st.Errors != 0 {
+				t.Fatalf("errors during soak: %d", st.Errors)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for s.liveVersions() > 1 {
+				if time.Now().After(deadline) {
+					t.Fatalf("liveVersions = %d after quiescence, want 1", s.liveVersions())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

@@ -1,5 +1,5 @@
 // Package serve is PipeDream's forward-only serving runtime: it loads a
-// trained model (pipeline.LoadModel) onto a stage partitioning and pumps
+// trained model (checkpoint.LoadModel) onto a stage partitioning and pumps
 // concurrent inference requests through the stages over the same
 // transport layer the training runtime uses — inter-batch pipelining at
 // serving time, the forward-only half of the paper's §3.2 schedule.
@@ -54,7 +54,7 @@ const (
 
 // Config configures a Server.
 type Config struct {
-	// Model is the trained model to serve (e.g. from pipeline.LoadModel
+	// Model is the trained model to serve (e.g. from checkpoint.LoadModel
 	// or Pipeline.CollectModel). The server slices it into stages; the
 	// caller must not mutate its parameters while serving.
 	Model *nn.Sequential
@@ -144,12 +144,12 @@ type Server struct {
 	routes      map[int][][]int
 	defaultHead int
 
-	// versions is the weight hot-swap state (see version.go): an
-	// immutable table of live weight generations, flipped atomically by
-	// SwapModel and read lock-free by the dispatch and stage-worker hot
-	// paths. swapMu serializes the cold paths (swap, boarding, retire).
-	versions atomic.Pointer[versionTable]
-	swapMu   sync.Mutex
+	// current is the weight version new batches board (see version.go):
+	// SwapModel stores it, the batcher loads it at dispatch and each
+	// batch carries what it loaded. swapMu orders SwapModel's staleness
+	// check with its store.
+	current atomic.Pointer[weightVersion]
+	swapMu  sync.Mutex
 
 	queue    chan *request
 	inflight chan struct{} // admission semaphore, one slot per in-flight batch
@@ -217,7 +217,7 @@ type segment struct {
 type batchInfo struct {
 	segs  []segment
 	rows  int
-	ver   *weightVersion // generation the batch was stamped with
+	ver   *weightVersion // the version the batch was stamped with, which its stages run
 	fault error          // first stage panic, set by noteFault under s.mu
 }
 
@@ -293,7 +293,7 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		s.routes[h] = per
 	}
-	s.versions.Store(newVersionTable(&weightVersion{gen: cfg.WeightGeneration, stages: stages}))
+	s.current.Store(&weightVersion{gen: cfg.WeightGeneration, stages: stages})
 	s.met.weightGen.Set(int64(cfg.WeightGeneration))
 	s.tr = cfg.Transport
 	if s.tr == nil {
@@ -493,18 +493,13 @@ func (s *Server) Close() error {
 		// in the pending map, requests in the queue — can be failed
 		// without racing anyone.
 		s.mu.Lock()
-		var orphaned []*weightVersion
 		for id, info := range s.pending {
 			delete(s.pending, id)
-			orphaned = append(orphaned, info.ver)
 			for _, seg := range info.segs {
 				s.failPendingLocked(seg.pr, ErrServerClosed)
 			}
 		}
 		s.mu.Unlock()
-		for _, v := range orphaned {
-			s.releaseVersion(v)
-		}
 		// Batches behind a failed one of the same request may still sit
 		// in this server's inboxes (a closed inbox still yields what it
 		// buffered): their deliveries go back to the pool.

@@ -21,10 +21,12 @@ import (
 // stages exactly like forward passes in the training pipeline. Stages
 // outside the head's ancestor set never see the batch at all.
 //
-// The generation lookup (not "the current weights") is what upholds the
-// hot-swap guarantee: a batch dispatched under generation N meets
+// The batch's own version (not "the current weights") is what upholds
+// the hot-swap guarantee: a batch dispatched under generation N meets
 // generation-N weights at this stage even if SwapModel installed N+1
-// while the batch was in an upstream stage.
+// while the batch was in an upstream stage. The worker keeps the version
+// of the last batch it ran and looks one up (versionOf) only for a batch
+// stamped otherwise; it lets go of a version that is no longer current.
 //
 // A panic inside the forward pass (a shape mismatch reaching a kernel)
 // or a failed join is contained to the batch. Failure travels as a
@@ -49,6 +51,7 @@ func (s *Server) stageWorker(st int) {
 		pend = make(map[int]map[int]*tensor.Tensor)
 	}
 	toClient := []int{s.client}
+	var kept *weightVersion // the version of the last batch this stage ran
 	for {
 		select {
 		case <-s.done:
@@ -79,22 +82,20 @@ func (s *Server) stageWorker(st int) {
 				delete(pend, m.Minibatch)
 				in = s.join(st, m.Minibatch, preds, parts)
 			}
-			// Resolve the layer slice of the generation this batch was
-			// stamped with. A nil slice means an unknown generation — the
-			// batch falls through with y == nil and fails downstream with
-			// ErrInference instead of running on arbitrary weights. A nil
-			// input (poisoned upstream or failed join) skips the forward
-			// pass the same way.
+			// Run the version this batch was stamped with. None (a reclaimed
+			// batch, or a stamp it was not dispatched under) leaves y nil, and
+			// the batch fails downstream with ErrInference instead of running
+			// on arbitrary weights. A nil input (poisoned upstream or failed
+			// join) skips the forward pass the same way.
 			start := time.Now()
 			var y *tensor.Tensor
 			if in != nil {
-				var slice *nn.Sequential
-				if stages := s.stagesFor(m.Version); stages != nil {
-					slice = stages[st]
+				if kept == nil || kept.gen != m.Version {
+					kept = s.versionOf(m.Minibatch, m.Version)
 				}
-				if slice != nil {
+				if kept != nil {
 					var fault any
-					if y, fault = forward(slice, in); fault != nil {
+					if y, fault = forward(kept.stages[st], in); fault != nil {
 						s.noteFault(m.Minibatch, st, fault)
 					}
 				}
@@ -140,6 +141,11 @@ func (s *Server) stageWorker(st int) {
 				tensor.Put(y)
 			}
 			tensor.Put(in)
+			// Let go of a superseded version: it lives on only in the pending
+			// batches stamped with it.
+			if kept != s.current.Load() {
+				kept = nil
+			}
 			// Stage 0 with nothing left queued wakes a coalescing batcher.
 			if st == 0 && s.stage0Busy.Add(-1) == 0 {
 				select {
@@ -229,12 +235,6 @@ func (s *Server) reclaimBatch(id int, cause error) {
 		}
 	}
 	s.mu.Unlock()
-	// Release the batch's weight-version reference only after dropping
-	// s.mu: retirement takes swapMu, and swapMu must never nest inside
-	// the request lock.
-	if info != nil {
-		s.releaseVersion(info.ver)
-	}
 }
 
 // demux is the response loop: it receives the output stage's Prediction
@@ -265,11 +265,6 @@ func (s *Server) demux() {
 				s.deliverLocked(info, m.Tensor)
 			}
 			s.mu.Unlock()
-			// The batch has left the pipeline: drop its weight-version
-			// reference (outside s.mu — retirement takes swapMu).
-			if info != nil {
-				s.releaseVersion(info.ver)
-			}
 		}
 	}
 }

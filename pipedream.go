@@ -37,6 +37,7 @@
 package pipedream
 
 import (
+	"pipedream/internal/checkpoint"
 	"pipedream/internal/cluster"
 	"pipedream/internal/data"
 	"pipedream/internal/membership"
@@ -379,12 +380,12 @@ var (
 	NewChaos = transport.NewChaos
 	// LatestCheckpoint reports the cursor (global minibatch index) of the
 	// newest complete checkpoint generation in a directory.
-	LatestCheckpoint = pipeline.LatestCheckpoint
+	LatestCheckpoint = checkpoint.Latest
 	// LoadCheckpointModel reassembles the full model from the newest
 	// complete checkpoint generation in a directory — the bridge from a
 	// training run to NewServer (the serving plan need not match the
 	// training plan).
-	LoadCheckpointModel = pipeline.LoadModel
+	LoadCheckpointModel = checkpoint.LoadModel
 	// NewServer starts a forward-only serving pipeline over a trained
 	// model; submit requests with Server.Infer.
 	NewServer = serve.NewServer

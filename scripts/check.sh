@@ -90,20 +90,21 @@ go test -count=1 . ./internal/partition/ -run '^(TestMemoryConstrainedPlanRunsAt
 go test -count=10 ./internal/partition/ -run '^TestRandomPlansSimulateAtTheirPrice$'
 go test -count=1 ./internal/pipeline/ -run '^TestWeightArraysAreThePlannedPrice$'
 
-echo "== poisoned pool (use-after-release detector on: nn, collective, pipeline, serve, fleet, pipedream-serve, cliconf and profile tests always run with it; these are the suites that compare losses and outputs bit for bit — the inference call among them, random layer chains run in place against the borrowing calls, and the train-comm chain whose ReLU stages write over their deliveries — the transport contract, serving's pool balance, and serving's start-up: a forward-only profile that runs no Backward, returns every pooled tensor, reads no training data and cuts the forward pass, images' cut unchanged. The optimizer writes each weight version over the gradients it reads, so the gradient arena rotates: every arena a step hands back holds a released version's mark, and the bit-equal suites stay clean only while every optimizer reads each gradient element before it writes over it and every backward sets every gradient element; the ring slices its buckets from each round's arena)"
+echo "== poisoned pool (use-after-release detector on: nn, collective, pipeline, serve, fleet, pipedream-serve, cliconf and profile tests always run with it; these are the suites that compare losses and outputs bit for bit — the inference call among them, random layer chains run in place against the borrowing calls, and the train-comm chain whose ReLU stages write over their deliveries — the transport contract, the pool balance of a recovered training run and of serving, and serving's start-up: a forward-only profile that runs no Backward, returns every pooled tensor, reads no training data and cuts the forward pass, images' cut unchanged. The optimizer writes each weight version over the gradients it reads, so the gradient arena rotates: every arena a step hands back holds a released version's mark, and the bit-equal suites stay clean only while every optimizer reads each gradient element before it writes over it and every backward sets every gradient element; the ring slices its buckets from each round's arena)"
 go test -count=1 ./internal/nn/ -run 'TestSequentialReleasesEachTensorOnce|TestSeqContextHeldBytes|TestTwoPassBackwardMatchesLayerByLayer|TestLossesMatchParentCommit|TestRandomChainsKeepTheOwnershipRule|TestStepIntoMatchesStepBitForBit|TestBackwardSetsGrads'
-go test -count=1 ./internal/pipeline/ ./internal/collective/ -run 'TestRingBucketsAreViewsOfTheGradientArena|TestUnreadStageInputReleasedAtForwardEnd|TestCommChainTrainsBitEqualInPlace|TestOneReLUStageTakesOnlyItsMask|TestRecomputeShrinksStash|TestUpstreamGradientLeavesBeforeParameterHalves|TestLossesArePureFunctionOfSeedPlanDepth|TestBranchGraphPipelineMatchesReference|TestBreakConnStormTrainsBitEqual|TestLocalWorkerSetsTrainBitEqual|TestElastic|TestChaos|TestAdoptFullState|TestTrainMaxRecoveries|TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied|TestTrainingMatchesParentCommit|TestEachReplicaModelBuiltOnce|TestDropoutStagesOfOneModelTrainBitEqual'
+go test -count=1 ./internal/pipeline/ ./internal/collective/ -run 'TestRingBucketsAreViewsOfTheGradientArena|TestUnreadStageInputReleasedAtForwardEnd|TestCommChainTrainsBitEqualInPlace|TestOneReLUStageTakesOnlyItsMask|TestRecomputeShrinksStash|TestUpstreamGradientLeavesBeforeParameterHalves|TestLossesArePureFunctionOfSeedPlanDepth|TestBranchGraphPipelineMatchesReference|TestBreakConnStormTrainsBitEqual|TestLocalWorkerSetsTrainBitEqual|TestElastic|TestChaos|TestRecoveryReturnsDroppedTensorsToPool|TestAdoptFullState|TestTrainMaxRecoveries|TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied|TestTrainingMatchesParentCommit|TestEachReplicaModelBuiltOnce|TestDropoutStagesOfOneModelTrainBitEqual'
 go test -count=1 ./internal/tensor/ -run 'TestPoisonOnPutCatchesUseAfterRelease'
 go test -count=1 ./internal/serve/ -run 'TestPoolBalanceAfterTraffic|TestCloseReleasesQueuedDeliveries'
 go test -count=1 ./internal/profile/ ./internal/cliconf/ ./cmd/pipedream-serve/ -run 'TestMeasureForwardRunsNoBackward|TestServePlanReadsNoTrainingData|TestServePlanCutsTheForwardPass|TestImagesCutIsUnchanged'
 go test -count=1 ./cmd/pipedream-serve/ ./internal/serve/...
 
-echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table ten times, the two-pass backward, the shared-model inference call, the release of what no context reads, random layer chains run in place, the in-place train-comm chain, one factory model per replica and dropout stages of one model three; the checkpoint readers against a concurrent prune — restore, LoadFullState and the serving follower — five; the elastic runtime's tests and the consecutive-recovery bound, which share the one chunk loop, five; the transport's connection storm twenty)"
+echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table and serving's hot-swap soaks — linear, diamond and two-head — ten times, the two-pass backward, the shared-model inference call, the release of what no context reads, random layer chains run in place, the in-place train-comm chain, one factory model per replica and dropout stages of one model three; the checkpoint readers against a concurrent prune — restore, LoadFullState and the serving follower — five; the elastic runtime's tests and the consecutive-recovery bound, which share the one chunk loop, five; the transport's connection storm twenty)"
 go test -race ./...
 go test -race -count=5 ./internal/pipeline/ -run '^(TestElastic|TestTrainMaxRecoveries)'
 go test -race -count=20 ./internal/transport/ -run '^TestBreakConnStormDeliversOnlyWholeFrames$'
 go test -race -count=5 ./internal/pipeline/ ./internal/serve/ -run '^(TestRestoreRacesPruneAtGenerationBoundary|TestLoadFullStateRacesPruneAtGenerationBoundary|TestFollowerSkipsMidPruneGeneration)$'
 go test -race -count=10 ./internal/pipeline/ -run 'TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied'
+go test -race -count=10 ./internal/serve/ -run '^(TestSwapSoak|TestSwapSoakOnDAGPlans)$'
 go test -race -count=3 ./internal/nn/ ./internal/pipeline/ -run 'TestTwoPassBackwardMatchesLayerByLayer|TestUpstreamGradientLeavesBeforeParameterHalves|TestInferenceConcurrent|TestSequentialReleasesEachTensorOnce|TestUnreadStageInputReleasedAtForwardEnd|TestRandomChainsKeepTheOwnershipRule|TestCommChainTrainsBitEqualInPlace|TestEachReplicaModelBuiltOnce|TestDropoutStagesOfOneModelTrainBitEqual'
 go test -race -count=2 ./internal/serve/...
 
