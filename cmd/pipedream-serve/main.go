@@ -19,8 +19,9 @@
 //	pipedream-serve -task spiral -checkpoint-dir /tmp/prod -models canary=/tmp/canary
 //
 // Follow live trainers with -follow: every tenant keeps polling its
-// checkpoint directory and hot-swaps each newer complete generation into
-// its running replicas with zero downtime — in-flight requests finish on
+// checkpoint directory (one follower per tenant, one load per
+// generation) and hot-swaps each newer complete generation into all its
+// running replicas with zero downtime — in-flight requests finish on
 // the weights they started with (see docs/SERVING.md):
 //
 //	pipedream-serve -task spiral -stages 2 -checkpoint-dir /tmp/ckpt -follow -poll-interval 500ms
@@ -141,7 +142,7 @@ func main() {
 			case *follow:
 				// Under -follow an empty directory is the normal cold
 				// start: the trainer has not checkpointed yet, so serve
-				// fresh weights and let the followers pick up generation 1.
+				// fresh weights and let the follower pick up generation 1.
 				model, cursor = task.Factory(), 0
 				fmt.Printf("tenant %s: no checkpoint in %s yet, serving fresh weights until one appears\n", spec.Name, spec.Dir)
 			default:
@@ -273,8 +274,7 @@ func main() {
 	<-idle
 	// Snapshot before Close: the fleet stops counting once torn down.
 	final := fl.Stats()
-	// Fleet.Close stops followers before servers per tenant, then the
-	// shared transport.
+	// Fleet.Close stops each tenant's follower before its servers.
 	fl.Close()
 	if err := obsFlags.WriteOutputs(reg, opLog); err != nil {
 		fatal(err)
@@ -313,8 +313,8 @@ func healthReport(fl *fleet.Fleet, defaultTenant string) healthz {
 
 // aggregateServe folds one tenant's per-replica serving stats into a
 // single serve.Stats: counters sum, latency quantiles take the worst
-// replica, and WeightGeneration is the tenant minimum (the monotone
-// floor during rolling swaps).
+// replica, and WeightGeneration and Swaps are the tenant's own — a swap
+// installs one generation on every replica, so it counts once.
 func aggregateServe(ts fleet.TenantStats) serve.Stats {
 	var agg serve.Stats
 	var rowsTotal float64
@@ -326,7 +326,6 @@ func aggregateServe(ts fleet.TenantStats) serve.Stats {
 		agg.Shed += st.Shed
 		agg.Errors += st.Errors
 		agg.Batches += st.Batches
-		agg.Swaps += st.Swaps
 		rowsTotal += float64(st.Rows)
 		agg.P50Micros = math.Max(agg.P50Micros, st.P50Micros)
 		agg.P95Micros = math.Max(agg.P95Micros, st.P95Micros)
@@ -337,6 +336,7 @@ func aggregateServe(ts fleet.TenantStats) serve.Stats {
 		agg.MeanBatchRows = rowsTotal / float64(agg.Batches)
 	}
 	agg.WeightGeneration = int64(ts.WeightGeneration)
+	agg.Swaps = ts.Swaps
 	// Tenant-level sheds happen at the quota, before any replica counts
 	// the request; fold them in so the top-level number is the client-
 	// visible one.

@@ -310,6 +310,36 @@ func TestMetricsHoldEachReplicasServeInstruments(t *testing.T) {
 	}
 }
 
+// TestAggregateServeCountsATenantsSwapsOnce: a swap installs one
+// generation on every replica of a tenant, so /healthz's Swaps and the
+// shutdown line count it once — three swaps on two replicas read 3, not 6.
+func TestAggregateServeCountsATenantsSwapsOnce(t *testing.T) {
+	model := func() *nn.Sequential {
+		return nn.NewSequential(nn.NewDense(rand.New(rand.NewSource(1)), "fc1", 2, 3))
+	}
+	fl, err := fleet.New(fleet.Config{Replicas: 2}, fleet.TenantConfig{
+		Name:   "spiral",
+		Server: serve.Config{Model: model(), BatchTimeout: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fl.Close() })
+	ten, err := fl.Tenant("spiral")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gen := 1; gen <= 3; gen++ {
+		if err := ten.SwapModel(model(), gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	agg := aggregateServe(ten.Stats())
+	if agg.Swaps != 3 || agg.WeightGeneration != 3 {
+		t.Fatalf("Swaps = %d at generation %d over 2 replicas, want 3 at 3", agg.Swaps, agg.WeightGeneration)
+	}
+}
+
 // TestHandleInferMethodNotAllowed pins the GET rejection.
 func TestHandleInferMethodNotAllowed(t *testing.T) {
 	infer, inputShape := newFuzzServer(t)

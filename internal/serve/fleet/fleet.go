@@ -1,7 +1,6 @@
 // Package fleet scales the forward-only serving runtime out: N
 // data-parallel replicas of each served model behind a routing policy,
-// and several models (tenants) served from one process over one shared
-// transport.
+// and several models (tenants) served from one process.
 //
 // The building block is unchanged — each replica is a full
 // serve.Server pipelining requests through its own stage slice — fleet
@@ -15,15 +14,16 @@
 //     in-flight requests complete, then it closes — so rescaling never
 //     fails a request.
 //   - Tenancy. Each tenant has its own model, weight-generation
-//     lineage (per-replica checkpoint followers over one shared
-//     directory), and admission quota (serve.Quota shared by its
+//     lineage, and admission quota (serve.Quota shared by its
 //     replicas), so one tenant's overload sheds that tenant's traffic
 //     with ErrOverloaded while every other tenant's latency is
 //     untouched.
-//   - One transport. All replicas of all tenants share a single
-//     transport (each server sees its own endpoint window through an
-//     offset adapter), mirroring how a multi-tenant deployment shares
-//     one interconnect.
+//   - One lineage per tenant. The tenant, not each replica, owns the
+//     newest (model, generation): one checkpoint follower loads each
+//     generation once and Tenant.SwapModel installs it on every replica,
+//     as the data-parallel replicas of a training stage share one
+//     weight version. Every replica is built the same way, by
+//     AddReplica from that model, over a transport of its own.
 package fleet
 
 import (
@@ -34,7 +34,6 @@ import (
 	"pipedream/internal/metrics"
 	"pipedream/internal/serve"
 	"pipedream/internal/tensor"
-	"pipedream/internal/transport"
 )
 
 // Typed sentinel errors returned by fleet routing. Match with
@@ -78,11 +77,13 @@ type TenantConfig struct {
 	// Name addresses the tenant in Fleet.Infer and the HTTP API.
 	// Required, unique within the fleet.
 	Name string
-	// Server is the replica template: Model, Plan, MaxBatch,
-	// BatchTimeout, QueueCap, InputShape, WeightGeneration and the rest
-	// apply to every replica of this tenant. Transport, Quota, and
-	// Metrics are owned by the fleet and must be left nil; the fleet
-	// sets each replica's MetricsPrefix.
+	// Server is the replica template: Plan, MaxBatch, BatchTimeout,
+	// QueueCap, InputShape and the rest apply to every replica of this
+	// tenant; Model and WeightGeneration are the tenant's start-up
+	// weights, which Tenant.SwapModel advances. Quota and Metrics are
+	// owned by the fleet, and each replica owns its transport, so
+	// Transport, Quota and Metrics must be left nil; the fleet sets each
+	// replica's MetricsPrefix.
 	Server serve.Config
 	// MaxQueued bounds the tenant's waiting requests across all its
 	// replicas (quota queue slots). Default: Replicas × the template's
@@ -101,7 +102,6 @@ type Fleet struct {
 	tenants map[string]*Tenant
 	order   []string // tenant names in declaration order, for stable Stats
 	policy  Policy
-	shared  transport.Transport
 }
 
 // Stats is a point-in-time summary of the whole fleet, one entry per
@@ -125,9 +125,12 @@ type TenantStats struct {
 	// Queued and InFlight are the tenant quota's current occupancy;
 	// MaxQueued and MaxInFlight its bounds.
 	Queued, InFlight, MaxQueued, MaxInFlight int
-	// WeightGeneration is the oldest generation among live replicas —
-	// the floor every response is at least as new as.
+	// WeightGeneration is the tenant's generation: every replica serves
+	// it to new requests, and it only moves forward.
 	WeightGeneration int
+	// Swaps counts the generations Tenant.SwapModel installed, once per
+	// generation however many replicas took it.
+	Swaps int64
 	// Replicas holds one entry per live replica, in routing order.
 	Replicas []ReplicaStats
 }
@@ -151,10 +154,10 @@ type ReplicaStats struct {
 	Serve serve.Stats
 }
 
-// New builds and starts a fleet: cfg.Replicas servers per tenant, all
-// over one shared in-process transport, each tenant behind its own
-// admission quota. The fleet is ready for Infer when New returns; on
-// error, every server already started is closed.
+// New builds and starts a fleet: cfg.Replicas servers per tenant, each
+// built by Tenant.AddReplica, each tenant behind its own admission quota.
+// The fleet is ready for Infer when New returns; on error, every server
+// already started is closed.
 func New(cfg Config, tenants ...TenantConfig) (*Fleet, error) {
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("fleet: at least one tenant is required")
@@ -169,36 +172,11 @@ func New(cfg Config, tenants ...TenantConfig) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// One shared transport for every replica of every tenant: size it
-	// for the sum of the endpoint windows (stages+1 per replica) and
-	// the largest per-server buffer requirement.
-	total, buffer := 0, 0
-	for _, tc := range tenants {
-		stages := stageCount(tc.Server)
-		total += cfg.Replicas * (stages + 1)
-		// DAG plans can deliver up to MaxDegree messages per batch to a
-		// fan-in stage; size the shared buffer the way serve does for its
-		// owned transport.
-		deg := 1
-		if tc.Server.Plan != nil {
-			if err := tc.Server.Plan.Graph.Validate(stages); err != nil {
-				return nil, fmt.Errorf("fleet: tenant %q: %w", tc.Name, err)
-			}
-			deg = tc.Server.Plan.Graph.MaxDegree()
-		}
-		if b := deg * (effMaxInFlight(tc.Server, stages) + 4); b > buffer {
-			buffer = b
-		}
-	}
-	shared := transport.NewChannels(total, buffer)
-
-	f := &Fleet{tenants: make(map[string]*Tenant, len(tenants)), policy: policy, shared: shared}
+	f := &Fleet{tenants: make(map[string]*Tenant, len(tenants)), policy: policy}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry() // instruments stay live for Stats
 	}
-	base := 0
 	for _, tc := range tenants {
 		if tc.Name == "" {
 			f.Close()
@@ -212,33 +190,24 @@ func New(cfg Config, tenants ...TenantConfig) (*Fleet, error) {
 			f.Close()
 			return nil, fmt.Errorf("fleet: tenant %q: Transport, Quota, and Metrics are fleet-owned; leave them nil", tc.Name)
 		}
-		stages := stageCount(tc.Server)
 		t := &Tenant{
-			name:      tc.Name,
-			router:    newRouter(policy),
-			quota:     serve.NewQuota(quotaBounds(tc, cfg.Replicas, stages)),
-			met:       newTenantMetrics(reg, tc.Name),
-			reg:       reg,
-			health:    cfg.Health.withDefaults(),
-			now:       time.Now,
-			template:  tc.Server,
-			followers: make(map[int]*serve.Follower),
-		}
-		for r := 0; r < cfg.Replicas; r++ {
-			id, scfg := t.nextReplica()
-			scfg.Transport = &offsetTransport{tr: shared, base: base}
-			srv, err := serve.NewServer(scfg)
-			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("fleet: tenant %q replica %d: %w", tc.Name, r, err)
-			}
-			t.mu.Lock()
-			t.newReplicaLocked(srv, id)
-			t.mu.Unlock()
-			base += stages + 1
+			name:     tc.Name,
+			router:   newRouter(policy),
+			quota:    serve.NewQuota(quotaBounds(tc, cfg.Replicas, stageCount(tc.Server))),
+			met:      newTenantMetrics(reg, tc.Name),
+			reg:      reg,
+			health:   cfg.Health.withDefaults(),
+			now:      time.Now,
+			template: tc.Server,
 		}
 		f.tenants[tc.Name] = t
 		f.order = append(f.order, tc.Name)
+		for r := 0; r < cfg.Replicas; r++ {
+			if _, err := t.AddReplica(); err != nil {
+				f.Close()
+				return nil, err
+			}
+		}
 	}
 	return f, nil
 }
@@ -302,6 +271,7 @@ func newTenantMetrics(reg *metrics.Registry, name string) *tenantMetrics {
 		errors:    reg.Counter(prefix + "errors"),
 		shed:      reg.Counter(prefix + "shed"),
 		retries:   reg.Counter(prefix + "retries"),
+		swaps:     reg.Counter(prefix + "swaps"),
 	}
 }
 
@@ -359,41 +329,11 @@ func (f *Fleet) Stats() Stats {
 	return s
 }
 
-// Close stops every tenant (followers first, then replica servers) and
-// finally the shared transport, which no server closes because each
-// sees it through a non-owning adapter. Safe to call more than once.
+// Close stops every tenant: its follower first, then its replica
+// servers. Safe to call more than once.
 func (f *Fleet) Close() error {
 	for _, name := range f.order {
 		f.tenants[name].close()
 	}
-	// Tenants added to the map but not yet to order (mid-construction
-	// failure) still need closing.
-	for _, t := range f.tenants {
-		t.close()
-	}
-	return f.shared.Close()
+	return nil
 }
-
-// offsetTransport exposes a contiguous endpoint window [base,
-// base+stages] of a larger shared transport as endpoints [0, stages] —
-// what lets every replica of every tenant run over one transport while
-// serve.Server keeps its own zero-based endpoint numbering. Close is a
-// no-op: the window does not own the underlying transport; Fleet.Close
-// closes it once, after every server has stopped.
-type offsetTransport struct {
-	tr   transport.Transport
-	base int
-}
-
-// Send delivers to endpoint to within this window.
-func (o *offsetTransport) Send(to int, m transport.Message) error {
-	return o.tr.Send(o.base+to, m)
-}
-
-// Inbox returns the receive channel for endpoint w within this window.
-func (o *offsetTransport) Inbox(w int) <-chan transport.Message {
-	return o.tr.Inbox(o.base + w)
-}
-
-// Close is a no-op; the shared transport is closed once by Fleet.Close.
-func (o *offsetTransport) Close() error { return nil }

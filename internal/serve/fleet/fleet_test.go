@@ -117,7 +117,7 @@ func wantEqual(t *testing.T, got, want *tensor.Tensor) {
 }
 
 // TestFleetMultiTenantBitExact: two tenants with different models and
-// plans, two replicas each, over one shared transport — every response
+// plans, two replicas each, in one fleet — every response
 // is bit-identical to the right tenant's reference forward pass,
 // whichever replica served it.
 func TestFleetMultiTenantBitExact(t *testing.T) {

@@ -100,14 +100,13 @@ func healthTenant(t *testing.T, clock *fakeClock) (ten *Tenant, goodID, badID in
 
 	reg := metrics.NewRegistry()
 	ten = &Tenant{
-		name:      "canary",
-		router:    newRouter(RoundRobin),
-		quota:     serve.NewQuota(256, 256),
-		met:       newTenantMetrics(reg, "canary"),
-		reg:       reg,
-		health:    HealthConfig{MaxErrorRate: 0.5, Window: 8, MinSamples: 4, CoolDown: time.Minute}.withDefaults(),
-		now:       clock.Now,
-		followers: make(map[int]*serve.Follower),
+		name:   "canary",
+		router: newRouter(RoundRobin),
+		quota:  serve.NewQuota(256, 256),
+		met:    newTenantMetrics(reg, "canary"),
+		reg:    reg,
+		health: HealthConfig{MaxErrorRate: 0.5, Window: 8, MinSamples: 4, CoolDown: time.Minute}.withDefaults(),
+		now:    clock.Now,
 	}
 	goodID, _ = ten.nextReplica()
 	badID, _ = ten.nextReplica()
@@ -199,14 +198,13 @@ func TestHealthAllEjectedFallsBack(t *testing.T) {
 	t.Cleanup(func() { bad.Close() })
 	reg := metrics.NewRegistry()
 	ten := &Tenant{
-		name:      "sick",
-		router:    newRouter(RoundRobin),
-		quota:     serve.NewQuota(256, 256),
-		met:       newTenantMetrics(reg, "sick"),
-		reg:       reg,
-		health:    HealthConfig{MaxErrorRate: 0.5, Window: 4, MinSamples: 2, CoolDown: time.Minute}.withDefaults(),
-		now:       clock.Now,
-		followers: make(map[int]*serve.Follower),
+		name:   "sick",
+		router: newRouter(RoundRobin),
+		quota:  serve.NewQuota(256, 256),
+		met:    newTenantMetrics(reg, "sick"),
+		reg:    reg,
+		health: HealthConfig{MaxErrorRate: 0.5, Window: 4, MinSamples: 2, CoolDown: time.Minute}.withDefaults(),
+		now:    clock.Now,
 	}
 	id, _ := ten.nextReplica()
 	ten.mu.Lock()

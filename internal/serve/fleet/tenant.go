@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pipedream/internal/metrics"
+	"pipedream/internal/nn"
 	"pipedream/internal/serve"
 	"pipedream/internal/tensor"
 )
@@ -32,13 +33,15 @@ type tenantMetrics struct {
 	errors    *metrics.Counter // serve.fleet.<tenant>.errors
 	shed      *metrics.Counter // serve.fleet.<tenant>.shed
 	retries   *metrics.Counter // serve.fleet.<tenant>.retries: re-picks after a drained replica closed mid-flight
+	swaps     *metrics.Counter // serve.fleet.<tenant>.swaps: generations SwapModel installed
 }
 
 // Tenant is one served model inside a fleet: a set of data-parallel
 // replicas behind the fleet's routing policy, one shared admission
-// quota, and (optionally) one checkpoint follower per replica. Obtain
-// with Fleet.Tenant; submit through it directly or through the fleet's
-// name-addressed Infer.
+// quota, one weight lineage — the newest (model, generation), which
+// every live replica serves to new requests — and (optionally) one
+// checkpoint follower that advances it. Obtain with Fleet.Tenant; submit
+// through it directly or through the fleet's name-addressed Infer.
 type Tenant struct {
 	name   string
 	router router
@@ -48,14 +51,15 @@ type Tenant struct {
 	health HealthConfig      // resolved; zero when health checks are off
 	now    func() time.Time  // injectable clock for the health cool-down
 
-	template serve.Config // replica config: Transport/Quota/Metrics/MetricsPrefix set per replica
-
-	mu        sync.RWMutex
-	live      []*replica
-	nextID    int
-	followers map[int]*serve.Follower
-	follow    *serve.FollowConfig // non-nil once Follow ran; applied to added replicas
-	closed    bool
+	mu sync.RWMutex
+	// template is the replica config; its Model and WeightGeneration are
+	// the tenant's newest (model, gen), which SwapModel advances. Each
+	// replica adds its Quota, Metrics and MetricsPrefix.
+	template serve.Config
+	live     []*replica
+	nextID   int
+	follower *serve.Follower // nil until Follow
+	closed   bool
 }
 
 // Name returns the tenant's name — the routing key clients address it
@@ -196,14 +200,11 @@ func (t *Tenant) pick(key uint64) (*replica, error) {
 	return rep, nil
 }
 
-// AddReplica builds one more replica from the tenant's template config
-// (private transport, shared quota), adds it to the routing set, and —
-// when the tenant is following a checkpoint directory — starts its
-// follower so it converges to the directory's newest generation. It
-// returns the new replica's id.
+// AddReplica builds one more replica from the tenant's newest model and
+// generation (a transport of its own, the shared quota), adds it to the
+// routing set, and returns its id.
 func (t *Tenant) AddReplica() (int, error) {
 	id, cfg := t.nextReplica()
-	cfg.Transport = nil // post-construction replicas own a private transport
 	srv, err := serve.NewServer(cfg)
 	if err != nil {
 		return 0, fmt.Errorf("fleet: tenant %q: add replica: %w", t.name, err)
@@ -214,29 +215,27 @@ func (t *Tenant) AddReplica() (int, error) {
 		srv.Close()
 		return 0, fmt.Errorf("fleet: tenant %q: %w", t.name, serve.ErrServerClosed)
 	}
-	rep := t.newReplicaLocked(srv, id)
-	if t.follow != nil {
-		f, err := srv.Follow(*t.follow)
-		if err != nil {
-			t.live = t.live[:len(t.live)-1]
+	// A swap that landed while NewServer ran reached only the live
+	// replicas; catch the new one up before it can take a request.
+	if t.template.WeightGeneration > cfg.WeightGeneration {
+		if err := srv.SwapModel(t.template.Model, t.template.WeightGeneration); err != nil {
 			srv.Close()
-			return 0, fmt.Errorf("fleet: tenant %q: follow on replica %d: %w", t.name, rep.id, err)
+			return 0, fmt.Errorf("fleet: tenant %q: add replica: %w", t.name, err)
 		}
-		t.followers[rep.id] = f
 	}
-	return rep.id, nil
+	return t.newReplicaLocked(srv, id).id, nil
 }
 
 // nextReplica takes the next replica id (one whose server fails to
 // build is skipped) and returns it with the replica's config: the
-// template, the tenant's quota, and the fleet's registry under the
-// replica's prefix.
+// template at the tenant's newest generation, the tenant's quota, and
+// the fleet's registry under the replica's prefix.
 func (t *Tenant) nextReplica() (int, serve.Config) {
 	t.mu.Lock()
 	id := t.nextID
 	t.nextID++
-	t.mu.Unlock()
 	cfg := t.template
+	t.mu.Unlock()
 	cfg.Quota = t.quota
 	cfg.Metrics = t.reg
 	cfg.MetricsPrefix = replicaPrefix(t.name, id)
@@ -265,8 +264,8 @@ func (t *Tenant) newReplicaLocked(srv *serve.Server, id int) *replica {
 // requests: it first removes the replica from the routing set (after
 // which no request can be routed to it), then waits for every request
 // already counted onto it to complete, and only then closes its
-// follower and server. The last replica can be removed; submits then
-// fail with ErrNoReplicas until AddReplica.
+// server. The last replica can be removed; submits then fail with
+// ErrNoReplicas until AddReplica.
 func (t *Tenant) RemoveReplica(id int) error {
 	t.mu.Lock()
 	idx := -1
@@ -282,8 +281,6 @@ func (t *Tenant) RemoveReplica(id int) error {
 	}
 	rep := t.live[idx]
 	t.live = append(t.live[:idx:idx], t.live[idx+1:]...)
-	f := t.followers[id]
-	delete(t.followers, id)
 	t.mu.Unlock()
 
 	// Acquiring the write lock above was the barrier: every request
@@ -294,60 +291,60 @@ func (t *Tenant) RemoveReplica(id int) error {
 	for rep.inflight.Value() > 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
-	if f != nil {
-		f.Close()
-	}
 	rep.srv.Close()
 	return nil
 }
 
-// Follow starts one checkpoint follower per live replica, all polling
-// cfg.Dir (with jittered phase, so a fleet does not stat the directory
-// in lockstep) and hot-swapping new complete generations into their own
-// replica. Replicas added later inherit the same configuration.
-// cfg.OnSwap and cfg.OnError, when set, are shared across replicas and
-// may be called concurrently from different follower goroutines.
+// Follow starts the tenant's checkpoint follower: one poll loop over
+// cfg.Dir that loads each new complete generation once and installs it
+// on every replica through SwapModel. A tenant runs at most one.
 func (t *Tenant) Follow(cfg serve.FollowConfig) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return fmt.Errorf("fleet: tenant %q: %w", t.name, serve.ErrServerClosed)
 	}
-	if t.follow != nil {
-		return fmt.Errorf("fleet: tenant %q is already following %s", t.name, t.follow.Dir)
+	if t.follower != nil {
+		return fmt.Errorf("fleet: tenant %q is already following a checkpoint directory", t.name)
 	}
-	started := make(map[int]*serve.Follower, len(t.live))
-	for _, rep := range t.live {
-		f, err := rep.srv.Follow(cfg)
-		if err != nil {
-			for _, g := range started {
-				g.Close()
-			}
-			return fmt.Errorf("fleet: tenant %q: follow on replica %d: %w", t.name, rep.id, err)
-		}
-		started[rep.id] = f
+	f, err := serve.Follow(t, cfg)
+	if err != nil {
+		return fmt.Errorf("fleet: tenant %q: %w", t.name, err)
 	}
-	for id, f := range started {
-		t.followers[id] = f
-	}
-	t.follow = &cfg
+	t.follower = f
 	return nil
 }
 
-// WeightGeneration returns the oldest weight generation among the
-// tenant's live replicas — the generation every response is guaranteed
-// to be at least as new as. During a rolling hot-swap the replicas
-// briefly disagree; the minimum is the only monotone summary.
+// SwapModel installs model as generation gen on every live replica and
+// makes it the tenant's newest, which later replicas are built from. gen
+// must advance past the tenant's generation (serve.ErrStaleGeneration
+// otherwise). Once SwapModel returns, every request routed to any
+// replica is served with gen or newer; requests already inside a
+// replica finish on the generation they were stamped with. The caller
+// must not mutate the model's parameters after handing it over.
+func (t *Tenant) SwapModel(model *nn.Sequential, gen int) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if cur := t.template.WeightGeneration; gen <= cur {
+		return fmt.Errorf("fleet: tenant %q: swap to generation %d, already serving %d: %w",
+			t.name, gen, cur, serve.ErrStaleGeneration)
+	}
+	for _, rep := range t.live {
+		if err := rep.srv.SwapModel(model, gen); err != nil {
+			return fmt.Errorf("fleet: tenant %q: replica %d: %w", t.name, rep.id, err)
+		}
+	}
+	t.template.Model, t.template.WeightGeneration = model, gen
+	t.met.swaps.Inc()
+	return nil
+}
+
+// WeightGeneration returns the tenant's generation: the one every live
+// replica serves new requests with. It only moves forward.
 func (t *Tenant) WeightGeneration() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	min := 0
-	for i, rep := range t.live {
-		if g := rep.srv.WeightGeneration(); i == 0 || g < min {
-			min = g
-		}
-	}
-	return min
+	return t.template.WeightGeneration
 }
 
 // Stats returns a point-in-time summary of the tenant: aggregated
@@ -356,27 +353,25 @@ func (t *Tenant) Stats() TenantStats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ts := TenantStats{
-		Name:        t.name,
-		Requests:    t.met.requests.Value(),
-		Responses:   t.met.responses.Value(),
-		Errors:      t.met.errors.Value(),
-		Shed:        t.met.shed.Value(),
-		Retries:     t.met.retries.Value(),
-		Queued:      t.quota.Queued(),
-		InFlight:    t.quota.InFlight(),
-		MaxQueued:   t.quota.MaxQueued(),
-		MaxInFlight: t.quota.MaxInFlight(),
+		Name:             t.name,
+		Requests:         t.met.requests.Value(),
+		Responses:        t.met.responses.Value(),
+		Errors:           t.met.errors.Value(),
+		Shed:             t.met.shed.Value(),
+		Retries:          t.met.retries.Value(),
+		Swaps:            t.met.swaps.Value(),
+		WeightGeneration: t.template.WeightGeneration,
+		Queued:           t.quota.Queued(),
+		InFlight:         t.quota.InFlight(),
+		MaxQueued:        t.quota.MaxQueued(),
+		MaxInFlight:      t.quota.MaxInFlight(),
 	}
-	for i, rep := range t.live {
-		st := rep.srv.Stats()
-		if g := int(st.WeightGeneration); i == 0 || g < ts.WeightGeneration {
-			ts.WeightGeneration = g
-		}
+	for _, rep := range t.live {
 		rs := ReplicaStats{
 			ID:       rep.id,
 			InFlight: rep.inflight.Value(),
 			Picks:    rep.picks.Value(),
-			Serve:    st,
+			Serve:    rep.srv.Stats(),
 		}
 		if rep.health != nil {
 			rs.Ejections, rs.Ejected = rep.health.snapshot(t.now())
@@ -386,8 +381,9 @@ func (t *Tenant) Stats() TenantStats {
 	return ts
 }
 
-// close tears the tenant down: followers first (no swaps against dying
-// servers), then every replica server. Runs once, from Fleet.Close.
+// close tears the tenant down: the follower first (no swaps against
+// dying servers), then every replica server. Runs once, from
+// Fleet.Close.
 func (t *Tenant) close() {
 	t.mu.Lock()
 	if t.closed {
@@ -395,12 +391,10 @@ func (t *Tenant) close() {
 		return
 	}
 	t.closed = true
-	live := t.live
-	followers := t.followers
-	t.live = nil
-	t.followers = nil
+	live, f := t.live, t.follower
+	t.live, t.follower = nil, nil
 	t.mu.Unlock()
-	for _, f := range followers {
+	if f != nil {
 		f.Close()
 	}
 	for _, rep := range live {

@@ -247,6 +247,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
+	cfg.Model = nil // the weights live in s.current; a swap must free them
 	graph := partition.NewLinear(len(stages))
 	if cfg.Plan != nil {
 		graph = cfg.Plan.Graph

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -29,8 +28,16 @@ import (
 // skipped by checkpoint.Newest, the walker Latest and LoadModel pick
 // their generation through.
 
-// FollowConfig configures a checkpoint follower started with
-// Server.Follow.
+// Target is what a checkpoint follower installs generations into: a
+// Server, or a fleet tenant that installs each generation on every one of
+// its replicas. SwapModel must refuse a generation that does not advance
+// past WeightGeneration with ErrStaleGeneration.
+type Target interface {
+	WeightGeneration() int
+	SwapModel(model *nn.Sequential, gen int) error
+}
+
+// FollowConfig configures a checkpoint follower started with Follow.
 type FollowConfig struct {
 	// Dir is the checkpoint directory the trainer writes generations
 	// into. Required.
@@ -58,8 +65,7 @@ type FollowConfig struct {
 }
 
 // Follower is a running checkpoint follower. Stop it with Close; the
-// server's Close does not stop followers, since they are started by the
-// caller and may outlive one server only in tests.
+// target's Close does not stop it, since the caller started it.
 type Follower struct {
 	stop chan struct{}
 	done chan struct{}
@@ -73,17 +79,23 @@ func (f *Follower) Close() {
 	<-f.done
 }
 
+// Follow starts a checkpoint follower on the server; see the package
+// function Follow.
+func (s *Server) Follow(cfg FollowConfig) (*Follower, error) {
+	return Follow(s, cfg)
+}
+
 // Follow starts a checkpoint follower: a goroutine that polls cfg.Dir
-// and hot-swaps each new complete generation into the server. The
-// returned Follower must be Closed before the server is; a swap against
-// a closed server is harmless but wasted work.
+// every cfg.Poll and hot-swaps each new complete generation into t. The
+// returned Follower must be Closed before t is; a swap against a closed
+// target is harmless but wasted work.
 //
 // The follower is level-triggered, not edge-triggered: each tick
 // compares the directory's latest complete generation against the
-// server's current one, so missed ticks or multiple generations written
-// between ticks collapse into a single swap to the newest — the server
+// target's current one, so missed ticks or multiple generations written
+// between ticks collapse into a single swap to the newest — the target
 // may skip generations, but never serves one out of order.
-func (s *Server) Follow(cfg FollowConfig) (*Follower, error) {
+func Follow(t Target, cfg FollowConfig) (*Follower, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("serve: follow: checkpoint dir is required")
 	}
@@ -96,19 +108,14 @@ func (s *Server) Follow(cfg FollowConfig) (*Follower, error) {
 	f := &Follower{stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(f.done)
-		// Each wait is jittered around Poll so that a fleet of replicas
-		// following one shared checkpoint directory does not stat it in
-		// lockstep every tick (and does not all discover — and load — a
-		// new generation at the same instant).
-		timer := time.NewTimer(pollJitter(cfg.Poll))
-		defer timer.Stop()
+		tick := time.NewTicker(cfg.Poll)
+		defer tick.Stop()
 		for {
 			select {
 			case <-f.stop:
 				return
-			case <-timer.C:
-				s.pollOnce(cfg)
-				timer.Reset(pollJitter(cfg.Poll))
+			case <-tick.C:
+				pollOnce(t, cfg)
 			}
 		}
 	}()
@@ -116,10 +123,10 @@ func (s *Server) Follow(cfg FollowConfig) (*Follower, error) {
 }
 
 // pollOnce checks the checkpoint directory for a generation newer than
-// the one currently serving and installs it. Any failure is reported to
+// the one t currently serves and installs it. Any failure is reported to
 // OnError and retried on the next tick — a torn read this tick is a
 // complete generation the next.
-func (s *Server) pollOnce(cfg FollowConfig) {
+func pollOnce(t Target, cfg FollowConfig) {
 	latest, err := checkpoint.Latest(cfg.Dir)
 	if err != nil {
 		// An empty or not-yet-created directory (ErrNoGeneration) is the
@@ -136,7 +143,7 @@ func (s *Server) pollOnce(cfg FollowConfig) {
 		}
 		return
 	}
-	if latest <= s.WeightGeneration() {
+	if latest <= t.WeightGeneration() {
 		return
 	}
 	model, gen, err := checkpoint.LoadModel(cfg.Dir, cfg.Factory)
@@ -146,7 +153,7 @@ func (s *Server) pollOnce(cfg FollowConfig) {
 		}
 		return
 	}
-	if err := s.SwapModel(model, gen); err != nil {
+	if err := t.SwapModel(model, gen); err != nil {
 		// ErrStaleGeneration means another swapper beat us to a newer
 		// generation — already up to date, not a failure worth reporting.
 		if cfg.OnError != nil && !errors.Is(err, ErrStaleGeneration) {
@@ -157,12 +164,4 @@ func (s *Server) pollOnce(cfg FollowConfig) {
 	if cfg.OnSwap != nil {
 		cfg.OnSwap(gen)
 	}
-}
-
-// pollJitter draws one poll wait uniformly from [d/2, 3d/2).
-func pollJitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }

@@ -175,8 +175,9 @@ type (
 	// latency quantiles.
 	ServeStats = serve.Stats
 	// FollowConfig configures a checkpoint follower started with
-	// Server.Follow: the trainer's checkpoint directory, a model
-	// factory, and the polling interval (see docs/SERVING.md).
+	// Server.Follow or FleetTenant.Follow: the trainer's checkpoint
+	// directory, a model factory, and the polling interval (see
+	// docs/SERVING.md).
 	FollowConfig = serve.FollowConfig
 	// Follower is a running checkpoint follower that hot-swaps each new
 	// complete checkpoint generation into its Server.
@@ -199,8 +200,11 @@ type (
 	// FleetTenantConfig declares one served model: its name, replica
 	// template ServeConfig, and admission quota bounds.
 	FleetTenantConfig = fleet.TenantConfig
-	// FleetTenant is one served model inside a fleet; rescale it live
-	// with AddReplica/RemoveReplica, follow checkpoints with Follow.
+	// FleetTenant is one served model inside a fleet with one weight
+	// lineage for all its replicas; rescale it live with
+	// AddReplica/RemoveReplica, follow checkpoints with Follow (one
+	// follower, one load per generation), or install a model on every
+	// replica with SwapModel.
 	FleetTenant = fleet.Tenant
 	// FleetStats summarizes every tenant of a fleet.
 	FleetStats = fleet.Stats

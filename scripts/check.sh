@@ -98,13 +98,13 @@ go test -count=1 ./internal/serve/ -run 'TestPoolBalanceAfterTraffic|TestCloseRe
 go test -count=1 ./internal/profile/ ./internal/cliconf/ ./cmd/pipedream-serve/ -run 'TestMeasureForwardRunsNoBackward|TestServePlanReadsNoTrainingData|TestServePlanCutsTheForwardPass|TestImagesCutIsUnchanged'
 go test -count=1 ./cmd/pipedream-serve/ ./internal/serve/...
 
-echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table and serving's hot-swap soaks — linear, diamond and two-head — ten times, the two-pass backward, the shared-model inference call, the release of what no context reads, random layer chains run in place, the in-place train-comm chain, one factory model per replica and dropout stages of one model three; the checkpoint readers against a concurrent prune — restore, LoadFullState and the serving follower — five; the elastic runtime's tests and the consecutive-recovery bound, which share the one chunk loop, five; the transport's connection storm twenty)"
+echo "== go test -race (every package; serve twice, its batcher and hot-swap races are timing-dependent; the weight-version table, serving's hot-swap soaks — linear, diamond and two-head — and the fleet's hot-swap under load and one-lineage-per-tenant tests ten times, the two-pass backward, the shared-model inference call, the release of what no context reads, random layer chains run in place, the in-place train-comm chain, one factory model per replica and dropout stages of one model three; the checkpoint readers against a concurrent prune — restore, LoadFullState and the serving follower — five; the elastic runtime's tests and the consecutive-recovery bound, which share the one chunk loop, five; the transport's connection storm twenty)"
 go test -race ./...
 go test -race -count=5 ./internal/pipeline/ -run '^(TestElastic|TestTrainMaxRecoveries)'
 go test -race -count=20 ./internal/transport/ -run '^TestBreakConnStormDeliversOnlyWholeFrames$'
 go test -race -count=5 ./internal/pipeline/ ./internal/serve/ -run '^(TestRestoreRacesPruneAtGenerationBoundary|TestLoadFullStateRacesPruneAtGenerationBoundary|TestFollowerSkipsMidPruneGeneration)$'
 go test -race -count=10 ./internal/pipeline/ -run 'TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied'
-go test -race -count=10 ./internal/serve/ -run '^(TestSwapSoak|TestSwapSoakOnDAGPlans)$'
+go test -race -count=10 ./internal/serve/ ./internal/serve/fleet/ -run '^(TestSwapSoak|TestSwapSoakOnDAGPlans|TestFleetChaosHotSwapUnderLoad|TestAddReplicaJoinsAtTheTenantsGeneration|TestOneLoadPerGenerationForEveryReplica|TestSwapReachesEveryReplicaAndGenerationOnlyAdvances)$'
 go test -race -count=3 ./internal/nn/ ./internal/pipeline/ -run 'TestTwoPassBackwardMatchesLayerByLayer|TestUpstreamGradientLeavesBeforeParameterHalves|TestInferenceConcurrent|TestSequentialReleasesEachTensorOnce|TestUnreadStageInputReleasedAtForwardEnd|TestRandomChainsKeepTheOwnershipRule|TestCommChainTrainsBitEqualInPlace|TestEachReplicaModelBuiltOnce|TestDropoutStagesOfOneModelTrainBitEqual'
 go test -race -count=2 ./internal/serve/...
 
