@@ -259,12 +259,14 @@ func (s *Server) failBatch(info *batchInfo, err error) {
 }
 
 // failPendingLocked marks pr failed and delivers err, exactly once per
-// request even when the request spans several pipeline batches. Callers
-// hold s.mu.
+// request even when the request spans several pipeline batches, and puts
+// back the response it was assembling. Callers hold s.mu.
 func (s *Server) failPendingLocked(pr *pendingReq, err error) {
 	if pr.failed {
 		return
 	}
 	pr.failed = true
+	tensor.Put(pr.out)
+	pr.out = nil
 	pr.req.resp <- result{err: err}
 }

@@ -250,3 +250,45 @@ func TestCloseReleasesQueuedDeliveries(t *testing.T) {
 		}
 	}
 }
+
+// panicOnLayer is an identity layer that fails a batch holding the value
+// 99, as a layer that rejects one batch of a request would.
+type panicOnLayer struct{}
+
+func (panicOnLayer) Name() string { return "panic-on-99" }
+func (panicOnLayer) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, nn.Context) {
+	for _, v := range x.Data {
+		if v == 99 {
+			panic("batch holds 99")
+		}
+	}
+	return x, nil
+}
+func (panicOnLayer) Backward(ctx nn.Context, g *tensor.Tensor) *tensor.Tensor { return g }
+func (panicOnLayer) Params() []*tensor.Tensor                                 { return nil }
+func (panicOnLayer) Grads() []*tensor.Tensor                                  { return nil }
+
+// TestFailedSplitRequestReturnsItsResponse: a request split into three
+// batches answers its first, so the server gathers that batch's rows into
+// a pooled response, and fails on its second. The gathered response goes
+// back to the pool; the caller, who only sees the error, cannot.
+func TestFailedSplitRequestReturnsItsResponse(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	// One stage: its answers reach the demultiplexer in batch order.
+	plan := &partition.Plan{Stages: []partition.StageSpec{{FirstLayer: 0, LastLayer: 1, Replicas: 1}},
+		Graph: partition.NewLinear(1)}
+	x := tensor.RandUniform(rng, -1, 1, 6, 2)
+	x.Data[5] = 99 // row 2, in the second batch of two rows
+	for round := 0; round < 5; round++ {
+		model := nn.NewSequential(panicOnLayer{}, nn.NewDense(rng, "fc1", 2, 3))
+		s := mustServer(t, Config{Model: model, Plan: plan, MaxBatch: 2})
+		before := outstanding()
+		if _, err := s.Infer(x); !errors.Is(err, ErrInference) || !strings.Contains(err.Error(), "batch holds 99") {
+			t.Fatalf("round %d: err = %v, want ErrInference from the second batch", round, err)
+		}
+		s.Close()
+		if held := outstanding() - before; held != 0 {
+			t.Fatalf("round %d: %d pooled tensors outstanding after Close, want 0", round, held)
+		}
+	}
+}

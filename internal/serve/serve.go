@@ -197,7 +197,7 @@ type result struct {
 // was split, and complete the request when every row is accounted for.
 type pendingReq struct {
 	req       *request
-	out       *tensor.Tensor // allocated on first completed segment
+	out       *tensor.Tensor // pooled on first completed segment
 	remaining int            // rows still outstanding
 	firstID   int            // first pipeline batch id (trace span tag)
 	gen       int            // weight generation stamped at dispatch

@@ -310,7 +310,7 @@ func (s *Server) deliverLocked(info *batchInfo, y *tensor.Tensor) {
 		} else {
 			if pr.out == nil {
 				shape := append([]int{pr.req.rows * expand}, y.Shape[1:]...)
-				pr.out = tensor.New(shape...)
+				pr.out = tensor.GetRaw(shape...) // every row is copied in before completeLocked
 			}
 			if pr.out.Size() != pr.req.rows*expand*outRowSize {
 				// A split request saw a different expansion or row size on

@@ -37,11 +37,15 @@ import (
 // in flat arrays (flat.go) that are exactly sized, private to the stage
 // worker that made them and recycled, if at all, through that worker's own
 // free list (internal/pipeline/versions.go) — a 1.18 MB weight version
-// would otherwise round up to a 2 MB size class. Views of such an array
-// are never Put.
+// would otherwise round up to a 1.31 MB size class (at most a quarter
+// over), while the memory price counts exact bytes. Views of such an
+// array are never Put.
 
-// pools[c] holds *Tensor headers whose Data capacity is exactly 1<<c.
-var pools [33]sync.Pool
+// pools[c] holds *Tensor headers whose Data capacity is exactly the
+// capacity sizeClass gives class c: 1, 2 and 4, then four classes per
+// doubling, 2^k × {1.25, 1.5, 1.75, 2}, so a pooled tensor holds at most
+// a quarter more than was asked for. 123 classes reach 1<<32 elements.
+var pools [123]sync.Pool
 
 // Buffer-pool traffic counters: hits are Gets served from the free list,
 // misses are Gets that allocated, puts are tensors recycled. One atomic
@@ -57,12 +61,18 @@ func PoolCounters() (hits, misses, puts int64) {
 	return poolHits.Load(), poolMisses.Load(), poolPuts.Load()
 }
 
-// sizeClass returns the smallest c with 1<<c >= n.
-func sizeClass(n int) int {
-	if n <= 1 {
-		return 0
+// sizeClass returns the smallest class c whose capacity holds n, and
+// that capacity: 1<<c up to n = 4, then q<<s with q in 5..8 and
+// (q-1)<<s < n, which is under 1.25·n since 4<<s < n. Powers of two keep
+// the capacities they had when every class was one.
+func sizeClass(n int) (c, capacity int) {
+	if n <= 4 {
+		c = bits.Len(uint(max(n, 1) - 1))
+		return c, 1 << c
 	}
-	return bits.Len(uint(n - 1))
+	s := bits.Len(uint(n-1)) - 3
+	q := (n-1)>>s + 1
+	return 4*s + q - 2, q << s
 }
 
 // grab returns a pooled tensor re-shaped to shape, or a freshly
@@ -76,7 +86,7 @@ func grab(shape []int, zero bool) *Tensor {
 		}
 		n *= d
 	}
-	c := sizeClass(n)
+	c, size := sizeClass(n)
 	if v := pools[c].Get(); v != nil {
 		poolHits.Add(1)
 		t := v.(*Tensor)
@@ -100,7 +110,7 @@ func grab(shape []int, zero bool) *Tensor {
 	poolMisses.Add(1)
 	s := make([]int, len(shape))
 	copy(s, shape)
-	return &Tensor{Shape: s, Data: make([]float32, n, 1<<c)}
+	return &Tensor{Shape: s, Data: make([]float32, n, size)}
 }
 
 // Get returns a zero-filled tensor of the given shape, reusing a pooled
@@ -124,8 +134,8 @@ func Put(t *Tensor) {
 	if t == nil || cap(t.Data) == 0 {
 		return
 	}
-	c := sizeClass(cap(t.Data))
-	if 1<<c != cap(t.Data) {
+	c, size := sizeClass(cap(t.Data))
+	if size != cap(t.Data) {
 		return // not a pool buffer; let the GC have it
 	}
 	poolPuts.Add(1)

@@ -90,11 +90,11 @@ go test -count=1 . ./internal/partition/ -run '^(TestMemoryConstrainedPlanRunsAt
 go test -count=10 ./internal/partition/ -run '^TestRandomPlansSimulateAtTheirPrice$'
 go test -count=1 ./internal/pipeline/ -run '^TestWeightArraysAreThePlannedPrice$'
 
-echo "== poisoned pool (use-after-release detector on: nn, collective, pipeline, serve, fleet, pipedream-serve, cliconf and profile tests always run with it; these are the suites that compare losses and outputs bit for bit — the inference call among them, random layer chains run in place against the borrowing calls, and the train-comm chain whose ReLU stages write over their deliveries — the transport contract, the pool balance of a recovered training run and of serving, and serving's start-up: a forward-only profile that runs no Backward, returns every pooled tensor, reads no training data and cuts the forward pass, images' cut unchanged. The optimizer writes each weight version over the gradients it reads, so the gradient arena rotates: every arena a step hands back holds a released version's mark, and the bit-equal suites stay clean only while every optimizer reads each gradient element before it writes over it and every backward sets every gradient element; the ring slices its buckets from each round's arena)"
+echo "== poisoned pool (use-after-release detector on: nn, collective, pipeline, serve, fleet, pipedream-serve, cliconf and profile tests always run with it; these are the suites that compare losses and outputs bit for bit — the inference call among them, random layer chains run in place against the borrowing calls, and the train-comm chain whose ReLU stages write over their deliveries — the transport contract, the pool balance of a recovered training run and of serving, and serving's start-up: a forward-only profile that runs no Backward, returns every pooled tensor, reads no training data and cuts the forward pass, images' cut unchanged. The optimizer writes each weight version over the gradients it reads, so the gradient arena rotates: every arena a step hands back holds a released version's mark, and the bit-equal suites stay clean only while every optimizer reads each gradient element before it writes over it and every backward sets every gradient element; the ring slices its buckets from each round's arena. The pool has four size classes per doubling, 2^k × {1, 1.25, 1.5, 1.75}, so a pooled tensor holds at most a quarter more than was asked for: the class table, recycling only class capacities, and a second release of a 163,840-capacity array; serving gathers a split request's response into a pooled tensor and puts it back when a later batch fails)"
 go test -count=1 ./internal/nn/ -run 'TestSequentialReleasesEachTensorOnce|TestSeqContextHeldBytes|TestTwoPassBackwardMatchesLayerByLayer|TestLossesMatchParentCommit|TestRandomChainsKeepTheOwnershipRule|TestStepIntoMatchesStepBitForBit|TestBackwardSetsGrads'
 go test -count=1 ./internal/pipeline/ ./internal/collective/ -run 'TestRingBucketsAreViewsOfTheGradientArena|TestUnreadStageInputReleasedAtForwardEnd|TestCommChainTrainsBitEqualInPlace|TestOneReLUStageTakesOnlyItsMask|TestRecomputeShrinksStash|TestUpstreamGradientLeavesBeforeParameterHalves|TestLossesArePureFunctionOfSeedPlanDepth|TestBranchGraphPipelineMatchesReference|TestBreakConnStormTrainsBitEqual|TestLocalWorkerSetsTrainBitEqual|TestElastic|TestChaos|TestRecoveryReturnsDroppedTensorsToPool|TestAdoptFullState|TestTrainMaxRecoveries|TestWeightVersionTableMatchesCopyReference|TestWeightVersionsAreNotCopied|TestTrainingMatchesParentCommit|TestEachReplicaModelBuiltOnce|TestDropoutStagesOfOneModelTrainBitEqual'
-go test -count=1 ./internal/tensor/ -run 'TestPoisonOnPutCatchesUseAfterRelease'
-go test -count=1 ./internal/serve/ -run 'TestPoolBalanceAfterTraffic|TestCloseReleasesQueuedDeliveries'
+go test -count=1 ./internal/tensor/ -run 'TestPoisonOnPutCatchesUseAfterRelease|TestSizeClassesHoldAtMostAQuarterMore|TestPutRecyclesOnlyClassCapacities'
+go test -count=1 ./internal/serve/ -run 'TestPoolBalanceAfterTraffic|TestCloseReleasesQueuedDeliveries|TestFailedSplitRequestReturnsItsResponse'
 go test -count=1 ./internal/profile/ ./internal/cliconf/ ./cmd/pipedream-serve/ -run 'TestMeasureForwardRunsNoBackward|TestServePlanReadsNoTrainingData|TestServePlanCutsTheForwardPass|TestImagesCutIsUnchanged'
 go test -count=1 ./cmd/pipedream-serve/ ./internal/serve/...
 
